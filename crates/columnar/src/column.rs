@@ -565,23 +565,28 @@ impl Column {
 }
 
 /// Concatenate string columns, keeping the result dictionary-encoded when
-/// every input is: shared-`Arc` inputs concatenate codes directly, distinct
-/// dictionaries are merged and codes remapped. Any plain input forces a
-/// plain result.
+/// at least as many rows arrive dictionary-encoded as plain: shared-`Arc`
+/// inputs concatenate codes directly, distinct dictionaries are merged and
+/// codes remapped, and plain pieces (the writer leaves a trailing row group
+/// of a few rows plain) are folded into the merged dictionary instead of
+/// de-dictionarying everything else. A mostly-plain input stays plain.
 fn concat_utf8(columns: &[Column], total: usize, validity: Option<Bitmap>) -> Column {
-    if columns.iter().all(|c| matches!(c, Column::Dict(_))) {
-        let dicts: Vec<&DictColumn> = columns
-            .iter()
-            .map(|c| match c {
-                Column::Dict(d) => d,
-                _ => unreachable!("checked all-dict above"),
-            })
-            .collect();
-        let first_dict = dicts[0].dict();
+    let dict_rows: usize = columns
+        .iter()
+        .map(|c| c.as_dict().map_or(0, DictColumn::len))
+        .sum();
+    let first_dict = columns.iter().find_map(Column::as_dict);
+    if let Some(first_dict) = first_dict.filter(|_| dict_rows >= total - dict_rows) {
+        let first_dict = first_dict.dict();
         let mut codes: Vec<u32> = Vec::with_capacity(total);
-        if dicts.iter().all(|d| Arc::ptr_eq(d.dict(), first_dict)) {
-            for d in &dicts {
-                codes.extend_from_slice(d.codes());
+        if columns.iter().all(|c| {
+            c.as_dict()
+                .is_some_and(|d| Arc::ptr_eq(d.dict(), first_dict))
+        }) {
+            for col in columns {
+                if let Column::Dict(d) = col {
+                    codes.extend_from_slice(d.codes());
+                }
             }
             return Column::Dict(DictColumn::new_unchecked(
                 Arc::clone(first_dict),
@@ -592,18 +597,21 @@ fn concat_utf8(columns: &[Column], total: usize, validity: Option<Bitmap>) -> Co
         // Merge dictionaries in input order, deduplicating entries.
         let mut merged: Vec<String> = Vec::new();
         let mut index: HashMap<String, u32> = HashMap::new();
-        for d in &dicts {
-            let remap: Vec<u32> = d
-                .dict()
-                .iter()
-                .map(|s| {
-                    *index.entry(s.clone()).or_insert_with(|| {
-                        merged.push(s.clone());
-                        (merged.len() - 1) as u32
-                    })
-                })
-                .collect();
-            codes.extend(d.codes().iter().map(|&c| remap[c as usize]));
+        let mut intern = |s: &String| {
+            *index.entry(s.clone()).or_insert_with(|| {
+                merged.push(s.clone());
+                (merged.len() - 1) as u32
+            })
+        };
+        for col in columns {
+            match col {
+                Column::Dict(d) => {
+                    let remap: Vec<u32> = d.dict().iter().map(&mut intern).collect();
+                    codes.extend(d.codes().iter().map(|&c| remap[c as usize]));
+                }
+                Column::Utf8(v, _) => codes.extend(v.iter().map(&mut intern)),
+                _ => unreachable!("types checked above"),
+            }
         }
         return Column::Dict(DictColumn::new_unchecked(Arc::new(merged), codes, validity));
     }
@@ -952,10 +960,40 @@ mod tests {
             Column::Dict(m) => assert_eq!(m.dict().len(), 4), // a b c d
             other => panic!("expected dict, got {other:?}"),
         }
-        // Mixing with a plain column materializes.
-        let mixed = Column::concat(&[a, Column::from_strs(vec!["z"])]).unwrap();
-        assert!(matches!(mixed, Column::Utf8(..)));
+    }
+
+    #[test]
+    fn dict_concat_folds_small_plain_pieces() {
+        let a = Column::Dict(sample_dict());
+        // A short plain piece (the writer's trailing row group) joins the
+        // merged dictionary instead of de-dictionarying the dict rows.
+        let tail = Column::from_opt_str(vec![Some("z"), None, Some("a")]);
+        let pieces = [a.clone(), tail, a.clone()];
+        let mixed = Column::concat(&pieces).unwrap();
+        match &mixed {
+            // a b c, then z and the null slot's "" from the plain piece.
+            Column::Dict(m) => assert_eq!(m.dict().len(), 5),
+            other => panic!("expected dict, got {other:?}"),
+        }
+        assert_eq!(mixed.len(), 15);
         assert_eq!(mixed.get(6).unwrap(), Value::Utf8("z".into()));
+        assert_eq!(mixed.get(7).unwrap(), Value::Null);
+        // Byte-identical to the all-plain concat once decoded.
+        let plain: Vec<Column> = pieces.iter().map(Column::materialize).collect();
+        let want = Column::concat(&plain).unwrap();
+        assert!(matches!(want, Column::Utf8(..)));
+        match (mixed.materialize(), want) {
+            (Column::Utf8(gv, gval), Column::Utf8(wv, wval)) => {
+                assert_eq!(gv, wv);
+                assert_eq!(gval, wval);
+            }
+            other => panic!("expected plain columns, got {other:?}"),
+        }
+        // More plain rows than dict rows: the result is plain, as before.
+        let long = Column::from_strs(vec!["p"; 7]);
+        let mostly_plain = Column::concat(&[a, long]).unwrap();
+        assert!(matches!(mostly_plain, Column::Utf8(..)));
+        assert_eq!(mostly_plain.get(6).unwrap(), Value::Utf8("p".into()));
     }
 
     #[test]

@@ -238,36 +238,38 @@ impl SchemaProvider for LakehouseProvider {
     }
 }
 
-impl TableProvider for LakehouseProvider {
-    fn scan(
+impl LakehouseProvider {
+    /// Tables served from memory, projected: `system.*` (materialized from
+    /// global telemetry on every scan) and overlay artifacts. `None` = a
+    /// catalog table.
+    fn memory_table(
+        &self,
+        table: &str,
+        projection: Option<&[String]>,
+    ) -> SqlResult<Option<RecordBatch>> {
+        let project = |batch: &RecordBatch| match projection {
+            Some(cols) => {
+                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+                Ok(batch.project(&names)?)
+            }
+            None => Ok(batch.clone()),
+        };
+        if table.starts_with(crate::system::SYSTEM_PREFIX) {
+            let batch = crate::system::system_batch(table, self.system_pool.as_ref())
+                .ok_or_else(|| SqlError::Plan(format!("unknown system table '{table}'")))?;
+            return project(&batch).map(Some);
+        }
+        self.overlay.read().get(table).map(project).transpose()
+    }
+
+    /// Catalog-resolved Iceberg-style scan with projection and (unless this
+    /// is the naive baseline) predicate pushdown.
+    fn table_scan(
         &self,
         table: &str,
         projection: Option<&[String]>,
         filters: &[Expr],
-    ) -> SqlResult<RecordBatch> {
-        // System tables: materialized from global telemetry on every scan.
-        if table.starts_with(crate::system::SYSTEM_PREFIX) {
-            let batch = crate::system::system_batch(table, self.system_pool.as_ref())
-                .ok_or_else(|| SqlError::Plan(format!("unknown system table '{table}'")))?;
-            return match projection {
-                Some(cols) => {
-                    let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                    Ok(batch.project(&names)?)
-                }
-                None => Ok(batch),
-            };
-        }
-        // Overlay first: in-memory artifacts.
-        if let Some(batch) = self.overlay.read().get(table) {
-            return match projection {
-                Some(cols) => {
-                    let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                    Ok(batch.project(&names)?)
-                }
-                None => Ok(batch.clone()),
-            };
-        }
-        // Catalog-resolved Iceberg-style scan with pushdown.
+    ) -> SqlResult<lakehouse_table::TableScan> {
         let t = self
             .load_table(table)
             .map_err(|e| SqlError::Plan(format!("cannot load table '{table}': {e}")))?;
@@ -281,8 +283,24 @@ impl TableProvider for LakehouseProvider {
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
             scan = scan.select(&names);
         }
-        scan.execute()
-            .map_err(|e| SqlError::Execution(format!("scan of '{table}' failed: {e}")))
+        Ok(scan)
+    }
+}
+
+impl TableProvider for LakehouseProvider {
+    fn scan(
+        &self,
+        table: &str,
+        projection: Option<&[String]>,
+        filters: &[Expr],
+    ) -> SqlResult<RecordBatch> {
+        match self.memory_table(table, projection)? {
+            Some(batch) => Ok(batch),
+            None => self
+                .table_scan(table, projection, filters)?
+                .execute()
+                .map_err(|e| SqlError::Execution(format!("scan of '{table}' failed: {e}"))),
+        }
     }
 
     fn scan_stream(
@@ -292,58 +310,31 @@ impl TableProvider for LakehouseProvider {
         filters: &[Expr],
         batch_rows: usize,
     ) -> SqlResult<Box<dyn BatchStream>> {
-        // System tables stream the same single materialized batch the
-        // non-streaming path scans, so both executors see identical rows.
-        if table.starts_with(crate::system::SYSTEM_PREFIX) {
-            let batch = crate::system::system_batch(table, self.system_pool.as_ref())
-                .ok_or_else(|| SqlError::Plan(format!("unknown system table '{table}'")))?;
-            let batch = match projection {
-                Some(cols) => {
-                    let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                    batch.project(&names)?
-                }
-                None => batch,
-            };
-            return Ok(Box::new(RechunkStream::new(
-                BatchesStream::one(batch),
-                batch_rows,
-            )));
-        }
-        // Overlay artifacts are already in memory; rechunk so the pipeline
-        // still sees bounded batches.
-        if let Some(batch) = self.overlay.read().get(table) {
-            let batch = match projection {
-                Some(cols) => {
-                    let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                    batch.project(&names)?
-                }
-                None => batch.clone(),
-            };
-            return Ok(Box::new(RechunkStream::new(
-                BatchesStream::one(batch),
-                batch_rows,
-            )));
-        }
-        // Catalog tables stream one batch per data file: peak memory is a
-        // few files, and an abandoned stream (satisfied LIMIT) leaves the
-        // remaining files unfetched.
-        let t = self
-            .load_table(table)
-            .map_err(|e| SqlError::Plan(format!("cannot load table '{table}': {e}")))?;
-        let mut scan = self.configure_scan(t.scan());
-        if self.pushdown {
-            for p in Self::to_scan_predicates(filters) {
-                scan = scan.with_predicate(p);
+        let scan_failed = |e| SqlError::Execution(format!("scan of '{table}' failed: {e}"));
+        let batch = match self.memory_table(table, projection)? {
+            // In-memory tables have nothing to skip.
+            Some(batch) => batch,
+            // Catalog tables stream one batch per data file: peak memory is
+            // a few files, and an abandoned stream (a satisfied LIMIT or row
+            // budget) leaves the remaining files unfetched.
+            None if self.pushdown => {
+                let stream = self
+                    .table_scan(table, projection, filters)?
+                    .stream()
+                    .map_err(scan_failed)?;
+                return Ok(Box::new(RechunkStream::new(stream, batch_rows)));
             }
-        }
-        if let Some(cols) = projection {
-            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-            scan = scan.select(&names);
-        }
-        let stream = scan
-            .stream()
-            .map_err(|e| SqlError::Execution(format!("scan of '{table}' failed: {e}")))?;
-        Ok(Box::new(RechunkStream::new(stream, batch_rows)))
+            // The naive baseline reads whole tables: no early stop either.
+            None => self
+                .table_scan(table, projection, filters)?
+                .execute()
+                .map_err(scan_failed)?,
+        };
+        // Rechunk so the pipeline still sees bounded batches.
+        Ok(Box::new(RechunkStream::new(
+            BatchesStream::one(batch),
+            batch_rows,
+        )))
     }
 }
 

@@ -149,19 +149,6 @@ impl Expr {
         }
     }
 
-    /// Names of all referenced columns (unqualified form).
-    pub fn referenced_columns(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| {
-            if let Expr::Column { name, .. } = e {
-                if !out.contains(name) {
-                    out.push(name.clone());
-                }
-            }
-        });
-        out
-    }
-
     /// A display name for an unaliased projection of this expression.
     pub fn default_name(&self) -> String {
         match self {
@@ -345,24 +332,6 @@ pub struct SelectStmt {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn referenced_columns_dedup() {
-        let e = Expr::Logical {
-            op: LogicalOp::And,
-            left: Box::new(Expr::Compare {
-                op: CmpOp::Gt,
-                left: Box::new(Expr::col("a")),
-                right: Box::new(Expr::lit(1i64)),
-            }),
-            right: Box::new(Expr::Compare {
-                op: CmpOp::Lt,
-                left: Box::new(Expr::col("a")),
-                right: Box::new(Expr::col("b")),
-            }),
-        };
-        assert_eq!(e.referenced_columns(), vec!["a", "b"]);
-    }
 
     #[test]
     fn display_round_trips_visually() {

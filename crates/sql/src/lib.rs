@@ -4,8 +4,8 @@
 //! SQL engine operating directly on `lakehouse-columnar` batches.
 //!
 //! Pipeline: SQL text → [`tokenizer`] → [`parser`] (AST) → [`logical`] plan →
-//! [`optimizer`] (constant folding, predicate pushdown, projection pruning)
-//! → [`physical`] execution (vectorized operators: scan, filter, project,
+//! [`optimizer`] (constant folding, predicate pushdown, projection pruning,
+//! limit pushdown) → [`physical`] execution (vectorized operators: scan, filter, project,
 //! hash aggregate, hash join, sort, limit).
 //!
 //! Supported SQL (the dialect the paper's dbt-style pipelines need):

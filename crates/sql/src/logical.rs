@@ -43,6 +43,9 @@ pub enum LogicalPlan {
         projection: Option<Vec<String>>,
         /// Conjunctive filters pushed into the scan.
         filters: Vec<Expr>,
+        /// Row budget: the scan may stop once this many rows have passed
+        /// `filters` (set by the optimizer from a `LIMIT` directly above).
+        fetch: Option<usize>,
     },
     Filter {
         input: Box<LogicalPlan>,
@@ -142,13 +145,7 @@ impl LogicalPlan {
                 Ok(Schema::new(fields))
             }
             LogicalPlan::Join { left, right, .. } => {
-                let l = left.schema()?;
-                let r = right.schema()?;
-                let mut fields: Vec<Field> = l.fields().to_vec();
-                for f in r.fields() {
-                    fields.push(f.clone());
-                }
-                Ok(Schema::new(fields))
+                Ok(join_schema(&left.schema()?, &right.schema()?))
             }
             LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
@@ -180,6 +177,21 @@ impl LogicalPlan {
         }
     }
 
+    /// [`Self::children`], mutably (for in-place rewrites).
+    pub fn children_mut(&mut self) -> Vec<&mut LogicalPlan> {
+        match self {
+            LogicalPlan::Scan { .. } => vec![],
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Distinct { input }
+            | LogicalPlan::SubqueryAlias { input, .. } => vec![input],
+            LogicalPlan::Join { left, right, .. } => vec![left, right],
+        }
+    }
+
     /// One-line label for this node as it appears in EXPLAIN output.
     pub fn node_label(&self) -> String {
         match self {
@@ -187,6 +199,7 @@ impl LogicalPlan {
                 table,
                 projection,
                 filters,
+                fetch,
                 ..
             } => {
                 let mut label = format!("Scan: {table}");
@@ -196,6 +209,9 @@ impl LogicalPlan {
                 if !filters.is_empty() {
                     let fs: Vec<String> = filters.iter().map(|f| f.to_string()).collect();
                     label.push_str(&format!(" filters=[{}]", fs.join(" AND ")));
+                }
+                if let Some(n) = fetch {
+                    label.push_str(&format!(" fetch={n}"));
                 }
                 label
             }
@@ -279,6 +295,30 @@ pub fn resolve_column(schema: &Schema, qualifier: Option<&str>, name: &str) -> R
         [] => Err(SqlError::Plan(format!("unknown column: {name}"))),
         _ => Err(SqlError::Plan(format!("ambiguous column: {name}"))),
     }
+}
+
+/// A join's output schema: the left input's fields, then the right's.
+pub fn join_schema(left: &Schema, right: &Schema) -> Schema {
+    Schema::new(
+        left.fields()
+            .iter()
+            .chain(right.fields())
+            .cloned()
+            .collect(),
+    )
+}
+
+/// Can every column in `expr` be resolved against `schema`?
+pub fn expr_resolves(expr: &Expr, schema: &Schema) -> bool {
+    let mut ok = true;
+    expr.walk(&mut |e| {
+        if let Expr::Column { qualifier, name } = e {
+            if resolve_column(schema, qualifier.as_deref(), name).is_err() {
+                ok = false;
+            }
+        }
+    });
+    ok
 }
 
 /// Infer the output type of an expression against an input schema.
@@ -390,6 +430,7 @@ pub fn plan_select(stmt: &SelectStmt, provider: &dyn SchemaProvider) -> Result<L
                 schema: Schema::new(vec![Field::new("__dummy", DataType::Int64, true)]),
                 projection: None,
                 filters: vec![],
+                fetch: None,
             }
         }
     };
@@ -593,6 +634,7 @@ fn plan_relation(rel: &Relation, provider: &dyn SchemaProvider) -> Result<Logica
                 schema,
                 projection: None,
                 filters: vec![],
+                fetch: None,
             };
             Ok(match alias {
                 Some(a) => LogicalPlan::SubqueryAlias {

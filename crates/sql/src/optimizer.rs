@@ -1,22 +1,28 @@
-//! Logical-plan optimizer: constant folding, predicate pushdown, and
-//! projection pruning.
+//! Logical-plan optimizer: constant folding, predicate pushdown, projection
+//! pruning, and limit pushdown.
 //!
-//! These three rules are what make the paper's execution-plan claims real:
+//! These rules are what make the paper's execution-plan claims real:
 //! pushdown lets the table layer prune files/row groups before any bytes
-//! move, and projection pruning shrinks what does move (§4.4.2).
+//! move, projection pruning shrinks what does move, and a row budget stops
+//! the scan once a `LIMIT` is satisfied (§4.4.2). Each one ends at
+//! [`LogicalPlan::Scan`]: files, columns and rows the query does not need
+//! are never read.
 
-use crate::ast::{ArithOp, Expr, LogicalOp};
+use crate::ast::{ArithOp, Expr, JoinType, LogicalOp};
 use crate::error::Result;
-use crate::logical::{resolve_column, LogicalPlan};
+use crate::logical::{expr_resolves, join_schema, resolve_column, LogicalPlan};
 use lakehouse_columnar::kernels::cast::cast_value;
-use lakehouse_columnar::Value;
+use lakehouse_columnar::kernels::CmpOp;
+use lakehouse_columnar::{DataType, Schema, Value};
+use std::collections::BTreeSet;
 
 /// Run all rules to fixpoint-ish (each rule once; they are confluent for our
 /// plan shapes).
 pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
     let plan = fold_constants_in_plan(plan)?;
     let plan = push_down_predicates(plan)?;
-    let plan = prune_projections(plan)?;
+    let mut plan = prune_projections(plan)?;
+    push_down_limits(&mut plan);
     Ok(plan)
 }
 
@@ -275,7 +281,10 @@ fn push_down_predicates(plan: LogicalPlan) -> Result<LogicalPlan> {
     Ok(match plan {
         LogicalPlan::Filter { input, predicate } => {
             let input = push_down_predicates(*input)?;
-            let parts = split_conjunction(&predicate);
+            let parts = split_conjunction(&predicate)
+                .into_iter()
+                .flat_map(expand_between)
+                .collect();
             push_filter_into(input, parts)?
         }
         LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
@@ -335,10 +344,11 @@ fn push_filter_into(plan: LogicalPlan, parts: Vec<Expr>) -> Result<LogicalPlan> 
             schema,
             projection,
             mut filters,
+            fetch,
         } => {
             let mut residual = Vec::new();
             for p in parts {
-                if predicate_resolves(&p, &schema) {
+                if expr_resolves(&p, &schema) {
                     filters.push(p);
                 } else {
                     residual.push(p);
@@ -349,6 +359,7 @@ fn push_filter_into(plan: LogicalPlan, parts: Vec<Expr>) -> Result<LogicalPlan> 
                 schema,
                 projection,
                 filters,
+                fetch,
             };
             Ok(wrap_filter(scan, residual))
         }
@@ -388,8 +399,105 @@ fn push_filter_into(plan: LogicalPlan, parts: Vec<Expr>) -> Result<LogicalPlan> 
             };
             Ok(wrap_filter(project, residual))
         }
+        LogicalPlan::Join {
+            left,
+            right,
+            join_type,
+            on,
+        } => {
+            // A conjunct goes to the side that owns all of its columns. The
+            // unmatched left rows of a LEFT join carry NULL right columns, so
+            // filtering the right input first would change which rows those
+            // are: only the preserved (left) side takes conjuncts there.
+            let (lschema, rschema) = (left.schema()?, right.schema()?);
+            let joined = join_schema(&lschema, &rschema);
+            let (mut to_left, mut to_right, mut residual) = (Vec::new(), Vec::new(), Vec::new());
+            for p in parts {
+                match owning_side(&p, &joined, &lschema, &rschema) {
+                    Some(Side::Left) => to_left.push(p),
+                    Some(Side::Right) if join_type == JoinType::Inner => to_right.push(p),
+                    _ => residual.push(p),
+                }
+            }
+            let push = |side: LogicalPlan, parts: Vec<Expr>| {
+                if parts.is_empty() {
+                    Ok(side)
+                } else {
+                    push_filter_into(side, parts)
+                }
+            };
+            let join = LogicalPlan::Join {
+                left: Box::new(push(*left, to_left)?),
+                right: Box::new(push(*right, to_right)?),
+                join_type,
+                on,
+            };
+            Ok(wrap_filter(join, residual))
+        }
         other => Ok(wrap_filter(other, parts)),
     }
+}
+
+/// `e BETWEEN low AND high` as the `>=`/`<=` pair the executor evaluates it
+/// as, so each half can reach the scan and prune. As separate conjuncts the
+/// pair keeps exactly the rows whose Kleene AND is true. `NOT BETWEEN` is a
+/// disjunction and stays whole.
+fn expand_between(expr: Expr) -> Vec<Expr> {
+    match expr {
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated: false,
+        } => vec![
+            Expr::Compare {
+                op: CmpOp::GtEq,
+                left: expr.clone(),
+                right: low,
+            },
+            Expr::Compare {
+                op: CmpOp::LtEq,
+                left: expr,
+                right: high,
+            },
+        ],
+        other => vec![other],
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Left,
+    Right,
+}
+
+/// The join input that owns every column `expr` references, if one does.
+///
+/// Ownership is the column's index in the join's output schema (left fields,
+/// then right fields). Asking "does the name resolve against this side" is
+/// not enough: `resolve_column` falls back to the bare name, so `z.zone`
+/// resolves against a left side that has a `zone` of its own. The conjunct
+/// is only handed down if, against the side's schema alone, every reference
+/// still lands on the same column.
+fn owning_side(expr: &Expr, joined: &Schema, left: &Schema, right: &Schema) -> Option<Side> {
+    let mut side = None;
+    let mut consistent = true;
+    expr.walk(&mut |e| {
+        let Expr::Column { qualifier, name } = e else {
+            return;
+        };
+        let q = qualifier.as_deref();
+        let owner = resolve_column(joined, q, name).ok().and_then(|i| {
+            let (owner, schema, local) = if i < left.len() {
+                (Side::Left, left, i)
+            } else {
+                (Side::Right, right, i - left.len())
+            };
+            (resolve_column(schema, q, name).ok() == Some(local)).then_some(owner)
+        });
+        consistent &= owner.is_some_and(|o| *side.get_or_insert(o) == o);
+    });
+    side.filter(|_| consistent)
 }
 
 fn wrap_filter(plan: LogicalPlan, parts: Vec<Expr>) -> LogicalPlan {
@@ -400,19 +508,6 @@ fn wrap_filter(plan: LogicalPlan, parts: Vec<Expr>) -> LogicalPlan {
         },
         None => plan,
     }
-}
-
-/// Can every column in `expr` be resolved against `schema`?
-fn predicate_resolves(expr: &Expr, schema: &lakehouse_columnar::Schema) -> bool {
-    let mut ok = true;
-    expr.walk(&mut |e| {
-        if let Expr::Column { qualifier, name } = e {
-            if resolve_column(schema, qualifier.as_deref(), name).is_err() {
-                ok = false;
-            }
-        }
-    });
-    ok
 }
 
 /// Rewrite a predicate's column references through a projection (output name
@@ -487,74 +582,97 @@ fn rewrite_through_project(expr: &Expr, exprs: &[(Expr, String)]) -> Option<Expr
 
 // ---- projection pruning ----------------------------------------------------
 
-/// Narrow every Scan to the columns actually used above it.
+/// Column positions in a node's output schema that its consumers read;
+/// `None` = all of them.
+type Required = Option<BTreeSet<usize>>;
+
+/// Add the columns `expr` references (resolved against `schema`) to
+/// `required`. A reference that does not resolve keeps everything.
+fn require(required: &mut Required, expr: &Expr, schema: &Schema) {
+    expr.walk(&mut |e| {
+        if let Expr::Column { qualifier, name } = e {
+            match resolve_column(schema, qualifier.as_deref(), name) {
+                Ok(i) => {
+                    if let Some(set) = required.as_mut() {
+                        set.insert(i);
+                    }
+                }
+                Err(_) => *required = None,
+            }
+        }
+    });
+}
+
+/// The columns of `exprs`, resolved against `schema`, and nothing else.
+fn required_by<'a>(exprs: impl IntoIterator<Item = &'a Expr>, schema: &Schema) -> Required {
+    let mut required = Some(BTreeSet::new());
+    for e in exprs {
+        require(&mut required, e, schema);
+    }
+    required
+}
+
+/// Narrow every Scan to the columns actually used above it, and every
+/// non-root Project to the outputs actually read. Requirements are tracked
+/// by position, not by name, so a qualified reference (`z.zone`) and a bare
+/// one (`zone`) to different columns of a join stay apart. Operators resolve
+/// names at run time; dropping columns nobody references cannot change what
+/// the remaining references resolve to.
 fn prune_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
-    // Determine required columns top-down; None = all columns required.
-    fn go(plan: LogicalPlan, required: Option<Vec<String>>) -> Result<LogicalPlan> {
+    fn go(plan: LogicalPlan, mut required: Required) -> Result<LogicalPlan> {
         Ok(match plan {
             LogicalPlan::Scan {
                 table,
                 schema,
                 projection,
                 filters,
+                fetch,
             } => {
-                let proj = match (projection, required) {
-                    (Some(p), _) => Some(p), // already narrowed upstream
-                    (None, Some(mut req)) => {
-                        // Filters' columns must stay readable.
-                        for f in &filters {
-                            for c in f.referenced_columns() {
-                                if !req.contains(&c) {
-                                    req.push(c);
-                                }
-                            }
-                        }
-                        // Keep schema order; drop unknown names (qualified
-                        // references resolved elsewhere keep the scan whole).
-                        let cols: Vec<String> = schema
-                            .fields()
-                            .iter()
-                            .map(|f| f.name().to_string())
-                            .filter(|n| req.contains(n))
-                            .collect();
-                        if cols.len() == schema.len() || cols.is_empty() {
-                            None
-                        } else {
-                            Some(cols)
-                        }
+                // An already narrowed scan stays as it is.
+                let projection = projection.or_else(|| {
+                    // Filters' columns must stay readable.
+                    for f in &filters {
+                        require(&mut required, f, &schema);
                     }
-                    (None, None) => None,
-                };
+                    let mut keep = required?;
+                    if keep.is_empty() {
+                        // Nothing but the row count is read (`COUNT(*)`):
+                        // one column carries it, the cheapest to decode.
+                        keep.extend(cheapest_column(&schema));
+                    }
+                    (keep.len() < schema.len()).then(|| {
+                        keep.iter()
+                            .map(|&i| schema.field(i).name().to_string())
+                            .collect()
+                    })
+                });
                 LogicalPlan::Scan {
                     table,
                     schema,
-                    projection: proj,
+                    projection,
                     filters,
+                    fetch,
                 }
             }
-            LogicalPlan::Project { input, exprs } => {
-                let mut needed = Vec::new();
-                for (e, _) in &exprs {
-                    for c in e.referenced_columns() {
-                        if !needed.contains(&c) {
-                            needed.push(c);
-                        }
-                    }
+            LogicalPlan::Project { input, mut exprs } => {
+                if let Some(keep) = &required {
+                    // Row-wise and pure: an output nobody reads need not be
+                    // computed. Keep one so the row count survives.
+                    exprs = exprs
+                        .into_iter()
+                        .enumerate()
+                        .filter(|(i, _)| keep.contains(i) || (keep.is_empty() && *i == 0))
+                        .map(|(_, e)| e)
+                        .collect();
                 }
+                let needed = required_by(exprs.iter().map(|(e, _)| e), &input.schema()?);
                 LogicalPlan::Project {
-                    input: Box::new(go(*input, Some(needed))?),
+                    input: Box::new(go(*input, needed)?),
                     exprs,
                 }
             }
             LogicalPlan::Filter { input, predicate } => {
-                let required = required.map(|mut req| {
-                    for c in predicate.referenced_columns() {
-                        if !req.contains(&c) {
-                            req.push(c);
-                        }
-                    }
-                    req
-                });
+                require(&mut required, &predicate, &input.schema()?);
                 LogicalPlan::Filter {
                     input: Box::new(go(*input, required)?),
                     predicate,
@@ -565,18 +683,13 @@ fn prune_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
                 group_exprs,
                 agg_exprs,
             } => {
-                let mut needed = Vec::new();
-                for (e, _) in &group_exprs {
-                    needed.extend(e.referenced_columns());
-                }
-                for (a, _) in &agg_exprs {
-                    if let Some(e) = &a.arg {
-                        needed.extend(e.referenced_columns());
-                    }
-                }
-                needed.dedup();
+                let used = group_exprs
+                    .iter()
+                    .map(|(e, _)| e)
+                    .chain(agg_exprs.iter().filter_map(|(a, _)| a.arg.as_ref()));
+                let needed = required_by(used, &input.schema()?);
                 LogicalPlan::Aggregate {
-                    input: Box::new(go(*input, Some(needed))?),
+                    input: Box::new(go(*input, needed)?),
                     group_exprs,
                     agg_exprs,
                 }
@@ -587,26 +700,35 @@ fn prune_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
                 join_type,
                 on,
             } => {
-                // Conservative: joins require all columns (output may use
-                // any; ON uses some). Recurse without narrowing.
+                // Each side is asked for what is read above the join plus
+                // its own ON columns, split by position in the join's
+                // output (left fields, then right fields).
+                let (lschema, rschema) = (left.schema()?, right.schema()?);
+                let joined = join_schema(&lschema, &rschema);
+                for (a, b) in &on {
+                    require(&mut required, a, &joined);
+                    require(&mut required, b, &joined);
+                }
+                let nl = lschema.len();
+                let (lreq, rreq) = match required {
+                    Some(set) => (
+                        Some(set.iter().copied().filter(|&i| i < nl).collect()),
+                        Some(set.iter().filter(|&&i| i >= nl).map(|i| i - nl).collect()),
+                    ),
+                    None => (None, None),
+                };
                 LogicalPlan::Join {
-                    left: Box::new(go(*left, None)?),
-                    right: Box::new(go(*right, None)?),
+                    left: Box::new(go(*left, lreq)?),
+                    right: Box::new(go(*right, rreq)?),
                     join_type,
                     on,
                 }
             }
             LogicalPlan::Sort { input, keys } => {
-                let required = required.map(|mut req| {
-                    for (e, _) in &keys {
-                        for c in e.referenced_columns() {
-                            if !req.contains(&c) {
-                                req.push(c);
-                            }
-                        }
-                    }
-                    req
-                });
+                let schema = input.schema()?;
+                for (e, _) in &keys {
+                    require(&mut required, e, &schema);
+                }
                 LogicalPlan::Sort {
                     input: Box::new(go(*input, required)?),
                     keys,
@@ -621,8 +743,9 @@ fn prune_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
                 limit,
                 offset,
             },
+            // Which rows are distinct depends on every column.
             LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-                input: Box::new(go(*input, required)?),
+                input: Box::new(go(*input, None)?),
             },
             LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
                 input: Box::new(go(*input, required)?),
@@ -631,6 +754,49 @@ fn prune_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
         })
     }
     go(plan, None)
+}
+
+/// The first fixed-width field (no string heap to decode), else the first.
+fn cheapest_column(schema: &Schema) -> Option<usize> {
+    schema
+        .fields()
+        .iter()
+        .position(|f| f.data_type() != DataType::Utf8)
+        .or((!schema.is_empty()).then_some(0))
+}
+
+// ---- limit pushdown --------------------------------------------------------
+
+/// Hand `LIMIT n OFFSET m` to the scan below it as a budget of `n + m` rows.
+/// Only `Project` and `SubqueryAlias` may sit in between: they emit one row
+/// per input row, in order, so the first `n + m` rows out of the scan are
+/// the only ones the limit can see. Any other operator (a residual filter, a
+/// sort, DISTINCT, a join, an aggregate) may need rows beyond the budget.
+fn push_down_limits(plan: &mut LogicalPlan) {
+    if let LogicalPlan::Limit {
+        input,
+        limit: Some(n),
+        offset,
+    } = plan
+    {
+        let budget = n.saturating_add(*offset);
+        let mut node = input.as_mut();
+        loop {
+            match node {
+                LogicalPlan::Project { input, .. } | LogicalPlan::SubqueryAlias { input, .. } => {
+                    node = input.as_mut();
+                }
+                LogicalPlan::Scan { fetch, .. } => {
+                    *fetch = Some(fetch.map_or(budget, |f| f.min(budget)));
+                    break;
+                }
+                _ => break,
+            }
+        }
+    }
+    for child in plan.children_mut() {
+        push_down_limits(child);
+    }
 }
 
 #[cfg(test)]
@@ -644,14 +810,25 @@ mod tests {
     struct Fixture;
     impl SchemaProvider for Fixture {
         fn table_schema(&self, table: &str) -> Option<Schema> {
-            (table == "t").then(|| {
-                Schema::new(vec![
+            match table {
+                "t" => Some(Schema::new(vec![
                     Field::new("a", DataType::Int64, false),
                     Field::new("b", DataType::Float64, true),
                     Field::new("c", DataType::Utf8, true),
-                ])
-            })
+                ])),
+                // A dimension sharing the column name `c` with `t`.
+                "u" => Some(Schema::new(vec![
+                    Field::new("label", DataType::Utf8, true),
+                    Field::new("k", DataType::Int64, false),
+                    Field::new("c", DataType::Utf8, true),
+                ])),
+                _ => None,
+            }
         }
+    }
+
+    fn explained(sql: &str) -> String {
+        optimized(sql).display_indent()
     }
 
     fn optimized(sql: &str) -> LogicalPlan {
@@ -776,5 +953,142 @@ mod tests {
             to: DataType::Float64,
         });
         assert_eq!(e, Expr::Literal(lakehouse_columnar::Value::Float64(2.0)));
+    }
+
+    #[test]
+    fn where_conjuncts_go_below_an_inner_join_to_the_owning_side() {
+        let text = explained(
+            "SELECT t.a, u.label FROM t JOIN u ON t.a = u.k \
+             WHERE t.b > 1.0 AND u.label = 'x' AND t.a > u.k + 1",
+        );
+        assert!(
+            text.contains("Scan: t projection=[a, b] filters=[(t.b > 1)]"),
+            "{text}"
+        );
+        assert!(
+            text.contains("Scan: u projection=[label, k] filters=[(label = x)]"),
+            "{text}"
+        );
+        // The conjunct spanning both sides stays above the join.
+        let filter = text.find("Filter: (t.a > (u.k + 1))").expect(&text);
+        assert!(filter < text.find("Join(Inner)").unwrap(), "{text}");
+    }
+
+    #[test]
+    fn left_join_takes_conjuncts_on_the_left_side_only() {
+        let text = explained(
+            "SELECT t.a, u.label FROM t LEFT JOIN u ON t.a = u.k \
+             WHERE t.b > 1.0 AND u.label = 'x'",
+        );
+        assert!(
+            text.contains("Scan: t projection=[a, b] filters=[(t.b > 1)]"),
+            "{text}"
+        );
+        assert!(text.contains("Scan: u projection=[label, k]\n"), "{text}");
+        let filter = text.find("Filter: (u.label = x)").expect(&text);
+        assert!(filter < text.find("Join(Left)").unwrap(), "{text}");
+    }
+
+    #[test]
+    fn join_ownership_is_by_position_not_by_name() {
+        // `u.c` is the right side's column (renamed `u.c` in the join's
+        // output) although the bare name `c` also resolves against `t`;
+        // bare `c` is the left side's.
+        let text =
+            explained("SELECT t.a FROM t JOIN u ON t.a = u.k WHERE u.c = 'right' AND c = 'left'");
+        assert!(
+            text.contains("Scan: t projection=[a, c] filters=[(c = left)]"),
+            "{text}"
+        );
+        assert!(
+            text.contains("Scan: u projection=[k, c] filters=[(c = right)]"),
+            "{text}"
+        );
+        assert!(!text.contains("Filter"), "{text}");
+    }
+
+    #[test]
+    fn join_sides_read_required_and_on_columns_only() {
+        let text = explained("SELECT u.label FROM t JOIN u ON t.a = u.k");
+        assert!(text.contains("Scan: t projection=[a]\n"), "{text}");
+        assert!(text.contains("Scan: u projection=[label, k]\n"), "{text}");
+        // The renaming projection over a colliding right side narrows too.
+        let text = explained("SELECT u.c FROM t JOIN u ON t.a = u.k");
+        assert!(text.contains("Project: k AS k, c AS u.c\n"), "{text}");
+        assert!(text.contains("Scan: u projection=[k, c]\n"), "{text}");
+        // SELECT * keeps every column of both sides.
+        let text = explained("SELECT * FROM t JOIN u ON t.a = u.k");
+        assert!(
+            text.contains("Scan: t\n") && text.contains("Scan: u\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn between_reaches_the_scan_as_a_range_pair() {
+        let text = explained("SELECT a FROM t WHERE b BETWEEN 1.0 AND 2.0");
+        assert!(text.contains("filters=[(b >= 1) AND (b <= 2)]"), "{text}");
+        let p = optimized("SELECT a FROM t WHERE b NOT BETWEEN 1.0 AND 2.0");
+        let LogicalPlan::Scan { filters, .. } = find_scan(&p) else {
+            panic!()
+        };
+        assert!(matches!(filters[..], [Expr::Between { negated: true, .. }]));
+    }
+
+    #[test]
+    fn limit_sets_a_row_budget_on_the_scan() {
+        let fetch = |sql: &str| match find_scan(&optimized(sql)) {
+            LogicalPlan::Scan { fetch, .. } => *fetch,
+            _ => unreachable!(),
+        };
+        assert_eq!(fetch("SELECT * FROM t LIMIT 10"), Some(10));
+        assert_eq!(
+            fetch("SELECT a + 1 AS x FROM t s LIMIT 5 OFFSET 2"),
+            Some(7)
+        );
+        // Filters the scan applies itself count before the budget.
+        assert_eq!(fetch("SELECT a FROM t WHERE b > 1.0 LIMIT 3"), Some(3));
+        assert_eq!(
+            fetch("SELECT a FROM (SELECT a FROM t LIMIT 9) s LIMIT 4"),
+            Some(9)
+        );
+        // Anything that may need more rows than it emits keeps the scan whole.
+        for sql in [
+            "SELECT a FROM t",
+            "SELECT a FROM t OFFSET 3",
+            "SELECT a FROM t ORDER BY b LIMIT 3",
+            "SELECT DISTINCT c FROM t LIMIT 3",
+            "SELECT c, COUNT(*) AS n FROM t GROUP BY c LIMIT 3",
+            "SELECT x FROM (SELECT a + 1 AS x FROM t) s WHERE x > 2 LIMIT 3",
+            "SELECT t.a FROM t JOIN u ON t.a = u.k LIMIT 3",
+        ] {
+            assert_eq!(fetch(sql), None, "{sql}");
+        }
+        let text = explained("SELECT a FROM t WHERE b > 1.0 LIMIT 5 OFFSET 2");
+        assert!(
+            text.contains("Scan: t projection=[a, b] filters=[(b > 1)] fetch=7"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn count_star_reads_the_first_fixed_width_column() {
+        let projection = |sql: &str| match find_scan(&optimized(sql)) {
+            LogicalPlan::Scan { projection, .. } => projection.clone(),
+            _ => unreachable!(),
+        };
+        assert_eq!(
+            projection("SELECT COUNT(*) FROM t"),
+            Some(vec!["a".to_string()])
+        );
+        // `u` leads with a string column: skip it.
+        assert_eq!(
+            projection("SELECT COUNT(*) FROM u"),
+            Some(vec!["k".to_string()])
+        );
+        assert_eq!(
+            projection("SELECT COUNT(*) FROM (SELECT c, b FROM t) s"),
+            Some(vec!["c".to_string()])
+        );
     }
 }

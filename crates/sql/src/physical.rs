@@ -10,14 +10,12 @@ use crate::ast::{ArithOp, Expr, JoinType, LogicalOp};
 use crate::engine::TableProvider;
 use crate::error::{Result, SqlError};
 use crate::functions::{eval_scalar_function, like_match};
-use crate::logical::{infer_type, resolve_column, LogicalPlan};
+use crate::logical::{expr_resolves, infer_type, resolve_column, LogicalPlan};
 use lakehouse_columnar::kernels::{
     self, cmp_column_scalar, cmp_columns, filter_batch, take_batch, to_selection, AggState, CmpOp,
     Grouper, SortField,
 };
-use lakehouse_columnar::{
-    Bitmap, Column, ColumnBuilder, DataType, Field, RecordBatch, Schema, Value,
-};
+use lakehouse_columnar::{Column, ColumnBuilder, DataType, Field, RecordBatch, Schema, Value};
 use std::collections::HashMap;
 
 /// Execution tuning.
@@ -112,9 +110,10 @@ fn execute_operator(
     match plan {
         LogicalPlan::Scan {
             table,
-            schema,
             projection,
             filters,
+            fetch,
+            ..
         } => {
             if table == "__dual" {
                 // SELECT-without-FROM: one dummy row.
@@ -123,19 +122,30 @@ fn execute_operator(
                     vec![Column::from_i64(vec![0])],
                 )?);
             }
-            let batch = provider.scan(table, projection.as_deref(), filters)?;
-            // Providers may filter only approximately (file pruning); apply
-            // the exact predicates here.
-            let mut batch = batch;
-            for f in filters {
-                if batch.num_rows() == 0 {
+            let Some(budget) = *fetch else {
+                let batch = provider.scan(table, projection.as_deref(), filters)?;
+                return filter_exact(batch, filters);
+            };
+            // A row budget from a LIMIT above: pull the table in the
+            // provider's own units (a lakehouse table streams file by file)
+            // and stop once enough rows have passed the filters; the files
+            // behind are never read.
+            let mut stream =
+                provider.scan_stream(table, projection.as_deref(), filters, usize::MAX)?;
+            let (mut batches, mut rows) = (Vec::new(), 0);
+            while rows < budget {
+                let Some(batch) = stream.next_batch().map_err(crate::streaming::unext)? else {
                     break;
-                }
-                let mask = eval(f, &batch)?;
-                batch = filter_batch(&batch, &to_selection(&mask)?)?;
+                };
+                let batch = filter_exact(batch, filters)?;
+                rows += batch.num_rows();
+                batches.push(batch);
             }
-            let _ = schema;
-            Ok(batch)
+            Ok(match batches.len() {
+                0 => RecordBatch::new_empty(stream.schema().clone()),
+                1 => batches.pop().expect("one batch present"),
+                _ => RecordBatch::concat(&batches)?,
+            })
         }
         LogicalPlan::Filter { input, predicate } => {
             let batch = execute_node(input, provider, options, &format!("{path}.0"))?;
@@ -242,6 +252,19 @@ fn execute_operator(
     }
 }
 
+/// Providers may filter only approximately (file pruning): apply the pushed
+/// predicates exactly.
+pub(crate) fn filter_exact(mut batch: RecordBatch, filters: &[Expr]) -> Result<RecordBatch> {
+    for f in filters {
+        if batch.num_rows() == 0 {
+            break;
+        }
+        let mask = eval(f, &batch)?;
+        batch = filter_batch(&batch, &to_selection(&mask)?)?;
+    }
+    Ok(batch)
+}
+
 /// Apply LIMIT/OFFSET to a materialized batch.
 fn slice_limit(batch: &RecordBatch, limit: Option<usize>, offset: usize) -> Result<RecordBatch> {
     let start = offset.min(batch.num_rows());
@@ -346,26 +369,7 @@ fn execute_join(
     join_type: JoinType,
     on: &[(Expr, Expr)],
 ) -> Result<RecordBatch> {
-    if on.is_empty() {
-        return Err(SqlError::Execution("join requires an ON clause".into()));
-    }
-    // Decide which side of each equality belongs to which input by trying to
-    // resolve against the left schema.
-    let mut left_keys = Vec::new();
-    let mut right_keys = Vec::new();
-    for (a, b) in on {
-        if expr_resolves(a, left.schema()) && expr_resolves(b, right.schema()) {
-            left_keys.push(a.clone());
-            right_keys.push(b.clone());
-        } else if expr_resolves(b, left.schema()) && expr_resolves(a, right.schema()) {
-            left_keys.push(b.clone());
-            right_keys.push(a.clone());
-        } else {
-            return Err(SqlError::Plan(format!(
-                "cannot resolve join condition {a} = {b} against the two inputs"
-            )));
-        }
-    }
+    let (left_keys, right_keys) = split_join_keys(on, left.schema(), right.schema())?;
     let lcols = left_keys
         .iter()
         .map(|e| eval(e, left))
@@ -441,16 +445,31 @@ fn execute_join(
     Ok(RecordBatch::try_new(Schema::new(fields), columns)?)
 }
 
-fn expr_resolves(expr: &Expr, schema: &Schema) -> bool {
-    let mut ok = true;
-    expr.walk(&mut |e| {
-        if let Expr::Column { qualifier, name } = e {
-            if resolve_column(schema, qualifier.as_deref(), name).is_err() {
-                ok = false;
-            }
+/// Decide which side of each ON equality belongs to which join input by
+/// trying to resolve it against the left schema, then the right.
+pub(crate) fn split_join_keys(
+    on: &[(Expr, Expr)],
+    left: &Schema,
+    right: &Schema,
+) -> Result<(Vec<Expr>, Vec<Expr>)> {
+    if on.is_empty() {
+        return Err(SqlError::Execution("join requires an ON clause".into()));
+    }
+    let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
+    for (a, b) in on {
+        if expr_resolves(a, left) && expr_resolves(b, right) {
+            left_keys.push(a.clone());
+            right_keys.push(b.clone());
+        } else if expr_resolves(b, left) && expr_resolves(a, right) {
+            left_keys.push(b.clone());
+            right_keys.push(a.clone());
+        } else {
+            return Err(SqlError::Plan(format!(
+                "cannot resolve join condition {a} = {b} against the two inputs"
+            )));
         }
-    });
-    ok
+    }
+    Ok((left_keys, right_keys))
 }
 
 /// Evaluate an expression against a batch, producing a column of
@@ -654,11 +673,4 @@ pub fn eval(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
             Ok(b.finish())
         }
     }
-}
-
-// Mask construction via `to_selection` lives in the columnar crate; nothing
-// else to re-export here.
-#[allow(unused)]
-fn _mask_helper(mask: &Column) -> Result<Bitmap> {
-    Ok(to_selection(mask)?)
 }

@@ -25,7 +25,7 @@ use crate::ast::{Expr, JoinType};
 use crate::engine::TableProvider;
 use crate::error::{Result, SqlError};
 use crate::logical::{AggExpr, LogicalPlan};
-use crate::physical::{eval, execute_project, ExecOptions};
+use crate::physical::{eval, execute_project, filter_exact, split_join_keys, ExecOptions};
 use lakehouse_columnar::kernels::hash::RowKey;
 use lakehouse_columnar::kernels::{
     self, filter_batch, take_batch, to_selection, AggState, SortField,
@@ -119,7 +119,7 @@ fn ext(e: SqlError) -> ColumnarError {
 }
 
 /// Recover at the pipeline root: external messages were SQL errors.
-fn unext(e: ColumnarError) -> SqlError {
+pub(crate) fn unext(e: ColumnarError) -> SqlError {
     match e {
         ColumnarError::External(msg) => SqlError::Execution(msg),
         other => SqlError::Columnar(other),
@@ -489,20 +489,14 @@ impl BatchStream for ScanNode {
 
     fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
         loop {
-            let Some(mut batch) = self.inner.next_batch()? else {
+            let Some(batch) = self.inner.next_batch()? else {
                 self.gauge.hold(0);
                 return Ok(None);
             };
             self.stats
                 .batches_streamed
                 .set(self.stats.batches_streamed.get() + 1);
-            for f in &self.filters {
-                if batch.num_rows() == 0 {
-                    break;
-                }
-                let mask = eval(f, &batch).map_err(ext)?;
-                batch = filter_batch(&batch, &to_selection(&mask)?)?;
-            }
+            let batch = filter_exact(batch, &self.filters).map_err(ext)?;
             if batch.num_rows() == 0 {
                 continue;
             }
@@ -866,29 +860,8 @@ impl JoinNode {
             .expect("join probe side present during build")
             .schema()
             .clone();
-        if self.on.is_empty() {
-            return Err(ext(SqlError::Execution(
-                "join requires an ON clause".into(),
-            )));
-        }
-        // Decide which side of each equality belongs to which input by
-        // trying to resolve against the left schema (same rule as the
-        // materialized join).
-        let mut left_keys = Vec::new();
-        let mut right_keys = Vec::new();
-        for (a, b) in &self.on {
-            if expr_resolves(a, &left_schema) && expr_resolves(b, right.schema()) {
-                left_keys.push(a.clone());
-                right_keys.push(b.clone());
-            } else if expr_resolves(b, &left_schema) && expr_resolves(a, right.schema()) {
-                left_keys.push(b.clone());
-                right_keys.push(a.clone());
-            } else {
-                return Err(ext(SqlError::Plan(format!(
-                    "cannot resolve join condition {a} = {b} against the two inputs"
-                ))));
-            }
-        }
+        let (left_keys, right_keys) =
+            split_join_keys(&self.on, &left_schema, right.schema()).map_err(ext)?;
         let mut build = BuildSide {
             left_keys,
             right_keys,
@@ -1178,16 +1151,4 @@ fn cmp_key_rows(
         }
     }
     Ordering::Equal
-}
-
-fn expr_resolves(expr: &Expr, schema: &Schema) -> bool {
-    let mut ok = true;
-    expr.walk(&mut |e| {
-        if let Expr::Column { qualifier, name } = e {
-            if crate::logical::resolve_column(schema, qualifier.as_deref(), name).is_err() {
-                ok = false;
-            }
-        }
-    });
-    ok
 }

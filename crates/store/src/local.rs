@@ -6,6 +6,7 @@ use crate::ObjectStore;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::fs;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// An object store rooted at a local directory. Object paths map directly to
@@ -54,6 +55,26 @@ impl ObjectStore for LocalFsStore {
             }
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// Seek and read only `[start, end)`: a footer or one column chunk of a
+    /// data file costs its own bytes, not the whole file.
+    fn get_range(&self, path: &ObjectPath, start: usize, end: usize) -> Result<Bytes> {
+        let mut file = match fs::File::open(self.fs_path(path)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(StoreError::NotFound(path.to_string()))
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let len = file.metadata()?.len() as usize;
+        if start > end || end > len {
+            return Err(StoreError::InvalidRange { start, end, len });
+        }
+        let mut buf = vec![0u8; end - start];
+        file.seek(SeekFrom::Start(start as u64))?;
+        file.read_exact(&mut buf)?;
+        Ok(Bytes::from(buf))
     }
 
     fn head(&self, path: &ObjectPath) -> Result<usize> {
@@ -191,6 +212,45 @@ mod tests {
         s.put_if_matches(&p("ref"), Some(b"v1"), Bytes::from_static(b"v2"))
             .unwrap();
         assert_eq!(s.get(&p("ref")).unwrap().as_ref(), b"v2");
+    }
+
+    #[test]
+    fn get_range_matches_in_memory_store() {
+        let fs_store = tmp_store("range");
+        let mem = crate::InMemoryStore::new();
+        let body = Bytes::from_static(b"0123456789");
+        fs_store.put(&p("d/f.bin"), body.clone()).unwrap();
+        mem.put(&p("d/f.bin"), body).unwrap();
+        // In bounds, empty, whole object, out of bounds, inverted, missing.
+        let cases = [(2, 5), (0, 0), (10, 10), (0, 10), (4, 11), (11, 12), (6, 3)];
+        for (start, end) in cases {
+            let got = fs_store.get_range(&p("d/f.bin"), start, end);
+            let want = mem.get_range(&p("d/f.bin"), start, end);
+            match (got, want) {
+                (Ok(g), Ok(w)) => assert_eq!(g, w, "[{start}, {end})"),
+                (
+                    Err(StoreError::InvalidRange {
+                        start: gs,
+                        end: ge,
+                        len: gl,
+                    }),
+                    Err(StoreError::InvalidRange {
+                        start: ws,
+                        end: we,
+                        len: wl,
+                    }),
+                ) => assert_eq!((gs, ge, gl), (ws, we, wl)),
+                (g, w) => panic!("[{start}, {end}): local {g:?} vs memory {w:?}"),
+            }
+        }
+        assert!(matches!(
+            fs_store.get_range(&p("nope"), 0, 1),
+            Err(StoreError::NotFound(_))
+        ));
+        assert!(matches!(
+            mem.get_range(&p("nope"), 0, 1),
+            Err(StoreError::NotFound(_))
+        ));
     }
 
     #[test]
