@@ -546,21 +546,71 @@ impl Column {
     }
 
     /// Min and max non-null values, or `(Null, Null)` if all rows are null.
+    ///
+    /// Typed loops over the column's slice: one `Value` pair per column, not
+    /// one per cell. Ordering is [`Value::total_cmp`]'s (floats by
+    /// `f64::total_cmp`), and strict comparisons keep the first occurrence
+    /// on ties.
     pub fn min_max(&self) -> (Value, Value) {
-        let mut min = Value::Null;
-        let mut max = Value::Null;
-        for v in self.iter_values() {
-            if v.is_null() {
-                continue;
+        fn extremes<T: Copy>(
+            values: impl Iterator<Item = T>,
+            validity: Option<&Bitmap>,
+            lt: impl Fn(T, T) -> bool,
+        ) -> Option<(T, T)> {
+            let mut best: Option<(T, T)> = None;
+            for (i, x) in values.enumerate() {
+                if validity.is_none_or(|b| b.get(i)) {
+                    best = Some(match best {
+                        None => (x, x),
+                        Some((lo, hi)) => (
+                            if lt(x, lo) { x } else { lo },
+                            if lt(hi, x) { x } else { hi },
+                        ),
+                    });
+                }
             }
-            if min.is_null() || v.total_cmp(&min).is_lt() {
-                min = v.clone();
-            }
-            if max.is_null() || v.total_cmp(&max).is_gt() {
-                max = v;
+            best
+        }
+        fn wrap<T>(best: Option<(T, T)>, f: impl Fn(T) -> Value) -> (Value, Value) {
+            best.map_or((Value::Null, Value::Null), |(lo, hi)| (f(lo), f(hi)))
+        }
+        fn ordered<T: Copy + PartialOrd>(
+            values: &[T],
+            validity: Option<&Bitmap>,
+            f: impl Fn(T) -> Value,
+        ) -> (Value, Value) {
+            wrap(extremes(values.iter().copied(), validity, |a, b| a < b), f)
+        }
+        let validity = self.validity();
+        match self {
+            Column::Bool(v, _) => ordered(v, validity, Value::Bool),
+            Column::Int64(v, _) => ordered(v, validity, Value::Int64),
+            Column::Timestamp(v, _) => ordered(v, validity, Value::Timestamp),
+            Column::Date(v, _) => ordered(v, validity, Value::Date),
+            Column::Float64(v, _) => wrap(
+                extremes(v.iter().copied(), validity, |a, b| a.total_cmp(&b).is_lt()),
+                Value::Float64,
+            ),
+            Column::Utf8(v, _) => wrap(
+                extremes(v.iter().map(String::as_str), validity, |a, b| a < b),
+                |s| Value::Utf8(s.to_string()),
+            ),
+            // Dictionary: mark which entries appear among valid rows, then
+            // compare the (much smaller) dictionary's used entries.
+            Column::Dict(d) => {
+                let mut used = vec![false; d.dict().len()];
+                for (i, &c) in d.codes().iter().enumerate() {
+                    if validity.is_none_or(|b| b.get(i)) {
+                        used[c as usize] = true;
+                    }
+                }
+                let entries = d.dict().iter().zip(&used).filter(|(_, u)| **u);
+                wrap(
+                    extremes(entries.map(|(s, _)| s.as_str()), None, |a, b| a < b),
+                    |s| Value::Utf8(s.to_string()),
+                )
             }
         }
-        (min, max)
     }
 }
 

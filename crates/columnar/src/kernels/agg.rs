@@ -5,8 +5,9 @@ use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::datatype::{DataType, Value};
 use crate::error::{ColumnarError, Result};
-use crate::kernels::hash::RowKey;
-use std::collections::{HashMap, HashSet};
+use crate::kernels::hash::{self, RowKey};
+use std::borrow::Borrow;
+use std::collections::HashSet;
 
 /// Which aggregate function to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,10 +186,11 @@ impl AggState {
                 self.count += col.len() as i64;
                 Ok(())
             }
-            (Aggregator::Min | Aggregator::Max, _) if minmax_typed(col) => {
+            (Aggregator::Min | Aggregator::Max, _) => {
                 let want_min = self.agg == Aggregator::Min;
-                let (n, best) = column_minmax(col, want_min);
-                self.count += n;
+                let (min, max) = col.min_max();
+                let best = if want_min { min } else { max };
+                self.count += (col.len() - col.null_count()) as i64;
                 if !best.is_null() {
                     let slot = if want_min {
                         &mut self.min
@@ -277,109 +279,6 @@ pub fn aggregate_column(agg: Aggregator, col: &Column) -> Result<Value> {
     state.finish(col.data_type())
 }
 
-fn minmax_typed(col: &Column) -> bool {
-    matches!(
-        col,
-        Column::Int64(..)
-            | Column::Float64(..)
-            | Column::Utf8(..)
-            | Column::Timestamp(..)
-            | Column::Date(..)
-            | Column::Dict(_)
-    )
-}
-
-/// Typed min/max over one column: returns `(non-null count, best value)`
-/// with `Value::Null` for an all-null column. Strict comparisons keep the
-/// first occurrence on ties, matching the per-row [`AggState::update`].
-fn column_minmax(col: &Column, want_min: bool) -> (i64, Value) {
-    let vb = col.validity().map(Bitmap::to_bools);
-    let vb = vb.as_deref();
-
-    fn best_by<T>(
-        values: impl Iterator<Item = T>,
-        vb: Option<&[bool]>,
-        better: impl Fn(&T, &T) -> bool,
-    ) -> (i64, Option<T>) {
-        let mut n = 0i64;
-        let mut best: Option<T> = None;
-        for (i, x) in values.enumerate() {
-            if vb.is_none_or(|v| v[i]) {
-                n += 1;
-                if best.as_ref().is_none_or(|b| better(&x, b)) {
-                    best = Some(x);
-                }
-            }
-        }
-        (n, best)
-    }
-
-    fn wrap<T>(r: (i64, Option<T>), f: impl Fn(T) -> Value) -> (i64, Value) {
-        (r.0, r.1.map_or(Value::Null, f))
-    }
-
-    match col {
-        Column::Int64(v, _) => wrap(
-            best_by(v.iter().copied(), vb, |a, b| ord(a < b, want_min, a > b)),
-            Value::Int64,
-        ),
-        Column::Timestamp(v, _) => wrap(
-            best_by(v.iter().copied(), vb, |a, b| ord(a < b, want_min, a > b)),
-            Value::Timestamp,
-        ),
-        Column::Date(v, _) => wrap(
-            best_by(v.iter().copied(), vb, |a, b| ord(a < b, want_min, a > b)),
-            Value::Date,
-        ),
-        Column::Float64(v, _) => wrap(
-            best_by(v.iter().copied(), vb, |a, b| {
-                ord(a.total_cmp(b).is_lt(), want_min, a.total_cmp(b).is_gt())
-            }),
-            Value::Float64,
-        ),
-        Column::Utf8(v, _) => wrap(
-            best_by(v.iter().map(String::as_str), vb, |a, b| {
-                ord(a < b, want_min, a > b)
-            }),
-            |s| Value::Utf8(s.to_string()),
-        ),
-        // Dictionary: mark which entries appear among valid rows, then scan
-        // the (much smaller) dictionary. Entries are unique so strictness
-        // of comparison cannot change the winner.
-        Column::Dict(d) => {
-            let mut used = vec![false; d.dict().len()];
-            let mut n = 0i64;
-            match vb {
-                Some(vb) => {
-                    for (i, &c) in d.codes().iter().enumerate() {
-                        if vb[i] {
-                            used[c as usize] = true;
-                            n += 1;
-                        }
-                    }
-                }
-                None => {
-                    for &c in d.codes() {
-                        used[c as usize] = true;
-                    }
-                    n = d.len() as i64;
-                }
-            }
-            let mut best: Option<&str> = None;
-            for (j, &u) in used.iter().enumerate() {
-                if u {
-                    let s = d.dict()[j].as_str();
-                    if best.is_none_or(|b| ord(s < b, want_min, s > b)) {
-                        best = Some(s);
-                    }
-                }
-            }
-            (n, best.map_or(Value::Null, |s| Value::Utf8(s.to_string())))
-        }
-        Column::Bool(..) => unreachable!("guarded by minmax_typed"),
-    }
-}
-
 #[inline]
 fn ord(lt: bool, want_min: bool, gt: bool) -> bool {
     if want_min {
@@ -393,12 +292,55 @@ fn ord(lt: bool, want_min: bool, gt: bool) -> bool {
 /// order across every batch it sees. The SQL engines keep one `Grouper` per
 /// GROUP BY (the streaming executor keeps it alive across batches) and feed
 /// the resulting ids to [`update_grouped`], so hot aggregation loops index
-/// a flat `Vec<AggState>` instead of hashing a boxed `RowKey` per row per
-/// aggregate.
+/// a flat `Vec<AggState>`.
+///
+/// Keys are interned without boxing a row: each batch's key columns are
+/// hashed by typed loops ([`hash::hash_key_rows`]), the hash probes an
+/// open-addressed table of group ids, and a candidate group is confirmed by
+/// comparing the row's cells in place against the group's stored key
+/// ([`cell_eq`]). A `Vec<Value>` key is built once per *new group*.
 #[derive(Debug, Default)]
 pub struct Grouper {
-    index: HashMap<RowKey, u32>,
+    /// Open-addressed, linearly probed; power-of-two length, at most half
+    /// full. Each slot holds a group id (`EMPTY` = free) and the high half
+    /// of its key hash, which rejects nearly every non-matching probe
+    /// without a second memory access.
+    slots: Vec<(u32, u32)>,
+    /// Key hash per group, to re-place groups when `slots` grows.
+    hashes: Vec<u64>,
     keys: Vec<Vec<Value>>,
+    /// What rows are compared against: every key's cells as [`KeyCell`]s,
+    /// `width` per group, flat — a fixed-width key is confirmed from one
+    /// cache line without following `keys[g]` to its heap values.
+    cells: Vec<KeyCell>,
+    /// Key columns per group, fixed by the first call.
+    width: usize,
+}
+
+/// Rows hashed at a time: the hashes stay in L1 until they are probed, and
+/// the scratch does not grow with the batch.
+const HASH_BLOCK: usize = 1024;
+
+const EMPTY: u32 = u32::MAX;
+
+/// One component of a stored key, as rows compare against it: fixed-width
+/// types (and floats, by their canonical bits) as an integer, a string by
+/// the slice in `keys`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyCell {
+    Null,
+    Word(u64),
+    Str,
+}
+
+impl KeyCell {
+    fn of(v: &Value) -> KeyCell {
+        match v {
+            Value::Null => KeyCell::Null,
+            Value::Utf8(_) => KeyCell::Str,
+            fixed => KeyCell::Word(hash::key_word(fixed)),
+        }
+    }
 }
 
 impl Grouper {
@@ -429,55 +371,133 @@ impl Grouper {
     }
 
     /// Resolve every row of `cols` (the GROUP BY key columns, all the same
-    /// length) to a dense group id, interning unseen keys. `ids` is cleared
-    /// and refilled so pooled scratch can be reused across batches.
+    /// length, the same number on every call) to a dense group id,
+    /// interning unseen keys. `ids` is cleared and refilled so pooled
+    /// scratch can be reused across batches.
     ///
     /// A single dictionary-encoded key column groups in code space: one
     /// intern per distinct code in the batch, and every other row is a
-    /// plain `u32` array lookup — no hashing, no boxing.
-    pub fn group_ids(&mut self, cols: &[Column], ids: &mut Vec<u32>) -> Result<()> {
-        let n = cols.first().map_or(0, Column::len);
+    /// plain `u32` array lookup — no hashing, no comparing.
+    pub fn group_ids<C: Borrow<Column>>(&mut self, cols: &[C], ids: &mut Vec<u32>) -> Result<()> {
+        let cols: Vec<&Column> = cols.iter().map(Borrow::borrow).collect();
+        if self.keys.is_empty() {
+            self.width = cols.len();
+        } else if self.width != cols.len() {
+            let what = format!("grouper keyed by {} columns", self.width);
+            return Err(ColumnarError::InvalidArgument(what));
+        }
+        let n = cols.first().map_or(0, |c| c.len());
+        if let Some(short) = cols.iter().find(|c| c.len() != n) {
+            return Err(ColumnarError::LengthMismatch {
+                expected: n,
+                actual: short.len(),
+            });
+        }
         ids.clear();
         ids.reserve(n);
-        if let [Column::Dict(d)] = cols {
+        if let [Column::Dict(d)] = cols[..] {
             let mut code_group = vec![u32::MAX; d.dict().len()];
             let mut null_group = u32::MAX;
             let vb = d.validity().map(Bitmap::to_bools);
             for (i, &c) in d.codes().iter().enumerate() {
-                let gid = if vb.as_ref().is_none_or(|v| v[i]) {
-                    let slot = &mut code_group[c as usize];
-                    if *slot == u32::MAX {
-                        *slot = self.intern(&[Value::Utf8(d.dict()[c as usize].clone())]);
-                    }
-                    *slot
+                let slot = if vb.as_ref().is_none_or(|v| v[i]) {
+                    &mut code_group[c as usize]
                 } else {
-                    if null_group == u32::MAX {
-                        null_group = self.intern(&[Value::Null]);
-                    }
-                    null_group
+                    &mut null_group
                 };
-                ids.push(gid);
+                if *slot == u32::MAX {
+                    let key = cols[0].get(i)?;
+                    *slot = self.intern(
+                        hash::hash_key_value(&key),
+                        |_, stored| stored[0] == key,
+                        || Ok(vec![key.clone()]),
+                    )?;
+                }
+                ids.push(*slot);
             }
             return Ok(());
         }
-        let mut row: Vec<Value> = Vec::with_capacity(cols.len());
-        for i in 0..n {
-            row.clear();
-            for c in cols {
-                row.push(c.get(i)?);
+        let mut hashes = Vec::with_capacity(HASH_BLOCK.min(n));
+        for start in (0..n).step_by(HASH_BLOCK) {
+            let rows = start..(start + HASH_BLOCK).min(n);
+            hash::hash_key_rows(&cols, rows.clone(), &mut hashes);
+            for (i, &hash) in rows.zip(&hashes) {
+                ids.push(self.intern(
+                    hash,
+                    |cells, key| {
+                        (cols.iter().zip(cells).zip(key))
+                            .all(|((col, cell), k)| cell_eq(col, i, *cell, k))
+                    },
+                    || cols.iter().map(|c| c.get(i)).collect(),
+                )?);
             }
-            ids.push(self.intern(&row));
         }
         Ok(())
     }
 
-    fn intern(&mut self, key: &[Value]) -> u32 {
-        let Grouper { index, keys } = self;
-        *index.entry(RowKey::from_values(key)).or_insert_with(|| {
-            let id = keys.len() as u32;
-            keys.push(key.to_vec());
-            id
-        })
+    /// The id of the group whose key hashes to `hash` and satisfies `eq`
+    /// (given the key's cells and values), interning `key()` as a new group
+    /// if there is none.
+    fn intern(
+        &mut self,
+        hash: u64,
+        eq: impl Fn(&[KeyCell], &[Value]) -> bool,
+        key: impl FnOnce() -> Result<Vec<Value>>,
+    ) -> Result<u32> {
+        if (self.keys.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let tag = (hash >> 32) as u32;
+        let mut at = hash as usize & mask;
+        loop {
+            let (group, seen) = self.slots[at];
+            if group == EMPTY {
+                let key = key()?;
+                self.slots[at] = (self.keys.len() as u32, tag);
+                self.hashes.push(hash);
+                self.cells.extend(key.iter().map(KeyCell::of));
+                self.keys.push(key);
+                return Ok(self.slots[at].0);
+            }
+            let g = group as usize;
+            if seen == tag && eq(&self.cells[g * self.width..][..self.width], &self.keys[g]) {
+                return Ok(group);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let mask = (self.slots.len() * 2).max(16) - 1;
+        self.slots.clear();
+        self.slots.resize(mask + 1, (EMPTY, 0));
+        for (group, &hash) in self.hashes.iter().enumerate() {
+            let mut at = hash as usize & mask;
+            while self.slots[at].0 != EMPTY {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = (group as u32, (hash >> 32) as u32);
+        }
+    }
+}
+
+/// Whether cell `i` of `col` equals a stored key component, by the rules of
+/// [`hash::RowKey`]: NULL equals only NULL, floats compare by their
+/// canonical bits, a dictionary cell by the string it resolves to. Typed in
+/// place — fixed-width types as integers, strings by slice.
+#[inline]
+fn cell_eq(col: &Column, i: usize, cell: KeyCell, key: &Value) -> bool {
+    if !col.is_valid(i) {
+        return cell == KeyCell::Null;
+    }
+    match col {
+        Column::Bool(v, _) => cell == KeyCell::Word(v[i] as u64),
+        Column::Int64(v, _) | Column::Timestamp(v, _) => cell == KeyCell::Word(v[i] as u64),
+        Column::Date(v, _) => cell == KeyCell::Word(v[i] as u64),
+        Column::Float64(v, _) => cell == KeyCell::Word(hash::canonical_f64_bits(v[i])),
+        Column::Utf8(v, _) => matches!(key, Value::Utf8(k) if *k == v[i]),
+        Column::Dict(d) => matches!(key, Value::Utf8(k) if k == d.value(i)),
     }
 }
 
@@ -867,6 +887,31 @@ mod tests {
             .unwrap();
         assert_eq!(ids, vec![1, 2]);
         assert_eq!(g.num_groups(), 3);
+    }
+
+    #[test]
+    fn grouper_rejects_ragged_or_reshaped_keys() {
+        let mut g = Grouper::new();
+        let mut ids = Vec::new();
+        let (a, b) = (Column::from_i64(vec![1, 2, 1]), Column::from_i64(vec![7]));
+        assert!(g.group_ids(&[a.clone(), b.clone()], &mut ids).is_err());
+        g.group_ids(&[a.clone(), a.clone()], &mut ids).unwrap();
+        assert_eq!(ids, vec![0, 1, 0]);
+        // A grouper keeps the key width of its first batch.
+        assert!(g.group_ids(std::slice::from_ref(&b), &mut ids).is_err());
+    }
+
+    #[test]
+    fn grouper_float_keys_group_by_canonical_bits() {
+        let mut g = Grouper::new();
+        let mut ids = Vec::new();
+        let nan = f64::from_bits(f64::NAN.to_bits() | 1);
+        let key =
+            Column::from_opt_f64(vec![Some(-0.0), Some(f64::NAN), None, Some(0.0), Some(nan)]);
+        g.group_ids(std::slice::from_ref(&key), &mut ids).unwrap();
+        assert_eq!(ids, vec![0, 1, 2, 0, 1]);
+        // The stored key is the first row's own value, sign and all.
+        assert!(matches!(g.keys()[0][0], Value::Float64(z) if z == 0.0 && z.is_sign_negative()));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::column::Column;
 use crate::datatype::Value;
 use crate::error::Result;
 use crate::pool::take_u64_scratch;
+use std::ops::Range;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -100,6 +101,80 @@ pub fn hash_batch_rows(batch: &RecordBatch, key_columns: &[usize]) -> Result<Vec
         hash_column_chain(batch.column(c), &mut hashes)?;
     }
     Ok(hashes)
+}
+
+/// Hash rows `rows` of a group key for [`super::Grouper`]: one state per
+/// row, folding in each column's cell as one 64-bit word ([`key_word`])
+/// instead of byte by byte. Not comparable with [`hash_batch_rows`].
+pub(crate) fn hash_key_rows(cols: &[&Column], rows: Range<usize>, out: &mut Vec<u64>) {
+    fn fold(out: &mut [u64], at: usize, valid: Option<&Bitmap>, word: impl Fn(usize) -> u64) {
+        for (h, i) in out.iter_mut().zip(at..) {
+            let valid = valid.is_none_or(|b| b.get(i));
+            *h = mix_key_word(*h, if valid { word(i) } else { NULL_WORD });
+        }
+    }
+    out.clear();
+    out.resize(rows.len(), FNV_OFFSET);
+    let at = rows.start;
+    for col in cols {
+        match col {
+            Column::Bool(v, b) => fold(out, at, b.as_ref(), |i| v[i] as u64),
+            Column::Int64(v, b) | Column::Timestamp(v, b) => {
+                fold(out, at, b.as_ref(), |i| v[i] as u64)
+            }
+            Column::Date(v, b) => fold(out, at, b.as_ref(), |i| v[i] as u64),
+            Column::Float64(v, b) => fold(out, at, b.as_ref(), |i| canonical_f64_bits(v[i])),
+            Column::Utf8(v, b) => fold(out, at, b.as_ref(), |i| string_word(&v[i])),
+            Column::Dict(d) => fold(out, at, d.validity(), |i| string_word(d.value(i))),
+        }
+    }
+}
+
+fn string_word(s: &str) -> u64 {
+    fnv1a(FNV_OFFSET, s.as_bytes())
+}
+
+/// [`hash_key_rows`] of a one-column key holding `v`.
+pub(crate) fn hash_key_value(v: &Value) -> u64 {
+    mix_key_word(FNV_OFFSET, key_word(v))
+}
+
+/// The 64-bit word a key cell hashes (and, if fixed-width, compares) as:
+/// the value's bits sign-extended, a float's canonical bits, a string's
+/// FNV-1a hash.
+pub(crate) fn key_word(v: &Value) -> u64 {
+    match v {
+        Value::Null => NULL_WORD,
+        Value::Bool(b) => *b as u64,
+        Value::Int64(i) | Value::Timestamp(i) => *i as u64,
+        Value::Date(d) => *d as u64,
+        Value::Float64(f) => canonical_f64_bits(*f),
+        Value::Utf8(s) => string_word(s),
+    }
+}
+
+/// What a NULL cell hashes as (a collision with a real word only costs a
+/// comparison).
+const NULL_WORD: u64 = 0x6e75_6c6c_6e75_6c6c;
+
+/// One multiply per word, then fold the well-mixed high half onto the low
+/// bits that table masks and tags keep.
+#[inline]
+fn mix_key_word(h: u64, word: u64) -> u64 {
+    let h = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    h ^ (h >> 32)
+}
+
+/// The bit pattern a float groups and joins by: NaN payloads and `-0.0`
+/// normalized so equal-by-SQL floats compare equal as keys.
+pub(crate) fn canonical_f64_bits(f: f64) -> u64 {
+    if f.is_nan() {
+        f64::NAN.to_bits()
+    } else if f == 0.0 {
+        0.0f64.to_bits()
+    } else {
+        f.to_bits()
+    }
 }
 
 /// Fold one column into per-row hash states with the type dispatched once.
@@ -208,18 +283,7 @@ impl KeyPart {
             Value::Null => KeyPart::Null,
             Value::Bool(b) => KeyPart::Bool(*b),
             Value::Int64(i) => KeyPart::Int(*i),
-            // Normalize NaN payloads and -0.0 so equal-by-SQL floats compare
-            // equal as keys.
-            Value::Float64(f) => {
-                let canonical = if f.is_nan() {
-                    f64::NAN.to_bits()
-                } else if *f == 0.0 {
-                    0.0f64.to_bits()
-                } else {
-                    f.to_bits()
-                };
-                KeyPart::Float(canonical)
-            }
+            Value::Float64(f) => KeyPart::Float(canonical_f64_bits(*f)),
             Value::Utf8(s) => KeyPart::Str(s.clone()),
             Value::Timestamp(t) => KeyPart::Ts(*t),
             Value::Date(d) => KeyPart::Date(*d),

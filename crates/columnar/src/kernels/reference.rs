@@ -11,13 +11,14 @@
 //! Keep these boring and obviously correct; do not optimize them.
 
 use super::cmp::CmpOp;
-use super::hash::hash_value;
+use super::hash::{hash_value, RowKey};
 use crate::batch::RecordBatch;
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::datatype::Value;
 use crate::error::{ColumnarError, Result};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
@@ -299,4 +300,29 @@ pub fn aggregate_column_ref(agg: super::Aggregator, col: &Column) -> Result<Valu
         state.update(&col.get(i)?)?;
     }
     state.finish(col.data_type())
+}
+
+/// Scalar reference for [`super::Grouper`]: boxes every row's key into a
+/// [`RowKey`] and looks it up in a `HashMap`.
+#[derive(Debug, Default)]
+pub struct GrouperRef {
+    index: HashMap<RowKey, u32>,
+    /// Group keys in first-appearance order.
+    pub keys: Vec<Vec<Value>>,
+}
+
+impl GrouperRef {
+    pub fn group_ids(&mut self, cols: &[Column], ids: &mut Vec<u32>) -> Result<()> {
+        ids.clear();
+        for i in 0..cols.first().map_or(0, Column::len) {
+            let row = cols.iter().map(|c| c.get(i)).collect::<Result<Vec<_>>>()?;
+            let next = self.keys.len() as u32;
+            let id = *self.index.entry(RowKey::from_values(&row)).or_insert(next);
+            if id == next {
+                self.keys.push(row);
+            }
+            ids.push(id);
+        }
+        Ok(())
+    }
 }

@@ -371,3 +371,96 @@ fn grouped_aggregation_matches_per_row_updates() {
         }
     }
 }
+
+/// One random group-key column of `n` rows: low cardinality so groups
+/// repeat, NULL-heavy, floats drawn from the values `RowKey` canonicalises.
+fn random_key_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
+    let validity = if rng.gen_bool(0.7) {
+        let bools: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.6)).collect();
+        Some(Bitmap::from_bools(&bools))
+    } else {
+        None
+    };
+    let validity = lakehouse_columnar::column::normalize_validity(validity);
+    let quiet_nan = f64::from_bits(f64::NAN.to_bits() | 0xBEEF);
+    let floats = [0.0, -0.0, f64::NAN, quiet_nan, 1.5, -1.5];
+    match kind {
+        0 => Column::Int64((0..n).map(|_| rng.gen_range(-2..3)).collect(), validity),
+        1 => Column::Date((0..n).map(|_| rng.gen_range(0..3)).collect(), validity),
+        2 => Column::Timestamp((0..n).map(|_| rng.gen_range(0..3)).collect(), validity),
+        3 => Column::Bool((0..n).map(|_| rng.gen_bool(0.5)).collect(), validity),
+        4 => Column::Float64(
+            (0..n)
+                .map(|_| floats[rng.gen_range(0..floats.len())])
+                .collect(),
+            validity,
+        ),
+        5 => Column::Utf8(random_strings(rng, n, 4), validity),
+        // A fresh dictionary per batch, in this batch's first-appearance
+        // order: the same string gets different codes in different batches.
+        _ => {
+            Column::Dict(DictColumn::encode(&random_strings(rng, n, 4), validity).expect("encode"))
+        }
+    }
+}
+
+#[test]
+fn grouper_matches_boxed_reference() {
+    use lakehouse_columnar::kernels::Grouper;
+    // Floats by bit pattern: the first-appearance key keeps the row's own
+    // NaN payload and zero sign.
+    let same_key = |a: &[Value], b: &[Value]| {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| match (x, y) {
+                (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
+                _ => x == y,
+            })
+    };
+    for case in 0..200u64 {
+        let mut rng = rng_for(0x6b3, 0, case);
+        let ncols = rng.gen_range(1..5usize);
+        // Kinds 5 and 6 are both strings; a column may arrive plain in one
+        // batch and dictionary-encoded in the next.
+        let kinds: Vec<u32> = (0..ncols).map(|_| rng.gen_range(0..7)).collect();
+        let batches: Vec<Vec<Column>> = (0..rng.gen_range(1..5usize))
+            .map(|_| {
+                let n = rng.gen_range(0..120usize);
+                kinds
+                    .iter()
+                    .map(|&k| {
+                        let k = if k >= 5 { rng.gen_range(5..7) } else { k };
+                        random_key_column(&mut rng, k, n)
+                    })
+                    .collect()
+            })
+            .collect();
+
+        // Fed as many batches through one grouper.
+        let (mut fast, mut slow) = (Grouper::new(), scalar::GrouperRef::default());
+        let (mut ids, mut want, mut all_ids) = (Vec::new(), Vec::new(), Vec::new());
+        for cols in &batches {
+            fast.group_ids(cols, &mut ids).expect("group_ids");
+            slow.group_ids(cols, &mut want).expect("group_ids_ref");
+            assert_eq!(ids, want, "case {case} kinds {kinds:?}");
+            all_ids.extend_from_slice(&ids);
+        }
+        assert_eq!(fast.num_groups(), slow.keys.len(), "case {case}");
+        for (a, b) in fast.keys().iter().zip(&slow.keys) {
+            assert!(same_key(a, b), "case {case}: key {a:?} != {b:?}");
+        }
+
+        // Fed as one batch: same ids in the same order.
+        let whole: Vec<Column> = (0..ncols)
+            .map(|c| {
+                let pieces: Vec<Column> = batches.iter().map(|b| b[c].clone()).collect();
+                Column::concat(&pieces).expect("concat")
+            })
+            .collect();
+        let mut one = Grouper::new();
+        one.group_ids(&whole, &mut ids).expect("group_ids");
+        assert_eq!(ids, all_ids, "case {case}: one batch vs many");
+        for (a, b) in one.keys().iter().zip(&slow.keys) {
+            assert!(same_key(a, b), "case {case}: key {a:?} != {b:?}");
+        }
+    }
+}

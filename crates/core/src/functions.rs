@@ -10,16 +10,17 @@ use lakehouse_columnar::RecordBatch;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Inputs handed to a native function: one batch per declared input name.
+/// Inputs handed to a native function: one batch per declared input name,
+/// shared with the run's overlay rather than copied.
 #[derive(Debug, Clone)]
 pub struct FnContext {
-    pub inputs: HashMap<String, RecordBatch>,
+    pub inputs: HashMap<String, Arc<RecordBatch>>,
 }
 
 impl FnContext {
     /// Fetch a named input.
     pub fn input(&self, name: &str) -> Result<&RecordBatch> {
-        self.inputs.get(name).ok_or_else(|| {
+        self.inputs.get(name).map(Arc::as_ref).ok_or_else(|| {
             BauplanError::Config(format!("function input '{name}' was not provided"))
         })
     }
@@ -186,7 +187,7 @@ mod tests {
         )
         .unwrap();
         FnContext {
-            inputs: HashMap::from([("trips".to_string(), batch)]),
+            inputs: HashMap::from([("trips".to_string(), Arc::new(batch))]),
         }
     }
 

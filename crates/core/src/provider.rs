@@ -24,7 +24,7 @@ pub struct LakehouseProvider {
     store: Arc<dyn ObjectStore>,
     catalog: Arc<Catalog>,
     reference: String,
-    overlay: RwLock<HashMap<String, RecordBatch>>,
+    overlay: RwLock<HashMap<String, Arc<RecordBatch>>>,
     /// When false, predicates are NOT pushed into table scans — the paper's
     /// naive baseline read whole tables before filtering (§4.4.2: the fused
     /// plan "pushed down where filters to obtain a smaller in-memory table").
@@ -129,12 +129,12 @@ impl LakehouseProvider {
 
     /// Register an in-memory artifact (visible to subsequent queries through
     /// this provider).
-    pub fn put_overlay(&self, name: impl Into<String>, batch: RecordBatch) {
+    pub fn put_overlay(&self, name: impl Into<String>, batch: Arc<RecordBatch>) {
         self.overlay.write().insert(name.into(), batch);
     }
 
-    /// Fetch an overlay artifact.
-    pub fn get_overlay(&self, name: &str) -> Option<RecordBatch> {
+    /// Fetch an overlay artifact (shared, not copied).
+    pub fn get_overlay(&self, name: &str) -> Option<Arc<RecordBatch>> {
         self.overlay.read().get(name).cloned()
     }
 
@@ -259,7 +259,8 @@ impl LakehouseProvider {
                 .ok_or_else(|| SqlError::Plan(format!("unknown system table '{table}'")))?;
             return project(&batch).map(Some);
         }
-        self.overlay.read().get(table).map(project).transpose()
+        let overlay = self.overlay.read();
+        overlay.get(table).map(|b| project(b)).transpose()
     }
 
     /// Catalog-resolved Iceberg-style scan with projection and (unless this
@@ -410,7 +411,7 @@ mod tests {
             vec![Column::from_strs(vec!["overlay"])],
         )
         .unwrap();
-        p.put_overlay("t1", shadow);
+        p.put_overlay("t1", Arc::new(shadow));
         let batch = p.scan("t1", None, &[]).unwrap();
         assert_eq!(batch.schema().names(), vec!["y"]);
         p.clear_overlay();

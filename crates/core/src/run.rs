@@ -24,7 +24,7 @@ use lakehouse_catalog::{ContentRef, Operation};
 use lakehouse_columnar::RecordBatch;
 use lakehouse_planner::project::NodeKind;
 use lakehouse_planner::{
-    ExecutionMode, LogicalPipeline, PhysicalPipeline, PipelineDag, PipelineProject,
+    ExecutionMode, LogicalPipeline, PhysicalPipeline, PipelineDag, PipelineProject, PlannerError,
     ProjectSnapshot, RunRecord, StepAction,
 };
 use lakehouse_runtime::EnvSpec;
@@ -395,7 +395,9 @@ impl Lakehouse {
         for _ in 0..n {
             let stage_idx = (0..n)
                 .find(|&i| !done[i] && deps[i].iter().all(|&d| done[d]))
-                .expect("acyclic physical plan always has a ready stage");
+                .ok_or_else(|| {
+                    invalid_plan("physical plan has a cycle among its stages".to_string())
+                })?;
             let stage = &physical.stages[stage_idx];
             // Each ready stage contends for an admission slot like an ad-hoc
             // query (cost hint: estimated working set at 256 MiB/s). The SQL
@@ -457,23 +459,28 @@ impl Lakehouse {
 
             // Execute the stage's steps in order; intermediates stay in the
             // provider overlay (in-memory locality within the stage).
-            let mut stage_outputs: Vec<(String, RecordBatch)> = Vec::new();
+            let mut stage_outputs: Vec<(String, Arc<RecordBatch>)> = Vec::new();
             for step_name in &stage.steps {
                 let step_span = lakehouse_obs::span("step");
                 step_span.attr("name", step_name.as_str());
+                let unknown =
+                    || BauplanError::Planner(PlannerError::UnknownNode(step_name.clone()));
                 let step = logical
                     .steps
                     .iter()
                     .find(|s| &s.name == step_name)
-                    .expect("physical stage references logical step");
-                let node = project
-                    .get(step_name)
-                    .expect("logical step references project node");
+                    .ok_or_else(unknown)?;
+                let node = project.get(step_name).ok_or_else(unknown)?;
                 match node.kind {
                     NodeKind::SqlTransform => {
-                        let sql = node.sql.as_deref().expect("sql node has text");
-                        let batch = self.query_step_retrying(sql, provider, peak_query_bytes)?;
-                        provider.put_overlay(step_name.clone(), batch.clone());
+                        let sql = node.sql.as_deref().ok_or_else(|| {
+                            invalid_plan(format!("SQL node '{step_name}' has no SQL text"))
+                        })?;
+                        // One copy of the step's output: the overlay, the
+                        // function inputs and the materializer share it.
+                        let batch =
+                            Arc::new(self.query_step_retrying(sql, provider, peak_query_bytes)?);
+                        provider.put_overlay(step_name.clone(), Arc::clone(&batch));
                         stage_outputs.push((step_name.clone(), batch));
                     }
                     NodeKind::FunctionTransform | NodeKind::Expectation => {
@@ -487,13 +494,14 @@ impl Lakehouse {
                                 Some(b) => b,
                                 // Cross-stage edge or lake table: read
                                 // through the catalog (object store).
-                                None => self.read_table(input, provider.reference())?,
+                                None => Arc::new(self.read_table(input, provider.reference())?),
                             };
                             inputs.insert(input.clone(), batch);
                         }
                         match f(&FnContext { inputs })? {
                             FnOutput::Batch(batch) => {
-                                provider.put_overlay(step_name.clone(), batch.clone());
+                                let batch = Arc::new(batch);
+                                provider.put_overlay(step_name.clone(), Arc::clone(&batch));
                                 if step.action == StepAction::Materialize {
                                     stage_outputs.push((step_name.clone(), batch));
                                 }
@@ -650,6 +658,11 @@ impl Lakehouse {
     }
 }
 
+/// A plan or project the executor cannot run (the planner lets it through).
+fn invalid_plan(what: String) -> BauplanError {
+    BauplanError::Planner(PlannerError::InvalidProject(what))
+}
+
 /// Handle to an asynchronous run.
 pub struct RunHandle {
     rx: std::sync::mpsc::Receiver<Result<RunReport>>,
@@ -777,6 +790,25 @@ mod tests {
             .any(|r| r.name.starts_with("run_")));
         // The failed run is still recorded for auditability.
         assert_eq!(lh.run_count(), 1);
+    }
+
+    #[test]
+    fn sql_node_without_text_is_an_error_not_a_panic() {
+        let lh = taxi_lakehouse(LakehouseConfig::zero_latency());
+        let mut node = lakehouse_planner::NodeDef::sql("broken", "SELECT 1");
+        node.sql = None;
+        let err = lh
+            .run(
+                &PipelineProject::new("no_sql").with(node),
+                &RunOptions::default(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, BauplanError::Planner(PlannerError::InvalidProject(m)) if m.contains("broken")),
+            "{err}"
+        );
+        // Rolled back like any failed run.
+        assert_eq!(lh.list_tables("main").unwrap(), vec!["taxi_table"]);
     }
 
     #[test]

@@ -122,16 +122,6 @@ impl FileReader {
         &self.groups[idx]
     }
 
-    /// File-level stats for a column: merge of all row-group stats.
-    pub fn file_stats(&self, column: usize) -> Option<ColumnStats> {
-        let mut iter = self.groups.iter().map(|g| g.stats[column].clone());
-        let mut first = iter.next()?;
-        for s in iter {
-            first.merge(&s);
-        }
-        Some(first)
-    }
-
     /// Row-group indices that may contain rows matching `column OP literal`
     /// (zone-map pruning).
     pub fn prune(&self, column: &str, op: CmpOp, literal: &Value) -> Result<Vec<usize>> {
@@ -279,15 +269,6 @@ mod tests {
         let b = reader.read_groups(&groups, None).unwrap();
         assert_eq!(b.num_rows(), 25);
         assert_eq!(b.row(0).unwrap()[0], Value::Int64(75));
-    }
-
-    #[test]
-    fn file_stats_merge_groups() {
-        let reader = FileReader::parse(sample_file()).unwrap();
-        let s = reader.file_stats(0).unwrap();
-        assert_eq!(s.min, Value::Int64(0));
-        assert_eq!(s.max, Value::Int64(99));
-        assert_eq!(s.row_count, 100);
     }
 
     #[test]

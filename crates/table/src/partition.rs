@@ -6,8 +6,10 @@
 
 use crate::error::{Result, TableError};
 use crate::schema_def::ValueDef;
-use lakehouse_columnar::{RecordBatch, Schema, Value};
+use lakehouse_columnar::kernels::Grouper;
+use lakehouse_columnar::{Column, ColumnBuilder, DataType, RecordBatch, Schema, Value};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A partition transform applied to a source column value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -106,6 +108,29 @@ impl Transform {
         })
     }
 
+    /// Whether distinct cells of `col` stay distinct under the transform, so
+    /// rows can be grouped by the source column and only each group's key
+    /// transformed (the identity, and `Day` over dates — the common specs).
+    fn injective_on(&self, col: &Column) -> bool {
+        matches!(
+            (self, col),
+            (Transform::Identity, _) | (Transform::Day, Column::Date(..))
+        )
+    }
+
+    /// Apply the transform to every cell of a column.
+    fn apply_column(&self, col: &Column) -> Result<Column> {
+        let dt = match self {
+            Transform::Truncate(_) => col.data_type(),
+            _ => DataType::Int64,
+        };
+        let mut out = ColumnBuilder::with_capacity(dt, col.len());
+        for v in col.iter_values() {
+            out.push_value(&self.apply(&v)?)?;
+        }
+        Ok(out.finish())
+    }
+
     /// Whether the transform is order-preserving (range predicates on the
     /// source column translate to range predicates on partition values).
     pub fn order_preserving(&self) -> bool {
@@ -180,20 +205,37 @@ impl PartitionSpec {
         if self.is_unpartitioned() {
             return Ok(vec![(vec![], (0..batch.num_rows()).collect())]);
         }
-        let mut groups: Vec<(Vec<ValueDef>, Vec<usize>)> = Vec::new();
-        let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-        for row in 0..batch.num_rows() {
-            let values = self.partition_values(batch, row)?;
-            // Serialize as a lookup key (ValueDef isn't hashable due to floats).
-            let key = serde_json::to_string(&values)
-                .map_err(|e| TableError::Corrupt(format!("partition key: {e}")))?;
-            match index.get(&key) {
-                Some(&g) => groups[g].1.push(row),
-                None => {
-                    index.insert(key, groups.len());
-                    groups.push((values, vec![row]));
-                }
+        // Group rows by the typed key interner (first-seen order, NULL its
+        // own partition value) over each field's source column — transformed
+        // first, once, unless transforming the groups' keys does as well.
+        let mut columns = Vec::with_capacity(self.fields.len());
+        for f in &self.fields {
+            let col = batch.column_by_name(&f.source_column)?;
+            columns.push(if f.transform.injective_on(col) {
+                (Cow::Borrowed(col), Some(f.transform))
+            } else {
+                (Cow::Owned(f.transform.apply_column(col)?), None)
+            });
+        }
+        let mut grouper = Grouper::new();
+        let mut ids = Vec::new();
+        let key_columns: Vec<&Column> = columns.iter().map(|(c, _)| c.as_ref()).collect();
+        grouper.group_ids(&key_columns, &mut ids)?;
+        let mut sizes = vec![0usize; grouper.num_groups()];
+        ids.iter().for_each(|&g| sizes[g as usize] += 1);
+        let mut groups = Vec::with_capacity(sizes.len());
+        for (key, size) in grouper.keys().iter().zip(sizes) {
+            let mut values = Vec::with_capacity(key.len());
+            for (v, (_, deferred)) in key.iter().zip(&columns) {
+                values.push(ValueDef::from_value(&match deferred {
+                    Some(transform) => transform.apply(v)?,
+                    None => v.clone(),
+                }));
             }
+            groups.push((values, Vec::with_capacity(size)));
+        }
+        for (row, &group) in ids.iter().enumerate() {
+            groups[group as usize].1.push(row);
         }
         Ok(groups)
     }
@@ -295,6 +337,85 @@ mod tests {
         assert_eq!(groups[0].0, vec![ValueDef::Str("nyc".into())]);
         assert_eq!(groups[0].1, vec![0, 2, 4]);
         assert_eq!(groups[1].1, vec![1, 3]);
+    }
+
+    /// The pre-interner `split`: a partition tuple per row, grouped by
+    /// linear search in first-seen order.
+    fn split_per_row(
+        spec: &PartitionSpec,
+        batch: &RecordBatch,
+    ) -> Vec<(Vec<ValueDef>, Vec<usize>)> {
+        let mut groups: Vec<(Vec<ValueDef>, Vec<usize>)> = Vec::new();
+        for row in 0..batch.num_rows() {
+            let values = spec.partition_values(batch, row).unwrap();
+            match groups.iter_mut().find(|(v, _)| *v == values) {
+                Some((_, rows)) => rows.push(row),
+                None => groups.push((values, vec![row])),
+            }
+        }
+        groups
+    }
+
+    #[test]
+    fn multi_field_split_matches_per_row_result() {
+        let n = 500usize;
+        let opt = |i: usize, m: usize| !i.is_multiple_of(m);
+        let batch = RecordBatch::try_new(
+            Schema::new(vec![
+                Field::new("at", DataType::Date, true),
+                Field::new("ts", DataType::Timestamp, true),
+                Field::new("id", DataType::Int64, true),
+                Field::new("city", DataType::Utf8, true),
+            ]),
+            vec![
+                Column::from_opt_date(
+                    (0..n)
+                        .map(|i| opt(i, 7).then_some(17_000 + (i * 31 % 5) as i32))
+                        .collect(),
+                ),
+                Column::from_opt_timestamp(
+                    (0..n)
+                        .map(|i| opt(i, 11).then_some((i as i64 * 37 % 3 - 1) * MICROS_PER_DAY + 5))
+                        .collect(),
+                ),
+                Column::from_opt_i64(
+                    (0..n)
+                        .map(|i| opt(i, 5).then_some(i as i64 * 13 % 17))
+                        .collect(),
+                ),
+                Column::from_opt_str(
+                    (0..n)
+                        .map(|i| opt(i, 3).then_some(["nyc", "sf", ""][i * 7 % 3]))
+                        .collect(),
+                ),
+            ],
+        )
+        .unwrap();
+        let field = |source: &str, transform| PartitionField {
+            source_column: source.into(),
+            transform,
+        };
+        for fields in [
+            vec![
+                field("at", Transform::Day),
+                field("id", Transform::Bucket(4)),
+                field("city", Transform::Identity),
+            ],
+            vec![field("ts", Transform::Day), field("at", Transform::Month)],
+            vec![
+                field("city", Transform::Truncate(1)),
+                field("id", Transform::Truncate(5)),
+            ],
+        ] {
+            let spec = PartitionSpec::new(fields);
+            let groups = spec.split(&batch).unwrap();
+            assert!(groups.len() > 3, "the input spreads over partitions");
+            assert_eq!(groups, split_per_row(&spec, &batch), "{spec:?}");
+        }
+        // An unsupported transform still fails as it did cell by cell.
+        assert!(PartitionSpec::new(vec![field("id", Transform::Year)])
+            .split(&batch)
+            .is_err());
     }
 
     #[test]

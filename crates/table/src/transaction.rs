@@ -8,7 +8,7 @@ use crate::snapshot::{Snapshot, SnapshotOperation};
 use bytes::Bytes;
 use lakehouse_columnar::kernels::take_batch;
 use lakehouse_columnar::RecordBatch;
-use lakehouse_format::{FileReader, FileWriter, WriterOptions};
+use lakehouse_format::{FileWriter, WriterOptions};
 use lakehouse_store::{ObjectPath, ObjectStore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -63,15 +63,24 @@ impl Transaction {
         }
         let snapshot_id = self.metadata.next_snapshot_id();
         for (partition, rows) in self.metadata.partition_spec.split(batch)? {
-            let part_batch = take_batch(batch, &rows)?;
-            let file_bytes = FileWriter::write_file(&part_batch, self.writer_options.clone())?;
-            let reader = FileReader::parse(file_bytes.clone())?;
-            let mut column_stats = BTreeMap::new();
-            for (i, field) in schema.fields().iter().enumerate() {
-                if let Some(stats) = reader.file_stats(i) {
-                    column_stats.insert(field.name().to_string(), StatsDef::from_stats(&stats));
-                }
-            }
+            // A group that is the whole batch (every unpartitioned table, a
+            // single-partition append) is written by reference, not gathered.
+            let gathered;
+            let part_batch = if rows.len() == batch.num_rows() {
+                batch
+            } else {
+                gathered = take_batch(batch, &rows)?;
+                &gathered
+            };
+            let mut writer = FileWriter::new(schema.clone(), self.writer_options.clone());
+            writer.write_batch(part_batch)?;
+            let (file_bytes, file_stats) = writer.finish()?;
+            let column_stats: BTreeMap<String, StatsDef> = schema
+                .fields()
+                .iter()
+                .zip(&file_stats)
+                .map(|(field, stats)| (field.name().to_string(), StatsDef::from_stats(stats)))
+                .collect();
             let file_path = format!(
                 "{}/data/snap{}-{:05}.lkh",
                 self.metadata.location, snapshot_id, self.file_counter
