@@ -1,8 +1,10 @@
 //! Ablation: row-group size vs. pruning effectiveness.
 //!
 //! Smaller row groups give zone maps finer granularity (fewer bytes fetched
-//! for selective queries) but cost more footer metadata and more range-read
-//! round trips. This sweep quantifies the trade-off behind the writer's
+//! for selective queries) but cost more footer metadata — and one more round
+//! trip once the footer outgrows the reader's tail probe. Neighbouring chunks
+//! travel in one request, so the request count itself does not grow with the
+//! group count. This sweep quantifies the trade-off behind the writer's
 //! 8192-row default.
 //!
 //! Regenerate: `cargo run -p lakehouse-bench --bin ablation_rowgroup`
@@ -89,8 +91,11 @@ fn main() {
         &rows,
     );
     println!(
-        "\nReading: small groups minimize bytes fetched but multiply range-read \
-         round trips (each ≈ one object-store GET); large groups do the \
-         opposite. The 8192 default balances the two at S3-like latencies."
+        "\nReading: small groups minimize bytes fetched; the surviving chunks \
+         are neighbours and travel in one request, so round trips stay at \
+         footer + 1 — plus one when the footer outgrows the 16 KiB tail probe \
+         (512 rows/group). Large groups fetch and decode rows the query never \
+         wanted. The 8192 default keeps the footer inside the probe and the \
+         over-read small."
     );
 }

@@ -581,7 +581,7 @@ impl Lakehouse {
         let scope = lakehouse_obs::scope("query");
         scope.attr("reference", reference);
         let provider = self.provider(reference);
-        self.attributed(sql, || Ok(self.engine.query(sql, &provider)?))
+        self.attributed(sql, || Ok(self.engine.query(sql, &provider.pin())?))
     }
 
     /// SQL over a ref through the streaming pipeline, reporting peak memory
@@ -597,13 +597,15 @@ impl Lakehouse {
         let scope = lakehouse_obs::scope("query");
         scope.attr("reference", reference);
         let provider = self.provider(reference);
-        self.attributed(sql, || Ok(self.engine.query_with_report(sql, &provider)?))
+        self.attributed(sql, || {
+            Ok(self.engine.query_with_report(sql, &provider.pin())?)
+        })
     }
 
     /// EXPLAIN the optimized plan for a query at a ref.
     pub fn explain(&self, sql: &str, reference: &str) -> Result<String> {
         let provider = self.provider(reference);
-        Ok(self.engine.explain(sql, &provider)?)
+        Ok(self.engine.explain(sql, &provider.pin())?)
     }
 
     /// EXPLAIN ANALYZE at a ref: execute the query (materialized or streaming
@@ -612,7 +614,9 @@ impl Lakehouse {
     pub fn explain_analyze(&self, sql: &str, reference: &str) -> Result<(RecordBatch, String)> {
         let _sim = self.install_sim();
         let provider = self.provider(reference);
-        self.attributed(sql, || Ok(self.engine.explain_analyze(sql, &provider)?))
+        self.attributed(sql, || {
+            Ok(self.engine.explain_analyze(sql, &provider.pin())?)
+        })
     }
 
     /// [`Self::explain_analyze`] plus the recorded span tree, for exporters
@@ -625,7 +629,7 @@ impl Lakehouse {
         let _sim = self.install_sim();
         let provider = self.provider(reference);
         self.attributed(sql, || {
-            Ok(self.engine.explain_analyze_traced(sql, &provider)?)
+            Ok(self.engine.explain_analyze_traced(sql, &provider.pin())?)
         })
     }
 
@@ -642,7 +646,7 @@ impl Lakehouse {
         trace.attr("reference", reference);
         trace.attr("sql", sql);
         let provider = self.provider(reference);
-        let result = self.attributed(sql, || Ok(self.engine.query(sql, &provider)?));
+        let result = self.attributed(sql, || Ok(self.engine.query(sql, &provider.pin())?));
         let tree = trace.finish();
         Ok((result?, tree))
     }

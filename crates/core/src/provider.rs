@@ -2,19 +2,20 @@
 //! through the catalog (at a given ref) and scans Iceberg-style tables with
 //! pushed-down predicates, with an overlay for in-flight pipeline artifacts.
 
-use crate::error::Result as CoreResult;
-use lakehouse_catalog::Catalog;
+use crate::error::{BauplanError, Result as CoreResult};
+use lakehouse_catalog::{Catalog, CatalogError, CatalogState};
 use lakehouse_columnar::{BatchStream, BatchesStream, RechunkStream, RecordBatch, Schema, Value};
 use lakehouse_sql::ast::Expr;
 use lakehouse_sql::logical::SchemaProvider;
 use lakehouse_sql::{Result as SqlResult, SqlError, TableProvider};
 use lakehouse_store::{BufferPool, IoDispatcher, ObjectStore};
 use lakehouse_table::{ScanPredicate, Table};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A [`TableProvider`] over a catalog reference plus an in-memory overlay.
+/// Table access over a catalog reference plus an in-memory overlay. SQL runs
+/// against a [`PinnedProvider`] taken from it, one per statement.
 ///
 /// Resolution order: overlay (intermediate artifacts of the currently
 /// executing pipeline stage) → catalog tables at `reference`. The overlay is
@@ -147,6 +148,16 @@ impl LakehouseProvider {
         &self.reference
     }
 
+    /// The [`TableProvider`] for one SQL statement: whatever the statement
+    /// reads from the catalog, it reads once, at one commit.
+    pub fn pin(&self) -> PinnedProvider<'_> {
+        PinnedProvider {
+            provider: self,
+            state: Mutex::new(None),
+            tables: Mutex::new(HashMap::new()),
+        }
+    }
+
     /// Load the Iceberg-style table for `name` at this provider's ref.
     ///
     /// The metadata read shares the scan's retry policy: a transient fault
@@ -206,39 +217,42 @@ impl LakehouseProvider {
     }
 }
 
-impl SchemaProvider for LakehouseProvider {
-    fn table_schema(&self, table: &str) -> Option<Schema> {
-        self.table_schema_checked(table).ok().flatten()
-    }
-
-    // Distinguish "no such table" from a store/catalog fault while
-    // resolving it: a retry-budget-exhausted get must surface as the typed
-    // store error, not as `unknown table`.
-    fn table_schema_checked(&self, table: &str) -> Result<Option<Schema>, String> {
-        if table.starts_with(crate::system::SYSTEM_PREFIX) {
-            return Ok(crate::system::system_schema(table));
-        }
-        if let Some(batch) = self.overlay.read().get(table) {
-            return Ok(Some(batch.schema().clone()));
-        }
-        let content = match self.catalog.get_content(&self.reference, table) {
-            Ok(c) => c,
-            Err(
-                lakehouse_catalog::CatalogError::KeyNotFound(_)
-                | lakehouse_catalog::CatalogError::RefNotFound(_),
-            ) => return Ok(None),
-            Err(e) => return Err(format!("resolving table '{table}': {e}")),
-        };
-        let t = self
-            .load_metadata(&content.metadata_location)
-            .map_err(|e| format!("loading table '{table}': {e}"))?;
-        t.schema()
-            .map(Some)
-            .map_err(|e| format!("reading schema of '{table}': {e}"))
-    }
+/// One SQL statement's view through a [`LakehouseProvider`]: the ref is
+/// resolved on first use and each table's metadata loaded on first use, then
+/// both are kept, so planning and scanning see the same catalog commit and
+/// pay for it once. The pin is per statement rather than per provider
+/// because a pipeline run keeps one provider while it commits artifacts to
+/// its own branch — its next statement must see them.
+pub struct PinnedProvider<'a> {
+    provider: &'a LakehouseProvider,
+    /// The table namespace at the provider's ref.
+    state: Mutex<Option<CatalogState>>,
+    /// Tables loaded so far, by name.
+    tables: Mutex<HashMap<String, Arc<Table>>>,
 }
 
-impl LakehouseProvider {
+impl PinnedProvider<'_> {
+    /// The catalog table `name` at the pinned commit.
+    fn table(&self, name: &str) -> CoreResult<Arc<Table>> {
+        if let Some(t) = self.tables.lock().get(name) {
+            return Ok(Arc::clone(t));
+        }
+        let p = self.provider;
+        let location = {
+            let mut state = self.state.lock();
+            if state.is_none() {
+                *state = Some(p.catalog.state_at(&p.reference)?);
+            }
+            let content = state.as_ref().and_then(|s| s.get(name));
+            let missing = || CatalogError::KeyNotFound(name.to_string());
+            content.ok_or_else(missing)?.metadata_location.clone()
+        };
+        let table = Arc::new(p.load_metadata(&location)?);
+        let mut tables = self.tables.lock();
+        tables.insert(name.to_string(), Arc::clone(&table));
+        Ok(table)
+    }
+
     /// Tables served from memory, projected: `system.*` (materialized from
     /// global telemetry on every scan) and overlay artifacts. `None` = a
     /// catalog table.
@@ -255,11 +269,11 @@ impl LakehouseProvider {
             None => Ok(batch.clone()),
         };
         if table.starts_with(crate::system::SYSTEM_PREFIX) {
-            let batch = crate::system::system_batch(table, self.system_pool.as_ref())
+            let batch = crate::system::system_batch(table, self.provider.system_pool.as_ref())
                 .ok_or_else(|| SqlError::Plan(format!("unknown system table '{table}'")))?;
             return project(&batch).map(Some);
         }
-        let overlay = self.overlay.read();
+        let overlay = self.provider.overlay.read();
         overlay.get(table).map(|b| project(b)).transpose()
     }
 
@@ -272,11 +286,11 @@ impl LakehouseProvider {
         filters: &[Expr],
     ) -> SqlResult<lakehouse_table::TableScan> {
         let t = self
-            .load_table(table)
+            .table(table)
             .map_err(|e| SqlError::Plan(format!("cannot load table '{table}': {e}")))?;
-        let mut scan = self.configure_scan(t.scan());
-        if self.pushdown {
-            for p in Self::to_scan_predicates(filters) {
+        let mut scan = self.provider.configure_scan(t.scan());
+        if self.provider.pushdown {
+            for p in LakehouseProvider::to_scan_predicates(filters) {
                 scan = scan.with_predicate(p);
             }
         }
@@ -288,7 +302,35 @@ impl LakehouseProvider {
     }
 }
 
-impl TableProvider for LakehouseProvider {
+impl SchemaProvider for PinnedProvider<'_> {
+    fn table_schema(&self, table: &str) -> Option<Schema> {
+        self.table_schema_checked(table).ok().flatten()
+    }
+
+    // Distinguish "no such table" from a store/catalog fault while
+    // resolving it: a retry-budget-exhausted get must surface as the typed
+    // store error, not as `unknown table`.
+    fn table_schema_checked(&self, table: &str) -> Result<Option<Schema>, String> {
+        if table.starts_with(crate::system::SYSTEM_PREFIX) {
+            return Ok(crate::system::system_schema(table));
+        }
+        if let Some(batch) = self.provider.overlay.read().get(table) {
+            return Ok(Some(batch.schema().clone()));
+        }
+        match self.table(table) {
+            Ok(t) => t
+                .schema()
+                .map(Some)
+                .map_err(|e| format!("reading schema of '{table}': {e}")),
+            Err(BauplanError::Catalog(
+                CatalogError::KeyNotFound(_) | CatalogError::RefNotFound(_),
+            )) => Ok(None),
+            Err(e) => Err(format!("loading table '{table}': {e}")),
+        }
+    }
+}
+
+impl TableProvider for PinnedProvider<'_> {
     fn scan(
         &self,
         table: &str,
@@ -318,7 +360,7 @@ impl TableProvider for LakehouseProvider {
             // Catalog tables stream one batch per data file: peak memory is
             // a few files, and an abandoned stream (a satisfied LIMIT or row
             // budget) leaves the remaining files unfetched.
-            None if self.pushdown => {
+            None if self.provider.pushdown => {
                 let stream = self
                     .table_scan(table, projection, filters)?
                     .stream()
@@ -395,9 +437,9 @@ mod tests {
         let (store, catalog) = setup();
         write_table(&store, &catalog, "t1");
         let p = LakehouseProvider::new(store, catalog, "main");
-        assert!(p.table_schema("t1").is_some());
-        assert!(p.table_schema("ghost").is_none());
-        let batch = p.scan("t1", None, &[]).unwrap();
+        assert!(p.pin().table_schema("t1").is_some());
+        assert!(p.pin().table_schema("ghost").is_none());
+        let batch = p.pin().scan("t1", None, &[]).unwrap();
         assert_eq!(batch.num_rows(), 3);
     }
 
@@ -412,10 +454,10 @@ mod tests {
         )
         .unwrap();
         p.put_overlay("t1", Arc::new(shadow));
-        let batch = p.scan("t1", None, &[]).unwrap();
+        let batch = p.pin().scan("t1", None, &[]).unwrap();
         assert_eq!(batch.schema().names(), vec!["y"]);
         p.clear_overlay();
-        let batch = p.scan("t1", None, &[]).unwrap();
+        let batch = p.pin().scan("t1", None, &[]).unwrap();
         assert_eq!(batch.schema().names(), vec!["x"]);
     }
 
@@ -444,7 +486,10 @@ mod tests {
         write_table(&store, &catalog, "t1");
         let p = LakehouseProvider::new(store, catalog, "main");
         let filters = vec![literal_predicate("x", CmpOp::GtEq, Value::Int64(2))];
-        let batch = p.scan("t1", Some(&["x".to_string()]), &filters).unwrap();
+        let batch = p
+            .pin()
+            .scan("t1", Some(&["x".to_string()]), &filters)
+            .unwrap();
         assert_eq!(batch.num_rows(), 2);
     }
 }

@@ -608,6 +608,8 @@ impl Lakehouse {
         self.attributed(sql, move || {
             let mut attempt = 0u32;
             loop {
+                // Pinned per attempt: a retry resolves the ref afresh.
+                let provider = &provider.pin();
                 let result = if self.config.stream_execution {
                     self.engine
                         .query_with_report(sql, provider)

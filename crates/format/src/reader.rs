@@ -24,6 +24,21 @@ pub struct RowGroupMeta {
     pub stats: Vec<ColumnStats>,
 }
 
+/// Parse the 12-byte trailer of a `file_len`-byte file (`footer_crc`,
+/// `footer_len`, magic): where the footer body starts, and its checksum.
+pub(crate) fn parse_trailer(trailer: &[u8], file_len: usize) -> Result<(usize, u32)> {
+    let mut r = ByteReader::new(trailer);
+    let footer_crc = r.read_u32()?;
+    let footer_len = r.read_u32()? as usize;
+    if r.read_raw(4)? != MAGIC {
+        return Err(FormatError::Corrupt("bad trailer magic".into()));
+    }
+    if footer_len + 16 > file_len {
+        return Err(FormatError::Corrupt("footer length out of range".into()));
+    }
+    Ok((file_len - 12 - footer_len, footer_crc))
+}
+
 /// Parse the footer body (between the data section and the trailing
 /// `footer_len + magic`): version, schema, and row-group metadata.
 pub(crate) fn parse_footer(footer: &[u8]) -> Result<(Schema, Vec<RowGroupMeta>)> {
@@ -77,23 +92,10 @@ pub struct FileReader {
 impl FileReader {
     /// Parse a complete file, verifying the footer checksum first.
     pub fn parse(data: Bytes) -> Result<FileReader> {
-        if data.len() < 16 || &data[..4] != MAGIC || &data[data.len() - 4..] != MAGIC {
+        if data.len() < 16 || &data[..4] != MAGIC {
             return Err(FormatError::Corrupt("bad magic".into()));
         }
-        let footer_len = u32::from_le_bytes(
-            data[data.len() - 8..data.len() - 4]
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        if footer_len + 16 > data.len() {
-            return Err(FormatError::Corrupt("footer length out of range".into()));
-        }
-        let footer_crc = u32::from_le_bytes(
-            data[data.len() - 12..data.len() - 8]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        let footer_start = data.len() - 12 - footer_len;
+        let (footer_start, footer_crc) = parse_trailer(&data[data.len() - 12..], data.len())?;
         let footer = &data[footer_start..data.len() - 12];
         if crc32c(footer) != footer_crc {
             return Err(FormatError::Corrupted("footer checksum mismatch".into()));

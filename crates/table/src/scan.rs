@@ -197,10 +197,11 @@ impl TableScan {
         while let Some(batch) = stream.pull()? {
             batches.push(batch);
         }
-        let result = match batches.len() {
-            0 => RecordBatch::new_empty(stream.scan_schema.clone()),
-            1 => batches.pop().expect("one batch present"),
-            _ => RecordBatch::concat(&batches)?,
+        let result = if batches.len() > 1 {
+            RecordBatch::concat(&batches)?
+        } else {
+            let empty = || RecordBatch::new_empty(stream.scan_schema.clone());
+            batches.pop().unwrap_or_else(empty)
         };
         let report = stream.report();
         span.attr("files_scanned", report.files_scanned);
@@ -367,78 +368,45 @@ impl TableScan {
         Ok(true)
     }
 
-    /// Read one data file through **byte-range fetches** (footer first, then
-    /// only the surviving chunks), prune row groups, map to the scan schema.
-    fn read_entry(&self, entry: &ManifestEntry, scan_schema: &Schema) -> Result<EntryPartial> {
+    /// Read one data file: footer, row-group pruning, then the surviving
+    /// chunks, mapped to the scan schema — in as few requests as the format
+    /// reader's range plan allows (one, for a file under its merge distance).
+    /// With `prefetched` (read-ahead already holds the whole object) the
+    /// same ranges are local slices instead of store requests; that is the
+    /// only difference between the demand and the read-ahead path.
+    fn read_entry(
+        &self,
+        entry: &ManifestEntry,
+        scan_schema: &Schema,
+        prefetched: Option<&bytes::Bytes>,
+    ) -> Result<EntryPartial> {
         let path = ObjectPath::new(entry.file_path.clone())?;
-        let fetched = std::cell::Cell::new(0u64);
         // The format reader sees fetch failures as stringly `FormatError`s;
         // stash the original store error on the side so a failed read
         // surfaces *typed* (`TableError::Store`) — retry layers classify on
         // the type, not the message.
-        let store_fault = std::cell::RefCell::new(None::<lakehouse_store::StoreError>);
+        let store_fault = std::cell::RefCell::new(None::<StoreError>);
         let fetch = |start: usize, end: usize| -> lakehouse_format::Result<bytes::Bytes> {
-            fetched.set(fetched.get() + (end - start) as u64);
-            self.store.get_range(&path, start, end).map_err(|e| {
-                let wrapped =
-                    lakehouse_format::FormatError::InvalidArgument(format!("range read: {e}"));
-                *store_fault.borrow_mut() = Some(e);
-                wrapped
-            })
-        };
-        let result = self.read_entry_inner(entry, scan_schema, &fetched, &fetch);
-        if result.is_err() {
-            if let Some(fault) = store_fault.borrow_mut().take() {
-                return Err(TableError::Store(fault));
+            match prefetched {
+                // A torn read-ahead get hands back truncated-but-Ok bytes:
+                // slice what is there, and the reader's length check types
+                // it as corruption exactly as it does a torn range read.
+                Some(data) => Ok(data.slice(start.min(data.len())..end.min(data.len()))),
+                None => self.store.get_range(&path, start, end).map_err(|e| {
+                    let wrapped =
+                        lakehouse_format::FormatError::InvalidArgument(format!("range read: {e}"));
+                    *store_fault.borrow_mut() = Some(e);
+                    wrapped
+                }),
             }
-        }
-        result
-    }
-
-    /// Decode one data file from prefetched whole-object bytes: the format
-    /// reader's range requests are sliced locally. `fetched` counts exactly
-    /// the ranges the reader touched (footer + surviving chunks), so
-    /// [`ScanReport::bytes_scanned`] matches the demand-fetch path byte for
-    /// byte even though the backend served one whole-object get.
-    fn read_entry_prefetched(
-        &self,
-        entry: &ManifestEntry,
-        scan_schema: &Schema,
-        data: &bytes::Bytes,
-    ) -> Result<EntryPartial> {
-        // A torn read can hand back truncated-but-Ok bytes; classify that
-        // as corruption up front so the caller invalidates and re-fetches
-        // instead of failing on an out-of-bounds footer slice.
-        if (data.len() as u64) < entry.file_size {
-            return Err(TableError::Corrupt(format!(
-                "prefetched {} of {} bytes for {}",
-                data.len(),
-                entry.file_size,
-                entry.file_path
-            )));
-        }
-        let fetched = std::cell::Cell::new(0u64);
-        let fetch = |start: usize, end: usize| -> lakehouse_format::Result<bytes::Bytes> {
-            fetched.set(fetched.get() + (end - start) as u64);
-            if start > end || end > data.len() {
-                return Err(lakehouse_format::FormatError::InvalidArgument(format!(
-                    "prefetched range [{start}, {end}) out of bounds for {} bytes",
-                    data.len()
-                )));
-            }
-            Ok(data.slice(start..end))
         };
-        self.read_entry_inner(entry, scan_schema, &fetched, &fetch)
-    }
-
-    fn read_entry_inner(
-        &self,
-        entry: &ManifestEntry,
-        scan_schema: &Schema,
-        fetched: &std::cell::Cell<u64>,
-        fetch: &dyn Fn(usize, usize) -> lakehouse_format::Result<bytes::Bytes>,
-    ) -> Result<EntryPartial> {
-        let reader = lakehouse_format::RangedReader::open(entry.file_size as usize, &fetch)?;
+        // A failed fetch is the store's error, not the format's.
+        let typed = |e: lakehouse_format::FormatError| match store_fault.take() {
+            Some(fault) => TableError::Store(fault),
+            None => TableError::from(e),
+        };
+        let reader = lakehouse_format::RangedReader::open(entry.file_size as usize, &fetch)
+            .map_err(typed)?;
         let file_schema = self.metadata.schema_by_id(entry.schema_id)?;
         let current = self.metadata.current_schema()?;
 
@@ -469,7 +437,9 @@ impl TableScan {
             }
         }
         let projection: Vec<usize> = file_positions.iter().map(|(_, p)| *p).collect();
-        let decoded = reader.read_groups(&groups, Some(&projection), &fetch)?;
+        let decoded = reader
+            .read_groups(&groups, Some(&projection), &fetch)
+            .map_err(typed)?;
 
         // Assemble in scan-schema order, filling evolved-in columns with
         // nulls.
@@ -488,7 +458,7 @@ impl TableScan {
         }
         Ok(EntryPartial {
             batch: RecordBatch::try_new(scan_schema.clone(), columns)?,
-            bytes_scanned: fetched.get(),
+            bytes_scanned: reader.bytes_needed(&groups, Some(&projection))?,
             row_groups_scanned,
         })
     }
@@ -559,14 +529,10 @@ impl ScanStream {
         Ok(self.ready.pop_front())
     }
 
-    fn readahead_active(&self) -> bool {
-        self.scan.io.is_some() && self.scan.read_ahead > 0
-    }
-
     /// Fetch the next prefetch group of files through the pool.
     fn refill(&mut self) -> Result<()> {
-        if self.readahead_active() {
-            return self.refill_readahead();
+        if let Some(io) = self.scan.io.clone().filter(|_| self.scan.read_ahead > 0) {
+            return self.refill_readahead(&io);
         }
         if self.entries.is_empty() {
             return Ok(());
@@ -588,10 +554,10 @@ impl ScanStream {
                 // corrupt read re-reads the entry from scratch (footer and
                 // chunks — partial progress is useless without the footer
                 // anyway), up to `fetch_retries` times. Corruption first
-                // drops any cached pages for the file, so the retry refetches
+                // drops any cached ranges of the file, so the retry refetches
                 // from the backend rather than re-serving the poisoned bytes.
                 let mut retries = 0u32;
-                let mut out = self.scan.read_entry(entry, &self.scan_schema);
+                let mut out = self.scan.read_entry(entry, &self.scan_schema, None);
                 while retries < self.scan.fetch_retries
                     && out
                         .as_ref()
@@ -604,7 +570,7 @@ impl ScanStream {
                         }
                     }
                     retries += 1;
-                    out = self.scan.read_entry(entry, &self.scan_schema);
+                    out = self.scan.read_entry(entry, &self.scan_schema, None);
                 }
                 let delta = metrics
                     .as_ref()
@@ -612,38 +578,10 @@ impl ScanStream {
                     .unwrap_or(0);
                 (out, retries, delta)
             });
-        let mut group_retries = 0u64;
-        let mut group_failed = 0u64;
+        let (mut group_retries, mut group_failed) = (0u64, 0u64);
         for (partial, retries, delta) in partials {
-            if let Some(min_lane) = self.lanes.iter_mut().min() {
-                *min_lane += delta;
-            }
-            if retries > 0 {
-                self.report.fetch_retries += retries as usize;
-                self.fetch_retries_counter.add(retries as u64);
-                group_retries += retries as u64;
-            }
-            let partial = match partial {
-                Ok(p) => p,
-                Err(_) if self.scan.skip_failed_files => {
-                    self.report.files_failed += 1;
-                    self.files_failed_counter.inc();
-                    group_failed += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            self.report.files_read += 1;
-            self.report.bytes_scanned += partial.bytes_scanned;
-            self.report.row_groups_scanned += partial.row_groups_scanned;
-            self.files_read_counter.inc();
-            self.bytes_counter.add(partial.bytes_scanned);
-            let batch = self.scan.filter_exact(partial.batch)?;
-            if batch.num_rows() > 0 {
-                self.report.rows_emitted += batch.num_rows();
-                self.rows_counter.add(batch.num_rows() as u64);
-                self.ready.push_back(batch);
-            }
+            group_retries += retries as u64;
+            group_failed += u64::from(self.settle(partial, retries, delta)?);
         }
         if group_retries > 0 {
             span.attr("retries", group_retries);
@@ -654,14 +592,51 @@ impl ScanStream {
         Ok(())
     }
 
+    /// Book one entry's outcome: its simulated time onto the least-loaded
+    /// lane, its retries, then either its batch (exact-filtered) onto the
+    /// ready queue or — under the report-and-continue policy — its loss.
+    /// Returns whether the file was dropped.
+    fn settle(
+        &mut self,
+        outcome: Result<EntryPartial>,
+        retries: u32,
+        sim_nanos: u64,
+    ) -> Result<bool> {
+        if let Some(min_lane) = self.lanes.iter_mut().min() {
+            *min_lane += sim_nanos;
+        }
+        if retries > 0 {
+            self.report.fetch_retries += retries as usize;
+            self.fetch_retries_counter.add(retries as u64);
+        }
+        let partial = match outcome {
+            Ok(p) => p,
+            Err(_) if self.scan.skip_failed_files => {
+                self.report.files_failed += 1;
+                self.files_failed_counter.inc();
+                return Ok(true);
+            }
+            Err(e) => return Err(e),
+        };
+        self.report.files_read += 1;
+        self.report.bytes_scanned += partial.bytes_scanned;
+        self.report.row_groups_scanned += partial.row_groups_scanned;
+        self.files_read_counter.inc();
+        self.bytes_counter.add(partial.bytes_scanned);
+        let batch = self.scan.filter_exact(partial.batch)?;
+        if batch.num_rows() > 0 {
+            self.report.rows_emitted += batch.num_rows();
+            self.rows_counter.add(batch.num_rows() as u64);
+            self.ready.push_back(batch);
+        }
+        Ok(false)
+    }
+
     /// Keep the read-ahead window full: speculatively submit upcoming
     /// entries as whole-object gets through the dispatcher (and thus the
     /// full store stack — a shared pool's single-flight dedups against any
     /// concurrent demand fetch of the same object).
-    fn top_up_readahead(&mut self) -> Result<()> {
-        let Some(io) = self.scan.io.as_ref() else {
-            return Ok(());
-        };
+    fn top_up_readahead(&mut self, io: &IoDispatcher) -> Result<()> {
         while self.pending.len() < self.scan.read_ahead {
             let Some(entry) = self.entries.pop_front() else {
                 break;
@@ -677,46 +652,23 @@ impl ScanStream {
     /// (the dispatcher hedges it if it runs tail-slow), decode locally, and
     /// refill the window. Whole-file retry semantics match the demand path:
     /// transient faults resubmit, corruption invalidates then resubmits.
-    fn refill_readahead(&mut self) -> Result<()> {
-        self.top_up_readahead()?;
+    fn refill_readahead(&mut self, io: &IoDispatcher) -> Result<()> {
+        self.top_up_readahead(io)?;
         let Some((entry, ticket)) = self.pending.pop_front() else {
             return Ok(());
         };
         let span = lakehouse_obs::span("scan.fetch");
         span.attr("files", 1usize);
-        let (out, retries, sim_nanos) = self.wait_prefetched(&entry, ticket);
+        let (out, retries, sim_nanos) = self.wait_prefetched(io, &entry, ticket);
         self.readahead_hits_counter.inc();
-        if let Some(min_lane) = self.lanes.iter_mut().min() {
-            *min_lane += sim_nanos;
-        }
         if retries > 0 {
-            self.report.fetch_retries += retries as usize;
-            self.fetch_retries_counter.add(retries as u64);
             span.attr("retries", retries as u64);
         }
-        let partial = match out {
-            Ok(p) => p,
-            Err(_) if self.scan.skip_failed_files => {
-                self.report.files_failed += 1;
-                self.files_failed_counter.inc();
-                span.attr("failed", 1u64);
-                return self.top_up_readahead();
-            }
-            Err(e) => return Err(e),
-        };
-        self.report.files_read += 1;
-        self.report.bytes_scanned += partial.bytes_scanned;
-        self.report.row_groups_scanned += partial.row_groups_scanned;
-        self.files_read_counter.inc();
-        self.bytes_counter.add(partial.bytes_scanned);
-        let batch = self.scan.filter_exact(partial.batch)?;
-        if batch.num_rows() > 0 {
-            self.report.rows_emitted += batch.num_rows();
-            self.rows_counter.add(batch.num_rows() as u64);
-            self.ready.push_back(batch);
+        if self.settle(out, retries, sim_nanos)? {
+            span.attr("failed", 1u64);
         }
         // Refill so the window stays ahead of the consumer.
-        self.top_up_readahead()
+        self.top_up_readahead(io)
     }
 
     /// Wait for a prefetched entry and decode it, with the scan's
@@ -724,10 +676,10 @@ impl ScanStream {
     /// the total simulated lane-nanos charged (including retries).
     fn wait_prefetched(
         &self,
+        io: &IoDispatcher,
         entry: &ManifestEntry,
         ticket: IoTicket,
     ) -> (Result<EntryPartial>, u32, u64) {
-        let io = self.scan.io.as_ref().expect("read-ahead requires io");
         let path = match ObjectPath::new(entry.file_path.clone()) {
             Ok(p) => p,
             Err(e) => return (Err(e.into()), 0, 0),
@@ -739,9 +691,7 @@ impl ScanStream {
             let completion = io.wait(ticket);
             sim_nanos += completion.sim_nanos;
             let out = match completion.result {
-                Ok(bytes) => self
-                    .scan
-                    .read_entry_prefetched(entry, &self.scan_schema, &bytes),
+                Ok(bytes) => self.scan.read_entry(entry, &self.scan_schema, Some(&bytes)),
                 Err(e) => Err(TableError::Store(e)),
             };
             match out {
@@ -1154,11 +1104,11 @@ mod tests {
             .execute()
             .unwrap();
 
-        // Same objects behind a 10%-fault chaos layer (seeded: the schedule
+        // Same objects behind a 50%-fault chaos layer (seeded: the schedule
         // below is fixed). Per-file retries must reproduce the baseline.
         let chaos: Arc<dyn ObjectStore> = Arc::new(ChaosStore::new(
             Arc::clone(&base) as Arc<dyn ObjectStore>,
-            ChaosConfig::new(7).with_fault_p(0.1),
+            ChaosConfig::new(7).with_fault_p(0.5),
         ));
         // The metadata load can fault too; retrying it is the caller's job.
         let t = (0..10)
@@ -1173,7 +1123,7 @@ mod tests {
         assert_eq!(report.files_failed, 0);
         assert!(
             report.fetch_retries > 0,
-            "seed 7 at p=0.1 must fault at least one file read"
+            "seed 7 at p=0.5 must fault at least one file read"
         );
     }
 

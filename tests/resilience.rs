@@ -369,6 +369,145 @@ fn chaos_soak_is_deterministic_across_seeds() {
     }
 }
 
+/// Passes everything through, except that the first read of each data file
+/// comes back with one bit flipped in its middle: same length, so only a
+/// chunk checksum can tell. Counts the data-file reads that reach it.
+#[derive(Default)]
+struct FlipFirstRead {
+    inner: InMemoryStore,
+    data_reads: std::sync::Mutex<std::collections::BTreeMap<String, usize>>,
+}
+
+impl FlipFirstRead {
+    fn serve(&self, path: &ObjectPath, data: Bytes) -> Bytes {
+        if !path.as_str().contains("/data/") {
+            return data;
+        }
+        let mut reads = self.data_reads.lock().unwrap();
+        let n = reads.entry(path.as_str().to_string()).or_default();
+        *n += 1;
+        if *n > 1 {
+            return data;
+        }
+        let mut flipped = data.to_vec();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x04;
+        Bytes::from(flipped)
+    }
+}
+
+impl ObjectStore for FlipFirstRead {
+    fn put(&self, path: &ObjectPath, data: Bytes) -> lakehouse_store::Result<()> {
+        self.inner.put(path, data)
+    }
+    fn get(&self, path: &ObjectPath) -> lakehouse_store::Result<Bytes> {
+        Ok(self.serve(path, self.inner.get(path)?))
+    }
+    fn get_range(&self, path: &ObjectPath, s: usize, e: usize) -> lakehouse_store::Result<Bytes> {
+        Ok(self.serve(path, self.inner.get_range(path, s, e)?))
+    }
+    fn head(&self, path: &ObjectPath) -> lakehouse_store::Result<usize> {
+        self.inner.head(path)
+    }
+    fn list(&self, prefix: &str) -> lakehouse_store::Result<Vec<ObjectPath>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, path: &ObjectPath) -> lakehouse_store::Result<()> {
+        self.inner.delete(path)
+    }
+    fn put_if_matches(
+        &self,
+        path: &ObjectPath,
+        expected: Option<&[u8]>,
+        data: Bytes,
+    ) -> lakehouse_store::Result<()> {
+        self.inner.put_if_matches(path, expected, data)
+    }
+}
+
+#[test]
+fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
+    // Each data file here travels as one merged request, so a torn or
+    // bit-flipped response poisons the whole file's bytes at once — and, with
+    // a cache on, the cached range too. Every configuration must still return
+    // the fault-free bytes: demand fetch, parallel scan, streaming, and
+    // read-ahead (where the whole object arrives by `get`).
+    let want = soak_lakehouse(None, 0, false, 12, 50)
+        .query(AGG_SQL, "main")
+        .unwrap();
+    let variants = |base: LakehouseConfig| {
+        [
+            base.clone(),
+            LakehouseConfig {
+                scan_parallelism: 4,
+                stream_execution: true,
+                ..base.clone()
+            },
+            LakehouseConfig {
+                io_depth: 4,
+                read_ahead: 4,
+                ..base
+            },
+        ]
+    };
+
+    // The fixture is written through a plain front: a caching front would
+    // keep what it wrote and never read the backend at all.
+    let seed_events = |backend: &Arc<dyn ObjectStore>| {
+        Lakehouse::with_store(Arc::clone(backend), LakehouseConfig::zero_latency())
+            .unwrap()
+            .create_table_partitioned(
+                "events",
+                &events_batch(12, 50),
+                "main",
+                PartitionSpec::identity("part"),
+            )
+            .unwrap();
+    };
+
+    // Bit flips: detected by the chunk CRC alone. One whole-file retry per
+    // file, and it reaches the backend — the poisoned cached range went first.
+    let base = LakehouseConfig {
+        latency: LatencyModel::zero(),
+        retry_max: 2,
+        metadata_cache_bytes: 8 << 20,
+        ..Default::default()
+    };
+    for config in variants(base) {
+        let store = Arc::new(FlipFirstRead::default());
+        let backend = Arc::clone(&store) as Arc<dyn ObjectStore>;
+        seed_events(&backend);
+        let lh = Lakehouse::with_store(backend, config).unwrap();
+        assert_eq!(lh.query(AGG_SQL, "main").unwrap(), want);
+        let reads = store.data_reads.lock().unwrap().clone();
+        assert_eq!(reads.len(), 12);
+        assert!(reads.values().all(|&n| n == 2), "{reads:?}");
+        // Now cached and verified: no further backend reads.
+        assert_eq!(lh.query(AGG_SQL, "main").unwrap(), want);
+        assert_eq!(*store.data_reads.lock().unwrap(), reads);
+    }
+
+    // Torn reads, seeded: truncated-but-Ok bodies under the same cache.
+    for seed in 1..=4u64 {
+        let base = LakehouseConfig {
+            latency: LatencyModel::zero(),
+            chaos: Some(ChaosConfig::new(seed).with_torn_read_p(0.3)),
+            retry_max: 10,
+            metadata_cache_bytes: 8 << 20,
+            ..Default::default()
+        };
+        for config in variants(base) {
+            let backend: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+            seed_events(&backend);
+            let lh = Lakehouse::with_store(backend, config).unwrap();
+            let got = lh
+                .query(AGG_SQL, "main")
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(got, want, "seed {seed}: a torn read became a wrong value");
+        }
+    }
+}
+
 #[test]
 fn retry_budget_exhaustion_is_typed_not_a_panic() {
     // A 1 ms budget cannot pay even one 25 ms base backoff, so the first
