@@ -24,14 +24,10 @@ USAGE:
 
 GLOBAL OPTIONS:
   --data-dir <dir>          state directory (default: .bauplan)
-  --scan-parallelism <n>    worker threads per table scan (default: 1;
-                            results are identical at any setting)
-  --cache-mb <n>            metadata/range cache capacity in MiB between
-                            queries and the object store (default: 0 = off)
-  --shared-pool-mb <n>      attach the cache layer to a process-wide verified
-                            buffer pool of this capacity in MiB instead of a
-                            private cache (admission-controlled, checksummed;
-                            overrides --cache-mb; default: 0 = off)
+  --shared-pool-mb <n>      cache object bytes in a process-wide verified
+                            buffer pool of this capacity in MiB
+                            (admission-controlled, checksummed; default:
+                            0 = off; parsed table metadata is always cached)
   --stream                  execute queries through the streaming pipeline
                             (pull-based, one batch per data file; LIMIT stops
                             reading early; prints peak memory after queries)
@@ -46,14 +42,7 @@ GLOBAL OPTIONS:
                             the chaos layer even at --chaos-fault-p 0)
   --chaos-fault-p <p>       probability in [0,1) of injecting a transient
                             fault per store operation (default: 0)
-  --io-depth <n>            worker threads of the completion-based I/O
-                            dispatcher (default: 0 = dispatcher off, scans
-                            use the synchronous fetch path)
-  --read-ahead <n>          speculative read-ahead window per scan: up to
-                            this many upcoming data files in flight while
-                            earlier ones decode (default: 0 = off; needs
-                            --io-depth; results are identical either way)
-  --hedge-p95               hedge tail-slow dispatcher reads at the live
+  --hedge-p95               hedge tail-slow data-file reads at the live
                             p95 store latency (first completion wins;
                             win-rate circuit breaker backs hedging off
                             when the store is globally slow)
@@ -120,12 +109,7 @@ an optional expectations.json declaring data audits:
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
     pub data_dir: String,
-    /// Worker threads per table scan (1 = serial).
-    pub scan_parallelism: usize,
-    /// Metadata/range cache capacity in bytes (0 = disabled).
-    pub cache_bytes: usize,
-    /// Shared verified-buffer-pool capacity in bytes (0 = no shared pool;
-    /// takes precedence over `cache_bytes`).
+    /// Shared verified-buffer-pool capacity in bytes (0 = no shared pool).
     pub shared_pool_bytes: usize,
     /// Execute queries through the streaming pipeline.
     pub stream: bool,
@@ -142,11 +126,7 @@ pub struct Cli {
     pub chaos_seed: Option<u64>,
     /// Per-operation transient-fault probability for the chaos layer.
     pub chaos_fault_p: f64,
-    /// Worker threads of the completion-based I/O dispatcher (0 = off).
-    pub io_depth: usize,
-    /// Speculative read-ahead window per scan (0 = off; needs `io_depth`).
-    pub read_ahead: usize,
-    /// Hedge tail-slow dispatcher reads at the live p95 store latency.
+    /// Hedge tail-slow data-file reads at the live p95 store latency.
     pub hedge_p95: bool,
     /// Tenant label stamped on this invocation's query contexts.
     pub tenant: String,
@@ -243,8 +223,6 @@ impl Cli {
     /// Parse argv (without the program name).
     pub fn parse(argv: &[String]) -> Result<Cli, String> {
         let mut data_dir = ".bauplan".to_string();
-        let mut scan_parallelism = 1usize;
-        let mut cache_bytes = 0usize;
         let mut shared_pool_bytes = 0usize;
         let mut stream = false;
         let mut batch_rows = 8192usize;
@@ -253,8 +231,6 @@ impl Cli {
         let mut retry_budget_ms = 30_000u64;
         let mut chaos_seed = None;
         let mut chaos_fault_p = 0.0f64;
-        let mut io_depth = 0usize;
-        let mut read_ahead = 0usize;
         let mut hedge_p95 = false;
         let mut tenant = "default".to_string();
         let mut metrics_out = None;
@@ -274,18 +250,6 @@ impl Cli {
         while i < argv.len() {
             if argv[i] == "--data-dir" {
                 data_dir = take_value(argv, &mut i, "--data-dir")?;
-            } else if argv[i] == "--scan-parallelism" {
-                let v = take_value(argv, &mut i, "--scan-parallelism")?;
-                scan_parallelism = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--scan-parallelism expects a number, got {v}"))?
-                    .max(1);
-            } else if argv[i] == "--cache-mb" {
-                let v = take_value(argv, &mut i, "--cache-mb")?;
-                let mb: usize = v
-                    .parse()
-                    .map_err(|_| format!("--cache-mb expects a number, got {v}"))?;
-                cache_bytes = mb.saturating_mul(1024 * 1024);
             } else if argv[i] == "--shared-pool-mb" {
                 let v = take_value(argv, &mut i, "--shared-pool-mb")?;
                 let mb: usize = v
@@ -320,16 +284,6 @@ impl Cli {
                 if !(0.0..1.0).contains(&chaos_fault_p) {
                     return Err(format!("--chaos-fault-p must be in [0, 1), got {v}"));
                 }
-            } else if argv[i] == "--io-depth" {
-                let v = take_value(argv, &mut i, "--io-depth")?;
-                io_depth = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--io-depth expects a number, got {v}"))?;
-            } else if argv[i] == "--read-ahead" {
-                let v = take_value(argv, &mut i, "--read-ahead")?;
-                read_ahead = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--read-ahead expects a number, got {v}"))?;
             } else if argv[i] == "--hedge-p95" {
                 hedge_p95 = true;
             } else if argv[i] == "--tenant" {
@@ -451,8 +405,6 @@ impl Cli {
         };
         Ok(Cli {
             data_dir,
-            scan_parallelism,
-            cache_bytes,
             shared_pool_bytes,
             stream,
             batch_rows,
@@ -461,8 +413,6 @@ impl Cli {
             retry_budget_ms,
             chaos_seed,
             chaos_fault_p,
-            io_depth,
-            read_ahead,
             hedge_p95,
             tenant,
             metrics_out,
@@ -756,27 +706,18 @@ mod tests {
     }
 
     #[test]
-    fn parse_scan_parallelism_and_cache() {
-        let cli = Cli::parse(&s(&[
-            "query",
-            "-q",
-            "SELECT 1",
+    fn retired_io_knobs_are_rejected() {
+        // Metadata caching and overlapped fetch are always on; their flags
+        // are gone rather than ignored.
+        for flag in [
             "--scan-parallelism",
-            "8",
             "--cache-mb",
-            "16",
-        ]))
-        .unwrap();
-        assert_eq!(cli.scan_parallelism, 8);
-        assert_eq!(cli.cache_bytes, 16 * 1024 * 1024);
-        // Defaults: serial scan, cache off.
-        let cli = Cli::parse(&s(&["refs"])).unwrap();
-        assert_eq!(cli.scan_parallelism, 1);
-        assert_eq!(cli.cache_bytes, 0);
-        // 0 is clamped to serial, garbage rejected.
-        let cli = Cli::parse(&s(&["refs", "--scan-parallelism", "0"])).unwrap();
-        assert_eq!(cli.scan_parallelism, 1);
-        assert!(Cli::parse(&s(&["refs", "--cache-mb", "lots"])).is_err());
+            "--io-depth",
+            "--read-ahead",
+        ] {
+            let argv = s(&["query", "-q", "SELECT 1", flag, "8"]);
+            assert!(Cli::parse(&argv).is_err(), "{flag}");
+        }
     }
 
     #[test]
@@ -918,29 +859,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_io_flags() {
-        let cli = Cli::parse(&s(&[
-            "query",
-            "-q",
-            "SELECT 1",
-            "--io-depth",
-            "8",
-            "--read-ahead",
-            "4",
-            "--hedge-p95",
-        ]))
-        .unwrap();
-        assert_eq!(cli.io_depth, 8);
-        assert_eq!(cli.read_ahead, 4);
+    fn parse_hedge_flag() {
+        let cli = Cli::parse(&s(&["query", "-q", "SELECT 1", "--hedge-p95"])).unwrap();
         assert!(cli.hedge_p95);
-        // Defaults: dispatcher, read-ahead, and hedging entirely off.
-        let cli = Cli::parse(&s(&["refs"])).unwrap();
-        assert_eq!(cli.io_depth, 0);
-        assert_eq!(cli.read_ahead, 0);
-        assert!(!cli.hedge_p95);
-        // Garbage rejected.
-        assert!(Cli::parse(&s(&["refs", "--io-depth", "deep"])).is_err());
-        assert!(Cli::parse(&s(&["refs", "--read-ahead", "far"])).is_err());
+        assert!(!Cli::parse(&s(&["refs"])).unwrap().hedge_p95);
     }
 
     #[test]

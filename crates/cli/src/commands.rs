@@ -47,8 +47,6 @@ pub fn dispatch(cli: Cli) -> Result<(), DynError> {
     };
     let config = LakehouseConfig {
         tenant: cli.tenant.clone(),
-        scan_parallelism: cli.scan_parallelism,
-        metadata_cache_bytes: cli.cache_bytes,
         shared_pool: (cli.shared_pool_bytes > 0)
             .then(|| std::sync::Arc::new(bauplan_core::BufferPool::new(cli.shared_pool_bytes))),
         stream_execution: cli.stream,
@@ -56,8 +54,6 @@ pub fn dispatch(cli: Cli) -> Result<(), DynError> {
         retry_max: cli.retry_max,
         retry_budget_ms: cli.retry_budget_ms,
         chaos,
-        io_depth: cli.io_depth,
-        read_ahead: cli.read_ahead,
         hedge_p95: cli.hedge_p95,
         query_timeout_ms: cli.query_timeout_ms,
         memory_budget_bytes: cli.memory_budget_bytes,

@@ -33,22 +33,13 @@ pub struct LakehouseConfig {
     /// Worker threads for parallel SQL operators (1 = serial; the paper's
     /// §5 "parallelizing SQL execution").
     pub sql_parallelism: usize,
-    /// Worker threads for parallel table scans (1 = serial). Any setting
-    /// yields byte-identical query results; higher values overlap
-    /// object-store latency across a scan's files.
-    pub scan_parallelism: usize,
-    /// Capacity of the metadata/range LRU between queries and the object
-    /// store (manifests, file footers, data ranges), in bytes. 0 disables
-    /// caching. Off by default so store-traffic measurements (pruning
-    /// tests, paper tables) keep their seed semantics. Ignored when
-    /// `shared_pool` is set — the shared pool carries its own budget.
-    pub metadata_cache_bytes: usize,
-    /// A process-wide verified buffer pool to attach this instance's cache
-    /// layer to (`--shared-pool-mb` on the CLI). Several `Lakehouse`
+    /// A process-wide verified buffer pool to put between this instance and
+    /// its store (`--shared-pool-mb` on the CLI). Several `Lakehouse`
     /// instances handed the same `Arc` share one admission-controlled,
-    /// checksummed page cache — the second engine's footer/manifest reads
-    /// hit pages the first one already pulled. `None` (the default) keeps
-    /// the private per-instance cache governed by `metadata_cache_bytes`.
+    /// checksummed page cache of object bytes — the second engine's data
+    /// reads hit pages the first one already pulled. `None` (the default)
+    /// adds no byte cache; parsed table metadata is always cached, per
+    /// instance, whatever this is.
     pub shared_pool: Option<Arc<BufferPool>>,
     /// Execute queries through the streaming pipeline (pull-based, one batch
     /// per data file, early termination on LIMIT). Off by default: the
@@ -74,19 +65,10 @@ pub struct LakehouseConfig {
     /// first data file that exhausts its retries; `true` drops the file,
     /// counts it in `ScanReport::files_failed`, and returns the rest.
     pub scan_partial_failures: bool,
-    /// Worker threads of the completion-based I/O dispatcher
-    /// (`--io-depth`). 0 (the default) builds no dispatcher: scans use the
-    /// seed's synchronous fetch path, byte for byte.
-    pub io_depth: usize,
-    /// Speculative sequential read-ahead window for scans (`--read-ahead`):
-    /// up to this many upcoming data files are submitted to the dispatcher
-    /// while earlier ones decode. 0 (the default) disables read-ahead;
-    /// requires `io_depth > 0` to take effect. Results are byte-identical
-    /// either way.
-    pub read_ahead: usize,
-    /// Hedge tail-slow dispatcher reads at the live p95 of the store's
+    /// Hedge tail-slow data-file reads at the live p95 of the store's
     /// latency distribution (`--hedge-p95`), with a win-rate circuit
-    /// breaker. Off by default.
+    /// breaker. Off by default: it pays only against a store whose tail
+    /// stalls (EXPERIMENTS.md, "hedging under a stalling store").
     pub hedge_p95: bool,
     /// Per-query deadline in milliseconds (`--query-timeout-ms`). Measured
     /// against wall time plus attributed simulated retry stall; past it the
@@ -149,8 +131,6 @@ impl Default for LakehouseConfig {
             tenant: "default".into(),
             row_group_rows: 8192,
             sql_parallelism: 1,
-            scan_parallelism: 1,
-            metadata_cache_bytes: 0,
             shared_pool: None,
             stream_execution: false,
             stream_batch_rows: 8192,
@@ -158,8 +138,6 @@ impl Default for LakehouseConfig {
             retry_budget_ms: 30_000,
             chaos: None,
             scan_partial_failures: false,
-            io_depth: 0,
-            read_ahead: 0,
             hedge_p95: false,
             query_timeout_ms: 0,
             memory_budget_bytes: 0,

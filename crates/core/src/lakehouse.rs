@@ -15,7 +15,7 @@ use lakehouse_store::{
     CachedStore, ChaosStore, HedgePolicy, InMemoryStore, IoConfig, IoDispatcher, ObjectStore,
     RetryPolicy, RetryStore, SimulatedStore, StoreMetrics,
 };
-use lakehouse_table::{PartitionSpec, SnapshotOperation, Table};
+use lakehouse_table::{MetadataCache, PartitionSpec, SnapshotOperation, Table, TableIo};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,6 +52,15 @@ pub(crate) fn under_stage_permit() -> bool {
     UNDER_STAGE_PERMIT.with(|c| c.get())
 }
 
+/// Data-file requests a scan keeps in flight at once, and the worker
+/// threads that run them. Four S3-like first bytes overlapped take the
+/// benchmark's store-bound mix within 2 % of what eight do (most windows are
+/// two or three files), while every worker costs ≈ 2 MB of allocator arena
+/// on a store that allocates per read (EXPERIMENTS.md, "bench_suite
+/// before/after PR 16"). A property of object stores and of a small box,
+/// like the reader's merge distance — a constant, not a setting.
+const SCAN_IO_DEPTH: usize = 4;
+
 /// The serverless lakehouse platform. See the crate docs for the overview.
 pub struct Lakehouse {
     pub(crate) config: LakehouseConfig,
@@ -59,10 +68,13 @@ pub struct Lakehouse {
     store: Arc<SimulatedStore<Box<dyn ObjectStore>>>,
     /// The same store as a trait object for the substrates.
     pub(crate) store_dyn: Arc<dyn ObjectStore>,
-    /// Completion-based I/O dispatcher over the full store stack
-    /// (`io_depth > 0`); scans use it for speculative read-ahead and
-    /// hedged reads.
-    pub(crate) io: Option<Arc<IoDispatcher>>,
+    /// Parsed table-metadata documents and manifests of every table this
+    /// instance has read or written.
+    metadata_cache: Arc<MetadataCache>,
+    /// The I/O workers (over the full store stack) that overlap a scan's
+    /// data-file requests; joined when the last handle to them — normally
+    /// this one — drops.
+    io: Arc<IoDispatcher>,
     pub(crate) catalog: Arc<Catalog>,
     pub(crate) runtime: Runtime,
     pub(crate) engine: SqlEngine,
@@ -136,32 +148,25 @@ impl Lakehouse {
                 .with_budget(std::time::Duration::from_millis(config.retry_budget_ms));
             store_dyn = Arc::new(RetryStore::new(store_dyn, policy));
         }
-        // The cache layer comes in two flavors. A *shared* pool (several
-        // `Lakehouse` instances over one `Arc<BufferPool>`) keeps its hit
-        // counters in the pool's own metrics — per-store attribution would
-        // be arbitrary. The *private* default folds hits into the simulated
-        // store's metrics, so `store_metrics()` sees both sides, exactly as
-        // before the pool refactor.
+        // The byte cache is a pool shared by several `Lakehouse` instances
+        // (one `Arc<BufferPool>`); it keeps its hit counters in the pool's
+        // own metrics — per-store attribution would be arbitrary.
         if let Some(pool) = &config.shared_pool {
             if config.pool_tenant_quota_bytes > 0 {
                 pool.set_tenant_quota_bytes(config.pool_tenant_quota_bytes);
             }
             store_dyn = Arc::new(CachedStore::with_pool(store_dyn, Arc::clone(pool)));
-        } else if config.metadata_cache_bytes > 0 {
-            store_dyn = Arc::new(CachedStore::new(store_dyn, config.metadata_cache_bytes));
         }
-        // The dispatcher sits over the *complete* stack: a speculative get
+        // The dispatcher sits over the *complete* stack: an overlapped get
         // passes through the cache (populating the pool behind its
-        // single-flight), retry, and chaos layers exactly like a demand
-        // fetch — so read-ahead and hedging can never duplicate a backend
-        // read or dodge fault injection.
-        let io = (config.io_depth > 0).then(|| {
-            let mut io_config = IoConfig::new(config.io_depth);
-            if config.hedge_p95 {
-                io_config = io_config.with_hedge(HedgePolicy::default());
-            }
-            Arc::new(IoDispatcher::new(Arc::clone(&store_dyn), io_config))
-        });
+        // single-flight), retry, and chaos layers exactly like an inline
+        // one — so overlap and hedging can never duplicate a backend read
+        // or dodge fault injection.
+        let mut io_config = IoConfig::new(SCAN_IO_DEPTH);
+        if config.hedge_p95 {
+            io_config = io_config.with_hedge(HedgePolicy::default());
+        }
+        let io = Arc::new(IoDispatcher::new(Arc::clone(&store_dyn), io_config));
         let catalog = Arc::new(if init_catalog {
             Catalog::init(Arc::clone(&store_dyn), config.catalog_prefix.clone())?
         } else {
@@ -178,6 +183,7 @@ impl Lakehouse {
             config,
             store,
             store_dyn,
+            metadata_cache: Arc::new(MetadataCache::new()),
             io,
             catalog,
             runtime,
@@ -353,9 +359,22 @@ impl Lakehouse {
         self.store.metrics()
     }
 
-    /// The completion-based I/O dispatcher, when `config.io_depth > 0`.
-    pub fn io_dispatcher(&self) -> Option<&Arc<IoDispatcher>> {
-        self.io.as_ref()
+    /// The workers that overlap this instance's data-file requests.
+    pub fn io_dispatcher(&self) -> &Arc<IoDispatcher> {
+        &self.io
+    }
+
+    /// The parsed table-metadata and manifest cache of this instance.
+    pub fn metadata_cache(&self) -> &Arc<MetadataCache> {
+        &self.metadata_cache
+    }
+
+    /// What every table this instance opens reads and writes through.
+    pub(crate) fn table_io(&self) -> TableIo {
+        TableIo {
+            cache: Some(Arc::clone(&self.metadata_cache)),
+            dispatcher: Some(Arc::clone(&self.io)),
+        }
     }
 
     /// The admission gate, when `config.max_concurrent_queries > 0`.
@@ -460,7 +479,13 @@ impl Lakehouse {
             .map(|l| l.len())
             .unwrap_or(0);
         let location = format!("{}/{name}/u{n}-{existing}", self.config.warehouse_prefix);
-        let table = Table::create(Arc::clone(&self.store_dyn), &location, batch.schema(), spec)?;
+        let table = Table::create_with(
+            Arc::clone(&self.store_dyn),
+            &location,
+            batch.schema(),
+            spec,
+            self.table_io(),
+        )?;
         let mut tx = table
             .new_transaction(SnapshotOperation::Append)
             .with_writer_options(lakehouse_format::WriterOptions {
@@ -486,7 +511,11 @@ impl Lakehouse {
     /// Append a batch to an existing table on `branch`.
     pub fn append_table(&self, name: &str, batch: &RecordBatch, branch: &str) -> Result<()> {
         let content = self.catalog.get_content(branch, name)?;
-        let table = Table::load(Arc::clone(&self.store_dyn), &content.metadata_location)?;
+        let table = Table::load_with(
+            Arc::clone(&self.store_dyn),
+            &content.metadata_location,
+            self.table_io(),
+        )?;
         let mut tx = table.new_transaction(SnapshotOperation::Append);
         tx.write(batch)?;
         let (metadata_location, metadata) = tx.commit()?;
@@ -657,10 +686,9 @@ impl Lakehouse {
             Arc::clone(&self.catalog),
             reference,
         )
-        .with_scan_parallelism(self.config.scan_parallelism)
         .with_fetch_retries(self.config.retry_max)
         .with_partial_failures(self.config.scan_partial_failures)
-        .with_io(self.io.clone(), self.config.read_ahead)
+        .with_io(self.table_io())
         .with_system_pool(self.config.shared_pool.clone())
     }
 

@@ -8,8 +8,8 @@ use lakehouse_columnar::{BatchStream, BatchesStream, RechunkStream, RecordBatch,
 use lakehouse_sql::ast::Expr;
 use lakehouse_sql::logical::SchemaProvider;
 use lakehouse_sql::{Result as SqlResult, SqlError, TableProvider};
-use lakehouse_store::{BufferPool, IoDispatcher, ObjectStore};
-use lakehouse_table::{ScanPredicate, Table};
+use lakehouse_store::{BufferPool, ObjectStore};
+use lakehouse_table::{ScanPredicate, Table, TableIo};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,17 +30,14 @@ pub struct LakehouseProvider {
     /// naive baseline read whole tables before filtering (§4.4.2: the fused
     /// plan "pushed down where filters to obtain a smaller in-memory table").
     pushdown: bool,
-    /// Worker threads each table scan fans its files over (1 = serial).
-    scan_parallelism: usize,
     /// Per-file scan retries on transient store faults (0 = off).
     fetch_retries: u32,
     /// Scan partial-failure policy: drop files that exhaust their retries
     /// instead of failing the query.
     partial_failures: bool,
-    /// Completion-based I/O dispatcher + read-ahead window for scans
-    /// (`None`/0 = seed-identical synchronous fetching).
-    io: Option<Arc<IoDispatcher>>,
-    read_ahead: usize,
+    /// The parsed-metadata cache and fetch workers every table opened
+    /// through this provider uses (default: neither).
+    io: TableIo,
     /// The lakehouse's shared buffer pool, when one is attached — only read
     /// to materialize `system.pool`.
     system_pool: Option<Arc<BufferPool>>,
@@ -58,11 +55,9 @@ impl LakehouseProvider {
             reference: reference.into(),
             overlay: RwLock::new(HashMap::new()),
             pushdown: true,
-            scan_parallelism: 1,
             fetch_retries: 0,
             partial_failures: false,
-            io: None,
-            read_ahead: 0,
+            io: TableIo::default(),
             system_pool: None,
         }
     }
@@ -75,29 +70,16 @@ impl LakehouseProvider {
         self
     }
 
-    /// Route scans through an I/O dispatcher with a speculative read-ahead
-    /// window of `read_ahead` files (0 disables; results are byte-identical
-    /// either way).
-    pub fn with_io(
-        mut self,
-        io: Option<Arc<IoDispatcher>>,
-        read_ahead: usize,
-    ) -> LakehouseProvider {
+    /// Open tables through `io`: a warm statement then fetches and parses
+    /// no table metadata, and multi-file scans overlap their requests.
+    pub fn with_io(mut self, io: TableIo) -> LakehouseProvider {
         self.io = io;
-        self.read_ahead = read_ahead;
         self
     }
 
     /// Disable or enable scan-level predicate pushdown (default on).
     pub fn with_pushdown(mut self, pushdown: bool) -> LakehouseProvider {
         self.pushdown = pushdown;
-        self
-    }
-
-    /// Fan each table scan over up to `n` worker threads (default 1).
-    /// Results are byte-identical at any setting.
-    pub fn with_scan_parallelism(mut self, n: usize) -> LakehouseProvider {
-        self.scan_parallelism = n.max(1);
         self
     }
 
@@ -112,20 +94,6 @@ impl LakehouseProvider {
     pub fn with_partial_failures(mut self, skip_failed: bool) -> LakehouseProvider {
         self.partial_failures = skip_failed;
         self
-    }
-
-    /// Apply this provider's scan settings to a freshly built scan.
-    fn configure_scan(&self, scan: lakehouse_table::TableScan) -> lakehouse_table::TableScan {
-        let mut scan = scan
-            .with_parallelism(self.scan_parallelism)
-            .with_fetch_retries(self.fetch_retries)
-            .with_partial_failures(self.partial_failures);
-        if let Some(io) = &self.io {
-            scan = scan
-                .with_io_dispatcher(Arc::clone(io))
-                .with_read_ahead(self.read_ahead);
-        }
-        scan
     }
 
     /// Register an in-memory artifact (visible to subsequent queries through
@@ -170,15 +138,16 @@ impl LakehouseProvider {
         Ok(self.load_metadata(&content.metadata_location)?)
     }
 
-    /// `Table::load` with the retry/invalidate loop shared by every metadata
-    /// read through this provider.
+    /// `Table::load_with` with the retry/invalidate loop shared by every
+    /// metadata read through this provider (a document that fails to parse
+    /// never reaches the parsed cache, so the retry still goes to the store).
     fn load_metadata(
         &self,
         location: &str,
     ) -> std::result::Result<Table, lakehouse_table::TableError> {
         let mut attempts = 0u32;
         loop {
-            match Table::load(Arc::clone(&self.store), location) {
+            match Table::load_with(Arc::clone(&self.store), location, self.io.clone()) {
                 Ok(t) => return Ok(t),
                 Err(e)
                     if attempts < self.fetch_retries && (e.is_transient() || e.is_corruption()) =>
@@ -288,7 +257,10 @@ impl PinnedProvider<'_> {
         let t = self
             .table(table)
             .map_err(|e| SqlError::Plan(format!("cannot load table '{table}': {e}")))?;
-        let mut scan = self.provider.configure_scan(t.scan());
+        let mut scan = t
+            .scan()
+            .with_fetch_retries(self.provider.fetch_retries)
+            .with_partial_failures(self.provider.partial_failures);
         if self.provider.pushdown {
             for p in LakehouseProvider::to_scan_predicates(filters) {
                 scan = scan.with_predicate(p);

@@ -28,7 +28,7 @@ use lakehouse_planner::{
     ProjectSnapshot, RunRecord, StepAction,
 };
 use lakehouse_runtime::EnvSpec;
-use lakehouse_table::{PartitionSpec, SnapshotOperation, Table};
+use lakehouse_table::{MetadataCache, PartitionSpec, SnapshotOperation, Table};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -254,18 +254,12 @@ impl Lakehouse {
         // Metric baselines for the report.
         let baseline = MetricBaseline::capture(self);
 
-        // The naive baseline (the paper's first version) reads whole tables —
-        // no scan-level predicate pushdown — and runs each node in a
-        // stateless container.
-        let provider = self
-            .provider(&ephemeral)
-            .with_pushdown(mode == ExecutionMode::Fused);
         let mut peak_query_bytes = 0usize;
         let outcome = self.execute_stages(
             &project,
             &logical,
             &physical,
-            &provider,
+            &ephemeral,
             run_id,
             &mut peak_query_bytes,
         );
@@ -364,7 +358,7 @@ impl Lakehouse {
         project: &PipelineProject,
         logical: &LogicalPipeline,
         physical: &PhysicalPipeline,
-        provider: &LakehouseProvider,
+        reference: &str,
         run_id: u64,
         peak_query_bytes: &mut usize,
     ) -> Result<(BTreeMap<String, u64>, BTreeMap<String, bool>)> {
@@ -457,6 +451,23 @@ impl Lakehouse {
             };
             invoke_result.map_err(BauplanError::Runtime)?;
 
+            // The naive baseline (the paper's first version) reads whole
+            // tables — no scan-level predicate pushdown — and runs each node
+            // in a stateless container: nothing in memory outlives a stage,
+            // parsed table metadata included, so each gets a cache of its
+            // own. The overlay is per stage in both modes: downstream stages
+            // re-read through the object store, matching the physical
+            // plan's edge localities.
+            let fused = physical.mode == ExecutionMode::Fused;
+            let mut io = self.table_io();
+            if !fused {
+                io.cache = Some(Arc::new(MetadataCache::new()));
+            }
+            let provider = &self
+                .provider(reference)
+                .with_pushdown(fused)
+                .with_io(io.clone());
+
             // Execute the stage's steps in order; intermediates stay in the
             // provider overlay (in-memory locality within the stage).
             let mut stage_outputs: Vec<(String, Arc<RecordBatch>)> = Vec::new();
@@ -494,7 +505,7 @@ impl Lakehouse {
                                 Some(b) => b,
                                 // Cross-stage edge or lake table: read
                                 // through the catalog (object store).
-                                None => Arc::new(self.read_table(input, provider.reference())?),
+                                None => Arc::new(provider.load_table(input)?.scan().execute()?),
                             };
                             inputs.insert(input.clone(), batch);
                         }
@@ -549,11 +560,12 @@ impl Lakehouse {
             let mut ops = Vec::new();
             for (name, batch) in &stage_outputs {
                 let location = format!("{}/{name}/r{run_id}", self.config.warehouse_prefix);
-                let table = Table::create(
+                let table = Table::create_with(
                     Arc::clone(&self.store_dyn),
                     &location,
                     batch.schema(),
                     PartitionSpec::unpartitioned(),
+                    io.clone(),
                 )?;
                 let mut tx = table.new_transaction(SnapshotOperation::Append);
                 tx.write(batch)?;
@@ -577,9 +589,6 @@ impl Lakehouse {
                     ops,
                 )?;
             }
-            // Stage boundary: spill — downstream stages re-read through the
-            // object store, matching the physical plan's edge localities.
-            provider.clear_overlay();
             lakehouse_obs::recorder().record_for(
                 lakehouse_obs::EventKind::StageFinish,
                 0,

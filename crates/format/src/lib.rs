@@ -35,7 +35,7 @@ pub mod writer;
 
 pub use error::{FormatError, Result};
 pub use ranged::RangedReader;
-pub use reader::{FileReader, RowGroupMeta};
+pub use reader::{footer_bytes, FileReader, RowGroupMeta};
 pub use stats::ColumnStats;
 pub use writer::{FileWriter, WriterOptions};
 

@@ -88,18 +88,29 @@ impl RangedReader {
         Self::open_with_gap(file_len, fetch, COALESCE_GAP)
     }
 
+    /// The one range [`RangedReader::open`] always requests of a
+    /// `file_len`-byte file, and requests first — what a caller that wants
+    /// the open to find its bytes already fetched has to fetch.
+    pub fn opening_range(file_len: usize) -> (usize, usize) {
+        (Self::resident_start(file_len, COALESCE_GAP), file_len)
+    }
+
+    /// The footer locates every chunk, so its request always goes first; a
+    /// file no longer than the gap rides along with it whole — the merge
+    /// rule applied to that dependency.
+    fn resident_start(file_len: usize, gap: usize) -> usize {
+        if file_len <= gap {
+            0
+        } else {
+            file_len.saturating_sub(TAIL_HINT)
+        }
+    }
+
     fn open_with_gap(file_len: usize, fetch: RangeFetch<'_>, gap: usize) -> Result<RangedReader> {
         if file_len < 16 {
             return Err(FormatError::Corrupt("file too small".into()));
         }
-        // The footer locates every chunk, so its request always goes first;
-        // a file no longer than the gap rides along with it whole — the
-        // merge rule applied to that dependency.
-        let resident_start = if file_len <= gap {
-            0
-        } else {
-            file_len.saturating_sub(TAIL_HINT)
-        };
+        let resident_start = Self::resident_start(file_len, gap);
         let resident = fetch_exact(fetch, resident_start, file_len)?;
         let (footer_start, footer_crc) = parse_trailer(&resident[resident.len() - 12..], file_len)?;
         let footer = if footer_start >= resident_start {

@@ -39,6 +39,17 @@ pub(crate) fn parse_trailer(trailer: &[u8], file_len: usize) -> Result<(usize, u
     Ok((file_len - 12 - footer_len, footer_crc))
 }
 
+/// The footer body and trailer of a complete file: the bytes that name
+/// every chunk's place, length and checksum, so a digest of them stands for
+/// the whole file at the cost of reading only its tail.
+pub fn footer_bytes(file: &[u8]) -> Result<&[u8]> {
+    let Some(trailer) = file.len().checked_sub(12) else {
+        return Err(FormatError::Corrupt("file too small".into()));
+    };
+    let (footer_start, _) = parse_trailer(&file[trailer..], file.len())?;
+    Ok(&file[footer_start..])
+}
+
 /// Parse the footer body (between the data section and the trailing
 /// `footer_len + magic`): version, schema, and row-group metadata.
 pub(crate) fn parse_footer(footer: &[u8]) -> Result<(Schema, Vec<RowGroupMeta>)> {

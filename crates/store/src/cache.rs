@@ -8,23 +8,14 @@
 //! GETs from memory — the "differential caching" lever of FaaS lakehouse
 //! engines, applied to the metadata path.
 //!
-//! Since PR 5 the cache itself lives in [`crate::pool::BufferPool`] — a
-//! process-wide, sharded, admission-controlled page cache with CRC32C entry
-//! frames — and `CachedStore` is the thin adapter that routes one store's
-//! traffic through a pool handle:
-//!
-//! - [`CachedStore::new`] builds a **private single-shard pool** of the given
-//!   capacity: behavior, eviction order, and metrics are byte-identical to
-//!   the seed per-store LRU. Hit/miss/byte counters are folded into the
-//!   *inner* store's [`StoreMetrics`] when it exposes one (so a
-//!   `SimulatedStore` under the cache reports latency and cache
-//!   effectiveness in one place).
-//! - [`CachedStore::with_pool`] attaches to a **shared** pool. Counters are
-//!   *not* folded into the store's metrics — cache effectiveness is a
-//!   property of the pool, not of any one store, so misattribution is
-//!   avoided; read `pool.{hits,misses,...}` from [`PoolMetrics`] or the
-//!   process metrics registry instead. (`ScanReport::cache_hits`, which
-//!   reads per-store counters, reports 0 in shared mode by design.)
+//! The cache itself lives in [`crate::pool::BufferPool`] — a sharded,
+//! admission-controlled page cache with CRC32C entry frames, meant to be
+//! shared by every engine of a process — and `CachedStore` is the thin
+//! adapter that routes one store's traffic through a pool handle
+//! ([`CachedStore::with_pool`]). Cache effectiveness is a property of the
+//! pool, not of any one store: read `pool.{hits,misses,...}` from
+//! [`PoolMetrics`] or the process metrics registry; the store's own
+//! [`StoreMetrics`] keep reporting only real store traffic.
 //!
 //! Coherence model: all writers go *through* this wrapper (a `put`,
 //! `put_if_matches`, or `delete` invalidates every cached entry for that
@@ -46,50 +37,23 @@ use bytes::Bytes;
 use std::sync::Arc;
 
 /// An [`ObjectStore`] wrapper that serves whole objects and byte ranges from
-/// a [`BufferPool`] — private by default, shareable across stores. See the
-/// module docs for the coherence model.
+/// a (typically shared) [`BufferPool`]. See the module docs for the
+/// coherence model.
 pub struct CachedStore<S> {
     inner: S,
     pool: Arc<BufferPool>,
-    metrics: Arc<StoreMetrics>,
-    /// Fold hit/miss counters into `metrics` (private-pool mode only).
-    fold: bool,
 }
 
 impl<S: ObjectStore> CachedStore<S> {
-    /// Wrap `inner` with a private pool of `capacity_bytes`. Single entries
-    /// larger than a quarter of the capacity are never cached.
-    pub fn new(inner: S, capacity_bytes: usize) -> Self {
-        let metrics = inner
-            .store_metrics()
-            .unwrap_or_else(|| Arc::new(StoreMetrics::new()));
-        CachedStore {
-            inner,
-            pool: Arc::new(BufferPool::private(capacity_bytes)),
-            metrics,
-            fold: true,
-        }
-    }
-
-    /// Wrap `inner` over an existing (typically shared) pool. Cache counters
-    /// stay on the pool; the store's own metrics keep reporting only real
-    /// store traffic.
+    /// Wrap `inner` over an existing (typically shared) pool.
     pub fn with_pool(inner: S, pool: Arc<BufferPool>) -> Self {
-        let metrics = inner
-            .store_metrics()
-            .unwrap_or_else(|| Arc::new(StoreMetrics::new()));
-        CachedStore {
-            inner,
-            pool,
-            metrics,
-            fold: false,
-        }
+        CachedStore { inner, pool }
     }
 
     /// Override the largest cacheable entry size.
     ///
-    /// Adjusts the underlying pool — intended for privately-constructed
-    /// pools; on a shared pool this changes the cap for every attached store.
+    /// Adjusts the underlying pool: this changes the cap for every store
+    /// attached to it.
     pub fn with_max_entry_bytes(self, max_entry: usize) -> Self {
         self.pool.set_max_entry_bytes(max_entry);
         self
@@ -124,18 +88,6 @@ impl<S: ObjectStore> CachedStore<S> {
     pub fn pool_metrics(&self) -> Arc<PoolMetrics> {
         self.pool.metrics()
     }
-
-    fn fold_hit(&self, bytes: usize) {
-        if self.fold {
-            self.metrics.record_cache_hit(bytes);
-        }
-    }
-
-    fn fold_miss(&self) {
-        if self.fold {
-            self.metrics.record_cache_miss();
-        }
-    }
 }
 
 impl<S: ObjectStore> ObjectStore for CachedStore<S> {
@@ -148,48 +100,20 @@ impl<S: ObjectStore> ObjectStore for CachedStore<S> {
 
     fn get(&self, path: &ObjectPath) -> Result<Bytes> {
         let key = PoolKey::Whole(path.as_str().to_string());
-        match self.pool.get_or_load(&key, || self.inner.get(path)) {
-            Ok((data, true)) => {
-                self.fold_hit(data.len());
-                Ok(data)
-            }
-            Ok((data, false)) => {
-                self.fold_miss();
-                Ok(data)
-            }
-            Err(e) => {
-                // The miss happened even though the load failed.
-                self.fold_miss();
-                Err(e)
-            }
-        }
+        let (data, _hit) = self.pool.get_or_load(&key, || self.inner.get(path))?;
+        Ok(data)
     }
 
     fn get_range(&self, path: &ObjectPath, start: usize, end: usize) -> Result<Bytes> {
         let key = PoolKey::Range(path.as_str().to_string(), start, end);
-        match self
-            .pool
-            .get_or_load(&key, || self.inner.get_range(path, start, end))
-        {
-            Ok((data, true)) => {
-                self.fold_hit(data.len());
-                Ok(data)
-            }
-            Ok((data, false)) => {
-                self.fold_miss();
-                Ok(data)
-            }
-            Err(e) => {
-                self.fold_miss();
-                Err(e)
-            }
-        }
+        let load = || self.inner.get_range(path, start, end);
+        let (data, _hit) = self.pool.get_or_load(&key, load)?;
+        Ok(data)
     }
 
     fn head(&self, path: &ObjectPath) -> Result<usize> {
         // Size of a cached whole object is known without a round trip.
         if let Some(data) = self.pool.try_get_whole(path.as_str()) {
-            self.fold_hit(0);
             return Ok(data.len());
         }
         self.inner.head(path)
@@ -226,7 +150,7 @@ impl<S: ObjectStore> ObjectStore for CachedStore<S> {
     }
 
     fn store_metrics(&self) -> Option<Arc<StoreMetrics>> {
-        Some(Arc::clone(&self.metrics))
+        self.inner.store_metrics()
     }
 
     fn invalidate_corrupt(&self, path: &ObjectPath) {
@@ -249,7 +173,8 @@ mod tests {
     }
 
     fn store(capacity: usize) -> CachedStore<InMemoryStore> {
-        CachedStore::new(InMemoryStore::new(), capacity)
+        let pool = Arc::new(BufferPool::private(capacity));
+        CachedStore::with_pool(InMemoryStore::new(), pool)
     }
 
     #[test]
@@ -257,7 +182,7 @@ mod tests {
         let s = store(1 << 20);
         s.put(&p("m/manifest.json"), Bytes::from_static(b"abc"))
             .unwrap();
-        let m = s.store_metrics().unwrap();
+        let m = s.pool_metrics();
         assert_eq!(
             s.get(&p("m/manifest.json")).unwrap(),
             Bytes::from_static(b"abc")
@@ -267,9 +192,8 @@ mod tests {
             Bytes::from_static(b"abc")
         );
         // put write-through seeds the cache: both gets hit.
-        assert_eq!(m.cache_hits(), 2);
-        assert_eq!(m.cache_misses(), 0);
-        assert_eq!(m.cache_bytes_served(), 6);
+        assert_eq!(m.hits(), 2);
+        assert_eq!(m.misses(), 0);
     }
 
     #[test]
@@ -279,24 +203,24 @@ mod tests {
         s.inner()
             .put(&p("f"), Bytes::from_static(b"0123456789"))
             .unwrap();
-        let m = s.store_metrics().unwrap();
+        let m = s.pool_metrics();
         assert_eq!(
             s.get_range(&p("f"), 2, 5).unwrap(),
             Bytes::from_static(b"234")
         );
-        assert_eq!(m.cache_misses(), 1);
+        assert_eq!(m.misses(), 1);
         assert_eq!(
             s.get_range(&p("f"), 2, 5).unwrap(),
             Bytes::from_static(b"234")
         );
-        assert_eq!(m.cache_hits(), 1);
+        assert_eq!(m.hits(), 1);
         // Whole object cached -> any range is a hit.
         s.get(&p("f")).unwrap();
         assert_eq!(
             s.get_range(&p("f"), 0, 9).unwrap(),
             Bytes::from_static(b"012345678")
         );
-        assert_eq!(m.cache_hits(), 2);
+        assert_eq!(m.hits(), 2);
     }
 
     #[test]
@@ -317,7 +241,7 @@ mod tests {
 
     #[test]
     fn eviction_bounds_memory_and_preserves_bytes() {
-        let s = CachedStore::new(InMemoryStore::new(), 64).with_max_entry_bytes(32);
+        let s = store(64).with_max_entry_bytes(32);
         for i in 0..8 {
             s.put(&p(&format!("o/{i}")), Bytes::from(vec![i as u8; 20]))
                 .unwrap();
@@ -334,47 +258,46 @@ mod tests {
 
     #[test]
     fn oversized_entries_pass_through_uncached() {
-        let s = CachedStore::new(InMemoryStore::new(), 1 << 20).with_max_entry_bytes(4);
+        let s = store(1 << 20).with_max_entry_bytes(4);
         s.put(&p("big"), Bytes::from(vec![7u8; 100])).unwrap();
         assert_eq!(s.cached_entries(), 0);
-        let m = s.store_metrics().unwrap();
+        let m = s.pool_metrics();
         s.get(&p("big")).unwrap();
         s.get(&p("big")).unwrap();
-        assert_eq!(m.cache_hits(), 0);
-        assert_eq!(m.cache_misses(), 2);
+        assert_eq!(m.hits(), 0);
+        assert_eq!(m.misses(), 2);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let s = CachedStore::new(InMemoryStore::new(), 30).with_max_entry_bytes(10);
+        let s = store(30).with_max_entry_bytes(10);
         s.put(&p("a"), Bytes::from(vec![1u8; 10])).unwrap();
         s.put(&p("b"), Bytes::from(vec![2u8; 10])).unwrap();
         s.put(&p("c"), Bytes::from(vec![3u8; 10])).unwrap();
         // Touch `a` so `b` becomes the LRU victim.
         s.get(&p("a")).unwrap();
         s.put(&p("d"), Bytes::from(vec![4u8; 10])).unwrap();
-        let m = s.store_metrics().unwrap();
-        let before = m.cache_misses();
+        let m = s.pool_metrics();
+        let before = m.misses();
         s.get(&p("a")).unwrap();
-        assert_eq!(m.cache_misses(), before, "a should still be cached");
+        assert_eq!(m.misses(), before, "a should still be cached");
         s.get(&p("b")).unwrap();
-        assert_eq!(m.cache_misses(), before + 1, "b should have been evicted");
+        assert_eq!(m.misses(), before + 1, "b should have been evicted");
     }
 
     #[test]
-    fn folds_into_simulated_store_metrics() {
+    fn hits_cost_the_store_below_nothing() {
         let sim = SimulatedStore::new(InMemoryStore::new(), LatencyModel::s3_like());
         let sim_metrics = sim.metrics();
-        let s = CachedStore::new(sim, 1 << 20);
+        let s = CachedStore::with_pool(sim, Arc::new(BufferPool::private(1 << 20)));
         s.put(&p("a"), Bytes::from_static(b"hello")).unwrap();
         let serial_after_put = sim_metrics.simulated_time();
         s.get(&p("a")).unwrap();
-        // Hit: no extra simulated latency, no store bytes moved, counters on
-        // the *simulated store's* metrics object.
+        // Hit: no extra simulated latency, no store bytes moved.
         assert_eq!(sim_metrics.simulated_time(), serial_after_put);
         assert_eq!(sim_metrics.bytes_read(), 0);
-        assert_eq!(sim_metrics.cache_hits(), 1);
-        assert_eq!(sim_metrics.cache_bytes_served(), 5);
+        assert_eq!(sim_metrics.gets(), 0);
+        assert_eq!(s.pool_metrics().hits(), 1);
     }
 
     #[test]
@@ -382,12 +305,12 @@ mod tests {
         let s = store(1 << 20);
         s.put(&p("a"), Bytes::from_static(b"12345")).unwrap();
         assert_eq!(s.head(&p("a")).unwrap(), 5);
-        let m = s.store_metrics().unwrap();
-        assert_eq!(m.cache_hits(), 1);
+        let m = s.pool_metrics();
+        assert_eq!(m.hits(), 1);
     }
 
     #[test]
-    fn shared_pool_serves_across_stores_without_folding() {
+    fn shared_pool_serves_across_stores() {
         let pool = Arc::new(BufferPool::new(1 << 20));
         let backend = Arc::new(InMemoryStore::new());
         let a = CachedStore::with_pool(Arc::clone(&backend), Arc::clone(&pool));
@@ -399,11 +322,7 @@ mod tests {
             b.get(&p("shared/obj")).unwrap(),
             Bytes::from_static(b"payload")
         );
-        let pm = pool.metrics();
-        assert_eq!(pm.hits(), 1);
-        // No folding: each store's own metrics stay clean of cache counters.
-        assert_eq!(a.store_metrics().unwrap().cache_hits(), 0);
-        assert_eq!(b.store_metrics().unwrap().cache_hits(), 0);
+        assert_eq!(pool.metrics().hits(), 1);
     }
 
     #[test]

@@ -184,8 +184,9 @@ struct ChaosState {
 ///
 /// Each decision consumes exactly one RNG draw, so the schedule is a pure
 /// function of (seed, op sequence) regardless of which knobs are enabled.
-/// Determinism therefore requires a deterministic op *order* — run chaos
-/// tests with serial scans (`scan_parallelism = 1`).
+/// Determinism therefore requires a deterministic op *order*: a scan that
+/// overlaps its files' requests draws in whatever order its workers run, so
+/// tests that need one exact schedule scan through a table without workers.
 #[derive(Debug)]
 pub struct ChaosDecider {
     cfg: ChaosConfig,

@@ -136,10 +136,45 @@ enum IoOp {
     GetRange(ObjectPath, usize, usize),
 }
 
+/// What a worker leaves in a finished slot. A buffer the store allocated
+/// *for this request* lives in the worker's allocator arena, and memory freed
+/// into a worker's arena is never reused by the consumer's thread — eight
+/// workers each strand the high-water mark of a window of files. So a worker
+/// moves such a buffer's bytes into the one the submitter allocated and
+/// frees its own at once; a buffer that is shared (a slice of an in-memory
+/// object, a pool page) cost the worker nothing and passes through as is.
+enum Payload {
+    Shared(Bytes),
+    Moved(Vec<u8>),
+}
+
+/// A completion as the worker records it; [`Finished::claim`] turns it into
+/// the caller's [`IoCompletion`] on the claiming thread.
+struct Finished {
+    result: Result<Payload>,
+    sim_nanos: u64,
+    wall: Duration,
+    hedged: bool,
+}
+
+impl Finished {
+    fn claim(self) -> IoCompletion {
+        IoCompletion {
+            result: self.result.map(|payload| match payload {
+                Payload::Shared(bytes) => bytes,
+                Payload::Moved(buffer) => Bytes::from(buffer),
+            }),
+            sim_nanos: self.sim_nanos,
+            wall: self.wall,
+            hedged: self.hedged,
+        }
+    }
+}
+
 enum SlotState {
     Queued,
     Running,
-    Done(IoCompletion),
+    Done(Finished),
     /// Cancelled while running; the worker discards the result and removes
     /// the slot when the backend call returns.
     Abandoned,
@@ -155,6 +190,9 @@ struct Slot {
     /// hedges) are charged to the query that submitted the request, not to
     /// whichever worker thread happens to run it.
     ctx: Option<lakehouse_obs::QueryCtx>,
+    /// Allocated by the submitter, sized for a range request's payload; see
+    /// [`Payload`].
+    buffer: Vec<u8>,
     state: SlotState,
 }
 
@@ -321,6 +359,10 @@ impl IoDispatcher {
     fn submit(&self, op: IoOp, deadline: Option<Duration>, hedge: bool, front: bool) -> IoTicket {
         let sh = &self.shared;
         let id = sh.next_id.fetch_add(1, Ordering::Relaxed);
+        let buffer = match &op {
+            IoOp::GetRange(_, start, end) => Vec::with_capacity(end.saturating_sub(*start)),
+            IoOp::Get(_) => Vec::new(),
+        };
         {
             let mut queue = sh.queue.lock().expect("io queue poisoned");
             // Hedges bypass backpressure: they are latency-critical, at most
@@ -338,6 +380,7 @@ impl IoDispatcher {
                     submitted_at: Instant::now(),
                     hedge,
                     ctx: lakehouse_obs::QueryCtx::current(),
+                    buffer,
                     state: SlotState::Queued,
                 },
             );
@@ -370,7 +413,7 @@ impl IoDispatcher {
                 sh.obs.completed.inc();
                 sh.dec_inflight();
                 match slot.state {
-                    SlotState::Done(c) => Some(c),
+                    SlotState::Done(done) => Some(done.claim()),
                     _ => unreachable!("matched Done above"),
                 }
             }
@@ -648,7 +691,7 @@ fn take_if_done(slots: &mut HashMap<u64, Slot>, id: u64) -> TakeResult {
             state: SlotState::Done(_),
             ..
         }) => match slots.remove(&id).map(|s| s.state) {
-            Some(SlotState::Done(c)) => TakeResult::Done(c),
+            Some(SlotState::Done(done)) => TakeResult::Done(done.claim()),
             _ => unreachable!("matched Done above"),
         },
         Some(_) => TakeResult::Pending,
@@ -682,7 +725,7 @@ fn worker_loop(sh: &Shared) {
         };
         // Claim the slot; a ghost id (cancelled while queued) is skipped
         // without touching the backend.
-        let (op, deadline, submitted_at, ctx) = {
+        let (op, deadline, submitted_at, ctx, mut buffer) = {
             let mut slots = sh.slots.lock().expect("io slots poisoned");
             match slots.get_mut(&id) {
                 Some(slot) => {
@@ -692,6 +735,7 @@ fn worker_loop(sh: &Shared) {
                         slot.deadline,
                         slot.submitted_at,
                         slot.ctx.clone(),
+                        std::mem::take(&mut slot.buffer),
                     )
                 }
                 None => continue,
@@ -707,7 +751,7 @@ fn worker_loop(sh: &Shared) {
                     slots.remove(&id);
                 } else {
                     let hedged = slot.hedge;
-                    slot.state = SlotState::Done(IoCompletion {
+                    slot.state = SlotState::Done(Finished {
                         result: Err(StoreError::QueryKilled { reason }),
                         sim_nanos: 0,
                         wall: submitted_at.elapsed(),
@@ -752,6 +796,14 @@ fn worker_loop(sh: &Shared) {
                 }
             }
         }
+        let result = result.map(|bytes| {
+            if bytes.is_unique() && bytes.len() <= buffer.capacity() {
+                buffer.extend_from_slice(&bytes);
+                Payload::Moved(buffer)
+            } else {
+                Payload::Shared(bytes)
+            }
+        });
         let mut slots = sh.slots.lock().expect("io slots poisoned");
         if let Some(slot) = slots.get_mut(&id) {
             if matches!(slot.state, SlotState::Abandoned) {
@@ -759,7 +811,7 @@ fn worker_loop(sh: &Shared) {
                 slots.remove(&id);
             } else {
                 let hedged = slot.hedge;
-                slot.state = SlotState::Done(IoCompletion {
+                slot.state = SlotState::Done(Finished {
                     result,
                     sim_nanos,
                     wall,

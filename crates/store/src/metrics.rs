@@ -73,8 +73,6 @@ struct GlobalHandles {
     puts: Arc<Counter>,
     bytes_read: Arc<Counter>,
     bytes_written: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
     op_nanos: Arc<Histogram>,
 }
 
@@ -86,8 +84,6 @@ impl GlobalHandles {
             puts: reg.counter("store.puts"),
             bytes_read: reg.counter("store.bytes_read"),
             bytes_written: reg.counter("store.bytes_written"),
-            cache_hits: reg.counter("store.cache_hits"),
-            cache_misses: reg.counter("store.cache_misses"),
             op_nanos: reg.histogram("store.op_nanos"),
         }
     }
@@ -103,9 +99,6 @@ pub struct StoreMetrics {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     simulated_nanos: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_bytes_served: AtomicU64,
     stall_nanos: AtomicU64,
     /// Wall seconds slept per simulated second (f64 bits): 0.0 under
     /// `SleepMode::None`, the factor under `Scaled`, 1.0 under `Real`. Set
@@ -136,9 +129,6 @@ impl StoreMetrics {
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             simulated_nanos: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_bytes_served: AtomicU64::new(0),
             stall_nanos: AtomicU64::new(0),
             wall_scale_bits: AtomicU64::new(0.0f64.to_bits()),
             lanes: Mutex::new(HashMap::new()),
@@ -231,18 +221,6 @@ impl StoreMetrics {
         f64::from_bits(self.wall_scale_bits.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn record_cache_hit(&self, bytes: usize) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.cache_bytes_served
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.global.cache_hits.inc();
-    }
-
-    pub(crate) fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.global.cache_misses.inc();
-    }
-
     pub fn gets(&self) -> u64 {
         self.gets.load(Ordering::Relaxed)
     }
@@ -260,19 +238,6 @@ impl StoreMetrics {
     }
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written.load(Ordering::Relaxed)
-    }
-
-    /// Requests answered from a cache layer without touching the store.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-    /// Requests that fell through a cache layer to the store.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-    /// Bytes served from cache (not counted in `bytes_read`).
-    pub fn cache_bytes_served(&self) -> u64 {
-        self.cache_bytes_served.load(Ordering::Relaxed)
     }
 
     /// Total simulated latency accumulated across all operations.
@@ -319,9 +284,6 @@ impl StoreMetrics {
         self.bytes_read.store(0, Ordering::Relaxed);
         self.bytes_written.store(0, Ordering::Relaxed);
         self.simulated_nanos.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_bytes_served.store(0, Ordering::Relaxed);
         self.stall_nanos.store(0, Ordering::Relaxed);
         self.lanes.lock().clear();
         self.samples.lock().clear();
@@ -391,15 +353,10 @@ mod tests {
     fn reset_zeros() {
         let m = StoreMetrics::new();
         m.record_get(10, Duration::from_millis(1));
-        m.record_cache_hit(5);
-        m.record_cache_miss();
         m.reset();
         assert_eq!(m.gets(), 0);
         assert_eq!(m.simulated_time(), Duration::ZERO);
         assert_eq!(m.latency_percentile(0.5), None);
-        assert_eq!(m.cache_hits(), 0);
-        assert_eq!(m.cache_misses(), 0);
-        assert_eq!(m.cache_bytes_served(), 0);
         assert_eq!(m.lane_nanos(), 0);
     }
 
@@ -430,19 +387,6 @@ mod tests {
             "scaled stall must sleep"
         );
         assert_eq!(m.stall_time(), Duration::from_millis(400));
-    }
-
-    #[test]
-    fn cache_counters_accumulate() {
-        let m = StoreMetrics::new();
-        m.record_cache_hit(100);
-        m.record_cache_hit(50);
-        m.record_cache_miss();
-        assert_eq!(m.cache_hits(), 2);
-        assert_eq!(m.cache_misses(), 1);
-        assert_eq!(m.cache_bytes_served(), 150);
-        // Cache hits move no store bytes.
-        assert_eq!(m.bytes_read(), 0);
     }
 
     #[test]

@@ -168,8 +168,7 @@ impl FrequencySketch {
 ///
 /// These are the pool's *own* metrics: when a pool is shared across stores,
 /// effectiveness is a property of the pool, not of any one store's
-/// `StoreMetrics` (which the private-pool adapter still folds into for
-/// seed compatibility).
+/// `StoreMetrics`.
 pub struct PoolMetrics {
     hits: AtomicU64,
     misses: AtomicU64,
@@ -487,9 +486,8 @@ impl BufferPool {
         Self::with_shards(capacity_bytes, DEFAULT_SHARDS)
     }
 
-    /// A single-shard pool: one lock, one global LRU order — exactly the
-    /// seed `CachedStore` eviction behavior. Used for the private per-store
-    /// default so metrics and eviction order stay byte-identical.
+    /// A single-shard pool: one lock, one global LRU order, so eviction is
+    /// exact rather than per shard (small pools, eviction-order tests).
     pub fn private(capacity_bytes: usize) -> BufferPool {
         Self::with_shards(capacity_bytes, 1)
     }

@@ -1,0 +1,307 @@
+//! Write-once names for table-format objects, and the parsed-document cache
+//! that is only sound because of them.
+//!
+//! Every metadata document, manifest and data file carries a 64-bit token
+//! derived from its content in its name, so no path under a table's
+//! `metadata/` or `data/` prefix is ever written twice with different
+//! bytes: two branches committing to one table write different objects, and
+//! a path read once names the same bytes for as long as it exists. That is
+//! what lets [`MetadataCache`] key parsed documents by path alone with no
+//! validation round trip. The one mutable object of a lake, the catalog's
+//! `refs.json`, is never cached here — it is read per statement and decides
+//! *which* immutable documents a statement sees.
+
+use crate::error::Result;
+use lakehouse_store::{IoDispatcher, ObjectPath, ObjectStore};
+use parking_lot::Mutex;
+use std::any::Any;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// A 64-bit digest of `bytes` for object names: eight bytes a step
+/// (multiply–rotate, the length folded in, a final avalanche), since a
+/// manifest is ~100 KB and every commit names one. Not cryptographic — it
+/// tells apart the documents honest committers write under one table
+/// location and sequence number, which is all a name has to do.
+pub(crate) fn content_token(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = words.by_ref().fold(bytes.len() as u64, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("eight bytes")))
+    });
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = step(h, u64::from_le_bytes(tail));
+    // fmix64 (MurmurHash3's finalizer).
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// `<location>/metadata/v<seq>-<token>.json` for a metadata document that
+/// serializes to `bytes`; `seq` is its snapshot count, for the reader's eye.
+pub(crate) fn metadata_path(location: &str, seq: usize, bytes: &[u8]) -> String {
+    let token = content_token(bytes);
+    format!("{location}/metadata/v{seq:05}-{token:016x}.json")
+}
+
+/// `<location>/metadata/manifest-<snapshot>-<token>.json`.
+pub(crate) fn manifest_path(location: &str, snapshot_id: u64, bytes: &[u8]) -> String {
+    let token = content_token(bytes);
+    format!("{location}/metadata/manifest-{snapshot_id}-{token:016x}.json")
+}
+
+/// `<location>/data/snap<snapshot>-<n>-<token>.lkh`. The token is taken from
+/// the file's footer, whose chunk checksums already cover the data: the
+/// cost is the footer's length, not the file's.
+pub(crate) fn data_path(location: &str, snapshot_id: u64, n: u64, file: &[u8]) -> Result<String> {
+    let token = content_token(lakehouse_format::footer_bytes(file)?);
+    Ok(format!(
+        "{location}/data/snap{snapshot_id}-{n:05}-{token:016x}.lkh"
+    ))
+}
+
+/// Serialized bytes of documents a [`MetadataCache`] holds by default. The
+/// parsed form is two to three times that; 16 MiB is a few hundred
+/// manifests of the benchmark's 61-file table.
+const DEFAULT_CAPACITY: usize = 16 << 20;
+
+struct Entry {
+    doc: Arc<dyn Any + Send + Sync>,
+    bytes: usize,
+    last_used: u64,
+}
+
+#[derive(Default)]
+struct Inner {
+    entries: HashMap<String, Entry>,
+    bytes: usize,
+    tick: u64,
+}
+
+/// Parsed table-metadata documents and manifests by object path, least
+/// recently used out first, bounded by the documents' serialized size.
+/// Filled on a miss and written through by commits; a document that fails
+/// to parse is never inserted. Not cached: `refs.json` (mutable) and data
+/// bytes (large, and the buffer pool's business).
+pub struct MetadataCache {
+    capacity: usize,
+    inner: Mutex<Inner>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl Default for MetadataCache {
+    fn default() -> Self {
+        Self::with_capacity(DEFAULT_CAPACITY)
+    }
+}
+
+impl MetadataCache {
+    pub fn new() -> MetadataCache {
+        Self::default()
+    }
+
+    /// A cache holding at most `capacity` serialized bytes; a single
+    /// document larger than that is not kept.
+    pub fn with_capacity(capacity: usize) -> MetadataCache {
+        MetadataCache {
+            capacity,
+            inner: Mutex::new(Inner::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Serialized bytes of the documents held.
+    pub fn cached_bytes(&self) -> usize {
+        self.inner.lock().bytes
+    }
+
+    /// Documents held.
+    pub fn len(&self) -> usize {
+        self.inner.lock().entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Lookups answered from memory.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that went to the store.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    fn get<T: Send + Sync + 'static>(&self, path: &str) -> Option<Arc<T>> {
+        let mut inner = self.inner.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let found = inner.entries.get_mut(path).and_then(|e| {
+            e.last_used = tick;
+            Arc::clone(&e.doc).downcast::<T>().ok()
+        });
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    pub(crate) fn insert<T: Send + Sync + 'static>(&self, path: &str, doc: Arc<T>, bytes: usize) {
+        if bytes > self.capacity {
+            return;
+        }
+        let mut inner = self.inner.lock();
+        inner.tick += 1;
+        let entry = Entry {
+            doc,
+            bytes,
+            last_used: inner.tick,
+        };
+        if let Some(old) = inner.entries.insert(path.to_string(), entry) {
+            inner.bytes -= old.bytes;
+        }
+        inner.bytes += bytes;
+        while inner.bytes > self.capacity {
+            let oldest = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone());
+            let Some(evicted) = oldest.and_then(|k| inner.entries.remove(&k)) else {
+                break;
+            };
+            inner.bytes -= evicted.bytes;
+        }
+    }
+
+    pub(crate) fn remove(&self, path: &str) {
+        let mut inner = self.inner.lock();
+        if let Some(old) = inner.entries.remove(path) {
+            inner.bytes -= old.bytes;
+        }
+    }
+}
+
+/// What a [`crate::Table`] handle reads and writes through besides its
+/// store: the parsed-document cache, and the workers that overlap a scan's
+/// data-file requests. A `Lakehouse` owns one of each and lends them to
+/// every table it opens; the default — neither — fetches and parses on
+/// every use, on the caller's thread.
+#[derive(Clone, Default)]
+pub struct TableIo {
+    pub cache: Option<Arc<MetadataCache>>,
+    pub dispatcher: Option<Arc<IoDispatcher>>,
+}
+
+impl TableIo {
+    /// The document at `path`: from the cache, else fetched, parsed and —
+    /// only once it has parsed — cached.
+    pub(crate) fn load<T: Send + Sync + 'static>(
+        &self,
+        store: &dyn ObjectStore,
+        path: &str,
+        parse: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<Arc<T>> {
+        if let Some(hit) = self.cache.as_ref().and_then(|c| c.get::<T>(path)) {
+            return Ok(hit);
+        }
+        let bytes = store.get(&ObjectPath::new(path)?)?;
+        let doc = Arc::new(parse(&bytes)?);
+        if let Some(cache) = &self.cache {
+            cache.insert(path, Arc::clone(&doc), bytes.len());
+        }
+        Ok(doc)
+    }
+
+    /// Write a new document and keep its parsed form: the next reader of
+    /// `path` in this process fetches and parses nothing.
+    pub(crate) fn persist<T: Send + Sync + 'static>(
+        &self,
+        store: &dyn ObjectStore,
+        path: &str,
+        bytes: Vec<u8>,
+        doc: T,
+    ) -> Result<Arc<T>> {
+        let len = bytes.len();
+        store.put(&ObjectPath::new(path)?, bytes::Bytes::from(bytes))?;
+        let doc = Arc::new(doc);
+        if let Some(cache) = &self.cache {
+            cache.insert(path, Arc::clone(&doc), len);
+        }
+        Ok(doc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stays_within_its_bound_and_evicts_least_recently_used() {
+        let cache = MetadataCache::with_capacity(100);
+        for i in 0..4 {
+            cache.insert(&format!("p{i}"), Arc::new(i), 30);
+        }
+        // 4 × 30 > 100: the oldest went.
+        assert_eq!(cache.len(), 3);
+        assert!(cache.cached_bytes() <= 100);
+        assert!(cache.get::<i32>("p0").is_none());
+        // Touch p1, insert another: p2 is now the oldest.
+        assert_eq!(cache.get::<i32>("p1").as_deref(), Some(&1));
+        cache.insert("p4", Arc::new(4), 30);
+        assert!(cache.get::<i32>("p2").is_none());
+        assert!(cache.get::<i32>("p1").is_some());
+        // An entry that cannot fit is not kept, and evicts nothing.
+        cache.insert("huge", Arc::new(9), 101);
+        assert_eq!(cache.len(), 3);
+        cache.remove("p1");
+        assert_eq!(cache.cached_bytes(), 60);
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+    }
+
+    #[test]
+    fn a_path_holds_one_kind_of_document() {
+        let cache = MetadataCache::new();
+        cache.insert("p", Arc::new(7u64), 8);
+        assert!(cache.get::<String>("p").is_none());
+        assert_eq!(cache.get::<u64>("p").as_deref(), Some(&7));
+    }
+
+    #[test]
+    fn token_sees_every_byte_and_the_length() {
+        let base: Vec<u8> = (0..37u8).collect();
+        let token = content_token(&base);
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 1;
+            assert_ne!(content_token(&flipped), token, "byte {i}");
+        }
+        // Trailing zeros are not padding.
+        let mut longer = base.clone();
+        longer.push(0);
+        assert_ne!(content_token(&longer), token);
+        assert_ne!(content_token(&[]), content_token(&[0]));
+    }
+
+    #[test]
+    fn tokens_differ_with_content() {
+        let a = metadata_path("wh/t", 3, b"{\"a\":1}");
+        let b = metadata_path("wh/t", 3, b"{\"a\":2}");
+        assert_ne!(a, b);
+        assert!(a.starts_with("wh/t/metadata/v00003-") && a.ends_with(".json"));
+        assert_eq!(a.len(), "wh/t/metadata/v00003-".len() + 16 + ".json".len());
+        assert!(manifest_path("wh/t", 9, b"x").starts_with("wh/t/metadata/manifest-9-"));
+    }
+}

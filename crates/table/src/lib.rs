@@ -16,11 +16,14 @@
 //!
 //! Every write goes through a [`Transaction`] that stages new data files and
 //! commits a **new immutable metadata document** — readers never see partial
-//! writes, and any historical snapshot stays queryable (time travel).
+//! writes, and any historical snapshot stays queryable (time travel). Every
+//! object is written once, under a name that carries a token of its content
+//! ([`cache`]), which is what makes the parsed-document cache sound.
 //!
 //! Scans ([`TableScan`]) prune in three stages before touching data bytes:
 //! partition values → file-level column stats → row-group zone maps.
 
+pub mod cache;
 pub mod error;
 pub mod maintenance;
 pub mod manifest;
@@ -32,10 +35,11 @@ pub mod snapshot;
 pub mod table;
 pub mod transaction;
 
+pub use cache::{MetadataCache, TableIo};
 pub use error::{Result, TableError};
 pub use maintenance::{CompactionReport, ExpirationReport};
 pub use manifest::{Manifest, ManifestEntry};
-pub use metadata::TableMetadata;
+pub use metadata::{MetadataLogEntry, TableMetadata};
 pub use partition::{PartitionField, PartitionSpec, Transform};
 pub use scan::{ScanPredicate, ScanReport, ScanStream, TableScan};
 pub use schema_def::SchemaDef;

@@ -6,11 +6,12 @@ use crate::error::{Result, TableError};
 use crate::manifest::Manifest;
 use crate::snapshot::SnapshotOperation;
 use crate::table::Table;
-use lakehouse_store::ObjectPath;
-use std::collections::HashSet;
+use lakehouse_store::{ObjectPath, StoreError};
+use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// Outcome of a compaction pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Files whose contents were rewritten.
     pub files_compacted: usize,
@@ -21,7 +22,7 @@ pub struct CompactionReport {
 }
 
 /// Outcome of snapshot expiration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExpirationReport {
     pub snapshots_expired: usize,
     /// Data files deleted because no retained snapshot references them.
@@ -30,6 +31,10 @@ pub struct ExpirationReport {
 }
 
 impl Table {
+    fn manifest(&self, path: &str) -> Result<Arc<Manifest>> {
+        Manifest::load(self.store(), self.io(), path)
+    }
+
     /// Rewrite the current snapshot's data files into as few files as
     /// possible (one per partition), committing an `Overwrite` snapshot.
     /// No-op (returns zero counts) when the table already has ≤1 file per
@@ -39,34 +44,16 @@ impl Table {
     /// until [`Table::expire_snapshots`] removes them.
     pub fn compact(&self) -> Result<(Table, CompactionReport)> {
         let Some(current) = self.metadata().current_snapshot() else {
-            return Ok((
-                self.clone(),
-                CompactionReport {
-                    files_compacted: 0,
-                    files_written: 0,
-                    rows_rewritten: 0,
-                },
-            ));
+            return Ok((self.clone(), CompactionReport::default()));
         };
-        let manifest_bytes = self
-            .store()
-            .get(&ObjectPath::new(current.manifest_path.clone())?)?;
-        let manifest = Manifest::from_bytes(&manifest_bytes)
-            .ok_or_else(|| TableError::Corrupt("unparseable manifest".into()))?;
+        let manifest = self.manifest(&current.manifest_path)?;
         // Group files by partition tuple.
         let mut partitions: HashSet<String> = HashSet::new();
         for e in &manifest.entries {
             partitions.insert(serde_json::to_string(&e.partition).unwrap_or_default());
         }
         if manifest.entries.len() <= partitions.len() {
-            return Ok((
-                self.clone(),
-                CompactionReport {
-                    files_compacted: 0,
-                    files_written: 0,
-                    rows_rewritten: 0,
-                },
-            ));
+            return Ok((self.clone(), CompactionReport::default()));
         }
         // Read everything through a normal scan (handles schema evolution)
         // and rewrite in one transaction; the partition spec re-splits rows.
@@ -75,80 +62,72 @@ impl Table {
         if batch.num_rows() > 0 {
             tx.write(&batch)?;
         }
-        let (location, _) = tx.commit()?;
-        let compacted = Table::load(std::sync::Arc::clone(self.store()), &location)?;
+        let compacted = tx.commit_table()?;
         let new_manifest_path = compacted
             .metadata()
             .current_snapshot()
             .map(|s| s.manifest_path.clone())
             .ok_or_else(|| TableError::Corrupt("compaction produced no snapshot".into()))?;
-        let new_manifest = Manifest::from_bytes(
-            &compacted
-                .store()
-                .get(&ObjectPath::new(new_manifest_path)?)?,
-        )
-        .ok_or_else(|| TableError::Corrupt("unparseable compacted manifest".into()))?;
+        let files_written = compacted.manifest(&new_manifest_path)?.entries.len();
         Ok((
             compacted,
             CompactionReport {
                 files_compacted: manifest.entries.len(),
-                files_written: new_manifest.entries.len(),
+                files_written,
                 rows_rewritten: batch.num_rows() as u64,
             },
         ))
     }
 
     /// Drop all snapshots except the most recent `retain_last`, deleting
-    /// data files and manifests no retained snapshot references. Returns the
-    /// updated table handle (new metadata document).
+    /// what only they reach: their manifests, the data files no retained
+    /// snapshot references, and the earlier metadata documents whose current
+    /// snapshot is among them. Returns the updated table handle (new
+    /// metadata document).
+    ///
+    /// The doomed set is computed once and every path deleted once; an
+    /// object already gone (an earlier, interrupted expiry) is not an error.
     pub fn expire_snapshots(&self, retain_last: usize) -> Result<(Table, ExpirationReport)> {
         let retain_last = retain_last.max(1);
-        let mut metadata = self.metadata().clone();
+        let mut metadata = self.successor_metadata();
         if metadata.snapshots.len() <= retain_last {
-            return Ok((
-                self.clone(),
-                ExpirationReport {
-                    snapshots_expired: 0,
-                    data_files_deleted: 0,
-                    manifests_deleted: 0,
-                },
-            ));
+            return Ok((self.clone(), ExpirationReport::default()));
         }
         let split = metadata.snapshots.len() - retain_last;
         let expired: Vec<_> = metadata.snapshots.drain(..split).collect();
         // Files referenced by retained snapshots must survive.
         let mut retained_files = HashSet::new();
         for snap in &metadata.snapshots {
-            let manifest = Manifest::from_bytes(
-                &self
-                    .store()
-                    .get(&ObjectPath::new(snap.manifest_path.clone())?)?,
-            )
-            .ok_or_else(|| TableError::Corrupt("unparseable manifest".into()))?;
-            for e in manifest.entries {
-                retained_files.insert(e.file_path);
-            }
+            let manifest = self.manifest(&snap.manifest_path)?;
+            retained_files.extend(manifest.entries.iter().map(|e| e.file_path.clone()));
         }
-        let mut data_files_deleted = 0;
-        let mut manifests_deleted = 0;
+        let mut doomed_files = BTreeSet::new();
+        let mut doomed_manifests = BTreeSet::new();
         for snap in &expired {
-            let manifest_path = ObjectPath::new(snap.manifest_path.clone())?;
-            if let Ok(bytes) = self.store().get(&manifest_path) {
-                if let Some(manifest) = Manifest::from_bytes(&bytes) {
-                    for e in manifest.entries {
-                        if !retained_files.contains(&e.file_path) {
-                            let p = ObjectPath::new(e.file_path)?;
-                            if self.store().exists(&p) {
-                                self.store().delete(&p)?;
-                                data_files_deleted += 1;
-                            }
-                        }
-                    }
-                }
-                self.store().delete(&manifest_path)?;
-                manifests_deleted += 1;
-            }
+            let manifest = match self.manifest(&snap.manifest_path) {
+                Ok(m) => m,
+                Err(TableError::Store(StoreError::NotFound(_))) => continue,
+                Err(e) => return Err(e),
+            };
+            let unreferenced = manifest.entries.iter().map(|e| &e.file_path);
+            doomed_files.extend(
+                unreferenced
+                    .filter(|f| !retained_files.contains(*f))
+                    .cloned(),
+            );
+            doomed_manifests.insert(snap.manifest_path.clone());
         }
+        let retained_ids: HashSet<u64> = metadata.snapshots.iter().map(|s| s.snapshot_id).collect();
+        let current_in_retained =
+            |id: &Option<u64>| id.is_some_and(|id| retained_ids.contains(&id));
+        let (kept, doomed_documents): (Vec<_>, Vec<_>) = std::mem::take(&mut metadata.metadata_log)
+            .into_iter()
+            .partition(|entry| current_in_retained(&entry.snapshot_id));
+        metadata.metadata_log = kept;
+
+        let data_files_deleted = self.delete_each(doomed_files)?;
+        let manifests_deleted = self.delete_each(doomed_manifests)?;
+        self.delete_each(doomed_documents.into_iter().map(|entry| entry.location))?;
         // Reparent: the oldest retained snapshot loses its expired parent.
         if let Some(first) = metadata.snapshots.first_mut() {
             if expired
@@ -158,16 +137,7 @@ impl Table {
                 first.parent_id = None;
             }
         }
-        let location = format!(
-            "{}/metadata/v{:05}-expired.json",
-            metadata.location,
-            metadata.snapshots.len()
-        );
-        self.store().put(
-            &ObjectPath::new(location.clone())?,
-            bytes::Bytes::from(metadata.to_bytes()),
-        )?;
-        let table = Table::load(std::sync::Arc::clone(self.store()), &location)?;
+        let table = Table::persist(Arc::clone(self.store()), metadata, self.io().clone())?;
         Ok((
             table,
             ExpirationReport {
@@ -176,6 +146,23 @@ impl Table {
                 manifests_deleted,
             },
         ))
+    }
+
+    /// Delete every path, and forget its cached document; returns how many
+    /// were still there to delete.
+    fn delete_each(&self, paths: impl IntoIterator<Item = String>) -> Result<usize> {
+        let mut deleted = 0;
+        for path in paths {
+            if let Some(cache) = &self.io().cache {
+                cache.remove(&path);
+            }
+            match self.store().delete(&ObjectPath::new(path)?) {
+                Ok(()) => deleted += 1,
+                Err(StoreError::NotFound(_)) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(deleted)
     }
 }
 
@@ -269,6 +256,31 @@ mod tests {
         assert_eq!(t3.scan().execute().unwrap().num_rows(), 5);
         // Expired snapshot no longer resolvable.
         assert!(t3.scan().at_snapshot(1).execute().is_err());
+    }
+
+    #[test]
+    fn expiration_deletes_superseded_documents_and_tolerates_missing_objects() {
+        let t = table_with_appends(3, PartitionSpec::unpartitioned());
+        // create → 3 appends: the log names the three documents before this
+        // one, each with the snapshot that was current in it.
+        let log = &t.metadata().metadata_log;
+        let logged: Vec<_> = log.iter().map(|e| e.snapshot_id).collect();
+        assert_eq!(logged, vec![None, Some(1), Some(2)]);
+        // An earlier, interrupted expiry already took one manifest.
+        let gone = t.metadata().snapshots[0].manifest_path.clone();
+        t.store().delete(&ObjectPath::new(gone).unwrap()).unwrap();
+        let (t2, report) = t.expire_snapshots(1).unwrap();
+        assert_eq!(report.snapshots_expired, 2);
+        assert_eq!(report.manifests_deleted, 1, "the other was already gone");
+        for entry in log {
+            let path = ObjectPath::new(entry.location.clone()).unwrap();
+            assert!(!t.store().exists(&path), "{} survived", entry.location);
+        }
+        // What the new document descends from and is still there: `t`.
+        let kept: Vec<_> = t2.metadata().metadata_log.iter().collect();
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].location, t.metadata_location());
+        assert_eq!(t2.scan().execute().unwrap().num_rows(), 3);
     }
 
     #[test]

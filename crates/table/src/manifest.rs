@@ -1,12 +1,16 @@
 //! Manifests: the per-snapshot inventory of data files with partition values
 //! and column statistics for pruning.
 
+use crate::cache::TableIo;
+use crate::error::{Result, TableError};
 use crate::schema_def::ValueDef;
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::Value;
 use lakehouse_format::ColumnStats;
+use lakehouse_store::ObjectStore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Serializable column statistics (file-level, aggregated over row groups).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,6 +87,18 @@ impl Manifest {
 
     pub fn from_bytes(bytes: &[u8]) -> Option<Manifest> {
         serde_json::from_slice(bytes).ok()
+    }
+
+    /// The manifest at `path`, through `io`'s cache when it has one.
+    pub(crate) fn load(
+        store: &Arc<dyn ObjectStore>,
+        io: &TableIo,
+        path: &str,
+    ) -> Result<Arc<Manifest>> {
+        io.load(&**store, path, |bytes| {
+            Manifest::from_bytes(bytes)
+                .ok_or_else(|| TableError::Corrupt("unparseable manifest".into()))
+        })
     }
 
     pub fn total_rows(&self) -> u64 {

@@ -10,6 +10,16 @@ use lakehouse_columnar::{Field, Schema};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// An earlier metadata document of the table, and the snapshot that was
+/// current in it (Iceberg's metadata log). With write-once document names
+/// nothing overwrites a superseded document, so the log is how snapshot
+/// expiry finds the ones to delete.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MetadataLogEntry {
+    pub location: String,
+    pub snapshot_id: Option<u64>,
+}
+
 /// Everything needed to read (any version of) a table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TableMetadata {
@@ -28,6 +38,10 @@ pub struct TableMetadata {
     pub current_snapshot_id: Option<u64>,
     /// Free-form properties.
     pub properties: BTreeMap<String, String>,
+    /// The documents this one descends from, oldest first, less those
+    /// snapshot expiry deleted.
+    #[serde(default)]
+    pub metadata_log: Vec<MetadataLogEntry>,
 }
 
 impl TableMetadata {
@@ -49,6 +63,7 @@ impl TableMetadata {
             snapshots: vec![],
             current_snapshot_id: None,
             properties: BTreeMap::new(),
+            metadata_log: Vec::new(),
         })
     }
 

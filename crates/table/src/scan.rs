@@ -2,25 +2,34 @@
 //! file stats → row-group zone maps), schema-evolution-aware decoding, and
 //! exact row-level filtering.
 //!
-//! Execution is **parallel over manifest entries**: after pruning, the
-//! surviving files fan out over a bounded worker pool
-//! ([`lakehouse_columnar::pool`]), each worker doing footer fetch →
-//! row-group pruning → ranged chunk fetch → decode. Results are reassembled
-//! in manifest order, so the output batch is byte-identical to a serial
-//! scan. Per-thread simulated-latency lanes (see
+//! Execution **overlaps the requests for a scan's data files**: after
+//! pruning, the surviving files' opening ranges are submitted, a window at a
+//! time, to the persistent workers of the table's
+//! [`lakehouse_store::IoDispatcher`], and decoded on the caller's thread in
+//! manifest order as they complete, so the output is byte-identical to a
+//! serial scan. A materialized scan fills its window at once; a pulled
+//! [`ScanStream`] widens it 1 → 2 → 4 → … with every pull, so a consumer
+//! that stops early (a satisfied `LIMIT`) has read one file, not a window.
+//! A scan with a single file to read, or a table without a dispatcher,
+//! never leaves the caller's thread.
+//!
+//! Per-thread simulated-latency lanes (see
 //! [`lakehouse_store::StoreMetrics::lane_nanos`]) measure each entry's
-//! exact simulated cost; entries are then assigned greedily to
-//! `parallelism` logical lanes and the max lane (plus the serial manifest
-//! prelude) is reported as the fan-out's *overlapped* wall clock —
+//! exact simulated cost; entries are then assigned greedily to as many
+//! logical lanes as the window is wide and the max lane (plus the serial
+//! manifest prelude) is reported as the scan's *overlapped* wall clock —
 //! deterministic, with no thread ever sleeping.
 
+use crate::cache::TableIo;
 use crate::error::{Result, TableError};
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::metadata::TableMetadata;
 use crate::partition::Transform;
 use lakehouse_columnar::kernels::{cmp_column_scalar, filter_batch, to_selection, CmpOp};
 use lakehouse_columnar::{Column, RecordBatch, Schema, Value};
+use lakehouse_format::RangedReader;
 use lakehouse_store::{IoDispatcher, IoTicket, ObjectPath, ObjectStore, StoreError};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A simple conjunctive predicate: `column OP literal`. Multiple predicates
@@ -76,8 +85,8 @@ pub struct ScanReport {
     pub wall_clock_simulated: std::time::Duration,
 }
 
-/// Per-entry partial report produced by one scan worker and merged (in
-/// manifest order) into the final [`ScanReport`].
+/// What reading one manifest entry produced, merged (in manifest order)
+/// into the final [`ScanReport`].
 struct EntryPartial {
     batch: RecordBatch,
     bytes_scanned: u64,
@@ -87,50 +96,31 @@ struct EntryPartial {
 /// A configurable scan over one snapshot of a table.
 pub struct TableScan {
     store: Arc<dyn ObjectStore>,
-    metadata: TableMetadata,
+    metadata: Arc<TableMetadata>,
     snapshot_id: Option<u64>,
     predicates: Vec<ScanPredicate>,
     projection: Option<Vec<String>>,
-    parallelism: usize,
     fetch_retries: u32,
     skip_failed_files: bool,
-    io: Option<Arc<IoDispatcher>>,
-    read_ahead: usize,
+    io: TableIo,
 }
 
 impl TableScan {
-    pub(crate) fn new(store: Arc<dyn ObjectStore>, metadata: TableMetadata) -> TableScan {
+    pub(crate) fn new(
+        store: Arc<dyn ObjectStore>,
+        metadata: Arc<TableMetadata>,
+        io: TableIo,
+    ) -> TableScan {
         TableScan {
             store,
             metadata,
             snapshot_id: None,
             predicates: Vec::new(),
             projection: None,
-            parallelism: 1,
             fetch_retries: 0,
             skip_failed_files: false,
-            io: None,
-            read_ahead: 0,
+            io,
         }
-    }
-
-    /// Route data-file reads through a completion-based I/O dispatcher.
-    /// Only takes effect together with [`TableScan::with_read_ahead`]; on
-    /// its own the scan behaves exactly as without it.
-    pub fn with_io_dispatcher(mut self, io: Arc<IoDispatcher>) -> TableScan {
-        self.io = Some(io);
-        self
-    }
-
-    /// Speculative sequential read-ahead: keep up to `n` upcoming data
-    /// files submitted to the I/O dispatcher while the consumer is still
-    /// decoding earlier ones. `0` (default) disables read-ahead; it also
-    /// requires [`TableScan::with_io_dispatcher`]. Speculative fetches go
-    /// through the full store stack, so a shared `BufferPool`'s
-    /// single-flight guarantees they never duplicate a demand fetch.
-    pub fn with_read_ahead(mut self, n: usize) -> TableScan {
-        self.read_ahead = n;
-        self
     }
 
     /// Re-read a data file up to `n` extra times when it fails with a
@@ -150,14 +140,6 @@ impl TableScan {
     /// all N never.
     pub fn with_partial_failures(mut self, skip_failed: bool) -> TableScan {
         self.skip_failed_files = skip_failed;
-        self
-    }
-
-    /// Fan surviving manifest entries over up to `n` worker threads
-    /// (1 = serial, on the calling thread). Output is identical to the
-    /// serial scan regardless of `n`.
-    pub fn with_parallelism(mut self, n: usize) -> TableScan {
-        self.parallelism = n.max(1);
         self
     }
 
@@ -186,13 +168,14 @@ impl TableScan {
 
     /// Execute and also return pruning statistics.
     ///
-    /// Implemented by draining [`TableScan::stream`] — one accumulation code
+    /// Implemented by draining a [`ScanStream`] — one accumulation code
     /// path serves both the materialized and the streaming scan, so reports
     /// (lane-overlap wall clock, cache hits, pruning counters) can never
-    /// drift between the two.
+    /// drift between the two. Every file will be read, so the request
+    /// window opens at full width.
     pub fn execute_with_report(self) -> Result<(RecordBatch, ScanReport)> {
         let span = lakehouse_obs::span("scan.materialize");
-        let mut stream = self.stream()?;
+        let mut stream = self.open(usize::MAX)?;
         let mut batches = Vec::new();
         while let Some(batch) = stream.pull()? {
             batches.push(batch);
@@ -211,45 +194,48 @@ impl TableScan {
         Ok((result, report))
     }
 
-    /// Open a pull-based streaming scan: the manifest is fetched and pruned
+    /// Open a pull-based streaming scan: the manifest is loaded and pruned
     /// eagerly, but data files are only read as batches are pulled — one
-    /// batch per surviving file, prefetched in groups of `parallelism` over
-    /// the bounded pool. A consumer that stops pulling (a satisfied `LIMIT`)
-    /// leaves the remaining files unread.
+    /// batch per surviving file. The first pull reads one file; each further
+    /// pull doubles how many requests are kept in flight, so a consumer that
+    /// stops pulling (a satisfied `LIMIT`) leaves the remaining files unread.
     pub fn stream(self) -> Result<ScanStream> {
+        self.open(1)
+    }
+
+    /// Plan the scan; `window` is how many files' requests the first pull
+    /// may put in flight (clamped to what the dispatcher runs at once).
+    fn open(self, window: usize) -> Result<ScanStream> {
         let plan_span = lakehouse_obs::span("scan.plan");
         let scan_schema = self.output_schema()?;
         let mut report = ScanReport::default();
         let metrics = self.store.store_metrics();
         let lane_start = metrics.as_ref().map(|m| m.lane_nanos()).unwrap_or(0);
-        let hits_start = metrics.as_ref().map(|m| m.cache_hits()).unwrap_or(0);
+        let hits_start = self.io.cache.as_ref().map_or(0, |c| c.hits());
 
         let snapshot = match self.snapshot_id {
-            Some(id) => Some(self.metadata.snapshot(id)?.clone()),
-            None => self.metadata.current_snapshot().cloned(),
+            Some(id) => Some(self.metadata.snapshot(id)?),
+            None => self.metadata.current_snapshot(),
         };
-        let mut entries = std::collections::VecDeque::new();
+        let mut manifest = Arc::new(Manifest::default());
+        let mut entries = VecDeque::new();
         if let Some(snapshot) = snapshot {
-            let manifest_path = ObjectPath::new(snapshot.manifest_path.clone())?;
             // The manifest gets the same bounded retry as data files: a
             // transient fault re-fetches; a corrupt (torn or cached-poisoned)
-            // read invalidates the cache entry first, so the retry reaches
-            // the authoritative backend copy instead of the bad bytes.
+            // read invalidates the store's cache entry first, so the retry
+            // reaches the authoritative backend copy instead of the bad
+            // bytes. (An unparseable document never enters the parsed cache.)
             let mut attempts = 0u32;
-            let manifest = loop {
-                let result = self.store.get(&manifest_path).map_err(TableError::from);
-                let result = result.and_then(|bytes| {
-                    Manifest::from_bytes(&bytes)
-                        .ok_or_else(|| TableError::Corrupt("unparseable manifest".into()))
-                });
-                match result {
+            manifest = loop {
+                match Manifest::load(&self.store, &self.io, &snapshot.manifest_path) {
                     Ok(m) => break m,
                     Err(e)
                         if attempts < self.fetch_retries
                             && (e.is_transient() || e.is_corruption()) =>
                     {
                         if e.is_corruption() {
-                            self.store.invalidate_corrupt(&manifest_path);
+                            self.store
+                                .invalidate_corrupt(&ObjectPath::new(&*snapshot.manifest_path)?);
                         }
                         attempts += 1;
                         report.fetch_retries += 1;
@@ -259,9 +245,9 @@ impl TableScan {
             };
             report.files_total = manifest.entries.len();
             report.bytes_total = manifest.total_bytes();
-            for entry in manifest.entries {
-                if self.entry_may_match(&entry)? {
-                    entries.push_back(entry);
+            for (i, entry) in manifest.entries.iter().enumerate() {
+                if self.entry_may_match(entry)? {
+                    entries.push_back(i);
                 }
             }
             report.files_scanned = entries.len();
@@ -273,22 +259,22 @@ impl TableScan {
         plan_span.attr("files_total", report.files_total);
         plan_span.attr("files_scanned", report.files_scanned);
         drop(plan_span);
-        // With read-ahead active, overlap width is the in-flight window
-        // clamped to what the dispatcher can genuinely run concurrently.
-        let overlap = match (&self.io, self.read_ahead) {
-            (Some(io), ra) if ra > 0 => self.parallelism.max(ra.min(io.depth()).max(1)),
-            _ => self.parallelism.max(1),
+        // One file has nothing to overlap with.
+        let depth = match &self.io.dispatcher {
+            Some(io) if entries.len() > 1 => io.depth(),
+            _ => 1,
         };
-        let lanes = vec![0u64; overlap];
         let registry = lakehouse_obs::global();
         Ok(ScanStream {
             scan: self,
             scan_schema,
+            manifest,
             entries,
-            pending: std::collections::VecDeque::new(),
-            ready: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
+            ready: VecDeque::new(),
+            window: window.min(depth),
             report,
-            lanes,
+            lanes: vec![0u64; depth],
             prelude_nanos,
             hits_start,
             files_read_counter: registry.counter("scan.files_read"),
@@ -371,9 +357,9 @@ impl TableScan {
     /// Read one data file: footer, row-group pruning, then the surviving
     /// chunks, mapped to the scan schema — in as few requests as the format
     /// reader's range plan allows (one, for a file under its merge distance).
-    /// With `prefetched` (read-ahead already holds the whole object) the
-    /// same ranges are local slices instead of store requests; that is the
-    /// only difference between the demand and the read-ahead path.
+    /// With `prefetched` (a worker already fetched the reader's opening
+    /// range) that range is a local slice instead of a store request; that
+    /// is the only difference between the inline and the overlapped path.
     fn read_entry(
         &self,
         entry: &ManifestEntry,
@@ -381,6 +367,8 @@ impl TableScan {
         prefetched: Option<&bytes::Bytes>,
     ) -> Result<EntryPartial> {
         let path = ObjectPath::new(entry.file_path.clone())?;
+        let file_len = entry.file_size as usize;
+        let (prefetched_from, _) = RangedReader::opening_range(file_len);
         // The format reader sees fetch failures as stringly `FormatError`s;
         // stash the original store error on the side so a failed read
         // surfaces *typed* (`TableError::Store`) — retry layers classify on
@@ -388,11 +376,14 @@ impl TableScan {
         let store_fault = std::cell::RefCell::new(None::<StoreError>);
         let fetch = |start: usize, end: usize| -> lakehouse_format::Result<bytes::Bytes> {
             match prefetched {
-                // A torn read-ahead get hands back truncated-but-Ok bytes:
-                // slice what is there, and the reader's length check types
-                // it as corruption exactly as it does a torn range read.
-                Some(data) => Ok(data.slice(start.min(data.len())..end.min(data.len()))),
-                None => self.store.get_range(&path, start, end).map_err(|e| {
+                // A torn prefetch hands back truncated-but-Ok bytes: slice
+                // what is there, and the reader's length check types it as
+                // corruption exactly as it does a torn range read.
+                Some(data) if start >= prefetched_from => {
+                    let at = |offset: usize| (offset - prefetched_from).min(data.len());
+                    Ok(data.slice(at(start)..at(end)))
+                }
+                _ => self.store.get_range(&path, start, end).map_err(|e| {
                     let wrapped =
                         lakehouse_format::FormatError::InvalidArgument(format!("range read: {e}"));
                     *store_fault.borrow_mut() = Some(e);
@@ -405,8 +396,7 @@ impl TableScan {
             Some(fault) => TableError::Store(fault),
             None => TableError::from(e),
         };
-        let reader = lakehouse_format::RangedReader::open(entry.file_size as usize, &fetch)
-            .map_err(typed)?;
+        let reader = RangedReader::open(file_len, &fetch).map_err(typed)?;
         let file_schema = self.metadata.schema_by_id(entry.schema_id)?;
         let current = self.metadata.current_schema()?;
 
@@ -468,20 +458,27 @@ impl TableScan {
 /// file, in manifest order (so draining it fully and concatenating equals
 /// the materialized [`TableScan::execute`] byte for byte).
 ///
-/// Files are fetched lazily in prefetch groups of `parallelism` entries over
-/// the bounded pool, so peak memory is bounded by one group of batches plus
-/// whatever the consumer retains — and a consumer that stops pulling leaves
-/// the rest of the table untouched ([`ScanReport::files_read`] records how
-/// far it got).
+/// Files are requested lazily, a widening window ahead of the consumer, so
+/// peak memory is bounded by one window of fetched files plus whatever the
+/// consumer retains — and a consumer that stops pulling leaves the rest of
+/// the table untouched ([`ScanReport::files_read`] records how far it got).
 pub struct ScanStream {
     scan: TableScan,
     scan_schema: Schema,
-    entries: std::collections::VecDeque<ManifestEntry>,
-    /// Read-ahead window: entries speculatively submitted to the I/O
-    /// dispatcher but not yet consumed, in manifest order.
-    pending: std::collections::VecDeque<(ManifestEntry, IoTicket)>,
-    ready: std::collections::VecDeque<RecordBatch>,
+    manifest: Arc<Manifest>,
+    /// The entries of `manifest` that survived pruning and are not yet
+    /// requested, by position.
+    entries: VecDeque<usize>,
+    /// Entries whose opening range is submitted to the dispatcher but not
+    /// yet consumed, in manifest order.
+    pending: VecDeque<(usize, IoTicket)>,
+    ready: VecDeque<RecordBatch>,
+    /// Requests the next pull may have in flight; doubles per pull up to
+    /// the number of lanes.
+    window: usize,
     report: ScanReport,
+    /// Simulated time booked per logical lane: as many as the dispatcher
+    /// runs requests at once, one when every read is inline.
     lanes: Vec<u64>,
     prelude_nanos: u64,
     hits_start: u64,
@@ -503,13 +500,8 @@ impl ScanStream {
         let worker_max = self.lanes.iter().max().copied().unwrap_or(0);
         report.wall_clock_simulated =
             std::time::Duration::from_nanos(self.prelude_nanos + worker_max);
-        report.cache_hits = self
-            .scan
-            .store
-            .store_metrics()
-            .as_ref()
-            .map(|m| m.cache_hits() - self.hits_start)
-            .unwrap_or(0);
+        let cache = self.scan.io.cache.as_ref();
+        report.cache_hits = cache.map_or(0, |c| c.hits() - self.hits_start);
         report
     }
 
@@ -519,8 +511,8 @@ impl ScanStream {
     pub fn pull(&mut self) -> Result<Option<RecordBatch>> {
         while self.ready.is_empty() && !(self.entries.is_empty() && self.pending.is_empty()) {
             // Per-file cooperative cancellation point: a killed query stops
-            // fetching before the next prefetch group is issued (the Drop
-            // impl then cancels any speculative read-ahead still in flight).
+            // fetching before the next file is requested (the Drop impl then
+            // cancels any request still in flight).
             if let Err(reason) = lakehouse_obs::check_current() {
                 return Err(TableError::Store(StoreError::QueryKilled { reason }));
             }
@@ -529,67 +521,102 @@ impl ScanStream {
         Ok(self.ready.pop_front())
     }
 
-    /// Fetch the next prefetch group of files through the pool.
+    /// Read the next file: through the dispatcher when a request is already
+    /// in flight or the window allows one beside it, on this thread
+    /// otherwise (the first pull of a stream, a scan's only file, a table
+    /// without workers) — a lone request gains nothing from a hand-off.
     fn refill(&mut self) -> Result<()> {
-        if let Some(io) = self.scan.io.clone().filter(|_| self.scan.read_ahead > 0) {
-            return self.refill_readahead(&io);
-        }
-        if self.entries.is_empty() {
-            return Ok(());
-        }
-        let take = self.scan.parallelism.max(1).min(self.entries.len());
-        let group: Vec<ManifestEntry> = self.entries.drain(..take).collect();
         let span = lakehouse_obs::span("scan.fetch");
-        span.attr("files", take);
+        span.attr("files", 1usize);
         let metrics = self.scan.store.store_metrics();
-        // The worker pool does not inherit thread-locals: hand the query
-        // context across explicitly so each worker's fetches charge the
-        // owning query's ledger.
-        let ctx = lakehouse_obs::QueryCtx::current();
-        let partials: Vec<(Result<EntryPartial>, u32, u64)> =
-            lakehouse_columnar::pool::map_indexed(self.scan.parallelism, &group, |_, entry| {
-                let _attributed = ctx.as_ref().map(lakehouse_obs::QueryCtx::enter);
-                let entry_lane_start = metrics.as_ref().map(|m| m.lane_nanos()).unwrap_or(0);
-                // Whole-file retry: a transient fault or a checksum-caught
-                // corrupt read re-reads the entry from scratch (footer and
-                // chunks — partial progress is useless without the footer
-                // anyway), up to `fetch_retries` times. Corruption first
-                // drops any cached ranges of the file, so the retry refetches
-                // from the backend rather than re-serving the poisoned bytes.
-                let mut retries = 0u32;
-                let mut out = self.scan.read_entry(entry, &self.scan_schema, None);
-                while retries < self.scan.fetch_retries
-                    && out
-                        .as_ref()
-                        .err()
-                        .is_some_and(|e| e.is_transient() || e.is_corruption())
-                {
-                    if out.as_ref().err().is_some_and(|e| e.is_corruption()) {
-                        if let Ok(path) = ObjectPath::new(entry.file_path.clone()) {
-                            self.scan.store.invalidate_corrupt(&path);
-                        }
-                    }
-                    retries += 1;
-                    out = self.scan.read_entry(entry, &self.scan_schema, None);
-                }
-                let delta = metrics
-                    .as_ref()
-                    .map(|m| m.lane_nanos() - entry_lane_start)
-                    .unwrap_or(0);
-                (out, retries, delta)
-            });
-        let (mut group_retries, mut group_failed) = (0u64, 0u64);
-        for (partial, retries, delta) in partials {
-            group_retries += retries as u64;
-            group_failed += u64::from(self.settle(partial, retries, delta)?);
+        let lane_start = metrics.as_ref().map(|m| m.lane_nanos()).unwrap_or(0);
+        let overlap = !self.pending.is_empty() || (self.window > 1 && self.entries.len() > 1);
+        let dispatcher = self.scan.io.dispatcher.clone().filter(|_| overlap);
+        let (entry, prefetched, mut sim_nanos) = match &dispatcher {
+            Some(io) => {
+                self.submit_window(io)?;
+                let Some((entry, ticket)) = self.pending.pop_front() else {
+                    return Ok(());
+                };
+                let done = io.wait(ticket);
+                self.readahead_hits_counter.inc();
+                (entry, Some(done.result), done.sim_nanos)
+            }
+            None => match self.entries.pop_front() {
+                Some(entry) => (entry, None, 0),
+                None => return Ok(()),
+            },
+        };
+        let (outcome, retries) = self.read_retrying(entry, prefetched);
+        sim_nanos += metrics
+            .as_ref()
+            .map(|m| m.lane_nanos() - lane_start)
+            .unwrap_or(0);
+        if retries > 0 {
+            span.attr("retries", retries as u64);
         }
-        if group_retries > 0 {
-            span.attr("retries", group_retries);
+        if self.settle(outcome, retries, sim_nanos)? {
+            span.attr("failed", 1u64);
         }
-        if group_failed > 0 {
-            span.attr("failed", group_failed);
+        self.window = self.window.saturating_mul(2).min(self.lanes.len());
+        Ok(())
+    }
+
+    /// Top the in-flight requests up to the window: each upcoming entry's
+    /// opening range — the whole file when it is small, its tail otherwise;
+    /// exactly what the reader would ask for first — goes to the dispatcher,
+    /// and so through the full store stack like any demand fetch.
+    fn submit_window(&mut self, io: &IoDispatcher) -> Result<()> {
+        while self.pending.len() < self.window {
+            let Some(i) = self.entries.pop_front() else {
+                break;
+            };
+            let entry = &self.manifest.entries[i];
+            let path = ObjectPath::new(entry.file_path.clone())?;
+            let (start, end) = RangedReader::opening_range(entry.file_size as usize);
+            let ticket = io.submit_get_range(&path, start, end, None);
+            self.pending.push_back((i, ticket));
         }
         Ok(())
+    }
+
+    /// Decode one entry — from its prefetched opening range when a worker
+    /// fetched one — with the whole-file retry on top: a transient fault or
+    /// a checksum-caught corrupt read re-reads the entry from scratch on
+    /// this thread (footer and chunks — partial progress is useless without
+    /// the footer anyway), up to `fetch_retries` times. Corruption first
+    /// drops any cached ranges of the file, so the retry refetches from the
+    /// backend rather than re-serving the poisoned bytes. Returns the
+    /// outcome and the retries used.
+    fn read_retrying(
+        &self,
+        entry: usize,
+        prefetched: Option<lakehouse_store::Result<bytes::Bytes>>,
+    ) -> (Result<EntryPartial>, u32) {
+        let entry = &self.manifest.entries[entry];
+        let read =
+            |bytes: Option<&bytes::Bytes>| self.scan.read_entry(entry, &self.scan_schema, bytes);
+        let mut out = match prefetched {
+            Some(Ok(bytes)) => read(Some(&bytes)),
+            Some(Err(e)) => Err(TableError::Store(e)),
+            None => read(None),
+        };
+        let mut retries = 0u32;
+        while retries < self.scan.fetch_retries
+            && out
+                .as_ref()
+                .err()
+                .is_some_and(|e| e.is_transient() || e.is_corruption())
+        {
+            if out.as_ref().err().is_some_and(|e| e.is_corruption()) {
+                if let Ok(path) = ObjectPath::new(entry.file_path.clone()) {
+                    self.scan.store.invalidate_corrupt(&path);
+                }
+            }
+            retries += 1;
+            out = read(None);
+        }
+        (out, retries)
     }
 
     /// Book one entry's outcome: its simulated time onto the least-loaded
@@ -631,93 +658,14 @@ impl ScanStream {
         }
         Ok(false)
     }
-
-    /// Keep the read-ahead window full: speculatively submit upcoming
-    /// entries as whole-object gets through the dispatcher (and thus the
-    /// full store stack — a shared pool's single-flight dedups against any
-    /// concurrent demand fetch of the same object).
-    fn top_up_readahead(&mut self, io: &IoDispatcher) -> Result<()> {
-        while self.pending.len() < self.scan.read_ahead {
-            let Some(entry) = self.entries.pop_front() else {
-                break;
-            };
-            let path = ObjectPath::new(entry.file_path.clone())?;
-            let ticket = io.submit_get(&path, None);
-            self.pending.push_back((entry, ticket));
-        }
-        Ok(())
-    }
-
-    /// Consume the oldest read-ahead submission: wait for its completion
-    /// (the dispatcher hedges it if it runs tail-slow), decode locally, and
-    /// refill the window. Whole-file retry semantics match the demand path:
-    /// transient faults resubmit, corruption invalidates then resubmits.
-    fn refill_readahead(&mut self, io: &IoDispatcher) -> Result<()> {
-        self.top_up_readahead(io)?;
-        let Some((entry, ticket)) = self.pending.pop_front() else {
-            return Ok(());
-        };
-        let span = lakehouse_obs::span("scan.fetch");
-        span.attr("files", 1usize);
-        let (out, retries, sim_nanos) = self.wait_prefetched(io, &entry, ticket);
-        self.readahead_hits_counter.inc();
-        if retries > 0 {
-            span.attr("retries", retries as u64);
-        }
-        if self.settle(out, retries, sim_nanos)? {
-            span.attr("failed", 1u64);
-        }
-        // Refill so the window stays ahead of the consumer.
-        self.top_up_readahead(io)
-    }
-
-    /// Wait for a prefetched entry and decode it, with the scan's
-    /// whole-file retry loop on top. Returns the result, retries used, and
-    /// the total simulated lane-nanos charged (including retries).
-    fn wait_prefetched(
-        &self,
-        io: &IoDispatcher,
-        entry: &ManifestEntry,
-        ticket: IoTicket,
-    ) -> (Result<EntryPartial>, u32, u64) {
-        let path = match ObjectPath::new(entry.file_path.clone()) {
-            Ok(p) => p,
-            Err(e) => return (Err(e.into()), 0, 0),
-        };
-        let mut retries = 0u32;
-        let mut sim_nanos = 0u64;
-        let mut ticket = ticket;
-        loop {
-            let completion = io.wait(ticket);
-            sim_nanos += completion.sim_nanos;
-            let out = match completion.result {
-                Ok(bytes) => self.scan.read_entry(entry, &self.scan_schema, Some(&bytes)),
-                Err(e) => Err(TableError::Store(e)),
-            };
-            match out {
-                Err(e)
-                    if retries < self.scan.fetch_retries
-                        && (e.is_transient() || e.is_corruption()) =>
-                {
-                    if e.is_corruption() {
-                        self.scan.store.invalidate_corrupt(&path);
-                    }
-                    retries += 1;
-                    ticket = io.submit_get(&path, None);
-                }
-                other => return (other, retries, sim_nanos),
-            }
-        }
-    }
 }
 
 impl Drop for ScanStream {
     /// Early termination (a satisfied streaming `LIMIT` drops the stream)
-    /// must not leave speculative submissions to run: queued ones are
-    /// dequeued before any backend call, in-flight ones have their results
-    /// discarded.
+    /// must not leave submitted requests to run: queued ones are dequeued
+    /// before any backend call, in-flight ones have their results discarded.
     fn drop(&mut self) {
-        if let Some(io) = self.scan.io.as_ref() {
+        if let Some(io) = self.scan.io.dispatcher.as_ref() {
             for (_, ticket) in self.pending.drain(..) {
                 if io.cancel(ticket) {
                     self.readahead_wasted_counter.inc();
@@ -933,32 +881,10 @@ mod tests {
         assert_eq!(b.num_rows(), 5);
     }
 
-    #[test]
-    fn parallel_scan_identical_to_serial() {
-        let t = make_table(PartitionSpec::identity("zone"));
-        let scan = |par: usize| {
-            t.scan()
-                .with_parallelism(par)
-                .with_predicate(ScanPredicate::new("fare", CmpOp::Lt, Value::Float64(4.5)))
-                .select(&["zone", "fare"])
-                .execute_with_report()
-                .unwrap()
-        };
-        let (serial, sr) = scan(1);
-        for par in [2, 4, 8] {
-            let (parallel, pr) = scan(par);
-            assert_eq!(serial, parallel, "parallelism {par} changed output");
-            assert_eq!(sr.files_scanned, pr.files_scanned);
-            assert_eq!(sr.bytes_scanned, pr.bytes_scanned);
-            assert_eq!(sr.row_groups_scanned, pr.row_groups_scanned);
-            assert_eq!(sr.rows_emitted, pr.rows_emitted);
-        }
-    }
-
-    #[test]
-    fn parallel_scan_overlaps_simulated_latency() {
-        use lakehouse_store::{LatencyModel, SimulatedStore};
-        // 8 single-row files on a deterministic simulated store.
+    /// Eight one-row files on a deterministic S3-like store, and the table
+    /// reopened with `depth` workers (`None`: every read inline).
+    fn eight_files(depth: Option<usize>) -> (Table, Option<Arc<IoDispatcher>>) {
+        use lakehouse_store::{IoConfig, LatencyModel, SimulatedStore};
         let sim: Arc<dyn ObjectStore> = Arc::new(SimulatedStore::new(
             InMemoryStore::new(),
             LatencyModel {
@@ -982,42 +908,125 @@ mod tests {
         ))
         .unwrap();
         let (loc, _) = tx.commit().unwrap();
-        let t = Table::load(Arc::clone(&sim), &loc).unwrap();
-
-        let (b1, r1) = t.scan().with_parallelism(1).execute_with_report().unwrap();
-        let (b8, r8) = t.scan().with_parallelism(8).execute_with_report().unwrap();
-        assert_eq!(b1, b8);
-        assert!(r1.wall_clock_simulated > std::time::Duration::ZERO);
-        // 8 lanes overlap: wall clock must drop by at least 2x.
-        assert!(
-            r8.wall_clock_simulated * 2 < r1.wall_clock_simulated,
-            "parallel {:?} vs serial {:?}",
-            r8.wall_clock_simulated,
-            r1.wall_clock_simulated
-        );
+        let dispatcher =
+            depth.map(|d| Arc::new(IoDispatcher::new(Arc::clone(&sim), IoConfig::new(d))));
+        let io = TableIo {
+            cache: None,
+            dispatcher: dispatcher.clone(),
+        };
+        (Table::load_with(sim, &loc, io).unwrap(), dispatcher)
     }
 
     #[test]
-    fn cached_store_scan_reports_hits() {
-        use lakehouse_store::CachedStore;
-        let store: Arc<dyn ObjectStore> = Arc::new(CachedStore::new(InMemoryStore::new(), 1 << 20));
-        let t = Table::create(
+    fn overlapped_scan_identical_to_inline_and_shorter_on_the_modelled_clock() {
+        let scan = |t: &Table| {
+            t.scan()
+                .with_predicate(ScanPredicate::new("fare", CmpOp::Lt, Value::Float64(6.5)))
+                .select(&["zone", "fare"])
+                .execute_with_report()
+                .unwrap()
+        };
+        let (inline, ir) = scan(&eight_files(None).0);
+        assert!(ir.wall_clock_simulated > std::time::Duration::ZERO);
+        for depth in [2, 8] {
+            let (table, io) = eight_files(Some(depth));
+            let (overlapped, or) = scan(&table);
+            assert_eq!(inline, overlapped, "depth {depth} changed output");
+            assert_eq!(ir.files_scanned, or.files_scanned);
+            assert_eq!(ir.files_read, or.files_read);
+            assert_eq!(ir.bytes_scanned, or.bytes_scanned);
+            assert_eq!(ir.row_groups_scanned, or.row_groups_scanned);
+            assert_eq!(ir.rows_emitted, or.rows_emitted);
+            let stats = io.unwrap().stats();
+            assert_eq!(stats.submitted, 7, "one request per surviving file");
+            assert_eq!(stats.inflight, 0, "all submissions consumed");
+            if depth == 8 {
+                // 7 files over 8 lanes: the modelled wall clock must at
+                // least halve.
+                assert!(
+                    or.wall_clock_simulated * 2 < ir.wall_clock_simulated,
+                    "overlapped {:?} vs inline {:?}",
+                    or.wall_clock_simulated,
+                    ir.wall_clock_simulated
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_file_scan_never_leaves_the_callers_thread() {
+        let (table, io) = eight_files(Some(8));
+        let (batch, report) = table
+            .scan()
+            .with_predicate(ScanPredicate::new(
+                "zone",
+                CmpOp::Eq,
+                Value::Utf8("z3".into()),
+            ))
+            .execute_with_report()
+            .unwrap();
+        assert_eq!((batch.num_rows(), report.files_read), (1, 1));
+        assert_eq!(io.unwrap().stats().submitted, 0);
+    }
+
+    #[test]
+    fn a_pulled_stream_ramps_its_window_and_cancels_what_it_abandons() {
+        use lakehouse_columnar::BatchStream;
+        let (table, io) = eight_files(Some(8));
+        let io = io.unwrap();
+        let mut stream = table.scan().stream().unwrap();
+        // First pull: one file, inline — a satisfied LIMIT has read one.
+        assert!(stream.next_batch().unwrap().is_some());
+        assert_eq!(stream.report().files_read, 1);
+        assert_eq!(io.stats().submitted, 0);
+        // Second pull: two requests in flight, one consumed.
+        assert!(stream.next_batch().unwrap().is_some());
+        assert_eq!(io.stats().submitted, 2);
+        // Third: the window is four wide — one left over plus three more.
+        assert!(stream.next_batch().unwrap().is_some());
+        assert_eq!(io.stats().submitted, 5);
+        assert_eq!(stream.report().files_read, 3);
+        drop(stream);
+        let stats = io.stats();
+        assert_eq!(stats.cancelled, 3, "dropping the stream cancels the rest");
+        assert_eq!(stats.inflight, 0, "no submission may be left dangling");
+    }
+
+    #[test]
+    fn warm_scan_takes_the_manifest_from_the_cache() {
+        use crate::cache::MetadataCache;
+        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let io = TableIo {
+            cache: Some(Arc::new(MetadataCache::new())),
+            dispatcher: None,
+        };
+        let t = Table::create_with(
             Arc::clone(&store),
             "wh/cached",
             &taxi_schema(),
             PartitionSpec::unpartitioned(),
+            io.clone(),
         )
         .unwrap();
         let mut tx = t.new_transaction(SnapshotOperation::Append);
         tx.write(&taxi_batch(vec![1, 2], vec!["a", "b"], vec![1.0, 2.0]))
             .unwrap();
-        let (loc, _) = tx.commit().unwrap();
-        let t = Table::load(Arc::clone(&store), &loc).unwrap();
-        let (b1, _) = t.scan().execute_with_report().unwrap();
-        let (b2, warm) = t.scan().execute_with_report().unwrap();
-        assert_eq!(b1, b2);
-        // The warm scan's manifest + footer + chunk reads all hit.
-        assert!(warm.cache_hits > 0, "warm scan should hit the cache");
+        let (loc, meta) = tx.commit().unwrap();
+        // The commit wrote both documents through: loading and scanning the
+        // new version reads neither, even with the objects gone.
+        let manifest = &meta.current_snapshot().unwrap().manifest_path;
+        store
+            .delete(&ObjectPath::new(manifest.clone()).unwrap())
+            .unwrap();
+        store
+            .delete(&ObjectPath::new(loc.clone()).unwrap())
+            .unwrap();
+        let t = Table::load_with(Arc::clone(&store), &loc, io).unwrap();
+        let (b, warm) = t.scan().execute_with_report().unwrap();
+        assert_eq!(b.num_rows(), 2);
+        assert_eq!(warm.cache_hits, 1, "the manifest");
+        // A handle without the cache goes to the store.
+        assert!(Table::load(store, &loc).is_err());
     }
 
     #[test]
@@ -1051,8 +1060,8 @@ mod tests {
     #[test]
     fn abandoned_stream_leaves_files_unread() {
         use lakehouse_columnar::BatchStream;
-        // One file per zone value; serial prefetch (parallelism 1) reads
-        // exactly one file per pull.
+        // One file per zone value; without workers every pull reads exactly
+        // one file.
         let t = make_table(PartitionSpec::identity("zone"));
         let mut stream = t.scan().stream().unwrap();
         let first = stream.next_batch().unwrap().unwrap();
@@ -1171,101 +1180,6 @@ mod tests {
         assert_eq!(report.files_read, 1);
         assert_eq!(batch.num_rows(), report.rows_emitted);
         assert!(batch.num_rows() > 0, "the surviving file still scans");
-    }
-
-    #[test]
-    fn readahead_scan_identical_to_plain() {
-        use lakehouse_store::{IoConfig, IoDispatcher, LatencyModel, SimulatedStore};
-        let sim: Arc<dyn ObjectStore> = Arc::new(SimulatedStore::new(
-            InMemoryStore::new(),
-            LatencyModel {
-                sigma: 0.0,
-                ..LatencyModel::s3_like()
-            },
-        ));
-        let t = Table::create(
-            Arc::clone(&sim),
-            "wh/ra",
-            &taxi_schema(),
-            PartitionSpec::identity("zone"),
-        )
-        .unwrap();
-        let mut tx = t.new_transaction(SnapshotOperation::Append);
-        let zones: Vec<String> = (0..6).map(|i| format!("z{i}")).collect();
-        tx.write(&taxi_batch(
-            (0..6).map(|i| 100 + i).collect(),
-            zones.iter().map(String::as_str).collect(),
-            (0..6).map(|i| i as f64).collect(),
-        ))
-        .unwrap();
-        let (loc, _) = tx.commit().unwrap();
-        let t = Table::load(Arc::clone(&sim), &loc).unwrap();
-        let (plain, plain_report) = t.scan().execute_with_report().unwrap();
-
-        let io = Arc::new(IoDispatcher::new(Arc::clone(&sim), IoConfig::new(4)));
-        let (ra, ra_report) = t
-            .scan()
-            .with_io_dispatcher(Arc::clone(&io))
-            .with_read_ahead(4)
-            .execute_with_report()
-            .unwrap();
-        assert_eq!(plain, ra, "read-ahead must be byte-identical");
-        assert_eq!(plain_report.files_read, ra_report.files_read);
-        assert_eq!(plain_report.bytes_scanned, ra_report.bytes_scanned);
-        assert_eq!(plain_report.rows_emitted, ra_report.rows_emitted);
-        assert_eq!(
-            plain_report.row_groups_scanned,
-            ra_report.row_groups_scanned
-        );
-        // 6 files overlapped 4 wide must beat the serial sim wall clock.
-        assert!(
-            ra_report.wall_clock_simulated * 2 < plain_report.wall_clock_simulated,
-            "read-ahead {:?} vs serial {:?}",
-            ra_report.wall_clock_simulated,
-            plain_report.wall_clock_simulated
-        );
-        assert_eq!(io.stats().inflight, 0, "all submissions consumed");
-    }
-
-    #[test]
-    fn abandoned_readahead_cancels_pending_submissions() {
-        use lakehouse_columnar::BatchStream;
-        use lakehouse_store::{IoConfig, IoDispatcher};
-        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
-        let t = Table::create(
-            Arc::clone(&store),
-            "wh/ra-limit",
-            &taxi_schema(),
-            PartitionSpec::identity("zone"),
-        )
-        .unwrap();
-        let mut tx = t.new_transaction(SnapshotOperation::Append);
-        let zones: Vec<String> = (0..8).map(|i| format!("z{i}")).collect();
-        tx.write(&taxi_batch(
-            (0..8).map(|i| 100 + i).collect(),
-            zones.iter().map(String::as_str).collect(),
-            (0..8).map(|i| i as f64).collect(),
-        ))
-        .unwrap();
-        let (loc, _) = tx.commit().unwrap();
-        let t = Table::load(Arc::clone(&store), &loc).unwrap();
-        let io = Arc::new(IoDispatcher::new(Arc::clone(&store), IoConfig::new(2)));
-        let mut stream = t
-            .scan()
-            .with_io_dispatcher(Arc::clone(&io))
-            .with_read_ahead(6)
-            .stream()
-            .unwrap();
-        let first = stream.next_batch().unwrap().unwrap();
-        assert!(first.num_rows() > 0);
-        assert_eq!(stream.report().files_read, 1);
-        drop(stream);
-        let stats = io.stats();
-        assert!(
-            stats.cancelled >= 4,
-            "dropping the stream must cancel queued read-ahead, stats {stats:?}"
-        );
-        assert_eq!(stats.inflight, 0, "no submission may be left dangling");
     }
 
     #[test]

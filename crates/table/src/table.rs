@@ -1,14 +1,14 @@
 //! The table handle: create, load, evolve, write, scan.
 
+use crate::cache::{metadata_path, TableIo};
 use crate::error::Result;
-use crate::metadata::TableMetadata;
+use crate::metadata::{MetadataLogEntry, TableMetadata};
 use crate::partition::PartitionSpec;
 use crate::scan::TableScan;
 use crate::snapshot::SnapshotOperation;
 use crate::transaction::Transaction;
-use bytes::Bytes;
 use lakehouse_columnar::{Field, Schema};
-use lakehouse_store::{ObjectPath, ObjectStore};
+use lakehouse_store::ObjectStore;
 use std::sync::Arc;
 
 /// A handle to one version of a table (the version at `metadata_location`).
@@ -19,8 +19,9 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct Table {
     store: Arc<dyn ObjectStore>,
-    metadata: TableMetadata,
+    metadata: Arc<TableMetadata>,
     metadata_location: String,
+    io: TableIo,
 }
 
 impl Table {
@@ -31,6 +32,17 @@ impl Table {
         location: &str,
         schema: &Schema,
         partition_spec: PartitionSpec,
+    ) -> Result<Table> {
+        Self::create_with(store, location, schema, partition_spec, TableIo::default())
+    }
+
+    /// [`Table::create`], reading and writing through `io` from then on.
+    pub fn create_with(
+        store: Arc<dyn ObjectStore>,
+        location: &str,
+        schema: &Schema,
+        partition_spec: PartitionSpec,
+        io: TableIo,
     ) -> Result<Table> {
         // Deterministic uuid: tables are identified by location + a hash of
         // their initial schema (no wall-clock or RNG, per the platform's
@@ -44,27 +56,62 @@ impl Table {
             format!("{h:016x}")
         };
         let metadata = TableMetadata::new(uuid, location, schema, partition_spec)?;
-        let metadata_location = format!("{location}/metadata/v00000.json");
-        store.put(
-            &ObjectPath::new(metadata_location.clone())?,
-            Bytes::from(metadata.to_bytes()),
-        )?;
-        Ok(Table {
-            store,
-            metadata,
-            metadata_location,
-        })
+        Self::persist(store, metadata, io)
     }
 
     /// Load a table from a metadata document location.
     pub fn load(store: Arc<dyn ObjectStore>, metadata_location: &str) -> Result<Table> {
-        let bytes = store.get(&ObjectPath::new(metadata_location)?)?;
-        let metadata = TableMetadata::from_bytes(&bytes)?;
+        Self::load_with(store, metadata_location, TableIo::default())
+    }
+
+    /// [`Table::load`] through `io`: the document comes from its cache when
+    /// this process has read or written it before, and scans and commits of
+    /// the handle use the same cache and workers.
+    pub fn load_with(
+        store: Arc<dyn ObjectStore>,
+        metadata_location: &str,
+        io: TableIo,
+    ) -> Result<Table> {
+        let metadata = io.load(&*store, metadata_location, TableMetadata::from_bytes)?;
         Ok(Table {
             store,
             metadata,
             metadata_location: metadata_location.to_string(),
+            io,
         })
+    }
+
+    /// Write `metadata` as a new, uniquely named document and return the
+    /// handle to it.
+    pub(crate) fn persist(
+        store: Arc<dyn ObjectStore>,
+        metadata: TableMetadata,
+        io: TableIo,
+    ) -> Result<Table> {
+        let bytes = metadata.to_bytes();
+        let metadata_location = metadata_path(&metadata.location, metadata.snapshots.len(), &bytes);
+        let metadata = io.persist(&*store, &metadata_location, bytes, metadata)?;
+        Ok(Table {
+            store,
+            metadata,
+            metadata_location,
+            io,
+        })
+    }
+
+    /// A copy of this version's metadata to derive the next document from:
+    /// this document joins its log.
+    pub(crate) fn successor_metadata(&self) -> TableMetadata {
+        let mut metadata = (*self.metadata).clone();
+        metadata.metadata_log.push(MetadataLogEntry {
+            location: self.metadata_location.clone(),
+            snapshot_id: self.metadata.current_snapshot_id,
+        });
+        metadata
+    }
+
+    pub(crate) fn into_parts(self) -> (String, Arc<TableMetadata>) {
+        (self.metadata_location, self.metadata)
     }
 
     pub fn metadata(&self) -> &TableMetadata {
@@ -84,47 +131,42 @@ impl Table {
         &self.store
     }
 
+    pub(crate) fn io(&self) -> &TableIo {
+        &self.io
+    }
+
     /// Begin a write transaction.
     pub fn new_transaction(&self, operation: SnapshotOperation) -> Transaction {
-        Transaction::new(Arc::clone(&self.store), self.metadata.clone(), operation)
+        Transaction::new(
+            Arc::clone(&self.store),
+            self.successor_metadata(),
+            operation,
+            self.io.clone(),
+        )
     }
 
     /// Begin a scan of the current snapshot.
     pub fn scan(&self) -> TableScan {
-        TableScan::new(Arc::clone(&self.store), self.metadata.clone())
+        TableScan::new(
+            Arc::clone(&self.store),
+            Arc::clone(&self.metadata),
+            self.io.clone(),
+        )
     }
 
     /// Add nullable columns; persists a new metadata document and returns the
     /// updated handle.
     pub fn add_columns(&self, fields: &[Field]) -> Result<Table> {
-        let mut metadata = self.metadata.clone();
+        let mut metadata = self.successor_metadata();
         metadata.add_columns(fields)?;
-        self.persist_evolved(metadata)
+        Self::persist(Arc::clone(&self.store), metadata, self.io.clone())
     }
 
     /// Rename a column; persists a new metadata document.
     pub fn rename_column(&self, old: &str, new: &str) -> Result<Table> {
-        let mut metadata = self.metadata.clone();
+        let mut metadata = self.successor_metadata();
         metadata.rename_column(old, new)?;
-        self.persist_evolved(metadata)
-    }
-
-    fn persist_evolved(&self, metadata: TableMetadata) -> Result<Table> {
-        let metadata_location = format!(
-            "{}/metadata/v{:05}-s{}.json",
-            metadata.location,
-            metadata.snapshots.len(),
-            metadata.current_schema_id
-        );
-        self.store.put(
-            &ObjectPath::new(metadata_location.clone())?,
-            Bytes::from(metadata.to_bytes()),
-        )?;
-        Ok(Table {
-            store: Arc::clone(&self.store),
-            metadata,
-            metadata_location,
-        })
+        Self::persist(Arc::clone(&self.store), metadata, self.io.clone())
     }
 }
 

@@ -1,11 +1,12 @@
 //! Write transactions: stage data files, then commit a new immutable
 //! metadata document (snapshot isolation for writers).
 
+use crate::cache::{data_path, manifest_path, TableIo};
 use crate::error::{Result, TableError};
 use crate::manifest::{Manifest, ManifestEntry, StatsDef};
 use crate::metadata::TableMetadata;
 use crate::snapshot::{Snapshot, SnapshotOperation};
-use bytes::Bytes;
+use crate::table::Table;
 use lakehouse_columnar::kernels::take_batch;
 use lakehouse_columnar::RecordBatch;
 use lakehouse_format::{FileWriter, WriterOptions};
@@ -25,6 +26,7 @@ pub struct Transaction {
     rows_added: u64,
     file_counter: u64,
     writer_options: WriterOptions,
+    io: TableIo,
 }
 
 impl Transaction {
@@ -32,6 +34,7 @@ impl Transaction {
         store: Arc<dyn ObjectStore>,
         metadata: TableMetadata,
         operation: SnapshotOperation,
+        io: TableIo,
     ) -> Transaction {
         Transaction {
             store,
@@ -41,6 +44,7 @@ impl Transaction {
             rows_added: 0,
             file_counter: 0,
             writer_options: WriterOptions::default(),
+            io,
         }
     }
 
@@ -81,10 +85,12 @@ impl Transaction {
                 .zip(&file_stats)
                 .map(|(field, stats)| (field.name().to_string(), StatsDef::from_stats(stats)))
                 .collect();
-            let file_path = format!(
-                "{}/data/snap{}-{:05}.lkh",
-                self.metadata.location, snapshot_id, self.file_counter
-            );
+            let file_path = data_path(
+                &self.metadata.location,
+                snapshot_id,
+                self.file_counter,
+                &file_bytes,
+            )?;
             self.file_counter += 1;
             self.store
                 .put(&ObjectPath::new(file_path.clone())?, file_bytes.clone())?;
@@ -103,7 +109,13 @@ impl Transaction {
 
     /// Commit: write the manifest and a new metadata document; returns the
     /// new metadata location and the updated metadata.
-    pub fn commit(mut self) -> Result<(String, TableMetadata)> {
+    pub fn commit(self) -> Result<(String, TableMetadata)> {
+        let (location, metadata) = self.commit_table()?.into_parts();
+        Ok((location, Arc::unwrap_or_clone(metadata)))
+    }
+
+    /// [`Transaction::commit`], returning the handle to the new version.
+    pub(crate) fn commit_table(mut self) -> Result<Table> {
         let parent = self.metadata.current_snapshot().cloned();
         let snapshot_id = self.metadata.next_snapshot_id();
         // Assemble the manifest: append keeps parent files, overwrite
@@ -111,25 +123,19 @@ impl Transaction {
         let mut entries = Vec::new();
         if self.operation == SnapshotOperation::Append {
             if let Some(parent) = &parent {
-                let bytes = self
-                    .store
-                    .get(&ObjectPath::new(parent.manifest_path.clone())?)?;
-                let parent_manifest = Manifest::from_bytes(&bytes)
-                    .ok_or_else(|| TableError::Corrupt("unparseable parent manifest".into()))?;
-                entries.extend(parent_manifest.entries);
+                let parent_manifest = Manifest::load(&self.store, &self.io, &parent.manifest_path)?;
+                // Moved when this commit holds the only handle (no cache),
+                // copied out of the shared one otherwise.
+                entries = Arc::unwrap_or_clone(parent_manifest).entries;
             }
         }
         entries.append(&mut self.staged);
         let manifest = Manifest { entries };
         let total_rows = manifest.total_rows();
-        let manifest_path = format!(
-            "{}/metadata/manifest-{snapshot_id}.json",
-            self.metadata.location
-        );
-        self.store.put(
-            &ObjectPath::new(manifest_path.clone())?,
-            Bytes::from(manifest.to_bytes()),
-        )?;
+        let bytes = manifest.to_bytes();
+        let manifest_path = manifest_path(&self.metadata.location, snapshot_id, &bytes);
+        self.io
+            .persist(&*self.store, &manifest_path, bytes, manifest)?;
         let snapshot = Snapshot {
             snapshot_id,
             parent_id: parent.as_ref().map(|p| p.snapshot_id),
@@ -141,16 +147,7 @@ impl Transaction {
         };
         self.metadata.snapshots.push(snapshot);
         self.metadata.current_snapshot_id = Some(snapshot_id);
-        let metadata_location = format!(
-            "{}/metadata/v{:05}.json",
-            self.metadata.location,
-            self.metadata.snapshots.len()
-        );
-        self.store.put(
-            &ObjectPath::new(metadata_location.clone())?,
-            Bytes::from(self.metadata.to_bytes()),
-        )?;
-        Ok((metadata_location, self.metadata))
+        Table::persist(self.store, self.metadata, self.io)
     }
 }
 

@@ -1,16 +1,17 @@
-//! Async I/O dispatcher integration: speculative read-ahead and hedged reads
-//! stay byte-transparent end to end (across sleep modes, under chaos stalls
-//! and torn reads), and a streaming LIMIT that terminates early cancels its
-//! queued read-ahead submissions before they ever reach the backend.
+//! Async I/O dispatcher integration: overlapped data-file requests and
+//! hedged reads stay byte-transparent end to end (across sleep modes, under
+//! chaos stalls and torn reads), and a streaming LIMIT that terminates early
+//! cancels the requests still queued before they ever reach the backend.
 
 use bauplan_core::{BufferPool, ChaosConfig, Lakehouse, LakehouseConfig};
 use bytes::Bytes;
 use lakehouse_columnar::{BatchStream, Column, DataType, Field, RecordBatch, Schema};
+use lakehouse_sql::{MemoryProvider, SqlEngine};
 use lakehouse_store::{
     ChaosStore, HedgePolicy, InMemoryStore, IoConfig, IoDispatcher, LatencyModel, ObjectPath,
     ObjectStore, SimulatedStore, SleepMode, StoreMetrics,
 };
-use lakehouse_table::{PartitionSpec, SnapshotOperation, Table};
+use lakehouse_table::{PartitionSpec, SnapshotOperation, Table, TableIo};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,12 +38,10 @@ fn events_batch(files: usize, rows_per: usize) -> RecordBatch {
 const AGG_SQL: &str = "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM events \
                        GROUP BY grp ORDER BY grp";
 
-fn io_lakehouse(io_depth: usize, read_ahead: usize, stream: bool, files: usize) -> Lakehouse {
+fn io_lakehouse(stream: bool, files: usize) -> Lakehouse {
     let config = LakehouseConfig {
         latency: LatencyModel::zero(),
-        io_depth,
-        read_ahead,
-        hedge_p95: io_depth > 0,
+        hedge_p95: true,
         stream_execution: stream,
         ..Default::default()
     };
@@ -81,10 +80,21 @@ fn seeded_backend(files: usize) -> (Arc<InMemoryStore>, String) {
     (base, loc)
 }
 
+/// `t`'s version reopened over `store` with `io` as its fetch workers.
+fn with_workers(store: &Arc<dyn ObjectStore>, loc: &str, io: &Arc<IoDispatcher>) -> Table {
+    let io = TableIo {
+        cache: None,
+        dispatcher: Some(Arc::clone(io)),
+    };
+    (0..20)
+        .find_map(|_| Table::load_with(Arc::clone(store), loc, io.clone()).ok())
+        .expect("table load")
+}
+
 // ---- byte identity across sleep modes, chaos stalls ------------------------
 
 #[test]
-fn readahead_and_hedging_byte_identical_across_sleep_modes() {
+fn overlap_and_hedging_byte_identical_across_sleep_modes() {
     let (base, loc) = seeded_backend(8);
     let plain: Arc<dyn ObjectStore> = base.clone();
     let baseline = Table::load(Arc::clone(&plain), &loc)
@@ -125,24 +135,22 @@ fn readahead_and_hedging_byte_identical_across_sleep_modes() {
             .with_fetch_retries(8)
             .execute_with_report()
             .unwrap();
-        assert_eq!(demand, baseline, "{tag}: demand path diverged");
+        assert_eq!(demand, baseline, "{tag}: inline path diverged");
 
         let io = Arc::new(IoDispatcher::new(
             Arc::clone(&chaos),
             IoConfig::new(4).with_hedge(HedgePolicy::default()),
         ));
-        let (ra, ra_report) = t
+        let (ra, ra_report) = with_workers(&chaos, &loc, &io)
             .scan()
-            .with_io_dispatcher(Arc::clone(&io))
-            .with_read_ahead(4)
             .with_fetch_retries(8)
             .execute_with_report()
             .unwrap();
-        assert_eq!(ra, baseline, "{tag}: read-ahead + hedging diverged");
+        assert_eq!(ra, baseline, "{tag}: overlap + hedging diverged");
         assert_eq!(demand_report.rows_emitted, ra_report.rows_emitted);
         assert_eq!(demand_report.files_read, ra_report.files_read);
         let stats = io.stats();
-        assert!(stats.submitted >= 8, "{tag}: read-ahead never engaged");
+        assert!(stats.submitted >= 8, "{tag}: the workers never engaged");
         assert_eq!(stats.inflight, 0, "{tag}: submissions left dangling");
     }
 }
@@ -150,12 +158,12 @@ fn readahead_and_hedging_byte_identical_across_sleep_modes() {
 // ---- torn reads: hedged/prefetched bytes verified through the pool ---------
 
 #[test]
-fn torn_reads_under_readahead_are_caught_and_retried() {
+fn torn_reads_under_overlap_are_caught_and_retried() {
     // Torn reads deliver truncated bodies as *successful* responses, and the
-    // read-ahead path hands prefetched bytes straight to the decoder — the
+    // overlapped path hands prefetched bytes straight to the decoder — the
     // truncation guard + format checksums must catch them, invalidate the
-    // poisoned pool pages, and resubmit. Same seeded schedule as the
-    // pool-sharing torn-read test, now with the dispatcher in the path.
+    // poisoned pool pages, and re-read. Same seeded schedule as the
+    // pool-sharing torn-read test, with the dispatcher in the path.
     let dir = std::env::temp_dir().join(format!("bauplan_async_io_torn_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
@@ -179,16 +187,14 @@ fn torn_reads_under_readahead_are_caught_and_retried() {
         shared_pool: Some(Arc::clone(&pool)),
         chaos: Some(ChaosConfig::new(3).with_torn_read_p(0.35)),
         retry_max: 10,
-        io_depth: 4,
-        read_ahead: 4,
         hedge_p95: true,
         ..LakehouseConfig::zero_latency()
     };
     let lh = Lakehouse::on_disk(&dir, config).unwrap();
     let got = lh.query(AGG_SQL, "main").unwrap();
     assert_eq!(got, baseline, "torn reads must never change the answer");
-    let stats = lh.io_dispatcher().expect("dispatcher configured").stats();
-    assert!(stats.submitted > 0, "read-ahead must have been exercised");
+    let stats = lh.io_dispatcher().stats();
+    assert!(stats.submitted > 0, "the workers must have been exercised");
     assert_eq!(stats.inflight, 0);
     // The poisoned pages are gone: a second query still answers correctly.
     assert_eq!(lh.query(AGG_SQL, "main").unwrap(), baseline);
@@ -198,24 +204,24 @@ fn torn_reads_under_readahead_are_caught_and_retried() {
 // ---- end-to-end equivalence through the platform ---------------------------
 
 #[test]
-fn end_to_end_query_identical_with_readahead_on_and_off() {
+fn end_to_end_query_matches_the_in_memory_oracle() {
+    let mut oracle = MemoryProvider::new();
+    oracle.register("events", events_batch(12, 50));
+    let want = SqlEngine::new().query(AGG_SQL, &oracle).unwrap();
     for stream in [false, true] {
-        let plain = io_lakehouse(0, 0, stream, 12);
-        let ra = io_lakehouse(4, 4, stream, 12);
-        assert!(plain.io_dispatcher().is_none(), "defaults must stay off");
-        let want = plain.query(AGG_SQL, "main").unwrap();
-        let got = ra.query(AGG_SQL, "main").unwrap();
-        assert_eq!(got, want, "stream={stream}: read-ahead changed the bytes");
-        let stats = ra.io_dispatcher().expect("dispatcher configured").stats();
+        let lh = io_lakehouse(stream, 12);
+        let got = lh.query(AGG_SQL, "main").unwrap();
+        assert_eq!(got, want, "stream={stream}: overlap changed the bytes");
+        let stats = lh.io_dispatcher().stats();
         assert!(
-            stats.submitted >= 12,
+            stats.submitted >= 11,
             "stream={stream}: scans must route through the dispatcher, stats {stats:?}"
         );
         assert_eq!(stats.inflight, 0, "stream={stream}");
     }
 }
 
-// ---- streaming LIMIT cancels read-ahead ------------------------------------
+// ---- streaming LIMIT cancels what it leaves in flight ------------------------------------
 
 /// An in-memory store whose data-file reads really block, and which counts
 /// them: queued-then-cancelled dispatcher submissions must never show up in
@@ -280,12 +286,13 @@ impl ObjectStore for GatedStore {
 }
 
 #[test]
-fn limit_early_termination_cancels_queued_readahead() {
+fn limit_early_termination_cancels_queued_requests() {
     // 8 one-file partitions behind a store whose data reads block for real,
-    // so the dispatcher's two workers are still busy when the consumer stops
-    // after one batch (what a streaming LIMIT does). The six other window
-    // submissions are queued; dropping the stream must cancel them before
-    // any backend fetch happens.
+    // and a consumer that stops after three batches (what a streaming LIMIT
+    // does): by then the window has ramped 1 → 2 and stayed at the two
+    // workers' width, so one request is submitted but unconsumed. Dropping
+    // the stream must cancel it, and the four files never submitted must
+    // never be fetched.
     let gated = Arc::new(GatedStore::new(Duration::from_millis(20)));
     let store: Arc<dyn ObjectStore> = gated.clone();
     let schema = Schema::new(vec![
@@ -303,48 +310,46 @@ fn limit_early_termination_cancels_queued_readahead() {
     let mut tx = t.new_transaction(SnapshotOperation::Append);
     tx.write(&events_batch(8, 16)).unwrap();
     let (loc, _) = tx.commit().unwrap();
-    let t = Table::load(Arc::clone(&store), &loc).unwrap();
-
     let io = Arc::new(IoDispatcher::new(Arc::clone(&store), IoConfig::new(2)));
-    let mut stream = t
-        .scan()
-        .with_io_dispatcher(Arc::clone(&io))
-        .with_read_ahead(8)
-        .stream()
-        .unwrap();
-    let first = stream.next_batch().unwrap().unwrap();
-    assert!(first.num_rows() > 0);
-    assert_eq!(stream.report().files_read, 1);
+    let mut stream = with_workers(&store, &loc, &io).scan().stream().unwrap();
+    // The first pull reads one file on this thread: a LIMIT it satisfies
+    // has touched nothing else.
+    assert!(stream.next_batch().unwrap().unwrap().num_rows() > 0);
+    assert_eq!((gated.data_gets(), io.stats().submitted), (1, 0));
+    for _ in 0..2 {
+        assert!(stream.next_batch().unwrap().unwrap().num_rows() > 0);
+    }
+    assert_eq!(stream.report().files_read, 3);
     drop(stream); // LIMIT satisfied: early termination.
 
     let stats = io.stats();
-    assert!(
-        stats.cancelled >= 3,
-        "queued read-ahead must be cancelled on early termination, stats {stats:?}"
+    assert_eq!(
+        (stats.submitted, stats.cancelled),
+        (3, 1),
+        "what was submitted but not consumed must be cancelled, stats {stats:?}"
     );
     assert_eq!(stats.inflight, 0, "stats {stats:?}");
-    // Give the abandoned workers time to drain the queue — cancelled slots
-    // leave only ghost ids behind, which must be skipped without a backend
-    // call. At most the demand file plus two worker rounds (2 in flight at
-    // the first completion, 2 more grabbed while the consumer raced the
-    // drop) may ever have been fetched; the rest of the 8-file window never
-    // reaches the store.
+    // Give the abandoned worker time to finish. The inline file, the two
+    // consumed requests and the one in flight at the drop is all that may
+    // ever have been fetched.
     std::thread::sleep(Duration::from_millis(150));
     let fetched = gated.data_gets();
     assert!(
-        fetched <= 5,
+        fetched <= 4,
         "cancelled submissions reached the backend: {fetched} of 8 data files fetched"
     );
 }
 
 #[test]
 fn streaming_limit_through_platform_leaves_no_dangling_submissions() {
-    let lh = io_lakehouse(2, 6, true, 8);
+    // 51 rows of 50-row files: the second pull puts two requests in flight
+    // and consumes one.
+    let lh = io_lakehouse(true, 8);
     let got = lh
-        .query("SELECT part, val FROM events LIMIT 1", "main")
+        .query("SELECT part, val FROM events LIMIT 51", "main")
         .unwrap();
-    assert_eq!(got.num_rows(), 1);
-    let stats = lh.io_dispatcher().expect("dispatcher configured").stats();
+    assert_eq!(got.num_rows(), 51);
+    let stats = lh.io_dispatcher().stats();
     assert_eq!(
         stats.submitted,
         stats.completed + stats.cancelled,
@@ -353,6 +358,6 @@ fn streaming_limit_through_platform_leaves_no_dangling_submissions() {
     assert_eq!(stats.inflight, 0, "stats {stats:?}");
     assert!(
         stats.cancelled > 0,
-        "LIMIT 1 over 8 files must cancel unconsumed read-ahead, stats {stats:?}"
+        "the LIMIT must cancel the request it did not consume, stats {stats:?}"
     );
 }

@@ -264,20 +264,13 @@ fn chaos_torn_read_is_caught_invalidated_and_retried() {
 }
 
 #[test]
-fn shared_pool_engine_matches_private_cache_engine() {
+fn shared_pool_engine_matches_engine_without_byte_cache() {
     let dir = scratch_dir("parity");
     {
         let setup = Lakehouse::on_disk(&dir, LakehouseConfig::zero_latency()).unwrap();
         populate(&setup, 4);
     }
-    let private = Lakehouse::on_disk(
-        &dir,
-        LakehouseConfig {
-            metadata_cache_bytes: 32 * 1024 * 1024,
-            ..LakehouseConfig::zero_latency()
-        },
-    )
-    .unwrap();
+    let plain = Lakehouse::on_disk(&dir, LakehouseConfig::zero_latency()).unwrap();
     let pool = Arc::new(BufferPool::new(32 * 1024 * 1024));
     let shared = Lakehouse::on_disk(&dir, pooled_config(&pool)).unwrap();
     for sql in [
@@ -286,16 +279,17 @@ fn shared_pool_engine_matches_private_cache_engine() {
         "SELECT grp, SUM(val) AS s FROM events WHERE grp < 3 GROUP BY grp ORDER BY grp",
     ] {
         assert_eq!(
-            private.query(sql, "main").unwrap(),
+            plain.query(sql, "main").unwrap(),
             shared.query(sql, "main").unwrap(),
-            "shared vs private cache diverged on {sql}"
+            "byte cache changed the result of {sql}"
         );
     }
-    // Both caches saw traffic; only the attribution differs (private folds
-    // into the store metrics, shared keeps its own counters).
-    assert!(private.store_metrics().cache_hits() > 0);
+    // Both engines keep parsed table metadata; only the pooled one also
+    // keeps object bytes, counted on the pool.
+    assert!(plain.metadata_cache().hits() > 0);
+    assert!(shared.metadata_cache().hits() > 0);
     assert!(pool.metrics().hits() > 0);
-    let row = private
+    let row = plain
         .query("SELECT COUNT(*) AS n FROM events", "main")
         .unwrap();
     assert_eq!(row.row(0).unwrap()[0], Value::Int64(256));

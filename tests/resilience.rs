@@ -3,7 +3,7 @@
 //! optimistic catalog commits must survive CAS contention from concurrent
 //! writers.
 
-use bauplan_core::{Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions};
+use bauplan_core::{BufferPool, Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions};
 use bytes::Bytes;
 use lakehouse_catalog::{Catalog, ContentRef, Operation};
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema};
@@ -429,24 +429,20 @@ impl ObjectStore for FlipFirstRead {
 fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
     // Each data file here travels as one merged request, so a torn or
     // bit-flipped response poisons the whole file's bytes at once — and, with
-    // a cache on, the cached range too. Every configuration must still return
-    // the fault-free bytes: demand fetch, parallel scan, streaming, and
-    // read-ahead (where the whole object arrives by `get`).
+    // a byte cache on, the cached range too. Both executors must still
+    // return the fault-free bytes: the materialized one puts the whole
+    // window of requests in flight at once, the streaming one ramps it, and
+    // either way a worker hands the poisoned bytes straight to the decoder.
     let want = soak_lakehouse(None, 0, false, 12, 50)
         .query(AGG_SQL, "main")
         .unwrap();
-    let variants = |base: LakehouseConfig| {
+    // Each variant over a byte cache of its own.
+    let variants = |base: &dyn Fn() -> LakehouseConfig| {
         [
-            base.clone(),
+            base(),
             LakehouseConfig {
-                scan_parallelism: 4,
                 stream_execution: true,
-                ..base.clone()
-            },
-            LakehouseConfig {
-                io_depth: 4,
-                read_ahead: 4,
-                ..base
+                ..base()
             },
         ]
     };
@@ -467,13 +463,13 @@ fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
 
     // Bit flips: detected by the chunk CRC alone. One whole-file retry per
     // file, and it reaches the backend — the poisoned cached range went first.
-    let base = LakehouseConfig {
+    let base = || LakehouseConfig {
         latency: LatencyModel::zero(),
         retry_max: 2,
-        metadata_cache_bytes: 8 << 20,
+        shared_pool: Some(Arc::new(BufferPool::new(8 << 20))),
         ..Default::default()
     };
-    for config in variants(base) {
+    for config in variants(&base) {
         let store = Arc::new(FlipFirstRead::default());
         let backend = Arc::clone(&store) as Arc<dyn ObjectStore>;
         seed_events(&backend);
@@ -489,14 +485,14 @@ fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
 
     // Torn reads, seeded: truncated-but-Ok bodies under the same cache.
     for seed in 1..=4u64 {
-        let base = LakehouseConfig {
+        let base = || LakehouseConfig {
             latency: LatencyModel::zero(),
             chaos: Some(ChaosConfig::new(seed).with_torn_read_p(0.3)),
             retry_max: 10,
-            metadata_cache_bytes: 8 << 20,
+            shared_pool: Some(Arc::new(BufferPool::new(8 << 20))),
             ..Default::default()
         };
-        for config in variants(base) {
+        for config in variants(&base) {
             let backend: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
             seed_events(&backend);
             let lh = Lakehouse::with_store(backend, config).unwrap();
@@ -624,7 +620,7 @@ fn deadline_kills_mid_retry_backoff_promptly_and_typed() {
     );
 }
 
-/// A query killed mid-scan (I/O byte budget) with speculative read-ahead in
+/// A query killed mid-scan (I/O byte budget) with overlapped requests in
 /// flight must not leak dispatcher tickets: everything it submitted is
 /// claimed or cancelled, and `io.inflight` returns to zero.
 #[test]
@@ -633,14 +629,12 @@ fn killed_query_leaks_no_io_tickets() {
     let make = |io_budget_bytes: u64| {
         let config = LakehouseConfig {
             latency: LatencyModel::zero(),
-            io_depth: 2,
-            read_ahead: 4,
             io_budget_bytes,
             ..Default::default()
         };
         let lh = Lakehouse::in_memory(config).expect("lakehouse with dispatcher");
         // Identity-partitioned so the scan spans 24 data files — the budget
-        // must trip *between* files, with read-ahead tickets outstanding.
+        // must trip *between* files, with tickets outstanding.
         lh.create_table_partitioned(
             "events",
             &events_batch(24, 100),
@@ -652,7 +646,7 @@ fn killed_query_leaks_no_io_tickets() {
     };
     // Measure the query's attributed bytes unbudgeted, then rebuild with a
     // budget of half that: the kill is then guaranteed to land mid-scan,
-    // with read-ahead tickets outstanding.
+    // with tickets outstanding.
     let unbudgeted = make(0);
     unbudgeted.query(Q, "main").expect("unbudgeted query runs");
     let full_bytes = lakehouse_obs::query_log()
@@ -678,7 +672,7 @@ fn killed_query_leaks_no_io_tickets() {
         ),
         "expected a typed I/O-budget kill, got: {err}"
     );
-    let io = budgeted.io_dispatcher().expect("io_depth > 0").as_ref();
+    let io = budgeted.io_dispatcher().as_ref();
     assert!(io.stats().submitted > 0, "the scan reached the dispatcher");
     // Drain: a worker may still be finishing an abandoned ticket.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
@@ -699,7 +693,7 @@ fn killed_query_leaks_no_io_tickets() {
 fn killed_queries_leave_shared_pool_consistent() {
     const Q: &str = "SELECT grp, SUM(val) AS pool_probe FROM events GROUP BY grp ORDER BY grp";
     let backend: Arc<dyn lakehouse_store::ObjectStore> = Arc::new(InMemoryStore::new());
-    let pool = Arc::new(bauplan_core::BufferPool::new(8 << 20));
+    let pool = Arc::new(BufferPool::new(8 << 20));
     let shared = |io_budget_bytes: u64| LakehouseConfig {
         latency: LatencyModel::zero(),
         shared_pool: Some(Arc::clone(&pool)),

@@ -1,45 +1,66 @@
-//! Round trips are the bill (DESIGN.md §20): what one SQL statement asks of
-//! the object store, counted request by request, and what it sees when a
-//! commit lands while it runs.
+//! Round trips are the bill (DESIGN.md §20, §21): what one SQL statement
+//! asks of the object store, counted request by request, and what it sees
+//! when a commit lands while it runs.
 //!
-//! * A statement resolves the ref once and loads each table's metadata
-//!   once; a data file under the reader's merge distance is one request.
-//!   The ledger is exact, so a regression to per-chunk fetching — or to
-//!   resolving the table once to plan and again to scan — fails loudly.
+//! * A statement against a table version this process has not seen is one
+//!   ref + one metadata document + one manifest + the data files it needs;
+//!   against one it has seen — read before, or written through by its own
+//!   commit — it is the ref and the data files, nothing else. A data file
+//!   under the reader's merge distance is one request. The ledger is exact,
+//!   so a regression to per-chunk fetching, to re-reading immutable
+//!   documents, or to prefetching past a satisfied LIMIT fails loudly.
+//! * The ref is read per statement, so a commit by another front is seen by
+//!   the next statement, which fetches only the documents that are new.
 //! * Planning and scanning see the same catalog commit: a schema-evolving
 //!   append committed between the two does not leak into the result.
+//! * The parsed cache is bounded, never holds a document that failed to
+//!   parse, and the fetch workers die with their `Lakehouse`.
 
 use bauplan_core::{Lakehouse, LakehouseConfig};
 use bytes::Bytes;
 use lakehouse_catalog::{ContentRef, Operation};
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
 use lakehouse_store::{InMemoryStore, ObjectPath, ObjectStore, StoreMetrics};
-use lakehouse_table::{PartitionField, PartitionSpec, SnapshotOperation, Table, Transform};
+use lakehouse_table::{
+    MetadataCache, PartitionField, PartitionSpec, SnapshotOperation, Table, TableIo, Transform,
+};
 use lakehouse_workload::TaxiGenerator;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The thread-count test needs every other test's lakehouse gone.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 type Hook = Box<dyn FnOnce() + Send>;
 
-/// An in-memory store that counts read requests by what they read, and can
-/// run a one-shot hook right after serving a table-metadata document — the
-/// moment between a statement's planning and its scan.
+/// An in-memory store that counts read requests by what they read, can run
+/// a one-shot hook right after serving a table-metadata document — the
+/// moment between a statement's planning and its scan — and can serve one
+/// read of a chosen kind of object as garbage.
 #[derive(Default)]
 struct LedgerStore {
     inner: InMemoryStore,
     reads: Mutex<BTreeMap<String, usize>>,
     counting: AtomicBool,
     after_metadata: Mutex<Option<Hook>>,
+    /// The next `get` of a path containing this is answered with bytes that
+    /// do not parse.
+    garble_next: Mutex<Option<&'static str>>,
 }
 
 impl LedgerStore {
-    /// `ref`, `metadata:<table>`, `manifest:<table>`, `data:<table>`, or the
-    /// path itself for anything else (a commit object, say).
+    /// `ref`, `commit`, `metadata:<table>`, `manifest:<table>`,
+    /// `data:<table>`, or the path itself for anything else.
     fn class(path: &str) -> String {
         let table = || path.split('/').nth(1).unwrap_or("?").to_string();
         if path.ends_with("/refs.json") {
             "ref".into()
+        } else if path.contains("/commits/") {
+            "commit".into()
         } else if path.contains("/metadata/manifest-") {
             format!("manifest:{}", table())
         } else if path.contains("/metadata/v") {
@@ -79,6 +100,12 @@ impl ObjectStore for LedgerStore {
 
     fn get(&self, path: &ObjectPath) -> lakehouse_store::Result<Bytes> {
         self.record(path);
+        let mut garble = self.garble_next.lock().unwrap();
+        if garble.is_some_and(|kind| path.as_str().contains(kind)) {
+            *garble = None;
+            return Ok(Bytes::from_static(b"{ not a document"));
+        }
+        drop(garble);
         let out = self.inner.get(path);
         if path.as_str().contains("/metadata/v") {
             let hook = self.after_metadata.lock().unwrap().take();
@@ -129,14 +156,23 @@ fn ledger_of(entries: &[(&str, usize)]) -> BTreeMap<String, usize> {
     entries.iter().map(|(k, n)| (k.to_string(), *n)).collect()
 }
 
+fn front(store: &Arc<LedgerStore>, config: LakehouseConfig) -> Lakehouse {
+    Lakehouse::with_store(Arc::clone(store) as Arc<dyn ObjectStore>, config).unwrap()
+}
+
+/// A front that has opened the catalog and walked `main`'s commits, but has
+/// seen no table: what a long-lived process is before its first statement
+/// on a table.
+fn cold_front(store: &Arc<LedgerStore>, config: LakehouseConfig) -> Lakehouse {
+    let lh = front(store, config);
+    lh.list_tables("main").unwrap();
+    lh
+}
+
 /// The benchmark's lake in small: `taxi_table`, one file per pickup day over
 /// 61 days, and the 263-row `zones` dimension in one ~3 KB file.
 fn taxi_lake(store: &Arc<LedgerStore>) -> Lakehouse {
-    let lh = Lakehouse::with_store(
-        Arc::clone(store) as Arc<dyn ObjectStore>,
-        LakehouseConfig::zero_latency(),
-    )
-    .unwrap();
+    let lh = front(store, LakehouseConfig::zero_latency());
     let by_day = PartitionSpec::new(vec![PartitionField {
         source_column: "pickup_at".into(),
         transform: Transform::Day,
@@ -164,61 +200,74 @@ fn taxi_lake(store: &Arc<LedgerStore>) -> Lakehouse {
     lh
 }
 
+const ONE_DAY: &str = "SELECT COUNT(*) AS n FROM taxi_table WHERE pickup_at = DATE '2019-03-10'";
+
+fn window(days: usize) -> String {
+    format!(
+        "SELECT pickup_location_id, COUNT(*) AS n, SUM(fare) AS total FROM taxi_table \
+         WHERE pickup_at >= DATE '2019-03-10' AND pickup_at < DATE '2019-03-{}' \
+         GROUP BY pickup_location_id",
+        10 + days
+    )
+}
+
 #[test]
 fn a_statement_costs_one_request_per_object_it_needs() {
+    let _serial = serial();
     let store = Arc::new(LedgerStore::default());
-    let lh = taxi_lake(&store);
-    let run = |sql: &str| {
+    let writer = taxi_lake(&store);
+    let reader = cold_front(&store, LakehouseConfig::zero_latency());
+    let run = |lh: &Lakehouse, sql: &str| {
         let (out, ledger) = store.ledger(|| lh.query(sql, "main").unwrap());
         assert!(out.num_rows() > 0, "{sql}");
         ledger
     };
-    let one_table = |data: usize| {
-        ledger_of(&[
-            ("ref", 1),
-            ("metadata:taxi_table", 1),
-            ("manifest:taxi_table", 1),
-            ("data:taxi_table", data),
-        ])
-    };
+    let warm = |data: usize| ledger_of(&[("ref", 1), ("data:taxi_table", data)]);
 
-    // One day: 1 ref + 1 metadata + 1 manifest + 1 data request.
-    let got = run("SELECT COUNT(*) AS n FROM taxi_table WHERE pickup_at = DATE '2019-03-10'");
-    assert_eq!(got, one_table(1));
-    // A d-day window, three columns of nineteen: 3 + d.
+    // Cold, one day: 1 ref + 1 metadata + 1 manifest + 1 data request.
+    let mut cold = warm(1);
+    cold.extend(ledger_of(&[
+        ("metadata:taxi_table", 1),
+        ("manifest:taxi_table", 1),
+    ]));
+    assert_eq!(run(&reader, ONE_DAY), cold);
+    // Warm from then on: the ref and the data, whatever the statement. A
+    // d-day window, three columns of nineteen: 1 + d.
+    assert_eq!(run(&reader, ONE_DAY), warm(1));
     for days in [2, 7] {
-        let sql = format!(
-            "SELECT pickup_location_id, COUNT(*) AS n, SUM(fare) AS total FROM taxi_table \
-             WHERE pickup_at >= DATE '2019-03-10' AND pickup_at < DATE '2019-03-{}' \
-             GROUP BY pickup_location_id",
-            10 + days
-        );
-        assert_eq!(run(&sql), one_table(days), "{days}-day window");
+        assert_eq!(run(&reader, &window(days)), warm(days), "{days}-day window");
     }
-    // `SELECT *` is as many requests as `COUNT(*)`; LIMIT stops after one file.
-    assert_eq!(run("SELECT * FROM taxi_table LIMIT 10"), one_table(1));
+    // `SELECT *` is as many requests as `COUNT(*)`; under a LIMIT the
+    // request window opens one file wide, and the first file satisfies it.
+    assert_eq!(run(&reader, "SELECT * FROM taxi_table LIMIT 10"), warm(1));
     // A join reads the ref once for both tables, and the small dimension —
-    // shorter than the reader's tail probe — in one request.
-    let got = run("SELECT z.borough, COUNT(*) AS n FROM taxi_table t \
+    // shorter than the reader's tail probe — in one request: cold for
+    // `zones` the first time, 1 + d + 1 after.
+    let join = "SELECT z.borough, COUNT(*) AS n FROM taxi_table t \
          JOIN zones z ON t.pickup_location_id = z.zone_id \
          WHERE t.pickup_at >= DATE '2019-03-10' AND t.pickup_at < DATE '2019-03-13' \
-         GROUP BY z.borough");
-    let mut want = one_table(3);
-    want.extend(ledger_of(&[
-        ("metadata:zones", 1),
-        ("manifest:zones", 1),
-        ("data:zones", 1),
-    ]));
-    assert_eq!(got, want);
+         GROUP BY z.borough";
+    let mut want = warm(3);
+    want.insert("data:zones".into(), 1);
+    let mut first = want.clone();
+    first.extend(ledger_of(&[("metadata:zones", 1), ("manifest:zones", 1)]));
+    assert_eq!(run(&reader, join), first);
+    assert_eq!(run(&reader, join), want);
     for projection in ["*", "zone_id", "borough, zone_id"] {
-        let got = run(&format!("SELECT {projection} FROM zones"));
-        assert_eq!(got.get("data:zones"), Some(&1), "SELECT {projection}");
-        assert_eq!(got.values().sum::<usize>(), 4, "SELECT {projection}");
+        let got = run(&reader, &format!("SELECT {projection} FROM zones"));
+        assert_eq!(got, ledger_of(&[("ref", 1), ("data:zones", 1)]));
     }
+    // `explain` plans through the same pin and cache: one ref, nothing else.
+    let explain = || reader.explain("SELECT * FROM taxi_table", "main").unwrap();
+    assert_eq!(store.ledger(explain).1, ledger_of(&[("ref", 1)]));
 
-    // `explain` plans through the same pin: one ref, one metadata, no data.
-    let (_, got) = store.ledger(|| lh.explain("SELECT * FROM taxi_table", "main").unwrap());
-    assert_eq!(got, ledger_of(&[("ref", 1), ("metadata:taxi_table", 1)]));
+    // The front that wrote the tables never reads their documents at all:
+    // its commits wrote them through.
+    assert_eq!(run(&writer, ONE_DAY), warm(1));
+    assert_eq!(run(&writer, join), want);
+    // Nothing was parsed twice anywhere: two tables, two documents each.
+    assert_eq!(reader.metadata_cache().misses(), 4);
+    assert_eq!(writer.metadata_cache().misses(), 0);
 }
 
 fn small_batch(ids: std::ops::Range<i64>) -> RecordBatch {
@@ -235,12 +284,52 @@ fn small_batch(ids: std::ops::Range<i64>) -> RecordBatch {
     .unwrap()
 }
 
+#[test]
+fn a_commit_is_warm_where_it_was_made_and_seen_everywhere_by_the_next_statement() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let writer = front(&store, LakehouseConfig::zero_latency());
+    writer
+        .create_table("trips", &small_batch(0..10), "main")
+        .unwrap();
+    let reader = cold_front(&store, LakehouseConfig::zero_latency());
+    const COUNT: &str = "SELECT COUNT(*) AS n FROM trips";
+    let count = |lh: &Lakehouse| {
+        let (out, ledger) = store.ledger(|| lh.query(COUNT, "main").unwrap());
+        (out.row(0).unwrap()[0].clone(), ledger)
+    };
+    let trips = |metadata: usize, manifest: usize, data: usize| {
+        let mut ledger = ledger_of(&[("ref", 1), ("data:trips", data)]);
+        if metadata + manifest > 0 {
+            ledger.insert("metadata:trips".into(), metadata);
+            ledger.insert("manifest:trips".into(), manifest);
+        }
+        ledger
+    };
+    assert_eq!(count(&reader), (Value::Int64(10), trips(1, 1, 1)));
+    assert_eq!(count(&reader), (Value::Int64(10), trips(0, 0, 1)));
+
+    // A façade commit: the writer's next statement is warm (both new
+    // documents were written through) and sees the new rows.
+    writer
+        .append_table("trips", &small_batch(10..15), "main")
+        .unwrap();
+    assert_eq!(count(&writer), (Value::Int64(15), trips(0, 0, 2)));
+    // The other front reads the ref, so it sees the commit too — and
+    // fetches what is new: the commit object, the new metadata document and
+    // manifest. (Data bytes are not cached: both files are read.)
+    let (n, mut ledger) = count(&reader);
+    assert_eq!(n, Value::Int64(15));
+    assert_eq!(ledger.remove("commit"), Some(1));
+    assert_eq!(ledger, trips(1, 1, 2));
+    assert_eq!(count(&reader), (Value::Int64(15), trips(0, 0, 2)));
+}
+
 /// Through a second front over the same objects: add a `tip` column to
 /// `trips`, append three rows that have it, and commit to `main`.
 fn evolve_and_append(store: &Arc<LedgerStore>) {
     let dyn_store = Arc::clone(store) as Arc<dyn ObjectStore>;
-    let lh =
-        Lakehouse::with_store(Arc::clone(&dyn_store), LakehouseConfig::zero_latency()).unwrap();
+    let lh = front(store, LakehouseConfig::zero_latency());
     let content = lh.catalog().get_content("main", "trips").unwrap();
     let evolved = Table::load(dyn_store, &content.metadata_location)
         .unwrap()
@@ -264,6 +353,7 @@ fn evolve_and_append(store: &Arc<LedgerStore>) {
 
 #[test]
 fn a_commit_between_plan_and_scan_does_not_leak_into_the_statement() {
+    let _serial = serial();
     let configs = [
         ("materialized", LakehouseConfig::zero_latency()),
         (
@@ -283,9 +373,12 @@ fn a_commit_between_plan_and_scan_does_not_leak_into_the_statement() {
     ];
     for (name, config) in configs {
         let store = Arc::new(LedgerStore::default());
-        let lh = Lakehouse::with_store(Arc::clone(&store) as Arc<dyn ObjectStore>, config).unwrap();
-        lh.create_table("trips", &small_batch(0..10), "main")
+        // Written by another front, so that this one has to fetch the
+        // table's metadata to plan.
+        front(&store, LakehouseConfig::zero_latency())
+            .create_table("trips", &small_batch(0..10), "main")
             .unwrap();
+        let lh = front(&store, config);
 
         // Planning loads the table's metadata; the commit lands right after.
         let writer = Arc::clone(&store);
@@ -303,4 +396,103 @@ fn a_commit_between_plan_and_scan_does_not_leak_into_the_statement() {
         assert_eq!(after.row(9).unwrap()[2], Value::Null, "{name}");
         assert_eq!(after.row(12).unwrap()[2], Value::Float64(3.0), "{name}");
     }
+}
+
+#[test]
+fn an_unparseable_document_is_never_cached() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    front(&store, LakehouseConfig::zero_latency())
+        .create_table("trips", &small_batch(0..10), "main")
+        .unwrap();
+    const COUNT: &str = "SELECT COUNT(*) AS n FROM trips";
+    let retrying = LakehouseConfig {
+        retry_max: 2,
+        ..LakehouseConfig::zero_latency()
+    };
+    // With retries, the invalidate-and-retry loop reaches the backend for
+    // the same path again — it was not answered from the cache.
+    for (kind, class) in [
+        ("/metadata/v", "metadata:trips"),
+        ("/metadata/manifest-", "manifest:trips"),
+    ] {
+        let lh = cold_front(&store, retrying.clone());
+        *store.garble_next.lock().unwrap() = Some(kind);
+        let (out, ledger) = store.ledger(|| lh.query(COUNT, "main").unwrap());
+        assert_eq!(out.row(0).unwrap()[0], Value::Int64(10), "{kind}");
+        assert_eq!(ledger.get(class), Some(&2), "{kind}: garbled read + retry");
+        assert_eq!(lh.metadata_cache().len(), 2, "{kind}: both good documents");
+    }
+    // Without, the statement fails — and the next one fetches the document
+    // afresh instead of finding the garbage.
+    let lh = cold_front(&store, LakehouseConfig::zero_latency());
+    *store.garble_next.lock().unwrap() = Some("/metadata/v");
+    assert!(lh.query(COUNT, "main").is_err());
+    assert!(lh.metadata_cache().is_empty());
+    let (out, ledger) = store.ledger(|| lh.query(COUNT, "main").unwrap());
+    assert_eq!(out.row(0).unwrap()[0], Value::Int64(10));
+    assert_eq!(ledger.get("metadata:trips"), Some(&1));
+}
+
+#[test]
+fn the_cache_stays_within_its_bound_across_more_tables_than_fit() {
+    let _serial = serial();
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    const BOUND: usize = 8 * 1024;
+    let cache = Arc::new(MetadataCache::with_capacity(BOUND));
+    let io = TableIo {
+        cache: Some(Arc::clone(&cache)),
+        dispatcher: None,
+    };
+    let batch = small_batch(0..10);
+    let mut locations = Vec::new();
+    for t in 0..24 {
+        let table = Table::create_with(
+            Arc::clone(&store),
+            &format!("wh/t{t}"),
+            batch.schema(),
+            PartitionSpec::unpartitioned(),
+            io.clone(),
+        )
+        .unwrap();
+        let mut tx = table.new_transaction(SnapshotOperation::Append);
+        tx.write(&batch).unwrap();
+        locations.push(tx.commit().unwrap().0);
+        assert!(cache.cached_bytes() <= BOUND, "after table {t}");
+    }
+    // Three documents per table were offered; far fewer are held.
+    assert!(cache.len() < 24, "{} documents held", cache.len());
+    // Evicted or not, every table still reads correctly, and reading them
+    // all keeps the cache inside its bound.
+    for location in &locations {
+        let table = Table::load_with(Arc::clone(&store), location, io.clone()).unwrap();
+        assert_eq!(table.scan().execute().unwrap(), batch);
+        assert!(cache.cached_bytes() <= BOUND);
+    }
+    assert!(cache.misses() > 0, "the early tables had been evicted");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn dropping_a_lakehouse_joins_its_workers() {
+    let _serial = serial();
+    // The process's fetch workers, by thread name. (`Threads:` of
+    // `/proc/self/status` also counts the test harness's own threads, which
+    // come and go between the two readings.)
+    let threads = || -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|name| name.starts_with("io-worker"))
+            .count()
+    };
+    let before = threads();
+    let store = Arc::new(LedgerStore::default());
+    let lh = taxi_lake(&store);
+    assert!(threads() > before, "a lakehouse owns fetch workers");
+    // A multi-file scan, so the workers have run.
+    lh.query(&window(7), "main").unwrap();
+    assert!(lh.io_dispatcher().stats().submitted >= 7);
+    drop(lh);
+    assert_eq!(threads(), before, "no worker outlives its lakehouse");
 }

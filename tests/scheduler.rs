@@ -211,8 +211,12 @@ fn pool_tenant_quota_isolates_polite_tenant_from_greedy_churn() {
     }
     assert_eq!(pool.tenant_quota_bytes(), 64 * 1024);
 
-    // Warm the polite tenant's working set: the second read's hits promote
-    // its pages into the protected segment.
+    // Warm the polite tenant's working set. Pages written through by the
+    // table creates above belong to no tenant, so start from an empty pool:
+    // the first read then loads the ref and the data file as the polite
+    // tenant's pages, and the second read's hits promote them into the
+    // protected segment.
+    pool.clear();
     let expected = polite.query("SELECT SUM(x) AS s FROM p", "main").unwrap();
     let _ = polite.query("SELECT SUM(x) AS s FROM p", "main").unwrap();
     let protected_before = pool

@@ -65,7 +65,6 @@ fn two_query_ledgers_reconcile_with_registry_and_system_queries() {
     let pool = Arc::new(BufferPool::new(8 << 20));
     let config = LakehouseConfig {
         shared_pool: Some(Arc::clone(&pool)),
-        scan_parallelism: 2,
         tenant: "team-a".into(),
         ..LakehouseConfig::zero_latency()
     };
@@ -198,14 +197,13 @@ fn system_events_identical_between_executors() {
     assert!(kinds.iter().any(|k| k.contains("store_op")));
 }
 
-/// Every byte fetched by parallel scan workers is attributed to the
+/// Every byte fetched by the scan's I/O workers is attributed to the
 /// submitting query: for a single-query window the ledger equals the global
 /// registry delta exactly.
 #[test]
-fn parallel_scan_workers_never_lose_attribution() {
+fn overlapped_fetch_workers_never_lose_attribution() {
     let _serial = serial();
     let config = LakehouseConfig {
-        scan_parallelism: 4,
         sql_parallelism: 4,
         ..LakehouseConfig::zero_latency()
     };
@@ -218,21 +216,25 @@ fn parallel_scan_workers_never_lose_attribution() {
     assert!(rec.ledger.io_bytes > 0);
     assert_eq!(
         rec.ledger.io_bytes, delta,
-        "pool workers charged the query for every backend byte"
+        "I/O workers charged the query for every backend byte"
     );
     assert!(rec.ledger.io_ops > 0);
+    assert!(
+        lh.io_dispatcher().stats().submitted >= 7,
+        "the eight-file scan went through the workers"
+    );
 }
 
-/// Speculative read-ahead cancelled by a satisfied LIMIT never reaches the
-/// backend: the LIMIT query's window moves strictly fewer bytes than a full
-/// scan, and wasted read-ahead is visible in `io.readahead_wasted`.
+/// Requests a satisfied LIMIT leaves in flight are cancelled: the scan's
+/// window ramps 1 → 2 → …, so a LIMIT that needs a second file has at most
+/// one request beyond it to abandon, its window moves strictly fewer bytes
+/// than a full scan, and the abandoned request shows in
+/// `io.readahead_wasted`.
 #[test]
-fn cancelled_readahead_charges_zero_backend_bytes() {
+fn cancelled_prefetch_stays_off_the_querys_ledger() {
     let _serial = serial();
     let mk = || LakehouseConfig {
         stream_execution: true,
-        io_depth: 2,
-        read_ahead: 8,
         ..LakehouseConfig::zero_latency()
     };
 
@@ -245,26 +247,26 @@ fn cancelled_readahead_charges_zero_backend_bytes() {
     settle_dispatcher();
     let full_bytes = counter("store.bytes_read") - full0;
 
-    // LIMIT 1 satisfied after the first file; queued read-ahead cancels.
+    // 65 rows: satisfied one row into the second 64-row file, with the
+    // third file's request still in the window.
     let lh = lakehouse(mk(), 12);
     let wasted0 = counter("io.readahead_wasted");
     let bytes0 = counter("store.bytes_read");
-    const Q: &str = "SELECT id FROM events LIMIT 1";
+    const Q: &str = "SELECT id FROM events LIMIT 65";
     lh.query(Q, "main").unwrap();
     settle_dispatcher();
     let bytes_delta = counter("store.bytes_read") - bytes0;
 
     assert!(
         counter("io.readahead_wasted") > wasted0,
-        "the LIMIT abandoned speculative submissions"
+        "the LIMIT abandoned the request beyond it"
     );
     assert!(
         bytes_delta < full_bytes,
-        "cancelled read-ahead reached the backend: limited window {bytes_delta} \
-         vs full scan {full_bytes}"
+        "the ramp overshot: limited window {bytes_delta} vs full scan {full_bytes}"
     );
     // Whatever did reach the backend inside the query is on its ledger;
-    // in-flight read-ahead that completes after the query finishes is the
+    // an in-flight request that completes after the query finishes is the
     // only slack, and it can only make the ledger smaller.
     assert!(record_for(Q).ledger.io_bytes <= bytes_delta);
 }
