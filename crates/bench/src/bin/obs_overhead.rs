@@ -42,8 +42,6 @@ fn build(files: usize, rows_per: usize) -> Lakehouse {
             sigma: 0.0,
             ..LatencyModel::s3_like()
         },
-        stream_execution: true,
-        stream_batch_rows: 1 << 20,
         ..Default::default()
     };
     let lh = Lakehouse::in_memory(config).expect("lakehouse");

@@ -28,10 +28,6 @@ GLOBAL OPTIONS:
                             buffer pool of this capacity in MiB
                             (admission-controlled, checksummed; default:
                             0 = off; parsed table metadata is always cached)
-  --stream                  execute queries through the streaming pipeline
-                            (pull-based, one batch per data file; LIMIT stops
-                            reading early; prints peak memory after queries)
-  --batch-rows <n>          max rows per streamed batch (default: 8192)
   --trace-out <file>        write a Chrome-trace JSON (chrome://tracing /
                             Perfetto) of the command's span tree
   --retry-max <n>           retries per failed store/scan/step operation
@@ -57,8 +53,8 @@ GLOBAL OPTIONS:
                             token trips and it aborts with a typed
                             \"query killed (deadline)\" error (default: 0 =
                             no deadline; Ctrl-C always cancels)
-  --memory-budget-mb <n>    per-query peak-working-set cap for --stream
-                            execution, in MiB (default: 0 = off)
+  --memory-budget-mb <n>    per-query cap on the executor's peak working
+                            set, in MiB (default: 0 = off)
   --io-budget-mb <n>        per-query attributed object-store byte budget,
                             read + written, in MiB (default: 0 = off)
   --retry-stall-budget-ms <n>
@@ -111,10 +107,6 @@ pub struct Cli {
     pub data_dir: String,
     /// Shared verified-buffer-pool capacity in bytes (0 = no shared pool).
     pub shared_pool_bytes: usize,
-    /// Execute queries through the streaming pipeline.
-    pub stream: bool,
-    /// Max rows per streamed batch.
-    pub batch_rows: usize,
     /// Write a Chrome-trace JSON of the command's span tree here.
     pub trace_out: Option<String>,
     /// Retries per failed store/scan/step operation (0 = off).
@@ -134,7 +126,7 @@ pub struct Cli {
     pub metrics_out: Option<String>,
     /// Per-query deadline in milliseconds (0 = none).
     pub query_timeout_ms: u64,
-    /// Per-query streaming peak-memory budget in bytes (0 = off).
+    /// Per-query peak-working-set budget in bytes (0 = off).
     pub memory_budget_bytes: u64,
     /// Per-query attributed IO byte budget, read + written (0 = off).
     pub io_budget_bytes: u64,
@@ -224,8 +216,6 @@ impl Cli {
     pub fn parse(argv: &[String]) -> Result<Cli, String> {
         let mut data_dir = ".bauplan".to_string();
         let mut shared_pool_bytes = 0usize;
-        let mut stream = false;
-        let mut batch_rows = 8192usize;
         let mut trace_out = None;
         let mut retry_max = 0u32;
         let mut retry_budget_ms = 30_000u64;
@@ -256,8 +246,6 @@ impl Cli {
                     .parse()
                     .map_err(|_| format!("--shared-pool-mb expects a number, got {v}"))?;
                 shared_pool_bytes = mb.saturating_mul(1024 * 1024);
-            } else if argv[i] == "--stream" {
-                stream = true;
             } else if argv[i] == "--trace-out" {
                 trace_out = Some(take_value(argv, &mut i, "--trace-out")?);
             } else if argv[i] == "--retry-max" {
@@ -355,12 +343,6 @@ impl Cli {
                     .parse()
                     .map_err(|_| format!("--pool-tenant-quota-mb expects a number, got {v}"))?;
                 pool_tenant_quota_bytes = mb.saturating_mul(1024 * 1024);
-            } else if argv[i] == "--batch-rows" {
-                let v = take_value(argv, &mut i, "--batch-rows")?;
-                batch_rows = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--batch-rows expects a number, got {v}"))?
-                    .max(1);
             } else {
                 rest.push(argv[i].clone());
             }
@@ -406,8 +388,6 @@ impl Cli {
         Ok(Cli {
             data_dir,
             shared_pool_bytes,
-            stream,
-            batch_rows,
             trace_out,
             retry_max,
             retry_budget_ms,
@@ -732,25 +712,13 @@ mod tests {
 
     #[test]
     fn parse_stream_flags() {
-        let cli = Cli::parse(&s(&[
-            "query",
-            "-q",
-            "SELECT 1",
-            "--stream",
-            "--batch-rows",
-            "512",
-        ]))
-        .unwrap();
-        assert!(cli.stream);
-        assert_eq!(cli.batch_rows, 512);
-        // Defaults: materialized execution, 8192-row batches; garbage and
-        // zero rejected/clamped.
-        let cli = Cli::parse(&s(&["refs"])).unwrap();
-        assert!(!cli.stream);
-        assert_eq!(cli.batch_rows, 8192);
-        let cli = Cli::parse(&s(&["refs", "--batch-rows", "0"])).unwrap();
-        assert_eq!(cli.batch_rows, 1);
-        assert!(Cli::parse(&s(&["refs", "--batch-rows", "many"])).is_err());
+        // One executor runs every statement in the provider's own batches:
+        // the flags that chose it and sized its batches are gone rather
+        // than ignored.
+        for flags in [&["--stream"][..], &["--batch-rows", "512"]] {
+            let argv = [&s(&["query", "-q", "SELECT 1"])[..], &s(flags)].concat();
+            assert!(Cli::parse(&argv).is_err(), "{flags:?}");
+        }
     }
 
     #[test]

@@ -49,8 +49,6 @@ pub fn dispatch(cli: Cli) -> Result<(), DynError> {
         tenant: cli.tenant.clone(),
         shared_pool: (cli.shared_pool_bytes > 0)
             .then(|| std::sync::Arc::new(bauplan_core::BufferPool::new(cli.shared_pool_bytes))),
-        stream_execution: cli.stream,
-        stream_batch_rows: cli.batch_rows,
         retry_max: cli.retry_max,
         retry_budget_ms: cli.retry_budget_ms,
         chaos,
@@ -93,15 +91,6 @@ pub fn dispatch(cli: Cli) -> Result<(), DynError> {
                 if let Some(path) = &trace_out {
                     write_trace(path, &tree)?;
                 }
-            } else if cli.stream {
-                let (batch, report) = lh.query_with_report(&sql, &reference)?;
-                println!("{}", format_batch(&batch, 40));
-                println!(
-                    "({} rows; streamed {} batches, peak {} KiB)",
-                    batch.num_rows(),
-                    report.batches_streamed,
-                    report.peak_bytes.div_ceil(1024)
-                );
             } else {
                 let batch = lh.query(&sql, &reference)?;
                 println!("{}", format_batch(&batch, 40));

@@ -6,8 +6,8 @@
 
 use std::collections::BTreeSet;
 
-const MAX_CONFIG_FIELDS: usize = 29;
-const MAX_CLI_FLAGS: usize = 35;
+const MAX_CONFIG_FIELDS: usize = 26;
+const MAX_CLI_FLAGS: usize = 33;
 
 fn source(relative: &str) -> String {
     let path = format!("{}/{relative}", env!("CARGO_MANIFEST_DIR"));

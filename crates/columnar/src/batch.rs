@@ -145,10 +145,20 @@ impl RecordBatch {
         let ncols = schema.len();
         let mut columns = Vec::with_capacity(ncols);
         for c in 0..ncols {
-            let cols: Vec<Column> = batches.iter().map(|b| b.columns[c].clone()).collect();
+            let cols: Vec<&Column> = batches.iter().map(|b| &b.columns[c]).collect();
             columns.push(Column::concat(&cols)?);
         }
         RecordBatch::try_new(schema, columns)
+    }
+
+    /// What a drained stream of `schema` adds up to: the empty batch for no
+    /// batches, the batch itself for one, their concatenation otherwise.
+    pub fn concat_all(schema: &Schema, mut batches: Vec<RecordBatch>) -> Result<RecordBatch> {
+        if batches.len() > 1 {
+            return RecordBatch::concat(&batches);
+        }
+        let empty = || RecordBatch::new_empty(schema.clone());
+        Ok(batches.pop().unwrap_or_else(empty))
     }
 
     /// Split into chunks of at most `chunk_rows` rows (vectorized pipeline

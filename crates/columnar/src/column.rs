@@ -3,6 +3,7 @@
 use crate::bitmap::Bitmap;
 use crate::datatype::{DataType, Value};
 use crate::error::{ColumnarError, Result};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -492,14 +493,15 @@ impl Column {
     }
 
     /// Concatenate columns of the same type.
-    pub fn concat(columns: &[Column]) -> Result<Column> {
+    pub fn concat<C: Borrow<Column>>(columns: &[C]) -> Result<Column> {
+        let columns: Vec<&Column> = columns.iter().map(Borrow::borrow).collect();
         let Some(first) = columns.first() else {
             return Err(ColumnarError::InvalidArgument(
                 "concat of zero columns".into(),
             ));
         };
         let dt = first.data_type();
-        for col in columns {
+        for col in &columns {
             if col.data_type() != dt {
                 return Err(ColumnarError::TypeMismatch {
                     expected: dt.name().into(),
@@ -507,13 +509,13 @@ impl Column {
                 });
             }
         }
-        let total: usize = columns.iter().map(Column::len).sum();
+        let total: usize = columns.iter().map(|c| c.len()).sum();
         // Validity stays `None` unless an input actually contains a null —
         // the same normalization ColumnBuilder::finish applies. Built by
         // appending whole bitmaps (byte shifts), not bit by bit.
         let validity = if columns.iter().any(|c| c.null_count() > 0) {
             let mut bits = Bitmap::new_clear(0);
-            for col in columns {
+            for col in &columns {
                 match col.validity() {
                     Some(v) => bits.append(v),
                     None => bits.append(&Bitmap::new_set(col.len())),
@@ -526,7 +528,7 @@ impl Column {
         macro_rules! concat_typed {
             ($variant:ident, $ty:ty) => {{
                 let mut out: Vec<$ty> = Vec::with_capacity(total);
-                for col in columns {
+                for col in &columns {
                     match col {
                         Column::$variant(v, _) => out.extend_from_slice(v),
                         _ => unreachable!("types checked above"),
@@ -539,7 +541,7 @@ impl Column {
             DataType::Bool => concat_typed!(Bool, bool),
             DataType::Int64 => concat_typed!(Int64, i64),
             DataType::Float64 => concat_typed!(Float64, f64),
-            DataType::Utf8 => concat_utf8(columns, total, validity),
+            DataType::Utf8 => concat_utf8(&columns, total, validity),
             DataType::Timestamp => concat_typed!(Timestamp, i64),
             DataType::Date => concat_typed!(Date, i32),
         })
@@ -620,12 +622,12 @@ impl Column {
 /// codes remapped, and plain pieces (the writer leaves a trailing row group
 /// of a few rows plain) are folded into the merged dictionary instead of
 /// de-dictionarying everything else. A mostly-plain input stays plain.
-fn concat_utf8(columns: &[Column], total: usize, validity: Option<Bitmap>) -> Column {
+fn concat_utf8(columns: &[&Column], total: usize, validity: Option<Bitmap>) -> Column {
     let dict_rows: usize = columns
         .iter()
         .map(|c| c.as_dict().map_or(0, DictColumn::len))
         .sum();
-    let first_dict = columns.iter().find_map(Column::as_dict);
+    let first_dict = columns.iter().find_map(|c| c.as_dict());
     if let Some(first_dict) = first_dict.filter(|_| dict_rows >= total - dict_rows) {
         let first_dict = first_dict.dict();
         let mut codes: Vec<u32> = Vec::with_capacity(total);

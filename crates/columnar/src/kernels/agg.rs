@@ -288,11 +288,12 @@ fn ord(lt: bool, want_min: bool, gt: bool) -> bool {
     }
 }
 
-/// Maps group-key rows to dense group ids, preserving first-appearance
-/// order across every batch it sees. The SQL engines keep one `Grouper` per
-/// GROUP BY (the streaming executor keeps it alive across batches) and feed
-/// the resulting ids to [`update_grouped`], so hot aggregation loops index
-/// a flat `Vec<AggState>`.
+/// Maps key rows to dense group ids, preserving first-appearance order
+/// across every batch it sees. The SQL executor keeps one `Grouper` per
+/// GROUP BY, DISTINCT or join build side, alive across batches: an
+/// aggregate feeds the ids to [`update_grouped`], so hot aggregation loops
+/// index a flat `Vec<AggState>`; a join chains its build rows per id and
+/// resolves probe rows with [`Grouper::lookup_ids`].
 ///
 /// Keys are interned without boxing a row: each batch's key columns are
 /// hashed by typed loops ([`hash::hash_key_rows`]), the hash probes an
@@ -310,11 +311,12 @@ pub struct Grouper {
     hashes: Vec<u64>,
     keys: Vec<Vec<Value>>,
     /// What rows are compared against: every key's cells as [`KeyCell`]s,
-    /// `width` per group, flat — a fixed-width key is confirmed from one
-    /// cache line without following `keys[g]` to its heap values.
+    /// one per key column per group, flat — a fixed-width key is confirmed
+    /// from one cache line without following `keys[g]` to its heap values.
     cells: Vec<KeyCell>,
-    /// Key columns per group, fixed by the first call.
-    width: usize,
+    /// The key columns' types, fixed by the first call: fixed-width cells
+    /// compare by their 64-bit word, which means nothing across types.
+    types: Vec<DataType>,
 }
 
 /// Rows hashed at a time: the hashes stay in L1 until they are probed, and
@@ -357,42 +359,26 @@ impl Grouper {
         &self.keys
     }
 
-    pub fn into_keys(self) -> Vec<Vec<Value>> {
-        self.keys
+    /// Approximate heap footprint of the keys of groups `first..`, for
+    /// executors that budget their state batch by batch.
+    pub fn key_bytes(&self, first: usize) -> usize {
+        let keys = self.keys[first..].iter().flatten();
+        keys.map(approx_value_bytes).sum()
     }
 
-    /// Approximate heap footprint of the interned keys, for executors that
-    /// budget aggregation state.
-    pub fn key_bytes(&self) -> usize {
-        self.keys
-            .iter()
-            .map(|k| k.iter().map(approx_value_bytes).sum::<usize>())
-            .sum()
-    }
-
-    /// Resolve every row of `cols` (the GROUP BY key columns, all the same
-    /// length, the same number on every call) to a dense group id,
-    /// interning unseen keys. `ids` is cleared and refilled so pooled
-    /// scratch can be reused across batches.
+    /// Resolve every row of `cols` (the key columns, all the same length,
+    /// the same number on every call) to a dense group id, interning unseen
+    /// keys. `ids` is cleared and refilled so scratch can be reused across
+    /// batches.
     ///
     /// A single dictionary-encoded key column groups in code space: one
     /// intern per distinct code in the batch, and every other row is a
     /// plain `u32` array lookup — no hashing, no comparing.
     pub fn group_ids<C: Borrow<Column>>(&mut self, cols: &[C], ids: &mut Vec<u32>) -> Result<()> {
-        let cols: Vec<&Column> = cols.iter().map(Borrow::borrow).collect();
         if self.keys.is_empty() {
-            self.width = cols.len();
-        } else if self.width != cols.len() {
-            let what = format!("grouper keyed by {} columns", self.width);
-            return Err(ColumnarError::InvalidArgument(what));
+            self.types = cols.iter().map(|c| c.borrow().data_type()).collect();
         }
-        let n = cols.first().map_or(0, |c| c.len());
-        if let Some(short) = cols.iter().find(|c| c.len() != n) {
-            return Err(ColumnarError::LengthMismatch {
-                expected: n,
-                actual: short.len(),
-            });
-        }
+        let (cols, n) = self.key_columns(cols)?;
         ids.clear();
         ids.reserve(n);
         if let [Column::Dict(d)] = cols[..] {
@@ -422,22 +408,89 @@ impl Grouper {
             let rows = start..(start + HASH_BLOCK).min(n);
             hash::hash_key_rows(&cols, rows.clone(), &mut hashes);
             for (i, &hash) in rows.zip(&hashes) {
-                ids.push(self.intern(
-                    hash,
-                    |cells, key| {
-                        (cols.iter().zip(cells).zip(key))
-                            .all(|((col, cell), k)| cell_eq(col, i, *cell, k))
-                    },
-                    || cols.iter().map(|c| c.get(i)).collect(),
-                )?);
+                ids.push(self.intern(hash, row_eq(&cols, i), || {
+                    cols.iter().map(|c| c.get(i)).collect()
+                })?);
             }
         }
         Ok(())
     }
 
-    /// The id of the group whose key hashes to `hash` and satisfies `eq`
-    /// (given the key's cells and values), interning `key()` as a new group
-    /// if there is none.
+    /// [`Self::group_ids`] without interning: a row whose key is no group
+    /// yet resolves to [`Grouper::NO_GROUP`]. Keys compare as they group —
+    /// NULL equals NULL, so a caller with join semantics masks NULL keys
+    /// itself — and only within a type: against key columns of other types
+    /// than the interned ones (an INT probe of DOUBLE keys) nothing matches.
+    pub fn lookup_ids<C: Borrow<Column>>(&self, cols: &[C], ids: &mut Vec<u32>) -> Result<()> {
+        ids.clear();
+        let types = cols.iter().map(|c| c.borrow().data_type());
+        if self.keys.is_empty() || !types.eq(self.types.iter().copied()) {
+            ids.resize(cols.first().map_or(0, |c| c.borrow().len()), Self::NO_GROUP);
+            return Ok(());
+        }
+        let (cols, n) = self.key_columns(cols)?;
+        ids.reserve(n);
+        let mut hashes = Vec::with_capacity(HASH_BLOCK.min(n));
+        for start in (0..n).step_by(HASH_BLOCK) {
+            let rows = start..(start + HASH_BLOCK).min(n);
+            hash::hash_key_rows(&cols, rows.clone(), &mut hashes);
+            for (i, &hash) in rows.zip(&hashes) {
+                ids.push(self.find(hash, row_eq(&cols, i)).unwrap_or(Self::NO_GROUP));
+            }
+        }
+        Ok(())
+    }
+
+    /// What [`Self::lookup_ids`] resolves an unknown key to.
+    pub const NO_GROUP: u32 = EMPTY;
+
+    /// The key columns of one call, checked against the key's width and
+    /// each other's length, and that length.
+    fn key_columns<'a, C: Borrow<Column>>(
+        &self,
+        cols: &'a [C],
+    ) -> Result<(Vec<&'a Column>, usize)> {
+        let cols: Vec<&Column> = cols.iter().map(Borrow::borrow).collect();
+        if self.types.len() != cols.len() {
+            let what = format!("grouper keyed by {} columns", self.types.len());
+            return Err(ColumnarError::InvalidArgument(what));
+        }
+        let n = cols.first().map_or(0, |c| c.len());
+        if let Some(short) = cols.iter().find(|c| c.len() != n) {
+            return Err(ColumnarError::LengthMismatch {
+                expected: n,
+                actual: short.len(),
+            });
+        }
+        Ok((cols, n))
+    }
+
+    /// The group whose key hashes to `hash` and satisfies `eq` (given the
+    /// key's cells and values), or the free slot such a key would take.
+    fn find(
+        &self,
+        hash: u64,
+        eq: impl Fn(&[KeyCell], &[Value]) -> bool,
+    ) -> std::result::Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let tag = (hash >> 32) as u32;
+        let width = self.types.len();
+        let mut at = hash as usize & mask;
+        loop {
+            let (group, seen) = self.slots[at];
+            if group == EMPTY {
+                return Err(at);
+            }
+            let g = group as usize;
+            if seen == tag && eq(&self.cells[g * width..][..width], &self.keys[g]) {
+                return Ok(group);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The id of the group [`Self::find`] finds, interning `key()` as a new
+    /// group if there is none.
     fn intern(
         &mut self,
         hash: u64,
@@ -447,25 +500,15 @@ impl Grouper {
         if (self.keys.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        let mask = self.slots.len() - 1;
-        let tag = (hash >> 32) as u32;
-        let mut at = hash as usize & mask;
-        loop {
-            let (group, seen) = self.slots[at];
-            if group == EMPTY {
-                let key = key()?;
-                self.slots[at] = (self.keys.len() as u32, tag);
-                self.hashes.push(hash);
-                self.cells.extend(key.iter().map(KeyCell::of));
-                self.keys.push(key);
-                return Ok(self.slots[at].0);
-            }
-            let g = group as usize;
-            if seen == tag && eq(&self.cells[g * self.width..][..self.width], &self.keys[g]) {
-                return Ok(group);
-            }
-            at = (at + 1) & mask;
-        }
+        self.find(hash, eq).or_else(|at| {
+            let key = key()?;
+            let group = self.keys.len() as u32;
+            self.slots[at] = (group, (hash >> 32) as u32);
+            self.hashes.push(hash);
+            self.cells.extend(key.iter().map(KeyCell::of));
+            self.keys.push(key);
+            Ok(group)
+        })
     }
 
     fn grow(&mut self) {
@@ -479,6 +522,13 @@ impl Grouper {
             }
             self.slots[at] = (group as u32, (hash >> 32) as u32);
         }
+    }
+}
+
+/// Whether row `i` of the key columns equals a stored key.
+fn row_eq<'a>(cols: &'a [&Column], i: usize) -> impl Fn(&[KeyCell], &[Value]) -> bool + 'a {
+    move |cells, key| {
+        (cols.iter().zip(cells).zip(key)).all(|((col, cell), k)| cell_eq(col, i, *cell, k))
     }
 }
 
@@ -899,6 +949,32 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 0]);
         // A grouper keeps the key width of its first batch.
         assert!(g.group_ids(std::slice::from_ref(&b), &mut ids).is_err());
+    }
+
+    #[test]
+    fn lookup_interns_nothing_and_matches_within_a_type_only() {
+        let mut g = Grouper::new();
+        let mut ids = Vec::new();
+        g.group_ids(
+            &[Column::from_opt_i64(vec![Some(3), None, Some(5)])],
+            &mut ids,
+        )
+        .unwrap();
+        g.lookup_ids(
+            &[Column::from_opt_i64(vec![Some(5), Some(4), None, Some(3)])],
+            &mut ids,
+        )
+        .unwrap();
+        assert_eq!(ids, vec![2, Grouper::NO_GROUP, 1, 0]);
+        assert_eq!(g.num_groups(), 3);
+        // The same 64-bit words under another type are other keys.
+        for other in [
+            Column::from_timestamp(vec![3, 5]),
+            Column::from_date(vec![3, 5]),
+        ] {
+            g.lookup_ids(&[other], &mut ids).unwrap();
+            assert_eq!(ids, vec![Grouper::NO_GROUP; 2]);
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::batch::RecordBatch;
 use crate::bitmap::Bitmap;
 use crate::column::{Column, DictColumn};
 use crate::error::{ColumnarError, Result};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Keep rows where `mask` is set. Mask length must equal column length.
@@ -123,6 +124,48 @@ fn gather<T: Clone>(values: &[T], indices: &[usize]) -> Vec<T> {
     indices.iter().map(|&i| values[i].clone()).collect()
 }
 
+/// [`take_column`] with holes: `None` yields a NULL row (an outer join's
+/// padding). NULL rows — padded or gathered — hold the type's default value,
+/// as a [`crate::ColumnBuilder`] would write them (a dictionary column's:
+/// its first entry's code).
+pub fn take_column_opt(col: &Column, indices: &[Option<usize>]) -> Result<Column> {
+    if let Some(max) = indices
+        .iter()
+        .flatten()
+        .max()
+        .filter(|&&max| max >= col.len())
+    {
+        let (index, len) = (*max, col.len());
+        return Err(ColumnarError::IndexOutOfBounds { index, len });
+    }
+    // The rows to gather: a NULL source row is as good as a hole.
+    let valid: Cow<[Option<usize>]> = match col.validity() {
+        None => Cow::Borrowed(indices),
+        Some(b) => indices.iter().map(|i| i.filter(|&i| b.get(i))).collect(),
+    };
+    fn gather_opt<T: Clone + Default>(values: &[T], indices: &[Option<usize>]) -> Vec<T> {
+        let at = |i: &Option<usize>| i.map_or_else(T::default, |i| values[i].clone());
+        indices.iter().map(at).collect()
+    }
+    let present: Vec<bool> = valid.iter().map(Option::is_some).collect();
+    let validity = crate::column::normalize_validity(Some(Bitmap::from_bools(&present)));
+    Ok(match col {
+        Column::Bool(v, _) => Column::Bool(gather_opt(v, &valid), validity),
+        Column::Int64(v, _) => Column::Int64(gather_opt(v, &valid), validity),
+        Column::Float64(v, _) => Column::Float64(gather_opt(v, &valid), validity),
+        Column::Utf8(v, _) => Column::Utf8(gather_opt(v, &valid), validity),
+        Column::Timestamp(v, _) => Column::Timestamp(gather_opt(v, &valid), validity),
+        Column::Date(v, _) => Column::Date(gather_opt(v, &valid), validity),
+        // No entry for a NULL row's code to point at: every row is NULL.
+        Column::Dict(d) if d.dict().is_empty() => Column::new_null(col.data_type(), valid.len()),
+        Column::Dict(d) => Column::Dict(DictColumn::new_unchecked(
+            Arc::clone(d.dict()),
+            gather_opt(d.codes(), &valid),
+            validity,
+        )),
+    })
+}
+
 /// Filter every column of a batch by the same mask. The selection (the mask
 /// plus its popcount) is computed once and shared across columns; each
 /// column then runs the fused mask-driven gather.
@@ -226,6 +269,47 @@ mod tests {
         let f = filter_batch(&batch, &mask).unwrap();
         assert_eq!(f.num_rows(), 2);
         assert_eq!(f.row(0).unwrap()[1], Value::Utf8("y".into()));
+    }
+
+    #[test]
+    fn take_opt_pads_nulls_and_normalizes_null_slots() {
+        // The source hides a 7 under its NULL.
+        let c = Column::Int64(
+            vec![5, 7, 9],
+            Some(Bitmap::from_bools(&[true, false, true])),
+        );
+        let t = take_column_opt(&c, &[Some(2), None, Some(1), Some(0)]).unwrap();
+        let want = Column::from_opt_i64(vec![Some(9), None, None, Some(5)]);
+        assert_eq!(
+            t, want,
+            "NULL rows hold the default, as a builder writes them"
+        );
+        // All present and valid: no validity buffer, same as `take`.
+        let t = take_column_opt(&c, &[Some(0), Some(2)]).unwrap();
+        assert_eq!(t, take_column(&c, &[0, 2]).unwrap());
+        assert!(t.validity().is_none());
+        assert!(take_column_opt(&c, &[Some(3)]).is_err());
+        // An empty source (a LEFT JOIN's empty build side) pads every row.
+        for empty in [Column::new_empty(DataType::Utf8), {
+            Column::Dict(DictColumn::encode(&[], None).unwrap())
+        }] {
+            let t = take_column_opt(&empty, &[None, None]).unwrap();
+            assert_eq!(t.materialize(), Column::from_opt_str(vec![None, None]));
+        }
+        // Dictionary codes are gathered, the dictionary shared.
+        let values: Vec<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
+        let d = Column::Dict(DictColumn::encode(&values, None).unwrap());
+        let t = take_column_opt(&d, &[Some(2), None, Some(0)]).unwrap();
+        assert!(matches!(t, Column::Dict(_)));
+        let got: Vec<Value> = t.iter_values().collect();
+        assert_eq!(
+            got,
+            [
+                Value::Utf8("c".into()),
+                Value::Null,
+                Value::Utf8("a".into())
+            ]
+        );
     }
 
     #[test]

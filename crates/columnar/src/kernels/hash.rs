@@ -9,7 +9,6 @@ use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::datatype::Value;
 use crate::error::Result;
-use crate::pool::take_u64_scratch;
 use std::ops::Range;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -43,13 +42,11 @@ pub fn hash_value(state: u64, v: &Value) -> u64 {
 
 /// Hash every row of a column.
 ///
-/// Runs typed per-slice loops (no per-row [`Value`] boxing) and draws the
-/// output buffer from the thread-local scratch pool — hand it back with
-/// [`crate::pool::recycle_u64_scratch`] to make the next batch on this
-/// thread allocation-free. Hash values are identical to the scalar
-/// reference (`hash_value` over `get(i)`).
+/// Runs typed per-slice loops (no per-row [`Value`] boxing); reuse a buffer
+/// across batches with [`hash_column_into`]. Hash values are identical to
+/// the scalar reference (`hash_value` over `get(i)`).
 pub fn hash_column(col: &Column) -> Result<Vec<u64>> {
-    let mut out = take_u64_scratch();
+    let mut out = Vec::new();
     hash_column_into(col, &mut out)?;
     Ok(out)
 }
@@ -91,12 +88,9 @@ pub fn hash_column_into(col: &Column, out: &mut Vec<u64>) -> Result<()> {
     hash_column_chain(col, out)
 }
 
-/// Hash rows across several columns of a batch (the group-by / join key).
-/// The state vector comes from the scratch pool; recycle it when done.
+/// Hash rows across several columns of a batch.
 pub fn hash_batch_rows(batch: &RecordBatch, key_columns: &[usize]) -> Result<Vec<u64>> {
-    let n = batch.num_rows();
-    let mut hashes = take_u64_scratch();
-    hashes.resize(n, FNV_OFFSET);
+    let mut hashes = vec![FNV_OFFSET; batch.num_rows()];
     for &c in key_columns {
         hash_column_chain(batch.column(c), &mut hashes)?;
     }

@@ -42,7 +42,6 @@ pub mod csv;
 pub mod datatype;
 pub mod error;
 pub mod kernels;
-pub mod pool;
 pub mod pretty;
 pub mod schema;
 pub mod stream;
@@ -52,6 +51,5 @@ pub use bitmap::Bitmap;
 pub use column::{Column, ColumnBuilder, DictColumn};
 pub use datatype::{DataType, Value};
 pub use error::{ColumnarError, Result};
-pub use pool::MemoryTracker;
 pub use schema::{Field, Schema};
-pub use stream::{BatchStream, BatchesStream, RechunkStream};
+pub use stream::{BatchStream, BatchesStream};

@@ -68,45 +68,6 @@ impl BatchStream for BatchesStream {
     }
 }
 
-/// Caps the rows per yielded batch by splitting oversized input batches
-/// (`--batch-rows`): a scan that produces one batch per 100k-row file can
-/// still feed the pipeline in bounded vector lengths.
-pub struct RechunkStream<S> {
-    inner: S,
-    batch_rows: usize,
-    pending: std::collections::VecDeque<RecordBatch>,
-}
-
-impl<S: BatchStream> RechunkStream<S> {
-    pub fn new(inner: S, batch_rows: usize) -> Self {
-        RechunkStream {
-            inner,
-            batch_rows: batch_rows.max(1),
-            pending: std::collections::VecDeque::new(),
-        }
-    }
-}
-
-impl<S: BatchStream> BatchStream for RechunkStream<S> {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RecordBatch>> {
-        if let Some(b) = self.pending.pop_front() {
-            return Ok(Some(b));
-        }
-        match self.inner.next_batch()? {
-            None => Ok(None),
-            Some(b) if b.num_rows() <= self.batch_rows => Ok(Some(b)),
-            Some(b) => {
-                self.pending.extend(b.chunks(self.batch_rows)?);
-                Ok(self.pending.pop_front())
-            }
-        }
-    }
-}
-
 /// Drain a stream into one batch (schema-preserving even when no rows come
 /// back). Mostly useful in tests; the SQL executor has its own collector
 /// with memory accounting.
@@ -117,13 +78,7 @@ pub fn collect(stream: &mut dyn BatchStream) -> Result<RecordBatch> {
             batches.push(b);
         }
     }
-    if batches.is_empty() {
-        Ok(RecordBatch::new_empty(stream.schema().clone()))
-    } else if batches.len() == 1 {
-        Ok(batches.pop().expect("one batch"))
-    } else {
-        RecordBatch::concat(&batches)
-    }
+    RecordBatch::concat_all(stream.schema(), batches)
 }
 
 #[cfg(test)]
@@ -162,16 +117,5 @@ mod tests {
         let out = collect(&mut empty).unwrap();
         assert_eq!(out.num_rows(), 0);
         assert_eq!(out.schema(), &schema);
-    }
-
-    #[test]
-    fn rechunk_caps_batch_rows() {
-        let s = BatchesStream::one(batch((0..10).collect()));
-        let mut r = RechunkStream::new(s, 4);
-        let mut sizes = Vec::new();
-        while let Some(b) = r.next_batch().unwrap() {
-            sizes.push(b.num_rows());
-        }
-        assert_eq!(sizes, vec![4, 4, 2]);
     }
 }

@@ -462,5 +462,28 @@ fn grouper_matches_boxed_reference() {
         for (a, b) in one.keys().iter().zip(&slow.keys) {
             assert!(same_key(a, b), "case {case}: key {a:?} != {b:?}");
         }
+
+        // Lookups intern nothing: against a grouper fed only the first
+        // batch (a join's build side), every row of every batch resolves to
+        // its group there, or to `NO_GROUP`.
+        let mut built = Grouper::new();
+        built.group_ids(&batches[0], &mut ids).expect("group_ids");
+        let known = built.num_groups() as u32;
+        for cols in &batches {
+            let mut oracle = scalar::GrouperRef::default();
+            oracle.group_ids(&batches[0], &mut want).expect("ref");
+            oracle.group_ids(cols, &mut want).expect("ref");
+            for g in &mut want {
+                *g = if *g < known { *g } else { Grouper::NO_GROUP };
+            }
+            built.lookup_ids(cols, &mut ids).expect("lookup_ids");
+            assert_eq!(ids, want, "case {case} kinds {kinds:?}: lookup");
+            Grouper::new()
+                .lookup_ids(cols, &mut ids)
+                .expect("lookup_ids");
+            assert!(ids.iter().all(|&g| g == Grouper::NO_GROUP));
+            assert_eq!(ids.len(), want.len());
+        }
+        assert_eq!(built.num_groups() as u32, known, "case {case}: interned");
     }
 }

@@ -30,9 +30,6 @@ pub struct LakehouseConfig {
     pub tenant: String,
     /// Row-group size for table writes.
     pub row_group_rows: usize,
-    /// Worker threads for parallel SQL operators (1 = serial; the paper's
-    /// §5 "parallelizing SQL execution").
-    pub sql_parallelism: usize,
     /// A process-wide verified buffer pool to put between this instance and
     /// its store (`--shared-pool-mb` on the CLI). Several `Lakehouse`
     /// instances handed the same `Arc` share one admission-controlled,
@@ -41,14 +38,6 @@ pub struct LakehouseConfig {
     /// adds no byte cache; parsed table metadata is always cached, per
     /// instance, whatever this is.
     pub shared_pool: Option<Arc<BufferPool>>,
-    /// Execute queries through the streaming pipeline (pull-based, one batch
-    /// per data file, early termination on LIMIT). Off by default: the
-    /// materialized path keeps the seed's exact operator ordering for
-    /// metrics-asserting callers.
-    pub stream_execution: bool,
-    /// Maximum rows per batch in streaming execution (oversized source
-    /// batches are split).
-    pub stream_batch_rows: usize,
     /// Retries per failed operation across the resilience layer: store
     /// requests (via `RetryStore`), per-file scan re-reads, and idempotent
     /// run steps. 0 (the default) disables the retry wrappers entirely, so
@@ -76,8 +65,9 @@ pub struct LakehouseConfig {
     /// default) arms no deadline.
     pub query_timeout_ms: u64,
     /// Per-query peak-working-set budget in bytes (`--memory-budget-mb` on
-    /// the CLI). Enforced by the streaming executor against its shared
-    /// `MemoryTracker`; trips as `KillReason::MemoryBudget`. 0 = off.
+    /// the CLI). Enforced on every statement against the live bytes the
+    /// executor's operators hold; trips as `KillReason::MemoryBudget`.
+    /// 0 = off.
     pub memory_budget_bytes: u64,
     /// Per-query attributed IO byte budget, read + written
     /// (`--io-budget-mb`). Trips as `KillReason::IoBudget`. 0 = off.
@@ -130,10 +120,7 @@ impl Default for LakehouseConfig {
             author: "bauplan".into(),
             tenant: "default".into(),
             row_group_rows: 8192,
-            sql_parallelism: 1,
             shared_pool: None,
-            stream_execution: false,
-            stream_batch_rows: 8192,
             retry_max: 0,
             retry_budget_ms: 30_000,
             chaos: None,

@@ -173,10 +173,7 @@ impl Lakehouse {
             Catalog::open(Arc::clone(&store_dyn), config.catalog_prefix.clone())?
         });
         let runtime = Runtime::new(config.runtime.clone());
-        let engine = SqlEngine::new()
-            .with_parallelism(config.sql_parallelism)
-            .with_streaming(config.stream_execution)
-            .with_batch_rows(config.stream_batch_rows);
+        let engine = SqlEngine::new();
         let admission =
             crate::AdmissionConfig::from_lakehouse(&config).map(crate::AdmissionController::new);
         Ok(Lakehouse {
@@ -613,10 +610,8 @@ impl Lakehouse {
         self.attributed(sql, || Ok(self.engine.query(sql, &provider.pin())?))
     }
 
-    /// SQL over a ref through the streaming pipeline, reporting peak memory
-    /// and per-operator row counts. Streams per data file when
-    /// `config.stream_execution` is set; otherwise runs the same operators
-    /// over materialized tables (the baseline for `peak_bytes` comparisons).
+    /// [`Self::query`], also reporting the executor's peak working set and
+    /// per-operator row counts.
     pub fn query_with_report(
         &self,
         sql: &str,
@@ -637,9 +632,9 @@ impl Lakehouse {
         Ok(self.engine.explain(sql, &provider.pin())?)
     }
 
-    /// EXPLAIN ANALYZE at a ref: execute the query (materialized or streaming
-    /// per `config.stream_execution`) and render the optimized plan annotated
-    /// per operator with rows, batches, bytes, and wall/simulated span time.
+    /// EXPLAIN ANALYZE at a ref: execute the query and render the optimized
+    /// plan annotated per operator with rows, batches, bytes, and
+    /// wall/simulated span time.
     pub fn explain_analyze(&self, sql: &str, reference: &str) -> Result<(RecordBatch, String)> {
         let _sim = self.install_sim();
         let provider = self.provider(reference);

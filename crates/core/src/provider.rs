@@ -4,7 +4,7 @@
 
 use crate::error::{BauplanError, Result as CoreResult};
 use lakehouse_catalog::{Catalog, CatalogError, CatalogState};
-use lakehouse_columnar::{BatchStream, BatchesStream, RechunkStream, RecordBatch, Schema, Value};
+use lakehouse_columnar::{BatchStream, BatchesStream, RecordBatch, Schema, Value};
 use lakehouse_sql::ast::Expr;
 use lakehouse_sql::logical::SchemaProvider;
 use lakehouse_sql::{Result as SqlResult, SqlError, TableProvider};
@@ -308,48 +308,29 @@ impl TableProvider for PinnedProvider<'_> {
         table: &str,
         projection: Option<&[String]>,
         filters: &[Expr],
-    ) -> SqlResult<RecordBatch> {
-        match self.memory_table(table, projection)? {
-            Some(batch) => Ok(batch),
-            None => self
-                .table_scan(table, projection, filters)?
-                .execute()
-                .map_err(|e| SqlError::Execution(format!("scan of '{table}' failed: {e}"))),
-        }
-    }
-
-    fn scan_stream(
-        &self,
-        table: &str,
-        projection: Option<&[String]>,
-        filters: &[Expr],
-        batch_rows: usize,
+        fetch: Option<usize>,
     ) -> SqlResult<Box<dyn BatchStream>> {
+        // In-memory tables have nothing to skip.
+        if let Some(batch) = self.memory_table(table, projection)? {
+            return Ok(Box::new(BatchesStream::one(batch)));
+        }
         let scan_failed = |e| SqlError::Execution(format!("scan of '{table}' failed: {e}"));
-        let batch = match self.memory_table(table, projection)? {
-            // In-memory tables have nothing to skip.
-            Some(batch) => batch,
-            // Catalog tables stream one batch per data file: peak memory is
-            // a few files, and an abandoned stream (a satisfied LIMIT or row
-            // budget) leaves the remaining files unfetched.
-            None if self.provider.pushdown => {
-                let stream = self
-                    .table_scan(table, projection, filters)?
-                    .stream()
-                    .map_err(scan_failed)?;
-                return Ok(Box::new(RechunkStream::new(stream, batch_rows)));
-            }
-            // The naive baseline reads whole tables: no early stop either.
-            None => self
-                .table_scan(table, projection, filters)?
-                .execute()
-                .map_err(scan_failed)?,
+        let scan = self.table_scan(table, projection, filters)?;
+        // The naive baseline reads whole tables: no early stop either.
+        if !self.provider.pushdown {
+            let batch = scan.execute().map_err(scan_failed)?;
+            return Ok(Box::new(BatchesStream::one(batch)));
+        }
+        // Catalog tables stream one batch per data file: peak memory is a
+        // few files, and an abandoned stream (a satisfied LIMIT or row
+        // budget) leaves the remaining files unfetched. Without a row budget
+        // every surviving file will be read, so the request window opens at
+        // full width; under one it opens a single file wide and ramps.
+        let stream = match fetch {
+            None => scan.stream_all(),
+            Some(_) => scan.stream(),
         };
-        // Rechunk so the pipeline still sees bounded batches.
-        Ok(Box::new(RechunkStream::new(
-            BatchesStream::one(batch),
-            batch_rows,
-        )))
+        Ok(Box::new(stream.map_err(scan_failed)?))
     }
 }
 
@@ -404,6 +385,17 @@ mod tests {
             .unwrap();
     }
 
+    /// One statement's whole scan of `table`.
+    fn scan(
+        p: &LakehouseProvider,
+        table: &str,
+        projection: Option<&[String]>,
+        filters: &[Expr],
+    ) -> RecordBatch {
+        let mut stream = p.pin().scan(table, projection, filters, None).unwrap();
+        lakehouse_columnar::stream::collect(&mut *stream).unwrap()
+    }
+
     #[test]
     fn resolves_catalog_tables() {
         let (store, catalog) = setup();
@@ -411,7 +403,7 @@ mod tests {
         let p = LakehouseProvider::new(store, catalog, "main");
         assert!(p.pin().table_schema("t1").is_some());
         assert!(p.pin().table_schema("ghost").is_none());
-        let batch = p.pin().scan("t1", None, &[]).unwrap();
+        let batch = scan(&p, "t1", None, &[]);
         assert_eq!(batch.num_rows(), 3);
     }
 
@@ -426,10 +418,10 @@ mod tests {
         )
         .unwrap();
         p.put_overlay("t1", Arc::new(shadow));
-        let batch = p.pin().scan("t1", None, &[]).unwrap();
+        let batch = scan(&p, "t1", None, &[]);
         assert_eq!(batch.schema().names(), vec!["y"]);
         p.clear_overlay();
-        let batch = p.pin().scan("t1", None, &[]).unwrap();
+        let batch = scan(&p, "t1", None, &[]);
         assert_eq!(batch.schema().names(), vec!["x"]);
     }
 
@@ -458,10 +450,8 @@ mod tests {
         write_table(&store, &catalog, "t1");
         let p = LakehouseProvider::new(store, catalog, "main");
         let filters = vec![literal_predicate("x", CmpOp::GtEq, Value::Int64(2))];
-        let batch = p
-            .pin()
-            .scan("t1", Some(&["x".to_string()]), &filters)
-            .unwrap();
+        let batch = scan(&p, "t1", Some(&["x".to_string()]), &filters);
+        // Pruning is approximate; the executor re-applies `filters`.
         assert_eq!(batch.num_rows(), 2);
     }
 }

@@ -95,8 +95,8 @@ pub struct RunReport {
     pub store_ops: (u64, u64),
     /// Number of container invocations (stages executed).
     pub stages_executed: usize,
-    /// Peak working set across this run's SQL queries (bytes), measured by
-    /// the streaming executor. 0 when `stream_execution` is off.
+    /// Peak working set across this run's SQL steps (bytes): the largest
+    /// [`lakehouse_sql::ExecReport::peak_bytes`] among them.
     pub peak_query_bytes: usize,
     /// The run's span tree: plan, stages, steps, container starts, scans.
     /// Every run is traced (forced), so this is always populated.
@@ -350,8 +350,8 @@ impl Lakehouse {
     }
 
     /// Execute all stages, returning (artifact rows, audit verdicts).
-    /// `peak_query_bytes` accumulates the max streaming-executor working set
-    /// across SQL steps (left at 0 when streaming is off).
+    /// `peak_query_bytes` accumulates the max executor working set across
+    /// SQL steps.
     #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn execute_stages(
         &self,
@@ -619,17 +619,14 @@ impl Lakehouse {
             loop {
                 // Pinned per attempt: a retry resolves the ref afresh.
                 let provider = &provider.pin();
-                let result = if self.config.stream_execution {
-                    self.engine
-                        .query_with_report(sql, provider)
-                        .map(|(batch, report)| {
-                            *peak_query_bytes = (*peak_query_bytes).max(report.peak_bytes);
-                            batch
-                        })
-                        .map_err(BauplanError::from)
-                } else {
-                    self.engine.query(sql, provider).map_err(BauplanError::from)
-                };
+                let result = self
+                    .engine
+                    .query_with_report(sql, provider)
+                    .map(|(batch, report)| {
+                        *peak_query_bytes = (*peak_query_bytes).max(report.peak_bytes);
+                        batch
+                    })
+                    .map_err(BauplanError::from);
                 match result {
                     Err(e) if e.is_transient() && attempt < self.config.retry_max => {
                         attempt += 1;

@@ -198,9 +198,9 @@ struct CtxInner {
     /// Effective-elapsed nanoseconds after which the query is dead
     /// (0 = no deadline armed).
     deadline_nanos: AtomicU64,
-    /// Resident-memory cap in bytes for the streaming executor
-    /// (0 = no budget armed). Enforced externally against the executor's
-    /// `MemoryTracker`; stored here so the token carries all budgets.
+    /// Resident-memory cap in bytes for the SQL executor (0 = no budget
+    /// armed). Enforced externally against the executor's live-byte gauge;
+    /// stored here so the token carries all budgets.
     memory_budget_bytes: AtomicU64,
     /// Attributed IO byte cap, read + written (0 = no budget armed).
     io_budget_bytes: AtomicU64,
@@ -271,7 +271,7 @@ impl QueryCtx {
         self.0.deadline_nanos.store(nanos, Ordering::Relaxed);
     }
 
-    /// Arm a resident-memory budget for the streaming executor.
+    /// Arm a resident-memory budget for the SQL executor.
     pub fn arm_memory_budget(&self, bytes: u64) {
         self.0
             .memory_budget_bytes
@@ -292,8 +292,8 @@ impl QueryCtx {
         self.0.stall_budget_nanos.store(nanos, Ordering::Relaxed);
     }
 
-    /// The armed memory budget, if any (the streaming executor compares it
-    /// against its `MemoryTracker` and calls [`QueryCtx::kill`]).
+    /// The armed memory budget, if any (the SQL executor compares it
+    /// against its live-byte gauge and calls [`QueryCtx::kill`]).
     pub fn memory_budget_bytes(&self) -> Option<u64> {
         match self.0.memory_budget_bytes.load(Ordering::Relaxed) {
             0 => None,

@@ -5,41 +5,30 @@ use crate::error::Result;
 use crate::logical::{plan_select, LogicalPlan, SchemaProvider};
 use crate::optimizer::optimize;
 use crate::parser::parse_select;
-use lakehouse_columnar::{BatchStream, BatchesStream, RechunkStream, RecordBatch, Schema};
+use lakehouse_columnar::{BatchStream, BatchesStream, RecordBatch, Schema};
 use std::collections::HashMap;
 
 /// Data access for execution: schema resolution plus scanning, with optional
 /// projection and filter pushdown. Implementors may apply filters only
 /// *approximately* (pruning); the executor re-applies them exactly.
 pub trait TableProvider: SchemaProvider {
-    /// Scan a table. `projection` lists the column names to return (in table
-    /// order is acceptable); `filters` are conjunctive predicates that MAY be
-    /// used to skip data.
+    /// Scan a table as a pull-based stream of batches, in whatever units the
+    /// provider holds it: a multi-file table yields one batch per data file,
+    /// lazily, so files the consumer never pulls are never fetched; an
+    /// in-memory table is a stream of one batch. `projection` lists the
+    /// column names to return (in table order is acceptable); `filters` are
+    /// conjunctive predicates that MAY be used to skip data; `fetch` is the
+    /// plan's row budget ([`LogicalPlan::Scan::fetch`]) — the consumer stops
+    /// pulling once that many rows have passed `filters`, so a provider that
+    /// reads ahead should do so only as far as the budget is likely to
+    /// reach, and `None` means every batch will be pulled.
     fn scan(
         &self,
         table: &str,
         projection: Option<&[String]>,
         filters: &[Expr],
-    ) -> Result<RecordBatch>;
-
-    /// Scan a table as a pull-based stream of batches, each at most
-    /// `batch_rows` rows. The default materializes via [`Self::scan`] and
-    /// rechunks; providers backed by multi-file tables override this to
-    /// yield batches lazily (one per data file) so unconsumed files are
-    /// never fetched.
-    fn scan_stream(
-        &self,
-        table: &str,
-        projection: Option<&[String]>,
-        filters: &[Expr],
-        batch_rows: usize,
-    ) -> Result<Box<dyn BatchStream>> {
-        let batch = self.scan(table, projection, filters)?;
-        Ok(Box::new(RechunkStream::new(
-            BatchesStream::one(batch),
-            batch_rows,
-        )))
-    }
+        fetch: Option<usize>,
+    ) -> Result<Box<dyn BatchStream>>;
 }
 
 /// A provider over in-memory named batches (used by tests, the fused
@@ -80,82 +69,47 @@ impl TableProvider for MemoryProvider {
         table: &str,
         projection: Option<&[String]>,
         _filters: &[Expr],
-    ) -> Result<RecordBatch> {
+        _fetch: Option<usize>,
+    ) -> Result<Box<dyn BatchStream>> {
         let batch = self
             .tables
             .get(table)
             .ok_or_else(|| crate::error::SqlError::Plan(format!("unknown table: {table}")))?;
-        match projection {
+        let batch = match projection {
             Some(cols) => {
                 let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                Ok(batch.project(&names)?)
+                batch.project(&names)?
             }
-            None => Ok(batch.clone()),
-        }
+            None => batch.clone(),
+        };
+        Ok(Box::new(BatchesStream::one(batch)))
     }
 }
 
-/// The SQL engine façade.
+/// The SQL engine façade: text in, record batch out, every statement
+/// through the one executor ([`crate::streaming`]).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct SqlEngine {
-    options: crate::physical::ExecOptions,
-    streaming: bool,
-}
+pub struct SqlEngine;
 
 impl SqlEngine {
     pub fn new() -> Self {
-        SqlEngine::default()
-    }
-
-    /// Enable parallel filter/aggregate execution over `threads` workers
-    /// (the paper's §5 future-work item).
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.options.parallelism = threads.max(1);
-        self
-    }
-
-    /// Lower the row threshold above which parallel operators engage
-    /// (mostly useful in tests).
-    pub fn with_parallel_threshold(mut self, rows: usize) -> Self {
-        self.options.parallel_threshold_rows = rows;
-        self
-    }
-
-    /// Route execution through the streaming pipeline (pull-based, batch at
-    /// a time, early termination). Off by default: the materialized path
-    /// keeps exact operator ordering for metrics-asserting callers.
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Cap rows per batch in streaming sources (default 8192).
-    pub fn with_batch_rows(mut self, rows: usize) -> Self {
-        self.options.batch_rows = rows.max(1);
-        self
+        SqlEngine
     }
 
     /// Parse, plan, optimize, and execute a query.
     pub fn query(&self, sql: &str, provider: &dyn TableProvider) -> Result<RecordBatch> {
-        if self.streaming {
-            return Ok(self.query_with_report(sql, provider)?.0);
-        }
-        let plan = self.plan(sql, provider)?;
-        crate::physical::execute_with_options(&plan, provider, &self.options)
+        Ok(self.query_with_report(sql, provider)?.0)
     }
 
-    /// Execute through the streaming pipeline and report peak memory and
-    /// per-operator row counts. Scans stream per-file when the engine is in
-    /// streaming mode; otherwise each table is materialized up front and fed
-    /// through the same operators (the honest baseline for comparing
-    /// `peak_bytes`).
+    /// [`Self::query`], also reporting peak memory and per-operator row
+    /// counts.
     pub fn query_with_report(
         &self,
         sql: &str,
         provider: &dyn TableProvider,
     ) -> Result<(RecordBatch, crate::streaming::ExecReport)> {
         let plan = self.plan(sql, provider)?;
-        crate::streaming::execute_streaming(&plan, provider, &self.options, self.streaming)
+        crate::streaming::execute_with_report(&plan, provider)
     }
 
     /// Produce the optimized logical plan without executing.
@@ -171,8 +125,7 @@ impl SqlEngine {
         Ok(self.plan(sql, provider)?.display_indent())
     }
 
-    /// EXPLAIN ANALYZE: execute the query under a forced trace (through the
-    /// engine's configured executor — streaming or materialized) and render
+    /// EXPLAIN ANALYZE: execute the query under a forced trace and render
     /// the optimized plan annotated per operator with rows, batches, output
     /// bytes, and wall/simulated span time.
     pub fn explain_analyze(
@@ -193,12 +146,7 @@ impl SqlEngine {
     ) -> Result<(RecordBatch, String, lakehouse_obs::SpanTree)> {
         let plan = self.plan(sql, provider)?;
         let trace = lakehouse_obs::Trace::start_forced("explain_analyze");
-        let result = if self.streaming {
-            crate::streaming::execute_streaming(&plan, provider, &self.options, true)
-                .map(|(batch, _)| batch)
-        } else {
-            crate::physical::execute_with_options(&plan, provider, &self.options)
-        };
+        let result = crate::streaming::execute(&plan, provider);
         let tree = trace.finish();
         let batch = result?;
         let text = crate::analyze::render_analyzed(&plan, &tree);
@@ -499,33 +447,31 @@ mod tests {
 
     #[test]
     fn explain_analyze_annotates_every_operator() {
-        for engine in [SqlEngine::new(), SqlEngine::new().with_streaming(true)] {
-            let (batch, text) = engine
-                .explain_analyze(
-                    "SELECT pickup_location_id, COUNT(*) AS n FROM taxi_table \
-                     WHERE fare > 9.0 GROUP BY pickup_location_id",
-                    &provider(),
-                )
-                .unwrap();
-            assert_eq!(batch.num_rows(), 3);
-            for line in text.lines() {
-                assert!(
-                    line.contains("[rows="),
-                    "unannotated operator line: {line:?}"
-                );
-            }
-            // The aggregate emits exactly the three output groups.
-            let agg = text
-                .lines()
-                .find(|l| l.trim_start().starts_with("Aggregate"))
-                .unwrap();
-            assert!(agg.contains("[rows=3 "), "{agg}");
+        let (batch, text) = SqlEngine::new()
+            .explain_analyze(
+                "SELECT pickup_location_id, COUNT(*) AS n FROM taxi_table \
+                 WHERE fare > 9.0 GROUP BY pickup_location_id",
+                &provider(),
+            )
+            .unwrap();
+        assert_eq!(batch.num_rows(), 3);
+        for line in text.lines() {
+            assert!(
+                line.contains("[rows="),
+                "unannotated operator line: {line:?}"
+            );
         }
+        // The aggregate emits exactly the three output groups.
+        let agg = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("Aggregate"))
+            .unwrap();
+        assert!(agg.contains("[rows=3 "), "{agg}");
     }
 
     #[test]
     fn explain_analyze_annotates_joins_and_subqueries() {
-        let engine = SqlEngine::new().with_streaming(true);
+        let engine = SqlEngine::new();
         let (batch, text) = engine
             .explain_analyze(
                 "SELECT name, total FROM (SELECT pickup_location_id AS p, SUM(fare) AS total \

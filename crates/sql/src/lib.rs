@@ -5,8 +5,11 @@
 //!
 //! Pipeline: SQL text → [`tokenizer`] → [`parser`] (AST) → [`logical`] plan →
 //! [`optimizer`] (constant folding, predicate pushdown, projection pruning,
-//! limit pushdown) → [`physical`] execution (vectorized operators: scan, filter, project,
-//! hash aggregate, hash join, sort, limit).
+//! limit pushdown) → the executor, [`streaming`]: one tree of pull-based
+//! vectorized operators (scan, filter, project, hash aggregate, hash join,
+//! sort, limit, distinct) that every statement runs through, a table
+//! arriving as its provider's own batches. Expressions are evaluated by
+//! [`physical::eval`].
 //!
 //! Supported SQL (the dialect the paper's dbt-style pipelines need):
 //!
@@ -31,7 +34,6 @@ pub mod error;
 pub mod functions;
 pub mod logical;
 pub mod optimizer;
-pub mod parallel;
 pub mod parser;
 pub mod physical;
 pub mod streaming;
@@ -42,6 +44,5 @@ pub use ast::{Expr, SelectStmt};
 pub use engine::{MemoryProvider, SqlEngine, TableProvider};
 pub use error::{Result, SqlError};
 pub use logical::LogicalPlan;
-pub use parallel::{parallel_aggregate, parallel_filter};
 pub use parser::{parse_select, referenced_tables};
-pub use streaming::{execute_streaming, ExecReport};
+pub use streaming::{execute, execute_with_report, ExecReport};

@@ -1,57 +1,62 @@
-//! Pull-based streaming execution: the logical plan compiled to a tree of
-//! [`BatchStream`] operators that pipeline batch-at-a-time.
+//! The executor: a logical plan compiled to a tree of pull-based
+//! [`BatchStream`] operators, one per plan node, that every statement runs
+//! through.
 //!
-//! Pipeline operators (scan, filter, project, limit) transform each batch as
-//! it flows through and hold only their current output; pipeline breakers
-//! (hash aggregate, hash join build, sort, distinct) consume their input
-//! incrementally — accumulating group states, a hash table over stored build
-//! batches, or per-batch sorted runs — so no operator ever needs the whole
-//! input concatenated. A satisfied `LIMIT` drops its input stream, which
-//! drops the scan, which leaves the remaining data files unread.
+//! A table arrives as its provider's own batches — one per data file of a
+//! lake table, one for an in-memory table — so "materialized" execution is
+//! simply a one-batch stream and there is no batch-size setting. Pipeline
+//! operators (scan, filter, project, limit, distinct) transform each batch as
+//! it flows through and hold only their current output. Pipeline breakers
+//! consume their whole input first: the hash aggregate keeps per-group state
+//! only, the hash join keeps its build side and then streams the probe side,
+//! the sort collects its input and sorts it once. A satisfied `LIMIT` drops
+//! its input stream, which drops the scan, which leaves the remaining data
+//! files unread.
 //!
-//! Every operator charges its live bytes to a shared
-//! [`MemoryTracker`]; the tracker's high-water mark is the
-//! pipeline's true peak working set, reported as
+//! Aggregate, join and DISTINCT all resolve their keys through one
+//! [`kernels::Grouper`], kept alive across batches: typed hashing, no boxed
+//! row keys.
+//!
+//! Every operator books its live bytes on one gauge shared by the execution;
+//! the high-water mark is the pipeline's true peak working set, reported as
 //! [`ExecReport::peak_bytes`] — the number a serverless runtime's vertical
 //! memory allocator would have to grant (the resource the paper's §3.1
-//! "reasonable scale" argument is about bounding).
+//! "reasonable scale" argument is about bounding) — and what the owning
+//! query's memory budget is enforced against.
 //!
-//! Output is byte-for-byte identical to the materialized executor
-//! ([`crate::physical`]): operators preserve row order per batch, breakers
-//! use the same insertion-order grouping / stable merge, and the columnar
-//! crate normalizes validity bitmaps so representation cannot diverge.
+//! Results do not depend on how the input is cut into batches: operators
+//! preserve row order per batch, group and build rows keep insertion order,
+//! the sort is stable over the concatenated input, and the columnar crate
+//! normalizes validity bitmaps so representation cannot diverge.
 
 use crate::ast::{Expr, JoinType};
 use crate::engine::TableProvider;
 use crate::error::{Result, SqlError};
 use crate::logical::{AggExpr, LogicalPlan};
-use crate::physical::{eval, execute_project, filter_exact, split_join_keys, ExecOptions};
-use lakehouse_columnar::kernels::hash::RowKey;
+use crate::physical::{eval, execute_project, filter_exact, split_join_keys};
 use lakehouse_columnar::kernels::{
-    self, filter_batch, take_batch, to_selection, AggState, SortField,
+    self, filter_batch, take_batch, take_column, take_column_opt, to_selection, AggState, Grouper,
+    SortField,
 };
 use lakehouse_columnar::{
-    BatchStream, BatchesStream, Column, ColumnBuilder, ColumnarError, DataType, Field,
-    MemoryTracker, RecordBatch, Schema, Value,
+    BatchStream, BatchesStream, Column, ColumnBuilder, ColumnarError, DataType, Field, RecordBatch,
+    Schema,
 };
+use lakehouse_obs::{KillReason, QueryCtx, SpanGuard};
 use std::cell::{Cell, RefCell};
-use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-/// What one streaming execution did: peak working set, batches pulled out of
-/// table scans, and rows emitted per operator (leaf to root).
+/// What one execution did: peak working set, batches pulled out of table
+/// scans, and rows emitted per operator (leaf to root).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecReport {
     /// High-water mark of live bytes across all operators.
     pub peak_bytes: usize,
-    /// Batches yielded by table scans (per-file under streaming; one per
-    /// table when the source is materialized).
+    /// Batches yielded by table scans (one per data file read of a lake
+    /// table, one per in-memory table).
     pub batches_streamed: usize,
     /// (operator name, rows emitted), in construction order (leaves first).
     pub operator_rows: Vec<(String, usize)>,
-    /// Whether scans streamed per-file (vs. a materialized one-shot source).
-    pub streaming: bool,
     /// Wall-clock time of the execution, in **nanoseconds** (every report
     /// struct carries times in nanos; render with
     /// [`lakehouse_obs::fmt_duration`]).
@@ -61,53 +66,92 @@ pub struct ExecReport {
     pub sim_nanos: u64,
 }
 
-/// Shared per-execution state: the memory gauge plus counters.
-#[derive(Default)]
+/// Shared per-execution state: the live-byte gauge plus counters.
 struct ExecStats {
-    tracker: MemoryTracker,
+    live: Cell<usize>,
+    peak: Cell<usize>,
+    /// The owning query, when it runs under a memory budget, and the budget.
+    budget: Option<(QueryCtx, u64)>,
     batches_streamed: Cell<usize>,
     operator_rows: RefCell<Vec<(String, usize)>>,
 }
 
 impl ExecStats {
-    fn register(&self, name: &str) -> usize {
-        let mut rows = self.operator_rows.borrow_mut();
-        rows.push((name.to_string(), 0));
-        rows.len() - 1
-    }
-
-    fn add_rows(&self, slot: usize, n: usize) {
-        self.operator_rows.borrow_mut()[slot].1 += n;
-    }
-}
-
-/// One operator's stake in the shared tracker: `hold(n)` swaps the
-/// operator's previously-charged bytes for `n` (its new live set), and drop
-/// releases whatever is still held, so the gauge never leaks across early
-/// termination.
-struct Gauge {
-    stats: Rc<ExecStats>,
-    held: usize,
-}
-
-impl Gauge {
-    fn new(stats: &Rc<ExecStats>) -> Gauge {
-        Gauge {
-            stats: Rc::clone(stats),
-            held: 0,
+    fn new(ctx: Option<&QueryCtx>) -> ExecStats {
+        ExecStats {
+            live: Cell::new(0),
+            peak: Cell::new(0),
+            budget: ctx.and_then(|c| Some((c.clone(), c.memory_budget_bytes()?))),
+            batches_streamed: Cell::new(0),
+            operator_rows: RefCell::new(Vec::new()),
         }
     }
 
-    fn hold(&mut self, bytes: usize) {
-        self.stats.tracker.release(self.held);
-        self.stats.tracker.charge(bytes);
-        self.held = bytes;
+    /// Swap `old` live bytes for `new`. A new high-water mark over the
+    /// budget trips the query's token; the next cancellation point (every
+    /// file a scan requests, every batch the root pulls) ends the query.
+    fn swap(&self, old: usize, new: usize) {
+        let live = self.live.get().saturating_sub(old) + new;
+        self.live.set(live);
+        if live > self.peak.get() {
+            self.peak.set(live);
+            if let Some((ctx, _)) = self.budget.as_ref().filter(|(_, b)| live as u64 > *b) {
+                ctx.kill(KillReason::MemoryBudget);
+            }
+        }
     }
 }
 
-impl Drop for Gauge {
+/// One operator's books: its span, its row counter and its stake in the
+/// shared gauge. Each operator keeps its meter as its **last** field: the
+/// span closes when the operator drops, after the operator's input (declared
+/// earlier) has closed its own spans, so an operator's span covers its whole
+/// lifetime in the pipeline and nests its children correctly even under
+/// LIMIT early termination — and the drop releases whatever bytes are still
+/// held, so the gauge never leaks across early termination either.
+struct Meter {
+    stats: Rc<ExecStats>,
+    slot: usize,
+    held: usize,
+    span: SpanGuard,
+}
+
+impl Meter {
+    /// Register the operator of `plan` (after its inputs: leaves first).
+    fn new(plan: &LogicalPlan, span: SpanGuard, stats: &Rc<ExecStats>) -> Meter {
+        let mut rows = stats.operator_rows.borrow_mut();
+        rows.push((plan.name().to_string(), 0));
+        Meter {
+            stats: Rc::clone(stats),
+            slot: rows.len() - 1,
+            held: 0,
+            span,
+        }
+    }
+
+    /// The operator's live set is now `bytes`.
+    fn hold(&mut self, bytes: usize) {
+        self.stats.swap(self.held, bytes);
+        self.held = bytes;
+    }
+
+    /// Book an emitted batch: the operator now holds it plus `state` bytes
+    /// of its own.
+    fn emit(&mut self, batch: &RecordBatch, state: usize) {
+        let bytes = batch.approx_bytes();
+        self.stats.operator_rows.borrow_mut()[self.slot].1 += batch.num_rows();
+        if self.span.is_recording() {
+            self.span.add_u64("rows", batch.num_rows() as u64);
+            self.span.add_u64("batches", 1);
+            self.span.add_u64("bytes", bytes as u64);
+        }
+        self.hold(state + bytes);
+    }
+}
+
+impl Drop for Meter {
     fn drop(&mut self) {
-        self.stats.tracker.release(self.held);
+        self.hold(0);
     }
 }
 
@@ -119,80 +163,71 @@ fn ext(e: SqlError) -> ColumnarError {
 }
 
 /// Recover at the pipeline root: external messages were SQL errors.
-pub(crate) fn unext(e: ColumnarError) -> SqlError {
+fn unext(e: ColumnarError) -> SqlError {
     match e {
         ColumnarError::External(msg) => SqlError::Execution(msg),
         other => SqlError::Columnar(other),
     }
 }
 
-fn value_bytes(v: &Value) -> usize {
-    std::mem::size_of::<Value>()
-        + match v {
-            Value::Utf8(s) => s.len(),
-            _ => 0,
-        }
+fn eval_all<'a>(
+    exprs: impl IntoIterator<Item = &'a Expr>,
+    batch: &RecordBatch,
+) -> CResult<Vec<Column>> {
+    let cols = exprs.into_iter().map(|e| eval(e, batch));
+    cols.collect::<Result<_>>().map_err(ext)
 }
 
-/// Execute a plan through the streaming operator tree. `stream_scans`
-/// selects the source: pull batches per data file via
-/// [`TableProvider::scan_stream`], or materialize each table up front
-/// (identical machinery, honest baseline for the memory comparison).
-pub fn execute_streaming(
+/// Execute a logical plan against a table provider.
+pub fn execute(plan: &LogicalPlan, provider: &dyn TableProvider) -> Result<RecordBatch> {
+    Ok(execute_with_report(plan, provider)?.0)
+}
+
+/// [`execute`], also reporting the peak working set and per-operator rows.
+pub fn execute_with_report(
     plan: &LogicalPlan,
     provider: &dyn TableProvider,
-    options: &ExecOptions,
-    stream_scans: bool,
 ) -> Result<(RecordBatch, ExecReport)> {
     // Declared before the operator tree: the operators' spans (fields of the
     // stream, dropped at the end of the block below) close before this one.
     let span = lakehouse_obs::span("execute");
     let wall_start = std::time::Instant::now();
     let sim_start = lakehouse_obs::thread_sim_nanos();
-    let stats = Rc::new(ExecStats::default());
+    let ctx = QueryCtx::current();
+    let stats = Rc::new(ExecStats::new(ctx.as_ref()));
     let result = {
-        let ctx = lakehouse_obs::QueryCtx::current();
-        let memory_budget = ctx.as_ref().and_then(|c| c.memory_budget_bytes());
-        let mut root = build_stream(plan, provider, options, &stats, stream_scans, "0")?;
+        let mut root = build_stream(plan, provider, &stats, "0")?;
         let mut batches: Vec<RecordBatch> = Vec::new();
-        while let Some(batch) = root.next_batch().map_err(unext)? {
-            // Per-batch cooperative cancellation + memory-budget point: the
-            // root drain is the one yield every streaming plan flows
-            // through, so a killed query stops within one batch and an
-            // over-budget working set trips the token here, where the
-            // shared tracker sees every operator's live bytes.
-            if let Some(ctx) = &ctx {
-                if memory_budget.is_some_and(|b| stats.tracker.current() as u64 > b) {
-                    ctx.kill(lakehouse_obs::KillReason::MemoryBudget);
-                }
-                if let Err(reason) = ctx.check() {
-                    return Err(SqlError::Execution(format!("query killed ({reason})")));
-                }
+        loop {
+            let next = root.next_batch().map_err(unext)?;
+            // Per-batch cooperative cancellation point: the root drain is
+            // the one yield every plan flows through, so a killed query —
+            // a deadline, a cancel, a working set over its budget — stops
+            // within one batch. The message keeps the stable store-layer
+            // prefix (`query killed (...)`) so upper layers that only see
+            // strings can still classify the failure.
+            if let Some(reason) = ctx.as_ref().and_then(|c| c.check().err()) {
+                return Err(SqlError::Execution(format!("query killed ({reason})")));
             }
+            let Some(batch) = next else { break };
             if batch.num_rows() > 0 {
                 // Collected output is live until the query returns.
-                stats.tracker.charge(batch.approx_bytes());
+                stats.swap(0, batch.approx_bytes());
                 batches.push(batch);
             }
         }
         // Late materialization: dictionary-encoded columns survive the whole
         // pipeline as codes; decode to plain strings only here, at the root.
-        match batches.len() {
-            0 => RecordBatch::new_empty(root.schema().clone()),
-            1 => batches.pop().expect("one surviving batch"),
-            _ => RecordBatch::concat(&batches)?,
-        }
-        .decode_dicts()
-        // Dropping `root` here releases every operator's gauge.
+        RecordBatch::concat_all(root.schema(), batches)?.decode_dicts()
+        // Dropping `root` here releases every operator's meter.
     };
     let wall_nanos = wall_start.elapsed().as_nanos() as u64;
     let sim_nanos = lakehouse_obs::thread_sim_nanos().saturating_sub(sim_start);
     lakehouse_obs::ctx::charge(|l| l.add_kernel_nanos(wall_nanos, sim_nanos));
     let report = ExecReport {
-        peak_bytes: stats.tracker.peak(),
+        peak_bytes: stats.peak.get(),
         batches_streamed: stats.batches_streamed.get(),
         operator_rows: stats.operator_rows.borrow().clone(),
-        streaming: stream_scans,
         wall_nanos,
         sim_nanos,
     };
@@ -211,43 +246,33 @@ pub fn execute_streaming(
     Ok((result, report))
 }
 
-/// Open a node's span at build time, tagged with its plan path. The guard
-/// lives as the operator's **last** field: it closes when the operator drops,
-/// after the operator's input (declared earlier) has closed its own spans, so
-/// an operator's span covers its whole lifetime in the pipeline and nests its
-/// children correctly even under LIMIT early termination.
-fn node_span(plan: &LogicalPlan, path: &str) -> lakehouse_obs::SpanGuard {
-    let span = lakehouse_obs::span(plan.name());
-    span.attr("path", path);
-    span
-}
-
-/// Accumulate one emitted batch into a node's span (no-op when not tracing).
-fn record_emit(span: &lakehouse_obs::SpanGuard, batch: &RecordBatch) {
-    if span.is_recording() {
-        span.add_u64("rows", batch.num_rows() as u64);
-        span.add_u64("batches", 1);
-        span.add_u64("bytes", batch.approx_bytes() as u64);
-    }
-}
-
-/// Compile a logical plan node to a streaming operator.
+/// Compile a logical plan node to its operator. `path` identifies the
+/// node's position in the plan (root `"0"`, child `i` of `p` at `"p.i"`);
+/// spans record it so `EXPLAIN ANALYZE` can match stats back to plan nodes.
 fn build_stream(
     plan: &LogicalPlan,
     provider: &dyn TableProvider,
-    options: &ExecOptions,
     stats: &Rc<ExecStats>,
-    stream_scans: bool,
     path: &str,
 ) -> Result<Box<dyn BatchStream>> {
-    match plan {
+    // Transparent: no operator runs, the input keeps the alias's path.
+    if let LogicalPlan::SubqueryAlias { input, .. } = plan {
+        return build_stream(input, provider, stats, path);
+    }
+    // Opened before the inputs are built, so their spans nest under it.
+    let span = lakehouse_obs::span(plan.name());
+    span.attr("path", path);
+    let child = |input: &LogicalPlan, i: usize| {
+        build_stream(input, provider, stats, &format!("{path}.{i}"))
+    };
+    Ok(match plan {
         LogicalPlan::Scan {
             table,
             projection,
             filters,
+            fetch,
             ..
         } => {
-            let span = node_span(plan, path);
             span.attr("table", table.as_str());
             let inner: Box<dyn BatchStream> = if table == "__dual" {
                 // SELECT-without-FROM: one dummy row.
@@ -255,231 +280,120 @@ fn build_stream(
                     Schema::new(vec![Field::new("__dummy", DataType::Int64, true)]),
                     vec![Column::from_i64(vec![0])],
                 )?))
-            } else if stream_scans {
-                provider.scan_stream(table, projection.as_deref(), filters, options.batch_rows)?
             } else {
-                let batch = provider.scan(table, projection.as_deref(), filters)?;
-                Box::new(BatchesStream::one(batch))
+                provider.scan(table, projection.as_deref(), filters, *fetch)?
             };
-            Ok(Box::new(ScanNode {
+            Box::new(ScanNode {
                 inner,
                 filters: filters.clone(),
-                slot: stats.register(plan.name()),
-                stats: Rc::clone(stats),
-                gauge: Gauge::new(stats),
-                span,
-            }))
+                budget: *fetch,
+                meter: Meter::new(plan, span, stats),
+            })
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let span = node_span(plan, path);
-            let input = build_stream(
-                input,
-                provider,
-                options,
-                stats,
-                stream_scans,
-                &child(path, 0),
-            )?;
-            Ok(Box::new(FilterNode {
-                input,
-                predicate: predicate.clone(),
-                options: *options,
-                slot: stats.register(plan.name()),
-                stats: Rc::clone(stats),
-                gauge: Gauge::new(stats),
-                span,
-            }))
-        }
-        LogicalPlan::Project { input, exprs } => {
-            let span = node_span(plan, path);
-            let schema = plan.schema()?;
-            let input = build_stream(
-                input,
-                provider,
-                options,
-                stats,
-                stream_scans,
-                &child(path, 0),
-            )?;
-            Ok(Box::new(ProjectNode {
-                input,
-                exprs: exprs.clone(),
-                schema,
-                slot: stats.register(plan.name()),
-                stats: Rc::clone(stats),
-                gauge: Gauge::new(stats),
-                span,
-            }))
-        }
+        LogicalPlan::Filter { input, predicate } => Box::new(FilterNode {
+            input: child(input, 0)?,
+            predicate: predicate.clone(),
+            meter: Meter::new(plan, span, stats),
+        }),
+        LogicalPlan::Project { input, exprs } => Box::new(ProjectNode {
+            input: child(input, 0)?,
+            exprs: exprs.clone(),
+            schema: plan.schema()?,
+            meter: Meter::new(plan, span, stats),
+        }),
         LogicalPlan::Aggregate {
             input,
             group_exprs,
             agg_exprs,
-        } => {
-            let span = node_span(plan, path);
-            let input_schema = input.schema()?;
-            let out_schema = plan.schema()?;
-            let input = build_stream(
-                input,
-                provider,
-                options,
-                stats,
-                stream_scans,
-                &child(path, 0),
-            )?;
-            Ok(Box::new(AggNode {
-                input: Some(input),
-                input_schema,
-                group_exprs: group_exprs.clone(),
-                agg_exprs: agg_exprs.clone(),
-                out_schema,
-                done: false,
-                slot: stats.register(plan.name()),
-                stats: Rc::clone(stats),
-                gauge: Gauge::new(stats),
-                span,
-            }))
-        }
+        } => Box::new(AggNode {
+            input_schema: input.schema()?,
+            input: Some(child(input, 0)?),
+            group_exprs: group_exprs.clone(),
+            agg_exprs: agg_exprs.clone(),
+            out_schema: plan.schema()?,
+            meter: Meter::new(plan, span, stats),
+        }),
         LogicalPlan::Join {
             left,
             right,
             join_type,
             on,
         } => {
-            let span = node_span(plan, path);
-            let left = build_stream(
-                left,
-                provider,
-                options,
-                stats,
-                stream_scans,
-                &child(path, 0),
-            )?;
+            let left = child(left, 0)?;
             // The left subtree's guards are still open inside its nodes;
             // without re-parenting, the right subtree's spans would nest
             // under the left scan instead of under the join.
             let right = {
                 let _under_join = lakehouse_obs::reparent_under(&span);
-                build_stream(
-                    right,
-                    provider,
-                    options,
-                    stats,
-                    stream_scans,
-                    &child(path, 1),
-                )?
+                child(right, 1)?
             };
-            // Output schema mirrors the materialized join: left fields as-is,
-            // right fields nullable (LEFT JOIN may null them).
+            let (left_keys, right_keys) = split_join_keys(on, left.schema(), right.schema())?;
+            // Left fields as they are, right fields nullable (LEFT JOIN may
+            // null them).
             let mut fields: Vec<Field> = left.schema().fields().to_vec();
             for f in right.schema().fields() {
                 fields.push(Field::new(f.name(), f.data_type(), true));
             }
-            Ok(Box::new(JoinNode {
+            Box::new(JoinNode {
                 left: Some(left),
                 right: Some(right),
                 join_type: *join_type,
-                on: on.clone(),
+                left_keys,
+                right_keys,
                 schema: Schema::new(fields),
                 build: None,
-                slot: stats.register(plan.name()),
-                stats: Rc::clone(stats),
-                gauge: Gauge::new(stats),
-                span,
-            }))
+                ids: Vec::new(),
+                meter: Meter::new(plan, span, stats),
+            })
         }
         LogicalPlan::Sort { input, keys } => {
-            let span = node_span(plan, path);
-            let input = build_stream(
-                input,
-                provider,
-                options,
-                stats,
-                stream_scans,
-                &child(path, 0),
-            )?;
-            let schema = input.schema().clone();
-            Ok(Box::new(SortNode {
+            let input = child(input, 0)?;
+            Box::new(SortNode {
+                schema: input.schema().clone(),
                 input: Some(input),
                 keys: keys.clone(),
-                schema,
-                done: false,
-                slot: stats.register(plan.name()),
-                stats: Rc::clone(stats),
-                gauge: Gauge::new(stats),
-                span,
-            }))
+                meter: Meter::new(plan, span, stats),
+            })
         }
         LogicalPlan::Limit {
             input,
             limit,
             offset,
         } => {
-            let span = node_span(plan, path);
-            let input = build_stream(
-                input,
-                provider,
-                options,
-                stats,
-                stream_scans,
-                &child(path, 0),
-            )?;
-            let schema = input.schema().clone();
-            Ok(Box::new(LimitNode {
+            let input = child(input, 0)?;
+            Box::new(LimitNode {
+                schema: input.schema().clone(),
                 input: Some(input),
-                schema,
                 to_skip: *offset,
                 remaining: *limit,
-                slot: stats.register(plan.name()),
-                stats: Rc::clone(stats),
-                gauge: Gauge::new(stats),
-                span,
-            }))
+                meter: Meter::new(plan, span, stats),
+            })
         }
-        LogicalPlan::Distinct { input } => {
-            let span = node_span(plan, path);
-            let input = build_stream(
-                input,
-                provider,
-                options,
-                stats,
-                stream_scans,
-                &child(path, 0),
-            )?;
-            Ok(Box::new(DistinctNode {
-                input,
-                seen: std::collections::HashSet::new(),
-                state_bytes: 0,
-                slot: stats.register(plan.name()),
-                stats: Rc::clone(stats),
-                gauge: Gauge::new(stats),
-                span,
-            }))
-        }
-        // Transparent: no operator runs, the input keeps the alias's path
-        // (the materialized executor does the same).
+        LogicalPlan::Distinct { input } => Box::new(DistinctNode {
+            input: child(input, 0)?,
+            seen: Grouper::new(),
+            ids: Vec::new(),
+            state_bytes: 0,
+            meter: Meter::new(plan, span, stats),
+        }),
+        // (Returned above, before a span was opened for it.)
         LogicalPlan::SubqueryAlias { input, .. } => {
-            build_stream(input, provider, options, stats, stream_scans, path)
+            return build_stream(input, provider, stats, path)
         }
-    }
-}
-
-/// Path of child `i` of the node at `path`.
-fn child(path: &str, i: usize) -> String {
-    format!("{path}.{i}")
+    })
 }
 
 // ---- pipeline operators ---------------------------------------------------
 
-/// Source node: pulls batches from the provider's stream and re-applies the
-/// pushed-down filters exactly (providers may filter only approximately).
+/// Source node: pulls batches from the provider's stream, re-applies the
+/// pushed-down filters exactly (providers may filter only approximately),
+/// and stops at the plan's row budget.
 struct ScanNode {
     inner: Box<dyn BatchStream>,
     filters: Vec<Expr>,
-    slot: usize,
-    stats: Rc<ExecStats>,
-    gauge: Gauge,
-    span: lakehouse_obs::SpanGuard,
+    /// Rows still wanted of `LogicalPlan::Scan::fetch`.
+    budget: Option<usize>,
+    meter: Meter,
 }
 
 impl BatchStream for ScanNode {
@@ -489,20 +403,27 @@ impl BatchStream for ScanNode {
 
     fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
         loop {
-            let Some(batch) = self.inner.next_batch()? else {
-                self.gauge.hold(0);
+            let next = match self.budget {
+                Some(0) => None,
+                _ => self.inner.next_batch()?,
+            };
+            let Some(batch) = next else {
+                self.meter.hold(0);
                 return Ok(None);
             };
-            self.stats
-                .batches_streamed
-                .set(self.stats.batches_streamed.get() + 1);
-            let batch = filter_exact(batch, &self.filters).map_err(ext)?;
+            let stats = &self.meter.stats;
+            stats.batches_streamed.set(stats.batches_streamed.get() + 1);
+            let mut batch = filter_exact(batch, &self.filters).map_err(ext)?;
+            if let Some(budget) = &mut self.budget {
+                if batch.num_rows() > *budget {
+                    batch = batch.slice(0, *budget)?;
+                }
+                *budget -= batch.num_rows();
+            }
             if batch.num_rows() == 0 {
                 continue;
             }
-            self.stats.add_rows(self.slot, batch.num_rows());
-            record_emit(&self.span, &batch);
-            self.gauge.hold(batch.approx_bytes());
+            self.meter.emit(&batch, 0);
             return Ok(Some(batch));
         }
     }
@@ -511,11 +432,7 @@ impl BatchStream for ScanNode {
 struct FilterNode {
     input: Box<dyn BatchStream>,
     predicate: Expr,
-    options: ExecOptions,
-    slot: usize,
-    stats: Rc<ExecStats>,
-    gauge: Gauge,
-    span: lakehouse_obs::SpanGuard,
+    meter: Meter,
 }
 
 impl BatchStream for FilterNode {
@@ -526,24 +443,15 @@ impl BatchStream for FilterNode {
     fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
         loop {
             let Some(batch) = self.input.next_batch()? else {
-                self.gauge.hold(0);
+                self.meter.hold(0);
                 return Ok(None);
             };
-            let out = if self.options.parallelism > 1
-                && batch.num_rows() >= self.options.parallel_threshold_rows
-            {
-                crate::parallel::parallel_filter(&batch, &self.predicate, self.options.parallelism)
-                    .map_err(ext)?
-            } else {
-                let mask = eval(&self.predicate, &batch).map_err(ext)?;
-                filter_batch(&batch, &to_selection(&mask)?)?
-            };
+            let mask = eval(&self.predicate, &batch).map_err(ext)?;
+            let out = filter_batch(&batch, &to_selection(&mask)?)?;
             if out.num_rows() == 0 {
                 continue;
             }
-            self.stats.add_rows(self.slot, out.num_rows());
-            record_emit(&self.span, &out);
-            self.gauge.hold(out.approx_bytes());
+            self.meter.emit(&out, 0);
             return Ok(Some(out));
         }
     }
@@ -553,10 +461,7 @@ struct ProjectNode {
     input: Box<dyn BatchStream>,
     exprs: Vec<(Expr, String)>,
     schema: Schema,
-    slot: usize,
-    stats: Rc<ExecStats>,
-    gauge: Gauge,
-    span: lakehouse_obs::SpanGuard,
+    meter: Meter,
 }
 
 impl BatchStream for ProjectNode {
@@ -566,13 +471,11 @@ impl BatchStream for ProjectNode {
 
     fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
         let Some(batch) = self.input.next_batch()? else {
-            self.gauge.hold(0);
+            self.meter.hold(0);
             return Ok(None);
         };
         let out = execute_project(&batch, &self.exprs, self.schema.clone()).map_err(ext)?;
-        self.stats.add_rows(self.slot, out.num_rows());
-        record_emit(&self.span, &out);
-        self.gauge.hold(out.approx_bytes());
+        self.meter.emit(&out, 0);
         Ok(Some(out))
     }
 }
@@ -585,10 +488,7 @@ struct LimitNode {
     schema: Schema,
     to_skip: usize,
     remaining: Option<usize>,
-    slot: usize,
-    stats: Rc<ExecStats>,
-    gauge: Gauge,
-    span: lakehouse_obs::SpanGuard,
+    meter: Meter,
 }
 
 impl BatchStream for LimitNode {
@@ -601,16 +501,15 @@ impl BatchStream for LimitNode {
             if self.remaining == Some(0) {
                 self.input = None;
             }
-            let Some(input) = self.input.as_mut() else {
-                self.gauge.hold(0);
-                return Ok(None);
+            let next = match self.input.as_mut() {
+                Some(input) => input.next_batch()?,
+                None => None,
             };
-            let Some(batch) = input.next_batch()? else {
+            let Some(mut batch) = next else {
                 self.input = None;
-                self.gauge.hold(0);
+                self.meter.hold(0);
                 return Ok(None);
             };
-            let mut batch = batch;
             if self.to_skip > 0 {
                 let skip = self.to_skip.min(batch.num_rows());
                 self.to_skip -= skip;
@@ -628,24 +527,21 @@ impl BatchStream for LimitNode {
             if batch.num_rows() == 0 {
                 continue;
             }
-            self.stats.add_rows(self.slot, batch.num_rows());
-            record_emit(&self.span, &batch);
-            self.gauge.hold(batch.approx_bytes());
+            self.meter.emit(&batch, 0);
             return Ok(Some(batch));
         }
     }
 }
 
-/// DISTINCT as a streaming dedup: the seen-set grows, but each batch is
-/// emitted (minus already-seen rows) as soon as it arrives.
+/// DISTINCT as a streaming dedup: the set of rows seen grows, but each batch
+/// is emitted (minus already-seen rows) as soon as it arrives.
 struct DistinctNode {
     input: Box<dyn BatchStream>,
-    seen: std::collections::HashSet<RowKey>,
+    /// Every distinct row so far, interned whole.
+    seen: Grouper,
+    ids: Vec<u32>,
     state_bytes: usize,
-    slot: usize,
-    stats: Rc<ExecStats>,
-    gauge: Gauge,
-    span: lakehouse_obs::SpanGuard,
+    meter: Meter,
 }
 
 impl BatchStream for DistinctNode {
@@ -656,27 +552,33 @@ impl BatchStream for DistinctNode {
     fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
         loop {
             let Some(batch) = self.input.next_batch()? else {
-                self.gauge.hold(0);
+                self.meter.hold(0);
                 return Ok(None);
             };
-            let all_cols: Vec<usize> = (0..batch.num_columns()).collect();
-            let mut keep = Vec::new();
-            for row in 0..batch.num_rows() {
-                let key = RowKey::from_batch(&batch, &all_cols, row)?;
-                if !self.seen.contains(&key) {
-                    self.state_bytes += key.to_values().iter().map(value_bytes).sum::<usize>();
-                    self.seen.insert(key);
-                    keep.push(row);
-                }
-            }
+            let known = self.seen.num_groups();
+            self.seen.group_ids(batch.columns(), &mut self.ids)?;
+            self.state_bytes += self.seen.key_bytes(known);
+            // Ids are dense in first-appearance order: the first row of
+            // each new group is the one carrying the next unseen id.
+            let mut unseen = known as u32;
+            let first_of_new = |(row, &id): (usize, &u32)| {
+                (id == unseen).then(|| {
+                    unseen += 1;
+                    row
+                })
+            };
+            let keep: Vec<usize> = self
+                .ids
+                .iter()
+                .enumerate()
+                .filter_map(first_of_new)
+                .collect();
             if keep.is_empty() {
-                self.gauge.hold(self.state_bytes);
+                self.meter.hold(self.state_bytes);
                 continue;
             }
             let out = take_batch(&batch, &keep)?;
-            self.stats.add_rows(self.slot, out.num_rows());
-            record_emit(&self.span, &out);
-            self.gauge.hold(self.state_bytes + out.approx_bytes());
+            self.meter.emit(&out, self.state_bytes);
             return Ok(Some(out));
         }
     }
@@ -685,28 +587,16 @@ impl BatchStream for DistinctNode {
 // ---- pipeline breakers ----------------------------------------------------
 
 /// Hash aggregate consuming its input batch-at-a-time: group states
-/// accumulate incrementally (insertion order, matching the materialized
-/// operator), and only the per-group state — not the input — is retained.
+/// accumulate incrementally in first-appearance order, and only the
+/// per-group state — not the input — is retained.
 struct AggNode {
+    /// `None` once consumed.
     input: Option<Box<dyn BatchStream>>,
     input_schema: Schema,
     group_exprs: Vec<(Expr, String)>,
     agg_exprs: Vec<(AggExpr, String)>,
     out_schema: Schema,
-    done: bool,
-    slot: usize,
-    stats: Rc<ExecStats>,
-    gauge: Gauge,
-    span: lakehouse_obs::SpanGuard,
-}
-
-impl AggNode {
-    fn new_states(&self) -> Vec<AggState> {
-        self.agg_exprs
-            .iter()
-            .map(|(a, _)| AggState::new(a.agg))
-            .collect()
-    }
+    meter: Meter,
 }
 
 impl BatchStream for AggNode {
@@ -715,46 +605,37 @@ impl BatchStream for AggNode {
     }
 
     fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
-        if self.done {
+        let Some(mut input) = self.input.take() else {
             return Ok(None);
-        }
-        self.done = true;
+        };
         // One `Grouper` lives across all input batches: group ids stay
         // stable (insertion order) while each batch is accumulated by the
         // typed grouped kernels instead of per-row boxed updates.
-        let mut grouper = kernels::Grouper::new();
+        let mut grouper = Grouper::new();
         let global = self.group_exprs.is_empty();
-        let mut states_per_agg: Vec<Vec<AggState>> = if global {
-            // Global aggregation: one group even over zero rows.
-            self.new_states().into_iter().map(|s| vec![s]).collect()
-        } else {
-            self.agg_exprs.iter().map(|_| Vec::new()).collect()
-        };
+        let new_state = |(a, _): &(AggExpr, String)| AggState::new(a.agg);
+        // Global aggregation: one group even over zero rows.
+        let mut states_per_agg: Vec<Vec<AggState>> = (self.agg_exprs.iter())
+            .map(|a| vec![new_state(a); global as usize])
+            .collect();
         let mut ids: Vec<u32> = Vec::new();
         let mut state_bytes = 0usize;
         let mut arg_types: Option<Vec<DataType>> = None;
-        let mut input = self.input.take().expect("aggregate input not yet consumed");
+        let arg_cols_of = |batch: &RecordBatch| {
+            let args = self.agg_exprs.iter().map(|(a, _)| a.arg.as_ref());
+            let cols = args.map(|arg| arg.map(|e| eval(e, batch)).transpose());
+            cols.collect::<Result<Vec<_>>>().map_err(ext)
+        };
+        let types_of = |cols: &[Option<Column>]| -> Vec<DataType> {
+            let types = cols
+                .iter()
+                .map(|c| c.as_ref().map_or(DataType::Int64, Column::data_type));
+            types.collect()
+        };
         while let Some(batch) = input.next_batch()? {
-            let group_cols = self
-                .group_exprs
-                .iter()
-                .map(|(e, _)| eval(e, &batch))
-                .collect::<Result<Vec<_>>>()
-                .map_err(ext)?;
-            let arg_cols = self
-                .agg_exprs
-                .iter()
-                .map(|(a, _)| a.arg.as_ref().map(|e| eval(e, &batch)).transpose())
-                .collect::<Result<Vec<_>>>()
-                .map_err(ext)?;
-            if arg_types.is_none() {
-                arg_types = Some(
-                    arg_cols
-                        .iter()
-                        .map(|c| c.as_ref().map_or(DataType::Int64, Column::data_type))
-                        .collect(),
-                );
-            }
+            let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &batch)?;
+            let arg_cols = arg_cols_of(&batch)?;
+            arg_types.get_or_insert_with(|| types_of(&arg_cols));
             if global {
                 ids.clear();
                 ids.resize(batch.num_rows(), 0);
@@ -763,18 +644,17 @@ impl BatchStream for AggNode {
                 grouper.group_ids(&group_cols, &mut ids)?;
                 // Charge newly interned groups: key bytes + one state per
                 // aggregate.
-                for key in &grouper.keys()[known..] {
-                    state_bytes += key.iter().map(value_bytes).sum::<usize>()
-                        + self.agg_exprs.len() * std::mem::size_of::<AggState>();
-                }
-                for ((a, _), slots) in self.agg_exprs.iter().zip(&mut states_per_agg) {
-                    slots.resize(grouper.num_groups(), AggState::new(a.agg));
+                let new_groups = grouper.num_groups() - known;
+                state_bytes += grouper.key_bytes(known)
+                    + new_groups * self.agg_exprs.len() * std::mem::size_of::<AggState>();
+                for (a, slots) in self.agg_exprs.iter().zip(&mut states_per_agg) {
+                    slots.resize(grouper.num_groups(), new_state(a));
                 }
             }
             for (slots, arg_col) in states_per_agg.iter_mut().zip(&arg_cols) {
                 kernels::update_grouped(slots, &ids, arg_col.as_ref())?;
             }
-            self.gauge.hold(state_bytes);
+            self.meter.hold(state_bytes);
         }
         drop(input);
 
@@ -784,17 +664,9 @@ impl BatchStream for AggNode {
         // schema-determined.
         let arg_types = match arg_types {
             Some(t) => t,
-            None => {
-                let empty = RecordBatch::new_empty(self.input_schema.clone());
-                self.agg_exprs
-                    .iter()
-                    .map(|(a, _)| match &a.arg {
-                        Some(e) => eval(e, &empty).map(|c| c.data_type()),
-                        None => Ok(DataType::Int64),
-                    })
-                    .collect::<Result<Vec<_>>>()
-                    .map_err(ext)?
-            }
+            None => types_of(&arg_cols_of(&RecordBatch::new_empty(
+                self.input_schema.clone(),
+            ))?),
         };
         let num_groups = if global { 1 } else { grouper.num_groups() };
         let mut builders: Vec<ColumnBuilder> = self
@@ -817,81 +689,85 @@ impl BatchStream for AggNode {
         }
         let columns: Vec<Column> = builders.into_iter().map(ColumnBuilder::finish).collect();
         let out = RecordBatch::try_new(self.out_schema.clone(), columns)?;
-        self.stats.add_rows(self.slot, out.num_rows());
-        record_emit(&self.span, &out);
-        self.gauge.hold(out.approx_bytes());
+        self.meter.emit(&out, 0);
         Ok(Some(out))
     }
 }
 
-/// The join's build side: stored right-side batches plus a hash index of
-/// key → (batch, row) locations.
+/// End of a build-row chain.
+const NO_ROW: usize = usize::MAX;
+
+/// The join's build side: the right input whole, its keys interned, and the
+/// rows of each key chained in arrival order.
 struct BuildSide {
-    left_keys: Vec<Expr>,
-    right_keys: Vec<Expr>,
-    batches: Vec<RecordBatch>,
-    table: HashMap<RowKey, Vec<(usize, usize)>>,
+    rows: RecordBatch,
+    /// `rows.approx_bytes()`: what the join holds while it probes.
+    bytes: usize,
+    keys: Grouper,
+    /// First build row per key group ([`NO_ROW`]: all its rows had a NULL
+    /// in the key, and NULL keys never join).
+    head: Vec<usize>,
+    /// The next build row with the same key, per build row.
+    next: Vec<usize>,
 }
 
-/// Hash join: builds the right side incrementally (batches stored as they
-/// stream in, never concatenated), then probes one left batch at a time.
+/// The columns of a key that can hold a NULL.
+fn nullable(cols: &[Column]) -> Vec<&Column> {
+    cols.iter().filter(|c| c.validity().is_some()).collect()
+}
+
+/// Hash join: interns the right side's keys as its batches stream in, then
+/// probes one left batch at a time — probe rows resolve to key groups by
+/// typed hashing, walk the group's chain, and both sides are gathered with
+/// `take`. Output order is probe order, then build arrival order.
 struct JoinNode {
+    /// `None` once exhausted.
     left: Option<Box<dyn BatchStream>>,
+    /// `None` once built.
     right: Option<Box<dyn BatchStream>>,
     join_type: JoinType,
-    on: Vec<(Expr, Expr)>,
+    left_keys: Vec<Expr>,
+    right_keys: Vec<Expr>,
     schema: Schema,
     build: Option<BuildSide>,
-    slot: usize,
-    stats: Rc<ExecStats>,
-    gauge: Gauge,
-    span: lakehouse_obs::SpanGuard,
+    ids: Vec<u32>,
+    meter: Meter,
 }
 
 impl JoinNode {
-    fn build_right(&mut self) -> CResult<()> {
-        if self.build.is_some() {
-            return Ok(());
-        }
-        let mut right = self.right.take().expect("join build side not yet consumed");
-        let left_schema = self
-            .left
-            .as_ref()
-            .expect("join probe side present during build")
-            .schema()
-            .clone();
-        let (left_keys, right_keys) =
-            split_join_keys(&self.on, &left_schema, right.schema()).map_err(ext)?;
-        let mut build = BuildSide {
-            left_keys,
-            right_keys,
-            batches: Vec::new(),
-            table: HashMap::new(),
-        };
-        let mut bytes = 0usize;
+    fn build_side(&mut self, mut right: Box<dyn BatchStream>) -> CResult<BuildSide> {
+        let mut keys = Grouper::new();
+        let (mut head, mut tail, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut batches, mut bytes) = (Vec::new(), 0usize);
         while let Some(batch) = right.next_batch()? {
-            let rcols = build
-                .right_keys
-                .iter()
-                .map(|e| eval(e, &batch))
-                .collect::<Result<Vec<_>>>()
-                .map_err(ext)?;
-            let batch_idx = build.batches.len();
-            for row in 0..batch.num_rows() {
-                let key_values: Vec<Value> =
-                    rcols.iter().map(|c| c.get(row)).collect::<CResult<_>>()?;
-                let key = RowKey::from_values(&key_values);
-                if key.has_null() {
+            let cols = eval_all(&self.right_keys, &batch)?;
+            keys.group_ids(&cols, &mut self.ids)?;
+            head.resize(keys.num_groups(), NO_ROW);
+            tail.resize(keys.num_groups(), NO_ROW);
+            let nullable = nullable(&cols);
+            for (i, &group) in self.ids.iter().enumerate() {
+                let (row, group) = (next.len(), group as usize);
+                next.push(NO_ROW);
+                if nullable.iter().any(|c| !c.is_valid(i)) {
                     continue; // SQL: null keys never join
                 }
-                build.table.entry(key).or_default().push((batch_idx, row));
+                match tail[group] {
+                    NO_ROW => head[group] = row,
+                    last => next[last] = row,
+                }
+                tail[group] = row;
             }
             bytes += batch.approx_bytes();
-            self.gauge.hold(bytes);
-            build.batches.push(batch);
+            self.meter.hold(bytes);
+            batches.push(batch);
         }
-        self.build = Some(build);
-        Ok(())
+        Ok(BuildSide {
+            rows: RecordBatch::concat_all(right.schema(), batches)?,
+            bytes,
+            keys,
+            head,
+            next,
+        })
     }
 }
 
@@ -901,99 +777,66 @@ impl BatchStream for JoinNode {
     }
 
     fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
-        self.build_right()?;
-        let build = self.build.as_ref().expect("build side ready");
+        if let Some(right) = self.right.take() {
+            self.build = Some(self.build_side(right)?);
+        }
         loop {
-            let Some(left) = self.left.as_mut() else {
+            let (Some(build), Some(left)) = (&self.build, &mut self.left) else {
                 return Ok(None);
             };
             let Some(lbatch) = left.next_batch()? else {
                 self.left = None;
                 return Ok(None);
             };
-            let lcols = build
-                .left_keys
-                .iter()
-                .map(|e| eval(e, &lbatch))
-                .collect::<Result<Vec<_>>>()
-                .map_err(ext)?;
-            let mut left_idx: Vec<usize> = Vec::new();
-            let mut right_ref: Vec<Option<(usize, usize)>> = Vec::new();
-            for row in 0..lbatch.num_rows() {
-                let key_values: Vec<Value> =
-                    lcols.iter().map(|c| c.get(row)).collect::<CResult<_>>()?;
-                let key = RowKey::from_values(&key_values);
-                let matches = if key.has_null() {
-                    None
+            let cols = eval_all(&self.left_keys, &lbatch)?;
+            // (Keys of different types never compare equal, whatever their
+            // bits: an INT key joins no DOUBLE, TIMESTAMP or DATE key.)
+            build.keys.lookup_ids(&cols, &mut self.ids)?;
+            let nullable = nullable(&cols);
+            let mut left_idx: Vec<usize> = Vec::with_capacity(self.ids.len());
+            let mut right_idx: Vec<Option<usize>> = Vec::with_capacity(self.ids.len());
+            for (row, &group) in self.ids.iter().enumerate() {
+                let unmatched =
+                    group == Grouper::NO_GROUP || nullable.iter().any(|c| !c.is_valid(row));
+                let mut at = if unmatched {
+                    NO_ROW
                 } else {
-                    build.table.get(&key)
+                    build.head[group as usize]
                 };
-                match matches {
-                    Some(locs) => {
-                        for &loc in locs {
-                            left_idx.push(row);
-                            right_ref.push(Some(loc));
-                        }
-                    }
-                    None => {
-                        if self.join_type == JoinType::Left {
-                            left_idx.push(row);
-                            right_ref.push(None);
-                        }
-                    }
+                if at == NO_ROW && self.join_type == JoinType::Left {
+                    left_idx.push(row);
+                    right_idx.push(None);
+                }
+                while at != NO_ROW {
+                    left_idx.push(row);
+                    right_idx.push(Some(at));
+                    at = build.next[at];
                 }
             }
             if left_idx.is_empty() {
                 continue;
             }
-            let mut columns: Vec<Column> = lbatch
-                .columns()
-                .iter()
-                .map(|c| kernels::take_column(c, &left_idx))
-                .collect::<CResult<_>>()?;
-            let n_left = lbatch.num_columns();
-            for ci in 0..build
-                .batches
-                .first()
-                .map_or(self.schema.len() - n_left, |b| b.num_columns())
-            {
-                let field = self.schema.field(n_left + ci);
-                let mut b = ColumnBuilder::with_capacity(field.data_type(), right_ref.len());
-                for r in &right_ref {
-                    match r {
-                        Some((bi, ri)) => b.push_value(&build.batches[*bi].column(ci).get(*ri)?)?,
-                        None => b.push_null(),
-                    }
-                }
-                columns.push(b.finish());
-            }
+            let left_cols = lbatch.columns().iter().map(|c| take_column(c, &left_idx));
+            let right_cols = (build.rows.columns().iter()).map(|c| take_column_opt(c, &right_idx));
+            let columns = left_cols.chain(right_cols).collect::<CResult<_>>()?;
             let out = RecordBatch::try_new(self.schema.clone(), columns)?;
-            self.stats.add_rows(self.slot, out.num_rows());
-            record_emit(&self.span, &out);
+            self.meter.emit(&out, build.bytes);
             return Ok(Some(out));
         }
     }
 }
 
-/// One sorted run: a batch sorted by the keys, plus the (sorted) key values
-/// materialized for the merge comparator.
-struct SortedRun {
-    batch: RecordBatch,
-    key_values: Vec<Vec<Value>>,
-}
-
-/// Sort as accumulated sorted runs + a stable k-way merge: each input batch
-/// is sorted on arrival and stored, so peak memory is the input plus one
-/// output — never input-concat plus output.
+/// Sort: collect the input, sort it once, gather it once. A sort cannot
+/// emit its first row before it has seen its last, so it holds its whole
+/// input whatever it does; one stable [`kernels::sort_indices`] over the
+/// concatenated input keeps ties in arrival order (file order on a lake
+/// table), with no per-batch runs to box, merge and concatenate anyway.
 struct SortNode {
+    /// `None` once consumed.
     input: Option<Box<dyn BatchStream>>,
     keys: Vec<(Expr, bool)>,
     schema: Schema,
-    done: bool,
-    slot: usize,
-    stats: Rc<ExecStats>,
-    gauge: Gauge,
-    span: lakehouse_obs::SpanGuard,
+    meter: Meter,
 }
 
 impl BatchStream for SortNode {
@@ -1002,153 +845,38 @@ impl BatchStream for SortNode {
     }
 
     fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
-        if self.done {
+        let Some(mut input) = self.input.take() else {
             return Ok(None);
-        }
-        self.done = true;
-        let mut input = self.input.take().expect("sort input not yet consumed");
-        let mut runs: Vec<SortedRun> = Vec::new();
-        let mut acc_bytes = 0usize;
+        };
+        let (mut batches, mut bytes) = (Vec::new(), 0usize);
         while let Some(batch) = input.next_batch()? {
-            if batch.num_rows() == 0 {
-                continue;
-            }
-            let sort_fields = self
-                .keys
-                .iter()
-                .map(|(e, desc)| {
-                    let col = eval(e, &batch)?;
-                    Ok(if *desc {
-                        SortField::desc(col)
-                    } else {
-                        SortField::asc(col)
-                    })
-                })
-                .collect::<Result<Vec<_>>>()
-                .map_err(ext)?;
-            let indices = kernels::sort_indices(&sort_fields)?;
-            let sorted = take_batch(&batch, &indices)?;
-            let key_values: Vec<Vec<Value>> = sort_fields
-                .iter()
-                .map(|sf| {
-                    kernels::take_column(&sf.column, &indices).map(|c| c.iter_values().collect())
-                })
-                .collect::<CResult<_>>()?;
-            acc_bytes += sorted.approx_bytes();
-            self.gauge.hold(acc_bytes);
-            runs.push(SortedRun {
-                batch: sorted,
-                key_values,
-            });
+            bytes += batch.approx_bytes();
+            self.meter.hold(bytes);
+            batches.push(batch);
         }
         drop(input);
-
-        // Stable k-way merge: on key ties the earlier run (earlier input
-        // batch) wins, and within a run input order is already preserved —
-        // exactly the materialized stable sort's order.
-        let descs: Vec<bool> = self.keys.iter().map(|(_, d)| *d).collect();
-        let total: usize = runs.iter().map(|r| r.batch.num_rows()).sum();
-        let mut heads = vec![0usize; runs.len()];
-        let mut order: Vec<(usize, usize)> = Vec::with_capacity(total);
-        loop {
-            let mut best: Option<usize> = None;
-            for r in 0..runs.len() {
-                if heads[r] >= runs[r].batch.num_rows() {
-                    continue;
-                }
-                best = match best {
-                    None => Some(r),
-                    Some(b) => {
-                        if cmp_key_rows(
-                            &runs[r].key_values,
-                            heads[r],
-                            &runs[b].key_values,
-                            heads[b],
-                            &descs,
-                        ) == Ordering::Less
-                        {
-                            Some(r)
-                        } else {
-                            Some(b)
-                        }
-                    }
-                };
-            }
-            let Some(r) = best else { break };
-            order.push((r, heads[r]));
-            heads[r] += 1;
+        if batches.len() > 1 {
+            self.meter.hold(2 * bytes); // the concatenation beside its parts
         }
-        // Apply the permutation with `take_batch` over the concatenated runs
-        // (not a value-at-a-time rebuild) so the output is representationally
-        // identical to the materialized sort, then release the runs.
-        if runs.is_empty() {
-            let out = RecordBatch::new_empty(self.schema.clone());
-            self.gauge.hold(0);
-            return Ok(Some(out));
-        }
-        let mut offsets = Vec::with_capacity(runs.len());
-        let mut next = 0usize;
-        for run in &runs {
-            offsets.push(next);
-            next += run.batch.num_rows();
-        }
-        let indices: Vec<usize> = order.iter().map(|&(r, i)| offsets[r] + i).collect();
-        let combined = if runs.len() == 1 {
-            runs.pop().expect("one run").batch
-        } else {
-            let batches: Vec<RecordBatch> = runs.into_iter().map(|r| r.batch).collect();
-            RecordBatch::concat(&batches)?
+        let all = RecordBatch::concat_all(&self.schema, batches)?;
+        self.meter.hold(bytes);
+        let sort_field = |(e, desc): &(Expr, bool)| {
+            let field = if *desc {
+                SortField::desc
+            } else {
+                SortField::asc
+            };
+            eval(e, &all).map(field).map_err(ext)
         };
-        self.gauge.hold(combined.approx_bytes());
-        let out = take_batch(&combined, &indices)?;
-        self.stats.add_rows(self.slot, out.num_rows());
-        record_emit(&self.span, &out);
-        self.gauge.hold(out.approx_bytes());
+        let fields = self
+            .keys
+            .iter()
+            .map(sort_field)
+            .collect::<CResult<Vec<_>>>()?;
+        let out = take_batch(&all, &kernels::sort_indices(&fields)?)?;
+        self.meter.emit(&out, bytes);
+        drop(all);
+        self.meter.hold(out.approx_bytes());
         Ok(Some(out))
     }
-}
-
-/// The sort comparator over materialized key values, replicating
-/// [`kernels::sort_indices`]: ascending keys put nulls first, descending
-/// keys put nulls last.
-fn cmp_key_rows(
-    a: &[Vec<Value>],
-    arow: usize,
-    b: &[Vec<Value>],
-    brow: usize,
-    descs: &[bool],
-) -> Ordering {
-    for (k, desc) in descs.iter().enumerate() {
-        let (va, vb) = (&a[k][arow], &b[k][brow]);
-        let nulls_first = !desc;
-        let ord = match (va.is_null(), vb.is_null()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => {
-                if nulls_first {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                }
-            }
-            (false, true) => {
-                if nulls_first {
-                    Ordering::Greater
-                } else {
-                    Ordering::Less
-                }
-            }
-            (false, false) => {
-                let o = va.total_cmp(vb);
-                if *desc {
-                    o.reverse()
-                } else {
-                    o
-                }
-            }
-        };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
 }

@@ -7,9 +7,11 @@
 //! time, to the persistent workers of the table's
 //! [`lakehouse_store::IoDispatcher`], and decoded on the caller's thread in
 //! manifest order as they complete, so the output is byte-identical to a
-//! serial scan. A materialized scan fills its window at once; a pulled
-//! [`ScanStream`] widens it 1 → 2 → 4 → … with every pull, so a consumer
-//! that stops early (a satisfied `LIMIT`) has read one file, not a window.
+//! serial scan. A scan whose every file will be read ([`TableScan::execute`],
+//! [`TableScan::stream_all`]) fills its window at once; one that may be
+//! abandoned ([`TableScan::stream`]) widens it 1 → 2 → 4 → … with every
+//! pull, so a consumer that stops early (a satisfied `LIMIT`) has read one
+//! file, not a window.
 //! A scan with a single file to read, or a table without a dispatcher,
 //! never leaves the caller's thread.
 //!
@@ -175,17 +177,12 @@ impl TableScan {
     /// window opens at full width.
     pub fn execute_with_report(self) -> Result<(RecordBatch, ScanReport)> {
         let span = lakehouse_obs::span("scan.materialize");
-        let mut stream = self.open(usize::MAX)?;
+        let mut stream = self.stream_all()?;
         let mut batches = Vec::new();
         while let Some(batch) = stream.pull()? {
             batches.push(batch);
         }
-        let result = if batches.len() > 1 {
-            RecordBatch::concat(&batches)?
-        } else {
-            let empty = || RecordBatch::new_empty(stream.scan_schema.clone());
-            batches.pop().unwrap_or_else(empty)
-        };
+        let result = RecordBatch::concat_all(&stream.scan_schema, batches)?;
         let report = stream.report();
         span.attr("files_scanned", report.files_scanned);
         span.attr("files_read", report.files_read);
@@ -201,6 +198,13 @@ impl TableScan {
     /// stops pulling (a satisfied `LIMIT`) leaves the remaining files unread.
     pub fn stream(self) -> Result<ScanStream> {
         self.open(1)
+    }
+
+    /// [`Self::stream`] for a consumer that will pull every batch: nothing
+    /// is saved by ramping, so the request window opens at full width, as
+    /// [`Self::execute`]'s does.
+    pub fn stream_all(self) -> Result<ScanStream> {
+        self.open(usize::MAX)
     }
 
     /// Plan the scan; `window` is how many files' requests the first pull

@@ -38,11 +38,10 @@ fn events_batch(files: usize, rows_per: usize) -> RecordBatch {
 const AGG_SQL: &str = "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM events \
                        GROUP BY grp ORDER BY grp";
 
-fn io_lakehouse(stream: bool, files: usize) -> Lakehouse {
+fn io_lakehouse(files: usize) -> Lakehouse {
     let config = LakehouseConfig {
         latency: LatencyModel::zero(),
         hedge_p95: true,
-        stream_execution: stream,
         ..Default::default()
     };
     let lh = Lakehouse::in_memory(config).unwrap();
@@ -208,17 +207,15 @@ fn end_to_end_query_matches_the_in_memory_oracle() {
     let mut oracle = MemoryProvider::new();
     oracle.register("events", events_batch(12, 50));
     let want = SqlEngine::new().query(AGG_SQL, &oracle).unwrap();
-    for stream in [false, true] {
-        let lh = io_lakehouse(stream, 12);
-        let got = lh.query(AGG_SQL, "main").unwrap();
-        assert_eq!(got, want, "stream={stream}: overlap changed the bytes");
-        let stats = lh.io_dispatcher().stats();
-        assert!(
-            stats.submitted >= 11,
-            "stream={stream}: scans must route through the dispatcher, stats {stats:?}"
-        );
-        assert_eq!(stats.inflight, 0, "stream={stream}");
-    }
+    let lh = io_lakehouse(12);
+    let got = lh.query(AGG_SQL, "main").unwrap();
+    assert_eq!(got, want, "overlap changed the bytes");
+    let stats = lh.io_dispatcher().stats();
+    assert!(
+        stats.submitted >= 11,
+        "scans must route through the dispatcher, stats {stats:?}"
+    );
+    assert_eq!(stats.inflight, 0);
 }
 
 // ---- streaming LIMIT cancels what it leaves in flight ------------------------------------
@@ -344,7 +341,7 @@ fn limit_early_termination_cancels_queued_requests() {
 fn streaming_limit_through_platform_leaves_no_dangling_submissions() {
     // 51 rows of 50-row files: the second pull puts two requests in flight
     // and consumes one.
-    let lh = io_lakehouse(true, 8);
+    let lh = io_lakehouse(8);
     let got = lh
         .query("SELECT part, val FROM events LIMIT 51", "main")
         .unwrap();

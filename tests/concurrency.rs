@@ -4,9 +4,7 @@
 //!   order) to an inline scan, with predicates and projection, on a
 //!   partitioned multi-file table, at any worker count;
 //! * `CachedStore` serves identical bytes across evictions and invalidations;
-//! * one `LakehouseProvider` survives 8 concurrent queries;
-//! * the `sql/parallel.rs` morsel operators are bounded by `threads` and
-//!   agree with serial execution.
+//! * one `LakehouseProvider` survives 8 concurrent queries.
 
 use bauplan_core::{BufferPool, Lakehouse, LakehouseConfig};
 use lakehouse_columnar::kernels::CmpOp;
@@ -127,7 +125,6 @@ fn cached_store_identical_bytes_after_eviction() {
 fn eight_concurrent_queries_through_one_provider() {
     let config = LakehouseConfig {
         shared_pool: Some(Arc::new(BufferPool::new(8 << 20))),
-        sql_parallelism: 2,
         ..LakehouseConfig::default()
     };
     let lh = Arc::new(Lakehouse::in_memory(config).unwrap());
@@ -194,24 +191,4 @@ fn repeated_query_hits_metadata_cache() {
     // store sees the ref and the one data file.
     assert_eq!((cache.hits() - h0, cache.misses() - m0), (2, 0));
     assert_eq!(lh.store_metrics().gets() - gets0, 2);
-}
-
-#[test]
-fn morsel_parallelism_bounded_and_correct() {
-    // The pool helper is what routes SQL morsels; verify the bound holds at
-    // a morsel count far above `threads` and that outputs stay ordered.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let live = AtomicUsize::new(0);
-    let peak = AtomicUsize::new(0);
-    let items: Vec<usize> = (0..256).collect();
-    let out = lakehouse_columnar::pool::map_indexed(4, &items, |i, &x| {
-        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-        peak.fetch_max(now, Ordering::SeqCst);
-        std::thread::sleep(std::time::Duration::from_micros(200));
-        live.fetch_sub(1, Ordering::SeqCst);
-        assert_eq!(i, x);
-        x * 3
-    });
-    assert!(peak.load(Ordering::SeqCst) <= 4);
-    assert_eq!(out, (0..256).map(|x| x * 3).collect::<Vec<_>>());
 }

@@ -1,5 +1,5 @@
 //! Observability integration: span trees from real queries and runs, EXPLAIN
-//! ANALYZE agreeing with the executors' own reports, tracing staying
+//! ANALYZE agreeing with the executor's own report, tracing staying
 //! byte-transparent to query results, and Chrome-trace export round-tripping
 //! through the JSON parser.
 
@@ -9,12 +9,8 @@ use lakehouse_obs::to_chrome_trace;
 use serde::Json;
 
 /// A lakehouse whose `events` table spans 4 data files of 64 rows each.
-fn lakehouse(streaming: bool) -> Lakehouse {
-    let config = LakehouseConfig {
-        stream_execution: streaming,
-        ..LakehouseConfig::zero_latency()
-    };
-    let lh = Lakehouse::in_memory(config).unwrap();
+fn lakehouse() -> Lakehouse {
+    let lh = Lakehouse::in_memory(LakehouseConfig::zero_latency()).unwrap();
     for file in 0..4usize {
         let base = (file * 64) as i64;
         let batch = RecordBatch::try_new(
@@ -40,125 +36,115 @@ fn lakehouse(streaming: bool) -> Lakehouse {
 }
 
 /// Scan → aggregate → filter → sort, no LIMIT (so per-operator row totals
-/// are executor-independent). The WHERE clause is pushed into the scan; the
+/// do not depend on where a LIMIT stops the pipeline). The WHERE clause is pushed into the scan; the
 /// HAVING clause keeps an explicit Filter node above the Aggregate.
 const SQL: &str = "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM events \
                    WHERE id >= 16 GROUP BY grp HAVING COUNT(*) > 10 ORDER BY grp";
 
 #[test]
 fn profile_span_tree_nests_operators() {
-    for streaming in [false, true] {
-        let lh = lakehouse(streaming);
-        let (batch, tree) = lh.profile(SQL, "main").unwrap();
-        assert_eq!(batch.num_rows(), 5);
+    let lh = lakehouse();
+    let (batch, tree) = lh.profile(SQL, "main").unwrap();
+    assert_eq!(batch.num_rows(), 5);
 
-        let root = tree.root().expect("profile trace has a root span");
-        assert_eq!(root.name, "query");
-        let agg = tree.find("Aggregate").expect("Aggregate span");
-        let filter = tree.find("Filter").expect("Filter span");
-        let scan = tree.find("Scan").expect("Scan span");
-        // Parent chain mirrors the plan: the HAVING Filter above the
-        // Aggregate above the Scan, all under the query root — in BOTH
-        // executors.
-        assert!(
-            tree.is_ancestor(filter.id, agg.id),
-            "streaming={streaming}: Aggregate must nest under the HAVING Filter"
-        );
-        assert!(
-            tree.is_ancestor(agg.id, scan.id),
-            "streaming={streaming}: Scan must nest under Aggregate"
-        );
-        assert!(tree.is_ancestor(root.id, scan.id));
-        // The scan actually touched the store: its fetches were traced too.
-        assert!(
-            !tree.find_all("scan.fetch").is_empty(),
-            "streaming={streaming}: data-file fetches must appear in the tree"
-        );
-        // Span clocks are coherent.
-        for span in &tree.spans {
-            assert!(span.wall_end_ns >= span.wall_start_ns);
-            assert!(span.sim_end_ns >= span.sim_start_ns);
-        }
+    let root = tree.root().expect("profile trace has a root span");
+    assert_eq!(root.name, "query");
+    let agg = tree.find("Aggregate").expect("Aggregate span");
+    let filter = tree.find("Filter").expect("Filter span");
+    let scan = tree.find("Scan").expect("Scan span");
+    // Parent chain mirrors the plan: the HAVING Filter above the
+    // Aggregate above the Scan, all under the query root.
+    assert!(
+        tree.is_ancestor(filter.id, agg.id),
+        "Aggregate must nest under the HAVING Filter"
+    );
+    assert!(
+        tree.is_ancestor(agg.id, scan.id),
+        "Scan must nest under Aggregate"
+    );
+    assert!(tree.is_ancestor(root.id, scan.id));
+    // The scan actually touched the store: its fetches were traced too.
+    assert!(
+        !tree.find_all("scan.fetch").is_empty(),
+        "data-file fetches must appear in the tree"
+    );
+    // Span clocks are coherent.
+    for span in &tree.spans {
+        assert!(span.wall_end_ns >= span.wall_start_ns);
+        assert!(span.sim_end_ns >= span.sim_start_ns);
     }
 }
 
 #[test]
 fn explain_analyze_matches_exec_report() {
-    for streaming in [false, true] {
-        let lh = lakehouse(streaming);
-        let (batch, text, tree) = lh.explain_analyze_traced(SQL, "main").unwrap();
-        let (expected, report) = lh.query_with_report(SQL, "main").unwrap();
-        assert_eq!(batch, expected, "streaming={streaming}");
+    let lh = lakehouse();
+    let (batch, text, tree) = lh.explain_analyze_traced(SQL, "main").unwrap();
+    let (expected, report) = lh.query_with_report(SQL, "main").unwrap();
+    assert_eq!(batch, expected);
 
-        // Every plan line carries live annotations, including the operator's
-        // self time (span minus direct children) on both clocks.
-        for line in text.lines() {
-            assert!(
-                line.contains("[rows="),
-                "streaming={streaming}: unannotated EXPLAIN ANALYZE line: {line}"
-            );
-            assert!(
-                line.contains("self_wall=") && line.contains("self_sim="),
-                "streaming={streaming}: line missing self-time annotations: {line}"
-            );
-        }
-
-        // A leaf operator has no children to subtract, so its self time
-        // equals its span time on both clocks.
-        let scan_line = text
-            .lines()
-            .find(|l| l.trim_start().starts_with("Scan"))
-            .expect("EXPLAIN ANALYZE output has a Scan line");
-        let field = |key: &str| {
-            scan_line
-                .split_whitespace()
-                .find_map(|tok| tok.strip_prefix(key).map(|v| v.trim_end_matches(']')))
-                .unwrap_or_else(|| panic!("Scan line missing {key}: {scan_line}"))
-        };
-        assert_eq!(
-            field("self_sim="),
-            field("sim="),
-            "streaming={streaming}: leaf self_sim must equal sim"
+    // Every plan line carries live annotations, including the operator's
+    // self time (span minus direct children) on both clocks.
+    for line in text.lines() {
+        assert!(
+            line.contains("[rows="),
+            "unannotated EXPLAIN ANALYZE line: {line}"
         );
-        assert_eq!(
-            field("self_wall="),
-            field("wall="),
-            "streaming={streaming}: leaf self_wall must equal wall"
+        assert!(
+            line.contains("self_wall=") && line.contains("self_sim="),
+            "line missing self-time annotations: {line}"
         );
-
-        // Per-operator row totals in the span tree agree with the executor's
-        // own accounting.
-        let mut reported: std::collections::BTreeMap<&str, u64> = Default::default();
-        for (name, rows) in &report.operator_rows {
-            *reported.entry(name.as_str()).or_default() += *rows as u64;
-        }
-        for (name, rows) in reported {
-            let traced: u64 = tree
-                .find_all(name)
-                .iter()
-                .filter_map(|s| s.attr_u64("rows"))
-                .sum();
-            assert_eq!(
-                traced, rows,
-                "streaming={streaming}: operator {name} row count"
-            );
-        }
-
-        // The streaming executor's peak working set lands in the trace too.
-        if streaming {
-            let exec = tree.find("execute").expect("streaming execute span");
-            assert_eq!(
-                exec.attr_u64("peak_bytes"),
-                Some(report.peak_bytes as u64),
-                "peak_bytes annotation must equal the report's measurement"
-            );
-        }
     }
+
+    // A leaf operator has no children to subtract, so its self time
+    // equals its span time on both clocks.
+    let scan_line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("Scan"))
+        .expect("EXPLAIN ANALYZE output has a Scan line");
+    let field = |key: &str| {
+        scan_line
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix(key).map(|v| v.trim_end_matches(']')))
+            .unwrap_or_else(|| panic!("Scan line missing {key}: {scan_line}"))
+    };
+    assert_eq!(
+        field("self_sim="),
+        field("sim="),
+        "leaf self_sim must equal sim"
+    );
+    assert_eq!(
+        field("self_wall="),
+        field("wall="),
+        "leaf self_wall must equal wall"
+    );
+
+    // Per-operator row totals in the span tree agree with the executor's
+    // own accounting.
+    let mut reported: std::collections::BTreeMap<&str, u64> = Default::default();
+    for (name, rows) in &report.operator_rows {
+        *reported.entry(name.as_str()).or_default() += *rows as u64;
+    }
+    for (name, rows) in reported {
+        let traced: u64 = tree
+            .find_all(name)
+            .iter()
+            .filter_map(|s| s.attr_u64("rows"))
+            .sum();
+        assert_eq!(traced, rows, "operator {name} row count");
+    }
+
+    // The executor's peak working set lands in the trace too.
+    let exec = tree.find("execute").expect("execute span");
+    assert_eq!(
+        exec.attr_u64("peak_bytes"),
+        Some(report.peak_bytes as u64),
+        "peak_bytes annotation must equal the report's measurement"
+    );
 }
 
 #[test]
 fn join_scans_are_direct_children_of_join_span() {
-    let lh = lakehouse(true);
+    let lh = lakehouse();
     let b = RecordBatch::try_new(
         Schema::new(vec![
             Field::new("grp", DataType::Int64, false),
@@ -215,23 +201,18 @@ fn join_scans_are_direct_children_of_join_span() {
 
 #[test]
 fn tracing_is_byte_transparent() {
-    for streaming in [false, true] {
-        let lh = lakehouse(streaming);
-        let plain = lh.query(SQL, "main").unwrap();
-        let (profiled, tree) = lh.profile(SQL, "main").unwrap();
-        assert_eq!(
-            plain, profiled,
-            "streaming={streaming}: tracing changed query output"
-        );
-        assert!(!tree.is_empty());
-        // And back off again: a traced query leaves no residue.
-        assert_eq!(plain, lh.query(SQL, "main").unwrap());
-    }
+    let lh = lakehouse();
+    let plain = lh.query(SQL, "main").unwrap();
+    let (profiled, tree) = lh.profile(SQL, "main").unwrap();
+    assert_eq!(plain, profiled, "tracing changed query output");
+    assert!(!tree.is_empty());
+    // And back off again: a traced query leaves no residue.
+    assert_eq!(plain, lh.query(SQL, "main").unwrap());
 }
 
 #[test]
 fn chrome_trace_round_trips_through_json() {
-    let lh = lakehouse(true);
+    let lh = lakehouse();
     let (_, tree) = lh.profile(SQL, "main").unwrap();
     let text = to_chrome_trace(&tree);
     let parsed = serde_json::parse(&text).expect("chrome trace is valid JSON");
@@ -266,7 +247,7 @@ fn chrome_trace_round_trips_through_json() {
 
 #[test]
 fn run_report_carries_span_tree() {
-    let lh = lakehouse(false);
+    let lh = lakehouse();
     let project = PipelineProject::new("obs").with(NodeDef::sql(
         "top_groups",
         "SELECT grp, COUNT(*) AS n FROM events GROUP BY grp",

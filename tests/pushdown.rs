@@ -2,10 +2,9 @@
 //! BETWEEN — and change nothing but what is read.
 //!
 //! * a differential corpus on a day-partitioned taxi table plus a zones
-//!   dimension (with a column name the two share) runs through the
-//!   materialized and the streaming executor and must equal, byte for byte,
-//!   the same query on a `with_pushdown(false)` provider and the unoptimized
-//!   plan;
+//!   dimension (with a column name the two share) must equal, byte for
+//!   byte, the same query on a `with_pushdown(false)` provider and the
+//!   unoptimized plan;
 //! * a counting object store shows the store-level outcome: the join and
 //!   BETWEEN queries fetch only the window's files, `LIMIT 10` reads one
 //!   file, `COUNT(*)` decodes one narrow column, and a right-side predicate
@@ -209,17 +208,6 @@ fn lake() -> Lake {
     }
 }
 
-fn engines() -> [(&'static str, SqlEngine); 2] {
-    [
-        ("materialized", SqlEngine::new()),
-        (
-            "streaming",
-            // Small batches force every operator across batch boundaries.
-            SqlEngine::new().with_streaming(true).with_batch_rows(64),
-        ),
-    ]
-}
-
 const JOIN: &str = "FROM taxi_table t JOIN zones z ON t.pickup_location_id = z.zone_id";
 const LEFT_JOIN: &str = "FROM taxi_table t LEFT JOIN zones z ON t.pickup_location_id = z.zone_id";
 const WINDOW: &str = "t.pickup_at >= DATE '2019-03-03' AND t.pickup_at <= DATE '2019-03-04'";
@@ -319,37 +307,33 @@ fn corpus_is_byte_identical_to_naive_and_unoptimized() {
     for sql in corpus() {
         // Reference: the plan as written, over whole tables.
         let unoptimized = plan_select(&parse_select(&sql).unwrap(), &lake.naive.pin()).unwrap();
-        let want = lakehouse_sql::physical::execute(&unoptimized, &lake.naive.pin())
+        let want = lakehouse_sql::execute(&unoptimized, &lake.naive.pin())
             .unwrap_or_else(|e| panic!("{sql}: {e}"));
         assert_eq!(
-            lakehouse_sql::physical::execute(&unoptimized, &lake.pushed.pin()).unwrap(),
+            lakehouse_sql::execute(&unoptimized, &lake.pushed.pin()).unwrap(),
             want,
             "unoptimized plan, pushdown provider: {sql}"
         );
-        for (name, engine) in engines() {
-            let pushed = engine
-                .query(&sql, &lake.pushed.pin())
-                .unwrap_or_else(|e| panic!("{name}: {sql}: {e}"));
-            assert_eq!(pushed, want, "{name}, pushdown on: {sql}");
-            let naive = engine.query(&sql, &lake.naive.pin()).unwrap();
-            assert_eq!(naive, want, "{name}, pushdown off: {sql}");
-        }
+        let engine = SqlEngine::new();
+        let pushed = engine
+            .query(&sql, &lake.pushed.pin())
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(pushed, want, "pushdown on: {sql}");
+        let naive = engine.query(&sql, &lake.naive.pin()).unwrap();
+        assert_eq!(naive, want, "pushdown off: {sql}");
     }
 }
 
-/// Run `sql` on `provider` under both executors; after each, check what the
-/// store saw.
-fn for_each_engine(
+/// Run `sql` on `provider`, then check what the store saw.
+fn run_and_check(
     lake: &Lake,
     provider: &LakehouseProvider,
     sql: &str,
-    check: impl Fn(&str, &CountingStore),
+    check: impl Fn(&CountingStore),
 ) {
-    for (name, engine) in engines() {
-        lake.store.reset();
-        engine.query(sql, &provider.pin()).unwrap();
-        check(name, &lake.store);
-    }
+    lake.store.reset();
+    SqlEngine::new().query(sql, &provider.pin()).unwrap();
+    check(&lake.store);
 }
 
 #[test]
@@ -363,14 +347,14 @@ fn join_and_between_fetch_only_the_windows_files() {
          WHERE pickup_at BETWEEN DATE '2019-03-03' AND DATE '2019-03-04' \
          GROUP BY pickup_location_id";
     for sql in [join.as_str(), between] {
-        for_each_engine(&lake, &lake.pushed, sql, |name, store| {
-            assert_eq!(store.files_read("taxi_table"), 2, "{name}: {sql}");
+        run_and_check(&lake, &lake.pushed, sql, |store| {
+            assert_eq!(store.files_read("taxi_table"), 2, "{sql}");
         });
-        for_each_engine(&lake, &lake.naive, sql, |name, store| {
+        run_and_check(&lake, &lake.naive, sql, |store| {
             assert_eq!(
                 store.files_read("taxi_table"),
                 DAYS as usize,
-                "{name}, naive: {sql}"
+                "naive: {sql}"
             );
         });
     }
@@ -416,8 +400,8 @@ fn limit_reads_one_file_unless_naive() {
         "SELECT * FROM taxi_table LIMIT 10",
         "SELECT pickup_at, fare * 2.0 AS f FROM taxi_table t LIMIT 10 OFFSET 5",
     ] {
-        for_each_engine(&lake, &lake.pushed, sql, |name, store| {
-            assert_eq!(store.files_read("taxi_table"), 1, "{name}: {sql}");
+        run_and_check(&lake, &lake.pushed, sql, |store| {
+            assert_eq!(store.files_read("taxi_table"), 1, "{sql}");
         });
     }
     // The budget counts rows that passed the scan's filters: a third of a
@@ -426,22 +410,18 @@ fn limit_reads_one_file_unless_naive() {
         "SELECT fare FROM taxi_table WHERE payment_type = 'cash' LIMIT {}",
         ROWS_PER_DAY / 2
     );
-    for_each_engine(&lake, &lake.pushed, &filtered, |name, store| {
+    run_and_check(&lake, &lake.pushed, &filtered, |store| {
         let files = store.files_read("taxi_table");
-        assert!((2..DAYS as usize).contains(&files), "{name}: {files} files");
+        assert!((2..DAYS as usize).contains(&files), "{files} files");
     });
     // No budget across a sort, and none at all on the naive provider.
     let sorted = "SELECT fare FROM taxi_table ORDER BY fare LIMIT 10";
-    for_each_engine(&lake, &lake.pushed, sorted, |name, store| {
-        assert_eq!(store.files_read("taxi_table"), DAYS as usize, "{name}");
+    run_and_check(&lake, &lake.pushed, sorted, |store| {
+        assert_eq!(store.files_read("taxi_table"), DAYS as usize);
     });
     let peek = "SELECT * FROM taxi_table LIMIT 10";
-    for_each_engine(&lake, &lake.naive, peek, |name, store| {
-        assert_eq!(
-            store.files_read("taxi_table"),
-            DAYS as usize,
-            "{name}, naive"
-        );
+    run_and_check(&lake, &lake.naive, peek, |store| {
+        assert_eq!(store.files_read("taxi_table"), DAYS as usize, "naive");
     });
 }
 
@@ -450,14 +430,14 @@ fn right_side_predicate_is_pushed_under_inner_join_only() {
     let lake = lake();
     let sql = |join: &str| format!("SELECT t.fare, z.borough {join} WHERE z.borough = 'Queens'");
     // INNER: the conjunct reaches the zones scan and prunes its partitions.
-    for_each_engine(&lake, &lake.pushed, &sql(JOIN), |name, store| {
-        assert_eq!(store.files_read("zones"), 1, "{name}");
+    run_and_check(&lake, &lake.pushed, &sql(JOIN), |store| {
+        assert_eq!(store.files_read("zones"), 1);
     });
     // LEFT: filtering zones first would turn trips of other boroughs into
     // NULL-extended rows; every zones file is read and the filter stays
     // above the join.
-    for_each_engine(&lake, &lake.pushed, &sql(LEFT_JOIN), |name, store| {
-        assert_eq!(store.files_read("zones"), BOROUGHS.len(), "{name}");
+    run_and_check(&lake, &lake.pushed, &sql(LEFT_JOIN), |store| {
+        assert_eq!(store.files_read("zones"), BOROUGHS.len());
     });
     let text = SqlEngine::new()
         .explain(&sql(LEFT_JOIN), &lake.pushed.pin())

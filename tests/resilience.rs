@@ -237,7 +237,6 @@ const AGG_SQL: &str = "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM events \
 fn soak_lakehouse(
     chaos: Option<ChaosConfig>,
     retry_max: u32,
-    stream: bool,
     files: usize,
     rows_per: usize,
 ) -> Lakehouse {
@@ -245,7 +244,6 @@ fn soak_lakehouse(
         latency: LatencyModel::zero(),
         chaos,
         retry_max,
-        stream_execution: stream,
         ..Default::default()
     };
     let lh = Lakehouse::in_memory(config).expect("lakehouse under chaos");
@@ -262,32 +260,29 @@ fn soak_lakehouse(
 #[test]
 fn chaos_soak_query_byte_identical_with_retries() {
     // 24-file scan-filter-aggregate at fault p = 0.1 (plus throttles and
-    // stalls), absorbed by 8 retries: same bytes as the fault-free run, on
-    // both the materialized and the streaming execution path.
+    // stalls), absorbed by 8 retries: same bytes as the fault-free run.
     let chaos = ChaosConfig::new(42)
         .with_fault_p(0.1)
         .with_throttle_p(0.02)
         .with_stall_p(0.02);
-    for stream in [false, true] {
-        let baseline = soak_lakehouse(None, 0, stream, 24, 200);
-        let chaotic = soak_lakehouse(Some(chaos.clone()), 8, stream, 24, 200);
-        let want = baseline.query(AGG_SQL, "main").expect("baseline query");
-        let got = chaotic.query(AGG_SQL, "main").expect("chaotic query");
-        assert_eq!(got, want, "stream={stream}: results must be byte-identical");
-        // The resilience layer must be *visible*: backoff charged to the
-        // simulated clock and retry counters in the lakehouse-obs registry
-        // (monotonic, so >= is safe under parallel tests).
-        assert!(
-            chaotic.store_metrics().stall_time() > std::time::Duration::ZERO,
-            "chaos + retries must charge simulated stall time"
-        );
-        assert!(lakehouse_obs::global().counter("retry.attempts").get() >= 1);
-        assert_eq!(
-            baseline.store_metrics().stall_time(),
-            std::time::Duration::ZERO,
-            "fault-free baseline must not stall"
-        );
-    }
+    let baseline = soak_lakehouse(None, 0, 24, 200);
+    let chaotic = soak_lakehouse(Some(chaos), 8, 24, 200);
+    let want = baseline.query(AGG_SQL, "main").expect("baseline query");
+    let got = chaotic.query(AGG_SQL, "main").expect("chaotic query");
+    assert_eq!(got, want, "results must be byte-identical");
+    // The resilience layer must be *visible*: backoff charged to the
+    // simulated clock and retry counters in the lakehouse-obs registry
+    // (monotonic, so >= is safe under parallel tests).
+    assert!(
+        chaotic.store_metrics().stall_time() > std::time::Duration::ZERO,
+        "chaos + retries must charge simulated stall time"
+    );
+    assert!(lakehouse_obs::global().counter("retry.attempts").get() >= 1);
+    assert_eq!(
+        baseline.store_metrics().stall_time(),
+        std::time::Duration::ZERO,
+        "fault-free baseline must not stall"
+    );
 }
 
 #[test]
@@ -302,14 +297,8 @@ fn chaos_soak_full_run_matches_fault_free_baseline() {
             "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM filtered \
              GROUP BY grp ORDER BY grp",
         ));
-    let baseline = soak_lakehouse(None, 0, false, 24, 100);
-    let chaotic = soak_lakehouse(
-        Some(ChaosConfig::new(7).with_fault_p(0.1)),
-        8,
-        false,
-        24,
-        100,
-    );
+    let baseline = soak_lakehouse(None, 0, 24, 100);
+    let chaotic = soak_lakehouse(Some(ChaosConfig::new(7).with_fault_p(0.1)), 8, 24, 100);
     let want = baseline
         .run(&project, &RunOptions::default())
         .expect("baseline run");
@@ -334,7 +323,7 @@ fn chaos_soak_full_run_matches_fault_free_baseline() {
 #[test]
 fn chaos_soak_branch_merge_stays_consistent() {
     let build = |chaos, retry_max| {
-        let lh = soak_lakehouse(chaos, retry_max, false, 6, 50);
+        let lh = soak_lakehouse(chaos, retry_max, 6, 50);
         lh.create_branch("feat", Some("main")).expect("branch");
         lh.append_table("events", &events_batch(2, 50), "feat")
             .expect("append on branch");
@@ -352,16 +341,10 @@ fn chaos_soak_is_deterministic_across_seeds() {
     // Property over seeds: any seed either yields the baseline bytes or a
     // typed error — never corruption, never a panic. At p = 0.1 with 8
     // retries every seed should in fact succeed.
-    let baseline = soak_lakehouse(None, 0, false, 12, 50);
+    let baseline = soak_lakehouse(None, 0, 12, 50);
     let want = baseline.query(AGG_SQL, "main").unwrap();
     for seed in 1..=5u64 {
-        let chaotic = soak_lakehouse(
-            Some(ChaosConfig::new(seed).with_fault_p(0.1)),
-            8,
-            false,
-            12,
-            50,
-        );
+        let chaotic = soak_lakehouse(Some(ChaosConfig::new(seed).with_fault_p(0.1)), 8, 12, 50);
         let got = chaotic
             .query(AGG_SQL, "main")
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -429,23 +412,15 @@ impl ObjectStore for FlipFirstRead {
 fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
     // Each data file here travels as one merged request, so a torn or
     // bit-flipped response poisons the whole file's bytes at once — and, with
-    // a byte cache on, the cached range too. Both executors must still
-    // return the fault-free bytes: the materialized one puts the whole
-    // window of requests in flight at once, the streaming one ramps it, and
-    // either way a worker hands the poisoned bytes straight to the decoder.
-    let want = soak_lakehouse(None, 0, false, 12, 50)
-        .query(AGG_SQL, "main")
-        .unwrap();
-    // Each variant over a byte cache of its own.
-    let variants = |base: &dyn Fn() -> LakehouseConfig| {
-        [
-            base(),
-            LakehouseConfig {
-                stream_execution: true,
-                ..base()
-            },
-        ]
-    };
+    // a byte cache on, the cached range too. The query must still return
+    // the fault-free bytes whether the scan puts its whole window of
+    // requests in flight at once (no row budget: the aggregate) or ramps it
+    // (a `LIMIT` that happens to cover every row) — either way a worker
+    // hands the poisoned bytes straight to the decoder.
+    const RAMPED_SQL: &str = "SELECT part, grp, val FROM events LIMIT 600";
+    let fault_free = soak_lakehouse(None, 0, 12, 50);
+    let queries = [AGG_SQL, RAMPED_SQL].map(|sql| (sql, fault_free.query(sql, "main").unwrap()));
+    assert_eq!(queries[1].1.num_rows(), 600);
 
     // The fixture is written through a plain front: a caching front would
     // keep what it wrote and never read the backend at all.
@@ -469,17 +444,18 @@ fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
         shared_pool: Some(Arc::new(BufferPool::new(8 << 20))),
         ..Default::default()
     };
-    for config in variants(&base) {
+    // Each query over a byte cache of its own.
+    for (sql, want) in &queries {
         let store = Arc::new(FlipFirstRead::default());
         let backend = Arc::clone(&store) as Arc<dyn ObjectStore>;
         seed_events(&backend);
-        let lh = Lakehouse::with_store(backend, config).unwrap();
-        assert_eq!(lh.query(AGG_SQL, "main").unwrap(), want);
+        let lh = Lakehouse::with_store(backend, base()).unwrap();
+        assert_eq!(&lh.query(sql, "main").unwrap(), want, "{sql}");
         let reads = store.data_reads.lock().unwrap().clone();
         assert_eq!(reads.len(), 12);
-        assert!(reads.values().all(|&n| n == 2), "{reads:?}");
+        assert!(reads.values().all(|&n| n == 2), "{sql}: {reads:?}");
         // Now cached and verified: no further backend reads.
-        assert_eq!(lh.query(AGG_SQL, "main").unwrap(), want);
+        assert_eq!(&lh.query(sql, "main").unwrap(), want, "{sql}");
         assert_eq!(*store.data_reads.lock().unwrap(), reads);
     }
 
@@ -492,14 +468,14 @@ fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
             shared_pool: Some(Arc::new(BufferPool::new(8 << 20))),
             ..Default::default()
         };
-        for config in variants(&base) {
+        for (sql, want) in &queries {
             let backend: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
             seed_events(&backend);
-            let lh = Lakehouse::with_store(backend, config).unwrap();
+            let lh = Lakehouse::with_store(backend, base()).unwrap();
             let got = lh
-                .query(AGG_SQL, "main")
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            assert_eq!(got, want, "seed {seed}: a torn read became a wrong value");
+                .query(sql, "main")
+                .unwrap_or_else(|e| panic!("seed {seed}: {sql}: {e}"));
+            assert_eq!(&got, want, "seed {seed}: a torn read became a wrong value");
         }
     }
 }
@@ -532,8 +508,8 @@ fn default_config_adds_no_resilience_overhead() {
     // Defaults (retries off, chaos off) must leave the store stack — and
     // thus every op-count- and latency-asserting test — untouched: no
     // stall time is ever charged, and results match a retry-enabled stack.
-    let plain = soak_lakehouse(None, 0, false, 6, 50);
-    let retrying = soak_lakehouse(None, 4, false, 6, 50);
+    let plain = soak_lakehouse(None, 0, 6, 50);
+    let retrying = soak_lakehouse(None, 4, 6, 50);
     assert_eq!(
         plain.query(AGG_SQL, "main").unwrap(),
         retrying.query(AGG_SQL, "main").unwrap()
@@ -618,6 +594,61 @@ fn deadline_kills_mid_retry_backoff_promptly_and_typed() {
         "stall {} ns must be capped near the 50 ms deadline, not the 10 s hint",
         record.ledger.retry_stall_nanos
     );
+}
+
+/// The per-query memory budget is enforced on every statement (before PR 17
+/// only the opt-in streaming executor looked at it): with the default
+/// configuration plus a budget far below one data file, a full-table
+/// aggregate dies with the typed kill, and a budget it fits in changes
+/// nothing.
+#[test]
+fn memory_budget_kills_a_default_config_aggregate_typed() {
+    const Q: &str = "SELECT grp, COUNT(*) AS memory_probe, SUM(val) AS s FROM events \
+                     GROUP BY grp ORDER BY grp";
+    let make = |memory_budget_bytes: u64| {
+        let config = LakehouseConfig {
+            latency: LatencyModel::zero(),
+            memory_budget_bytes,
+            ..Default::default()
+        };
+        let lh = Lakehouse::in_memory(config).expect("lakehouse");
+        // 8 files of 500 rows x 24 bytes: 12 KB each, 96 KB in all.
+        lh.create_table_partitioned(
+            "events",
+            &events_batch(8, 500),
+            "main",
+            PartitionSpec::identity("part"),
+        )
+        .expect("fixture ingest");
+        lh
+    };
+    let want = make(0).query(Q, "main").expect("unbudgeted");
+
+    let killed_before = lakehouse_obs::global().counter("query.killed.memory").get();
+    let err = make(2048)
+        .query(Q, "main")
+        .expect_err("one 12 KB file is already over a 2 KB budget");
+    assert!(
+        matches!(
+            err,
+            bauplan_core::BauplanError::QueryKilled {
+                reason: lakehouse_obs::KillReason::MemoryBudget
+            }
+        ),
+        "expected a typed memory-budget kill, got: {err}"
+    );
+    assert!(lakehouse_obs::global().counter("query.killed.memory").get() > killed_before);
+    let record = lakehouse_obs::query_log()
+        .snapshot()
+        .into_iter()
+        .rev()
+        .find(|r| r.label == Q && r.status == "killed")
+        .expect("killed queries still land in the query log");
+    assert_eq!(record.reason, "memory_budget");
+
+    // The aggregate holds a file and its group state, not the table: a
+    // budget of half the table is plenty, and changes no byte.
+    assert_eq!(make(48 * 1024).query(Q, "main").expect("fits"), want);
 }
 
 /// A query killed mid-scan (I/O byte budget) with overlapped requests in

@@ -354,48 +354,29 @@ fn evolve_and_append(store: &Arc<LedgerStore>) {
 #[test]
 fn a_commit_between_plan_and_scan_does_not_leak_into_the_statement() {
     let _serial = serial();
-    let configs = [
-        ("materialized", LakehouseConfig::zero_latency()),
-        (
-            "stream",
-            LakehouseConfig {
-                stream_execution: true,
-                ..LakehouseConfig::zero_latency()
-            },
-        ),
-        (
-            "sql_parallelism 4",
-            LakehouseConfig {
-                sql_parallelism: 4,
-                ..LakehouseConfig::zero_latency()
-            },
-        ),
-    ];
-    for (name, config) in configs {
-        let store = Arc::new(LedgerStore::default());
-        // Written by another front, so that this one has to fetch the
-        // table's metadata to plan.
-        front(&store, LakehouseConfig::zero_latency())
-            .create_table("trips", &small_batch(0..10), "main")
-            .unwrap();
-        let lh = front(&store, config);
+    let store = Arc::new(LedgerStore::default());
+    // Written by another front, so that this one has to fetch the table's
+    // metadata to plan.
+    front(&store, LakehouseConfig::zero_latency())
+        .create_table("trips", &small_batch(0..10), "main")
+        .unwrap();
+    let lh = front(&store, LakehouseConfig::zero_latency());
 
-        // Planning loads the table's metadata; the commit lands right after.
-        let writer = Arc::clone(&store);
-        *store.after_metadata.lock().unwrap() = Some(Box::new(move || evolve_and_append(&writer)));
-        let during = lh.query("SELECT * FROM trips ORDER BY id", "main").unwrap();
-        assert!(store.after_metadata.lock().unwrap().is_none(), "hook ran");
-        // The statement is the pre-commit snapshot in full: schema and rows.
-        assert_eq!(during.schema().names(), vec!["id", "fare"], "{name}");
-        assert_eq!(during.columns(), small_batch(0..10).columns(), "{name}");
+    // Planning loads the table's metadata; the commit lands right after.
+    let writer = Arc::clone(&store);
+    *store.after_metadata.lock().unwrap() = Some(Box::new(move || evolve_and_append(&writer)));
+    let during = lh.query("SELECT * FROM trips ORDER BY id", "main").unwrap();
+    assert!(store.after_metadata.lock().unwrap().is_none(), "hook ran");
+    // The statement is the pre-commit snapshot in full: schema and rows.
+    assert_eq!(during.schema().names(), vec!["id", "fare"]);
+    assert_eq!(during.columns(), small_batch(0..10).columns());
 
-        // The next statement sees the commit, in full as well.
-        let after = lh.query("SELECT * FROM trips ORDER BY id", "main").unwrap();
-        assert_eq!(after.schema().names(), vec!["id", "fare", "tip"], "{name}");
-        assert_eq!(after.num_rows(), 13, "{name}");
-        assert_eq!(after.row(9).unwrap()[2], Value::Null, "{name}");
-        assert_eq!(after.row(12).unwrap()[2], Value::Float64(3.0), "{name}");
-    }
+    // The next statement sees the commit, in full as well.
+    let after = lh.query("SELECT * FROM trips ORDER BY id", "main").unwrap();
+    assert_eq!(after.schema().names(), vec!["id", "fare", "tip"]);
+    assert_eq!(after.num_rows(), 13);
+    assert_eq!(after.row(9).unwrap()[2], Value::Null);
+    assert_eq!(after.row(12).unwrap()[2], Value::Float64(3.0));
 }
 
 #[test]

@@ -389,28 +389,3 @@ fn count_distinct_per_group() {
     assert_eq!(i(&b.row(1).unwrap()[1]), 1);
     assert_eq!(i(&b.row(2).unwrap()[1]), 3);
 }
-
-#[test]
-fn parallel_engine_equivalence_full_queries() {
-    // The same golden queries produce identical results with the parallel
-    // engine enabled (low threshold so tiny data still goes parallel).
-    let mut config = LakehouseConfig::zero_latency();
-    config.sql_parallelism = 4;
-    let lh_serial = lakehouse();
-    let lh_parallel = {
-        let lh = Lakehouse::in_memory(config).unwrap();
-        let src = lakehouse();
-        let emp = src.read_table("employees", "main").unwrap();
-        lh.create_table("employees", &emp, "main").unwrap();
-        lh
-    };
-    for sql in [
-        "SELECT dept, COUNT(*) AS n, SUM(salary) AS s FROM employees GROUP BY dept ORDER BY dept",
-        "SELECT COUNT(DISTINCT name) AS d FROM employees",
-        "SELECT * FROM employees WHERE salary > 55.0 ORDER BY id",
-    ] {
-        let a = lh_serial.query(sql, "main").unwrap();
-        let b = lh_parallel.query(sql, "main").unwrap();
-        assert_eq!(a, b, "parallel mismatch for {sql}");
-    }
-}

@@ -122,57 +122,41 @@ fn two_query_ledgers_reconcile_with_registry_and_system_queries() {
     }
 }
 
-/// `system.queries` works through both executors, including ORDER BY/LIMIT
-/// over the ledger columns.
+/// `system.queries` is served by the executor like any table, including
+/// ORDER BY/LIMIT over the ledger columns.
 #[test]
 fn system_queries_through_both_executors() {
     let _serial = serial();
-    for streaming in [false, true] {
-        let config = LakehouseConfig {
-            stream_execution: streaming,
-            ..LakehouseConfig::zero_latency()
-        };
-        let lh = lakehouse(config, 4);
-        // Unique alias per executor so `record_for` can't match the other
-        // iteration's record (the lexer has no comment syntax to tag with).
-        let warm = format!("SELECT MAX(id) AS m{} FROM events", streaming as u8);
-        lh.query(&warm, "main").unwrap();
-        let out = lh
-            .query(
-                "SELECT query_id, io_bytes FROM system.queries ORDER BY io_bytes DESC LIMIT 5",
-                "main",
-            )
-            .unwrap();
-        assert!(
-            (1..=5).contains(&out.num_rows()),
-            "streaming={streaming}: LIMIT respected"
-        );
-        let io_bytes: Vec<i64> = (0..out.num_rows())
-            .map(|i| out.row(i).unwrap()[1].as_i64().unwrap())
-            .collect();
-        assert!(
-            io_bytes.windows(2).all(|w| w[0] >= w[1]),
-            "streaming={streaming}: sorted descending: {io_bytes:?}"
-        );
-        // The warm-up query's record is findable and nonzero.
-        assert!(record_for(&warm).ledger.io_bytes > 0);
-    }
+    let lh = lakehouse(LakehouseConfig::zero_latency(), 4);
+    const WARM: &str = "SELECT MAX(id) AS m0 FROM events";
+    lh.query(WARM, "main").unwrap();
+    let out = lh
+        .query(
+            "SELECT query_id, io_bytes FROM system.queries ORDER BY io_bytes DESC LIMIT 5",
+            "main",
+        )
+        .unwrap();
+    assert!((1..=5).contains(&out.num_rows()), "LIMIT respected");
+    let io_bytes: Vec<i64> = (0..out.num_rows())
+        .map(|i| out.row(i).unwrap()[1].as_i64().unwrap())
+        .collect();
+    assert!(
+        io_bytes.windows(2).all(|w| w[0] >= w[1]),
+        "sorted descending: {io_bytes:?}"
+    );
+    // The warm-up query's record is findable and nonzero.
+    assert!(record_for(WARM).ledger.io_bytes > 0);
 }
 
-/// A finished query's flight-recorder events come back byte-identical from
-/// the materialized and streaming executors (filtered to a fixed query id so
-/// later recording can't perturb the result).
+/// A finished query's flight-recorder events come back byte-identical
+/// whichever lakehouse instance of the process serves `system.events`
+/// (filtered to a fixed query id so later recording can't perturb the
+/// result).
 #[test]
 fn system_events_identical_between_executors() {
     let _serial = serial();
     let lh_m = lakehouse(LakehouseConfig::zero_latency(), 4);
-    let lh_s = lakehouse(
-        LakehouseConfig {
-            stream_execution: true,
-            ..LakehouseConfig::zero_latency()
-        },
-        4,
-    );
+    let lh_s = lakehouse(LakehouseConfig::zero_latency(), 4);
     const Q: &str = "SELECT COUNT(*) AS n FROM events WHERE id < 96";
     lh_m.query(Q, "main").unwrap();
     let target = record_for(Q).query_id;
@@ -185,7 +169,7 @@ fn system_events_identical_between_executors() {
     let streaming = lh_s.query(&sql, "main").unwrap();
     assert_eq!(
         materialized, streaming,
-        "executors must agree byte-for-byte"
+        "instances must agree byte-for-byte"
     );
 
     // The bracket events and the query's store ops are all attributed.
@@ -203,11 +187,7 @@ fn system_events_identical_between_executors() {
 #[test]
 fn overlapped_fetch_workers_never_lose_attribution() {
     let _serial = serial();
-    let config = LakehouseConfig {
-        sql_parallelism: 4,
-        ..LakehouseConfig::zero_latency()
-    };
-    let lh = lakehouse(config, 8);
+    let lh = lakehouse(LakehouseConfig::zero_latency(), 8);
     let bytes0 = counter("store.bytes_read");
     const Q: &str = "SELECT SUM(id) AS s, MIN(val) AS v FROM events";
     lh.query(Q, "main").unwrap();
@@ -233,10 +213,7 @@ fn overlapped_fetch_workers_never_lose_attribution() {
 #[test]
 fn cancelled_prefetch_stays_off_the_querys_ledger() {
     let _serial = serial();
-    let mk = || LakehouseConfig {
-        stream_execution: true,
-        ..LakehouseConfig::zero_latency()
-    };
+    let mk = LakehouseConfig::zero_latency;
 
     // Baseline: identical instance, full scan.
     let lh_full = lakehouse(mk(), 12);
