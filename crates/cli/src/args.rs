@@ -1,5 +1,8 @@
 //! Hand-rolled argument parsing (no external CLI dependency).
 
+use bauplan_core::{BufferPool, ChaosConfig, LakehouseConfig};
+use std::sync::Arc;
+
 /// Usage text shown on parse errors and `bauplan help`.
 pub const USAGE: &str = "\
 bauplan — a serverless data lakehouse from spare parts
@@ -30,14 +33,15 @@ GLOBAL OPTIONS:
                             0 = off; parsed table metadata is always cached)
   --trace-out <file>        write a Chrome-trace JSON (chrome://tracing /
                             Perfetto) of the command's span tree
-  --retry-max <n>           retries per failed store/scan/step operation
-                            (default: 0 = resilience layer off)
+  --retry-max <n>           retries per failed store request, with backoff
+                            (default: 0 = no retry layer)
   --retry-budget-ms <n>     total backoff budget for store retries in
                             simulated milliseconds (default: 30000)
   --chaos-seed <n>          seed for deterministic fault injection (enables
-                            the chaos layer even at --chaos-fault-p 0)
+                            the chaos layer, even at fault probability 0)
   --chaos-fault-p <p>       probability in [0,1) of injecting a transient
-                            fault per store operation (default: 0)
+                            fault per store operation (also enables the
+                            chaos layer, with a fixed seed)
   --hedge-p95               hedge tail-slow data-file reads at the live
                             p95 store latency (first completion wins;
                             win-rate circuit breaker backs hedging off
@@ -57,34 +61,6 @@ GLOBAL OPTIONS:
                             set, in MiB (default: 0 = off)
   --io-budget-mb <n>        per-query attributed object-store byte budget,
                             read + written, in MiB (default: 0 = off)
-  --retry-stall-budget-ms <n>
-                            per-query cap on total retry backoff charged
-                            before the query is killed (default: 0 = off)
-  --max-concurrent-queries <n>
-                            admission gate: at most this many top-level
-                            queries execute at once; excess submissions
-                            queue and are shed with a typed \"overloaded\"
-                            error when the queue is full or they wait past
-                            --queue-deadline-ms (default: 0 = no gate)
-  --tenant-slots <n>        per-tenant cap on admission slots, so one
-                            tenant cannot occupy the whole gate
-                            (default: 0 = uncapped; needs the gate)
-  --queue-cap <n>           bounded admission wait queue length; beyond it
-                            submissions are shed immediately (default: 16)
-  --queue-deadline-ms <n>   longest a submission may wait for admission
-                            before being shed (default: 100)
-  --sched-policy <p>        scheduling policy ordering the admission queue:
-                            fifo (arrival order, the default), fair
-                            (weighted fair share across tenants), or cost
-                            (shortest-expected-cost-first with aging)
-  --tenant-weight <t=w>     fair-share weight for one tenant, e.g.
-                            team-a=3.0 (repeatable; unlisted tenants
-                            weigh 1.0; used by --sched-policy fair)
-  --pool-tenant-quota-mb <n>
-                            per-tenant byte cap on the shared pool's
-                            protected segment, in MiB; a tenant's misses
-                            never evict another tenant's protected pages
-                            (default: 0 = off; needs --shared-pool-mb)
 
 `query -q \"EXPLAIN ANALYZE <SQL>\"` executes the query and prints the plan
 annotated with per-operator rows, batches, bytes, and both clocks. `profile`
@@ -101,51 +77,17 @@ an optional expectations.json declaring data audits:
   [{\"name\": \"trips_expectation\", \"input\": \"trips\",
     \"check\": \"mean_greater_than\", \"column\": \"count\", \"threshold\": 10.0}]";
 
-/// Parsed command line.
-#[derive(Debug, Clone, PartialEq)]
+/// Parsed command line: what the global options filled in, and the command.
+#[derive(Debug)]
 pub struct Cli {
     pub data_dir: String,
-    /// Shared verified-buffer-pool capacity in bytes (0 = no shared pool).
-    pub shared_pool_bytes: usize,
     /// Write a Chrome-trace JSON of the command's span tree here.
     pub trace_out: Option<String>,
-    /// Retries per failed store/scan/step operation (0 = off).
-    pub retry_max: u32,
-    /// Total backoff budget for store retries, in simulated milliseconds.
-    pub retry_budget_ms: u64,
-    /// Seed for deterministic fault injection (None = chaos off unless
-    /// `chaos_fault_p > 0`, which then uses the default seed).
-    pub chaos_seed: Option<u64>,
-    /// Per-operation transient-fault probability for the chaos layer.
-    pub chaos_fault_p: f64,
-    /// Hedge tail-slow data-file reads at the live p95 store latency.
-    pub hedge_p95: bool,
-    /// Tenant label stamped on this invocation's query contexts.
-    pub tenant: String,
     /// Write the registry in Prometheus exposition format here afterwards.
     pub metrics_out: Option<String>,
-    /// Per-query deadline in milliseconds (0 = none).
-    pub query_timeout_ms: u64,
-    /// Per-query peak-working-set budget in bytes (0 = off).
-    pub memory_budget_bytes: u64,
-    /// Per-query attributed IO byte budget, read + written (0 = off).
-    pub io_budget_bytes: u64,
-    /// Per-query retry-stall budget in milliseconds (0 = off).
-    pub retry_stall_budget_ms: u64,
-    /// Admission gate width (0 = no gate).
-    pub max_concurrent_queries: usize,
-    /// Per-tenant admission slot cap (0 = uncapped).
-    pub tenant_slots: usize,
-    /// Bounded admission wait-queue length.
-    pub queue_cap: usize,
-    /// Admission queue deadline in milliseconds.
-    pub queue_deadline_ms: u64,
-    /// Scheduling policy ordering the admission queue.
-    pub sched_policy: bauplan_core::PolicyKind,
-    /// Fair-share weights, `(tenant, weight)` (repeatable flag).
-    pub tenant_weights: Vec<(String, f64)>,
-    /// Per-tenant protected-segment quota on the shared pool, in bytes.
-    pub pool_tenant_quota_bytes: usize,
+    /// The lakehouse to open: the defaults, as the global options changed
+    /// them.
+    pub config: LakehouseConfig,
     pub command: Command,
 }
 
@@ -211,140 +153,94 @@ pub enum Command {
     Help,
 }
 
+/// What a global option does with the command line being built.
+enum Global {
+    /// A bare switch.
+    Switch(fn(&mut Cli)),
+    /// An option with one value; `Err` says what it expected instead.
+    Value(fn(&mut Cli, &str) -> Result<(), &'static str>),
+}
+use Global::{Switch, Value};
+
+/// Store a parsed value, or pass on what the parser expected instead.
+fn set<T>(slot: &mut T, parsed: Result<T, &'static str>) -> Result<(), &'static str> {
+    *slot = parsed?;
+    Ok(())
+}
+
+fn text(v: &str) -> Result<String, &'static str> {
+    Ok(v.to_string())
+}
+
+fn number<T: std::str::FromStr>(v: &str) -> Result<T, &'static str> {
+    v.parse().map_err(|_| "a number")
+}
+
+/// A size given in MiB, in bytes.
+fn mib(v: &str) -> Result<u64, &'static str> {
+    Ok(number::<u64>(v)?.saturating_mul(1024 * 1024))
+}
+
+/// A pool of the given size in MiB; none at 0.
+fn pool(v: &str) -> Result<Option<Arc<BufferPool>>, &'static str> {
+    let bytes = usize::try_from(mib(v)?).unwrap_or(usize::MAX);
+    Ok((bytes > 0).then(|| Arc::new(BufferPool::new(bytes))))
+}
+
+fn probability(v: &str) -> Result<f64, &'static str> {
+    let expected = "a probability in [0, 1)";
+    let p: f64 = v.parse().map_err(|_| expected)?;
+    (0.0..1.0).contains(&p).then_some(p).ok_or(expected)
+}
+
+/// The chaos layer, which either chaos flag arms (with this seed by default).
+fn chaos(cli: &mut Cli) -> &mut ChaosConfig {
+    cli.config
+        .chaos
+        .get_or_insert_with(|| ChaosConfig::new(0xC4A05))
+}
+
+/// Every global option — flag, value parser, where the value goes. They
+/// parse anywhere on the line, straight into the [`Cli`] (most of them into
+/// its `config`).
+#[rustfmt::skip]
+const GLOBALS: &[(&str, Global)] = &[
+    ("--data-dir", Value(|cli, v| set(&mut cli.data_dir, text(v)))),
+    ("--shared-pool-mb", Value(|cli, v| set(&mut cli.config.shared_pool, pool(v)))),
+    ("--trace-out", Value(|cli, v| set(&mut cli.trace_out, text(v).map(Some)))),
+    ("--retry-max", Value(|cli, v| set(&mut cli.config.retry_max, number(v)))),
+    ("--retry-budget-ms", Value(|cli, v| set(&mut cli.config.retry_budget_ms, number(v)))),
+    ("--chaos-seed", Value(|cli, v| set(&mut chaos(cli).seed, number(v)))),
+    ("--chaos-fault-p", Value(|cli, v| set(&mut chaos(cli).fault_p, probability(v)))),
+    ("--hedge-p95", Switch(|cli| cli.config.hedge_p95 = true)),
+    ("--tenant", Value(|cli, v| set(&mut cli.config.tenant, text(v)))),
+    ("--metrics-out", Value(|cli, v| set(&mut cli.metrics_out, text(v).map(Some)))),
+    ("--query-timeout-ms", Value(|cli, v| set(&mut cli.config.query_timeout_ms, number(v)))),
+    ("--memory-budget-mb", Value(|cli, v| set(&mut cli.config.memory_budget_bytes, mib(v)))),
+    ("--io-budget-mb", Value(|cli, v| set(&mut cli.config.io_budget_bytes, mib(v)))),
+];
+
 impl Cli {
     /// Parse argv (without the program name).
     pub fn parse(argv: &[String]) -> Result<Cli, String> {
-        let mut data_dir = ".bauplan".to_string();
-        let mut shared_pool_bytes = 0usize;
-        let mut trace_out = None;
-        let mut retry_max = 0u32;
-        let mut retry_budget_ms = 30_000u64;
-        let mut chaos_seed = None;
-        let mut chaos_fault_p = 0.0f64;
-        let mut hedge_p95 = false;
-        let mut tenant = "default".to_string();
-        let mut metrics_out = None;
-        let mut query_timeout_ms = 0u64;
-        let mut memory_budget_bytes = 0u64;
-        let mut io_budget_bytes = 0u64;
-        let mut retry_stall_budget_ms = 0u64;
-        let mut max_concurrent_queries = 0usize;
-        let mut tenant_slots = 0usize;
-        let mut queue_cap = 16usize;
-        let mut queue_deadline_ms = 100u64;
-        let mut sched_policy = bauplan_core::PolicyKind::Fifo;
-        let mut tenant_weights: Vec<(String, f64)> = Vec::new();
-        let mut pool_tenant_quota_bytes = 0usize;
+        let mut cli = Cli {
+            data_dir: ".bauplan".to_string(),
+            trace_out: None,
+            metrics_out: None,
+            config: LakehouseConfig::default(),
+            command: Command::Help,
+        };
         let mut rest: Vec<String> = Vec::new();
         let mut i = 0;
         while i < argv.len() {
-            if argv[i] == "--data-dir" {
-                data_dir = take_value(argv, &mut i, "--data-dir")?;
-            } else if argv[i] == "--shared-pool-mb" {
-                let v = take_value(argv, &mut i, "--shared-pool-mb")?;
-                let mb: usize = v
-                    .parse()
-                    .map_err(|_| format!("--shared-pool-mb expects a number, got {v}"))?;
-                shared_pool_bytes = mb.saturating_mul(1024 * 1024);
-            } else if argv[i] == "--trace-out" {
-                trace_out = Some(take_value(argv, &mut i, "--trace-out")?);
-            } else if argv[i] == "--retry-max" {
-                let v = take_value(argv, &mut i, "--retry-max")?;
-                retry_max = v
-                    .parse::<u32>()
-                    .map_err(|_| format!("--retry-max expects a number, got {v}"))?;
-            } else if argv[i] == "--retry-budget-ms" {
-                let v = take_value(argv, &mut i, "--retry-budget-ms")?;
-                retry_budget_ms = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--retry-budget-ms expects a number, got {v}"))?;
-            } else if argv[i] == "--chaos-seed" {
-                let v = take_value(argv, &mut i, "--chaos-seed")?;
-                chaos_seed = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--chaos-seed expects a number, got {v}"))?,
-                );
-            } else if argv[i] == "--chaos-fault-p" {
-                let v = take_value(argv, &mut i, "--chaos-fault-p")?;
-                chaos_fault_p = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--chaos-fault-p expects a probability, got {v}"))?;
-                if !(0.0..1.0).contains(&chaos_fault_p) {
-                    return Err(format!("--chaos-fault-p must be in [0, 1), got {v}"));
+            match GLOBALS.iter().find(|(flag, _)| *flag == argv[i]) {
+                Some((_, Switch(apply))) => apply(&mut cli),
+                Some((flag, Value(apply))) => {
+                    let v = take_value(argv, &mut i, flag)?;
+                    apply(&mut cli, &v)
+                        .map_err(|what| format!("{flag} expects {what}, got {v}"))?;
                 }
-            } else if argv[i] == "--hedge-p95" {
-                hedge_p95 = true;
-            } else if argv[i] == "--tenant" {
-                tenant = take_value(argv, &mut i, "--tenant")?;
-            } else if argv[i] == "--metrics-out" {
-                metrics_out = Some(take_value(argv, &mut i, "--metrics-out")?);
-            } else if argv[i] == "--query-timeout-ms" {
-                let v = take_value(argv, &mut i, "--query-timeout-ms")?;
-                query_timeout_ms = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--query-timeout-ms expects a number, got {v}"))?;
-            } else if argv[i] == "--memory-budget-mb" {
-                let v = take_value(argv, &mut i, "--memory-budget-mb")?;
-                let mb: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--memory-budget-mb expects a number, got {v}"))?;
-                memory_budget_bytes = mb.saturating_mul(1024 * 1024);
-            } else if argv[i] == "--io-budget-mb" {
-                let v = take_value(argv, &mut i, "--io-budget-mb")?;
-                let mb: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--io-budget-mb expects a number, got {v}"))?;
-                io_budget_bytes = mb.saturating_mul(1024 * 1024);
-            } else if argv[i] == "--retry-stall-budget-ms" {
-                let v = take_value(argv, &mut i, "--retry-stall-budget-ms")?;
-                retry_stall_budget_ms = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--retry-stall-budget-ms expects a number, got {v}"))?;
-            } else if argv[i] == "--max-concurrent-queries" {
-                let v = take_value(argv, &mut i, "--max-concurrent-queries")?;
-                max_concurrent_queries = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--max-concurrent-queries expects a number, got {v}"))?;
-            } else if argv[i] == "--tenant-slots" {
-                let v = take_value(argv, &mut i, "--tenant-slots")?;
-                tenant_slots = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--tenant-slots expects a number, got {v}"))?;
-            } else if argv[i] == "--queue-cap" {
-                let v = take_value(argv, &mut i, "--queue-cap")?;
-                queue_cap = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--queue-cap expects a number, got {v}"))?;
-            } else if argv[i] == "--queue-deadline-ms" {
-                let v = take_value(argv, &mut i, "--queue-deadline-ms")?;
-                queue_deadline_ms = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--queue-deadline-ms expects a number, got {v}"))?;
-            } else if argv[i] == "--sched-policy" {
-                let v = take_value(argv, &mut i, "--sched-policy")?;
-                sched_policy = v
-                    .parse()
-                    .map_err(|_| format!("--sched-policy expects fifo, fair, or cost, got {v}"))?;
-            } else if argv[i] == "--tenant-weight" {
-                let v = take_value(argv, &mut i, "--tenant-weight")?;
-                let (name, weight) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("--tenant-weight expects name=WEIGHT, got {v}"))?;
-                let weight: f64 = weight
-                    .parse()
-                    .map_err(|_| format!("--tenant-weight expects a numeric weight, got {v}"))?;
-                if weight <= 0.0 || !weight.is_finite() {
-                    return Err(format!("--tenant-weight weight must be > 0, got {v}"));
-                }
-                tenant_weights.push((name.to_string(), weight));
-            } else if argv[i] == "--pool-tenant-quota-mb" {
-                let v = take_value(argv, &mut i, "--pool-tenant-quota-mb")?;
-                let mb: usize = v
-                    .parse()
-                    .map_err(|_| format!("--pool-tenant-quota-mb expects a number, got {v}"))?;
-                pool_tenant_quota_bytes = mb.saturating_mul(1024 * 1024);
-            } else {
-                rest.push(argv[i].clone());
+                None => rest.push(argv[i].clone()),
             }
             i += 1;
         }
@@ -352,7 +248,7 @@ impl Cli {
             return Err("missing command".into());
         };
         let args = &rest[1..];
-        let command = match verb.as_str() {
+        cli.command = match verb.as_str() {
             "query" => parse_query(args)?,
             "profile" => parse_profile(args)?,
             "metrics" => Command::Metrics,
@@ -385,30 +281,7 @@ impl Cli {
             "help" | "--help" | "-h" => Command::Help,
             other => return Err(format!("unknown command: {other}")),
         };
-        Ok(Cli {
-            data_dir,
-            shared_pool_bytes,
-            trace_out,
-            retry_max,
-            retry_budget_ms,
-            chaos_seed,
-            chaos_fault_p,
-            hedge_p95,
-            tenant,
-            metrics_out,
-            query_timeout_ms,
-            memory_budget_bytes,
-            io_budget_bytes,
-            retry_stall_budget_ms,
-            max_concurrent_queries,
-            tenant_slots,
-            queue_cap,
-            queue_deadline_ms,
-            sched_policy,
-            tenant_weights,
-            pool_tenant_quota_bytes,
-            command,
-        })
+        Ok(cli)
     }
 }
 
@@ -639,45 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_scheduler_flags() {
-        let cli = Cli::parse(&s(&[
-            "query",
-            "-q",
-            "SELECT 1",
-            "--sched-policy",
-            "fair",
-            "--tenant-weight",
-            "team-a=3.0",
-            "--tenant-weight",
-            "team-b=1",
-            "--pool-tenant-quota-mb",
-            "64",
-        ]))
-        .unwrap();
-        assert_eq!(cli.sched_policy, bauplan_core::PolicyKind::FairShare);
-        assert_eq!(
-            cli.tenant_weights,
-            vec![("team-a".to_string(), 3.0), ("team-b".to_string(), 1.0)]
-        );
-        assert_eq!(cli.pool_tenant_quota_bytes, 64 * 1024 * 1024);
-        let cli = Cli::parse(&s(&["refs", "--sched-policy", "cost"])).unwrap();
-        assert_eq!(cli.sched_policy, bauplan_core::PolicyKind::CostAware);
-        let cli = Cli::parse(&s(&["refs"])).unwrap();
-        assert_eq!(cli.sched_policy, bauplan_core::PolicyKind::Fifo);
-        assert!(cli.tenant_weights.is_empty());
-        assert_eq!(cli.pool_tenant_quota_bytes, 0);
-    }
-
-    #[test]
-    fn parse_scheduler_flags_reject_bad_values() {
-        assert!(Cli::parse(&s(&["refs", "--sched-policy", "lottery"])).is_err());
-        assert!(Cli::parse(&s(&["refs", "--tenant-weight", "team-a"])).is_err());
-        assert!(Cli::parse(&s(&["refs", "--tenant-weight", "team-a=zero"])).is_err());
-        assert!(Cli::parse(&s(&["refs", "--tenant-weight", "team-a=-2"])).is_err());
-        assert!(Cli::parse(&s(&["refs", "--pool-tenant-quota-mb", "lots"])).is_err());
-    }
-
-    #[test]
     fn parse_global_data_dir_anywhere() {
         let cli = Cli::parse(&s(&["--data-dir", "/tmp/x", "refs"])).unwrap();
         assert_eq!(cli.data_dir, "/tmp/x");
@@ -700,13 +534,53 @@ mod tests {
         }
     }
 
+    /// `flag <value>` is not an option of the CLI any more.
+    fn rejected(flag: &str, value: &str) -> bool {
+        Cli::parse(&s(&["query", "-q", "SELECT 1", flag, value])).is_err()
+    }
+
+    #[test]
+    fn parse_admission_flags() {
+        // A one-shot process with one thread never contends for a gate: the
+        // flags that sized one are gone rather than ignored, and the CLI
+        // opens its lakehouse without a gate.
+        for flag in [
+            "--max-concurrent-queries",
+            "--tenant-slots",
+            "--queue-cap",
+            "--queue-deadline-ms",
+        ] {
+            assert!(rejected(flag, "4"), "{flag}");
+        }
+        assert!(Cli::parse(&s(&["refs"]))
+            .unwrap()
+            .config
+            .admission
+            .is_none());
+    }
+
+    #[test]
+    fn parse_scheduler_flags() {
+        // The gate's order is not a setting; weights and the pool's tenant
+        // quota belong to the embedder that holds the gate and the pool.
+        assert!(rejected("--sched-policy", "fair"));
+        assert!(rejected("--tenant-weight", "team-a=3.0"));
+        assert!(rejected("--pool-tenant-quota-mb", "64"));
+    }
+
     #[test]
     fn parse_shared_pool() {
         let cli = Cli::parse(&s(&["query", "-q", "SELECT 1", "--shared-pool-mb", "64"])).unwrap();
-        assert_eq!(cli.shared_pool_bytes, 64 * 1024 * 1024);
-        // Default: no shared pool; garbage rejected.
-        let cli = Cli::parse(&s(&["refs"])).unwrap();
-        assert_eq!(cli.shared_pool_bytes, 0);
+        let pool = cli.config.shared_pool.expect("a pool");
+        assert_eq!(pool.capacity_bytes(), 64 * 1024 * 1024);
+        // Default (and 0): no shared pool; garbage rejected.
+        assert!(Cli::parse(&s(&["refs"]))
+            .unwrap()
+            .config
+            .shared_pool
+            .is_none());
+        let cli = Cli::parse(&s(&["refs", "--shared-pool-mb", "0"])).unwrap();
+        assert!(cli.config.shared_pool.is_none());
         assert!(Cli::parse(&s(&["refs", "--shared-pool-mb", "much"])).is_err());
     }
 
@@ -811,26 +685,38 @@ mod tests {
             "0.1",
         ]))
         .unwrap();
-        assert_eq!(cli.retry_max, 4);
-        assert_eq!(cli.retry_budget_ms, 5000);
-        assert_eq!(cli.chaos_seed, Some(42));
-        assert_eq!(cli.chaos_fault_p, 0.1);
+        assert_eq!(cli.config.retry_max, 4);
+        assert_eq!(cli.config.retry_budget_ms, 5000);
+        let chaos = cli.config.chaos.expect("chaos armed");
+        assert_eq!((chaos.seed, chaos.fault_p), (42, 0.1));
+        // Either chaos flag arms the layer, in either order.
+        let cli = Cli::parse(&s(&["refs", "--chaos-fault-p", "0.2"])).unwrap();
+        assert_eq!(cli.config.chaos.expect("armed by fault-p").fault_p, 0.2);
+        let cli = Cli::parse(&s(&["refs", "--chaos-fault-p", "0.2", "--chaos-seed", "7"]));
+        let chaos = cli.unwrap().config.chaos.expect("armed");
+        assert_eq!((chaos.seed, chaos.fault_p), (7, 0.2));
+        let cli = Cli::parse(&s(&["refs", "--chaos-seed", "7"])).unwrap();
+        assert_eq!(cli.config.chaos.expect("armed by seed").fault_p, 0.0);
         // Defaults: resilience layer entirely off.
         let cli = Cli::parse(&s(&["refs"])).unwrap();
-        assert_eq!(cli.retry_max, 0);
-        assert_eq!(cli.retry_budget_ms, 30_000);
-        assert_eq!(cli.chaos_seed, None);
-        assert_eq!(cli.chaos_fault_p, 0.0);
-        // Out-of-range probability and garbage rejected.
-        assert!(Cli::parse(&s(&["refs", "--chaos-fault-p", "1.5"])).is_err());
-        assert!(Cli::parse(&s(&["refs", "--retry-max", "some"])).is_err());
+        assert_eq!(cli.config.retry_max, 0);
+        assert_eq!(cli.config.retry_budget_ms, 30_000);
+        assert!(cli.config.chaos.is_none());
+        // Out-of-range probability and garbage rejected, naming the flag.
+        let err = Cli::parse(&s(&["refs", "--chaos-fault-p", "1.5"])).unwrap_err();
+        assert_eq!(
+            err,
+            "--chaos-fault-p expects a probability in [0, 1), got 1.5"
+        );
+        let err = Cli::parse(&s(&["refs", "--retry-max", "some"])).unwrap_err();
+        assert_eq!(err, "--retry-max expects a number, got some");
     }
 
     #[test]
     fn parse_hedge_flag() {
         let cli = Cli::parse(&s(&["query", "-q", "SELECT 1", "--hedge-p95"])).unwrap();
-        assert!(cli.hedge_p95);
-        assert!(!Cli::parse(&s(&["refs"])).unwrap().hedge_p95);
+        assert!(cli.config.hedge_p95);
+        assert!(!Cli::parse(&s(&["refs"])).unwrap().config.hedge_p95);
     }
 
     #[test]
@@ -845,11 +731,11 @@ mod tests {
             "metrics.prom",
         ]))
         .unwrap();
-        assert_eq!(cli.tenant, "team-a");
+        assert_eq!(cli.config.tenant, "team-a");
         assert_eq!(cli.metrics_out.as_deref(), Some("metrics.prom"));
         // Defaults.
         let cli = Cli::parse(&s(&["refs"])).unwrap();
-        assert_eq!(cli.tenant, "default");
+        assert_eq!(cli.config.tenant, "default");
         assert_eq!(cli.metrics_out, None);
         // The metrics verb takes no arguments.
         let cli = Cli::parse(&s(&["metrics"])).unwrap();
@@ -869,54 +755,21 @@ mod tests {
             "64",
             "--io-budget-mb",
             "128",
-            "--retry-stall-budget-ms",
-            "900",
         ]))
         .unwrap();
-        assert_eq!(cli.query_timeout_ms, 250);
-        assert_eq!(cli.memory_budget_bytes, 64 * 1024 * 1024);
-        assert_eq!(cli.io_budget_bytes, 128 * 1024 * 1024);
-        assert_eq!(cli.retry_stall_budget_ms, 900);
+        assert_eq!(cli.config.query_timeout_ms, 250);
+        assert_eq!(cli.config.memory_budget_bytes, 64 * 1024 * 1024);
+        assert_eq!(cli.config.io_budget_bytes, 128 * 1024 * 1024);
         // Defaults: every budget off — enforcement-free, seed-identical.
         let cli = Cli::parse(&s(&["refs"])).unwrap();
-        assert_eq!(cli.query_timeout_ms, 0);
-        assert_eq!(cli.memory_budget_bytes, 0);
-        assert_eq!(cli.io_budget_bytes, 0);
-        assert_eq!(cli.retry_stall_budget_ms, 0);
+        assert_eq!(cli.config.query_timeout_ms, 0);
+        assert_eq!(cli.config.memory_budget_bytes, 0);
+        assert_eq!(cli.config.io_budget_bytes, 0);
+        // The deadline already counts retry stall: its own budget is gone.
+        assert!(rejected("--retry-stall-budget-ms", "900"));
         // Garbage rejected.
         assert!(Cli::parse(&s(&["refs", "--query-timeout-ms", "soon"])).is_err());
         assert!(Cli::parse(&s(&["refs", "--io-budget-mb", "lots"])).is_err());
-    }
-
-    #[test]
-    fn parse_admission_flags() {
-        let cli = Cli::parse(&s(&[
-            "query",
-            "-q",
-            "SELECT 1",
-            "--max-concurrent-queries",
-            "4",
-            "--tenant-slots",
-            "2",
-            "--queue-cap",
-            "8",
-            "--queue-deadline-ms",
-            "50",
-        ]))
-        .unwrap();
-        assert_eq!(cli.max_concurrent_queries, 4);
-        assert_eq!(cli.tenant_slots, 2);
-        assert_eq!(cli.queue_cap, 8);
-        assert_eq!(cli.queue_deadline_ms, 50);
-        // Defaults: no gate; queue knobs at their documented values.
-        let cli = Cli::parse(&s(&["refs"])).unwrap();
-        assert_eq!(cli.max_concurrent_queries, 0);
-        assert_eq!(cli.tenant_slots, 0);
-        assert_eq!(cli.queue_cap, 16);
-        assert_eq!(cli.queue_deadline_ms, 100);
-        // Garbage rejected.
-        assert!(Cli::parse(&s(&["refs", "--max-concurrent-queries", "all"])).is_err());
-        assert!(Cli::parse(&s(&["refs", "--tenant-slots"])).is_err());
     }
 
     #[test]

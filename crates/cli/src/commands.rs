@@ -2,9 +2,7 @@
 
 use crate::args::{Cli, Command, USAGE};
 use crate::pipeline_loader;
-use bauplan_core::{
-    ChaosConfig, Lakehouse, LakehouseConfig, PipelineProject, RunOptions, RunReport,
-};
+use bauplan_core::{Lakehouse, PipelineProject, RunOptions, RunReport};
 use lakehouse_columnar::pretty::format_batch;
 use lakehouse_obs::{to_chrome_trace, SpanTree};
 use std::path::Path;
@@ -38,38 +36,15 @@ pub fn dispatch(cli: Cli) -> Result<(), DynError> {
         println!("{USAGE}");
         return Ok(());
     }
-    // Chaos is armed by either flag: an explicit seed (fault-p may stay 0 to
-    // exercise only the wrapper), or a nonzero fault probability (default
-    // seed). Both absent → no chaos wrapper at all.
-    let chaos = match (cli.chaos_seed, cli.chaos_fault_p) {
-        (None, 0.0) => None,
-        (seed, p) => Some(ChaosConfig::new(seed.unwrap_or(0xC4A05)).with_fault_p(p)),
-    };
-    let config = LakehouseConfig {
-        tenant: cli.tenant.clone(),
-        shared_pool: (cli.shared_pool_bytes > 0)
-            .then(|| std::sync::Arc::new(bauplan_core::BufferPool::new(cli.shared_pool_bytes))),
-        retry_max: cli.retry_max,
-        retry_budget_ms: cli.retry_budget_ms,
-        chaos,
-        hedge_p95: cli.hedge_p95,
-        query_timeout_ms: cli.query_timeout_ms,
-        memory_budget_bytes: cli.memory_budget_bytes,
-        io_budget_bytes: cli.io_budget_bytes,
-        retry_stall_budget_ms: cli.retry_stall_budget_ms,
-        max_concurrent_queries: cli.max_concurrent_queries,
-        tenant_slots: cli.tenant_slots,
-        queue_cap: cli.queue_cap,
-        queue_deadline_ms: cli.queue_deadline_ms,
-        sched_policy: cli.sched_policy,
-        tenant_weights: cli.tenant_weights.clone(),
-        pool_tenant_quota_bytes: cli.pool_tenant_quota_bytes,
-        ..LakehouseConfig::default()
-    };
-    let trace_out = cli.trace_out.clone();
-    let metrics_out = cli.metrics_out.clone();
-    let lh = Lakehouse::on_disk(&cli.data_dir, config)?;
-    match cli.command {
+    let Cli {
+        data_dir,
+        trace_out,
+        metrics_out,
+        config,
+        command,
+    } = cli;
+    let lh = Lakehouse::on_disk(&data_dir, config)?;
+    match command {
         Command::Query {
             sql,
             reference,

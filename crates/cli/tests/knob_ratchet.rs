@@ -1,13 +1,14 @@
 //! The default-off audit only moves one way (ROADMAP): this test counts the
-//! public fields of `LakehouseConfig` and the `--flags` the CLI parses, and
+//! public fields of every struct in `core/src/config.rs` (so grouping fields
+//! into a sub-config cannot hide one) and the `--flags` the CLI parses, and
 //! fails when either exceeds the count at the last PR that removed some. A
 //! PR that removes more lowers the numbers here; one that needs a new knob
 //! has to argue for it by raising them.
 
 use std::collections::BTreeSet;
 
-const MAX_CONFIG_FIELDS: usize = 26;
-const MAX_CLI_FLAGS: usize = 33;
+const MAX_CONFIG_FIELDS: usize = 22;
+const MAX_CLI_FLAGS: usize = 25;
 
 fn source(relative: &str) -> String {
     let path = format!("{}/{relative}", env!("CARGO_MANIFEST_DIR"));
@@ -18,15 +19,16 @@ fn source(relative: &str) -> String {
 fn config_fields_and_cli_flags_do_not_grow() {
     let config = source("../core/src/config.rs");
     let fields = config
+        .split("#[cfg(test)]")
+        .next()
+        .unwrap_or_default()
         .lines()
-        .skip_while(|l| !l.starts_with("pub struct LakehouseConfig"))
-        .take_while(|l| !l.starts_with('}'))
-        .filter(|l| l.starts_with("    pub "))
+        .filter(|l| l.starts_with("    pub ") && !l.starts_with("    pub fn "))
         .count();
-    assert!(fields > 0, "LakehouseConfig not found");
+    assert!(fields > 0, "no config struct found");
     assert!(
         fields <= MAX_CONFIG_FIELDS,
-        "LakehouseConfig has {fields} public fields, the ratchet allows {MAX_CONFIG_FIELDS}"
+        "config.rs declares {fields} public fields, the ratchet allows {MAX_CONFIG_FIELDS}"
     );
 
     // Every distinct "--flag" literal of the parser (its tests excluded).

@@ -1,6 +1,6 @@
 //! Admission control: a bounded concurrency gate with per-tenant slot
 //! quotas and a bounded wait queue, wrapped around every top-level
-//! query/run/profile entry point (DESIGN.md §16–§17).
+//! query/run/profile entry point (DESIGN.md §16).
 //!
 //! The paper's multi-tenant premise (§3.1) is that a serverless lakehouse
 //! is shared: one greedy tenant must not be able to monopolize the
@@ -11,10 +11,8 @@
 //!   remain for others (quota), so a flood from one tenant cannot starve
 //!   the rest;
 //! - waiters park in a bounded queue. *Which* eligible waiter runs next is
-//!   delegated to a pluggable [`SchedulingPolicy`] from the
-//!   `lakehouse-scheduler` crate — FIFO-among-eligible by default
-//!   (byte-identical to the pre-policy-layer gate), weighted fair sharing
-//!   or cost-aware ordering by config;
+//!   the one order of `lakehouse-scheduler`'s [`AdmissionOrder`]: least
+//!   tenant virtual time, then least expected cost less age, then arrival;
 //! - a submission that would overflow the queue, or waits longer than the
 //!   queue deadline, is **shed** with a typed `Overloaded { retry_after }`
 //!   — load the platform cannot take is refused crisply, never queued
@@ -24,19 +22,17 @@
 //! The gate publishes `admission.{admitted,queued,shed}` and
 //! `scheduler.{picks,preempt_skips,aging_promotions}` counters, records
 //! `admission_admit` / `admission_shed` / `sched_pick` flight-recorder
-//! events, and tracks per-tenant running peaks so the overload bench can
-//! prove quotas held.
+//! events, and tracks per-tenant running peaks so a test can prove a quota
+//! held.
 //!
-//! This controller stays the generic *executor* of scheduling decisions:
-//! it owns the mutex, the condvar, the slot bookkeeping, the shedding and
-//! the RAII permits. The policy owns only the ordering. Every blocked
-//! waiter re-evaluates `pick` when it wakes and only the picked waiter
-//! consumes the decision, so `pick` is pure and the exactly-once hooks
-//! (`on_enqueue` / `on_pick` / `on_admit` / `on_complete`) carry all
-//! policy-state transitions.
+//! This controller owns the mutex, the condvar, the slot bookkeeping, the
+//! shedding and the RAII permits; the order owns only the decision. Every
+//! blocked waiter re-evaluates `pick` when it wakes and only the picked
+//! waiter consumes the decision.
 
+use crate::config::AdmissionConfig;
 use lakehouse_obs::{Counter, EventKind};
-use lakehouse_scheduler::{PolicyKind, RunningSet, SchedulingPolicy, WaitingJob};
+use lakehouse_scheduler::{AdmissionOrder, RunningSet, WaitingJob};
 use std::collections::{HashMap, VecDeque};
 // std::sync because the vendored `parking_lot` has no condvar; poisoned
 // locks are recovered (`into_inner`), never unwrapped.
@@ -46,42 +42,6 @@ use std::time::{Duration, Instant};
 /// How often a queued waiter re-evaluates its position (bounds how long a
 /// wake-up can be missed; admission normally proceeds via `notify_all`).
 const QUEUE_POLL: Duration = Duration::from_millis(5);
-
-/// Tuning for an [`AdmissionController`]. Derived from `LakehouseConfig`
-/// by [`AdmissionConfig::from_lakehouse`].
-#[derive(Debug, Clone)]
-pub struct AdmissionConfig {
-    /// Platform-wide concurrent work-item slots (>= 1).
-    pub max_slots: usize,
-    /// Per-tenant slot cap; 0 = no per-tenant cap.
-    pub tenant_slots: usize,
-    /// Waiters beyond this are shed immediately.
-    pub queue_cap: usize,
-    /// Longest a waiter may queue before being shed.
-    pub queue_deadline: Duration,
-    /// Which scheduling policy orders the queue (default FIFO).
-    pub policy: PolicyKind,
-    /// Fair-share weights, `(tenant, weight)`; unlisted tenants weigh 1.0.
-    pub weights: Vec<(String, f64)>,
-}
-
-impl AdmissionConfig {
-    /// The gate a `LakehouseConfig` asks for, or `None` when admission is
-    /// disabled (`max_concurrent_queries == 0`, the default).
-    pub fn from_lakehouse(cfg: &crate::LakehouseConfig) -> Option<AdmissionConfig> {
-        if cfg.max_concurrent_queries == 0 {
-            return None;
-        }
-        Some(AdmissionConfig {
-            max_slots: cfg.max_concurrent_queries,
-            tenant_slots: cfg.tenant_slots,
-            queue_cap: cfg.queue_cap,
-            queue_deadline: Duration::from_millis(cfg.queue_deadline_ms),
-            policy: cfg.sched_policy,
-            weights: cfg.tenant_weights.clone(),
-        })
-    }
-}
 
 /// Why and how a submission was refused by the gate.
 #[derive(Debug, Clone, Copy)]
@@ -97,14 +57,13 @@ struct State {
     /// Currently executing work items per tenant.
     running: HashMap<String, usize>,
     total_running: usize,
-    /// Queued waiters, in arrival order; the policy picks among them.
+    /// Queued waiters, in arrival order; the order picks among them.
     queue: VecDeque<WaitingJob>,
     next_id: u64,
-    /// High-water marks, for the overload bench's quota proof.
+    /// High-water marks: a test's proof that a quota held.
     peak_running: HashMap<String, usize>,
     peak_total: usize,
-    /// The pluggable scheduling decision (executor-owned, mutex-protected).
-    policy: Box<dyn SchedulingPolicy>,
+    order: AdmissionOrder,
 }
 
 struct Obs {
@@ -118,7 +77,6 @@ struct Obs {
 
 struct Inner {
     cfg: AdmissionConfig,
-    policy_name: &'static str,
     state: Mutex<State>,
     cv: Condvar,
     obs: Obs,
@@ -128,11 +86,21 @@ impl Inner {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// What is running, against this gate's limits.
+    fn view<'a>(&self, st: &'a State) -> RunningSet<'a> {
+        RunningSet::new(
+            st.total_running,
+            self.cfg.max_slots,
+            self.cfg.tenant_slots,
+            &st.running,
+        )
+    }
 }
 
 /// The bounded, quota-aware admission gate. Cheap to clone (`Arc` inside);
 /// several `Lakehouse` instances handed the same controller share one
-/// platform-wide gate — that is how the multi-tenant bench models tenants.
+/// platform-wide gate — that is how `tests/scheduler.rs` models tenants.
 #[derive(Clone)]
 pub struct AdmissionController {
     inner: Arc<Inner>,
@@ -143,7 +111,6 @@ pub struct AdmissionPermit {
     inner: Arc<Inner>,
     tenant: String,
     waited: Duration,
-    started: Instant,
 }
 
 impl AdmissionPermit {
@@ -164,7 +131,6 @@ impl std::fmt::Debug for AdmissionPermit {
 
 impl Drop for AdmissionPermit {
     fn drop(&mut self) {
-        let held = self.started.elapsed().as_secs_f64();
         let mut st = self.inner.lock();
         st.total_running = st.total_running.saturating_sub(1);
         if let Some(n) = st.running.get_mut(&self.tenant) {
@@ -173,7 +139,6 @@ impl Drop for AdmissionPermit {
                 st.running.remove(&self.tenant);
             }
         }
-        st.policy.on_complete(&self.tenant, held);
         drop(st);
         self.inner.cv.notify_all();
     }
@@ -182,15 +147,13 @@ impl Drop for AdmissionPermit {
 impl AdmissionController {
     pub fn new(cfg: AdmissionConfig) -> AdmissionController {
         let reg = lakehouse_obs::global();
-        let policy = cfg.policy.build(&cfg.weights);
+        let order = AdmissionOrder::new(&cfg.weights);
         AdmissionController {
             inner: Arc::new(Inner {
                 cfg: AdmissionConfig {
                     max_slots: cfg.max_slots.max(1),
-                    queue_cap: cfg.queue_cap,
-                    ..cfg.clone()
+                    ..cfg
                 },
-                policy_name: cfg.policy.name(),
                 state: Mutex::new(State {
                     running: HashMap::new(),
                     total_running: 0,
@@ -198,7 +161,7 @@ impl AdmissionController {
                     next_id: 1,
                     peak_running: HashMap::new(),
                     peak_total: 0,
-                    policy,
+                    order,
                 }),
                 cv: Condvar::new(),
                 obs: Obs {
@@ -213,12 +176,6 @@ impl AdmissionController {
         }
     }
 
-    /// Name of the scheduling policy this gate runs (`"fifo"`,
-    /// `"fair_share"`, or `"cost_aware"`).
-    pub fn policy_name(&self) -> &'static str {
-        self.inner.policy_name
-    }
-
     /// Waiters currently queued (diagnostic; racy by nature).
     pub fn queue_depth(&self) -> usize {
         self.inner.lock().queue.len()
@@ -230,23 +187,23 @@ impl AdmissionController {
     }
 
     /// Acquire a slot for one schedulable work item — a query or a DAG
-    /// stage — queueing (bounded, policy-ordered) when the gate is full.
+    /// stage — queueing (bounded, ordered) when the gate is full.
     /// `cost_hint` is the expected execution cost in seconds (0.0 =
-    /// unknown); cost-aware policies order by it. `Err(ShedInfo)` means the
-    /// submission was shed — queue overflow or queue-deadline — and the
-    /// caller should back off at least `retry_after` before resubmitting.
+    /// unknown). `Err(ShedInfo)` means the submission was shed — queue
+    /// overflow or queue-deadline — and the caller should back off at least
+    /// `retry_after` before resubmitting.
     pub fn acquire_item(&self, tenant: &str, cost_hint: f64) -> Result<AdmissionPermit, ShedInfo> {
         let inner = &self.inner;
         let mut st = inner.lock();
         // Fast path: nobody queued ahead and quota allows.
-        if st.queue.is_empty() && Self::eligible(&inner.cfg, &st, tenant) {
+        if st.queue.is_empty() && inner.view(&st).eligible(tenant) {
             let job = WaitingJob {
                 id: 0,
                 tenant: tenant.to_string(),
                 enqueued_tick: st.next_id,
                 cost_hint,
             };
-            st.policy.on_admit(&job);
+            st.order.admit(&job);
             return Ok(self.admit(&mut st, tenant, Duration::ZERO));
         }
         if st.queue.len() >= inner.cfg.queue_cap {
@@ -261,72 +218,33 @@ impl AdmissionController {
             enqueued_tick: id,
             cost_hint,
         };
-        st.policy.on_enqueue(&job);
+        st.order.enqueue(&job);
         st.queue.push_back(job);
         inner.obs.queued.inc();
         let enqueued = Instant::now();
         let deadline = enqueued + inner.cfg.queue_deadline;
         loop {
-            // Ask the policy which eligible waiter runs next. Every waiter
-            // evaluates this on wake; only the one whose id was picked
-            // consumes the decision (hence `pick` is pure — see the
-            // scheduler crate's idempotence contract).
-            let picked = {
-                let State {
-                    queue,
-                    policy,
-                    running,
-                    total_running,
-                    ..
-                } = &mut *st;
-                queue.make_contiguous();
-                let (jobs, _) = queue.as_slices();
-                let view = RunningSet::new(
-                    *total_running,
-                    inner.cfg.max_slots,
-                    inner.cfg.tenant_slots,
-                    running,
-                );
-                policy.pick(jobs, &view).map(|i| (i, jobs[i].id))
-            };
-            if let Some((pos, picked_id)) = picked {
-                if picked_id == id {
-                    // Consume the pick: exactly-once hooks + counters.
-                    {
-                        let State {
-                            queue,
-                            policy,
-                            running,
-                            total_running,
-                            ..
-                        } = &mut *st;
-                        let (jobs, _) = queue.as_slices();
-                        let view = RunningSet::new(
-                            *total_running,
-                            inner.cfg.max_slots,
-                            inner.cfg.tenant_slots,
-                            running,
-                        );
-                        policy.on_pick(jobs, &view, pos);
-                        let job = &jobs[pos];
-                        policy.on_admit(job);
-                        let promotions = policy.take_aging_promotions();
-                        if promotions > 0 {
-                            inner.obs.aging_promotions.add(promotions);
-                        }
-                    }
-                    st.queue.remove(pos);
-                    inner.obs.picks.inc();
-                    inner.obs.preempt_skips.add(pos as u64);
-                    lakehouse_obs::recorder().record_for(
-                        EventKind::SchedPick,
-                        0,
-                        tenant,
-                        inner.policy_name,
-                        pos as u64,
-                    );
-                    return Ok(self.admit(&mut st, tenant, enqueued.elapsed()));
+            // Which eligible waiter runs next? Every waiter evaluates this on
+            // wake; only the one that was picked consumes the decision.
+            st.queue.make_contiguous();
+            let jobs = st.queue.as_slices().0;
+            let view = inner.view(&st);
+            if let Some(pos) = st.order.pick(jobs, &view).filter(|&i| jobs[i].id == id) {
+                if st.order.aged_past_cheaper(jobs, &view, pos) {
+                    inner.obs.aging_promotions.inc();
                 }
+                let job = st.queue.remove(pos).expect("picked from the queue");
+                st.order.admit(&job);
+                inner.obs.picks.inc();
+                inner.obs.preempt_skips.add(pos as u64);
+                lakehouse_obs::recorder().record_for(
+                    EventKind::SchedPick,
+                    0,
+                    tenant,
+                    "",
+                    pos as u64,
+                );
+                return Ok(self.admit(&mut st, tenant, enqueued.elapsed()));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -346,19 +264,6 @@ impl AdmissionController {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-    }
-
-    fn eligible(cfg: &AdmissionConfig, st: &State, tenant: &str) -> bool {
-        if st.total_running >= cfg.max_slots {
-            return false;
-        }
-        if cfg.tenant_slots > 0 {
-            let used = st.running.get(tenant).copied().unwrap_or(0);
-            if used >= cfg.tenant_slots {
-                return false;
-            }
-        }
-        true
     }
 
     fn admit(&self, st: &mut State, tenant: &str, waited: Duration) -> AdmissionPermit {
@@ -381,7 +286,6 @@ impl AdmissionController {
             inner: Arc::clone(&self.inner),
             tenant: tenant.to_string(),
             waited,
-            started: Instant::now(),
         }
     }
 
@@ -409,8 +313,8 @@ impl AdmissionController {
         self.inner.lock().total_running
     }
 
-    /// High-water mark of concurrently running work items for `tenant` —
-    /// the overload bench's proof that a quota held.
+    /// High-water mark of concurrently running work items for `tenant`:
+    /// proof that a quota held.
     pub fn peak_running(&self, tenant: &str) -> usize {
         self.inner
             .lock()
@@ -437,7 +341,6 @@ mod tests {
             tenant_slots: per_tenant,
             queue_cap,
             queue_deadline: Duration::from_millis(deadline_ms),
-            policy: PolicyKind::Fifo,
             weights: Vec::new(),
         }
     }
@@ -551,10 +454,8 @@ mod tests {
             tenant_slots: 0,
             queue_cap: 64,
             queue_deadline: Duration::from_secs(30),
-            policy: PolicyKind::FairShare,
             weights: vec![("alpha".into(), 3.0), ("beta".into(), 1.0)],
         });
-        assert_eq!(gate.policy_name(), "fair_share");
         let stop = Arc::new(AtomicUsize::new(0));
         let counts: Vec<Arc<AtomicUsize>> = (0..2).map(|_| Arc::new(AtomicUsize::new(0))).collect();
         let mut handles = Vec::new();

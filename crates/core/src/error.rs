@@ -44,30 +44,6 @@ pub enum BauplanError {
     Columnar(lakehouse_columnar::ColumnarError),
 }
 
-impl BauplanError {
-    /// Whether this error stems from a transient fault — a retryable store
-    /// error ([`lakehouse_store::StoreError::is_retryable`]) or a retryable
-    /// runtime condition — so retrying the failed operation could plausibly
-    /// succeed. Because the SQL layer stringifies scan errors
-    /// ([`lakehouse_sql::SqlError::Execution`] carries formatted text, not a
-    /// source chain), this also falls back to matching the stable Display
-    /// prefixes of the retryable [`lakehouse_store::StoreError`] variants.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            Self::Store(e) => e.is_retryable(),
-            Self::Table(e) => e.is_transient(),
-            Self::Runtime(e) => e.is_retryable(),
-            Self::Sql(e) => {
-                let msg = e.to_string();
-                msg.contains("transient store fault")
-                    || msg.contains("throttled on ")
-                    || msg.contains(" timed out ")
-            }
-            _ => false,
-        }
-    }
-}
-
 impl fmt::Display for BauplanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -83,8 +83,8 @@ pub struct Lakehouse {
     pub(crate) access: AccessController,
     pub(crate) estimator: MemoryEstimator,
     /// Admission gate wrapped around top-level query/run/profile entry
-    /// points (`max_concurrent_queries > 0`). `None` — the default — means
-    /// no gate: no queueing, no shedding, seed-identical behavior.
+    /// points. `None` — the default — means no gate: no queueing, no
+    /// shedding.
     pub(crate) admission: Option<crate::AdmissionController>,
     table_counter: AtomicU64,
 }
@@ -152,9 +152,6 @@ impl Lakehouse {
         // (one `Arc<BufferPool>`); it keeps its hit counters in the pool's
         // own metrics — per-store attribution would be arbitrary.
         if let Some(pool) = &config.shared_pool {
-            if config.pool_tenant_quota_bytes > 0 {
-                pool.set_tenant_quota_bytes(config.pool_tenant_quota_bytes);
-            }
             store_dyn = Arc::new(CachedStore::with_pool(store_dyn, Arc::clone(pool)));
         }
         // The dispatcher sits over the *complete* stack: an overlapped get
@@ -174,8 +171,10 @@ impl Lakehouse {
         });
         let runtime = Runtime::new(config.runtime.clone());
         let engine = SqlEngine::new();
-        let admission =
-            crate::AdmissionConfig::from_lakehouse(&config).map(crate::AdmissionController::new);
+        let admission = config
+            .admission
+            .clone()
+            .map(crate::AdmissionController::new);
         Ok(Lakehouse {
             config,
             store,
@@ -233,8 +232,7 @@ impl Lakehouse {
                         // query id 0 (never admitted, nothing attributed) —
                         // but the wait until the gate gave up is real
                         // latency the victim's caller saw, so it is charged
-                        // as wall time instead of vanishing (the p99s in
-                        // BENCH_sched.json include shed victims).
+                        // as wall time instead of vanishing.
                         let waited = shed.waited.as_nanos() as u64;
                         lakehouse_obs::query_log().push(lakehouse_obs::QueryRecord {
                             query_id: 0,
@@ -245,7 +243,6 @@ impl Lakehouse {
                             wall_nanos: waited,
                             sim_nanos: 0,
                             queue_wait_nanos: waited,
-                            sched_policy: gate.policy_name().to_string(),
                             ledger: lakehouse_obs::LedgerSnapshot::default(),
                         });
                         return Err(BauplanError::Overloaded {
@@ -260,11 +257,6 @@ impl Lakehouse {
             .as_ref()
             .map(|p| p.waited().as_nanos() as u64)
             .unwrap_or(0);
-        let sched_policy = _permit
-            .as_ref()
-            .and(self.admission.as_ref())
-            .map(|gate| gate.policy_name().to_string())
-            .unwrap_or_default();
         let ctx = lakehouse_obs::QueryCtx::new(self.config.tenant.clone(), label);
         // Budgets arm only after admission, so queue wait never counts
         // against the deadline. All default to 0 = unarmed: the token then
@@ -279,11 +271,6 @@ impl Lakehouse {
         }
         if self.config.io_budget_bytes > 0 {
             ctx.arm_io_budget(self.config.io_budget_bytes);
-        }
-        if self.config.retry_stall_budget_ms > 0 {
-            ctx.arm_stall_budget(std::time::Duration::from_millis(
-                self.config.retry_stall_budget_ms,
-            ));
         }
         // Events carry a short tag, the query log keeps the full text.
         let tag: String = label.chars().take(64).collect();
@@ -343,7 +330,6 @@ impl Lakehouse {
             wall_nanos,
             sim_nanos,
             queue_wait_nanos,
-            sched_policy,
             ledger: ctx.ledger().snapshot(),
         });
         result
@@ -374,15 +360,14 @@ impl Lakehouse {
         }
     }
 
-    /// The admission gate, when `config.max_concurrent_queries > 0`.
+    /// The admission gate, when there is one.
     pub fn admission(&self) -> Option<&crate::AdmissionController> {
         self.admission.as_ref()
     }
 
     /// Replace the admission gate. A multi-tenant deployment hands several
     /// `Lakehouse` instances (one per tenant label) clones of **one**
-    /// controller so they contend for the same platform-wide slots — this
-    /// is how the overload bench models tenants sharing a backend.
+    /// controller so they contend for the same platform-wide slots.
     pub fn set_admission(&mut self, gate: Option<crate::AdmissionController>) {
         self.admission = gate;
     }
@@ -682,7 +667,6 @@ impl Lakehouse {
             reference,
         )
         .with_fetch_retries(self.config.retry_max)
-        .with_partial_failures(self.config.scan_partial_failures)
         .with_io(self.table_io())
         .with_system_pool(self.config.shared_pool.clone())
     }

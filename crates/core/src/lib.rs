@@ -48,8 +48,8 @@ pub mod provider;
 pub mod run;
 pub mod system;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, ShedInfo};
-pub use config::LakehouseConfig;
+pub use admission::{AdmissionController, AdmissionPermit, ShedInfo};
+pub use config::{AdmissionConfig, LakehouseConfig};
 pub use error::{BauplanError, Result};
 pub use estimator::MemoryEstimator;
 pub use functions::{builtins, FnContext, FnOutput, FunctionRegistry, NativeFunction};
@@ -62,5 +62,4 @@ pub use run::{RunOptions, RunReport};
 pub use lakehouse_planner::project::Requirements;
 pub use lakehouse_planner::{ExecutionMode, LogicalPipeline, PhysicalPipeline};
 pub use lakehouse_planner::{NodeDef, PipelineProject};
-pub use lakehouse_scheduler::{PolicyKind, SchedulingPolicy};
 pub use lakehouse_store::{BufferPool, ChaosConfig, PoolMetrics};

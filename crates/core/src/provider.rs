@@ -30,11 +30,8 @@ pub struct LakehouseProvider {
     /// naive baseline read whole tables before filtering (§4.4.2: the fused
     /// plan "pushed down where filters to obtain a smaller in-memory table").
     pushdown: bool,
-    /// Per-file scan retries on transient store faults (0 = off).
+    /// Re-reads of a table object whose bytes fail a checksum.
     fetch_retries: u32,
-    /// Scan partial-failure policy: drop files that exhaust their retries
-    /// instead of failing the query.
-    partial_failures: bool,
     /// The parsed-metadata cache and fetch workers every table opened
     /// through this provider uses (default: neither).
     io: TableIo,
@@ -56,7 +53,6 @@ impl LakehouseProvider {
             overlay: RwLock::new(HashMap::new()),
             pushdown: true,
             fetch_retries: 0,
-            partial_failures: false,
             io: TableIo::default(),
             system_pool: None,
         }
@@ -83,16 +79,11 @@ impl LakehouseProvider {
         self
     }
 
-    /// Per-file scan retries on transient store faults (default 0).
+    /// Re-read a metadata document, manifest or data file up to `n` extra
+    /// times when its bytes fail a checksum (default 0; see
+    /// [`lakehouse_table::reread_on_corruption`]).
     pub fn with_fetch_retries(mut self, n: u32) -> LakehouseProvider {
         self.fetch_retries = n;
-        self
-    }
-
-    /// Scan partial-failure policy (default fail-fast; see
-    /// [`lakehouse_table::TableScan::with_partial_failures`]).
-    pub fn with_partial_failures(mut self, skip_failed: bool) -> LakehouseProvider {
-        self.partial_failures = skip_failed;
         self
     }
 
@@ -127,41 +118,20 @@ impl LakehouseProvider {
     }
 
     /// Load the Iceberg-style table for `name` at this provider's ref.
-    ///
-    /// The metadata read shares the scan's retry policy: a transient fault
-    /// re-fetches; a corrupt read (torn body or checksum-poisoned cache
-    /// page) first drops the cached bytes via
-    /// `ObjectStore::invalidate_corrupt`, so the retry reaches the backend
-    /// copy instead of re-parsing the same garbage forever.
     pub fn load_table(&self, name: &str) -> CoreResult<Table> {
         let content = self.catalog.get_content(&self.reference, name)?;
         Ok(self.load_metadata(&content.metadata_location)?)
     }
 
-    /// `Table::load_with` with the retry/invalidate loop shared by every
-    /// metadata read through this provider (a document that fails to parse
-    /// never reaches the parsed cache, so the retry still goes to the store).
+    /// `Table::load_with`, re-read like every table object when the
+    /// document fails to parse (it then never reached the parsed cache, so
+    /// the re-read still goes to the store).
     fn load_metadata(
         &self,
         location: &str,
     ) -> std::result::Result<Table, lakehouse_table::TableError> {
-        let mut attempts = 0u32;
-        loop {
-            match Table::load_with(Arc::clone(&self.store), location, self.io.clone()) {
-                Ok(t) => return Ok(t),
-                Err(e)
-                    if attempts < self.fetch_retries && (e.is_transient() || e.is_corruption()) =>
-                {
-                    if e.is_corruption() {
-                        if let Ok(path) = lakehouse_store::ObjectPath::new(location.to_string()) {
-                            self.store.invalidate_corrupt(&path);
-                        }
-                    }
-                    attempts += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let load = || Table::load_with(Arc::clone(&self.store), location, self.io.clone());
+        lakehouse_table::reread_on_corruption(&*self.store, location, self.fetch_retries, load).0
     }
 
     /// Convert SQL filter expressions to scan predicates where possible
@@ -257,10 +227,7 @@ impl PinnedProvider<'_> {
         let t = self
             .table(table)
             .map_err(|e| SqlError::Plan(format!("cannot load table '{table}': {e}")))?;
-        let mut scan = t
-            .scan()
-            .with_fetch_retries(self.provider.fetch_retries)
-            .with_partial_failures(self.provider.partial_failures);
+        let mut scan = t.scan().with_fetch_retries(self.provider.fetch_retries);
         if self.provider.pushdown {
             for p in LakehouseProvider::to_scan_predicates(filters) {
                 scan = scan.with_predicate(p);

@@ -33,6 +33,11 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Memory estimate for a pipeline step that has never run (drives fusion
+/// packing, the per-invocation memory grant and the stage's cost hint); a
+/// step that has run is estimated from its own history instead.
+const DEFAULT_STEP_MEMORY: u64 = 512 * 1024 * 1024;
+
 /// Options for a pipeline run.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -229,10 +234,7 @@ impl Lakehouse {
             &dag,
             mode,
             self.runtime.memory().capacity(),
-            |node| {
-                self.estimator
-                    .estimate(node, self.config.default_step_memory)
-            },
+            |node| self.estimator.estimate(node, DEFAULT_STEP_MEMORY),
         )?;
         plan_span.attr("stages", physical.stages.len() as u64);
         drop(plan_span);
@@ -393,6 +395,11 @@ impl Lakehouse {
                     invalid_plan("physical plan has a cycle among its stages".to_string())
                 })?;
             let stage = &physical.stages[stage_idx];
+            let estimated_bytes: u64 = stage
+                .steps
+                .iter()
+                .map(|s| self.estimator.estimate(s, DEFAULT_STEP_MEMORY))
+                .sum();
             // Each ready stage contends for an admission slot like an ad-hoc
             // query (cost hint: estimated working set at 256 MiB/s). The SQL
             // steps inside run under this permit and skip the gate.
@@ -401,12 +408,7 @@ impl Lakehouse {
                     if lakehouse_obs::QueryCtx::current().is_none()
                         && !crate::lakehouse::under_stage_permit() =>
                 {
-                    let est: u64 = stage
-                        .steps
-                        .iter()
-                        .map(|s| self.estimator.estimate(s, self.config.default_step_memory))
-                        .sum();
-                    let cost_hint = est as f64 / (256.0 * 1024.0 * 1024.0);
+                    let cost_hint = estimated_bytes as f64 / (256.0 * 1024.0 * 1024.0);
                     match gate.acquire_item(&self.config.tenant, cost_hint) {
                         Ok(permit) => Some(permit),
                         Err(shed) => {
@@ -435,17 +437,8 @@ impl Lakehouse {
             // stage's merged environment. Fused stages reuse frozen
             // containers; the naive mapping is stateless (paper §4.4.2).
             let env = self.stage_env(project, &stage.steps);
-            let memory: u64 = stage
-                .steps
-                .iter()
-                .map(|s| self.estimator.estimate(s, self.config.default_step_memory))
-                .sum::<u64>()
-                .min(self.runtime.memory().capacity());
+            let memory = estimated_bytes.min(self.runtime.memory().capacity());
             let invoke_result = match physical.mode {
-                ExecutionMode::Fused if self.config.retry_max > 0 => {
-                    self.runtime
-                        .invoke_retrying(&env, memory, self.config.retry_max, |_, _| Ok(()))
-                }
                 ExecutionMode::Fused => self.runtime.invoke(&env, memory, |_, _| Ok(())),
                 ExecutionMode::Naive => self.runtime.invoke_stateless(&env, memory, |_, _| Ok(())),
             };
@@ -489,8 +482,7 @@ impl Lakehouse {
                         })?;
                         // One copy of the step's output: the overlay, the
                         // function inputs and the materializer share it.
-                        let batch =
-                            Arc::new(self.query_step_retrying(sql, provider, peak_query_bytes)?);
+                        let batch = Arc::new(self.query_step(sql, provider, peak_query_bytes)?);
                         provider.put_overlay(step_name.clone(), Arc::clone(&batch));
                         stage_outputs.push((step_name.clone(), batch));
                     }
@@ -542,10 +534,7 @@ impl Lakehouse {
             }
             if !stage_outputs.is_empty() {
                 let spark_env = EnvSpec::bare("spark-insert");
-                let spark_mem = self
-                    .config
-                    .default_step_memory
-                    .min(self.runtime.memory().capacity());
+                let spark_mem = DEFAULT_STEP_MEMORY.min(self.runtime.memory().capacity());
                 let invoke = match physical.mode {
                     ExecutionMode::Fused => {
                         self.runtime.invoke(&spark_env, spark_mem, |_, _| Ok(()))
@@ -601,40 +590,21 @@ impl Lakehouse {
         Ok((artifact_rows, audit_results))
     }
 
-    /// Run one SQL step, retrying transient store faults up to
-    /// `retry_max` extra attempts. A SQL step is idempotent: it only reads
-    /// lake tables and overlay artifacts, and its output replaces the
-    /// overlay entry wholesale, so a re-run after a partial failure is safe.
-    fn query_step_retrying(
+    /// Run one SQL step as its own attributed unit: it gets a query id, a
+    /// resource ledger, and a `system.queries` row, just like an ad-hoc
+    /// query. A step whose read fails is not run again: a transient store
+    /// fault has already been retried to exhaustion by the `RetryStore`
+    /// underneath (DESIGN.md §11).
+    fn query_step(
         &self,
         sql: &str,
         provider: &LakehouseProvider,
         peak_query_bytes: &mut usize,
     ) -> Result<RecordBatch> {
-        // Each SQL step is its own attributed unit: it gets a query id, a
-        // resource ledger, and a `system.queries` row, just like an ad-hoc
-        // query.
         self.attributed(sql, move || {
-            let mut attempt = 0u32;
-            loop {
-                // Pinned per attempt: a retry resolves the ref afresh.
-                let provider = &provider.pin();
-                let result = self
-                    .engine
-                    .query_with_report(sql, provider)
-                    .map(|(batch, report)| {
-                        *peak_query_bytes = (*peak_query_bytes).max(report.peak_bytes);
-                        batch
-                    })
-                    .map_err(BauplanError::from);
-                match result {
-                    Err(e) if e.is_transient() && attempt < self.config.retry_max => {
-                        attempt += 1;
-                        lakehouse_obs::global().counter("run.step_retries").inc();
-                    }
-                    other => return other,
-                }
-            }
+            let (batch, report) = self.engine.query_with_report(sql, &provider.pin())?;
+            *peak_query_bytes = (*peak_query_bytes).max(report.peak_bytes);
+            Ok(batch)
         })
     }
 

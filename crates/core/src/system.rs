@@ -11,7 +11,7 @@
 //!
 //! | table            | columns |
 //! |------------------|---------|
-//! | `system.queries` | query_id, tenant, label, status, reason, wall_ms, sim_ms, queue_wait_ms, sched_policy, io_bytes, io_bytes_written, io_ops, pool_hits, pool_misses, evictions_caused, retry_stall_ms, kernel_wall_ms |
+//! | `system.queries` | query_id, tenant, label, status, reason, wall_ms, sim_ms, queue_wait_ms, io_bytes, io_bytes_written, io_ops, pool_hits, pool_misses, evictions_caused, retry_stall_ms, kernel_wall_ms |
 //! | `system.events`  | seq, wall_micros, kind, query_id, tenant, detail, value |
 //! | `system.metrics` | name, kind, value, count, p50, p95, p99 |
 //! | `system.pool`    | metric, value |
@@ -46,7 +46,6 @@ fn queries_schema() -> Schema {
         Field::new("wall_ms", DataType::Float64, false),
         Field::new("sim_ms", DataType::Float64, false),
         Field::new("queue_wait_ms", DataType::Float64, false),
-        Field::new("sched_policy", DataType::Utf8, false),
         Field::new("io_bytes", DataType::Int64, false),
         Field::new("io_bytes_written", DataType::Int64, false),
         Field::new("io_ops", DataType::Int64, false),
@@ -78,10 +77,9 @@ pub fn queries_batch() -> RecordBatch {
                     .unwrap_or_default(),
                 wall_nanos: ctx.elapsed_nanos(),
                 sim_nanos: 0,
-                // A live row is mid-execution: its gate telemetry is only
-                // pushed with the finished record, so these stay defaults.
+                // A live row is mid-execution: its queue wait is only
+                // pushed with the finished record.
                 queue_wait_nanos: 0,
-                sched_policy: String::new(),
                 ledger: ctx.ledger().snapshot(),
             });
         }
@@ -97,7 +95,6 @@ pub fn queries_batch() -> RecordBatch {
             Column::from_f64(records.iter().map(|r| ms(r.wall_nanos)).collect()),
             Column::from_f64(records.iter().map(|r| ms(r.sim_nanos)).collect()),
             Column::from_f64(records.iter().map(|r| ms(r.queue_wait_nanos)).collect()),
-            Column::from_strs(records.iter().map(|r| r.sched_policy.as_str()).collect()),
             Column::from_i64(records.iter().map(|r| r.ledger.io_bytes as i64).collect()),
             Column::from_i64(
                 records

@@ -34,15 +34,13 @@ use std::time::Duration;
 /// `QueryKilled { reason }` errors every layer surfaces, the
 /// `query.killed.*` counters, and the `reason` column of `system.queries`.
 ///
-/// The retry-stall budget deliberately maps onto [`KillReason::Deadline`]:
-/// a query that has spent its allotted stall time is past its effective
-/// deadline even if the wall clock has not caught up (simulated backoff
-/// charges the ledger, not the wall).
+/// The deadline counts attributed retry stall as well as wall time:
+/// simulated backoff charges the ledger, not the wall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillReason {
     /// Explicit cancellation (Ctrl-C, a caller's `kill`).
     Canceled,
-    /// The per-query deadline (or retry-stall budget) was exceeded.
+    /// The per-query deadline was exceeded.
     Deadline,
     /// The streaming executor's resident memory exceeded the budget.
     MemoryBudget,
@@ -204,8 +202,6 @@ struct CtxInner {
     memory_budget_bytes: AtomicU64,
     /// Attributed IO byte cap, read + written (0 = no budget armed).
     io_budget_bytes: AtomicU64,
-    /// Attributed retry-stall cap in nanoseconds (0 = no budget armed).
-    stall_budget_nanos: AtomicU64,
 }
 
 /// Process-wide cancel request (Ctrl-C in the CLI): every context's next
@@ -257,7 +253,6 @@ impl QueryCtx {
             deadline_nanos: AtomicU64::new(0),
             memory_budget_bytes: AtomicU64::new(0),
             io_budget_bytes: AtomicU64::new(0),
-            stall_budget_nanos: AtomicU64::new(0),
         }))
     }
 
@@ -283,13 +278,6 @@ impl QueryCtx {
         self.0
             .io_budget_bytes
             .store(bytes.max(1), Ordering::Relaxed);
-    }
-
-    /// Arm an attributed retry-stall budget (trips as
-    /// [`KillReason::Deadline`] — see [`KillReason`]).
-    pub fn arm_stall_budget(&self, budget: Duration) {
-        let nanos = (budget.as_nanos().min(u64::MAX as u128) as u64).max(1);
-        self.0.stall_budget_nanos.store(nanos, Ordering::Relaxed);
     }
 
     /// The armed memory budget, if any (the SQL executor compares it
@@ -341,10 +329,11 @@ impl QueryCtx {
 
     /// Cooperative cancellation point: cheap enough for every yield point
     /// (a handful of relaxed loads). Evaluates, in order: an already-tripped
-    /// token, a process-wide cancel request, the deadline, the retry-stall
-    /// budget, and the IO byte budget — tripping the token with the matching
-    /// reason on the first violation. With nothing armed (the default) this
-    /// always returns `Ok`, so enforcement-off runs behave identically.
+    /// token, a process-wide cancel request, the deadline (which counts
+    /// attributed retry stall), and the IO byte budget — tripping the token
+    /// with the matching reason on the first violation. With nothing armed
+    /// (the default) this always returns `Ok`, so enforcement-off runs behave
+    /// identically.
     pub fn check(&self) -> std::result::Result<(), KillReason> {
         if let Some(reason) = self.killed() {
             return Err(reason);
@@ -355,11 +344,6 @@ impl QueryCtx {
         }
         let deadline = self.0.deadline_nanos.load(Ordering::Relaxed);
         if deadline > 0 && self.effective_elapsed_nanos() > deadline {
-            self.kill(KillReason::Deadline);
-            return Err(self.killed().unwrap_or(KillReason::Deadline));
-        }
-        let stall_budget = self.0.stall_budget_nanos.load(Ordering::Relaxed);
-        if stall_budget > 0 && self.0.ledger.retry_stall() > stall_budget {
             self.kill(KillReason::Deadline);
             return Err(self.killed().unwrap_or(KillReason::Deadline));
         }
@@ -537,15 +521,6 @@ mod tests {
         assert!(ctx.check().is_ok());
         ctx.ledger().add_io_write(60);
         assert_eq!(ctx.check(), Err(KillReason::IoBudget));
-    }
-
-    #[test]
-    fn stall_budget_trips_as_deadline() {
-        let ctx = QueryCtx::new("t", "q");
-        ctx.arm_stall_budget(Duration::from_millis(10));
-        ctx.ledger()
-            .add_retry_stall_nanos(Duration::from_millis(11).as_nanos() as u64);
-        assert_eq!(ctx.check(), Err(KillReason::Deadline));
     }
 
     #[test]

@@ -225,9 +225,6 @@ pub struct QueryRecord {
     /// Time spent queued at the admission gate before running — or, for a
     /// shed query, the full wait until the gate gave up on it.
     pub queue_wait_nanos: u64,
-    /// Name of the scheduling policy that admitted (or shed) the query;
-    /// empty when the query ran without a gate or under a parent's slot.
-    pub sched_policy: String,
     pub ledger: LedgerSnapshot,
 }
 
@@ -324,7 +321,6 @@ mod tests {
                 wall_nanos: 0,
                 sim_nanos: 0,
                 queue_wait_nanos: 0,
-                sched_policy: String::new(),
                 ledger: LedgerSnapshot::default(),
             });
         }

@@ -18,8 +18,8 @@ pub enum RuntimeError {
     /// A user function failed.
     FunctionFailed { function: String, message: String },
     /// The invoking query's cancel token tripped (deadline, budget, or
-    /// explicit cancel). Never retryable: the query is dead, not the
-    /// runtime. Display keeps the stable `query killed (...)` prefix.
+    /// explicit cancel): the query is dead, not the runtime. Display keeps
+    /// the stable `query killed (...)` prefix.
     QueryKilled { reason: lakehouse_obs::KillReason },
 }
 
@@ -48,16 +48,6 @@ impl fmt::Display for RuntimeError {
             }
             Self::QueryKilled { reason } => write!(f, "query killed ({reason})"),
         }
-    }
-}
-
-impl RuntimeError {
-    /// Whether a retry of the same invocation could plausibly succeed.
-    /// Out-of-memory clears when live grants release; a lost worker is
-    /// replaced by the pool. Capacity, config, and user-function failures
-    /// are deterministic and permanent.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, Self::OutOfMemory { .. } | Self::WorkerLost(_))
     }
 }
 

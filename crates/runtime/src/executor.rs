@@ -168,44 +168,6 @@ impl Runtime {
         })
     }
 
-    /// Like [`Runtime::invoke`] but retries retryable failures (see
-    /// [`crate::RuntimeError::is_retryable`]: out-of-memory, lost worker) up
-    /// to `max_retries` extra attempts, with seeded exponential backoff
-    /// charged on the simulated clock. The function must be idempotent — it
-    /// may run more than once. `max_retries == 0` behaves exactly like
-    /// [`Runtime::invoke`].
-    pub fn invoke_retrying<T>(
-        &self,
-        env: &EnvSpec,
-        memory_bytes: u64,
-        max_retries: u32,
-        f: impl Fn(&SimClock, &MemoryGrant) -> Result<T>,
-    ) -> Result<Invocation<T>> {
-        let mut backoff = lakehouse_store::Backoff::new(
-            Duration::from_millis(25),
-            Duration::from_secs(2),
-            0x5EED ^ memory_bytes,
-        );
-        let mut attempt = 0u32;
-        loop {
-            match self.invoke_inner(env, memory_bytes, &f, false) {
-                Err(e) if e.is_retryable() && attempt < max_retries => {
-                    // Between attempts is a cancellation point too: the
-                    // kill pre-empts the backoff and surfaces typed.
-                    if let Err(reason) = lakehouse_obs::check_current() {
-                        return Err(RuntimeError::QueryKilled { reason });
-                    }
-                    attempt += 1;
-                    lakehouse_obs::global()
-                        .counter("runtime.invoke_retries")
-                        .inc();
-                    self.clock.advance(backoff.next_delay());
-                }
-                other => return other,
-            }
-        }
-    }
-
     /// Spawn an asynchronous run on a worker thread. The closure receives
     /// the shared clock; completion (or failure) is delivered through the
     /// returned handle.

@@ -2,7 +2,7 @@
 
 use lakehouse_columnar::ColumnarError;
 use lakehouse_format::FormatError;
-use lakehouse_store::StoreError;
+use lakehouse_store::{ObjectPath, ObjectStore, StoreError};
 use std::fmt;
 
 /// Errors from table operations.
@@ -27,20 +27,11 @@ pub enum TableError {
 }
 
 impl TableError {
-    /// Whether this error stems from a retryable store fault (see
-    /// [`StoreError::is_retryable`]) — i.e. re-reading the same file could
-    /// plausibly succeed.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, Self::Store(e) if e.is_retryable())
-    }
-
     /// Whether this error means the *bytes* read were bad — a torn read or
     /// bit rot caught by a format-layer checksum ([`FormatError`]'s
-    /// corruption taxonomy) or an unparseable metadata object. Retryable
-    /// like a transient fault, but only after invalidating whatever cache
-    /// layer served the poisoned bytes
-    /// (`ObjectStore::invalidate_corrupt`); the authoritative copy in the
-    /// backend is immutable and presumed good.
+    /// corruption taxonomy) or an unparseable metadata object. The store
+    /// answered `Ok`, so no layer below the reader can know; see
+    /// [`reread_on_corruption`].
     pub fn is_corruption(&self) -> bool {
         match self {
             Self::Format(e) => e.is_corruption(),
@@ -94,3 +85,33 @@ impl From<ColumnarError> for TableError {
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, TableError>;
+
+/// Run `read`, and while it fails with [`TableError::is_corruption`] run it
+/// again, up to `max_rereads` more times; returns the last outcome and the
+/// re-reads used. Before each re-read the store drops whatever cached bytes
+/// it holds of the object at `path` (`ObjectStore::invalidate_corrupt`), so
+/// the next attempt reaches the backend copy — immutable and presumed good —
+/// rather than parsing the same poisoned page again.
+///
+/// This is the only retry above the store: a fault the store can see (a
+/// transient error, a throttle, a timeout) belongs to its `RetryStore`,
+/// which ends it as `RetriesExhausted`, and is never retried here.
+pub fn reread_on_corruption<T>(
+    store: &dyn ObjectStore,
+    path: &str,
+    max_rereads: u32,
+    mut read: impl FnMut() -> Result<T>,
+) -> (Result<T>, u32) {
+    let mut rereads = 0;
+    loop {
+        match read() {
+            Err(e) if rereads < max_rereads && e.is_corruption() => {
+                if let Ok(path) = ObjectPath::new(path.to_string()) {
+                    store.invalidate_corrupt(&path);
+                }
+                rereads += 1;
+            }
+            outcome => return (outcome, rereads),
+        }
+    }
+}

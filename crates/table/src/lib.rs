@@ -36,7 +36,7 @@ pub mod table;
 pub mod transaction;
 
 pub use cache::{MetadataCache, TableIo};
-pub use error::{Result, TableError};
+pub use error::{reread_on_corruption, Result, TableError};
 pub use maintenance::{CompactionReport, ExpirationReport};
 pub use manifest::{Manifest, ManifestEntry};
 pub use metadata::{MetadataLogEntry, TableMetadata};

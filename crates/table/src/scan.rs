@@ -23,7 +23,7 @@
 //! deterministic, with no thread ever sleeping.
 
 use crate::cache::TableIo;
-use crate::error::{Result, TableError};
+use crate::error::{reread_on_corruption, Result, TableError};
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::metadata::TableMetadata;
 use crate::partition::Transform;
@@ -72,14 +72,9 @@ pub struct ScanReport {
     /// Store requests answered by a cache layer during this scan (manifest,
     /// footers, data ranges). Zero when the store has no cache or metrics.
     pub cache_hits: u64,
-    /// Fetch attempts beyond each object's first — data files and the
-    /// manifest alike (see [`TableScan::with_fetch_retries`]).
+    /// Reads beyond each object's first — data files and the manifest
+    /// alike (see [`TableScan::with_fetch_retries`]).
     pub fetch_retries: usize,
-    /// Files abandoned after exhausting their fetch retries, under the
-    /// report-and-continue policy ([`TableScan::with_partial_failures`]).
-    /// Always 0 under the default fail-fast policy — the scan errors
-    /// instead.
-    pub files_failed: usize,
     /// Deterministic overlapped wall clock of the scan on a simulated store:
     /// serial prelude (manifest fetch) plus the **max** over worker lanes of
     /// per-lane simulated latency. Equals total simulated scan time at
@@ -103,7 +98,6 @@ pub struct TableScan {
     predicates: Vec<ScanPredicate>,
     projection: Option<Vec<String>>,
     fetch_retries: u32,
-    skip_failed_files: bool,
     io: TableIo,
 }
 
@@ -120,28 +114,16 @@ impl TableScan {
             predicates: Vec::new(),
             projection: None,
             fetch_retries: 0,
-            skip_failed_files: false,
             io,
         }
     }
 
-    /// Re-read a data file up to `n` extra times when it fails with a
-    /// transient store fault, before giving up on it. A whole-file re-read
-    /// sits *above* any per-request `RetryStore` retries — it is the scan's
-    /// answer to a file whose request-level retries were exhausted.
+    /// Re-read the manifest or a data file up to `n` extra times when its
+    /// bytes fail a checksum ([`reread_on_corruption`]). A fault the store
+    /// reports is not retried here: that is its `RetryStore`'s, and a
+    /// request whose retries are exhausted fails the scan.
     pub fn with_fetch_retries(mut self, n: u32) -> TableScan {
         self.fetch_retries = n;
-        self
-    }
-
-    /// Partial-failure policy. `false` (default): the first file that
-    /// exhausts its fetch retries fails the whole scan. `true`: the file is
-    /// dropped from the result and counted in [`ScanReport::files_failed`]
-    /// — for availability-over-completeness workloads (monitoring
-    /// dashboards, approximate analytics) that prefer N-1 files now over
-    /// all N never.
-    pub fn with_partial_failures(mut self, skip_failed: bool) -> TableScan {
-        self.skip_failed_files = skip_failed;
         self
     }
 
@@ -224,29 +206,14 @@ impl TableScan {
         let mut manifest = Arc::new(Manifest::default());
         let mut entries = VecDeque::new();
         if let Some(snapshot) = snapshot {
-            // The manifest gets the same bounded retry as data files: a
-            // transient fault re-fetches; a corrupt (torn or cached-poisoned)
-            // read invalidates the store's cache entry first, so the retry
-            // reaches the authoritative backend copy instead of the bad
-            // bytes. (An unparseable document never enters the parsed cache.)
-            let mut attempts = 0u32;
-            manifest = loop {
-                match Manifest::load(&self.store, &self.io, &snapshot.manifest_path) {
-                    Ok(m) => break m,
-                    Err(e)
-                        if attempts < self.fetch_retries
-                            && (e.is_transient() || e.is_corruption()) =>
-                    {
-                        if e.is_corruption() {
-                            self.store
-                                .invalidate_corrupt(&ObjectPath::new(&*snapshot.manifest_path)?);
-                        }
-                        attempts += 1;
-                        report.fetch_retries += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
+            let (loaded, rereads) = reread_on_corruption(
+                &*self.store,
+                &snapshot.manifest_path,
+                self.fetch_retries,
+                || Manifest::load(&self.store, &self.io, &snapshot.manifest_path),
+            );
+            report.fetch_retries += rereads as usize;
+            manifest = loaded?;
             report.files_total = manifest.entries.len();
             report.bytes_total = manifest.total_bytes();
             for (i, entry) in manifest.entries.iter().enumerate() {
@@ -285,7 +252,6 @@ impl TableScan {
             rows_counter: registry.counter("scan.rows_emitted"),
             bytes_counter: registry.counter("scan.bytes_scanned"),
             fetch_retries_counter: registry.counter("scan.fetch_retries"),
-            files_failed_counter: registry.counter("scan.files_failed"),
             readahead_hits_counter: registry.counter("io.readahead_hits"),
             readahead_wasted_counter: registry.counter("io.readahead_wasted"),
         })
@@ -490,7 +456,6 @@ pub struct ScanStream {
     rows_counter: Arc<lakehouse_obs::Counter>,
     bytes_counter: Arc<lakehouse_obs::Counter>,
     fetch_retries_counter: Arc<lakehouse_obs::Counter>,
-    files_failed_counter: Arc<lakehouse_obs::Counter>,
     readahead_hits_counter: Arc<lakehouse_obs::Counter>,
     readahead_wasted_counter: Arc<lakehouse_obs::Counter>,
 }
@@ -559,9 +524,7 @@ impl ScanStream {
         if retries > 0 {
             span.attr("retries", retries as u64);
         }
-        if self.settle(outcome, retries, sim_nanos)? {
-            span.attr("failed", 1u64);
-        }
+        self.settle(outcome?, retries, sim_nanos)?;
         self.window = self.window.saturating_mul(2).min(self.lanes.len());
         Ok(())
     }
@@ -585,54 +548,35 @@ impl ScanStream {
     }
 
     /// Decode one entry — from its prefetched opening range when a worker
-    /// fetched one — with the whole-file retry on top: a transient fault or
-    /// a checksum-caught corrupt read re-reads the entry from scratch on
-    /// this thread (footer and chunks — partial progress is useless without
-    /// the footer anyway), up to `fetch_retries` times. Corruption first
-    /// drops any cached ranges of the file, so the retry refetches from the
-    /// backend rather than re-serving the poisoned bytes. Returns the
-    /// outcome and the retries used.
+    /// fetched one. A read whose bytes fail a checksum is done again from
+    /// scratch on this thread (footer and chunks — partial progress is
+    /// useless without the footer anyway), up to `fetch_retries` times.
+    /// Returns the outcome and the re-reads used.
     fn read_retrying(
         &self,
         entry: usize,
-        prefetched: Option<lakehouse_store::Result<bytes::Bytes>>,
+        mut prefetched: Option<lakehouse_store::Result<bytes::Bytes>>,
     ) -> (Result<EntryPartial>, u32) {
         let entry = &self.manifest.entries[entry];
         let read =
             |bytes: Option<&bytes::Bytes>| self.scan.read_entry(entry, &self.scan_schema, bytes);
-        let mut out = match prefetched {
-            Some(Ok(bytes)) => read(Some(&bytes)),
-            Some(Err(e)) => Err(TableError::Store(e)),
-            None => read(None),
-        };
-        let mut retries = 0u32;
-        while retries < self.scan.fetch_retries
-            && out
-                .as_ref()
-                .err()
-                .is_some_and(|e| e.is_transient() || e.is_corruption())
-        {
-            if out.as_ref().err().is_some_and(|e| e.is_corruption()) {
-                if let Ok(path) = ObjectPath::new(entry.file_path.clone()) {
-                    self.scan.store.invalidate_corrupt(&path);
-                }
-            }
-            retries += 1;
-            out = read(None);
-        }
-        (out, retries)
+        // Only the first read has a prefetched range to take.
+        reread_on_corruption(
+            &*self.scan.store,
+            &entry.file_path,
+            self.scan.fetch_retries,
+            || match prefetched.take() {
+                Some(Ok(bytes)) => read(Some(&bytes)),
+                Some(Err(e)) => Err(TableError::Store(e)),
+                None => read(None),
+            },
+        )
     }
 
-    /// Book one entry's outcome: its simulated time onto the least-loaded
-    /// lane, its retries, then either its batch (exact-filtered) onto the
-    /// ready queue or — under the report-and-continue policy — its loss.
-    /// Returns whether the file was dropped.
-    fn settle(
-        &mut self,
-        outcome: Result<EntryPartial>,
-        retries: u32,
-        sim_nanos: u64,
-    ) -> Result<bool> {
+    /// Book one entry that was read: its simulated time onto the
+    /// least-loaded lane, its re-reads, and its batch (exact-filtered) onto
+    /// the ready queue.
+    fn settle(&mut self, partial: EntryPartial, retries: u32, sim_nanos: u64) -> Result<()> {
         if let Some(min_lane) = self.lanes.iter_mut().min() {
             *min_lane += sim_nanos;
         }
@@ -640,15 +584,6 @@ impl ScanStream {
             self.report.fetch_retries += retries as usize;
             self.fetch_retries_counter.add(retries as u64);
         }
-        let partial = match outcome {
-            Ok(p) => p,
-            Err(_) if self.scan.skip_failed_files => {
-                self.report.files_failed += 1;
-                self.files_failed_counter.inc();
-                return Ok(true);
-            }
-            Err(e) => return Err(e),
-        };
         self.report.files_read += 1;
         self.report.bytes_scanned += partial.bytes_scanned;
         self.report.row_groups_scanned += partial.row_groups_scanned;
@@ -660,7 +595,7 @@ impl ScanStream {
             self.rows_counter.add(batch.num_rows() as u64);
             self.ready.push_back(batch);
         }
-        Ok(false)
+        Ok(())
     }
 }
 
@@ -1093,7 +1028,7 @@ mod tests {
 
     #[test]
     fn fetch_retries_mask_transient_faults() {
-        use lakehouse_store::{ChaosConfig, ChaosStore};
+        use lakehouse_store::{ChaosConfig, ChaosStore, RetryPolicy, RetryStore};
         let base = Arc::new(InMemoryStore::new());
         let plain: Arc<dyn ObjectStore> = base.clone();
         let t = Table::create(
@@ -1117,73 +1052,29 @@ mod tests {
             .execute()
             .unwrap();
 
-        // Same objects behind a 50%-fault chaos layer (seeded: the schedule
-        // below is fixed). Per-file retries must reproduce the baseline.
-        let chaos: Arc<dyn ObjectStore> = Arc::new(ChaosStore::new(
+        // Same objects behind a 50%-fault chaos layer (seeded). The scan
+        // retries nothing the store reports: the `RetryStore` between them
+        // does, for the metadata load as for the data files.
+        let chaos = ChaosStore::new(
             Arc::clone(&base) as Arc<dyn ObjectStore>,
             ChaosConfig::new(7).with_fault_p(0.5),
+        );
+        let retrying = Arc::new(RetryStore::new(
+            chaos,
+            RetryPolicy::default().with_max_retries(16),
         ));
-        // The metadata load can fault too; retrying it is the caller's job.
-        let t = (0..10)
-            .find_map(|_| Table::load(Arc::clone(&chaos), &loc).ok())
-            .expect("load under chaos");
-        let (batch, report) = t
+        let store: Arc<dyn ObjectStore> = retrying.clone();
+        let (batch, report) = Table::load(store, &loc)
+            .unwrap()
             .scan()
-            .with_fetch_retries(8)
             .execute_with_report()
             .unwrap();
         assert_eq!(batch, baseline, "retried scan must be byte-identical");
-        assert_eq!(report.files_failed, 0);
+        assert_eq!(report.fetch_retries, 0, "no checksum failed");
         assert!(
-            report.fetch_retries > 0,
-            "seed 7 at p=0.5 must fault at least one file read"
+            retrying.retries() > 0,
+            "seed 7 at p=0.5 must fault at least one read"
         );
-    }
-
-    #[test]
-    fn partial_failure_policy_reports_and_continues() {
-        // Two data files; destroy one underneath the table, then scan with
-        // report-and-continue: the surviving file's rows come back and the
-        // loss is counted. The default fail-fast policy errors instead.
-        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
-        let t = Table::create(
-            Arc::clone(&store),
-            "wh/partial",
-            &taxi_schema(),
-            PartitionSpec::identity("zone"),
-        )
-        .unwrap();
-        let mut tx = t.new_transaction(SnapshotOperation::Append);
-        tx.write(&taxi_batch(
-            vec![100, 100, 200],
-            vec!["a", "b", "a"],
-            vec![1.0, 2.0, 3.0],
-        ))
-        .unwrap();
-        let (loc, _) = tx.commit().unwrap();
-        let victim = store
-            .list("wh/partial")
-            .unwrap()
-            .into_iter()
-            .find(|p| p.as_str().contains("/data/"))
-            .expect("a data file");
-        store.delete(&victim).unwrap();
-
-        let t = Table::load(Arc::clone(&store), &loc).unwrap();
-        assert!(
-            t.scan().execute().is_err(),
-            "fail-fast must surface the lost file"
-        );
-        let t = Table::load(Arc::clone(&store), &loc).unwrap();
-        let (batch, report) = t
-            .scan()
-            .with_partial_failures(true)
-            .execute_with_report()
-            .unwrap();
-        assert_eq!(report.files_failed, 1);
-        assert_eq!(report.files_read, 1);
-        assert_eq!(batch.num_rows(), report.rows_emitted);
-        assert!(batch.num_rows() > 0, "the surviving file still scans");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use lakehouse_columnar::{BatchStream, Column, DataType, Field, RecordBatch, Sche
 use lakehouse_sql::{MemoryProvider, SqlEngine};
 use lakehouse_store::{
     ChaosStore, HedgePolicy, InMemoryStore, IoConfig, IoDispatcher, LatencyModel, ObjectPath,
-    ObjectStore, SimulatedStore, SleepMode, StoreMetrics,
+    ObjectStore, RetryPolicy, RetryStore, SimulatedStore, SleepMode, StoreMetrics,
 };
 use lakehouse_table::{PartitionSpec, SnapshotOperation, Table, TableIo};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,9 +85,7 @@ fn with_workers(store: &Arc<dyn ObjectStore>, loc: &str, io: &Arc<IoDispatcher>)
         cache: None,
         dispatcher: Some(Arc::clone(io)),
     };
-    (0..20)
-        .find_map(|_| Table::load_with(Arc::clone(store), loc, io.clone()).ok())
-        .expect("table load")
+    Table::load_with(Arc::clone(store), loc, io).expect("table load")
 }
 
 // ---- byte identity across sleep modes, chaos stalls ------------------------
@@ -119,21 +117,18 @@ fn overlap_and_hedging_byte_identical_across_sleep_modes() {
             42,
         )
         .with_sleep_mode(mode);
-        // Seeded chaos between scan and simulated store: transient faults
-        // and latency stalls, absorbed by per-file fetch retries.
-        let chaos: Arc<dyn ObjectStore> = Arc::new(ChaosStore::new(
-            sim,
-            ChaosConfig::new(9).with_fault_p(0.05).with_stall_p(0.05),
+        // Seeded chaos over the simulated store — transient faults and
+        // latency stalls — and the layer that owns the faults on top of it.
+        let chaos: Arc<dyn ObjectStore> = Arc::new(RetryStore::new(
+            ChaosStore::new(
+                sim,
+                ChaosConfig::new(9).with_fault_p(0.05).with_stall_p(0.05),
+            ),
+            RetryPolicy::default().with_max_retries(8),
         ));
-        let t = (0..20)
-            .find_map(|_| Table::load(Arc::clone(&chaos), &loc).ok())
-            .expect("table load under chaos");
+        let t = Table::load(Arc::clone(&chaos), &loc).expect("table load under chaos");
 
-        let (demand, demand_report) = t
-            .scan()
-            .with_fetch_retries(8)
-            .execute_with_report()
-            .unwrap();
+        let (demand, demand_report) = t.scan().execute_with_report().unwrap();
         assert_eq!(demand, baseline, "{tag}: inline path diverged");
 
         let io = Arc::new(IoDispatcher::new(
@@ -142,7 +137,6 @@ fn overlap_and_hedging_byte_identical_across_sleep_modes() {
         ));
         let (ra, ra_report) = with_workers(&chaos, &loc, &io)
             .scan()
-            .with_fetch_retries(8)
             .execute_with_report()
             .unwrap();
         assert_eq!(ra, baseline, "{tag}: overlap + hedging diverged");

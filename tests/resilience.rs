@@ -3,14 +3,17 @@
 //! optimistic catalog commits must survive CAS contention from concurrent
 //! writers.
 
-use bauplan_core::{BufferPool, Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions};
+use bauplan_core::{
+    BauplanError, BufferPool, Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions,
+};
 use bytes::Bytes;
 use lakehouse_catalog::{Catalog, ContentRef, Operation};
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema};
 use lakehouse_store::{
     ChaosConfig, FaultKind, FlakyStore, InMemoryStore, LatencyModel, ObjectPath, ObjectStore,
+    StoreError,
 };
-use lakehouse_table::{PartitionSpec, SnapshotOperation, Table};
+use lakehouse_table::{PartitionSpec, SnapshotOperation, Table, TableError};
 use std::sync::Arc;
 
 fn batch(n: i64) -> RecordBatch {
@@ -501,6 +504,110 @@ fn retry_budget_exhaustion_is_typed_not_a_panic() {
         err.to_string().contains("retries exhausted"),
         "expected a typed RetriesExhausted, got: {err}"
     );
+}
+
+/// Passes everything through until armed; from then on every read of a
+/// data file fails with a transient fault, and is counted.
+#[derive(Default)]
+struct FailDataReads {
+    inner: InMemoryStore,
+    armed: std::sync::atomic::AtomicBool,
+    failed_reads: std::sync::atomic::AtomicU32,
+}
+
+impl FailDataReads {
+    fn check(&self, path: &ObjectPath) -> lakehouse_store::Result<()> {
+        use std::sync::atomic::Ordering::SeqCst;
+        if self.armed.load(SeqCst) && path.as_str().contains("/data/") {
+            self.failed_reads.fetch_add(1, SeqCst);
+            return Err(StoreError::Transient(format!("{path} is unreachable")));
+        }
+        Ok(())
+    }
+}
+
+impl ObjectStore for FailDataReads {
+    fn put(&self, path: &ObjectPath, data: Bytes) -> lakehouse_store::Result<()> {
+        self.inner.put(path, data)
+    }
+    fn get(&self, path: &ObjectPath) -> lakehouse_store::Result<Bytes> {
+        self.check(path)?;
+        self.inner.get(path)
+    }
+    fn get_range(&self, path: &ObjectPath, s: usize, e: usize) -> lakehouse_store::Result<Bytes> {
+        self.check(path)?;
+        self.inner.get_range(path, s, e)
+    }
+    fn head(&self, path: &ObjectPath) -> lakehouse_store::Result<usize> {
+        self.inner.head(path)
+    }
+    fn list(&self, prefix: &str) -> lakehouse_store::Result<Vec<ObjectPath>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, path: &ObjectPath) -> lakehouse_store::Result<()> {
+        self.inner.delete(path)
+    }
+    fn put_if_matches(
+        &self,
+        path: &ObjectPath,
+        expected: Option<&[u8]>,
+        data: Bytes,
+    ) -> lakehouse_store::Result<()> {
+        self.inner.put_if_matches(path, expected, data)
+    }
+}
+
+/// A transient fault has one owner. The `RetryStore` retries the failing
+/// request `retry_max` times and gives up, typed; nothing above it may take
+/// the give-up's text (`RetriesExhausted` prints its last cause) for a
+/// transient fault and run the step again. Before PR 20 the run's step loop
+/// did: `(retry_max + 1)²` reads and `retry_max + 1` give-ups per failing
+/// read.
+#[test]
+fn an_exhausted_store_retry_is_not_retried_by_the_run() {
+    use std::sync::atomic::Ordering::SeqCst;
+    const RETRY_MAX: u32 = 2;
+    let store = Arc::new(FailDataReads::default());
+    let config = LakehouseConfig {
+        latency: LatencyModel::zero(),
+        retry_max: RETRY_MAX,
+        ..Default::default()
+    };
+    let lh = Lakehouse::with_store(Arc::clone(&store) as Arc<dyn ObjectStore>, config).unwrap();
+    lh.create_table("t", &batch(16), "main").unwrap();
+    let project = PipelineProject::new("copy").with(NodeDef::sql("copy", "SELECT x FROM t"));
+    let giveups = lakehouse_obs::global().counter("retry.giveups");
+
+    store.armed.store(true, SeqCst);
+    let giveups_before = giveups.get();
+    let err = lh
+        .run(&project, &RunOptions::default())
+        .expect_err("the only data file cannot be read");
+    assert_eq!(
+        store.failed_reads.load(SeqCst),
+        RETRY_MAX + 1,
+        "one request, retried {RETRY_MAX} times, given up once: {err}"
+    );
+    // The counter is process-wide (other tests of this binary give up too),
+    // so only its lower bound is this test's.
+    assert!(giveups.get() > giveups_before);
+    assert_eq!(lh.list_tables("main").unwrap(), vec!["t"], "rolled back");
+
+    // The SQL executor carries a scan's error as text; the typed read path
+    // shows what the store ended the fault as.
+    store.failed_reads.store(0, SeqCst);
+    match lh.read_table("t", "main") {
+        Err(BauplanError::Table(TableError::Store(StoreError::RetriesExhausted {
+            attempts,
+            last,
+            ..
+        }))) => {
+            assert_eq!(attempts, RETRY_MAX + 1);
+            assert!(matches!(*last, StoreError::Transient(_)));
+        }
+        other => panic!("expected RetriesExhausted by type, got {other:?}"),
+    }
+    assert_eq!(store.failed_reads.load(SeqCst), RETRY_MAX + 1);
 }
 
 #[test]

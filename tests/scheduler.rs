@@ -1,11 +1,13 @@
-//! The pluggable scheduler layer, end to end: DAG stages from concurrent
-//! runs interleaving under one shared gate, cost-aware ordering behaving
-//! deterministically, tenant-quota'd buffer-pool isolation, and the
-//! `queue_wait_ms` / `sched_policy` telemetry columns.
+//! The admission gate, end to end, as a multi-front embedder sets it up —
+//! several `Lakehouse` fronts over one store, one `AdmissionController` and
+//! one `BufferPool`: DAG stages from concurrent runs interleaving under the
+//! shared gate, hinted work draining cheapest first, overload shed typed
+//! (queue overflow and queue deadline), tenant-quota'd buffer-pool
+//! isolation, and the `queue_wait_ms` telemetry column.
 
 use bauplan_core::{
-    AdmissionConfig, AdmissionController, Lakehouse, LakehouseConfig, NodeDef, PipelineProject,
-    PolicyKind, RunOptions,
+    AdmissionConfig, AdmissionController, BauplanError, Lakehouse, LakehouseConfig, NodeDef,
+    PipelineProject, RunOptions,
 };
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
@@ -86,7 +88,6 @@ fn dag_stages_from_two_runs_interleave_under_one_gate() {
         tenant_slots: 0,
         queue_cap: 64,
         queue_deadline: Duration::from_secs(30),
-        policy: PolicyKind::Fifo,
         weights: Vec::new(),
     });
     let alpha = Arc::new(chain_lakehouse("alpha", gate.clone()));
@@ -136,8 +137,9 @@ fn dag_stages_from_two_runs_interleave_under_one_gate() {
     );
 }
 
-/// With a cost-aware gate, queued work drains shortest-expected-cost first,
-/// and the drain order is identical on every replay of the same arrival set.
+/// Queued work that carries cost hints drains shortest-expected-cost first
+/// (three tenants, all at the same virtual time, so cost decides), and the
+/// drain order is identical on every replay of the same arrival set.
 #[test]
 fn cost_aware_gate_drains_cheapest_first_deterministically() {
     let run_once = || -> Vec<&'static str> {
@@ -146,7 +148,6 @@ fn cost_aware_gate_drains_cheapest_first_deterministically() {
             tenant_slots: 0,
             queue_cap: 64,
             queue_deadline: Duration::from_secs(30),
-            policy: PolicyKind::CostAware,
             weights: Vec::new(),
         });
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -185,6 +186,7 @@ fn cost_aware_gate_drains_cheapest_first_deterministically() {
 fn pool_tenant_quota_isolates_polite_tenant_from_greedy_churn() {
     let _serial = serial();
     let pool = Arc::new(bauplan_core::BufferPool::new(256 * 1024));
+    pool.set_tenant_quota_bytes(64 * 1024);
     // Two fronts over one data lake sharing one quota'd pool — the shared
     // backend matters: cached pages are keyed by object path.
     let backend: Arc<dyn lakehouse_store::ObjectStore> =
@@ -193,7 +195,6 @@ fn pool_tenant_quota_isolates_polite_tenant_from_greedy_churn() {
         let config = LakehouseConfig {
             tenant: tenant.into(),
             shared_pool: Some(Arc::clone(&pool)),
-            pool_tenant_quota_bytes: 64 * 1024,
             ..LakehouseConfig::zero_latency()
         };
         Lakehouse::with_store(Arc::clone(&backend), config).unwrap()
@@ -246,15 +247,17 @@ fn pool_tenant_quota_isolates_polite_tenant_from_greedy_churn() {
     assert_eq!(expected, again);
 }
 
-/// `system.queries` carries the scheduling telemetry: an admitted query's
-/// row names the gate's policy, and queue wait is reported in milliseconds.
+/// `system.queries` carries the gate's telemetry: an admitted query's row
+/// reports its queue wait in milliseconds.
 #[test]
-fn system_queries_reports_queue_wait_and_policy() {
+fn system_queries_reports_queue_wait() {
     let _serial = serial();
     let config = LakehouseConfig {
-        max_concurrent_queries: 2,
-        sched_policy: PolicyKind::FairShare,
-        tenant_weights: vec![("default".into(), 3.0)],
+        admission: Some(AdmissionConfig {
+            max_slots: 2,
+            weights: vec![("default".into(), 3.0)],
+            ..AdmissionConfig::default()
+        }),
         ..LakehouseConfig::zero_latency()
     };
     let lh = Lakehouse::in_memory(config).unwrap();
@@ -262,13 +265,124 @@ fn system_queries_reports_queue_wait_and_policy() {
     lh.query("SELECT COUNT(*) AS n FROM t", "main").unwrap();
     let out = lh
         .query(
-            "SELECT sched_policy, queue_wait_ms FROM system.queries \
+            "SELECT queue_wait_ms FROM system.queries \
              WHERE label = 'SELECT COUNT(*) AS n FROM t'",
             "main",
         )
         .unwrap();
     assert_eq!(out.num_rows(), 1);
+    assert!(out.row(0).unwrap()[0].as_f64().unwrap() >= 0.0);
+}
+
+/// A front over `backend` labelled `tenant`, behind `gate`.
+fn gated_front(
+    backend: &Arc<dyn lakehouse_store::ObjectStore>,
+    tenant: &str,
+    gate: &AdmissionController,
+) -> Lakehouse {
+    let config = LakehouseConfig {
+        tenant: tenant.into(),
+        ..LakehouseConfig::zero_latency()
+    };
+    let mut lh = Lakehouse::with_store(Arc::clone(backend), config).unwrap();
+    lh.set_admission(Some(gate.clone()));
+    lh
+}
+
+/// The one `status = 'shed'` row of `label` in `system.queries`:
+/// `(reason, queue_wait_ms)`.
+fn shed_row(lh: &Lakehouse, label: &str) -> (String, f64) {
+    let out = lh
+        .query(
+            &format!(
+                "SELECT reason, queue_wait_ms FROM system.queries \
+                 WHERE status = 'shed' AND label = '{label}'"
+            ),
+            "main",
+        )
+        .unwrap();
+    assert_eq!(out.num_rows(), 1, "one shed row for {label}");
     let row = out.row(0).unwrap();
-    assert_eq!(row[0].as_str().unwrap(), "fair_share");
-    assert!(row[1].as_f64().unwrap() >= 0.0);
+    (
+        row[0].as_str().unwrap().to_string(),
+        row[1].as_f64().unwrap(),
+    )
+}
+
+/// Two fronts over one 1-slot gate whose queue holds nobody: while the first
+/// front's slot is taken, the second front's query is refused at once, typed
+/// `Overloaded` with a back-off hint, and `system.queries` keeps its row.
+#[test]
+fn a_full_queue_sheds_the_second_front_typed_and_logged() {
+    const Q: &str = "SELECT COUNT(*) AS overflow_probe FROM t";
+    let _serial = serial();
+    let gate = AdmissionController::new(AdmissionConfig {
+        queue_cap: 0,
+        queue_deadline: Duration::from_millis(40),
+        ..AdmissionConfig::default()
+    });
+    let backend: Arc<dyn lakehouse_store::ObjectStore> =
+        Arc::new(lakehouse_store::InMemoryStore::new());
+    let first = gated_front(&backend, "first", &gate);
+    let second = gated_front(&backend, "second", &gate);
+    first.create_table("t", &base_batch(16), "main").unwrap();
+
+    // The first front is mid-query for as long as this permit lives.
+    let busy = gate.acquire("first").expect("the free slot");
+    let started = std::time::Instant::now();
+    let err = second.query(Q, "main").expect_err("no slot and no queue");
+    assert!(
+        started.elapsed() < Duration::from_millis(25),
+        "an overflow shed must not wait, took {:?}",
+        started.elapsed()
+    );
+    match err {
+        BauplanError::Overloaded { retry_after } => {
+            assert_eq!(retry_after, Duration::from_millis(40), "one queue window");
+        }
+        other => panic!("expected Overloaded, got {other}"),
+    }
+    drop(busy);
+
+    // With the slot back the same front is served, and sees its shed row.
+    let (reason, waited_ms) = shed_row(&second, Q);
+    assert_eq!(reason, "overloaded");
+    assert_eq!(waited_ms, 0.0, "an overflow shed never queued");
+}
+
+/// One front behind a gate with a 30 ms queue deadline: a query that cannot
+/// get the slot is shed after about that long, and its wait is on its row.
+#[test]
+fn a_queue_deadline_sheds_after_about_the_deadline() {
+    const Q: &str = "SELECT COUNT(*) AS deadline_probe FROM t";
+    let _serial = serial();
+    let gate = AdmissionController::new(AdmissionConfig {
+        queue_deadline: Duration::from_millis(30),
+        ..AdmissionConfig::default()
+    });
+    let backend: Arc<dyn lakehouse_store::ObjectStore> =
+        Arc::new(lakehouse_store::InMemoryStore::new());
+    let lh = gated_front(&backend, "solo", &gate);
+    lh.create_table("t", &base_batch(16), "main").unwrap();
+
+    let busy = gate.acquire("solo").expect("the free slot");
+    let started = std::time::Instant::now();
+    let err = lh.query(Q, "main").expect_err("the slot never frees");
+    let waited = started.elapsed();
+    assert!(
+        matches!(err, BauplanError::Overloaded { retry_after } if retry_after == Duration::from_millis(30)),
+        "expected Overloaded, got {err}"
+    );
+    assert!(
+        waited >= Duration::from_millis(25) && waited < Duration::from_millis(500),
+        "shed at about the 30 ms queue deadline, waited {waited:?}"
+    );
+    drop(busy);
+
+    let (reason, waited_ms) = shed_row(&lh, Q);
+    assert_eq!(reason, "overloaded");
+    assert!(
+        (25.0..=waited.as_secs_f64() * 1e3).contains(&waited_ms),
+        "the row carries the wait until the shed, got {waited_ms} ms of {waited:?}"
+    );
 }
