@@ -191,6 +191,23 @@ fn export_round_trip() {
 }
 
 #[test]
+fn exported_table_appends_back_into_itself() {
+    let cli = Cli::new("reimport");
+    cli.ok(&["demo", "--rows", "1000"]);
+    let out_csv = cli.data_dir.join("taxi.csv");
+    let out = out_csv.to_str().unwrap();
+    cli.ok(&["export", "-q", "SELECT * FROM taxi_table", "-o", out]);
+    // Dates leave as ISO days and come back as DATE, not VARCHAR.
+    let text = std::fs::read_to_string(&out_csv).unwrap();
+    assert!(text.lines().nth(1).unwrap().contains(",2019-0"), "{text}");
+    cli.ok(&["import", "taxi_table", out, "--append"]);
+    let count = cli.ok(&["query", "-q", "SELECT COUNT(*) AS n FROM taxi_table"]);
+    assert!(count.contains("| 2000 |"), "{count}");
+    let days = "SELECT COUNT(*) AS n FROM taxi_table WHERE pickup_at >= DATE '2019-01-01'";
+    assert!(cli.ok(&["query", "-q", days]).contains("| 2000 |"));
+}
+
+#[test]
 fn compact_and_gc() {
     let cli = Cli::new("maint");
     cli.ok(&["demo", "--rows", "1000"]);

@@ -78,6 +78,11 @@ impl RecordBatch {
         &self.columns
     }
 
+    /// The columns, taken: a consumer that rearranges them need not copy.
+    pub fn into_columns(self) -> Vec<Column> {
+        self.columns
+    }
+
     pub fn num_rows(&self) -> usize {
         self.num_rows
     }

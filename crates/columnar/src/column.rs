@@ -5,6 +5,7 @@ use crate::datatype::{DataType, Value};
 use crate::error::{ColumnarError, Result};
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Canonicalize a validity bitmap: a column's validity is `Some` **iff** it
@@ -548,27 +549,40 @@ impl Column {
     }
 
     /// Min and max non-null values, or `(Null, Null)` if all rows are null.
+    pub fn min_max(&self) -> (Value, Value) {
+        self.min_max_rows(0..self.len())
+    }
+
+    /// [`Self::min_max`] of rows `rows` (which the column must hold), in
+    /// place: no slice is made.
     ///
     /// Typed loops over the column's slice: one `Value` pair per column, not
     /// one per cell. Ordering is [`Value::total_cmp`]'s (floats by
     /// `f64::total_cmp`), and strict comparisons keep the first occurrence
     /// on ties.
-    pub fn min_max(&self) -> (Value, Value) {
+    pub fn min_max_rows(&self, rows: Range<usize>) -> (Value, Value) {
+        /// Extremes of `values`, which start at row `at` of `validity`.
         fn extremes<T: Copy>(
             values: impl Iterator<Item = T>,
-            validity: Option<&Bitmap>,
+            (validity, at): (Option<&Bitmap>, usize),
             lt: impl Fn(T, T) -> bool,
         ) -> Option<(T, T)> {
+            let wider = |(lo, hi): (T, T), x: T| {
+                (
+                    if lt(x, lo) { x } else { lo },
+                    if lt(hi, x) { x } else { hi },
+                )
+            };
+            let Some(validity) = validity else {
+                // No NULL to step over: a plain fold, no per-cell state.
+                let mut values = values;
+                let first = values.next()?;
+                return Some(values.fold((first, first), wider));
+            };
             let mut best: Option<(T, T)> = None;
             for (i, x) in values.enumerate() {
-                if validity.is_none_or(|b| b.get(i)) {
-                    best = Some(match best {
-                        None => (x, x),
-                        Some((lo, hi)) => (
-                            if lt(x, lo) { x } else { lo },
-                            if lt(hi, x) { x } else { hi },
-                        ),
-                    });
+                if validity.get(at + i) {
+                    best = Some(best.map_or((x, x), |best| wider(best, x)));
                 }
             }
             best
@@ -578,37 +592,39 @@ impl Column {
         }
         fn ordered<T: Copy + PartialOrd>(
             values: &[T],
-            validity: Option<&Bitmap>,
+            validity: (Option<&Bitmap>, usize),
             f: impl Fn(T) -> Value,
         ) -> (Value, Value) {
             wrap(extremes(values.iter().copied(), validity, |a, b| a < b), f)
         }
-        let validity = self.validity();
+        let validity = (self.validity(), rows.start);
         match self {
-            Column::Bool(v, _) => ordered(v, validity, Value::Bool),
-            Column::Int64(v, _) => ordered(v, validity, Value::Int64),
-            Column::Timestamp(v, _) => ordered(v, validity, Value::Timestamp),
-            Column::Date(v, _) => ordered(v, validity, Value::Date),
+            Column::Bool(v, _) => ordered(&v[rows], validity, Value::Bool),
+            Column::Int64(v, _) => ordered(&v[rows], validity, Value::Int64),
+            Column::Timestamp(v, _) => ordered(&v[rows], validity, Value::Timestamp),
+            Column::Date(v, _) => ordered(&v[rows], validity, Value::Date),
             Column::Float64(v, _) => wrap(
-                extremes(v.iter().copied(), validity, |a, b| a.total_cmp(&b).is_lt()),
+                extremes(v[rows].iter().copied(), validity, |a, b| {
+                    a.total_cmp(&b).is_lt()
+                }),
                 Value::Float64,
             ),
             Column::Utf8(v, _) => wrap(
-                extremes(v.iter().map(String::as_str), validity, |a, b| a < b),
+                extremes(v[rows].iter().map(String::as_str), validity, |a, b| a < b),
                 |s| Value::Utf8(s.to_string()),
             ),
             // Dictionary: mark which entries appear among valid rows, then
             // compare the (much smaller) dictionary's used entries.
             Column::Dict(d) => {
                 let mut used = vec![false; d.dict().len()];
-                for (i, &c) in d.codes().iter().enumerate() {
-                    if validity.is_none_or(|b| b.get(i)) {
+                for (i, &c) in rows.clone().zip(&d.codes()[rows]) {
+                    if validity.0.is_none_or(|b| b.get(i)) {
                         used[c as usize] = true;
                     }
                 }
                 let entries = d.dict().iter().zip(&used).filter(|(_, u)| **u);
                 wrap(
-                    extremes(entries.map(|(s, _)| s.as_str()), None, |a, b| a < b),
+                    extremes(entries.map(|(s, _)| s.as_str()), (None, 0), |a, b| a < b),
                     |s| Value::Utf8(s.to_string()),
                 )
             }

@@ -2,12 +2,13 @@
 //! the CLI and examples usable on real files (NYC TLC publishes CSVs).
 //!
 //! Dialect: comma-separated, `"` quoting with `""` escapes, first row is the
-//! header. Inference prefers Int64 → Float64 → Bool → Utf8; empty cells are
-//! nulls.
+//! header. A column is Int64, Float64 (numbers, some fractional), Bool or
+//! Date (`YYYY-MM-DD`, as [`write_csv`] writes dates) when every non-empty
+//! cell is; any other mix is Utf8. Empty cells are nulls.
 
 use crate::batch::RecordBatch;
 use crate::column::ColumnBuilder;
-use crate::datatype::{DataType, Value};
+use crate::datatype::{civil_from_days, days_from_civil, DataType, Value};
 use crate::error::{ColumnarError, Result};
 use crate::schema::{Field, Schema};
 
@@ -72,6 +73,10 @@ pub fn write_csv(batch: &RecordBatch) -> String {
             .map(|c| match c.get(r) {
                 Ok(Value::Null) | Err(_) => String::new(),
                 Ok(Value::Utf8(s)) => quote(&s),
+                Ok(Value::Date(days)) => {
+                    let (y, m, d) = civil_from_days(days as i64);
+                    format!("{y:04}-{m:02}-{d:02}")
+                }
                 Ok(v) => v.to_string(),
             })
             .collect();
@@ -136,31 +141,55 @@ fn parse_rows(text: &str) -> Result<Vec<Vec<String>>> {
 }
 
 fn infer_type<'a>(values: impl Iterator<Item = &'a str>) -> DataType {
-    let mut t = DataType::Int64;
-    let mut saw_any = false;
-    for v in values {
-        let v = v.trim();
-        if v.is_empty() {
-            continue; // nulls don't constrain the type
-        }
-        saw_any = true;
-        t = match t {
-            DataType::Int64 if v.parse::<i64>().is_ok() => DataType::Int64,
-            DataType::Int64 | DataType::Float64 if v.parse::<f64>().is_ok() => DataType::Float64,
-            DataType::Int64 | DataType::Float64 | DataType::Bool if is_bool(v) => DataType::Bool,
-            DataType::Bool if is_bool(v) => DataType::Bool,
-            _ => return DataType::Utf8,
+    let mut column = None;
+    for v in values.map(str::trim).filter(|v| !v.is_empty()) {
+        let cell = if v.parse::<i64>().is_ok() {
+            DataType::Int64
+        } else if v.parse::<f64>().is_ok() {
+            DataType::Float64
+        } else if is_bool(v) {
+            DataType::Bool
+        } else if parse_date(v).is_some() {
+            DataType::Date
+        } else {
+            return DataType::Utf8;
         };
+        // Only integers widen (to floats): `1` beside `true` is text.
+        column = Some(match (column, cell) {
+            (None, cell) => cell,
+            (Some(column), cell) if column == cell => column,
+            (Some(DataType::Int64 | DataType::Float64), DataType::Int64 | DataType::Float64) => {
+                DataType::Float64
+            }
+            _ => return DataType::Utf8,
+        });
     }
-    if saw_any {
-        t
-    } else {
-        DataType::Utf8
-    }
+    column.unwrap_or(DataType::Utf8)
 }
 
 fn is_bool(v: &str) -> bool {
     matches!(v.to_ascii_lowercase().as_str(), "true" | "false")
+}
+
+/// `YYYY-MM-DD`, a real calendar day, as days since the epoch.
+fn parse_date(v: &str) -> Option<i32> {
+    let &[y0, y1, y2, y3, b'-', m0, m1, b'-', d0, d1] = v.as_bytes() else {
+        return None;
+    };
+    let number = |digits: &[u8]| {
+        let digit = |n: u32, b: &u8| b.is_ascii_digit().then(|| n * 10 + (b - b'0') as u32);
+        digits.iter().try_fold(0, digit)
+    };
+    let (y, m, d) = (
+        number(&[y0, y1, y2, y3])?,
+        number(&[m0, m1])?,
+        number(&[d0, d1])?,
+    );
+    if !(1..=12).contains(&m) || d == 0 {
+        return None;
+    }
+    let days = days_from_civil(y as i64, m, d);
+    (civil_from_days(days) == (y as i64, m, d)).then_some(days as i32)
 }
 
 fn parse_cell(cell: &str, dt: DataType) -> Value {
@@ -182,6 +211,7 @@ fn parse_cell(cell: &str, dt: DataType) -> Value {
             "false" => Value::Bool(false),
             _ => Value::Null,
         },
+        DataType::Date => parse_date(trimmed).map_or(Value::Null, Value::Date),
         _ => Value::Utf8(cell.to_string()),
     }
 }
@@ -228,6 +258,37 @@ mod tests {
                 DataType::Utf8
             ]
         );
+    }
+
+    #[test]
+    fn dates_round_trip_and_only_real_days_are_dates() {
+        let days = Column::from_opt_date(vec![Some(17_987), None, Some(-1), Some(0)]);
+        let schema = Schema::new(vec![Field::new("day", DataType::Date, true)]);
+        let batch = RecordBatch::try_new(schema, vec![days]).unwrap();
+        let text = write_csv(&batch);
+        assert_eq!(text, "day\n2019-04-01\n\n1969-12-31\n1970-01-01\n");
+        assert_eq!(read_csv(&text).unwrap(), batch);
+        for not_a_day in [
+            "2019-02-30",
+            "2019-13-01",
+            "2019-4-1",
+            "19-04-01",
+            "2019/04/01",
+        ] {
+            let b = read_csv(&format!("d\n2019-04-01\n{not_a_day}\n")).unwrap();
+            assert_eq!(b.schema().field(0).data_type(), DataType::Utf8);
+        }
+    }
+
+    #[test]
+    fn a_column_of_numbers_and_booleans_is_text() {
+        for text in ["x\n1\ntrue\n", "x\ntrue\n1\n", "x\n1.5\nfalse\n"] {
+            let b = read_csv(text).unwrap();
+            assert_eq!(b.schema().field(0).data_type(), DataType::Utf8, "{text:?}");
+            assert_eq!(b.column(0).null_count(), 0, "no cell may turn NULL");
+        }
+        let b = read_csv("x\n1\n2.5\n").unwrap();
+        assert_eq!(b.schema().field(0).data_type(), DataType::Float64);
     }
 
     #[test]

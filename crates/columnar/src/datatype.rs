@@ -164,6 +164,33 @@ fn type_rank(v: &Value) -> u8 {
     }
 }
 
+/// `(year, month, day)` of a day count since 1970-01-01 (proleptic
+/// Gregorian; Howard Hinnant's `civil_from_days`).
+pub fn civil_from_days(days: i64) -> (i64, u32, u32) {
+    let z = days + 719_468;
+    let era = z.div_euclid(146_097);
+    let doe = z.rem_euclid(146_097) as u64;
+    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+    let mp = (5 * doy + 2) / 153;
+    let m = if mp < 10 { mp + 3 } else { mp - 9 };
+    let y = yoe as i64 + era * 400 + (m <= 2) as i64;
+    (y, m as u32, (doy - (153 * mp + 2) / 5 + 1) as u32)
+}
+
+/// Days since 1970-01-01 of a civil date: the inverse of
+/// [`civil_from_days`] (months 1–12; a day past its month's end runs into
+/// the next).
+pub fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
+    let y = if m <= 2 { y - 1 } else { y };
+    let era = y.div_euclid(400);
+    let yoe = y.rem_euclid(400) as u64;
+    let mp = ((m + 9) % 12) as u64;
+    let doy = (153 * mp + 2) / 5 + d as u64 - 1;
+    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
+    era * 146_097 + doe as i64 - 719_468
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -219,6 +246,17 @@ mod tests {
             DataType::Date,
         ] {
             assert_eq!(DataType::parse(dt.name()), Some(dt));
+        }
+    }
+
+    #[test]
+    fn civil_dates_round_trip() {
+        assert_eq!(civil_from_days(0), (1970, 1, 1));
+        assert_eq!(civil_from_days(17_987), (2019, 4, 1));
+        assert_eq!(civil_from_days(-1), (1969, 12, 31));
+        for days in [-800_000, -1, 0, 59, 60, 11_016, 17_987, 2_932_896] {
+            let (y, m, d) = civil_from_days(days);
+            assert_eq!(days_from_civil(y, m, d), days);
         }
     }
 

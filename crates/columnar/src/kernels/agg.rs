@@ -2,7 +2,7 @@
 //! aggregation and the hash-grouped aggregation in the SQL engine.
 
 use crate::bitmap::Bitmap;
-use crate::column::Column;
+use crate::column::{normalize_validity, Column};
 use crate::datatype::{DataType, Value};
 use crate::error::{ColumnarError, Result};
 use crate::kernels::hash::{self, RowKey};
@@ -295,53 +295,150 @@ fn ord(lt: bool, want_min: bool, gt: bool) -> bool {
 /// index a flat `Vec<AggState>`; a join chains its build rows per id and
 /// resolves probe rows with [`Grouper::lookup_ids`].
 ///
-/// Keys are interned without boxing a row: each batch's key columns are
-/// hashed by typed loops ([`hash::hash_key_rows`]), the hash probes an
-/// open-addressed table of group ids, and a candidate group is confirmed by
-/// comparing the row's cells in place against the group's stored key
-/// ([`cell_eq`]). A `Vec<Value>` key is built once per *new group*.
+/// One interner, two ways to find a key in it. The interner is the key
+/// store — typed words ([`hash::key_words`]), never boxed values: a group's
+/// id is its position there, so ids are first-appearance order whichever
+/// lookup found (or missed) the key.
+///
+/// * The **hash index** — open addressing over the words, the general
+///   lookup: a probe is confirmed by comparing its words with the stored
+///   ones as one slice (then the strings, if the key has any).
+/// * The **dense front** ([`DenseFront`]) — a direct-addressed table of
+///   ids, used instead while every key column is Bool/Int64/Date/Timestamp
+///   and the observed key domain is small: no hashing, no comparing. Keys
+///   it interns reach the hash index only if the front is dropped.
 #[derive(Debug, Default)]
 pub struct Grouper {
-    /// Open-addressed, linearly probed; power-of-two length, at most half
-    /// full. Each slot holds a group id (`EMPTY` = free) and the high half
-    /// of its key hash, which rejects nearly every non-matching probe
-    /// without a second memory access.
-    slots: Vec<(u32, u32)>,
-    /// Key hash per group, to re-place groups when `slots` grows.
-    hashes: Vec<u64>,
-    keys: Vec<Vec<Value>>,
-    /// What rows are compared against: every key's cells as [`KeyCell`]s,
-    /// one per key column per group, flat — a fixed-width key is confirmed
-    /// from one cache line without following `keys[g]` to its heap values.
-    cells: Vec<KeyCell>,
     /// The key columns' types, fixed by the first call: fixed-width cells
     /// compare by their 64-bit word, which means nothing across types.
     types: Vec<DataType>,
+    groups: usize,
+    /// Every key's words, [`hash::key_stride`] a group.
+    cells: Vec<u64>,
+    /// Per Float64 and per string key column (by position), whose word is
+    /// not the value: each group's first value as it came (zero sign, NaN
+    /// payload), the type's default under a NULL.
+    floats: Vec<(usize, Vec<f64>)>,
+    strings: Vec<(usize, Vec<String>)>,
+    string_bytes: usize,
+    /// The hash index: open-addressed, linearly probed, power-of-two length,
+    /// at most half full. A slot holds a group id (`EMPTY` = free) and the
+    /// high half of its key hash, which rejects nearly every other key.
+    slots: Vec<(u32, u32)>,
+    /// Groups `..indexed` are in `slots`; the rest were interned through
+    /// the dense front and are entered by [`Self::reindex`].
+    indexed: usize,
+    /// `None`: keys of other types, or a domain that outgrew the bound.
+    dense: Option<DenseFront>,
 }
 
-/// Rows hashed at a time: the hashes stay in L1 until they are probed, and
-/// the scratch does not grow with the batch.
-const HASH_BLOCK: usize = 1024;
+/// Rows resolved at a time: their words stay in L1 until they are probed,
+/// and the scratch does not grow with the batch.
+const BLOCK: usize = 1024;
 
 const EMPTY: u32 = u32::MAX;
 
-/// One component of a stored key, as rows compare against it: fixed-width
-/// types (and floats, by their canonical bits) as an integer, a string by
-/// the slice in `keys`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyCell {
-    Null,
-    Word(u64),
-    Str,
+/// Most cells a [`DenseFront`] may have (4 MiB of ids). A constant, not a
+/// setting: it bounds what a grouper may allocate beyond its keys and what
+/// one rebuild may cost, and neither depends on the workload — a key domain
+/// either fits a table that stays cache-friendly or is better off hashed.
+const DENSE_CELLS: usize = 1 << 20;
+
+/// The direct-addressed lookup: a key of small integers is a mixed-radix
+/// number — per column the value's offset from the least one seen (one more
+/// digit for NULL once a NULL was seen) — indexing a table of group ids.
+#[derive(Debug, Default)]
+struct DenseFront {
+    dims: Vec<Dim>,
+    /// Group id per cell, `EMPTY` where no key was seen.
+    table: Vec<u32>,
 }
 
-impl KeyCell {
-    fn of(v: &Value) -> KeyCell {
-        match v {
-            Value::Null => KeyCell::Null,
-            Value::Utf8(_) => KeyCell::Str,
-            fixed => KeyCell::Word(hash::key_word(fixed)),
+/// One key column's share of the table: values `lo..lo + span` and, if
+/// `null`, NULL, each worth `radix` cells.
+#[derive(Debug, Default, Clone, PartialEq)]
+struct Dim {
+    lo: i64,
+    span: u64,
+    null: bool,
+    radix: usize,
+}
+
+impl Dim {
+    /// Grow to hold `col`'s values. With `slack`, a domain that grows on
+    /// one side is given its own span again there, so one that creeps
+    /// (sorted keys in small batches) is rebuilt a logarithmic number of
+    /// times. `None`: wider than any table.
+    fn widen(&mut self, col: &Column, slack: bool) -> Option<()> {
+        self.null |= col.validity().is_some();
+        let int = |v: Value| v.as_i64().or(v.as_bool().map(i64::from));
+        let (min, max) = col.min_max();
+        let (Some(lo), Some(hi)) = (int(min), int(max)) else {
+            return Some(()); // no value to hold
+        };
+        let (mut new_lo, mut new_hi) = (lo, hi);
+        if self.span > 0 {
+            let span = self.span as i64; // a span fits the cell bound
+            let (old_lo, old_hi) = (self.lo, self.lo + (span - 1));
+            let slack = if slack { span } else { 0 };
+            new_lo = old_lo.min(lo.saturating_sub(if lo < old_lo { slack } else { 0 }));
+            new_hi = old_hi.max(hi.saturating_add(if hi > old_hi { slack } else { 0 }));
         }
+        self.lo = new_lo;
+        self.span = new_hi.abs_diff(new_lo).checked_add(1)?;
+        Some(())
+    }
+}
+
+impl DenseFront {
+    /// Make the table hold every key of `cols`: as it is if it does, else
+    /// widened — with slack if that fits the bound, exactly otherwise — and
+    /// refilled from the key store (`cells`), O(groups + table). `false`:
+    /// the observed domain is past [`DENSE_CELLS`].
+    fn cover(&mut self, cols: &[&Column], cells: &[u64]) -> bool {
+        let widened = |slack: bool| {
+            let mut dims = self.dims.clone();
+            let mut size = 1usize;
+            for (dim, col) in dims.iter_mut().zip(cols) {
+                dim.widen(col, slack)?;
+                dim.radix = size;
+                size = size.checked_mul(usize::try_from(dim.span + dim.null as u64).ok()?)?;
+            }
+            (size <= DENSE_CELLS).then_some((dims, size))
+        };
+        let Some((dims, size)) = widened(true).or_else(|| widened(false)) else {
+            return false;
+        };
+        if dims != self.dims || self.table.is_empty() {
+            self.dims = dims;
+            self.table.clear();
+            self.table.resize(size, EMPTY);
+            let keys = cells.chunks_exact(hash::key_stride(self.dims.len()));
+            for (group, key) in keys.enumerate() {
+                let cell = self.cell_of(key);
+                self.table[cell] = group as u32;
+            }
+        }
+        true
+    }
+
+    /// The table cell of a key ([`hash::key_words`]), `usize::MAX` (past any
+    /// table) for one the domain does not hold.
+    fn cell_of(&self, key: &[u64]) -> usize {
+        let (words, nulls) = key.split_at(self.dims.len());
+        let mut cell = 0;
+        for (c, (dim, &word)) in self.dims.iter().zip(words).enumerate() {
+            let digit = if nulls[c / 64] >> (c % 64) & 1 == 0 {
+                Some((word as i64).wrapping_sub(dim.lo) as u64).filter(|&d| d < dim.span)
+            } else {
+                dim.null.then_some(dim.span)
+            };
+            let Some(digit) = digit else {
+                return usize::MAX;
+            };
+            cell += digit as usize * dim.radix;
+        }
+        cell
     }
 }
 
@@ -351,39 +448,80 @@ impl Grouper {
     }
 
     pub fn num_groups(&self) -> usize {
-        self.keys.len()
+        self.groups
     }
 
-    /// Group keys in first-appearance order (one `Vec<Value>` per group).
-    pub fn keys(&self) -> &[Vec<Value>] {
-        &self.keys
+    /// Group keys in first-appearance order, one column per key column:
+    /// row `g` is group `g`'s key (a float's its first row's own value),
+    /// NULL cells holding what a [`crate::ColumnBuilder`] writes there.
+    pub fn key_columns(&self) -> Vec<Column> {
+        let width = self.types.len();
+        let keys = || self.cells.chunks_exact(hash::key_stride(width));
+        let column = |(c, dt): (usize, &DataType)| {
+            let valid: Vec<bool> = keys()
+                .map(|key| key[width + c / 64] >> (c % 64) & 1 == 0)
+                .collect();
+            let validity = normalize_validity(Some(Bitmap::from_bools(&valid)));
+            let ws = keys().map(move |key| key[c]);
+            match dt {
+                DataType::Bool => Column::Bool(ws.map(|w| w != 0).collect(), validity),
+                DataType::Int64 => Column::Int64(ws.map(|w| w as i64).collect(), validity),
+                DataType::Timestamp => Column::Timestamp(ws.map(|w| w as i64).collect(), validity),
+                DataType::Date => Column::Date(ws.map(|w| w as i32).collect(), validity),
+                DataType::Float64 => Column::Float64(kept(&self.floats, c).to_vec(), validity),
+                DataType::Utf8 => Column::Utf8(kept(&self.strings, c).to_vec(), validity),
+            }
+        };
+        self.types.iter().enumerate().map(column).collect()
     }
 
-    /// Approximate heap footprint of the keys of groups `first..`, for
-    /// executors that budget their state batch by batch.
-    pub fn key_bytes(&self, first: usize) -> usize {
-        let keys = self.keys[first..].iter().flatten();
-        keys.map(approx_value_bytes).sum()
+    /// Approximate heap footprint of the grouper — keys, hash index and
+    /// dense table — for executors that budget their state.
+    pub fn key_bytes(&self) -> usize {
+        let kept = self.floats.len() * 8 + self.strings.len() * std::mem::size_of::<String>();
+        self.cells.len() * 8
+            + self.groups * kept
+            + self.string_bytes
+            + self.slots.len() * 8
+            + self.dense.as_ref().map_or(0, |d| d.table.len() * 4)
     }
 
     /// Resolve every row of `cols` (the key columns, all the same length,
-    /// the same number on every call) to a dense group id, interning unseen
+    /// the same types on every call) to a dense group id, interning unseen
     /// keys. `ids` is cleared and refilled so scratch can be reused across
     /// batches.
     ///
-    /// A single dictionary-encoded key column groups in code space: one
-    /// intern per distinct code in the batch, and every other row is a
-    /// plain `u32` array lookup — no hashing, no comparing.
+    /// The batch's keys choose the lookup: the dense front while it can be
+    /// made to hold them within its bound (dropped for good the first time
+    /// it cannot), the hash index otherwise. A single dictionary-encoded
+    /// key column groups in code space: one intern per distinct code in the
+    /// batch, every other row a plain `u32` array lookup.
     pub fn group_ids<C: Borrow<Column>>(&mut self, cols: &[C], ids: &mut Vec<u32>) -> Result<()> {
-        if self.keys.is_empty() {
+        if self.groups == 0 {
             self.types = cols.iter().map(|c| c.borrow().data_type()).collect();
+            self.floats = kept_for(&self.types, DataType::Float64);
+            self.strings = kept_for(&self.types, DataType::Utf8);
+            let small = self.floats.is_empty() && self.strings.is_empty();
+            self.dense = small.then(|| DenseFront {
+                dims: vec![Dim::default(); self.types.len()],
+                table: Vec::new(),
+            });
         }
-        let (cols, n) = self.key_columns(cols)?;
+        let (cols, n) = self.checked(cols)?;
         ids.clear();
         ids.reserve(n);
+        if n == 0 {
+            return Ok(());
+        }
+        let mut dense = self.dense.take();
+        dense.take_if(|dense| !dense.cover(&cols, &self.cells));
+        if dense.is_none() {
+            self.reindex();
+        }
+        let mut words = Vec::new();
         if let [Column::Dict(d)] = cols[..] {
-            let mut code_group = vec![u32::MAX; d.dict().len()];
-            let mut null_group = u32::MAX;
+            let mut code_group = vec![EMPTY; d.dict().len()];
+            let mut null_group = EMPTY;
             let vb = d.validity().map(Bitmap::to_bools);
             for (i, &c) in d.codes().iter().enumerate() {
                 let slot = if vb.as_ref().is_none_or(|v| v[i]) {
@@ -391,28 +529,35 @@ impl Grouper {
                 } else {
                     &mut null_group
                 };
-                if *slot == u32::MAX {
-                    let key = cols[0].get(i)?;
-                    *slot = self.intern(
-                        hash::hash_key_value(&key),
-                        |_, stored| stored[0] == key,
-                        || Ok(vec![key.clone()]),
-                    )?;
+                if *slot == EMPTY {
+                    hash::key_words(&cols, i..i + 1, &mut words);
+                    *slot = self.intern(&words, &cols, i);
                 }
                 ids.push(*slot);
             }
             return Ok(());
         }
-        let mut hashes = Vec::with_capacity(HASH_BLOCK.min(n));
-        for start in (0..n).step_by(HASH_BLOCK) {
-            let rows = start..(start + HASH_BLOCK).min(n);
-            hash::hash_key_rows(&cols, rows.clone(), &mut hashes);
-            for (i, &hash) in rows.zip(&hashes) {
-                ids.push(self.intern(hash, row_eq(&cols, i), || {
-                    cols.iter().map(|c| c.get(i)).collect()
-                })?);
+        let stride = hash::key_stride(cols.len());
+        for start in (0..n).step_by(BLOCK) {
+            let rows = start..(start + BLOCK).min(n);
+            hash::key_words(&cols, rows.clone(), &mut words);
+            let keys = rows.zip(words.chunks_exact(stride));
+            let Some(dense) = &mut dense else {
+                ids.extend(keys.map(|(i, key)| self.intern(key, &cols, i)));
+                continue;
+            };
+            for (_, key) in keys {
+                let cell = dense.cell_of(key);
+                let group = &mut dense.table[cell];
+                if *group == EMPTY {
+                    *group = self.groups as u32;
+                    self.cells.extend_from_slice(key);
+                    self.groups += 1;
+                }
+                ids.push(*group);
             }
         }
+        self.dense = dense;
         Ok(())
     }
 
@@ -424,18 +569,23 @@ impl Grouper {
     pub fn lookup_ids<C: Borrow<Column>>(&self, cols: &[C], ids: &mut Vec<u32>) -> Result<()> {
         ids.clear();
         let types = cols.iter().map(|c| c.borrow().data_type());
-        if self.keys.is_empty() || !types.eq(self.types.iter().copied()) {
+        if self.groups == 0 || !types.eq(self.types.iter().copied()) {
             ids.resize(cols.first().map_or(0, |c| c.borrow().len()), Self::NO_GROUP);
             return Ok(());
         }
-        let (cols, n) = self.key_columns(cols)?;
+        let (cols, n) = self.checked(cols)?;
         ids.reserve(n);
-        let mut hashes = Vec::with_capacity(HASH_BLOCK.min(n));
-        for start in (0..n).step_by(HASH_BLOCK) {
-            let rows = start..(start + HASH_BLOCK).min(n);
-            hash::hash_key_rows(&cols, rows.clone(), &mut hashes);
-            for (i, &hash) in rows.zip(&hashes) {
-                ids.push(self.find(hash, row_eq(&cols, i)).unwrap_or(Self::NO_GROUP));
+        let stride = hash::key_stride(cols.len());
+        let mut words = Vec::new();
+        for start in (0..n).step_by(BLOCK) {
+            let rows = start..(start + BLOCK).min(n);
+            hash::key_words(&cols, rows.clone(), &mut words);
+            for (i, key) in rows.zip(words.chunks_exact(stride)) {
+                let found = match &self.dense {
+                    Some(dense) => dense.table.get(dense.cell_of(key)).copied(),
+                    None => self.find(hash::hash_words(key), key, &cols, i).ok(),
+                };
+                ids.push(found.unwrap_or(Self::NO_GROUP));
             }
         }
         Ok(())
@@ -444,15 +594,13 @@ impl Grouper {
     /// What [`Self::lookup_ids`] resolves an unknown key to.
     pub const NO_GROUP: u32 = EMPTY;
 
-    /// The key columns of one call, checked against the key's width and
+    /// The key columns of one call, checked against the key's types and
     /// each other's length, and that length.
-    fn key_columns<'a, C: Borrow<Column>>(
-        &self,
-        cols: &'a [C],
-    ) -> Result<(Vec<&'a Column>, usize)> {
+    fn checked<'a, C: Borrow<Column>>(&self, cols: &'a [C]) -> Result<(Vec<&'a Column>, usize)> {
         let cols: Vec<&Column> = cols.iter().map(Borrow::borrow).collect();
-        if self.types.len() != cols.len() {
-            let what = format!("grouper keyed by {} columns", self.types.len());
+        let types = cols.iter().map(|c| c.data_type());
+        if !types.eq(self.types.iter().copied()) {
+            let what = format!("grouper keyed by {:?}", self.types);
             return Err(ColumnarError::InvalidArgument(what));
         }
         let n = cols.first().map_or(0, |c| c.len());
@@ -465,16 +613,17 @@ impl Grouper {
         Ok((cols, n))
     }
 
-    /// The group whose key hashes to `hash` and satisfies `eq` (given the
-    /// key's cells and values), or the free slot such a key would take.
+    /// The group in the hash index whose key is `key` — the words of row
+    /// `i` of `cols` — or the free slot such a key would take.
     fn find(
         &self,
         hash: u64,
-        eq: impl Fn(&[KeyCell], &[Value]) -> bool,
+        key: &[u64],
+        cols: &[&Column],
+        i: usize,
     ) -> std::result::Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let tag = (hash >> 32) as u32;
-        let width = self.types.len();
         let mut at = hash as usize & mask;
         loop {
             let (group, seen) = self.slots[at];
@@ -482,81 +631,95 @@ impl Grouper {
                 return Err(at);
             }
             let g = group as usize;
-            if seen == tag && eq(&self.cells[g * width..][..width], &self.keys[g]) {
+            // Equal words are equal NULL masks: a valid string cell here is
+            // one there.
+            let same_strings = |(c, kept): &(usize, Vec<String>)| {
+                !cols[*c].is_valid(i) || kept[g] == str_at(cols[*c], i)
+            };
+            if seen == tag
+                && self.cells[g * key.len()..][..key.len()] == *key
+                && self.strings.iter().all(same_strings)
+            {
                 return Ok(group);
             }
             at = (at + 1) & mask;
         }
     }
 
-    /// The id of the group [`Self::find`] finds, interning `key()` as a new
-    /// group if there is none.
-    fn intern(
-        &mut self,
-        hash: u64,
-        eq: impl Fn(&[KeyCell], &[Value]) -> bool,
-        key: impl FnOnce() -> Result<Vec<Value>>,
-    ) -> Result<u32> {
-        if (self.keys.len() + 1) * 2 > self.slots.len() {
-            self.grow();
+    /// The id of the group [`Self::find`] finds, interning the key as a new
+    /// group if there is none. (The hash index holds every group: callers
+    /// [`Self::reindex`] first.)
+    fn intern(&mut self, key: &[u64], cols: &[&Column], i: usize) -> u32 {
+        if (self.groups + 1) * 2 > self.slots.len() {
+            self.reindex();
         }
-        self.find(hash, eq).or_else(|at| {
-            let key = key()?;
-            let group = self.keys.len() as u32;
+        let hash = hash::hash_words(key);
+        self.find(hash, key, cols, i).unwrap_or_else(|at| {
+            let group = self.groups as u32;
             self.slots[at] = (group, (hash >> 32) as u32);
-            self.hashes.push(hash);
-            self.cells.extend(key.iter().map(KeyCell::of));
-            self.keys.push(key);
-            Ok(group)
+            self.cells.extend_from_slice(key);
+            for (c, kept) in &mut self.floats {
+                let value = cols[*c].as_f64().ok().filter(|_| cols[*c].is_valid(i));
+                kept.push(value.map_or(0.0, |(v, _)| v[i]));
+            }
+            for (c, kept) in &mut self.strings {
+                let s = if cols[*c].is_valid(i) {
+                    str_at(cols[*c], i)
+                } else {
+                    ""
+                };
+                self.string_bytes += s.len();
+                kept.push(s.to_string());
+            }
+            self.groups += 1;
+            self.indexed = self.groups;
+            group
         })
     }
 
-    fn grow(&mut self) {
-        let mask = (self.slots.len() * 2).max(16) - 1;
-        self.slots.clear();
-        self.slots.resize(mask + 1, (EMPTY, 0));
-        for (group, &hash) in self.hashes.iter().enumerate() {
+    /// Bring the hash index up to date: room for one more group at no more
+    /// than half full, and every group entered — O(groups) after a dense
+    /// front interned them or the table grew, nothing otherwise.
+    fn reindex(&mut self) {
+        if (self.groups + 1) * 2 > self.slots.len() {
+            let len = ((self.groups + 1) * 2).next_power_of_two().max(16);
+            self.slots.clear();
+            self.slots.resize(len, (EMPTY, 0));
+            self.indexed = 0;
+        }
+        let mask = self.slots.len() - 1;
+        let stride = hash::key_stride(self.types.len());
+        for group in self.indexed..self.groups {
+            let hash = hash::hash_words(&self.cells[group * stride..][..stride]);
             let mut at = hash as usize & mask;
             while self.slots[at].0 != EMPTY {
                 at = (at + 1) & mask;
             }
             self.slots[at] = (group as u32, (hash >> 32) as u32);
         }
+        self.indexed = self.groups;
     }
 }
 
-/// Whether row `i` of the key columns equals a stored key.
-fn row_eq<'a>(cols: &'a [&Column], i: usize) -> impl Fn(&[KeyCell], &[Value]) -> bool + 'a {
-    move |cells, key| {
-        (cols.iter().zip(cells).zip(key)).all(|((col, cell), k)| cell_eq(col, i, *cell, k))
-    }
+/// An empty store per key column of type `want`.
+fn kept_for<T>(types: &[DataType], want: DataType) -> Vec<(usize, Vec<T>)> {
+    let at = types.iter().enumerate().filter(|(_, dt)| **dt == want);
+    at.map(|(c, _)| (c, Vec::new())).collect()
 }
 
-/// Whether cell `i` of `col` equals a stored key component, by the rules of
-/// [`hash::RowKey`]: NULL equals only NULL, floats compare by their
-/// canonical bits, a dictionary cell by the string it resolves to. Typed in
-/// place — fixed-width types as integers, strings by slice.
-#[inline]
-fn cell_eq(col: &Column, i: usize, cell: KeyCell, key: &Value) -> bool {
-    if !col.is_valid(i) {
-        return cell == KeyCell::Null;
-    }
+/// What the key store keeps for key column `c` beside its words.
+fn kept<T>(columns: &[(usize, Vec<T>)], c: usize) -> &[T] {
+    let column = columns.iter().find(|(at, _)| *at == c);
+    column.map_or(&[], |(_, values)| values)
+}
+
+/// The string at row `i` of a string column, plain or dictionary-encoded.
+fn str_at(col: &Column, i: usize) -> &str {
     match col {
-        Column::Bool(v, _) => cell == KeyCell::Word(v[i] as u64),
-        Column::Int64(v, _) | Column::Timestamp(v, _) => cell == KeyCell::Word(v[i] as u64),
-        Column::Date(v, _) => cell == KeyCell::Word(v[i] as u64),
-        Column::Float64(v, _) => cell == KeyCell::Word(hash::canonical_f64_bits(v[i])),
-        Column::Utf8(v, _) => matches!(key, Value::Utf8(k) if *k == v[i]),
-        Column::Dict(d) => matches!(key, Value::Utf8(k) if k == d.value(i)),
+        Column::Utf8(v, _) => &v[i],
+        Column::Dict(d) => d.value(i),
+        _ => "",
     }
-}
-
-fn approx_value_bytes(v: &Value) -> usize {
-    std::mem::size_of::<Value>()
-        + match v {
-            Value::Utf8(s) => s.len(),
-            _ => 0,
-        }
 }
 
 /// Accumulate one batch into per-group aggregate states. `ids[i]` selects
@@ -893,14 +1056,8 @@ mod tests {
         let mut ids = Vec::new();
         g.group_ids(std::slice::from_ref(&key), &mut ids).unwrap();
         assert_eq!(ids, vec![0, 1, 2, 0, 2]);
-        assert_eq!(
-            g.keys(),
-            &[
-                vec![Value::Utf8("b".into())],
-                vec![Value::Utf8("a".into())],
-                vec![Value::Null]
-            ]
-        );
+        let keys = Column::from_opt_str(vec![Some("b"), Some("a"), None]);
+        assert_eq!(g.key_columns(), vec![keys]);
     }
 
     #[test]
@@ -923,7 +1080,7 @@ mod tests {
         gb.group_ids(std::slice::from_ref(&dict), &mut ids_b)
             .unwrap();
         assert_eq!(ids_a, ids_b);
-        assert_eq!(ga.keys(), gb.keys());
+        assert_eq!(ga.key_columns(), gb.key_columns());
     }
 
     #[test]
@@ -947,8 +1104,27 @@ mod tests {
         assert!(g.group_ids(&[a.clone(), b.clone()], &mut ids).is_err());
         g.group_ids(&[a.clone(), a.clone()], &mut ids).unwrap();
         assert_eq!(ids, vec![0, 1, 0]);
-        // A grouper keeps the key width of its first batch.
+        // A grouper keeps the key width and types of its first batch: a
+        // later Timestamp is not an Int64, in the dense front (which has no
+        // cell for it) or the hash index.
         assert!(g.group_ids(std::slice::from_ref(&b), &mut ids).is_err());
+        let t = Column::Timestamp(vec![1, 2, 9], None);
+        assert!(g.group_ids(&[a.clone(), t.clone()], &mut ids).is_err());
+        let mut hashed = Grouper::new();
+        let s = Column::from_strs(vec!["x", "y", "x"]);
+        hashed.group_ids(&[s.clone(), a.clone()], &mut ids).unwrap();
+        assert!(hashed.group_ids(&[s, t], &mut ids).is_err());
+        assert_eq!((g.num_groups(), hashed.num_groups()), (2, 2));
+    }
+
+    #[test]
+    fn grouper_fed_only_empty_batches_has_typed_empty_keys() {
+        let mut g = Grouper::new();
+        let mut ids = vec![7];
+        let empty = [Column::from_strs(vec![]), Column::from_i64(vec![])];
+        g.group_ids(&empty, &mut ids).unwrap();
+        assert!(ids.is_empty());
+        assert_eq!(g.key_columns(), empty.to_vec());
     }
 
     #[test]
@@ -978,6 +1154,70 @@ mod tests {
     }
 
     #[test]
+    fn dense_front_serves_small_integer_keys_until_their_domain_outgrows_it() {
+        let mut g = Grouper::new();
+        let mut ids = Vec::new();
+        let key = |v: Vec<i64>| [Column::from_i64(v)];
+        let table = |g: &Grouper| g.dense.as_ref().map(|d| d.table.len());
+        g.group_ids(&key(vec![5, 3, 5]), &mut ids).unwrap();
+        assert_eq!(ids, [0, 1, 0]);
+        assert_eq!(table(&g), Some(3), "3..=5");
+        assert!(g.slots.is_empty(), "nothing was hashed");
+        // A wider batch rebuilds the table, with the old span again in slack.
+        g.group_ids(&key(vec![9, 3]), &mut ids).unwrap();
+        assert_eq!(ids, [2, 1]);
+        assert_eq!(table(&g), Some(10), "3..=12");
+        // The first NULL takes a digit of its own.
+        let with_null = Column::from_opt_i64(vec![None, Some(4), None]);
+        g.group_ids(&[with_null], &mut ids).unwrap();
+        assert_eq!(ids, [3, 4, 3]);
+        assert_eq!(table(&g), Some(11));
+        g.lookup_ids(&key(vec![9, 8, 1_000, -1]), &mut ids).unwrap();
+        assert_eq!(ids, [2, EMPTY, EMPTY, EMPTY]);
+        // The ends of the type are past any table (and past `i64`
+        // subtraction): dropped for good, every key now in the hash index.
+        g.group_ids(&key(vec![i64::MIN, 5, i64::MAX]), &mut ids)
+            .unwrap();
+        assert_eq!(ids, [5, 0, 6]);
+        assert!(g.dense.is_none());
+        assert_eq!((g.indexed, g.num_groups()), (7, 7));
+        g.group_ids(&key(vec![4, 9]), &mut ids).unwrap();
+        assert_eq!(ids, [4, 2]);
+        assert!(g.dense.is_none());
+        let keys = Column::from_opt_i64(vec![
+            Some(5),
+            Some(3),
+            Some(9),
+            None,
+            Some(4),
+            Some(i64::MIN),
+            Some(i64::MAX),
+        ]);
+        assert_eq!(g.key_columns(), vec![keys]);
+        // Float and string keys never have one.
+        let mut f = Grouper::new();
+        f.group_ids(&[Column::from_f64(vec![1.0])], &mut ids)
+            .unwrap();
+        assert!(f.dense.is_none());
+    }
+
+    #[test]
+    fn creeping_keys_rebuild_the_dense_table_a_logarithmic_number_of_times() {
+        let mut g = Grouper::new();
+        let (mut ids, mut sizes) = (Vec::new(), Vec::new());
+        for i in 0..20_000i64 {
+            g.group_ids(&[Column::from_i64(vec![i])], &mut ids).unwrap();
+            assert_eq!(ids, [i as u32]);
+            let size = g.dense.as_ref().map(|d| d.table.len());
+            if sizes.last() != Some(&size) {
+                sizes.push(size);
+            }
+        }
+        assert!(sizes.len() <= 16, "{sizes:?}");
+        assert!(g.dense.is_some() && g.slots.is_empty());
+    }
+
+    #[test]
     fn grouper_float_keys_group_by_canonical_bits() {
         let mut g = Grouper::new();
         let mut ids = Vec::new();
@@ -987,7 +1227,9 @@ mod tests {
         g.group_ids(std::slice::from_ref(&key), &mut ids).unwrap();
         assert_eq!(ids, vec![0, 1, 2, 0, 1]);
         // The stored key is the first row's own value, sign and all.
-        assert!(matches!(g.keys()[0][0], Value::Float64(z) if z == 0.0 && z.is_sign_negative()));
+        let keys = g.key_columns();
+        let (keys, _) = keys[0].as_f64().unwrap();
+        assert!(keys[0] == 0.0 && keys[0].is_sign_negative());
     }
 
     #[test]

@@ -97,29 +97,48 @@ pub fn hash_batch_rows(batch: &RecordBatch, key_columns: &[usize]) -> Result<Vec
     Ok(hashes)
 }
 
-/// Hash rows `rows` of a group key for [`super::Grouper`]: one state per
-/// row, folding in each column's cell as one 64-bit word ([`key_word`])
-/// instead of byte by byte. Not comparable with [`hash_batch_rows`].
-pub(crate) fn hash_key_rows(cols: &[&Column], rows: Range<usize>, out: &mut Vec<u64>) {
-    fn fold(out: &mut [u64], at: usize, valid: Option<&Bitmap>, word: impl Fn(usize) -> u64) {
-        for (h, i) in out.iter_mut().zip(at..) {
-            let valid = valid.is_none_or(|b| b.get(i));
-            *h = mix_key_word(*h, if valid { word(i) } else { NULL_WORD });
+/// Words per stored key of `width` columns in [`super::Grouper`]'s key
+/// store: one per column, then the NULL mask, one bit per column.
+pub(crate) fn key_stride(width: usize) -> usize {
+    width + width.div_ceil(64)
+}
+
+/// Rows `rows` of a group key as [`super::Grouper`] stores, hashes and
+/// compares them: row-major, [`key_stride`] words a row — each column's cell
+/// as one 64-bit word (the value's bits sign-extended, a float's canonical
+/// bits, a string's FNV-1a hash; 0 under a NULL), then the NULL mask. Filled
+/// a column at a time, so the type is dispatched once per block, not per
+/// cell.
+pub(crate) fn key_words(cols: &[&Column], rows: Range<usize>, out: &mut Vec<u64>) {
+    fn fill(
+        out: &mut [u64],
+        (c, width): (usize, usize),
+        rows: Range<usize>,
+        valid: Option<&Bitmap>,
+        word: impl Fn(usize) -> u64,
+    ) {
+        let stride = key_stride(width);
+        for (row, i) in out.chunks_exact_mut(stride).zip(rows) {
+            if valid.is_none_or(|b| b.get(i)) {
+                row[c] = word(i);
+            } else {
+                row[width + c / 64] |= 1 << (c % 64);
+            }
         }
     }
     out.clear();
-    out.resize(rows.len(), FNV_OFFSET);
-    let at = rows.start;
-    for col in cols {
+    out.resize(rows.len() * key_stride(cols.len()), 0);
+    for (c, col) in cols.iter().enumerate() {
+        let (c, at) = ((c, cols.len()), rows.clone());
         match col {
-            Column::Bool(v, b) => fold(out, at, b.as_ref(), |i| v[i] as u64),
+            Column::Bool(v, b) => fill(out, c, at, b.as_ref(), |i| v[i] as u64),
             Column::Int64(v, b) | Column::Timestamp(v, b) => {
-                fold(out, at, b.as_ref(), |i| v[i] as u64)
+                fill(out, c, at, b.as_ref(), |i| v[i] as u64)
             }
-            Column::Date(v, b) => fold(out, at, b.as_ref(), |i| v[i] as u64),
-            Column::Float64(v, b) => fold(out, at, b.as_ref(), |i| canonical_f64_bits(v[i])),
-            Column::Utf8(v, b) => fold(out, at, b.as_ref(), |i| string_word(&v[i])),
-            Column::Dict(d) => fold(out, at, d.validity(), |i| string_word(d.value(i))),
+            Column::Date(v, b) => fill(out, c, at, b.as_ref(), |i| v[i] as u64),
+            Column::Float64(v, b) => fill(out, c, at, b.as_ref(), |i| canonical_f64_bits(v[i])),
+            Column::Utf8(v, b) => fill(out, c, at, b.as_ref(), |i| string_word(&v[i])),
+            Column::Dict(d) => fill(out, c, at, d.validity(), |i| string_word(d.value(i))),
         }
     }
 }
@@ -128,35 +147,14 @@ fn string_word(s: &str) -> u64 {
     fnv1a(FNV_OFFSET, s.as_bytes())
 }
 
-/// [`hash_key_rows`] of a one-column key holding `v`.
-pub(crate) fn hash_key_value(v: &Value) -> u64 {
-    mix_key_word(FNV_OFFSET, key_word(v))
-}
-
-/// The 64-bit word a key cell hashes (and, if fixed-width, compares) as:
-/// the value's bits sign-extended, a float's canonical bits, a string's
-/// FNV-1a hash.
-pub(crate) fn key_word(v: &Value) -> u64 {
-    match v {
-        Value::Null => NULL_WORD,
-        Value::Bool(b) => *b as u64,
-        Value::Int64(i) | Value::Timestamp(i) => *i as u64,
-        Value::Date(d) => *d as u64,
-        Value::Float64(f) => canonical_f64_bits(*f),
-        Value::Utf8(s) => string_word(s),
-    }
-}
-
-/// What a NULL cell hashes as (a collision with a real word only costs a
-/// comparison).
-const NULL_WORD: u64 = 0x6e75_6c6c_6e75_6c6c;
-
-/// One multiply per word, then fold the well-mixed high half onto the low
-/// bits that table masks and tags keep.
+/// Hash one row of [`key_words`]: one multiply per word, folding the
+/// well-mixed high half onto the low bits that table masks and tags keep.
 #[inline]
-fn mix_key_word(h: u64, word: u64) -> u64 {
-    let h = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    h ^ (h >> 32)
+pub(crate) fn hash_words(words: &[u64]) -> u64 {
+    words.iter().fold(FNV_OFFSET, |h, &word| {
+        let h = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 32)
+    })
 }
 
 /// The bit pattern a float groups and joins by: NaN payloads and `-0.0`

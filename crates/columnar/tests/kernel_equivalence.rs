@@ -404,18 +404,27 @@ fn random_key_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
     }
 }
 
+/// Whether two group keys are the same values — floats by bit pattern: the
+/// first-appearance key keeps the row's own NaN payload and zero sign.
+fn same_key(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| match (x, y) {
+            (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
+            _ => x == y,
+        })
+}
+
+/// A grouper's keys as the reference keeps them: one row of values a group.
+fn key_rows(grouper: &lakehouse_columnar::kernels::Grouper) -> Vec<Vec<Value>> {
+    let columns = grouper.key_columns();
+    (0..grouper.num_groups())
+        .map(|g| columns.iter().map(|c| c.get(g).expect("get")).collect())
+        .collect()
+}
+
 #[test]
 fn grouper_matches_boxed_reference() {
     use lakehouse_columnar::kernels::Grouper;
-    // Floats by bit pattern: the first-appearance key keeps the row's own
-    // NaN payload and zero sign.
-    let same_key = |a: &[Value], b: &[Value]| {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| match (x, y) {
-                (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
-                _ => x == y,
-            })
-    };
     for case in 0..200u64 {
         let mut rng = rng_for(0x6b3, 0, case);
         let ncols = rng.gen_range(1..5usize);
@@ -445,7 +454,7 @@ fn grouper_matches_boxed_reference() {
             all_ids.extend_from_slice(&ids);
         }
         assert_eq!(fast.num_groups(), slow.keys.len(), "case {case}");
-        for (a, b) in fast.keys().iter().zip(&slow.keys) {
+        for (a, b) in key_rows(&fast).iter().zip(&slow.keys) {
             assert!(same_key(a, b), "case {case}: key {a:?} != {b:?}");
         }
 
@@ -459,7 +468,7 @@ fn grouper_matches_boxed_reference() {
         let mut one = Grouper::new();
         one.group_ids(&whole, &mut ids).expect("group_ids");
         assert_eq!(ids, all_ids, "case {case}: one batch vs many");
-        for (a, b) in one.keys().iter().zip(&slow.keys) {
+        for (a, b) in key_rows(&one).iter().zip(&slow.keys) {
             assert!(same_key(a, b), "case {case}: key {a:?} != {b:?}");
         }
 
@@ -485,5 +494,159 @@ fn grouper_matches_boxed_reference() {
             assert_eq!(ids.len(), want.len());
         }
         assert_eq!(built.num_groups() as u32, known, "case {case}: interned");
+    }
+}
+
+/// A key column of `n` rows whose domain depends on `phase`: a handful of
+/// values (0), a few dozen around zero (1), the ends of the type's range
+/// (2) — so a stream of phases 0, 1, 2 widens an integer key's domain and
+/// then takes it past any direct-addressed table. NULLs may first appear in
+/// any phase.
+fn phased_key_column(rng: &mut StdRng, kind: u32, n: usize, phase: u32) -> Column {
+    let validity = if rng.gen_bool(0.6) {
+        let bools: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.7)).collect();
+        Some(Bitmap::from_bools(&bools))
+    } else {
+        None
+    };
+    let validity = lakehouse_columnar::column::normalize_validity(validity);
+    let mut int = |ends: [i64; 2]| -> Vec<i64> {
+        let value = |rng: &mut StdRng| match phase {
+            0 => rng.gen_range(0..4),
+            1 => rng.gen_range(-40..40),
+            _ => [ends[0], ends[1], 0, -1, 7][rng.gen_range(0..5usize)],
+        };
+        (0..n).map(|_| value(rng)).collect()
+    };
+    match kind {
+        0 => Column::Int64(int([i64::MIN, i64::MAX]), validity),
+        1 => {
+            let days = int([i32::MIN as i64, i32::MAX as i64]);
+            Column::Date(days.into_iter().map(|d| d as i32).collect(), validity)
+        }
+        2 => Column::Timestamp(int([i64::MIN, i64::MAX]), validity),
+        _ => random_key_column(rng, kind, n),
+    }
+}
+
+/// Group ids of `probe` against a grouper holding only `build`'s keys, by
+/// the boxed reference.
+fn lookup_by_reference(build: &[Vec<Column>], probe: &[Column]) -> Vec<u32> {
+    use lakehouse_columnar::kernels::Grouper;
+    let mut oracle = scalar::GrouperRef::default();
+    let mut ids = Vec::new();
+    for cols in build {
+        oracle.group_ids(cols, &mut ids).expect("ref");
+    }
+    let known = oracle.keys.len() as u32;
+    oracle.group_ids(probe, &mut ids).expect("ref");
+    for g in &mut ids {
+        *g = if *g < known { *g } else { Grouper::NO_GROUP };
+    }
+    ids
+}
+
+/// The same rows as one batch, as the three phases they were drawn in
+/// (dense table, then rebuilt wider, then dropped for the hash index) and
+/// as 1-row batches: ids, keys and lookups are the boxed reference's,
+/// whichever lookup served them.
+#[test]
+fn grouper_matches_reference_as_its_key_domain_widens_and_outgrows_the_dense_table() {
+    use lakehouse_columnar::kernels::Grouper;
+    for case in 0..150u64 {
+        let mut rng = rng_for(0xd3f, 0, case);
+        let ncols = rng.gen_range(1..4usize);
+        // Mostly the integer kinds the dense front serves; some cases mix
+        // in a float or string column, which never have one.
+        let kinds: Vec<u32> = (0..ncols)
+            .map(|_| rng.gen_range(0..if case % 3 == 0 { 7 } else { 4 }))
+            .collect();
+        let wide = rng.gen_range(0..ncols);
+        let phases: Vec<Vec<Column>> = (0..3u32)
+            .map(|phase| {
+                let n = rng.gen_range(1..50usize);
+                let column = |(c, &kind): (usize, &u32)| {
+                    let phase = if phase == 2 && c != wide { 1 } else { phase };
+                    let kind = if kind >= 5 { rng.gen_range(5..7) } else { kind };
+                    phased_key_column(&mut rng, kind, n, phase)
+                };
+                kinds.iter().enumerate().map(column).collect()
+            })
+            .collect();
+        let whole: Vec<Column> = (0..ncols)
+            .map(|c| {
+                let pieces: Vec<&Column> = phases.iter().map(|p| &p[c]).collect();
+                Column::concat(&pieces).expect("concat")
+            })
+            .collect();
+        let rows = whole[0].len();
+        let one_row = |i| -> Vec<Column> {
+            let cell = |c: &Column| c.slice(i, 1).expect("slice");
+            whole.iter().map(cell).collect()
+        };
+
+        let mut oracle = scalar::GrouperRef::default();
+        let (mut ids, mut want) = (Vec::new(), Vec::new());
+        oracle.group_ids(&whole, &mut want).expect("ref");
+        let feedings = [
+            ("one batch", vec![whole.clone()]),
+            ("three phases", phases.clone()),
+            ("1-row batches", (0..rows).map(one_row).collect()),
+        ];
+        for (how, batches) in &feedings {
+            let mut grouper = Grouper::new();
+            let mut got = Vec::new();
+            for cols in batches {
+                grouper.group_ids(cols, &mut ids).expect("group_ids");
+                got.extend_from_slice(&ids);
+            }
+            assert_eq!(got, want, "case {case} kinds {kinds:?}: ids, {how}");
+            assert_eq!(grouper.num_groups(), oracle.keys.len());
+            for (a, b) in key_rows(&grouper).iter().zip(&oracle.keys) {
+                assert!(same_key(a, b), "case {case} {how}: key {a:?} != {b:?}");
+            }
+            // Every row finds its own group again.
+            grouper.lookup_ids(&whole, &mut ids).expect("lookup_ids");
+            assert_eq!(ids, want, "case {case} kinds {kinds:?}: lookup, {how}");
+        }
+
+        // Lookups against a build side of one, two and all three phases:
+        // known keys, keys inside the table's domain that are no group,
+        // keys outside it, NULLs the build side never saw.
+        for built in 1..=3 {
+            let build = &phases[..built];
+            let mut grouper = Grouper::new();
+            for cols in build {
+                grouper.group_ids(cols, &mut ids).expect("group_ids");
+            }
+            let known = grouper.num_groups();
+            for probe in phases.iter().chain([&whole]) {
+                grouper.lookup_ids(probe, &mut ids).expect("lookup_ids");
+                let want = lookup_by_reference(build, probe);
+                assert_eq!(ids, want, "case {case} kinds {kinds:?}: built {built}");
+            }
+            // The same words under another type are other keys.
+            let retyped: Vec<Column> = (whole.iter())
+                .map(|c| match c {
+                    Column::Int64(v, b) => Column::Timestamp(v.clone(), b.clone()),
+                    Column::Timestamp(v, b) => Column::Int64(v.clone(), b.clone()),
+                    other => other.clone(),
+                })
+                .collect();
+            if retyped
+                .iter()
+                .zip(&whole)
+                .any(|(a, b)| a.data_type() != b.data_type())
+            {
+                grouper.lookup_ids(&retyped, &mut ids).expect("lookup_ids");
+                assert!(ids.iter().all(|&g| g == Grouper::NO_GROUP), "case {case}");
+                assert_eq!(ids.len(), rows);
+            }
+            assert_eq!(
+                grouper.num_groups(),
+                known,
+                "case {case}: a lookup interned"
+            );
+        }
     }
 }

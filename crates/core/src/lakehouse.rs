@@ -7,7 +7,7 @@ use crate::functions::{FnContext, FnOutput, FunctionRegistry};
 use crate::governance::{AccessController, Action, Grant, Principal};
 use crate::provider::LakehouseProvider;
 use lakehouse_catalog::{Catalog, Commit, CommitId, ContentRef, Operation, Reference};
-use lakehouse_columnar::RecordBatch;
+use lakehouse_columnar::{RecordBatch, Schema};
 use lakehouse_planner::RunRegistry;
 use lakehouse_runtime::{Runtime, SimClock};
 use lakehouse_sql::SqlEngine;
@@ -498,6 +498,19 @@ impl Lakehouse {
             &content.metadata_location,
             self.table_io(),
         )?;
+        // A source that cannot declare NOT NULL (a CSV) appends as the
+        // table's own schema when names and types agree; a NULL in a NOT
+        // NULL column is then the batch's error, not a schema mismatch.
+        let schema = table.schema()?;
+        let typed = |s: &Schema| s.fields().iter().map(|f| f.data_type()).collect::<Vec<_>>();
+        let same_columns =
+            batch.schema().names() == schema.names() && typed(batch.schema()) == typed(&schema);
+        let conformed;
+        let mut batch = batch;
+        if batch.schema() != &schema && same_columns {
+            conformed = RecordBatch::try_new(schema, batch.columns().to_vec())?;
+            batch = &conformed;
+        }
         let mut tx = table.new_transaction(SnapshotOperation::Append);
         tx.write(batch)?;
         let (metadata_location, metadata) = tx.commit()?;

@@ -192,20 +192,18 @@ impl PinnedProvider<'_> {
         Ok(table)
     }
 
-    /// Tables served from memory, projected: `system.*` (materialized from
-    /// global telemetry on every scan) and overlay artifacts. `None` = a
-    /// catalog table.
+    /// Tables served from memory, projected and cut to the row budget:
+    /// `system.*` (materialized from global telemetry on every scan) and
+    /// overlay artifacts. `None` = a catalog table.
     fn memory_table(
         &self,
         table: &str,
         projection: Option<&[String]>,
+        filters: &[Expr],
+        fetch: Option<usize>,
     ) -> SqlResult<Option<RecordBatch>> {
-        let project = |batch: &RecordBatch| match projection {
-            Some(cols) => {
-                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                Ok(batch.project(&names)?)
-            }
-            None => Ok(batch.clone()),
+        let project = |batch: &RecordBatch| {
+            lakehouse_sql::scan_memory_table(batch, projection, filters, fetch)
         };
         if table.starts_with(crate::system::SYSTEM_PREFIX) {
             let batch = crate::system::system_batch(table, self.provider.system_pool.as_ref())
@@ -278,7 +276,7 @@ impl TableProvider for PinnedProvider<'_> {
         fetch: Option<usize>,
     ) -> SqlResult<Box<dyn BatchStream>> {
         // In-memory tables have nothing to skip.
-        if let Some(batch) = self.memory_table(table, projection)? {
+        if let Some(batch) = self.memory_table(table, projection, filters, fetch)? {
             return Ok(Box::new(BatchesStream::one(batch)));
         }
         let scan_failed = |e| SqlError::Execution(format!("scan of '{table}' failed: {e}"));

@@ -30,6 +30,26 @@ impl ByteWriter {
         self.buf.is_empty()
     }
 
+    /// Make room for `additional` more bytes in one allocation.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    /// Fixed-width values back to back, each as the `N` bytes `le` makes of
+    /// it: one resize, then a copy loop the compiler vectorises.
+    pub fn write_plain<T: Copy, const N: usize>(
+        &mut self,
+        values: &[T],
+        le: impl Fn(T) -> [u8; N],
+    ) {
+        let at = self.buf.len();
+        self.buf.resize(at + values.len() * N, 0);
+        let (cells, _) = self.buf[at..].as_chunks_mut::<N>();
+        for (cell, &v) in cells.iter_mut().zip(values) {
+            *cell = le(v);
+        }
+    }
+
     pub fn write_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -93,16 +113,42 @@ impl<'a> ByteReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(FormatError::Corrupt(format!(
-                "need {n} bytes at offset {}, only {} remain",
-                self.pos,
-                self.remaining()
-            )));
-        }
+        self.ensure_room(n, 1)?;
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
+    }
+
+    /// Whether `n` more values of at least `width` bytes each can follow. A
+    /// count read from the bytes is checked with this before anything is
+    /// sized by it, so a lying count is `Corrupt`, never an allocation.
+    pub fn ensure_room(&self, n: usize, width: usize) -> Result<()> {
+        match n.checked_mul(width) {
+            Some(len) if len <= self.remaining() => Ok(()),
+            _ => Err(FormatError::Corrupt(format!(
+                "{n} x {width} bytes wanted at offset {}, only {} remain",
+                self.pos,
+                self.remaining()
+            ))),
+        }
+    }
+
+    /// The next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let short = || FormatError::Corrupt(format!("short read of {N} bytes"));
+        self.take(N)?.first_chunk().copied().ok_or_else(short)
+    }
+
+    /// `n` fixed-width values, `from` making each of its `N` bytes: the
+    /// count checked against what is left, then one pass over one slice.
+    pub fn read_plain<T, const N: usize>(
+        &mut self,
+        n: usize,
+        from: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>> {
+        self.ensure_room(n, N)?;
+        let (cells, _) = self.take(n * N)?.as_chunks::<N>();
+        Ok(cells.iter().map(|&cell| from(cell)).collect())
     }
 
     pub fn read_u8(&mut self) -> Result<u8> {
@@ -110,23 +156,23 @@ impl<'a> ByteReader<'a> {
     }
 
     pub fn read_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     pub fn read_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     pub fn read_i32(&mut self) -> Result<i32> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(i32::from_le_bytes(self.take_array()?))
     }
 
     pub fn read_i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.take_array()?))
     }
 
     pub fn read_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.take_array()?))
     }
 
     /// Length-prefixed byte blob.

@@ -244,6 +244,41 @@ mod tests {
         FileWriter::write_file(&batch, WriterOptions { row_group_rows: 25 }).unwrap()
     }
 
+    /// A chunk whose bytes lie about its row count but whose checksums —
+    /// the chunk's in the footer, the footer's in the trailer — were
+    /// recomputed to match: only the decoder's own checks stand.
+    #[test]
+    fn a_checksummed_chunk_with_a_lying_row_count_is_corrupt() {
+        let name = "x";
+        let batch = RecordBatch::try_new(
+            Schema::new(vec![Field::new(name, DataType::Int64, false)]),
+            vec![Column::from_i64(vec![1, 2, 3])],
+        )
+        .unwrap();
+        let mut file = FileWriter::write_file(&batch, WriterOptions::default())
+            .unwrap()
+            .to_vec();
+        let (footer_start, _) = parse_trailer(&file[file.len() - 12..], file.len()).unwrap();
+        let group = &FileReader::parse(Bytes::from(file.clone())).unwrap().groups[0];
+        let (offset, length) = group.chunk_offsets[0];
+        let chunk = offset as usize..(offset + length) as usize;
+        file[chunk.start..chunk.start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Footer: version, field count, the field, group count, the group's
+        // row count, the chunk's offset and length — then its checksum.
+        let crc_at = footer_start + 4 + 4 + (4 + name.len() + 2) + 4 + 8 + 8 + 8;
+        let chunk_crc = crc32c(&file[chunk]);
+        file[crc_at..crc_at + 4].copy_from_slice(&chunk_crc.to_le_bytes());
+        let trailer = file.len() - 12;
+        let footer_crc = crc32c(&file[footer_start..trailer]);
+        file[trailer..trailer + 4].copy_from_slice(&footer_crc.to_le_bytes());
+
+        let reader = FileReader::parse(Bytes::from(file)).unwrap();
+        match reader.read_all(None) {
+            Err(FormatError::Corrupt(why)) => assert!(why.contains("4294967295 x 8"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
     #[test]
     fn full_round_trip() {
         let reader = FileReader::parse(sample_file()).unwrap();

@@ -9,6 +9,7 @@ use crate::{FORMAT_VERSION, MAGIC};
 use bytes::Bytes;
 use lakehouse_checksum::crc32c;
 use lakehouse_columnar::{DataType, RecordBatch, Schema};
+use std::ops::Range;
 
 /// Tuning knobs for the writer.
 #[derive(Debug, Clone)]
@@ -66,10 +67,11 @@ struct RowGroup {
 /// [`FileWriter::finish`] for the complete file bytes.
 ///
 /// Row groups are cut at exactly `row_group_rows` rows of the input stream.
-/// A group that lies inside one input batch is one slice of it; only rows
-/// that do not yet fill a group are buffered, so `pending` always holds
-/// fewer than `row_group_rows` rows and every row is copied at most twice
-/// (slice, then concat with its group's other pieces).
+/// A group that lies inside one input batch is encoded from that row range
+/// of it, uncopied; only rows that do not yet fill a group are buffered, so
+/// `pending` always holds fewer than `row_group_rows` rows and no row is
+/// copied more than twice (slice, then concat with its group's other
+/// pieces).
 pub struct FileWriter {
     schema: Schema,
     options: WriterOptions,
@@ -114,22 +116,25 @@ impl FileWriter {
             )));
         }
         let group_rows = self.options.row_group_rows.max(1);
+        // One allocation for what this batch adds: at most nine bytes a
+        // cell (plain strings aside), and one for its share of the footer.
+        self.body
+            .reserve(batch.num_rows() * batch.num_columns() * 10);
         let mut offset = 0;
         while offset < batch.num_rows() {
             let take = (group_rows - self.pending_rows).min(batch.num_rows() - offset);
-            let piece = batch.slice(offset, take)?;
-            count_copied(take);
-            offset += take;
             if self.pending_rows == 0 && take == group_rows {
-                // A whole group inside this batch: one slice, no concat.
-                self.encode_group(&piece);
-                continue;
+                // A whole group inside this batch: encoded where it lies.
+                self.encode_group(batch, offset..offset + take);
+            } else {
+                self.pending.push(batch.slice(offset, take)?);
+                count_copied(take);
+                self.pending_rows += take;
+                if self.pending_rows == group_rows {
+                    self.flush_pending()?;
+                }
             }
-            self.pending.push(piece);
-            self.pending_rows += take;
-            if self.pending_rows == group_rows {
-                self.flush_pending()?;
-            }
+            offset += take;
         }
         Ok(())
     }
@@ -140,31 +145,33 @@ impl FileWriter {
         self.pending_rows = 0;
         match pieces.as_slice() {
             [] => {}
-            [one] => self.encode_group(one),
+            [one] => self.encode_group(one, 0..one.num_rows()),
             many => {
                 let group = RecordBatch::concat(many)?;
                 count_copied(group.num_rows());
-                self.encode_group(&group);
+                self.encode_group(&group, 0..group.num_rows());
             }
         }
         Ok(())
     }
 
-    fn encode_group(&mut self, group: &RecordBatch) {
-        let mut chunks = Vec::with_capacity(group.num_columns());
-        for col in group.columns() {
+    /// Write rows `rows` of `batch` as one row group: chunk, checksum and
+    /// statistics all from the rows where they lie.
+    fn encode_group(&mut self, batch: &RecordBatch, rows: Range<usize>) {
+        let mut chunks = Vec::with_capacity(batch.num_columns());
+        for col in batch.columns() {
             let offset = self.body.len() as u64;
-            encode_column(col, &mut self.body);
+            encode_column(col, rows.clone(), &mut self.body);
             let encoded = &self.body.as_slice()[offset as usize..];
             chunks.push(ChunkMeta {
                 offset,
                 length: encoded.len() as u64,
                 crc: crc32c(encoded),
-                stats: ColumnStats::from_column(col),
+                stats: ColumnStats::from_rows(col, rows.clone()),
             });
         }
         self.groups.push(RowGroup {
-            row_count: group.num_rows() as u64,
+            row_count: rows.len() as u64,
             chunks,
         });
     }

@@ -31,6 +31,33 @@ pub trait TableProvider: SchemaProvider {
     ) -> Result<Box<dyn BatchStream>>;
 }
 
+/// What scanning an in-memory table yields: `batch` projected, in one copy
+/// of the rows asked for — under a row budget and no filter to pass, only
+/// the budget's rows (`LIMIT 10` of a million-row artifact copies ten).
+pub fn scan_memory_table(
+    batch: &RecordBatch,
+    projection: Option<&[String]>,
+    filters: &[Expr],
+    fetch: Option<usize>,
+) -> Result<RecordBatch> {
+    let rows = match fetch {
+        Some(budget) if filters.is_empty() => budget.min(batch.num_rows()),
+        _ => batch.num_rows(),
+    };
+    let schema = match projection {
+        Some(cols) => {
+            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+            batch.schema().project(&names)?
+        }
+        None => batch.schema().clone(),
+    };
+    let mut columns = Vec::with_capacity(schema.len());
+    for field in schema.fields() {
+        columns.push(batch.column_by_name(field.name())?.slice(0, rows)?);
+    }
+    Ok(RecordBatch::try_new(schema, columns)?)
+}
+
 /// A provider over in-memory named batches (used by tests, the fused
 /// executor, and `bauplan query` over intermediate artifacts).
 #[derive(Debug, Default, Clone)]
@@ -68,20 +95,14 @@ impl TableProvider for MemoryProvider {
         &self,
         table: &str,
         projection: Option<&[String]>,
-        _filters: &[Expr],
-        _fetch: Option<usize>,
+        filters: &[Expr],
+        fetch: Option<usize>,
     ) -> Result<Box<dyn BatchStream>> {
         let batch = self
             .tables
             .get(table)
             .ok_or_else(|| crate::error::SqlError::Plan(format!("unknown table: {table}")))?;
-        let batch = match projection {
-            Some(cols) => {
-                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                batch.project(&names)?
-            }
-            None => batch.clone(),
-        };
+        let batch = scan_memory_table(batch, projection, filters, fetch)?;
         Ok(Box::new(BatchesStream::one(batch)))
     }
 }
@@ -224,6 +245,32 @@ mod tests {
     }
 
     #[test]
+    fn a_memory_scan_copies_the_row_budget_not_the_table() {
+        let p = provider();
+        let rows_of = |filters: &[Expr], fetch| {
+            let projection = ["fare".to_string()];
+            let mut stream = p
+                .scan("taxi_table", Some(&projection), filters, fetch)
+                .unwrap();
+            let batch = stream.next_batch().unwrap().unwrap();
+            assert_eq!(batch.schema().names(), vec!["fare"]);
+            batch.num_rows()
+        };
+        assert_eq!(rows_of(&[], Some(3)), 3);
+        assert_eq!(rows_of(&[], Some(100)), 8);
+        assert_eq!(rows_of(&[], None), 8);
+        // The budget counts rows that pass the filters, which the provider
+        // does not apply: all rows go up.
+        let filter = Expr::IsNull {
+            expr: Box::new(Expr::col("fare".to_string())),
+            negated: false,
+        };
+        assert_eq!(rows_of(&[filter], Some(3)), 8);
+        let limited = SqlEngine::new().query("SELECT fare FROM taxi_table LIMIT 3", &p);
+        assert_eq!(limited.unwrap().num_rows(), 3);
+    }
+
+    #[test]
     fn select_star() {
         let b = q("SELECT * FROM taxi_table");
         assert_eq!(b.num_rows(), 8);
@@ -292,6 +339,18 @@ mod tests {
         let b = q("SELECT COUNT(*) AS n, SUM(fare) AS s FROM taxi_table WHERE fare > 1000.0");
         assert_eq!(b.row(0).unwrap()[0], Value::Int64(0));
         assert_eq!(b.row(0).unwrap()[1], Value::Null);
+    }
+
+    #[test]
+    fn grouped_aggregate_on_empty_filter_has_no_rows_and_every_column() {
+        let b = q(
+            "SELECT pickup_location_id, pickup_at, COUNT(*) AS n, SUM(fare) AS s \
+             FROM taxi_table WHERE fare > 1000.0 GROUP BY pickup_location_id, pickup_at",
+        );
+        assert_eq!(b.num_rows(), 0);
+        let types: Vec<DataType> = b.columns().iter().map(Column::data_type).collect();
+        let (int, float) = (DataType::Int64, DataType::Float64);
+        assert_eq!(types, vec![int, DataType::Date, int, float]);
     }
 
     #[test]

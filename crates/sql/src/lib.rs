@@ -41,7 +41,7 @@ pub mod tokenizer;
 
 pub use analyze::render_analyzed;
 pub use ast::{Expr, SelectStmt};
-pub use engine::{MemoryProvider, SqlEngine, TableProvider};
+pub use engine::{scan_memory_table, MemoryProvider, SqlEngine, TableProvider};
 pub use error::{Result, SqlError};
 pub use logical::LogicalPlan;
 pub use parser::{parse_select, referenced_tables};

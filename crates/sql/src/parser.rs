@@ -640,14 +640,7 @@ pub fn parse_date_literal(s: &str) -> Option<i32> {
     if parts.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
         return None;
     }
-    // days_from_civil (Howard Hinnant).
-    let y = if m <= 2 { y - 1 } else { y };
-    let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = (y - era * 400) as u64;
-    let mp = ((m + 9) % 12) as u64;
-    let doy = (153 * mp + 2) / 5 + d as u64 - 1;
-    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
-    Some((era * 146_097 + doe as i64 - 719_468) as i32)
+    Some(lakehouse_columnar::datatype::days_from_civil(y, m, d) as i32)
 }
 
 #[cfg(test)]

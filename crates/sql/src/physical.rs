@@ -12,15 +12,18 @@ use lakehouse_columnar::kernels::{
 };
 use lakehouse_columnar::{Column, ColumnBuilder, RecordBatch, Schema, Value};
 
-/// Providers may filter only approximately (file pruning): apply the pushed
-/// predicates exactly.
+/// Providers may filter only approximately (file pruning): apply every
+/// pushed predicate exactly. A batch whose every row passes one is handed
+/// on as it is, not copied.
 pub(crate) fn filter_exact(mut batch: RecordBatch, filters: &[Expr]) -> Result<RecordBatch> {
     for f in filters {
         if batch.num_rows() == 0 {
             break;
         }
-        let mask = eval(f, &batch)?;
-        batch = filter_batch(&batch, &to_selection(&mask)?)?;
+        let selection = to_selection(&eval(f, &batch)?)?;
+        if !selection.all_set() {
+            batch = filter_batch(&batch, &selection)?;
+        }
     }
     Ok(batch)
 }
@@ -275,5 +278,31 @@ pub fn eval(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
             }
             Ok(b.finish())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lakehouse_columnar::{DataType, Field};
+
+    #[test]
+    fn filter_exact_hands_on_a_batch_whose_every_row_passes() {
+        let schema = Schema::new(vec![Field::new("x", DataType::Int64, false)]);
+        let batch = RecordBatch::try_new(schema, vec![Column::from_i64(vec![1, 2, 3])]).unwrap();
+        let x_at_least = |v| Expr::Compare {
+            op: CmpOp::GtEq,
+            left: Box::new(Expr::col("x".to_string())),
+            right: Box::new(Expr::Literal(Value::Int64(v))),
+        };
+        let values = |b: &RecordBatch| b.column(0).as_i64().unwrap().0.as_ptr();
+        let before = values(&batch);
+        // Every filter is evaluated; a batch they all pass is the same
+        // buffers, not a copy.
+        let out = filter_exact(batch, &[x_at_least(1), x_at_least(0)]).unwrap();
+        assert_eq!((out.num_rows(), values(&out)), (3, before));
+        let out = filter_exact(out, &[x_at_least(0), x_at_least(2)]).unwrap();
+        assert_eq!(out.column(0), &Column::from_i64(vec![2, 3]));
+        assert_eq!(filter_exact(out, &[x_at_least(9)]).unwrap().num_rows(), 0);
     }
 }

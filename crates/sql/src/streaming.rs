@@ -557,7 +557,7 @@ impl BatchStream for DistinctNode {
             };
             let known = self.seen.num_groups();
             self.seen.group_ids(batch.columns(), &mut self.ids)?;
-            self.state_bytes += self.seen.key_bytes(known);
+            self.state_bytes = self.seen.key_bytes();
             // Ids are dense in first-appearance order: the first row of
             // each new group is the one carrying the next unseen id.
             let mut unseen = known as u32;
@@ -640,13 +640,11 @@ impl BatchStream for AggNode {
                 ids.clear();
                 ids.resize(batch.num_rows(), 0);
             } else {
-                let known = grouper.num_groups();
                 grouper.group_ids(&group_cols, &mut ids)?;
-                // Charge newly interned groups: key bytes + one state per
-                // aggregate.
-                let new_groups = grouper.num_groups() - known;
-                state_bytes += grouper.key_bytes(known)
-                    + new_groups * self.agg_exprs.len() * std::mem::size_of::<AggState>();
+                // Charge the grouper (keys and lookup tables) and one state
+                // per group per aggregate.
+                let states = grouper.num_groups() * self.agg_exprs.len();
+                state_bytes = grouper.key_bytes() + states * std::mem::size_of::<AggState>();
                 for (a, slots) in self.agg_exprs.iter().zip(&mut states_per_agg) {
                     slots.resize(grouper.num_groups(), new_state(a));
                 }
@@ -661,33 +659,36 @@ impl BatchStream for AggNode {
         // Finish types: from the first batch's evaluated argument columns,
         // or (empty input) from the args evaluated over an empty batch of
         // the input schema — same result, since eval types are
-        // schema-determined.
+        // schema-determined. The grouper learns its key types from the same
+        // empty batch, so zero groups still come out as one empty column
+        // per key.
         let arg_types = match arg_types {
             Some(t) => t,
-            None => types_of(&arg_cols_of(&RecordBatch::new_empty(
-                self.input_schema.clone(),
-            ))?),
-        };
-        let num_groups = if global { 1 } else { grouper.num_groups() };
-        let mut builders: Vec<ColumnBuilder> = self
-            .out_schema
-            .fields()
-            .iter()
-            .map(|f| ColumnBuilder::with_capacity(f.data_type(), num_groups))
-            .collect();
-        let keys = grouper.keys();
-        for g in 0..num_groups {
-            if let Some(key_values) = keys.get(g) {
-                for (i, v) in key_values.iter().enumerate() {
-                    builders[i].push_value(v)?;
-                }
+            None => {
+                let empty = RecordBatch::new_empty(self.input_schema.clone());
+                let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &empty)?;
+                grouper.group_ids(&group_cols, &mut ids)?;
+                types_of(&arg_cols_of(&empty)?)
             }
-            for (j, slots) in states_per_agg.iter().enumerate() {
-                let v = slots[g].finish(arg_types[j])?;
-                builders[self.group_exprs.len() + j].push_value(&v)?;
+        };
+        // The group keys are the grouper's key columns as they are; each
+        // aggregate finishes into a column beside them.
+        let mut columns = grouper.key_columns();
+        let fields = self.out_schema.fields();
+        for (col, field) in columns.iter_mut().zip(fields) {
+            if col.data_type() != field.data_type() {
+                *col = kernels::cast(col, field.data_type())?;
             }
         }
-        let columns: Vec<Column> = builders.into_iter().map(ColumnBuilder::finish).collect();
+        for (slots, (arg_type, field)) in
+            (states_per_agg.iter()).zip(arg_types.iter().zip(&fields[self.group_exprs.len()..]))
+        {
+            let mut b = ColumnBuilder::with_capacity(field.data_type(), slots.len());
+            for state in slots {
+                b.push_value(&state.finish(*arg_type)?)?;
+            }
+            columns.push(b.finish());
+        }
         let out = RecordBatch::try_new(self.out_schema.clone(), columns)?;
         self.meter.emit(&out, 0);
         Ok(Some(out))

@@ -6,6 +6,7 @@
 
 use crate::error::{Result, TableError};
 use crate::schema_def::ValueDef;
+use lakehouse_columnar::datatype::civil_from_days;
 use lakehouse_columnar::kernels::Grouper;
 use lakehouse_columnar::{Column, ColumnBuilder, DataType, RecordBatch, Schema, Value};
 use serde::{Deserialize, Serialize};
@@ -37,21 +38,6 @@ fn days_of(v: &Value) -> Option<i64> {
         Value::Timestamp(t) => Some(t.div_euclid(MICROS_PER_DAY)),
         _ => None,
     }
-}
-
-/// Approximate civil-date decomposition of a days-since-epoch value
-/// (proleptic Gregorian; algorithm from Howard Hinnant's `civil_from_days`).
-fn civil_from_days(days: i64) -> (i64, u32) {
-    let z = days + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = (z - era * 146_097) as u64;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe as i64 + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    (y, m as u32)
 }
 
 impl Transform {
@@ -96,7 +82,7 @@ impl Transform {
                 let days = days_of(v).ok_or_else(|| {
                     TableError::InvalidArgument("month() needs Date/Timestamp".into())
                 })?;
-                let (y, m) = civil_from_days(days);
+                let (y, m, _) = civil_from_days(days);
                 Value::Int64(y * 12 + m as i64 - 1)
             }
             Transform::Day => {
@@ -223,13 +209,15 @@ impl PartitionSpec {
         grouper.group_ids(&key_columns, &mut ids)?;
         let mut sizes = vec![0usize; grouper.num_groups()];
         ids.iter().for_each(|&g| sizes[g as usize] += 1);
+        let keys = grouper.key_columns();
         let mut groups = Vec::with_capacity(sizes.len());
-        for (key, size) in grouper.keys().iter().zip(sizes) {
-            let mut values = Vec::with_capacity(key.len());
-            for (v, (_, deferred)) in key.iter().zip(&columns) {
+        for (group, size) in sizes.into_iter().enumerate() {
+            let mut values = Vec::with_capacity(keys.len());
+            for (key, (_, deferred)) in keys.iter().zip(&columns) {
+                let v = key.get(group)?;
                 values.push(ValueDef::from_value(&match deferred {
-                    Some(transform) => transform.apply(v)?,
-                    None => v.clone(),
+                    Some(transform) => transform.apply(&v)?,
+                    None => v,
                 }));
             }
             groups.push((values, Vec::with_capacity(size)));
@@ -300,9 +288,9 @@ mod tests {
 
     #[test]
     fn civil_from_days_known_dates() {
-        assert_eq!(civil_from_days(0), (1970, 1));
-        assert_eq!(civil_from_days(17_987), (2019, 4));
-        assert_eq!(civil_from_days(-1), (1969, 12));
+        assert_eq!(civil_from_days(0), (1970, 1, 1));
+        assert_eq!(civil_from_days(17_987), (2019, 4, 1));
+        assert_eq!(civil_from_days(-1), (1969, 12, 31));
     }
 
     #[test]

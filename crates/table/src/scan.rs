@@ -28,7 +28,7 @@ use crate::manifest::{Manifest, ManifestEntry};
 use crate::metadata::TableMetadata;
 use crate::partition::Transform;
 use lakehouse_columnar::kernels::{cmp_column_scalar, filter_batch, to_selection, CmpOp};
-use lakehouse_columnar::{Column, RecordBatch, Schema, Value};
+use lakehouse_columnar::{Column, Field, RecordBatch, Schema, Value};
 use lakehouse_format::RangedReader;
 use lakehouse_store::{IoDispatcher, IoTicket, ObjectPath, ObjectStore, StoreError};
 use std::collections::VecDeque;
@@ -262,6 +262,8 @@ impl TableScan {
     /// `TableProvider` contract the SQL executor re-applies every filter
     /// exactly, so skipping them only widens the batch, never the query
     /// result.
+    /// A batch whose every row passes a predicate is handed on as it is: a
+    /// file pruning already proved costs one compare a predicate, no copy.
     fn filter_exact(&self, mut batch: RecordBatch) -> Result<RecordBatch> {
         for p in &self.predicates {
             if batch.num_rows() == 0 {
@@ -272,7 +274,9 @@ impl TableScan {
             };
             let mask = cmp_column_scalar(p.op, col, &p.literal)?;
             let selection = to_selection(&mask)?;
-            batch = filter_batch(&batch, &selection)?;
+            if !selection.all_set() {
+                batch = filter_batch(&batch, &selection)?;
+            }
         }
         Ok(batch)
     }
@@ -386,35 +390,28 @@ impl TableScan {
 
         // Decode only the file columns the scan needs. Column identity is
         // positional across schema versions (we only append and rename).
-        let mut file_positions = Vec::new();
-        let mut missing = Vec::new();
-        for field in scan_schema.fields() {
+        // Per scan field, its position in the file (`None`: evolved in later).
+        let in_file = |field: &Field| -> Result<Option<usize>> {
             let pos = current.index_of(field.name())?;
-            if pos < file_schema.len() {
-                file_positions.push((field.clone(), pos));
-            } else {
-                missing.push(field.clone());
-            }
-        }
-        let projection: Vec<usize> = file_positions.iter().map(|(_, p)| *p).collect();
+            Ok(Some(pos).filter(|&pos| pos < file_schema.len()))
+        };
+        let positions = (scan_schema.fields().iter())
+            .map(in_file)
+            .collect::<Result<Vec<_>>>()?;
+        let projection: Vec<usize> = positions.iter().flatten().copied().collect();
         let decoded = reader
             .read_groups(&groups, Some(&projection), &fetch)
             .map_err(typed)?;
 
-        // Assemble in scan-schema order, filling evolved-in columns with
-        // nulls.
+        // Assemble in scan-schema order — the decoded columns, moved, are
+        // the fields the file has, in that order — filling evolved-in
+        // columns with nulls.
         let n = decoded.num_rows();
+        let mut decoded = decoded.into_columns().into_iter();
         let mut columns = Vec::with_capacity(scan_schema.len());
-        for field in scan_schema.fields() {
-            if let Some(idx) = file_positions
-                .iter()
-                .position(|(f, _)| f.name() == field.name())
-            {
-                columns.push(decoded.column(idx).clone());
-            } else {
-                debug_assert!(missing.iter().any(|f| f.name() == field.name()));
-                columns.push(Column::new_null(field.data_type(), n));
-            }
+        for (field, pos) in scan_schema.fields().iter().zip(&positions) {
+            let column = pos.and_then(|_| decoded.next());
+            columns.push(column.unwrap_or_else(|| Column::new_null(field.data_type(), n)));
         }
         Ok(EntryPartial {
             batch: RecordBatch::try_new(scan_schema.clone(), columns)?,
@@ -636,7 +633,7 @@ mod tests {
     use crate::partition::{PartitionField, PartitionSpec};
     use crate::snapshot::SnapshotOperation;
     use crate::table::Table;
-    use lakehouse_columnar::{DataType, Field};
+    use lakehouse_columnar::DataType;
     use lakehouse_store::InMemoryStore;
 
     fn taxi_schema() -> Schema {
@@ -696,6 +693,28 @@ mod tests {
         let t = make_table(PartitionSpec::unpartitioned());
         let b = t.scan().select(&["fare", "zone"]).execute().unwrap();
         assert_eq!(b.schema().names(), vec!["fare", "zone"]);
+    }
+
+    #[test]
+    fn a_batch_whose_every_row_passes_is_handed_on_uncopied() {
+        let t = make_table(PartitionSpec::unpartitioned());
+        let scan = t
+            .scan()
+            .with_predicate(ScanPredicate::new("fare", CmpOp::Eq, Value::Float64(3.0)))
+            .with_predicate(ScanPredicate::new("pickup_at", CmpOp::GtEq, Value::Date(1)))
+            .with_predicate(ScanPredicate::new("absent", CmpOp::Eq, Value::Int64(0)));
+        let fares = |b: &RecordBatch| b.column(2).as_f64().unwrap().0.as_ptr();
+        // Every row passes every predicate: the same buffers come back.
+        let whole = taxi_batch(vec![1, 2, 3], vec!["a", "b", "c"], vec![3.0, 3.0, 3.0]);
+        let before = fares(&whole);
+        let out = scan.filter_exact(whole).unwrap();
+        assert_eq!((out.num_rows(), fares(&out)), (3, before));
+        // Some pass, none pass: filtered as ever.
+        let part = taxi_batch(vec![6, 7, 8], vec!["a", "b", "c"], vec![3.0, 4.0, 3.0]);
+        let out = scan.filter_exact(part).unwrap();
+        assert_eq!(out.column(0), &Column::from_date(vec![6, 8]));
+        let none = taxi_batch(vec![4, 5], vec!["a", "b"], vec![1.0, 5.0]);
+        assert_eq!(scan.filter_exact(none).unwrap().num_rows(), 0);
     }
 
     #[test]

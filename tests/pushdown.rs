@@ -274,6 +274,9 @@ fn corpus() -> Vec<String> {
             "SELECT fare FROM (SELECT fare, passenger_count + 1 AS p FROM taxi_table) s \
              WHERE p > 3 LIMIT 10",
             "SELECT DISTINCT payment_type FROM taxi_table LIMIT 2",
+            // A grouped aggregate no row reaches: no groups, typed columns.
+            "SELECT payment_type, pickup_location_id, COUNT(*) AS n, AVG(fare) AS mean \
+             FROM taxi_table WHERE fare > 100000.0 GROUP BY payment_type, pickup_location_id",
             // Unfiltered COUNT(*), directly and over a subquery.
             "SELECT COUNT(*) AS n FROM taxi_table",
             "SELECT COUNT(*) AS n FROM zones",
@@ -491,4 +494,69 @@ fn unfiltered_count_star_decodes_one_narrow_column() {
         narrow.bytes_scanned,
         whole.bytes_scanned
     );
+}
+
+/// Three files in one scan, none of which pruning can drop for
+/// `fare = 3.0`: every row of `whole` passes (the scan and the SQL layer
+/// each hand it on as it is — `table/scan.rs` and `sql/physical.rs` hold
+/// the buffer-identity checks), no row of `none` does though 3.0 lies between its
+/// fares, and `part` passes in part. Rows must be the reference filter's —
+/// the unoptimized plan over the table as one in-memory batch — with every
+/// row a row group of its own and with one group per file.
+#[test]
+fn whole_none_and_part_passing_files_give_the_reference_filters_rows() {
+    // (In file order, so the one-batch reference has the lake's row order.)
+    let kinds = [
+        "whole", "whole", "whole", "none", "none", "part", "part", "part",
+    ];
+    let fares = [3.0, 3.0, 3.0, 1.0, 5.0, 3.0, 4.0, 3.0];
+    let ids: Vec<i64> = (0..kinds.len() as i64).collect();
+    let batch = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("id", DataType::Int64, false),
+            Field::new("kind", DataType::Utf8, false),
+            Field::new("fare", DataType::Float64, true),
+        ]),
+        vec![
+            Column::from_i64(ids),
+            Column::from_strs(kinds.to_vec()),
+            Column::from_opt_f64(fares.iter().map(|f| Some(*f)).collect()),
+        ],
+    )
+    .unwrap();
+    let mut reference = lakehouse_sql::MemoryProvider::new();
+    reference.register("passes", batch.clone());
+    let corpus = [
+        "SELECT * FROM passes WHERE fare = 3.0",
+        "SELECT id FROM passes WHERE fare >= 3.0 AND fare <= 3.0",
+        "SELECT kind, COUNT(*) AS n FROM passes WHERE fare = 3.0 GROUP BY kind",
+        "SELECT id, fare FROM passes WHERE fare = 3.0 AND id > 0 LIMIT 3",
+        "SELECT id FROM passes WHERE fare = 9.0",
+        "SELECT kind, COUNT(*) AS n, SUM(fare) AS total FROM passes WHERE fare = 9.0 GROUP BY kind",
+    ];
+    for row_group_rows in [1, 8_192] {
+        let store = Arc::new(CountingStore::default());
+        let dyn_store: Arc<dyn ObjectStore> = store.clone();
+        let config = LakehouseConfig {
+            row_group_rows,
+            ..LakehouseConfig::zero_latency()
+        };
+        let lh = Lakehouse::with_store(Arc::clone(&dyn_store), config).unwrap();
+        lh.create_table_partitioned("passes", &batch, "main", PartitionSpec::identity("kind"))
+            .unwrap();
+        let pushed = LakehouseProvider::new(dyn_store, Arc::clone(lh.catalog()), "main");
+        for sql in corpus {
+            let unoptimized = plan_select(&parse_select(sql).unwrap(), &reference).unwrap();
+            let want = lakehouse_sql::execute(&unoptimized, &reference).unwrap();
+            store.reset();
+            let got = SqlEngine::new().query(sql, &pushed.pin()).unwrap();
+            assert_eq!(got, want, "{sql} at {row_group_rows} rows a group");
+            if sql.ends_with("fare = 3.0") {
+                assert_eq!(want.num_rows(), 5);
+                // (At one row a group, zone maps drop `none`'s groups.)
+                let files = if row_group_rows == 1 { 2 } else { 3 };
+                assert!(store.files_read("passes") >= files, "{sql}: nothing pruned");
+            }
+        }
+    }
 }

@@ -148,6 +148,12 @@ const CORPUS: &[&str] = &[
     "SELECT 1 + 2 AS x, 'lit' AS s",
     "SELECT pickup, SUM(fare) AS s FROM trips WHERE passengers BETWEEN 1 AND 5 \
      GROUP BY pickup ORDER BY s DESC LIMIT 2",
+    // No row reaches the aggregate, the DISTINCT or the join's build side.
+    "SELECT pickup, tag, COUNT(*) AS n, MAX(fare) AS hi FROM trips WHERE fare > 1000.0 \
+     GROUP BY pickup, tag",
+    "SELECT DISTINCT tag FROM trips WHERE fare > 1000.0",
+    "SELECT t.pickup, z.name FROM trips t LEFT JOIN zones z ON t.pickup = z.id \
+     WHERE z.id > 1000",
 ];
 
 #[test]
