@@ -9,7 +9,9 @@
 use std::path::Path;
 
 /// (crate directory, sites allowed). PR 24 took `format` from 5 to 0: its
-/// readers split arrays off slices instead of `try_into().unwrap()`.
+/// readers split arrays off slices instead of `try_into().unwrap()`. PR 26
+/// took `store` from 24 to 2: the I/O dispatcher has no lock to `expect`
+/// and spawns its workers with a typed error.
 const CEILINGS: &[(&str, usize)] = &[
     ("bench", 2),
     ("catalog", 3),
@@ -23,7 +25,7 @@ const CEILINGS: &[(&str, usize)] = &[
     ("runtime", 4),
     ("scheduler", 3),
     ("sql", 10),
-    ("store", 24),
+    ("store", 2),
     ("table", 3),
     ("workload", 8),
 ];

@@ -12,8 +12,8 @@ use lakehouse_planner::RunRegistry;
 use lakehouse_runtime::{Runtime, SimClock};
 use lakehouse_sql::SqlEngine;
 use lakehouse_store::{
-    CachedStore, ChaosStore, HedgePolicy, InMemoryStore, IoConfig, IoDispatcher, ObjectStore,
-    RetryPolicy, RetryStore, SimulatedStore, StoreMetrics,
+    CachedStore, ChaosStore, HedgePolicy, InMemoryStore, IoDispatcher, ObjectStore, RetryPolicy,
+    RetryStore, SimulatedStore, StoreMetrics,
 };
 use lakehouse_table::{MetadataCache, PartitionSpec, SnapshotOperation, Table, TableIo};
 use parking_lot::{Mutex, RwLock};
@@ -65,7 +65,7 @@ const SCAN_IO_DEPTH: usize = 4;
 pub struct Lakehouse {
     pub(crate) config: LakehouseConfig,
     /// Concrete store handle (metrics access).
-    store: Arc<SimulatedStore<Box<dyn ObjectStore>>>,
+    store: Arc<SimulatedStore<Arc<dyn ObjectStore>>>,
     /// The same store as a trait object for the substrates.
     pub(crate) store_dyn: Arc<dyn ObjectStore>,
     /// Parsed table-metadata documents and manifests of every table this
@@ -92,7 +92,7 @@ pub struct Lakehouse {
 impl Lakehouse {
     /// Create a lakehouse over a fresh in-memory simulated object store.
     pub fn in_memory(config: LakehouseConfig) -> Result<Lakehouse> {
-        Self::with_backend(Box::new(InMemoryStore::new()), config, true)
+        Self::with_backend(Arc::new(InMemoryStore::new()), config, true)
     }
 
     /// Create (or open) a lakehouse persisted under a local directory —
@@ -106,7 +106,7 @@ impl Lakehouse {
         let refs_path =
             lakehouse_store::ObjectPath::new(format!("{}/refs.json", config.catalog_prefix))?;
         let fresh = !backend.exists(&refs_path);
-        Self::with_backend(Box::new(backend), config, fresh)
+        Self::with_backend(Arc::new(backend), config, fresh)
     }
 
     /// Create a lakehouse over a caller-supplied (typically shared) backend.
@@ -122,22 +122,22 @@ impl Lakehouse {
         let refs_path =
             lakehouse_store::ObjectPath::new(format!("{}/refs.json", config.catalog_prefix))?;
         let fresh = !backend.exists(&refs_path);
-        Self::with_backend(Box::new(backend), config, fresh)
+        Self::with_backend(backend, config, fresh)
     }
 
     fn with_backend(
-        backend: Box<dyn ObjectStore>,
+        backend: Arc<dyn ObjectStore>,
         config: LakehouseConfig,
         init_catalog: bool,
     ) -> Result<Lakehouse> {
         let store = Arc::new(SimulatedStore::new(backend, config.latency.clone()));
-        // Resilience stack, innermost first:
-        // `Cached(Retry(Chaos(Simulated(backend))))`. Chaos sits directly on
-        // the simulated store so injected faults look like S3 failures;
-        // retry sits above chaos so it absorbs them; the cache sits on top
-        // so cache hits never burn retry budget. Every layer is optional
-        // and skipped at defaults — the default stack is byte-identical to
-        // the pre-resilience one (op counts, metrics, everything).
+        // The store stack, innermost first:
+        // `Cached(Retry(Chaos(Simulated(backend))))`. Chaos — the one fault
+        // injector — sits directly on the simulated store so injected faults
+        // look like S3 failures; retry, their one owner, sits above it; the
+        // pool's adapter sits on top so cache hits never burn retry budget.
+        // Every layer but the simulated store is optional and skipped at
+        // defaults.
         let mut store_dyn: Arc<dyn ObjectStore> = Arc::clone(&store) as Arc<dyn ObjectStore>;
         if let Some(chaos) = &config.chaos {
             store_dyn = Arc::new(ChaosStore::new(store_dyn, chaos.clone()));
@@ -154,16 +154,17 @@ impl Lakehouse {
         if let Some(pool) = &config.shared_pool {
             store_dyn = Arc::new(CachedStore::with_pool(store_dyn, Arc::clone(pool)));
         }
-        // The dispatcher sits over the *complete* stack: an overlapped get
-        // passes through the cache (populating the pool behind its
-        // single-flight), retry, and chaos layers exactly like an inline
-        // one — so overlap and hedging can never duplicate a backend read
-        // or dodge fault injection.
-        let mut io_config = IoConfig::new(SCAN_IO_DEPTH);
-        if config.hedge_p95 {
-            io_config = io_config.with_hedge(HedgePolicy::default());
-        }
-        let io = Arc::new(IoDispatcher::new(Arc::clone(&store_dyn), io_config));
+        // The dispatcher sits over the *complete* stack: an overlapped read
+        // passes through the pool (populating it behind its single-flight),
+        // retry, and chaos layers exactly like an inline one — so overlap
+        // and hedging can never duplicate a backend read or dodge fault
+        // injection.
+        let hedge = config.hedge_p95.then(HedgePolicy::default);
+        let io = Arc::new(IoDispatcher::new(
+            Arc::clone(&store_dyn),
+            SCAN_IO_DEPTH,
+            hedge,
+        )?);
         let catalog = Arc::new(if init_catalog {
             Catalog::init(Arc::clone(&store_dyn), config.catalog_prefix.clone())?
         } else {

@@ -50,6 +50,14 @@ pub fn footer_bytes(file: &[u8]) -> Result<&[u8]> {
     Ok(&file[footer_start..])
 }
 
+/// The smallest footer encoding of a schema field: an empty name's `u32`
+/// length, the type tag and the nullable flag.
+const MIN_FIELD_BYTES: usize = 4 + 1 + 1;
+/// The smallest footer encoding of one column chunk's metadata: offset,
+/// length, CRC and stats of two null values (tags) and two counts. A row
+/// group adds its `u64` row count.
+const MIN_CHUNK_META_BYTES: usize = 8 + 8 + 4 + (1 + 1 + 8 + 8);
+
 /// Parse the footer body (between the data section and the trailing
 /// `footer_len + magic`): version, schema, and row-group metadata.
 pub(crate) fn parse_footer(footer: &[u8]) -> Result<(Schema, Vec<RowGroupMeta>)> {
@@ -58,7 +66,10 @@ pub(crate) fn parse_footer(footer: &[u8]) -> Result<(Schema, Vec<RowGroupMeta>)>
     if version != FORMAT_VERSION {
         return Err(FormatError::UnsupportedVersion(version));
     }
+    // Declared counts come from the bytes: each is checked against what is
+    // left, at the smallest encoding of one item, before it sizes anything.
     let field_count = r.read_u32()? as usize;
+    r.ensure_room(field_count, MIN_FIELD_BYTES)?;
     let mut fields = Vec::with_capacity(field_count);
     for _ in 0..field_count {
         let name = r.read_str()?;
@@ -68,6 +79,7 @@ pub(crate) fn parse_footer(footer: &[u8]) -> Result<(Schema, Vec<RowGroupMeta>)>
     }
     let schema = Schema::new(fields);
     let group_count = r.read_u32()? as usize;
+    r.ensure_room(group_count, 8 + field_count * MIN_CHUNK_META_BYTES)?;
     let mut groups = Vec::with_capacity(group_count);
     for _ in 0..group_count {
         let row_count = r.read_u64()?;
@@ -276,6 +288,45 @@ mod tests {
         match reader.read_all(None) {
             Err(FormatError::Corrupt(why)) => assert!(why.contains("4294967295 x 8"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A footer that declares u32::MAX fields or row groups, with its
+    /// checksum recomputed so only the count check stands, is `Corrupt` from
+    /// either reader — before the count sizes any allocation.
+    #[test]
+    fn a_footer_count_beyond_its_bytes_is_corrupt() {
+        let name = "x";
+        let batch = RecordBatch::try_new(
+            Schema::new(vec![Field::new(name, DataType::Int64, false)]),
+            vec![Column::from_i64(vec![1, 2, 3])],
+        )
+        .unwrap();
+        let clean = FileWriter::write_file(&batch, WriterOptions::default()).unwrap();
+        let (footer_start, _) = parse_trailer(&clean[clean.len() - 12..], clean.len()).unwrap();
+        // Footer: version, field count, the field, group count.
+        let field_count_at = footer_start + 4;
+        let group_count_at = field_count_at + 4 + (4 + name.len() + 2);
+        for at in [field_count_at, group_count_at] {
+            let mut file = clean.to_vec();
+            file[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let trailer = file.len() - 12;
+            let footer_crc = crc32c(&file[footer_start..trailer]);
+            file[trailer..trailer + 4].copy_from_slice(&footer_crc.to_le_bytes());
+            let file = Bytes::from(file);
+            let fetch = |start: usize, end: usize| -> Result<Bytes> { Ok(file.slice(start..end)) };
+            let parsed = [
+                FileReader::parse(file.clone()).map(|_| ()),
+                crate::RangedReader::open(file.len(), &fetch).map(|_| ()),
+            ];
+            for result in parsed {
+                match result {
+                    Err(FormatError::Corrupt(why)) => {
+                        assert!(why.contains("4294967295 x"), "{why}")
+                    }
+                    other => panic!("count at footer byte {at}: expected Corrupt, got {other:?}"),
+                }
+            }
         }
     }
 

@@ -1,16 +1,16 @@
-//! Fault injection: store wrappers that fail, throttle, stall, or corrupt
+//! Fault injection: [`ChaosStore`] fails, throttles, stalls, or corrupts
 //! operations on a reproducible schedule.
 //!
-//! Two injectors share one gate ([`FaultingStore`] + [`FaultDecider`]):
+//! One injector, two schedules, one gate in front of every operation:
 //!
-//! * [`FlakyStore`] — the deterministic periodic injector (every N-th
-//!   matching op fails). Good for pinpoint tests: "the 3rd put fails".
-//! * [`ChaosStore`] — a seeded probabilistic injector modeling how object
-//!   stores actually misbehave: independent transient faults, throttle
-//!   *bursts* (one 503 SlowDown is usually followed by more), extra
-//!   latency stalls, and (opt-in) torn reads that return truncated bodies.
-//!   Same seed + same operation sequence → same fault schedule, so every
-//!   chaos test is replayable.
+//! * the seeded probabilistic schedule models how object stores actually
+//!   misbehave: independent transient faults, throttle *bursts* (one 503
+//!   SlowDown is usually followed by more), extra latency stalls, and
+//!   (opt-in) torn reads that return truncated bodies. Same seed + same
+//!   operation sequence → same fault schedule, so every chaos test is
+//!   replayable;
+//! * [`ChaosConfig::every`] is the deterministic one: every n-th operation
+//!   of a [`FaultKind`] fails. Good for pinpoint tests: "the 3rd put fails".
 //!
 //! Injected faults use the typed taxonomy in [`StoreError`]
 //! (`Transient` / `Throttled` / torn bodies), so retry layers classify
@@ -28,9 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The operation classes a fault decider distinguishes.
+/// The operation classes the gate distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
+enum OpClass {
     /// Body reads: `get`, `get_range`. The only class torn reads apply to.
     Read,
     /// Metadata reads: `head`, `list` (and the default `exists` via `head`).
@@ -39,28 +39,7 @@ pub enum OpClass {
     Mutation,
 }
 
-/// What to do to one operation, decided before it reaches the inner store.
-#[derive(Debug)]
-pub enum FaultVerdict {
-    /// Pass through untouched.
-    Proceed,
-    /// Fail with this error; the inner store is not called.
-    Fail(StoreError),
-    /// Fail with `StoreError::Throttled { retry_after }`.
-    Throttle(Duration),
-    /// Proceed, but charge this much extra simulated latency first.
-    Stall(Duration),
-    /// Proceed, but truncate the returned body (body reads only).
-    Torn,
-}
-
-/// A pluggable fault schedule. Implementations must be deterministic for a
-/// given construction + operation sequence.
-pub trait FaultDecider: Send + Sync {
-    fn decide(&self, class: OpClass, op: &'static str) -> FaultVerdict;
-}
-
-/// Which operations a [`FlakyStore`] injects failures into.
+/// Which operations a [`ChaosConfig::every`] schedule fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// All reads: `get`, `get_range`, `head`, `list`.
@@ -70,43 +49,12 @@ pub enum FaultKind {
     All,
 }
 
-/// Deterministic periodic schedule: every `period`-th matching operation
-/// fails with a transient error (period = 3 → ops 3, 6, 9... fail).
-#[derive(Debug)]
-pub struct PeriodicFaults {
-    kind: FaultKind,
-    period: u64,
-    counter: AtomicU64,
-}
-
-impl PeriodicFaults {
-    pub fn new(kind: FaultKind, period: u64) -> PeriodicFaults {
-        assert!(period > 0, "period must be >= 1");
-        PeriodicFaults {
-            kind,
-            period,
-            counter: AtomicU64::new(0),
-        }
-    }
-}
-
-impl FaultDecider for PeriodicFaults {
-    fn decide(&self, class: OpClass, op: &'static str) -> FaultVerdict {
-        let applies = match self.kind {
-            FaultKind::Gets => matches!(class, OpClass::Read | OpClass::MetaRead),
+impl FaultKind {
+    fn covers(self, class: OpClass) -> bool {
+        match self {
+            FaultKind::Gets => class != OpClass::Mutation,
             FaultKind::Puts => class == OpClass::Mutation,
             FaultKind::All => true,
-        };
-        if !applies {
-            return FaultVerdict::Proceed;
-        }
-        let n = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.period) {
-            FaultVerdict::Fail(StoreError::Transient(format!(
-                "injected fault on {op} (op {n})"
-            )))
-        } else {
-            FaultVerdict::Proceed
         }
     }
 }
@@ -122,7 +70,7 @@ pub struct ChaosConfig {
     /// Probability an op starts a throttle burst (it and the next
     /// `throttle_burst - 1` ops fail with `Throttled`).
     pub throttle_p: f64,
-    /// Ops per throttle burst (>= 1).
+    /// Ops per throttle burst (0 counts as 1).
     pub throttle_burst: u32,
     /// The `retry_after` hint attached to `Throttled` errors.
     pub throttle_retry_after: Duration,
@@ -135,6 +83,9 @@ pub struct ChaosConfig {
     /// full object (off by default; most tests want typed errors, not
     /// corruption).
     pub torn_read_p: f64,
+    /// The deterministic schedule, checked before the draw: every n-th
+    /// operation of a kind fails with a transient fault.
+    every: Option<(FaultKind, u64)>,
 }
 
 impl ChaosConfig {
@@ -150,6 +101,17 @@ impl ChaosConfig {
             stall_p: 0.0,
             stall: Duration::from_millis(200),
             torn_read_p: 0.0,
+            every: None,
+        }
+    }
+
+    /// Every `period`-th operation of `kind` fails with a transient fault
+    /// (period 3 → ops 3, 6, 9, …; 0 counts as 1), and nothing else is
+    /// injected.
+    pub fn every(kind: FaultKind, period: u64) -> ChaosConfig {
+        ChaosConfig {
+            every: Some((kind, period.max(1))),
+            ..ChaosConfig::new(0)
         }
     }
 
@@ -174,71 +136,23 @@ impl ChaosConfig {
     }
 }
 
-#[derive(Debug)]
+/// What the gate does to one operation.
+enum Verdict {
+    Proceed,
+    Fail(String),
+    Throttle,
+    Stall,
+    Torn,
+}
+
 struct ChaosState {
     rng: StdRng,
     burst_left: u32,
+    /// Operations the `every` schedule's kind has seen.
+    matched: u64,
 }
 
-/// Seeded probabilistic schedule; see [`ChaosConfig`] for the knobs.
-///
-/// Each decision consumes exactly one RNG draw, so the schedule is a pure
-/// function of (seed, op sequence) regardless of which knobs are enabled.
-/// Determinism therefore requires a deterministic op *order*: a scan that
-/// overlaps its files' requests draws in whatever order its workers run, so
-/// tests that need one exact schedule scan through a table without workers.
-#[derive(Debug)]
-pub struct ChaosDecider {
-    cfg: ChaosConfig,
-    state: Mutex<ChaosState>,
-}
-
-impl ChaosDecider {
-    pub fn new(cfg: ChaosConfig) -> ChaosDecider {
-        assert!(cfg.throttle_burst >= 1, "throttle_burst must be >= 1");
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        ChaosDecider {
-            cfg,
-            state: Mutex::new(ChaosState { rng, burst_left: 0 }),
-        }
-    }
-}
-
-impl FaultDecider for ChaosDecider {
-    fn decide(&self, class: OpClass, op: &'static str) -> FaultVerdict {
-        let mut state = self.state.lock();
-        if state.burst_left > 0 {
-            state.burst_left -= 1;
-            return FaultVerdict::Throttle(self.cfg.throttle_retry_after);
-        }
-        // One draw per op, cut into cumulative bands, keeps the schedule
-        // stable as individual knobs are turned on and off.
-        let u = state.rng.gen_range(0.0..1.0);
-        let mut edge = self.cfg.fault_p;
-        if u < edge {
-            return FaultVerdict::Fail(StoreError::Transient(format!(
-                "injected chaos fault on {op}"
-            )));
-        }
-        edge += self.cfg.throttle_p;
-        if u < edge {
-            state.burst_left = self.cfg.throttle_burst - 1;
-            return FaultVerdict::Throttle(self.cfg.throttle_retry_after);
-        }
-        edge += self.cfg.stall_p;
-        if u < edge {
-            return FaultVerdict::Stall(self.cfg.stall);
-        }
-        edge += self.cfg.torn_read_p;
-        if u < edge && class == OpClass::Read {
-            return FaultVerdict::Torn;
-        }
-        FaultVerdict::Proceed
-    }
-}
-
-/// Process-wide counters shared by every injector instance.
-#[derive(Debug)]
+/// Process-wide injection counters (`chaos.*`).
 struct InjectionCounters {
     faults: Arc<Counter>,
     throttles: Arc<Counter>,
@@ -246,55 +160,45 @@ struct InjectionCounters {
     torn_reads: Arc<Counter>,
 }
 
-impl InjectionCounters {
-    fn register() -> InjectionCounters {
-        let reg = lakehouse_obs::global();
-        InjectionCounters {
-            faults: reg.counter("chaos.faults"),
-            throttles: reg.counter("chaos.throttles"),
-            stalls: reg.counter("chaos.stalls"),
-            torn_reads: reg.counter("chaos.torn_reads"),
-        }
-    }
-}
-
-/// The shared injection gate: asks its [`FaultDecider`] about every
-/// operation (all eight `ObjectStore` ops — nothing passes un-faulted) and
-/// applies the verdict before delegating to the inner store.
-pub struct FaultingStore<S, D> {
+/// The fault injector: asks its schedule about every operation (all eight
+/// `ObjectStore` ops — nothing passes un-faulted) and applies the verdict
+/// before delegating to the inner store.
+///
+/// Each decision consumes exactly one RNG draw, so the probabilistic
+/// schedule is a pure function of (seed, op sequence) regardless of which
+/// knobs are enabled. Determinism therefore requires a deterministic op
+/// *order*: a scan that overlaps its files' requests draws in whatever order
+/// its workers run, so tests that need one exact schedule scan through a
+/// table without workers.
+pub struct ChaosStore<S> {
     inner: S,
-    decider: D,
+    cfg: ChaosConfig,
+    state: Mutex<ChaosState>,
     injected: AtomicU64,
     stalls: AtomicU64,
     obs: InjectionCounters,
 }
 
-/// Deterministic periodic fault injector (see [`PeriodicFaults`]).
-pub type FlakyStore<S> = FaultingStore<S, PeriodicFaults>;
-
-/// Seeded probabilistic fault injector (see [`ChaosDecider`]).
-pub type ChaosStore<S> = FaultingStore<S, ChaosDecider>;
-
-impl<S: ObjectStore> FlakyStore<S> {
-    pub fn new(inner: S, kind: FaultKind, period: u64) -> FlakyStore<S> {
-        FaultingStore::with_decider(inner, PeriodicFaults::new(kind, period))
-    }
-}
-
 impl<S: ObjectStore> ChaosStore<S> {
-    pub fn new(inner: S, cfg: ChaosConfig) -> ChaosStore<S> {
-        FaultingStore::with_decider(inner, ChaosDecider::new(cfg))
-    }
-}
-
-impl<S: ObjectStore, D: FaultDecider> FaultingStore<S, D> {
-    pub fn with_decider(inner: S, decider: D) -> FaultingStore<S, D> {
-        FaultingStore {
+    pub fn new(inner: S, mut cfg: ChaosConfig) -> ChaosStore<S> {
+        cfg.throttle_burst = cfg.throttle_burst.max(1);
+        let reg = lakehouse_obs::global();
+        ChaosStore {
             inner,
-            decider,
+            state: Mutex::new(ChaosState {
+                rng: StdRng::seed_from_u64(cfg.seed),
+                burst_left: 0,
+                matched: 0,
+            }),
+            cfg,
             injected: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
-            obs: InjectionCounters::register(),
+            obs: InjectionCounters {
+                faults: reg.counter("chaos.faults"),
+                throttles: reg.counter("chaos.throttles"),
+                stalls: reg.counter("chaos.stalls"),
+                torn_reads: reg.counter("chaos.torn_reads"),
+            },
         }
     }
 
@@ -313,68 +217,105 @@ impl<S: ObjectStore, D: FaultDecider> FaultingStore<S, D> {
         &self.inner
     }
 
-    /// Run the decider for one op. `Ok(true)` means "proceed but tear the
+    fn decide(&self, class: OpClass, op: &'static str) -> Verdict {
+        let mut state = self.state.lock();
+        if let Some((kind, period)) = self.cfg.every {
+            if kind.covers(class) {
+                state.matched += 1;
+                if state.matched.is_multiple_of(period) {
+                    let n = state.matched;
+                    return Verdict::Fail(format!("injected fault on {op} (op {n})"));
+                }
+            }
+        }
+        if state.burst_left > 0 {
+            state.burst_left -= 1;
+            return Verdict::Throttle;
+        }
+        // One draw per op, cut into cumulative bands, keeps the schedule
+        // stable as individual knobs are turned on and off.
+        let u = state.rng.gen_range(0.0..1.0);
+        let cfg = &self.cfg;
+        let mut edge = cfg.fault_p;
+        if u < edge {
+            return Verdict::Fail(format!("injected chaos fault on {op}"));
+        }
+        edge += cfg.throttle_p;
+        if u < edge {
+            state.burst_left = cfg.throttle_burst - 1;
+            return Verdict::Throttle;
+        }
+        edge += cfg.stall_p;
+        if u < edge {
+            return Verdict::Stall;
+        }
+        edge += cfg.torn_read_p;
+        if u < edge && class == OpClass::Read {
+            return Verdict::Torn;
+        }
+        Verdict::Proceed
+    }
+
+    /// Run the schedule for one op. `Ok(true)` means "proceed but tear the
     /// body" (only ever returned for [`OpClass::Read`]).
     fn gate(&self, class: OpClass, op: &'static str) -> Result<bool> {
-        match self.decider.decide(class, op) {
-            FaultVerdict::Proceed => Ok(false),
-            FaultVerdict::Fail(e) => {
+        match self.decide(class, op) {
+            Verdict::Proceed => Ok(false),
+            Verdict::Fail(msg) => {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 self.obs.faults.inc();
-                Err(e)
+                Err(StoreError::Transient(msg))
             }
-            FaultVerdict::Throttle(retry_after) => {
+            Verdict::Throttle => {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 self.obs.throttles.inc();
                 Err(StoreError::Throttled {
                     op: op.to_string(),
-                    retry_after,
+                    retry_after: self.cfg.throttle_retry_after,
                 })
             }
-            FaultVerdict::Stall(extra) => {
+            Verdict::Stall => {
                 self.stalls.fetch_add(1, Ordering::Relaxed);
                 self.obs.stalls.inc();
                 // Simulated-clock latency only, like `SimulatedStore` in its
                 // default `SleepMode::None`: the stall shows up in metrics
                 // and lane accounting, not as a wall-clock sleep.
                 if let Some(m) = self.inner.store_metrics() {
-                    m.record_stall(extra);
+                    m.record_stall(self.cfg.stall);
                 }
                 Ok(false)
             }
-            FaultVerdict::Torn => {
+            Verdict::Torn => {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 self.obs.torn_reads.inc();
                 Ok(true)
             }
         }
     }
+
+    fn read(&self, op: &'static str, read: impl FnOnce() -> Result<Bytes>) -> Result<Bytes> {
+        let torn = self.gate(OpClass::Read, op)?;
+        let data = read()?;
+        Ok(if torn {
+            data.slice(0..data.len() / 2)
+        } else {
+            data
+        })
+    }
 }
 
-impl<S: ObjectStore, D: FaultDecider> ObjectStore for FaultingStore<S, D> {
+impl<S: ObjectStore> ObjectStore for ChaosStore<S> {
     fn put(&self, path: &ObjectPath, data: Bytes) -> Result<()> {
         self.gate(OpClass::Mutation, "put")?;
         self.inner.put(path, data)
     }
 
     fn get(&self, path: &ObjectPath) -> Result<Bytes> {
-        let torn = self.gate(OpClass::Read, "get")?;
-        let data = self.inner.get(path)?;
-        if torn {
-            let keep = data.len() / 2;
-            return Ok(data.slice(0..keep));
-        }
-        Ok(data)
+        self.read("get", || self.inner.get(path))
     }
 
     fn get_range(&self, path: &ObjectPath, start: usize, end: usize) -> Result<Bytes> {
-        let torn = self.gate(OpClass::Read, "get_range")?;
-        let data = self.inner.get_range(path, start, end)?;
-        if torn {
-            let keep = data.len() / 2;
-            return Ok(data.slice(0..keep));
-        }
-        Ok(data)
+        self.read("get_range", || self.inner.get_range(path, start, end))
     }
 
     fn head(&self, path: &ObjectPath) -> Result<usize> {
@@ -421,9 +362,13 @@ mod tests {
         ObjectPath::new(s).unwrap()
     }
 
+    fn every(kind: FaultKind, period: u64) -> ChaosStore<InMemoryStore> {
+        ChaosStore::new(InMemoryStore::new(), ChaosConfig::every(kind, period))
+    }
+
     #[test]
     fn every_nth_put_fails() {
-        let s = FlakyStore::new(InMemoryStore::new(), FaultKind::Puts, 3);
+        let s = every(FaultKind::Puts, 3);
         let mut failures = 0;
         for i in 0..9 {
             if s.put(&p(&format!("k{i}")), Bytes::new()).is_err() {
@@ -439,27 +384,24 @@ mod tests {
 
     #[test]
     fn gets_only_mode() {
-        let s = FlakyStore::new(InMemoryStore::new(), FaultKind::Gets, 2);
+        let s = every(FaultKind::Gets, 2);
         s.put(&p("a"), Bytes::from_static(b"v")).unwrap();
-        let mut failures = 0;
-        for _ in 0..4 {
-            if s.get(&p("a")).is_err() {
-                failures += 1;
-            }
-        }
+        let failures = (0..4).filter(|_| s.get(&p("a")).is_err()).count();
         assert_eq!(failures, 2);
     }
 
     #[test]
     fn period_one_fails_everything() {
-        let s = FlakyStore::new(InMemoryStore::new(), FaultKind::All, 1);
+        let s = every(FaultKind::All, 1);
         assert!(s.put(&p("a"), Bytes::new()).is_err());
         assert!(s.get(&p("a")).is_err());
+        // A period of 0 is clamped, not a panic.
+        assert!(every(FaultKind::All, 0).get(&p("a")).is_err());
     }
 
     #[test]
     fn head_and_list_are_faulted_too() {
-        let s = FlakyStore::new(InMemoryStore::new(), FaultKind::Gets, 1);
+        let s = every(FaultKind::Gets, 1);
         s.put(&p("a"), Bytes::from_static(b"v")).unwrap();
         assert!(s.head(&p("a")).is_err());
         assert!(s.list("").is_err());
@@ -470,8 +412,7 @@ mod tests {
 
     #[test]
     fn injected_faults_are_typed_transient() {
-        let s = FlakyStore::new(InMemoryStore::new(), FaultKind::All, 1);
-        let err = s.get(&p("a")).unwrap_err();
+        let err = every(FaultKind::All, 1).get(&p("a")).unwrap_err();
         assert!(err.is_retryable(), "injected faults must be retryable");
         assert!(err.to_string().contains("injected fault"));
     }
@@ -519,6 +460,11 @@ mod tests {
             max_run >= 3,
             "throttles should arrive in bursts of >= 3, max run {max_run}"
         );
+        // A burst of 0 is clamped to single throttles, not a panic.
+        let mut cfg = ChaosConfig::new(11).with_throttle_p(1.0);
+        cfg.throttle_burst = 0;
+        let s = ChaosStore::new(InMemoryStore::new(), cfg);
+        assert!(matches!(s.get(&p("a")), Err(StoreError::Throttled { .. })));
     }
 
     #[test]

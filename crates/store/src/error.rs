@@ -26,8 +26,6 @@ pub enum StoreError {
     /// The service rate-limited the request; retry no sooner than
     /// `retry_after` (S3's 503 SlowDown with a Retry-After hint).
     Throttled { op: String, retry_after: Duration },
-    /// The operation exceeded its per-op deadline.
-    Timeout { op: String, deadline: Duration },
     /// A retry layer gave up: `attempts` tries (including the first) all
     /// failed; `last` is the final underlying error.
     RetriesExhausted {
@@ -62,10 +60,7 @@ impl StoreError {
     /// typically persistent, OS errors through it. `RetriesExhausted`
     /// means a retry layer already gave up; never retry it again.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            Self::Transient(_) | Self::Throttled { .. } | Self::Timeout { .. }
-        )
+        matches!(self, Self::Transient(_) | Self::Throttled { .. })
     }
 }
 
@@ -87,11 +82,6 @@ impl fmt::Display for StoreError {
                 f,
                 "throttled on {op} (retry after {:.0} ms)",
                 retry_after.as_secs_f64() * 1e3
-            ),
-            Self::Timeout { op, deadline } => write!(
-                f,
-                "{op} timed out (deadline {:.0} ms)",
-                deadline.as_secs_f64() * 1e3
             ),
             Self::RetriesExhausted { op, attempts, last } => {
                 write!(

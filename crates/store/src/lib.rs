@@ -13,8 +13,14 @@
 //! All wall-clock effects are also recorded in [`StoreMetrics`], so benches
 //! can read accumulated *simulated* time deterministically instead of
 //! sleeping.
+//!
+//! What the lakehouse stacks on a backend, innermost first, each layer
+//! optional: [`SimulatedStore`] (latency model and metrics), [`ChaosStore`]
+//! (the one fault injector), [`RetryStore`] (the one owner of a store
+//! fault's retries), and [`CachedStore`] (reads through a shared
+//! [`BufferPool`]). An [`IoDispatcher`] over the whole stack overlaps a
+//! scan's range reads on a few worker threads.
 
-pub mod cache;
 pub mod chaos;
 pub mod error;
 pub mod io;
@@ -26,17 +32,16 @@ pub mod path;
 pub mod pool;
 pub mod retry;
 
-pub use cache::CachedStore;
-pub use chaos::{ChaosConfig, ChaosStore, FaultKind, FaultingStore, FlakyStore};
+pub use chaos::{ChaosConfig, ChaosStore, FaultKind};
 pub use error::{killed_message, Result, StoreError, KILLED_PREFIX};
-pub use io::{HedgePolicy, IoCompletion, IoConfig, IoDispatcher, IoStats, IoTicket};
+pub use io::{HedgePolicy, IoCompletion, IoDispatcher, IoStats, IoTicket};
 pub use latency::{LatencyModel, SimulatedStore, SleepMode};
 pub use local::LocalFsStore;
 pub use memory::InMemoryStore;
 pub use metrics::StoreMetrics;
 pub use path::ObjectPath;
-pub use pool::{BufferPool, PoolKey, PoolMetrics};
-pub use retry::{Backoff, CircuitBreaker, RetryPolicy, RetryStore};
+pub use pool::{BufferPool, CachedStore, PoolKey, PoolMetrics};
+pub use retry::{Backoff, RetryPolicy, RetryStore};
 
 use bytes::Bytes;
 use std::sync::Arc;
@@ -97,44 +102,6 @@ pub trait ObjectStore: Send + Sync {
     /// re-serving the poisoned bytes; stores without a cache do nothing.
     fn invalidate_corrupt(&self, path: &ObjectPath) {
         let _ = path;
-    }
-}
-
-impl<T: ObjectStore + ?Sized> ObjectStore for Box<T> {
-    fn put(&self, path: &ObjectPath, data: Bytes) -> Result<()> {
-        (**self).put(path, data)
-    }
-    fn get(&self, path: &ObjectPath) -> Result<Bytes> {
-        (**self).get(path)
-    }
-    fn get_range(&self, path: &ObjectPath, start: usize, end: usize) -> Result<Bytes> {
-        (**self).get_range(path, start, end)
-    }
-    fn head(&self, path: &ObjectPath) -> Result<usize> {
-        (**self).head(path)
-    }
-    fn list(&self, prefix: &str) -> Result<Vec<ObjectPath>> {
-        (**self).list(prefix)
-    }
-    fn delete(&self, path: &ObjectPath) -> Result<()> {
-        (**self).delete(path)
-    }
-    fn exists(&self, path: &ObjectPath) -> bool {
-        (**self).exists(path)
-    }
-    fn put_if_matches(
-        &self,
-        path: &ObjectPath,
-        expected: Option<&[u8]>,
-        data: Bytes,
-    ) -> Result<()> {
-        (**self).put_if_matches(path, expected, data)
-    }
-    fn store_metrics(&self) -> Option<Arc<StoreMetrics>> {
-        (**self).store_metrics()
-    }
-    fn invalidate_corrupt(&self, path: &ObjectPath) {
-        (**self).invalidate_corrupt(path)
     }
 }
 

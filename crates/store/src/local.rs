@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An object store rooted at a local directory. Object paths map directly to
 /// relative file paths under the root. A coarse mutex serializes CAS puts
@@ -40,8 +41,15 @@ impl ObjectStore for LocalFsStore {
         if let Some(parent) = fp.parent() {
             fs::create_dir_all(parent)?;
         }
-        // Write-then-rename for atomicity against concurrent readers.
-        let tmp = fp.with_extension(format!("tmp.{}", std::process::id()));
+        // Write-then-rename for atomicity against concurrent readers. Every
+        // put writes its own temp file — appended to the whole name, so
+        // `x.json` and `x.lkh` never share one — or two concurrent puts of a
+        // path would rename each other's half-written file away.
+        static PUTS: AtomicU64 = AtomicU64::new(0);
+        let mut tmp = fp.clone().into_os_string();
+        let n = PUTS.fetch_add(1, Ordering::Relaxed);
+        tmp.push(format!(".tmp.{}.{n}", std::process::id()));
+        let tmp = PathBuf::from(tmp);
         fs::write(&tmp, &data)?;
         fs::rename(&tmp, &fp)?;
         Ok(())
@@ -251,6 +259,35 @@ mod tests {
             mem.get_range(&p("nope"), 0, 1),
             Err(StoreError::NotFound(_))
         ));
+    }
+
+    #[test]
+    fn concurrent_puts_each_write_their_own_temp_file() {
+        let s = tmp_store("concurrent");
+        let body = |t: u8| Bytes::from(vec![t; 4096]);
+        // Eight writers of one path, then two of names that differ only by
+        // extension: every put lands, and each path keeps one whole body.
+        for names in [&["one/path"; 8][..], &["x.json", "x.lkh"]] {
+            let failed: usize = std::thread::scope(|scope| {
+                let writers: Vec<_> = (0u8..)
+                    .zip(names)
+                    .map(|(t, name)| {
+                        let s = &s;
+                        scope.spawn(move || {
+                            (0..200)
+                                .filter(|_| s.put(&p(name), body(t)).is_err())
+                                .count()
+                        })
+                    })
+                    .collect();
+                writers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            assert_eq!(failed, 0, "concurrent puts of {names:?} failed");
+        }
+        let left = s.get(&p("one/path")).unwrap();
+        assert!((0..8).any(|t| left == body(t)), "a torn body was left");
+        assert_eq!(s.get(&p("x.json")).unwrap(), body(0));
+        assert_eq!(s.get(&p("x.lkh")).unwrap(), body(1));
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Process-wide verified buffer pool: one byte-budgeted page cache that any
 //! number of stores (and therefore any number of `Lakehouse` / `SqlEngine`
-//! instances) can share.
+//! instances) can share, and [`CachedStore`], the adapter that routes one
+//! store's traffic through it.
 //!
 //! The paper's economics are blunt: at Reasonable Scale the dominant cost of
 //! a query is object-store round trips, and the cheapest round trip is the
-//! one never made. A per-engine LRU (the seed `CachedStore`) leaves the
-//! biggest win on the table — concurrent functions re-fetch the *same*
-//! manifests and footers because each holds its own cache. This module is
-//! the shared substrate: a sharded, admission-controlled, checksummed pool.
+//! one never made. A per-engine LRU leaves the biggest win on the table —
+//! concurrent functions re-fetch the *same* manifests and footers because
+//! each holds its own cache. This module is the shared substrate: a
+//! sharded, admission-controlled, checksummed pool. Cache effectiveness is
+//! a property of the pool, not of any one store: read [`PoolMetrics`] (or
+//! `pool.*` in the metrics registry); a store's own [`StoreMetrics`] report
+//! only real store traffic — a hit charges no simulated latency and moves no
+//! `bytes_read`, exactly like a memory hit in front of S3.
 //!
 //! Three mechanisms beyond a plain LRU:
 //!
@@ -35,13 +40,18 @@
 //! a gate; waiters whose entry vanished (loader failed, or admission
 //! rejected it) fall back to at most one direct fetch each.
 //!
-//! Coherence model (same contract as the seed cache): all writers go
-//! through an attached adapter, and a shared pool assumes every attached
-//! store views the same object universe (same paths → same bytes). Writes
-//! and deletes invalidate by path, which every attached store observes
-//! immediately because the pool itself is shared.
+//! Coherence model: all writers go through an attached [`CachedStore`] (a
+//! `put`, `put_if_matches` or `delete` replaces or drops every entry for its
+//! path). Lakehouse data and metadata objects are immutable once written —
+//! only the catalog pointer mutates, through the same handle — so
+//! write-through invalidation is sufficient. A shared pool assumes every
+//! attached store views the same object universe (same paths → same bytes);
+//! an invalidation is then visible to all of them at once.
 
 use crate::error::Result;
+use crate::metrics::StoreMetrics;
+use crate::path::ObjectPath;
+use crate::ObjectStore;
 use bytes::Bytes;
 use lakehouse_checksum::crc32c;
 use lakehouse_obs::{Counter, Gauge};
@@ -454,8 +464,8 @@ impl Drop for GateCleanup<'_> {
 }
 
 /// The shared, admission-controlled, checksum-verified page cache. See the
-/// module docs for the design; [`crate::CachedStore`] is the per-store
-/// adapter that routes `ObjectStore` traffic through one of these.
+/// module docs for the design; [`CachedStore`] is the per-store adapter that
+/// routes `ObjectStore` traffic through one of these.
 pub struct BufferPool {
     shards: Vec<Mutex<Shard>>,
     /// Byte budget per shard (total budget / shard count).
@@ -935,14 +945,110 @@ impl fmt::Debug for BufferPool {
     }
 }
 
+/// An [`ObjectStore`] that answers whole objects and exact byte ranges from
+/// a (typically shared) [`BufferPool`] and writes through to it. See the
+/// module docs for the coherence model.
+pub struct CachedStore<S> {
+    inner: S,
+    pool: Arc<BufferPool>,
+}
+
+impl<S: ObjectStore> CachedStore<S> {
+    pub fn with_pool(inner: S, pool: Arc<BufferPool>) -> Self {
+        CachedStore { inner, pool }
+    }
+}
+
+impl<S: ObjectStore> ObjectStore for CachedStore<S> {
+    fn put(&self, path: &ObjectPath, data: Bytes) -> Result<()> {
+        self.inner.put(path, data.clone())?;
+        // Ranges of the old object are stale; the new whole object is known.
+        self.pool.replace_whole(path.as_str(), data);
+        Ok(())
+    }
+
+    fn get(&self, path: &ObjectPath) -> Result<Bytes> {
+        let key = PoolKey::Whole(path.as_str().to_string());
+        Ok(self.pool.get_or_load(&key, || self.inner.get(path))?.0)
+    }
+
+    fn get_range(&self, path: &ObjectPath, start: usize, end: usize) -> Result<Bytes> {
+        let key = PoolKey::Range(path.as_str().to_string(), start, end);
+        let load = || self.inner.get_range(path, start, end);
+        Ok(self.pool.get_or_load(&key, load)?.0)
+    }
+
+    fn head(&self, path: &ObjectPath) -> Result<usize> {
+        // Size of a cached whole object is known without a round trip.
+        match self.pool.try_get_whole(path.as_str()) {
+            Some(data) => Ok(data.len()),
+            None => self.inner.head(path),
+        }
+    }
+
+    fn list(&self, prefix: &str) -> Result<Vec<ObjectPath>> {
+        // Listings must observe every write at once and are off the
+        // per-query hot path: never cached.
+        self.inner.list(prefix)
+    }
+
+    fn delete(&self, path: &ObjectPath) -> Result<()> {
+        self.inner.delete(path)?;
+        self.pool.invalidate_path(path.as_str());
+        Ok(())
+    }
+
+    fn exists(&self, path: &ObjectPath) -> bool {
+        self.pool.contains_whole(path.as_str()) || self.inner.exists(path)
+    }
+
+    fn put_if_matches(
+        &self,
+        path: &ObjectPath,
+        expected: Option<&[u8]>,
+        data: Bytes,
+    ) -> Result<()> {
+        self.inner.put_if_matches(path, expected, data.clone())?;
+        self.pool.replace_whole(path.as_str(), data);
+        Ok(())
+    }
+
+    fn store_metrics(&self) -> Option<Arc<StoreMetrics>> {
+        self.inner.store_metrics()
+    }
+
+    fn invalidate_corrupt(&self, path: &ObjectPath) {
+        // A downstream checksum rejected bytes read through this store: the
+        // pool entry that held them is poisoned — drop it and count the
+        // verification failure so the retry re-fetches from the backend.
+        self.pool.invalidate_corrupt(path.as_str());
+        self.inner.invalidate_corrupt(path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::StoreError;
+    use crate::latency::{LatencyModel, SimulatedStore};
+    use crate::memory::InMemoryStore;
     use std::sync::atomic::AtomicUsize;
 
     fn whole(p: &str) -> PoolKey {
         PoolKey::Whole(p.to_string())
+    }
+
+    fn p(s: &str) -> ObjectPath {
+        ObjectPath::new(s).unwrap()
+    }
+
+    /// An in-memory store behind a private pool of `capacity` bytes.
+    fn cached(capacity: usize) -> (CachedStore<InMemoryStore>, Arc<BufferPool>) {
+        let pool = Arc::new(BufferPool::private(capacity));
+        (
+            CachedStore::with_pool(InMemoryStore::new(), Arc::clone(&pool)),
+            pool,
+        )
     }
 
     #[test]
@@ -1221,5 +1327,175 @@ mod tests {
         for i in 0..4 {
             assert!(pool.contains(&whole(&format!("p/{i}"))));
         }
+    }
+
+    // ---- the store adapter ----------------------------------------------
+
+    #[test]
+    fn repeated_get_hits_cache() {
+        let (s, pool) = cached(1 << 20);
+        s.put(&p("m/manifest.json"), Bytes::from_static(b"abc"))
+            .unwrap();
+        for _ in 0..2 {
+            let got = s.get(&p("m/manifest.json")).unwrap();
+            assert_eq!(got, Bytes::from_static(b"abc"));
+        }
+        // put write-through seeds the cache: both gets hit.
+        assert_eq!((pool.metrics().hits(), pool.metrics().misses()), (2, 0));
+    }
+
+    #[test]
+    fn range_hits_exact_and_whole() {
+        let backend = InMemoryStore::new();
+        backend
+            .put(&p("f"), Bytes::from_static(b"0123456789"))
+            .unwrap();
+        let pool = Arc::new(BufferPool::private(1 << 20));
+        let s = CachedStore::with_pool(backend, Arc::clone(&pool));
+        let m = pool.metrics();
+        assert_eq!(
+            s.get_range(&p("f"), 2, 5).unwrap(),
+            Bytes::from_static(b"234")
+        );
+        assert_eq!(m.misses(), 1);
+        assert_eq!(
+            s.get_range(&p("f"), 2, 5).unwrap(),
+            Bytes::from_static(b"234")
+        );
+        assert_eq!(m.hits(), 1);
+        // Whole object cached -> any range is a hit.
+        s.get(&p("f")).unwrap();
+        assert_eq!(
+            s.get_range(&p("f"), 0, 9).unwrap(),
+            Bytes::from_static(b"012345678")
+        );
+        assert_eq!(m.hits(), 2);
+    }
+
+    #[test]
+    fn writes_invalidate() {
+        let (s, _pool) = cached(1 << 20);
+        s.put(&p("x"), Bytes::from_static(b"old")).unwrap();
+        s.get_range(&p("x"), 0, 3).unwrap();
+        s.put(&p("x"), Bytes::from_static(b"newer")).unwrap();
+        assert_eq!(s.get(&p("x")).unwrap(), Bytes::from_static(b"newer"));
+        assert_eq!(
+            s.get_range(&p("x"), 0, 5).unwrap(),
+            Bytes::from_static(b"newer")
+        );
+        s.delete(&p("x")).unwrap();
+        assert!(s.get(&p("x")).is_err());
+        assert!(!s.exists(&p("x")));
+    }
+
+    #[test]
+    fn eviction_bounds_memory_and_preserves_bytes() {
+        let (s, pool) = cached(64);
+        pool.set_max_entry_bytes(32);
+        for i in 0..8 {
+            s.put(&p(&format!("o/{i}")), Bytes::from(vec![i as u8; 20]))
+                .unwrap();
+        }
+        assert!(pool.cached_bytes() <= 64);
+        // Every object still reads back identical bytes after eviction.
+        for i in 0..8 {
+            assert_eq!(
+                s.get(&p(&format!("o/{i}"))).unwrap(),
+                Bytes::from(vec![i as u8; 20])
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_entries_pass_through_uncached() {
+        let (s, pool) = cached(1 << 20);
+        pool.set_max_entry_bytes(4);
+        s.put(&p("big"), Bytes::from(vec![7u8; 100])).unwrap();
+        assert_eq!(pool.cached_entries(), 0);
+        s.get(&p("big")).unwrap();
+        s.get(&p("big")).unwrap();
+        assert_eq!((pool.metrics().hits(), pool.metrics().misses()), (0, 2));
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_used() {
+        let (s, pool) = cached(30);
+        pool.set_max_entry_bytes(10);
+        s.put(&p("a"), Bytes::from(vec![1u8; 10])).unwrap();
+        s.put(&p("b"), Bytes::from(vec![2u8; 10])).unwrap();
+        s.put(&p("c"), Bytes::from(vec![3u8; 10])).unwrap();
+        // Touch `a` so `b` becomes the LRU victim.
+        s.get(&p("a")).unwrap();
+        s.put(&p("d"), Bytes::from(vec![4u8; 10])).unwrap();
+        let m = pool.metrics();
+        let before = m.misses();
+        s.get(&p("a")).unwrap();
+        assert_eq!(m.misses(), before, "a should still be cached");
+        s.get(&p("b")).unwrap();
+        assert_eq!(m.misses(), before + 1, "b should have been evicted");
+    }
+
+    #[test]
+    fn hits_cost_the_store_below_nothing() {
+        let sim = SimulatedStore::new(InMemoryStore::new(), LatencyModel::s3_like());
+        let sim_metrics = sim.metrics();
+        let pool = Arc::new(BufferPool::private(1 << 20));
+        let s = CachedStore::with_pool(sim, Arc::clone(&pool));
+        s.put(&p("a"), Bytes::from_static(b"hello")).unwrap();
+        let serial_after_put = sim_metrics.simulated_time();
+        s.get(&p("a")).unwrap();
+        // Hit: no extra simulated latency, no store bytes moved.
+        assert_eq!(sim_metrics.simulated_time(), serial_after_put);
+        assert_eq!((sim_metrics.bytes_read(), sim_metrics.gets()), (0, 0));
+        assert_eq!(pool.metrics().hits(), 1);
+    }
+
+    #[test]
+    fn head_served_from_cache() {
+        let (s, pool) = cached(1 << 20);
+        s.put(&p("a"), Bytes::from_static(b"12345")).unwrap();
+        assert_eq!(s.head(&p("a")).unwrap(), 5);
+        assert_eq!(pool.metrics().hits(), 1);
+    }
+
+    #[test]
+    fn shared_pool_serves_across_stores() {
+        let pool = Arc::new(BufferPool::new(1 << 20));
+        let backend = Arc::new(InMemoryStore::new());
+        let a = CachedStore::with_pool(Arc::clone(&backend), Arc::clone(&pool));
+        let b = CachedStore::with_pool(Arc::clone(&backend), Arc::clone(&pool));
+        a.put(&p("shared/obj"), Bytes::from_static(b"payload"))
+            .unwrap();
+        // Store B never fetched this object, yet reads it from the pool.
+        assert_eq!(
+            b.get(&p("shared/obj")).unwrap(),
+            Bytes::from_static(b"payload")
+        );
+        assert_eq!(pool.metrics().hits(), 1);
+    }
+
+    #[test]
+    fn shared_pool_invalidation_visible_to_all_stores() {
+        let pool = Arc::new(BufferPool::new(1 << 20));
+        let backend = Arc::new(InMemoryStore::new());
+        let a = CachedStore::with_pool(Arc::clone(&backend), Arc::clone(&pool));
+        let b = CachedStore::with_pool(Arc::clone(&backend), Arc::clone(&pool));
+        a.put(&p("k"), Bytes::from_static(b"v1")).unwrap();
+        assert_eq!(b.get(&p("k")).unwrap(), Bytes::from_static(b"v1"));
+        b.put(&p("k"), Bytes::from_static(b"v2")).unwrap();
+        // A's next read observes B's write immediately: one pool, one truth.
+        assert_eq!(a.get(&p("k")).unwrap(), Bytes::from_static(b"v2"));
+    }
+
+    #[test]
+    fn invalidate_corrupt_drops_entry_and_counts() {
+        let (s, pool) = cached(1 << 20);
+        s.put(&p("t"), Bytes::from_static(b"half-written")).unwrap();
+        assert_eq!(pool.cached_entries(), 1);
+        s.invalidate_corrupt(&p("t"));
+        assert_eq!(pool.cached_entries(), 0);
+        assert_eq!(pool.metrics().verify_failures(), 1);
+        // The next read re-fetches clean bytes from the backend.
+        assert_eq!(s.get(&p("t")).unwrap(), Bytes::from_static(b"half-written"));
     }
 }

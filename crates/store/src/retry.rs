@@ -1,8 +1,8 @@
-//! Retry layer: exponential backoff with decorrelated jitter, per-op
-//! deadlines, and a bounded retry budget over any [`ObjectStore`].
+//! Retry layer: exponential backoff with decorrelated jitter and a bounded
+//! retry budget over any [`ObjectStore`].
 //!
 //! [`RetryStore`] retries operations whose error is
-//! [`StoreError::is_retryable`] (transient faults, throttles, timeouts).
+//! [`StoreError::is_retryable`] (transient faults and throttles).
 //! Backoff waits are *simulated*: each delay is charged to the inner
 //! store's [`StoreMetrics`] via `record_stall`, so retried runs report
 //! honest latency totals deterministically instead of wall-clock sleeping
@@ -27,7 +27,7 @@ use std::time::Duration;
 
 /// Tuning for [`RetryStore`] (and, via [`Backoff`], the catalog's CAS
 /// loop). The defaults model a patient S3 client: 4 retries, 25 ms base
-/// backoff capped at 2 s, 30 s of total backoff budget, no per-op deadline.
+/// backoff capped at 2 s, 30 s of total backoff budget.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Retries per operation after the first attempt (0 = fail fast).
@@ -40,9 +40,6 @@ pub struct RetryPolicy {
     /// before it stops retrying — bounds worst-case added latency for a
     /// whole query the way a per-request retry cap cannot.
     pub budget: Duration,
-    /// If set, an attempt whose charged simulated latency exceeds this is
-    /// treated as [`StoreError::Timeout`] and retried.
-    pub op_deadline: Option<Duration>,
     /// Seed for the jitter RNG.
     pub seed: u64,
 }
@@ -54,7 +51,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_secs(2),
             budget: Duration::from_secs(30),
-            op_deadline: None,
             seed: 0x5EED,
         }
     }
@@ -68,11 +64,6 @@ impl RetryPolicy {
 
     pub fn with_budget(mut self, budget: Duration) -> RetryPolicy {
         self.budget = budget;
-        self
-    }
-
-    pub fn with_op_deadline(mut self, deadline: Duration) -> RetryPolicy {
-        self.op_deadline = Some(deadline);
         self
     }
 
@@ -106,108 +97,18 @@ impl Backoff {
 
     /// The next delay in the sequence.
     pub fn next_delay(&mut self) -> Duration {
-        let base = self.base.as_nanos() as u64;
-        let hi = (self.prev.as_nanos() as u64)
-            .saturating_mul(3)
-            .max(base + 1);
-        let drawn = self.rng.gen_range(base..hi);
-        let delay = Duration::from_nanos(drawn.min(self.cap.as_nanos() as u64));
-        self.prev = delay;
-        delay
+        self.prev = jitter(&mut self.rng, self.base, self.cap, self.prev);
+        self.prev
     }
 }
 
-/// A small windowed circuit breaker over boolean outcomes.
-///
-/// Used by the I/O dispatcher's hedged reads: each completed hedge records
-/// whether the hedge *won* the race. When the store is globally slow (every
-/// request is slow, not just the tail) hedges fire but rarely win — the win
-/// rate over the sliding window drops below `min_success_rate` and the
-/// breaker opens, suppressing further hedges for `cooldown_ops` admission
-/// checks before probing again with a cleared window. This is the same gate
-/// shape as the `FaultDecider`/[`RetryStore`] budget: back off globally when
-/// the signal says extra requests buy nothing.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    window: usize,
-    min_success_rate: f64,
-    cooldown_ops: u64,
-    state: Mutex<BreakerState>,
-}
-
-#[derive(Debug)]
-struct BreakerState {
-    outcomes: std::collections::VecDeque<bool>,
-    successes: usize,
-    /// Remaining `allow()` calls to swallow while open; 0 = closed.
-    cooldown_left: u64,
-    trips: u64,
-}
-
-impl CircuitBreaker {
-    /// `window` outcomes are kept; once the window is full and the success
-    /// rate drops below `min_success_rate`, the breaker opens for
-    /// `cooldown_ops` admission checks.
-    pub fn new(window: usize, min_success_rate: f64, cooldown_ops: u64) -> CircuitBreaker {
-        CircuitBreaker {
-            window: window.max(1),
-            min_success_rate: min_success_rate.clamp(0.0, 1.0),
-            cooldown_ops: cooldown_ops.max(1),
-            state: Mutex::new(BreakerState {
-                outcomes: std::collections::VecDeque::new(),
-                successes: 0,
-                cooldown_left: 0,
-                trips: 0,
-            }),
-        }
-    }
-
-    /// Should the guarded action run? While open, swallows one cooldown
-    /// tick per call and re-closes (with a fresh window) when the cooldown
-    /// is spent.
-    pub fn allow(&self) -> bool {
-        let mut st = self.state.lock();
-        if st.cooldown_left == 0 {
-            return true;
-        }
-        st.cooldown_left -= 1;
-        if st.cooldown_left == 0 {
-            // Half-open probe: forget the bad window, try again.
-            st.outcomes.clear();
-            st.successes = 0;
-            return true;
-        }
-        false
-    }
-
-    /// Record the outcome of a guarded action. May trip the breaker.
-    pub fn record(&self, success: bool) {
-        let mut st = self.state.lock();
-        st.outcomes.push_back(success);
-        if success {
-            st.successes += 1;
-        }
-        if st.outcomes.len() > self.window && st.outcomes.pop_front() == Some(true) {
-            st.successes -= 1;
-        }
-        if st.outcomes.len() >= self.window {
-            let rate = st.successes as f64 / st.outcomes.len() as f64;
-            if rate < self.min_success_rate && st.cooldown_left == 0 {
-                st.cooldown_left = self.cooldown_ops;
-                st.trips += 1;
-            }
-        }
-    }
-
-    /// Is the breaker currently open (suppressing the guarded action)?
-    pub fn is_open(&self) -> bool {
-        self.state.lock().cooldown_left > 0
-    }
-
-    /// How many times the breaker has tripped open.
-    pub fn trips(&self) -> u64 {
-        self.state.lock().trips
-    }
+/// One decorrelated-jitter step: `min(cap, uniform(base, max(prev·3,
+/// base + 1)))` — the one formula [`Backoff`] and [`RetryStore`] share.
+fn jitter(rng: &mut StdRng, base: Duration, cap: Duration, prev: Duration) -> Duration {
+    let base = base.as_nanos() as u64;
+    let hi = (prev.as_nanos() as u64).saturating_mul(3).max(base + 1);
+    let drawn = rng.gen_range(base..hi);
+    Duration::from_nanos(drawn.min(cap.as_nanos() as u64))
 }
 
 /// Process-wide retry counters (`lakehouse-obs`).
@@ -230,8 +131,8 @@ impl RetryCounters {
 }
 
 /// An [`ObjectStore`] wrapper that retries retryable failures with seeded
-/// decorrelated-jitter backoff, a per-store retry budget, and optional
-/// per-op deadlines. See the module docs for the accounting model.
+/// decorrelated-jitter backoff and a per-store retry budget. See the module
+/// docs for the accounting model.
 pub struct RetryStore<S> {
     inner: S,
     policy: RetryPolicy,
@@ -277,10 +178,13 @@ impl<S: ObjectStore> RetryStore<S> {
 
     /// Draw the next decorrelated-jitter delay given the previous one.
     fn next_delay(&self, prev: Duration) -> Duration {
-        let base = self.policy.base_backoff.as_nanos() as u64;
-        let hi = (prev.as_nanos() as u64).saturating_mul(3).max(base + 1);
-        let drawn = self.rng.lock().gen_range(base..hi);
-        Duration::from_nanos(drawn.min(self.policy.max_backoff.as_nanos() as u64))
+        let policy = &self.policy;
+        jitter(
+            &mut self.rng.lock(),
+            policy.base_backoff,
+            policy.max_backoff,
+            prev,
+        )
     }
 
     /// Atomically take `delay` out of the budget; false if it doesn't fit.
@@ -313,7 +217,7 @@ impl<S: ObjectStore> RetryStore<S> {
         }
     }
 
-    /// Run `f` with retry/backoff/deadline semantics.
+    /// Run `f` with retry/backoff semantics.
     fn with_retry<T>(&self, op: &'static str, f: impl Fn(&S) -> Result<T>) -> Result<T> {
         let metrics = self.inner.store_metrics();
         let ctx = lakehouse_obs::QueryCtx::current();
@@ -331,26 +235,7 @@ impl<S: ObjectStore> RetryStore<S> {
                 }
             }
             attempts += 1;
-            let lane_before = metrics.as_ref().map(|m| m.lane_nanos());
-            let mut result = f(&self.inner);
-            // A success that blew the per-op deadline is a client-side
-            // timeout: the caller gave up waiting, so the response is
-            // discarded and the attempt retried. Elapsed time is the
-            // *simulated* latency this thread's lane was charged.
-            if result.is_ok() {
-                if let (Some(deadline), Some(m), Some(before)) =
-                    (self.policy.op_deadline, metrics.as_ref(), lane_before)
-                {
-                    let elapsed = Duration::from_nanos(m.lane_nanos().saturating_sub(before));
-                    if elapsed > deadline {
-                        result = Err(StoreError::Timeout {
-                            op: op.to_string(),
-                            deadline,
-                        });
-                    }
-                }
-            }
-            match result {
+            match f(&self.inner) {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_retryable() => {
                     if attempts > self.policy.max_retries {
@@ -443,7 +328,7 @@ impl<S: ObjectStore> ObjectStore for RetryStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{ChaosConfig, ChaosStore, FaultKind, FlakyStore};
+    use crate::chaos::{ChaosConfig, ChaosStore, FaultKind};
     use crate::latency::{LatencyModel, SimulatedStore};
     use crate::memory::InMemoryStore;
 
@@ -467,49 +352,27 @@ mod tests {
         }
         // The sequence should actually escalate toward the cap.
         assert!(a.iter().any(|d| *d > base * 2), "no escalation in {a:?}");
-    }
-
-    #[test]
-    fn breaker_trips_on_low_win_rate_and_recovers() {
-        let b = CircuitBreaker::new(4, 0.5, 3);
-        assert!(!b.is_open());
-        // Window fills with failures -> trips.
-        for _ in 0..4 {
-            assert!(b.allow());
-            b.record(false);
-        }
-        assert!(b.is_open());
-        assert_eq!(b.trips(), 1);
-        // Cooldown swallows the next 2 checks, the 3rd re-closes (half-open).
-        assert!(!b.allow());
-        assert!(!b.allow());
-        assert!(b.allow(), "cooldown spent: probe allowed");
-        assert!(!b.is_open());
-        // Fresh window: a good run keeps it closed.
-        for _ in 0..8 {
-            assert!(b.allow());
-            b.record(true);
-        }
-        assert!(!b.is_open());
-        assert_eq!(b.trips(), 1);
-    }
-
-    #[test]
-    fn breaker_stays_closed_above_threshold() {
-        let b = CircuitBreaker::new(10, 0.3, 5);
-        // 40% success rate over a full sliding window: stays closed.
-        for i in 0..50 {
-            assert!(b.allow());
-            b.record(i % 5 < 2);
-        }
-        assert!(!b.is_open());
-        assert_eq!(b.trips(), 0);
+        // The store's retry loop draws the very same sequence for a seed.
+        let policy = RetryPolicy {
+            base_backoff: base,
+            max_backoff: cap,
+            ..RetryPolicy::default().with_seed(1)
+        };
+        let store = RetryStore::new(InMemoryStore::new(), policy);
+        let mut prev = base;
+        let drawn: Vec<Duration> = (0..16)
+            .map(|_| {
+                prev = store.next_delay(prev);
+                prev
+            })
+            .collect();
+        assert_eq!(drawn, a, "RetryStore and Backoff must jitter alike");
     }
 
     #[test]
     fn transient_faults_are_absorbed() {
         // Every other op fails; one retry per op is enough to mask it.
-        let flaky = FlakyStore::new(InMemoryStore::new(), FaultKind::All, 2);
+        let flaky = ChaosStore::new(InMemoryStore::new(), ChaosConfig::every(FaultKind::All, 2));
         let s = RetryStore::new(flaky, RetryPolicy::default());
         for i in 0..10 {
             let path = p(&format!("k{i}"));
@@ -522,7 +385,7 @@ mod tests {
 
     #[test]
     fn exhaustion_is_typed_with_attempt_count() {
-        let flaky = FlakyStore::new(InMemoryStore::new(), FaultKind::All, 1);
+        let flaky = ChaosStore::new(InMemoryStore::new(), ChaosConfig::every(FaultKind::All, 1));
         let s = RetryStore::new(flaky, RetryPolicy::default().with_max_retries(3));
         match s.get(&p("a")) {
             Err(StoreError::RetriesExhausted { op, attempts, last }) => {
@@ -546,7 +409,7 @@ mod tests {
 
     #[test]
     fn budget_stops_retrying_before_max_retries() {
-        let flaky = FlakyStore::new(InMemoryStore::new(), FaultKind::All, 1);
+        let flaky = ChaosStore::new(InMemoryStore::new(), ChaosConfig::every(FaultKind::All, 1));
         let policy = RetryPolicy::default()
             .with_max_retries(1000)
             .with_budget(Duration::from_millis(60));
@@ -567,7 +430,7 @@ mod tests {
     #[test]
     fn backoff_is_charged_as_simulated_stall() {
         let sim = SimulatedStore::new(InMemoryStore::new(), LatencyModel::zero());
-        let flaky = FlakyStore::new(sim, FaultKind::All, 2);
+        let flaky = ChaosStore::new(sim, ChaosConfig::every(FaultKind::All, 2));
         let s = RetryStore::new(flaky, RetryPolicy::default());
         s.put(&p("a"), Bytes::from_static(b"v")).unwrap();
         s.get(&p("a")).unwrap();
@@ -663,27 +526,5 @@ mod tests {
             .is_retryable(),
             "a killed query is dead, never retryable"
         );
-    }
-
-    #[test]
-    fn op_deadline_times_out_slow_ops() {
-        // Deterministic ~4 ms first-byte latency vs a 1 ms deadline: every
-        // attempt "succeeds" too late and is discarded as a timeout.
-        let model = LatencyModel {
-            sigma: 0.0,
-            ..LatencyModel::s3_like()
-        };
-        let sim = SimulatedStore::new(InMemoryStore::new(), model);
-        sim.inner().put(&p("a"), Bytes::from_static(b"v")).unwrap();
-        let policy = RetryPolicy::default()
-            .with_max_retries(2)
-            .with_op_deadline(Duration::from_millis(1));
-        let s = RetryStore::new(sim, policy);
-        match s.get(&p("a")) {
-            Err(StoreError::RetriesExhausted { last, .. }) => {
-                assert!(matches!(*last, StoreError::Timeout { .. }), "got {last:?}");
-            }
-            other => panic!("expected timeout exhaustion, got {other:?}"),
-        }
     }
 }

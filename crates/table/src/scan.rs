@@ -538,7 +538,7 @@ impl ScanStream {
             let entry = &self.manifest.entries[i];
             let path = ObjectPath::new(entry.file_path.clone())?;
             let (start, end) = RangedReader::opening_range(entry.file_size as usize);
-            let ticket = io.submit_get_range(&path, start, end, None);
+            let ticket = io.submit_get_range(&path, start, end);
             self.pending.push_back((i, ticket));
         }
         Ok(())
@@ -598,16 +598,12 @@ impl ScanStream {
 
 impl Drop for ScanStream {
     /// Early termination (a satisfied streaming `LIMIT` drops the stream)
-    /// must not leave submitted requests to run: queued ones are dequeued
-    /// before any backend call, in-flight ones have their results discarded.
+    /// must not leave submitted requests to run: dropping a ticket cancels
+    /// it — a queued request never reaches the backend, a running one's
+    /// result is discarded.
     fn drop(&mut self) {
-        if let Some(io) = self.scan.io.dispatcher.as_ref() {
-            for (_, ticket) in self.pending.drain(..) {
-                if io.cancel(ticket) {
-                    self.readahead_wasted_counter.inc();
-                }
-            }
-        }
+        self.readahead_wasted_counter.add(self.pending.len() as u64);
+        self.pending.clear();
     }
 }
 
@@ -842,7 +838,7 @@ mod tests {
     /// Eight one-row files on a deterministic S3-like store, and the table
     /// reopened with `depth` workers (`None`: every read inline).
     fn eight_files(depth: Option<usize>) -> (Table, Option<Arc<IoDispatcher>>) {
-        use lakehouse_store::{IoConfig, LatencyModel, SimulatedStore};
+        use lakehouse_store::{LatencyModel, SimulatedStore};
         let sim: Arc<dyn ObjectStore> = Arc::new(SimulatedStore::new(
             InMemoryStore::new(),
             LatencyModel {
@@ -867,7 +863,7 @@ mod tests {
         .unwrap();
         let (loc, _) = tx.commit().unwrap();
         let dispatcher =
-            depth.map(|d| Arc::new(IoDispatcher::new(Arc::clone(&sim), IoConfig::new(d))));
+            depth.map(|d| Arc::new(IoDispatcher::new(Arc::clone(&sim), d, None).unwrap()));
         let io = TableIo {
             cache: None,
             dispatcher: dispatcher.clone(),

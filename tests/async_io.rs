@@ -8,8 +8,8 @@ use bytes::Bytes;
 use lakehouse_columnar::{BatchStream, Column, DataType, Field, RecordBatch, Schema};
 use lakehouse_sql::{MemoryProvider, SqlEngine};
 use lakehouse_store::{
-    ChaosStore, HedgePolicy, InMemoryStore, IoConfig, IoDispatcher, LatencyModel, ObjectPath,
-    ObjectStore, RetryPolicy, RetryStore, SimulatedStore, SleepMode, StoreMetrics,
+    ChaosStore, HedgePolicy, InMemoryStore, IoDispatcher, LatencyModel, ObjectPath, ObjectStore,
+    RetryPolicy, RetryStore, SimulatedStore, SleepMode, StoreMetrics,
 };
 use lakehouse_table::{PartitionSpec, SnapshotOperation, Table, TableIo};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,7 +103,7 @@ fn overlap_and_hedging_byte_identical_across_sleep_modes() {
     // SleepMode::None keeps everything on the simulated clock (hedging
     // self-disables: tail latency does not exist in wall time); a small
     // Scaled factor makes the store really sleep, so the dispatcher's
-    // overlap, deadlines, and hedge timers all run against wall time too.
+    // overlap and hedge timers run against wall time too.
     for (tag, mode) in [
         ("none", SleepMode::None),
         ("scaled", SleepMode::Scaled(0.002)),
@@ -131,10 +131,8 @@ fn overlap_and_hedging_byte_identical_across_sleep_modes() {
         let (demand, demand_report) = t.scan().execute_with_report().unwrap();
         assert_eq!(demand, baseline, "{tag}: inline path diverged");
 
-        let io = Arc::new(IoDispatcher::new(
-            Arc::clone(&chaos),
-            IoConfig::new(4).with_hedge(HedgePolicy::default()),
-        ));
+        let hedge = Some(HedgePolicy::default());
+        let io = Arc::new(IoDispatcher::new(Arc::clone(&chaos), 4, hedge).unwrap());
         let (ra, ra_report) = with_workers(&chaos, &loc, &io)
             .scan()
             .execute_with_report()
@@ -301,7 +299,7 @@ fn limit_early_termination_cancels_queued_requests() {
     let mut tx = t.new_transaction(SnapshotOperation::Append);
     tx.write(&events_batch(8, 16)).unwrap();
     let (loc, _) = tx.commit().unwrap();
-    let io = Arc::new(IoDispatcher::new(Arc::clone(&store), IoConfig::new(2)));
+    let io = Arc::new(IoDispatcher::new(Arc::clone(&store), 2, None).unwrap());
     let mut stream = with_workers(&store, &loc, &io).scan().stream().unwrap();
     // The first pull reads one file on this thread: a LIMIT it satisfies
     // has touched nothing else.

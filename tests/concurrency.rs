@@ -3,14 +3,15 @@
 //! * a scan that overlaps its files' requests is byte-identical (values AND
 //!   order) to an inline scan, with predicates and projection, on a
 //!   partitioned multi-file table, at any worker count;
-//! * `CachedStore` serves identical bytes across evictions and invalidations;
+//! * the pool's `CachedStore` adapter serves identical bytes across
+//!   evictions and invalidations;
 //! * one `LakehouseProvider` survives 8 concurrent queries.
 
 use bauplan_core::{BufferPool, Lakehouse, LakehouseConfig};
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
 use lakehouse_store::{
-    CachedStore, InMemoryStore, IoConfig, IoDispatcher, LatencyModel, ObjectStore, SimulatedStore,
+    CachedStore, InMemoryStore, IoDispatcher, LatencyModel, ObjectStore, SimulatedStore,
 };
 use lakehouse_table::{PartitionSpec, ScanPredicate, SnapshotOperation, Table, TableIo};
 use lakehouse_workload::TaxiGenerator;
@@ -48,7 +49,7 @@ fn multi_file_table(store: &Arc<dyn ObjectStore>, files: usize, rows_per_file: u
 
 /// `t` reopened with `depth` fetch workers.
 fn with_workers(t: &Table, depth: usize) -> Table {
-    let dispatcher = IoDispatcher::new(Arc::clone(t.store()), IoConfig::new(depth));
+    let dispatcher = IoDispatcher::new(Arc::clone(t.store()), depth, None).unwrap();
     let io = TableIo {
         cache: None,
         dispatcher: Some(Arc::new(dispatcher)),
@@ -94,9 +95,9 @@ fn overlapped_scan_identical_under_byte_cache_and_latency() {
 fn cached_store_identical_bytes_after_eviction() {
     // A cache far smaller than the table forces continuous eviction; every
     // read must still return exactly what the backing store holds.
-    let backing = InMemoryStore::new();
-    let cached = CachedStore::with_pool(backing, Arc::new(BufferPool::private(2_048)))
-        .with_max_entry_bytes(1_024);
+    let pool = Arc::new(BufferPool::private(2_048));
+    pool.set_max_entry_bytes(1_024);
+    let cached = CachedStore::with_pool(InMemoryStore::new(), Arc::clone(&pool));
     let paths: Vec<_> = (0..32)
         .map(|i| lakehouse_store::ObjectPath::new(format!("obj/{i}")).unwrap())
         .collect();
@@ -118,7 +119,7 @@ fn cached_store_identical_bytes_after_eviction() {
             bytes::Bytes::from(vec![i as u8; 40])
         );
     }
-    assert!(cached.pool_metrics().misses() > 0, "tiny cache must evict");
+    assert!(pool.metrics().misses() > 0, "tiny cache must evict");
 }
 
 #[test]

@@ -10,7 +10,7 @@ use bytes::Bytes;
 use lakehouse_catalog::{Catalog, ContentRef, Operation};
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema};
 use lakehouse_store::{
-    ChaosConfig, FaultKind, FlakyStore, InMemoryStore, LatencyModel, ObjectPath, ObjectStore,
+    ChaosConfig, ChaosStore, FaultKind, InMemoryStore, LatencyModel, ObjectPath, ObjectStore,
     StoreError,
 };
 use lakehouse_table::{PartitionSpec, SnapshotOperation, Table, TableError};
@@ -30,8 +30,10 @@ fn table_write_faults_surface_cleanly() {
     // hit one; errors must propagate as TableError::Store, never corrupt.
     // (A create+write+commit needs 4 puts, so period 5 interleaves both
     // outcomes across attempts.)
-    let store: Arc<dyn ObjectStore> =
-        Arc::new(FlakyStore::new(InMemoryStore::new(), FaultKind::Puts, 5));
+    let store: Arc<dyn ObjectStore> = Arc::new(ChaosStore::new(
+        InMemoryStore::new(),
+        ChaosConfig::every(FaultKind::Puts, 5),
+    ));
     let schema = Schema::new(vec![Field::new("x", DataType::Int64, false)]);
     let mut failures = 0;
     let mut successes = 0;
@@ -61,7 +63,7 @@ fn table_write_faults_surface_cleanly() {
 
 #[test]
 fn read_faults_do_not_poison_subsequent_reads() {
-    let flaky = FlakyStore::new(InMemoryStore::new(), FaultKind::Gets, 2);
+    let flaky = ChaosStore::new(InMemoryStore::new(), ChaosConfig::every(FaultKind::Gets, 2));
     let p = ObjectPath::new("k").unwrap();
     flaky.put(&p, Bytes::from_static(b"v")).unwrap();
     let mut saw_error = false;
@@ -157,8 +159,10 @@ fn concurrent_branch_creation_is_safe() {
 fn catalog_survives_intermittent_store_faults_with_retries() {
     // Every 7th op fails; a retry loop at the application level must make
     // progress and end in a consistent state.
-    let store: Arc<dyn ObjectStore> =
-        Arc::new(FlakyStore::new(InMemoryStore::new(), FaultKind::All, 7));
+    let store: Arc<dyn ObjectStore> = Arc::new(ChaosStore::new(
+        InMemoryStore::new(),
+        ChaosConfig::every(FaultKind::All, 7),
+    ));
     // Catalog::init itself may hit a fault; retry.
     let catalog = loop {
         match Catalog::init(Arc::clone(&store), "_cat") {
