@@ -11,7 +11,9 @@ use std::path::Path;
 /// (crate directory, sites allowed). PR 24 took `format` from 5 to 0: its
 /// readers split arrays off slices instead of `try_into().unwrap()`. PR 26
 /// took `store` from 24 to 2: the I/O dispatcher has no lock to `expect`
-/// and spawns its workers with a typed error.
+/// and spawns its workers with a typed error. PR 27 took `table` from 3 to
+/// 0: documents serialize into a `Result`, and the content token reads
+/// whole eight-byte chunks.
 const CEILINGS: &[(&str, usize)] = &[
     ("bench", 2),
     ("catalog", 3),
@@ -26,7 +28,7 @@ const CEILINGS: &[(&str, usize)] = &[
     ("scheduler", 3),
     ("sql", 10),
     ("store", 2),
-    ("table", 3),
+    ("table", 0),
     ("workload", 8),
 ];
 

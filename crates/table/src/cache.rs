@@ -27,12 +27,10 @@ use std::sync::Arc;
 pub(crate) fn content_token(bytes: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
     let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
-    let mut words = bytes.chunks_exact(8);
-    let mut h = words.by_ref().fold(bytes.len() as u64, |h, w| {
-        step(h, u64::from_le_bytes(w.try_into().expect("eight bytes")))
-    });
+    let (words, rest) = bytes.as_chunks::<8>();
+    let mut h = (words.iter()).fold(bytes.len() as u64, |h, w| step(h, u64::from_le_bytes(*w)));
     let mut tail = [0u8; 8];
-    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    tail[..rest.len()].copy_from_slice(rest);
     h = step(h, u64::from_le_bytes(tail));
     // fmix64 (MurmurHash3's finalizer).
     h ^= h >> 33;
@@ -43,8 +41,9 @@ pub(crate) fn content_token(bytes: &[u8]) -> u64 {
 }
 
 /// `<location>/metadata/v<seq>-<token>.json` for a metadata document that
-/// serializes to `bytes`; `seq` is its snapshot count, for the reader's eye.
-pub(crate) fn metadata_path(location: &str, seq: usize, bytes: &[u8]) -> String {
+/// serializes to `bytes`; `seq` is its current snapshot's sequence number,
+/// for the reader's eye.
+pub(crate) fn metadata_path(location: &str, seq: u64, bytes: &[u8]) -> String {
     let token = content_token(bytes);
     format!("{location}/metadata/v{seq:05}-{token:016x}.json")
 }

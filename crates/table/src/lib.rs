@@ -8,11 +8,17 @@
 //!
 //! ```text
 //! table metadata (JSON)          one document per table version
-//!   └── snapshot                 points to a manifest list
-//!         └── manifest list      one JSON doc per snapshot
+//!   └── snapshot                 points to its root manifest
+//!         └── root manifest      one JSON doc per snapshot: the list
+//!               ├── refs         earlier manifests still live, with
+//!               │                their counts and partition ranges
 //!               └── manifest entries   data file + partition + stats
 //!                     └── data files   lakehouse-format files
 //! ```
+//!
+//! An append writes a root with only its own entries and names the parent's
+//! live manifests as refs; a scan reads the refs' manifests, oldest first,
+//! then the root's entries, skipping a ref whose ranges rule it out.
 //!
 //! Every write goes through a [`Transaction`] that stages new data files and
 //! commits a **new immutable metadata document** — readers never see partial

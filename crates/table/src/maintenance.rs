@@ -3,17 +3,20 @@
 //! the paper's platform once runs accumulate).
 
 use crate::error::{Result, TableError};
-use crate::manifest::Manifest;
-use crate::snapshot::SnapshotOperation;
+use crate::manifest::{Manifest, ManifestEntry};
+use crate::schema_def::ValueDef;
+use crate::snapshot::{Snapshot, SnapshotOperation};
 use crate::table::Table;
 use lakehouse_store::{ObjectPath, StoreError};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Outcome of a compaction pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactionReport {
-    /// Files whose contents were rewritten.
+    /// Files whose contents were rewritten: those of the partitions that
+    /// held more than one. A partition's lone file is carried over as it is
+    /// and not counted.
     pub files_compacted: usize,
     /// Files written by the compaction.
     pub files_written: usize,
@@ -30,15 +33,45 @@ pub struct ExpirationReport {
     pub manifests_deleted: usize,
 }
 
+/// One value of a partition tuple as a map key: a float by its bits, so
+/// every tuple equals itself.
+#[derive(PartialEq, Eq, Hash)]
+enum KeyPart<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Str(&'a str),
+    Ts(i64),
+    Date(i32),
+}
+
+fn partition_key<'a>(values: &'a [ValueDef]) -> Vec<KeyPart<'a>> {
+    let part = |v: &'a ValueDef| match v {
+        ValueDef::Null => KeyPart::Null,
+        ValueDef::Bool(b) => KeyPart::Bool(*b),
+        ValueDef::Int(i) => KeyPart::Int(*i),
+        ValueDef::Float(f) => KeyPart::Float(f.to_bits()),
+        ValueDef::Str(s) => KeyPart::Str(s),
+        ValueDef::Ts(t) => KeyPart::Ts(*t),
+        ValueDef::Date(d) => KeyPart::Date(*d),
+    };
+    values.iter().map(part).collect()
+}
+
 impl Table {
     fn manifest(&self, path: &str) -> Result<Arc<Manifest>> {
         Manifest::load(self.store(), self.io(), path)
     }
 
-    /// Rewrite the current snapshot's data files into as few files as
-    /// possible (one per partition), committing an `Overwrite` snapshot.
-    /// No-op (returns zero counts) when the table already has ≤1 file per
-    /// partition.
+    /// Rewrite each partition that holds more than one data file into one
+    /// file, committing an `Overwrite` snapshot. A partition with a single
+    /// file keeps it (same entry, same path, not read); a fragmented one is
+    /// read through a scan of its own files, so memory is bounded by the
+    /// largest such partition, not the table. The new snapshot lists the
+    /// files in the old order, a rewritten partition's file where its first
+    /// old file was. No-op (returns zero counts) when the table already has
+    /// ≤1 file per partition.
     ///
     /// Readers are unaffected: old snapshots keep referencing the old files
     /// until [`Table::expire_snapshots`] removes them.
@@ -46,44 +79,67 @@ impl Table {
         let Some(current) = self.metadata().current_snapshot() else {
             return Ok((self.clone(), CompactionReport::default()));
         };
-        let manifest = self.manifest(&current.manifest_path)?;
-        // Group files by partition tuple.
-        let mut partitions: HashSet<String> = HashSet::new();
-        for e in &manifest.entries {
-            partitions.insert(serde_json::to_string(&e.partition).unwrap_or_default());
+        let live = Manifest::load_live(self.store(), self.io(), &current.manifest_path)?;
+        // Files by partition tuple, partitions in order of first appearance.
+        let mut group_of = HashMap::new();
+        let mut partitions: Vec<Vec<&ManifestEntry>> = Vec::new();
+        for entry in live.iter().flat_map(|m| &m.entries) {
+            let next = partitions.len();
+            let group = *group_of
+                .entry(partition_key(&entry.partition))
+                .or_insert(next);
+            if group == next {
+                partitions.push(Vec::new());
+            }
+            partitions[group].push(entry);
         }
-        if manifest.entries.len() <= partitions.len() {
+        if partitions.iter().all(|files| files.len() == 1) {
             return Ok((self.clone(), CompactionReport::default()));
         }
-        // Read everything through a normal scan (handles schema evolution)
-        // and rewrite in one transaction; the partition spec re-splits rows.
-        let batch = self.scan().execute()?;
+        // In first-appearance order, each partition's file lands where its
+        // first old file was.
         let mut tx = self.new_transaction(SnapshotOperation::Overwrite);
-        if batch.num_rows() > 0 {
-            tx.write(&batch)?;
+        let mut report = CompactionReport::default();
+        for files in partitions {
+            if let [only] = files[..] {
+                tx.carry(only.clone());
+                continue;
+            }
+            // A normal scan handles schema evolution; the partition spec
+            // puts the rows back in one file.
+            let owned = files.iter().map(|&e| e.clone()).collect();
+            let batch = self.scan().restricted_to(owned).execute()?;
+            report.files_compacted += files.len();
+            report.rows_rewritten += batch.num_rows() as u64;
+            if batch.num_rows() > 0 {
+                let before = tx.staged_files();
+                tx.write(&batch)?;
+                report.files_written += tx.staged_files() - before;
+            }
         }
-        let compacted = tx.commit_table()?;
-        let new_manifest_path = compacted
-            .metadata()
-            .current_snapshot()
-            .map(|s| s.manifest_path.clone())
-            .ok_or_else(|| TableError::Corrupt("compaction produced no snapshot".into()))?;
-        let files_written = compacted.manifest(&new_manifest_path)?.entries.len();
-        Ok((
-            compacted,
-            CompactionReport {
-                files_compacted: manifest.entries.len(),
-                files_written,
-                rows_rewritten: batch.num_rows() as u64,
-            },
-        ))
+        Ok((tx.commit_table()?, report))
+    }
+
+    /// The manifests `snapshot` names: the root's refs and the root. A root
+    /// already gone (an earlier, interrupted expiry) names itself alone.
+    fn named_by(&self, snapshot: &Snapshot) -> Result<Vec<String>> {
+        let root = match self.manifest(&snapshot.manifest_path) {
+            Ok(root) => root,
+            Err(TableError::Store(StoreError::NotFound(_))) => {
+                return Ok(vec![snapshot.manifest_path.clone()])
+            }
+            Err(e) => return Err(e),
+        };
+        let mut named: Vec<String> = root.refs.iter().map(|r| r.path.clone()).collect();
+        named.push(snapshot.manifest_path.clone());
+        Ok(named)
     }
 
     /// Drop all snapshots except the most recent `retain_last`, deleting
-    /// what only they reach: their manifests, the data files no retained
-    /// snapshot references, and the earlier metadata documents whose current
-    /// snapshot is among them. Returns the updated table handle (new
-    /// metadata document).
+    /// what only they reach: the manifests no retained snapshot names as
+    /// its root or a ref, the data files no retained manifest lists, and the
+    /// earlier metadata documents whose current snapshot is among them.
+    /// Returns the updated table handle (new metadata document).
     ///
     /// The doomed set is computed once and every path deleted once; an
     /// object already gone (an earlier, interrupted expiry) is not an error.
@@ -95,16 +151,24 @@ impl Table {
         }
         let split = metadata.snapshots.len() - retain_last;
         let expired: Vec<_> = metadata.snapshots.drain(..split).collect();
-        // Files referenced by retained snapshots must survive.
-        let mut retained_files = HashSet::new();
+        // Manifests a retained snapshot names, and their files, survive.
+        let mut live_manifests = HashSet::new();
         for snap in &metadata.snapshots {
-            let manifest = self.manifest(&snap.manifest_path)?;
+            live_manifests.extend(self.named_by(snap)?);
+        }
+        let mut retained_files = HashSet::new();
+        for path in &live_manifests {
+            let manifest = self.manifest(path)?;
             retained_files.extend(manifest.entries.iter().map(|e| e.file_path.clone()));
         }
-        let mut doomed_files = BTreeSet::new();
         let mut doomed_manifests = BTreeSet::new();
         for snap in &expired {
-            let manifest = match self.manifest(&snap.manifest_path) {
+            let named = self.named_by(snap)?.into_iter();
+            doomed_manifests.extend(named.filter(|m| !live_manifests.contains(m)));
+        }
+        let mut doomed_files = BTreeSet::new();
+        for path in &doomed_manifests {
+            let manifest = match self.manifest(path) {
                 Ok(m) => m,
                 Err(TableError::Store(StoreError::NotFound(_))) => continue,
                 Err(e) => return Err(e),
@@ -115,7 +179,6 @@ impl Table {
                     .filter(|f| !retained_files.contains(*f))
                     .cloned(),
             );
-            doomed_manifests.insert(snap.manifest_path.clone());
         }
         let retained_ids: HashSet<u64> = metadata.snapshots.iter().map(|s| s.snapshot_id).collect();
         let current_in_retained =
@@ -260,18 +323,20 @@ mod tests {
 
     #[test]
     fn expiration_deletes_superseded_documents_and_tolerates_missing_objects() {
-        let t = table_with_appends(3, PartitionSpec::unpartitioned());
-        // create → 3 appends: the log names the three documents before this
-        // one, each with the snapshot that was current in it.
+        // create → 3 appends → compaction: the log names the four documents
+        // before this one, each with the snapshot that was current in it.
+        let (t, _) = table_with_appends(3, PartitionSpec::unpartitioned())
+            .compact()
+            .unwrap();
         let log = &t.metadata().metadata_log;
         let logged: Vec<_> = log.iter().map(|e| e.snapshot_id).collect();
-        assert_eq!(logged, vec![None, Some(1), Some(2)]);
+        assert_eq!(logged, vec![None, Some(1), Some(2), Some(3)]);
         // An earlier, interrupted expiry already took one manifest.
         let gone = t.metadata().snapshots[0].manifest_path.clone();
         t.store().delete(&ObjectPath::new(gone).unwrap()).unwrap();
         let (t2, report) = t.expire_snapshots(1).unwrap();
-        assert_eq!(report.snapshots_expired, 2);
-        assert_eq!(report.manifests_deleted, 1, "the other was already gone");
+        assert_eq!(report.snapshots_expired, 3);
+        assert_eq!(report.manifests_deleted, 2, "the other was already gone");
         for entry in log {
             let path = ObjectPath::new(entry.location.clone()).unwrap();
             assert!(!t.store().exists(&path), "{} survived", entry.location);
@@ -281,6 +346,23 @@ mod tests {
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].location, t.metadata_location());
         assert_eq!(t2.scan().execute().unwrap().num_rows(), 3);
+    }
+
+    #[test]
+    fn sequence_numbers_keep_rising_after_expiry() {
+        let t = table_with_appends(5, PartitionSpec::unpartitioned());
+        let (t, _) = t.expire_snapshots(1).unwrap();
+        let mut tx = t.new_transaction(SnapshotOperation::Append);
+        tx.write(&batch("a", vec![9])).unwrap();
+        let t = tx.commit_table().unwrap();
+        let snapshots = &t.metadata().snapshots;
+        let (newest, earlier) = snapshots.split_last().unwrap();
+        assert_eq!(newest.sequence_number, 6, "one past the five appends");
+        assert!(earlier
+            .iter()
+            .all(|s| s.sequence_number < newest.sequence_number));
+        // The document is named by it too.
+        assert!(t.metadata_location().starts_with("wh/t/metadata/v00006-"));
     }
 
     #[test]

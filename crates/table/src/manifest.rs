@@ -1,5 +1,6 @@
 //! Manifests: the per-snapshot inventory of data files with partition values
-//! and column statistics for pruning.
+//! and column statistics for pruning, and the refs by which a snapshot's root
+//! names the earlier manifests still live.
 
 use crate::cache::TableIo;
 use crate::error::{Result, TableError};
@@ -72,17 +73,110 @@ impl ManifestEntry {
     }
 }
 
-/// The manifest: all data files of one snapshot. Persisted as one JSON
-/// object per snapshot (a simplification of Iceberg's manifest-list →
-/// manifest indirection that preserves the pruning behaviour).
+/// An earlier manifest a root still names: Iceberg's manifest-list entry,
+/// folded into the manifest. It carries what a scan needs to account for
+/// the manifest, or to skip it unread: its size, and per partition field
+/// the least and greatest value over its entries.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ManifestRef {
+    pub path: String,
+    pub file_count: u64,
+    pub row_count: u64,
+    pub byte_count: u64,
+    /// Per partition field, the least value over the entries; `Null` when
+    /// some entry has no value there, and then the field never prunes.
+    pub partition_lower: Vec<ValueDef>,
+    /// Per partition field, the greatest value, `Null` likewise.
+    pub partition_upper: Vec<ValueDef>,
+}
+
+impl ManifestRef {
+    /// The summary of `manifest`'s own entries (not its refs), stored at
+    /// `path`, for a table with `fields` partition fields.
+    pub(crate) fn summarize(path: &str, manifest: &Manifest, fields: usize) -> ManifestRef {
+        let mut lower = Vec::with_capacity(fields);
+        let mut upper = Vec::with_capacity(fields);
+        for field in 0..fields {
+            let (lo, hi) =
+                partition_range(&manifest.entries, field).unwrap_or((Value::Null, Value::Null));
+            lower.push(ValueDef::from_value(&lo));
+            upper.push(ValueDef::from_value(&hi));
+        }
+        ManifestRef {
+            path: path.to_string(),
+            file_count: manifest.entries.len() as u64,
+            row_count: manifest.total_rows(),
+            byte_count: manifest.total_bytes(),
+            partition_lower: lower,
+            partition_upper: upper,
+        }
+    }
+
+    /// Can some entry have a partition value `v` at `field` with
+    /// `v OP literal`? The rule entry-level partition pruning applies to
+    /// one value, applied to the range: a ref is skipped only when every
+    /// entry in it would be.
+    pub(crate) fn partition_may_match(&self, field: usize, op: CmpOp, literal: &Value) -> bool {
+        let bound = |bounds: &[ValueDef]| bounds.get(field).map(ValueDef::to_value);
+        let (Some(lower), Some(upper)) =
+            (bound(&self.partition_lower), bound(&self.partition_upper))
+        else {
+            return true;
+        };
+        if lower.is_null() || upper.is_null() {
+            return true;
+        }
+        let (lo, hi) = (lower.total_cmp(literal), upper.total_cmp(literal));
+        match op {
+            CmpOp::Eq => lo.is_le() && hi.is_ge(),
+            CmpOp::NotEq => !(lo.is_eq() && hi.is_eq()),
+            CmpOp::Lt => lo.is_lt(),
+            CmpOp::LtEq => lo.is_le(),
+            CmpOp::Gt => hi.is_gt(),
+            CmpOp::GtEq => hi.is_ge(),
+        }
+    }
+}
+
+/// The least and greatest partition value at `field` over `entries`; `None`
+/// when there are no entries, or one of them has no value there.
+fn partition_range(entries: &[ManifestEntry], field: usize) -> Option<(Value, Value)> {
+    let mut range: Option<(Value, Value)> = None;
+    for entry in entries {
+        let value = entry.partition.get(field)?.to_value();
+        if value.is_null() {
+            return None;
+        }
+        range = Some(match range {
+            None => (value.clone(), value),
+            Some((lo, hi)) => (
+                std::cmp::min_by(lo, value.clone(), Value::total_cmp),
+                std::cmp::max_by(hi, value, Value::total_cmp),
+            ),
+        });
+    }
+    range
+}
+
+/// A snapshot's manifest, its *root*: the data files the snapshot added
+/// (all of them, for an overwrite) and, in `refs`, the earlier manifests
+/// whose entries are still live. The snapshot's files are each ref's
+/// entries in ref order, oldest first, then the root's own: an append
+/// writes only what it staged, never the files before it. A referenced
+/// manifest's own refs are not followed; the root lists them flat. A
+/// manifest without refs serializes without the key, as manifests did
+/// before there were any.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub refs: Vec<ManifestRef>,
     pub entries: Vec<ManifestEntry>,
 }
 
 impl Manifest {
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("manifest serialization cannot fail")
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        serde_json::to_vec(self)
+            .map_err(|e| TableError::Corrupt(format!("manifest serialization: {e}")))
     }
 
     pub fn from_bytes(bytes: &[u8]) -> Option<Manifest> {
@@ -101,10 +195,27 @@ impl Manifest {
         })
     }
 
+    /// Every live manifest of the snapshot whose root is at `path`: each
+    /// ref's, in ref order, then the root.
+    pub(crate) fn load_live(
+        store: &Arc<dyn ObjectStore>,
+        io: &TableIo,
+        path: &str,
+    ) -> Result<Vec<Arc<Manifest>>> {
+        let root = Manifest::load(store, io, path)?;
+        let mut live = (root.refs.iter())
+            .map(|r| Manifest::load(store, io, &r.path))
+            .collect::<Result<Vec<_>>>()?;
+        live.push(root);
+        Ok(live)
+    }
+
+    /// Rows in this manifest's own entries.
     pub fn total_rows(&self) -> u64 {
         self.entries.iter().map(|e| e.row_count).sum()
     }
 
+    /// Bytes in this manifest's own entries.
     pub fn total_bytes(&self) -> u64 {
         self.entries.iter().map(|e| e.file_size).sum()
     }
@@ -138,9 +249,10 @@ mod tests {
     #[test]
     fn manifest_round_trip() {
         let m = Manifest {
+            refs: vec![],
             entries: vec![entry("f1", 0, 9), entry("f2", 10, 19)],
         };
-        let rt = Manifest::from_bytes(&m.to_bytes()).unwrap();
+        let rt = Manifest::from_bytes(&m.to_bytes().unwrap()).unwrap();
         assert_eq!(m, rt);
         assert_eq!(rt.total_rows(), 20);
         assert_eq!(rt.total_bytes(), 2000);
@@ -158,6 +270,54 @@ mod tests {
     fn missing_stats_conservative() {
         let e = entry("f1", 10, 20);
         assert!(e.may_match("other_col", CmpOp::Eq, &Value::Int64(1)));
+    }
+
+    #[test]
+    fn a_ref_prunes_only_when_no_entry_could_match() {
+        let at = |day: i32| ManifestEntry {
+            partition: vec![ValueDef::Date(day)],
+            ..entry("f", 0, 9)
+        };
+        let m = Manifest {
+            refs: vec![],
+            entries: vec![at(12), at(10), at(14)],
+        };
+        let r = ManifestRef::summarize("m", &m, 1);
+        assert_eq!((r.file_count, r.row_count, r.byte_count), (3, 30, 3000));
+        assert_eq!(
+            (&r.partition_lower[..], &r.partition_upper[..]),
+            (&[ValueDef::Date(10)][..], &[ValueDef::Date(14)][..])
+        );
+        let may = |op, day| r.partition_may_match(0, op, &Value::Date(day));
+        assert!(may(CmpOp::Eq, 11) && !may(CmpOp::Eq, 9) && !may(CmpOp::Eq, 15));
+        assert!(may(CmpOp::Lt, 11) && !may(CmpOp::Lt, 10) && may(CmpOp::LtEq, 10));
+        assert!(may(CmpOp::Gt, 13) && !may(CmpOp::Gt, 14) && may(CmpOp::GtEq, 14));
+        assert!(may(CmpOp::NotEq, 10));
+        let one_day = ManifestRef::summarize(
+            "m",
+            &Manifest {
+                refs: vec![],
+                entries: vec![at(3)],
+            },
+            1,
+        );
+        assert!(!one_day.partition_may_match(0, CmpOp::NotEq, &Value::Date(3)));
+        // An entry without a value there, or a field past the bounds: no
+        // pruning on it.
+        let nulls = Manifest {
+            refs: vec![],
+            entries: vec![
+                at(12),
+                ManifestEntry {
+                    partition: vec![ValueDef::Null],
+                    ..at(0)
+                },
+            ],
+        };
+        let r = ManifestRef::summarize("m", &nulls, 1);
+        assert_eq!(r.partition_lower, vec![ValueDef::Null]);
+        assert!(r.partition_may_match(0, CmpOp::Eq, &Value::Date(99)));
+        assert!(r.partition_may_match(1, CmpOp::Eq, &Value::Date(99)));
     }
 
     #[test]

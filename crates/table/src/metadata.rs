@@ -67,8 +67,9 @@ impl TableMetadata {
         })
     }
 
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec_pretty(self).expect("metadata serialization cannot fail")
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        serde_json::to_vec_pretty(self)
+            .map_err(|e| TableError::Corrupt(format!("metadata serialization: {e}")))
     }
 
     pub fn from_bytes(bytes: &[u8]) -> Result<TableMetadata> {
@@ -110,6 +111,16 @@ impl TableMetadata {
         self.snapshots
             .iter()
             .map(|s| s.snapshot_id)
+            .max()
+            .map_or(1, |m| m + 1)
+    }
+
+    /// Next sequence number: one past the highest ever issued, which the
+    /// newest snapshot holds, so it keeps rising after an expiry.
+    pub fn next_sequence_number(&self) -> u64 {
+        self.snapshots
+            .iter()
+            .map(|s| s.sequence_number)
             .max()
             .map_or(1, |m| m + 1)
     }
@@ -213,7 +224,7 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let m = meta();
-        let rt = TableMetadata::from_bytes(&m.to_bytes()).unwrap();
+        let rt = TableMetadata::from_bytes(&m.to_bytes().unwrap()).unwrap();
         assert_eq!(m, rt);
     }
 

@@ -24,9 +24,10 @@
 
 use crate::cache::TableIo;
 use crate::error::{reread_on_corruption, Result, TableError};
-use crate::manifest::{Manifest, ManifestEntry};
+use crate::manifest::{Manifest, ManifestEntry, ManifestRef};
 use crate::metadata::TableMetadata;
 use crate::partition::Transform;
+use crate::schema_def::ValueDef;
 use lakehouse_columnar::kernels::{cmp_column_scalar, filter_batch, to_selection, CmpOp};
 use lakehouse_columnar::{Column, Field, RecordBatch, Schema, Value};
 use lakehouse_format::RangedReader;
@@ -99,7 +100,14 @@ pub struct TableScan {
     projection: Option<Vec<String>>,
     fetch_retries: u32,
     io: TableIo,
+    /// Read these files instead of the snapshot's (compaction reads one
+    /// partition at a time).
+    only: Option<Arc<Manifest>>,
 }
+
+/// Where a live entry is: (manifest, entry) positions in
+/// [`ScanStream::manifests`].
+type EntryAt = (usize, usize);
 
 impl TableScan {
     pub(crate) fn new(
@@ -115,7 +123,18 @@ impl TableScan {
             projection: None,
             fetch_retries: 0,
             io,
+            only: None,
         }
+    }
+
+    /// Scan exactly `entries` — files of this table, in this order — instead
+    /// of the snapshot's.
+    pub(crate) fn restricted_to(mut self, entries: Vec<ManifestEntry>) -> TableScan {
+        self.only = Some(Arc::new(Manifest {
+            refs: Vec::new(),
+            entries,
+        }));
+        self
     }
 
     /// Re-read the manifest or a data file up to `n` extra times when its
@@ -203,26 +222,38 @@ impl TableScan {
             Some(id) => Some(self.metadata.snapshot(id)?),
             None => self.metadata.current_snapshot(),
         };
-        let mut manifest = Arc::new(Manifest::default());
-        let mut entries = VecDeque::new();
-        if let Some(snapshot) = snapshot {
-            let (loaded, rereads) = reread_on_corruption(
-                &*self.store,
-                &snapshot.manifest_path,
-                self.fetch_retries,
-                || Manifest::load(&self.store, &self.io, &snapshot.manifest_path),
-            );
-            report.fetch_retries += rereads as usize;
-            manifest = loaded?;
-            report.files_total = manifest.entries.len();
-            report.bytes_total = manifest.total_bytes();
-            for (i, entry) in manifest.entries.iter().enumerate() {
-                if self.entry_may_match(entry)? {
-                    entries.push_back(i);
+        let root = match (&self.only, snapshot) {
+            (Some(only), _) => Some(Arc::clone(only)),
+            (None, Some(snapshot)) => {
+                Some(self.load_manifest(&snapshot.manifest_path, &mut report)?)
+            }
+            (None, None) => None,
+        };
+        // The live manifests, oldest first: the root's refs less those whose
+        // partition ranges rule out a match (counted, not read), then the
+        // root.
+        let mut manifests = Vec::new();
+        if let Some(root) = root {
+            for r in &root.refs {
+                report.files_total += r.file_count as usize;
+                report.bytes_total += r.byte_count;
+                if self.ref_may_match(r)? {
+                    manifests.push(self.load_manifest(&r.path, &mut report)?);
                 }
             }
-            report.files_scanned = entries.len();
+            report.files_total += root.entries.len();
+            report.bytes_total += root.total_bytes();
+            manifests.push(root);
         }
+        let mut entries = VecDeque::new();
+        for (m, manifest) in manifests.iter().enumerate() {
+            for (i, entry) in manifest.entries.iter().enumerate() {
+                if self.entry_may_match(entry)? {
+                    entries.push_back((m, i));
+                }
+            }
+        }
+        report.files_scanned = entries.len();
         let prelude_nanos = metrics
             .as_ref()
             .map(|m| m.lane_nanos() - lane_start)
@@ -239,7 +270,7 @@ impl TableScan {
         Ok(ScanStream {
             scan: self,
             scan_schema,
-            manifest,
+            manifests,
             entries,
             pending: VecDeque::new(),
             ready: VecDeque::new(),
@@ -292,36 +323,65 @@ impl TableScan {
         }
     }
 
+    /// The manifest at `path`, re-read while its bytes fail to parse.
+    fn load_manifest(&self, path: &str, report: &mut ScanReport) -> Result<Arc<Manifest>> {
+        let (loaded, rereads) =
+            reread_on_corruption(&*self.store, path, self.fetch_retries, || {
+                Manifest::load(&self.store, &self.io, path)
+            });
+        report.fetch_retries += rereads as usize;
+        loaded
+    }
+
     /// Partition pruning + file-stats pruning for one manifest entry.
     fn entry_may_match(&self, entry: &ManifestEntry) -> Result<bool> {
         for p in &self.predicates {
-            // Partition pruning: if the predicate column is a partition
-            // source, compare the transformed literal against the entry's
-            // partition value.
-            for (i, field) in self.metadata.partition_spec.fields.iter().enumerate() {
-                if field.source_column != p.column {
-                    continue;
-                }
-                let Some(part_value) = entry.partition.get(i) else {
-                    continue;
-                };
-                let part_value = part_value.to_value();
-                if part_value.is_null() {
-                    continue;
-                }
-                let transformed = field.transform.apply(&p.literal)?;
-                let prunable = match field.transform {
-                    // Order-preserving transforms keep range semantics;
-                    // Identity keeps equality exactly.
-                    Transform::Bucket(_) => p.op == CmpOp::Eq,
+            let in_partition = |field: usize, literal: &Value| {
+                let value = entry.partition.get(field).map(ValueDef::to_value);
+                match value {
+                    Some(value) if !value.is_null() => value_may_match(p.op, &value, literal),
                     _ => true,
-                };
-                if prunable && !value_may_match(p.op, &part_value, &transformed) {
-                    return Ok(false);
                 }
+            };
+            if !self.partition_may_match(p, in_partition)?
+                || !entry.may_match(&p.column, p.op, &p.literal)
+            {
+                return Ok(false);
             }
-            // File-level stats pruning.
-            if !entry.may_match(&p.column, p.op, &p.literal) {
+        }
+        Ok(true)
+    }
+
+    /// Partition pruning for a whole referenced manifest, by its ranges.
+    fn ref_may_match(&self, r: &ManifestRef) -> Result<bool> {
+        for p in &self.predicates {
+            let in_range =
+                |field: usize, literal: &Value| r.partition_may_match(field, p.op, literal);
+            if !self.partition_may_match(p, in_range)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Whether `p` lets through every partition field it constrains:
+    /// `may_match(field, transformed literal)` decides each. A `Bucket`
+    /// transform prunes only on `Eq`; the others preserve order, so range
+    /// predicates carry over to partition values.
+    fn partition_may_match(
+        &self,
+        p: &ScanPredicate,
+        may_match: impl Fn(usize, &Value) -> bool,
+    ) -> Result<bool> {
+        for (i, field) in self.metadata.partition_spec.fields.iter().enumerate() {
+            if field.source_column != p.column {
+                continue;
+            }
+            let prunable = match field.transform {
+                Transform::Bucket(_) => p.op == CmpOp::Eq,
+                _ => true,
+            };
+            if prunable && !may_match(i, &field.transform.apply(&p.literal)?) {
                 return Ok(false);
             }
         }
@@ -432,13 +492,13 @@ impl TableScan {
 pub struct ScanStream {
     scan: TableScan,
     scan_schema: Schema,
-    manifest: Arc<Manifest>,
-    /// The entries of `manifest` that survived pruning and are not yet
-    /// requested, by position.
-    entries: VecDeque<usize>,
+    /// The snapshot's manifests that survived pruning, in scan order.
+    manifests: Vec<Arc<Manifest>>,
+    /// The entries that survived pruning and are not yet requested.
+    entries: VecDeque<EntryAt>,
     /// Entries whose opening range is submitted to the dispatcher but not
     /// yet consumed, in manifest order.
-    pending: VecDeque<(usize, IoTicket)>,
+    pending: VecDeque<(EntryAt, IoTicket)>,
     ready: VecDeque<RecordBatch>,
     /// Requests the next pull may have in flight; doubles per pull up to
     /// the number of lanes.
@@ -532,14 +592,14 @@ impl ScanStream {
     /// and so through the full store stack like any demand fetch.
     fn submit_window(&mut self, io: &IoDispatcher) -> Result<()> {
         while self.pending.len() < self.window {
-            let Some(i) = self.entries.pop_front() else {
+            let Some(at) = self.entries.pop_front() else {
                 break;
             };
-            let entry = &self.manifest.entries[i];
+            let entry = self.entry(at);
             let path = ObjectPath::new(entry.file_path.clone())?;
             let (start, end) = RangedReader::opening_range(entry.file_size as usize);
             let ticket = io.submit_get_range(&path, start, end);
-            self.pending.push_back((i, ticket));
+            self.pending.push_back((at, ticket));
         }
         Ok(())
     }
@@ -551,10 +611,10 @@ impl ScanStream {
     /// Returns the outcome and the re-reads used.
     fn read_retrying(
         &self,
-        entry: usize,
+        at: EntryAt,
         mut prefetched: Option<lakehouse_store::Result<bytes::Bytes>>,
     ) -> (Result<EntryPartial>, u32) {
-        let entry = &self.manifest.entries[entry];
+        let entry = self.entry(at);
         let read =
             |bytes: Option<&bytes::Bytes>| self.scan.read_entry(entry, &self.scan_schema, bytes);
         // Only the first read has a prefetched range to take.
@@ -568,6 +628,10 @@ impl ScanStream {
                 None => read(None),
             },
         )
+    }
+
+    fn entry(&self, (manifest, entry): EntryAt) -> &ManifestEntry {
+        &self.manifests[manifest].entries[entry]
     }
 
     /// Book one entry that was read: its simulated time onto the
@@ -749,6 +813,35 @@ mod tests {
             .unwrap();
         assert_eq!(b.num_rows(), 3);
         assert_eq!(report.files_scanned, 2); // days 200 and 300 of 3 files
+    }
+
+    #[test]
+    fn a_ref_outside_the_predicate_is_counted_not_read() {
+        let spec = PartitionSpec::new(vec![PartitionField {
+            source_column: "pickup_at".into(),
+            transform: Transform::Day,
+        }]);
+        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let mut t = Table::create(Arc::clone(&store), "wh/days", &taxi_schema(), spec).unwrap();
+        for day in [100, 200, 300] {
+            let mut tx = t.new_transaction(SnapshotOperation::Append);
+            tx.write(&taxi_batch(vec![day, day], vec!["a", "b"], vec![1.0, 2.0]))
+                .unwrap();
+            t = tx.commit_table().unwrap();
+        }
+        // Day 100's manifest is gone: only a scan that has to read it fails.
+        let first = t.metadata().snapshots[0].manifest_path.clone();
+        store.delete(&ObjectPath::new(first).unwrap()).unwrap();
+        let later = ScanPredicate::new("pickup_at", CmpOp::GtEq, Value::Date(150));
+        let (b, report) = t
+            .scan()
+            .with_predicate(later)
+            .execute_with_report()
+            .unwrap();
+        assert_eq!(b.num_rows(), 4);
+        assert_eq!((report.files_total, report.files_scanned), (3, 2));
+        assert!(report.bytes_scanned < report.bytes_total);
+        assert!(t.scan().execute().is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Snapshots: immutable table versions, each pointing at one manifest.
+//! Snapshots: immutable table versions, each pointing at its root manifest.
 
 use serde::{Deserialize, Serialize};
 
@@ -18,10 +18,11 @@ pub struct Snapshot {
     pub snapshot_id: u64,
     /// Parent snapshot (None for the first).
     pub parent_id: Option<u64>,
-    /// Monotonic sequence number (== position in history).
+    /// One past the highest sequence number the table had issued before it:
+    /// strictly increasing, expiry included.
     pub sequence_number: u64,
     pub operation: SnapshotOperation,
-    /// Object-store path of this snapshot's manifest document.
+    /// Object-store path of this snapshot's root manifest.
     pub manifest_path: String,
     /// Rows added by this snapshot (summary, for `DESCRIBE`-style output).
     pub added_rows: u64,

@@ -88,8 +88,9 @@ impl Table {
         metadata: TableMetadata,
         io: TableIo,
     ) -> Result<Table> {
-        let bytes = metadata.to_bytes();
-        let metadata_location = metadata_path(&metadata.location, metadata.snapshots.len(), &bytes);
+        let bytes = metadata.to_bytes()?;
+        let seq = metadata.current_snapshot().map_or(0, |s| s.sequence_number);
+        let metadata_location = metadata_path(&metadata.location, seq, &bytes);
         let metadata = io.persist(&*store, &metadata_location, bytes, metadata)?;
         Ok(Table {
             store,

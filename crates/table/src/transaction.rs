@@ -3,7 +3,7 @@
 
 use crate::cache::{data_path, manifest_path, TableIo};
 use crate::error::{Result, TableError};
-use crate::manifest::{Manifest, ManifestEntry, StatsDef};
+use crate::manifest::{Manifest, ManifestEntry, ManifestRef, StatsDef};
 use crate::metadata::TableMetadata;
 use crate::snapshot::{Snapshot, SnapshotOperation};
 use crate::table::Table;
@@ -107,6 +107,17 @@ impl Transaction {
         Ok(())
     }
 
+    /// Stage a file of the parent snapshot as it is: listed in the new
+    /// manifest, not read or written (compaction's untouched partitions).
+    pub(crate) fn carry(&mut self, entry: ManifestEntry) {
+        self.staged.push(entry);
+    }
+
+    /// Files staged so far, written or carried.
+    pub(crate) fn staged_files(&self) -> usize {
+        self.staged.len()
+    }
+
     /// Commit: write the manifest and a new metadata document; returns the
     /// new metadata location and the updated metadata.
     pub fn commit(self) -> Result<(String, TableMetadata)> {
@@ -115,31 +126,38 @@ impl Transaction {
     }
 
     /// [`Transaction::commit`], returning the handle to the new version.
+    ///
+    /// The new root lists only the staged files. An append names the
+    /// parent's live manifests in its refs — the parent root's refs, then
+    /// the parent root itself if it has files of its own — so it loads the
+    /// parent root alone and writes O(what it staged); an overwrite has no
+    /// refs.
     pub(crate) fn commit_table(mut self) -> Result<Table> {
         let parent = self.metadata.current_snapshot().cloned();
         let snapshot_id = self.metadata.next_snapshot_id();
-        // Assemble the manifest: append keeps parent files, overwrite
-        // starts fresh.
-        let mut entries = Vec::new();
-        if self.operation == SnapshotOperation::Append {
-            if let Some(parent) = &parent {
-                let parent_manifest = Manifest::load(&self.store, &self.io, &parent.manifest_path)?;
-                // Moved when this commit holds the only handle (no cache),
-                // copied out of the shared one otherwise.
-                entries = Arc::unwrap_or_clone(parent_manifest).entries;
+        let mut manifest = Manifest {
+            refs: Vec::new(),
+            entries: std::mem::take(&mut self.staged),
+        };
+        let mut total_rows = manifest.total_rows();
+        if let (SnapshotOperation::Append, Some(parent)) = (self.operation, &parent) {
+            let root = Manifest::load(&self.store, &self.io, &parent.manifest_path)?;
+            manifest.refs = root.refs.clone();
+            if !root.entries.is_empty() {
+                let fields = self.metadata.partition_spec.fields.len();
+                let own = ManifestRef::summarize(&parent.manifest_path, &root, fields);
+                manifest.refs.push(own);
             }
+            total_rows += parent.total_rows;
         }
-        entries.append(&mut self.staged);
-        let manifest = Manifest { entries };
-        let total_rows = manifest.total_rows();
-        let bytes = manifest.to_bytes();
+        let bytes = manifest.to_bytes()?;
         let manifest_path = manifest_path(&self.metadata.location, snapshot_id, &bytes);
         self.io
             .persist(&*self.store, &manifest_path, bytes, manifest)?;
         let snapshot = Snapshot {
             snapshot_id,
             parent_id: parent.as_ref().map(|p| p.snapshot_id),
-            sequence_number: self.metadata.snapshots.len() as u64 + 1,
+            sequence_number: self.metadata.next_sequence_number(),
             operation: self.operation,
             manifest_path,
             added_rows: self.rows_added,
@@ -246,6 +264,102 @@ mod tests {
         assert_eq!(manifest.entries.len(), 2);
         assert!(manifest.entries.iter().all(|e| e.row_count == 2));
         let _ = loc;
+    }
+
+    fn root_of(table: &Table) -> Manifest {
+        let path = &table.metadata().current_snapshot().unwrap().manifest_path;
+        let bytes = table.store().get(&ObjectPath::new(path.clone()).unwrap());
+        Manifest::from_bytes(&bytes.unwrap()).unwrap()
+    }
+
+    #[test]
+    fn an_append_writes_only_its_own_entries() {
+        let store = store();
+        let mut table = Table::create(
+            Arc::clone(&store),
+            "wh/t",
+            &schema(),
+            PartitionSpec::identity("zone"),
+        )
+        .unwrap();
+        let zones = ["a", "b", "c"];
+        for k in 0..20i64 {
+            let mut tx = table.new_transaction(SnapshotOperation::Append);
+            tx.write(&batch(vec![k], vec![zones[k as usize % 3]]))
+                .unwrap();
+            table = tx.commit_table().unwrap();
+            // The k-th root lists its one file, whatever the table holds,
+            // and names every earlier root in order.
+            let root = root_of(&table);
+            assert_eq!(root.entries.len(), 1, "append {k}");
+            assert!(root.entries[0]
+                .file_path
+                .contains(&format!("/data/snap{}-", k + 1)));
+            let named: Vec<_> = root.refs.iter().map(|r| r.path.as_str()).collect();
+            let earlier: Vec<_> = table.metadata().snapshots[..k as usize]
+                .iter()
+                .map(|s| s.manifest_path.as_str())
+                .collect();
+            assert_eq!(named, earlier);
+            assert!(root
+                .refs
+                .iter()
+                .all(|r| r.file_count == 1 && r.row_count == 1));
+            assert_eq!(
+                table.metadata().current_snapshot().unwrap().total_rows,
+                k as u64 + 1
+            );
+        }
+        // Every row, in append order.
+        let ids = table.scan().select(&["id"]).execute().unwrap();
+        assert_eq!(ids.column(0), &Column::from_i64((0..20).collect()));
+    }
+
+    #[test]
+    fn a_manifest_without_refs_loads_scans_and_takes_an_append() {
+        let store = store();
+        let table = Table::create(
+            Arc::clone(&store),
+            "wh/t",
+            &schema(),
+            PartitionSpec::identity("zone"),
+        )
+        .unwrap();
+        let mut tx = table.new_transaction(SnapshotOperation::Append);
+        tx.write(&batch(vec![1, 2, 3, 4], vec!["a", "b", "a", "c"]))
+            .unwrap();
+        let (location, _) = tx.commit().unwrap();
+        // Three files in one flat manifest with no `refs` key: the document
+        // manifests were before they had refs, byte for byte.
+        let old = Table::load(Arc::clone(&store), &location).unwrap();
+        let path = old
+            .metadata()
+            .current_snapshot()
+            .unwrap()
+            .manifest_path
+            .clone();
+        let bytes = store.get(&ObjectPath::new(path.clone()).unwrap()).unwrap();
+        assert!(!String::from_utf8_lossy(&bytes).contains("refs"));
+        assert_eq!(root_of(&old).entries.len(), 3);
+        let ids = |t: &Table| t.scan().select(&["id"]).execute().unwrap();
+        assert_eq!(ids(&old).column(0), &Column::from_i64(vec![1, 3, 2, 4]));
+        // An append names it, whole, and reads after it.
+        let mut tx = old.new_transaction(SnapshotOperation::Append);
+        tx.write(&batch(vec![5], vec!["a"])).unwrap();
+        let (location, _) = tx.commit().unwrap();
+        let appended = Table::load(Arc::clone(&store), &location).unwrap();
+        let root = root_of(&appended);
+        assert_eq!(root.refs.len(), 1);
+        assert_eq!(
+            (root.refs[0].path.clone(), root.refs[0].file_count),
+            (path, 3)
+        );
+        assert_eq!(
+            ids(&appended).column(0),
+            &Column::from_i64(vec![1, 3, 2, 4, 5])
+        );
+        let snapshot = appended.metadata().current_snapshot().unwrap();
+        assert_eq!(snapshot.total_rows, 5);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! when a commit lands while it runs.
 //!
 //! * A statement against a table version this process has not seen is one
-//!   ref + one metadata document + one manifest + the data files it needs;
+//!   ref + one metadata document + one root manifest + each earlier manifest
+//!   the root names whose partition range the statement cannot rule out +
+//!   the data files it needs;
 //!   against one it has seen — read before, or written through by its own
 //!   commit — it is the ref and the data files, nothing else. A data file
 //!   under the reader's merge distance is one request. The ledger is exact,
@@ -268,6 +270,54 @@ fn a_statement_costs_one_request_per_object_it_needs() {
     // Nothing was parsed twice anywhere: two tables, two documents each.
     assert_eq!(reader.metadata_cache().misses(), 4);
     assert_eq!(writer.metadata_cache().misses(), 0);
+}
+
+#[test]
+fn a_cold_point_query_reads_the_root_and_only_the_manifest_of_its_day() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let writer = front(&store, LakehouseConfig::zero_latency());
+    // Eight commits of one day each: a root naming seven earlier manifests.
+    let day = |d: i32| {
+        TaxiGenerator {
+            seed: 3,
+            start_day: 17_956 + d,
+            days: 1,
+            ..Default::default()
+        }
+        .generate(300)
+    };
+    let by_day = PartitionSpec::new(vec![PartitionField {
+        source_column: "pickup_at".into(),
+        transform: Transform::Day,
+    }]);
+    writer
+        .create_table_partitioned("taxi_table", &day(0), "main", by_day)
+        .unwrap();
+    for d in 1..8 {
+        writer.append_table("taxi_table", &day(d), "main").unwrap();
+    }
+    let count = |lh: &Lakehouse, date: &str| {
+        let sql = format!("SELECT COUNT(*) AS n FROM taxi_table WHERE pickup_at = DATE '{date}'");
+        let (out, ledger) = store.ledger(|| lh.query(&sql, "main").unwrap());
+        assert_eq!(out.row(0).unwrap()[0], Value::Int64(300), "{date}");
+        ledger
+    };
+    let cold = |manifests: usize| {
+        ledger_of(&[
+            ("ref", 1),
+            ("metadata:taxi_table", 1),
+            ("manifest:taxi_table", manifests),
+            ("data:taxi_table", 1),
+        ])
+    };
+    // 2019-03-04 is the fourth commit's day: the root, then its manifest;
+    // the other six refs are ruled out by their day ranges, unread.
+    let reader = cold_front(&store, LakehouseConfig::zero_latency());
+    assert_eq!(count(&reader, "2019-03-04"), cold(2));
+    // The newest day is in the root itself.
+    let reader = cold_front(&store, LakehouseConfig::zero_latency());
+    assert_eq!(count(&reader, "2019-03-08"), cold(1));
 }
 
 fn small_batch(ids: std::ops::Range<i64>) -> RecordBatch {
