@@ -78,12 +78,14 @@ fn main() {
 
     // End-to-end latency at the extremes (measured on the platform).
     let mut rows = Vec::new();
-    for (label, memory_capacity) in [
+    for (label, worker_memory_bytes) in [
         ("tiny worker (2 MB, stages split)", 2u64 << 20),
         ("32 GB worker (full fusion)", 32u64 << 30),
     ] {
-        let mut config = LakehouseConfig::default();
-        config.runtime.memory_capacity = memory_capacity;
+        let config = LakehouseConfig {
+            worker_memory_bytes,
+            ..Default::default()
+        };
         let lh = Lakehouse::in_memory(config).unwrap();
         lh.create_table(
             "taxi_table",

@@ -26,7 +26,8 @@ fn main() {
     // workload.
     let mut rng = StdRng::seed_from_u64(99);
     let stream: Vec<String> = (0..REQUESTS)
-        .map(|_| universe.sample_popular(&mut rng).name.clone())
+        .filter_map(|_| universe.sample_popular(&mut rng))
+        .map(|pkg| pkg.name.clone())
         .collect();
 
     let mut rows = Vec::new();

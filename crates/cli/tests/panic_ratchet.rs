@@ -24,7 +24,7 @@ const CEILINGS: &[(&str, usize)] = &[
     ("format", 0),
     ("obs", 6),
     ("planner", 1),
-    ("runtime", 4),
+    ("runtime", 0),
     ("scheduler", 3),
     ("sql", 10),
     ("store", 2),

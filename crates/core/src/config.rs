@@ -1,7 +1,6 @@
 //! Platform configuration.
 
 use lakehouse_planner::ExecutionMode;
-use lakehouse_runtime::RuntimeConfig;
 use lakehouse_store::{BufferPool, ChaosConfig, LatencyModel};
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,8 +16,10 @@ pub struct LakehouseConfig {
     pub latency: LatencyModel,
     /// How pipeline runs map steps to containers.
     pub execution_mode: ExecutionMode,
-    /// Serverless runtime tuning.
-    pub runtime: RuntimeConfig,
+    /// Memory of one worker, in bytes: the physical planner packs steps into
+    /// a stage until their estimated working sets exceed it (vertical
+    /// elasticity, paper §4.5).
+    pub worker_memory_bytes: u64,
     /// Author recorded on catalog commits.
     pub author: String,
     /// Tenant label stamped on this instance's query contexts — carried into
@@ -110,7 +111,7 @@ impl Default for LakehouseConfig {
             catalog_prefix: "_catalog".into(),
             latency: LatencyModel::s3_like(),
             execution_mode: ExecutionMode::Fused,
-            runtime: RuntimeConfig::default(),
+            worker_memory_bytes: 32 * 1024 * 1024 * 1024,
             author: "bauplan".into(),
             tenant: "default".into(),
             row_group_rows: 8192,

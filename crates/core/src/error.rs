@@ -40,7 +40,6 @@ pub enum BauplanError {
     Table(lakehouse_table::TableError),
     Sql(lakehouse_sql::SqlError),
     Planner(lakehouse_planner::PlannerError),
-    Runtime(lakehouse_runtime::RuntimeError),
     Columnar(lakehouse_columnar::ColumnarError),
 }
 
@@ -76,7 +75,6 @@ impl fmt::Display for BauplanError {
             Self::Table(e) => write!(f, "table: {e}"),
             Self::Sql(e) => write!(f, "sql: {e}"),
             Self::Planner(e) => write!(f, "planner: {e}"),
-            Self::Runtime(e) => write!(f, "runtime: {e}"),
             Self::Columnar(e) => write!(f, "columnar: {e}"),
         }
     }
@@ -90,7 +88,6 @@ impl std::error::Error for BauplanError {
             Self::Table(e) => Some(e),
             Self::Sql(e) => Some(e),
             Self::Planner(e) => Some(e),
-            Self::Runtime(e) => Some(e),
             Self::Columnar(e) => Some(e),
             _ => None,
         }
@@ -112,7 +109,6 @@ from_err!(Catalog, lakehouse_catalog::CatalogError);
 from_err!(Table, lakehouse_table::TableError);
 from_err!(Sql, lakehouse_sql::SqlError);
 from_err!(Planner, lakehouse_planner::PlannerError);
-from_err!(Runtime, lakehouse_runtime::RuntimeError);
 from_err!(Columnar, lakehouse_columnar::ColumnarError);
 
 /// Convenience alias.

@@ -170,7 +170,7 @@ impl Lakehouse {
         } else {
             Catalog::open(Arc::clone(&store_dyn), config.catalog_prefix.clone())?
         });
-        let runtime = Runtime::new(config.runtime.clone());
+        let runtime = Runtime::new();
         let engine = SqlEngine::new();
         let admission = config
             .admission
@@ -197,7 +197,7 @@ impl Lakehouse {
     // ---- observability ------------------------------------------------------
 
     /// The platform's simulated clock as a span time source: store charged
-    /// latency plus the runtime's virtual startup/datapass clock. Spans
+    /// latency plus the runtime's container start-up clock. Spans
     /// record this alongside wall time, so traces of simulated runs are
     /// deterministic (DESIGN.md §10).
     fn sim_source(&self) -> lakehouse_obs::SimSource {
@@ -373,7 +373,7 @@ impl Lakehouse {
         self.admission = gate;
     }
 
-    /// The runtime's simulated clock (startup/datapass events).
+    /// The runtime's simulated clock: container start-ups and freezes.
     pub fn clock(&self) -> &SimClock {
         self.runtime.clock()
     }

@@ -10,7 +10,8 @@
 //! * `lakehouse-catalog` — Nessie-style git semantics for data;
 //! * `lakehouse-sql` — the embedded DuckDB-style query engine;
 //! * `lakehouse-planner` — code intelligence (implicit DAGs, fusion);
-//! * `lakehouse-runtime` — containerized serverless execution.
+//! * `lakehouse-runtime` — the serverless layer's cost model: container
+//!   start-up and freeze charged per stage on a simulated clock.
 //!
 //! and exposes the paper's two CLI verbs as a library API:
 //!

@@ -27,15 +27,15 @@ use lakehouse_planner::{
     ExecutionMode, LogicalPipeline, PhysicalPipeline, PipelineDag, PipelineProject, PlannerError,
     ProjectSnapshot, RunRecord, StepAction,
 };
-use lakehouse_runtime::EnvSpec;
+use lakehouse_runtime::{EnvSpec, Reuse};
 use lakehouse_table::{MetadataCache, PartitionSpec, SnapshotOperation, Table};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Memory estimate for a pipeline step that has never run (drives fusion
-/// packing, the per-invocation memory grant and the stage's cost hint); a
-/// step that has run is estimated from its own history instead.
+/// packing and the stage's cost hint); a step that has run is estimated from
+/// its own history instead.
 const DEFAULT_STEP_MEMORY: u64 = 512 * 1024 * 1024;
 
 /// Options for a pipeline run.
@@ -233,7 +233,7 @@ impl Lakehouse {
             &logical,
             &dag,
             mode,
-            self.runtime.memory().capacity(),
+            self.config.worker_memory_bytes,
             |node| self.estimator.estimate(node, DEFAULT_STEP_MEMORY),
         )?;
         plan_span.attr("stages", physical.stages.len() as u64);
@@ -432,17 +432,13 @@ impl Lakehouse {
             if stage_span.is_recording() {
                 stage_span.attr("index", stage_idx as u64);
                 stage_span.attr("steps", stage.steps.join(","));
+                stage_span.attr(
+                    "memory_bytes",
+                    estimated_bytes.min(self.config.worker_memory_bytes),
+                );
             }
-            // One container invocation per stage: charge startup for the
-            // stage's merged environment. Fused stages reuse frozen
-            // containers; the naive mapping is stateless (paper §4.4.2).
-            let env = self.stage_env(project, &stage.steps);
-            let memory = estimated_bytes.min(self.runtime.memory().capacity());
-            let invoke_result = match physical.mode {
-                ExecutionMode::Fused => self.runtime.invoke(&env, memory, |_, _| Ok(())),
-                ExecutionMode::Naive => self.runtime.invoke_stateless(&env, memory, |_, _| Ok(())),
-            };
-            invoke_result.map_err(BauplanError::Runtime)?;
+            // One container per stage, for the stage's merged environment.
+            self.charge_container(&self.stage_env(project, &stage.steps), physical.mode)?;
 
             // The naive baseline (the paper's first version) reads whole
             // tables — no scan-level predicate pushdown — and runs each node
@@ -533,18 +529,7 @@ impl Lakehouse {
                 mat_span.attr("artifacts", stage_outputs.len() as u64);
             }
             if !stage_outputs.is_empty() {
-                let spark_env = EnvSpec::bare("spark-insert");
-                let spark_mem = DEFAULT_STEP_MEMORY.min(self.runtime.memory().capacity());
-                let invoke = match physical.mode {
-                    ExecutionMode::Fused => {
-                        self.runtime.invoke(&spark_env, spark_mem, |_, _| Ok(()))
-                    }
-                    ExecutionMode::Naive => {
-                        self.runtime
-                            .invoke_stateless(&spark_env, spark_mem, |_, _| Ok(()))
-                    }
-                };
-                invoke.map_err(BauplanError::Runtime)?;
+                self.charge_container(&EnvSpec::bare("spark-insert"), physical.mode)?;
             }
             let mut ops = Vec::new();
             for (name, batch) in &stage_outputs {
@@ -608,9 +593,24 @@ impl Lakehouse {
         })
     }
 
+    /// Charge one container start-up for `env` on the runtime's clock. Fused
+    /// stages reuse frozen containers; the naive mapping starts a stateless
+    /// one every time (paper §4.4.2). This is a run's cancellation point
+    /// between stages: a killed query starts no further container.
+    fn charge_container(&self, env: &EnvSpec, mode: ExecutionMode) -> Result<()> {
+        lakehouse_obs::check_current().map_err(|reason| BauplanError::QueryKilled { reason })?;
+        let reuse = match mode {
+            ExecutionMode::Fused => Reuse::Pooled,
+            ExecutionMode::Naive => Reuse::Stateless,
+        };
+        self.runtime.charge(env, reuse);
+        Ok(())
+    }
+
     /// Merged environment for a stage: function nodes contribute interpreter
     /// + packages; SQL-only stages run in the embedded engine's environment.
     fn stage_env(&self, project: &PipelineProject, steps: &[String]) -> EnvSpec {
+        let universe_size = self.runtime.containers().universe().len().max(1) as u64;
         let mut interpreter = "duckdb-embedded".to_string();
         let mut packages = Vec::new();
         for name in steps {
@@ -626,7 +626,7 @@ impl Lakehouse {
                         let idx = lakehouse_planner::fingerprint_bytes(pkg.as_bytes())
                             .bytes()
                             .fold(0u64, |acc, b| acc.wrapping_mul(31).wrapping_add(b as u64))
-                            % self.config.runtime.package_universe_size.max(1) as u64;
+                            % universe_size;
                         packages.push(format!("pkg-{idx:05}"));
                     }
                 }
@@ -897,6 +897,30 @@ mod tests {
         assert_eq!(cold2, 0, "second run should not cold start");
         assert!(resume2 >= 1, "second run resumes frozen containers");
         assert!(r2.simulated_startup < r1.simulated_startup);
+    }
+
+    #[test]
+    fn a_killed_run_fails_as_query_killed_before_any_container_starts() {
+        let lh = taxi_lakehouse(LakehouseConfig::zero_latency());
+        let starts = lh.runtime().containers().start_counts();
+        let ctx = lakehouse_obs::QueryCtx::new("default", "killed run");
+        ctx.kill(lakehouse_obs::KillReason::Canceled);
+        let err = {
+            let _entered = ctx.enter();
+            lh.run(&PipelineProject::taxi_example(), &RunOptions::default())
+                .unwrap_err()
+        };
+        assert!(
+            matches!(
+                err,
+                BauplanError::QueryKilled {
+                    reason: lakehouse_obs::KillReason::Canceled
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(lh.runtime().containers().start_counts(), starts);
+        assert_eq!(lh.list_tables("main").unwrap(), vec!["taxi_table"]);
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! A virtual clock: simulated time advances only when charged, so latency
 //! experiments are deterministic and run at full host speed.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A shareable simulated clock. Cloning shares the underlying time.
+/// A shareable simulated clock: one atomic nanosecond counter. Cloning
+/// shares the underlying time.
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
     nanos: Arc<AtomicU64>,
-    /// Event trace: (timestamp-after, label) — handy for debugging and for
-    /// the benches' latency breakdowns.
-    trace: Arc<Mutex<Vec<(Duration, String)>>>,
 }
 
 impl SimClock {
@@ -29,23 +26,6 @@ impl SimClock {
     pub fn advance(&self, d: Duration) {
         self.nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
-
-    /// Advance and record a labelled event.
-    pub fn advance_labelled(&self, d: Duration, label: impl Into<String>) {
-        self.advance(d);
-        self.trace.lock().push((self.now(), label.into()));
-    }
-
-    /// Snapshot of the event trace.
-    pub fn trace(&self) -> Vec<(Duration, String)> {
-        self.trace.lock().clone()
-    }
-
-    /// Reset time and trace to zero.
-    pub fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
-        self.trace.lock().clear();
-    }
 }
 
 #[cfg(test)]
@@ -60,25 +40,5 @@ mod tests {
         c2.advance(Duration::from_millis(50));
         assert_eq!(c.now(), Duration::from_millis(150));
         assert_eq!(c2.now(), c.now());
-    }
-
-    #[test]
-    fn trace_records_labels() {
-        let c = SimClock::new();
-        c.advance_labelled(Duration::from_millis(10), "boot");
-        c.advance_labelled(Duration::from_millis(5), "import");
-        let t = c.trace();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].1, "boot");
-        assert_eq!(t[1].0, Duration::from_millis(15));
-    }
-
-    #[test]
-    fn reset_zeros() {
-        let c = SimClock::new();
-        c.advance_labelled(Duration::from_millis(10), "x");
-        c.reset();
-        assert_eq!(c.now(), Duration::ZERO);
-        assert!(c.trace().is_empty());
     }
 }

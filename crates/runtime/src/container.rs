@@ -14,11 +14,9 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Lifecycle state of a pooled container.
+/// Lifecycle state of a pooled (released, idle) container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContainerState {
-    /// Running a function.
-    Busy,
     /// Initialized and idle, memory resident.
     Warm,
     /// Checkpointed to disk; cheap to resume, near-zero memory.
@@ -71,6 +69,8 @@ pub struct ContainerManager {
 
 struct ManagerInner {
     cache: PackageCache,
+    /// Released containers per environment, oldest first. An environment
+    /// has an entry from its first start on: its image is local.
     pool: HashMap<EnvSpec, Vec<Pooled>>,
     next_id: u64,
     cold_starts: u64,
@@ -102,49 +102,37 @@ impl ContainerManager {
         }
     }
 
-    /// Acquire a container for `env`, charging simulated startup latency.
+    /// The package universe environments are resolved against.
+    pub fn universe(&self) -> &PackageUniverse {
+        &self.universe
+    }
+
+    /// Acquire a container for `env`, charging simulated startup latency:
+    /// the oldest pooled container of the same environment if there is one,
+    /// else a fresh start.
     pub fn acquire(&self, env: &EnvSpec) -> Container {
         let mut inner = self.inner.lock();
-        // Reuse a pooled container of the same environment if any.
-        if let Some(list) = inner.pool.get_mut(env) {
-            if let Some(pos) = list
-                .iter()
-                .position(|p| p.state == ContainerState::Warm || p.state == ContainerState::Frozen)
-            {
-                let mut pooled = list.remove(pos);
-                let (breakdown, kind) = match pooled.state {
-                    ContainerState::Warm => {
-                        inner.warm_starts += 1;
-                        // Already initialized and resident: only handler
-                        // dispatch cost.
-                        (
-                            StartupBreakdown {
-                                handler_init: self.model.handler_init,
-                                ..Default::default()
-                            },
-                            StartupKind::Warm,
-                        )
-                    }
-                    ContainerState::Frozen => {
-                        inner.resumes += 1;
-                        (self.model.frozen_resume(), StartupKind::Resume)
-                    }
-                    ContainerState::Busy => unreachable!("busy containers are not pooled"),
+        let pooled = match inner.pool.get_mut(env) {
+            Some(list) if !list.is_empty() => list.remove(0),
+            _ => return self.fresh_start(&mut inner, env),
+        };
+        let (startup, kind) = match pooled.state {
+            ContainerState::Warm => {
+                inner.warm_starts += 1;
+                // Already initialized and resident: only handler dispatch
+                // cost.
+                let startup = StartupBreakdown {
+                    handler_init: self.model.handler_init,
+                    ..Default::default()
                 };
-                pooled.state = ContainerState::Busy;
-                let id = pooled.id;
-                self.clock
-                    .advance_labelled(breakdown.total(), format!("start:{kind:?}"));
-                publish_start(kind, &breakdown);
-                return Container {
-                    id,
-                    env: env.clone(),
-                    startup: breakdown,
-                    kind,
-                };
+                (startup, StartupKind::Warm)
             }
-        }
-        self.fresh_start(&mut inner, env)
+            ContainerState::Frozen => {
+                inner.resumes += 1;
+                (self.model.frozen_resume(), StartupKind::Resume)
+            }
+        };
+        self.start(pooled.id, env, startup, kind)
     }
 
     /// Acquire a **stateless** container: never reuses a pooled (warm or
@@ -165,19 +153,14 @@ impl ContainerManager {
     fn fresh_start(&self, inner: &mut ManagerInner, env: &EnvSpec) -> Container {
         let first_of_env = !inner.pool.contains_key(env);
         let (hits_before, misses_before) = (inner.cache.hits(), inner.cache.misses());
-        let breakdown = if first_of_env {
+        let (startup, kind) = if first_of_env {
             inner.cold_starts += 1;
-            let cache = &mut inner.cache;
-            self.model.cold_start(env, &self.universe, cache)
+            let startup = self.model.cold_start(env, &self.universe, &mut inner.cache);
+            (startup, StartupKind::Cold)
         } else {
             inner.warm_starts += 1;
-            let cache = &mut inner.cache;
-            self.model.warm_start(env, &self.universe, cache)
-        };
-        let kind = if first_of_env {
-            StartupKind::Cold
-        } else {
-            StartupKind::Warm
+            let startup = self.model.warm_start(env, &self.universe, &mut inner.cache);
+            (startup, StartupKind::Warm)
         };
         let registry = lakehouse_obs::global();
         registry
@@ -188,21 +171,48 @@ impl ContainerManager {
             .add(inner.cache.misses() - misses_before);
         inner.pool.entry(env.clone()).or_default();
         inner.next_id += 1;
-        let id = inner.next_id;
-        self.clock
-            .advance_labelled(breakdown.total(), format!("start:{kind:?}"));
-        publish_start(kind, &breakdown);
+        self.start(inner.next_id, env, startup, kind)
+    }
+
+    /// Charge one start on the clock inside its own `container.start` span,
+    /// opened first so the span's simulated duration is the start-up, and
+    /// publish it to the metrics registry.
+    fn start(
+        &self,
+        id: u64,
+        env: &EnvSpec,
+        startup: StartupBreakdown,
+        kind: StartupKind,
+    ) -> Container {
+        let span = lakehouse_obs::span("container.start");
+        self.clock.advance(startup.total());
+        let registry = lakehouse_obs::global();
+        let counter = match kind {
+            StartupKind::Cold => "runtime.cold_starts",
+            StartupKind::Warm => "runtime.warm_starts",
+            StartupKind::Resume => "runtime.resumes",
+        };
+        registry.counter(counter).inc();
+        registry
+            .histogram("runtime.startup_nanos")
+            .record(startup.total().as_nanos() as u64);
+        if span.is_recording() {
+            span.attr("env", env.interpreter.as_str());
+            span.attr("kind", format!("{kind:?}"));
+            for (component, d) in startup.components() {
+                span.attr(&format!("{component}_nanos"), d.as_nanos() as u64);
+            }
+        }
         Container {
             id,
             env: env.clone(),
-            startup: breakdown,
+            startup,
             kind,
         }
     }
 
     /// Release a container back to the pool per the policy.
     pub fn release(&self, container: Container) {
-        let mut inner = self.inner.lock();
         let state = match self.policy {
             PoolPolicy::None => return, // destroyed
             PoolPolicy::Warm => ContainerState::Warm,
@@ -212,13 +222,13 @@ impl ContainerManager {
         if state == ContainerState::Frozen {
             let span = lakehouse_obs::span("container.freeze");
             span.attr("container_id", container.id);
-            self.clock
-                .advance_labelled(Duration::from_millis(25), "freeze");
+            self.clock.advance(Duration::from_millis(25));
             lakehouse_obs::global().counter("runtime.freezes").inc();
         }
-        inner
+        self.inner
+            .lock()
             .pool
-            .entry(container.env.clone())
+            .entry(container.env)
             .or_default()
             .push(Pooled {
                 id: container.id,
@@ -231,36 +241,6 @@ impl ContainerManager {
         let inner = self.inner.lock();
         (inner.cold_starts, inner.warm_starts, inner.resumes)
     }
-
-    /// Package-cache hit rate across all starts.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.inner.lock().cache.hit_rate()
-    }
-
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-}
-
-/// Publish one container start into the process-wide metrics registry and,
-/// when a trace is active, record it as a span. The span is opened after the
-/// simulated clock has been advanced so its simulated end time includes the
-/// startup latency the acquisition charged.
-fn publish_start(kind: StartupKind, breakdown: &StartupBreakdown) {
-    let registry = lakehouse_obs::global();
-    let counter = match kind {
-        StartupKind::Cold => "runtime.cold_starts",
-        StartupKind::Warm => "runtime.warm_starts",
-        StartupKind::Resume => "runtime.resumes",
-    };
-    registry.counter(counter).inc();
-    let nanos = breakdown.total().as_nanos() as u64;
-    registry.histogram("runtime.startup_nanos").record(nanos);
-    let span = lakehouse_obs::span("container.start");
-    if span.is_recording() {
-        span.attr("kind", format!("{kind:?}"));
-        span.attr("startup_nanos", nanos);
-    }
 }
 
 #[cfg(test)]
@@ -268,12 +248,16 @@ mod tests {
     use super::*;
 
     fn manager(policy: PoolPolicy) -> ContainerManager {
+        manager_on(policy, SimClock::new())
+    }
+
+    fn manager_on(policy: PoolPolicy, clock: SimClock) -> ContainerManager {
         ContainerManager::new(
             StartupModel::paper_defaults(),
             policy,
             PackageUniverse::synthetic(20, 1.1, 7),
             PackageCache::new(10 * 1024 * 1024 * 1024),
-            SimClock::new(),
+            clock,
         )
     }
 
@@ -343,11 +327,14 @@ mod tests {
 
     #[test]
     fn clock_advances_with_starts() {
-        let m = manager(PoolPolicy::Freeze);
-        let before = m.clock().now();
-        let _ = m.acquire(&env());
-        assert!(m.clock().now() > before);
-        let trace = m.clock().trace();
-        assert!(trace.iter().any(|(_, l)| l.contains("Cold")));
+        let clock = SimClock::new();
+        let m = manager_on(PoolPolicy::Freeze, clock.clone());
+        let c = m.acquire(&env());
+        let cold = c.startup.total();
+        assert_eq!(clock.now(), cold);
+        m.release(c);
+        let resumed = m.acquire(&env());
+        let freeze = Duration::from_millis(25);
+        assert_eq!(clock.now(), cold + freeze + resumed.startup.total());
     }
 }

@@ -1,39 +1,32 @@
 //! # lakehouse-runtime
 //!
-//! The serverless runtime substrate (paper §4.5): containerized function
-//! execution with the properties the paper found missing from off-the-shelf
-//! FaaS platforms (AWS Lambda, OpenWhisk, OpenLambda):
+//! The serverless runtime substrate (paper §4.5) as a cost model. A run's
+//! steps execute in-process; for each DAG stage the runtime charges, on one
+//! simulated clock ([`SimClock`]), what the paper's containers would cost:
 //!
 //! * **multi-language support with flexible dependencies** — an
 //!   [`EnvSpec`] pins an interpreter version plus an arbitrary package set
-//!   per function ([`packages`]);
-//! * **runtime hardware allocation** — the [`MemoryManager`] grants each
-//!   invocation the memory its artifacts need (vertical elasticity);
-//! * **data locality** — function isolation at the runtime level with shared
-//!   artifacts ([`datapass`]): in-memory hand-off when possible, object
-//!   storage as a last resort;
+//!   per function, and a start fetches its packages through a disk cache
+//!   over a power-law package universe ([`packages`]);
+//! * **container start-up** — the SOCK breakdown (image pull, sandbox
+//!   create, runtime boot, package fetch and import, handler init) of a
+//!   cold, warm or resumed start ([`startup`]);
 //! * **pausing functions** — container freeze/resume so startup time becomes
 //!   negligible after first initialization ([`container`]).
 //!
-//! Everything is *simulated* against a virtual clock ([`SimClock`]): latency
-//! components follow the SOCK breakdown (image pull, unpack, runtime boot,
-//! package import, handler init), so benches reproduce the paper's
-//! cold-vs-300ms-warm claims deterministically, without Docker.
+//! [`Runtime::charge`] is the one entry point a run uses: `(env, reuse,
+//! pool state) → StartupBreakdown`, charged on the clock. Nothing sleeps,
+//! so benches reproduce the paper's cold-vs-300ms-warm claims
+//! deterministically, without Docker.
 
 pub mod clock;
 pub mod container;
-pub mod datapass;
-pub mod error;
-pub mod executor;
-pub mod memory;
 pub mod packages;
+pub mod runtime;
 pub mod startup;
 
 pub use clock::SimClock;
 pub use container::{Container, ContainerManager, ContainerState, PoolPolicy, StartupKind};
-pub use datapass::{DataPassing, Locality};
-pub use error::{Result, RuntimeError};
-pub use executor::{AsyncRunHandle, Invocation, Runtime, RuntimeConfig};
-pub use memory::{MemoryGrant, MemoryManager};
 pub use packages::{EnvSpec, PackageCache, PackageUniverse};
-pub use startup::StartupModel;
+pub use runtime::{Reuse, Runtime};
+pub use startup::{StartupBreakdown, StartupModel};

@@ -6,7 +6,6 @@
 //! lognormal, plus an LRU byte-budget cache that records hits/misses and the
 //! simulated download time saved.
 
-use crate::error::{Result, RuntimeError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, LogNormal, Zipf};
@@ -15,7 +14,7 @@ use std::time::Duration;
 
 /// An execution environment: interpreter version plus pinned packages —
 /// what the paper's `@requirements({'pandas': '2.0.0'})` decorator produces.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EnvSpec {
     /// e.g. "python3.11" (we simulate, so the string is opaque identity).
     pub interpreter: String,
@@ -49,11 +48,13 @@ pub struct PackageInfo {
 }
 
 /// A synthetic package registry with Zipf popularity.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PackageUniverse {
     packages: Vec<PackageInfo>,
     index: HashMap<String, usize>,
-    zipf_exponent: f64,
+    /// Request popularity over ranks `1..=len`; `None` when the universe is
+    /// empty or its exponent is negative or NaN.
+    popularity: Option<Zipf>,
 }
 
 impl PackageUniverse {
@@ -63,8 +64,12 @@ impl PackageUniverse {
     /// PyPI); import times scale with size. `zipf_exponent` controls request
     /// skew (SOCK reports ≈ 1 for PyPI downloads).
     pub fn synthetic(n: usize, zipf_exponent: f64, seed: u64) -> PackageUniverse {
+        // Constant parameters in range: `new` fails only on a NaN or a
+        // negative sigma.
+        let Ok(size_dist) = LogNormal::new((2_000_000f64).ln(), 1.5) else {
+            return PackageUniverse::default();
+        };
         let mut rng = StdRng::seed_from_u64(seed);
-        let size_dist = LogNormal::new((2_000_000f64).ln(), 1.5).expect("valid lognormal");
         let mut packages = Vec::with_capacity(n);
         let mut index = HashMap::with_capacity(n);
         for i in 0..n {
@@ -80,7 +85,7 @@ impl PackageUniverse {
         PackageUniverse {
             packages,
             index,
-            zipf_exponent,
+            popularity: Zipf::new(n as u64, zipf_exponent).ok(),
         }
     }
 
@@ -92,33 +97,15 @@ impl PackageUniverse {
         self.packages.is_empty()
     }
 
-    pub fn get(&self, name: &str) -> Result<&PackageInfo> {
-        self.index
-            .get(name)
-            .map(|&i| &self.packages[i])
-            .ok_or_else(|| RuntimeError::UnknownPackage(name.to_string()))
+    pub fn get(&self, name: &str) -> Option<&PackageInfo> {
+        self.index.get(name).map(|&i| &self.packages[i])
     }
 
     /// Sample a package by Zipf popularity (rank 1 = most popular =
-    /// `pkg-00000`).
-    pub fn sample_popular(&self, rng: &mut StdRng) -> &PackageInfo {
-        let zipf = Zipf::new(self.packages.len() as u64, self.zipf_exponent).expect("valid zipf");
-        let rank = zipf.sample(rng) as usize; // 1-based
-        &self.packages[rank - 1]
-    }
-
-    /// Sample an environment of `k` distinct packages by popularity.
-    pub fn sample_env(&self, k: usize, interpreter: &str, rng: &mut StdRng) -> EnvSpec {
-        let mut names = Vec::new();
-        let mut guard = 0;
-        while names.len() < k && guard < 10_000 {
-            let p = self.sample_popular(rng).name.clone();
-            if !names.contains(&p) {
-                names.push(p);
-            }
-            guard += 1;
-        }
-        EnvSpec::new(interpreter, names)
+    /// `pkg-00000`); `None` when there is no popularity to sample.
+    pub fn sample_popular(&self, rng: &mut StdRng) -> Option<&PackageInfo> {
+        let rank = self.popularity.as_ref()?.sample(rng) as usize; // 1-based
+        self.packages.get(rank - 1)
     }
 }
 
@@ -240,7 +227,7 @@ mod tests {
             a.get("pkg-00042").unwrap().size_bytes,
             b.get("pkg-00042").unwrap().size_bytes
         );
-        assert!(a.get("nope").is_err());
+        assert!(a.get("nope").is_none());
     }
 
     #[test]
@@ -249,9 +236,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut counts = HashMap::new();
         for _ in 0..5000 {
-            *counts
-                .entry(u.sample_popular(&mut rng).name.clone())
-                .or_insert(0) += 1;
+            let name = &u.sample_popular(&mut rng).unwrap().name;
+            *counts.entry(name.clone()).or_insert(0) += 1;
         }
         // Head package should be requested far more than a tail package.
         let head = counts.get("pkg-00000").copied().unwrap_or(0);
@@ -261,11 +247,10 @@ mod tests {
     }
 
     #[test]
-    fn sample_env_distinct() {
-        let u = PackageUniverse::synthetic(100, 1.1, 7);
-        let mut rng = StdRng::seed_from_u64(2);
-        let env = u.sample_env(5, "py311", &mut rng);
-        assert_eq!(env.packages.len(), 5);
+    fn an_empty_universe_samples_nothing() {
+        let u = PackageUniverse::synthetic(0, 1.1, 7);
+        assert!(u.is_empty());
+        assert!(u.sample_popular(&mut StdRng::seed_from_u64(1)).is_none());
     }
 
     #[test]
@@ -329,8 +314,7 @@ mod tests {
         let mut cache = PackageCache::new(20 * 1024 * 1024 * 1024);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..2000 {
-            let pkg = u.sample_popular(&mut rng).clone();
-            cache.fetch(&pkg);
+            cache.fetch(u.sample_popular(&mut rng).unwrap());
         }
         assert!(
             cache.hit_rate() > 0.6,

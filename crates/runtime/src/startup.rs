@@ -21,13 +21,20 @@ pub struct StartupBreakdown {
 }
 
 impl StartupBreakdown {
+    /// The six components by name, in start-up order.
+    pub fn components(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("image_fetch", self.image_fetch),
+            ("sandbox_create", self.sandbox_create),
+            ("runtime_boot", self.runtime_boot),
+            ("package_fetch", self.package_fetch),
+            ("package_import", self.package_import),
+            ("handler_init", self.handler_init),
+        ]
+    }
+
     pub fn total(&self) -> Duration {
-        self.image_fetch
-            + self.sandbox_create
-            + self.runtime_boot
-            + self.package_fetch
-            + self.package_import
-            + self.handler_init
+        self.components().iter().map(|&(_, d)| d).sum()
     }
 }
 
@@ -60,34 +67,23 @@ impl StartupModel {
         }
     }
 
-    /// A cold start: nothing local. Packages are fetched through the cache
-    /// (mutating its state) and imported.
+    /// A cold start: nothing local, so the image is pulled before the warm
+    /// path runs.
     pub fn cold_start(
         &self,
         env: &EnvSpec,
         universe: &PackageUniverse,
         cache: &mut PackageCache,
     ) -> StartupBreakdown {
-        let mut b = StartupBreakdown {
+        StartupBreakdown {
             image_fetch: self.image_fetch_cold,
-            sandbox_create: self.sandbox_create,
-            runtime_boot: self.runtime_boot,
-            handler_init: self.handler_init,
-            ..Default::default()
-        };
-        for name in &env.packages {
-            if let Ok(pkg) = universe.get(name) {
-                let (_, fetch_t) = cache.fetch(pkg);
-                b.package_fetch += fetch_t;
-                b.package_import += pkg.import_time;
-            }
+            ..self.warm_start(env, universe, cache)
         }
-        b
     }
 
     /// A warm start: image local, sandbox pooled; runtime boots and imports
-    /// packages from the (usually warm) cache. This is the paper's "300 ms"
-    /// path.
+    /// packages, fetched through the (usually warm) cache, mutating its
+    /// state. This is the paper's "300 ms" path.
     pub fn warm_start(
         &self,
         env: &EnvSpec,
@@ -100,12 +96,10 @@ impl StartupModel {
             handler_init: self.handler_init,
             ..Default::default()
         };
-        for name in &env.packages {
-            if let Ok(pkg) = universe.get(name) {
-                let (_, fetch_t) = cache.fetch(pkg);
-                b.package_fetch += fetch_t;
-                b.package_import += pkg.import_time;
-            }
+        for pkg in env.packages.iter().filter_map(|name| universe.get(name)) {
+            let (_, fetch_t) = cache.fetch(pkg);
+            b.package_fetch += fetch_t;
+            b.package_import += pkg.import_time;
         }
         b
     }
@@ -178,6 +172,7 @@ mod tests {
             + b.package_import
             + b.handler_init;
         assert_eq!(b.total(), sum);
+        assert!(b.components().iter().all(|&(_, d)| d > Duration::ZERO));
     }
 
     #[test]

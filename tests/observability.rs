@@ -271,3 +271,42 @@ fn run_report_carries_span_tree() {
     );
     assert!(trace.find("materialize").is_some());
 }
+
+#[test]
+fn container_spans_carry_the_runs_start_up_time() {
+    let lh = lakehouse();
+    let project = PipelineProject::new("obs").with(NodeDef::sql(
+        "top_groups",
+        "SELECT grp, COUNT(*) AS n FROM events GROUP BY grp",
+    ));
+    lh.run(&project, &RunOptions::default()).unwrap(); // cold-starts both containers
+    let warm = lh.run(&project, &RunOptions::default()).unwrap();
+
+    let trace = &warm.trace;
+    let starts = trace.find_all("container.start");
+    let freezes = trace.find_all("container.freeze");
+    assert_eq!((starts.len(), freezes.len()), (2, 2), "stage + materialize");
+    let spans: u64 = starts.iter().chain(&freezes).map(|s| s.sim_nanos()).sum();
+    assert_eq!(
+        std::time::Duration::from_nanos(spans),
+        warm.simulated_startup,
+        "the start and freeze spans hold all of the run's start-up time"
+    );
+    for start in starts {
+        assert_eq!(start.attr_str("kind"), Some("Resume"));
+        let components: u64 = [
+            "image_fetch_nanos",
+            "sandbox_create_nanos",
+            "runtime_boot_nanos",
+            "package_fetch_nanos",
+            "package_import_nanos",
+            "handler_init_nanos",
+        ]
+        .iter()
+        .map(|k| start.attr_u64(k).expect("start-up component attribute"))
+        .sum();
+        assert_eq!(components, start.sim_nanos());
+    }
+    let stage = trace.find("stage").expect("stage span");
+    assert!(stage.attr_u64("memory_bytes").is_some_and(|m| m > 0));
+}
