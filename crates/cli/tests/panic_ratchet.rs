@@ -13,7 +13,8 @@ use std::path::Path;
 /// took `store` from 24 to 2: the I/O dispatcher has no lock to `expect`
 /// and spawns its workers with a typed error. PR 27 took `table` from 3 to
 /// 0: documents serialize into a `Result`, and the content token reads
-/// whole eight-byte chunks.
+/// whole eight-byte chunks. `sql` went from 10 to 0 when the parser's own
+/// token matcher, `Parser::expect` (all ten), became `expect_token`.
 const CEILINGS: &[(&str, usize)] = &[
     ("bench", 2),
     ("catalog", 3),
@@ -26,7 +27,7 @@ const CEILINGS: &[(&str, usize)] = &[
     ("planner", 1),
     ("runtime", 0),
     ("scheduler", 3),
-    ("sql", 10),
+    ("sql", 0),
     ("store", 2),
     ("table", 0),
     ("workload", 8),

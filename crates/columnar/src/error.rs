@@ -1,9 +1,10 @@
 //! Error type for the columnar crate.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors produced by columnar operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum ColumnarError {
     /// Two columns (or a column and a bitmap) had mismatched lengths.
     LengthMismatch { expected: usize, actual: usize },
@@ -25,8 +26,10 @@ pub enum ColumnarError {
     DivideByZero,
     /// An error raised by a [`crate::stream::BatchStream`] producer outside
     /// this crate (table scans, SQL operators) and carried through the
-    /// pull-based pipeline as text.
-    External(String),
+    /// pull-based pipeline as it is: its text is this error's, and it is
+    /// this error's [`std::error::Error::source`], so a caller can still
+    /// find a store fault under a query by type.
+    External(Arc<dyn std::error::Error + Send + Sync>),
 }
 
 impl fmt::Display for ColumnarError {
@@ -47,12 +50,49 @@ impl fmt::Display for ColumnarError {
             Self::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             Self::Overflow(op) => write!(f, "arithmetic overflow in {op}"),
             Self::DivideByZero => write!(f, "division by zero"),
-            Self::External(msg) => write!(f, "{msg}"),
+            Self::External(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for ColumnarError {}
+impl PartialEq for ColumnarError {
+    /// Same variant, same message: an external error has no equality of its
+    /// own, so errors compare by what they say.
+    fn eq(&self, other: &Self) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
+            && self.to_string() == other.to_string()
+    }
+}
+
+impl Eq for ColumnarError {}
+
+impl std::error::Error for ColumnarError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::External(e) => Some(&**e),
+            _ => None,
+        }
+    }
+}
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, ColumnarError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::error::Error;
+
+    #[test]
+    fn an_external_error_keeps_its_text_and_its_source() {
+        let inner = std::io::Error::other("disk on fire");
+        let e = ColumnarError::External(Arc::new(inner));
+        assert_eq!(e.to_string(), "disk on fire");
+        let source = e.source().and_then(|s| s.downcast_ref::<std::io::Error>());
+        assert_eq!(source.map(|s| s.kind()), Some(std::io::ErrorKind::Other));
+        // Compared by message, within a variant.
+        let same = ColumnarError::External(Arc::new(std::io::Error::other("disk on fire")));
+        assert_eq!(e, same.clone());
+        assert_ne!(e, ColumnarError::InvalidArgument("disk on fire".into()));
+    }
+}

@@ -94,6 +94,23 @@ impl std::error::Error for BauplanError {
     }
 }
 
+impl BauplanError {
+    /// The first error of type `E` on this error's source chain, this error
+    /// included: a store fault under a SQL statement is found by type
+    /// (`err.find::<StoreError>()` is a scan's `RetriesExhausted` or
+    /// `QueryKilled`), however many layers carried it.
+    pub fn find<E: std::error::Error + 'static>(&self) -> Option<&E> {
+        let mut next: Option<&(dyn std::error::Error + 'static)> = Some(self);
+        while let Some(e) = next {
+            if let Some(found) = e.downcast_ref::<E>() {
+                return Some(found);
+            }
+            next = e.source();
+        }
+        None
+    }
+}
+
 macro_rules! from_err {
     ($variant:ident, $ty:ty) => {
         impl From<$ty> for BauplanError {

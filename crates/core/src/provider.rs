@@ -279,7 +279,10 @@ impl TableProvider for PinnedProvider<'_> {
         if let Some(batch) = self.memory_table(table, projection, filters, fetch)? {
             return Ok(Box::new(BatchesStream::one(batch)));
         }
-        let scan_failed = |e| SqlError::Execution(format!("scan of '{table}' failed: {e}"));
+        let scan_failed = |source: lakehouse_table::TableError| {
+            let table = table.to_string();
+            SqlError::External(Arc::new(ScanFailed { table, source }))
+        };
         let scan = self.table_scan(table, projection, filters)?;
         // The naive baseline reads whole tables: no early stop either.
         if !self.provider.pushdown {
@@ -296,6 +299,26 @@ impl TableProvider for PinnedProvider<'_> {
             Some(_) => scan.stream(),
         };
         Ok(Box::new(stream.map_err(scan_failed)?))
+    }
+}
+
+/// A catalog table's scan that could not open (or, on the naive path, read):
+/// the table's name over the scan's own error, which stays its source.
+#[derive(Debug)]
+struct ScanFailed {
+    table: String,
+    source: lakehouse_table::TableError,
+}
+
+impl std::fmt::Display for ScanFailed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "scan of '{}' failed: {}", self.table, self.source)
+    }
+}
+
+impl std::error::Error for ScanFailed {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.source)
     }
 }
 
@@ -407,6 +430,29 @@ mod tests {
         assert_eq!(preds.len(), 2);
         assert_eq!(preds[0].op, CmpOp::Gt);
         assert_eq!(preds[1].op, CmpOp::Lt); // flipped
+    }
+
+    #[test]
+    fn a_killed_scan_fails_its_statement_as_query_killed_by_type() {
+        use lakehouse_store::StoreError;
+        let (store, catalog) = setup();
+        write_table(&store, &catalog, "t1");
+        let p = LakehouseProvider::new(store, catalog, "main");
+        let ctx = lakehouse_obs::QueryCtx::new("default", "killed scan");
+        ctx.kill(lakehouse_obs::KillReason::Canceled);
+        let err = {
+            let _entered = ctx.enter();
+            let engine = lakehouse_sql::SqlEngine::new();
+            BauplanError::Sql(engine.query("SELECT x FROM t1", &p.pin()).unwrap_err())
+        };
+        let killed = err.find::<StoreError>();
+        assert!(
+            matches!(killed, Some(StoreError::QueryKilled { .. })),
+            "{err}"
+        );
+        assert!(err
+            .to_string()
+            .starts_with("sql: execution error: store error: query killed ("));
     }
 
     #[test]

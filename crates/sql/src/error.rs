@@ -2,6 +2,7 @@
 
 use lakehouse_columnar::ColumnarError;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from parsing, planning, or executing SQL.
 #[derive(Debug)]
@@ -14,6 +15,11 @@ pub enum SqlError {
     Plan(String),
     /// Runtime error during execution.
     Execution(String),
+    /// A runtime error raised below the engine — a table scan's, with the
+    /// store fault under it — kept as it is: it reads as an
+    /// [`Self::Execution`] of its text, and is this error's
+    /// [`std::error::Error::source`].
+    External(Arc<dyn std::error::Error + Send + Sync>),
     /// Underlying columnar kernel error.
     Columnar(ColumnarError),
 }
@@ -27,6 +33,7 @@ impl fmt::Display for SqlError {
             Self::Parse(m) => write!(f, "parse error: {m}"),
             Self::Plan(m) => write!(f, "planning error: {m}"),
             Self::Execution(m) => write!(f, "execution error: {m}"),
+            Self::External(e) => write!(f, "execution error: {e}"),
             Self::Columnar(e) => write!(f, "columnar error: {e}"),
         }
     }
@@ -35,6 +42,7 @@ impl fmt::Display for SqlError {
 impl std::error::Error for SqlError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            Self::External(e) => Some(&**e),
             Self::Columnar(e) => Some(e),
             _ => None,
         }

@@ -103,7 +103,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token) -> Result<()> {
+    fn expect_token(&mut self, t: &Token) -> Result<()> {
         if self.consume_if(t) {
             Ok(())
         } else {
@@ -260,7 +260,7 @@ impl Parser {
     fn parse_relation(&mut self) -> Result<Relation> {
         if self.consume_if(&Token::LParen) {
             let query = self.parse_select()?;
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             self.consume_keyword("AS");
             let alias = self.parse_identifier()?;
             return Ok(Relation::Subquery {
@@ -292,7 +292,7 @@ impl Parser {
         let mut pairs = Vec::new();
         loop {
             let left = self.parse_additive()?;
-            self.expect(&Token::Eq)?;
+            self.expect_token(&Token::Eq)?;
             let right = self.parse_additive()?;
             pairs.push((left, right));
             if !self.consume_keyword("AND") {
@@ -378,7 +378,7 @@ impl Parser {
             });
         }
         if self.consume_keyword("IN") {
-            self.expect(&Token::LParen)?;
+            self.expect_token(&Token::LParen)?;
             let mut list = Vec::new();
             loop {
                 list.push(self.parse_expr()?);
@@ -386,7 +386,7 @@ impl Parser {
                     break;
                 }
             }
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             return Ok(Expr::InList {
                 expr: Box::new(left),
                 list,
@@ -497,7 +497,7 @@ impl Parser {
             Some(Token::String(s)) => Ok(Expr::Literal(Value::Utf8(s))),
             Some(Token::LParen) => {
                 let e = self.parse_expr()?;
-                self.expect(&Token::RParen)?;
+                self.expect_token(&Token::RParen)?;
                 Ok(e)
             }
             Some(Token::Word(w)) => self.parse_word(w),
@@ -513,13 +513,13 @@ impl Parser {
             "FALSE" => return Ok(Expr::Literal(Value::Bool(false))),
             "NULL" => return Ok(Expr::Literal(Value::Null)),
             "CAST" => {
-                self.expect(&Token::LParen)?;
+                self.expect_token(&Token::LParen)?;
                 let expr = self.parse_expr()?;
                 self.expect_keyword("AS")?;
                 let type_name = self.parse_identifier()?;
                 let to = DataType::parse(&type_name)
                     .ok_or_else(|| SqlError::Parse(format!("unknown type {type_name}")))?;
-                self.expect(&Token::RParen)?;
+                self.expect_token(&Token::RParen)?;
                 return Ok(Expr::Cast {
                     expr: Box::new(expr),
                     to,
@@ -563,12 +563,12 @@ impl Parser {
         if self.peek() == Some(&Token::LParen) {
             self.pos += 1;
             if upper == "COUNT" && self.consume_if(&Token::Star) {
-                self.expect(&Token::RParen)?;
+                self.expect_token(&Token::RParen)?;
                 return Ok(Expr::CountStar);
             }
             if upper == "COUNT" && self.consume_keyword("DISTINCT") {
                 let arg = self.parse_expr()?;
-                self.expect(&Token::RParen)?;
+                self.expect_token(&Token::RParen)?;
                 return Ok(Expr::Function {
                     name: "COUNT_DISTINCT".into(),
                     args: vec![arg],
@@ -583,7 +583,7 @@ impl Parser {
                     }
                 }
             }
-            self.expect(&Token::RParen)?;
+            self.expect_token(&Token::RParen)?;
             return Ok(Expr::Function { name: upper, args });
         }
         self.finish_column(word)

@@ -159,13 +159,14 @@ type CResult<T> = lakehouse_columnar::Result<T>;
 
 /// Carry a SQL-layer error through the columnar [`BatchStream`] interface.
 fn ext(e: SqlError) -> ColumnarError {
-    ColumnarError::External(e.to_string())
+    ColumnarError::External(std::sync::Arc::new(e))
 }
 
-/// Recover at the pipeline root: external messages were SQL errors.
+/// Recover at the pipeline root: an external error (a SQL operator's, or a
+/// table scan's) fails the statement as it is, source and all.
 fn unext(e: ColumnarError) -> SqlError {
     match e {
-        ColumnarError::External(msg) => SqlError::Execution(msg),
+        ColumnarError::External(source) => SqlError::External(source),
         other => SqlError::Columnar(other),
     }
 }

@@ -84,12 +84,17 @@ impl TableMetadata {
 
     /// A historical schema by id.
     pub fn schema_by_id(&self, id: u32) -> Result<Schema> {
+        self.schema_def(id)?
+            .to_schema()
+            .ok_or_else(|| TableError::Corrupt(format!("schema id {id} has unknown types")))
+    }
+
+    /// A historical schema by id, as stored: no columnar schema is built.
+    pub fn schema_def(&self, id: u32) -> Result<&SchemaDef> {
         self.schemas
             .iter()
             .find(|s| s.schema_id == id)
-            .ok_or_else(|| TableError::Corrupt(format!("schema id {id} missing")))?
-            .to_schema()
-            .ok_or_else(|| TableError::Corrupt(format!("schema id {id} has unknown types")))
+            .ok_or_else(|| TableError::Corrupt(format!("schema id {id} missing")))
     }
 
     /// The current snapshot, if the table has data.

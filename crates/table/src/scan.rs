@@ -15,6 +15,12 @@
 //! A scan with a single file to read, or a table without a dispatcher,
 //! never leaves the caller's thread.
 //!
+//! A data file is read only for the columns its manifest entry cannot
+//! answer: a field the entry's stats prove NULL or constant on every row is
+//! built from the entry, and a file left with nothing to decode is settled
+//! in its turn with no request at all (a one-day `COUNT(*)` over a
+//! day-partitioned table is manifest-only).
+//!
 //! Per-thread simulated-latency lanes (see
 //! [`lakehouse_store::StoreMetrics::lane_nanos`]) measure each entry's
 //! exact simulated cost; entries are then assigned greedily to as many
@@ -24,12 +30,12 @@
 
 use crate::cache::TableIo;
 use crate::error::{reread_on_corruption, Result, TableError};
-use crate::manifest::{Manifest, ManifestEntry, ManifestRef};
+use crate::manifest::{Manifest, ManifestEntry, ManifestRef, StatsDef};
 use crate::metadata::TableMetadata;
 use crate::partition::Transform;
 use crate::schema_def::ValueDef;
 use lakehouse_columnar::kernels::{cmp_column_scalar, filter_batch, to_selection, CmpOp};
-use lakehouse_columnar::{Column, Field, RecordBatch, Schema, Value};
+use lakehouse_columnar::{Column, ColumnarError, Field, RecordBatch, Schema, Value};
 use lakehouse_format::RangedReader;
 use lakehouse_store::{IoDispatcher, IoTicket, ObjectPath, ObjectStore, StoreError};
 use std::collections::VecDeque;
@@ -66,6 +72,10 @@ pub struct ScanReport {
     /// satisfied `LIMIT` upstream) leaves it smaller — those files were
     /// never read at all.
     pub files_read: usize,
+    /// Data files answered from their manifest entries alone, never
+    /// requested: the entry's stats prove every scan field NULL or constant
+    /// on every row. Counted in `files_scanned`, not in `files_read`.
+    pub files_from_metadata: usize,
     pub bytes_total: u64,
     pub bytes_scanned: u64,
     pub row_groups_scanned: usize,
@@ -89,6 +99,18 @@ struct EntryPartial {
     batch: RecordBatch,
     bytes_scanned: u64,
     row_groups_scanned: usize,
+}
+
+/// Where one data file's value of a scan field comes from.
+#[derive(Debug, PartialEq)]
+enum FieldSource {
+    /// Decoded from the file's column at this position.
+    Decode(usize),
+    /// NULL on every row: the file predates the field, or its stats count
+    /// every row NULL.
+    Null,
+    /// This value on every row: the stats count no NULL and `min == max`.
+    Constant(Value),
 }
 
 /// A configurable scan over one snapshot of a table.
@@ -246,9 +268,11 @@ impl TableScan {
             manifests.push(root);
         }
         let mut entries = VecDeque::new();
+        let mut reads = 0;
         for (m, manifest) in manifests.iter().enumerate() {
             for (i, entry) in manifest.entries.iter().enumerate() {
                 if self.entry_may_match(entry)? {
+                    reads += usize::from(self.reads(entry, &scan_schema)?);
                     entries.push_back((m, i));
                 }
             }
@@ -260,10 +284,11 @@ impl TableScan {
             .unwrap_or(0);
         plan_span.attr("files_total", report.files_total);
         plan_span.attr("files_scanned", report.files_scanned);
+        plan_span.attr("files_from_metadata", report.files_scanned - reads);
         drop(plan_span);
         // One file has nothing to overlap with.
         let depth = match &self.io.dispatcher {
-            Some(io) if entries.len() > 1 => io.depth(),
+            Some(io) if reads > 1 => io.depth(),
             _ => 1,
         };
         let registry = lakehouse_obs::global();
@@ -388,12 +413,76 @@ impl TableScan {
         Ok(true)
     }
 
+    /// Where `entry`'s file gets scan field `field` from. Column identity is
+    /// positional across schema versions (we only append and rename), so a
+    /// field is the file's column at its position in the current schema, and
+    /// its stats are under the name the file wrote it with. The stats are the
+    /// writer's own, computed from the values it encoded, of a write-once
+    /// file; pruning trusts them already. An entry without stats, or whose
+    /// stats count other rows, is decoded. Reads the stored schemas and
+    /// allocates nothing: a scan asks again wherever it needs the answer.
+    fn field_source(&self, entry: &ManifestEntry, field: &Field) -> Result<FieldSource> {
+        let current = self.metadata.schema_def(self.metadata.current_schema_id)?;
+        let file_schema = self.metadata.schema_def(entry.schema_id)?;
+        let name = field.name();
+        let pos = (current.fields.iter().position(|f| f.name == name))
+            .ok_or_else(|| ColumnarError::FieldNotFound(name.to_string()))?;
+        let Some(file_field) = file_schema.fields.get(pos) else {
+            return Ok(FieldSource::Null);
+        };
+        let stats =
+            (entry.column_stats.get(&file_field.name)).filter(|s| s.row_count == entry.row_count);
+        Ok(match stats {
+            Some(s) if s.null_count == s.row_count => FieldSource::Null,
+            Some(s) => constant(field, s).map_or(FieldSource::Decode(pos), FieldSource::Constant),
+            None => FieldSource::Decode(pos),
+        })
+    }
+
+    /// Whether `entry`'s file is requested at all: some scan field is
+    /// decoded from it, or a predicate on a column the scan does not return
+    /// applies to it through its row-group stats.
+    fn reads(&self, entry: &ManifestEntry, scan_schema: &Schema) -> Result<bool> {
+        if (self.predicates.iter()).any(|p| !scan_schema.contains(&p.column)) {
+            return Ok(true);
+        }
+        for field in scan_schema.fields() {
+            if let FieldSource::Decode(_) = self.field_source(entry, field)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// `entry`'s file as a scan-schema batch of `rows` rows: its decoded
+    /// fields taken from `decoded` in order, the others built from its stats.
+    fn assemble(
+        &self,
+        entry: &ManifestEntry,
+        scan_schema: &Schema,
+        decoded: Vec<Column>,
+        rows: usize,
+    ) -> Result<RecordBatch> {
+        let mut decoded = decoded.into_iter();
+        let mut columns = Vec::with_capacity(scan_schema.len());
+        for field in scan_schema.fields() {
+            let null = || Column::new_null(field.data_type(), rows);
+            columns.push(match self.field_source(entry, field)? {
+                FieldSource::Decode(_) => decoded.next().unwrap_or_else(null),
+                FieldSource::Null => null(),
+                FieldSource::Constant(value) => Column::from_value(&value, rows)?,
+            });
+        }
+        Ok(RecordBatch::try_new(scan_schema.clone(), columns)?)
+    }
+
     /// Read one data file: footer, row-group pruning, then the surviving
-    /// chunks, mapped to the scan schema — in as few requests as the format
-    /// reader's range plan allows (one, for a file under its merge distance).
-    /// With `prefetched` (a worker already fetched the reader's opening
-    /// range) that range is a local slice instead of a store request; that
-    /// is the only difference between the inline and the overlapped path.
+    /// chunks of the fields no stats answer, mapped to the scan schema — in
+    /// as few requests as the format reader's range plan allows (one, for a
+    /// file under its merge distance). With `prefetched` (a worker already
+    /// fetched the reader's opening range) that range is a local slice
+    /// instead of a store request; that is the only difference between the
+    /// inline and the overlapped path.
     fn read_entry(
         &self,
         entry: &ManifestEntry,
@@ -448,33 +537,24 @@ impl TableScan {
         }
         let row_groups_scanned = groups.len();
 
-        // Decode only the file columns the scan needs. Column identity is
-        // positional across schema versions (we only append and rename).
-        // Per scan field, its position in the file (`None`: evolved in later).
-        let in_file = |field: &Field| -> Result<Option<usize>> {
-            let pos = current.index_of(field.name())?;
-            Ok(Some(pos).filter(|&pos| pos < file_schema.len()))
-        };
-        let positions = (scan_schema.fields().iter())
-            .map(in_file)
-            .collect::<Result<Vec<_>>>()?;
-        let projection: Vec<usize> = positions.iter().flatten().copied().collect();
+        // Decode only the file columns no stats answer; the decoded
+        // columns, moved, are those fields in scan-schema order.
+        let mut projection = Vec::new();
+        for field in scan_schema.fields() {
+            if let FieldSource::Decode(pos) = self.field_source(entry, field)? {
+                projection.push(pos);
+            }
+        }
         let decoded = reader
             .read_groups(&groups, Some(&projection), &fetch)
             .map_err(typed)?;
-
-        // Assemble in scan-schema order — the decoded columns, moved, are
-        // the fields the file has, in that order — filling evolved-in
-        // columns with nulls.
-        let n = decoded.num_rows();
-        let mut decoded = decoded.into_columns().into_iter();
-        let mut columns = Vec::with_capacity(scan_schema.len());
-        for (field, pos) in scan_schema.fields().iter().zip(&positions) {
-            let column = pos.and_then(|_| decoded.next());
-            columns.push(column.unwrap_or_else(|| Column::new_null(field.data_type(), n)));
-        }
+        // Counted from the groups, not the decoded batch: with no field to
+        // decode that has no columns, and so no rows.
+        let rows = (groups.iter())
+            .map(|&g| reader.row_group_meta(g).row_count as usize)
+            .sum();
         Ok(EntryPartial {
-            batch: RecordBatch::try_new(scan_schema.clone(), columns)?,
+            batch: self.assemble(entry, scan_schema, decoded.into_columns(), rows)?,
             bytes_scanned: reader.bytes_needed(&groups, Some(&projection))?,
             row_groups_scanned,
         })
@@ -494,11 +574,11 @@ pub struct ScanStream {
     scan_schema: Schema,
     /// The snapshot's manifests that survived pruning, in scan order.
     manifests: Vec<Arc<Manifest>>,
-    /// The entries that survived pruning and are not yet requested.
+    /// The entries that survived pruning and are not yet pending.
     entries: VecDeque<EntryAt>,
-    /// Entries whose opening range is submitted to the dispatcher but not
-    /// yet consumed, in manifest order.
-    pending: VecDeque<(EntryAt, IoTicket)>,
+    /// Entries taken into the window but not yet settled, in manifest
+    /// order, each read one with the ticket of its submitted opening range.
+    pending: VecDeque<(EntryAt, Option<IoTicket>)>,
     ready: VecDeque<RecordBatch>,
     /// Requests the next pull may have in flight; doubles per pull up to
     /// the number of lanes.
@@ -547,33 +627,49 @@ impl ScanStream {
         Ok(self.ready.pop_front())
     }
 
-    /// Read the next file: through the dispatcher when a request is already
-    /// in flight or the window allows one beside it, on this thread
-    /// otherwise (the first pull of a stream, a scan's only file, a table
-    /// without workers) — a lone request gains nothing from a hand-off.
+    /// Settle the next entry in manifest order. One its manifest entry
+    /// answers is built here, with no request and no span. One that is read
+    /// goes through the dispatcher when a request is already in flight or
+    /// the window allows one beside it, and is read on this thread otherwise
+    /// (the first pull of a stream, a scan's only file, a table without
+    /// workers) — a lone request gains nothing from a hand-off.
     fn refill(&mut self) -> Result<()> {
+        let overlap = !self.pending.is_empty() || (self.window > 1 && self.entries.len() > 1);
+        let dispatcher = self.scan.io.dispatcher.clone().filter(|_| overlap);
+        if let Some(io) = &dispatcher {
+            self.submit_window(io)?;
+        }
+        let (at, ticket) = match self.pending.pop_front() {
+            Some(submitted) => submitted,
+            None => match self.entries.pop_front() {
+                Some(at) => (at, None),
+                None => return Ok(()),
+            },
+        };
+        let entry = self.entry(at);
+        // A submitted request is for a file that is read.
+        if ticket.is_none() && !self.scan.reads(entry, &self.scan_schema)? {
+            let rows = entry.row_count as usize;
+            let batch = (self.scan).assemble(entry, &self.scan_schema, Vec::new(), rows)?;
+            self.report.files_from_metadata += 1;
+            lakehouse_obs::global()
+                .counter("scan.files_from_metadata")
+                .inc();
+            return self.emit(batch);
+        }
         let span = lakehouse_obs::span("scan.fetch");
         span.attr("files", 1usize);
         let metrics = self.scan.store.store_metrics();
         let lane_start = metrics.as_ref().map(|m| m.lane_nanos()).unwrap_or(0);
-        let overlap = !self.pending.is_empty() || (self.window > 1 && self.entries.len() > 1);
-        let dispatcher = self.scan.io.dispatcher.clone().filter(|_| overlap);
-        let (entry, prefetched, mut sim_nanos) = match &dispatcher {
-            Some(io) => {
-                self.submit_window(io)?;
-                let Some((entry, ticket)) = self.pending.pop_front() else {
-                    return Ok(());
-                };
+        let (prefetched, mut sim_nanos) = match (&dispatcher, ticket) {
+            (Some(io), Some(ticket)) => {
                 let done = io.wait(ticket);
                 self.readahead_hits_counter.inc();
-                (entry, Some(done.result), done.sim_nanos)
+                (Some(done.result), done.sim_nanos)
             }
-            None => match self.entries.pop_front() {
-                Some(entry) => (entry, None, 0),
-                None => return Ok(()),
-            },
+            _ => (None, 0),
         };
-        let (outcome, retries) = self.read_retrying(entry, prefetched);
+        let (outcome, retries) = self.read_retrying(at, prefetched);
         sim_nanos += metrics
             .as_ref()
             .map(|m| m.lane_nanos() - lane_start)
@@ -586,19 +682,24 @@ impl ScanStream {
         Ok(())
     }
 
-    /// Top the in-flight requests up to the window: each upcoming entry's
-    /// opening range — the whole file when it is small, its tail otherwise;
-    /// exactly what the reader would ask for first — goes to the dispatcher,
-    /// and so through the full store stack like any demand fetch.
+    /// Top the pending entries up to the window: each upcoming entry that
+    /// is read has its opening range — the whole file when it is small, its
+    /// tail otherwise; exactly what the reader would ask for first — sent to
+    /// the dispatcher, and so through the full store stack like any demand
+    /// fetch. One its manifest entry answers keeps its place unrequested.
     fn submit_window(&mut self, io: &IoDispatcher) -> Result<()> {
         while self.pending.len() < self.window {
             let Some(at) = self.entries.pop_front() else {
                 break;
             };
             let entry = self.entry(at);
-            let path = ObjectPath::new(entry.file_path.clone())?;
-            let (start, end) = RangedReader::opening_range(entry.file_size as usize);
-            let ticket = io.submit_get_range(&path, start, end);
+            let ticket = if self.scan.reads(entry, &self.scan_schema)? {
+                let path = ObjectPath::new(entry.file_path.clone())?;
+                let (start, end) = RangedReader::opening_range(entry.file_size as usize);
+                Some(io.submit_get_range(&path, start, end))
+            } else {
+                None
+            };
             self.pending.push_back((at, ticket));
         }
         Ok(())
@@ -635,8 +736,7 @@ impl ScanStream {
     }
 
     /// Book one entry that was read: its simulated time onto the
-    /// least-loaded lane, its re-reads, and its batch (exact-filtered) onto
-    /// the ready queue.
+    /// least-loaded lane, its re-reads, and its batch onto the ready queue.
     fn settle(&mut self, partial: EntryPartial, retries: u32, sim_nanos: u64) -> Result<()> {
         if let Some(min_lane) = self.lanes.iter_mut().min() {
             *min_lane += sim_nanos;
@@ -650,7 +750,12 @@ impl ScanStream {
         self.report.row_groups_scanned += partial.row_groups_scanned;
         self.files_read_counter.inc();
         self.bytes_counter.add(partial.bytes_scanned);
-        let batch = self.scan.filter_exact(partial.batch)?;
+        self.emit(partial.batch)
+    }
+
+    /// An entry's batch, exact-filtered, onto the ready queue.
+    fn emit(&mut self, batch: RecordBatch) -> Result<()> {
+        let batch = self.scan.filter_exact(batch)?;
         if batch.num_rows() > 0 {
             self.report.rows_emitted += batch.num_rows();
             self.rows_counter.add(batch.num_rows() as u64);
@@ -666,7 +771,8 @@ impl Drop for ScanStream {
     /// it — a queued request never reaches the backend, a running one's
     /// result is discarded.
     fn drop(&mut self) {
-        self.readahead_wasted_counter.add(self.pending.len() as u64);
+        let submitted = self.pending.iter().filter(|(_, ticket)| ticket.is_some());
+        self.readahead_wasted_counter.add(submitted.count() as u64);
         self.pending.clear();
     }
 }
@@ -678,8 +784,23 @@ impl lakehouse_columnar::BatchStream for ScanStream {
 
     fn next_batch(&mut self) -> lakehouse_columnar::error::Result<Option<RecordBatch>> {
         self.pull()
-            .map_err(|e| lakehouse_columnar::ColumnarError::External(e.to_string()))
+            .map_err(|e| ColumnarError::External(Arc::new(e)))
     }
+}
+
+/// The value on every row of `field`, when its file stats `s` prove one:
+/// no NULL and `min == max`, for a type whose equal stats fix every bit.
+/// Not a float (`-0.0 == 0.0`), and not a string, whose decoded form —
+/// dictionary or plain — depends on the chunk it came from.
+fn constant(field: &Field, s: &StatsDef) -> Option<Value> {
+    use lakehouse_columnar::DataType::{Bool, Date, Int64, Timestamp};
+    let dt = field.data_type();
+    let exact = matches!(dt, Int64 | Date | Timestamp | Bool);
+    if !exact || s.null_count != 0 || s.min != s.max {
+        return None;
+    }
+    let value = s.min.to_value();
+    (value.data_type() == Some(dt)).then_some(value)
 }
 
 /// Does `value OP literal` hold for partition-value comparison?
@@ -1216,5 +1337,174 @@ mod tests {
             .unwrap();
         assert_eq!(b.num_rows(), 15);
         assert_eq!(report.row_groups_scanned, 2); // groups [80,89] and [90,99]
+    }
+
+    fn by_day() -> PartitionSpec {
+        PartitionSpec::new(vec![PartitionField {
+            source_column: "pickup_at".into(),
+            transform: Transform::Day,
+        }])
+    }
+
+    /// One committed write of `batch` to a fresh unpartitioned table, in row
+    /// groups of `group_rows`.
+    fn one_file(batch: &RecordBatch, group_rows: usize) -> Table {
+        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let t = Table::create(
+            store,
+            "wh/one",
+            batch.schema(),
+            PartitionSpec::unpartitioned(),
+        )
+        .unwrap();
+        let mut tx = t
+            .new_transaction(SnapshotOperation::Append)
+            .with_writer_options(lakehouse_format::WriterOptions {
+                row_group_rows: group_rows,
+            });
+        tx.write(batch).unwrap();
+        tx.commit_table().unwrap()
+    }
+
+    #[test]
+    fn a_file_its_entry_answers_is_never_requested() {
+        let t = make_table(by_day());
+        let store = Arc::clone(t.store());
+        for path in store.list("wh/taxi/data/").unwrap() {
+            store.delete(&path).unwrap();
+        }
+        // Every data file is gone; a one-day scan of `pickup_at` needs none.
+        let day = |d: i32| ScanPredicate::new("pickup_at", CmpOp::Eq, Value::Date(d));
+        let (b, report) = (t.scan().with_predicate(day(200)))
+            .select(&["pickup_at"])
+            .execute_with_report()
+            .unwrap();
+        assert_eq!(b.column(0), &Column::from_date(vec![200, 200]));
+        let files = (report.files_scanned, report.files_read);
+        assert_eq!((files, report.files_from_metadata), ((1, 0), 1));
+        assert_eq!((report.bytes_scanned, report.row_groups_scanned), (0, 0));
+        // A float is decoded even when its stats have `min == max`.
+        let fare = t
+            .scan()
+            .with_predicate(day(300))
+            .select(&["pickup_at", "fare"]);
+        assert!(fare.execute().is_err(), "day 300's one fare is read");
+    }
+
+    #[test]
+    fn the_stats_prove_a_field_only_where_they_fix_every_row() {
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int64, true),
+            Field::new("d", DataType::Date, false),
+            Field::new("ts", DataType::Timestamp, false),
+            Field::new("b", DataType::Bool, false),
+            Field::new("f", DataType::Float64, false),
+            Field::new("s", DataType::Utf8, false),
+            Field::new("n", DataType::Int64, true),
+            Field::new("v", DataType::Int64, false),
+        ]);
+        let batch = RecordBatch::try_new(
+            schema.clone(),
+            vec![
+                Column::from_opt_i64(vec![Some(1), None, Some(1)]),
+                Column::from_date(vec![5; 3]),
+                Column::from_timestamp(vec![9; 3]),
+                Column::from_bool(vec![true; 3]),
+                Column::from_f64(vec![-0.0, 0.0, 0.0]),
+                Column::from_strs(vec!["x"; 3]),
+                Column::from_opt_i64(vec![None; 3]),
+                Column::from_i64(vec![1, 2, 3]),
+            ],
+        )
+        .unwrap();
+        let t = one_file(&batch, 2);
+        let root = &t.metadata().current_snapshot().unwrap().manifest_path;
+        let manifest = Manifest::load(t.store(), t.io(), root).unwrap();
+        let scan = t.scan();
+        let plan: Result<Vec<_>> = (schema.fields().iter())
+            .map(|field| scan.field_source(&manifest.entries[0], field))
+            .collect();
+        use FieldSource::{Constant, Decode, Null};
+        let want = vec![
+            Decode(0),
+            Constant(Value::Date(5)),
+            Constant(Value::Timestamp(9)),
+            Constant(Value::Bool(true)),
+            Decode(4),
+            Decode(5),
+            Null,
+            Decode(7),
+        ];
+        assert_eq!(plan.unwrap(), want);
+        // What the stats build is what decoding gives, to the bit.
+        let back = t.scan().execute().unwrap();
+        assert_eq!(back, batch);
+        let floats = back.column(4).as_f64().unwrap().0;
+        let bits: Vec<u64> = floats.iter().map(|f| f.to_bits()).collect();
+        assert_eq!(bits, vec![(-0.0f64).to_bits(), 0, 0]);
+    }
+
+    #[test]
+    fn a_field_added_after_a_file_was_written_is_null_on_each_of_its_rows() {
+        let t = make_table(PartitionSpec::unpartitioned());
+        let t = (t.add_columns(&[Field::new("tip", DataType::Float64, true)])).unwrap();
+        let (b, report) = t.scan().select(&["tip"]).execute_with_report().unwrap();
+        assert_eq!(b.column(0), &Column::new_null(DataType::Float64, 5));
+        assert_eq!((report.files_read, report.files_from_metadata), (0, 1));
+    }
+
+    #[test]
+    fn a_predicate_the_scan_does_not_return_still_prunes_row_groups() {
+        let schema = Schema::new(vec![
+            Field::new("x", DataType::Int64, false),
+            Field::new("c", DataType::Int64, false),
+        ]);
+        let columns = vec![
+            Column::from_i64((0..100).collect()),
+            Column::from_i64(vec![7; 100]),
+        ];
+        let t = one_file(&RecordBatch::try_new(schema, columns).unwrap(), 10);
+        let (all, report) = t.scan().select(&["c"]).execute_with_report().unwrap();
+        assert_eq!((all.num_rows(), report.files_read), (100, 0));
+        // `x` is applied only through the footer's zone maps, so the file is
+        // read for them: groups [80,89] and [90,99], as when `c` is decoded.
+        let late = ScanPredicate::new("x", CmpOp::GtEq, Value::Int64(85));
+        let scan = t.scan().with_predicate(late).select(&["c"]);
+        let (pruned, report) = scan.execute_with_report().unwrap();
+        assert_eq!(pruned.column(0), &Column::from_i64(vec![7; 20]));
+        assert_eq!((report.files_read, report.row_groups_scanned), (1, 2));
+    }
+
+    #[test]
+    fn answered_and_read_files_settle_in_manifest_order_through_the_dispatcher() {
+        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let spec = PartitionSpec::identity("zone");
+        let t = Table::create(Arc::clone(&store), "wh/mix", &taxi_schema(), spec).unwrap();
+        let mut tx = t.new_transaction(SnapshotOperation::Append);
+        // Zones a and c hold one day each, b and d two.
+        let days = vec![1, 1, 1, 2, 3, 3, 4, 5];
+        let zones = vec!["a", "a", "b", "b", "c", "c", "d", "d"];
+        tx.write(&taxi_batch(days.clone(), zones, vec![0.0; 8]))
+            .unwrap();
+        let (loc, _) = tx.commit().unwrap();
+        let io = Arc::new(IoDispatcher::new(Arc::clone(&store), 4, None).unwrap());
+        let with_io = TableIo {
+            cache: None,
+            dispatcher: Some(Arc::clone(&io)),
+        };
+        for t in [
+            Table::load(Arc::clone(&store), &loc).unwrap(),
+            Table::load_with(Arc::clone(&store), &loc, with_io).unwrap(),
+        ] {
+            let (b, report) = t
+                .scan()
+                .select(&["pickup_at"])
+                .execute_with_report()
+                .unwrap();
+            assert_eq!(b.column(0), &Column::from_date(days.clone()));
+            assert_eq!((report.files_read, report.files_from_metadata), (2, 2));
+        }
+        let stats = io.stats();
+        assert_eq!((stats.submitted, stats.inflight), (2, 0), "b and d only");
     }
 }

@@ -4,9 +4,13 @@
 //! through the JSON parser.
 
 use bauplan_core::{Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions};
-use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema};
+use lakehouse_columnar::kernels::CmpOp;
+use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
 use lakehouse_obs::to_chrome_trace;
+use lakehouse_store::{InMemoryStore, ObjectStore};
+use lakehouse_table::{PartitionField, PartitionSpec, ScanPredicate, Table, Transform};
 use serde::Json;
+use std::sync::Arc;
 
 /// A lakehouse whose `events` table spans 4 data files of 64 rows each.
 fn lakehouse() -> Lakehouse {
@@ -197,6 +201,52 @@ fn join_scans_are_direct_children_of_join_span() {
             cur = span.parent;
         }
     }
+}
+
+#[test]
+fn a_one_day_count_is_answered_from_the_manifest_and_says_so() {
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let lh = Lakehouse::with_store(Arc::clone(&store), LakehouseConfig::zero_latency()).unwrap();
+    let trips = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("pickup_at", DataType::Date, false),
+            Field::new("fare", DataType::Float64, false),
+        ]),
+        vec![
+            Column::from_date(vec![100, 100, 101]),
+            Column::from_f64(vec![1.0, 2.0, 3.0]),
+        ],
+    )
+    .unwrap();
+    let by_day = PartitionSpec::new(vec![PartitionField {
+        source_column: "pickup_at".into(),
+        transform: Transform::Day,
+    }]);
+    lh.create_table_partitioned("trips", &trips, "main", by_day)
+        .unwrap();
+    // Day 100 is 1970-04-11.
+    const ONE_DAY: &str = "SELECT COUNT(*) AS n FROM trips WHERE pickup_at = DATE '1970-04-11'";
+    let counter = lakehouse_obs::global().counter("scan.files_from_metadata");
+    let before = counter.get();
+    let (out, tree) = lh.profile(ONE_DAY, "main").unwrap();
+    assert_eq!(out.row(0).unwrap()[0], Value::Int64(2));
+    let plan = tree.find("scan.plan").expect("scan.plan span");
+    assert_eq!(plan.attr_u64("files_scanned"), Some(1));
+    assert_eq!(plan.attr_u64("files_from_metadata"), Some(1));
+    assert!(tree.find_all("scan.fetch").is_empty(), "nothing fetched");
+    // Process-wide: other tests of this binary may add to it.
+    assert!(counter.get() > before);
+
+    // The scan that statement pushes down, reported.
+    let content = lh.catalog().get_content("main", "trips").unwrap();
+    let table = Table::load(store, &content.metadata_location).unwrap();
+    let (_, report) = (table.scan())
+        .with_predicate(ScanPredicate::new("pickup_at", CmpOp::Eq, Value::Date(100)))
+        .select(&["pickup_at"])
+        .execute_with_report()
+        .unwrap();
+    let files = (report.files_scanned, report.files_read);
+    assert_eq!((files, report.files_from_metadata), ((1, 0), 1));
 }
 
 #[test]

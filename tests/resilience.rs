@@ -597,8 +597,7 @@ fn an_exhausted_store_retry_is_not_retried_by_the_run() {
     assert!(giveups.get() > giveups_before);
     assert_eq!(lh.list_tables("main").unwrap(), vec!["t"], "rolled back");
 
-    // The SQL executor carries a scan's error as text; the typed read path
-    // shows what the store ended the fault as.
+    // The typed read path shows what the store ended the fault as.
     store.failed_reads.store(0, SeqCst);
     match lh.read_table("t", "main") {
         Err(BauplanError::Table(TableError::Store(StoreError::RetriesExhausted {
@@ -611,6 +610,26 @@ fn an_exhausted_store_retry_is_not_retried_by_the_run() {
         }
         other => panic!("expected RetriesExhausted by type, got {other:?}"),
     }
+    assert_eq!(store.failed_reads.load(SeqCst), RETRY_MAX + 1);
+
+    // So does a SQL statement's: the executor carries a scan's error as it
+    // is, under text that reads as it always did.
+    store.failed_reads.store(0, SeqCst);
+    let err = lh
+        .query("SELECT x FROM t", "main")
+        .expect_err("the only data file cannot be read");
+    match err.find::<StoreError>() {
+        Some(StoreError::RetriesExhausted { attempts, last, .. }) => {
+            assert_eq!(*attempts, RETRY_MAX + 1);
+            assert!(matches!(**last, StoreError::Transient(_)));
+        }
+        other => panic!("expected RetriesExhausted by type, got {other:?}: {err}"),
+    }
+    let text = err.to_string();
+    assert!(
+        text.starts_with("sql: execution error: store error: retries exhausted on "),
+        "{text}"
+    );
     assert_eq!(store.failed_reads.load(SeqCst), RETRY_MAX + 1);
 }
 
