@@ -15,12 +15,14 @@ use std::path::Path;
 /// 0: documents serialize into a `Result`, and the content token reads
 /// whole eight-byte chunks. `sql` went from 10 to 0 when the parser's own
 /// token matcher, `Parser::expect` (all ten), became `expect_token`.
+/// `columnar` went from 6 to 5 when `Bitmap::for_each_set` walked its bytes
+/// as whole eight-byte chunks.
 const CEILINGS: &[(&str, usize)] = &[
     ("bench", 2),
     ("catalog", 3),
     ("checksum", 0),
     ("cli", 2),
-    ("columnar", 6),
+    ("columnar", 5),
     ("core", 6),
     ("format", 0),
     ("obs", 6),

@@ -230,11 +230,10 @@ impl Bitmap {
     /// gather instead of materializing an index vector in between.
     #[inline]
     pub fn for_each_set(&self, mut f: impl FnMut(usize)) {
-        let words = self.bits.chunks_exact(8);
-        let tail = words.remainder();
+        let (words, tail) = self.bits.as_chunks::<8>();
         let mut base = 0usize;
-        for chunk in words {
-            let mut w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        for &chunk in words {
+            let mut w = u64::from_le_bytes(chunk);
             while w != 0 {
                 f(base + w.trailing_zeros() as usize);
                 w &= w - 1;

@@ -6,7 +6,7 @@ use crate::error::{BauplanError, Result as CoreResult};
 use lakehouse_catalog::{Catalog, CatalogError, CatalogState};
 use lakehouse_columnar::{BatchStream, BatchesStream, RecordBatch, Schema, Value};
 use lakehouse_sql::ast::Expr;
-use lakehouse_sql::logical::SchemaProvider;
+use lakehouse_sql::logical::{resolve_column, SchemaProvider};
 use lakehouse_sql::{Result as SqlResult, SqlError, TableProvider};
 use lakehouse_store::{BufferPool, ObjectStore};
 use lakehouse_table::{ScanPredicate, Table, TableIo};
@@ -138,21 +138,30 @@ impl LakehouseProvider {
     /// (simple `column OP literal` conjuncts; everything else is handled by
     /// the executor's exact re-filter).
     fn to_scan_predicates(filters: &[Expr]) -> Vec<ScanPredicate> {
-        let mut out = Vec::new();
-        for f in filters {
-            if let Expr::Compare { op, left, right } = f {
-                match (left.as_ref(), right.as_ref()) {
-                    (Expr::Column { name, .. }, Expr::Literal(v)) if !v.is_null() => {
-                        out.push(ScanPredicate::new(name.clone(), *op, v.clone()));
-                    }
-                    (Expr::Literal(v), Expr::Column { name, .. }) if !v.is_null() => {
-                        out.push(ScanPredicate::new(name.clone(), op.flip(), v.clone()));
-                    }
-                    _ => {}
-                }
+        (filters.iter())
+            .filter_map(|f| Some(Self::scan_predicate(f)?.1))
+            .collect()
+    }
+
+    /// The scan predicate `f` is, with its column's qualifier, when it is a
+    /// `column OP literal` comparison (either way round) with a non-NULL
+    /// literal.
+    fn scan_predicate(f: &Expr) -> Option<(Option<&str>, ScanPredicate)> {
+        let Expr::Compare { op, left, right } = f else {
+            return None;
+        };
+        let (column, op, literal) = match (left.as_ref(), right.as_ref()) {
+            (column, Expr::Literal(v)) => (column, *op, v),
+            (Expr::Literal(v), column) => (column, op.flip(), v),
+            _ => return None,
+        };
+        match column {
+            Expr::Column { qualifier, name } if !literal.is_null() => {
+                let p = ScanPredicate::new(name.clone(), op, literal.clone());
+                Some((qualifier.as_deref(), p))
             }
+            _ => None,
         }
-        out
     }
 }
 
@@ -237,6 +246,24 @@ impl PinnedProvider<'_> {
         }
         Ok(scan)
     }
+
+    /// What a scan of `table` returns, when the scan filters by its pushed
+    /// predicates: a catalog table under pushdown.
+    fn filtered_schema(&self, table: &str, projection: Option<&[String]>) -> Option<Schema> {
+        let in_memory = table.starts_with(crate::system::SYSTEM_PREFIX)
+            || self.provider.overlay.read().contains_key(table);
+        if in_memory || !self.provider.pushdown {
+            return None;
+        }
+        let schema = self.table(table).ok()?.schema().ok()?;
+        match projection {
+            Some(cols) => {
+                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
+                schema.project(&names).ok()
+            }
+            None => Some(schema),
+        }
+    }
 }
 
 impl SchemaProvider for PinnedProvider<'_> {
@@ -299,6 +326,31 @@ impl TableProvider for PinnedProvider<'_> {
             Some(_) => scan.stream(),
         };
         Ok(Box::new(stream.map_err(scan_failed)?))
+    }
+
+    /// A catalog table's pushed-down scan applies each filter it converts to
+    /// a [`ScanPredicate`] exactly (a file's residual, DESIGN.md §23) — on a
+    /// column it returns: it cannot filter by a column its batches lack, so
+    /// the filter must name the returned column it filtered, as the executor
+    /// resolves names. Tables served from memory and the naive baseline
+    /// filter nothing.
+    fn exact_filters(
+        &self,
+        table: &str,
+        projection: Option<&[String]>,
+        filters: &[Expr],
+    ) -> Vec<bool> {
+        let schema = self.filtered_schema(table, projection);
+        let exact = |f: &Expr| {
+            let (Some(schema), Some((qualifier, p))) =
+                (&schema, LakehouseProvider::scan_predicate(f))
+            else {
+                return false;
+            };
+            let resolved = resolve_column(schema, qualifier, &p.column);
+            resolved.is_ok_and(|i| schema.field(i).name() == p.column)
+        };
+        filters.iter().map(exact).collect()
     }
 }
 
@@ -462,7 +514,52 @@ mod tests {
         let p = LakehouseProvider::new(store, catalog, "main");
         let filters = vec![literal_predicate("x", CmpOp::GtEq, Value::Int64(2))];
         let batch = scan(&p, "t1", Some(&["x".to_string()]), &filters);
-        // Pruning is approximate; the executor re-applies `filters`.
+        // The scan applies the filter it states exact.
         assert_eq!(batch.num_rows(), 2);
+    }
+
+    #[test]
+    fn a_catalog_scan_states_exact_the_filters_it_applies_on_returned_columns() {
+        let (store, catalog) = setup();
+        write_table(&store, &catalog, "t1");
+        let p = LakehouseProvider::new(store, catalog, "main");
+        let filters = vec![
+            literal_predicate("x", CmpOp::GtEq, Value::Int64(2)),
+            Expr::Compare {
+                op: CmpOp::Lt,
+                left: Box::new(Expr::Literal(Value::Int64(1))),
+                right: Box::new(Expr::Column {
+                    qualifier: Some("t".into()),
+                    name: "x".into(),
+                }),
+            },
+            Expr::IsNull {
+                expr: Box::new(Expr::col("x")),
+                negated: true,
+            },
+            literal_predicate("x", CmpOp::Eq, Value::Null),
+        ];
+        let x = ["x".to_string()];
+        let exact = |p: &LakehouseProvider, projection: Option<&[String]>| {
+            p.pin().exact_filters("t1", projection, &filters)
+        };
+        let converted = vec![true, true, false, false];
+        assert_eq!(exact(&p, None), converted);
+        assert_eq!(exact(&p, Some(&x)), converted);
+        // Not returned: a scan cannot filter by it.
+        assert_eq!(exact(&p, Some(&[])), vec![false; 4]);
+        // Served from memory: nothing is filtered there.
+        let shadow = RecordBatch::try_new(
+            Schema::new(vec![Field::new("x", DataType::Int64, false)]),
+            vec![Column::from_i64(vec![5])],
+        )
+        .unwrap();
+        p.put_overlay("t1", Arc::new(shadow));
+        assert_eq!(exact(&p, None), vec![false; 4]);
+        p.clear_overlay();
+        assert_eq!(exact(&p, None), converted);
+        // The naive baseline pushes nothing down.
+        let naive = p.with_pushdown(false);
+        assert_eq!(exact(&naive, None), vec![false; 4]);
     }
 }

@@ -7,6 +7,7 @@ use crate::error::{FormatError, Result};
 use crate::io::{ByteReader, ByteWriter};
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Bitmap, Column, Value};
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// Statistics for one column chunk (or one data file, when aggregated).
@@ -53,7 +54,8 @@ impl ColumnStats {
     /// Returns `true` when the chunk **might** contain matches (must be
     /// scanned) and `false` only when the stats *prove* no row matches —
     /// the standard zone-map contract: false positives allowed, false
-    /// negatives never.
+    /// negatives never. Values order as the comparison kernels order them
+    /// (`kernel_order`).
     pub fn may_match(&self, op: CmpOp, literal: &Value) -> bool {
         if literal.is_null() {
             // `x OP NULL` is never true in SQL.
@@ -64,16 +66,42 @@ impl ColumnStats {
             // are also rows we know nothing about (row_count > null_count).
             return self.row_count > self.null_count;
         }
+        let (lo, hi) = (
+            kernel_order(&self.min, literal),
+            kernel_order(&self.max, literal),
+        );
         match op {
-            CmpOp::Eq => self.min.total_cmp(literal).is_le() && self.max.total_cmp(literal).is_ge(),
-            CmpOp::NotEq => {
-                // Only prunable if every row equals the literal exactly.
-                !(self.min == *literal && self.max == *literal && self.null_count == 0)
-            }
-            CmpOp::Lt => self.min.total_cmp(literal).is_lt(),
-            CmpOp::LtEq => self.min.total_cmp(literal).is_le(),
-            CmpOp::Gt => self.max.total_cmp(literal).is_gt(),
-            CmpOp::GtEq => self.max.total_cmp(literal).is_ge(),
+            CmpOp::Eq => lo.is_le() && hi.is_ge(),
+            // Only prunable if every row equals the literal exactly.
+            CmpOp::NotEq => !(lo.is_eq() && hi.is_eq() && self.null_count == 0),
+            CmpOp::Lt => lo.is_lt(),
+            CmpOp::LtEq => lo.is_le(),
+            CmpOp::Gt => hi.is_gt(),
+            CmpOp::GtEq => hi.is_ge(),
+        }
+    }
+
+    /// Does every row in this chunk satisfy `column OP literal`? The dual
+    /// of [`Self::may_match`]: `true` only when the stats *prove* it. A NULL
+    /// row satisfies no comparison, so the chunk must have none; every value
+    /// lies between `min` and `max` in the order the kernels compare by, so
+    /// both bounds deciding the comparison the same way decides it for every
+    /// row. The caller checks that `row_count` counts the rows it means.
+    pub fn must_match(&self, op: CmpOp, literal: &Value) -> bool {
+        if literal.is_null() || self.null_count != 0 || self.min.is_null() || self.max.is_null() {
+            return false;
+        }
+        let (lo, hi) = (
+            kernel_order(&self.min, literal),
+            kernel_order(&self.max, literal),
+        );
+        match op {
+            CmpOp::Eq => lo.is_eq() && hi.is_eq(),
+            CmpOp::NotEq => lo.is_gt() || hi.is_lt(),
+            CmpOp::Lt => hi.is_lt(),
+            CmpOp::LtEq => hi.is_le(),
+            CmpOp::Gt => lo.is_gt(),
+            CmpOp::GtEq => lo.is_ge(),
         }
     }
 
@@ -93,6 +121,17 @@ impl ColumnStats {
             null_count: r.read_u64()?,
             row_count: r.read_u64()?,
         })
+    }
+}
+
+/// How `cmp_column_scalar` orders a column value against `literal`: by
+/// [`Value::total_cmp`], except that a `Timestamp` column compares an
+/// integer literal as an integer (the kernel's typed path), where
+/// `total_cmp` would order the two by type.
+fn kernel_order(value: &Value, literal: &Value) -> Ordering {
+    match (value, literal) {
+        (Value::Timestamp(v), Value::Int64(l)) => v.cmp(l),
+        _ => value.total_cmp(literal),
     }
 }
 
@@ -210,6 +249,34 @@ mod tests {
         let s = ColumnStats::from_column(&Column::from_i64(vec![10, 20]));
         assert!(s.may_match(CmpOp::Gt, &Value::Float64(15.5)));
         assert!(!s.may_match(CmpOp::Gt, &Value::Float64(20.5)));
+    }
+
+    #[test]
+    fn proving_needs_both_bounds_and_no_null() {
+        let s = ColumnStats::from_column(&Column::from_i64(vec![10, 20]));
+        assert!(s.must_match(CmpOp::GtEq, &Value::Int64(10)));
+        assert!(!s.must_match(CmpOp::Gt, &Value::Int64(10)));
+        assert!(s.must_match(CmpOp::Lt, &Value::Int64(21)));
+        assert!(s.must_match(CmpOp::NotEq, &Value::Int64(9)));
+        assert!(!s.must_match(CmpOp::NotEq, &Value::Int64(15)));
+        assert!(!s.must_match(CmpOp::Eq, &Value::Int64(10)));
+        let constant = ColumnStats::from_column(&Column::from_i64(vec![7, 7]));
+        assert!(constant.must_match(CmpOp::Eq, &Value::Int64(7)));
+        assert!(!constant.must_match(CmpOp::Eq, &Value::Null));
+        let nulls = ColumnStats::from_column(&Column::from_opt_i64(vec![Some(7), None]));
+        assert!(!nulls.must_match(CmpOp::Eq, &Value::Int64(7)));
+    }
+
+    #[test]
+    fn stats_order_values_as_the_kernel_compares_them() {
+        // A timestamp against an integer literal compares the integers.
+        let ts = ColumnStats::from_column(&Column::from_timestamp(vec![5, 5]));
+        assert!(ts.may_match(CmpOp::Eq, &Value::Int64(5)));
+        assert!(ts.must_match(CmpOp::Eq, &Value::Int64(5)));
+        // `0.0` is not `-0.0` to the kernel, so `<> -0.0` holds on it.
+        let zero = ColumnStats::from_column(&Column::from_f64(vec![0.0]));
+        assert!(zero.may_match(CmpOp::NotEq, &Value::Float64(-0.0)));
+        assert!(zero.must_match(CmpOp::NotEq, &Value::Float64(-0.0)));
     }
 
     #[test]

@@ -9,19 +9,24 @@ use lakehouse_columnar::{BatchStream, BatchesStream, RecordBatch, Schema};
 use std::collections::HashMap;
 
 /// Data access for execution: schema resolution plus scanning, with optional
-/// projection and filter pushdown. Implementors may apply filters only
-/// *approximately* (pruning); the executor re-applies them exactly.
+/// projection and filter pushdown. A provider applies each pushed filter
+/// either *exactly* — every row it yields passes it, as
+/// [`Self::exact_filters`] states — or not at all, or only approximately
+/// (pruning); the executor applies exactly the filters not stated exact,
+/// and evaluates each filter at most once per row.
 pub trait TableProvider: SchemaProvider {
     /// Scan a table as a pull-based stream of batches, in whatever units the
     /// provider holds it: a multi-file table yields one batch per data file,
     /// lazily, so files the consumer never pulls are never fetched; an
     /// in-memory table is a stream of one batch. `projection` lists the
     /// column names to return (in table order is acceptable); `filters` are
-    /// conjunctive predicates that MAY be used to skip data; `fetch` is the
-    /// plan's row budget ([`LogicalPlan::Scan::fetch`]) — the consumer stops
-    /// pulling once that many rows have passed `filters`, so a provider that
-    /// reads ahead should do so only as far as the budget is likely to
-    /// reach, and `None` means every batch will be pulled.
+    /// conjunctive predicates: the stream must apply exactly the ones
+    /// [`Self::exact_filters`] names for the same arguments, and may use any
+    /// of the others to skip data; `fetch` is the plan's row budget
+    /// ([`LogicalPlan::Scan::fetch`]) — the consumer stops pulling once that
+    /// many rows have passed `filters`, so a provider that reads ahead
+    /// should do so only as far as the budget is likely to reach, and `None`
+    /// means every batch will be pulled.
     fn scan(
         &self,
         table: &str,
@@ -29,6 +34,18 @@ pub trait TableProvider: SchemaProvider {
         filters: &[Expr],
         fetch: Option<usize>,
     ) -> Result<Box<dyn BatchStream>>;
+
+    /// Which of `filters`, by position, the stream [`Self::scan`] returns for
+    /// the same arguments has applied exactly: no row it yields fails one,
+    /// so the executor does not evaluate it again. The default is none.
+    fn exact_filters(
+        &self,
+        _table: &str,
+        _projection: Option<&[String]>,
+        filters: &[Expr],
+    ) -> Vec<bool> {
+        vec![false; filters.len()]
+    }
 }
 
 /// What scanning an in-memory table yields: `batch` projected, in one copy
@@ -260,12 +277,14 @@ mod tests {
         assert_eq!(rows_of(&[], Some(100)), 8);
         assert_eq!(rows_of(&[], None), 8);
         // The budget counts rows that pass the filters, which the provider
-        // does not apply: all rows go up.
+        // does not apply (it states none exact): all rows go up.
         let filter = Expr::IsNull {
             expr: Box::new(Expr::col("fare".to_string())),
             negated: false,
         };
-        assert_eq!(rows_of(&[filter], Some(3)), 8);
+        let filters = [filter];
+        assert_eq!(rows_of(&filters, Some(3)), 8);
+        assert_eq!(p.exact_filters("taxi_table", None, &filters), vec![false]);
         let limited = SqlEngine::new().query("SELECT fare FROM taxi_table LIMIT 3", &p);
         assert_eq!(limited.unwrap().num_rows(), 3);
     }

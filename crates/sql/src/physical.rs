@@ -12,9 +12,9 @@ use lakehouse_columnar::kernels::{
 };
 use lakehouse_columnar::{Column, ColumnBuilder, RecordBatch, Schema, Value};
 
-/// Providers may filter only approximately (file pruning): apply every
-/// pushed predicate exactly. A batch whose every row passes one is handed
-/// on as it is, not copied.
+/// Apply `filters` exactly: the pushed predicates a provider did not apply
+/// exactly itself. A batch whose every row passes one is handed on as it
+/// is, not copied.
 pub(crate) fn filter_exact(mut batch: RecordBatch, filters: &[Expr]) -> Result<RecordBatch> {
     for f in filters {
         if batch.num_rows() == 0 {

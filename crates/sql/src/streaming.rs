@@ -284,9 +284,18 @@ fn build_stream(
             } else {
                 provider.scan(table, projection.as_deref(), filters, *fetch)?
             };
+            let exact = match filters.is_empty() {
+                true => Vec::new(),
+                false => provider.exact_filters(table, projection.as_deref(), filters),
+            };
+            let filters: Vec<Expr> = (filters.iter().enumerate())
+                .filter(|(i, _)| exact.get(*i) != Some(&true))
+                .map(|(_, f)| f.clone())
+                .collect();
+            span.attr("filters_rechecked", filters.len());
             Box::new(ScanNode {
                 inner,
-                filters: filters.clone(),
+                filters,
                 budget: *fetch,
                 meter: Meter::new(plan, span, stats),
             })
@@ -386,11 +395,14 @@ fn build_stream(
 
 // ---- pipeline operators ---------------------------------------------------
 
-/// Source node: pulls batches from the provider's stream, re-applies the
-/// pushed-down filters exactly (providers may filter only approximately),
-/// and stops at the plan's row budget.
+/// Source node: pulls batches from the provider's stream, applies the
+/// pushed-down filters the provider did not state it applied exactly
+/// ([`TableProvider::exact_filters`]; the others it has, so each filter is
+/// evaluated once per row), and stops at the plan's row budget, counted in
+/// rows that passed every filter.
 struct ScanNode {
     inner: Box<dyn BatchStream>,
+    /// The pushed filters the provider's stream has not applied exactly.
     filters: Vec<Expr>,
     /// Rows still wanted of `LogicalPlan::Scan::fetch`.
     budget: Option<usize>,

@@ -61,18 +61,6 @@ pub struct ManifestEntry {
     pub schema_id: u32,
 }
 
-impl ManifestEntry {
-    /// Can this file contain rows matching `column OP literal`?
-    /// Missing stats (e.g. a column added after this file was written) are
-    /// conservative: the file must be scanned.
-    pub fn may_match(&self, column: &str, op: CmpOp, literal: &Value) -> bool {
-        match self.column_stats.get(column) {
-            Some(stats) => stats.to_stats().may_match(op, literal),
-            None => true,
-        }
-    }
-}
-
 /// An earlier manifest a root still names: Iceberg's manifest-list entry,
 /// folded into the manifest. It carries what a scan needs to account for
 /// the manifest, or to skip it unread: its size, and per partition field
@@ -256,20 +244,6 @@ mod tests {
         assert_eq!(m, rt);
         assert_eq!(rt.total_rows(), 20);
         assert_eq!(rt.total_bytes(), 2000);
-    }
-
-    #[test]
-    fn pruning_by_file_stats() {
-        let e = entry("f1", 10, 20);
-        assert!(e.may_match("id", CmpOp::Eq, &Value::Int64(15)));
-        assert!(!e.may_match("id", CmpOp::Eq, &Value::Int64(50)));
-        assert!(!e.may_match("id", CmpOp::Lt, &Value::Int64(10)));
-    }
-
-    #[test]
-    fn missing_stats_conservative() {
-        let e = entry("f1", 10, 20);
-        assert!(e.may_match("other_col", CmpOp::Eq, &Value::Int64(1)));
     }
 
     #[test]

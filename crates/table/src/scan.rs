@@ -21,6 +21,12 @@
 //! in its turn with no request at all (a one-day `COUNT(*)` over a
 //! day-partitioned table is manifest-only).
 //!
+//! A pushed predicate is evaluated only where a file's stats leave it open:
+//! each surviving file is filtered by its *residual*, the predicates its
+//! stats do not prove for every row (Iceberg's residual evaluator), asked of
+//! the entry when its batch is emitted. A file of a day-partitioned table
+//! that lies inside a day range is handed on with no row compared.
+//!
 //! Per-thread simulated-latency lanes (see
 //! [`lakehouse_store::StoreMetrics::lane_nanos`]) measure each entry's
 //! exact simulated cost; entries are then assigned greedily to as many
@@ -76,6 +82,10 @@ pub struct ScanReport {
     /// requested: the entry's stats prove every scan field NULL or constant
     /// on every row. Counted in `files_scanned`, not in `files_read`.
     pub files_from_metadata: usize,
+    /// Data files filtered by no predicate: a scan with predicates whose
+    /// every one the file's stats prove for every row, so none of its rows
+    /// was compared.
+    pub files_proven: usize,
     pub bytes_total: u64,
     pub bytes_scanned: u64,
     pub row_groups_scanned: usize,
@@ -99,6 +109,15 @@ struct EntryPartial {
     batch: RecordBatch,
     bytes_scanned: u64,
     row_groups_scanned: usize,
+}
+
+/// What one data file holds of a column of the current schema.
+enum FileColumn<'e> {
+    /// Nothing: the file predates the column, which is NULL on its every row.
+    Absent,
+    /// The file's column at this position, with the file's stats for it
+    /// when they count every row of the file.
+    At(usize, Option<&'e StatsDef>),
 }
 
 /// Where one data file's value of a scan field comes from.
@@ -268,11 +287,14 @@ impl TableScan {
             manifests.push(root);
         }
         let mut entries = VecDeque::new();
-        let mut reads = 0;
+        let (mut reads, mut proven) = (0, 0);
         for (m, manifest) in manifests.iter().enumerate() {
             for (i, entry) in manifest.entries.iter().enumerate() {
                 if self.entry_may_match(entry)? {
                     reads += usize::from(self.reads(entry, &scan_schema)?);
+                    if plan_span.is_recording() {
+                        proven += usize::from(self.proven(entry)?);
+                    }
                     entries.push_back((m, i));
                 }
             }
@@ -285,6 +307,7 @@ impl TableScan {
         plan_span.attr("files_total", report.files_total);
         plan_span.attr("files_scanned", report.files_scanned);
         plan_span.attr("files_from_metadata", report.files_scanned - reads);
+        plan_span.attr("files_proven", proven);
         drop(plan_span);
         // One file has nothing to overlap with.
         let depth = match &self.io.dispatcher {
@@ -305,6 +328,7 @@ impl TableScan {
             prelude_nanos,
             hits_start,
             files_read_counter: registry.counter("scan.files_read"),
+            files_proven_counter: registry.counter("scan.files_proven"),
             rows_counter: registry.counter("scan.rows_emitted"),
             bytes_counter: registry.counter("scan.bytes_scanned"),
             fetch_retries_counter: registry.counter("scan.fetch_retries"),
@@ -313,14 +337,18 @@ impl TableScan {
         })
     }
 
-    /// Exact row-level filter (pruning is only conservative). Predicates on
-    /// columns absent from the projection cannot be re-checked here; per the
-    /// `TableProvider` contract the SQL executor re-applies every filter
-    /// exactly, so skipping them only widens the batch, never the query
-    /// result.
-    /// A batch whose every row passes a predicate is handed on as it is: a
-    /// file pruning already proved costs one compare a predicate, no copy.
-    fn filter_exact(&self, mut batch: RecordBatch) -> Result<RecordBatch> {
+    /// `entry`'s rows in `batch`, exactly filtered by its *residual*: the
+    /// predicates its file's stats do not prove for every row (pruning is
+    /// only conservative; a proven predicate would pass every row, so it is
+    /// not evaluated). A predicate on a column the batch lacks cannot be
+    /// applied here and is left to the consumer: a SQL provider reports
+    /// exact only the filters on returned columns. A batch whose every row
+    /// passes is handed on as it is, not copied.
+    fn filter_residual(
+        &self,
+        entry: &ManifestEntry,
+        mut batch: RecordBatch,
+    ) -> Result<RecordBatch> {
         for p in &self.predicates {
             if batch.num_rows() == 0 {
                 break;
@@ -328,6 +356,9 @@ impl TableScan {
             let Ok(col) = batch.column_by_name(&p.column) else {
                 continue;
             };
+            if self.proves(entry, p)? {
+                continue;
+            }
             let mask = cmp_column_scalar(p.op, col, &p.literal)?;
             let selection = to_selection(&mask)?;
             if !selection.all_set() {
@@ -368,13 +399,40 @@ impl TableScan {
                     _ => true,
                 }
             };
-            if !self.partition_may_match(p, in_partition)?
-                || !entry.may_match(&p.column, p.op, &p.literal)
-            {
+            if !self.partition_may_match(p, in_partition)? || !self.stats_may_match(entry, p)? {
                 return Ok(false);
             }
         }
         Ok(true)
+    }
+
+    /// Whether `entry`'s stats leave room for a row of its file passing `p`.
+    /// Missing stats are conservative: the file must be scanned.
+    fn stats_may_match(&self, entry: &ManifestEntry, p: &ScanPredicate) -> Result<bool> {
+        Ok(match self.file_column(entry, &p.column)? {
+            // A NULL satisfies no comparison.
+            Some(FileColumn::Absent) => false,
+            Some(FileColumn::At(_, Some(s))) => s.to_stats().may_match(p.op, &p.literal),
+            _ => true,
+        })
+    }
+
+    /// Whether `entry`'s stats prove `p` for every row of its file.
+    fn proves(&self, entry: &ManifestEntry, p: &ScanPredicate) -> Result<bool> {
+        Ok(match self.file_column(entry, &p.column)? {
+            Some(FileColumn::At(_, Some(s))) => s.to_stats().must_match(p.op, &p.literal),
+            _ => false,
+        })
+    }
+
+    /// Whether `entry`'s stats prove every predicate of a scan that has some.
+    fn proven(&self, entry: &ManifestEntry) -> Result<bool> {
+        for p in &self.predicates {
+            if !self.proves(entry, p)? {
+                return Ok(false);
+            }
+        }
+        Ok(!self.predicates.is_empty())
     }
 
     /// Partition pruning for a whole referenced manifest, by its ranges.
@@ -413,29 +471,52 @@ impl TableScan {
         Ok(true)
     }
 
-    /// Where `entry`'s file gets scan field `field` from. Column identity is
-    /// positional across schema versions (we only append and rename), so a
-    /// field is the file's column at its position in the current schema, and
-    /// its stats are under the name the file wrote it with. The stats are the
-    /// writer's own, computed from the values it encoded, of a write-once
-    /// file; pruning trusts them already. An entry without stats, or whose
-    /// stats count other rows, is decoded. Reads the stored schemas and
-    /// allocates nothing: a scan asks again wherever it needs the answer.
-    fn field_source(&self, entry: &ManifestEntry, field: &Field) -> Result<FieldSource> {
+    /// What `entry`'s file holds of the column the current schema calls
+    /// `name` (`None`: the table has no such column). Column identity is
+    /// positional across schema versions (we only append and rename), so
+    /// the column is the file's at its position in the current schema, and
+    /// its stats are under the name the file wrote it with — never under the
+    /// current name, which after a rename may be another column's. The stats
+    /// are the writer's own, computed from the values it encoded, of a
+    /// write-once file; stats that count other rows than the entry's are not
+    /// used. Pruning, residuals and [`Self::field_source`] all ask this.
+    /// Reads the stored schemas and allocates nothing: a scan asks again
+    /// wherever it needs the answer.
+    fn file_column<'e>(
+        &self,
+        entry: &'e ManifestEntry,
+        name: &str,
+    ) -> Result<Option<FileColumn<'e>>> {
         let current = self.metadata.schema_def(self.metadata.current_schema_id)?;
-        let file_schema = self.metadata.schema_def(entry.schema_id)?;
-        let name = field.name();
-        let pos = (current.fields.iter().position(|f| f.name == name))
-            .ok_or_else(|| ColumnarError::FieldNotFound(name.to_string()))?;
-        let Some(file_field) = file_schema.fields.get(pos) else {
-            return Ok(FieldSource::Null);
+        let Some(pos) = current.fields.iter().position(|f| f.name == name) else {
+            return Ok(None);
         };
-        let stats =
-            (entry.column_stats.get(&file_field.name)).filter(|s| s.row_count == entry.row_count);
-        Ok(match stats {
-            Some(s) if s.null_count == s.row_count => FieldSource::Null,
-            Some(s) => constant(field, s).map_or(FieldSource::Decode(pos), FieldSource::Constant),
-            None => FieldSource::Decode(pos),
+        let file_schema = self.metadata.schema_def(entry.schema_id)?;
+        Ok(Some(match file_schema.fields.get(pos) {
+            None => FileColumn::Absent,
+            Some(file_field) => {
+                let stats = (entry.column_stats.get(&file_field.name))
+                    .filter(|s| s.row_count == entry.row_count);
+                FileColumn::At(pos, stats)
+            }
+        }))
+    }
+
+    /// Where `entry`'s file gets scan field `field` from: NULL where the file
+    /// predates it or its stats count every row NULL, the stats' constant
+    /// where they prove one, and otherwise decoded. An entry without stats,
+    /// or whose stats count other rows, is decoded.
+    fn field_source(&self, entry: &ManifestEntry, field: &Field) -> Result<FieldSource> {
+        let name = field.name();
+        let column = (self.file_column(entry, name)?)
+            .ok_or_else(|| ColumnarError::FieldNotFound(name.to_string()))?;
+        Ok(match column {
+            FileColumn::Absent => FieldSource::Null,
+            FileColumn::At(_, Some(s)) if s.null_count == s.row_count => FieldSource::Null,
+            FileColumn::At(pos, Some(s)) => {
+                constant(field, s).map_or(FieldSource::Decode(pos), FieldSource::Constant)
+            }
+            FileColumn::At(pos, None) => FieldSource::Decode(pos),
         })
     }
 
@@ -590,6 +671,7 @@ pub struct ScanStream {
     prelude_nanos: u64,
     hits_start: u64,
     files_read_counter: Arc<lakehouse_obs::Counter>,
+    files_proven_counter: Arc<lakehouse_obs::Counter>,
     rows_counter: Arc<lakehouse_obs::Counter>,
     bytes_counter: Arc<lakehouse_obs::Counter>,
     fetch_retries_counter: Arc<lakehouse_obs::Counter>,
@@ -655,7 +737,7 @@ impl ScanStream {
             lakehouse_obs::global()
                 .counter("scan.files_from_metadata")
                 .inc();
-            return self.emit(batch);
+            return self.emit(at, batch);
         }
         let span = lakehouse_obs::span("scan.fetch");
         span.attr("files", 1usize);
@@ -677,7 +759,7 @@ impl ScanStream {
         if retries > 0 {
             span.attr("retries", retries as u64);
         }
-        self.settle(outcome?, retries, sim_nanos)?;
+        self.settle(at, outcome?, retries, sim_nanos)?;
         self.window = self.window.saturating_mul(2).min(self.lanes.len());
         Ok(())
     }
@@ -735,9 +817,15 @@ impl ScanStream {
         &self.manifests[manifest].entries[entry]
     }
 
-    /// Book one entry that was read: its simulated time onto the
+    /// Book entry `at`, which was read: its simulated time onto the
     /// least-loaded lane, its re-reads, and its batch onto the ready queue.
-    fn settle(&mut self, partial: EntryPartial, retries: u32, sim_nanos: u64) -> Result<()> {
+    fn settle(
+        &mut self,
+        at: EntryAt,
+        partial: EntryPartial,
+        retries: u32,
+        sim_nanos: u64,
+    ) -> Result<()> {
         if let Some(min_lane) = self.lanes.iter_mut().min() {
             *min_lane += sim_nanos;
         }
@@ -750,12 +838,16 @@ impl ScanStream {
         self.report.row_groups_scanned += partial.row_groups_scanned;
         self.files_read_counter.inc();
         self.bytes_counter.add(partial.bytes_scanned);
-        self.emit(partial.batch)
+        self.emit(at, partial.batch)
     }
 
-    /// An entry's batch, exact-filtered, onto the ready queue.
-    fn emit(&mut self, batch: RecordBatch) -> Result<()> {
-        let batch = self.scan.filter_exact(batch)?;
+    /// Entry `at`'s batch, filtered by its residual, onto the ready queue.
+    fn emit(&mut self, at: EntryAt, batch: RecordBatch) -> Result<()> {
+        if self.scan.proven(self.entry(at))? {
+            self.report.files_proven += 1;
+            self.files_proven_counter.inc();
+        }
+        let batch = self.scan.filter_residual(self.entry(at), batch)?;
         if batch.num_rows() > 0 {
             self.report.rows_emitted += batch.num_rows();
             self.rows_counter.add(batch.num_rows() as u64);
@@ -816,6 +908,7 @@ mod tests {
     use crate::table::Table;
     use lakehouse_columnar::DataType;
     use lakehouse_store::InMemoryStore;
+    use std::collections::BTreeMap;
 
     fn taxi_schema() -> Schema {
         Schema::new(vec![
@@ -885,17 +978,64 @@ mod tests {
             .with_predicate(ScanPredicate::new("pickup_at", CmpOp::GtEq, Value::Date(1)))
             .with_predicate(ScanPredicate::new("absent", CmpOp::Eq, Value::Int64(0)));
         let fares = |b: &RecordBatch| b.column(2).as_f64().unwrap().0.as_ptr();
+        // A file without stats proves nothing: every predicate is evaluated.
+        let entry = entry_with(BTreeMap::new());
+        let filter = |batch| scan.filter_residual(&entry, batch).unwrap();
         // Every row passes every predicate: the same buffers come back.
         let whole = taxi_batch(vec![1, 2, 3], vec!["a", "b", "c"], vec![3.0, 3.0, 3.0]);
         let before = fares(&whole);
-        let out = scan.filter_exact(whole).unwrap();
+        let out = filter(whole);
         assert_eq!((out.num_rows(), fares(&out)), (3, before));
         // Some pass, none pass: filtered as ever.
         let part = taxi_batch(vec![6, 7, 8], vec!["a", "b", "c"], vec![3.0, 4.0, 3.0]);
-        let out = scan.filter_exact(part).unwrap();
+        let out = filter(part);
         assert_eq!(out.column(0), &Column::from_date(vec![6, 8]));
         let none = taxi_batch(vec![4, 5], vec!["a", "b"], vec![1.0, 5.0]);
-        assert_eq!(scan.filter_exact(none).unwrap().num_rows(), 0);
+        assert_eq!(filter(none).num_rows(), 0);
+    }
+
+    /// A three-row file of `taxi_schema` with these stats.
+    fn entry_with(column_stats: BTreeMap<String, StatsDef>) -> ManifestEntry {
+        ManifestEntry {
+            file_path: "f".into(),
+            row_count: 3,
+            file_size: 0,
+            partition: vec![],
+            column_stats,
+            schema_id: 0,
+        }
+    }
+
+    #[test]
+    fn a_predicate_the_stats_prove_is_not_evaluated() {
+        let t = make_table(PartitionSpec::unpartitioned());
+        let stats = |min, max, null_count| StatsDef {
+            min: ValueDef::Float(min),
+            max: ValueDef::Float(max),
+            null_count,
+            row_count: 3,
+        };
+        let fare_at_least = |f| ScanPredicate::new("fare", CmpOp::GtEq, Value::Float64(f));
+        let scan = t.scan().with_predicate(fare_at_least(2.0));
+        // Rows that break what the stats claim show which were compared.
+        let batch = || taxi_batch(vec![1, 2, 3], vec!["a", "b", "c"], vec![1.0, 2.0, 3.0]);
+        let rows_and_proven = |scan: &TableScan, entry: &ManifestEntry| {
+            let out = scan.filter_residual(entry, batch()).unwrap();
+            (out.num_rows(), scan.proven(entry).unwrap())
+        };
+        let proving = entry_with(BTreeMap::from([("fare".into(), stats(2.0, 3.0, 0))]));
+        assert_eq!(rows_and_proven(&scan, &proving), (3, true));
+        // A NULL, a bound on the wrong side, or stats of other rows: evaluated.
+        let miscounted = StatsDef {
+            row_count: 4,
+            ..stats(2.0, 3.0, 0)
+        };
+        for s in [stats(2.0, 3.0, 1), stats(1.0, 3.0, 0), miscounted] {
+            let entry = entry_with(BTreeMap::from([("fare".into(), s)]));
+            assert_eq!(rows_and_proven(&scan, &entry), (2, false));
+        }
+        // A scan without predicates filters nothing, and proves nothing.
+        assert_eq!(rows_and_proven(&t.scan(), &proving), (3, false));
     }
 
     #[test]
@@ -1451,6 +1591,42 @@ mod tests {
         let (b, report) = t.scan().select(&["tip"]).execute_with_report().unwrap();
         assert_eq!(b.column(0), &Column::new_null(DataType::Float64, 5));
         assert_eq!((report.files_read, report.files_from_metadata), (0, 1));
+    }
+
+    #[test]
+    fn a_files_stats_are_read_by_position_after_renames_swap_two_names() {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int64, false),
+            Field::new("b", DataType::Int64, false),
+        ]);
+        let columns = vec![Column::from_i64(vec![1, 1]), Column::from_i64(vec![100; 2])];
+        let t = one_file(&RecordBatch::try_new(schema, columns).unwrap(), 8);
+        // The file's stats stay keyed `a` = 1 and `b` = 100.
+        let t = t.rename_column("a", "c").unwrap();
+        let t = t.rename_column("b", "a").unwrap();
+        let a_is = |v| {
+            let scan = t.scan().select(&["a", "c"]);
+            let scan = scan.with_predicate(ScanPredicate::new("a", CmpOp::Eq, Value::Int64(v)));
+            scan.execute_with_report().unwrap()
+        };
+        let (hit, report) = a_is(100);
+        assert_eq!(hit.column(0), &Column::from_i64(vec![100; 2]));
+        assert_eq!(hit.column(1), &Column::from_i64(vec![1; 2]));
+        assert_eq!((report.files_scanned, report.files_proven), (1, 1));
+        let (miss, report) = a_is(1);
+        assert_eq!((miss.num_rows(), report.files_scanned), (0, 0));
+    }
+
+    #[test]
+    fn a_file_that_predates_a_column_is_pruned_by_a_predicate_on_it() {
+        let t = make_table(PartitionSpec::unpartitioned());
+        let t = (t.add_columns(&[Field::new("tip", DataType::Float64, true)])).unwrap();
+        let tip = ScanPredicate::new("tip", CmpOp::NotEq, Value::Float64(1.0));
+        let (b, report) = t.scan().with_predicate(tip).execute_with_report().unwrap();
+        assert_eq!(
+            (b.num_rows(), report.files_total, report.files_scanned),
+            (0, 1, 0)
+        );
     }
 
     #[test]

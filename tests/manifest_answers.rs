@@ -8,12 +8,23 @@
 //! is compared with the same SQL over a `MemoryProvider` holding the same
 //! rows, which never reaches a `TableScan`.
 //!
+//! A scan also filters each file by its residual only — the predicates the
+//! file's stats do not prove — and the executor does not re-check what the
+//! scan applied (DESIGN.md §23). The oracle states no filter exact, so it
+//! evaluates every predicate on every row: `=`, `<>`, `<`, `>=` and
+//! two-sided ranges over every column type, NULL-bearing columns, a column
+//! added after files were written and two columns that swap names. A
+//! pipeline's artifacts are the same from the naive baseline, which pushes
+//! no filter down, as from a fused run.
+//!
 //! Compaction reads its input through the same scan, so `pickup_at` now
 //! comes from the manifest there too: the data-file names (content tokens)
 //! a fixed branch → append → merge → compact sequence writes are pinned to
 //! what they were when every column was decoded.
 
-use bauplan_core::{Lakehouse, LakehouseConfig};
+use bauplan_core::{
+    ExecutionMode, Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions,
+};
 use lakehouse_catalog::{ContentRef, Operation};
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema};
 use lakehouse_sql::{MemoryProvider, SqlEngine};
@@ -28,12 +39,13 @@ use std::sync::Arc;
 const DAY0: i32 = 17_956;
 const DAYS: i32 = 4;
 
-/// The current names of the columns the queries use, and whether the
-/// evolved-in `extra` exists yet.
+/// The current names of the columns the queries use, and the evolved-in
+/// `extra`'s once it exists.
 struct Names {
     day: String,
     ts: String,
-    extra: bool,
+    k: String,
+    extra: Option<String>,
 }
 
 fn base_schema() -> Schema {
@@ -44,6 +56,7 @@ fn base_schema() -> Schema {
         Field::new("ts", DataType::Timestamp, false),
         Field::new("flag", DataType::Bool, false),
         Field::new("f", DataType::Float64, false),
+        Field::new("s", DataType::Utf8, true),
     ])
 }
 
@@ -99,6 +112,13 @@ fn rows(rng: &mut StdRng, first: i64, schema: &Schema) -> RecordBatch {
         1 => vec![1.5; n],
         _ => (0..n).map(|_| rng.gen_range(-2..3) as f64).collect(),
     };
+    let strs: Vec<Option<&str>> = match rng.gen_range(0..3) {
+        0 => vec![Some("b"); n],
+        1 => (0..n).map(|i| (i % 3 != 1).then_some("c")).collect(),
+        _ => (0..n)
+            .map(|_| Some(["a", "b", "c"][rng.gen_range(0..3usize)]))
+            .collect(),
+    };
     let mut columns = vec![
         Column::from_i64(ids),
         Column::from_date(days),
@@ -106,6 +126,7 @@ fn rows(rng: &mut StdRng, first: i64, schema: &Schema) -> RecordBatch {
         Column::from_timestamp(ts),
         Column::from_bool(flags),
         Column::from_f64(floats),
+        Column::from_opt_str(strs),
     ];
     if schema.len() > columns.len() {
         columns.push(Column::from_opt_i64(extra));
@@ -118,20 +139,25 @@ fn date(d: i32) -> String {
 }
 
 fn queries(names: &Names) -> Vec<String> {
-    let Names { day, ts, extra } = names;
+    let Names { day, ts, k, extra } = names;
     let mut sql: Vec<String> = [
         "SELECT * FROM t ORDER BY id",
         "SELECT COUNT(*) AS n FROM t",
-        "SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY k",
-        "SELECT COUNT(*) AS n, COUNT(k) AS nk, SUM(k) AS sk FROM t WHERE k = 7",
-        "SELECT id FROM t WHERE k IS NULL ORDER BY id",
         "SELECT id, f FROM t WHERE flag = TRUE ORDER BY id",
         "SELECT COUNT(*) AS n FROM t WHERE flag = FALSE",
         "SELECT id, f FROM t WHERE f <= 0.0 ORDER BY id",
         "SELECT COUNT(*) AS n FROM t WHERE f = 0.0",
+        "SELECT s, COUNT(*) AS n FROM t GROUP BY s ORDER BY s",
     ]
     .map(String::from)
     .to_vec();
+    sql.push(format!(
+        "SELECT {k}, COUNT(*) AS n FROM t GROUP BY {k} ORDER BY {k}"
+    ));
+    sql.push(format!(
+        "SELECT COUNT(*) AS n, COUNT({k}) AS nk, SUM({k}) AS sk FROM t WHERE {k} = 7"
+    ));
+    sql.push(format!("SELECT id FROM t WHERE {k} IS NULL ORDER BY id"));
     sql.push(format!(
         "SELECT {day}, COUNT(*) AS n, MIN({ts}) AS lo, MAX({ts}) AS hi FROM t \
          GROUP BY {day} ORDER BY {day}"
@@ -143,16 +169,51 @@ fn queries(names: &Names) -> Vec<String> {
         let on = date(d);
         sql.push(format!("SELECT COUNT(*) AS n FROM t WHERE {day} = {on}"));
         sql.push(format!(
-            "SELECT id, {day}, k, {ts}, flag, f FROM t WHERE {day} = {on} ORDER BY id"
+            "SELECT id, {day}, {k}, {ts}, flag, f, s FROM t WHERE {day} = {on} ORDER BY id"
         ));
         sql.push(format!(
-            "SELECT COUNT(*) AS n, SUM(k) AS sk FROM t WHERE {day} >= {on} AND k = 7"
+            "SELECT COUNT(*) AS n, SUM({k}) AS sk FROM t WHERE {day} >= {on} AND {k} = 7"
         ));
     }
-    if *extra {
-        sql.push("SELECT COUNT(*) AS n, COUNT(extra) AS ne FROM t".into());
-        sql.push("SELECT extra, COUNT(*) AS n FROM t GROUP BY extra ORDER BY extra".into());
-        sql.push("SELECT id, extra FROM t WHERE extra = 7 ORDER BY id".into());
+    // `=`, `<>`, `<`, `>=` and two-sided ranges on every column type: each
+    // file's stats prove such a predicate, rule it out, or leave it open.
+    let (first, mid, last) = (date(DAY0), date(DAY0 + 1), date(DAY0 + DAYS - 1));
+    let mut predicates = vec![
+        format!("{day} <> {mid}"),
+        format!("{day} < {mid}"),
+        format!("{day} >= {mid} AND {day} <= {last}"),
+        format!("{day} > {first} AND {day} < {last}"),
+        format!("{k} <> 7"),
+        format!("{k} < 2"),
+        format!("{k} >= 1 AND {k} <= 3"),
+        format!("{ts} = 1000000"),
+        format!("{ts} >= 1000000 AND {ts} < 2000000"),
+        "flag <> TRUE".into(),
+        "f = -0.0".into(),
+        "f <> 0.0".into(),
+        "f < 1.5".into(),
+        "f >= -0.0 AND f < 2.0".into(),
+        "s = 'b'".into(),
+        "s <> 'c'".into(),
+        "s < 'b'".into(),
+        "s >= 'b' AND s <= 'c'".into(),
+    ];
+    if let Some(extra) = extra {
+        sql.push(format!("SELECT COUNT(*) AS n, COUNT({extra}) AS ne FROM t"));
+        sql.push(format!(
+            "SELECT {extra}, COUNT(*) AS n FROM t GROUP BY {extra} ORDER BY {extra}"
+        ));
+        sql.push(format!(
+            "SELECT id, {extra} FROM t WHERE {extra} = 7 ORDER BY id"
+        ));
+        predicates.push(format!("{extra} <> 7"));
+        predicates.push(format!("{extra} >= 0 AND {extra} < 7"));
+    }
+    for p in predicates {
+        sql.push(format!("SELECT id FROM t WHERE {p} ORDER BY id"));
+        sql.push(format!(
+            "SELECT COUNT(*) AS n, SUM(f) AS sf, MIN({day}) AS lo FROM t WHERE {p}"
+        ));
     }
     sql
 }
@@ -234,7 +295,8 @@ fn differential(spec: PartitionSpec, seed: u64) {
     let mut names = Names {
         day: "day".into(),
         ts: "ts".into(),
-        extra: false,
+        k: "k".into(),
+        extra: None,
     };
     let mut expected = gen.next(&base_schema());
     lh.create_table_partitioned("t", &expected, "main", spec.clone())
@@ -254,7 +316,7 @@ fn differential(spec: PartitionSpec, seed: u64) {
     let mut columns = expected.columns().to_vec();
     columns.push(Column::new_null(DataType::Int64, expected.num_rows()));
     expected = RecordBatch::try_new(Schema::new(fields), columns).unwrap();
-    names.extra = true;
+    names.extra = Some("extra".into());
     check(&lh, &expected, &names, "add column");
     for i in 0..2 {
         let step = format!("append {i} with extra");
@@ -263,8 +325,9 @@ fn differential(spec: PartitionSpec, seed: u64) {
 
     // Renames: the files keep the names (and stats) they were written with.
     // A partition source cannot be renamed, so `day` is renamed only where
-    // nothing is partitioned by it.
-    let mut renames = vec![("ts", "at")];
+    // nothing is partitioned by it. `k` and `extra` swap names, so a file's
+    // stats under `k` are now those of the column called `kept`.
+    let mut renames = vec![("ts", "at"), ("k", "kept"), ("extra", "k")];
     if spec.fields.is_empty() {
         renames.push(("day", "pickup_day"));
     }
@@ -273,6 +336,8 @@ fn differential(spec: PartitionSpec, seed: u64) {
         expected = renamed(expected, old, new);
     }
     names.ts = "at".into();
+    names.k = "kept".into();
+    names.extra = Some("k".into());
     if spec.fields.is_empty() {
         names.day = "pickup_day".into();
     }
@@ -322,6 +387,51 @@ fn unpartitioned_answers_match_the_oracle() {
     for seed in [7, 8, 9] {
         differential(PartitionSpec::unpartitioned(), seed);
     }
+}
+
+/// The artifacts a pipeline of predicate-bearing nodes writes in `mode`,
+/// printed: the naive baseline pushes no filter down and evaluates every
+/// row, the fused run filters each file by its residual and reads the
+/// in-memory artifact it passes between nodes.
+fn artifacts(mode: ExecutionMode) -> Vec<String> {
+    let lh = Lakehouse::in_memory(LakehouseConfig::zero_latency()).unwrap();
+    let mut gen = Rows {
+        rng: StdRng::seed_from_u64(10),
+        next_id: 0,
+    };
+    let first = gen.next(&base_schema());
+    lh.create_table_partitioned("t", &first, "main", by_day("day"))
+        .unwrap();
+    for _ in 0..6 {
+        lh.append_table("t", &gen.next(&base_schema()), "main")
+            .unwrap();
+    }
+    let (from, to) = (date(DAY0 + 1), date(DAY0 + DAYS - 1));
+    let project = PipelineProject::new("residuals")
+        .with(NodeDef::sql(
+            "window",
+            format!("SELECT id, day, k, f, s FROM t WHERE day >= {from} AND day <= {to}"),
+        ))
+        .with(NodeDef::sql(
+            "small_k",
+            "SELECT day, COUNT(*) AS n, SUM(f) AS sf FROM window \
+             WHERE k < 7 AND s <> 'a' GROUP BY day",
+        ));
+    let report = lh.run(&project, &RunOptions::default().with_mode(mode));
+    assert!(report.unwrap().success, "{mode:?} run failed");
+    [
+        "SELECT * FROM window ORDER BY id",
+        "SELECT * FROM small_k ORDER BY day",
+    ]
+    .map(|sql| printed(&lh.query(sql, "main").unwrap()))
+    .to_vec()
+}
+
+#[test]
+fn a_naive_run_writes_the_artifacts_a_fused_run_does() {
+    let fused = artifacts(ExecutionMode::Fused);
+    assert!(fused.iter().all(|rows| rows != "[]"), "{fused:?}");
+    assert_eq!(artifacts(ExecutionMode::Naive), fused);
 }
 
 /// The data files a branch → append → merge → compact sequence writes, by

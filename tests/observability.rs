@@ -250,6 +250,78 @@ fn a_one_day_count_is_answered_from_the_manifest_and_says_so() {
 }
 
 #[test]
+fn a_predicate_the_stats_prove_is_evaluated_nowhere_and_says_so() {
+    let lh = Lakehouse::in_memory(LakehouseConfig::zero_latency()).unwrap();
+    // Days 100..=104 (1970-04-11..15), two fares each, one on each side of 1.5.
+    let days: Vec<i32> = (100..105).flat_map(|d| [d, d]).collect();
+    let fares: Vec<f64> = (0..10).map(|i| 1.0 + (i % 2) as f64).collect();
+    let trips = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("pickup_at", DataType::Date, false),
+            Field::new("fare", DataType::Float64, false),
+        ]),
+        vec![Column::from_date(days), Column::from_f64(fares)],
+    )
+    .unwrap();
+    let by_day = PartitionSpec::new(vec![PartitionField {
+        source_column: "pickup_at".into(),
+        transform: Transform::Day,
+    }]);
+    lh.create_table_partitioned("trips", &trips, "main", by_day)
+        .unwrap();
+    let counter = lakehouse_obs::global().counter("scan.files_proven");
+    let before = counter.get();
+    let profiled = |sql: &str| {
+        let (out, tree) = lh.profile(sql, "main").unwrap();
+        let plan = tree.find("scan.plan").expect("scan.plan span");
+        let scan = tree.find("Scan").expect("Scan span");
+        let seen = (
+            plan.attr_u64("files_proven"),
+            scan.attr_u64("filters_rechecked"),
+        );
+        (out.row(0).unwrap(), seen)
+    };
+
+    // Three day-files wholly inside the range: no row of theirs compared.
+    let (row, seen) = profiled(
+        "SELECT COUNT(*) AS n, SUM(fare) AS s FROM trips \
+         WHERE pickup_at >= DATE '1970-04-12' AND pickup_at <= DATE '1970-04-14'",
+    );
+    assert_eq!(row, vec![Value::Int64(6), Value::Float64(9.0)]);
+    assert_eq!(seen, (Some(3), Some(0)));
+    // Process-wide: other tests of this binary may add to it.
+    assert!(counter.get() >= before + 3);
+    // Every file holds a fare on each side: each is filtered, once, by the scan.
+    let (row, seen) = profiled("SELECT COUNT(*) AS n FROM trips WHERE fare > 1.5");
+    assert_eq!(row, vec![Value::Int64(5)]);
+    assert_eq!(seen, (Some(0), Some(0)));
+
+    // An artifact served from memory applies no filter: the executor
+    // re-checks both.
+    let project = PipelineProject::new("residuals")
+        .with(NodeDef::sql(
+            "dear",
+            "SELECT pickup_at, fare FROM trips WHERE fare > 1.5",
+        ))
+        .with(NodeDef::sql(
+            "late_dear",
+            "SELECT COUNT(*) AS n FROM dear \
+             WHERE pickup_at >= DATE '1970-04-13' AND fare < 2.5",
+        ));
+    let report = lh.run(&project, &RunOptions::default()).unwrap();
+    assert!(report.success);
+    let rechecked = |table: &str| {
+        let scans = report.trace.find_all("Scan");
+        let scan = scans.iter().find(|s| s.attr_str("table") == Some(table));
+        scan.unwrap_or_else(|| panic!("no Scan of {table}"))
+            .attr_u64("filters_rechecked")
+    };
+    assert_eq!((rechecked("trips"), rechecked("dear")), (Some(0), Some(2)));
+    let out = lh.query("SELECT n FROM late_dear", "main").unwrap();
+    assert_eq!(out.row(0).unwrap()[0], Value::Int64(3));
+}
+
+#[test]
 fn tracing_is_byte_transparent() {
     let lh = lakehouse();
     let plain = lh.query(SQL, "main").unwrap();
