@@ -389,10 +389,15 @@ impl Column {
                 len: self.len(),
             });
         }
+        Ok(self.value_at(i))
+    }
+
+    /// Row `i`, which the caller has checked is in bounds.
+    fn value_at(&self, i: usize) -> Value {
         if !self.is_valid(i) {
-            return Ok(Value::Null);
+            return Value::Null;
         }
-        Ok(match self {
+        match self {
             Column::Bool(v, _) => Value::Bool(v[i]),
             Column::Int64(v, _) => Value::Int64(v[i]),
             Column::Float64(v, _) => Value::Float64(v[i]),
@@ -400,12 +405,12 @@ impl Column {
             Column::Timestamp(v, _) => Value::Timestamp(v[i]),
             Column::Date(v, _) => Value::Date(v[i]),
             Column::Dict(d) => Value::Utf8(d.value(i).to_string()),
-        })
+        }
     }
 
     /// Iterate rows as scalar values (nulls included).
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
-        (0..self.len()).map(move |i| self.get(i).expect("in-bounds"))
+        (0..self.len()).map(|i| self.value_at(i))
     }
 
     // ---- typed accessors ---------------------------------------------------

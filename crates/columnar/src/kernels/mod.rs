@@ -22,4 +22,4 @@ pub use cast::cast;
 pub use cmp::{cmp_column_scalar, cmp_columns, to_selection, CmpOp};
 pub use filter::{filter_batch, filter_column, take_batch, take_column, take_column_opt};
 pub use hash::{hash_batch_rows, hash_column, hash_column_into, row_key};
-pub use sort::{sort_indices, SortField};
+pub use sort::{sort_indices, sort_indices_top, SortField};

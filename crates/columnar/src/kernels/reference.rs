@@ -302,6 +302,55 @@ pub fn aggregate_column_ref(agg: super::Aggregator, col: &Column) -> Result<Valu
     state.finish(col.data_type())
 }
 
+/// Scalar reference for [`super::sort_indices`]: boxes every key cell as a
+/// [`Value`] and runs a stable sort over [`Value::total_cmp`].
+pub fn sort_indices_ref(keys: &[super::SortField]) -> Result<Vec<usize>> {
+    let Some(first) = keys.first() else {
+        return Ok(vec![]);
+    };
+    let n = first.column.len();
+    let mut indices: Vec<usize> = (0..n).collect();
+    let key_values: Vec<Vec<Value>> = keys
+        .iter()
+        .map(|k| k.column.iter_values().collect())
+        .collect();
+    indices.sort_by(|&a, &b| {
+        for (k, vals) in keys.iter().zip(&key_values) {
+            let (va, vb) = (&vals[a], &vals[b]);
+            let ord = match (va.is_null(), vb.is_null()) {
+                (true, true) => Ordering::Equal,
+                (true, false) => {
+                    if k.nulls_first {
+                        Ordering::Less
+                    } else {
+                        Ordering::Greater
+                    }
+                }
+                (false, true) => {
+                    if k.nulls_first {
+                        Ordering::Greater
+                    } else {
+                        Ordering::Less
+                    }
+                }
+                (false, false) => {
+                    let o = va.total_cmp(vb);
+                    if k.descending {
+                        o.reverse()
+                    } else {
+                        o
+                    }
+                }
+            };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    });
+    Ok(indices)
+}
+
 /// Scalar reference for [`super::Grouper`]: boxes every row's key into a
 /// [`RowKey`] and looks it up in a `HashMap`.
 #[derive(Debug, Default)]

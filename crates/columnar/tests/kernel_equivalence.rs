@@ -15,6 +15,7 @@ use lakehouse_columnar::kernels::{self, Aggregator, CmpOp};
 use lakehouse_columnar::{Bitmap, Column, DataType, DictColumn, Field, RecordBatch, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const SIZES: &[usize] = &[1, 63, 64, 65, 1024];
 
@@ -647,6 +648,88 @@ fn grouper_matches_reference_as_its_key_domain_widens_and_outgrows_the_dense_tab
                 known,
                 "case {case}: a lookup interned"
             );
+        }
+    }
+}
+
+/// One sort key column of `n` rows of type `kind`, NULL-bearing, with few
+/// distinct values (so keys tie) drawn from where orders go wrong: ±0.0,
+/// NaN of either sign, ±∞, `i64::MIN`/`MAX`, the empty string, and a
+/// dictionary whose entries are unsorted and repeat.
+fn random_sort_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
+    let validity = lakehouse_columnar::column::normalize_validity(random_validity(rng, n));
+    let floats = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.5,
+        2.0,
+    ];
+    let ints = [i64::MIN, i64::MAX, -1, 0, 1, 7];
+    let dates = [i32::MIN, i32::MAX, -1, 0, 18_000];
+    let int = |rng: &mut StdRng| ints[rng.gen_range(0..ints.len())];
+    match kind {
+        0 => Column::Int64((0..n).map(|_| int(rng)).collect(), validity),
+        1 => Column::Timestamp((0..n).map(|_| int(rng)).collect(), validity),
+        2 => Column::Date(
+            (0..n)
+                .map(|_| dates[rng.gen_range(0..dates.len())])
+                .collect(),
+            validity,
+        ),
+        3 => Column::Float64(
+            (0..n)
+                .map(|_| floats[rng.gen_range(0..floats.len())])
+                .collect(),
+            validity,
+        ),
+        4 => Column::Bool((0..n).map(|_| rng.gen_bool(0.5)).collect(), validity),
+        5 => {
+            let strs = ["b", "", "ab", "a", "B"];
+            let values = (0..n).map(|_| strs[rng.gen_range(0..strs.len())].to_string());
+            Column::Utf8(values.collect(), validity)
+        }
+        _ => {
+            let dict = ["c", "a", "", "b", "a", "c"].map(String::from).to_vec();
+            let codes = (0..n)
+                .map(|_| rng.gen_range(0..dict.len() as u32))
+                .collect();
+            Column::Dict(DictColumn::try_new(Arc::new(dict), codes, validity).expect("dict"))
+        }
+    }
+}
+
+#[test]
+fn sort_indices_match_the_boxed_reference() {
+    use kernels::{sort_indices, sort_indices_top, SortField};
+    const KINDS: u64 = 7;
+    // Every type leads under every direction and NULL placement, at every
+    // size: empty, a single row, and sizes around a 64-row lane.
+    for case in 0..KINDS * 4 * 6 {
+        let n = [0, 1, 2, 63, 65, 300][(case / (KINDS * 4)) as usize];
+        let mut rng = rng_for(0x5047, n, case);
+        let lead = SortField {
+            column: random_sort_column(&mut rng, (case % KINDS) as u32, n),
+            descending: case / KINDS % 2 == 1,
+            nulls_first: case / KINDS / 2 % 2 == 1,
+        };
+        let mut keys = vec![lead];
+        for _ in 0..rng.gen_range(0..3) {
+            let kind = rng.gen_range(0..KINDS as u32);
+            keys.push(SortField {
+                column: random_sort_column(&mut rng, kind, n),
+                descending: rng.gen_bool(0.5),
+                nulls_first: rng.gen_bool(0.5),
+            });
+        }
+        let want = scalar::sort_indices_ref(&keys).expect("reference");
+        assert_eq!(sort_indices(&keys).expect("typed"), want, "case {case}");
+        for k in [0, 1, n / 2, n, n + 5] {
+            let top = sort_indices_top(&keys, k).expect("top");
+            assert_eq!(top, want[..k.min(n)], "case {case}: top {k}");
         }
     }
 }

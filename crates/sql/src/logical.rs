@@ -72,6 +72,9 @@ pub enum LogicalPlan {
         input: Box<LogicalPlan>,
         /// (expression, descending)
         keys: Vec<(Expr, bool)>,
+        /// Only the first this-many sorted rows are wanted (set by the
+        /// optimizer from a `LIMIT` above).
+        fetch: Option<usize>,
     },
     Limit {
         input: Box<LogicalPlan>,
@@ -237,12 +240,13 @@ impl LogicalPlan {
                 let pairs: Vec<String> = on.iter().map(|(l, r)| format!("{l} = {r}")).collect();
                 format!("Join({join_type:?}): on [{}]", pairs.join(" AND "))
             }
-            LogicalPlan::Sort { keys, .. } => {
+            LogicalPlan::Sort { keys, fetch, .. } => {
                 let ks: Vec<String> = keys
                     .iter()
                     .map(|(e, d)| format!("{e}{}", if *d { " DESC" } else { "" }))
                     .collect();
-                format!("Sort: {}", ks.join(", "))
+                let fetch = fetch.map_or(String::new(), |n| format!(" fetch={n}"));
+                format!("Sort: {}{fetch}", ks.join(", "))
             }
             LogicalPlan::Limit { limit, offset, .. } => {
                 format!("Limit: {limit:?} offset {offset}")
@@ -571,6 +575,7 @@ pub fn plan_select(stmt: &SelectStmt, provider: &dyn SchemaProvider) -> Result<L
         plan = LogicalPlan::Sort {
             input: Box::new(plan),
             keys: keys.clone(),
+            fetch: None,
         };
     }
 
@@ -608,6 +613,7 @@ pub fn plan_select(stmt: &SelectStmt, provider: &dyn SchemaProvider) -> Result<L
         plan = LogicalPlan::Sort {
             input: Box::new(plan),
             keys,
+            fetch: None,
         };
     }
 

@@ -61,9 +61,10 @@ fn fold_constants_in_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
             join_type,
             on,
         },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+        LogicalPlan::Sort { input, keys, fetch } => LogicalPlan::Sort {
             input: Box::new(fold_constants_in_plan(*input)?),
             keys: keys.into_iter().map(|(e, d)| (fold_expr(e), d)).collect(),
+            fetch,
         },
         LogicalPlan::Limit {
             input,
@@ -311,9 +312,10 @@ fn push_down_predicates(plan: LogicalPlan) -> Result<LogicalPlan> {
             join_type,
             on,
         },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+        LogicalPlan::Sort { input, keys, fetch } => LogicalPlan::Sort {
             input: Box::new(push_down_predicates(*input)?),
             keys,
+            fetch,
         },
         LogicalPlan::Limit {
             input,
@@ -724,7 +726,7 @@ fn prune_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
                     on,
                 }
             }
-            LogicalPlan::Sort { input, keys } => {
+            LogicalPlan::Sort { input, keys, fetch } => {
                 let schema = input.schema()?;
                 for (e, _) in &keys {
                     require(&mut required, e, &schema);
@@ -732,6 +734,7 @@ fn prune_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
                 LogicalPlan::Sort {
                     input: Box::new(go(*input, required)?),
                     keys,
+                    fetch,
                 }
             }
             LogicalPlan::Limit {
@@ -767,11 +770,13 @@ fn cheapest_column(schema: &Schema) -> Option<usize> {
 
 // ---- limit pushdown --------------------------------------------------------
 
-/// Hand `LIMIT n OFFSET m` to the scan below it as a budget of `n + m` rows.
-/// Only `Project` and `SubqueryAlias` may sit in between: they emit one row
-/// per input row, in order, so the first `n + m` rows out of the scan are
-/// the only ones the limit can see. Any other operator (a residual filter, a
-/// sort, DISTINCT, a join, an aggregate) may need rows beyond the budget.
+/// Hand `LIMIT n OFFSET m` to the scan or sort below it as a budget of
+/// `n + m` rows. Only `Project` and `SubqueryAlias` may sit in between: they
+/// emit one row per input row, in order, so the first `n + m` rows out of
+/// the scan or sort are the only ones the limit can see. A sort still reads
+/// its whole input, but keeps only its first `n + m` rows. Any other
+/// operator (a residual filter, DISTINCT, a join, an aggregate) may need
+/// rows beyond the budget.
 fn push_down_limits(plan: &mut LogicalPlan) {
     if let LogicalPlan::Limit {
         input,
@@ -786,7 +791,7 @@ fn push_down_limits(plan: &mut LogicalPlan) {
                 LogicalPlan::Project { input, .. } | LogicalPlan::SubqueryAlias { input, .. } => {
                     node = input.as_mut();
                 }
-                LogicalPlan::Scan { fetch, .. } => {
+                LogicalPlan::Scan { fetch, .. } | LogicalPlan::Sort { fetch, .. } => {
                     *fetch = Some(fetch.map_or(budget, |f| f.min(budget)));
                     break;
                 }
@@ -821,6 +826,10 @@ mod tests {
                     Field::new("label", DataType::Utf8, true),
                     Field::new("k", DataType::Int64, false),
                     Field::new("c", DataType::Utf8, true),
+                ])),
+                "trips" => Some(Schema::new(vec![
+                    Field::new("fare", DataType::Float64, true),
+                    Field::new("trip_distance", DataType::Float64, true),
                 ])),
                 _ => None,
             }
@@ -1067,6 +1076,51 @@ mod tests {
         let text = explained("SELECT a FROM t WHERE b > 1.0 LIMIT 5 OFFSET 2");
         assert!(
             text.contains("Scan: t projection=[a, b] filters=[(b > 1)] fetch=7"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn limit_sets_a_row_budget_on_the_sort() {
+        fn sort_fetch(plan: &LogicalPlan) -> Option<Option<usize>> {
+            match plan {
+                LogicalPlan::Sort { fetch, .. } => Some(*fetch),
+                _ => plan.children().into_iter().find_map(sort_fetch),
+            }
+        }
+        let fetch = |sql: &str| sort_fetch(&optimized(sql)).expect(sql);
+        // The sort keeps `LIMIT + OFFSET` rows; its scan still reads all.
+        let text = explained("SELECT a FROM t ORDER BY b LIMIT 3");
+        assert!(text.contains("Sort: b fetch=3\n"), "{text}");
+        assert!(text.contains("Scan: t projection=[a, b]\n"), "{text}");
+        assert_eq!(
+            fetch("SELECT a FROM t ORDER BY b LIMIT 5 OFFSET 2"),
+            Some(7)
+        );
+        assert_eq!(
+            fetch("SELECT x FROM (SELECT a AS x FROM t ORDER BY b) s LIMIT 4"),
+            Some(4)
+        );
+        // No budget passes an operator that may need more rows than it
+        // emits (DISTINCT sorts below its projection), and a sort with no
+        // LIMIT keeps every row.
+        for sql in [
+            "SELECT a FROM t ORDER BY b",
+            "SELECT a FROM t ORDER BY b OFFSET 3",
+            "SELECT DISTINCT c FROM t ORDER BY c LIMIT 3",
+            "SELECT n FROM (SELECT COUNT(*) AS n FROM t GROUP BY c ORDER BY n) s \
+             WHERE n > 1 LIMIT 3",
+            "SELECT DISTINCT a FROM (SELECT a FROM t ORDER BY b) s LIMIT 3",
+            "SELECT COUNT(*) AS n FROM (SELECT a FROM t ORDER BY b) s LIMIT 3",
+            "SELECT s.a FROM (SELECT a FROM t ORDER BY b) s JOIN u ON s.a = u.k LIMIT 3",
+        ] {
+            assert_eq!(fetch(sql), None, "{sql}\n{}", explained(sql));
+        }
+        let text = explained(
+            "SELECT * FROM trips WHERE fare > 5.0 ORDER BY fare DESC, trip_distance DESC LIMIT 100",
+        );
+        assert!(
+            text.contains("Sort: fare DESC, trip_distance DESC fetch=100\n"),
             "{text}"
         );
     }

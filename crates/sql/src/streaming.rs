@@ -9,9 +9,9 @@
 //! it flows through and hold only their current output. Pipeline breakers
 //! consume their whole input first: the hash aggregate keeps per-group state
 //! only, the hash join keeps its build side and then streams the probe side,
-//! the sort collects its input and sorts it once. A satisfied `LIMIT` drops
-//! its input stream, which drops the scan, which leaves the remaining data
-//! files unread.
+//! the sort collects its input (under a `LIMIT`, only its candidate rows)
+//! and sorts it once. A satisfied `LIMIT` drops its input stream, which
+//! drops the scan, which leaves the remaining data files unread.
 //!
 //! Aggregate, join and DISTINCT all resolve their keys through one
 //! [`kernels::Grouper`], kept alive across batches: typed hashing, no boxed
@@ -356,12 +356,13 @@ fn build_stream(
                 meter: Meter::new(plan, span, stats),
             })
         }
-        LogicalPlan::Sort { input, keys } => {
+        LogicalPlan::Sort { input, keys, fetch } => {
             let input = child(input, 0)?;
             Box::new(SortNode {
                 schema: input.schema().clone(),
                 input: Some(input),
                 keys: keys.clone(),
+                fetch: *fetch,
                 meter: Meter::new(plan, span, stats),
             })
         }
@@ -840,35 +841,26 @@ impl BatchStream for JoinNode {
     }
 }
 
-/// Sort: collect the input, sort it once, gather it once. A sort cannot
-/// emit its first row before it has seen its last, so it holds its whole
-/// input whatever it does; one stable [`kernels::sort_indices`] over the
-/// concatenated input keeps ties in arrival order (file order on a lake
-/// table), with no per-batch runs to box, merge and concatenate anyway.
+/// Sort: a sort cannot emit its first row before it has seen its last. With
+/// no `fetch` it collects its input, sorts it once and gathers it once. With
+/// `fetch = k` it keeps candidates instead: an input batch contributes at
+/// most its own first k rows, and once more than 2k are held they shrink to
+/// their first k, so it holds at most 2k rows plus one input batch. Ties
+/// keep arrival order (file order on a lake table) either way: candidates
+/// precede later rows, and [`kernels::sort_indices_top`] breaks ties by row.
 struct SortNode {
     /// `None` once consumed.
     input: Option<Box<dyn BatchStream>>,
     keys: Vec<(Expr, bool)>,
+    fetch: Option<usize>,
     schema: Schema,
     meter: Meter,
 }
 
-impl BatchStream for SortNode {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
-        let Some(mut input) = self.input.take() else {
-            return Ok(None);
-        };
-        let (mut batches, mut bytes) = (Vec::new(), 0usize);
-        while let Some(batch) = input.next_batch()? {
-            bytes += batch.approx_bytes();
-            self.meter.hold(bytes);
-            batches.push(batch);
-        }
-        drop(input);
+impl SortNode {
+    /// The first `k` rows of `batches` in key order. `bytes` is what the
+    /// node holds meanwhile: `batches` themselves when it owns several.
+    fn top(&mut self, batches: Vec<RecordBatch>, bytes: usize, k: usize) -> CResult<RecordBatch> {
         if batches.len() > 1 {
             self.meter.hold(2 * bytes); // the concatenation beside its parts
         }
@@ -887,10 +879,46 @@ impl BatchStream for SortNode {
             .iter()
             .map(sort_field)
             .collect::<CResult<Vec<_>>>()?;
-        let out = take_batch(&all, &kernels::sort_indices(&fields)?)?;
-        self.meter.emit(&out, bytes);
-        drop(all);
-        self.meter.hold(out.approx_bytes());
+        let out = take_batch(&all, &kernels::sort_indices_top(&fields, k)?)?;
+        self.meter.hold(bytes + out.approx_bytes());
+        Ok(out)
+    }
+}
+
+impl BatchStream for SortNode {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self) -> CResult<Option<RecordBatch>> {
+        let Some(mut input) = self.input.take() else {
+            return Ok(None);
+        };
+        let k = self.fetch.unwrap_or(usize::MAX);
+        let (mut held, mut bytes, mut rows, mut most) = (Vec::new(), 0usize, 0usize, 0usize);
+        while let Some(mut batch) = input.next_batch()? {
+            most = most.max(rows + batch.num_rows());
+            if batch.num_rows() > k {
+                batch = self.top(vec![batch], bytes, k)?;
+            }
+            rows += batch.num_rows();
+            bytes += batch.approx_bytes();
+            held.push(batch);
+            self.meter.hold(bytes);
+            if rows > k.saturating_mul(2) {
+                let top = self.top(std::mem::take(&mut held), bytes, k)?;
+                (rows, bytes) = (top.num_rows(), top.approx_bytes());
+                held.push(top);
+                self.meter.hold(bytes);
+            }
+        }
+        drop(input);
+        let out = self.top(held, bytes, k)?;
+        if let Some(fetch) = self.fetch.filter(|_| self.meter.span.is_recording()) {
+            self.meter.span.attr("fetch", fetch);
+            self.meter.span.attr("held_rows", most);
+        }
+        self.meter.emit(&out, 0);
         Ok(Some(out))
     }
 }

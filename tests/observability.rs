@@ -322,6 +322,48 @@ fn a_predicate_the_stats_prove_is_evaluated_nowhere_and_says_so() {
 }
 
 #[test]
+fn a_sort_under_a_limit_reports_its_fetch_and_the_rows_it_held() {
+    let lh = Lakehouse::in_memory(LakehouseConfig::zero_latency()).unwrap();
+    // Five day-files of 20 rows each.
+    let days: Vec<i32> = (100..105).flat_map(|d| [d; 20]).collect();
+    let fares: Vec<f64> = (0..100).map(|i| (i * 37 % 101) as f64).collect();
+    let trips = RecordBatch::try_new(
+        Schema::new(vec![
+            Field::new("pickup_at", DataType::Date, false),
+            Field::new("fare", DataType::Float64, false),
+        ]),
+        vec![Column::from_date(days), Column::from_f64(fares)],
+    )
+    .unwrap();
+    let by_day = PartitionSpec::new(vec![PartitionField {
+        source_column: "pickup_at".into(),
+        transform: Transform::Day,
+    }]);
+    lh.create_table_partitioned("trips", &trips, "main", by_day)
+        .unwrap();
+
+    let (out, tree) = lh
+        .profile("SELECT fare FROM trips ORDER BY fare DESC LIMIT 3", "main")
+        .unwrap();
+    let fares: Vec<Value> = (0..3).map(|i| out.row(i).unwrap()[0].clone()).collect();
+    let want = [100.0, 99.0, 98.0].map(Value::Float64);
+    assert_eq!(fares, want);
+    let sort = tree.find("Sort").expect("Sort span");
+    assert_eq!(sort.attr_u64("fetch"), Some(3));
+    // At most 2 x 3 candidates plus the file arriving, never the table.
+    let held = sort.attr_u64("held_rows").expect("held_rows");
+    assert!((20..=6 + 20).contains(&held), "held {held} rows");
+
+    // A sort with no LIMIT keeps every row, and says nothing of a fetch.
+    let (_, tree) = lh
+        .profile("SELECT fare FROM trips ORDER BY fare DESC", "main")
+        .unwrap();
+    let sort = tree.find("Sort").expect("Sort span");
+    assert_eq!(sort.attr_u64("fetch"), None);
+    assert_eq!(sort.attr_u64("rows"), Some(100));
+}
+
+#[test]
 fn tracing_is_byte_transparent() {
     let lh = lakehouse();
     let plain = lh.query(SQL, "main").unwrap();

@@ -735,23 +735,7 @@ fn deadline_kills_mid_retry_backoff_promptly_and_typed() {
 fn memory_budget_kills_a_default_config_aggregate_typed() {
     const Q: &str = "SELECT grp, COUNT(*) AS memory_probe, SUM(val) AS s FROM events \
                      GROUP BY grp ORDER BY grp";
-    let make = |memory_budget_bytes: u64| {
-        let config = LakehouseConfig {
-            latency: LatencyModel::zero(),
-            memory_budget_bytes,
-            ..Default::default()
-        };
-        let lh = Lakehouse::in_memory(config).expect("lakehouse");
-        // 8 files of 500 rows x 24 bytes: 12 KB each, 96 KB in all.
-        lh.create_table_partitioned(
-            "events",
-            &events_batch(8, 500),
-            "main",
-            PartitionSpec::identity("part"),
-        )
-        .expect("fixture ingest");
-        lh
-    };
+    let make = events_under_memory_budget;
     let want = make(0).query(Q, "main").expect("unbudgeted");
 
     let killed_before = lakehouse_obs::global().counter("query.killed.memory").get();
@@ -779,6 +763,41 @@ fn memory_budget_kills_a_default_config_aggregate_typed() {
     // The aggregate holds a file and its group state, not the table: a
     // budget of half the table is plenty, and changes no byte.
     assert_eq!(make(48 * 1024).query(Q, "main").expect("fits"), want);
+}
+
+/// `events` as 8 files of 500 rows x 24 bytes (12 KB each, 96 KB in all) on
+/// a lakehouse whose statements run under a memory budget (0: none).
+fn events_under_memory_budget(memory_budget_bytes: u64) -> Lakehouse {
+    let config = LakehouseConfig {
+        latency: LatencyModel::zero(),
+        memory_budget_bytes,
+        ..Default::default()
+    };
+    let lh = Lakehouse::in_memory(config).expect("lakehouse");
+    lh.create_table_partitioned(
+        "events",
+        &events_batch(8, 500),
+        "main",
+        PartitionSpec::identity("part"),
+    )
+    .expect("fixture ingest");
+    lh
+}
+
+/// A sort under a LIMIT holds its candidate rows and one input batch, not
+/// its input: `ORDER BY ... LIMIT 10` over the 96 KB table finishes under
+/// the 48 KB budget a full sort (the table plus its concatenation) cannot.
+#[test]
+fn an_order_by_limit_fits_a_budget_its_input_does_not() {
+    const Q: &str = "SELECT * FROM events ORDER BY val DESC, grp LIMIT 10";
+    let want = events_under_memory_budget(0)
+        .query(Q, "main")
+        .expect("unbudgeted");
+    assert_eq!(want.num_rows(), 10);
+    let got = events_under_memory_budget(48 * 1024)
+        .query(Q, "main")
+        .expect("a top-10 sort holds a file and ten rows, not the table");
+    assert_eq!(got, want);
 }
 
 /// A query killed mid-scan (I/O byte budget) with overlapped requests in

@@ -148,6 +148,12 @@ const CORPUS: &[&str] = &[
     "SELECT 1 + 2 AS x, 'lit' AS s",
     "SELECT pickup, SUM(fare) AS s FROM trips WHERE passengers BETWEEN 1 AND 5 \
      GROUP BY pickup ORDER BY s DESC LIMIT 2",
+    // A LIMIT inside a tie group that spans batches: ties keep file order,
+    // NULLs tie with each other.
+    "SELECT pickup, dropoff, fare FROM trips ORDER BY pickup LIMIT 2",
+    "SELECT tag, pickup FROM trips ORDER BY tag DESC LIMIT 3 OFFSET 1",
+    "SELECT passengers, tag, fare FROM trips ORDER BY passengers LIMIT 1",
+    "SELECT passengers, fare FROM trips ORDER BY passengers DESC, tag LIMIT 9",
     // No row reaches the aggregate, the DISTINCT or the join's build side.
     "SELECT pickup, tag, COUNT(*) AS n, MAX(fare) AS hi FROM trips WHERE fare > 1000.0 \
      GROUP BY pickup, tag",
@@ -267,6 +273,42 @@ fn property_streaming_matches_materialized_on_random_tables() {
             "round {round}: {} rows per batch diverged on: {sql}",
             chunked.rows
         );
+    }
+}
+
+/// A sort under a LIMIT keeps exactly the first rows of the full sort, at
+/// any batch size: keys with few distinct values and NULLs, and LIMITs that
+/// end inside a tie group.
+#[test]
+fn order_by_limit_is_the_full_sorts_prefix() {
+    let sorts = [
+        "SELECT a, c FROM t ORDER BY c",
+        "SELECT a, b FROM t ORDER BY a DESC",
+        "SELECT c, a, b FROM t ORDER BY a, c DESC",
+        "SELECT c FROM t WHERE a IS NULL ORDER BY c",
+    ];
+    let engine = SqlEngine::new();
+    let mut rng = StdRng::seed_from_u64(0x70_9C);
+    for round in 0..60 {
+        let mut provider = MemoryProvider::new();
+        provider.register("t", arb_table(&mut rng));
+        let sort = sorts[round % sorts.len()];
+        let full = engine.query(sort, &provider).unwrap();
+        let k = rng.gen_range(0..=full.num_rows() + 2);
+        let want = full.slice(0, k.min(full.num_rows())).unwrap();
+        for rows in [1, 3, 1024] {
+            let chunked = Chunked {
+                inner: &provider,
+                rows,
+            };
+            let got = engine
+                .query(&format!("{sort} LIMIT {k}"), &chunked)
+                .unwrap();
+            assert_eq!(
+                got, want,
+                "round {round}, {rows} rows per batch: {sort} LIMIT {k}"
+            );
+        }
     }
 }
 
