@@ -26,7 +26,8 @@ pub struct LakehouseConfig {
     /// per-query resource ledgers, flight-recorder events, and
     /// `system.queries` rows (`--tenant` on the CLI).
     pub tenant: String,
-    /// Row-group size for table writes.
+    /// Row-group size of every data file a table write, an append, a run's
+    /// artifact or a compaction writes.
     pub row_group_rows: usize,
     /// A process-wide verified buffer pool to put between this instance and
     /// its store (`--shared-pool-mb` on the CLI). Several `Lakehouse`

@@ -358,6 +358,9 @@ impl Lakehouse {
         TableIo {
             cache: Some(Arc::clone(&self.metadata_cache)),
             dispatcher: Some(Arc::clone(&self.io)),
+            writer_options: lakehouse_format::WriterOptions {
+                row_group_rows: self.config.row_group_rows,
+            },
         }
     }
 
@@ -469,11 +472,7 @@ impl Lakehouse {
             spec,
             self.table_io(),
         )?;
-        let mut tx = table
-            .new_transaction(SnapshotOperation::Append)
-            .with_writer_options(lakehouse_format::WriterOptions {
-                row_group_rows: self.config.row_group_rows,
-            });
+        let mut tx = table.new_transaction(SnapshotOperation::Append);
         tx.write(batch)?;
         let (metadata_location, metadata) = tx.commit()?;
         self.catalog.commit(

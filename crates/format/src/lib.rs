@@ -34,10 +34,10 @@ pub mod stats;
 pub mod writer;
 
 pub use error::{FormatError, Result};
-pub use ranged::RangedReader;
+pub use ranged::{FetchedChunks, RangedReader, RawGroup};
 pub use reader::{footer_bytes, FileReader, RowGroupMeta};
 pub use stats::ColumnStats;
-pub use writer::{FileWriter, WriterOptions};
+pub use writer::{Copied, FileWriter, WriterOptions};
 
 /// File magic bytes.
 pub const MAGIC: &[u8; 4] = b"LKH1";

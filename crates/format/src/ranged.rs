@@ -176,102 +176,174 @@ impl RangedReader {
         }
     }
 
-    /// Byte range of every selected `(group, column)` chunk, group-major.
-    fn chunk_ranges(&self, groups: &[usize], columns: &[usize]) -> Result<Vec<(usize, usize)>> {
-        let mut ranges = Vec::with_capacity(groups.len() * columns.len());
-        for &g in groups {
-            let group = self
-                .groups
-                .get(g)
-                .ok_or_else(|| FormatError::InvalidArgument(format!("no row group {g}")))?;
-            for &c in columns {
-                let (offset, length) = group.chunk_offsets[c];
-                match offset.checked_add(length) {
-                    Some(end) if end <= self.file_len as u64 => {
-                        ranges.push((offset as usize, end as usize));
-                    }
-                    _ => return Err(FormatError::Corrupt("chunk offset out of range".into())),
-                }
+    /// The `(group, column)` chunks of `groups` under `projection`,
+    /// group-major: what [`RangedReader::fetch_chunks`] takes.
+    pub fn chunks(
+        &self,
+        groups: &[usize],
+        projection: Option<&[usize]>,
+    ) -> Result<Vec<(usize, usize)>> {
+        let columns = self.projected(projection)?;
+        let pairs = groups
+            .iter()
+            .flat_map(|&g| columns.iter().map(move |&c| (g, c)));
+        Ok(pairs.collect())
+    }
+
+    /// Byte range of chunk `(g, c)`, checked against the file.
+    fn chunk_range(&self, (g, c): (usize, usize)) -> Result<(usize, usize)> {
+        let group = self
+            .groups
+            .get(g)
+            .ok_or_else(|| FormatError::InvalidArgument(format!("no row group {g}")))?;
+        let (offset, length) = *group
+            .chunk_offsets
+            .get(c)
+            .ok_or_else(|| FormatError::InvalidArgument(format!("no column {c}")))?;
+        match offset.checked_add(length) {
+            Some(end) if end <= self.file_len as u64 => Ok((offset as usize, end as usize)),
+            _ => Err(FormatError::Corrupt("chunk offset out of range".into())),
+        }
+    }
+
+    /// Bytes of the file a read of `chunks` *needs*: the footer plus the
+    /// chunks. The requests that carry them may move more (merged gaps, a
+    /// small file fetched whole).
+    pub fn bytes_needed(&self, chunks: &[(usize, usize)]) -> Result<u64> {
+        let mut needed = self.footer_bytes;
+        for &chunk in chunks {
+            let (start, end) = self.chunk_range(chunk)?;
+            needed += end - start;
+        }
+        Ok(needed as u64)
+    }
+
+    /// Fetch `chunks`: ranges not resident from `open` are merged by
+    /// [`plan_ranges`] and fetched one request each. A chunk is checksummed
+    /// when it is taken out ([`Self::raw_group`], [`Self::decode_groups`]).
+    pub fn fetch_chunks(
+        &self,
+        chunks: &[(usize, usize)],
+        fetch: RangeFetch<'_>,
+    ) -> Result<FetchedChunks> {
+        let mut wanted = Vec::with_capacity(chunks.len());
+        for &chunk in chunks {
+            let range = self.chunk_range(chunk)?;
+            if range.0 < self.resident_start {
+                wanted.push(range);
             }
         }
-        Ok(ranges)
+        let mut ranges = plan_ranges(wanted, self.gap);
+        let mut buffers = ranges
+            .iter()
+            .map(|&(start, end)| fetch_exact(fetch, start, end))
+            .collect::<Result<Vec<Bytes>>>()?;
+        ranges.push((self.resident_start, self.file_len));
+        buffers.push(self.resident.clone());
+        Ok(FetchedChunks { ranges, buffers })
     }
 
-    /// Bytes of the file a read of these groups and columns *needs*: the
-    /// footer plus the selected chunks. The requests that carry them may
-    /// move more (merged gaps, a small file fetched whole).
-    pub fn bytes_needed(&self, groups: &[usize], projection: Option<&[usize]>) -> Result<u64> {
-        let chunks = self.chunk_ranges(groups, &self.projected(projection)?)?;
-        let chunk_bytes: usize = chunks.iter().map(|(start, end)| end - start).sum();
-        Ok((self.footer_bytes + chunk_bytes) as u64)
+    /// Chunk `(g, c)` out of `fetched`, its checksum verified: a torn or
+    /// cached-corrupt range must never become wrong values or copied bytes.
+    fn verified_chunk(&self, fetched: &FetchedChunks, (g, c): (usize, usize)) -> Result<Bytes> {
+        let bytes = fetched.slice(self.chunk_range((g, c))?);
+        match bytes.filter(|b| crc32c(b) == self.groups[g].chunk_crcs[c]) {
+            Some(bytes) => Ok(bytes),
+            None => Err(FormatError::Corrupted(format!(
+                "chunk checksum mismatch (group {g}, column {c})"
+            ))),
+        }
     }
 
-    /// Read selected row groups, fetching only what the projected columns'
-    /// chunks need: ranges not already resident are merged by
-    /// [`plan_ranges`] and fetched one request each; every chunk is then a
-    /// zero-copy slice, checksummed before it is decoded.
+    /// Row group `g` as it lies in the file: every chunk out of `fetched`,
+    /// each checksum verified before the group is handed out, and the
+    /// footer's metadata for it.
+    pub fn raw_group(&self, fetched: &FetchedChunks, g: usize) -> Result<RawGroup<'_>> {
+        let meta = (self.groups.get(g))
+            .ok_or_else(|| FormatError::InvalidArgument(format!("no row group {g}")))?;
+        let chunks = (0..self.schema.len())
+            .map(|c| self.verified_chunk(fetched, (g, c)))
+            .collect::<Result<Vec<Bytes>>>()?;
+        Ok(RawGroup {
+            schema: &self.schema,
+            meta,
+            chunks,
+        })
+    }
+
+    /// Decode the projected columns of `groups` out of `fetched` into one
+    /// batch, each chunk checksummed before it is decoded.
+    pub fn decode_groups(
+        &self,
+        fetched: &FetchedChunks,
+        groups: &[usize],
+        projection: Option<&[usize]>,
+    ) -> Result<RecordBatch> {
+        let columns = self.projected(projection)?;
+        let out_schema = Schema::new(
+            columns
+                .iter()
+                .map(|&i| self.schema.field(i).clone())
+                .collect(),
+        );
+        if groups.is_empty() {
+            return Ok(RecordBatch::new_empty(out_schema));
+        }
+        let mut batches = Vec::with_capacity(groups.len());
+        for &g in groups {
+            let mut decoded = Vec::with_capacity(columns.len());
+            for &c in &columns {
+                let bytes = self.verified_chunk(fetched, (g, c))?;
+                let mut r = ByteReader::new(&bytes);
+                decoded.push(decode_column(self.schema.field(c).data_type(), &mut r)?);
+            }
+            batches.push(RecordBatch::try_new(out_schema.clone(), decoded)?);
+        }
+        Ok(RecordBatch::concat(&batches)?)
+    }
+
+    /// Read selected row groups, fetching only the projected columns'
+    /// chunks.
     pub fn read_groups(
         &self,
         group_indices: &[usize],
         projection: Option<&[usize]>,
         fetch: RangeFetch<'_>,
     ) -> Result<RecordBatch> {
-        let col_indices = self.projected(projection)?;
-        let chunks = self.chunk_ranges(group_indices, &col_indices)?;
-        let out_schema = Schema::new(
-            col_indices
-                .iter()
-                .map(|&i| self.schema.field(i).clone())
-                .collect(),
-        );
-        if group_indices.is_empty() {
-            return Ok(RecordBatch::new_empty(out_schema));
-        }
-        // Chunks that start inside what `open` already holds are served from
-        // it; the rest are merged into requests and fetched.
-        let resident_start = self.resident_start;
-        let mut planned = plan_ranges(
-            chunks
-                .iter()
-                .copied()
-                .filter(|c| c.0 < resident_start)
-                .collect(),
-            self.gap,
-        );
-        let mut buffers = planned
-            .iter()
-            .map(|&(start, end)| fetch_exact(fetch, start, end))
-            .collect::<Result<Vec<Bytes>>>()?;
-        planned.push((resident_start, self.file_len));
-        buffers.push(self.resident.clone());
-        // A chunk lies in the last buffer that starts at or before it.
-        let chunk_bytes = |(start, end): (usize, usize)| -> Option<Bytes> {
-            let i = planned.partition_point(|r| r.0 <= start).checked_sub(1)?;
-            let (base, limit) = planned[i];
-            (end <= limit).then(|| buffers[i].slice(start - base..end - base))
-        };
-
-        let mut chunks = chunks.into_iter();
-        let mut batches = Vec::with_capacity(group_indices.len());
-        for &g in group_indices {
-            let mut columns = Vec::with_capacity(col_indices.len());
-            for &c in &col_indices {
-                // Verify the checksum before decoding: a torn or
-                // cached-corrupt range must never become wrong values.
-                let bytes = chunks.next().and_then(chunk_bytes);
-                let Some(bytes) = bytes.filter(|b| crc32c(b) == self.groups[g].chunk_crcs[c])
-                else {
-                    return Err(FormatError::Corrupted(format!(
-                        "chunk checksum mismatch (group {g}, column {c})"
-                    )));
-                };
-                let mut r = ByteReader::new(&bytes);
-                columns.push(decode_column(self.schema.field(c).data_type(), &mut r)?);
-            }
-            batches.push(RecordBatch::try_new(out_schema.clone(), columns)?);
-        }
-        Ok(RecordBatch::concat(&batches)?)
+        let chunks = self.chunks(group_indices, projection)?;
+        let fetched = self.fetch_chunks(&chunks, fetch)?;
+        self.decode_groups(&fetched, group_indices, projection)
     }
+}
+
+/// Chunks of one file fetched by [`RangedReader::fetch_chunks`]: each
+/// request's buffer with the file range it holds, the resident tail last.
+pub struct FetchedChunks {
+    ranges: Vec<(usize, usize)>,
+    buffers: Vec<Bytes>,
+}
+
+impl FetchedChunks {
+    /// `[start, end)` of the file: it lies in the last buffer that starts at
+    /// or before it, or was not fetched.
+    fn slice(&self, (start, end): (usize, usize)) -> Option<Bytes> {
+        let i = self
+            .ranges
+            .partition_point(|r| r.0 <= start)
+            .checked_sub(1)?;
+        let (base, limit) = self.ranges[i];
+        (end <= limit).then(|| self.buffers[i].slice(start - base..end - base))
+    }
+}
+
+/// One row group of a file as its verified chunk bytes, with the footer's
+/// row count, checksums and statistics for it: what
+/// [`crate::FileWriter::copy_group`] appends. Only
+/// [`RangedReader::raw_group`] makes one, so every chunk's checksum has held.
+pub struct RawGroup<'a> {
+    pub(crate) schema: &'a Schema,
+    pub(crate) meta: &'a RowGroupMeta,
+    pub(crate) chunks: Vec<Bytes>,
 }
 
 #[cfg(test)]
@@ -368,7 +440,8 @@ mod tests {
             let batch = reader
                 .read_groups(&groups, projection.as_deref(), &fetch)
                 .unwrap();
-            let needed = reader.bytes_needed(&groups, projection.as_deref()).unwrap();
+            let chunks = reader.chunks(&groups, projection.as_deref()).unwrap();
+            let needed = reader.bytes_needed(&chunks).unwrap();
             (batch.num_rows(), served.bytes_moved(), needed as usize)
         };
         let (full_rows, full_bytes, full_needed) = run(None, None);
@@ -722,7 +795,9 @@ mod tests {
                 assert!(served.count() <= opens + needed.len());
                 let needed_bytes: usize = needed.iter().map(|(s, e)| e - s).sum();
                 assert_eq!(
-                    reader.bytes_needed(&groups, projection.as_deref()).unwrap() as usize,
+                    reader
+                        .bytes_needed(&reader.chunks(&groups, projection.as_deref()).unwrap())
+                        .unwrap() as usize,
                     needed_bytes + reader.footer_bytes
                 );
             }
@@ -768,7 +843,9 @@ mod tests {
             let requests = served.requests.borrow().clone();
             (
                 requests,
-                reader.bytes_needed(&[0, 1, 2], projection).unwrap() as usize,
+                reader
+                    .bytes_needed(&reader.chunks(&[0, 1, 2], projection).unwrap())
+                    .unwrap() as usize,
             )
         };
         // One column: the tail probe, then one request per row group — the

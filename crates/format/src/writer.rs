@@ -4,6 +4,7 @@
 use crate::encoding::encode_column;
 use crate::error::{FormatError, Result};
 use crate::io::ByteWriter;
+use crate::ranged::RawGroup;
 use crate::stats::ColumnStats;
 use crate::{FORMAT_VERSION, MAGIC};
 use bytes::Bytes;
@@ -71,7 +72,8 @@ struct RowGroup {
 /// of it, uncopied; only rows that do not yet fill a group are buffered, so
 /// `pending` always holds fewer than `row_group_rows` rows and no row is
 /// copied more than twice (slice, then concat with its group's other
-/// pieces).
+/// pieces). A row group of another file that sits exactly where such a cut
+/// would fall can be appended as its bytes ([`FileWriter::copy_group`]).
 pub struct FileWriter {
     schema: Schema,
     options: WriterOptions,
@@ -79,6 +81,16 @@ pub struct FileWriter {
     groups: Vec<RowGroup>,
     pending: Vec<RecordBatch>,
     pending_rows: usize,
+    copied: Copied,
+}
+
+/// What [`FileWriter::copy_group`] appended: row groups, their rows and
+/// their chunk bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Copied {
+    pub groups: usize,
+    pub rows: u64,
+    pub bytes: u64,
 }
 
 #[cfg(test)]
@@ -103,7 +115,61 @@ impl FileWriter {
             groups: Vec::new(),
             pending: Vec::new(),
             pending_rows: 0,
+            copied: Copied::default(),
         }
+    }
+
+    /// Rows written so far, buffered ones included.
+    pub fn num_rows(&self) -> u64 {
+        let grouped: u64 = self.groups.iter().map(|g| g.row_count).sum();
+        grouped + self.pending_rows as u64
+    }
+
+    /// What [`FileWriter::copy_group`] has appended so far.
+    pub fn copied(&self) -> Copied {
+        self.copied
+    }
+
+    /// Whether [`FileWriter::copy_group`] takes a row group of `rows` rows
+    /// of a file of `schema` now: only where `write_batch` would cut exactly
+    /// that group from its rows — nothing pending, a full group — and only
+    /// from a file of this writer's schema.
+    pub fn copies(&self, schema: &Schema, rows: u64) -> bool {
+        let full = self.options.row_group_rows.max(1) as u64;
+        self.pending_rows == 0 && rows == full && *schema == self.schema
+    }
+
+    /// Append a row group of another file as it is: its chunks, whose
+    /// checksums held when [`crate::RangedReader::raw_group`] took them
+    /// out, at new offsets with their checksums and statistics. A group
+    /// [`FileWriter::copies`] refuses is an `InvalidArgument`.
+    pub fn copy_group(&mut self, group: RawGroup<'_>) -> Result<()> {
+        let meta = group.meta;
+        if !self.copies(group.schema, meta.row_count) {
+            return Err(FormatError::InvalidArgument(format!(
+                "a {}-row group of {} cannot be copied here",
+                meta.row_count, group.schema
+            )));
+        }
+        let mut chunks = Vec::with_capacity(group.chunks.len());
+        for ((bytes, &crc), stats) in group.chunks.iter().zip(&meta.chunk_crcs).zip(&meta.stats) {
+            let offset = self.body.len() as u64;
+            self.body.write_raw(bytes);
+            chunks.push(ChunkMeta {
+                offset,
+                length: bytes.len() as u64,
+                crc,
+                stats: stats.clone(),
+            });
+            self.copied.bytes += bytes.len() as u64;
+        }
+        self.copied.groups += 1;
+        self.copied.rows += meta.row_count;
+        self.groups.push(RowGroup {
+            row_count: meta.row_count,
+            chunks,
+        });
+        Ok(())
     }
 
     /// Append a batch; schema must match exactly.

@@ -12,6 +12,7 @@
 //! *which* immutable documents a statement sees.
 
 use crate::error::Result;
+use lakehouse_format::WriterOptions;
 use lakehouse_store::{IoDispatcher, ObjectPath, ObjectStore};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -194,14 +195,17 @@ impl MetadataCache {
 }
 
 /// What a [`crate::Table`] handle reads and writes through besides its
-/// store: the parsed-document cache, and the workers that overlap a scan's
-/// data-file requests. A `Lakehouse` owns one of each and lends them to
-/// every table it opens; the default — neither — fetches and parses on
-/// every use, on the caller's thread.
+/// store: the parsed-document cache, the workers that overlap a scan's
+/// data-file requests, and how its data files are cut into row groups. A
+/// `Lakehouse` owns one of each and lends them to every table it opens;
+/// the default — no cache, no workers, 8 192-row groups — fetches and
+/// parses on every use, on the caller's thread.
 #[derive(Clone, Default)]
 pub struct TableIo {
     pub cache: Option<Arc<MetadataCache>>,
     pub dispatcher: Option<Arc<IoDispatcher>>,
+    /// Every data file a transaction or a compaction of the table writes.
+    pub writer_options: WriterOptions,
 }
 
 impl TableIo {

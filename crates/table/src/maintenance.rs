@@ -67,11 +67,15 @@ impl Table {
     /// Rewrite each partition that holds more than one data file into one
     /// file, committing an `Overwrite` snapshot. A partition with a single
     /// file keeps it (same entry, same path, not read); a fragmented one is
-    /// read through a scan of its own files, so memory is bounded by the
-    /// largest such partition, not the table. The new snapshot lists the
-    /// files in the old order, a rewritten partition's file where its first
-    /// old file was. No-op (returns zero counts) when the table already has
-    /// ≤1 file per partition.
+    /// streamed, file by file in manifest order, through a scan of its own
+    /// files into one writer, so memory is one output file and about one
+    /// input file. A file's leading row groups that the writer would cut
+    /// from its rows unchanged are copied as verified bytes; the rest is
+    /// decoded (schema evolution, constants and NULLs from stats as in any
+    /// scan) and written. The new snapshot lists the files in the old
+    /// order, a rewritten partition's file where its first old file was,
+    /// under that partition's tuple. No-op (returns zero counts) when the
+    /// table already has ≤1 file per partition.
     ///
     /// Readers are unaffected: old snapshots keep referencing the old files
     /// until [`Table::expire_snapshots`] removes them.
@@ -96,6 +100,7 @@ impl Table {
         if partitions.iter().all(|files| files.len() == 1) {
             return Ok((self.clone(), CompactionReport::default()));
         }
+        let span = lakehouse_obs::span("compact");
         // In first-appearance order, each partition's file lands where its
         // first old file was.
         let mut tx = self.new_transaction(SnapshotOperation::Overwrite);
@@ -105,18 +110,24 @@ impl Table {
                 tx.carry(only.clone());
                 continue;
             }
-            // A normal scan handles schema evolution; the partition spec
-            // puts the rows back in one file.
             let owned = files.iter().map(|&e| e.clone()).collect();
-            let batch = self.scan().restricted_to(owned).execute()?;
+            let mut stream = self.scan().restricted_to(owned).stream_all()?;
+            let mut writer = tx.file_writer()?;
+            while let Some(batch) = stream.pull_copying(&mut writer)? {
+                writer.write_batch(&batch)?;
+            }
             report.files_compacted += files.len();
-            report.rows_rewritten += batch.num_rows() as u64;
-            if batch.num_rows() > 0 {
-                let before = tx.staged_files();
-                tx.write(&batch)?;
-                report.files_written += tx.staged_files() - before;
+            report.rows_rewritten += writer.num_rows();
+            let copied = writer.copied();
+            span.add_u64("groups_copied", copied.groups as u64);
+            span.add_u64("rows_copied", copied.rows);
+            span.add_u64("bytes_copied", copied.bytes);
+            if writer.num_rows() > 0 {
+                tx.stage(files[0].partition.clone(), writer)?;
+                report.files_written += 1;
             }
         }
+        span.attr("rows_rewritten", report.rows_rewritten);
         Ok((tx.commit_table()?, report))
     }
 

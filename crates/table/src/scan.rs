@@ -42,7 +42,7 @@ use crate::partition::Transform;
 use crate::schema_def::ValueDef;
 use lakehouse_columnar::kernels::{cmp_column_scalar, filter_batch, to_selection, CmpOp};
 use lakehouse_columnar::{Column, ColumnarError, Field, RecordBatch, Schema, Value};
-use lakehouse_format::RangedReader;
+use lakehouse_format::{FileWriter, RangedReader};
 use lakehouse_store::{IoDispatcher, IoTicket, ObjectPath, ObjectStore, StoreError};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -564,11 +564,18 @@ impl TableScan {
     /// fetched the reader's opening range) that range is a local slice
     /// instead of a store request; that is the only difference between the
     /// inline and the overlapped path.
+    ///
+    /// With `copy`, a scan of every column with no predicate copies the
+    /// file's leading row groups that writer takes ([`FileWriter::copies`])
+    /// into it as verified bytes and decodes only the rest. Every chunk is
+    /// checksummed before the first group is copied, so a failed read
+    /// leaves the writer as it was and can be done again.
     fn read_entry(
         &self,
         entry: &ManifestEntry,
         scan_schema: &Schema,
         prefetched: Option<&bytes::Bytes>,
+        copy: Option<&mut FileWriter>,
     ) -> Result<EntryPartial> {
         let path = ObjectPath::new(entry.file_path.clone())?;
         let file_len = entry.file_size as usize;
@@ -626,19 +633,36 @@ impl TableScan {
                 projection.push(pos);
             }
         }
-        let decoded = reader
-            .read_groups(&groups, Some(&projection), &fetch)
-            .map_err(typed)?;
+        let copied = match &copy {
+            Some(w) if self.predicates.is_empty() && *scan_schema == current => (groups.iter())
+                .take_while(|&&g| w.copies(reader.schema(), reader.row_group_meta(g).row_count))
+                .count(),
+            _ => 0,
+        };
+        let (copied, decoded) = groups.split_at(copied);
+        let mut chunks = reader.chunks(copied, None)?;
+        chunks.extend(reader.chunks(decoded, Some(&projection))?);
+        let fetched = reader.fetch_chunks(&chunks, &fetch).map_err(typed)?;
+        let raw = (copied.iter())
+            .map(|&g| reader.raw_group(&fetched, g))
+            .collect::<lakehouse_format::Result<Vec<_>>>()?;
+        let batch = reader.decode_groups(&fetched, decoded, Some(&projection))?;
         // Counted from the groups, not the decoded batch: with no field to
         // decode that has no columns, and so no rows.
-        let rows = (groups.iter())
+        let rows = (decoded.iter())
             .map(|&g| reader.row_group_meta(g).row_count as usize)
             .sum();
-        Ok(EntryPartial {
-            batch: self.assemble(entry, scan_schema, decoded.into_columns(), rows)?,
-            bytes_scanned: reader.bytes_needed(&groups, Some(&projection))?,
+        let partial = EntryPartial {
+            batch: self.assemble(entry, scan_schema, batch.into_columns(), rows)?,
+            bytes_scanned: reader.bytes_needed(&chunks)?,
             row_groups_scanned,
-        })
+        };
+        if let Some(writer) = copy {
+            for group in raw {
+                writer.copy_group(group)?;
+            }
+        }
+        Ok(partial)
     }
 }
 
@@ -697,6 +721,20 @@ impl ScanStream {
     /// [`lakehouse_columnar::BatchStream`] impl wraps this for the SQL
     /// pipeline; [`TableScan::execute_with_report`] drains it directly).
     pub fn pull(&mut self) -> Result<Option<RecordBatch>> {
+        self.pull_into(None)
+    }
+
+    /// [`Self::pull`] for a consumer that writes each batch it pulls into
+    /// `writer` before it pulls again (a compaction): a file's leading row
+    /// groups that `writer` takes as they are are copied into it
+    /// ([`TableScan::read_entry`]) and only the rest is returned. A file
+    /// settles only while nothing is ready, so the writer then holds every
+    /// row before the file's.
+    pub(crate) fn pull_copying(&mut self, writer: &mut FileWriter) -> Result<Option<RecordBatch>> {
+        self.pull_into(Some(writer))
+    }
+
+    fn pull_into(&mut self, mut copy: Option<&mut FileWriter>) -> Result<Option<RecordBatch>> {
         while self.ready.is_empty() && !(self.entries.is_empty() && self.pending.is_empty()) {
             // Per-file cooperative cancellation point: a killed query stops
             // fetching before the next file is requested (the Drop impl then
@@ -704,7 +742,7 @@ impl ScanStream {
             if let Err(reason) = lakehouse_obs::check_current() {
                 return Err(TableError::Store(StoreError::QueryKilled { reason }));
             }
-            self.refill()?;
+            self.refill(copy.as_deref_mut())?;
         }
         Ok(self.ready.pop_front())
     }
@@ -715,7 +753,7 @@ impl ScanStream {
     /// the window allows one beside it, and is read on this thread otherwise
     /// (the first pull of a stream, a scan's only file, a table without
     /// workers) — a lone request gains nothing from a hand-off.
-    fn refill(&mut self) -> Result<()> {
+    fn refill(&mut self, copy: Option<&mut FileWriter>) -> Result<()> {
         let overlap = !self.pending.is_empty() || (self.window > 1 && self.entries.len() > 1);
         let dispatcher = self.scan.io.dispatcher.clone().filter(|_| overlap);
         if let Some(io) = &dispatcher {
@@ -751,7 +789,7 @@ impl ScanStream {
             }
             _ => (None, 0),
         };
-        let (outcome, retries) = self.read_retrying(at, prefetched);
+        let (outcome, retries) = self.read_retrying(at, prefetched, copy);
         sim_nanos += metrics
             .as_ref()
             .map(|m| m.lane_nanos() - lane_start)
@@ -796,10 +834,13 @@ impl ScanStream {
         &self,
         at: EntryAt,
         mut prefetched: Option<lakehouse_store::Result<bytes::Bytes>>,
+        mut copy: Option<&mut FileWriter>,
     ) -> (Result<EntryPartial>, u32) {
         let entry = self.entry(at);
-        let read =
-            |bytes: Option<&bytes::Bytes>| self.scan.read_entry(entry, &self.scan_schema, bytes);
+        let mut read = |bytes: Option<&bytes::Bytes>| {
+            let copy = copy.as_deref_mut();
+            self.scan.read_entry(entry, &self.scan_schema, bytes, copy)
+        };
         // Only the first read has a prefetched range to take.
         reread_on_corruption(
             &*self.scan.store,
@@ -1219,8 +1260,8 @@ mod tests {
         let dispatcher =
             depth.map(|d| Arc::new(IoDispatcher::new(Arc::clone(&sim), d, None).unwrap()));
         let io = TableIo {
-            cache: None,
             dispatcher: dispatcher.clone(),
+            ..TableIo::default()
         };
         (Table::load_with(sim, &loc, io).unwrap(), dispatcher)
     }
@@ -1306,7 +1347,7 @@ mod tests {
         let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
         let io = TableIo {
             cache: Some(Arc::new(MetadataCache::new())),
-            dispatcher: None,
+            ..TableIo::default()
         };
         let t = Table::create_with(
             Arc::clone(&store),
@@ -1450,16 +1491,15 @@ mod tests {
     fn row_group_pruning_counts() {
         // Many row groups: write with tiny groups.
         let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
-        let t = Table::create(
+        let t = Table::create_with(
             Arc::clone(&store),
             "wh/rg",
             &Schema::new(vec![Field::new("x", DataType::Int64, false)]),
             PartitionSpec::unpartitioned(),
+            in_groups_of(10),
         )
         .unwrap();
-        let mut tx = t
-            .new_transaction(SnapshotOperation::Append)
-            .with_writer_options(lakehouse_format::WriterOptions { row_group_rows: 10 });
+        let mut tx = t.new_transaction(SnapshotOperation::Append);
         tx.write(
             &RecordBatch::try_new(
                 Schema::new(vec![Field::new("x", DataType::Int64, false)]),
@@ -1486,22 +1526,29 @@ mod tests {
         }])
     }
 
+    /// Table I/O that writes row groups of `rows` rows.
+    fn in_groups_of(rows: usize) -> TableIo {
+        TableIo {
+            writer_options: lakehouse_format::WriterOptions {
+                row_group_rows: rows,
+            },
+            ..TableIo::default()
+        }
+    }
+
     /// One committed write of `batch` to a fresh unpartitioned table, in row
     /// groups of `group_rows`.
     fn one_file(batch: &RecordBatch, group_rows: usize) -> Table {
         let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
-        let t = Table::create(
+        let t = Table::create_with(
             store,
             "wh/one",
             batch.schema(),
             PartitionSpec::unpartitioned(),
+            in_groups_of(group_rows),
         )
         .unwrap();
-        let mut tx = t
-            .new_transaction(SnapshotOperation::Append)
-            .with_writer_options(lakehouse_format::WriterOptions {
-                row_group_rows: group_rows,
-            });
+        let mut tx = t.new_transaction(SnapshotOperation::Append);
         tx.write(batch).unwrap();
         tx.commit_table().unwrap()
     }
@@ -1665,8 +1712,8 @@ mod tests {
         let (loc, _) = tx.commit().unwrap();
         let io = Arc::new(IoDispatcher::new(Arc::clone(&store), 4, None).unwrap());
         let with_io = TableIo {
-            cache: None,
             dispatcher: Some(Arc::clone(&io)),
+            ..TableIo::default()
         };
         for t in [
             Table::load(Arc::clone(&store), &loc).unwrap(),

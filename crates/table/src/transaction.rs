@@ -5,11 +5,12 @@ use crate::cache::{data_path, manifest_path, TableIo};
 use crate::error::{Result, TableError};
 use crate::manifest::{Manifest, ManifestEntry, ManifestRef, StatsDef};
 use crate::metadata::TableMetadata;
+use crate::schema_def::ValueDef;
 use crate::snapshot::{Snapshot, SnapshotOperation};
 use crate::table::Table;
 use lakehouse_columnar::kernels::take_batch;
 use lakehouse_columnar::RecordBatch;
-use lakehouse_format::{FileWriter, WriterOptions};
+use lakehouse_format::FileWriter;
 use lakehouse_store::{ObjectPath, ObjectStore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,7 +26,6 @@ pub struct Transaction {
     staged: Vec<ManifestEntry>,
     rows_added: u64,
     file_counter: u64,
-    writer_options: WriterOptions,
     io: TableIo,
 }
 
@@ -43,15 +43,15 @@ impl Transaction {
             staged: Vec::new(),
             rows_added: 0,
             file_counter: 0,
-            writer_options: WriterOptions::default(),
             io,
         }
     }
 
-    /// Override the writer's row-group size.
-    pub fn with_writer_options(mut self, options: WriterOptions) -> Transaction {
-        self.writer_options = options;
-        self
+    /// A writer of one data file of the table's current schema, cut into
+    /// row groups as the table's [`TableIo::writer_options`] say.
+    pub(crate) fn file_writer(&self) -> Result<FileWriter> {
+        let schema = self.metadata.current_schema()?;
+        Ok(FileWriter::new(schema, self.io.writer_options.clone()))
     }
 
     /// Stage a batch: split by partition spec and write one data file per
@@ -65,7 +65,6 @@ impl Transaction {
                 schema
             )));
         }
-        let snapshot_id = self.metadata.next_snapshot_id();
         for (partition, rows) in self.metadata.partition_spec.split(batch)? {
             // A group that is the whole batch (every unpartitioned table, a
             // single-partition append) is written by reference, not gathered.
@@ -76,34 +75,44 @@ impl Transaction {
                 gathered = take_batch(batch, &rows)?;
                 &gathered
             };
-            let mut writer = FileWriter::new(schema.clone(), self.writer_options.clone());
+            let mut writer = FileWriter::new(schema.clone(), self.io.writer_options.clone());
             writer.write_batch(part_batch)?;
-            let (file_bytes, file_stats) = writer.finish()?;
-            let column_stats: BTreeMap<String, StatsDef> = schema
-                .fields()
-                .iter()
-                .zip(&file_stats)
-                .map(|(field, stats)| (field.name().to_string(), StatsDef::from_stats(stats)))
-                .collect();
-            let file_path = data_path(
-                &self.metadata.location,
-                snapshot_id,
-                self.file_counter,
-                &file_bytes,
-            )?;
-            self.file_counter += 1;
-            self.store
-                .put(&ObjectPath::new(file_path.clone())?, file_bytes.clone())?;
-            self.rows_added += part_batch.num_rows() as u64;
-            self.staged.push(ManifestEntry {
-                file_path,
-                row_count: part_batch.num_rows() as u64,
-                file_size: file_bytes.len() as u64,
-                partition,
-                column_stats,
-                schema_id: self.metadata.current_schema_id,
-            });
+            self.stage(partition, writer)?;
         }
+        Ok(())
+    }
+
+    /// Stage the file `writer` holds, all of whose rows are in `partition`:
+    /// finish it, name it by its footer, put it, and list it with its
+    /// file-level column stats.
+    pub(crate) fn stage(&mut self, partition: Vec<ValueDef>, writer: FileWriter) -> Result<()> {
+        let row_count = writer.num_rows();
+        let (file_bytes, file_stats) = writer.finish()?;
+        let schema = self.metadata.schema_def(self.metadata.current_schema_id)?;
+        let column_stats: BTreeMap<String, StatsDef> = (schema.fields.iter())
+            .zip(&file_stats)
+            .map(|(field, stats)| (field.name.clone(), StatsDef::from_stats(stats)))
+            .collect();
+        let snapshot_id = self.metadata.next_snapshot_id();
+        let file_path = data_path(
+            &self.metadata.location,
+            snapshot_id,
+            self.file_counter,
+            &file_bytes,
+        )?;
+        self.file_counter += 1;
+        let file_size = file_bytes.len() as u64;
+        self.store
+            .put(&ObjectPath::new(file_path.clone())?, file_bytes)?;
+        self.rows_added += row_count;
+        self.staged.push(ManifestEntry {
+            file_path,
+            row_count,
+            file_size,
+            partition,
+            column_stats,
+            schema_id: self.metadata.current_schema_id,
+        });
         Ok(())
     }
 
@@ -111,11 +120,6 @@ impl Transaction {
     /// manifest, not read or written (compaction's untouched partitions).
     pub(crate) fn carry(&mut self, entry: ManifestEntry) {
         self.staged.push(entry);
-    }
-
-    /// Files staged so far, written or carried.
-    pub(crate) fn staged_files(&self) -> usize {
-        self.staged.len()
     }
 
     /// Commit: write the manifest and a new metadata document; returns the

@@ -82,8 +82,8 @@ fn seeded_backend(files: usize) -> (Arc<InMemoryStore>, String) {
 /// `t`'s version reopened over `store` with `io` as its fetch workers.
 fn with_workers(store: &Arc<dyn ObjectStore>, loc: &str, io: &Arc<IoDispatcher>) -> Table {
     let io = TableIo {
-        cache: None,
         dispatcher: Some(Arc::clone(io)),
+        ..TableIo::default()
     };
     Table::load_with(Arc::clone(store), loc, io).expect("table load")
 }

@@ -51,8 +51,8 @@ fn multi_file_table(store: &Arc<dyn ObjectStore>, files: usize, rows_per_file: u
 fn with_workers(t: &Table, depth: usize) -> Table {
     let dispatcher = IoDispatcher::new(Arc::clone(t.store()), depth, None).unwrap();
     let io = TableIo {
-        cache: None,
         dispatcher: Some(Arc::new(dispatcher)),
+        ..TableIo::default()
     };
     Table::load_with(Arc::clone(t.store()), t.metadata_location(), io).unwrap()
 }

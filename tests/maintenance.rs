@@ -3,14 +3,19 @@
 //! Compaction rewrites only the partitions that hold more than one file, and
 //! expiry keeps every manifest a retained snapshot still names.
 
-use bauplan_core::{Lakehouse, LakehouseConfig};
+use bauplan_core::{Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions};
 use bytes::Bytes;
+use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
+use lakehouse_format::{FileReader, WriterOptions};
+use lakehouse_obs::Trace;
 use lakehouse_store::{InMemoryStore, ObjectPath, ObjectStore, StoreMetrics};
 use lakehouse_table::schema_def::ValueDef;
 use lakehouse_table::{
-    Manifest, PartitionField, PartitionSpec, SnapshotOperation, Table, Transform,
+    Manifest, PartitionField, PartitionSpec, ScanPredicate, SnapshotOperation, Table, TableIo,
+    Transform,
 };
+use lakehouse_workload::TaxiGenerator;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -154,9 +159,9 @@ impl ObjectStore for DataReads {
     }
 }
 
-fn by_day() -> PartitionSpec {
+fn by_day(column: &str) -> PartitionSpec {
     PartitionSpec::new(vec![PartitionField {
-        source_column: "day".into(),
+        source_column: column.into(),
         transform: Transform::Day,
     }])
 }
@@ -196,7 +201,7 @@ fn compaction_rewrites_only_fragmented_partitions() {
     let backend = Arc::clone(&store) as Arc<dyn ObjectStore>;
     let lh = Lakehouse::with_store(Arc::clone(&backend), LakehouseConfig::zero_latency()).unwrap();
     let days: Vec<i32> = (17_956..17_963).collect();
-    lh.create_table_partitioned("events", &days_batch(&days, 3, 0), "main", by_day())
+    lh.create_table_partitioned("events", &days_batch(&days, 3, 0), "main", by_day("day"))
         .unwrap();
     lh.append_table("events", &days_batch(&days, 2, 100), "main")
         .unwrap();
@@ -249,7 +254,7 @@ fn expiry_keeps_every_manifest_a_retained_snapshot_names() {
         Arc::clone(&store),
         "wh/events",
         days_batch(&days, 1, 0).schema(),
-        by_day(),
+        by_day("day"),
     )
     .unwrap();
     let append = |table: &Table, batch: &RecordBatch| {
@@ -284,4 +289,188 @@ fn expiry_keeps_every_manifest_a_retained_snapshot_names() {
         assert_eq!(rows as u64, snapshot.total_rows);
         assert_eq!(rows, 4 * 4 * 2 + 3 * (k + 2));
     }
+}
+
+/// Three days of generated trips, about `per_day` rows on each.
+fn trips(seed: u64, per_day: usize) -> RecordBatch {
+    TaxiGenerator {
+        seed,
+        days: 3,
+        ..Default::default()
+    }
+    .generate(3 * per_day)
+}
+
+/// The data files, by name, sorted, that a create of about 6 000 rows a day
+/// → append → compact → append → compact writes. After the first
+/// compaction each day's file is one full row group and a tail, so the
+/// second compaction has a group to copy. A name ends in a token of the
+/// file's bytes.
+fn twice_compacted(store: &Arc<dyn ObjectStore>) -> Vec<String> {
+    let lh = Lakehouse::with_store(Arc::clone(store), LakehouseConfig::zero_latency()).unwrap();
+    lh.create_table_partitioned("taxi", &trips(1, 6_000), "main", by_day("pickup_at"))
+        .unwrap();
+    lh.append_table("taxi", &trips(2, 3_000), "main").unwrap();
+    let first = lh.compact_table("taxi", "main").unwrap();
+    assert_eq!((first.files_compacted, first.files_written), (6, 3));
+    assert_eq!(first.rows_rewritten, 27_000);
+    lh.append_table("taxi", &trips(3, 1_000), "main").unwrap();
+    let second = lh.compact_table("taxi", "main").unwrap();
+    assert_eq!((second.files_compacted, second.files_written), (6, 3));
+    assert_eq!(second.rows_rewritten, 30_000);
+    let mut files: Vec<String> = (store.list("").unwrap().iter())
+        .filter_map(|p| {
+            p.as_str()
+                .split_once("/data/")
+                .map(|(_, name)| name.to_string())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Computed by a compaction that decoded every file it rewrote: snapshot
+/// 1 is the create, 2 the first append, 3 the first compaction, 4 the
+/// second append and 5 the second compaction. The data has no string
+/// column: a copied chunk keeps its own dictionary, which a rewrite can
+/// order differently (DESIGN.md §25).
+const TWICE_COMPACTED: [&str; 15] = [
+    "snap1-00000-bc3485934532f45c.lkh",
+    "snap1-00001-3b9a928be122316e.lkh",
+    "snap1-00002-b2bdc239584e509f.lkh",
+    "snap2-00000-b5abd3d7be690233.lkh",
+    "snap2-00001-4aebe8afa7f9fa2c.lkh",
+    "snap2-00002-cd99b4933c8008e0.lkh",
+    "snap3-00000-389abcc6ef0195d6.lkh",
+    "snap3-00001-ee9464c6904016c8.lkh",
+    "snap3-00002-63d31c83e7587650.lkh",
+    "snap4-00000-9e5d44800531f93c.lkh",
+    "snap4-00001-77ecbe9568f33f7f.lkh",
+    "snap4-00002-9e21fb74850fdefd.lkh",
+    "snap5-00000-a96bcf6a4ebf79e9.lkh",
+    "snap5-00001-2184434e170f8d21.lkh",
+    "snap5-00002-4ab83dfcdbcce98b.lkh",
+];
+
+#[test]
+fn a_compaction_that_copies_row_groups_writes_the_files_a_rewrite_writes() {
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let trace = Trace::start_forced("test");
+    let files = twice_compacted(&store);
+    let tree = trace.finish();
+    assert_eq!(files, TWICE_COMPACTED);
+    // The first compaction had nothing to copy: every day's first file was
+    // one partial group. The second copied each day's full group.
+    let compactions = tree.find_all("compact");
+    let copied =
+        |attr: &str| -> Vec<Option<u64>> { compactions.iter().map(|s| s.attr_u64(attr)).collect() };
+    assert_eq!(copied("groups_copied"), [Some(0), Some(3)]);
+    assert_eq!(copied("rows_copied"), [Some(0), Some(3 * 8_192)]);
+    assert_eq!(copied("rows_rewritten"), [Some(27_000), Some(30_000)]);
+    // Each day's file of the second compaction: the copied group, then
+    // the tail the writer cut.
+    let paths = store.list("").unwrap();
+    for path in paths.iter().filter(|p| p.as_str().contains("/data/snap5-")) {
+        let reader = FileReader::parse(store.get(path).unwrap()).unwrap();
+        assert_eq!(reader.num_row_groups(), 2, "{path:?}");
+        assert_eq!(reader.row_group_meta(0).row_count, 8_192, "{path:?}");
+    }
+}
+
+#[test]
+fn an_evolved_partition_compacts_through_decode_and_scans_the_same() {
+    // Four-row groups: the first two files of each day hold full groups,
+    // but under a schema that is no longer the table's.
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let table_io = || TableIo {
+        writer_options: WriterOptions { row_group_rows: 4 },
+        ..TableIo::default()
+    };
+    let days = [17_956, 17_957];
+    let schema = days_batch(&days, 1, 0).schema().clone();
+    let table = Table::create_with(
+        Arc::clone(&store),
+        "wh/events",
+        &schema,
+        by_day("day"),
+        table_io(),
+    )
+    .unwrap();
+    let append = |table: &Table, batch: &RecordBatch| {
+        let mut tx = table.new_transaction(SnapshotOperation::Append);
+        tx.write(batch).unwrap();
+        let (location, _) = tx.commit().unwrap();
+        Table::load_with(Arc::clone(&store), &location, table_io()).unwrap()
+    };
+    let table = append(&table, &days_batch(&days, 8, 0));
+    let table = append(&table, &days_batch(&days, 5, 100));
+    let table = table
+        .add_columns(&[Field::new("note", DataType::Utf8, true)])
+        .unwrap()
+        .rename_column("x", "y")
+        .unwrap();
+    let evolved = RecordBatch::try_new(
+        table.schema().unwrap(),
+        vec![
+            Column::from_date(vec![days[0]; 3]),
+            Column::from_i64(vec![200, 201, 202]),
+            Column::from_opt_str(vec![Some("a"), None, Some("b")]),
+        ],
+    )
+    .unwrap();
+    let table = append(&table, &evolved);
+    // Each day's rows in file order: what one day's file must hold after.
+    let day = |t: &Table, d: i32| {
+        let on_day = ScanPredicate::new("day", CmpOp::Eq, Value::Date(d));
+        t.scan().with_predicate(on_day).execute().unwrap()
+    };
+    let before = days.map(|d| day(&table, d));
+    let trace = Trace::start_forced("test");
+    let (compacted, report) = table.compact().unwrap();
+    let tree = trace.finish();
+    assert_eq!((report.files_compacted, report.files_written), (5, 2));
+    assert_eq!(report.rows_rewritten, 2 * (8 + 5) + 3);
+    let span = tree.find("compact").expect("compact span");
+    assert_eq!(span.attr_u64("groups_copied"), Some(0));
+    assert_eq!(days.map(|d| day(&compacted, d)), before);
+    assert_eq!(before[0].num_rows(), 8 + 5 + 3);
+    assert_eq!(before[0].column(2).null_count(), 8 + 5 + 1);
+}
+
+#[test]
+fn every_table_write_cuts_the_configured_row_groups() {
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let config = LakehouseConfig {
+        row_group_rows: 1_000,
+        ..LakehouseConfig::zero_latency()
+    };
+    let lh = Lakehouse::with_store(Arc::clone(&store), config).unwrap();
+    lh.create_table("events", &batch((0..2_500).collect()), "main")
+        .unwrap();
+    lh.append_table("events", &batch((0..2_500).collect()), "main")
+        .unwrap();
+    lh.compact_table("events", "main").unwrap();
+    let project =
+        PipelineProject::new("copy").with(NodeDef::sql("artifact", "SELECT x FROM events"));
+    assert!(lh.run(&project, &RunOptions::default()).unwrap().success);
+    // The create, the append, the compaction and the run's artifact: each
+    // file is 1 000-row groups and one group of the rest.
+    let files: Vec<ObjectPath> = (store.list("").unwrap().into_iter())
+        .filter(|p| p.as_str().ends_with(".lkh"))
+        .collect();
+    let mut largest = Vec::new();
+    for path in &files {
+        let reader = FileReader::parse(store.get(path).unwrap()).unwrap();
+        let rows: Vec<u64> = (0..reader.num_row_groups())
+            .map(|g| reader.row_group_meta(g).row_count)
+            .collect();
+        let (last, full) = rows.split_last().unwrap();
+        assert!(
+            full.iter().all(|&r| r == 1_000) && *last <= 1_000,
+            "{path:?}: {rows:?}"
+        );
+        largest.push(reader.num_rows());
+    }
+    largest.sort_unstable();
+    assert_eq!(largest, [2_500, 2_500, 5_000, 5_000]);
 }

@@ -6,8 +6,9 @@
 use bauplan_core::{Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions};
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
-use lakehouse_obs::to_chrome_trace;
-use lakehouse_store::{InMemoryStore, ObjectStore};
+use lakehouse_format::FileReader;
+use lakehouse_obs::{to_chrome_trace, Trace};
+use lakehouse_store::{InMemoryStore, ObjectPath, ObjectStore};
 use lakehouse_table::{PartitionField, PartitionSpec, ScanPredicate, Table, Transform};
 use serde::Json;
 use std::sync::Arc;
@@ -473,4 +474,41 @@ fn container_spans_carry_the_runs_start_up_time() {
     }
     let stage = trace.find("stage").expect("stage span");
     assert!(stage.attr_u64("memory_bytes").is_some_and(|m| m > 0));
+}
+
+#[test]
+fn a_compaction_reports_the_row_groups_it_copied() {
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let lh = Lakehouse::with_store(Arc::clone(&store), LakehouseConfig::zero_latency()).unwrap();
+    let ids = |from: i64, to: i64| {
+        RecordBatch::try_new(
+            Schema::new(vec![Field::new("id", DataType::Int64, false)]),
+            vec![Column::from_i64((from..to).collect())],
+        )
+        .unwrap()
+    };
+    // One full 8 192-row group and a tail, then a second file.
+    lh.create_table("events", &ids(0, 9_000), "main").unwrap();
+    lh.append_table("events", &ids(9_000, 9_100), "main")
+        .unwrap();
+    let created: Vec<ObjectPath> = (store.list("").unwrap().into_iter())
+        .filter(|p| p.as_str().contains("/data/snap1-"))
+        .collect();
+    let created = FileReader::parse(store.get(&created[0]).unwrap()).unwrap();
+    let group_bytes: u64 = (created.row_group_meta(0).chunk_offsets.iter())
+        .map(|(_, len)| len)
+        .sum();
+
+    let trace = Trace::start_forced("compact_table");
+    let report = lh.compact_table("events", "main").unwrap();
+    let tree = trace.finish();
+    let span = tree.find("compact").expect("compact span");
+    assert_eq!(span.attr_u64("groups_copied"), Some(1));
+    assert_eq!(span.attr_u64("rows_copied"), Some(8_192));
+    assert_eq!(span.attr_u64("bytes_copied"), Some(group_bytes));
+    assert_eq!(report.rows_rewritten, 9_100);
+    assert_eq!(span.attr_u64("rows_rewritten"), Some(9_100));
+    let out = lh.query("SELECT COUNT(*) AS n, SUM(id) AS s FROM events", "main");
+    let want = vec![Value::Int64(9_100), Value::Int64(9_099 * 9_100 / 2)];
+    assert_eq!(out.unwrap().row(0).unwrap(), want);
 }

@@ -477,7 +477,7 @@ fn the_cache_stays_within_its_bound_across_more_tables_than_fit() {
     let cache = Arc::new(MetadataCache::with_capacity(BOUND));
     let io = TableIo {
         cache: Some(Arc::clone(&cache)),
-        dispatcher: None,
+        ..TableIo::default()
     };
     let batch = small_batch(0..10);
     let mut locations = Vec::new();
