@@ -6,17 +6,28 @@
 //! row_count: u32
 //! has_validity: u8           (1 = validity bitmap follows)
 //! [validity bytes]           (row_count bits, packed)
-//! encoding: u8               (0 = plain, 1 = dictionary, 2 = bit-packed)
+//! encoding: u8               (0 = plain, 1 = dictionary, 2 = bit-packed,
+//!                             3 = frame of reference, 4 = dictionary with
+//!                             bit-packed codes)
 //! payload
 //! ```
 //!
 //! Strings pick dictionary encoding automatically when it saves space
 //! (distinct values ≤ half the rows), mirroring Parquet's default behaviour.
+//! Integers (`Int64`, `Timestamp`, `Date`) travel at their bit width: a
+//! frame of reference — the chunk's least value as an `i64`, then a `u8`
+//! width — and each value's offset from it, bit-packed LSB-first. The base
+//! is the least of *every* slot, NULL placeholders included, so a chunk
+//! decodes to the very values it was written from. Dictionary codes pack
+//! the same way, at the width the dictionary's length needs, after the
+//! dictionary and a `u8` width. Either is written only where it is smaller
+//! than plain; plain chunks keep decoding.
 
 use crate::error::{FormatError, Result};
-use crate::io::{ByteReader, ByteWriter};
+use crate::io::{packed_len, ByteReader, ByteWriter};
+use crate::stats::ColumnStats;
 use lakehouse_columnar::column::normalize_validity;
-use lakehouse_columnar::{Bitmap, Column, DataType, DictColumn};
+use lakehouse_columnar::{Bitmap, Column, DataType, DictColumn, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -24,11 +35,88 @@ use std::sync::Arc;
 const ENC_PLAIN: u8 = 0;
 const ENC_DICT: u8 = 1;
 const ENC_BITPACK: u8 = 2;
+const ENC_FOR: u8 = 3;
+const ENC_DICT_PACKED: u8 = 4;
+
+/// Bits that `span` needs, and at least one: a constant chunk costs a bit
+/// a row, so a packed count never exceeds 8 × its bytes.
+fn bit_width(span: u64) -> u32 {
+    (u64::BITS - span.leading_zeros()).max(1)
+}
+
+/// `values` as offsets from their least value at the width the largest
+/// needs, when that is smaller than `N` bytes a value; else plain. `range`
+/// is the values' least and greatest when already known.
+fn encode_ints<T: Copy + Into<i64>, const N: usize>(
+    values: &[T],
+    range: Option<(i64, i64)>,
+    le: impl Fn(T) -> [u8; N],
+    w: &mut ByteWriter,
+) {
+    let (lo, hi) = range.unwrap_or_else(|| {
+        let wider = |(lo, hi): (i64, i64), v: &T| ((*v).into().min(lo), (*v).into().max(hi));
+        values.iter().fold((i64::MAX, i64::MIN), wider)
+    });
+    let width = bit_width(hi.wrapping_sub(lo) as u64);
+    let packed = packed_len(values.len(), width).map(|len| 8 + 1 + len);
+    if packed.is_some_and(|len| len < values.len() * N) {
+        w.write_u8(ENC_FOR);
+        w.write_i64(lo);
+        w.write_u8(width as u8);
+        let offsets = values.iter().map(|&v| v.into().wrapping_sub(lo) as u64);
+        w.write_packed(offsets, width);
+    } else {
+        w.write_u8(ENC_PLAIN);
+        w.write_plain(values, le);
+    }
+}
+
+/// A dictionary and the codes into it: the codes bit-packed when that is
+/// smaller than four bytes a code.
+fn encode_dict<'s>(
+    dict: impl ExactSizeIterator<Item = &'s str>,
+    codes: &[u32],
+    w: &mut ByteWriter,
+) {
+    let width = bit_width(dict.len().saturating_sub(1) as u64);
+    let packed = packed_len(codes.len(), width).map(|len| 1 + len);
+    let pack = packed.is_some_and(|len| len < codes.len() * 4);
+    w.write_u8(if pack { ENC_DICT_PACKED } else { ENC_DICT });
+    w.write_u32(dict.len() as u32);
+    for d in dict {
+        w.write_str(d);
+    }
+    if pack {
+        w.write_u8(width as u8);
+        w.write_packed(codes.iter().map(|&c| u64::from(c)), width);
+    } else {
+        w.write_plain(codes, u32::to_le_bytes);
+    }
+}
+
+/// The least and greatest value of an integer chunk, from its stats when
+/// they count every slot (no NULL placeholder to step over).
+fn known_range(stats: &ColumnStats) -> Option<(i64, i64)> {
+    match (&stats.min, &stats.max) {
+        _ if stats.null_count != 0 => None,
+        (Value::Int64(lo) | Value::Timestamp(lo), Value::Int64(hi) | Value::Timestamp(hi)) => {
+            Some((*lo, *hi))
+        }
+        (Value::Date(lo), Value::Date(hi)) => Some(((*lo).into(), (*hi).into())),
+        _ => None,
+    }
+}
 
 /// Encode rows `rows` of a column (which must hold them) as one chunk —
 /// byte for byte what encoding `col.slice(..)` of those rows gives, without
-/// the copy. Plain fixed-width values go out in one bulk conversion.
-pub fn encode_column(col: &Column, rows: Range<usize>, w: &mut ByteWriter) {
+/// the copy. `stats` are those rows' ([`ColumnStats::from_rows`]): an
+/// integer chunk without NULLs takes its frame from them.
+pub(crate) fn encode_column(
+    col: &Column,
+    rows: Range<usize>,
+    stats: &ColumnStats,
+    w: &mut ByteWriter,
+) {
     let n = rows.len();
     w.write_u32(n as u32);
     // The chunk's validity is its own rows': absent when none is NULL.
@@ -47,16 +135,14 @@ pub fn encode_column(col: &Column, rows: Range<usize>, w: &mut ByteWriter) {
             w.write_bytes(bm.as_bytes());
         }
         Column::Int64(values, _) | Column::Timestamp(values, _) => {
-            w.write_u8(ENC_PLAIN);
-            w.write_plain(&values[rows], i64::to_le_bytes);
+            encode_ints(&values[rows], known_range(stats), i64::to_le_bytes, w);
         }
         Column::Float64(values, _) => {
             w.write_u8(ENC_PLAIN);
             w.write_plain(&values[rows], f64::to_le_bytes);
         }
         Column::Date(values, _) => {
-            w.write_u8(ENC_PLAIN);
-            w.write_plain(&values[rows], i32::to_le_bytes);
+            encode_ints(&values[rows], known_range(stats), i32::to_le_bytes, w);
         }
         Column::Utf8(values, _) => {
             let values = &values[rows];
@@ -70,12 +156,7 @@ pub fn encode_column(col: &Column, rows: Range<usize>, w: &mut ByteWriter) {
                 }));
             }
             if dict.len() * 2 <= values.len().max(1) {
-                w.write_u8(ENC_DICT);
-                w.write_u32(dict.len() as u32);
-                for d in &dict {
-                    w.write_str(d);
-                }
-                w.write_plain(&codes, u32::to_le_bytes);
+                encode_dict(dict.into_iter(), &codes, w);
             } else {
                 w.write_u8(ENC_PLAIN);
                 for v in values {
@@ -86,12 +167,8 @@ pub fn encode_column(col: &Column, rows: Range<usize>, w: &mut ByteWriter) {
         // Already dictionary-encoded in memory: write the dictionary and
         // codes straight through, no re-encode pass.
         Column::Dict(d) => {
-            w.write_u8(ENC_DICT);
-            w.write_u32(d.dict().len() as u32);
-            for s in d.dict().iter() {
-                w.write_str(s);
-            }
-            w.write_plain(&d.codes()[rows], u32::to_le_bytes);
+            let dict = d.dict().iter().map(String::as_str);
+            encode_dict(dict, &d.codes()[rows], w);
         }
     }
 }
@@ -99,9 +176,10 @@ pub fn encode_column(col: &Column, rows: Range<usize>, w: &mut ByteWriter) {
 /// Decode one column chunk of the given type.
 ///
 /// Every count the chunk declares (rows, dictionary entries) is checked
-/// against the bytes that are left — count × the least a value takes —
-/// before anything is sized by it: a hostile count is [`FormatError::Corrupt`]
-/// and a decode never allocates more than a small multiple of its chunk.
+/// against the bytes that are left — count × the least a value takes, one
+/// bit for a packed value — before anything is sized by it: a hostile count
+/// is [`FormatError::Corrupt`] and a decode never allocates more than 64 ×
+/// its chunk.
 pub fn decode_column(dt: DataType, r: &mut ByteReader<'_>) -> Result<Column> {
     let n = r.read_u32()? as usize;
     // Normalized on the way in: files written before the "validity = Some
@@ -127,10 +205,12 @@ pub fn decode_column(dt: DataType, r: &mut ByteReader<'_>) -> Result<Column> {
             r.read_plain(n, i64::from_le_bytes)?,
             validity,
         )),
+        (DataType::Int64, ENC_FOR) => Ok(Column::Int64(read_for(r, n)?, validity)),
         (DataType::Timestamp, ENC_PLAIN) => {
             let values = r.read_plain(n, i64::from_le_bytes)?;
             Ok(Column::Timestamp(values, validity))
         }
+        (DataType::Timestamp, ENC_FOR) => Ok(Column::Timestamp(read_for(r, n)?, validity)),
         (DataType::Float64, ENC_PLAIN) => {
             let values = r.read_plain(n, f64::from_le_bytes)?;
             Ok(Column::Float64(values, validity))
@@ -138,15 +218,28 @@ pub fn decode_column(dt: DataType, r: &mut ByteReader<'_>) -> Result<Column> {
         (DataType::Date, ENC_PLAIN) => {
             Ok(Column::Date(r.read_plain(n, i32::from_le_bytes)?, validity))
         }
+        (DataType::Date, ENC_FOR) => {
+            let base = r.read_i64()?;
+            let base = i32::try_from(base)
+                .map_err(|_| FormatError::Corrupt(format!("date base {base} out of range")))?;
+            let width = r.read_u8()?;
+            let values = r.read_packed(n, width, 32, |o| base.wrapping_add(o as i32))?;
+            Ok(Column::Date(values, validity))
+        }
         (DataType::Utf8, ENC_PLAIN) => Ok(Column::Utf8(read_strs(r, n)?, validity)),
-        (DataType::Utf8, ENC_DICT) => {
+        (DataType::Utf8, enc @ (ENC_DICT | ENC_DICT_PACKED)) => {
             // Late materialization: hand the dictionary + codes up as-is.
             // Filters compare against the dictionary once and scan only the
             // u32 codes; decode to plain strings happens at the executor
             // root, only for rows that survive.
             let dict_len = r.read_u32()? as usize;
             let dict = read_strs(r, dict_len)?;
-            let codes = r.read_plain(n, u32::from_le_bytes)?;
+            let codes = if enc == ENC_DICT_PACKED {
+                let width = r.read_u8()?;
+                r.read_packed(n, width, 32, |c| c as u32)?
+            } else {
+                r.read_plain(n, u32::from_le_bytes)?
+            };
             let d = DictColumn::try_new(Arc::new(dict), codes, validity)
                 .map_err(|e| FormatError::Corrupt(format!("bad dictionary chunk: {e}")))?;
             Ok(Column::Dict(d))
@@ -155,6 +248,14 @@ pub fn decode_column(dt: DataType, r: &mut ByteReader<'_>) -> Result<Column> {
             "unsupported encoding {enc} for type {dt}"
         ))),
     }
+}
+
+/// `n` 64-bit values packed as offsets from a base: the base, the width
+/// (1–64), the offsets.
+fn read_for(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<i64>> {
+    let base = r.read_i64()?;
+    let width = r.read_u8()?;
+    r.read_packed(n, width, 64, |o| base.wrapping_add(o as i64))
 }
 
 /// `n` length-prefixed strings (four bytes each at the least).
@@ -166,12 +267,18 @@ fn read_strs(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lakehouse_columnar::Value;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// A whole column as one chunk.
+    fn encode(col: &Column) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_column(col, 0..col.len(), &ColumnStats::from_column(col), &mut w);
+        w.into_bytes()
+    }
 
     fn round_trip(col: Column) -> Column {
-        let mut w = ByteWriter::new();
-        encode_column(&col, 0..col.len(), &mut w);
-        let buf = w.into_bytes();
+        let buf = encode(&col);
         decode_column(col.data_type(), &mut ByteReader::new(&buf)).unwrap()
     }
 
@@ -201,11 +308,9 @@ mod tests {
             .map(|i| if i % 2 == 0 { "a" } else { "b" })
             .collect();
         let c = Column::from_strs(values);
-        let mut w = ByteWriter::new();
-        encode_column(&c, 0..c.len(), &mut w);
-        let buf = w.into_bytes();
+        let buf = encode(&c);
         // encoding byte is right after row_count(4) + has_validity(1)
-        assert_eq!(buf[5], ENC_DICT);
+        assert_eq!(buf[5], ENC_DICT_PACKED);
         assert_eq!(
             decode_column(DataType::Utf8, &mut ByteReader::new(&buf)).unwrap(),
             c
@@ -216,9 +321,7 @@ mod tests {
     fn string_high_cardinality_uses_plain() {
         let values: Vec<String> = (0..10).map(|i| format!("unique-{i}")).collect();
         let c = Column::from_str_vec(values);
-        let mut w = ByteWriter::new();
-        encode_column(&c, 0..c.len(), &mut w);
-        let buf = w.into_bytes();
+        let buf = encode(&c);
         assert_eq!(buf[5], ENC_PLAIN);
         assert_eq!(
             decode_column(DataType::Utf8, &mut ByteReader::new(&buf)).unwrap(),
@@ -270,10 +373,8 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         let d = Column::Dict(DictColumn::encode(&values, None).unwrap());
-        let mut w = ByteWriter::new();
-        encode_column(&d, 0..d.len(), &mut w);
-        let buf = w.into_bytes();
-        assert_eq!(buf[5], ENC_DICT);
+        let buf = encode(&d);
+        assert_eq!(buf[5], ENC_DICT_PACKED);
         let rt = decode_column(DataType::Utf8, &mut ByteReader::new(&buf)).unwrap();
         assert_eq!(rt, d);
         assert!(matches!(rt, Column::Dict(_)));
@@ -344,5 +445,274 @@ mod tests {
         w.write_u8(ENC_DICT); // dict not valid for ints
         let buf = w.into_bytes();
         assert!(decode_column(DataType::Int64, &mut ByteReader::new(&buf)).is_err());
+    }
+
+    /// The encoding byte of a chunk and where it sits: after the row count,
+    /// the validity flag and any validity bytes.
+    fn encoding_of(buf: &[u8]) -> (u8, usize) {
+        let mut r = ByteReader::new(buf);
+        r.read_u32().unwrap();
+        if r.read_u8().unwrap() == 1 {
+            r.read_bytes().unwrap();
+        }
+        (r.read_u8().unwrap(), r.position())
+    }
+
+    /// `col` decodes to itself (null slots included), and its chunk is no
+    /// larger than the plain one: the header, then a `plain`-byte payload.
+    fn check(col: &Column, plain: usize) -> u8 {
+        let buf = encode(col);
+        let back = decode_column(col.data_type(), &mut ByteReader::new(&buf)).unwrap();
+        assert_eq!(&back, col);
+        if let (Column::Dict(a), Column::Dict(b)) = (&back, col) {
+            assert_eq!(a.codes(), b.codes());
+        }
+        let (encoding, payload_at) = encoding_of(&buf);
+        assert!(
+            buf.len() <= payload_at + plain,
+            "{} bytes for {} rows of {}",
+            buf.len(),
+            col.len(),
+            col.data_type()
+        );
+        encoding
+    }
+
+    /// `n` values at offsets below 2^`width` from `base`, the least and the
+    /// widest offset among them (so the chunk needs all `width` bits), every
+    /// fifth row a NULL over a placeholder the encoder must keep, when
+    /// `nulls`.
+    fn ints(
+        rng: &mut StdRng,
+        n: usize,
+        base: i64,
+        width: u32,
+        nulls: bool,
+    ) -> (Vec<i64>, Option<Bitmap>) {
+        let top = u64::MAX >> (64 - width);
+        let mut values: Vec<i64> = (0..n)
+            .map(|_| base.wrapping_add((rng.next_u64() & top) as i64))
+            .collect();
+        if let Some(v) = values.get_mut(n / 2) {
+            *v = base.wrapping_add(top as i64);
+        }
+        if let Some(v) = values.first_mut() {
+            *v = base;
+        }
+        let valid: Vec<bool> = (0..n).map(|i| i % 5 != 3).collect();
+        let validity = normalize_validity(nulls.then(|| Bitmap::from_bools(&valid)));
+        (values, validity)
+    }
+
+    #[test]
+    fn integer_chunks_round_trip_at_every_width_and_never_outgrow_plain() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for n in [0, 1, 2, 7, 63, 64, 65, 200, 1_000] {
+            for width in 1..=63 {
+                for nulls in [false, true] {
+                    // Centred on zero, so the widest offset does not wrap.
+                    let centre = -(((1u64 << (width - 1)) - 1) as i64);
+                    let base = centre + rng.gen_range(-1_000_000_000_000i64..1_000_000_000_000);
+                    let (values, validity) = ints(&mut rng, n, base, width, nulls);
+                    let int = check(&Column::Int64(values.clone(), validity.clone()), 8 * n);
+                    let ts = check(&Column::Timestamp(values, validity.clone()), 8 * n);
+                    // A chunk of two rows or more packs whenever its width
+                    // leaves room for the nine-byte frame.
+                    let packs = 9 + packed_len(n, width).unwrap() < 8 * n;
+                    assert_eq!(int == ENC_FOR, packs, "n {n} width {width}");
+                    assert_eq!(ts, int);
+                    if width <= 31 {
+                        let base = centre + rng.gen_range(-1_000_000i64..1_000_000);
+                        let (values, validity) = ints(&mut rng, n, base, width, nulls);
+                        let days = values.iter().map(|&v| v as i32).collect();
+                        let date = check(&Column::Date(days, validity), 4 * n);
+                        let packs = 9 + packed_len(n, width).unwrap() < 4 * n;
+                        assert_eq!(date == ENC_FOR, packs, "n {n} width {width}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_extremes_stay_plain_and_constants_cost_a_bit_a_row() {
+        // i64::MIN and i64::MAX in one chunk: the span needs all 64 bits,
+        // so packing would only add the frame.
+        let extremes = Column::from_i64(vec![i64::MIN, 0, i64::MAX, -1]);
+        assert_eq!(check(&extremes, 8 * 4), ENC_PLAIN);
+        let days = Column::from_date(vec![i32::MIN, i32::MAX, 0]);
+        assert_eq!(check(&days, 4 * 3), ENC_PLAIN);
+        // The same with a NULL over each extreme: the frame counts every
+        // slot, placeholders too.
+        let valid = Bitmap::from_bools(&[false, true, false, true]);
+        let hidden = Column::Int64(vec![i64::MIN, 5, i64::MAX, 6], Some(valid));
+        assert_eq!(check(&hidden, 8 * 4), ENC_PLAIN);
+        for n in [1, 2, 8, 9, 1_000] {
+            for v in [i64::MIN, -1, 0, 42, i64::MAX] {
+                let constant = Column::from_i64(vec![v; n]);
+                let buf = encode(&constant);
+                assert_eq!(
+                    decode_column(DataType::Int64, &mut ByteReader::new(&buf)).unwrap(),
+                    constant
+                );
+                let (encoding, payload_at) = encoding_of(&buf);
+                if n > 1 {
+                    assert_eq!(encoding, ENC_FOR, "{n} x {v}");
+                    assert_eq!(buf.len(), payload_at + 8 + 1 + n.div_ceil(8));
+                } else {
+                    assert_eq!(encoding, ENC_PLAIN);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dictionary_codes_round_trip_at_the_width_the_dictionary_needs() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for dict_len in [1usize, 2, 3, 4, 5, 255, 256, 257, 65_536, 70_000] {
+            let dict: Arc<Vec<String>> = Arc::new((0..dict_len).map(|i| format!("{i}")).collect());
+            for n in [0, 1, 2, 9, 64, 100, 3_000] {
+                for nulls in [false, true] {
+                    let codes: Vec<u32> =
+                        (0..n).map(|_| rng.gen_range(0..dict_len as u32)).collect();
+                    let valid: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+                    let validity = normalize_validity(nulls.then(|| Bitmap::from_bools(&valid)));
+                    let col = Column::Dict(
+                        DictColumn::try_new(Arc::clone(&dict), codes, validity).unwrap(),
+                    );
+                    let dict_bytes: usize = dict.iter().map(|s| 4 + s.len()).sum();
+                    let encoding = check(&col, 4 + dict_bytes + 4 * n);
+                    let width = bit_width(dict_len as u64 - 1);
+                    let packs = 1 + packed_len(n, width).unwrap() < 4 * n;
+                    let want = if packs { ENC_DICT_PACKED } else { ENC_DICT };
+                    assert_eq!(encoding, want, "{n} codes into {dict_len}");
+                }
+            }
+        }
+    }
+
+    /// A chunk header: `n` rows, no validity, then `tail`.
+    fn chunk(n: u32, tail: &[u8]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.write_u32(n);
+        w.write_u8(0);
+        w.write_raw(tail);
+        w.into_bytes()
+    }
+
+    fn expect_corrupt(dt: DataType, buf: &[u8], says: &str) {
+        match decode_column(dt, &mut ByteReader::new(buf)) {
+            Err(FormatError::Corrupt(why)) => assert!(why.contains(says), "{dt}: {why}"),
+            other => panic!("{dt}: expected Corrupt saying {says:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_packed_chunks_are_corrupt() {
+        let frame = |base: i64, width: u8, packed: &[u8]| {
+            let mut w = ByteWriter::new();
+            w.write_u8(ENC_FOR);
+            w.write_i64(base);
+            w.write_u8(width);
+            w.write_raw(packed);
+            w.into_bytes()
+        };
+        let codes = |dict: &[&str], width: u8, packed: &[u8]| {
+            let mut w = ByteWriter::new();
+            w.write_u8(ENC_DICT_PACKED);
+            w.write_u32(dict.len() as u32);
+            dict.iter().for_each(|d| w.write_str(d));
+            w.write_u8(width);
+            w.write_raw(packed);
+            w.into_bytes()
+        };
+        // Width 0 would let any count pass the bytes check.
+        for dt in [DataType::Int64, DataType::Timestamp, DataType::Date] {
+            expect_corrupt(dt, &chunk(8, &frame(0, 0, &[])), "bit width 0");
+        }
+        expect_corrupt(
+            DataType::Utf8,
+            &chunk(8, &codes(&["a"], 0, &[])),
+            "bit width 0",
+        );
+        // Wider than the type.
+        expect_corrupt(
+            DataType::Int64,
+            &chunk(1, &frame(0, 65, &[0; 9])),
+            "bit width 65",
+        );
+        expect_corrupt(
+            DataType::Timestamp,
+            &chunk(1, &frame(0, 255, &[0; 32])),
+            "bit width 255",
+        );
+        expect_corrupt(
+            DataType::Date,
+            &chunk(1, &frame(0, 33, &[0; 5])),
+            "bit width 33",
+        );
+        expect_corrupt(
+            DataType::Utf8,
+            &chunk(1, &codes(&["a"], 33, &[0; 5])),
+            "bit width 33",
+        );
+        // A date frame whose base no date can hold.
+        expect_corrupt(
+            DataType::Date,
+            &chunk(1, &frame(1 << 40, 1, &[0])),
+            "out of range",
+        );
+        // A lying row count: u32::MAX rows at one bit each want 512 MiB.
+        expect_corrupt(
+            DataType::Int64,
+            &chunk(u32::MAX, &frame(0, 1, &[0xff; 3])),
+            "4294967295 x 1 bits",
+        );
+        expect_corrupt(
+            DataType::Date,
+            &chunk(u32::MAX, &frame(0, 32, &[])),
+            "4294967295 x 32 bits",
+        );
+        expect_corrupt(
+            DataType::Utf8,
+            &chunk(u32::MAX, &codes(&["a", "b"], 1, &[0; 4])),
+            "4294967295 x 1 bits",
+        );
+        // A truncated payload: 9 rows at 7 bits need 8 bytes.
+        expect_corrupt(
+            DataType::Int64,
+            &chunk(9, &frame(0, 7, &[0; 7])),
+            "9 x 7 bits",
+        );
+        assert!(decode_column(
+            DataType::Int64,
+            &mut ByteReader::new(&chunk(9, &frame(0, 7, &[0; 8])))
+        )
+        .is_ok());
+        // A code past the dictionary: 3 at two bits into a dictionary of 3.
+        expect_corrupt(
+            DataType::Utf8,
+            &chunk(1, &codes(&["a", "b", "c"], 2, &[0b11])),
+            "bad dictionary chunk",
+        );
+        // n · width past any size never reaches an allocation.
+        assert_eq!(packed_len(usize::MAX, 64), None);
+        let mut r = ByteReader::new(&[0; 16]);
+        match r.read_packed(usize::MAX, 64, 64, |v| v) {
+            Err(FormatError::Corrupt(why)) => assert!(why.contains("x 64 bits"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // A real chunk cut anywhere short is Corrupt, never a panic.
+        let whole = encode(&Column::from_opt_i64(
+            (0..100).map(|i| (i % 9 != 0).then_some(i * 3)).collect(),
+        ));
+        assert_eq!(encoding_of(&whole).0, ENC_FOR);
+        for cut in 0..whole.len() {
+            let short = decode_column(DataType::Int64, &mut ByteReader::new(&whole[..cut]));
+            assert!(
+                matches!(short, Err(FormatError::Corrupt(_))),
+                "cut at {cut}: {short:?}"
+            );
+        }
     }
 }

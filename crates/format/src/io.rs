@@ -2,6 +2,12 @@
 
 use crate::error::{FormatError, Result};
 
+/// Bytes that `n` values bit-packed at `width` bits apiece take: ⌈n·width/8⌉,
+/// or `None` when n·width is no size.
+pub(crate) fn packed_len(n: usize, width: u32) -> Option<usize> {
+    n.checked_mul(width as usize).map(|bits| bits.div_ceil(8))
+}
+
 /// Append-only byte sink with typed write helpers.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -48,6 +54,27 @@ impl ByteWriter {
         for (cell, &v) in cells.iter_mut().zip(values) {
             *cell = le(v);
         }
+    }
+
+    /// `values`, each below 2^`width`, bit-packed at `width` (1–64) bits
+    /// apiece, LSB-first: ⌈n·width/8⌉ bytes, whole words going out of a
+    /// 128-bit accumulator as they fill.
+    pub fn write_packed(&mut self, values: impl ExactSizeIterator<Item = u64>, width: u32) {
+        self.buf
+            .reserve(packed_len(values.len(), width).unwrap_or(0));
+        let (mut acc, mut filled) = (0u128, 0u32);
+        for v in values {
+            acc |= u128::from(v) << filled;
+            filled += width;
+            if filled >= 64 {
+                self.buf.extend_from_slice(&(acc as u64).to_le_bytes());
+                acc >>= 64;
+                filled -= 64;
+            }
+        }
+        let tail = (acc as u64).to_le_bytes();
+        self.buf
+            .extend(tail.iter().take(filled.div_ceil(8) as usize));
     }
 
     pub fn write_u8(&mut self, v: u8) {
@@ -149,6 +176,61 @@ impl<'a> ByteReader<'a> {
         self.ensure_room(n, N)?;
         let (cells, _) = self.take(n * N)?.as_chunks::<N>();
         Ok(cells.iter().map(|&cell| from(cell)).collect())
+    }
+
+    /// `n` values bit-packed at `width` bits apiece (as
+    /// [`ByteWriter::write_packed`] packs them), `from` making each. The
+    /// width must lie in `1..=max_width`; so `n` is at most 8 × the bytes
+    /// left before it sizes anything. Decoded 64 values at a time from the
+    /// `width` words that hold them, with no per-value branch.
+    pub fn read_packed<T>(
+        &mut self,
+        n: usize,
+        width: u8,
+        max_width: u8,
+        from: impl Fn(u64) -> T,
+    ) -> Result<Vec<T>> {
+        if width == 0 || width > max_width.min(64) {
+            return Err(FormatError::Corrupt(format!(
+                "bit width {width} outside 1..={max_width}"
+            )));
+        }
+        let width = u32::from(width);
+        let len = packed_len(n, width)
+            .filter(|&len| len <= self.remaining())
+            .ok_or_else(|| {
+                FormatError::Corrupt(format!(
+                    "{n} x {width} bits wanted at offset {}, only {} bytes remain",
+                    self.pos,
+                    self.remaining()
+                ))
+            })?;
+        let mask = u64::MAX >> (64 - width);
+        let mut out = Vec::with_capacity(n.next_multiple_of(64));
+        // A block of 64 values is `width` whole words; one spare word lets
+        // every value read the pair of words it may straddle. Words past
+        // the bytes only ever fill bits that are masked off or rows past `n`.
+        let mut words = [0u64; 65];
+        for block in self.take(len)?.chunks(8 * width as usize) {
+            let (cells, rest) = block.as_chunks::<8>();
+            for (word, cell) in words.iter_mut().zip(cells) {
+                *word = u64::from_le_bytes(*cell);
+            }
+            if let Some(word) = words.get_mut(cells.len()) {
+                let mut last = [0u8; 8];
+                last.iter_mut().zip(rest).for_each(|(to, from)| *to = *from);
+                *word = u64::from_le_bytes(last);
+            }
+            out.extend((0..64).map(|j| {
+                let (bit, at) = (j * width % 64, (j * width / 64) as usize & 63);
+                // The next word's low bits, above this word's high ones (in
+                // two shifts, as one of 64 would overflow).
+                let high = words[at + 1] << 1 << (63 - bit);
+                from((words[at] >> bit | high) & mask)
+            }));
+        }
+        out.truncate(n);
+        Ok(out)
     }
 
     pub fn read_u8(&mut self) -> Result<u8> {

@@ -21,9 +21,10 @@
 //! storage behaves, which is what makes the store's latency simulation
 //! meaningful.
 //!
-//! Encodings: bit-packed booleans, plain little-endian numerics, and
-//! dictionary-encoded strings (falling back to plain when cardinality is
-//! high), each paired with a validity bitmap.
+//! Encodings: bit-packed booleans, integers bit-packed as offsets from the
+//! chunk's least value (plain when that is no smaller), plain floats, and
+//! dictionary-encoded strings with bit-packed codes (falling back to plain
+//! when cardinality is high), each paired with a validity bitmap.
 
 pub mod encoding;
 pub mod error;

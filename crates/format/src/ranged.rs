@@ -806,9 +806,10 @@ mod tests {
 
     #[test]
     fn multi_mib_file_probes_the_tail_and_keeps_distant_chunks_apart() {
-        // Three row groups of (8-byte id, ~1.6 MB text) chunks: the file
-        // outgrows the merge distance, so `open` probes the tail, and the
-        // id chunks lie a text chunk (> 1 MiB) apart from each other.
+        // Three row groups of (id, ~1.6 MB text) chunks: the file outgrows
+        // the merge distance, so `open` probes the tail, and the id chunks
+        // lie a text chunk (> 1 MiB) apart from each other. Each group's
+        // 4 096 ids span 4 095, so they pack at 12 bits.
         let rows = 3 * 4_096;
         let batch = RecordBatch::try_new(
             Schema::new(vec![
@@ -853,7 +854,10 @@ mod tests {
         let (narrow, narrow_needed) = read(Some(&[0]));
         assert_eq!(narrow.len(), 1 + 3, "{narrow:?}");
         let narrow_moved: usize = narrow.iter().map(|(s, e)| e - s).sum();
-        assert_eq!(narrow_moved, TAIL_HINT + 3 * 4_096 * 8 + 3 * 6);
+        // A chunk: its six-byte header, the frame (base and width), then
+        // the packed ids.
+        let id_chunk = 6 + (8 + 1) + 4_096 * 12 / 8;
+        assert_eq!(narrow_moved, TAIL_HINT + 3 * id_chunk);
         assert!(narrow_needed < narrow_moved);
         // Every column: all chunks are neighbours, one request after the
         // probe.

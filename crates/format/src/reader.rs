@@ -256,15 +256,15 @@ mod tests {
         FileWriter::write_file(&batch, WriterOptions { row_group_rows: 25 }).unwrap()
     }
 
-    /// A chunk whose bytes lie about its row count but whose checksums —
-    /// the chunk's in the footer, the footer's in the trailer — were
-    /// recomputed to match: only the decoder's own checks stand.
-    #[test]
-    fn a_checksummed_chunk_with_a_lying_row_count_is_corrupt() {
+    /// The one-column, three-row file of `column`, with its chunk's row
+    /// count set to u32::MAX and the checksums — the chunk's in the footer,
+    /// the footer's in the trailer — recomputed to match: only the
+    /// decoder's own checks stand.
+    fn with_a_lying_row_count(column: Column) -> FileReader {
         let name = "x";
         let batch = RecordBatch::try_new(
-            Schema::new(vec![Field::new(name, DataType::Int64, false)]),
-            vec![Column::from_i64(vec![1, 2, 3])],
+            Schema::new(vec![Field::new(name, column.data_type(), false)]),
+            vec![column],
         )
         .unwrap();
         let mut file = FileWriter::write_file(&batch, WriterOptions::default())
@@ -283,10 +283,28 @@ mod tests {
         let trailer = file.len() - 12;
         let footer_crc = crc32c(&file[footer_start..trailer]);
         file[trailer..trailer + 4].copy_from_slice(&footer_crc.to_le_bytes());
+        FileReader::parse(Bytes::from(file)).unwrap()
+    }
 
-        let reader = FileReader::parse(Bytes::from(file)).unwrap();
+    /// A plain chunk (floats stay plain) is held to eight bytes a row.
+    #[test]
+    fn a_checksummed_chunk_with_a_lying_row_count_is_corrupt() {
+        let reader = with_a_lying_row_count(Column::from_f64(vec![1.0, 2.0, 3.0]));
         match reader.read_all(None) {
             Err(FormatError::Corrupt(why)) => assert!(why.contains("4294967295 x 8"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A packed chunk (1, 2, 3 is offsets 0–2 at two bits) is held to its
+    /// width in bits a row.
+    #[test]
+    fn a_checksummed_packed_chunk_with_a_lying_row_count_is_corrupt() {
+        let reader = with_a_lying_row_count(Column::from_i64(vec![1, 2, 3]));
+        match reader.read_all(None) {
+            Err(FormatError::Corrupt(why)) => {
+                assert!(why.contains("4294967295 x 2 bits"), "{why}")
+            }
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }

@@ -1,6 +1,7 @@
-//! The `LKH1` bytes do not move: a fixed batch encodes to the digest the
-//! parent of PR 24 (value-at-a-time codecs, row groups encoded from deep
-//! slices) produced for it, and a file that parent wrote still reads.
+//! The `LKH1` bytes move only on purpose: a fixed batch encodes to a pinned
+//! digest however it is batched, a file of bit-packed integer chunks is
+//! still written byte for byte, and a file written before integers were
+//! packed (plain integers, plain dictionary codes) still reads.
 
 use lakehouse_checksum::crc32c;
 use lakehouse_columnar::{Bitmap, Column, DataType, DictColumn, Field, RecordBatch, Schema};
@@ -82,9 +83,10 @@ fn write_in_pieces(input: &RecordBatch, group_rows: usize, sizes: &[usize]) -> V
     w.finish().expect("finish").0.to_vec()
 }
 
-/// Length and CRC32C of `golden_batch(3000)` in 1 024-row groups, as the
-/// parent's writer encoded it.
-const GOLDEN: (usize, u32) = (198_531, 2_765_234_194);
+/// Length and CRC32C of `golden_batch(3000)` in 1 024-row groups, with
+/// integer chunks and dictionary codes bit-packed (198 531 bytes while
+/// they were plain).
+const GOLDEN: (usize, u32) = (121_395, 2_285_503_204);
 
 #[test]
 fn every_type_encodes_to_the_parents_bytes_however_it_is_batched() {
@@ -101,16 +103,9 @@ fn every_type_encodes_to_the_parents_bytes_however_it_is_batched() {
     assert_eq!(back.read_all(None).expect("read"), input);
 }
 
-#[test]
-fn a_file_the_parent_wrote_still_reads() {
-    // `golden_batch(50)` in 16-row groups, written at the parent commit.
-    let file: &[u8] = include_bytes!("data/golden_pr20.lkh");
+/// Reads `file` whole and by ranges, as `golden_batch(50)`.
+fn reads_as_the_golden_batch(file: &[u8]) {
     let want = golden_batch(50);
-    assert_eq!(
-        write_in_pieces(&want, 16, &[50]),
-        file,
-        "and is still written"
-    );
     let reader = FileReader::parse(file.to_vec().into()).expect("parse");
     assert_eq!(reader.num_row_groups(), 4);
     assert_eq!(reader.read_all(None).expect("read"), want);
@@ -123,4 +118,70 @@ fn a_file_the_parent_wrote_still_reads() {
         .read_groups(&groups, Some(&projection), &fetch)
         .expect("read");
     assert_eq!(got, want.project(&["lane", "id", "at"]).expect("project"));
+}
+
+#[test]
+fn a_file_the_parent_wrote_still_reads() {
+    // `golden_batch(50)` in 16-row groups, written while every integer and
+    // dictionary code was plain: the compatibility check for those chunks.
+    let file: &[u8] = include_bytes!("data/golden_pr20.lkh");
+    reads_as_the_golden_batch(file);
+}
+
+#[test]
+fn a_packed_file_is_still_written_and_still_reads() {
+    // `golden_batch(50)` in 16-row groups, integers and codes bit-packed.
+    let file: &[u8] = include_bytes!("data/golden_pr37.lkh");
+    let want = golden_batch(50);
+    assert_eq!(
+        write_in_pieces(&want, 16, &[50]),
+        file,
+        "and is still written"
+    );
+    reads_as_the_golden_batch(file);
+    assert!(file.len() < include_bytes!("data/golden_pr20.lkh").len());
+}
+
+#[test]
+fn a_plain_file_compacted_with_new_rows_is_a_mixed_file_that_reads_equal() {
+    // What compaction does to a file written before integers were packed:
+    // its three full groups go over as their bytes, and its 2-row tail and
+    // 30 new rows are encoded afresh, so packed.
+    let plain = bytes::Bytes::from_static(include_bytes!("data/golden_pr20.lkh"));
+    let fetch = |start: usize, end: usize| Ok(plain.slice(start..end));
+    let reader = RangedReader::open(plain.len(), &fetch).expect("open");
+    let groups: Vec<usize> = (0..reader.num_row_groups()).collect();
+    let fetched = (reader.chunks(&groups, None))
+        .and_then(|chunks| reader.fetch_chunks(&chunks, &fetch))
+        .expect("fetch");
+    let all = golden_batch(80);
+    let options = WriterOptions { row_group_rows: 16 };
+    let mut writer = FileWriter::new(all.schema().clone(), options.clone());
+    for g in 0..3 {
+        let raw = reader.raw_group(&fetched, g).expect("raw group");
+        writer.copy_group(raw).expect("copy");
+    }
+    let tail = reader.decode_groups(&fetched, &[3], None).expect("tail");
+    writer.write_batch(&tail).expect("write tail");
+    writer
+        .write_batch(&all.slice(50, 30).expect("slice"))
+        .expect("write new rows");
+    let mixed = writer.finish().expect("finish").0;
+
+    let back = FileReader::parse(mixed.clone()).expect("parse");
+    assert_eq!(back.num_row_groups(), 5);
+    assert_eq!(back.read_all(None).expect("read"), all);
+    // The copied groups are the plain file's chunks byte for byte; a
+    // rewrite of every row would have packed them.
+    let plain_reader = FileReader::parse(plain.clone()).expect("parse plain");
+    for g in 0..3 {
+        let chunks = |r: &FileReader, file: &[u8]| -> Vec<Vec<u8>> {
+            (r.row_group_meta(g).chunk_offsets.iter())
+                .map(|&(at, len)| file[at as usize..(at + len) as usize].to_vec())
+                .collect()
+        };
+        assert_eq!(chunks(&back, &mixed), chunks(&plain_reader, &plain));
+    }
+    let rewritten = FileWriter::write_file(&all, options).expect("rewrite");
+    assert!(rewritten.len() < mixed.len());
 }

@@ -32,7 +32,7 @@
 use crate::ast::{Expr, JoinType};
 use crate::engine::TableProvider;
 use crate::error::{Result, SqlError};
-use crate::logical::{AggExpr, LogicalPlan};
+use crate::logical::{resolve_column, AggExpr, LogicalPlan};
 use crate::physical::{eval, execute_project, filter_exact, split_join_keys};
 use lakehouse_columnar::kernels::{
     self, filter_batch, take_batch, take_column, take_column_opt, to_selection, AggState, Grouper,
@@ -43,6 +43,7 @@ use lakehouse_columnar::{
     Schema,
 };
 use lakehouse_obs::{KillReason, QueryCtx, SpanGuard};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -171,11 +172,34 @@ fn unext(e: ColumnarError) -> SqlError {
     }
 }
 
-fn eval_all<'a>(
+fn eval_all<'a, 'b>(
     exprs: impl IntoIterator<Item = &'a Expr>,
-    batch: &RecordBatch,
-) -> CResult<Vec<Column>> {
-    let cols = exprs.into_iter().map(|e| eval(e, batch));
+    batch: &'b RecordBatch,
+) -> CResult<Vec<Cow<'b, Column>>> {
+    let cols = exprs.into_iter().map(|e| eval_cow(e, batch));
+    cols.collect::<Result<_>>().map_err(ext)
+}
+
+/// [`eval`], borrowing a bare column reference from `batch` instead of
+/// copying it.
+fn eval_cow<'b>(expr: &Expr, batch: &'b RecordBatch) -> Result<Cow<'b, Column>> {
+    match expr {
+        Expr::Column { qualifier, name } => {
+            let i = resolve_column(batch.schema(), qualifier.as_deref(), name)?;
+            Ok(Cow::Borrowed(batch.column(i)))
+        }
+        _ => eval(expr, batch).map(Cow::Owned),
+    }
+}
+
+/// Each aggregate's argument over `batch` (`None` for `COUNT(*)`), bare
+/// column references borrowed.
+fn agg_args<'b>(
+    aggs: &[(AggExpr, String)],
+    batch: &'b RecordBatch,
+) -> CResult<Vec<Option<Cow<'b, Column>>>> {
+    let args = aggs.iter().map(|(a, _)| a.arg.as_ref());
+    let cols = args.map(|arg| arg.map(|e| eval_cow(e, batch)).transpose());
     cols.collect::<Result<_>>().map_err(ext)
 }
 
@@ -635,20 +659,15 @@ impl BatchStream for AggNode {
         let mut ids: Vec<u32> = Vec::new();
         let mut state_bytes = 0usize;
         let mut arg_types: Option<Vec<DataType>> = None;
-        let arg_cols_of = |batch: &RecordBatch| {
-            let args = self.agg_exprs.iter().map(|(a, _)| a.arg.as_ref());
-            let cols = args.map(|arg| arg.map(|e| eval(e, batch)).transpose());
-            cols.collect::<Result<Vec<_>>>().map_err(ext)
-        };
-        let types_of = |cols: &[Option<Column>]| -> Vec<DataType> {
+        let types_of = |cols: &[Option<Cow<Column>>]| -> Vec<DataType> {
             let types = cols
                 .iter()
-                .map(|c| c.as_ref().map_or(DataType::Int64, Column::data_type));
+                .map(|c| c.as_deref().map_or(DataType::Int64, Column::data_type));
             types.collect()
         };
         while let Some(batch) = input.next_batch()? {
             let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &batch)?;
-            let arg_cols = arg_cols_of(&batch)?;
+            let arg_cols = agg_args(&self.agg_exprs, &batch)?;
             arg_types.get_or_insert_with(|| types_of(&arg_cols));
             if global {
                 ids.clear();
@@ -664,7 +683,7 @@ impl BatchStream for AggNode {
                 }
             }
             for (slots, arg_col) in states_per_agg.iter_mut().zip(&arg_cols) {
-                kernels::update_grouped(slots, &ids, arg_col.as_ref())?;
+                kernels::update_grouped(slots, &ids, arg_col.as_deref())?;
             }
             self.meter.hold(state_bytes);
         }
@@ -682,7 +701,7 @@ impl BatchStream for AggNode {
                 let empty = RecordBatch::new_empty(self.input_schema.clone());
                 let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &empty)?;
                 grouper.group_ids(&group_cols, &mut ids)?;
-                types_of(&arg_cols_of(&empty)?)
+                types_of(&agg_args(&self.agg_exprs, &empty)?)
             }
         };
         // The group keys are the grouper's key columns as they are; each
@@ -727,8 +746,9 @@ struct BuildSide {
 }
 
 /// The columns of a key that can hold a NULL.
-fn nullable(cols: &[Column]) -> Vec<&Column> {
-    cols.iter().filter(|c| c.validity().is_some()).collect()
+fn nullable<'c>(cols: &'c [Cow<Column>]) -> Vec<&'c Column> {
+    let cols = cols.iter().map(|c| c.as_ref());
+    cols.filter(|c| c.validity().is_some()).collect()
 }
 
 /// Hash join: interns the right side's keys as its batches stream in, then

@@ -335,21 +335,21 @@ fn twice_compacted(store: &Arc<dyn ObjectStore>) -> Vec<String> {
 /// column: a copied chunk keeps its own dictionary, which a rewrite can
 /// order differently (DESIGN.md §25).
 const TWICE_COMPACTED: [&str; 15] = [
-    "snap1-00000-bc3485934532f45c.lkh",
-    "snap1-00001-3b9a928be122316e.lkh",
-    "snap1-00002-b2bdc239584e509f.lkh",
-    "snap2-00000-b5abd3d7be690233.lkh",
-    "snap2-00001-4aebe8afa7f9fa2c.lkh",
-    "snap2-00002-cd99b4933c8008e0.lkh",
-    "snap3-00000-389abcc6ef0195d6.lkh",
-    "snap3-00001-ee9464c6904016c8.lkh",
-    "snap3-00002-63d31c83e7587650.lkh",
-    "snap4-00000-9e5d44800531f93c.lkh",
-    "snap4-00001-77ecbe9568f33f7f.lkh",
-    "snap4-00002-9e21fb74850fdefd.lkh",
-    "snap5-00000-a96bcf6a4ebf79e9.lkh",
-    "snap5-00001-2184434e170f8d21.lkh",
-    "snap5-00002-4ab83dfcdbcce98b.lkh",
+    "snap1-00000-4d4626099fec31c2.lkh",
+    "snap1-00001-2260942d2748f481.lkh",
+    "snap1-00002-fe80e08dcd66cb17.lkh",
+    "snap2-00000-d7dd5726d3414e54.lkh",
+    "snap2-00001-c75980d3af791ea4.lkh",
+    "snap2-00002-5bde61e5c840156c.lkh",
+    "snap3-00000-b39ac4335b0cf23d.lkh",
+    "snap3-00001-f568ad7658a91fcb.lkh",
+    "snap3-00002-23433d15fd96278f.lkh",
+    "snap4-00000-0ff118cb1a9fc484.lkh",
+    "snap4-00001-121121176a235e2f.lkh",
+    "snap4-00002-8abf4b9f7d32bca2.lkh",
+    "snap5-00000-1f445cf9580486ff.lkh",
+    "snap5-00001-7abd33b6fed01415.lkh",
+    "snap5-00002-6a5610a26060b9dc.lkh",
 ];
 
 #[test]

@@ -468,15 +468,15 @@ fn compacted_files() -> Vec<String> {
 /// Computed with every scan column decoded: snapshot 1 is the create,
 /// 2 the branch's append, 3 the compaction's rewrite of each day.
 const COMPACTED_FILES: [&str; 9] = [
-    "snap1-00000-3f35662382a5d9e1.lkh",
-    "snap1-00001-a79e18015bf672f5.lkh",
-    "snap1-00002-2ae36528eb06ad43.lkh",
-    "snap2-00000-5c1ecba0964d55e9.lkh",
-    "snap2-00001-aec185e9cbc95bb9.lkh",
-    "snap2-00002-3c05621bc0da2c4a.lkh",
-    "snap3-00000-4acb56a1ca315941.lkh",
-    "snap3-00001-b1c14226ed390ddb.lkh",
-    "snap3-00002-f917451098e0f01f.lkh",
+    "snap1-00000-8352068827f942e8.lkh",
+    "snap1-00001-35a0b5de48f834c8.lkh",
+    "snap1-00002-52f94b4ccd1c90cc.lkh",
+    "snap2-00000-fc13d59d73ae30fb.lkh",
+    "snap2-00001-8965f6a7c8ef4915.lkh",
+    "snap2-00002-e43e4cff8a6da467.lkh",
+    "snap3-00000-5bb527783b5ddfdb.lkh",
+    "snap3-00001-af8033ad6b6414d5.lkh",
+    "snap3-00002-77f5aa20144c5ede.lkh",
 ];
 
 #[test]
