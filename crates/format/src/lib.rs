@@ -36,9 +36,14 @@ pub mod writer;
 
 pub use error::{FormatError, Result};
 pub use ranged::{FetchedChunks, RangedReader, RawGroup};
-pub use reader::{footer_bytes, FileReader, RowGroupMeta};
+pub use reader::{footer_bytes, RowGroupMeta};
 pub use stats::ColumnStats;
 pub use writer::{Copied, FileWriter, WriterOptions};
+
+/// The whole-file reader under its earlier name: `bench_suite`'s
+/// `probes.rs` and `replay.rs` still call `FileReader::parse`, `.schema()`
+/// and `.read_all(..)`.
+pub type FileReader = RangedReader;
 
 /// File magic bytes.
 pub const MAGIC: &[u8; 4] = b"LKH1";

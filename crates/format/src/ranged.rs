@@ -13,6 +13,7 @@ use crate::encoding::decode_column;
 use crate::error::{FormatError, Result};
 use crate::io::ByteReader;
 use crate::reader::{parse_footer, parse_trailer, RowGroupMeta};
+use crate::MAGIC;
 use bytes::Bytes;
 use lakehouse_checksum::crc32c;
 use lakehouse_columnar::kernels::CmpOp;
@@ -86,6 +87,17 @@ impl RangedReader {
     /// error instead of garbage offsets.
     pub fn open(file_len: usize, fetch: RangeFetch<'_>) -> Result<RangedReader> {
         Self::open_with_gap(file_len, fetch, COALESCE_GAP)
+    }
+
+    /// Open a complete in-memory file: every byte is resident, so no read
+    /// of it fetches. The leading magic, the size and the footer's checksum
+    /// are checked as [`RangedReader::open`] checks them.
+    pub fn parse(data: Bytes) -> Result<RangedReader> {
+        if data.len() < 16 || &data[..4] != MAGIC {
+            return Err(FormatError::Corrupt("bad magic".into()));
+        }
+        let whole = |start: usize, end: usize| Ok(data.slice(start..end));
+        Self::open_with_gap(data.len(), &whole, usize::MAX)
     }
 
     /// The one range [`RangedReader::open`] always requests of a
@@ -302,6 +314,18 @@ impl RangedReader {
         Ok(RecordBatch::concat(&batches)?)
     }
 
+    /// Decode every row group of a file opened whole
+    /// ([`RangedReader::parse`]) into one batch, optionally projected.
+    pub fn read_all(&self, projection: Option<&[usize]>) -> Result<RecordBatch> {
+        let not_resident = |start: usize, end: usize| -> Result<Bytes> {
+            Err(FormatError::InvalidArgument(format!(
+                "[{start}, {end}) is not resident: read it with read_groups"
+            )))
+        };
+        let groups: Vec<usize> = (0..self.groups.len()).collect();
+        self.read_groups(&groups, projection, &not_resident)
+    }
+
     /// Read selected row groups, fetching only the projected columns'
     /// chunks.
     pub fn read_groups(
@@ -350,14 +374,23 @@ pub struct RawGroup<'a> {
 mod tests {
     use super::*;
     use crate::writer::{FileWriter, WriterOptions};
-    use crate::{FileReader, MAGIC};
     use lakehouse_columnar::{Column, DataType, Field};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cell::RefCell;
 
     fn sample() -> Bytes {
-        let batch = RecordBatch::try_new(
+        FileWriter::write_file(
+            &sample_batch(),
+            WriterOptions {
+                row_group_rows: 1_000,
+            },
+        )
+        .unwrap()
+    }
+
+    fn sample_batch() -> RecordBatch {
+        RecordBatch::try_new(
             Schema::new(vec![
                 Field::new("id", DataType::Int64, false),
                 Field::new("name", DataType::Utf8, false),
@@ -367,14 +400,17 @@ mod tests {
                 Column::from_str_vec((0..10_000).map(|i| format!("row-{i}")).collect()),
             ],
         )
-        .unwrap();
-        FileWriter::write_file(
-            &batch,
-            WriterOptions {
-                row_group_rows: 1_000,
-            },
-        )
         .unwrap()
+    }
+
+    /// `batch`'s columns at `projection` (every one for `None`).
+    fn projected(batch: &RecordBatch, projection: Option<&[usize]>) -> RecordBatch {
+        let names = batch.schema().names();
+        let keep: Vec<&str> = match projection {
+            Some(p) => p.iter().map(|&c| names[c]).collect(),
+            None => names,
+        };
+        batch.project(&keep).unwrap()
     }
 
     /// A store over `bytes` that logs every request it serves.
@@ -415,11 +451,7 @@ mod tests {
         assert_eq!(reader.num_row_groups(), 10);
         let all: Vec<usize> = (0..10).collect();
         let full = reader.read_groups(&all, None, &fetch).unwrap();
-        let direct = FileReader::parse(bytes.clone())
-            .unwrap()
-            .read_all(None)
-            .unwrap();
-        assert_eq!(full, direct);
+        assert_eq!(full, sample_batch());
         // The file is smaller than the merge distance: one request, whole.
         assert_eq!(*served.requests.borrow(), vec![(0, bytes.len())]);
     }
@@ -492,7 +524,7 @@ mod tests {
             let fetch = |s: usize, e: usize| -> Result<Bytes> { Ok(data.slice(s..e)) };
             let err = RangedReader::open(data.len(), &fetch).unwrap_err();
             assert!(err.is_corruption(), "{garbage:?}: {err:?}");
-            assert!(FileReader::parse(data.clone()).is_err());
+            assert!(RangedReader::parse(data.clone()).is_err());
         }
     }
 
@@ -765,8 +797,9 @@ mod tests {
                 },
             )
             .unwrap();
-            let full = FileReader::parse(bytes.clone()).unwrap();
+            let full = RangedReader::parse(bytes.clone()).unwrap();
             assert_eq!(full.num_row_groups(), n_groups);
+            let written = batch.chunks(group_rows).unwrap();
             let a_chunk = full.row_group_meta(0).chunk_offsets[0].1 as usize;
 
             for gap in [0, 1, 4096, a_chunk, usize::MAX] {
@@ -781,7 +814,11 @@ mod tests {
                 let got = reader
                     .read_groups(&groups, projection.as_deref(), &fetch)
                     .unwrap();
-                let want = full.read_groups(&groups, projection.as_deref()).unwrap();
+                let picked = (groups.iter())
+                    .map(|&g| projected(&written[g], projection.as_deref()))
+                    .collect();
+                let want_schema = projected(&batch, projection.as_deref()).schema().clone();
+                let want = RecordBatch::concat_all(&want_schema, picked).unwrap();
                 assert_eq!(got, want, "case {case}, gap {gap}");
 
                 let cols = projection.clone().unwrap_or_else(|| (0..n_cols).collect());
@@ -830,7 +867,6 @@ mod tests {
         )
         .unwrap();
         assert!(bytes.len() > 4 * COALESCE_GAP);
-        let full = FileReader::parse(bytes.clone()).unwrap();
         let read = |projection: Option<&[usize]>| {
             let served = Served::new(&bytes);
             let fetch = |s: usize, e: usize| served.fetch(s, e);
@@ -840,7 +876,7 @@ mod tests {
                 vec![(bytes.len() - TAIL_HINT, bytes.len())]
             );
             let got = reader.read_groups(&[0, 1, 2], projection, &fetch).unwrap();
-            assert_eq!(got, full.read_all(projection).unwrap());
+            assert_eq!(got, projected(&batch, projection));
             let requests = served.requests.borrow().clone();
             (
                 requests,

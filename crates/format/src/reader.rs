@@ -1,16 +1,13 @@
-//! Data-file reader: parses the footer, exposes per-row-group metadata for
-//! zone-map pruning, and decodes only the chunks a scan needs.
+//! Data-file footer: the trailer, and the schema and per-row-group metadata
+//! (chunk places, checksums, zone-map stats) every read starts from. The one
+//! reader of chunks is [`crate::RangedReader`].
 
-use crate::encoding::decode_column;
 use crate::error::{FormatError, Result};
 use crate::io::ByteReader;
 use crate::stats::ColumnStats;
 use crate::writer::datatype_from_tag;
 use crate::{FORMAT_VERSION, MAGIC};
-use bytes::Bytes;
-use lakehouse_checksum::crc32c;
-use lakehouse_columnar::kernels::CmpOp;
-use lakehouse_columnar::{Field, RecordBatch, Schema, Value};
+use lakehouse_columnar::{Field, Schema};
 
 /// Metadata for one row group: row count plus per-column chunk location and
 /// statistics.
@@ -103,141 +100,22 @@ pub(crate) fn parse_footer(footer: &[u8]) -> Result<(Schema, Vec<RowGroupMeta>)>
     Ok((schema, groups))
 }
 
-/// A parsed data file. Holds the full file bytes (object stores hand back
-/// whole objects; `Bytes` slicing keeps chunk decoding copy-free).
-#[derive(Debug, Clone)]
-pub struct FileReader {
-    data: Bytes,
-    schema: Schema,
-    groups: Vec<RowGroupMeta>,
-}
-
-impl FileReader {
-    /// Parse a complete file, verifying the footer checksum first.
-    pub fn parse(data: Bytes) -> Result<FileReader> {
-        if data.len() < 16 || &data[..4] != MAGIC {
-            return Err(FormatError::Corrupt("bad magic".into()));
-        }
-        let (footer_start, footer_crc) = parse_trailer(&data[data.len() - 12..], data.len())?;
-        let footer = &data[footer_start..data.len() - 12];
-        if crc32c(footer) != footer_crc {
-            return Err(FormatError::Corrupted("footer checksum mismatch".into()));
-        }
-        let (schema, groups) = parse_footer(footer)?;
-        Ok(FileReader {
-            data,
-            schema,
-            groups,
-        })
-    }
-
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    pub fn num_row_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    pub fn num_rows(&self) -> u64 {
-        self.groups.iter().map(|g| g.row_count).sum()
-    }
-
-    pub fn row_group_meta(&self, idx: usize) -> &RowGroupMeta {
-        &self.groups[idx]
-    }
-
-    /// Row-group indices that may contain rows matching `column OP literal`
-    /// (zone-map pruning).
-    pub fn prune(&self, column: &str, op: CmpOp, literal: &Value) -> Result<Vec<usize>> {
-        let col_idx = self.schema.index_of(column)?;
-        Ok(self
-            .groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.stats[col_idx].may_match(op, literal))
-            .map(|(i, _)| i)
-            .collect())
-    }
-
-    /// Decode one row group, optionally projecting to a subset of columns
-    /// (given by schema index).
-    pub fn read_row_group(&self, idx: usize, projection: Option<&[usize]>) -> Result<RecordBatch> {
-        let group = self
-            .groups
-            .get(idx)
-            .ok_or_else(|| FormatError::InvalidArgument(format!("no row group {idx}")))?;
-        let col_indices: Vec<usize> = match projection {
-            Some(p) => p.to_vec(),
-            None => (0..self.schema.len()).collect(),
-        };
-        let mut fields = Vec::with_capacity(col_indices.len());
-        let mut columns = Vec::with_capacity(col_indices.len());
-        for &c in &col_indices {
-            if c >= self.schema.len() {
-                return Err(FormatError::InvalidArgument(format!(
-                    "projection index {c} out of range"
-                )));
-            }
-            let field = self.schema.field(c).clone();
-            let (offset, length) = group.chunk_offsets[c];
-            let (start, end) = (offset as usize, (offset + length) as usize);
-            if end > self.data.len() || start > end {
-                return Err(FormatError::Corrupt("chunk offset out of range".into()));
-            }
-            if crc32c(&self.data[start..end]) != group.chunk_crcs[c] {
-                return Err(FormatError::Corrupted(format!(
-                    "chunk checksum mismatch (group {idx}, column {c})"
-                )));
-            }
-            let mut r = ByteReader::new(&self.data[start..end]);
-            columns.push(decode_column(field.data_type(), &mut r)?);
-            fields.push(field);
-        }
-        Ok(RecordBatch::try_new(Schema::new(fields), columns)?)
-    }
-
-    /// Decode the whole file (optionally projected) into one batch.
-    pub fn read_all(&self, projection: Option<&[usize]>) -> Result<RecordBatch> {
-        if self.groups.is_empty() {
-            let schema = match projection {
-                Some(p) => Schema::new(p.iter().map(|&i| self.schema.field(i).clone()).collect()),
-                None => self.schema.clone(),
-            };
-            return Ok(RecordBatch::new_empty(schema));
-        }
-        let batches = (0..self.groups.len())
-            .map(|i| self.read_row_group(i, projection))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(RecordBatch::concat(&batches)?)
-    }
-
-    /// Decode only the row groups in `group_indices` (post-pruning scan).
-    pub fn read_groups(
-        &self,
-        group_indices: &[usize],
-        projection: Option<&[usize]>,
-    ) -> Result<RecordBatch> {
-        if group_indices.is_empty() {
-            let schema = match projection {
-                Some(p) => Schema::new(p.iter().map(|&i| self.schema.field(i).clone()).collect()),
-                None => self.schema.clone(),
-            };
-            return Ok(RecordBatch::new_empty(schema));
-        }
-        let batches = group_indices
-            .iter()
-            .map(|&i| self.read_row_group(i, projection))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(RecordBatch::concat(&batches)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::writer::{FileWriter, WriterOptions};
-    use lakehouse_columnar::{Column, DataType};
+    use crate::RangedReader;
+    use bytes::Bytes;
+    use lakehouse_checksum::crc32c;
+    use lakehouse_columnar::kernels::CmpOp;
+    use lakehouse_columnar::{Column, DataType, RecordBatch, Value};
+
+    /// Every byte of a file read by `RangedReader::parse` is resident.
+    fn unreachable_fetch(start: usize, end: usize) -> Result<Bytes> {
+        Err(FormatError::InvalidArgument(format!(
+            "fetch [{start}, {end})"
+        )))
+    }
 
     fn sample_file() -> Bytes {
         let batch = RecordBatch::try_new(
@@ -260,7 +138,7 @@ mod tests {
     /// count set to u32::MAX and the checksums — the chunk's in the footer,
     /// the footer's in the trailer — recomputed to match: only the
     /// decoder's own checks stand.
-    fn with_a_lying_row_count(column: Column) -> FileReader {
+    fn with_a_lying_row_count(column: Column) -> RangedReader {
         let name = "x";
         let batch = RecordBatch::try_new(
             Schema::new(vec![Field::new(name, column.data_type(), false)]),
@@ -271,8 +149,8 @@ mod tests {
             .unwrap()
             .to_vec();
         let (footer_start, _) = parse_trailer(&file[file.len() - 12..], file.len()).unwrap();
-        let group = &FileReader::parse(Bytes::from(file.clone())).unwrap().groups[0];
-        let (offset, length) = group.chunk_offsets[0];
+        let reader = RangedReader::parse(Bytes::from(file.clone())).unwrap();
+        let (offset, length) = reader.row_group_meta(0).chunk_offsets[0];
         let chunk = offset as usize..(offset + length) as usize;
         file[chunk.start..chunk.start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         // Footer: version, field count, the field, group count, the group's
@@ -283,7 +161,7 @@ mod tests {
         let trailer = file.len() - 12;
         let footer_crc = crc32c(&file[footer_start..trailer]);
         file[trailer..trailer + 4].copy_from_slice(&footer_crc.to_le_bytes());
-        FileReader::parse(Bytes::from(file)).unwrap()
+        RangedReader::parse(Bytes::from(file)).unwrap()
     }
 
     /// A plain chunk (floats stay plain) is held to eight bytes a row.
@@ -311,7 +189,8 @@ mod tests {
 
     /// A footer that declares u32::MAX fields or row groups, with its
     /// checksum recomputed so only the count check stands, is `Corrupt` from
-    /// either reader — before the count sizes any allocation.
+    /// a whole file and from one opened by ranges — before the count sizes
+    /// any allocation.
     #[test]
     fn a_footer_count_beyond_its_bytes_is_corrupt() {
         let name = "x";
@@ -334,8 +213,8 @@ mod tests {
             let file = Bytes::from(file);
             let fetch = |start: usize, end: usize| -> Result<Bytes> { Ok(file.slice(start..end)) };
             let parsed = [
-                FileReader::parse(file.clone()).map(|_| ()),
-                crate::RangedReader::open(file.len(), &fetch).map(|_| ()),
+                RangedReader::parse(file.clone()).map(|_| ()),
+                RangedReader::open(file.len(), &fetch).map(|_| ()),
             ];
             for result in parsed {
                 match result {
@@ -350,7 +229,7 @@ mod tests {
 
     #[test]
     fn full_round_trip() {
-        let reader = FileReader::parse(sample_file()).unwrap();
+        let reader = RangedReader::parse(sample_file()).unwrap();
         assert_eq!(reader.num_rows(), 100);
         assert_eq!(reader.num_row_groups(), 4);
         let all = reader.read_all(None).unwrap();
@@ -361,7 +240,7 @@ mod tests {
 
     #[test]
     fn projection_reads_subset() {
-        let reader = FileReader::parse(sample_file()).unwrap();
+        let reader = RangedReader::parse(sample_file()).unwrap();
         let b = reader.read_all(Some(&[2, 0])).unwrap();
         assert_eq!(b.schema().names(), vec!["score", "id"]);
         assert_eq!(b.num_rows(), 100);
@@ -369,7 +248,7 @@ mod tests {
 
     #[test]
     fn pruning_selects_matching_groups() {
-        let reader = FileReader::parse(sample_file()).unwrap();
+        let reader = RangedReader::parse(sample_file()).unwrap();
         // id ranges: [0,24],[25,49],[50,74],[75,99]
         let groups = reader.prune("id", CmpOp::Gt, &Value::Int64(60)).unwrap();
         assert_eq!(groups, vec![2, 3]);
@@ -381,9 +260,11 @@ mod tests {
 
     #[test]
     fn read_pruned_groups_only() {
-        let reader = FileReader::parse(sample_file()).unwrap();
+        let reader = RangedReader::parse(sample_file()).unwrap();
         let groups = reader.prune("id", CmpOp::GtEq, &Value::Int64(75)).unwrap();
-        let b = reader.read_groups(&groups, None).unwrap();
+        let b = reader
+            .read_groups(&groups, None, &unreachable_fetch)
+            .unwrap();
         assert_eq!(b.num_rows(), 25);
         assert_eq!(b.row(0).unwrap()[0], Value::Int64(75));
     }
@@ -392,14 +273,14 @@ mod tests {
     fn corrupt_magic_rejected() {
         let mut bytes = sample_file().to_vec();
         bytes[0] = b'X';
-        assert!(FileReader::parse(Bytes::from(bytes)).is_err());
+        assert!(RangedReader::parse(Bytes::from(bytes)).is_err());
     }
 
     #[test]
     fn truncated_file_rejected() {
         let bytes = sample_file();
         let truncated = bytes.slice(0..bytes.len() / 2);
-        assert!(FileReader::parse(truncated).is_err());
+        assert!(RangedReader::parse(truncated).is_err());
     }
 
     #[test]
@@ -407,27 +288,28 @@ mod tests {
         let mut bytes = sample_file().to_vec();
         let n = bytes.len();
         bytes[n - 8..n - 4].copy_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(FileReader::parse(Bytes::from(bytes)).is_err());
+        assert!(RangedReader::parse(Bytes::from(bytes)).is_err());
     }
 
     #[test]
     fn corrupt_data_chunk_detected_by_checksum() {
         let clean = sample_file();
-        let reader = FileReader::parse(clean.clone()).unwrap();
+        let reader = RangedReader::parse(clean.clone()).unwrap();
         // Flip one bit in the first chunk's encoded bytes (inside the data
         // region, so magic/footer stay intact).
         let (offset, _) = reader.row_group_meta(0).chunk_offsets[0];
         let mut bytes = clean.to_vec();
         bytes[offset as usize + 1] ^= 0x01;
-        let corrupted = FileReader::parse(Bytes::from(bytes)).unwrap();
-        let err = corrupted.read_row_group(0, None).unwrap_err();
+        let corrupted = RangedReader::parse(Bytes::from(bytes)).unwrap();
+        let read_group = |g: usize| corrupted.read_groups(&[g], None, &unreachable_fetch);
+        let err = read_group(0).unwrap_err();
         assert!(
             matches!(err, FormatError::Corrupted(_)),
             "expected Corrupted, got {err:?}"
         );
         assert!(err.is_corruption());
         // Untouched groups still read fine.
-        assert!(corrupted.read_row_group(1, None).is_ok());
+        assert!(read_group(1).is_ok());
     }
 
     #[test]
@@ -438,26 +320,28 @@ mod tests {
         // keeps the structure parseable: the CRC must catch it regardless.
         let mut bytes = clean.to_vec();
         bytes[n - 20] ^= 0x10;
-        let err = FileReader::parse(Bytes::from(bytes)).unwrap_err();
+        let err = RangedReader::parse(Bytes::from(bytes)).unwrap_err();
         assert!(err.is_corruption(), "expected corruption, got {err:?}");
     }
 
     #[test]
     fn bad_projection_index_errors() {
-        let reader = FileReader::parse(sample_file()).unwrap();
+        let reader = RangedReader::parse(sample_file()).unwrap();
         assert!(reader.read_all(Some(&[99])).is_err());
     }
 
     #[test]
     fn prune_unknown_column_errors() {
-        let reader = FileReader::parse(sample_file()).unwrap();
+        let reader = RangedReader::parse(sample_file()).unwrap();
         assert!(reader.prune("nope", CmpOp::Eq, &Value::Int64(1)).is_err());
     }
 
     #[test]
     fn read_empty_group_list_gives_empty_batch() {
-        let reader = FileReader::parse(sample_file()).unwrap();
-        let b = reader.read_groups(&[], Some(&[0])).unwrap();
+        let reader = RangedReader::parse(sample_file()).unwrap();
+        let b = reader
+            .read_groups(&[], Some(&[0]), &unreachable_fetch)
+            .unwrap();
         assert_eq!(b.num_rows(), 0);
         assert_eq!(b.schema().names(), vec!["id"]);
     }

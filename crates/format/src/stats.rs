@@ -37,6 +37,18 @@ impl ColumnStats {
         }
     }
 
+    /// Non-NULL values somewhere in `[min, max]`: a partition value is the
+    /// span of itself, a manifest ref's partition bounds are a span. A NULL
+    /// bound knows nothing, so the span never prunes.
+    pub fn span(min: Value, max: Value) -> ColumnStats {
+        ColumnStats {
+            min,
+            max,
+            null_count: 0,
+            row_count: 1,
+        }
+    }
+
     /// Merge stats from another chunk of the same column.
     pub fn merge(&mut self, other: &ColumnStats) {
         if self.min.is_null() || (!other.min.is_null() && other.min.total_cmp(&self.min).is_lt()) {

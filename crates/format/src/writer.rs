@@ -323,7 +323,7 @@ mod tests {
     fn row_groups_split_at_threshold() {
         let bytes =
             FileWriter::write_file(&batch(25), WriterOptions { row_group_rows: 10 }).unwrap();
-        let reader = crate::reader::FileReader::parse(bytes).unwrap();
+        let reader = crate::RangedReader::parse(bytes).unwrap();
         assert_eq!(reader.num_row_groups(), 3);
         assert_eq!(reader.num_rows(), 25);
         assert_eq!(reader.row_group_meta(0).row_count, 10);
@@ -339,7 +339,7 @@ mod tests {
         for _ in 0..5 {
             w.write_batch(&batch(4)).unwrap();
         }
-        let reader = crate::reader::FileReader::parse(w.finish().unwrap().0).unwrap();
+        let reader = crate::RangedReader::parse(w.finish().unwrap().0).unwrap();
         assert_eq!(reader.num_rows(), 20);
         assert_eq!(reader.num_row_groups(), 2);
     }
@@ -350,7 +350,7 @@ mod tests {
             Schema::new(vec![Field::new("x", DataType::Int64, false)]),
             WriterOptions::default(),
         );
-        let reader = crate::reader::FileReader::parse(w.finish().unwrap().0).unwrap();
+        let reader = crate::RangedReader::parse(w.finish().unwrap().0).unwrap();
         assert_eq!(reader.num_rows(), 0);
         assert_eq!(reader.num_row_groups(), 0);
     }
@@ -420,7 +420,7 @@ mod tests {
         // overshoot the 8 192-row group boundary.
         assert!(write_in_pieces(&input, &[1_000]) == whole);
         assert!(write_in_pieces(&input, &[8_191, 1, 8_193, 3, 20_000, 8_192, 0, 77]) == whole);
-        let reader = crate::reader::FileReader::parse(whole).unwrap();
+        let reader = crate::RangedReader::parse(whole).unwrap();
         assert_eq!(reader.num_row_groups(), n.div_ceil(8_192));
         for g in 0..reader.num_row_groups() {
             let want = if g + 1 < reader.num_row_groups() {
@@ -451,7 +451,7 @@ mod tests {
         let mut w = FileWriter::new(input.schema().clone(), WriterOptions::default());
         w.write_batch(&input).unwrap();
         let (bytes, stats) = w.finish().unwrap();
-        let reader = crate::reader::FileReader::parse(bytes).unwrap();
+        let reader = crate::RangedReader::parse(bytes).unwrap();
         assert_eq!(reader.num_row_groups(), 3);
         assert_eq!(stats.len(), input.num_columns());
         for (i, s) in stats.iter().enumerate() {

@@ -5,9 +5,7 @@
 
 use bytes::Bytes;
 use lakehouse_columnar::{Column, DataType, DictColumn, Field, RecordBatch, Schema};
-use lakehouse_format::{
-    Copied, FileReader, FileWriter, FormatError, RangedReader, Result, WriterOptions,
-};
+use lakehouse_format::{Copied, FileWriter, FormatError, RangedReader, Result, WriterOptions};
 
 const GROUP: usize = 1_000;
 
@@ -127,14 +125,14 @@ fn copied_groups_and_the_decoded_rest_are_the_file_a_rewrite_writes() {
     let (copied, stats) = writer.finish().unwrap();
 
     // What decoding the file, appending the rest and writing it all gives.
-    let decoded = FileReader::parse(file).unwrap().read_all(None).unwrap();
+    let decoded = RangedReader::parse(file).unwrap().read_all(None).unwrap();
     let rewritten = RecordBatch::concat(&[decoded, rest]).unwrap();
     let mut rewriter = FileWriter::new(head.schema().clone(), options());
     rewriter.write_batch(&rewritten).unwrap();
     let (want, want_stats) = rewriter.finish().unwrap();
     assert!(copied == want, "copied file differs from the rewrite");
     assert_eq!(stats, want_stats);
-    let read = FileReader::parse(copied).unwrap().read_all(None).unwrap();
+    let read = RangedReader::parse(copied).unwrap().read_all(None).unwrap();
     assert_eq!(read, all);
 }
 
@@ -161,7 +159,7 @@ fn a_flipped_byte_in_a_source_chunk_is_typed_corruption_and_nothing_is_copied() 
     assert_eq!(writer.num_rows(), GROUP as u64, "only group 0 went in");
     assert_eq!(writer.copied().groups, 1);
     // The writer is whole: what it holds reads back as group 0's rows.
-    let out = FileReader::parse(writer.finish().unwrap().0).unwrap();
+    let out = RangedReader::parse(writer.finish().unwrap().0).unwrap();
     assert_eq!(out.read_all(None).unwrap(), head.slice(0, GROUP).unwrap());
 }
 

@@ -5,7 +5,7 @@
 
 use lakehouse_checksum::crc32c;
 use lakehouse_columnar::{Bitmap, Column, DataType, DictColumn, Field, RecordBatch, Schema};
-use lakehouse_format::{FileReader, FileWriter, RangedReader, WriterOptions};
+use lakehouse_format::{FileWriter, RangedReader, WriterOptions};
 
 /// `n` rows over every type, nullable and not: strings that dictionary-
 /// encode on disk, strings that stay plain, and a column that is already
@@ -98,7 +98,7 @@ fn every_type_encodes_to_the_parents_bytes_however_it_is_batched() {
     assert!(write_in_pieces(&input, 1_024, &[700, 1_000, 24, 1_276]) == whole);
     assert!(write_in_pieces(&input, 1_024, &[1_024, 1, 2_047, 0, 5]) == whole);
     assert!(write_in_pieces(&input, 1_024, &[1]) == whole);
-    let back = FileReader::parse(whole.into()).expect("parse");
+    let back = RangedReader::parse(whole.into()).expect("parse");
     assert_eq!(back.num_row_groups(), 3);
     assert_eq!(back.read_all(None).expect("read"), input);
 }
@@ -106,7 +106,7 @@ fn every_type_encodes_to_the_parents_bytes_however_it_is_batched() {
 /// Reads `file` whole and by ranges, as `golden_batch(50)`.
 fn reads_as_the_golden_batch(file: &[u8]) {
     let want = golden_batch(50);
-    let reader = FileReader::parse(file.to_vec().into()).expect("parse");
+    let reader = RangedReader::parse(file.to_vec().into()).expect("parse");
     assert_eq!(reader.num_row_groups(), 4);
     assert_eq!(reader.read_all(None).expect("read"), want);
     let bytes = bytes::Bytes::from(file.to_vec());
@@ -168,14 +168,14 @@ fn a_plain_file_compacted_with_new_rows_is_a_mixed_file_that_reads_equal() {
         .expect("write new rows");
     let mixed = writer.finish().expect("finish").0;
 
-    let back = FileReader::parse(mixed.clone()).expect("parse");
+    let back = RangedReader::parse(mixed.clone()).expect("parse");
     assert_eq!(back.num_row_groups(), 5);
     assert_eq!(back.read_all(None).expect("read"), all);
     // The copied groups are the plain file's chunks byte for byte; a
     // rewrite of every row would have packed them.
-    let plain_reader = FileReader::parse(plain.clone()).expect("parse plain");
+    let plain_reader = RangedReader::parse(plain.clone()).expect("parse plain");
     for g in 0..3 {
-        let chunks = |r: &FileReader, file: &[u8]| -> Vec<Vec<u8>> {
+        let chunks = |r: &RangedReader, file: &[u8]| -> Vec<Vec<u8>> {
             (r.row_group_meta(g).chunk_offsets.iter())
                 .map(|&(at, len)| file[at as usize..(at + len) as usize].to_vec())
                 .collect()

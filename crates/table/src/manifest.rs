@@ -5,7 +5,6 @@
 use crate::cache::TableIo;
 use crate::error::{Result, TableError};
 use crate::schema_def::ValueDef;
-use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::Value;
 use lakehouse_format::ColumnStats;
 use lakehouse_store::ObjectStore;
@@ -85,10 +84,15 @@ impl ManifestRef {
         let mut lower = Vec::with_capacity(fields);
         let mut upper = Vec::with_capacity(fields);
         for field in 0..fields {
-            let (lo, hi) =
-                partition_range(&manifest.entries, field).unwrap_or((Value::Null, Value::Null));
-            lower.push(ValueDef::from_value(&lo));
-            upper.push(ValueDef::from_value(&hi));
+            // One entry without a value there leaves the bounds NULL: the
+            // field never prunes the ref.
+            let spans = manifest.entries.iter().map(|e| e.partition_span(field));
+            let mut range = ColumnStats::span(Value::Null, Value::Null);
+            if spans.clone().all(|s| !s.min.is_null()) {
+                spans.for_each(|s| range.merge(&s));
+            }
+            lower.push(ValueDef::from_value(&range.min));
+            upper.push(ValueDef::from_value(&range.max));
         }
         ManifestRef {
             path: path.to_string(),
@@ -100,50 +104,23 @@ impl ManifestRef {
         }
     }
 
-    /// Can some entry have a partition value `v` at `field` with
-    /// `v OP literal`? The rule entry-level partition pruning applies to
-    /// one value, applied to the range: a ref is skipped only when every
-    /// entry in it would be.
-    pub(crate) fn partition_may_match(&self, field: usize, op: CmpOp, literal: &Value) -> bool {
-        let bound = |bounds: &[ValueDef]| bounds.get(field).map(ValueDef::to_value);
-        let (Some(lower), Some(upper)) =
-            (bound(&self.partition_lower), bound(&self.partition_upper))
-        else {
-            return true;
-        };
-        if lower.is_null() || upper.is_null() {
-            return true;
-        }
-        let (lo, hi) = (lower.total_cmp(literal), upper.total_cmp(literal));
-        match op {
-            CmpOp::Eq => lo.is_le() && hi.is_ge(),
-            CmpOp::NotEq => !(lo.is_eq() && hi.is_eq()),
-            CmpOp::Lt => lo.is_lt(),
-            CmpOp::LtEq => lo.is_le(),
-            CmpOp::Gt => hi.is_gt(),
-            CmpOp::GtEq => hi.is_ge(),
-        }
+    /// The partition values at `field` over the referenced entries, as a
+    /// range: a ref is skipped only when every entry in it would be.
+    pub(crate) fn partition_span(&self, field: usize) -> ColumnStats {
+        let bound = |bounds: &[ValueDef]| bounds.get(field).map_or(Value::Null, ValueDef::to_value);
+        ColumnStats::span(bound(&self.partition_lower), bound(&self.partition_upper))
     }
 }
 
-/// The least and greatest partition value at `field` over `entries`; `None`
-/// when there are no entries, or one of them has no value there.
-fn partition_range(entries: &[ManifestEntry], field: usize) -> Option<(Value, Value)> {
-    let mut range: Option<(Value, Value)> = None;
-    for entry in entries {
-        let value = entry.partition.get(field)?.to_value();
-        if value.is_null() {
-            return None;
-        }
-        range = Some(match range {
-            None => (value.clone(), value),
-            Some((lo, hi)) => (
-                std::cmp::min_by(lo, value.clone(), Value::total_cmp),
-                std::cmp::max_by(hi, value, Value::total_cmp),
-            ),
-        });
+impl ManifestEntry {
+    /// The entry's partition value at `field`, as a one-value range.
+    pub(crate) fn partition_span(&self, field: usize) -> ColumnStats {
+        let value = self
+            .partition
+            .get(field)
+            .map_or(Value::Null, ValueDef::to_value);
+        ColumnStats::span(value.clone(), value)
     }
-    range
 }
 
 /// A snapshot's manifest, its *root*: the data files the snapshot added
@@ -212,6 +189,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lakehouse_columnar::kernels::CmpOp;
 
     fn entry(path: &str, min: i64, max: i64) -> ManifestEntry {
         let mut column_stats = BTreeMap::new();
@@ -262,7 +240,7 @@ mod tests {
             (&r.partition_lower[..], &r.partition_upper[..]),
             (&[ValueDef::Date(10)][..], &[ValueDef::Date(14)][..])
         );
-        let may = |op, day| r.partition_may_match(0, op, &Value::Date(day));
+        let may = |op, day| r.partition_span(0).may_match(op, &Value::Date(day));
         assert!(may(CmpOp::Eq, 11) && !may(CmpOp::Eq, 9) && !may(CmpOp::Eq, 15));
         assert!(may(CmpOp::Lt, 11) && !may(CmpOp::Lt, 10) && may(CmpOp::LtEq, 10));
         assert!(may(CmpOp::Gt, 13) && !may(CmpOp::Gt, 14) && may(CmpOp::GtEq, 14));
@@ -275,7 +253,9 @@ mod tests {
             },
             1,
         );
-        assert!(!one_day.partition_may_match(0, CmpOp::NotEq, &Value::Date(3)));
+        assert!(!one_day
+            .partition_span(0)
+            .may_match(CmpOp::NotEq, &Value::Date(3)));
         // An entry without a value there, or a field past the bounds: no
         // pruning on it.
         let nulls = Manifest {
@@ -290,8 +270,8 @@ mod tests {
         };
         let r = ManifestRef::summarize("m", &nulls, 1);
         assert_eq!(r.partition_lower, vec![ValueDef::Null]);
-        assert!(r.partition_may_match(0, CmpOp::Eq, &Value::Date(99)));
-        assert!(r.partition_may_match(1, CmpOp::Eq, &Value::Date(99)));
+        assert!(r.partition_span(0).may_match(CmpOp::Eq, &Value::Date(99)));
+        assert!(r.partition_span(1).may_match(CmpOp::Eq, &Value::Date(99)));
     }
 
     #[test]

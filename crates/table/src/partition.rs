@@ -7,7 +7,7 @@
 use crate::error::{Result, TableError};
 use crate::schema_def::ValueDef;
 use lakehouse_columnar::datatype::civil_from_days;
-use lakehouse_columnar::kernels::Grouper;
+use lakehouse_columnar::kernels::{CmpOp, Grouper};
 use lakehouse_columnar::{Column, ColumnBuilder, DataType, RecordBatch, Schema, Value};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -32,76 +32,107 @@ pub enum Transform {
 
 const MICROS_PER_DAY: i64 = 86_400_000_000;
 
-fn days_of(v: &Value) -> Option<i64> {
-    match v {
-        Value::Date(d) => Some(*d as i64),
-        Value::Timestamp(t) => Some(t.div_euclid(MICROS_PER_DAY)),
-        _ => None,
-    }
-}
-
 impl Transform {
-    /// Apply the transform to a scalar. Nulls map to null.
+    /// Apply the transform to a scalar. Nulls map to null; a value the
+    /// transform cannot take is an `InvalidArgument`.
     pub fn apply(&self, v: &Value) -> Result<Value> {
-        if v.is_null() {
-            return Ok(Value::Null);
-        }
-        Ok(match self {
-            Transform::Identity => v.clone(),
-            Transform::Bucket(n) => {
-                if *n == 0 {
-                    return Err(TableError::InvalidArgument("bucket(0)".into()));
-                }
+        let days = match v {
+            Value::Date(d) => Some(*d as i64),
+            Value::Timestamp(t) => Some(t.div_euclid(MICROS_PER_DAY)),
+            _ => None,
+        };
+        Ok(match (self, v, days) {
+            (_, Value::Null, _) => Value::Null,
+            (Transform::Identity, _, _) => v.clone(),
+            (Transform::Bucket(n @ 1..), _, _) => {
                 let h = lakehouse_columnar::kernels::hash::hash_value(0xcbf29ce484222325, v);
                 Value::Int64((h % *n as u64) as i64)
             }
-            Transform::Truncate(w) => {
-                if *w == 0 {
-                    return Err(TableError::InvalidArgument("truncate(0)".into()));
-                }
-                match v {
-                    Value::Utf8(s) => Value::Utf8(s.chars().take(*w as usize).collect::<String>()),
-                    Value::Int64(i) => {
-                        let w = *w as i64;
-                        Value::Int64(i.div_euclid(w) * w)
-                    }
-                    other => {
-                        return Err(TableError::InvalidArgument(format!(
-                            "truncate unsupported for {other:?}"
-                        )))
-                    }
-                }
+            (Transform::Truncate(w @ 1..), Value::Utf8(s), _) => {
+                Value::Utf8(s.chars().take(*w as usize).collect())
             }
-            Transform::Year => {
-                let days = days_of(v).ok_or_else(|| {
-                    TableError::InvalidArgument("year() needs Date/Timestamp".into())
-                })?;
-                Value::Int64(civil_from_days(days).0)
+            (Transform::Truncate(w @ 1..), Value::Int64(i), _) => {
+                Value::Int64(i.div_euclid(*w as i64).saturating_mul(*w as i64))
             }
-            Transform::Month => {
-                let days = days_of(v).ok_or_else(|| {
-                    TableError::InvalidArgument("month() needs Date/Timestamp".into())
-                })?;
+            (Transform::Year, _, Some(days)) => Value::Int64(civil_from_days(days).0),
+            (Transform::Month, _, Some(days)) => {
                 let (y, m, _) = civil_from_days(days);
                 Value::Int64(y * 12 + m as i64 - 1)
             }
-            Transform::Day => {
-                let days = days_of(v).ok_or_else(|| {
-                    TableError::InvalidArgument("day() needs Date/Timestamp".into())
-                })?;
-                Value::Int64(days)
+            (Transform::Day, _, Some(days)) => Value::Int64(days),
+            _ => {
+                return Err(TableError::InvalidArgument(format!(
+                    "partition transform {self:?} cannot take {v:?}"
+                )))
             }
         })
     }
 
-    /// Whether distinct cells of `col` stay distinct under the transform, so
-    /// rows can be grouped by the source column and only each group's key
-    /// transformed (the identity, and `Day` over dates — the common specs).
-    fn injective_on(&self, col: &Column) -> bool {
+    /// Whether distinct values of a `source` column stay distinct under the
+    /// transform, and keep their order: rows can then be grouped by the
+    /// source column and only each group's key transformed, and a
+    /// comparison projects with its own operator (the identity, and `Day`
+    /// over dates — the common specs).
+    fn injective_on(&self, source: DataType) -> bool {
         matches!(
-            (self, col),
-            (Transform::Identity, _) | (Transform::Day, Column::Date(..))
+            (self, source),
+            (Transform::Identity, _) | (Transform::Day, DataType::Date)
         )
+    }
+
+    /// Whether a `source` column can be partitioned by the transform.
+    fn accepts(&self, source: DataType) -> bool {
+        use DataType::{Date, Int64, Timestamp, Utf8};
+        match self {
+            Transform::Identity => true,
+            Transform::Bucket(n) => *n > 0,
+            Transform::Truncate(w) => *w > 0 && matches!(source, Int64 | Utf8),
+            Transform::Year | Transform::Month | Transform::Day => {
+                matches!(source, Date | Timestamp)
+            }
+        }
+    }
+
+    /// Iceberg's inclusive projection of `source_column OP literal` onto
+    /// the partition values: `(op', t(literal))` such that every row
+    /// matching the predicate has a partition value `v` with `v op' t(literal)`.
+    /// `None` when the field cannot prune on it.
+    ///
+    /// The identity compares the partition value as the kernel compares
+    /// the row. Any other transform needs the literal as the kernel compares
+    /// it with the source column (an integer is a timestamp's microseconds);
+    /// a literal of another type is not projected. `Bucket` projects `=`
+    /// only; a transform injective on the source keeps the operator; the
+    /// others are monotone, so `<`/`<=` become `<=` and `>`/`>=` become
+    /// `>=`, and `<>` does not prune.
+    pub fn project(
+        &self,
+        op: CmpOp,
+        literal: &Value,
+        source: DataType,
+    ) -> Result<Option<(CmpOp, Value)>> {
+        // A float partition holds the first row's value for every row the
+        // grouper takes as equal to it (`-0.0` and `0.0`, NaN payloads),
+        // which the kernel does not.
+        match (self, source) {
+            (Transform::Identity, DataType::Float64) => return Ok(None),
+            (Transform::Identity, _) => return Ok(Some((op, literal.clone()))),
+            _ => {}
+        }
+        let literal = match (literal, source) {
+            (Value::Int64(micros), DataType::Timestamp) => Value::Timestamp(*micros),
+            (l, _) if l.data_type() == Some(source) => l.clone(),
+            _ => return Ok(None),
+        };
+        let op = match (self, op) {
+            _ if self.injective_on(source) => op,
+            (Transform::Bucket(_), CmpOp::Eq) => CmpOp::Eq,
+            (Transform::Bucket(_), _) | (_, CmpOp::NotEq) => return Ok(None),
+            (_, CmpOp::Eq) => CmpOp::Eq,
+            (_, CmpOp::Lt | CmpOp::LtEq) => CmpOp::LtEq,
+            (_, CmpOp::Gt | CmpOp::GtEq) => CmpOp::GtEq,
+        };
+        Ok(Some((op, self.apply(&literal)?)))
     }
 
     /// Apply the transform to every cell of a column.
@@ -115,12 +146,6 @@ impl Transform {
             out.push_value(&self.apply(&v)?)?;
         }
         Ok(out.finish())
-    }
-
-    /// Whether the transform is order-preserving (range predicates on the
-    /// source column translate to range predicates on partition values).
-    pub fn order_preserving(&self) -> bool {
-        !matches!(self, Transform::Bucket(_))
     }
 }
 
@@ -161,28 +186,27 @@ impl PartitionSpec {
         self.fields.is_empty()
     }
 
-    /// Validate against a table schema.
+    /// Validate against a table schema: every source column exists, and
+    /// its type is one its transform takes.
     pub fn validate(&self, schema: &Schema) -> Result<()> {
         for f in &self.fields {
-            if !schema.contains(&f.source_column) {
+            let Ok(i) = schema.index_of(&f.source_column) else {
                 return Err(TableError::InvalidArgument(format!(
                     "partition source column '{}' not in schema",
                     f.source_column
                 )));
+            };
+            let source = schema.field(i).data_type();
+            if !f.transform.accepts(source) {
+                return Err(TableError::InvalidArgument(format!(
+                    "partition transform {:?} cannot take column '{}' of type {}",
+                    f.transform,
+                    f.source_column,
+                    source.name()
+                )));
             }
         }
         Ok(())
-    }
-
-    /// Partition tuple for one row of a batch.
-    pub fn partition_values(&self, batch: &RecordBatch, row: usize) -> Result<Vec<ValueDef>> {
-        let mut out = Vec::with_capacity(self.fields.len());
-        for f in &self.fields {
-            let col = batch.column_by_name(&f.source_column)?;
-            let v = col.get(row)?;
-            out.push(ValueDef::from_value(&f.transform.apply(&v)?));
-        }
-        Ok(out)
     }
 
     /// Split a batch into per-partition sub-batches: `(partition values,
@@ -197,7 +221,7 @@ impl PartitionSpec {
         let mut columns = Vec::with_capacity(self.fields.len());
         for f in &self.fields {
             let col = batch.column_by_name(&f.source_column)?;
-            columns.push(if f.transform.injective_on(col) {
+            columns.push(if f.transform.injective_on(col.data_type()) {
                 (Cow::Borrowed(col), Some(f.transform))
             } else {
                 (Cow::Owned(f.transform.apply_column(col)?), None)
@@ -269,6 +293,10 @@ mod tests {
             Transform::Truncate(10).apply(&Value::Int64(-3)).unwrap(),
             Value::Int64(-10)
         );
+        // The multiple below `i64::MIN` is not an `i64`: it saturates, and
+        // the transform stays monotone.
+        let least = Value::Int64(i64::MIN);
+        assert_eq!(Transform::Truncate(10).apply(&least).unwrap(), least);
     }
 
     #[test]
@@ -335,7 +363,11 @@ mod tests {
     ) -> Vec<(Vec<ValueDef>, Vec<usize>)> {
         let mut groups: Vec<(Vec<ValueDef>, Vec<usize>)> = Vec::new();
         for row in 0..batch.num_rows() {
-            let values = spec.partition_values(batch, row).unwrap();
+            let value = |f: &PartitionField| {
+                let v = batch.column_by_name(&f.source_column).unwrap().get(row);
+                ValueDef::from_value(&f.transform.apply(&v.unwrap()).unwrap())
+            };
+            let values: Vec<ValueDef> = spec.fields.iter().map(value).collect();
             match groups.iter_mut().find(|(v, _)| *v == values) {
                 Some((_, rows)) => rows.push(row),
                 None => groups.push((values, vec![row])),
@@ -424,6 +456,47 @@ mod tests {
     }
 
     #[test]
+    fn projection_per_transform() {
+        use CmpOp::{Eq, Gt, GtEq, Lt, LtEq, NotEq};
+        use DataType::{Date, Float64, Int64, Timestamp};
+        use Transform::{Bucket, Day, Identity, Month, Truncate};
+        let (int, float) = (Value::Int64, Value::Float64);
+        let bucket_of_7 = Bucket(4).apply(&Value::Timestamp(7)).unwrap();
+        for (t, op, literal, source, want) in [
+            // The identity compares as the kernel does; a float partition
+            // never prunes.
+            (Identity, Gt, int(5), Timestamp, Some((Gt, int(5)))),
+            (Identity, Eq, float(0.0), Float64, None),
+            // Monotone: a row after April 15th may lie in April.
+            (
+                Month,
+                Gt,
+                Value::Date(18_001),
+                Date,
+                Some((GtEq, int(2019 * 12 + 3))),
+            ),
+            (Truncate(10), Lt, int(27), Int64, Some((LtEq, int(20)))),
+            (Truncate(10), NotEq, int(27), Int64, None),
+            // Injective: the operator stays.
+            (Day, NotEq, Value::Date(5), Date, Some((NotEq, int(5)))),
+            // The literal as the kernel compares it with the column.
+            (
+                Day,
+                Lt,
+                int(MICROS_PER_DAY + 1),
+                Timestamp,
+                Some((LtEq, int(1))),
+            ),
+            (Bucket(4), Eq, int(7), Timestamp, Some((Eq, bucket_of_7))),
+            (Bucket(4), Lt, int(7), Int64, None),
+            (Truncate(10), Eq, float(5.0), Int64, None),
+        ] {
+            let got = t.project(op, &literal, source).unwrap();
+            assert_eq!(got, want, "{t:?} {} {literal:?}", op.symbol());
+        }
+    }
+
+    #[test]
     fn spec_json_round_trip() {
         let spec = PartitionSpec::new(vec![
             PartitionField {
@@ -438,12 +511,5 @@ mod tests {
         let json = serde_json::to_string(&spec).unwrap();
         let back: PartitionSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
-    }
-
-    #[test]
-    fn order_preserving_flags() {
-        assert!(Transform::Identity.order_preserving());
-        assert!(Transform::Day.order_preserving());
-        assert!(!Transform::Bucket(4).order_preserving());
     }
 }

@@ -36,13 +36,11 @@
 
 use crate::cache::TableIo;
 use crate::error::{reread_on_corruption, Result, TableError};
-use crate::manifest::{Manifest, ManifestEntry, ManifestRef, StatsDef};
+use crate::manifest::{Manifest, ManifestEntry, StatsDef};
 use crate::metadata::TableMetadata;
-use crate::partition::Transform;
-use crate::schema_def::ValueDef;
 use lakehouse_columnar::kernels::{cmp_column_scalar, filter_batch, to_selection, CmpOp};
 use lakehouse_columnar::{Column, ColumnarError, Field, RecordBatch, Schema, Value};
-use lakehouse_format::{FileWriter, RangedReader};
+use lakehouse_format::{ColumnStats, FileWriter, RangedReader};
 use lakehouse_store::{IoDispatcher, IoTicket, ObjectPath, ObjectStore, StoreError};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -149,6 +147,9 @@ pub struct TableScan {
 /// Where a live entry is: (manifest, entry) positions in
 /// [`ScanStream::manifests`].
 type EntryAt = (usize, usize);
+
+/// A predicate projected onto a partition field: (field, op, literal).
+type PartitionTest = (usize, CmpOp, Value);
 
 impl TableScan {
     pub(crate) fn new(
@@ -273,12 +274,13 @@ impl TableScan {
         // The live manifests, oldest first: the root's refs less those whose
         // partition ranges rule out a match (counted, not read), then the
         // root.
+        let partition = self.partition_tests()?;
         let mut manifests = Vec::new();
         if let Some(root) = root {
             for r in &root.refs {
                 report.files_total += r.file_count as usize;
                 report.bytes_total += r.byte_count;
-                if self.ref_may_match(r)? {
+                if spans_may_match(&partition, |field| r.partition_span(field)) {
                     manifests.push(self.load_manifest(&r.path, &mut report)?);
                 }
             }
@@ -290,7 +292,7 @@ impl TableScan {
         let (mut reads, mut proven) = (0, 0);
         for (m, manifest) in manifests.iter().enumerate() {
             for (i, entry) in manifest.entries.iter().enumerate() {
-                if self.entry_may_match(entry)? {
+                if self.entry_may_match(entry, &partition)? {
                     reads += usize::from(self.reads(entry, &scan_schema)?);
                     if plan_span.is_recording() {
                         proven += usize::from(self.proven(entry)?);
@@ -389,17 +391,36 @@ impl TableScan {
         loaded
     }
 
-    /// Partition pruning + file-stats pruning for one manifest entry.
-    fn entry_may_match(&self, entry: &ManifestEntry) -> Result<bool> {
-        for p in &self.predicates {
-            let in_partition = |field: usize, literal: &Value| {
-                let value = entry.partition.get(field).map(ValueDef::to_value);
-                match value {
-                    Some(value) if !value.is_null() => value_may_match(p.op, &value, literal),
-                    _ => true,
-                }
+    /// Every predicate projected through each partition field over its
+    /// column ([`crate::Transform::project`], Iceberg's inclusive projection), once
+    /// a scan: what an entry's partition value, or a ref's range of them,
+    /// must be able to satisfy to hold a row that passes.
+    fn partition_tests(&self) -> Result<Vec<PartitionTest>> {
+        let schema = self.metadata.current_schema()?;
+        let mut tests = Vec::new();
+        for (i, field) in self.metadata.partition_spec.fields.iter().enumerate() {
+            let Ok(source) = schema.field_with_name(&field.source_column) else {
+                continue;
             };
-            if !self.partition_may_match(p, in_partition)? || !self.stats_may_match(entry, p)? {
+            for p in (self.predicates.iter()).filter(|p| p.column == field.source_column) {
+                let projected = field
+                    .transform
+                    .project(p.op, &p.literal, source.data_type())?;
+                if let Some((op, literal)) = projected {
+                    tests.push((i, op, literal));
+                }
+            }
+        }
+        Ok(tests)
+    }
+
+    /// Partition pruning + file-stats pruning for one manifest entry.
+    fn entry_may_match(&self, entry: &ManifestEntry, partition: &[PartitionTest]) -> Result<bool> {
+        if !spans_may_match(partition, |field| entry.partition_span(field)) {
+            return Ok(false);
+        }
+        for p in &self.predicates {
+            if !self.stats_may_match(entry, p)? {
                 return Ok(false);
             }
         }
@@ -433,42 +454,6 @@ impl TableScan {
             }
         }
         Ok(!self.predicates.is_empty())
-    }
-
-    /// Partition pruning for a whole referenced manifest, by its ranges.
-    fn ref_may_match(&self, r: &ManifestRef) -> Result<bool> {
-        for p in &self.predicates {
-            let in_range =
-                |field: usize, literal: &Value| r.partition_may_match(field, p.op, literal);
-            if !self.partition_may_match(p, in_range)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Whether `p` lets through every partition field it constrains:
-    /// `may_match(field, transformed literal)` decides each. A `Bucket`
-    /// transform prunes only on `Eq`; the others preserve order, so range
-    /// predicates carry over to partition values.
-    fn partition_may_match(
-        &self,
-        p: &ScanPredicate,
-        may_match: impl Fn(usize, &Value) -> bool,
-    ) -> Result<bool> {
-        for (i, field) in self.metadata.partition_spec.fields.iter().enumerate() {
-            if field.source_column != p.column {
-                continue;
-            }
-            let prunable = match field.transform {
-                Transform::Bucket(_) => p.op == CmpOp::Eq,
-                _ => true,
-            };
-            if prunable && !may_match(i, &field.transform.apply(&p.literal)?) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
     }
 
     /// What `entry`'s file holds of the column the current schema calls
@@ -608,21 +593,25 @@ impl TableScan {
             None => TableError::from(e),
         };
         let reader = RangedReader::open(file_len, &fetch).map_err(typed)?;
-        let file_schema = self.metadata.schema_by_id(entry.schema_id)?;
         let current = self.metadata.current_schema()?;
 
         // Row-group pruning by any predicate whose column exists in the file
         // (matched positionally through the schema history).
-        let mut groups: Vec<usize> = (0..reader.num_row_groups()).collect();
+        let mut zone_maps = Vec::new();
         for p in &self.predicates {
-            if let Ok(pos) = current.index_of(&p.column) {
-                if pos < file_schema.len() {
-                    let file_col_name = file_schema.field(pos).name();
-                    let keep = reader.prune(file_col_name, p.op, &p.literal)?;
-                    groups.retain(|g| keep.contains(g));
-                }
+            if let Some(FileColumn::At(pos, _)) = self.file_column(entry, &p.column)? {
+                zone_maps.push((pos, p));
             }
         }
+        let groups: Vec<usize> = (0..reader.num_row_groups())
+            .filter(|&g| {
+                let stats = &reader.row_group_meta(g).stats;
+                let may = |c: usize, p: &ScanPredicate| {
+                    stats.get(c).is_none_or(|s| s.may_match(p.op, &p.literal))
+                };
+                zone_maps.iter().all(|&(c, p)| may(c, p))
+            })
+            .collect();
         let row_groups_scanned = groups.len();
 
         // Decode only the file columns no stats answer; the decoded
@@ -936,15 +925,18 @@ fn constant(field: &Field, s: &StatsDef) -> Option<Value> {
     (value.data_type() == Some(dt)).then_some(value)
 }
 
-/// Does `value OP literal` hold for partition-value comparison?
-fn value_may_match(op: CmpOp, value: &Value, literal: &Value) -> bool {
-    op.matches(value.total_cmp(literal))
+/// Whether the partition values at each field, spanning `span(field)`, may
+/// satisfy every projected test: the one range rule, applied to an entry's
+/// values and to a ref's ranges alike.
+fn spans_may_match(tests: &[PartitionTest], span: impl Fn(usize) -> ColumnStats) -> bool {
+    (tests.iter()).all(|(field, op, literal)| span(*field).may_match(*op, literal))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{PartitionField, PartitionSpec};
+    use crate::partition::{PartitionField, PartitionSpec, Transform};
+    use crate::schema_def::ValueDef;
     use crate::snapshot::SnapshotOperation;
     use crate::table::Table;
     use lakehouse_columnar::DataType;

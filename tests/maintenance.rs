@@ -7,7 +7,7 @@ use bauplan_core::{Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOpti
 use bytes::Bytes;
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
-use lakehouse_format::{FileReader, WriterOptions};
+use lakehouse_format::{RangedReader, WriterOptions};
 use lakehouse_obs::Trace;
 use lakehouse_store::{InMemoryStore, ObjectPath, ObjectStore, StoreMetrics};
 use lakehouse_table::schema_def::ValueDef;
@@ -371,7 +371,7 @@ fn a_compaction_that_copies_row_groups_writes_the_files_a_rewrite_writes() {
     // the tail the writer cut.
     let paths = store.list("").unwrap();
     for path in paths.iter().filter(|p| p.as_str().contains("/data/snap5-")) {
-        let reader = FileReader::parse(store.get(path).unwrap()).unwrap();
+        let reader = RangedReader::parse(store.get(path).unwrap()).unwrap();
         assert_eq!(reader.num_row_groups(), 2, "{path:?}");
         assert_eq!(reader.row_group_meta(0).row_count, 8_192, "{path:?}");
     }
@@ -460,7 +460,7 @@ fn every_table_write_cuts_the_configured_row_groups() {
         .collect();
     let mut largest = Vec::new();
     for path in &files {
-        let reader = FileReader::parse(store.get(path).unwrap()).unwrap();
+        let reader = RangedReader::parse(store.get(path).unwrap()).unwrap();
         let rows: Vec<u64> = (0..reader.num_row_groups())
             .map(|g| reader.row_group_meta(g).row_count)
             .collect();

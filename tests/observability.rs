@@ -6,7 +6,7 @@
 use bauplan_core::{Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions};
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
-use lakehouse_format::FileReader;
+use lakehouse_format::RangedReader;
 use lakehouse_obs::{to_chrome_trace, Trace};
 use lakehouse_store::{InMemoryStore, ObjectPath, ObjectStore};
 use lakehouse_table::{PartitionField, PartitionSpec, ScanPredicate, Table, Transform};
@@ -494,7 +494,7 @@ fn a_compaction_reports_the_row_groups_it_copied() {
     let created: Vec<ObjectPath> = (store.list("").unwrap().into_iter())
         .filter(|p| p.as_str().contains("/data/snap1-"))
         .collect();
-    let created = FileReader::parse(store.get(&created[0]).unwrap()).unwrap();
+    let created = RangedReader::parse(store.get(&created[0]).unwrap()).unwrap();
     let group_bytes: u64 = (created.row_group_meta(0).chunk_offsets.iter())
         .map(|(_, len)| len)
         .sum();

@@ -13,7 +13,7 @@
 
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
-use lakehouse_format::{ColumnStats, FileReader, FileWriter, WriterOptions};
+use lakehouse_format::{ColumnStats, FileWriter, FormatError, RangedReader, WriterOptions};
 use lakehouse_sql::{MemoryProvider, SqlEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,7 +70,7 @@ fn format_round_trip_preserves_batches() {
             },
         )
         .expect("write");
-        let reader = FileReader::parse(bytes).expect("parse");
+        let reader = RangedReader::parse(bytes).expect("parse");
         let back = reader.read_all(None).expect("read");
         // Semantic equality: an all-valid bitmap may normalize to "no
         // bitmap" through the writer's row-group assembly, which is the
@@ -125,11 +125,16 @@ fn file_pruning_preserves_query_results() {
         )
         .unwrap();
         let bytes = FileWriter::write_file(&batch, WriterOptions { row_group_rows: 16 }).unwrap();
-        let reader = FileReader::parse(bytes).unwrap();
+        let reader = RangedReader::parse(bytes).unwrap();
         let groups = reader
             .prune("x", CmpOp::Gt, &Value::Int64(threshold))
             .unwrap();
-        let pruned = reader.read_groups(&groups, None).unwrap();
+        let resident = |_: usize, _: usize| -> lakehouse_format::Result<bytes::Bytes> {
+            Err(FormatError::InvalidArgument(
+                "a parsed file is resident".into(),
+            ))
+        };
+        let pruned = reader.read_groups(&groups, None, &resident).unwrap();
         // Count of matching rows must be identical to the in-memory answer.
         let expected = values.iter().filter(|&&v| v > threshold).count();
         let mut got = 0;
