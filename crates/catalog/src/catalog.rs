@@ -64,6 +64,11 @@ fn backoff_seed() -> u64 {
     hasher.finish()
 }
 
+/// What a ref move returns when it lost every CAS race.
+fn refs_contended() -> CatalogError {
+    CatalogError::ConcurrentUpdate("refs.json".into())
+}
+
 /// A git-like catalog persisted in an object store.
 ///
 /// * Commits are immutable JSON objects at `<root>/commits/<id>.json`.
@@ -142,23 +147,41 @@ impl Catalog {
     /// surfaces; with them, this is what un-wedges a poisoned page.
     const CORRUPT_REREADS: u32 = 2;
 
-    fn read_refs(&self) -> Result<(RefDocument, Bytes)> {
-        let path = self.refs_path()?;
+    /// Read and parse one catalog object. A parse failure means the bytes
+    /// are bad, so each of up to `CORRUPT_REREADS` re-reads first drops the
+    /// store's cached copy. `missing` is the error for an absent object,
+    /// `corrupt` the one for bytes that never parse.
+    fn read_object<T>(
+        &self,
+        path: &ObjectPath,
+        parse: impl Fn(&[u8]) -> Option<T>,
+        missing: impl Fn() -> CatalogError,
+        corrupt: impl FnOnce() -> CatalogError,
+    ) -> Result<(T, Bytes)> {
         let mut attempts = 0;
         loop {
-            let bytes = self.store.get(&path).map_err(|e| match e {
-                StoreError::NotFound(_) => CatalogError::Corrupt("catalog not initialized".into()),
+            let bytes = self.store.get(path).map_err(|e| match e {
+                StoreError::NotFound(_) => missing(),
                 other => other.into(),
             })?;
-            match RefDocument::from_bytes(&bytes) {
-                Some(doc) => return Ok((doc, bytes)),
+            match parse(&bytes) {
+                Some(parsed) => return Ok((parsed, bytes)),
                 None if attempts < Self::CORRUPT_REREADS => {
-                    self.store.invalidate_corrupt(&path);
+                    self.store.invalidate_corrupt(path);
                     attempts += 1;
                 }
-                None => return Err(CatalogError::Corrupt("unparseable refs.json".into())),
+                None => return Err(corrupt()),
             }
         }
+    }
+
+    fn read_refs(&self) -> Result<(RefDocument, Bytes)> {
+        self.read_object(
+            &self.refs_path()?,
+            RefDocument::from_bytes,
+            || CatalogError::Corrupt("catalog not initialized".into()),
+            || CatalogError::Corrupt("unparseable refs.json".into()),
+        )
     }
 
     /// All references, sorted by name.
@@ -181,24 +204,12 @@ impl Catalog {
         if let Some(c) = self.commit_cache.lock().get(id) {
             return Ok(c.clone());
         }
-        let path = self.commit_path(id)?;
-        let mut attempts = 0;
-        let commit = loop {
-            let bytes = self.store.get(&path).map_err(|e| match e {
-                StoreError::NotFound(_) => CatalogError::CommitNotFound(id.to_string()),
-                other => other.into(),
-            })?;
-            match Commit::from_bytes(&bytes) {
-                Some(c) => break c,
-                None if attempts < Self::CORRUPT_REREADS => {
-                    self.store.invalidate_corrupt(&path);
-                    attempts += 1;
-                }
-                None => {
-                    return Err(CatalogError::Corrupt(format!("unparseable commit {id}")));
-                }
-            }
-        };
+        let (commit, _) = self.read_object(
+            &self.commit_path(id)?,
+            Commit::from_bytes,
+            || CatalogError::CommitNotFound(id.to_string()),
+            || CatalogError::Corrupt(format!("unparseable commit {id}")),
+        )?;
         self.commit_cache
             .lock()
             .insert(id.to_string(), commit.clone());
@@ -221,7 +232,7 @@ impl Catalog {
             Some(src) => self.resolve(src)?,
             None => None,
         };
-        self.update_refs(|doc| {
+        self.update_refs(refs_contended, |doc| {
             if doc.refs.contains_key(name) {
                 return Err(CatalogError::RefAlreadyExists(name.to_string()));
             }
@@ -238,7 +249,7 @@ impl Catalog {
     /// Delete a branch or tag. The commits remain (they may be reachable
     /// from other refs); garbage collection is out of scope, as in Nessie.
     pub fn delete_ref(&self, name: &str) -> Result<()> {
-        self.update_refs(|doc| {
+        self.update_refs(refs_contended, |doc| {
             doc.refs
                 .remove(name)
                 .map(|_| ())
@@ -259,10 +270,10 @@ impl Catalog {
         Err(CatalogError::RefNotFound(name_or_id.to_string()))
     }
 
-    /// Commit operations onto a branch (optimistic CAS with bounded retry;
-    /// retries only re-read the head — if the head moved, the caller's view
-    /// is stale and we surface `ConcurrentUpdate` unless the new head still
-    /// matches what the commit was built against).
+    /// Commit operations onto a branch's head (optimistic CAS with bounded
+    /// retry). A lost race re-reads the head and parents the same
+    /// operations onto it; after `MAX_CAS_RETRIES` losses the result is
+    /// `CommitContended`.
     pub fn commit(
         &self,
         branch: &str,
@@ -270,15 +281,14 @@ impl Catalog {
         message: &str,
         operations: Vec<Operation>,
     ) -> Result<CommitId> {
-        let mut backoff = CasBackoff::new(self.store.as_ref(), backoff_seed());
-        for attempt in 0..MAX_CAS_RETRIES {
-            if attempt > 0 {
-                backoff.wait();
-            }
-            let (doc, expected_bytes) = self.read_refs()?;
+        let contended = || CatalogError::CommitContended {
+            branch: branch.to_string(),
+            attempts: MAX_CAS_RETRIES,
+        };
+        self.update_refs(contended, |doc| {
             let reference = doc
                 .refs
-                .get(branch)
+                .get_mut(branch)
                 .ok_or_else(|| CatalogError::RefNotFound(branch.to_string()))?;
             if reference.kind == RefKind::Tag {
                 return Err(CatalogError::TagIsImmutable(branch.to_string()));
@@ -288,35 +298,26 @@ impl Catalog {
                 Some(p) => self.get_commit(p)?.seq + 1,
                 None => 0,
             };
-            let commit = Commit {
-                parents: parent.clone().into_iter().collect(),
+            let id = self.write_commit(Commit {
+                parents: parent.into_iter().collect(),
                 seq,
                 author: author.to_string(),
                 message: message.to_string(),
                 operations: operations.clone(),
-            };
-            let id = commit.id();
-            // Commits are content-addressed: writing the same commit twice
-            // is idempotent, so a plain put is safe.
-            self.store
-                .put(&self.commit_path(&id)?, Bytes::from(commit.to_bytes()))?;
-            self.commit_cache.lock().insert(id.clone(), commit.clone());
-            let mut new_doc = doc.clone();
-            new_doc.refs.get_mut(branch).expect("checked above").head = Some(id.clone());
-            match self.store.put_if_matches(
-                &self.refs_path()?,
-                Some(&expected_bytes),
-                Bytes::from(new_doc.to_bytes()),
-            ) {
-                Ok(()) => return Ok(id),
-                Err(StoreError::PreconditionFailed(_)) => continue, // re-read and retry
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Err(CatalogError::CommitContended {
-            branch: branch.to_string(),
-            attempts: MAX_CAS_RETRIES,
+            })?;
+            reference.head = Some(id.clone());
+            Ok(id)
         })
+    }
+
+    /// Write a commit object and memoize it. Commits are content-addressed:
+    /// writing the same commit twice is idempotent, so a plain put is safe.
+    fn write_commit(&self, commit: Commit) -> Result<CommitId> {
+        let id = commit.id();
+        self.store
+            .put(&self.commit_path(&id)?, Bytes::from(commit.to_bytes()))?;
+        self.commit_cache.lock().insert(id.clone(), commit);
+        Ok(id)
     }
 
     /// First-parent commit log of a ref, newest first, up to `limit`.
@@ -471,17 +472,13 @@ impl Catalog {
             .seq
             .max(self.get_commit(&from_head)?.seq)
             + 1;
-        let commit = Commit {
+        let id = self.write_commit(Commit {
             parents: vec![to_head.clone(), from_head.clone()],
             seq,
             author: author.to_string(),
             message: format!("merge {from} into {to}"),
             operations,
-        };
-        let id = commit.id();
-        self.store
-            .put(&self.commit_path(&id)?, Bytes::from(commit.to_bytes()))?;
-        self.commit_cache.lock().insert(id.clone(), commit.clone());
+        })?;
         self.move_branch(to, Some(to_head), Some(id.clone()))?;
         Ok(Some(id))
     }
@@ -523,7 +520,7 @@ impl Catalog {
         expected: Option<CommitId>,
         new: Option<CommitId>,
     ) -> Result<()> {
-        self.update_refs(|doc| {
+        self.update_refs(refs_contended, |doc| {
             let r = doc
                 .refs
                 .get_mut(name)
@@ -536,27 +533,31 @@ impl Catalog {
         })
     }
 
-    /// Read-modify-CAS loop over the ref document.
-    fn update_refs<T>(&self, mut mutate: impl FnMut(&mut RefDocument) -> Result<T>) -> Result<T> {
+    /// Read-modify-CAS loop over the ref document: the one path by which
+    /// any ref moves. `contended` is the error once every attempt lost.
+    fn update_refs<T>(
+        &self,
+        contended: impl FnOnce() -> CatalogError,
+        mut mutate: impl FnMut(&mut RefDocument) -> Result<T>,
+    ) -> Result<T> {
         let mut backoff = CasBackoff::new(self.store.as_ref(), backoff_seed());
         for attempt in 0..MAX_CAS_RETRIES {
             if attempt > 0 {
                 backoff.wait();
             }
-            let (doc, expected_bytes) = self.read_refs()?;
-            let mut new_doc = doc.clone();
-            let out = mutate(&mut new_doc)?;
+            let (mut doc, expected_bytes) = self.read_refs()?;
+            let out = mutate(&mut doc)?;
             match self.store.put_if_matches(
                 &self.refs_path()?,
                 Some(&expected_bytes),
-                Bytes::from(new_doc.to_bytes()),
+                Bytes::from(doc.to_bytes()),
             ) {
                 Ok(()) => return Ok(out),
                 Err(StoreError::PreconditionFailed(_)) => continue,
                 Err(e) => return Err(e.into()),
             }
         }
-        Err(CatalogError::ConcurrentUpdate("refs.json".into()))
+        Err(contended())
     }
 }
 

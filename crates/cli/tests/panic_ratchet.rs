@@ -17,10 +17,12 @@ use std::path::Path;
 /// token matcher, `Parser::expect` (all ten), became `expect_token`.
 /// `columnar` went from 6 to 5 when `Bitmap::for_each_set` walked its bytes
 /// as whole eight-byte chunks, and from 5 to 4 when `Column::iter_values`
-/// shared `get`'s accessor after its bounds check.
+/// shared `get`'s accessor after its bounds check. `catalog` went from 3 to
+/// 2 when `Catalog::commit` set the head on the ref it had looked up
+/// instead of looking it up again.
 const CEILINGS: &[(&str, usize)] = &[
     ("bench", 2),
-    ("catalog", 3),
+    ("catalog", 2),
     ("checksum", 0),
     ("cli", 2),
     ("columnar", 4),

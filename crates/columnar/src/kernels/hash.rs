@@ -232,15 +232,6 @@ enum KeyPart {
 }
 
 impl RowKey {
-    /// Build the key for row `row` over the given column indices.
-    pub fn from_batch(batch: &RecordBatch, key_columns: &[usize], row: usize) -> Result<RowKey> {
-        let mut parts = Vec::with_capacity(key_columns.len());
-        for &c in key_columns {
-            parts.push(KeyPart::from_value(&batch.column(c).get(row)?));
-        }
-        Ok(RowKey(parts))
-    }
-
     /// Build a key from scalar values directly.
     pub fn from_values(values: &[Value]) -> RowKey {
         RowKey(values.iter().map(KeyPart::from_value).collect())

@@ -15,7 +15,9 @@ use lakehouse_store::{
     CachedStore, ChaosStore, HedgePolicy, InMemoryStore, IoDispatcher, ObjectStore, RetryPolicy,
     RetryStore, SimulatedStore, StoreMetrics,
 };
-use lakehouse_table::{MetadataCache, PartitionSpec, SnapshotOperation, Table, TableIo};
+use lakehouse_table::{
+    MetadataCache, PartitionSpec, SnapshotOperation, Table, TableIo, TableMetadata,
+};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,6 +52,19 @@ impl Drop for StagePermitScope {
 
 pub(crate) fn under_stage_permit() -> bool {
     UNDER_STAGE_PERMIT.with(|c| c.get())
+}
+
+/// The catalog operation that points table `name` at a metadata file: the
+/// one shape every table write commits.
+pub(crate) fn table_put(
+    name: &str,
+    metadata_location: impl Into<String>,
+    metadata: &TableMetadata,
+) -> Operation {
+    Operation::Put {
+        key: name.to_string(),
+        content: ContentRef::new(metadata_location, metadata.current_snapshot_id.unwrap_or(0)),
+    }
 }
 
 /// Data-file requests a scan keeps in flight at once, and the worker
@@ -475,19 +490,13 @@ impl Lakehouse {
         let mut tx = table.new_transaction(SnapshotOperation::Append);
         tx.write(batch)?;
         let (metadata_location, metadata) = tx.commit()?;
-        self.catalog.commit(
+        self.commit_table(
             branch,
-            &self.config.author,
             &format!("create table {name}"),
-            vec![Operation::Put {
-                key: name.to_string(),
-                content: ContentRef::new(
-                    metadata_location,
-                    metadata.current_snapshot_id.unwrap_or(0),
-                ),
-            }],
-        )?;
-        Ok(())
+            name,
+            metadata_location,
+            &metadata,
+        )
     }
 
     /// Append a batch to an existing table on `branch`.
@@ -514,19 +523,13 @@ impl Lakehouse {
         let mut tx = table.new_transaction(SnapshotOperation::Append);
         tx.write(batch)?;
         let (metadata_location, metadata) = tx.commit()?;
-        self.catalog.commit(
+        self.commit_table(
             branch,
-            &self.config.author,
             &format!("append to {name}"),
-            vec![Operation::Put {
-                key: name.to_string(),
-                content: ContentRef::new(
-                    metadata_location,
-                    metadata.current_snapshot_id.unwrap_or(0),
-                ),
-            }],
-        )?;
-        Ok(())
+            name,
+            metadata_location,
+            &metadata,
+        )
     }
 
     /// Compact a table's data files on a branch (small-file compaction) and
@@ -541,17 +544,12 @@ impl Lakehouse {
         let table = provider.load_table(name)?;
         let (compacted, report) = table.compact()?;
         if report.files_compacted > 0 {
-            self.catalog.commit(
+            self.commit_table(
                 branch,
-                &self.config.author,
                 &format!("compact table {name}"),
-                vec![Operation::Put {
-                    key: name.to_string(),
-                    content: ContentRef::new(
-                        compacted.metadata_location(),
-                        compacted.metadata().current_snapshot_id.unwrap_or(0),
-                    ),
-                }],
+                name,
+                compacted.metadata_location(),
+                compacted.metadata(),
             )?;
         }
         Ok(report)
@@ -569,20 +567,30 @@ impl Lakehouse {
         let table = provider.load_table(name)?;
         let (expired, report) = table.expire_snapshots(retain_last)?;
         if report.snapshots_expired > 0 {
-            self.catalog.commit(
+            self.commit_table(
                 branch,
-                &self.config.author,
                 &format!("expire snapshots of {name}"),
-                vec![Operation::Put {
-                    key: name.to_string(),
-                    content: ContentRef::new(
-                        expired.metadata_location(),
-                        expired.metadata().current_snapshot_id.unwrap_or(0),
-                    ),
-                }],
+                name,
+                expired.metadata_location(),
+                expired.metadata(),
             )?;
         }
         Ok(report)
+    }
+
+    /// Point `name` on `branch` at a table's new metadata file.
+    fn commit_table(
+        &self,
+        branch: &str,
+        message: &str,
+        name: &str,
+        metadata_location: impl Into<String>,
+        metadata: &TableMetadata,
+    ) -> Result<()> {
+        let put = table_put(name, metadata_location, metadata);
+        self.catalog
+            .commit(branch, &self.config.author, message, vec![put])?;
+        Ok(())
     }
 
     /// Read a whole table at a ref.

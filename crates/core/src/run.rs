@@ -18,9 +18,8 @@
 
 use crate::error::{BauplanError, Result};
 use crate::functions::{FnContext, FnOutput};
-use crate::lakehouse::Lakehouse;
+use crate::lakehouse::{table_put, Lakehouse};
 use crate::provider::LakehouseProvider;
-use lakehouse_catalog::{ContentRef, Operation};
 use lakehouse_columnar::RecordBatch;
 use lakehouse_planner::project::NodeKind;
 use lakehouse_planner::{
@@ -547,13 +546,7 @@ impl Lakehouse {
                 artifact_rows.insert(name.clone(), batch.num_rows() as u64);
                 // Feed the memory estimator (vertical elasticity, §4.5/§5).
                 self.estimator.observe(name, batch.approx_bytes() as u64);
-                ops.push(Operation::Put {
-                    key: name.clone(),
-                    content: ContentRef::new(
-                        metadata_location,
-                        metadata.current_snapshot_id.unwrap_or(0),
-                    ),
-                });
+                ops.push(table_put(name, metadata_location, &metadata));
             }
             if !ops.is_empty() {
                 self.catalog.commit(

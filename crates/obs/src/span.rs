@@ -391,22 +391,6 @@ impl SpanGuard {
         });
     }
 
-    /// Insert or overwrite an attribute.
-    pub fn set_attr(&self, key: &str, value: impl Into<AttrValue>) {
-        let Some(idx) = self.idx else { return };
-        let value = value.into();
-        CURRENT.with(|c| {
-            if let Some(state) = c.borrow_mut().as_mut() {
-                if let Some(span) = state.spans.get_mut(idx) {
-                    match span.attrs.iter_mut().find(|(k, _)| k == key) {
-                        Some(slot) => slot.1 = value,
-                        None => span.attrs.push((key.to_string(), value)),
-                    }
-                }
-            }
-        });
-    }
-
     /// Add `delta` to an unsigned counter attribute, creating it at zero.
     /// Streaming operators use this to accumulate rows/batches per pull.
     pub fn add_u64(&self, key: &str, delta: u64) {

@@ -90,12 +90,6 @@ impl RunRegistry {
         self.reserved
     }
 
-    /// The id the next `reserve()` call would return, plus one — kept for
-    /// introspection.
-    pub fn next_run_id(&self) -> u64 {
-        self.reserved + 1
-    }
-
     /// Record a completed run under a previously reserved id.
     pub fn record(&mut self, record: RunRecord) -> Result<()> {
         if record.run_id == 0 || record.run_id > self.reserved {

@@ -95,10 +95,6 @@ impl MemoryProvider {
     pub fn get(&self, name: &str) -> Option<&RecordBatch> {
         self.tables.get(name)
     }
-
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
 }
 
 impl SchemaProvider for MemoryProvider {

@@ -359,6 +359,34 @@ fn chaos_soak_is_deterministic_across_seeds() {
     }
 }
 
+#[test]
+fn chaos_soak_one_instance_absorbs_faults_across_many_queries() {
+    // The retry budget belongs to the store instance and is never refilled:
+    // at fault p = 0.05 with 8 retries it must last 20 queries on one
+    // lakehouse, each byte-identical to the fault-free run.
+    let want = soak_lakehouse(None, 0, 12, 200)
+        .query(AGG_SQL, "main")
+        .unwrap();
+    let chaotic = soak_lakehouse(
+        Some(ChaosConfig::new(0xC4A05).with_fault_p(0.05)),
+        8,
+        12,
+        200,
+    );
+    let stalled_before = chaotic.store_metrics().stall_time();
+    for trial in 0..20 {
+        let got = chaotic
+            .query(AGG_SQL, "main")
+            .unwrap_or_else(|e| panic!("trial {trial}: {e}"));
+        assert_eq!(got, want, "trial {trial} diverged from the baseline");
+    }
+    // Retry backoff is charged to this instance's simulated clock.
+    assert!(
+        chaotic.store_metrics().stall_time() > stalled_before,
+        "faults at p = 0.05 must make the queries retry"
+    );
+}
+
 /// Passes everything through, except that the first read of each data file
 /// comes back with one bit flipped in its middle: same length, so only a
 /// chunk checksum can tell. Counts the data-file reads that reach it.
