@@ -5,6 +5,8 @@
 //!   dimension (with a column name the two share) must equal, byte for
 //!   byte, the same query on a `with_pushdown(false)` provider and the
 //!   unoptimized plan;
+//! * so must a few hundred queries a seeded generator writes over the same
+//!   lake, their results folded into one pinned digest;
 //! * a counting object store shows the store-level outcome: the join and
 //!   BETWEEN queries fetch only the window's files, `LIMIT 10` reads one
 //!   file, `COUNT(*)` decodes one narrow column, and a right-side predicate
@@ -106,8 +108,9 @@ impl ObjectStore for CountingStore {
     }
 }
 
-fn taxi_batch() -> RecordBatch {
-    let n = DAYS as usize * ROWS_PER_DAY;
+/// `rows_per_day` taxi trips for each of `DAYS` days.
+fn taxi_batch(rows_per_day: usize) -> RecordBatch {
+    let n = DAYS as usize * rows_per_day;
     let row = |i: usize| (i * 2_654_435_761) % 1_000;
     RecordBatch::try_new(
         Schema::new(vec![
@@ -129,7 +132,7 @@ fn taxi_batch() -> RecordBatch {
             ),
             Column::from_date(
                 (0..n)
-                    .map(|i| START_DAY + (i / ROWS_PER_DAY) as i32)
+                    .map(|i| START_DAY + (i / rows_per_day) as i32)
                     .collect(),
             ),
             Column::from_opt_f64(
@@ -182,6 +185,11 @@ struct Lake {
 /// `taxi_table` partitioned by pickup day (one file per day) and `zones`
 /// partitioned by borough (one file per borough), on `main`.
 fn lake() -> Lake {
+    lake_of(ROWS_PER_DAY)
+}
+
+/// [`lake`] with `rows_per_day` trips a day.
+fn lake_of(rows_per_day: usize) -> Lake {
     let store = Arc::new(CountingStore::default());
     let dyn_store: Arc<dyn ObjectStore> = store.clone();
     let lh =
@@ -190,7 +198,7 @@ fn lake() -> Lake {
         source_column: "pickup_at".into(),
         transform: Transform::Day,
     }]);
-    lh.create_table_partitioned("taxi_table", &taxi_batch(), "main", by_day)
+    lh.create_table_partitioned("taxi_table", &taxi_batch(rows_per_day), "main", by_day)
         .unwrap();
     lh.create_table_partitioned(
         "zones",
@@ -325,6 +333,473 @@ fn corpus_is_byte_identical_to_naive_and_unoptimized() {
         let naive = engine.query(&sql, &lake.naive.pin()).unwrap();
         assert_eq!(naive, want, "pushdown off: {sql}");
     }
+}
+
+/// A small deterministic generator (xorshift64*): a seed names the same
+/// queries on every platform.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len())]
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.next() % 100 < percent
+    }
+}
+
+/// What values a generated column holds, for writing literals that select
+/// some of its rows and not others.
+#[derive(Clone, Copy, PartialEq)]
+enum Domain {
+    Location,
+    Passengers,
+    Day,
+    Fare,
+    Payment,
+    Note,
+    ZoneId,
+    Borough,
+    Surcharge,
+    /// A `COUNT` or `SUM` of a subquery's groups.
+    Count,
+    Total,
+}
+
+impl Domain {
+    fn numeric(self) -> bool {
+        !matches!(
+            self,
+            Domain::Day | Domain::Payment | Domain::Note | Domain::Borough
+        )
+    }
+
+    fn text(self) -> bool {
+        matches!(self, Domain::Payment | Domain::Note | Domain::Borough)
+    }
+
+    fn float(self) -> bool {
+        matches!(self, Domain::Fare | Domain::Surcharge | Domain::Total)
+    }
+
+    fn literal(self, rng: &mut Rng) -> String {
+        match self {
+            Domain::Location => (rng.below(13) as i64).to_string(),
+            Domain::Passengers => (rng.below(7) as i64).to_string(),
+            Domain::ZoneId => (rng.below(11) as i64 + 1).to_string(),
+            Domain::Count => (rng.below(700) as i64).to_string(),
+            Domain::Day => format!("DATE '2019-03-{:02}'", rng.below(10) + 1),
+            Domain::Fare => format!("{:.1}", rng.below(1_000) as f64 / 10.0),
+            Domain::Surcharge => format!("{:.1}", rng.below(12) as f64 * 0.5),
+            Domain::Total => format!("{:.1}", rng.below(30_000) as f64),
+            Domain::Payment => format!("'{}'", rng.pick(&["card", "cash", "app", "none"])),
+            Domain::Borough => format!("'{}'", rng.pick(&BOROUGHS)),
+            Domain::Note => format!("'trip {:06} to nowhere in particular'", rng.below(1_100)),
+        }
+    }
+
+    fn pattern(self, rng: &mut Rng) -> &'static str {
+        match self {
+            Domain::Payment => rng.pick(&["c%", "%a%", "_ash", "app", "%d"]),
+            Domain::Borough => rng.pick(&["%an%", "B%", "Q_eens", "%x"]),
+            _ => rng.pick(&["trip 0001%", "%9 to %", "trip _____7%"]),
+        }
+    }
+}
+
+/// A column a generated query can name: its SQL text in the query's scope,
+/// what it holds, and whether it can be NULL there.
+#[derive(Clone)]
+struct GenColumn {
+    sql: String,
+    domain: Domain,
+    nullable: bool,
+}
+
+fn taxi_columns(qualifier: &str) -> Vec<GenColumn> {
+    let columns = [
+        ("pickup_location_id", Domain::Location, false),
+        ("passenger_count", Domain::Passengers, true),
+        ("pickup_at", Domain::Day, false),
+        ("fare", Domain::Fare, true),
+        ("payment_type", Domain::Payment, false),
+        ("note", Domain::Note, false),
+    ];
+    qualified(qualifier, &columns, false)
+}
+
+fn zones_columns(qualifier: &str, outer: bool) -> Vec<GenColumn> {
+    let columns = [
+        ("zone_id", Domain::ZoneId, false),
+        ("borough", Domain::Borough, false),
+        ("fare", Domain::Surcharge, false),
+    ];
+    qualified(qualifier, &columns, outer)
+}
+
+fn qualified(qualifier: &str, columns: &[(&str, Domain, bool)], outer: bool) -> Vec<GenColumn> {
+    let prefix = if qualifier.is_empty() {
+        String::new()
+    } else {
+        format!("{qualifier}.")
+    };
+    (columns.iter())
+        .map(|&(name, domain, nullable)| GenColumn {
+            sql: format!("{prefix}{name}"),
+            domain,
+            nullable: nullable || outer,
+        })
+        .collect()
+}
+
+/// One comparison-shaped predicate over `columns`.
+fn gen_atom(rng: &mut Rng, columns: &[GenColumn]) -> String {
+    let c = &columns[rng.below(columns.len())];
+    let not = |rng: &mut Rng| if rng.chance(30) { "NOT " } else { "" };
+    match rng.below(7) {
+        0 if c.nullable => format!("{} IS {}NULL", c.sql, not(rng)),
+        1 if c.domain.text() => format!("{} {}LIKE '{}'", c.sql, not(rng), c.domain.pattern(rng)),
+        2 if !c.domain.text() => {
+            let (a, b) = (c.domain.literal(rng), c.domain.literal(rng));
+            format!("{} {}BETWEEN {a} AND {b}", c.sql, not(rng))
+        }
+        3 if c.domain != Domain::Day => {
+            let items: Vec<String> = (0..1 + rng.below(3))
+                .map(|_| c.domain.literal(rng))
+                .collect();
+            format!("{} {}IN ({})", c.sql, not(rng), items.join(", "))
+        }
+        4 if c.domain.numeric() => {
+            let (op, k) = rng.pick(&[("*", "2"), ("+", "1"), ("-", "3")]);
+            let k = if c.domain.float() {
+                format!("{k}.0")
+            } else {
+                k.to_string()
+            };
+            let cmp = rng.pick(&[">", "<=", "<>"]);
+            format!("{} {op} {k} {cmp} {}", c.sql, c.domain.literal(rng))
+        }
+        5 => {
+            // Two columns of one domain kind, compared.
+            let same: Vec<&GenColumn> = (columns.iter())
+                .filter(|o| o.sql != c.sql && o.domain.numeric() && c.domain.numeric())
+                .filter(|o| o.domain.float() == c.domain.float())
+                .collect();
+            match same.is_empty() {
+                true => format!("{} = {}", c.sql, c.domain.literal(rng)),
+                false => {
+                    let o = same[rng.below(same.len())];
+                    format!("{} {} {}", c.sql, rng.pick(&["<", ">=", "="]), o.sql)
+                }
+            }
+        }
+        _ => {
+            let op = rng.pick(&["=", "<>", "<", "<=", ">", ">="]);
+            format!("{} {op} {}", c.sql, c.domain.literal(rng))
+        }
+    }
+}
+
+/// An AND/OR tree of up to `depth` levels over atoms.
+fn gen_predicate(rng: &mut Rng, columns: &[GenColumn], depth: usize) -> String {
+    if depth == 0 || rng.chance(40) {
+        return gen_atom(rng, columns);
+    }
+    let op = if rng.chance(60) { "AND" } else { "OR" };
+    let (a, b) = (
+        gen_predicate(rng, columns, depth - 1),
+        gen_predicate(rng, columns, depth - 1),
+    );
+    format!("({a} {op} {b})")
+}
+
+/// A scalar select-list expression over `columns`, and what it holds.
+fn gen_scalar(rng: &mut Rng, columns: &[GenColumn]) -> (String, Domain) {
+    let c = &columns[rng.below(columns.len())];
+    match rng.below(6) {
+        0 if c.domain.numeric() => {
+            let k = if c.domain.float() { "2.0" } else { "2" };
+            (format!("{} * {k}", c.sql), c.domain)
+        }
+        1 => {
+            let cond = gen_atom(rng, columns);
+            (
+                format!("CASE WHEN {cond} THEN 'yes' ELSE 'no' END"),
+                Domain::Payment,
+            )
+        }
+        2 if c.nullable && c.domain.numeric() && !c.domain.float() => {
+            (format!("COALESCE({}, -1)", c.sql), c.domain)
+        }
+        _ => (c.sql.clone(), c.domain),
+    }
+}
+
+/// A FROM clause and the columns it puts in scope.
+fn gen_from(rng: &mut Rng) -> (String, Vec<GenColumn>) {
+    match rng.below(7) {
+        0 => ("FROM taxi_table".into(), taxi_columns("")),
+        1 => ("FROM taxi_table t".into(), taxi_columns("t")),
+        2 | 3 => {
+            let (kind, outer) = if rng.chance(50) {
+                ("JOIN", false)
+            } else {
+                ("LEFT JOIN", true)
+            };
+            let mut columns = taxi_columns("t");
+            columns.extend(zones_columns("z", outer));
+            let from =
+                format!("FROM taxi_table t {kind} zones z ON t.pickup_location_id = z.zone_id");
+            (from, columns)
+        }
+        4 => {
+            // A filtered, renamed projection of the taxi table.
+            let inner = taxi_columns("");
+            let mut items = Vec::new();
+            let mut columns = Vec::new();
+            for (i, c) in inner.iter().enumerate() {
+                if !rng.chance(60) {
+                    continue;
+                }
+                items.push(format!("{} AS s{i}", c.sql));
+                let sql = if rng.chance(50) {
+                    format!("q.s{i}")
+                } else {
+                    format!("s{i}")
+                };
+                columns.push(GenColumn { sql, ..c.clone() });
+            }
+            if items.is_empty() {
+                items.push("fare AS s3".into());
+                columns.push(GenColumn {
+                    sql: "q.s3".into(),
+                    domain: Domain::Fare,
+                    nullable: true,
+                });
+            }
+            let filter = match rng.chance(50) {
+                true => format!(" WHERE {}", gen_predicate(rng, &inner, 1)),
+                false => String::new(),
+            };
+            let from = format!(
+                "FROM (SELECT {} FROM taxi_table{filter}) q",
+                items.join(", ")
+            );
+            (from, columns)
+        }
+        5 => {
+            // Groups of a subquery.
+            let inner = taxi_columns("");
+            let key = rng.pick(&["payment_type", "pickup_location_id", "pickup_at"]);
+            let domain = inner.iter().find(|c| c.sql == key).map(|c| c.domain);
+            let filter = gen_predicate(rng, &inner, 1);
+            let from = format!(
+                "FROM (SELECT {key} AS k, COUNT(*) AS n, SUM(fare) AS total FROM taxi_table \
+                 WHERE {filter} GROUP BY {key}) g"
+            );
+            let columns = vec![
+                GenColumn {
+                    sql: "g.k".into(),
+                    domain: domain.unwrap_or(Domain::Payment),
+                    nullable: false,
+                },
+                GenColumn {
+                    sql: "n".into(),
+                    domain: Domain::Count,
+                    nullable: false,
+                },
+                GenColumn {
+                    sql: "g.total".into(),
+                    domain: Domain::Total,
+                    nullable: true,
+                },
+            ];
+            (from, columns)
+        }
+        _ => {
+            // A subquery joined to the dimension.
+            let from = "FROM (SELECT pickup_location_id AS loc, fare AS tf, pickup_at AS day \
+                        FROM taxi_table) s JOIN zones z ON s.loc = z.zone_id"
+                .to_string();
+            let mut columns = vec![
+                GenColumn {
+                    sql: "s.loc".into(),
+                    domain: Domain::Location,
+                    nullable: false,
+                },
+                GenColumn {
+                    sql: "s.tf".into(),
+                    domain: Domain::Fare,
+                    nullable: true,
+                },
+                GenColumn {
+                    sql: "s.day".into(),
+                    domain: Domain::Day,
+                    nullable: false,
+                },
+            ];
+            columns.extend(zones_columns("z", false));
+            (from, columns)
+        }
+    }
+}
+
+/// One well-formed query: every select item aliased uniquely, ordered by
+/// every output column, no self-join and no untyped NULL.
+fn gen_query(rng: &mut Rng) -> String {
+    let (from, columns) = gen_from(rng);
+    // The wide note column is for predicates only.
+    let selectable: Vec<GenColumn> = (columns.iter())
+        .filter(|c| c.domain != Domain::Note)
+        .cloned()
+        .collect();
+    let mut sql = String::from("SELECT ");
+    let mut outputs = Vec::new();
+    let mut tail = String::new();
+    if rng.chance(40) {
+        // Groups: keys, then aggregates, then maybe HAVING.
+        let mut items = Vec::new();
+        let mut keys = Vec::new();
+        for _ in 0..1 + rng.below(2) {
+            let c = &selectable[rng.below(selectable.len())];
+            if !c.domain.float() && !keys.contains(&c.sql) {
+                keys.push(c.sql.clone());
+            }
+        }
+        for key in &keys {
+            items.push(format!("{key} AS o{}", outputs.len()));
+            outputs.push(format!("o{}", outputs.len()));
+        }
+        let numeric: Vec<&GenColumn> = selectable.iter().filter(|c| c.domain.numeric()).collect();
+        for _ in 0..1 + rng.below(3) {
+            let c = numeric[rng.below(numeric.len())];
+            let agg = match rng.below(6) {
+                0 => "COUNT(*)".to_string(),
+                1 => format!("COUNT({})", c.sql),
+                2 => format!("SUM({})", c.sql),
+                3 => format!("MIN({})", c.sql),
+                4 => format!("MAX({})", c.sql),
+                _ => format!("AVG({})", c.sql),
+            };
+            items.push(format!("{agg} AS o{}", outputs.len()));
+            outputs.push(format!("o{}", outputs.len()));
+        }
+        sql.push_str(&items.join(", "));
+        sql.push(' ');
+        sql.push_str(&from);
+        if rng.chance(60) {
+            sql.push_str(&format!(" WHERE {}", gen_predicate(rng, &columns, 2)));
+        }
+        if !keys.is_empty() {
+            tail.push_str(&format!(" GROUP BY {}", keys.join(", ")));
+            if rng.chance(40) {
+                let having = match rng.chance(50) {
+                    true => format!("COUNT(*) > {}", rng.below(50)),
+                    false => format!("MIN({}) IS NOT NULL", numeric[0].sql),
+                };
+                tail.push_str(&format!(" HAVING {having}"));
+            }
+        }
+    } else {
+        if rng.chance(10) {
+            sql.push_str("DISTINCT ");
+        }
+        let items: Vec<String> = (0..1 + rng.below(4))
+            .map(|i| {
+                outputs.push(format!("o{i}"));
+                format!("{} AS o{i}", gen_scalar(rng, &selectable).0)
+            })
+            .collect();
+        sql.push_str(&items.join(", "));
+        sql.push(' ');
+        sql.push_str(&from);
+        if rng.chance(80) {
+            sql.push_str(&format!(" WHERE {}", gen_predicate(rng, &columns, 2)));
+        }
+    }
+    sql.push_str(&tail);
+    // Every output column, each way round, in a shuffled order.
+    let mut order = outputs;
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i + 1));
+    }
+    let keys: Vec<String> = (order.iter())
+        .map(|o| format!("{o}{}", if rng.chance(50) { " DESC" } else { "" }))
+        .collect();
+    sql.push_str(&format!(" ORDER BY {}", keys.join(", ")));
+    if rng.chance(40) {
+        sql.push_str(&format!(" LIMIT {}", rng.below(40)));
+        if rng.chance(50) {
+            sql.push_str(&format!(" OFFSET {}", rng.below(20)));
+        }
+    }
+    sql
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    (bytes.iter()).fold(hash, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The digest of every generated query's result, from seeds 1, 2 and 3. A
+/// change to the engine that moves it changed some query's answer.
+const GENERATED_DIGEST: u64 = 0xedaa_eee0_3735_0057;
+
+/// Trips a day in the generated queries' lake: small enough that 330
+/// queries, four runs each, take a few seconds in a debug build.
+const GENERATED_ROWS_PER_DAY: usize = 125;
+
+#[test]
+fn generated_queries_are_byte_identical_across_plans_and_providers() {
+    let lake = lake_of(GENERATED_ROWS_PER_DAY);
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut queries = 0;
+    for seed in [1u64, 2, 3] {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ seed);
+        for _ in 0..110 {
+            let sql = gen_query(&mut rng);
+            let stmt = parse_select(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let (pushed, naive) = (lake.pushed.pin(), lake.naive.pin());
+            let unoptimized = plan_select(&stmt, &naive).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let want = lakehouse_sql::execute(&unoptimized, &naive)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let engine = SqlEngine::new();
+            let runs = [
+                (
+                    "unoptimized, pushdown",
+                    lakehouse_sql::execute(&unoptimized, &pushed),
+                ),
+                ("optimized, pushdown", engine.query(&sql, &pushed)),
+                ("optimized, naive", engine.query(&sql, &naive)),
+            ];
+            for (how, got) in runs {
+                let got = got.unwrap_or_else(|e| panic!("{how}: {sql}: {e}"));
+                assert_eq!(got, want, "{how}: {sql}");
+            }
+            digest = fnv1a(digest, sql.as_bytes());
+            digest = fnv1a(digest, format!("{:?}", want.schema().names()).as_bytes());
+            for row in 0..want.num_rows() {
+                digest = fnv1a(digest, format!("{:?}", want.row(row).unwrap()).as_bytes());
+            }
+            queries += 1;
+        }
+    }
+    assert_eq!(queries, 330);
+    assert_eq!(digest, GENERATED_DIGEST, "digest {digest:#018x}");
 }
 
 /// Run `sql` on `provider`, then check what the store saw.
