@@ -6,7 +6,7 @@ use crate::error::{BauplanError, Result as CoreResult};
 use lakehouse_catalog::{Catalog, CatalogError, CatalogState};
 use lakehouse_columnar::{BatchStream, BatchesStream, RecordBatch, Schema, Value};
 use lakehouse_sql::ast::Expr;
-use lakehouse_sql::logical::{resolve_column, SchemaProvider};
+use lakehouse_sql::logical::SchemaProvider;
 use lakehouse_sql::{Result as SqlResult, SqlError, TableProvider};
 use lakehouse_store::{BufferPool, ObjectStore};
 use lakehouse_table::{ScanPredicate, Table, TableIo};
@@ -138,15 +138,13 @@ impl LakehouseProvider {
     /// (simple `column OP literal` conjuncts; everything else is handled by
     /// the executor's exact re-filter).
     fn to_scan_predicates(filters: &[Expr]) -> Vec<ScanPredicate> {
-        (filters.iter())
-            .filter_map(|f| Some(Self::scan_predicate(f)?.1))
-            .collect()
+        filters.iter().filter_map(Self::scan_predicate).collect()
     }
 
-    /// The scan predicate `f` is, with its column's qualifier, when it is a
-    /// `column OP literal` comparison (either way round) with a non-NULL
-    /// literal.
-    fn scan_predicate(f: &Expr) -> Option<(Option<&str>, ScanPredicate)> {
+    /// The scan predicate `f` is, when it is a `column OP literal`
+    /// comparison (either way round) with a non-NULL literal. A scan's
+    /// filter names each column as its table does.
+    fn scan_predicate(f: &Expr) -> Option<ScanPredicate> {
         let Expr::Compare { op, left, right } = f else {
             return None;
         };
@@ -156,9 +154,8 @@ impl LakehouseProvider {
             _ => return None,
         };
         match column {
-            Expr::Column { qualifier, name } if !literal.is_null() => {
-                let p = ScanPredicate::new(name.clone(), op, literal.clone());
-                Some((qualifier.as_deref(), p))
+            Expr::Column(c) if !literal.is_null() => {
+                Some(ScanPredicate::new(c.name.clone(), op, literal.clone()))
             }
             _ => None,
         }
@@ -246,24 +243,6 @@ impl PinnedProvider<'_> {
         }
         Ok(scan)
     }
-
-    /// What a scan of `table` returns, when the scan filters by its pushed
-    /// predicates: a catalog table under pushdown.
-    fn filtered_schema(&self, table: &str, projection: Option<&[String]>) -> Option<Schema> {
-        let in_memory = table.starts_with(crate::system::SYSTEM_PREFIX)
-            || self.provider.overlay.read().contains_key(table);
-        if in_memory || !self.provider.pushdown {
-            return None;
-        }
-        let schema = self.table(table).ok()?.schema().ok()?;
-        match projection {
-            Some(cols) => {
-                let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                schema.project(&names).ok()
-            }
-            None => Some(schema),
-        }
-    }
 }
 
 impl SchemaProvider for PinnedProvider<'_> {
@@ -330,27 +309,22 @@ impl TableProvider for PinnedProvider<'_> {
 
     /// A catalog table's pushed-down scan applies each filter it converts to
     /// a [`ScanPredicate`] exactly (a file's residual, DESIGN.md §23) — on a
-    /// column it returns: it cannot filter by a column its batches lack, so
-    /// the filter must name the returned column it filtered, as the executor
-    /// resolves names. Tables served from memory and the naive baseline
-    /// filter nothing.
+    /// column it returns: it cannot filter by a column its batches lack. A
+    /// scan's filters name the table's own columns. Tables served from
+    /// memory and the naive baseline filter nothing.
     fn exact_filters(
         &self,
         table: &str,
         projection: Option<&[String]>,
         filters: &[Expr],
     ) -> Vec<bool> {
-        let schema = self.filtered_schema(table, projection);
-        let exact = |f: &Expr| {
-            let (Some(schema), Some((qualifier, p))) =
-                (&schema, LakehouseProvider::scan_predicate(f))
-            else {
-                return false;
-            };
-            let resolved = resolve_column(schema, qualifier, &p.column);
-            resolved.is_ok_and(|i| schema.field(i).name() == p.column)
-        };
-        filters.iter().map(exact).collect()
+        let in_memory = table.starts_with(crate::system::SYSTEM_PREFIX)
+            || self.provider.overlay.read().contains_key(table);
+        let filtered = self.provider.pushdown && !in_memory;
+        let returned = |column: &String| projection.is_none_or(|cols| cols.contains(column));
+        let exact =
+            |f: &Expr| LakehouseProvider::scan_predicate(f).is_some_and(|p| returned(&p.column));
+        filters.iter().map(|f| filtered && exact(f)).collect()
     }
 }
 
@@ -528,10 +502,11 @@ mod tests {
             Expr::Compare {
                 op: CmpOp::Lt,
                 left: Box::new(Expr::Literal(Value::Int64(1))),
-                right: Box::new(Expr::Column {
+                right: Box::new(Expr::Column(lakehouse_sql::ast::ColumnRef {
                     qualifier: Some("t".into()),
                     name: "x".into(),
-                }),
+                    index: Some(0),
+                })),
             },
             Expr::IsNull {
                 expr: Box::new(Expr::col("x")),

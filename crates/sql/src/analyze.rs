@@ -1,10 +1,9 @@
 //! `EXPLAIN ANALYZE` rendering: the optimized logical plan annotated with
 //! per-operator execution stats pulled from a recorded span tree.
 //!
-//! Both executors tag each operator span with a `path` attribute — `"0"` for
-//! the root, `"p.i"` for child `i` of the node at `p`, with `SubqueryAlias`
-//! transparent (its input keeps its path) — so stats can be matched back to
-//! plan nodes positionally, independent of operator names.
+//! The executor tags each operator span with a `path` attribute — `"0"` for
+//! the root, `"p.i"` for child `i` of the node at `p` — so stats can be
+//! matched back to plan nodes positionally, independent of operator names.
 
 use crate::logical::LogicalPlan;
 use lakehouse_obs::{fmt_duration, SpanData, SpanTree};
@@ -34,20 +33,11 @@ fn go(
     out: &mut String,
 ) {
     let pad = "  ".repeat(indent);
-    if let LogicalPlan::SubqueryAlias { input, .. } = plan {
-        // No operator runs for the alias: print the line unannotated and
-        // keep the path for its input (matching both executors).
-        out.push_str(&format!("{pad}{}\n", plan.node_label()));
-        go(input, path, indent + 1, by_path, out);
-        return;
-    }
     out.push_str(&format!("{pad}{}", plan.node_label()));
     let children = plan.children();
     if let Some(span) = by_path.get(path) {
-        // Children run inside this span (pull-based on both executors), so
-        // self time is the span minus its direct children's spans. A
-        // SubqueryAlias child is transparent: its input already carries the
-        // child path, so the subtraction resolves to the real operator.
+        // Children run inside this span (pull-based), so self time is the
+        // span minus its direct children's spans.
         let (mut child_wall, mut child_sim) = (0u64, 0u64);
         for i in 0..children.len() {
             if let Some(child) = by_path.get(format!("{path}.{i}").as_str()) {

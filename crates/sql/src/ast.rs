@@ -4,14 +4,43 @@ use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{DataType, Value};
 use std::fmt;
 
+/// A column reference as written (`t.col` or `col`) and, once the binder
+/// ([`crate::logical::plan_select`]) has run, the position it names in the
+/// input of the plan node that holds it.
+#[derive(Debug, Clone)]
+pub struct ColumnRef {
+    pub qualifier: Option<String>,
+    pub name: String,
+    /// `None` until bound.
+    pub index: Option<usize>,
+}
+
+/// Two bound references are the same column when they name the same
+/// position, however they were written (`c` and `t.c`); unbound ones
+/// compare as written.
+impl PartialEq for ColumnRef {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.index, other.index) {
+            (Some(a), Some(b)) => a == b,
+            _ => self.qualifier == other.qualifier && self.name == other.name,
+        }
+    }
+}
+
+impl fmt::Display for ColumnRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.qualifier {
+            Some(q) => write!(f, "{q}.{}", self.name),
+            None => write!(f, "{}", self.name),
+        }
+    }
+}
+
 /// A scalar expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Column reference, optionally qualified: `t.col` or `col`.
-    Column {
-        qualifier: Option<String>,
-        name: String,
-    },
+    Column(ColumnRef),
     /// A literal value.
     Literal(Value),
     /// `left OP right` comparison.
@@ -88,12 +117,22 @@ pub enum LogicalOp {
 }
 
 impl Expr {
-    /// Shorthand for an unqualified column reference.
+    /// Shorthand for an unqualified, unbound column reference.
     pub fn col(name: impl Into<String>) -> Expr {
-        Expr::Column {
+        Expr::Column(ColumnRef {
             qualifier: None,
             name: name.into(),
-        }
+            index: None,
+        })
+    }
+
+    /// A reference to position `index` of a node's input, shown as `name`.
+    pub(crate) fn bound(name: impl Into<String>, index: usize) -> Expr {
+        Expr::Column(ColumnRef {
+            qualifier: None,
+            name: name.into(),
+            index: Some(index),
+        })
     }
 
     /// Shorthand for a literal.
@@ -101,58 +140,102 @@ impl Expr {
         Expr::Literal(v.into())
     }
 
-    /// Walk the expression tree, calling `f` on every node (pre-order).
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
+    /// Call `f` on each direct subexpression, in evaluation order.
+    fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
         match self {
             Expr::Compare { left, right, .. }
             | Expr::Arith { left, right, .. }
             | Expr::Logical { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
+                f(left);
+                f(right);
             }
-            Expr::Not(e) | Expr::Negate(e) => e.walk(f),
-            Expr::IsNull { expr, .. } => expr.walk(f),
+            Expr::Not(e)
+            | Expr::Negate(e)
+            | Expr::IsNull { expr: e, .. }
+            | Expr::Like { expr: e, .. }
+            | Expr::Cast { expr: e, .. } => f(e),
             Expr::Between {
                 expr, low, high, ..
-            } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.walk(f);
-                for e in list {
-                    e.walk(f);
-                }
-            }
-            Expr::Like { expr, .. } => expr.walk(f),
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            Expr::Cast { expr, .. } => expr.walk(f),
+            } => [expr, low, high].into_iter().for_each(|e| f(e)),
+            Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).for_each(f),
+            Expr::Function { args, .. } => args.iter().for_each(f),
             Expr::Case {
                 branches,
                 else_expr,
-            } => {
-                for (c, v) in branches {
-                    c.walk(f);
-                    v.walk(f);
-                }
-                if let Some(e) = else_expr {
-                    e.walk(f);
+            } => (branches.iter())
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_expr.as_deref())
+                .for_each(f),
+            Expr::Column(_) | Expr::Literal(_) | Expr::CountStar => {}
+        }
+    }
+
+    /// [`Self::for_each_child`], mutably.
+    fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Compare { left, right, .. }
+            | Expr::Arith { left, right, .. }
+            | Expr::Logical { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::Not(e)
+            | Expr::Negate(e)
+            | Expr::IsNull { expr: e, .. }
+            | Expr::Like { expr: e, .. }
+            | Expr::Cast { expr: e, .. } => f(e),
+            Expr::Between {
+                expr, low, high, ..
+            } => [expr, low, high].into_iter().for_each(|e| f(e)),
+            Expr::InList { expr, list, .. } => std::iter::once(&mut **expr).chain(list).for_each(f),
+            Expr::Function { args, .. } => args.iter_mut().for_each(f),
+            Expr::Case {
+                branches,
+                else_expr,
+            } => (branches.iter_mut())
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_expr.as_deref_mut())
+                .for_each(f),
+            Expr::Column(_) | Expr::Literal(_) | Expr::CountStar => {}
+        }
+    }
+
+    /// This node with `f` applied to each direct subexpression, in
+    /// evaluation order: what every expression rewrite recurses through,
+    /// so a rewrite handles only the nodes it changes.
+    pub(crate) fn map_children<E>(
+        mut self,
+        mut f: impl FnMut(Expr) -> Result<Expr, E>,
+    ) -> Result<Expr, E> {
+        let mut failed = None;
+        self.for_each_child_mut(|child| {
+            if failed.is_none() {
+                match f(std::mem::replace(child, Expr::CountStar)) {
+                    Ok(e) => *child = e,
+                    Err(e) => failed = Some(e),
                 }
             }
-            Expr::Column { .. } | Expr::Literal(_) | Expr::CountStar => {}
-        }
+        });
+        failed.map_or(Ok(self), Err)
+    }
+
+    /// Walk the expression tree, calling `f` on every node (pre-order).
+    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        self.for_each_child(|child| child.walk(f));
+    }
+
+    /// Levels from this node down to its deepest leaf (a leaf is 1).
+    pub(crate) fn depth(&self) -> usize {
+        let mut deepest = 0;
+        self.for_each_child(|child| deepest = deepest.max(child.depth()));
+        1 + deepest
     }
 
     /// A display name for an unaliased projection of this expression.
     pub fn default_name(&self) -> String {
         match self {
-            Expr::Column { name, .. } => name.clone(),
+            Expr::Column(c) => c.name.clone(),
             Expr::CountStar => "count_star".into(),
             Expr::Function { name, args } => {
                 let inner: Vec<String> = args.iter().map(Expr::default_name).collect();
@@ -160,11 +243,7 @@ impl Expr {
             }
             Expr::Literal(v) => v.to_string(),
             Expr::Cast { expr, .. } => expr.default_name(),
-            other => format!("{other:?}")
-                .chars()
-                .take(32)
-                .collect::<String>()
-                .to_lowercase(),
+            other => other.to_string(),
         }
     }
 }
@@ -172,11 +251,7 @@ impl Expr {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Column {
-                qualifier: Some(q),
-                name,
-            } => write!(f, "{q}.{name}"),
-            Expr::Column { name, .. } => write!(f, "{name}"),
+            Expr::Column(c) => write!(f, "{c}"),
             Expr::Literal(v) => write!(f, "{v}"),
             Expr::Compare { op, left, right } => {
                 write!(f, "({left} {} {right})", op.symbol())

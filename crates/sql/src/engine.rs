@@ -556,9 +556,6 @@ mod tests {
             .unwrap();
         assert_eq!(batch.num_rows(), 2);
         for line in text.lines() {
-            if line.trim_start().starts_with("SubqueryAlias") {
-                continue; // transparent: no operator, no stats
-            }
             assert!(
                 line.contains("[rows="),
                 "unannotated operator line: {line:?}"
@@ -596,6 +593,180 @@ mod tests {
         assert_eq!(b.row(0).unwrap()[1], Value::Int64(2));
         assert_eq!(b.row(1).unwrap()[1], Value::Int64(2));
         assert_eq!(b.row(2).unwrap()[1], Value::Int64(2));
+    }
+
+    /// `v(a, d)`, `t(a, b, c)` and `u(a, c, d)`: small tables whose column
+    /// names collide.
+    fn colliding() -> MemoryProvider {
+        let mut p = MemoryProvider::new();
+        let int = |n: &str| Field::new(n, DataType::Int64, true);
+        let text = |n: &str| Field::new(n, DataType::Utf8, true);
+        let batch = |fields, columns| RecordBatch::try_new(Schema::new(fields), columns).unwrap();
+        p.register(
+            "v",
+            batch(
+                vec![int("a"), int("d")],
+                vec![
+                    Column::from_i64(vec![1, 2, 3]),
+                    Column::from_i64(vec![2, 3, 1]),
+                ],
+            ),
+        );
+        p.register(
+            "t",
+            batch(
+                vec![
+                    int("a"),
+                    Field::new("b", DataType::Float64, true),
+                    text("c"),
+                ],
+                vec![
+                    Column::from_opt_i64(vec![Some(1), Some(2), None, Some(4), Some(2)]),
+                    Column::from_opt_f64(vec![Some(1.5), None, Some(3.0), Some(-1.0), Some(2.0)]),
+                    Column::from_strs(vec!["x", "y", "x", "z", "y"]),
+                ],
+            ),
+        );
+        p.register(
+            "u",
+            batch(
+                vec![int("a"), text("c"), int("d")],
+                vec![
+                    Column::from_i64(vec![1, 2, 3]),
+                    Column::from_strs(vec!["y", "x", "w"]),
+                    Column::from_opt_i64(vec![Some(10), Some(20), None]),
+                ],
+            ),
+        );
+        p
+    }
+
+    /// `sql` over [`colliding`], as rows; the unoptimized plan must agree.
+    fn rows(sql: &str) -> Vec<Vec<Value>> {
+        let p = colliding();
+        let got = SqlEngine::new().query(sql, &p).unwrap();
+        let plan = plan_select(&parse_select(sql).unwrap(), &p).unwrap();
+        assert_eq!(crate::execute(&plan, &p).unwrap(), got, "{sql}");
+        (0..got.num_rows()).map(|r| got.row(r).unwrap()).collect()
+    }
+
+    fn int_rows(sql: &str) -> Vec<Vec<i64>> {
+        let ints = |row: Vec<Value>| row.iter().map(|v| v.as_i64().unwrap()).collect();
+        rows(sql).into_iter().map(ints).collect()
+    }
+
+    /// Each row's one value.
+    fn column(sql: &str) -> Vec<Value> {
+        rows(sql).into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn a_self_join_binds_each_on_key_to_its_side() {
+        let sql = "SELECT * FROM v x JOIN v y ON y.a = x.d ORDER BY x.a";
+        let want = vec![vec![1, 2, 2, 3], vec![2, 3, 3, 1], vec![3, 1, 1, 2]];
+        assert_eq!(int_rows(sql), want);
+        let names = SqlEngine::new().query(sql, &colliding()).unwrap();
+        assert_eq!(names.schema().names(), vec!["a", "d", "y.a", "y.d"]);
+    }
+
+    #[test]
+    fn grouping_by_two_columns_of_one_name_keeps_them_apart() {
+        let got = rows(
+            "SELECT t.c, u.c, COUNT(*) AS n FROM t JOIN u ON t.a = u.a \
+             GROUP BY t.c, u.c ORDER BY n",
+        );
+        let row = |a: &str, b: &str, n| vec![Value::from(a), Value::from(b), Value::Int64(n)];
+        assert_eq!(got, vec![row("x", "y", 1), row("y", "x", 2)]);
+    }
+
+    #[test]
+    fn select_star_over_outputs_of_one_name_reads_each() {
+        let got = rows("SELECT * FROM (SELECT a, b AS a FROM t) s");
+        let second: Vec<Value> = got.iter().map(|r| r[1].clone()).collect();
+        let b = [Some(1.5), None, Some(3.0), Some(-1.0), Some(2.0)];
+        assert_eq!(
+            second,
+            b.map(|v| v.map_or(Value::Null, Value::Float64)).to_vec()
+        );
+    }
+
+    #[test]
+    fn a_qualifier_binds_only_to_its_own_relation() {
+        let p = colliding();
+        for sql in [
+            "SELECT q.a FROM t",
+            "SELECT u.b FROM t JOIN u ON t.a = u.a",
+            "SELECT t.c FROM (SELECT c FROM t) s",
+        ] {
+            let err = SqlEngine::new().query(sql, &p).unwrap_err();
+            assert!(matches!(err, crate::SqlError::Plan(_)), "{sql}: {err}");
+        }
+        // A bare name is the left-most column of that name.
+        assert_eq!(
+            column("SELECT c FROM t JOIN u ON t.a = u.a ORDER BY t.a, u.c"),
+            ["x", "y", "y"].map(Value::from).to_vec()
+        );
+    }
+
+    #[test]
+    fn a_null_literal_takes_its_type_from_its_context() {
+        let floats = [Some(1.5), None, Some(3.0), Some(-1.0), Some(2.0)];
+        assert_eq!(
+            column("SELECT COALESCE(NULL, b) AS x FROM t"),
+            floats
+                .map(|v| v.map_or(Value::Null, Value::Float64))
+                .to_vec()
+        );
+        assert_eq!(
+            column("SELECT COALESCE(NULL, c) AS x FROM t"),
+            ["x", "y", "x", "z", "y"].map(Value::from).to_vec()
+        );
+        let texts = [Some("x"), None, Some("x"), None, None];
+        assert_eq!(
+            column("SELECT CASE WHEN a > 1 THEN NULL ELSE c END AS x FROM t"),
+            texts.map(|v| v.map_or(Value::Null, Value::from)).to_vec()
+        );
+        assert_eq!(int_rows("SELECT COUNT(*) AS n FROM t WHERE NULL"), [[0]]);
+        assert_eq!(
+            int_rows("SELECT COUNT(*) AS n FROM t WHERE a > 1 OR NULL"),
+            [[3]]
+        );
+    }
+
+    /// `run` on a thread with the 2 MiB stack Rust gives the threads it
+    /// spawns.
+    fn on_small_stack<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::Builder::new().stack_size(2 << 20);
+        thread.spawn(run).unwrap().join().unwrap()
+    }
+
+    #[test]
+    fn an_expression_at_the_depth_limit_runs_and_a_deeper_one_is_a_parse_error() {
+        use crate::parser::MAX_EXPR_DEPTH;
+        // An OR chain is one tree level per OR, a comparison two more and
+        // the WHERE clause one; a parenthesis is one level.
+        let chain = |terms: usize| {
+            let terms: Vec<String> = (0..terms).map(|i| format!("a = {i}")).collect();
+            format!("SELECT COUNT(*) AS n FROM t WHERE {}", terms.join(" OR "))
+        };
+        let nested = |parens: usize| {
+            let (open, close) = ("(".repeat(parens), ")".repeat(parens));
+            format!("SELECT COUNT(*) AS n FROM t WHERE {open}a = 2{close}")
+        };
+        let (at, over) = (MAX_EXPR_DEPTH - 2, MAX_EXPR_DEPTH - 1);
+        for (sql, n) in [(chain(at), 4), (nested(MAX_EXPR_DEPTH - 1), 2)] {
+            let out = on_small_stack(move || {
+                let p = colliding();
+                let engine = SqlEngine::new();
+                engine.explain(&sql, &p).unwrap();
+                engine.query(&sql, &p).map(|b| b.row(0).unwrap())
+            });
+            assert_eq!(out.unwrap(), vec![Value::Int64(n)]);
+        }
+        for sql in [chain(over), nested(MAX_EXPR_DEPTH)] {
+            let err = on_small_stack(move || SqlEngine::new().query(&sql, &colliding()));
+            assert!(matches!(err, Err(crate::SqlError::Parse(_))), "{err:?}");
+        }
     }
 
     #[test]

@@ -1,40 +1,30 @@
 //! Scalar function registry: names, return types, and implementations.
 
-use crate::ast::Expr;
 use crate::error::{Result, SqlError};
-use lakehouse_columnar::{DataType, Schema, Value};
+use lakehouse_columnar::{DataType, Value};
 
-/// Whether `name` is a known scalar function.
-pub fn is_scalar_function(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "UPPER" | "LOWER" | "LENGTH" | "ABS" | "ROUND" | "COALESCE" | "SUBSTR" | "SUBSTRING"
-    )
+/// The type two branches of one value meet at (CASE results, COALESCE
+/// arguments): an untyped NULL takes the other's type, INT and DOUBLE meet
+/// at DOUBLE, and otherwise the first wins.
+pub(crate) fn unify(a: Option<DataType>, b: Option<DataType>) -> Option<DataType> {
+    match (a, b) {
+        (Some(DataType::Int64), Some(DataType::Float64))
+        | (Some(DataType::Float64), Some(DataType::Int64)) => Some(DataType::Float64),
+        (Some(a), _) => Some(a),
+        (None, b) => b,
+    }
 }
 
-/// Return type of a scalar function.
-pub fn scalar_return_type(name: &str, args: &[Expr], schema: &Schema) -> Result<DataType> {
+/// Return type of a scalar function over arguments of `args` types (`None`:
+/// an untyped NULL), or `None` when only such NULLs decide it.
+pub fn scalar_return_type(name: &str, args: &[Option<DataType>]) -> Result<Option<DataType>> {
     let upper = name.to_ascii_uppercase();
     Ok(match upper.as_str() {
-        "UPPER" | "LOWER" | "SUBSTR" | "SUBSTRING" => DataType::Utf8,
-        "LENGTH" => DataType::Int64,
-        "ABS" | "ROUND" => {
-            let t = args
-                .first()
-                .map(|a| crate::logical::infer_type(a, schema))
-                .transpose()?
-                .unwrap_or(DataType::Float64);
-            if upper == "ROUND" {
-                DataType::Float64
-            } else {
-                t
-            }
-        }
-        "COALESCE" => args
-            .first()
-            .map(|a| crate::logical::infer_type(a, schema))
-            .transpose()?
-            .unwrap_or(DataType::Int64),
+        "UPPER" | "LOWER" | "SUBSTR" | "SUBSTRING" => Some(DataType::Utf8),
+        "LENGTH" => Some(DataType::Int64),
+        "ROUND" => Some(DataType::Float64),
+        "ABS" => args.first().map_or(Some(DataType::Float64), |t| *t),
+        "COALESCE" => args.iter().copied().fold(None, unify),
         other => return Err(SqlError::Plan(format!("unknown function: {other}"))),
     })
 }

@@ -3,9 +3,11 @@
 //! The DuckDB stand-in (paper §4.5): an embeddable, vectorized analytical
 //! SQL engine operating directly on `lakehouse-columnar` batches.
 //!
-//! Pipeline: SQL text → [`tokenizer`] → [`parser`] (AST) → [`logical`] plan →
-//! [`optimizer`] (constant folding, predicate pushdown, projection pruning,
-//! limit pushdown) → the executor, [`streaming`]: one tree of pull-based
+//! Pipeline: SQL text → [`tokenizer`] → [`parser`] (AST) → the binder,
+//! [`logical::plan_select`] (every column bound to a position once, every
+//! plan node built with its schema) → [`optimizer`] (constant folding,
+//! predicate pushdown, projection pruning, limit pushdown) → the executor,
+//! [`streaming`]: one tree of pull-based
 //! vectorized operators (scan, filter, project, hash aggregate, hash join,
 //! sort, limit, distinct) that every statement runs through, a table
 //! arriving as its provider's own batches. Expressions are evaluated by

@@ -1,11 +1,19 @@
-//! Logical plans and the AST → plan translation (the "logical plan" layer of
-//! the paper's Fig. 3).
+//! Logical plans and the binder that builds them from the AST (the
+//! "logical plan" layer of the paper's Fig. 3).
+//!
+//! [`plan_select`] builds every node with its output schema and binds every
+//! column reference once, to a position in its node's input, against a
+//! scope that tags each input column with its relation's alias. After
+//! binding nothing looks a name up: the optimizer moves positions, the
+//! executor indexes batches, and a scan's filters carry the table's own
+//! column names for the provider.
 
-use crate::ast::{Expr, JoinType, Relation, SelectItem, SelectStmt};
+use crate::ast::{ColumnRef, Expr, Join, JoinType, Relation, SelectItem, SelectStmt};
 use crate::error::{Result, SqlError};
-use crate::functions::is_scalar_function;
+use crate::functions::{scalar_return_type, unify};
 use lakehouse_columnar::kernels::Aggregator;
-use lakehouse_columnar::{DataType, Field, Schema};
+use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
+use std::rc::Rc;
 
 /// Resolves table names to schemas during planning. The execution-side
 /// companion ([`crate::engine::TableProvider`]) extends this with data
@@ -32,20 +40,36 @@ pub struct AggExpr {
     pub arg: Option<Expr>,
 }
 
-/// A relational logical plan.
+impl AggExpr {
+    /// The type of what it aggregates over `input` (`COUNT(*)` counts INTs).
+    pub fn arg_type(&self, input: &Schema) -> Result<DataType> {
+        (self.arg.as_ref()).map_or(Ok(DataType::Int64), |e| infer_type(e, input))
+    }
+}
+
+/// A relational logical plan. Every expression in a node is bound to the
+/// node's input: a Join's ON pairs to its left and right inputs, any other
+/// node's to its one input, and a Scan's filters to its own output.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
     /// Base table scan with optional projection pushdown and pushed filters.
     Scan {
         table: String,
+        /// What the scan returns: the table's columns, or the ones
+        /// `projection` names, in table order.
         schema: Schema,
         /// Columns to read (None = all).
         projection: Option<Vec<String>>,
-        /// Conjunctive filters pushed into the scan.
+        /// Conjunctive filters pushed into the scan. Each column in them is
+        /// named as the table names it.
         filters: Vec<Expr>,
         /// Row budget: the scan may stop once this many rows have passed
         /// `filters` (set by the optimizer from a `LIMIT` directly above).
         fetch: Option<usize>,
+    },
+    /// Literal rows: what a `SELECT` without `FROM` reads, one row.
+    Values {
+        batch: RecordBatch,
     },
     Filter {
         input: Box<LogicalPlan>,
@@ -55,11 +79,13 @@ pub enum LogicalPlan {
         input: Box<LogicalPlan>,
         /// (expression, output name)
         exprs: Vec<(Expr, String)>,
+        schema: Schema,
     },
     Aggregate {
         input: Box<LogicalPlan>,
         group_exprs: Vec<(Expr, String)>,
         agg_exprs: Vec<(AggExpr, String)>,
+        schema: Schema,
     },
     Join {
         left: Box<LogicalPlan>,
@@ -67,6 +93,9 @@ pub enum LogicalPlan {
         join_type: JoinType,
         /// Equality pairs (left side expr, right side expr).
         on: Vec<(Expr, Expr)>,
+        /// The left input's columns, then the right's, NULL-able; a right
+        /// column whose name the left has is named `alias.name`.
+        schema: Schema,
     },
     Sort {
         input: Box<LogicalPlan>,
@@ -84,11 +113,6 @@ pub enum LogicalPlan {
     Distinct {
         input: Box<LogicalPlan>,
     },
-    /// Renames the column namespace of a subquery (derived table alias).
-    SubqueryAlias {
-        input: Box<LogicalPlan>,
-        alias: String,
-    },
 }
 
 impl LogicalPlan {
@@ -96,6 +120,7 @@ impl LogicalPlan {
     pub fn name(&self) -> &'static str {
         match self {
             LogicalPlan::Scan { .. } => "Scan",
+            LogicalPlan::Values { .. } => "Values",
             LogicalPlan::Filter { .. } => "Filter",
             LogicalPlan::Project { .. } => "Project",
             LogicalPlan::Aggregate { .. } => "Aggregate",
@@ -103,95 +128,88 @@ impl LogicalPlan {
             LogicalPlan::Sort { .. } => "Sort",
             LogicalPlan::Limit { .. } => "Limit",
             LogicalPlan::Distinct { .. } => "Distinct",
-            LogicalPlan::SubqueryAlias { .. } => "SubqueryAlias",
         }
     }
 
-    /// The output schema of this plan node.
-    pub fn schema(&self) -> Result<Schema> {
+    /// The output schema of this plan node, as it was built.
+    pub fn schema(&self) -> &Schema {
         match self {
-            LogicalPlan::Scan {
-                schema, projection, ..
-            } => match projection {
-                Some(cols) => {
-                    let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-                    Ok(schema.project(&names)?)
-                }
-                None => Ok(schema.clone()),
-            },
-            LogicalPlan::Filter { input, .. } => input.schema(),
-            LogicalPlan::Project { input, exprs } => {
-                let in_schema = input.schema()?;
-                let fields = exprs
-                    .iter()
-                    .map(|(e, name)| infer_type(e, &in_schema).map(|dt| Field::new(name, dt, true)))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Schema::new(fields))
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_exprs,
-                agg_exprs,
-            } => {
-                let in_schema = input.schema()?;
-                let mut fields = Vec::new();
-                for (e, name) in group_exprs {
-                    fields.push(Field::new(name, infer_type(e, &in_schema)?, true));
-                }
-                for (a, name) in agg_exprs {
-                    let input_type = match &a.arg {
-                        Some(e) => infer_type(e, &in_schema)?,
-                        None => DataType::Int64,
-                    };
-                    fields.push(Field::new(name, a.agg.output_type(input_type), true));
-                }
-                Ok(Schema::new(fields))
-            }
-            LogicalPlan::Join { left, right, .. } => {
-                Ok(join_schema(&left.schema()?, &right.schema()?))
-            }
-            LogicalPlan::Sort { input, .. }
+            LogicalPlan::Values { batch } => batch.schema(),
+            LogicalPlan::Scan { schema, .. }
+            | LogicalPlan::Project { schema, .. }
+            | LogicalPlan::Aggregate { schema, .. }
+            | LogicalPlan::Join { schema, .. } => schema,
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
             | LogicalPlan::Distinct { input } => input.schema(),
-            LogicalPlan::SubqueryAlias { input, alias } => {
-                let inner = input.schema()?;
-                // Strip any previous qualification, re-qualify ambiguities
-                // only (plain names preferred for usability).
-                let _ = alias;
-                Ok(inner)
-            }
         }
     }
 
     /// This node's inputs, in execution-path order (Join: left then right).
-    /// The order matches the `path` attribute the executors record on spans
+    /// The order matches the `path` attribute the executor records on spans
     /// (child `i` of a node at path `p` executes at path `p.i`).
     pub fn children(&self) -> Vec<&LogicalPlan> {
         match self {
-            LogicalPlan::Scan { .. } => vec![],
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => vec![],
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Distinct { input }
-            | LogicalPlan::SubqueryAlias { input, .. } => vec![input],
+            | LogicalPlan::Distinct { input } => vec![input],
             LogicalPlan::Join { left, right, .. } => vec![left, right],
         }
     }
 
-    /// [`Self::children`], mutably (for in-place rewrites).
-    pub fn children_mut(&mut self) -> Vec<&mut LogicalPlan> {
+    /// [`Self::children`], mutably.
+    fn children_mut(&mut self) -> Vec<&mut LogicalPlan> {
         match self {
-            LogicalPlan::Scan { .. } => vec![],
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => vec![],
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Distinct { input }
-            | LogicalPlan::SubqueryAlias { input, .. } => vec![input],
+            | LogicalPlan::Distinct { input } => vec![input],
             LogicalPlan::Join { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// This node with `f` applied to each input: what every plan rewrite
+    /// recurses through, so a rule handles only the nodes it changes.
+    pub(crate) fn map_inputs(
+        mut self,
+        mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
+    ) -> Result<Self> {
+        for input in self.children_mut() {
+            let batch = RecordBatch::new_empty(Schema::empty());
+            *input = f(std::mem::replace(input, LogicalPlan::Values { batch }))?;
+        }
+        Ok(self)
+    }
+
+    /// Every expression this node holds: over its input, or for a Join over
+    /// one input each.
+    pub(crate) fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            LogicalPlan::Scan { filters, .. } => filters.iter_mut().collect(),
+            LogicalPlan::Filter { predicate, .. } => vec![predicate],
+            LogicalPlan::Project { exprs, .. } => exprs.iter_mut().map(|(e, _)| e).collect(),
+            LogicalPlan::Aggregate {
+                group_exprs,
+                agg_exprs,
+                ..
+            } => (group_exprs.iter_mut().map(|(e, _)| e))
+                .chain(agg_exprs.iter_mut().filter_map(|(a, _)| a.arg.as_mut()))
+                .collect(),
+            LogicalPlan::Join { on, .. } => on.iter_mut().flat_map(|(l, r)| [l, r]).collect(),
+            LogicalPlan::Sort { keys, .. } => keys.iter_mut().map(|(e, _)| e).collect(),
+            LogicalPlan::Values { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::Distinct { .. } => {
+                vec![]
+            }
         }
     }
 
@@ -218,6 +236,7 @@ impl LogicalPlan {
                 }
                 label
             }
+            LogicalPlan::Values { batch } => format!("Values: {} row(s)", batch.num_rows()),
             LogicalPlan::Filter { predicate, .. } => format!("Filter: {predicate}"),
             LogicalPlan::Project { exprs, .. } => {
                 let items: Vec<String> = exprs.iter().map(|(e, n)| format!("{e} AS {n}")).collect();
@@ -252,7 +271,6 @@ impl LogicalPlan {
                 format!("Limit: {limit:?} offset {offset}")
             }
             LogicalPlan::Distinct { .. } => "Distinct".to_string(),
-            LogicalPlan::SubqueryAlias { alias, .. } => format!("SubqueryAlias: {alias}"),
         }
     }
 
@@ -272,67 +290,55 @@ impl LogicalPlan {
     }
 }
 
-/// Resolve a (possibly qualified) column against a schema. Qualified names
-/// try `qualifier.name` first, then the bare name; unqualified names try
-/// exact match then a unique `*.name` suffix match.
-pub fn resolve_column(schema: &Schema, qualifier: Option<&str>, name: &str) -> Result<usize> {
-    if let Some(q) = qualifier {
-        let qualified = format!("{q}.{name}");
-        if let Ok(i) = schema.index_of(&qualified) {
-            return Ok(i);
-        }
-    }
-    if let Ok(i) = schema.index_of(name) {
-        return Ok(i);
-    }
-    // Suffix match: a field named "alias.name".
-    let suffix = format!(".{name}");
-    let matches: Vec<usize> = schema
-        .fields()
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.name().ends_with(&suffix))
-        .map(|(i, _)| i)
-        .collect();
-    match matches.as_slice() {
-        [one] => Ok(*one),
-        [] => Err(SqlError::Plan(format!("unknown column: {name}"))),
-        _ => Err(SqlError::Plan(format!("ambiguous column: {name}"))),
-    }
-}
-
-/// A join's output schema: the left input's fields, then the right's.
-pub fn join_schema(left: &Schema, right: &Schema) -> Schema {
-    Schema::new(
-        left.fields()
-            .iter()
-            .chain(right.fields())
-            .cloned()
-            .collect(),
-    )
-}
-
-/// Can every column in `expr` be resolved against `schema`?
-pub fn expr_resolves(expr: &Expr, schema: &Schema) -> bool {
-    let mut ok = true;
+/// The column positions `expr` reads.
+pub(crate) fn columns(expr: &Expr) -> Vec<usize> {
+    let mut out = Vec::new();
     expr.walk(&mut |e| {
-        if let Expr::Column { qualifier, name } = e {
-            if resolve_column(schema, qualifier.as_deref(), name).is_err() {
-                ok = false;
-            }
+        if let Expr::Column(ColumnRef { index: Some(i), .. }) = e {
+            out.push(*i);
         }
     });
-    ok
+    out
 }
 
-/// Infer the output type of an expression against an input schema.
-pub fn infer_type(expr: &Expr, schema: &Schema) -> Result<DataType> {
-    Ok(match expr {
-        Expr::Column { qualifier, name } => {
-            let i = resolve_column(schema, qualifier.as_deref(), name)?;
-            schema.field(i).data_type()
+/// Whether every column `expr` reads is on a join's left input (`Some(true)`)
+/// or every one on its right (`Some(false)`), the left having `nl` columns:
+/// `None` when it reads both, or no column.
+pub(crate) fn on_left(expr: &Expr, nl: usize) -> Option<bool> {
+    let cols = columns(expr);
+    let left = *cols.first()? < nl;
+    cols.iter().all(|&i| (i < nl) == left).then_some(left)
+}
+
+/// `expr` with each column's position `i` moved to `to(i)`, for a rewrite
+/// that changes a node's input; `None` means the column is not there.
+pub(crate) fn move_columns(expr: Expr, to: &impl Fn(usize) -> Option<usize>) -> Result<Expr> {
+    match expr {
+        Expr::Column(mut c) => {
+            c.index = c.index.and_then(to);
+            match c.index {
+                Some(_) => Ok(Expr::Column(c)),
+                None => Err(SqlError::Plan(format!("column {c} is not in its input"))),
+            }
         }
-        Expr::Literal(v) => v.data_type().unwrap_or(DataType::Int64),
+        other => other.map_children(|e| move_columns(e, to)),
+    }
+}
+
+/// Infer the output type of a bound expression over an input schema.
+pub fn infer_type(expr: &Expr, schema: &Schema) -> Result<DataType> {
+    Ok(type_of(expr, schema)?.unwrap_or(DataType::Int64))
+}
+
+/// The type `expr` evaluates to over `schema`; `None` for an untyped NULL.
+fn type_of(expr: &Expr, schema: &Schema) -> Result<Option<DataType>> {
+    Ok(Some(match expr {
+        Expr::Column(c) => {
+            let field = c.index.and_then(|i| schema.fields().get(i));
+            let unbound = || SqlError::Plan(format!("column {c} is not bound to its input"));
+            field.ok_or_else(unbound)?.data_type()
+        }
+        Expr::Literal(v) => return Ok(v.data_type()),
         Expr::Compare { .. }
         | Expr::Logical { .. }
         | Expr::Not(_)
@@ -341,27 +347,23 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> Result<DataType> {
         | Expr::InList { .. }
         | Expr::Like { .. } => DataType::Bool,
         Expr::Arith { left, right, .. } => {
-            let l = infer_type(left, schema)?;
-            let r = infer_type(right, schema)?;
-            if l == DataType::Float64 || r == DataType::Float64 {
+            let float = Some(DataType::Float64);
+            if type_of(left, schema)? == float || type_of(right, schema)? == float {
                 DataType::Float64
             } else {
                 DataType::Int64
             }
         }
-        Expr::Negate(e) => infer_type(e, schema)?,
+        Expr::Negate(e) => return type_of(e, schema),
         Expr::Function { name, args } => {
+            let types = (args.iter())
+                .map(|a| type_of(a, schema))
+                .collect::<Result<Vec<_>>>()?;
             if let Some(agg) = Aggregator::parse(name) {
-                let input = args
-                    .first()
-                    .map(|a| infer_type(a, schema))
-                    .transpose()?
-                    .unwrap_or(DataType::Int64);
-                agg.output_type(input)
-            } else if is_scalar_function(name) {
-                crate::functions::scalar_return_type(name, args, schema)?
+                let input = types.first().copied().flatten();
+                agg.output_type(input.unwrap_or(DataType::Int64))
             } else {
-                return Err(SqlError::Plan(format!("unknown function: {name}")));
+                return scalar_return_type(name, &types);
             }
         }
         Expr::CountStar => DataType::Int64,
@@ -369,31 +371,69 @@ pub fn infer_type(expr: &Expr, schema: &Schema) -> Result<DataType> {
         Expr::Case {
             branches,
             else_expr,
-        } => {
-            let mut t = None;
-            for (_, v) in branches {
-                let vt = infer_type(v, schema)?;
-                t = Some(t.map_or(vt, |prev| unify(prev, vt)));
-            }
-            if let Some(e) = else_expr {
-                let vt = infer_type(e, schema)?;
-                t = Some(t.map_or(vt, |prev| unify(prev, vt)));
-            }
-            t.unwrap_or(DataType::Int64)
-        }
-    })
+        } => return case_type(branches, else_expr.as_deref(), schema),
+    }))
 }
 
-fn unify(a: DataType, b: DataType) -> DataType {
-    if a == b {
-        a
-    } else if (a == DataType::Int64 && b == DataType::Float64)
-        || (a == DataType::Float64 && b == DataType::Int64)
-    {
-        DataType::Float64
-    } else {
-        a
+/// The type a CASE's results meet at.
+fn case_type(
+    branches: &[(Expr, Expr)],
+    else_expr: Option<&Expr>,
+    schema: &Schema,
+) -> Result<Option<DataType>> {
+    let mut values = branches.iter().map(|(_, v)| v).chain(else_expr);
+    values.try_fold(None, |t, v| Ok(unify(t, type_of(v, schema)?)))
+}
+
+const BOOLEAN: Option<DataType> = Some(DataType::Bool);
+
+/// `e`, an untyped NULL cast to `to` when there is one.
+fn typed(e: Expr, to: Option<DataType>) -> Expr {
+    match (e, to) {
+        (Expr::Literal(Value::Null), Some(to)) => Expr::Cast {
+            expr: Box::new(Expr::Literal(Value::Null)),
+            to,
+        },
+        (e, _) => e,
     }
+}
+
+/// `expr`, its operands bound, with each untyped NULL operand its context
+/// gives a type cast to that type: a NULL operand of AND, OR or NOT, or a
+/// NULL CASE condition, is a BOOLEAN; a NULL CASE result or COALESCE
+/// argument has the others' type.
+fn type_null_operands(expr: Expr, schema: &Schema) -> Result<Expr> {
+    let boolean = |e: Box<Expr>| Box::new(typed(*e, BOOLEAN));
+    Ok(match expr {
+        Expr::Logical { op, left, right } => Expr::Logical {
+            op,
+            left: boolean(left),
+            right: boolean(right),
+        },
+        Expr::Not(e) => Expr::Not(boolean(e)),
+        Expr::Case {
+            branches,
+            else_expr,
+        } => {
+            let to = case_type(&branches, else_expr.as_deref(), schema)?;
+            let branches = branches
+                .into_iter()
+                .map(|(c, v)| (typed(c, BOOLEAN), typed(v, to)));
+            Expr::Case {
+                branches: branches.collect(),
+                else_expr: else_expr.map(|e| Box::new(typed(*e, to))),
+            }
+        }
+        Expr::Function { name, args } if name.eq_ignore_ascii_case("COALESCE") => {
+            let types = (args.iter())
+                .map(|a| type_of(a, schema))
+                .collect::<Result<Vec<_>>>()?;
+            let to = scalar_return_type(&name, &types)?;
+            let args = args.into_iter().map(|a| typed(a, to)).collect();
+            Expr::Function { name, args }
+        }
+        other => other,
+    })
 }
 
 /// Is this expression (at the top level) an aggregate call?
@@ -422,25 +462,83 @@ pub fn contains_aggregate(expr: &Expr) -> bool {
     found
 }
 
-/// Plan a parsed SELECT against a schema provider.
+/// One column a name can bind to: the alias of the relation it came from
+/// and its name there.
+#[derive(Debug, Clone)]
+struct ScopeColumn {
+    relation: Option<Rc<str>>,
+    name: String,
+}
+
+/// The names an expression can use: one per column of the input it is
+/// evaluated over, in order.
+#[derive(Debug, Clone)]
+struct Scope(Vec<ScopeColumn>);
+
+impl Scope {
+    /// The columns of `schema`, from the relation aliased `relation`.
+    fn of(relation: Option<&str>, schema: &Schema) -> Scope {
+        let relation: Option<Rc<str>> = relation.map(Rc::from);
+        let column = |f: &Field| ScopeColumn {
+            relation: relation.clone(),
+            name: f.name().to_string(),
+        };
+        Scope(schema.fields().iter().map(column).collect())
+    }
+
+    /// The position `c` names: `q.c` is column `c` of the relation aliased
+    /// `q`, a bare `c` the left-most column named `c`. Spelling decides
+    /// first, then letters regardless of case.
+    fn resolve(&self, c: &ColumnRef) -> Result<usize> {
+        let find = |same: fn(&str, &str) -> bool| {
+            self.0.iter().position(|s| {
+                let relation = |q: &str| s.relation.as_deref().is_some_and(|r| same(r, q));
+                same(&s.name, &c.name) && c.qualifier.as_deref().is_none_or(relation)
+            })
+        };
+        (find(|a, b| a == b).or_else(|| find(str::eq_ignore_ascii_case)))
+            .ok_or_else(|| SqlError::Plan(format!("unknown column: {c}")))
+    }
+
+    /// `expr` with every column bound to its position in this scope, over
+    /// an input of `schema`, and named as its relation spells it; and its
+    /// NULLs typed from their context.
+    fn bind(&self, expr: &Expr, schema: &Schema) -> Result<Expr> {
+        fn go(scope: &Scope, schema: &Schema, expr: Expr) -> Result<Expr> {
+            match expr {
+                Expr::Column(mut c) => {
+                    let i = scope.resolve(&c)?;
+                    if c.name != scope.0[i].name {
+                        c.name = scope.0[i].name.clone();
+                    }
+                    c.index = Some(i);
+                    Ok(Expr::Column(c))
+                }
+                other => {
+                    let bound = other.map_children(|e| go(scope, schema, e))?;
+                    type_null_operands(bound, schema)
+                }
+            }
+        }
+        go(self, schema, expr.clone())
+    }
+}
+
+/// Bind a parsed SELECT against a schema provider into a logical plan.
 pub fn plan_select(stmt: &SelectStmt, provider: &dyn SchemaProvider) -> Result<LogicalPlan> {
     // 1. FROM + JOINs.
-    let mut plan = match &stmt.from {
+    let (mut plan, mut scope) = match &stmt.from {
         Some(rel) => plan_relation(rel, provider)?,
         None => {
-            // SELECT without FROM: a single-row dummy relation.
-            LogicalPlan::Scan {
-                table: "__dual".into(),
-                schema: Schema::new(vec![Field::new("__dummy", DataType::Int64, true)]),
-                projection: None,
-                filters: vec![],
-                fetch: None,
-            }
+            // One row of one column no name can reach.
+            let schema = Schema::new(vec![Field::new("", DataType::Int64, false)]);
+            let batch = RecordBatch::try_new(schema, vec![Column::from_i64(vec![0])])?;
+            let scope = Scope::of(None, batch.schema());
+            (LogicalPlan::Values { batch }, scope)
         }
     };
     for join in &stmt.joins {
-        let right = plan_relation(&join.relation, provider)?;
-        plan = disambiguate_join(plan, right, join.join_type, join.on.clone())?;
+        (plan, scope) = plan_join(plan, scope, join, provider)?;
     }
 
     // 2. WHERE.
@@ -450,50 +548,73 @@ pub fn plan_select(stmt: &SelectStmt, provider: &dyn SchemaProvider) -> Result<L
                 "aggregate functions are not allowed in WHERE".into(),
             ));
         }
+        // A bare NULL is a BOOLEAN there, as in HAVING.
+        let predicate = typed(scope.bind(pred, plan.schema())?, BOOLEAN);
         plan = LogicalPlan::Filter {
             input: Box::new(plan),
-            predicate: pred.clone(),
+            predicate,
         };
     }
 
-    // 3. Expand wildcard projection.
-    let input_schema = plan.schema()?;
-    let mut proj_items: Vec<(Expr, String)> = Vec::new();
+    // 3. The select list, over the FROM scope; `*` is every column of it.
+    let from = plan.schema().clone();
+    let mut items: Vec<(Expr, String)> = Vec::new();
     for item in &stmt.projection {
         match item {
             SelectItem::Wildcard => {
-                for f in input_schema.fields() {
-                    proj_items.push((Expr::col(f.name()), f.name().to_string()));
+                for (i, (c, field)) in scope.0.iter().zip(from.fields()).enumerate() {
+                    // A renamed join column shows as the `alias.name` it is.
+                    let renamed = field.name() != c.name;
+                    let column = ColumnRef {
+                        qualifier: c.relation.as_deref().filter(|_| renamed).map(String::from),
+                        name: c.name.clone(),
+                        index: Some(i),
+                    };
+                    items.push((Expr::Column(column), field.name().to_string()));
                 }
             }
             SelectItem::Expr { expr, alias } => {
                 let name = alias.clone().unwrap_or_else(|| expr.default_name());
-                proj_items.push((expr.clone(), name));
+                items.push((scope.bind(expr, &from)?, name));
             }
         }
     }
 
-    // 4. Aggregation.
-    let needs_agg = !stmt.group_by.is_empty()
-        || proj_items.iter().any(|(e, _)| contains_aggregate(e))
-        || stmt.having.as_ref().is_some_and(contains_aggregate);
-    let mut having = stmt.having.clone();
-    let mut order_keys: Vec<(Expr, bool)> = stmt
-        .order_by
-        .iter()
-        .map(|o| (o.expr.clone(), o.descending))
+    // 4. ORDER BY keys that can sort below the projection: an output's
+    //    alias stands for its expression, anything else binds to the FROM
+    //    scope. A key that does neither is bound to the outputs in step 7.
+    let mut below: Vec<Option<Expr>> = (stmt.order_by.iter())
+        .map(|o| {
+            let alias = match &o.expr {
+                Expr::Column(c) if c.qualifier.is_none() => {
+                    items.iter().find(|(_, n)| *n == c.name)
+                }
+                _ => None,
+            };
+            match alias {
+                Some((e, _)) => Some(e.clone()),
+                None => scope.bind(&o.expr, &from).ok(),
+            }
+        })
         .collect();
 
+    // 5. Aggregation: everything above it reads the group expressions and
+    //    aggregates from the Aggregate's output.
+    let mut having = (stmt.having.as_ref())
+        .map(|h| scope.bind(h, &from).map(|h| typed(h, BOOLEAN)))
+        .transpose()?;
+    let needs_agg = !stmt.group_by.is_empty()
+        || items.iter().any(|(e, _)| contains_aggregate(e))
+        || having.as_ref().is_some_and(contains_aggregate);
     if needs_agg {
-        // Group expressions keyed by display text.
-        let group_exprs: Vec<(Expr, String)> = stmt
-            .group_by
-            .iter()
-            .map(|e| (e.clone(), e.default_name()))
-            .collect();
-        // Collect unique aggregate expressions from projection/having/order.
+        let group_exprs = (stmt.group_by.iter())
+            .map(|g| Ok((scope.bind(g, &from)?, g.default_name())))
+            .collect::<Result<Vec<_>>>()?;
         let mut agg_exprs: Vec<(AggExpr, String)> = Vec::new();
-        let collect = |e: &Expr, agg_exprs: &mut Vec<(AggExpr, String)>| {
+        let used = (items.iter().map(|(e, _)| e))
+            .chain(having.as_ref())
+            .chain(below.iter().flatten());
+        for e in used {
             e.walk(&mut |node| {
                 if let Some(agg) = as_aggregate(node) {
                     if !agg_exprs.iter().any(|(a, _)| *a == agg) {
@@ -502,122 +623,88 @@ pub fn plan_select(stmt: &SelectStmt, provider: &dyn SchemaProvider) -> Result<L
                     }
                 }
             });
+        }
+        let groups =
+            (group_exprs.iter()).map(|(e, n)| Ok(Field::new(n, infer_type(e, &from)?, true)));
+        let aggs = (agg_exprs.iter())
+            .map(|(a, n)| Ok(Field::new(n, a.agg.output_type(a.arg_type(&from)?), true)));
+        let fields = groups.chain(aggs).collect::<Result<_>>()?;
+        let over = |e: Expr| over_groups(e, &group_exprs, &agg_exprs);
+        let grouped = |what: &str| {
+            let err = "must be built from GROUP BY expressions and aggregates";
+            SqlError::Plan(format!("{what} {err}"))
         };
-        for (e, _) in &proj_items {
-            collect(e, &mut agg_exprs);
-        }
-        if let Some(h) = &having {
-            collect(h, &mut agg_exprs);
-        }
-        for (e, _) in &order_keys {
-            collect(e, &mut agg_exprs);
-        }
-        // Validate: projection expressions must be built from group exprs and
-        // aggregates only.
-        for (e, name) in &proj_items {
-            validate_agg_projection(e, &group_exprs, name)?;
-        }
+        items = (items.into_iter())
+            .map(|(e, name)| Ok((over(e).ok_or_else(|| grouped(&name))?, name)))
+            .collect::<Result<_>>()?;
+        having = (having.map(|h| over(h).ok_or_else(|| grouped("HAVING")))).transpose()?;
+        below = below.into_iter().map(|k| k.and_then(over)).collect();
         plan = LogicalPlan::Aggregate {
             input: Box::new(plan),
-            group_exprs: group_exprs.clone(),
-            agg_exprs: agg_exprs.clone(),
+            group_exprs,
+            agg_exprs,
+            schema: Schema::new(fields),
         };
-        // Rewrite downstream expressions to reference aggregate output.
-        let rewrite = |e: &Expr| rewrite_post_agg(e, &group_exprs, &agg_exprs);
-        proj_items = proj_items
-            .iter()
-            .map(|(e, n)| (rewrite(e), n.clone()))
-            .collect();
-        having = having.as_ref().map(&rewrite);
-        order_keys = order_keys.iter().map(|(e, d)| (rewrite(e), *d)).collect();
     }
 
-    // 5. HAVING.
-    if let Some(h) = having {
+    // 6. HAVING.
+    if let Some(predicate) = having {
         plan = LogicalPlan::Filter {
             input: Box::new(plan),
-            predicate: h,
+            predicate,
         };
     }
 
-    // 6-8. Projection, DISTINCT, ORDER BY.
-    //
-    // ORDER BY may reference projection aliases ("ORDER BY n DESC") *or*
-    // columns that are not projected at all ("ORDER BY id" with id dropped).
-    // Strategy: rewrite alias references to the underlying projected
-    // expression; if every key then resolves against the pre-projection
-    // schema, sort *below* the projection (covers non-projected columns);
-    // otherwise sort above it in output terms.
-    let pre_proj_schema = plan.schema()?;
-    let keys_below: Option<Vec<(Expr, bool)>> = if order_keys.is_empty() {
-        None
-    } else {
-        order_keys
-            .iter()
-            .map(|(e, d)| {
-                // Alias reference → the projected expression.
-                let expr = match e {
-                    Expr::Column {
-                        qualifier: None,
-                        name,
-                    } => proj_items
-                        .iter()
-                        .find(|(_, n)| n == name)
-                        .map(|(pe, _)| pe.clone())
-                        .unwrap_or_else(|| e.clone()),
-                    _ => e.clone(),
-                };
-                infer_type(&expr, &pre_proj_schema).ok().map(|_| (expr, *d))
-            })
-            .collect()
-    };
-    if let Some(keys) = &keys_below {
-        plan = LogicalPlan::Sort {
-            input: Box::new(plan),
-            keys: keys.clone(),
-            fetch: None,
-        };
-    }
-
-    let proj_plan = LogicalPlan::Project {
-        input: Box::new(plan),
-        exprs: proj_items.clone(),
-    };
-    let out_schema = proj_plan.schema()?;
-    plan = proj_plan;
-
-    if stmt.distinct {
-        plan = LogicalPlan::Distinct {
-            input: Box::new(plan),
-        };
-    }
-
-    if !order_keys.is_empty() && keys_below.is_none() {
-        let keys = order_keys
-            .into_iter()
-            .map(|(e, d)| {
-                // Alias for a projected expression?
-                if let Some((_, name)) = proj_items.iter().find(|(pe, _)| *pe == e) {
-                    return Ok((Expr::col(name.clone()), d));
-                }
-                // Resolvable against output schema?
-                if let Expr::Column { qualifier, name } = &e {
-                    if resolve_column(&out_schema, qualifier.as_deref(), name).is_ok() {
-                        return Ok((e, d));
-                    }
-                }
-                // Computed key over projected columns.
-                infer_type(&e, &out_schema).map(|_| (e, d))
-            })
-            .collect::<Result<Vec<_>>>()?;
+    // 7. ORDER BY, projection, DISTINCT. The sort goes below the projection
+    //    when every key could bind there (that covers columns the
+    //    projection drops), else above it over the outputs.
+    let keys = below.iter().zip(&stmt.order_by);
+    let sorted_below: Option<Vec<(Expr, bool)>> = (!below.is_empty())
+        .then(|| {
+            keys.map(|(k, o)| Some((k.clone()?, o.descending)))
+                .collect()
+        })
+        .flatten();
+    if let Some(keys) = sorted_below.clone() {
         plan = LogicalPlan::Sort {
             input: Box::new(plan),
             keys,
             fetch: None,
         };
     }
+    let fields = (items.iter())
+        .map(|(e, name)| Ok(Field::new(name, infer_type(e, plan.schema())?, true)))
+        .collect::<Result<_>>()?;
+    plan = LogicalPlan::Project {
+        input: Box::new(plan),
+        exprs: items.clone(),
+        schema: Schema::new(fields),
+    };
+    if stmt.distinct {
+        plan = LogicalPlan::Distinct {
+            input: Box::new(plan),
+        };
+    }
+    if !below.is_empty() && sorted_below.is_none() {
+        let outputs = Scope::of(None, plan.schema());
+        let key = |(k, o): (Option<Expr>, &crate::ast::OrderByExpr)| {
+            // An expression the select list computes is read from it.
+            let projected = k.and_then(|k| items.iter().position(|(e, _)| *e == k));
+            let key = match projected {
+                Some(i) => Expr::bound(items[i].1.clone(), i),
+                None => outputs.bind(&o.expr, plan.schema())?,
+            };
+            Ok((key, o.descending))
+        };
+        let keys = below.into_iter().zip(&stmt.order_by).map(key);
+        plan = LogicalPlan::Sort {
+            keys: keys.collect::<Result<_>>()?,
+            input: Box::new(plan),
+            fetch: None,
+        };
+    }
 
-    // 9. LIMIT / OFFSET.
+    // 8. LIMIT / OFFSET.
     if stmt.limit.is_some() || stmt.offset.is_some() {
         plan = LogicalPlan::Limit {
             input: Box::new(plan),
@@ -628,229 +715,87 @@ pub fn plan_select(stmt: &SelectStmt, provider: &dyn SchemaProvider) -> Result<L
     Ok(plan)
 }
 
-fn plan_relation(rel: &Relation, provider: &dyn SchemaProvider) -> Result<LogicalPlan> {
-    match rel {
-        Relation::Table { name, alias } => {
-            let schema = provider
+/// A FROM item's plan, and the scope its columns are named in: under its
+/// alias, or a table's own name when it has none.
+fn plan_relation(rel: &Relation, provider: &dyn SchemaProvider) -> Result<(LogicalPlan, Scope)> {
+    let plan = match rel {
+        Relation::Table { name, .. } => LogicalPlan::Scan {
+            table: name.clone(),
+            schema: provider
                 .table_schema_checked(name)
                 .map_err(SqlError::Execution)?
-                .ok_or_else(|| SqlError::Plan(format!("unknown table: {name}")))?;
-            let scan = LogicalPlan::Scan {
-                table: name.clone(),
-                schema,
-                projection: None,
-                filters: vec![],
-                fetch: None,
-            };
-            Ok(match alias {
-                Some(a) => LogicalPlan::SubqueryAlias {
-                    input: Box::new(scan),
-                    alias: a.clone(),
-                },
-                None => scan,
-            })
-        }
-        Relation::Subquery { query, alias } => Ok(LogicalPlan::SubqueryAlias {
-            input: Box::new(plan_select(query, provider)?),
-            alias: alias.clone(),
-        }),
-    }
+                .ok_or_else(|| SqlError::Plan(format!("unknown table: {name}")))?,
+            projection: None,
+            filters: vec![],
+            fetch: None,
+        },
+        Relation::Subquery { query, .. } => plan_select(query, provider)?,
+    };
+    let scope = Scope::of(Some(rel.alias()), plan.schema());
+    Ok((plan, scope))
 }
 
-/// Build a join, renaming right-side columns that collide with left-side
-/// names to `alias.name` form so resolution stays unambiguous.
-fn disambiguate_join(
+/// `left` joined with `join`'s relation. A right column whose name the left
+/// already has is named `alias.name` in the join's output, and each ON
+/// equality is bound with one side to each input.
+fn plan_join(
     left: LogicalPlan,
-    right: LogicalPlan,
-    join_type: JoinType,
-    on: Vec<(Expr, Expr)>,
-) -> Result<LogicalPlan> {
-    let lschema = left.schema()?;
-    let rschema = right.schema()?;
-    let alias = match &right {
-        LogicalPlan::SubqueryAlias { alias, .. } => alias.clone(),
-        LogicalPlan::Scan { table, .. } => table.clone(),
-        _ => "right".to_string(),
-    };
-    let mut rename_needed = false;
-    for f in rschema.fields() {
-        if lschema.contains(f.name()) {
-            rename_needed = true;
-        }
+    mut scope: Scope,
+    join: &Join,
+    provider: &dyn SchemaProvider,
+) -> Result<(LogicalPlan, Scope)> {
+    let (right, right_scope) = plan_relation(&join.relation, provider)?;
+    let (ls, alias) = (left.schema(), join.relation.alias());
+    let mut fields = ls.fields().to_vec();
+    for f in right.schema().fields() {
+        let name = match ls.contains(f.name()) {
+            true => format!("{alias}.{}", f.name()),
+            false => f.name().to_string(),
+        };
+        fields.push(Field::new(name, f.data_type(), true));
     }
-    let right = if rename_needed {
-        let exprs = rschema
-            .fields()
-            .iter()
-            .map(|f| {
-                let out_name = if lschema.contains(f.name()) {
-                    format!("{alias}.{}", f.name())
-                } else {
-                    f.name().to_string()
-                };
-                (Expr::col(f.name()), out_name)
-            })
-            .collect();
-        LogicalPlan::Project {
-            input: Box::new(right),
-            exprs,
-        }
-    } else {
-        right
-    };
-    Ok(LogicalPlan::Join {
+    let schema = Schema::new(fields);
+    let nl = ls.len();
+    scope.0.extend(right_scope.0);
+    let on = (join.on.iter())
+        .map(|(a, b)| {
+            let (a, b) = (scope.bind(a, &schema)?, scope.bind(b, &schema)?);
+            let to_right = |e: Expr| move_columns(e, &|i| i.checked_sub(nl));
+            match (on_left(&a, nl), on_left(&b, nl)) {
+                (Some(true), Some(false)) => Ok((a, to_right(b)?)),
+                (Some(false), Some(true)) => Ok((b, to_right(a)?)),
+                _ => Err(SqlError::Plan(format!(
+                    "join condition {a} = {b} must compare a column of each input"
+                ))),
+            }
+        })
+        .collect::<Result<_>>()?;
+    let plan = LogicalPlan::Join {
         left: Box::new(left),
         right: Box::new(right),
-        join_type,
+        join_type: join.join_type,
         on,
-    })
+        schema,
+    };
+    Ok((plan, scope))
 }
 
-/// After aggregation, every non-aggregate leaf must be a group expression.
-fn validate_agg_projection(
-    expr: &Expr,
-    group_exprs: &[(Expr, String)],
-    item_name: &str,
-) -> Result<()> {
-    if group_exprs.iter().any(|(g, _)| g == expr) || as_aggregate(expr).is_some() {
-        return Ok(());
+/// `expr` over an Aggregate's output: each GROUP BY expression and
+/// aggregate in it becomes a reference to its output column. `None` when a
+/// column is left outside both.
+fn over_groups(expr: Expr, groups: &[(Expr, String)], aggs: &[(AggExpr, String)]) -> Option<Expr> {
+    if let Some(i) = groups.iter().position(|(g, _)| *g == expr) {
+        return Some(Expr::bound(groups[i].1.clone(), i));
+    }
+    let agg = as_aggregate(&expr).and_then(|a| aggs.iter().position(|(b, _)| *b == a));
+    if let Some(j) = agg {
+        return Some(Expr::bound(aggs[j].1.clone(), groups.len() + j));
     }
     match expr {
-        Expr::Column { .. } => Err(SqlError::Plan(format!(
-            "column {expr} in select item '{item_name}' must appear in GROUP BY \
-             or be inside an aggregate"
-        ))),
-        Expr::Literal(_) | Expr::CountStar => Ok(()),
-        Expr::Compare { left, right, .. }
-        | Expr::Arith { left, right, .. }
-        | Expr::Logical { left, right, .. } => {
-            validate_agg_projection(left, group_exprs, item_name)?;
-            validate_agg_projection(right, group_exprs, item_name)
-        }
-        Expr::Not(e) | Expr::Negate(e) => validate_agg_projection(e, group_exprs, item_name),
-        Expr::Cast { expr, .. } => validate_agg_projection(expr, group_exprs, item_name),
-        Expr::Function { args, .. } => {
-            for a in args {
-                validate_agg_projection(a, group_exprs, item_name)?;
-            }
-            Ok(())
-        }
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, v) in branches {
-                validate_agg_projection(c, group_exprs, item_name)?;
-                validate_agg_projection(v, group_exprs, item_name)?;
-            }
-            if let Some(e) = else_expr {
-                validate_agg_projection(e, group_exprs, item_name)?;
-            }
-            Ok(())
-        }
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
-            validate_agg_projection(expr, group_exprs, item_name)
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            validate_agg_projection(expr, group_exprs, item_name)?;
-            validate_agg_projection(low, group_exprs, item_name)?;
-            validate_agg_projection(high, group_exprs, item_name)
-        }
-        Expr::InList { expr, list, .. } => {
-            validate_agg_projection(expr, group_exprs, item_name)?;
-            for e in list {
-                validate_agg_projection(e, group_exprs, item_name)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Replace group-expression and aggregate subtrees with references to the
-/// aggregate node's output columns.
-fn rewrite_post_agg(
-    expr: &Expr,
-    group_exprs: &[(Expr, String)],
-    agg_exprs: &[(AggExpr, String)],
-) -> Expr {
-    if let Some((_, name)) = group_exprs.iter().find(|(g, _)| g == expr) {
-        return Expr::col(name.clone());
-    }
-    if let Some(agg) = as_aggregate(expr) {
-        if let Some((_, name)) = agg_exprs.iter().find(|(a, _)| *a == agg) {
-            return Expr::col(name.clone());
-        }
-    }
-    let rw = |e: &Expr| rewrite_post_agg(e, group_exprs, agg_exprs);
-    match expr {
-        Expr::Compare { op, left, right } => Expr::Compare {
-            op: *op,
-            left: Box::new(rw(left)),
-            right: Box::new(rw(right)),
-        },
-        Expr::Arith { op, left, right } => Expr::Arith {
-            op: *op,
-            left: Box::new(rw(left)),
-            right: Box::new(rw(right)),
-        },
-        Expr::Logical { op, left, right } => Expr::Logical {
-            op: *op,
-            left: Box::new(rw(left)),
-            right: Box::new(rw(right)),
-        },
-        Expr::Not(e) => Expr::Not(Box::new(rw(e))),
-        Expr::Negate(e) => Expr::Negate(Box::new(rw(e))),
-        Expr::Cast { expr, to } => Expr::Cast {
-            expr: Box::new(rw(expr)),
-            to: *to,
-        },
-        Expr::Function { name, args } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(rw).collect(),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rw(expr)),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(rw(expr)),
-            low: Box::new(rw(low)),
-            high: Box::new(rw(high)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(rw(expr)),
-            list: list.iter().map(rw).collect(),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(rw(expr)),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        Expr::Case {
-            branches,
-            else_expr,
-        } => Expr::Case {
-            branches: branches.iter().map(|(c, v)| (rw(c), rw(v))).collect(),
-            else_expr: else_expr.as_ref().map(|e| Box::new(rw(e))),
-        },
-        other => other.clone(),
+        Expr::Column(_) => None,
+        other => other
+            .map_children(|e| over_groups(e, groups, aggs).ok_or(()))
+            .ok(),
     }
 }
 
@@ -896,7 +841,7 @@ mod tests {
     #[test]
     fn simple_projection_schema() {
         let p = plan("SELECT fare, zone FROM trips").unwrap();
-        let s = p.schema().unwrap();
+        let s = p.schema();
         assert_eq!(s.names(), vec!["fare", "zone"]);
         assert_eq!(s.field(0).data_type(), DataType::Float64);
     }
@@ -904,7 +849,7 @@ mod tests {
     #[test]
     fn wildcard_expands() {
         let p = plan("SELECT * FROM trips").unwrap();
-        assert_eq!(p.schema().unwrap().len(), 4);
+        assert_eq!(p.schema().len(), 4);
     }
 
     #[test]
@@ -924,7 +869,7 @@ mod tests {
     fn aggregate_schema() {
         let p = plan("SELECT zone, COUNT(*) AS n, AVG(fare) AS avg_fare FROM trips GROUP BY zone")
             .unwrap();
-        let s = p.schema().unwrap();
+        let s = p.schema();
         assert_eq!(s.names(), vec!["zone", "n", "avg_fare"]);
         assert_eq!(s.field(1).data_type(), DataType::Int64);
         assert_eq!(s.field(2).data_type(), DataType::Float64);
@@ -964,7 +909,7 @@ mod tests {
     fn order_by_non_projected_column() {
         // Sorting by a column the projection drops must still plan.
         let p = plan("SELECT zone FROM trips ORDER BY fare DESC").unwrap();
-        assert_eq!(p.schema().unwrap().names(), vec!["zone"]);
+        assert_eq!(p.schema().names(), vec!["zone"]);
     }
 
     #[test]
@@ -973,7 +918,7 @@ mod tests {
             "SELECT trips.zone, zones.zone FROM trips JOIN zones ON trips.pickup_location_id = zones.id",
         )
         .unwrap();
-        let s = p.schema().unwrap();
+        let s = p.schema();
         assert_eq!(s.len(), 2);
     }
 
@@ -990,7 +935,7 @@ mod tests {
     #[test]
     fn select_without_from() {
         let p = plan("SELECT 1 + 2 AS three").unwrap();
-        assert_eq!(p.schema().unwrap().names(), vec!["three"]);
+        assert_eq!(p.schema().names(), vec!["three"]);
     }
 
     #[test]

@@ -7,202 +7,98 @@
 //! the scan once a `LIMIT` is satisfied (§4.4.2). Each one ends at
 //! [`LogicalPlan::Scan`]: files, columns and rows the query does not need
 //! are never read.
+//!
+//! Each rule is one `fn(LogicalPlan) -> Result<LogicalPlan>`. The binder
+//! has bound every column to a position, so a rule only moves positions:
+//! it never looks a name up.
 
 use crate::ast::{ArithOp, Expr, JoinType, LogicalOp};
 use crate::error::Result;
-use crate::logical::{expr_resolves, join_schema, resolve_column, LogicalPlan};
+use crate::logical::{columns, move_columns, on_left, LogicalPlan};
 use lakehouse_columnar::kernels::cast::cast_value;
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{DataType, Schema, Value};
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 
-/// Run all rules to fixpoint-ish (each rule once; they are confluent for our
+/// One rewrite of a whole plan.
+type Rule = fn(LogicalPlan) -> Result<LogicalPlan>;
+
+/// The rules in the order they run, each once (they are confluent for our
 /// plan shapes).
+const RULES: [Rule; 4] = [
+    fold_constants,
+    push_down_predicates,
+    prune_projections,
+    push_down_limits,
+];
+
+/// Run every rule over `plan`.
 pub fn optimize(plan: LogicalPlan) -> Result<LogicalPlan> {
-    let plan = fold_constants_in_plan(plan)?;
-    let plan = push_down_predicates(plan)?;
-    let mut plan = prune_projections(plan)?;
-    push_down_limits(&mut plan);
-    Ok(plan)
+    RULES.iter().try_fold(plan, |plan, rule| rule(plan))
 }
 
 // ---- constant folding ------------------------------------------------------
 
-fn fold_constants_in_plan(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(fold_constants_in_plan(*input)?),
-            predicate: fold_expr(predicate),
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(fold_constants_in_plan(*input)?),
-            exprs: exprs.into_iter().map(|(e, n)| (fold_expr(e), n)).collect(),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            agg_exprs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(fold_constants_in_plan(*input)?),
-            group_exprs: group_exprs
-                .into_iter()
-                .map(|(e, n)| (fold_expr(e), n))
-                .collect(),
-            agg_exprs,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            on,
-        } => LogicalPlan::Join {
-            left: Box::new(fold_constants_in_plan(*left)?),
-            right: Box::new(fold_constants_in_plan(*right)?),
-            join_type,
-            on,
-        },
-        LogicalPlan::Sort { input, keys, fetch } => LogicalPlan::Sort {
-            input: Box::new(fold_constants_in_plan(*input)?),
-            keys: keys.into_iter().map(|(e, d)| (fold_expr(e), d)).collect(),
-            fetch,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(fold_constants_in_plan(*input)?),
-            limit,
-            offset,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(fold_constants_in_plan(*input)?),
-        },
-        LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
-            input: Box::new(fold_constants_in_plan(*input)?),
-            alias,
-        },
-        scan @ LogicalPlan::Scan { .. } => scan,
-    })
+fn fold_constants(plan: LogicalPlan) -> Result<LogicalPlan> {
+    let mut plan = plan.map_inputs(fold_constants)?;
+    for e in plan.exprs_mut() {
+        *e = fold_expr(std::mem::replace(e, Expr::CountStar));
+    }
+    Ok(plan)
 }
 
 /// Fold constant subexpressions bottom-up.
 pub fn fold_expr(expr: Expr) -> Expr {
+    let Ok(expr) = expr.map_children(|e| Ok::<_, Infallible>(fold_expr(e)));
     match expr {
         Expr::Arith { op, left, right } => {
-            let left = fold_expr(*left);
-            let right = fold_expr(*right);
-            if let (Expr::Literal(l), Expr::Literal(r)) = (&left, &right) {
+            if let (Expr::Literal(l), Expr::Literal(r)) = (&*left, &*right) {
                 if let Some(v) = fold_arith(op, l, r) {
                     return Expr::Literal(v);
                 }
             }
-            Expr::Arith {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            }
+            Expr::Arith { op, left, right }
         }
         Expr::Compare { op, left, right } => {
-            let left = fold_expr(*left);
-            let right = fold_expr(*right);
-            if let (Expr::Literal(l), Expr::Literal(r)) = (&left, &right) {
+            if let (Expr::Literal(l), Expr::Literal(r)) = (&*left, &*right) {
                 if !l.is_null() && !r.is_null() {
                     return Expr::Literal(Value::Bool(op.matches(l.total_cmp(r))));
                 }
             }
-            Expr::Compare {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            }
+            Expr::Compare { op, left, right }
         }
-        Expr::Logical { op, left, right } => {
-            let left = fold_expr(*left);
-            let right = fold_expr(*right);
-            match (op, &left, &right) {
-                (LogicalOp::And, Expr::Literal(Value::Bool(true)), _) => right,
-                (LogicalOp::And, _, Expr::Literal(Value::Bool(true))) => left,
-                (LogicalOp::And, Expr::Literal(Value::Bool(false)), _)
-                | (LogicalOp::And, _, Expr::Literal(Value::Bool(false))) => {
-                    Expr::Literal(Value::Bool(false))
-                }
-                (LogicalOp::Or, Expr::Literal(Value::Bool(false)), _) => right,
-                (LogicalOp::Or, _, Expr::Literal(Value::Bool(false))) => left,
-                (LogicalOp::Or, Expr::Literal(Value::Bool(true)), _)
-                | (LogicalOp::Or, _, Expr::Literal(Value::Bool(true))) => {
-                    Expr::Literal(Value::Bool(true))
-                }
-                _ => Expr::Logical {
-                    op,
-                    left: Box::new(left),
-                    right: Box::new(right),
-                },
+        Expr::Logical { op, left, right } => match (op, &*left, &*right) {
+            (LogicalOp::And, Expr::Literal(Value::Bool(true)), _) => *right,
+            (LogicalOp::And, _, Expr::Literal(Value::Bool(true))) => *left,
+            (LogicalOp::And, Expr::Literal(Value::Bool(false)), _)
+            | (LogicalOp::And, _, Expr::Literal(Value::Bool(false))) => {
+                Expr::Literal(Value::Bool(false))
             }
-        }
-        Expr::Not(e) => {
-            let e = fold_expr(*e);
-            if let Expr::Literal(Value::Bool(b)) = e {
-                return Expr::Literal(Value::Bool(!b));
+            (LogicalOp::Or, Expr::Literal(Value::Bool(false)), _) => *right,
+            (LogicalOp::Or, _, Expr::Literal(Value::Bool(false))) => *left,
+            (LogicalOp::Or, Expr::Literal(Value::Bool(true)), _)
+            | (LogicalOp::Or, _, Expr::Literal(Value::Bool(true))) => {
+                Expr::Literal(Value::Bool(true))
             }
-            Expr::Not(Box::new(e))
-        }
-        Expr::Negate(e) => {
-            let e = fold_expr(*e);
-            match &e {
-                Expr::Literal(Value::Int64(i)) if *i != i64::MIN => {
-                    return Expr::Literal(Value::Int64(-i))
-                }
-                Expr::Literal(Value::Float64(f)) => return Expr::Literal(Value::Float64(-f)),
-                _ => {}
-            }
-            Expr::Negate(Box::new(e))
-        }
-        Expr::Cast { expr, to } => {
-            let e = fold_expr(*expr);
-            if let Expr::Literal(v) = &e {
-                if let Ok(folded) = cast_value(v, to) {
-                    return Expr::Literal(folded);
-                }
-            }
-            Expr::Cast {
-                expr: Box::new(e),
-                to,
-            }
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(fold_expr(*expr)),
-            low: Box::new(fold_expr(*low)),
-            high: Box::new(fold_expr(*high)),
-            negated,
+            _ => Expr::Logical { op, left, right },
         },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(fold_expr(*expr)),
-            list: list.into_iter().map(fold_expr).collect(),
-            negated,
+        Expr::Not(e) => match *e {
+            Expr::Literal(Value::Bool(b)) => Expr::Literal(Value::Bool(!b)),
+            e => Expr::Not(Box::new(e)),
         },
-        Expr::Function { name, args } => Expr::Function {
-            name,
-            args: args.into_iter().map(fold_expr).collect(),
+        Expr::Negate(e) => match *e {
+            Expr::Literal(Value::Int64(i)) if i != i64::MIN => Expr::Literal(Value::Int64(-i)),
+            Expr::Literal(Value::Float64(f)) => Expr::Literal(Value::Float64(-f)),
+            e => Expr::Negate(Box::new(e)),
         },
-        Expr::Case {
-            branches,
-            else_expr,
-        } => Expr::Case {
-            branches: branches
-                .into_iter()
-                .map(|(c, v)| (fold_expr(c), fold_expr(v)))
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(fold_expr(*e))),
+        // A NULL keeps the type its cast gives it.
+        Expr::Cast { expr, to } => match &*expr {
+            Expr::Literal(v) if !v.is_null() => match cast_value(v, to) {
+                Ok(folded) => Expr::Literal(folded),
+                Err(_) => Expr::Cast { expr, to },
+            },
+            _ => Expr::Cast { expr, to },
         },
         other => other,
     }
@@ -265,112 +161,37 @@ pub fn split_conjunction(expr: &Expr) -> Vec<Expr> {
 }
 
 /// Recombine predicates into a conjunction.
-pub fn conjoin(mut parts: Vec<Expr>) -> Option<Expr> {
-    let first = if parts.is_empty() {
-        return None;
-    } else {
-        parts.remove(0)
-    };
-    Some(parts.into_iter().fold(first, |acc, p| Expr::Logical {
+pub fn conjoin(parts: Vec<Expr>) -> Option<Expr> {
+    parts.into_iter().reduce(|acc, p| Expr::Logical {
         op: LogicalOp::And,
         left: Box::new(acc),
         right: Box::new(p),
-    }))
+    })
 }
 
 fn push_down_predicates(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
+    match plan.map_inputs(push_down_predicates)? {
         LogicalPlan::Filter { input, predicate } => {
-            let input = push_down_predicates(*input)?;
             let parts = split_conjunction(&predicate)
                 .into_iter()
                 .flat_map(expand_between)
                 .collect();
-            push_filter_into(input, parts)?
+            push_filter_into(*input, parts)
         }
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(push_down_predicates(*input)?),
-            exprs,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            agg_exprs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_down_predicates(*input)?),
-            group_exprs,
-            agg_exprs,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            on,
-        } => LogicalPlan::Join {
-            left: Box::new(push_down_predicates(*left)?),
-            right: Box::new(push_down_predicates(*right)?),
-            join_type,
-            on,
-        },
-        LogicalPlan::Sort { input, keys, fetch } => LogicalPlan::Sort {
-            input: Box::new(push_down_predicates(*input)?),
-            keys,
-            fetch,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(push_down_predicates(*input)?),
-            limit,
-            offset,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(push_down_predicates(*input)?),
-        },
-        LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
-            input: Box::new(push_down_predicates(*input)?),
-            alias,
-        },
-        scan @ LogicalPlan::Scan { .. } => scan,
-    })
+        other => Ok(other),
+    }
 }
 
 /// Push each conjunct as deep as possible; conjuncts that cannot be pushed
 /// are re-attached as a Filter at this level.
-fn push_filter_into(plan: LogicalPlan, parts: Vec<Expr>) -> Result<LogicalPlan> {
+fn push_filter_into(mut plan: LogicalPlan, parts: Vec<Expr>) -> Result<LogicalPlan> {
     match plan {
+        // Every column of a conjunct that reaches a scan is the scan's own.
         LogicalPlan::Scan {
-            table,
-            schema,
-            projection,
-            mut filters,
-            fetch,
+            ref mut filters, ..
         } => {
-            let mut residual = Vec::new();
-            for p in parts {
-                if expr_resolves(&p, &schema) {
-                    filters.push(p);
-                } else {
-                    residual.push(p);
-                }
-            }
-            let scan = LogicalPlan::Scan {
-                table,
-                schema,
-                projection,
-                filters,
-                fetch,
-            };
-            Ok(wrap_filter(scan, residual))
-        }
-        LogicalPlan::SubqueryAlias { input, alias } => {
-            let inner = push_filter_into(*input, parts)?;
-            Ok(LogicalPlan::SubqueryAlias {
-                input: Box::new(inner),
-                alias,
-            })
+            filters.extend(parts);
+            Ok(plan)
         }
         LogicalPlan::Filter { input, predicate } => {
             // Merge with the deeper filter's conjuncts and push together.
@@ -378,66 +199,58 @@ fn push_filter_into(plan: LogicalPlan, parts: Vec<Expr>) -> Result<LogicalPlan> 
             all.extend(parts);
             push_filter_into(*input, all)
         }
-        LogicalPlan::Project { input, exprs } => {
-            // A conjunct can cross the projection if every column it
-            // references is a pass-through column (projected as a bare
-            // column reference).
-            let mut pushable = Vec::new();
-            let mut residual = Vec::new();
+        LogicalPlan::Project { ref exprs, .. } => {
+            // A conjunct crosses the projection if every column it reads is
+            // projected as a bare column: below, it reads that column.
+            let (mut pushable, mut residual) = (Vec::new(), Vec::new());
             for p in parts {
-                match rewrite_through_project(&p, &exprs) {
-                    Some(rewritten) => pushable.push(rewritten),
+                match through_project(p.clone(), exprs) {
+                    Some(below) => pushable.push(below),
                     None => residual.push(p),
                 }
             }
-            let inner = if pushable.is_empty() {
-                *input
-            } else {
-                push_filter_into(*input, pushable)?
-            };
-            let project = LogicalPlan::Project {
-                input: Box::new(inner),
-                exprs,
-            };
-            Ok(wrap_filter(project, residual))
+            Ok(wrap_filter(
+                push_into_inputs(plan, vec![pushable])?,
+                residual,
+            ))
         }
         LogicalPlan::Join {
-            left,
-            right,
+            ref left,
             join_type,
-            on,
+            ..
         } => {
-            // A conjunct goes to the side that owns all of its columns. The
-            // unmatched left rows of a LEFT join carry NULL right columns, so
-            // filtering the right input first would change which rows those
-            // are: only the preserved (left) side takes conjuncts there.
-            let (lschema, rschema) = (left.schema()?, right.schema()?);
-            let joined = join_schema(&lschema, &rschema);
+            // A conjunct goes to the side that owns all of its columns: the
+            // left's are the join's first positions. The unmatched left rows
+            // of a LEFT join carry NULL right columns, so filtering the right
+            // input first would change which rows those are: only the
+            // preserved (left) side takes conjuncts there.
+            let nl = left.schema().len();
             let (mut to_left, mut to_right, mut residual) = (Vec::new(), Vec::new(), Vec::new());
             for p in parts {
-                match owning_side(&p, &joined, &lschema, &rschema) {
-                    Some(Side::Left) => to_left.push(p),
-                    Some(Side::Right) if join_type == JoinType::Inner => to_right.push(p),
+                match on_left(&p, nl) {
+                    Some(true) => to_left.push(p),
+                    Some(false) if join_type == JoinType::Inner => {
+                        to_right.push(move_columns(p, &|i| i.checked_sub(nl))?)
+                    }
                     _ => residual.push(p),
                 }
             }
-            let push = |side: LogicalPlan, parts: Vec<Expr>| {
-                if parts.is_empty() {
-                    Ok(side)
-                } else {
-                    push_filter_into(side, parts)
-                }
-            };
-            let join = LogicalPlan::Join {
-                left: Box::new(push(*left, to_left)?),
-                right: Box::new(push(*right, to_right)?),
-                join_type,
-                on,
-            };
-            Ok(wrap_filter(join, residual))
+            Ok(wrap_filter(
+                push_into_inputs(plan, vec![to_left, to_right])?,
+                residual,
+            ))
         }
         other => Ok(wrap_filter(other, parts)),
     }
+}
+
+/// `plan` with each of `parts`, in input order, pushed into its input.
+fn push_into_inputs(plan: LogicalPlan, parts: Vec<Vec<Expr>>) -> Result<LogicalPlan> {
+    let mut parts = parts.into_iter();
+    plan.map_inputs(|input| match parts.next() {
+        Some(parts) if !parts.is_empty() => push_filter_into(input, parts),
+        _ => Ok(input),
+    })
 }
 
 /// `e BETWEEN low AND high` as the `>=`/`<=` pair the executor evaluates it
@@ -467,41 +280,6 @@ fn expand_between(expr: Expr) -> Vec<Expr> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Left,
-    Right,
-}
-
-/// The join input that owns every column `expr` references, if one does.
-///
-/// Ownership is the column's index in the join's output schema (left fields,
-/// then right fields). Asking "does the name resolve against this side" is
-/// not enough: `resolve_column` falls back to the bare name, so `z.zone`
-/// resolves against a left side that has a `zone` of its own. The conjunct
-/// is only handed down if, against the side's schema alone, every reference
-/// still lands on the same column.
-fn owning_side(expr: &Expr, joined: &Schema, left: &Schema, right: &Schema) -> Option<Side> {
-    let mut side = None;
-    let mut consistent = true;
-    expr.walk(&mut |e| {
-        let Expr::Column { qualifier, name } = e else {
-            return;
-        };
-        let q = qualifier.as_deref();
-        let owner = resolve_column(joined, q, name).ok().and_then(|i| {
-            let (owner, schema, local) = if i < left.len() {
-                (Side::Left, left, i)
-            } else {
-                (Side::Right, right, i - left.len())
-            };
-            (resolve_column(schema, q, name).ok() == Some(local)).then_some(owner)
-        });
-        consistent &= owner.is_some_and(|o| *side.get_or_insert(o) == o);
-    });
-    side.filter(|_| consistent)
-}
-
 fn wrap_filter(plan: LogicalPlan, parts: Vec<Expr>) -> LogicalPlan {
     match conjoin(parts) {
         Some(predicate) => LogicalPlan::Filter {
@@ -512,251 +290,223 @@ fn wrap_filter(plan: LogicalPlan, parts: Vec<Expr>) -> LogicalPlan {
     }
 }
 
-/// Rewrite a predicate's column references through a projection (output name
-/// → input expression), succeeding only when all referenced projections are
-/// bare columns.
-fn rewrite_through_project(expr: &Expr, exprs: &[(Expr, String)]) -> Option<Expr> {
+/// `expr` below a projection of `exprs`: each column it reads replaced by
+/// the bare column projected there, if every one is.
+fn through_project(expr: Expr, exprs: &[(Expr, String)]) -> Option<Expr> {
     match expr {
-        Expr::Column { qualifier, name } => {
-            let target = exprs.iter().find(|(_, n)| {
-                n == name
-                    || qualifier
-                        .as_ref()
-                        .is_some_and(|q| n == &format!("{q}.{name}"))
-            })?;
-            match &target.0 {
-                col @ Expr::Column { .. } => Some(col.clone()),
-                _ => None,
-            }
-        }
-        Expr::Literal(_) => Some(expr.clone()),
-        Expr::Compare { op, left, right } => Some(Expr::Compare {
-            op: *op,
-            left: Box::new(rewrite_through_project(left, exprs)?),
-            right: Box::new(rewrite_through_project(right, exprs)?),
-        }),
-        Expr::Logical { op, left, right } => Some(Expr::Logical {
-            op: *op,
-            left: Box::new(rewrite_through_project(left, exprs)?),
-            right: Box::new(rewrite_through_project(right, exprs)?),
-        }),
-        Expr::Not(e) => Some(Expr::Not(Box::new(rewrite_through_project(e, exprs)?))),
-        Expr::IsNull { expr, negated } => Some(Expr::IsNull {
-            expr: Box::new(rewrite_through_project(expr, exprs)?),
-            negated: *negated,
-        }),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Some(Expr::Between {
-            expr: Box::new(rewrite_through_project(expr, exprs)?),
-            low: Box::new(rewrite_through_project(low, exprs)?),
-            high: Box::new(rewrite_through_project(high, exprs)?),
-            negated: *negated,
-        }),
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Some(Expr::InList {
-            expr: Box::new(rewrite_through_project(expr, exprs)?),
-            list: list
-                .iter()
-                .map(|e| rewrite_through_project(e, exprs))
-                .collect::<Option<Vec<_>>>()?,
-            negated: *negated,
-        }),
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Some(Expr::Like {
-            expr: Box::new(rewrite_through_project(expr, exprs)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        }),
-        // Anything else (functions, case, casts) stays above the projection.
-        _ => None,
+        Expr::Column(c) => match exprs.get(c.index?) {
+            Some((column @ Expr::Column(_), _)) => Some(column.clone()),
+            _ => None,
+        },
+        other => other
+            .map_children(|e| through_project(e, exprs).ok_or(()))
+            .ok(),
     }
 }
 
 // ---- projection pruning ----------------------------------------------------
 
-/// Column positions in a node's output schema that its consumers read;
+/// Column positions in a node's output that its consumers read;
 /// `None` = all of them.
 type Required = Option<BTreeSet<usize>>;
 
-/// Add the columns `expr` references (resolved against `schema`) to
-/// `required`. A reference that does not resolve keeps everything.
-fn require(required: &mut Required, expr: &Expr, schema: &Schema) {
-    expr.walk(&mut |e| {
-        if let Expr::Column { qualifier, name } = e {
-            match resolve_column(schema, qualifier.as_deref(), name) {
-                Ok(i) => {
-                    if let Some(set) = required.as_mut() {
-                        set.insert(i);
-                    }
-                }
-                Err(_) => *required = None,
-            }
-        }
-    });
+/// Where a pruned node's output positions went: `moved[i]` is the new
+/// position of old position `i`, `None` if it was dropped.
+type Moved = Vec<Option<usize>>;
+
+/// Every one of `n` positions kept where it is.
+fn unmoved(n: usize) -> Moved {
+    (0..n).map(Some).collect()
 }
 
-/// The columns of `exprs`, resolved against `schema`, and nothing else.
-fn required_by<'a>(exprs: impl IntoIterator<Item = &'a Expr>, schema: &Schema) -> Required {
-    let mut required = Some(BTreeSet::new());
-    for e in exprs {
-        require(&mut required, e, schema);
+/// The positions of `kept` (increasing) as [`Moved`] over `n` positions.
+fn moved_to(n: usize, kept: &[usize]) -> Moved {
+    (0..n).map(|i| kept.iter().position(|&k| k == i)).collect()
+}
+
+/// `expr` over an input whose positions moved as `moved` says.
+fn follow(expr: Expr, moved: &Moved) -> Result<Expr> {
+    if moved.iter().enumerate().all(|(i, m)| *m == Some(i)) {
+        return Ok(expr);
     }
-    required
+    move_columns(expr, &|i| moved.get(i).copied().flatten())
 }
 
 /// Narrow every Scan to the columns actually used above it, and every
-/// non-root Project to the outputs actually read. Requirements are tracked
-/// by position, not by name, so a qualified reference (`z.zone`) and a bare
-/// one (`zone`) to different columns of a join stay apart. Operators resolve
-/// names at run time; dropping columns nobody references cannot change what
-/// the remaining references resolve to.
+/// non-root Project to the outputs actually read. Requirements are
+/// positions, and each node's expressions follow the positions its input's
+/// columns moved to.
 fn prune_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
-    fn go(plan: LogicalPlan, mut required: Required) -> Result<LogicalPlan> {
-        Ok(match plan {
-            LogicalPlan::Scan {
+    Ok(prune(plan, None)?.0)
+}
+
+fn prune(plan: LogicalPlan, required: Required) -> Result<(LogicalPlan, Moved)> {
+    match plan {
+        LogicalPlan::Scan {
+            table,
+            schema,
+            projection: None,
+            filters,
+            fetch,
+        } => {
+            let mut keep = required.unwrap_or_else(|| (0..schema.len()).collect());
+            // Filters' columns must stay readable.
+            filters.iter().for_each(|f| keep.extend(columns(f)));
+            if keep.is_empty() {
+                // Nothing but the row count is read (`COUNT(*)`): one column
+                // carries it, the cheapest to decode.
+                keep.extend(cheapest_column(&schema));
+            }
+            let kept: Vec<usize> = keep.into_iter().collect();
+            let moved = moved_to(schema.len(), &kept);
+            let (schema, projection) = match kept.len() < schema.len() {
+                true => {
+                    let fields = kept.iter().map(|&i| schema.field(i).clone()).collect();
+                    let names = kept.iter().map(|&i| schema.field(i).name().to_string());
+                    (Schema::new(fields), Some(names.collect()))
+                }
+                false => (schema, None),
+            };
+            let filters = (filters.into_iter())
+                .map(|f| follow(f, &moved))
+                .collect::<Result<_>>()?;
+            let scan = LogicalPlan::Scan {
                 table,
                 schema,
                 projection,
                 filters,
                 fetch,
-            } => {
-                // An already narrowed scan stays as it is.
-                let projection = projection.or_else(|| {
-                    // Filters' columns must stay readable.
-                    for f in &filters {
-                        require(&mut required, f, &schema);
-                    }
-                    let mut keep = required?;
-                    if keep.is_empty() {
-                        // Nothing but the row count is read (`COUNT(*)`):
-                        // one column carries it, the cheapest to decode.
-                        keep.extend(cheapest_column(&schema));
-                    }
-                    (keep.len() < schema.len()).then(|| {
-                        keep.iter()
-                            .map(|&i| schema.field(i).name().to_string())
-                            .collect()
-                    })
-                });
-                LogicalPlan::Scan {
-                    table,
-                    schema,
-                    projection,
-                    filters,
-                    fetch,
+            };
+            Ok((scan, moved))
+        }
+        // An already narrowed scan stays as it is.
+        leaf @ (LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }) => {
+            let n = leaf.schema().len();
+            Ok((leaf, unmoved(n)))
+        }
+        LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        } => {
+            // Row-wise and pure: an output nobody reads need not be
+            // computed. Keep one so the row count survives.
+            let read = |i: usize| {
+                (required.as_ref()).is_none_or(|k| k.contains(&i) || (k.is_empty() && i == 0))
+            };
+            let kept: Vec<usize> = (0..exprs.len()).filter(|&i| read(i)).collect();
+            let moved = moved_to(exprs.len(), &kept);
+            let (exprs, schema) = match kept.len() < exprs.len() {
+                true => {
+                    let fields = kept.iter().map(|&i| schema.field(i).clone()).collect();
+                    let exprs = exprs.into_iter().enumerate().filter(|(i, _)| read(*i));
+                    (exprs.map(|(_, e)| e).collect(), Schema::new(fields))
                 }
-            }
-            LogicalPlan::Project { input, mut exprs } => {
-                if let Some(keep) = &required {
-                    // Row-wise and pure: an output nobody reads need not be
-                    // computed. Keep one so the row count survives.
-                    exprs = exprs
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(i, _)| keep.contains(i) || (keep.is_empty() && *i == 0))
-                        .map(|(_, e)| e)
-                        .collect();
-                }
-                let needed = required_by(exprs.iter().map(|(e, _)| e), &input.schema()?);
-                LogicalPlan::Project {
-                    input: Box::new(go(*input, needed)?),
-                    exprs,
-                }
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                require(&mut required, &predicate, &input.schema()?);
-                LogicalPlan::Filter {
-                    input: Box::new(go(*input, required)?),
-                    predicate,
-                }
-            }
-            LogicalPlan::Aggregate {
+                false => (exprs, schema),
+            };
+            let project = LogicalPlan::Project {
                 input,
-                group_exprs,
-                agg_exprs,
-            } => {
-                let used = group_exprs
-                    .iter()
-                    .map(|(e, _)| e)
-                    .chain(agg_exprs.iter().filter_map(|(a, _)| a.arg.as_ref()));
-                let needed = required_by(used, &input.schema()?);
-                LogicalPlan::Aggregate {
-                    input: Box::new(go(*input, needed)?),
-                    group_exprs,
-                    agg_exprs,
+                exprs,
+                schema,
+            };
+            Ok((prune_input(project, None)?.0, moved))
+        }
+        LogicalPlan::Join {
+            left,
+            right,
+            join_type,
+            mut on,
+            schema,
+        } => {
+            // Each side is asked for what is read above the join plus its
+            // own ON columns, split by position in the join's output (left
+            // columns, then right columns).
+            let nl = left.schema().len();
+            let (lreq, rreq) = match required {
+                Some(set) => {
+                    let (mut l, mut r): (BTreeSet<usize>, BTreeSet<usize>) =
+                        set.iter().partition(|&&i| i < nl);
+                    r = r.into_iter().map(|i| i - nl).collect();
+                    for (a, b) in &on {
+                        l.extend(columns(a));
+                        r.extend(columns(b));
+                    }
+                    (Some(l), Some(r))
                 }
+                None => (None, None),
+            };
+            let (left, lmoved) = prune(*left, lreq)?;
+            let (right, rmoved) = prune(*right, rreq)?;
+            for (a, b) in &mut on {
+                *a = follow(std::mem::replace(a, Expr::CountStar), &lmoved)?;
+                *b = follow(std::mem::replace(b, Expr::CountStar), &rmoved)?;
             }
-            LogicalPlan::Join {
-                left,
-                right,
+            let new_nl = left.schema().len();
+            let right_moved = rmoved.iter().map(|m| m.map(|i| i + new_nl));
+            let moved: Moved = lmoved.iter().copied().chain(right_moved).collect();
+            let schema = match moved.iter().all(Option::is_some) {
+                true => schema,
+                false => {
+                    let fields = (schema.fields().iter().zip(&moved))
+                        .filter(|(_, m)| m.is_some())
+                        .map(|(f, _)| f.clone());
+                    Schema::new(fields.collect())
+                }
+            };
+            let join = LogicalPlan::Join {
+                left: Box::new(left),
+                right: Box::new(right),
                 join_type,
                 on,
-            } => {
-                // Each side is asked for what is read above the join plus
-                // its own ON columns, split by position in the join's
-                // output (left fields, then right fields).
-                let (lschema, rschema) = (left.schema()?, right.schema()?);
-                let joined = join_schema(&lschema, &rschema);
-                for (a, b) in &on {
-                    require(&mut required, a, &joined);
-                    require(&mut required, b, &joined);
-                }
-                let nl = lschema.len();
-                let (lreq, rreq) = match required {
-                    Some(set) => (
-                        Some(set.iter().copied().filter(|&i| i < nl).collect()),
-                        Some(set.iter().filter(|&&i| i >= nl).map(|i| i - nl).collect()),
-                    ),
-                    None => (None, None),
-                };
-                LogicalPlan::Join {
-                    left: Box::new(go(*left, lreq)?),
-                    right: Box::new(go(*right, rreq)?),
-                    join_type,
-                    on,
-                }
-            }
-            LogicalPlan::Sort { input, keys, fetch } => {
-                let schema = input.schema()?;
-                for (e, _) in &keys {
-                    require(&mut required, e, &schema);
-                }
-                LogicalPlan::Sort {
-                    input: Box::new(go(*input, required)?),
-                    keys,
-                    fetch,
-                }
-            }
-            LogicalPlan::Limit {
-                input,
-                limit,
-                offset,
-            } => LogicalPlan::Limit {
-                input: Box::new(go(*input, required)?),
-                limit,
-                offset,
-            },
-            // Which rows are distinct depends on every column.
-            LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-                input: Box::new(go(*input, None)?),
-            },
-            LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
-                input: Box::new(go(*input, required)?),
-                alias,
-            },
-        })
+                schema,
+            };
+            Ok((join, moved))
+        }
+        other => prune_input(other, required),
     }
-    go(plan, None)
+}
+
+/// Prune the one input of `plan` to what `plan` reads of it, and move
+/// `plan`'s expressions with its columns. A Filter, Sort, Limit or Distinct
+/// outputs its input's columns where they are; a Project or Aggregate
+/// computes its own.
+fn prune_input(mut plan: LogicalPlan, mut required: Required) -> Result<(LogicalPlan, Moved)> {
+    let read: BTreeSet<usize> = plan
+        .exprs_mut()
+        .into_iter()
+        .flat_map(|e| columns(e))
+        .collect();
+    let passes = match plan {
+        LogicalPlan::Filter { .. } | LogicalPlan::Sort { .. } | LogicalPlan::Limit { .. } => {
+            if let Some(set) = required.as_mut() {
+                set.extend(read);
+            }
+            true
+        }
+        // Which rows are distinct depends on every column.
+        LogicalPlan::Distinct { .. } => {
+            required = None;
+            true
+        }
+        _ => {
+            required = Some(read);
+            false
+        }
+    };
+    let mut below = Vec::new();
+    let mut plan = plan.map_inputs(|input| {
+        let (input, moved) = prune(input, required.take())?;
+        below = moved;
+        Ok(input)
+    })?;
+    for e in plan.exprs_mut() {
+        *e = follow(std::mem::replace(e, Expr::CountStar), &below)?;
+    }
+    let moved = match passes {
+        true => below,
+        false => unmoved(plan.schema().len()),
+    };
+    Ok((plan, moved))
 }
 
 /// The first fixed-width field (no string heap to decode), else the first.
@@ -771,26 +521,23 @@ fn cheapest_column(schema: &Schema) -> Option<usize> {
 // ---- limit pushdown --------------------------------------------------------
 
 /// Hand `LIMIT n OFFSET m` to the scan or sort below it as a budget of
-/// `n + m` rows. Only `Project` and `SubqueryAlias` may sit in between: they
-/// emit one row per input row, in order, so the first `n + m` rows out of
-/// the scan or sort are the only ones the limit can see. A sort still reads
-/// its whole input, but keeps only its first `n + m` rows. Any other
-/// operator (a residual filter, DISTINCT, a join, an aggregate) may need
-/// rows beyond the budget.
-fn push_down_limits(plan: &mut LogicalPlan) {
+/// `n + m` rows. Only a `Project` may sit in between: it emits one row per
+/// input row, in order, so the first `n + m` rows out of the scan or sort
+/// are the only ones the limit can see. A sort still reads its whole input,
+/// but keeps only its first `n + m` rows. Any other operator (a residual
+/// filter, DISTINCT, a join, an aggregate) may need rows beyond the budget.
+fn push_down_limits(mut plan: LogicalPlan) -> Result<LogicalPlan> {
     if let LogicalPlan::Limit {
         input,
         limit: Some(n),
         offset,
-    } = plan
+    } = &mut plan
     {
         let budget = n.saturating_add(*offset);
         let mut node = input.as_mut();
         loop {
             match node {
-                LogicalPlan::Project { input, .. } | LogicalPlan::SubqueryAlias { input, .. } => {
-                    node = input.as_mut();
-                }
+                LogicalPlan::Project { input, .. } => node = input.as_mut(),
                 LogicalPlan::Scan { fetch, .. } | LogicalPlan::Sort { fetch, .. } => {
                     *fetch = Some(fetch.map_or(budget, |f| f.min(budget)));
                     break;
@@ -799,9 +546,7 @@ fn push_down_limits(plan: &mut LogicalPlan) {
             }
         }
     }
-    for child in plan.children_mut() {
-        push_down_limits(child);
-    }
+    plan.map_inputs(push_down_limits)
 }
 
 #[cfg(test)]
@@ -846,14 +591,13 @@ mod tests {
 
     fn find_scan(plan: &LogicalPlan) -> &LogicalPlan {
         match plan {
-            LogicalPlan::Scan { .. } => plan,
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => plan,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Distinct { input }
-            | LogicalPlan::SubqueryAlias { input, .. } => find_scan(input),
+            | LogicalPlan::Distinct { input } => find_scan(input),
             LogicalPlan::Join { left, .. } => find_scan(left),
         }
     }
@@ -931,8 +675,7 @@ mod tests {
                 LogicalPlan::Project { input, .. }
                 | LogicalPlan::Sort { input, .. }
                 | LogicalPlan::Limit { input, .. }
-                | LogicalPlan::Distinct { input }
-                | LogicalPlan::SubqueryAlias { input, .. } => has_filter_above_agg(input),
+                | LogicalPlan::Distinct { input } => has_filter_above_agg(input),
                 _ => false,
             }
         }
@@ -975,7 +718,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("Scan: u projection=[label, k] filters=[(label = x)]"),
+            text.contains("Scan: u projection=[label, k] filters=[(u.label = x)]"),
             "{text}"
         );
         // The conjunct spanning both sides stays above the join.
@@ -1000,9 +743,8 @@ mod tests {
 
     #[test]
     fn join_ownership_is_by_position_not_by_name() {
-        // `u.c` is the right side's column (renamed `u.c` in the join's
-        // output) although the bare name `c` also resolves against `t`;
-        // bare `c` is the left side's.
+        // `u.c` is the right side's column (named `u.c` in the join's
+        // output) although `t` has a `c` too; bare `c` is the left side's.
         let text =
             explained("SELECT t.a FROM t JOIN u ON t.a = u.k WHERE u.c = 'right' AND c = 'left'");
         assert!(
@@ -1010,7 +752,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("Scan: u projection=[k, c] filters=[(c = right)]"),
+            text.contains("Scan: u projection=[k, c] filters=[(u.c = right)]"),
             "{text}"
         );
         assert!(!text.contains("Filter"), "{text}");
@@ -1021,9 +763,11 @@ mod tests {
         let text = explained("SELECT u.label FROM t JOIN u ON t.a = u.k");
         assert!(text.contains("Scan: t projection=[a]\n"), "{text}");
         assert!(text.contains("Scan: u projection=[label, k]\n"), "{text}");
-        // The renaming projection over a colliding right side narrows too.
+        // A colliding right column is read straight from its side: the join
+        // names it `u.c`, and no projection renames it.
         let text = explained("SELECT u.c FROM t JOIN u ON t.a = u.k");
-        assert!(text.contains("Project: k AS k, c AS u.c\n"), "{text}");
+        assert!(text.starts_with("Project: u.c AS c\n  Join"), "{text}");
+        assert_eq!(text.matches("Project").count(), 1, "{text}");
         assert!(text.contains("Scan: u projection=[k, c]\n"), "{text}");
         // SELECT * keeps every column of both sides.
         let text = explained("SELECT * FROM t JOIN u ON t.a = u.k");

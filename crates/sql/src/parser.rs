@@ -6,10 +6,23 @@ use crate::tokenizer::{tokenize, Token};
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{DataType, Value};
 
+/// How deeply an expression may nest. Each parenthesis, function argument,
+/// `NOT` or sign is a level, and so is each operator of a chain such as
+/// `a = 0 OR a = 1 OR ...`, which builds one tree level per operator.
+/// Planning and evaluation recurse once per level, so an expression at the
+/// limit still plans and runs on a 2 MiB thread stack in a debug build; a
+/// deeper one is a parse error, not a stack overflow. (SQLite's
+/// `SQLITE_MAX_EXPR_DEPTH` does the same, at 1 000.)
+pub const MAX_EXPR_DEPTH: usize = 100;
+
 /// Parse one SELECT statement (a trailing semicolon is allowed).
 pub fn parse_select(sql: &str) -> Result<SelectStmt> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.parse_select()?;
     p.consume_if(&Token::Semicolon);
     if !p.at_end() {
@@ -51,6 +64,21 @@ fn collect_tables(stmt: &SelectStmt, out: &mut Vec<String>) {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expression levels open around the current token.
+    depth: usize,
+}
+
+/// An operator that chains left to right.
+#[derive(Clone, Copy)]
+enum Chained {
+    Logical(LogicalOp),
+    Arith(ArithOp),
+}
+
+fn too_deep() -> SqlError {
+    SqlError::Parse(format!(
+        "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+    ))
 }
 
 impl Parser {
@@ -305,38 +333,70 @@ impl Parser {
     // ---- expressions (precedence climbing) --------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
+    }
+
+    /// `parse`, one expression level deeper.
+    fn nested(&mut self, parse: fn(&mut Parser) -> Result<Expr>) -> Result<Expr> {
+        self.depth += 1;
+        let expr = match self.depth > MAX_EXPR_DEPTH {
+            true => Err(too_deep()),
+            false => parse(self),
+        };
+        self.depth -= 1;
+        expr
+    }
+
+    /// A left-deep chain of `operand`s joined by the operators `op`
+    /// consumes. Each operator is a tree level above its operands.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Parser) -> Result<Expr>,
+        op: fn(&mut Parser) -> Option<Chained>,
+    ) -> Result<Expr> {
+        let mut left = operand(self)?;
+        let mut height = None;
+        while let Some(op) = op(self) {
+            let right = operand(self)?;
+            let h = height.unwrap_or_else(|| left.depth()).max(right.depth()) + 1;
+            if self.depth + h > MAX_EXPR_DEPTH {
+                return Err(too_deep());
+            }
+            height = Some(h);
+            let (l, r) = (Box::new(left), Box::new(right));
+            left = match op {
+                Chained::Logical(op) => Expr::Logical {
+                    op,
+                    left: l,
+                    right: r,
+                },
+                Chained::Arith(op) => Expr::Arith {
+                    op,
+                    left: l,
+                    right: r,
+                },
+            };
+        }
+        Ok(left)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
-        let mut left = self.parse_and()?;
-        while self.consume_keyword("OR") {
-            let right = self.parse_and()?;
-            left = Expr::Logical {
-                op: LogicalOp::Or,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+        self.chain(Self::parse_and, |p| {
+            p.consume_keyword("OR")
+                .then_some(Chained::Logical(LogicalOp::Or))
+        })
     }
 
     fn parse_and(&mut self) -> Result<Expr> {
-        let mut left = self.parse_not()?;
-        while self.consume_keyword("AND") {
-            let right = self.parse_not()?;
-            left = Expr::Logical {
-                op: LogicalOp::And,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+        self.chain(Self::parse_not, |p| {
+            p.consume_keyword("AND")
+                .then_some(Chained::Logical(LogicalOp::And))
+        })
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.consume_keyword("NOT") {
-            Ok(Expr::Not(Box::new(self.parse_not()?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::parse_not)?)))
         } else {
             self.parse_comparison()
         }
@@ -433,50 +493,36 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> Result<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => ArithOp::Add,
-                Some(Token::Minus) => ArithOp::Sub,
-                _ => break,
+        self.chain(Self::parse_multiplicative, |p| {
+            let op = match p.peek()? {
+                Token::Plus => ArithOp::Add,
+                Token::Minus => ArithOp::Sub,
+                _ => return None,
             };
-            self.pos += 1;
-            let right = self.parse_multiplicative()?;
-            left = Expr::Arith {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+            p.pos += 1;
+            Some(Chained::Arith(op))
+        })
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => ArithOp::Mul,
-                Some(Token::Slash) => ArithOp::Div,
-                Some(Token::Percent) => ArithOp::Mod,
-                _ => break,
+        self.chain(Self::parse_unary, |p| {
+            let op = match p.peek()? {
+                Token::Star => ArithOp::Mul,
+                Token::Slash => ArithOp::Div,
+                Token::Percent => ArithOp::Mod,
+                _ => return None,
             };
-            self.pos += 1;
-            let right = self.parse_unary()?;
-            left = Expr::Arith {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
+            p.pos += 1;
+            Some(Chained::Arith(op))
+        })
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.consume_if(&Token::Minus) {
-            return Ok(Expr::Negate(Box::new(self.parse_unary()?)));
+            return Ok(Expr::Negate(Box::new(self.nested(Self::parse_unary)?)));
         }
         if self.consume_if(&Token::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -591,18 +637,15 @@ impl Parser {
 
     /// `word` might be a qualifier followed by `.column`.
     fn finish_column(&mut self, word: String) -> Result<Expr> {
-        if self.consume_if(&Token::Dot) {
-            let name = self.parse_identifier()?;
-            Ok(Expr::Column {
-                qualifier: Some(word),
-                name,
-            })
-        } else {
-            Ok(Expr::Column {
-                qualifier: None,
-                name: word,
-            })
-        }
+        let (qualifier, name) = match self.consume_if(&Token::Dot) {
+            true => (Some(word), self.parse_identifier()?),
+            false => (None, word),
+        };
+        Ok(Expr::Column(ColumnRef {
+            qualifier,
+            name,
+            index: None,
+        }))
     }
 }
 
@@ -844,10 +887,11 @@ mod tests {
         };
         assert_eq!(
             *expr,
-            Expr::Column {
+            Expr::Column(ColumnRef {
                 qualifier: Some("t".into()),
-                name: "a".into()
-            }
+                name: "a".into(),
+                index: None,
+            })
         );
     }
 }

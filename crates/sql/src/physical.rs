@@ -1,16 +1,16 @@
-//! Vectorized expression evaluation — [`eval`] turns an expression and a
-//! batch into a column, with the columnar kernels doing the per-row work —
-//! and the batch-at-a-time pieces the operators of [`crate::streaming`] are
-//! made of: exact re-filtering, projection, join-key resolution.
+//! Vectorized expression evaluation — [`eval`] turns a bound expression and
+//! a batch into a column, with the columnar kernels doing the per-row work
+//! — and the batch-at-a-time pieces the operators of [`crate::streaming`]
+//! are made of: exact re-filtering and projection.
 
 use crate::ast::{ArithOp, Expr, LogicalOp};
 use crate::error::{Result, SqlError};
-use crate::functions::{eval_scalar_function, like_match};
-use crate::logical::{expr_resolves, infer_type, resolve_column};
+use crate::functions::{eval_scalar_function, like_match, scalar_return_type, unify};
+use lakehouse_columnar::kernels::cast::cast_value;
 use lakehouse_columnar::kernels::{
     self, cmp_column_scalar, cmp_columns, filter_batch, to_selection, CmpOp,
 };
-use lakehouse_columnar::{Column, ColumnBuilder, RecordBatch, Schema, Value};
+use lakehouse_columnar::{Column, ColumnBuilder, DataType, RecordBatch, Schema, Value};
 
 /// Apply `filters` exactly: the pushed predicates a provider did not apply
 /// exactly itself. A batch whose every row passes one is handed on as it
@@ -51,84 +51,45 @@ pub(crate) fn execute_project(
     Ok(RecordBatch::try_new(schema, columns)?)
 }
 
-/// Decide which side of each ON equality belongs to which join input by
-/// trying to resolve it against the left schema, then the right.
-pub(crate) fn split_join_keys(
-    on: &[(Expr, Expr)],
-    left: &Schema,
-    right: &Schema,
-) -> Result<(Vec<Expr>, Vec<Expr>)> {
-    if on.is_empty() {
-        return Err(SqlError::Execution("join requires an ON clause".into()));
-    }
-    let (mut left_keys, mut right_keys) = (Vec::new(), Vec::new());
-    for (a, b) in on {
-        if expr_resolves(a, left) && expr_resolves(b, right) {
-            left_keys.push(a.clone());
-            right_keys.push(b.clone());
-        } else if expr_resolves(b, left) && expr_resolves(a, right) {
-            left_keys.push(b.clone());
-            right_keys.push(a.clone());
-        } else {
-            return Err(SqlError::Plan(format!(
-                "cannot resolve join condition {a} = {b} against the two inputs"
-            )));
-        }
-    }
-    Ok((left_keys, right_keys))
+/// The column of `batch` a bound reference names.
+pub(crate) fn column<'b>(c: &crate::ast::ColumnRef, batch: &'b RecordBatch) -> Result<&'b Column> {
+    let column = c.index.and_then(|i| batch.columns().get(i));
+    column.ok_or_else(|| SqlError::Execution(format!("column {c} is not bound to its input")))
 }
 
-/// Evaluate an expression against a batch, producing a column of
-/// `batch.num_rows()` values.
+/// Evaluate a bound expression against a batch, producing a column of
+/// `batch.num_rows()` values. Each level of a deep expression is one call
+/// of this function, so the arms that need more than their operands' columns
+/// keep their state in functions of their own: the frame that recurses stays
+/// small.
 pub fn eval(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
     let n = batch.num_rows();
-    match expr {
-        Expr::Column { qualifier, name } => {
-            let i = resolve_column(batch.schema(), qualifier.as_deref(), name)?;
-            Ok(batch.column(i).clone())
-        }
-        Expr::Literal(v) => Ok(Column::from_value(v, n)?),
-        Expr::Compare { op, left, right } => {
-            // Column-vs-literal fast path.
-            if let Expr::Literal(v) = right.as_ref() {
-                let l = eval(left, batch)?;
-                return Ok(cmp_column_scalar(*op, &l, v)?);
-            }
-            if let Expr::Literal(v) = left.as_ref() {
-                let r = eval(right, batch)?;
-                return Ok(cmp_column_scalar(op.flip(), &r, v)?);
-            }
-            let l = eval(left, batch)?;
-            let r = eval(right, batch)?;
-            Ok(cmp_columns(*op, &l, &r)?)
-        }
+    Ok(match expr {
+        Expr::Column(c) => column(c, batch)?.clone(),
+        Expr::Literal(v) => Column::from_value(v, n)?,
+        Expr::Compare { op, left, right } => compare(*op, left, right, batch)?,
         Expr::Arith { op, left, right } => {
-            let l = eval(left, batch)?;
-            let r = eval(right, batch)?;
-            Ok(match op {
+            let (l, r) = (eval(left, batch)?, eval(right, batch)?);
+            match op {
                 ArithOp::Add => kernels::add(&l, &r)?,
                 ArithOp::Sub => kernels::sub(&l, &r)?,
                 ArithOp::Mul => kernels::mul(&l, &r)?,
                 ArithOp::Div => kernels::div(&l, &r)?,
                 ArithOp::Mod => kernels::modulo(&l, &r)?,
-            })
+            }
         }
         Expr::Logical { op, left, right } => {
-            let l = eval(left, batch)?;
-            let r = eval(right, batch)?;
-            Ok(match op {
+            let (l, r) = (eval(left, batch)?, eval(right, batch)?);
+            match op {
                 LogicalOp::And => kernels::and_kleene(&l, &r)?,
                 LogicalOp::Or => kernels::or_kleene(&l, &r)?,
-            })
+            }
         }
-        Expr::Not(e) => Ok(kernels::not(&eval(e, batch)?)?),
-        Expr::Negate(e) => Ok(kernels::neg(&eval(e, batch)?)?),
+        Expr::Not(e) => kernels::not(&eval(e, batch)?)?,
+        Expr::Negate(e) => kernels::neg(&eval(e, batch)?)?,
         Expr::IsNull { expr, negated } => {
             let col = eval(expr, batch)?;
-            let values: Vec<bool> = (0..col.len())
-                .map(|i| col.is_valid(i) == *negated)
-                .collect();
-            Ok(Column::from_bool(values))
+            Column::from_bool((0..n).map(|i| col.is_valid(i) == *negated).collect())
         }
         Expr::Between {
             expr,
@@ -136,155 +97,156 @@ pub fn eval(expr: &Expr, batch: &RecordBatch) -> Result<Column> {
             high,
             negated,
         } => {
-            // Desugar: expr >= low AND expr <= high.
-            let ge = Expr::Compare {
-                op: CmpOp::GtEq,
-                left: expr.clone(),
-                right: low.clone(),
-            };
-            let le = Expr::Compare {
-                op: CmpOp::LtEq,
-                left: expr.clone(),
-                right: high.clone(),
-            };
-            let both = Expr::Logical {
-                op: LogicalOp::And,
-                left: Box::new(ge),
-                right: Box::new(le),
-            };
-            let result = eval(&both, batch)?;
-            if *negated {
-                Ok(kernels::not(&result)?)
-            } else {
-                Ok(result)
-            }
+            // expr >= low AND expr <= high.
+            let ge = compare(CmpOp::GtEq, expr, low, batch)?;
+            let both = kernels::and_kleene(&ge, &compare(CmpOp::LtEq, expr, high, batch)?)?;
+            negate_if(both, *negated)?
         }
         Expr::InList {
             expr,
             list,
             negated,
-        } => {
-            let col = eval(expr, batch)?;
-            let mut acc: Option<Column> = None;
-            for item in list {
-                let eq = match item {
-                    Expr::Literal(v) => cmp_column_scalar(CmpOp::Eq, &col, v)?,
-                    other => cmp_columns(CmpOp::Eq, &col, &eval(other, batch)?)?,
-                };
-                acc = Some(match acc {
-                    Some(prev) => kernels::or_kleene(&prev, &eq)?,
-                    None => eq,
-                });
-            }
-            let result = acc.ok_or_else(|| SqlError::Execution("empty IN list".into()))?;
-            if *negated {
-                Ok(kernels::not(&result)?)
-            } else {
-                Ok(result)
-            }
-        }
+        } => negate_if(in_list(&eval(expr, batch)?, list, batch)?, *negated)?,
         Expr::Like {
             expr,
             pattern,
             negated,
-        } => {
-            let col = eval(expr, batch)?;
-            // Dictionary column: run the pattern over each distinct value
-            // once, then the per-row work is a u32 table lookup.
-            if let Some(d) = col.as_dict() {
-                let table: Vec<bool> = d
-                    .dict()
-                    .iter()
-                    .map(|s| like_match(s, pattern) != *negated)
-                    .collect();
-                let out: Vec<bool> = d.codes().iter().map(|&c| table[c as usize]).collect();
-                return Ok(Column::Bool(out, d.validity().cloned()));
-            }
-            let (values, validity) = col.as_utf8()?;
-            let out: Vec<bool> = values
-                .iter()
-                .map(|s| like_match(s, pattern) != *negated)
-                .collect();
-            Ok(Column::Bool(out, validity.cloned()))
+        } => like(&eval(expr, batch)?, pattern, *negated)?,
+        Expr::Function { name, args } => function(name, args, batch)?,
+        Expr::CountStar => {
+            let err = "COUNT(*) in a row-level context";
+            return Err(SqlError::Execution(err.into()));
         }
-        Expr::Function { name, args } => {
-            // Aggregates must have been rewritten away by the planner.
-            if lakehouse_columnar::kernels::Aggregator::parse(name).is_some() {
-                return Err(SqlError::Execution(format!(
-                    "aggregate {name} in a row-level context"
-                )));
-            }
-            let arg_cols = args
-                .iter()
-                .map(|a| eval(a, batch))
-                .collect::<Result<Vec<_>>>()?;
-            let out_type = crate::functions::scalar_return_type(name, args, batch.schema())?;
-            let mut b = ColumnBuilder::with_capacity(out_type, n);
-            for row in 0..n {
-                let row_args: Vec<Value> = arg_cols
-                    .iter()
-                    .map(|c| c.get(row))
-                    .collect::<lakehouse_columnar::Result<_>>()?;
-                let v = eval_scalar_function(name, &row_args)?;
-                let v = lakehouse_columnar::kernels::cast::cast_value(&v, out_type)?;
-                b.push_value(&v)?;
-            }
-            Ok(b.finish())
+        // A NULL the binder typed from its context.
+        Expr::Cast { expr, to } if matches!(**expr, Expr::Literal(Value::Null)) => {
+            Column::new_null(*to, n)
         }
-        Expr::CountStar => Err(SqlError::Execution(
-            "COUNT(*) in a row-level context".into(),
-        )),
-        Expr::Cast { expr, to } => Ok(kernels::cast(&eval(expr, batch)?, *to)?),
+        Expr::Cast { expr, to } => kernels::cast(&eval(expr, batch)?, *to)?,
         Expr::Case {
             branches,
             else_expr,
-        } => {
-            let out_type = infer_type(expr, batch.schema())?;
-            let cond_cols = branches
-                .iter()
-                .map(|(c, _)| eval(c, batch))
-                .collect::<Result<Vec<_>>>()?;
-            let val_cols = branches
-                .iter()
-                .map(|(_, v)| eval(v, batch))
-                .collect::<Result<Vec<_>>>()?;
-            let else_col = else_expr.as_ref().map(|e| eval(e, batch)).transpose()?;
-            let mut b = ColumnBuilder::with_capacity(out_type, n);
-            for row in 0..n {
-                let mut pushed = false;
-                for (cond, val) in cond_cols.iter().zip(&val_cols) {
-                    if cond.get(row)? == Value::Bool(true) {
-                        let v = lakehouse_columnar::kernels::cast::cast_value(
-                            &val.get(row)?,
-                            out_type,
-                        )?;
-                        b.push_value(&v)?;
-                        pushed = true;
-                        break;
-                    }
-                }
-                if !pushed {
-                    match &else_col {
-                        Some(c) => {
-                            let v = lakehouse_columnar::kernels::cast::cast_value(
-                                &c.get(row)?,
-                                out_type,
-                            )?;
-                            b.push_value(&v)?;
-                        }
-                        None => b.push_null(),
-                    }
-                }
+        } => case(branches, else_expr.as_deref(), batch)?,
+    })
+}
+
+fn negate_if(col: Column, negated: bool) -> Result<Column> {
+    Ok(if negated { kernels::not(&col)? } else { col })
+}
+
+/// `left OP right`, with a literal on either side compared as a scalar.
+fn compare(op: CmpOp, left: &Expr, right: &Expr, batch: &RecordBatch) -> Result<Column> {
+    Ok(match (left, right) {
+        (l, Expr::Literal(v)) => cmp_column_scalar(op, &eval(l, batch)?, v)?,
+        (Expr::Literal(v), r) => cmp_column_scalar(op.flip(), &eval(r, batch)?, v)?,
+        (l, r) => cmp_columns(op, &eval(l, batch)?, &eval(r, batch)?)?,
+    })
+}
+
+fn in_list(col: &Column, list: &[Expr], batch: &RecordBatch) -> Result<Column> {
+    let mut acc: Option<Column> = None;
+    for item in list {
+        let eq = match item {
+            Expr::Literal(v) => cmp_column_scalar(CmpOp::Eq, col, v)?,
+            other => cmp_columns(CmpOp::Eq, col, &eval(other, batch)?)?,
+        };
+        acc = Some(match acc {
+            Some(prev) => kernels::or_kleene(&prev, &eq)?,
+            None => eq,
+        });
+    }
+    acc.ok_or_else(|| SqlError::Execution("empty IN list".into()))
+}
+
+fn like(col: &Column, pattern: &str, negated: bool) -> Result<Column> {
+    // Dictionary column: run the pattern over each distinct value once,
+    // then the per-row work is a u32 table lookup.
+    if let Some(d) = col.as_dict() {
+        let table: Vec<bool> = d
+            .dict()
+            .iter()
+            .map(|s| like_match(s, pattern) != negated)
+            .collect();
+        let out: Vec<bool> = d.codes().iter().map(|&c| table[c as usize]).collect();
+        return Ok(Column::Bool(out, d.validity().cloned()));
+    }
+    let (values, validity) = col.as_utf8()?;
+    let out: Vec<bool> = values
+        .iter()
+        .map(|s| like_match(s, pattern) != negated)
+        .collect();
+    Ok(Column::Bool(out, validity.cloned()))
+}
+
+/// A scalar function, row by row over its evaluated arguments, typed from
+/// their columns' types.
+fn function(name: &str, args: &[Expr], batch: &RecordBatch) -> Result<Column> {
+    // Aggregates must have been rewritten away by the planner.
+    if lakehouse_columnar::kernels::Aggregator::parse(name).is_some() {
+        return Err(SqlError::Execution(format!(
+            "aggregate {name} in a row-level context"
+        )));
+    }
+    let arg_cols = args
+        .iter()
+        .map(|a| eval(a, batch))
+        .collect::<Result<Vec<_>>>()?;
+    let types: Vec<_> = arg_cols.iter().map(|c| Some(c.data_type())).collect();
+    let out_type = scalar_return_type(name, &types)?.unwrap_or(DataType::Int64);
+    let n = batch.num_rows();
+    let mut b = ColumnBuilder::with_capacity(out_type, n);
+    for row in 0..n {
+        let row_args: Vec<Value> = arg_cols
+            .iter()
+            .map(|c| c.get(row))
+            .collect::<lakehouse_columnar::Result<_>>()?;
+        let v = eval_scalar_function(name, &row_args)?;
+        b.push_value(&cast_value(&v, out_type)?)?;
+    }
+    Ok(b.finish())
+}
+
+/// `CASE WHEN`, row by row, typed as its result columns unify.
+fn case(
+    branches: &[(Expr, Expr)],
+    else_expr: Option<&Expr>,
+    batch: &RecordBatch,
+) -> Result<Column> {
+    let cond_cols = branches
+        .iter()
+        .map(|(c, _)| eval(c, batch))
+        .collect::<Result<Vec<_>>>()?;
+    let val_cols = branches
+        .iter()
+        .map(|(_, v)| eval(v, batch))
+        .collect::<Result<Vec<_>>>()?;
+    let else_col = else_expr.map(|e| eval(e, batch)).transpose()?;
+    let types = val_cols
+        .iter()
+        .chain(&else_col)
+        .map(|c| Some(c.data_type()));
+    let out_type = types.fold(None, unify).unwrap_or(DataType::Int64);
+    let n = batch.num_rows();
+    let mut b = ColumnBuilder::with_capacity(out_type, n);
+    for row in 0..n {
+        let mut taken = else_col.as_ref();
+        for (cond, val) in cond_cols.iter().zip(&val_cols) {
+            if cond.get(row)? == Value::Bool(true) {
+                taken = Some(val);
+                break;
             }
-            Ok(b.finish())
+        }
+        match taken {
+            Some(c) => b.push_value(&cast_value(&c.get(row)?, out_type)?)?,
+            None => b.push_null(),
         }
     }
+    Ok(b.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lakehouse_columnar::{DataType, Field};
+    use lakehouse_columnar::Field;
 
     #[test]
     fn filter_exact_hands_on_a_batch_whose_every_row_passes() {
@@ -292,7 +254,7 @@ mod tests {
         let batch = RecordBatch::try_new(schema, vec![Column::from_i64(vec![1, 2, 3])]).unwrap();
         let x_at_least = |v| Expr::Compare {
             op: CmpOp::GtEq,
-            left: Box::new(Expr::col("x".to_string())),
+            left: Box::new(Expr::bound("x", 0)),
             right: Box::new(Expr::Literal(Value::Int64(v))),
         };
         let values = |b: &RecordBatch| b.column(0).as_i64().unwrap().0.as_ptr();

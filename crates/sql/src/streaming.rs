@@ -32,15 +32,14 @@
 use crate::ast::{Expr, JoinType};
 use crate::engine::TableProvider;
 use crate::error::{Result, SqlError};
-use crate::logical::{resolve_column, AggExpr, LogicalPlan};
-use crate::physical::{eval, execute_project, filter_exact, split_join_keys};
+use crate::logical::{AggExpr, LogicalPlan};
+use crate::physical::{column, eval, execute_project, filter_exact};
 use lakehouse_columnar::kernels::{
     self, filter_batch, take_batch, take_column, take_column_opt, to_selection, AggState, Grouper,
     SortField,
 };
 use lakehouse_columnar::{
-    BatchStream, BatchesStream, Column, ColumnBuilder, ColumnarError, DataType, Field, RecordBatch,
-    Schema,
+    BatchStream, BatchesStream, Column, ColumnBuilder, ColumnarError, DataType, RecordBatch, Schema,
 };
 use lakehouse_obs::{KillReason, QueryCtx, SpanGuard};
 use std::borrow::Cow;
@@ -184,10 +183,7 @@ fn eval_all<'a, 'b>(
 /// copying it.
 fn eval_cow<'b>(expr: &Expr, batch: &'b RecordBatch) -> Result<Cow<'b, Column>> {
     match expr {
-        Expr::Column { qualifier, name } => {
-            let i = resolve_column(batch.schema(), qualifier.as_deref(), name)?;
-            Ok(Cow::Borrowed(batch.column(i)))
-        }
+        Expr::Column(c) => Ok(Cow::Borrowed(column(c, batch)?)),
         _ => eval(expr, batch).map(Cow::Owned),
     }
 }
@@ -280,10 +276,6 @@ fn build_stream(
     stats: &Rc<ExecStats>,
     path: &str,
 ) -> Result<Box<dyn BatchStream>> {
-    // Transparent: no operator runs, the input keeps the alias's path.
-    if let LogicalPlan::SubqueryAlias { input, .. } = plan {
-        return build_stream(input, provider, stats, path);
-    }
     // Opened before the inputs are built, so their spans nest under it.
     let span = lakehouse_obs::span(plan.name());
     span.attr("path", path);
@@ -299,15 +291,7 @@ fn build_stream(
             ..
         } => {
             span.attr("table", table.as_str());
-            let inner: Box<dyn BatchStream> = if table == "__dual" {
-                // SELECT-without-FROM: one dummy row.
-                Box::new(BatchesStream::one(RecordBatch::try_new(
-                    Schema::new(vec![Field::new("__dummy", DataType::Int64, true)]),
-                    vec![Column::from_i64(vec![0])],
-                )?))
-            } else {
-                provider.scan(table, projection.as_deref(), filters, *fetch)?
-            };
+            let inner = provider.scan(table, projection.as_deref(), filters, *fetch)?;
             let exact = match filters.is_empty() {
                 true => Vec::new(),
                 false => provider.exact_filters(table, projection.as_deref(), filters),
@@ -324,27 +308,41 @@ fn build_stream(
                 meter: Meter::new(plan, span, stats),
             })
         }
+        LogicalPlan::Values { batch } => Box::new(ScanNode {
+            inner: Box::new(BatchesStream::one(batch.clone())),
+            filters: Vec::new(),
+            budget: None,
+            meter: Meter::new(plan, span, stats),
+        }),
         LogicalPlan::Filter { input, predicate } => Box::new(FilterNode {
             input: child(input, 0)?,
             predicate: predicate.clone(),
             meter: Meter::new(plan, span, stats),
         }),
-        LogicalPlan::Project { input, exprs } => Box::new(ProjectNode {
+        LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        } => Box::new(ProjectNode {
             input: child(input, 0)?,
             exprs: exprs.clone(),
-            schema: plan.schema()?,
+            schema: schema.clone(),
             meter: Meter::new(plan, span, stats),
         }),
         LogicalPlan::Aggregate {
             input,
             group_exprs,
             agg_exprs,
+            schema,
         } => Box::new(AggNode {
-            input_schema: input.schema()?,
+            input_schema: input.schema().clone(),
+            arg_types: (agg_exprs.iter())
+                .map(|(a, _)| a.arg_type(input.schema()))
+                .collect::<Result<_>>()?,
             input: Some(child(input, 0)?),
             group_exprs: group_exprs.clone(),
             agg_exprs: agg_exprs.clone(),
-            out_schema: plan.schema()?,
+            out_schema: schema.clone(),
             meter: Meter::new(plan, span, stats),
         }),
         LogicalPlan::Join {
@@ -352,6 +350,7 @@ fn build_stream(
             right,
             join_type,
             on,
+            schema,
         } => {
             let left = child(left, 0)?;
             // The left subtree's guards are still open inside its nodes;
@@ -361,20 +360,13 @@ fn build_stream(
                 let _under_join = lakehouse_obs::reparent_under(&span);
                 child(right, 1)?
             };
-            let (left_keys, right_keys) = split_join_keys(on, left.schema(), right.schema())?;
-            // Left fields as they are, right fields nullable (LEFT JOIN may
-            // null them).
-            let mut fields: Vec<Field> = left.schema().fields().to_vec();
-            for f in right.schema().fields() {
-                fields.push(Field::new(f.name(), f.data_type(), true));
-            }
             Box::new(JoinNode {
                 left: Some(left),
                 right: Some(right),
                 join_type: *join_type,
-                left_keys,
-                right_keys,
-                schema: Schema::new(fields),
+                left_keys: on.iter().map(|(l, _)| l.clone()).collect(),
+                right_keys: on.iter().map(|(_, r)| r.clone()).collect(),
+                schema: schema.clone(),
                 build: None,
                 ids: Vec::new(),
                 meter: Meter::new(plan, span, stats),
@@ -411,10 +403,6 @@ fn build_stream(
             state_bytes: 0,
             meter: Meter::new(plan, span, stats),
         }),
-        // (Returned above, before a span was opened for it.)
-        LogicalPlan::SubqueryAlias { input, .. } => {
-            return build_stream(input, provider, stats, path)
-        }
     })
 }
 
@@ -631,6 +619,8 @@ struct AggNode {
     /// `None` once consumed.
     input: Option<Box<dyn BatchStream>>,
     input_schema: Schema,
+    /// Each aggregate's argument type, as the plan typed it.
+    arg_types: Vec<DataType>,
     group_exprs: Vec<(Expr, String)>,
     agg_exprs: Vec<(AggExpr, String)>,
     out_schema: Schema,
@@ -656,19 +646,11 @@ impl BatchStream for AggNode {
         let mut states_per_agg: Vec<Vec<AggState>> = (self.agg_exprs.iter())
             .map(|a| vec![new_state(a); global as usize])
             .collect();
-        let mut ids: Vec<u32> = Vec::new();
-        let mut state_bytes = 0usize;
-        let mut arg_types: Option<Vec<DataType>> = None;
-        let types_of = |cols: &[Option<Cow<Column>>]| -> Vec<DataType> {
-            let types = cols
-                .iter()
-                .map(|c| c.as_deref().map_or(DataType::Int64, Column::data_type));
-            types.collect()
-        };
+        let (mut ids, mut state_bytes, mut seen) = (Vec::new(), 0usize, false);
         while let Some(batch) = input.next_batch()? {
+            seen = true;
             let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &batch)?;
             let arg_cols = agg_args(&self.agg_exprs, &batch)?;
-            arg_types.get_or_insert_with(|| types_of(&arg_cols));
             if global {
                 ids.clear();
                 ids.resize(batch.num_rows(), 0);
@@ -689,21 +671,13 @@ impl BatchStream for AggNode {
         }
         drop(input);
 
-        // Finish types: from the first batch's evaluated argument columns,
-        // or (empty input) from the args evaluated over an empty batch of
-        // the input schema — same result, since eval types are
-        // schema-determined. The grouper learns its key types from the same
-        // empty batch, so zero groups still come out as one empty column
-        // per key.
-        let arg_types = match arg_types {
-            Some(t) => t,
-            None => {
-                let empty = RecordBatch::new_empty(self.input_schema.clone());
-                let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &empty)?;
-                grouper.group_ids(&group_cols, &mut ids)?;
-                types_of(&agg_args(&self.agg_exprs, &empty)?)
-            }
-        };
+        // With no input the grouper learns its key types from an empty
+        // batch, so zero groups still come out as one empty column per key.
+        if !seen {
+            let empty = RecordBatch::new_empty(self.input_schema.clone());
+            let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &empty)?;
+            grouper.group_ids(&group_cols, &mut ids)?;
+        }
         // The group keys are the grouper's key columns as they are; each
         // aggregate finishes into a column beside them.
         let mut columns = grouper.key_columns();
@@ -713,8 +687,8 @@ impl BatchStream for AggNode {
                 *col = kernels::cast(col, field.data_type())?;
             }
         }
-        for (slots, (arg_type, field)) in
-            (states_per_agg.iter()).zip(arg_types.iter().zip(&fields[self.group_exprs.len()..]))
+        for (slots, (arg_type, field)) in (states_per_agg.iter())
+            .zip((self.arg_types.iter()).zip(&fields[self.group_exprs.len()..]))
         {
             let mut b = ColumnBuilder::with_capacity(field.data_type(), slots.len());
             for state in slots {

@@ -389,3 +389,22 @@ fn count_distinct_per_group() {
     assert_eq!(i(&b.row(1).unwrap()[1]), 1);
     assert_eq!(i(&b.row(2).unwrap()[1]), 3);
 }
+
+#[test]
+fn a_select_without_from_reads_no_table_and_every_table_name_is_a_table() {
+    let lh = lakehouse();
+    let b = q(&lh, "SELECT 1 + 1 AS two");
+    assert_eq!((b.num_rows(), i(&b.row(0).unwrap()[0])), (1, 2));
+    // No name is kept for the one-row relation a FROM-less SELECT reads.
+    let table = RecordBatch::try_new(
+        Schema::new(vec![Field::new("k", DataType::Int64, false)]),
+        vec![Column::from_i64(vec![7, 8])],
+    )
+    .unwrap();
+    lh.create_table("__dual", &table, "main").unwrap();
+    let b = q(&lh, "SELECT * FROM __dual");
+    let rows: Vec<i64> = (0..b.num_rows())
+        .map(|r| i(&b.row(r).unwrap()[0]))
+        .collect();
+    assert_eq!(rows, vec![7, 8]);
+}
