@@ -42,7 +42,7 @@ pub struct AggExpr {
 
 impl AggExpr {
     /// The type of what it aggregates over `input` (`COUNT(*)` counts INTs).
-    pub fn arg_type(&self, input: &Schema) -> Result<DataType> {
+    pub(crate) fn arg_type(&self, input: &Schema) -> Result<DataType> {
         (self.arg.as_ref()).map_or(Ok(DataType::Int64), |e| infer_type(e, input))
     }
 }
@@ -936,6 +936,12 @@ mod tests {
     fn select_without_from() {
         let p = plan("SELECT 1 + 2 AS three").unwrap();
         assert_eq!(p.schema().names(), vec!["three"]);
+        // It reads a one-row leaf, not a table.
+        assert!(
+            matches!(p.children()[..], [LogicalPlan::Values { .. }]),
+            "{p:?}"
+        );
+        assert!(plan("SELECT x AS y").is_err());
     }
 
     #[test]
