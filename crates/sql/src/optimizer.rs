@@ -661,6 +661,18 @@ mod tests {
         };
         assert_eq!(filters.len(), 1);
         assert!(filters[0].to_string().contains("(a = 1)"));
+        // Any conjunct crosses a projection that passes its columns through
+        // bare, renamed or not; one over a computed output stays above it.
+        let text = explained(
+            "SELECT x FROM (SELECT a AS x, b, a + 1 AS y FROM t) sub \
+             WHERE ABS(x) > 1 AND b + x > 2.0 AND y > 3",
+        );
+        assert!(
+            text.contains("filters=[(ABS(a) > 1) AND ((b + a) > 2)]"),
+            "{text}"
+        );
+        let filter = text.find("Filter: (y > 3)").expect(&text);
+        assert!(filter < text.find("Scan").unwrap(), "{text}");
     }
 
     #[test]
