@@ -151,7 +151,7 @@ fn main() {
     let recorder_overhead = record_ns * events_recorded as f64 / disabled_ns as f64;
 
     // The telemetry path itself: querying the flight recorder back out as SQL.
-    const TELEMETRY_SQL: &str = "SELECT query_id, io_bytes, pool_hits FROM system.queries \
+    const TELEMETRY_SQL: &str = "SELECT query_id, io_bytes, io_ops FROM system.queries \
                                  ORDER BY io_bytes DESC LIMIT 5";
     let mut telemetry = Vec::with_capacity(QUERY_ITERS);
     for _ in 0..QUERY_ITERS {

@@ -1,7 +1,6 @@
 //! Hand-rolled argument parsing (no external CLI dependency).
 
-use bauplan_core::{BufferPool, ChaosConfig, LakehouseConfig};
-use std::sync::Arc;
+use bauplan_core::{ChaosConfig, LakehouseConfig};
 
 /// Usage text shown on parse errors and `bauplan help`.
 pub const USAGE: &str = "\
@@ -27,10 +26,6 @@ USAGE:
 
 GLOBAL OPTIONS:
   --data-dir <dir>          state directory (default: .bauplan)
-  --shared-pool-mb <n>      cache object bytes in a process-wide verified
-                            buffer pool of this capacity in MiB
-                            (admission-controlled, checksummed; default:
-                            0 = off; parsed table metadata is always cached)
   --trace-out <file>        write a Chrome-trace JSON (chrome://tracing /
                             Perfetto) of the command's span tree
   --retry-max <n>           retries per failed store request, with backoff
@@ -67,8 +62,8 @@ annotated with per-operator rows, batches, bytes, and both clocks. `profile`
 prints the full span tree plus the metrics registry grouped by subsystem.
 
 Telemetry is queryable in SQL: `system.queries` (per-query resource
-ledgers), `system.events` (the flight recorder), `system.metrics` (the
-registry), and `system.pool` (the shared buffer pool), e.g.
+ledgers), `system.events` (the flight recorder) and `system.metrics` (the
+registry), e.g.
   bauplan query -q \"SELECT query_id, io_bytes FROM system.queries \
 ORDER BY io_bytes DESC LIMIT 5\"
 
@@ -181,12 +176,6 @@ fn mib(v: &str) -> Result<u64, &'static str> {
     Ok(number::<u64>(v)?.saturating_mul(1024 * 1024))
 }
 
-/// A pool of the given size in MiB; none at 0.
-fn pool(v: &str) -> Result<Option<Arc<BufferPool>>, &'static str> {
-    let bytes = usize::try_from(mib(v)?).unwrap_or(usize::MAX);
-    Ok((bytes > 0).then(|| Arc::new(BufferPool::new(bytes))))
-}
-
 fn probability(v: &str) -> Result<f64, &'static str> {
     let expected = "a probability in [0, 1)";
     let p: f64 = v.parse().map_err(|_| expected)?;
@@ -206,7 +195,6 @@ fn chaos(cli: &mut Cli) -> &mut ChaosConfig {
 #[rustfmt::skip]
 const GLOBALS: &[(&str, Global)] = &[
     ("--data-dir", Value(|cli, v| set(&mut cli.data_dir, text(v)))),
-    ("--shared-pool-mb", Value(|cli, v| set(&mut cli.config.shared_pool, pool(v)))),
     ("--trace-out", Value(|cli, v| set(&mut cli.trace_out, text(v).map(Some)))),
     ("--retry-max", Value(|cli, v| set(&mut cli.config.retry_max, number(v)))),
     ("--retry-budget-ms", Value(|cli, v| set(&mut cli.config.retry_budget_ms, number(v)))),
@@ -561,8 +549,8 @@ mod tests {
 
     #[test]
     fn parse_scheduler_flags() {
-        // The gate's order is not a setting; weights and the pool's tenant
-        // quota belong to the embedder that holds the gate and the pool.
+        // The gate admits in arrival order: no order, weight or tenant
+        // quota is a setting.
         assert!(rejected("--sched-policy", "fair"));
         assert!(rejected("--tenant-weight", "team-a=3.0"));
         assert!(rejected("--pool-tenant-quota-mb", "64"));
@@ -570,18 +558,9 @@ mod tests {
 
     #[test]
     fn parse_shared_pool() {
-        let cli = Cli::parse(&s(&["query", "-q", "SELECT 1", "--shared-pool-mb", "64"])).unwrap();
-        let pool = cli.config.shared_pool.expect("a pool");
-        assert_eq!(pool.capacity_bytes(), 64 * 1024 * 1024);
-        // Default (and 0): no shared pool; garbage rejected.
-        assert!(Cli::parse(&s(&["refs"]))
-            .unwrap()
-            .config
-            .shared_pool
-            .is_none());
-        let cli = Cli::parse(&s(&["refs", "--shared-pool-mb", "0"])).unwrap();
-        assert!(cli.config.shared_pool.is_none());
-        assert!(Cli::parse(&s(&["refs", "--shared-pool-mb", "much"])).is_err());
+        // The byte pool is gone: its flag is rejected rather than ignored.
+        assert!(rejected("--shared-pool-mb", "64"));
+        assert!(rejected("--shared-pool-mb", "0"));
     }
 
     #[test]

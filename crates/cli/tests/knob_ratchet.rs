@@ -7,8 +7,8 @@
 
 use std::collections::BTreeSet;
 
-const MAX_CONFIG_FIELDS: usize = 22;
-const MAX_CLI_FLAGS: usize = 25;
+const MAX_CONFIG_FIELDS: usize = 19;
+const MAX_CLI_FLAGS: usize = 24;
 
 fn source(relative: &str) -> String {
     let path = format!("{}/{relative}", env!("CARGO_MANIFEST_DIR"));

@@ -1,8 +1,7 @@
 //! Platform configuration.
 
 use lakehouse_planner::ExecutionMode;
-use lakehouse_store::{BufferPool, ChaosConfig, LatencyModel};
-use std::sync::Arc;
+use lakehouse_store::{ChaosConfig, LatencyModel};
 use std::time::Duration;
 
 /// Configuration for a [`crate::Lakehouse`].
@@ -29,14 +28,6 @@ pub struct LakehouseConfig {
     /// Row-group size of every data file a table write, an append, a run's
     /// artifact or a compaction writes.
     pub row_group_rows: usize,
-    /// A process-wide verified buffer pool to put between this instance and
-    /// its store (`--shared-pool-mb` on the CLI). Several `Lakehouse`
-    /// instances handed the same `Arc` share one admission-controlled,
-    /// checksummed page cache of object bytes — the second engine's data
-    /// reads hit pages the first one already pulled. `None` (the default)
-    /// adds no byte cache; parsed table metadata is always cached, per
-    /// instance, whatever this is.
-    pub shared_pool: Option<Arc<BufferPool>>,
     /// Retries per failed store request: above 0 a `RetryStore` goes into
     /// the store stack and owns every transient fault — it retries with
     /// backoff and ends as `RetriesExhausted`, which nothing above it
@@ -74,22 +65,17 @@ pub struct LakehouseConfig {
     pub admission: Option<AdmissionConfig>,
 }
 
-/// The admission gate's limits (`crate::AdmissionController`). The order in
-/// which it admits waiters is not a setting (DESIGN.md §16).
+/// The admission gate's limits (`crate::AdmissionController`). Waiters are
+/// admitted in arrival order (DESIGN.md §16).
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
     /// Platform-wide concurrent work-item slots (at least 1).
     pub max_slots: usize,
-    /// Per-tenant slot cap, so one tenant cannot occupy the whole gate;
-    /// 0 = a tenant may use every slot.
-    pub tenant_slots: usize,
     /// Waiters beyond this many are shed immediately with
     /// `Overloaded { retry_after }`.
     pub queue_cap: usize,
     /// Longest a waiter may queue before it is shed the same way.
     pub queue_deadline: Duration,
-    /// Fair-share weights, `(tenant, weight)`; an unlisted tenant weighs 1.0.
-    pub weights: Vec<(String, f64)>,
 }
 
 impl Default for AdmissionConfig {
@@ -97,10 +83,8 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_slots: 1,
-            tenant_slots: 0,
             queue_cap: 16,
             queue_deadline: Duration::from_millis(100),
-            weights: Vec::new(),
         }
     }
 }
@@ -116,7 +100,6 @@ impl Default for LakehouseConfig {
             author: "bauplan".into(),
             tenant: "default".into(),
             row_group_rows: 8192,
-            shared_pool: None,
             retry_max: 0,
             retry_budget_ms: 30_000,
             chaos: None,

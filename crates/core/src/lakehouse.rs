@@ -12,8 +12,8 @@ use lakehouse_planner::RunRegistry;
 use lakehouse_runtime::{Runtime, SimClock};
 use lakehouse_sql::SqlEngine;
 use lakehouse_store::{
-    CachedStore, ChaosStore, HedgePolicy, InMemoryStore, IoDispatcher, ObjectStore, RetryPolicy,
-    RetryStore, SimulatedStore, StoreMetrics,
+    ChaosStore, HedgePolicy, InMemoryStore, IoDispatcher, ObjectStore, RetryPolicy, RetryStore,
+    SimulatedStore, StoreMetrics,
 };
 use lakehouse_table::{
     MetadataCache, PartitionSpec, SnapshotOperation, Table, TableIo, TableMetadata,
@@ -128,11 +128,8 @@ impl Lakehouse {
     /// Several instances over one `Arc` see the same lake — one platform,
     /// many fronts. The catalog is initialized only if the backend does not
     /// already hold one, so the second instance opens what the first built.
-    /// This is how multi-tenant setups are modeled: per-tenant `Lakehouse`
-    /// handles (each with its own `tenant` label and budgets) over one
-    /// store, sharing one [`crate::AdmissionController`] via
-    /// [`Lakehouse::set_admission`] and one [`lakehouse_store::BufferPool`]
-    /// via `config.shared_pool`.
+    /// Fronts with their own `tenant` label and budgets can share one
+    /// [`crate::AdmissionController`] via [`Lakehouse::set_admission`].
     pub fn with_store(backend: Arc<dyn ObjectStore>, config: LakehouseConfig) -> Result<Lakehouse> {
         let refs_path =
             lakehouse_store::ObjectPath::new(format!("{}/refs.json", config.catalog_prefix))?;
@@ -146,13 +143,10 @@ impl Lakehouse {
         init_catalog: bool,
     ) -> Result<Lakehouse> {
         let store = Arc::new(SimulatedStore::new(backend, config.latency.clone()));
-        // The store stack, innermost first:
-        // `Cached(Retry(Chaos(Simulated(backend))))`. Chaos — the one fault
-        // injector — sits directly on the simulated store so injected faults
-        // look like S3 failures; retry, their one owner, sits above it; the
-        // pool's adapter sits on top so cache hits never burn retry budget.
-        // Every layer but the simulated store is optional and skipped at
-        // defaults.
+        // The store stack, innermost first: `Retry(Chaos(Simulated(backend)))`.
+        // Chaos — the one fault injector — sits directly on the simulated
+        // store so injected faults look like S3 failures; retry, their one
+        // owner, sits above it. Both are optional and skipped at defaults.
         let mut store_dyn: Arc<dyn ObjectStore> = Arc::clone(&store) as Arc<dyn ObjectStore>;
         if let Some(chaos) = &config.chaos {
             store_dyn = Arc::new(ChaosStore::new(store_dyn, chaos.clone()));
@@ -163,17 +157,9 @@ impl Lakehouse {
                 .with_budget(std::time::Duration::from_millis(config.retry_budget_ms));
             store_dyn = Arc::new(RetryStore::new(store_dyn, policy));
         }
-        // The byte cache is a pool shared by several `Lakehouse` instances
-        // (one `Arc<BufferPool>`); it keeps its hit counters in the pool's
-        // own metrics — per-store attribution would be arbitrary.
-        if let Some(pool) = &config.shared_pool {
-            store_dyn = Arc::new(CachedStore::with_pool(store_dyn, Arc::clone(pool)));
-        }
         // The dispatcher sits over the *complete* stack: an overlapped read
-        // passes through the pool (populating it behind its single-flight),
-        // retry, and chaos layers exactly like an inline one — so overlap
-        // and hedging can never duplicate a backend read or dodge fault
-        // injection.
+        // passes through the retry and chaos layers exactly like an inline
+        // one — so overlap and hedging can never dodge fault injection.
         let hedge = config.hedge_p95.then(HedgePolicy::default);
         let io = Arc::new(IoDispatcher::new(
             Arc::clone(&store_dyn),
@@ -689,7 +675,6 @@ impl Lakehouse {
         )
         .with_fetch_retries(self.config.retry_max)
         .with_io(self.table_io())
-        .with_system_pool(self.config.shared_pool.clone())
     }
 
     // ---- functions ------------------------------------------------------------

@@ -63,4 +63,4 @@ pub use run::{RunOptions, RunReport};
 pub use lakehouse_planner::project::Requirements;
 pub use lakehouse_planner::{ExecutionMode, LogicalPipeline, PhysicalPipeline};
 pub use lakehouse_planner::{NodeDef, PipelineProject};
-pub use lakehouse_store::{BufferPool, ChaosConfig, PoolMetrics};
+pub use lakehouse_store::ChaosConfig;

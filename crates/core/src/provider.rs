@@ -8,7 +8,7 @@ use lakehouse_columnar::{BatchStream, BatchesStream, RecordBatch, Schema, Value}
 use lakehouse_sql::ast::Expr;
 use lakehouse_sql::logical::SchemaProvider;
 use lakehouse_sql::{Result as SqlResult, SqlError, TableProvider};
-use lakehouse_store::{BufferPool, ObjectStore};
+use lakehouse_store::ObjectStore;
 use lakehouse_table::{ScanPredicate, Table, TableIo};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -35,9 +35,6 @@ pub struct LakehouseProvider {
     /// The parsed-metadata cache and fetch workers every table opened
     /// through this provider uses (default: neither).
     io: TableIo,
-    /// The lakehouse's shared buffer pool, when one is attached — only read
-    /// to materialize `system.pool`.
-    system_pool: Option<Arc<BufferPool>>,
 }
 
 impl LakehouseProvider {
@@ -54,16 +51,7 @@ impl LakehouseProvider {
             pushdown: true,
             fetch_retries: 0,
             io: TableIo::default(),
-            system_pool: None,
         }
-    }
-
-    /// Expose a buffer pool's counters through `system.pool` (the system
-    /// tables themselves need no configuration — they read process-global
-    /// telemetry).
-    pub fn with_system_pool(mut self, pool: Option<Arc<BufferPool>>) -> LakehouseProvider {
-        self.system_pool = pool;
-        self
     }
 
     /// Open tables through `io`: a warm statement then fetches and parses
@@ -212,8 +200,8 @@ impl PinnedProvider<'_> {
             lakehouse_sql::scan_memory_table(batch, projection, filters, fetch)
         };
         if table.starts_with(crate::system::SYSTEM_PREFIX) {
-            let batch = crate::system::system_batch(table, self.provider.system_pool.as_ref())
-                .ok_or_else(|| SqlError::Plan(format!("unknown system table '{table}'")))?;
+            let batch = crate::system::system_batch(table)
+                .ok_or_else(|| SqlError::Plan(format!("unknown system table '{table}'")))??;
             return project(&batch).map(Some);
         }
         let overlay = self.provider.overlay.read();

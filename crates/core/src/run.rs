@@ -33,8 +33,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Memory estimate for a pipeline step that has never run (drives fusion
-/// packing and the stage's cost hint); a step that has run is estimated from
-/// its own history instead.
+/// packing and the stage span's memory figure); a step that has run is
+/// estimated from its own history instead.
 const DEFAULT_STEP_MEMORY: u64 = 512 * 1024 * 1024;
 
 /// Options for a pipeline run.
@@ -400,15 +400,14 @@ impl Lakehouse {
                 .map(|s| self.estimator.estimate(s, DEFAULT_STEP_MEMORY))
                 .sum();
             // Each ready stage contends for an admission slot like an ad-hoc
-            // query (cost hint: estimated working set at 256 MiB/s). The SQL
-            // steps inside run under this permit and skip the gate.
+            // query. The SQL steps inside run under this permit and skip the
+            // gate.
             let _permit = match &self.admission {
                 Some(gate)
                     if lakehouse_obs::QueryCtx::current().is_none()
                         && !crate::lakehouse::under_stage_permit() =>
                 {
-                    let cost_hint = estimated_bytes as f64 / (256.0 * 1024.0 * 1024.0);
-                    match gate.acquire_item(&self.config.tenant, cost_hint) {
+                    match gate.acquire(&self.config.tenant) {
                         Ok(permit) => Some(permit),
                         Err(shed) => {
                             return Err(BauplanError::Overloaded {

@@ -1,9 +1,8 @@
 //! SQL system tables: virtual relations over the process's telemetry.
 //!
-//! `system.queries`, `system.events`, `system.metrics`, and `system.pool`
-//! are materialized on demand from the global [`lakehouse_obs`] state — the
-//! finished-query log, the flight recorder, and the metrics registry — plus
-//! the lakehouse's buffer pool when one is attached. They are ordinary
+//! `system.queries`, `system.events` and `system.metrics` are materialized
+//! on demand from the global [`lakehouse_obs`] state — the finished-query
+//! log, the flight recorder, and the metrics registry. They are ordinary
 //! batches once built, so both executors (materialized and streaming) run
 //! the same operators over them and return byte-identical results.
 //!
@@ -11,26 +10,18 @@
 //!
 //! | table            | columns |
 //! |------------------|---------|
-//! | `system.queries` | query_id, tenant, label, status, reason, wall_ms, sim_ms, queue_wait_ms, io_bytes, io_bytes_written, io_ops, pool_hits, pool_misses, evictions_caused, retry_stall_ms, kernel_wall_ms |
+//! | `system.queries` | query_id, tenant, label, status, reason, wall_ms, sim_ms, queue_wait_ms, io_bytes, io_bytes_written, io_ops, retry_stall_ms, kernel_wall_ms |
 //! | `system.events`  | seq, wall_micros, kind, query_id, tenant, detail, value |
 //! | `system.metrics` | name, kind, value, count, p50, p95, p99 |
-//! | `system.pool`    | metric, value |
 
-use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema};
+use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Result, Schema};
 use lakehouse_obs::MetricSnapshot;
-use lakehouse_store::BufferPool;
-use std::sync::Arc;
 
 /// Prefix that routes a table name to this module instead of the catalog.
 pub const SYSTEM_PREFIX: &str = "system.";
 
 /// Names of every system table (the `system.` prefix included).
-pub const SYSTEM_TABLES: &[&str] = &[
-    "system.queries",
-    "system.events",
-    "system.metrics",
-    "system.pool",
-];
+pub const SYSTEM_TABLES: &[&str] = &["system.queries", "system.events", "system.metrics"];
 
 fn ms(nanos: u64) -> f64 {
     nanos as f64 / 1_000_000.0
@@ -49,9 +40,6 @@ fn queries_schema() -> Schema {
         Field::new("io_bytes", DataType::Int64, false),
         Field::new("io_bytes_written", DataType::Int64, false),
         Field::new("io_ops", DataType::Int64, false),
-        Field::new("pool_hits", DataType::Int64, false),
-        Field::new("pool_misses", DataType::Int64, false),
-        Field::new("evictions_caused", DataType::Int64, false),
         Field::new("retry_stall_ms", DataType::Float64, false),
         Field::new("kernel_wall_ms", DataType::Float64, false),
     ])
@@ -60,7 +48,7 @@ fn queries_schema() -> Schema {
 /// `system.queries`: one row per finished query/run step, oldest first,
 /// plus a live `running` row for the in-flight query scanning the table
 /// (so a one-shot CLI `SELECT ... FROM system.queries` observes itself).
-pub fn queries_batch() -> RecordBatch {
+pub fn queries_batch() -> Result<RecordBatch> {
     let mut records = lakehouse_obs::query_log().snapshot();
     if let Some(ctx) = lakehouse_obs::QueryCtx::current() {
         if !records.iter().any(|r| r.query_id == ctx.query_id()) {
@@ -84,7 +72,7 @@ pub fn queries_batch() -> RecordBatch {
             });
         }
     }
-    let batch = RecordBatch::try_new(
+    RecordBatch::try_new(
         queries_schema(),
         vec![
             Column::from_i64(records.iter().map(|r| r.query_id as i64).collect()),
@@ -103,19 +91,6 @@ pub fn queries_batch() -> RecordBatch {
                     .collect(),
             ),
             Column::from_i64(records.iter().map(|r| r.ledger.io_ops as i64).collect()),
-            Column::from_i64(records.iter().map(|r| r.ledger.pool_hits as i64).collect()),
-            Column::from_i64(
-                records
-                    .iter()
-                    .map(|r| r.ledger.pool_misses as i64)
-                    .collect(),
-            ),
-            Column::from_i64(
-                records
-                    .iter()
-                    .map(|r| r.ledger.evictions_caused as i64)
-                    .collect(),
-            ),
             Column::from_f64(
                 records
                     .iter()
@@ -129,8 +104,7 @@ pub fn queries_batch() -> RecordBatch {
                     .collect(),
             ),
         ],
-    );
-    batch.expect("system.queries columns are built from one snapshot")
+    )
 }
 
 fn events_schema() -> Schema {
@@ -146,9 +120,9 @@ fn events_schema() -> Schema {
 }
 
 /// `system.events`: the flight recorder's retained events, in seq order.
-pub fn events_batch() -> RecordBatch {
+pub fn events_batch() -> Result<RecordBatch> {
     let events = lakehouse_obs::recorder().snapshot();
-    let batch = RecordBatch::try_new(
+    RecordBatch::try_new(
         events_schema(),
         vec![
             Column::from_i64(events.iter().map(|e| e.seq as i64).collect()),
@@ -159,8 +133,7 @@ pub fn events_batch() -> RecordBatch {
             Column::from_strs(events.iter().map(|e| e.detail.as_str()).collect()),
             Column::from_i64(events.iter().map(|e| e.value as i64).collect()),
         ],
-    );
-    batch.expect("system.events columns are built from one snapshot")
+    )
 }
 
 fn metrics_schema() -> Schema {
@@ -178,7 +151,7 @@ fn metrics_schema() -> Schema {
 /// `system.metrics`: the global registry, sorted by name. `value` is the
 /// counter/gauge value or a histogram's sum; the quantile columns are null
 /// for non-histograms.
-pub fn metrics_batch() -> RecordBatch {
+pub fn metrics_batch() -> Result<RecordBatch> {
     let snaps = lakehouse_obs::global().snapshot();
     let mut names = Vec::with_capacity(snaps.len());
     let mut kinds = Vec::with_capacity(snaps.len());
@@ -223,7 +196,7 @@ pub fn metrics_batch() -> RecordBatch {
             }
         }
     }
-    let batch = RecordBatch::try_new(
+    RecordBatch::try_new(
         metrics_schema(),
         vec![
             Column::from_str_vec(names),
@@ -234,58 +207,7 @@ pub fn metrics_batch() -> RecordBatch {
             Column::from_opt_i64(p95s),
             Column::from_opt_i64(p99s),
         ],
-    );
-    batch.expect("system.metrics columns are built from one snapshot")
-}
-
-fn pool_schema() -> Schema {
-    Schema::new(vec![
-        Field::new("metric", DataType::Utf8, false),
-        Field::new("value", DataType::Int64, false),
-    ])
-}
-
-/// `system.pool`: the attached buffer pool's counters as rows (empty with
-/// the same schema when no shared pool is configured).
-pub fn pool_batch(pool: Option<&Arc<BufferPool>>) -> RecordBatch {
-    let rows: Vec<(String, u64)> = match pool {
-        Some(pool) => {
-            let m = pool.metrics();
-            let mut rows: Vec<(String, u64)> = vec![
-                ("capacity_bytes".into(), pool.capacity_bytes() as u64),
-                ("resident_bytes".into(), m.resident_bytes()),
-                ("resident_entries".into(), m.resident_entries()),
-                ("hits".into(), m.hits()),
-                ("misses".into(), m.misses()),
-                ("admitted".into(), m.admitted()),
-                ("rejected".into(), m.rejected()),
-                ("evicted_bytes".into(), m.evicted_bytes()),
-                ("verify_failures".into(), m.verify_failures()),
-            ];
-            // With tenant quotas armed, expose the quota plus per-tenant
-            // resident/protected footprints so operators can see who holds
-            // what (`tenant:<name>:resident_bytes` rows).
-            let quota = pool.tenant_quota_bytes();
-            if quota > 0 {
-                rows.push(("tenant_quota_bytes".into(), quota as u64));
-                rows.push(("quota_denied".into(), m.quota_denied()));
-                for (tenant, resident, protected) in pool.tenant_stats() {
-                    rows.push((format!("tenant:{tenant}:resident_bytes"), resident));
-                    rows.push((format!("tenant:{tenant}:protected_bytes"), protected));
-                }
-            }
-            rows
-        }
-        None => Vec::new(),
-    };
-    let batch = RecordBatch::try_new(
-        pool_schema(),
-        vec![
-            Column::from_strs(rows.iter().map(|(n, _)| n.as_str()).collect()),
-            Column::from_i64(rows.iter().map(|(_, v)| *v as i64).collect()),
-        ],
-    );
-    batch.expect("system.pool columns are built from one snapshot")
+    )
 }
 
 /// Schema of `name`, or `None` if it is not a system table.
@@ -294,18 +216,16 @@ pub fn system_schema(name: &str) -> Option<Schema> {
         "system.queries" => Some(queries_schema()),
         "system.events" => Some(events_schema()),
         "system.metrics" => Some(metrics_schema()),
-        "system.pool" => Some(pool_schema()),
         _ => None,
     }
 }
 
 /// Build the batch for system table `name`, or `None` if it is not one.
-pub fn system_batch(name: &str, pool: Option<&Arc<BufferPool>>) -> Option<RecordBatch> {
+pub fn system_batch(name: &str) -> Option<Result<RecordBatch>> {
     match name {
         "system.queries" => Some(queries_batch()),
         "system.events" => Some(events_batch()),
         "system.metrics" => Some(metrics_batch()),
-        "system.pool" => Some(pool_batch(pool)),
         _ => None,
     }
 }
@@ -326,37 +246,8 @@ mod tests {
     #[test]
     fn batches_match_their_schemas() {
         for name in SYSTEM_TABLES {
-            let batch = system_batch(name, None).unwrap();
+            let batch = system_batch(name).unwrap().unwrap();
             assert_eq!(batch.schema(), &system_schema(name).unwrap(), "{name}");
-        }
-    }
-
-    #[test]
-    fn pool_table_reports_counters() {
-        let pool = Arc::new(BufferPool::new(1 << 20));
-        let batch = pool_batch(Some(&pool));
-        assert_eq!(batch.schema().names()[0], "metric");
-        assert!(batch.num_rows() >= 9);
-    }
-
-    #[test]
-    fn pool_table_adds_tenant_rows_when_quota_armed() {
-        let pool = Arc::new(BufferPool::new(1 << 20));
-        pool.set_tenant_quota_bytes(4096);
-        let ctx = lakehouse_obs::QueryCtx::new("alpha", "q");
-        {
-            let _g = ctx.enter();
-            pool.replace_whole("page", bytes::Bytes::from_static(b"abcd"));
-        }
-        let batch = pool_batch(Some(&pool));
-        let (names, _) = batch.columns()[0].as_utf8().unwrap();
-        for want in [
-            "tenant_quota_bytes",
-            "quota_denied",
-            "tenant:alpha:resident_bytes",
-            "tenant:alpha:protected_bytes",
-        ] {
-            assert!(names.iter().any(|n| n == want), "missing row {want}");
         }
     }
 }

@@ -3,7 +3,7 @@
 //! pools, plus the [`ResourceLedger`] it owns.
 //!
 //! The global [`crate::MetricsRegistry`] keeps the process-wide view of
-//! `io.*` / `pool.*` / `retry.*`; ledgers are the *attributed* view of the
+//! `io.*` / `store.*` / `retry.*`; ledgers are the *attributed* view of the
 //! same quantities. Instrumentation points call [`charge`], which is a
 //! thread-local borrow plus a handful of relaxed atomic adds when a context
 //! is active and a single thread-local read otherwise — cheap enough to stay
@@ -101,9 +101,6 @@ pub struct ResourceLedger {
     io_bytes: AtomicU64,
     io_bytes_written: AtomicU64,
     io_ops: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
-    evictions_caused: AtomicU64,
     retry_stall_nanos: AtomicU64,
     kernel_wall_nanos: AtomicU64,
     kernel_sim_nanos: AtomicU64,
@@ -118,18 +115,6 @@ impl ResourceLedger {
     pub fn add_io_write(&self, bytes: u64) {
         self.io_bytes_written.fetch_add(bytes, Ordering::Relaxed);
         self.io_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_pool_hit(&self) {
-        self.pool_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_pool_miss(&self) {
-        self.pool_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add_evictions_caused(&self, n: u64) {
-        self.evictions_caused.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn add_retry_stall_nanos(&self, nanos: u64) {
@@ -158,9 +143,6 @@ impl ResourceLedger {
             io_bytes: self.io_bytes.load(Ordering::Relaxed),
             io_bytes_written: self.io_bytes_written.load(Ordering::Relaxed),
             io_ops: self.io_ops.load(Ordering::Relaxed),
-            pool_hits: self.pool_hits.load(Ordering::Relaxed),
-            pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            evictions_caused: self.evictions_caused.load(Ordering::Relaxed),
             retry_stall_nanos: self.retry_stall_nanos.load(Ordering::Relaxed),
             kernel_wall_nanos: self.kernel_wall_nanos.load(Ordering::Relaxed),
             kernel_sim_nanos: self.kernel_sim_nanos.load(Ordering::Relaxed),
@@ -175,9 +157,6 @@ pub struct LedgerSnapshot {
     pub io_bytes: u64,
     pub io_bytes_written: u64,
     pub io_ops: u64,
-    pub pool_hits: u64,
-    pub pool_misses: u64,
-    pub evictions_caused: u64,
     pub retry_stall_nanos: u64,
     pub kernel_wall_nanos: u64,
     pub kernel_sim_nanos: u64,
@@ -469,16 +448,12 @@ mod tests {
         {
             let _g = ctx.enter();
             charge(|l| l.add_io_read(100));
-            charge(|l| {
-                l.add_pool_hit();
-                l.add_retry_stall_nanos(7);
-            });
+            charge(|l| l.add_retry_stall_nanos(7));
         }
         charge(|l| l.add_io_read(999)); // no context: charges nobody
         let snap = ctx.ledger().snapshot();
         assert_eq!(snap.io_bytes, 100);
         assert_eq!(snap.io_ops, 1);
-        assert_eq!(snap.pool_hits, 1);
         assert_eq!(snap.retry_stall_nanos, 7);
     }
 

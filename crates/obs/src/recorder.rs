@@ -33,8 +33,6 @@ pub enum EventKind {
     RetryAttempt,
     HedgeFired,
     HedgeWon,
-    PoolAdmit,
-    PoolEvict,
     CasRetry,
     /// A query passed the admission gate (value: queue wait in nanos).
     AdmissionAdmit,
@@ -43,9 +41,6 @@ pub enum EventKind {
     AdmissionShed,
     /// A query's cancel token tripped; detail is the [`crate::KillReason`].
     QueryKilled,
-    /// A scheduling policy consumed a pick: a queued waiter was chosen for
-    /// admission (detail: policy name; value: waiters skipped ahead of it).
-    SchedPick,
     /// A DAG stage entered execution under the gate (detail:
     /// `run_<id>/stage_<idx>`; value: steps in the stage).
     StageStart,
@@ -63,20 +58,17 @@ impl EventKind {
             EventKind::RetryAttempt => "retry_attempt",
             EventKind::HedgeFired => "hedge_fired",
             EventKind::HedgeWon => "hedge_won",
-            EventKind::PoolAdmit => "pool_admit",
-            EventKind::PoolEvict => "pool_evict",
             EventKind::CasRetry => "cas_retry",
             EventKind::AdmissionAdmit => "admission_admit",
             EventKind::AdmissionShed => "admission_shed",
             EventKind::QueryKilled => "query_killed",
-            EventKind::SchedPick => "sched_pick",
             EventKind::StageStart => "stage_start",
             EventKind::StageFinish => "stage_finish",
         }
     }
 }
 
-/// One recorded event. `value` is kind-specific (bytes for store/pool ops,
+/// One recorded event. `value` is kind-specific (bytes for store ops,
 /// nanoseconds for stalls, attempt number for retries); `detail` is a short
 /// free-form tag (object path, op name, SQL prefix).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -281,7 +273,7 @@ mod tests {
         {
             let _g = ctx.enter();
             rec.record(EventKind::StoreOp, "data/a.col", 100);
-            rec.record(EventKind::PoolAdmit, "data/a.col", 100);
+            rec.record(EventKind::RetryAttempt, "data/a.col", 1);
         }
         rec.record(EventKind::StoreOp, "unattributed", 1);
         let events = rec.snapshot();

@@ -348,7 +348,7 @@ impl<S: ObjectStore> ObjectStore for ChaosStore<S> {
     }
 
     fn invalidate_corrupt(&self, path: &ObjectPath) {
-        // Never faulted: corruption reporting must always reach the cache.
+        // Never faulted: corruption reporting must always reach the layers below.
         self.inner.invalidate_corrupt(path)
     }
 }

@@ -56,7 +56,7 @@ pub struct IoCompletion {
 /// A payload as a worker sends it. Memory freed into a worker's arena is
 /// never reused by the consumer's thread, so a worker moves what the store
 /// allocated for it into the submitter's buffer and frees its own at once;
-/// a shared buffer (an in-memory object's slice, a pool page) passes as is.
+/// a shared buffer (an in-memory object's slice) passes as is.
 enum Payload {
     Shared(Bytes),
     Moved(Vec<u8>),
@@ -650,18 +650,89 @@ mod tests {
         assert_eq!(stats.inflight, 0);
     }
 
+    /// A store whose every read blocks until the test lets it finish: a read
+    /// sends a release handle on `arrivals`, then waits on it.
+    struct GatedStore {
+        inner: InMemoryStore,
+        arrivals: Mutex<mpsc::Sender<mpsc::Sender<()>>>,
+    }
+
+    impl ObjectStore for GatedStore {
+        fn put(&self, path: &ObjectPath, data: Bytes) -> Result<()> {
+            self.inner.put(path, data)
+        }
+        fn get(&self, path: &ObjectPath) -> Result<Bytes> {
+            let (release, released) = mpsc::channel();
+            let _ = self.arrivals.lock().send(release);
+            // A dropped handle releases the read too.
+            let _ = released.recv();
+            self.inner.get(path)
+        }
+        fn head(&self, path: &ObjectPath) -> Result<usize> {
+            self.inner.head(path)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<ObjectPath>> {
+            self.inner.list(prefix)
+        }
+        fn delete(&self, path: &ObjectPath) -> Result<()> {
+            self.inner.delete(path)
+        }
+        fn put_if_matches(
+            &self,
+            path: &ObjectPath,
+            expected: Option<&[u8]>,
+            data: Bytes,
+        ) -> Result<()> {
+            self.inner.put_if_matches(path, expected, data)
+        }
+    }
+
     #[test]
     fn breaker_suppresses_hedging_when_store_is_globally_slow() {
-        // Every read takes 20 ms: hedges (fired after 5 ms) always lose the
-        // race to the earlier-started primary.
-        let store = Arc::new(SleepyStore::uniform(Duration::from_millis(20)));
+        // Every read is held until the test releases it, and a primary is
+        // always released, and claimed, before its hedge (fired after 5 ms):
+        // the hedges lose every race by construction.
+        let (arrivals, arrived) = mpsc::channel();
+        let store = Arc::new(GatedStore {
+            inner: InMemoryStore::new(),
+            arrivals: Mutex::new(arrivals),
+        });
         let paths = seeded(store.as_ref(), BREAKER_WINDOW + 2);
         let hedge = Some(HedgePolicy {
             hedge_after: Some(Duration::from_millis(5)),
         });
-        let dispatcher = dispatcher(&store, 2, hedge);
-        for path in &paths {
-            assert!(dispatcher.wait(submit(&dispatcher, path)).result.is_ok());
+        let dispatcher = IoDispatcher::new(store as Arc<dyn ObjectStore>, 2, hedge).unwrap();
+        let next_read = || {
+            arrived
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a read reaches the store")
+        };
+        for (i, path) in paths.iter().enumerate() {
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| dispatcher.wait(submit(&dispatcher, path)));
+                let primary = next_read();
+                let hedge = if i < BREAKER_WINDOW {
+                    Some(next_read())
+                } else {
+                    // The breaker is open: release the primary only once this
+                    // wait has reached its hedge point and been refused.
+                    let refused = BREAKER_COOLDOWN - (i + 1 - BREAKER_WINDOW) as u64;
+                    let give_up = Instant::now() + Duration::from_secs(10);
+                    while dispatcher.breaker.lock().cooldown_left > refused {
+                        assert!(
+                            Instant::now() < give_up,
+                            "read {i} never reached its hedge point"
+                        );
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    None
+                };
+                primary.send(()).unwrap();
+                assert!(waiter.join().unwrap().result.is_ok());
+                if let Some(hedge) = hedge {
+                    hedge.send(()).unwrap();
+                }
+            });
         }
         let stats = dispatcher.stats();
         assert_eq!(

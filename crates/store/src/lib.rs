@@ -14,12 +14,11 @@
 //! can read accumulated *simulated* time deterministically instead of
 //! sleeping.
 //!
-//! What the lakehouse stacks on a backend, innermost first, each layer
-//! optional: [`SimulatedStore`] (latency model and metrics), [`ChaosStore`]
-//! (the one fault injector), [`RetryStore`] (the one owner of a store
-//! fault's retries), and [`CachedStore`] (reads through a shared
-//! [`BufferPool`]). An [`IoDispatcher`] over the whole stack overlaps a
-//! scan's range reads on a few worker threads.
+//! What the lakehouse stacks on a backend, innermost first:
+//! [`SimulatedStore`] (latency model and metrics), then, each optional,
+//! [`ChaosStore`] (the one fault injector) and [`RetryStore`] (the one owner
+//! of a store fault's retries). An [`IoDispatcher`] over the whole stack
+//! overlaps a scan's range reads on a few worker threads.
 
 pub mod chaos;
 pub mod error;
@@ -29,7 +28,6 @@ pub mod local;
 pub mod memory;
 pub mod metrics;
 pub mod path;
-pub mod pool;
 pub mod retry;
 
 pub use chaos::{ChaosConfig, ChaosStore, FaultKind};
@@ -40,7 +38,6 @@ pub use local::LocalFsStore;
 pub use memory::InMemoryStore;
 pub use metrics::StoreMetrics;
 pub use path::ObjectPath;
-pub use pool::{BufferPool, CachedStore, PoolKey, PoolMetrics};
 pub use retry::{Backoff, RetryPolicy, RetryStore};
 
 use bytes::Bytes;
@@ -97,9 +94,10 @@ pub trait ObjectStore: Send + Sync {
     }
 
     /// Report that bytes read for `path` failed a *downstream* integrity
-    /// check (file-footer or column-chunk checksum). Cache layers drop every
-    /// entry for the path so a retry re-fetches from the backend instead of
-    /// re-serving the poisoned bytes; stores without a cache do nothing.
+    /// check (file-footer or column-chunk checksum). A layer that keeps
+    /// bytes must drop every entry for the path, so a retry re-fetches from
+    /// the backend instead of re-serving the poisoned bytes; wrappers
+    /// forward the call, and stores that keep nothing do nothing.
     fn invalidate_corrupt(&self, path: &ObjectPath) {
         let _ = path;
     }

@@ -3,7 +3,7 @@
 //! chaos stalls and torn reads), and a streaming LIMIT that terminates early
 //! cancels the requests still queued before they ever reach the backend.
 
-use bauplan_core::{BufferPool, ChaosConfig, Lakehouse, LakehouseConfig};
+use bauplan_core::{ChaosConfig, Lakehouse, LakehouseConfig};
 use bytes::Bytes;
 use lakehouse_columnar::{BatchStream, Column, DataType, Field, RecordBatch, Schema};
 use lakehouse_sql::{MemoryProvider, SqlEngine};
@@ -146,15 +146,13 @@ fn overlap_and_hedging_byte_identical_across_sleep_modes() {
     }
 }
 
-// ---- torn reads: hedged/prefetched bytes verified through the pool ---------
+// ---- torn reads: hedged/prefetched bytes verified before decoding ----------
 
 #[test]
 fn torn_reads_under_overlap_are_caught_and_retried() {
     // Torn reads deliver truncated bodies as *successful* responses, and the
     // overlapped path hands prefetched bytes straight to the decoder — the
-    // truncation guard + format checksums must catch them, invalidate the
-    // poisoned pool pages, and re-read. Same seeded schedule as the
-    // pool-sharing torn-read test, with the dispatcher in the path.
+    // truncation guard + format checksums must catch them and re-read.
     let dir = std::env::temp_dir().join(format!("bauplan_async_io_torn_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
@@ -173,9 +171,7 @@ fn torn_reads_under_overlap_are_caught_and_retried() {
         .query(AGG_SQL, "main")
         .unwrap();
 
-    let pool = Arc::new(BufferPool::new(32 * 1024 * 1024));
     let config = LakehouseConfig {
-        shared_pool: Some(Arc::clone(&pool)),
         chaos: Some(ChaosConfig::new(3).with_torn_read_p(0.35)),
         retry_max: 10,
         hedge_p95: true,
@@ -187,7 +183,7 @@ fn torn_reads_under_overlap_are_caught_and_retried() {
     let stats = lh.io_dispatcher().stats();
     assert!(stats.submitted > 0, "the workers must have been exercised");
     assert_eq!(stats.inflight, 0);
-    // The poisoned pages are gone: a second query still answers correctly.
+    // A second query, with its own torn reads, still answers correctly.
     assert_eq!(lh.query(AGG_SQL, "main").unwrap(), baseline);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,16 +3,14 @@
 //! * a scan that overlaps its files' requests is byte-identical (values AND
 //!   order) to an inline scan, with predicates and projection, on a
 //!   partitioned multi-file table, at any worker count;
-//! * the pool's `CachedStore` adapter serves identical bytes across
-//!   evictions and invalidations;
-//! * one `LakehouseProvider` survives 8 concurrent queries.
+//! * one `LakehouseProvider` survives 8 concurrent queries;
+//! * two fronts over one directory see each other's commits, and a warm
+//!   statement still pays one catalog GET.
 
-use bauplan_core::{BufferPool, Lakehouse, LakehouseConfig};
+use bauplan_core::{Lakehouse, LakehouseConfig};
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
-use lakehouse_store::{
-    CachedStore, InMemoryStore, IoDispatcher, LatencyModel, ObjectStore, SimulatedStore,
-};
+use lakehouse_store::{InMemoryStore, IoDispatcher, LatencyModel, ObjectStore, SimulatedStore};
 use lakehouse_table::{PartitionSpec, ScanPredicate, SnapshotOperation, Table, TableIo};
 use lakehouse_workload::TaxiGenerator;
 use std::sync::Arc;
@@ -78,11 +76,12 @@ fn overlapped_scan_is_byte_identical_to_inline() {
 }
 
 #[test]
-fn overlapped_scan_identical_under_byte_cache_and_latency() {
-    // Full stack: byte cache over simulated latency, repeated queries.
-    let sim = SimulatedStore::new(InMemoryStore::new(), LatencyModel::s3_like());
-    let pool = Arc::new(BufferPool::new(1 << 20));
-    let store: Arc<dyn ObjectStore> = Arc::new(CachedStore::with_pool(sim, pool));
+fn overlapped_scan_identical_under_latency() {
+    // Overlapped reads over simulated S3 latency, repeated queries.
+    let store: Arc<dyn ObjectStore> = Arc::new(SimulatedStore::new(
+        InMemoryStore::new(),
+        LatencyModel::s3_like(),
+    ));
     let t = multi_file_table(&store, 12, 200);
     let inline = t.scan().execute().unwrap();
     let t = with_workers(&t, 8);
@@ -92,43 +91,8 @@ fn overlapped_scan_identical_under_byte_cache_and_latency() {
 }
 
 #[test]
-fn cached_store_identical_bytes_after_eviction() {
-    // A cache far smaller than the table forces continuous eviction; every
-    // read must still return exactly what the backing store holds.
-    let pool = Arc::new(BufferPool::private(2_048));
-    pool.set_max_entry_bytes(1_024);
-    let cached = CachedStore::with_pool(InMemoryStore::new(), Arc::clone(&pool));
-    let paths: Vec<_> = (0..32)
-        .map(|i| lakehouse_store::ObjectPath::new(format!("obj/{i}")).unwrap())
-        .collect();
-    for (i, p) in paths.iter().enumerate() {
-        cached
-            .put(p, bytes::Bytes::from(vec![i as u8; 100 + i]))
-            .unwrap();
-    }
-    // Two passes in opposite directions: whole gets and ranged gets.
-    for (i, p) in paths.iter().enumerate() {
-        assert_eq!(
-            cached.get(p).unwrap(),
-            bytes::Bytes::from(vec![i as u8; 100 + i])
-        );
-    }
-    for (i, p) in paths.iter().enumerate().rev() {
-        assert_eq!(
-            cached.get_range(p, 10, 50).unwrap(),
-            bytes::Bytes::from(vec![i as u8; 40])
-        );
-    }
-    assert!(pool.metrics().misses() > 0, "tiny cache must evict");
-}
-
-#[test]
 fn eight_concurrent_queries_through_one_provider() {
-    let config = LakehouseConfig {
-        shared_pool: Some(Arc::new(BufferPool::new(8 << 20))),
-        ..LakehouseConfig::default()
-    };
-    let lh = Arc::new(Lakehouse::in_memory(config).unwrap());
+    let lh = Arc::new(Lakehouse::in_memory(LakehouseConfig::default()).unwrap());
     lh.create_table("taxi", &TaxiGenerator::default().generate(10_000), "main")
         .unwrap();
     let expected = lh
@@ -159,27 +123,6 @@ fn eight_concurrent_queries_through_one_provider() {
 }
 
 #[test]
-fn lakehouse_query_with_byte_cache_matches_default() {
-    let mk = |config: LakehouseConfig| {
-        let lh = Lakehouse::in_memory(config).unwrap();
-        lh.create_table("taxi", &TaxiGenerator::default().generate(5_000), "main")
-            .unwrap();
-        lh.query(
-            "SELECT pickup_location_id, COUNT(*) AS n FROM taxi \
-             WHERE fare > 10.0 GROUP BY pickup_location_id ORDER BY pickup_location_id",
-            "main",
-        )
-        .unwrap()
-    };
-    let baseline = mk(LakehouseConfig::default());
-    let tuned = mk(LakehouseConfig {
-        shared_pool: Some(Arc::new(BufferPool::new(16 << 20))),
-        ..LakehouseConfig::default()
-    });
-    assert_eq!(baseline, tuned);
-}
-
-#[test]
 fn repeated_query_hits_metadata_cache() {
     let lh = Lakehouse::in_memory(LakehouseConfig::default()).unwrap();
     lh.create_table("taxi", &TaxiGenerator::default().generate(2_000), "main")
@@ -192,4 +135,55 @@ fn repeated_query_hits_metadata_cache() {
     // store sees the ref and the one data file.
     assert_eq!((cache.hits() - h0, cache.misses() - m0), (2, 0));
     assert_eq!(lh.store_metrics().gets() - gets0, 2);
+}
+
+/// One column `x` holding `from..from + n`.
+fn xs(from: i64, n: i64) -> RecordBatch {
+    RecordBatch::try_new(
+        Schema::new(vec![Field::new("x", DataType::Int64, false)]),
+        vec![Column::from_i64((from..from + n).collect())],
+    )
+    .unwrap()
+}
+
+/// Two default fronts over one directory: each front's statements read the
+/// ref first, so what one commits the other sees on its next statement, and
+/// the other's own commit then lands on the new head. A warm statement
+/// still costs one catalog GET (the ref) plus its data.
+#[test]
+fn two_fronts_on_one_directory_see_each_others_commits() {
+    const COUNT: &str = "SELECT COUNT(*) AS n FROM t";
+    const SUM: &str = "SELECT SUM(x) AS s FROM t";
+    let dir = std::env::temp_dir().join(format!("bauplan_two_fronts_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let a = Lakehouse::on_disk(&dir, LakehouseConfig::zero_latency()).unwrap();
+    a.create_table("t", &xs(0, 10), "main").unwrap();
+    let b = Lakehouse::on_disk(&dir, LakehouseConfig::zero_latency()).unwrap();
+    let scalar =
+        |lh: &Lakehouse, sql: &str| lh.query(sql, "main").unwrap().row(0).unwrap()[0].clone();
+
+    assert_eq!(scalar(&a, COUNT), Value::Int64(10));
+    b.append_table("t", &xs(10, 10), "main").unwrap();
+    assert_eq!(scalar(&a, COUNT), Value::Int64(20), "A sees B's rows");
+    assert_eq!(scalar(&a, SUM), Value::Int64((0..20).sum()));
+
+    a.append_table("t", &xs(20, 10), "main")
+        .expect("A's commit lands on B's head");
+    assert_eq!(scalar(&b, COUNT), Value::Int64(30), "B sees A's rows");
+    assert_eq!(scalar(&a, SUM), Value::Int64((0..30).sum()));
+
+    // Warm on A: a filter that every file's stats rule out reads no data,
+    // so its one GET is the ref; the sum reads the ref and each of the
+    // three data files.
+    let gets = || a.store_metrics().gets();
+    let g0 = gets();
+    assert_eq!(
+        scalar(&a, "SELECT COUNT(*) AS n FROM t WHERE x > 1000"),
+        Value::Int64(0)
+    );
+    assert_eq!(gets() - g0, 1, "a warm statement pays one catalog GET");
+    let g0 = gets();
+    assert_eq!(scalar(&a, SUM), Value::Int64((0..30).sum()));
+    assert_eq!(gets() - g0, 1 + 3, "the ref plus three data files");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 //! writers.
 
 use bauplan_core::{
-    BauplanError, BufferPool, Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions,
+    BauplanError, Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions,
 };
 use bytes::Bytes;
 use lakehouse_catalog::{Catalog, ContentRef, Operation};
@@ -446,8 +446,8 @@ impl ObjectStore for FlipFirstRead {
 #[test]
 fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
     // Each data file here travels as one merged request, so a torn or
-    // bit-flipped response poisons the whole file's bytes at once — and, with
-    // a byte cache on, the cached range too. The query must still return
+    // bit-flipped response poisons the whole file's bytes at once. The query
+    // must still return
     // the fault-free bytes whether the scan puts its whole window of
     // requests in flight at once (no row budget: the aggregate) or ramps it
     // (a `LIMIT` that happens to cover every row) — either way a worker
@@ -457,8 +457,6 @@ fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
     let queries = [AGG_SQL, RAMPED_SQL].map(|sql| (sql, fault_free.query(sql, "main").unwrap()));
     assert_eq!(queries[1].1.num_rows(), 600);
 
-    // The fixture is written through a plain front: a caching front would
-    // keep what it wrote and never read the backend at all.
     let seed_events = |backend: &Arc<dyn ObjectStore>| {
         Lakehouse::with_store(Arc::clone(backend), LakehouseConfig::zero_latency())
             .unwrap()
@@ -472,14 +470,13 @@ fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
     };
 
     // Bit flips: detected by the chunk CRC alone. One whole-file retry per
-    // file, and it reaches the backend — the poisoned cached range went first.
+    // file, and it reaches the backend.
     let base = || LakehouseConfig {
         latency: LatencyModel::zero(),
         retry_max: 2,
-        shared_pool: Some(Arc::new(BufferPool::new(8 << 20))),
         ..Default::default()
     };
-    // Each query over a byte cache of its own.
+    // Each query over a backend of its own.
     for (sql, want) in &queries {
         let store = Arc::new(FlipFirstRead::default());
         let backend = Arc::clone(&store) as Arc<dyn ObjectStore>;
@@ -489,18 +486,18 @@ fn corrupt_merged_reads_are_caught_invalidated_and_retried_whole_file() {
         let reads = store.data_reads.lock().unwrap().clone();
         assert_eq!(reads.len(), 12);
         assert!(reads.values().all(|&n| n == 2), "{sql}: {reads:?}");
-        // Now cached and verified: no further backend reads.
+        // Clean bytes now: each file is read once more, with no retry.
         assert_eq!(&lh.query(sql, "main").unwrap(), want, "{sql}");
-        assert_eq!(*store.data_reads.lock().unwrap(), reads);
+        let again = store.data_reads.lock().unwrap().clone();
+        assert!(again.values().all(|&n| n == 3), "{sql}: {again:?}");
     }
 
-    // Torn reads, seeded: truncated-but-Ok bodies under the same cache.
+    // Torn reads, seeded: truncated-but-Ok bodies.
     for seed in 1..=4u64 {
         let base = || LakehouseConfig {
             latency: LatencyModel::zero(),
             chaos: Some(ChaosConfig::new(seed).with_torn_read_p(0.3)),
             retry_max: 10,
-            shared_pool: Some(Arc::new(BufferPool::new(8 << 20))),
             ..Default::default()
         };
         for (sql, want) in &queries {
@@ -894,22 +891,20 @@ fn killed_query_leaks_no_io_tickets() {
     );
 }
 
-/// Killed queries on a shared buffer pool must leave it consistent: a
-/// well-behaved instance over the same backend and pool still gets
-/// byte-identical results afterwards, with zero verification failures.
+/// Killed queries on one front must leave a shared backend consistent: a
+/// well-behaved front over the same backend still gets byte-identical
+/// results afterwards.
 #[test]
-fn killed_queries_leave_shared_pool_consistent() {
-    const Q: &str = "SELECT grp, SUM(val) AS pool_probe FROM events GROUP BY grp ORDER BY grp";
+fn killed_queries_leave_a_shared_backend_consistent() {
+    const Q: &str = "SELECT grp, SUM(val) AS kill_probe FROM events GROUP BY grp ORDER BY grp";
     let backend: Arc<dyn lakehouse_store::ObjectStore> = Arc::new(InMemoryStore::new());
-    let pool = Arc::new(BufferPool::new(8 << 20));
-    let shared = |io_budget_bytes: u64| LakehouseConfig {
+    let front = |io_budget_bytes: u64| LakehouseConfig {
         latency: LatencyModel::zero(),
-        shared_pool: Some(Arc::clone(&pool)),
         io_budget_bytes,
         ..Default::default()
     };
 
-    let healthy = Lakehouse::with_store(Arc::clone(&backend), shared(0)).unwrap();
+    let healthy = Lakehouse::with_store(Arc::clone(&backend), front(0)).unwrap();
     healthy
         .create_table_partitioned(
             "events",
@@ -928,15 +923,11 @@ fn killed_queries_leave_shared_pool_consistent() {
         .ledger
         .io_bytes;
 
-    // A budget-capped instance over the *same* backend and pool: every
-    // query it runs is killed partway through the scan. The pool is cleared
-    // first each time — budgets meter *backend* bytes, and a pool-warm scan
-    // would legitimately finish under budget — so each kill abandons a scan
-    // that was actively (re)populating shared pages.
-    let victim = Lakehouse::with_store(Arc::clone(&backend), shared((full_bytes / 2).max(1)))
+    // A budget-capped front over the *same* backend: every query it runs is
+    // killed partway through the scan.
+    let victim = Lakehouse::with_store(Arc::clone(&backend), front((full_bytes / 2).max(1)))
         .expect("second instance opens the existing catalog");
     for _ in 0..3 {
-        pool.clear();
         let err = victim
             .query(Q, "main")
             .expect_err("budgeted instance is killed");
@@ -946,7 +937,6 @@ fn killed_queries_leave_shared_pool_consistent() {
         );
     }
 
-    // The pool survived the carnage: same bytes, nothing corrupted.
+    // The lake survived the carnage: same bytes.
     assert_eq!(healthy.query(Q, "main").expect("healthy again"), want);
-    assert_eq!(pool.metrics().verify_failures(), 0);
 }

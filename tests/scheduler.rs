@@ -1,9 +1,8 @@
 //! The admission gate, end to end, as a multi-front embedder sets it up —
-//! several `Lakehouse` fronts over one store, one `AdmissionController` and
-//! one `BufferPool`: DAG stages from concurrent runs interleaving under the
-//! shared gate, hinted work draining cheapest first, overload shed typed
-//! (queue overflow and queue deadline), tenant-quota'd buffer-pool
-//! isolation, and the `queue_wait_ms` telemetry column.
+//! several `Lakehouse` fronts over one store and one `AdmissionController`:
+//! DAG stages from concurrent runs interleaving under the shared gate,
+//! waiters draining in arrival order, overload shed typed (queue overflow
+//! and queue deadline), and the `queue_wait_ms` telemetry column.
 
 use bauplan_core::{
     AdmissionConfig, AdmissionController, BauplanError, Lakehouse, LakehouseConfig, NodeDef,
@@ -85,10 +84,8 @@ fn dag_stages_from_two_runs_interleave_under_one_gate() {
     let _serial = serial();
     let gate = AdmissionController::new(AdmissionConfig {
         max_slots: 1,
-        tenant_slots: 0,
         queue_cap: 64,
         queue_deadline: Duration::from_secs(30),
-        weights: Vec::new(),
     });
     let alpha = Arc::new(chain_lakehouse("alpha", gate.clone()));
     let beta = Arc::new(chain_lakehouse("beta", gate));
@@ -137,27 +134,24 @@ fn dag_stages_from_two_runs_interleave_under_one_gate() {
     );
 }
 
-/// Queued work that carries cost hints drains shortest-expected-cost first
-/// (three tenants, all at the same virtual time, so cost decides), and the
-/// drain order is identical on every replay of the same arrival set.
+/// Queued work drains in arrival order, whatever the tenant, and the drain
+/// order is identical on every replay of the same arrival set.
 #[test]
-fn cost_aware_gate_drains_cheapest_first_deterministically() {
+fn fifo_gate_drains_in_arrival_order() {
     let run_once = || -> Vec<&'static str> {
         let gate = AdmissionController::new(AdmissionConfig {
             max_slots: 1,
-            tenant_slots: 0,
             queue_cap: 64,
             queue_deadline: Duration::from_secs(30),
-            weights: Vec::new(),
         });
         let order = Arc::new(Mutex::new(Vec::new()));
         let blocker = gate.acquire("warmup").unwrap();
         let mut handles = Vec::new();
-        for (name, cost) in [("big", 30.0), ("mid", 5.0), ("small", 0.5)] {
+        for name in ["big", "mid", "small"] {
             let worker_gate = gate.clone();
             let order = Arc::clone(&order);
             handles.push(std::thread::spawn(move || {
-                let permit = worker_gate.acquire_item(name, cost).unwrap();
+                let permit = worker_gate.acquire(name).unwrap();
                 order.lock().unwrap().push(name);
                 drop(permit);
             }));
@@ -175,76 +169,8 @@ fn cost_aware_gate_drains_cheapest_first_deterministically() {
         order
     };
     let first = run_once();
-    assert_eq!(first, vec!["small", "mid", "big"]);
+    assert_eq!(first, vec!["big", "mid", "small"]);
     assert_eq!(first, run_once(), "same arrivals, same drain order");
-}
-
-/// Tenant-quota'd shared pool, end to end through two lakehouse fronts: a
-/// greedy tenant's scan churn must not evict the polite tenant's protected
-/// pages, and the polite tenant's query answers stay byte-identical.
-#[test]
-fn pool_tenant_quota_isolates_polite_tenant_from_greedy_churn() {
-    let _serial = serial();
-    let pool = Arc::new(bauplan_core::BufferPool::new(256 * 1024));
-    pool.set_tenant_quota_bytes(64 * 1024);
-    // Two fronts over one data lake sharing one quota'd pool — the shared
-    // backend matters: cached pages are keyed by object path.
-    let backend: Arc<dyn lakehouse_store::ObjectStore> =
-        Arc::new(lakehouse_store::InMemoryStore::new());
-    let front = |tenant: &str| {
-        let config = LakehouseConfig {
-            tenant: tenant.into(),
-            shared_pool: Some(Arc::clone(&pool)),
-            ..LakehouseConfig::zero_latency()
-        };
-        Lakehouse::with_store(Arc::clone(&backend), config).unwrap()
-    };
-    let polite = front("polite");
-    let greedy = front("greedy");
-    polite.create_table("p", &base_batch(256), "main").unwrap();
-    for i in 0..24 {
-        let b = base_batch(256);
-        if i == 0 {
-            greedy.create_table("g", &b, "main").unwrap();
-        } else {
-            greedy.append_table("g", &b, "main").unwrap();
-        }
-    }
-    assert_eq!(pool.tenant_quota_bytes(), 64 * 1024);
-
-    // Warm the polite tenant's working set. Pages written through by the
-    // table creates above belong to no tenant, so start from an empty pool:
-    // the first read then loads the ref and the data file as the polite
-    // tenant's pages, and the second read's hits promote them into the
-    // protected segment.
-    pool.clear();
-    let expected = polite.query("SELECT SUM(x) AS s FROM p", "main").unwrap();
-    let _ = polite.query("SELECT SUM(x) AS s FROM p", "main").unwrap();
-    let protected_before = pool
-        .tenant_stats()
-        .into_iter()
-        .find(|(t, _, _)| t == "polite")
-        .map(|(_, _, p)| p)
-        .unwrap_or(0);
-    assert!(protected_before > 0, "warm-up must promote polite pages");
-
-    // Greedy churn: repeated full scans over a table larger than the pool.
-    for _ in 0..4 {
-        let _ = greedy.query("SELECT COUNT(*) AS n FROM g", "main").unwrap();
-    }
-
-    let protected_after = pool
-        .tenant_stats()
-        .into_iter()
-        .find(|(t, _, _)| t == "polite")
-        .map(|(_, _, p)| p)
-        .unwrap_or(0);
-    assert_eq!(
-        protected_before, protected_after,
-        "greedy churn must not evict polite protected pages"
-    );
-    let again = polite.query("SELECT SUM(x) AS s FROM p", "main").unwrap();
-    assert_eq!(expected, again);
 }
 
 /// `system.queries` carries the gate's telemetry: an admitted query's row
@@ -255,7 +181,6 @@ fn system_queries_reports_queue_wait() {
     let config = LakehouseConfig {
         admission: Some(AdmissionConfig {
             max_slots: 2,
-            weights: vec![("default".into(), 3.0)],
             ..AdmissionConfig::default()
         }),
         ..LakehouseConfig::zero_latency()

@@ -3,9 +3,9 @@
 //! through `system.events`, and the `system.*` virtual tables behaving
 //! identically in both executors.
 
-use bauplan_core::{BufferPool, Lakehouse, LakehouseConfig};
+use bauplan_core::{Lakehouse, LakehouseConfig};
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Global registry counters and the flight recorder are process-wide, so
 /// every test here that asserts on deltas (or retained events) serializes on
@@ -56,26 +56,21 @@ fn lakehouse(config: LakehouseConfig, files: usize) -> Lakehouse {
     lh
 }
 
-/// The acceptance workload: two interleaved queries on one shared buffer
-/// pool get disjoint ledgers whose totals reconcile exactly with the global
-/// registry deltas, and `system.queries` serves those ledgers back over SQL.
+/// The acceptance workload: two queries get disjoint ledgers whose totals
+/// reconcile exactly with the global registry deltas, and `system.queries`
+/// serves those ledgers back over SQL.
 #[test]
 fn two_query_ledgers_reconcile_with_registry_and_system_queries() {
     let _serial = serial();
-    let pool = Arc::new(BufferPool::new(8 << 20));
     let config = LakehouseConfig {
-        shared_pool: Some(Arc::clone(&pool)),
         tenant: "team-a".into(),
         ..LakehouseConfig::zero_latency()
     };
     let lh = lakehouse(config, 6);
 
-    // Table creation is write-through into the pool; evict it so query A has
-    // to go to the backend (and baseline the counters after the setup noise).
-    pool.clear();
+    // Baseline the counters after the setup noise.
     let bytes0 = counter("store.bytes_read");
-    let hits0 = counter("pool.hits");
-    let misses0 = counter("pool.misses");
+    let gets0 = counter("store.gets");
 
     const Q_A: &str = "SELECT COUNT(*) AS n FROM events";
     const Q_B: &str = "SELECT SUM(val) AS s FROM events WHERE id >= 32";
@@ -83,8 +78,7 @@ fn two_query_ledgers_reconcile_with_registry_and_system_queries() {
     lh.query(Q_B, "main").unwrap();
 
     let bytes_delta = counter("store.bytes_read") - bytes0;
-    let hits_delta = counter("pool.hits") - hits0;
-    let misses_delta = counter("pool.misses") - misses0;
+    let gets_delta = counter("store.gets") - gets0;
 
     let a = record_for(Q_A);
     let b = record_for(Q_B);
@@ -92,19 +86,16 @@ fn two_query_ledgers_reconcile_with_registry_and_system_queries() {
     assert_eq!(a.tenant, "team-a");
     assert_eq!(a.status, "ok");
     assert!(a.ledger.io_bytes > 0, "query A read from the backend");
-    assert!(
-        b.ledger.pool_hits > 0,
-        "query B re-read pages query A warmed"
-    );
-    // Exact reconciliation: nothing double-counted, nothing lost.
+    assert!(b.ledger.io_bytes > 0, "query B read from the backend");
+    // Exact reconciliation: nothing double-counted, nothing lost. Neither
+    // query writes, so every attributed op is a GET.
     assert_eq!(a.ledger.io_bytes + b.ledger.io_bytes, bytes_delta);
-    assert_eq!(a.ledger.pool_hits + b.ledger.pool_hits, hits_delta);
-    assert_eq!(a.ledger.pool_misses + b.ledger.pool_misses, misses_delta);
+    assert_eq!(a.ledger.io_ops + b.ledger.io_ops, gets_delta);
 
     // The same numbers come back over SQL.
     let out = lh
         .query(
-            "SELECT query_id, io_bytes, pool_hits, retry_stall_ms FROM system.queries",
+            "SELECT query_id, io_bytes, io_ops, retry_stall_ms FROM system.queries",
             "main",
         )
         .unwrap();
@@ -117,7 +108,7 @@ fn two_query_ledgers_reconcile_with_registry_and_system_queries() {
     for rec in [&a, &b] {
         let r = row(rec.query_id);
         assert_eq!(r[1], Value::Int64(rec.ledger.io_bytes as i64));
-        assert_eq!(r[2], Value::Int64(rec.ledger.pool_hits as i64));
+        assert_eq!(r[2], Value::Int64(rec.ledger.io_ops as i64));
         assert_eq!(r[3].as_f64(), Some(0.0), "no retries configured");
     }
 }
@@ -262,9 +253,9 @@ fn settle_dispatcher() {
     panic!("I/O dispatcher did not settle");
 }
 
-/// `system.metrics` and `system.pool` are queryable relations.
+/// `system.metrics` is a queryable relation; there is no `system.pool`.
 #[test]
-fn system_metrics_and_pool_tables() {
+fn system_metrics_is_a_queryable_relation() {
     let _serial = serial();
     let lh = lakehouse(LakehouseConfig::zero_latency(), 2);
     lh.query("SELECT COUNT(*) AS n FROM events", "main")
@@ -279,22 +270,10 @@ fn system_metrics_and_pool_tables() {
     assert_eq!(out.row(0).unwrap()[1], Value::from("counter"));
     assert!(out.row(0).unwrap()[2].as_i64().unwrap() > 0);
 
-    // No pool attached: empty relation, schema intact.
-    let out = lh
+    let err = lh
         .query("SELECT metric, value FROM system.pool", "main")
-        .unwrap();
-    assert_eq!(out.num_rows(), 0);
-
-    // Pool attached: counters come back as rows.
-    let pooled = Lakehouse::in_memory(LakehouseConfig {
-        shared_pool: Some(Arc::new(BufferPool::new(1 << 20))),
-        ..LakehouseConfig::zero_latency()
-    })
-    .unwrap();
-    let out = pooled
-        .query("SELECT metric, value FROM system.pool", "main")
-        .unwrap();
-    assert!(out.num_rows() >= 9);
+        .expect_err("no such system table");
+    assert!(err.to_string().contains("system.pool"), "{err}");
 }
 
 /// Pipeline SQL steps are attributed like ad-hoc queries: each step gets a
