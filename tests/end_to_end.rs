@@ -8,6 +8,7 @@ use bauplan_core::{
 };
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
 use lakehouse_workload::TaxiGenerator;
+use std::collections::BTreeMap;
 
 fn lakehouse() -> Lakehouse {
     let lh = Lakehouse::in_memory(LakehouseConfig::zero_latency()).unwrap();
@@ -69,32 +70,67 @@ fn five_node_diamond_pipeline() {
     assert!(out.num_rows() >= 1);
 }
 
-#[test]
-fn naive_and_fused_produce_identical_artifacts() {
-    for mode in [ExecutionMode::Naive, ExecutionMode::Fused] {
-        let lh = lakehouse();
-        lh.register_function("hotspots_check", builtins::min_row_count("hotspots", 1));
-        let report = lh
-            .run(&diamond_project(), &RunOptions::default().with_mode(mode))
-            .unwrap();
-        assert!(report.success, "{mode:?} run failed");
-        let out = lh
-            .query(
-                "SELECT zone, pickups FROM hotspots ORDER BY pickups DESC, zone",
-                "main",
-            )
-            .unwrap();
-        // Same deterministic generator seed in both lakehouses → identical
-        // results regardless of execution mode.
-        let first = out.row(0).unwrap();
-        assert!(first[1].as_i64().unwrap() > 0);
+/// Every artifact a run of `project` materialized on `main`, under `mode`,
+/// in a lakehouse of its own.
+fn artifacts_under(
+    mode: ExecutionMode,
+    project: &PipelineProject,
+    register: fn(&Lakehouse),
+) -> BTreeMap<String, RecordBatch> {
+    let lh = lakehouse();
+    register(&lh);
+    let report = lh
+        .run(project, &RunOptions::default().with_mode(mode))
+        .unwrap();
+    assert!(report.success, "{mode:?} run failed");
+    (report.artifact_rows.keys())
+        .map(|name| (name.clone(), lh.read_table(name, "main").unwrap()))
+        .collect()
+}
+
+/// Both execution modes write every artifact with the same schema and the
+/// same rows, in the same order.
+fn assert_modes_agree(project: &PipelineProject, register: fn(&Lakehouse), artifacts: usize) {
+    let naive = artifacts_under(ExecutionMode::Naive, project, register);
+    let fused = artifacts_under(ExecutionMode::Fused, project, register);
+    assert_eq!(naive.len(), artifacts);
+    assert_eq!(
+        naive.keys().collect::<Vec<_>>(),
+        fused.keys().collect::<Vec<_>>()
+    );
+    for (name, batch) in &naive {
+        assert!(batch.num_rows() > 0, "{name} is empty");
+        assert_eq!(batch.schema(), fused[name].schema(), "{name}'s schema");
+        assert_eq!(batch, &fused[name], "{name}'s rows");
     }
 }
 
 #[test]
-fn function_transform_feeds_sql_downstream() {
-    let lh = lakehouse();
-    // Native node computes a derived table; SQL aggregates it.
+fn naive_and_fused_produce_identical_artifacts() {
+    assert_modes_agree(
+        &diamond_project(),
+        |lh| lh.register_function("hotspots_check", builtins::min_row_count("hotspots", 1)),
+        4,
+    );
+    assert_modes_agree(&mixed_project(), register_tip_model, 2);
+}
+
+/// A native node computes a derived table; a SQL node aggregates it.
+fn mixed_project() -> PipelineProject {
+    PipelineProject::new("mixed")
+        .with(NodeDef::function(
+            "tips",
+            vec!["taxi_table".into()],
+            Requirements::default(),
+            "tip_model",
+        ))
+        .with(NodeDef::sql(
+            "tip_summary",
+            "SELECT COUNT(*) AS n, AVG(predicted_tip) AS avg_tip FROM tips",
+        ))
+}
+
+fn register_tip_model(lh: &Lakehouse) {
     lh.register_function("tip_model", |ctx: &FnContext| {
         let trips = ctx.input("taxi_table")?;
         let fare = trips.column_by_name("fare")?;
@@ -110,18 +146,13 @@ fn function_transform_feeds_sql_downstream() {
             vec![fare.clone(), tip],
         )?))
     });
-    let project = PipelineProject::new("mixed")
-        .with(NodeDef::function(
-            "tips",
-            vec!["taxi_table".into()],
-            Requirements::default(),
-            "tip_model",
-        ))
-        .with(NodeDef::sql(
-            "tip_summary",
-            "SELECT COUNT(*) AS n, AVG(predicted_tip) AS avg_tip FROM tips",
-        ));
-    let report = lh.run(&project, &RunOptions::default()).unwrap();
+}
+
+#[test]
+fn function_transform_feeds_sql_downstream() {
+    let lh = lakehouse();
+    register_tip_model(&lh);
+    let report = lh.run(&mixed_project(), &RunOptions::default()).unwrap();
     assert!(report.success);
     let out = lh.query("SELECT avg_tip FROM tip_summary", "main").unwrap();
     let Value::Float64(avg_tip) = out.row(0).unwrap()[0] else {

@@ -16,10 +16,15 @@
 //!   the next statement, which fetches only the documents that are new.
 //! * Planning and scanning see the same catalog commit: a schema-evolving
 //!   append committed between the two does not leak into the result.
+//! * A warm pipeline run reads the ref and the data files its scans need:
+//!   fused, nothing else; naive, each stage's table documents too, since a
+//!   stateless stage keeps no cache.
 //! * The parsed cache is bounded, never holds a document that failed to
 //!   parse, and the fetch workers die with their `Lakehouse`.
 
-use bauplan_core::{Lakehouse, LakehouseConfig};
+use bauplan_core::{
+    builtins, ExecutionMode, Lakehouse, LakehouseConfig, PipelineProject, RunOptions,
+};
 use bytes::Bytes;
 use lakehouse_catalog::{ContentRef, Operation};
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
@@ -380,16 +385,17 @@ fn a_commit_is_warm_where_it_was_made_and_seen_everywhere_by_the_next_statement(
 }
 
 /// Through a second front over the same objects: add a `tip` column to
-/// `trips`, append three rows that have it, and commit to `main`.
-fn evolve_and_append(store: &Arc<LedgerStore>) {
+/// `table`, append `rows` — three rows of its old columns — with tips, and
+/// commit to `main`.
+fn evolve_and_append(store: &Arc<LedgerStore>, table: &str, rows: RecordBatch) {
     let dyn_store = Arc::clone(store) as Arc<dyn ObjectStore>;
     let lh = front(store, LakehouseConfig::zero_latency());
-    let content = lh.catalog().get_content("main", "trips").unwrap();
+    let content = lh.catalog().get_content("main", table).unwrap();
     let evolved = Table::load(dyn_store, &content.metadata_location)
         .unwrap()
         .add_columns(&[Field::new("tip", DataType::Float64, true)])
         .unwrap();
-    let mut columns = small_batch(100..103).columns().to_vec();
+    let mut columns = rows.columns().to_vec();
     columns.push(Column::from_f64(vec![1.0, 2.0, 3.0]));
     let mut tx = evolved.new_transaction(SnapshotOperation::Append);
     tx.write(&RecordBatch::try_new(evolved.schema().unwrap(), columns).unwrap())
@@ -397,11 +403,11 @@ fn evolve_and_append(store: &Arc<LedgerStore>) {
     let (location, metadata) = tx.commit().unwrap();
     let content = ContentRef::new(location, metadata.current_snapshot_id.unwrap());
     let put = Operation::Put {
-        key: "trips".into(),
+        key: table.into(),
         content,
     };
     lh.catalog()
-        .commit("main", "test", "evolve trips", vec![put])
+        .commit("main", "test", &format!("evolve {table}"), vec![put])
         .unwrap();
 }
 
@@ -418,7 +424,9 @@ fn a_commit_between_plan_and_scan_does_not_leak_into_the_statement() {
 
     // Planning loads the table's metadata; the commit lands right after.
     let writer = Arc::clone(&store);
-    *store.after_metadata.lock().unwrap() = Some(Box::new(move || evolve_and_append(&writer)));
+    *store.after_metadata.lock().unwrap() = Some(Box::new(move || {
+        evolve_and_append(&writer, "trips", small_batch(100..103))
+    }));
     let during = lh.query("SELECT * FROM trips ORDER BY id", "main").unwrap();
     assert!(store.after_metadata.lock().unwrap().is_none(), "hook ran");
     // The statement is the pre-commit snapshot in full: schema and rows.
@@ -431,6 +439,50 @@ fn a_commit_between_plan_and_scan_does_not_leak_into_the_statement() {
     assert_eq!(after.num_rows(), 13);
     assert_eq!(after.row(9).unwrap()[2], Value::Null);
     assert_eq!(after.row(12).unwrap()[2], Value::Float64(3.0));
+}
+
+/// The paper's pipeline over [`taxi_lake`], with an expectation the
+/// generated passenger counts pass.
+fn taxi_pipeline(lh: &Lakehouse) -> PipelineProject {
+    lh.register_function(
+        "trips_expectation_impl",
+        builtins::mean_greater_than("trips", "count", 1.0),
+    );
+    PipelineProject::taxi_example()
+}
+
+#[test]
+fn a_warm_run_reads_the_ref_and_the_files_it_needs() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let lh = taxi_lake(&store);
+    let project = taxi_pipeline(&lh);
+    let warm_run = |mode: ExecutionMode| {
+        let options = RunOptions::default().with_mode(mode);
+        lh.run(&project, &options).unwrap();
+        store.ledger(|| lh.run(&project, &options).unwrap()).1
+    };
+    // Fused: `trips` reads the 30 day-files from 2019-04-01 on, and its
+    // consumers read it in memory. Every table document is warm.
+    assert_eq!(
+        warm_run(ExecutionMode::Fused),
+        ledger_of(&[("ref", 10), ("data:taxi_table", 30)])
+    );
+    // Naive: one stateless stage per node, each with a metadata cache of its
+    // own, reading whole tables; both consumers re-read `trips` from the
+    // store.
+    assert_eq!(
+        warm_run(ExecutionMode::Naive),
+        ledger_of(&[
+            ("ref", 13),
+            ("data:taxi_table", 61),
+            ("data:trips", 2),
+            ("manifest:taxi_table", 1),
+            ("manifest:trips", 2),
+            ("metadata:taxi_table", 1),
+            ("metadata:trips", 2),
+        ])
+    );
 }
 
 #[test]
