@@ -219,19 +219,25 @@ impl Catalog {
     /// Create a branch pointing at `from`'s head (another ref name or a
     /// commit id); `None` starts an empty branch.
     pub fn create_branch(&self, name: &str, from: Option<&str>) -> Result<Reference> {
-        self.create_ref(name, from, RefKind::Branch)
-    }
-
-    /// Create an immutable tag.
-    pub fn create_tag(&self, name: &str, from: &str) -> Result<Reference> {
-        self.create_ref(name, Some(from), RefKind::Tag)
-    }
-
-    fn create_ref(&self, name: &str, from: Option<&str>, kind: RefKind) -> Result<Reference> {
         let head = match from {
             Some(src) => self.resolve(src)?,
             None => None,
         };
+        self.create_branch_at(name, head)
+    }
+
+    /// Create a branch whose head is the commit `head`, already resolved
+    /// (`None`: an empty branch).
+    pub fn create_branch_at(&self, name: &str, head: Option<CommitId>) -> Result<Reference> {
+        self.create_ref(name, head, RefKind::Branch)
+    }
+
+    /// Create an immutable tag.
+    pub fn create_tag(&self, name: &str, from: &str) -> Result<Reference> {
+        self.create_ref(name, self.resolve(from)?, RefKind::Tag)
+    }
+
+    fn create_ref(&self, name: &str, head: Option<CommitId>, kind: RefKind) -> Result<Reference> {
         self.update_refs(refs_contended, |doc| {
             if doc.refs.contains_key(name) {
                 return Err(CatalogError::RefAlreadyExists(name.to_string()));
@@ -349,7 +355,8 @@ impl Catalog {
         }
     }
 
-    fn state_of_commit(&self, id: &CommitId) -> Result<CatalogState> {
+    /// The table namespace at a commit already resolved: no ref is read.
+    pub fn state_of_commit(&self, id: &CommitId) -> Result<CatalogState> {
         if let Some(s) = self.state_cache.lock().get(id) {
             return Ok(s.clone());
         }

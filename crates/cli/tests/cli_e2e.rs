@@ -1,8 +1,10 @@
 //! End-to-end tests driving the actual `bauplan` binary: every command the
 //! usage text advertises, against a persistent on-disk lakehouse.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::SystemTime;
 
 struct Cli {
     data_dir: PathBuf,
@@ -171,6 +173,67 @@ fn failing_expectation_rolls_back_via_cli() {
     assert!(err.contains("expectation"), "{err}");
     // Artifact never landed.
     assert!(!cli.ok(&["tables"]).contains("\nt\n"));
+}
+
+/// Every file under `dir` with its bytes and modification time: any write
+/// shows as a changed entry.
+fn files_under(dir: &Path) -> BTreeMap<PathBuf, (SystemTime, Vec<u8>)> {
+    let mut out = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(files_under(&path));
+        } else {
+            let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+            out.insert(path.clone(), (modified, std::fs::read(&path).unwrap()));
+        }
+    }
+    out
+}
+
+#[test]
+fn a_broken_leaf_fails_the_run_before_it_touches_the_lake() {
+    let cli = Cli::new("broken_leaf");
+    cli.ok(&["demo", "--rows", "2000"]);
+    let project = cli.data_dir.join("models");
+    std::fs::create_dir_all(&project).unwrap();
+    std::fs::write(
+        project.join("trips.sql"),
+        "SELECT pickup_location_id, fare FROM taxi_table WHERE fare > 5.0",
+    )
+    .unwrap();
+    std::fs::write(
+        project.join("pickups.sql"),
+        "SELECT pickup_location_id, no_such_col FROM trips",
+    )
+    .unwrap();
+    // Hide every data file: a run that reads one fails on it instead.
+    let files = files_under(&cli.data_dir);
+    let data: Vec<&PathBuf> = (files.keys())
+        .filter(|p| p.components().any(|c| c.as_os_str() == "data"))
+        .collect();
+    assert!(!data.is_empty());
+    for path in &data {
+        std::fs::rename(path, path.with_extension("hidden")).unwrap();
+    }
+    let refs = cli.ok(&["refs"]);
+    let before = files_under(&cli.data_dir);
+
+    let err = cli.fails(&["run", "--project", project.to_str().unwrap()]);
+    assert!(err.contains("node 'pickups'"), "{err}");
+    assert!(err.contains("no_such_col"), "{err}");
+    // Nothing was written, no branch was made, no data file was missed.
+    assert!(
+        files_under(&cli.data_dir) == before,
+        "the run wrote to the lake"
+    );
+    assert_eq!(cli.ok(&["refs"]), refs);
+
+    for path in &data {
+        std::fs::rename(path.with_extension("hidden"), path).unwrap();
+    }
+    let q = cli.ok(&["query", "-q", "SELECT COUNT(*) AS n FROM taxi_table"]);
+    assert!(q.contains("2000"), "{q}");
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! The [`Lakehouse`] façade: branches, tables, queries, and run bookkeeping.
 
+use crate::admission::{AdmissionPermit, ShedInfo};
 use crate::config::LakehouseConfig;
 use crate::error::{BauplanError, Result};
 use crate::estimator::MemoryEstimator;
@@ -213,6 +214,18 @@ impl Lakehouse {
         lakehouse_obs::set_thread_sim_source(Some(self.sim_source()))
     }
 
+    /// A slot at the admission gate, if there is one, for a top-level
+    /// submission. Nested ones (a run's steps) run under the slot already
+    /// held: re-acquiring would deadlock a run against its own steps.
+    pub(crate) fn admit(&self) -> std::result::Result<Option<AdmissionPermit>, ShedInfo> {
+        match &self.admission {
+            Some(gate) if lakehouse_obs::QueryCtx::current().is_none() && !under_stage_permit() => {
+                gate.acquire(&self.config.tenant).map(Some)
+            }
+            _ => Ok(None),
+        }
+    }
+
     /// Run `f` under a fresh per-query resource context: the ctx is entered
     /// on this thread (workers it fans out to re-enter it explicitly), a
     /// `query_start`/`query_finish` event pair brackets the execution in the
@@ -221,39 +234,29 @@ impl Lakehouse {
     /// `system.queries`. Callers must have installed the sim source first so
     /// the simulated clock is attributable.
     pub(crate) fn attributed<T>(&self, label: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        // Admission gate: only *top-level* submissions contend for a slot.
-        // Nested attributions (run steps executing under an already-entered
-        // query context) run under their parent's slot — re-acquiring here
-        // would deadlock a run against its own steps.
-        let _permit = match &self.admission {
-            Some(gate) if lakehouse_obs::QueryCtx::current().is_none() && !under_stage_permit() => {
-                match gate.acquire(&self.config.tenant) {
-                    Ok(permit) => Some(permit),
-                    Err(shed) => {
-                        // Shed before a context existed: the record carries
-                        // query id 0 (never admitted, nothing attributed) —
-                        // but the wait until the gate gave up is real
-                        // latency the victim's caller saw, so it is charged
-                        // as wall time instead of vanishing.
-                        let waited = shed.waited.as_nanos() as u64;
-                        lakehouse_obs::query_log().push(lakehouse_obs::QueryRecord {
-                            query_id: 0,
-                            tenant: self.config.tenant.clone(),
-                            label: label.to_string(),
-                            status: "shed".to_string(),
-                            reason: "overloaded".to_string(),
-                            wall_nanos: waited,
-                            sim_nanos: 0,
-                            queue_wait_nanos: waited,
-                            ledger: lakehouse_obs::LedgerSnapshot::default(),
-                        });
-                        return Err(BauplanError::Overloaded {
-                            retry_after: shed.retry_after,
-                        });
-                    }
-                }
+        let _permit = match self.admit() {
+            Ok(permit) => permit,
+            Err(shed) => {
+                // Shed before a context existed: the record carries query
+                // id 0 (never admitted, nothing attributed) — but the wait
+                // until the gate gave up is real latency the victim's caller
+                // saw, so it is charged as wall time instead of vanishing.
+                let waited = shed.waited.as_nanos() as u64;
+                lakehouse_obs::query_log().push(lakehouse_obs::QueryRecord {
+                    query_id: 0,
+                    tenant: self.config.tenant.clone(),
+                    label: label.to_string(),
+                    status: "shed".to_string(),
+                    reason: "overloaded".to_string(),
+                    wall_nanos: waited,
+                    sim_nanos: 0,
+                    queue_wait_nanos: waited,
+                    ledger: lakehouse_obs::LedgerSnapshot::default(),
+                });
+                return Err(BauplanError::Overloaded {
+                    retry_after: shed.retry_after,
+                });
             }
-            _ => None,
         };
         let queue_wait_nanos = _permit
             .as_ref()

@@ -105,6 +105,16 @@ impl LakehouseProvider {
         }
     }
 
+    /// [`Self::pin`] at a catalog state already read: the statement reads
+    /// no ref.
+    pub(crate) fn pin_at(&self, state: CatalogState) -> PinnedProvider<'_> {
+        PinnedProvider {
+            provider: self,
+            state: Mutex::new(Some(state)),
+            tables: Mutex::new(HashMap::new()),
+        }
+    }
+
     /// Load the Iceberg-style table for `name` at this provider's ref.
     pub fn load_table(&self, name: &str) -> CoreResult<Table> {
         let content = self.catalog.get_content(&self.reference, name)?;
@@ -234,14 +244,10 @@ impl PinnedProvider<'_> {
 }
 
 impl SchemaProvider for PinnedProvider<'_> {
-    fn table_schema(&self, table: &str) -> Option<Schema> {
-        self.table_schema_checked(table).ok().flatten()
-    }
-
     // Distinguish "no such table" from a store/catalog fault while
     // resolving it: a retry-budget-exhausted get must surface as the typed
     // store error, not as `unknown table`.
-    fn table_schema_checked(&self, table: &str) -> Result<Option<Schema>, String> {
+    fn table_schema(&self, table: &str) -> Result<Option<Schema>, String> {
         if table.starts_with(crate::system::SYSTEM_PREFIX) {
             return Ok(crate::system::system_schema(table));
         }
@@ -403,8 +409,8 @@ mod tests {
         let (store, catalog) = setup();
         write_table(&store, &catalog, "t1");
         let p = LakehouseProvider::new(store, catalog, "main");
-        assert!(p.pin().table_schema("t1").is_some());
-        assert!(p.pin().table_schema("ghost").is_none());
+        assert!(p.pin().table_schema("t1").unwrap().is_some());
+        assert!(p.pin().table_schema("ghost").unwrap().is_none());
         let batch = scan(&p, "t1", None, &[]);
         assert_eq!(batch.num_rows(), 3);
     }

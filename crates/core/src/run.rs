@@ -4,29 +4,38 @@
 //! Every run:
 //!
 //! 1. snapshots and fingerprints the project (code is data);
-//! 2. creates an **ephemeral catalog branch** `run_<id>` off the target
-//!    branch (or off a recorded data version, for replays);
-//! 3. compiles the logical pipeline to a physical plan — `Fused` packs steps
-//!    into container stages with in-memory data passing, `Naive` maps one
-//!    step to one container with object-store spillover;
-//! 4. executes stages on the serverless runtime (charging simulated startup
-//!    latency per container) and materializes artifacts into the ephemeral
-//!    branch;
-//! 5. audits expectations — any failure deletes the ephemeral branch and
+//! 2. plans it: extracts the DAG (parsing each SQL node once) and compiles
+//!    the logical pipeline to a physical plan — `Fused` packs steps into
+//!    container stages with in-memory data passing, `Naive` maps one step
+//!    to one container with object-store spillover;
+//! 3. pins its data version — the target branch's head, or a recorded
+//!    version for replays — and binds every SQL node against it, so a
+//!    mistake in one fails the run before it has a branch, a container or a
+//!    data file (a node over a function's output binds at its own step,
+//!    once the function has returned);
+//! 4. creates an **ephemeral catalog branch** `run_<id>` at that commit;
+//! 5. executes stages on the serverless runtime (charging simulated startup
+//!    latency per container), each SQL step running its bound plan, and
+//!    materializes artifacts into the ephemeral branch;
+//! 6. audits expectations — any failure deletes the ephemeral branch and
 //!    leaves the target branch untouched;
-//! 6. on success, merges the ephemeral branch and deletes it.
+//! 7. on success, merges the ephemeral branch and deletes it.
 
 use crate::error::{BauplanError, Result};
 use crate::functions::{FnContext, FnOutput};
 use crate::lakehouse::{table_put, Lakehouse};
-use crate::provider::LakehouseProvider;
-use lakehouse_columnar::RecordBatch;
+use crate::provider::PinnedProvider;
+use lakehouse_catalog::CatalogState;
+use lakehouse_columnar::{RecordBatch, Schema};
 use lakehouse_planner::project::NodeKind;
 use lakehouse_planner::{
     ExecutionMode, LogicalPipeline, PhysicalPipeline, PipelineDag, PipelineProject, PlannerError,
     ProjectSnapshot, RunRecord, StepAction,
 };
 use lakehouse_runtime::{EnvSpec, Reuse};
+use lakehouse_sql::logical::{plan_select, SchemaProvider};
+use lakehouse_sql::optimizer::optimize;
+use lakehouse_sql::LogicalPlan;
 use lakehouse_table::{MetadataCache, PartitionSpec, SnapshotOperation, Table};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -107,50 +116,48 @@ pub struct RunReport {
     pub trace: lakehouse_obs::SpanTree,
 }
 
-/// Baseline snapshot of the per-instance metric sources a run reports deltas
-/// against. The global [`lakehouse_obs::MetricsRegistry`] counters are
-/// process-wide (shared across lakehouses and parallel tests), so run
-/// accounting samples the instance-local sources and diffs them instead.
-struct MetricBaseline {
-    clock: Duration,
-    store_time: Duration,
+/// The per-instance metric sources a run reports, sampled at one moment or
+/// differenced over the run. The global [`lakehouse_obs::MetricsRegistry`]
+/// counters are process-wide (shared across lakehouses and parallel tests),
+/// so run accounting samples the instance-local sources and diffs them
+/// instead.
+struct RunMetrics {
+    /// Simulated container start-up time (the runtime's clock).
+    startup: Duration,
+    /// Simulated object-store time.
+    store: Duration,
     gets: u64,
     puts: u64,
+    /// (cold, warm, resume) container starts.
     starts: (u64, u64, u64),
 }
 
-/// What changed between a [`MetricBaseline`] and now.
-struct MetricDelta {
-    simulated_startup: Duration,
-    simulated_store: Duration,
-    container_starts: (u64, u64, u64),
-    store_ops: (u64, u64),
-}
-
-impl MetricBaseline {
-    fn capture(lh: &Lakehouse) -> MetricBaseline {
+impl RunMetrics {
+    fn sample(lh: &Lakehouse) -> RunMetrics {
         let metrics = lh.store_metrics();
-        MetricBaseline {
-            clock: lh.clock().now(),
-            store_time: metrics.simulated_time(),
+        RunMetrics {
+            startup: lh.clock().now(),
+            store: metrics.simulated_time(),
             gets: metrics.gets(),
             puts: metrics.puts(),
             starts: lh.runtime().containers().start_counts(),
         }
     }
 
-    fn delta(&self, lh: &Lakehouse) -> MetricDelta {
-        let metrics = lh.store_metrics();
-        let starts = lh.runtime().containers().start_counts();
-        MetricDelta {
-            simulated_startup: lh.clock().now() - self.clock,
-            simulated_store: metrics.simulated_time() - self.store_time,
-            container_starts: (
-                starts.0 - self.starts.0,
-                starts.1 - self.starts.1,
-                starts.2 - self.starts.2,
+    /// What changed between this sample and now.
+    fn since(&self, lh: &Lakehouse) -> RunMetrics {
+        let now = RunMetrics::sample(lh);
+        let (cold, warm, resume) = self.starts;
+        RunMetrics {
+            startup: now.startup - self.startup,
+            store: now.store - self.store,
+            gets: now.gets - self.gets,
+            puts: now.puts - self.puts,
+            starts: (
+                now.starts.0 - cold,
+                now.starts.1 - warm,
+                now.starts.2 - resume,
             ),
-            store_ops: (metrics.gets() - self.gets, metrics.puts() - self.puts),
         }
     }
 }
@@ -174,19 +181,13 @@ impl Lakehouse {
                 rec.branch.clone(),
             )
         };
-        let selection = match from_node {
-            Some(node) => {
-                let dag = PipelineDag::extract(&project)?;
-                Some(dag.descendants_inclusive(node)?)
-            }
-            None => None,
-        };
         let options = RunOptions {
             branch,
             mode: None,
             merge: false,
         };
-        self.execute_run(project, options, Some((data_version, selection)))
+        let replay = (data_version, from_node.map(str::to_string));
+        self.execute_run(project, options, Some(replay))
     }
 
     /// Run asynchronously on a worker thread (the Table 1 `Asynch` modality).
@@ -203,11 +204,13 @@ impl Lakehouse {
         }
     }
 
+    /// Run `project`; a replay passes the data version it re-reads and its
+    /// `-m node+` selector.
     fn execute_run(
         &self,
         project: PipelineProject,
         options: RunOptions,
-        replay: Option<(String, Option<Vec<String>>)>,
+        replay: Option<(String, Option<String>)>,
     ) -> Result<RunReport> {
         let mode = options.mode.unwrap_or(self.config.execution_mode);
         let snapshot = ProjectSnapshot::of(&project);
@@ -224,7 +227,8 @@ impl Lakehouse {
         // Plan.
         let plan_span = lakehouse_obs::span("plan");
         let dag = PipelineDag::extract(&project)?;
-        let selection = replay.as_ref().and_then(|(_, sel)| sel.clone());
+        let from_node = replay.as_ref().and_then(|(_, node)| node.as_deref());
+        let selection = (from_node.map(|node| dag.descendants_inclusive(node))).transpose()?;
         let logical = LogicalPipeline::plan_with_dag(&project, &dag, selection.as_deref())?;
         // Stage packing uses the log-driven memory estimator (paper §5):
         // nodes that ran before get history-based working-set predictions.
@@ -236,75 +240,81 @@ impl Lakehouse {
             |node| self.estimator.estimate(node, DEFAULT_STEP_MEMORY),
         )?;
         plan_span.attr("stages", physical.stages.len() as u64);
+
+        // Pin the data version this run reads (for the registry + replays)
+        // once, and bind every node it can against it.
+        let base_ref = replay
+            .as_ref()
+            .map_or(&options.branch, |(version, _)| version);
+        let head = self.catalog.resolve(base_ref)?;
+        let state = match &head {
+            Some(commit) => self.catalog.state_of_commit(commit)?,
+            None => CatalogState::new(),
+        };
+        let data_version = head.clone().unwrap_or_else(|| "<empty>".to_string());
+        let lake = self.provider(&data_version);
+        let mut binder = Binder {
+            dag: &dag,
+            lake: lake.pin_at(state),
+            schemas: logical
+                .steps
+                .iter()
+                .map(|s| (s.name.clone(), None))
+                .collect(),
+            plans: HashMap::new(),
+        };
+        binder.bind_known(&logical)?;
+        plan_span.attr("bound", binder.plans.len() as u64);
         drop(plan_span);
 
-        // Data version this run reads (for the registry + replays).
-        let base_ref = match &replay {
-            Some((data_version, _)) => data_version.clone(),
-            None => options.branch.clone(),
-        };
-        let data_version = self
-            .catalog
-            .resolve(&base_ref)?
-            .unwrap_or_else(|| "<empty>".to_string());
-
-        // Ephemeral branch (Fig. 4): run_<id>.
+        // Ephemeral branch (Fig. 4): run_<id>, at the pinned commit.
         let ephemeral = format!("run_{run_id}");
-        self.catalog.create_branch(&ephemeral, Some(&base_ref))?;
+        self.catalog.create_branch_at(&ephemeral, head)?;
 
         // Metric baselines for the report.
-        let baseline = MetricBaseline::capture(self);
+        let baseline = RunMetrics::sample(self);
 
         let mut peak_query_bytes = 0usize;
         let outcome = self.execute_stages(
             &project,
             &logical,
             &physical,
+            &mut binder,
             &ephemeral,
             run_id,
             &mut peak_query_bytes,
         );
 
         // Collect deltas regardless of success.
-        let MetricDelta {
-            simulated_startup,
-            simulated_store,
-            container_starts,
-            store_ops,
-        } = baseline.delta(self);
-
-        let (success, artifact_rows, audit_results, failure) = match outcome {
+        let used = baseline.since(self);
+        let (artifact_rows, audit_results, failure) = match outcome {
             Ok((rows, audits)) => {
-                let all_passed = audits.values().all(|&v| v);
-                let failed_audit = audits.iter().find(|(_, &v)| !v).map(|(k, _)| k.clone());
-                (
-                    all_passed,
-                    rows,
-                    audits,
-                    failed_audit.map(|node| BauplanError::ExpectationFailed { node }),
-                )
+                let failed_audit = audits.iter().find(|(_, &v)| !v);
+                let failure = failed_audit
+                    .map(|(node, _)| BauplanError::ExpectationFailed { node: node.clone() });
+                (rows, audits, failure)
             }
-            Err(e) => (false, BTreeMap::new(), BTreeMap::new(), Some(e)),
+            Err(e) => (BTreeMap::new(), BTreeMap::new(), Some(e)),
         };
+        let success = failure.is_none();
 
         // Transactional finish: merge only a fully-green run. The recorded
-        // data version is the post-run commit (it includes the run's own
-        // artifacts, so partial replays like `-m pickups+` can read their
-        // parents' outputs); failed runs record the pre-run version.
-        let mut recorded_version = data_version.clone();
-        if success && options.merge {
-            self.catalog
-                .merge(&ephemeral, &options.branch, &self.config.author)?;
-            self.catalog.delete_ref(&ephemeral)?;
-            if let Some(head) = self.catalog.resolve(&options.branch)? {
-                recorded_version = head;
-            }
-        } else if success {
-            // Sandboxed success (replay): keep the ephemeral branch for
-            // inspection.
+        // data version is the run branch's final commit: what the run read,
+        // plus its own artifacts, so partial replays like `-m pickups+` can
+        // read their parents' outputs. Failed runs record the pinned
+        // version.
+        let mut recorded_version = data_version;
+        if success {
             if let Some(head) = self.catalog.resolve(&ephemeral)? {
                 recorded_version = head;
             }
+            if options.merge {
+                self.catalog
+                    .merge(&ephemeral, &options.branch, &self.config.author)?;
+                self.catalog.delete_ref(&ephemeral)?;
+            }
+            // A sandboxed success (replay) keeps the ephemeral branch for
+            // inspection.
         } else {
             // Failure: drop the dirty branch; target stays untouched.
             let _ = self.catalog.delete_ref(&ephemeral);
@@ -339,11 +349,11 @@ impl Lakehouse {
             mode,
             artifact_rows,
             audit_results,
-            simulated_total: simulated_startup + simulated_store,
-            simulated_startup,
-            simulated_store,
-            container_starts,
-            store_ops,
+            simulated_total: used.startup + used.store,
+            simulated_startup: used.startup,
+            simulated_store: used.store,
+            container_starts: used.starts,
+            store_ops: (used.gets, used.puts),
             stages_executed: physical.stages.len(),
             peak_query_bytes,
             trace: run_trace,
@@ -359,65 +369,27 @@ impl Lakehouse {
         project: &PipelineProject,
         logical: &LogicalPipeline,
         physical: &PhysicalPipeline,
+        binder: &mut Binder,
         reference: &str,
         run_id: u64,
         peak_query_bytes: &mut usize,
     ) -> Result<(BTreeMap<String, u64>, BTreeMap<String, bool>)> {
         let mut artifact_rows = BTreeMap::new();
         let mut audit_results = BTreeMap::new();
-        // Stage-level dependencies, derived from the physical plan's
-        // cross-stage edges. Stages are emitted in topological step order,
-        // so picking the lowest-index ready stage reproduces the sequential
-        // order exactly — the ready-set loop only matters because each stage
-        // passes through the admission gate as its own schedulable unit, so
-        // stages from concurrent runs interleave under one policy.
-        let n = physical.stages.len();
-        let stage_of = |name: &str| -> Option<usize> {
-            physical
-                .stages
-                .iter()
-                .position(|st| st.steps.iter().any(|s| s == name))
-        };
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in &physical.edges {
-            if let (Some(a), Some(b)) = (stage_of(&e.from), stage_of(&e.to)) {
-                if a != b && !deps[b].contains(&a) {
-                    deps[b].push(a);
-                }
-            }
-        }
-        let mut done = vec![false; n];
-        for _ in 0..n {
-            let stage_idx = (0..n)
-                .find(|&i| !done[i] && deps[i].iter().all(|&d| done[d]))
-                .ok_or_else(|| {
-                    invalid_plan("physical plan has a cycle among its stages".to_string())
-                })?;
-            let stage = &physical.stages[stage_idx];
+        // Stages are emitted in topological step order, so running them in
+        // index order runs every producer before its consumers.
+        for (stage_idx, stage) in physical.stages.iter().enumerate() {
             let estimated_bytes: u64 = stage
                 .steps
                 .iter()
                 .map(|s| self.estimator.estimate(s, DEFAULT_STEP_MEMORY))
                 .sum();
-            // Each ready stage contends for an admission slot like an ad-hoc
-            // query. The SQL steps inside run under this permit and skip the
-            // gate.
-            let _permit = match &self.admission {
-                Some(gate)
-                    if lakehouse_obs::QueryCtx::current().is_none()
-                        && !crate::lakehouse::under_stage_permit() =>
-                {
-                    match gate.acquire(&self.config.tenant) {
-                        Ok(permit) => Some(permit),
-                        Err(shed) => {
-                            return Err(BauplanError::Overloaded {
-                                retry_after: shed.retry_after,
-                            })
-                        }
-                    }
-                }
-                _ => None,
-            };
+            // Each stage contends for an admission slot like an ad-hoc
+            // query, so stages from concurrent runs interleave under one
+            // gate. The SQL steps inside run under this permit and skip it.
+            let _permit = self.admit().map_err(|shed| BauplanError::Overloaded {
+                retry_after: shed.retry_after,
+            })?;
             let _stage_scope = crate::lakehouse::StagePermitScope::enter();
             lakehouse_obs::recorder().record_for(
                 lakehouse_obs::EventKind::StageStart,
@@ -426,15 +398,12 @@ impl Lakehouse {
                 &format!("run_{run_id}/stage_{stage_idx}"),
                 stage.steps.len() as u64,
             );
+            // Every run is traced, so its spans always record.
             let stage_span = lakehouse_obs::span("stage");
-            if stage_span.is_recording() {
-                stage_span.attr("index", stage_idx as u64);
-                stage_span.attr("steps", stage.steps.join(","));
-                stage_span.attr(
-                    "memory_bytes",
-                    estimated_bytes.min(self.config.worker_memory_bytes),
-                );
-            }
+            stage_span.attr("index", stage_idx as u64);
+            stage_span.attr("steps", stage.steps.join(","));
+            let memory_bytes = estimated_bytes.min(self.config.worker_memory_bytes);
+            stage_span.attr("memory_bytes", memory_bytes);
             // One container per stage, for the stage's merged environment.
             self.charge_container(&self.stage_env(project, &stage.steps), physical.mode)?;
 
@@ -471,12 +440,24 @@ impl Lakehouse {
                 let node = project.get(step_name).ok_or_else(unknown)?;
                 match node.kind {
                     NodeKind::SqlTransform => {
-                        let sql = node.sql.as_deref().ok_or_else(|| {
-                            invalid_plan(format!("SQL node '{step_name}' has no SQL text"))
+                        let plan = binder.take_plan(step_name)?;
+                        // The step is its own attributed unit, labelled with
+                        // its SQL text: a query id, a resource ledger and a
+                        // `system.queries` row, like an ad-hoc query. A read
+                        // that fails is not run again: the `RetryStore`
+                        // underneath has already retried a transient store
+                        // fault to exhaustion (DESIGN.md §11).
+                        let sql = node.sql.as_deref().unwrap_or_default();
+                        let batch = self.attributed(sql, || {
+                            let pinned = provider.pin();
+                            let (batch, report) =
+                                lakehouse_sql::execute_with_report(&plan, &pinned)?;
+                            *peak_query_bytes = (*peak_query_bytes).max(report.peak_bytes);
+                            Ok(batch)
                         })?;
                         // One copy of the step's output: the overlay, the
                         // function inputs and the materializer share it.
-                        let batch = Arc::new(self.query_step(sql, provider, peak_query_bytes)?);
+                        let batch = Arc::new(batch);
                         provider.put_overlay(step_name.clone(), Arc::clone(&batch));
                         stage_outputs.push((step_name.clone(), batch));
                     }
@@ -497,6 +478,8 @@ impl Lakehouse {
                         }
                         match f(&FnContext { inputs })? {
                             FnOutput::Batch(batch) => {
+                                let schema = Some(batch.schema().clone());
+                                binder.schemas.insert(step_name.clone(), schema);
                                 let batch = Arc::new(batch);
                                 provider.put_overlay(step_name.clone(), Arc::clone(&batch));
                                 if step.action == StepAction::Materialize {
@@ -523,9 +506,7 @@ impl Lakehouse {
             // running any other Python function"), the naive baseline pays
             // the stateless startup path every time.
             let mat_span = lakehouse_obs::span("materialize");
-            if mat_span.is_recording() {
-                mat_span.attr("artifacts", stage_outputs.len() as u64);
-            }
+            mat_span.attr("artifacts", stage_outputs.len() as u64);
             if !stage_outputs.is_empty() {
                 self.charge_container(&EnvSpec::bare("spark-insert"), physical.mode)?;
             }
@@ -562,27 +543,8 @@ impl Lakehouse {
                 &format!("run_{run_id}/stage_{stage_idx}"),
                 stage_outputs.len() as u64,
             );
-            done[stage_idx] = true;
         }
         Ok((artifact_rows, audit_results))
-    }
-
-    /// Run one SQL step as its own attributed unit: it gets a query id, a
-    /// resource ledger, and a `system.queries` row, just like an ad-hoc
-    /// query. A step whose read fails is not run again: a transient store
-    /// fault has already been retried to exhaustion by the `RetryStore`
-    /// underneath (DESIGN.md §11).
-    fn query_step(
-        &self,
-        sql: &str,
-        provider: &LakehouseProvider,
-        peak_query_bytes: &mut usize,
-    ) -> Result<RecordBatch> {
-        self.attributed(sql, move || {
-            let (batch, report) = self.engine.query_with_report(sql, &provider.pin())?;
-            *peak_query_bytes = (*peak_query_bytes).max(report.peak_bytes);
-            Ok(batch)
-        })
     }
 
     /// Charge one container start-up for `env` on the runtime's clock. Fused
@@ -628,9 +590,63 @@ impl Lakehouse {
     }
 }
 
-/// A plan or project the executor cannot run (the planner lets it through).
-fn invalid_plan(what: String) -> BauplanError {
-    BauplanError::Planner(PlannerError::InvalidProject(what))
+/// Binds a run's SQL nodes, each once, through one schema lookup: a planned
+/// node is answered with its output schema — its bound plan's, or its
+/// function's once that step has returned — and any other table from the
+/// lake at the run's pinned commit (lake tables and, in a `-m node+`
+/// replay, the unselected parents' artifacts).
+struct Binder<'a> {
+    dag: &'a PipelineDag,
+    lake: PinnedProvider<'a>,
+    /// Every planned node's output schema, `None` until known.
+    schemas: HashMap<String, Option<Schema>>,
+    /// Bound, optimized plans of the SQL steps not yet run.
+    plans: HashMap<String, LogicalPlan>,
+}
+
+impl Binder<'_> {
+    /// Bind, in topological order, every SQL step whose planned inputs have
+    /// known schemas: all of them, unless one reads a function's output —
+    /// that one binds at its own step, once the function has returned.
+    fn bind_known(&mut self, logical: &LogicalPipeline) -> Result<()> {
+        for step in &logical.steps {
+            let known = |input: &String| self.schemas.get(input).is_none_or(Option::is_some);
+            if step.kind == NodeKind::SqlTransform && step.inputs.iter().all(known) {
+                let plan = self.bind(&step.name)?;
+                self.plans.insert(step.name.clone(), plan);
+            }
+        }
+        Ok(())
+    }
+
+    /// Bind and optimize one SQL node, recording its output schema.
+    fn bind(&mut self, node: &str) -> Result<LogicalPlan> {
+        let stmt = self.dag.statement(node).ok_or_else(|| {
+            PlannerError::InvalidProject(format!("SQL node '{node}' has no SQL text"))
+        })?;
+        let plan = plan_select(stmt, &*self).and_then(optimize);
+        let plan = plan.map_err(|source| PlannerError::Sql {
+            node: node.to_string(),
+            source,
+        })?;
+        self.schemas
+            .insert(node.to_string(), Some(plan.schema().clone()));
+        Ok(plan)
+    }
+
+    /// A SQL step's plan: bound before the run started, or now.
+    fn take_plan(&mut self, node: &str) -> Result<LogicalPlan> {
+        self.plans.remove(node).map_or_else(|| self.bind(node), Ok)
+    }
+}
+
+impl SchemaProvider for Binder<'_> {
+    fn table_schema(&self, table: &str) -> std::result::Result<Option<Schema>, String> {
+        match self.schemas.get(table) {
+            Some(known) => Ok(known.clone()),
+            None => self.lake.table_schema(table),
+        }
+    }
 }
 
 /// Handle to an asynchronous run.
@@ -705,6 +721,9 @@ mod tests {
         assert!(report.artifact_rows.contains_key("trips"));
         assert!(report.artifact_rows.contains_key("pickups"));
         assert!(report.audit_results["trips_expectation"]);
+        // Both SQL nodes were bound while planning.
+        let plan = report.trace.find("plan").unwrap();
+        assert_eq!(plan.attr_u64("bound"), Some(2));
         // Artifacts are now queryable on main.
         let out = lh
             .query("SELECT COUNT(*) AS n FROM pickups", "main")
@@ -779,6 +798,29 @@ mod tests {
         );
         // Rolled back like any failed run.
         assert_eq!(lh.list_tables("main").unwrap(), vec!["taxi_table"]);
+    }
+
+    #[test]
+    fn a_broken_leaf_fails_the_run_before_anything_starts() {
+        let lh = taxi_lakehouse(LakehouseConfig::default());
+        let mut project = PipelineProject::taxi_example();
+        let pickups = project.nodes.iter_mut().find(|n| n.name == "pickups");
+        pickups.unwrap().sql = Some("SELECT pickup_location_id, no_such_col FROM trips".into());
+        let refs = lh.list_refs().unwrap();
+        let starts = lh.runtime().containers().start_counts();
+        let (gets, puts) = (lh.store_metrics().gets(), lh.store_metrics().puts());
+        let err = lh.run(&project, &RunOptions::default()).unwrap_err();
+        assert!(
+            matches!(&err, BauplanError::Planner(PlannerError::Sql { node, .. }) if node == "pickups"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("no_such_col"), "{err}");
+        // No container, no branch, and one read: the ref the run pinned.
+        // Every document binding needed was warm; no data file was read.
+        assert_eq!(lh.runtime().containers().start_counts(), starts);
+        assert_eq!(lh.store_metrics().gets() - gets, 1);
+        assert_eq!(lh.store_metrics().puts() - puts, 0);
+        assert_eq!(lh.list_refs().unwrap(), refs);
     }
 
     #[test]
@@ -944,5 +986,23 @@ mod tests {
         assert!(report.success);
         let out = lh.query("SELECT SUM(x) AS s FROM doubled", "main").unwrap();
         assert_eq!(out.row(0).unwrap()[0], Value::Int64(12));
+
+        // A SQL node over the function's output binds at its own step, once
+        // the function has returned: nothing binds while planning.
+        let total = |sql: &str| {
+            let node = lakehouse_planner::NodeDef::sql("total", sql);
+            lh.run(&project.clone().with(node), &RunOptions::default())
+        };
+        let report = total("SELECT SUM(x) AS s FROM doubled").unwrap();
+        let plan = report.trace.find("plan").unwrap();
+        assert_eq!(plan.attr_u64("bound"), Some(0));
+        let out = lh.query("SELECT s FROM total", "main").unwrap();
+        assert_eq!(out.row(0).unwrap()[0], Value::Int64(12));
+        // Its mistakes are named like any other node's.
+        let err = total("SELECT no_such_col FROM doubled").unwrap_err();
+        assert!(
+            matches!(&err, BauplanError::Planner(PlannerError::Sql { node, .. }) if node == "total"),
+            "{err}"
+        );
     }
 }

@@ -1,20 +1,24 @@
 //! Implicit DAG extraction: dependencies come from the code itself —
 //! SQL `FROM` references and function parameter names — never from an
-//! imperative DAG API ("functions are all you need", paper §4.1).
+//! imperative DAG API ("functions are all you need", paper §4.1). Each SQL
+//! node is parsed here, once per extraction, and its statement kept for the
+//! binder.
 
 use crate::error::{PlannerError, Result};
 use crate::project::PipelineProject;
-use lakehouse_sql::referenced_tables;
+use lakehouse_sql::{parse_select, referenced_tables, SelectStmt};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The extracted dependency graph of a project.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineDag {
     /// node → its in-project dependencies.
     deps: BTreeMap<String, Vec<String>>,
-    /// Tables referenced but not produced by any node: the external inputs
-    /// (Iceberg tables in the lake).
-    external_inputs: BTreeSet<String>,
+    /// node → the tables it reads that no node produces: the lake (Iceberg)
+    /// tables, in first-reference order.
+    lake_inputs: BTreeMap<String, Vec<String>>,
+    /// SQL node → its parsed statement.
+    statements: BTreeMap<String, SelectStmt>,
     /// Topological order of the project's nodes.
     topo_order: Vec<String>,
 }
@@ -22,31 +26,34 @@ pub struct PipelineDag {
 impl PipelineDag {
     /// Extract the DAG from a project.
     pub fn extract(project: &PipelineProject) -> Result<PipelineDag> {
-        let node_names: BTreeSet<String> = project.nodes.iter().map(|n| n.name.clone()).collect();
-        let mut deps: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        let mut external_inputs = BTreeSet::new();
+        let node_names: BTreeSet<&str> = project.nodes.iter().map(|n| n.name.as_str()).collect();
+        let mut deps = BTreeMap::new();
+        let mut lake_inputs = BTreeMap::new();
+        let mut statements = BTreeMap::new();
         for node in &project.nodes {
-            let referenced: Vec<String> = match &node.sql {
-                Some(sql) => referenced_tables(sql).map_err(|e| PlannerError::Sql {
-                    node: node.name.clone(),
-                    source: e,
-                })?,
+            let referenced = match &node.sql {
+                Some(sql) => {
+                    let stmt = parse_select(sql).map_err(|source| PlannerError::Sql {
+                        node: node.name.clone(),
+                        source,
+                    })?;
+                    let tables = referenced_tables(&stmt);
+                    statements.insert(node.name.clone(), stmt);
+                    tables
+                }
                 None => node.inputs.clone(),
             };
-            let mut in_project = Vec::new();
-            for r in referenced {
-                if node_names.contains(&r) {
-                    in_project.push(r);
-                } else {
-                    external_inputs.insert(r);
-                }
-            }
+            let (in_project, lake): (Vec<String>, Vec<String>) = referenced
+                .into_iter()
+                .partition(|r| node_names.contains(r.as_str()));
             deps.insert(node.name.clone(), in_project);
+            lake_inputs.insert(node.name.clone(), lake);
         }
         let topo_order = topo_sort(&deps)?;
         Ok(PipelineDag {
             deps,
-            external_inputs,
+            lake_inputs,
+            statements,
             topo_order,
         })
     }
@@ -64,18 +71,25 @@ impl PipelineDag {
             .ok_or_else(|| PlannerError::UnknownNode(node.to_string()))
     }
 
-    /// External (lake) tables the pipeline reads.
-    pub fn external_inputs(&self) -> impl Iterator<Item = &str> {
-        self.external_inputs.iter().map(String::as_str)
+    /// Lake tables a node reads (none, for a node not in the project).
+    pub fn lake_inputs_of(&self, node: &str) -> &[String] {
+        self.lake_inputs.get(node).map_or(&[], Vec::as_slice)
     }
 
-    /// Direct consumers of a node.
-    pub fn children_of(&self, node: &str) -> Vec<&str> {
-        self.deps
-            .iter()
-            .filter(|(_, ds)| ds.iter().any(|d| d == node))
-            .map(|(n, _)| n.as_str())
-            .collect()
+    /// External (lake) tables the pipeline reads, in name order.
+    pub fn external_inputs(&self) -> impl Iterator<Item = &str> {
+        let all: BTreeSet<&str> = self
+            .lake_inputs
+            .values()
+            .flatten()
+            .map(String::as_str)
+            .collect();
+        all.into_iter()
+    }
+
+    /// A SQL node's parsed statement (`None` for any other node).
+    pub fn statement(&self, node: &str) -> Option<&SelectStmt> {
+        self.statements.get(node)
     }
 
     /// The node plus all transitive descendants, in topological order — the
@@ -150,14 +164,6 @@ mod tests {
         assert_eq!(dag.deps_of("trips").unwrap(), &[] as &[String]);
         let ext: Vec<&str> = dag.external_inputs().collect();
         assert_eq!(ext, vec!["taxi_table"]);
-    }
-
-    #[test]
-    fn children_lookup() {
-        let dag = PipelineDag::extract(&PipelineProject::taxi_example()).unwrap();
-        let mut kids = dag.children_of("trips");
-        kids.sort();
-        assert_eq!(kids, vec!["pickups", "trips_expectation"]);
     }
 
     #[test]

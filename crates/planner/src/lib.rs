@@ -11,7 +11,10 @@
 //!   environment pins;
 //! * [`dag`] — implicit DAG extraction: SQL nodes depend on the tables their
 //!   `FROM` clauses reference; `<table>_expectation` functions depend on
-//!   their named inputs. No imperative DAG construction anywhere;
+//!   their named inputs. No imperative DAG construction anywhere. Each SQL
+//!   node is parsed here once, and the DAG keeps its statement: a run binds
+//!   those statements (`bauplan-core`'s `run.rs`) at its pinned commit
+//!   before it starts anything;
 //! * [`fingerprint`] — content-addressed project snapshots and the run
 //!   registry ("code is data": same code + same data version → identical
 //!   results, replayable by run id);

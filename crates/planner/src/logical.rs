@@ -57,25 +57,6 @@ impl LogicalPipeline {
             let node = project
                 .get(name)
                 .ok_or_else(|| crate::error::PlannerError::UnknownNode(name.clone()))?;
-            let in_project = dag.deps_of(name)?.to_vec();
-            // External tables this specific node reads: referenced tables
-            // that are not project nodes.
-            let external: Vec<String> = match &node.sql {
-                Some(sql) => lakehouse_sql::referenced_tables(sql)
-                    .map_err(|e| crate::error::PlannerError::Sql {
-                        node: name.clone(),
-                        source: e,
-                    })?
-                    .into_iter()
-                    .filter(|t| project.get(t).is_none())
-                    .collect(),
-                None => node
-                    .inputs
-                    .iter()
-                    .filter(|t| project.get(t).is_none())
-                    .cloned()
-                    .collect(),
-            };
             steps.push(LogicalStep {
                 name: name.clone(),
                 kind: node.kind,
@@ -84,32 +65,14 @@ impl LogicalPipeline {
                 } else {
                     StepAction::Audit
                 },
-                inputs: in_project,
-                external_inputs: external,
+                inputs: dag.deps_of(name)?.to_vec(),
+                external_inputs: dag.lake_inputs_of(name).to_vec(),
             });
         }
         Ok(LogicalPipeline {
             project_name: project.name.clone(),
             steps,
         })
-    }
-
-    /// Names of artifacts this plan writes back.
-    pub fn materialized_artifacts(&self) -> Vec<&str> {
-        self.steps
-            .iter()
-            .filter(|s| s.action == StepAction::Materialize)
-            .map(|s| s.name.as_str())
-            .collect()
-    }
-
-    /// Names of audits that must pass.
-    pub fn audits(&self) -> Vec<&str> {
-        self.steps
-            .iter()
-            .filter(|s| s.action == StepAction::Audit)
-            .map(|s| s.name.as_str())
-            .collect()
     }
 
     /// Render the plan (EXPLAIN-style).
@@ -140,8 +103,19 @@ mod tests {
         assert_eq!(plan.steps.len(), 3);
         assert_eq!(plan.steps[0].name, "trips");
         assert_eq!(plan.steps[0].external_inputs, vec!["taxi_table"]);
-        assert_eq!(plan.materialized_artifacts(), vec!["trips", "pickups"]);
-        assert_eq!(plan.audits(), vec!["trips_expectation"]);
+        let actions: Vec<(&str, StepAction)> = plan
+            .steps
+            .iter()
+            .map(|s| (s.name.as_str(), s.action))
+            .collect();
+        assert_eq!(
+            actions,
+            vec![
+                ("trips", StepAction::Materialize),
+                ("pickups", StepAction::Materialize),
+                ("trips_expectation", StepAction::Audit),
+            ]
+        );
     }
 
     #[test]

@@ -98,8 +98,8 @@ impl MemoryProvider {
 }
 
 impl SchemaProvider for MemoryProvider {
-    fn table_schema(&self, table: &str) -> Option<Schema> {
-        self.tables.get(table).map(|b| b.schema().clone())
+    fn table_schema(&self, table: &str) -> std::result::Result<Option<Schema>, String> {
+        Ok(self.tables.get(table).map(|b| b.schema().clone()))
     }
 }
 

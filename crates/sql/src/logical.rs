@@ -19,17 +19,12 @@ use std::rc::Rc;
 /// companion ([`crate::engine::TableProvider`]) extends this with data
 /// access.
 pub trait SchemaProvider {
-    /// Schema of a table, or `None` if unknown.
-    fn table_schema(&self, table: &str) -> Option<Schema>;
-
-    /// Like [`SchemaProvider::table_schema`], but distinguishes "no such
-    /// table" (`Ok(None)`) from a failure to resolve it (`Err`, e.g. a
-    /// store fault while loading table metadata). The planner reports the
-    /// former as an unknown table and the latter as the underlying error,
-    /// so transient faults are never misdiagnosed as missing tables.
-    fn table_schema_checked(&self, table: &str) -> std::result::Result<Option<Schema>, String> {
-        Ok(self.table_schema(table))
-    }
+    /// Schema of a table: `Ok(None)` if there is no such table, `Err` if it
+    /// could not be resolved (e.g. a store fault while loading table
+    /// metadata). The planner reports the former as an unknown table and
+    /// the latter as the underlying error, so transient faults are never
+    /// misdiagnosed as missing tables.
+    fn table_schema(&self, table: &str) -> std::result::Result<Option<Schema>, String>;
 }
 
 /// One aggregate computation within an Aggregate node.
@@ -722,7 +717,7 @@ fn plan_relation(rel: &Relation, provider: &dyn SchemaProvider) -> Result<(Logic
         Relation::Table { name, .. } => LogicalPlan::Scan {
             table: name.clone(),
             schema: provider
-                .table_schema_checked(name)
+                .table_schema(name)
                 .map_err(SqlError::Execution)?
                 .ok_or_else(|| SqlError::Plan(format!("unknown table: {name}")))?,
             projection: None,
@@ -808,8 +803,8 @@ mod tests {
     struct Fixture(HashMap<String, Schema>);
 
     impl SchemaProvider for Fixture {
-        fn table_schema(&self, table: &str) -> Option<Schema> {
-            self.0.get(table).cloned()
+        fn table_schema(&self, table: &str) -> std::result::Result<Option<Schema>, String> {
+            Ok(self.0.get(table).cloned())
         }
     }
 

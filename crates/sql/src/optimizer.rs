@@ -559,8 +559,8 @@ mod tests {
 
     struct Fixture;
     impl SchemaProvider for Fixture {
-        fn table_schema(&self, table: &str) -> Option<Schema> {
-            match table {
+        fn table_schema(&self, table: &str) -> std::result::Result<Option<Schema>, String> {
+            Ok(match table {
                 "t" => Some(Schema::new(vec![
                     Field::new("a", DataType::Int64, false),
                     Field::new("b", DataType::Float64, true),
@@ -577,7 +577,7 @@ mod tests {
                     Field::new("trip_distance", DataType::Float64, true),
                 ])),
                 _ => None,
-            }
+            })
         }
     }
 

@@ -34,31 +34,27 @@ pub fn parse_select(sql: &str) -> Result<SelectStmt> {
     Ok(stmt)
 }
 
-/// Table names referenced by a query (FROM + JOINs + subqueries), in
+/// Table names a statement reads (FROM + JOINs + subqueries), in
 /// first-appearance order. This is what the code-intelligence layer uses to
 /// build the pipeline DAG from "implicit references" (paper §4.4.1).
-pub fn referenced_tables(sql: &str) -> Result<Vec<String>> {
-    let stmt = parse_select(sql)?;
-    let mut out = Vec::new();
-    collect_tables(&stmt, &mut out);
-    Ok(out)
-}
-
-fn collect_tables(stmt: &SelectStmt, out: &mut Vec<String>) {
-    let mut visit = |rel: &Relation| match rel {
-        Relation::Table { name, .. } => {
-            if !out.contains(name) {
-                out.push(name.clone());
+pub fn referenced_tables(stmt: &SelectStmt) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for rel in stmt
+        .from
+        .iter()
+        .chain(stmt.joins.iter().map(|j| &j.relation))
+    {
+        let names = match rel {
+            Relation::Table { name, .. } => vec![name.clone()],
+            Relation::Subquery { query, .. } => referenced_tables(query),
+        };
+        for name in names {
+            if !out.contains(&name) {
+                out.push(name);
             }
         }
-        Relation::Subquery { query, .. } => collect_tables(query, out),
-    };
-    if let Some(from) = &stmt.from {
-        visit(from);
     }
-    for j in &stmt.joins {
-        visit(&j.relation);
-    }
+    out
 }
 
 struct Parser {
@@ -834,16 +830,13 @@ mod tests {
 
     #[test]
     fn referenced_tables_finds_all() {
-        let tables = referenced_tables(
+        let tables = |sql: &str| referenced_tables(&parse_select(sql).unwrap());
+        let flat = tables(
             "SELECT * FROM trips t JOIN zones z ON t.zone_id = z.id \
              WHERE t.fare > (1)",
-        )
-        .unwrap();
-        assert_eq!(tables, vec!["trips", "zones"]);
-        let nested = referenced_tables(
-            "SELECT * FROM (SELECT * FROM raw_events) e JOIN dims ON e.k = dims.k",
-        )
-        .unwrap();
+        );
+        assert_eq!(flat, vec!["trips", "zones"]);
+        let nested = tables("SELECT * FROM (SELECT * FROM raw_events) e JOIN dims ON e.k = dims.k");
         assert_eq!(nested, vec!["raw_events", "dims"]);
     }
 

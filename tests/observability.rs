@@ -413,10 +413,15 @@ fn chrome_trace_round_trips_through_json() {
 #[test]
 fn run_report_carries_span_tree() {
     let lh = lakehouse();
-    let project = PipelineProject::new("obs").with(NodeDef::sql(
-        "top_groups",
-        "SELECT grp, COUNT(*) AS n FROM events GROUP BY grp",
-    ));
+    let project = PipelineProject::new("obs")
+        .with(NodeDef::sql(
+            "top_groups",
+            "SELECT grp, COUNT(*) AS n FROM events GROUP BY grp",
+        ))
+        .with(NodeDef::sql(
+            "top_group",
+            "SELECT grp FROM top_groups ORDER BY n DESC LIMIT 1",
+        ));
     let report = lh.run(&project, &RunOptions::default()).unwrap();
     assert!(report.success);
 
@@ -424,7 +429,9 @@ fn run_report_carries_span_tree() {
     let root = trace.root().expect("run trace has a root");
     assert_eq!(root.name, "run");
     assert_eq!(root.attr_u64("run_id"), Some(report.run_id));
-    assert!(trace.find("plan").is_some(), "planning is traced");
+    let plan = trace.find("plan").expect("planning is traced");
+    // Both nodes were bound while planning, before any stage.
+    assert_eq!(plan.attr_u64("bound"), Some(2));
     let stage = trace.find("stage").expect("stage span");
     assert!(trace.is_ancestor(root.id, stage.id));
     let step = trace.find("step").expect("step span");

@@ -23,7 +23,7 @@
 //!   parse, and the fetch workers die with their `Lakehouse`.
 
 use bauplan_core::{
-    builtins, ExecutionMode, Lakehouse, LakehouseConfig, PipelineProject, RunOptions,
+    builtins, ExecutionMode, Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions,
 };
 use bytes::Bytes;
 use lakehouse_catalog::{ContentRef, Operation};
@@ -466,7 +466,7 @@ fn a_warm_run_reads_the_ref_and_the_files_it_needs() {
     // consumers read it in memory. Every table document is warm.
     assert_eq!(
         warm_run(ExecutionMode::Fused),
-        ledger_of(&[("ref", 10), ("data:taxi_table", 30)])
+        ledger_of(&[("ref", 9), ("data:taxi_table", 30)])
     );
     // Naive: one stateless stage per node, each with a metadata cache of its
     // own, reading whole tables; both consumers re-read `trips` from the
@@ -474,7 +474,7 @@ fn a_warm_run_reads_the_ref_and_the_files_it_needs() {
     assert_eq!(
         warm_run(ExecutionMode::Naive),
         ledger_of(&[
-            ("ref", 13),
+            ("ref", 12),
             ("data:taxi_table", 61),
             ("data:trips", 2),
             ("manifest:taxi_table", 1),
@@ -482,6 +482,53 @@ fn a_warm_run_reads_the_ref_and_the_files_it_needs() {
             ("metadata:taxi_table", 1),
             ("metadata:trips", 2),
         ])
+    );
+}
+
+#[test]
+fn a_commit_that_lands_while_a_run_binds_does_not_reach_the_run() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    // Written by another front, so that this one has to fetch the table's
+    // metadata to bind.
+    let taxi = TaxiGenerator {
+        seed: 14,
+        ..Default::default()
+    };
+    let writer = front(&store, LakehouseConfig::zero_latency());
+    writer
+        .create_table("taxi_table", &taxi.generate(2_000), "main")
+        .unwrap();
+    const TRIPS: &str = "SELECT * FROM taxi_table WHERE pickup_at >= DATE '2019-04-01'";
+    let expected = writer.query(TRIPS, "main").unwrap();
+    assert!(expected.num_rows() > 0);
+    let lh = front(&store, LakehouseConfig::zero_latency());
+
+    // Binding loads `taxi_table`'s metadata; three more April trips, with a
+    // new column, land on `main` right after.
+    let hook_store = Arc::clone(&store);
+    let april = TaxiGenerator {
+        start_day: 17_987,
+        days: 1,
+        ..taxi
+    };
+    *store.after_metadata.lock().unwrap() = Some(Box::new(move || {
+        evolve_and_append(&hook_store, "taxi_table", april.generate(3))
+    }));
+    let project = PipelineProject::new("evolving").with(NodeDef::sql("trips", TRIPS));
+    let report = lh.run(&project, &RunOptions::default()).unwrap();
+    assert!(store.after_metadata.lock().unwrap().is_none(), "hook ran");
+    // The run read the pinned commit in full: schema and rows.
+    assert_eq!(lh.read_table("trips", "main").unwrap(), expected);
+    // It merged next to the commit, which is on `main`.
+    let evolved = lh.read_table("taxi_table", "main").unwrap();
+    assert_eq!(evolved.schema().names().last(), Some(&"tip"));
+    // The data version it recorded is the one it read: a replay writes the
+    // same `trips`.
+    let replay = lh.replay(report.run_id, None).unwrap();
+    assert_eq!(
+        lh.read_table("trips", &replay.ephemeral_branch).unwrap(),
+        expected
     );
 }
 

@@ -40,7 +40,7 @@ struct Chunked<'a> {
 }
 
 impl SchemaProvider for Chunked<'_> {
-    fn table_schema(&self, table: &str) -> Option<Schema> {
+    fn table_schema(&self, table: &str) -> Result<Option<Schema>, String> {
         self.inner.table_schema(table)
     }
 }
