@@ -17,7 +17,7 @@ use lakehouse_store::{
     SimulatedStore, StoreMetrics,
 };
 use lakehouse_table::{
-    MetadataCache, PartitionSpec, SnapshotOperation, Table, TableIo, TableMetadata,
+    ObjectCache, PartitionSpec, SnapshotOperation, Table, TableIo, TableMetadata,
 };
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,8 +85,8 @@ pub struct Lakehouse {
     /// The same store as a trait object for the substrates.
     pub(crate) store_dyn: Arc<dyn ObjectStore>,
     /// Parsed table-metadata documents and manifests of every table this
-    /// instance has read or written.
-    metadata_cache: Arc<MetadataCache>,
+    /// instance has read or written, and the data files its scans re-read.
+    object_cache: Arc<ObjectCache>,
     /// The I/O workers (over the full store stack) that overlap a scan's
     /// data-file requests; joined when the last handle to them — normally
     /// this one — drops.
@@ -182,7 +182,7 @@ impl Lakehouse {
             config,
             store,
             store_dyn,
-            metadata_cache: Arc::new(MetadataCache::new()),
+            object_cache: Arc::new(ObjectCache::new()),
             io,
             catalog,
             runtime,
@@ -352,15 +352,16 @@ impl Lakehouse {
         &self.io
     }
 
-    /// The parsed table-metadata and manifest cache of this instance.
-    pub fn metadata_cache(&self) -> &Arc<MetadataCache> {
-        &self.metadata_cache
+    /// This instance's cache of write-once table objects: parsed metadata
+    /// documents and manifests, and opened data files.
+    pub fn object_cache(&self) -> &Arc<ObjectCache> {
+        &self.object_cache
     }
 
     /// What every table this instance opens reads and writes through.
     pub(crate) fn table_io(&self) -> TableIo {
         TableIo {
-            cache: Some(Arc::clone(&self.metadata_cache)),
+            cache: Some(Arc::clone(&self.object_cache)),
             dispatcher: Some(Arc::clone(&self.io)),
             writer_options: lakehouse_format::WriterOptions {
                 row_group_rows: self.config.row_group_rows,

@@ -36,7 +36,7 @@ use lakehouse_runtime::{EnvSpec, Reuse};
 use lakehouse_sql::logical::{plan_select, SchemaProvider};
 use lakehouse_sql::optimizer::optimize;
 use lakehouse_sql::LogicalPlan;
-use lakehouse_table::{MetadataCache, PartitionSpec, SnapshotOperation, Table};
+use lakehouse_table::{ObjectCache, PartitionSpec, SnapshotOperation, Table};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -95,16 +95,19 @@ pub struct RunReport {
     pub artifact_rows: BTreeMap<String, u64>,
     /// Expectation name → verdict.
     pub audit_results: BTreeMap<String, bool>,
-    /// Total simulated latency: container startups + data passing + object
-    /// store traffic attributable to this run.
+    /// Total simulated latency: container startups + data passing + the
+    /// stages' object-store traffic.
     pub simulated_total: Duration,
     /// Simulated time spent in container startups only.
     pub simulated_startup: Duration,
-    /// Simulated time spent in object-store operations only.
+    /// Simulated time of the stages' object-store requests: from the run
+    /// branch's creation to its merge. The pin, the binding, the branch's
+    /// creation, the merge and the branch's deletion are not counted.
     pub simulated_store: Duration,
     /// (cold, warm, resume) container starts during the run.
     pub container_starts: (u64, u64, u64),
-    /// Object-store (gets, puts) during the run.
+    /// Object-store (gets, puts) of the stages, counted as
+    /// [`Self::simulated_store`] is.
     pub store_ops: (u64, u64),
     /// Number of container invocations (stages executed).
     pub stages_executed: usize,
@@ -410,14 +413,14 @@ impl Lakehouse {
             // The naive baseline (the paper's first version) reads whole
             // tables — no scan-level predicate pushdown — and runs each node
             // in a stateless container: nothing in memory outlives a stage,
-            // parsed table metadata included, so each gets a cache of its
-            // own. The overlay is per stage in both modes: downstream stages
-            // re-read through the object store, matching the physical
-            // plan's edge localities.
+            // parsed table metadata and opened data files included, so each
+            // gets a cache of its own. The overlay is per stage in both
+            // modes: downstream stages re-read through the object store,
+            // matching the physical plan's edge localities.
             let fused = physical.mode == ExecutionMode::Fused;
             let mut io = self.table_io();
             if !fused {
-                io.cache = Some(Arc::new(MetadataCache::new()));
+                io.cache = Some(Arc::new(ObjectCache::new()));
             }
             let provider = &self
                 .provider(reference)

@@ -162,6 +162,28 @@ impl RangedReader {
         &self.groups[idx]
     }
 
+    /// Bytes the opening request brought along and the reader holds.
+    pub fn resident_len(&self) -> usize {
+        self.resident.len()
+    }
+
+    /// Whether every chunk that lies in the resident bytes matches its
+    /// checksum — also those no read has decoded yet: what a cache must know
+    /// before it keeps the reader for reads of other columns.
+    pub fn resident_intact(&self) -> bool {
+        let fetched = FetchedChunks {
+            ranges: vec![(self.resident_start, self.file_len)],
+            buffers: vec![self.resident.clone()],
+        };
+        (self.groups.iter().enumerate()).all(|(g, group)| {
+            (0..group.chunk_offsets.len()).all(|c| match self.chunk_range((g, c)) {
+                Ok((start, _)) if start < self.resident_start => true,
+                Ok(_) => self.verified_chunk(&fetched, (g, c)).is_ok(),
+                Err(_) => false,
+            })
+        })
+    }
+
     /// Zone-map pruning: row groups that may match `column OP literal`.
     pub fn prune(&self, column: &str, op: CmpOp, literal: &Value) -> Result<Vec<usize>> {
         let col_idx = self.schema.index_of(column)?;

@@ -1,15 +1,16 @@
-//! Write-once names for table-format objects, and the parsed-document cache
-//! that is only sound because of them.
+//! Write-once names for table-format objects, and the object cache that is
+//! only sound because of them.
 //!
 //! Every metadata document, manifest and data file carries a 64-bit token
 //! derived from its content in its name, so no path under a table's
 //! `metadata/` or `data/` prefix is ever written twice with different
 //! bytes: two branches committing to one table write different objects, and
 //! a path read once names the same bytes for as long as it exists. That is
-//! what lets [`MetadataCache`] key parsed documents by path alone with no
-//! validation round trip. The one mutable object of a lake, the catalog's
-//! `refs.json`, is never cached here — it is read per statement and decides
-//! *which* immutable documents a statement sees.
+//! what lets [`ObjectCache`] key parsed documents and opened data files by
+//! path alone with no validation round trip. The one mutable object of a
+//! lake, the catalog's `refs.json`, never passes through a [`TableIo`], so
+//! it is never cached here — it is read per statement and decides *which*
+//! immutable objects a statement sees.
 
 use crate::error::Result;
 use lakehouse_format::WriterOptions;
@@ -65,9 +66,10 @@ pub(crate) fn data_path(location: &str, snapshot_id: u64, n: u64, file: &[u8]) -
     ))
 }
 
-/// Serialized bytes of documents a [`MetadataCache`] holds by default. The
-/// parsed form is two to three times that; 16 MiB is a few hundred
-/// manifests of the benchmark's 61-file table.
+/// Stored bytes of the objects an [`ObjectCache`] holds by default. A
+/// parsed document is two to three times its serialized size; 16 MiB is a
+/// few hundred manifests of the benchmark's 61-file table, or some fifty of
+/// its ≈ 300 KB day-files, each opened whole.
 const DEFAULT_CAPACITY: usize = 16 << 20;
 
 struct Entry {
@@ -83,33 +85,42 @@ struct Inner {
     tick: u64,
 }
 
-/// Parsed table-metadata documents and manifests by object path, least
-/// recently used out first, bounded by the documents' serialized size.
-/// Filled on a miss and written through by commits; a document that fails
-/// to parse is never inserted. Not cached: `refs.json` (mutable) and data
-/// bytes (large, and the buffer pool's business).
-pub struct MetadataCache {
+/// Write-once table objects by path, least recently used out first, bounded
+/// by their stored size: parsed metadata documents and manifests, and data
+/// files opened for reading — each file's opening range
+/// ([`lakehouse_format::RangedReader::opening_range`], the whole file when
+/// it is small) with its footer parsed.
+///
+/// A document is filled on a miss and written through by commits; one that
+/// fails to parse is never inserted. A data file is admitted by a scan
+/// ([`crate::ScanStream`]) only after its read succeeded on the first try
+/// and every chunk of its opening range matched its checksum, and only by a
+/// scan small enough not to flush the cache (PostgreSQL's bulk-read rule:
+/// one that would admit more than a quarter of it admits nothing; a
+/// compaction admits nothing either). Not cached: `refs.json`, the one
+/// mutable object.
+pub struct ObjectCache {
     capacity: usize,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl Default for MetadataCache {
+impl Default for ObjectCache {
     fn default() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
 }
 
-impl MetadataCache {
-    pub fn new() -> MetadataCache {
+impl ObjectCache {
+    pub fn new() -> ObjectCache {
         Self::default()
     }
 
-    /// A cache holding at most `capacity` serialized bytes; a single
-    /// document larger than that is not kept.
-    pub fn with_capacity(capacity: usize) -> MetadataCache {
-        MetadataCache {
+    /// A cache holding at most `capacity` stored bytes; a single object
+    /// larger than that is not kept.
+    pub fn with_capacity(capacity: usize) -> ObjectCache {
+        ObjectCache {
             capacity,
             inner: Mutex::new(Inner::default()),
             hits: AtomicU64::new(0),
@@ -117,12 +128,12 @@ impl MetadataCache {
         }
     }
 
-    /// Serialized bytes of the documents held.
+    /// Stored bytes of the objects held.
     pub fn cached_bytes(&self) -> usize {
         self.inner.lock().bytes
     }
 
-    /// Documents held.
+    /// Objects held.
     pub fn len(&self) -> usize {
         self.inner.lock().entries.len()
     }
@@ -141,7 +152,13 @@ impl MetadataCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    fn get<T: Send + Sync + 'static>(&self, path: &str) -> Option<Arc<T>> {
+    /// Whether a scan that would admit `bytes` is a bulk read, which admits
+    /// nothing: more than a quarter of the capacity.
+    pub(crate) fn is_bulk(&self, bytes: u64) -> bool {
+        bytes > self.capacity as u64 / 4
+    }
+
+    pub(crate) fn get<T: Send + Sync + 'static>(&self, path: &str) -> Option<Arc<T>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -195,14 +212,14 @@ impl MetadataCache {
 }
 
 /// What a [`crate::Table`] handle reads and writes through besides its
-/// store: the parsed-document cache, the workers that overlap a scan's
+/// store: the object cache, the workers that overlap a scan's
 /// data-file requests, and how its data files are cut into row groups. A
 /// `Lakehouse` owns one of each and lends them to every table it opens;
 /// the default — no cache, no workers, 8 192-row groups — fetches and
 /// parses on every use, on the caller's thread.
 #[derive(Clone, Default)]
 pub struct TableIo {
-    pub cache: Option<Arc<MetadataCache>>,
+    pub cache: Option<Arc<ObjectCache>>,
     pub dispatcher: Option<Arc<IoDispatcher>>,
     /// Every data file a transaction or a compaction of the table writes.
     pub writer_options: WriterOptions,
@@ -253,7 +270,7 @@ mod tests {
 
     #[test]
     fn stays_within_its_bound_and_evicts_least_recently_used() {
-        let cache = MetadataCache::with_capacity(100);
+        let cache = ObjectCache::with_capacity(100);
         for i in 0..4 {
             cache.insert(&format!("p{i}"), Arc::new(i), 30);
         }
@@ -276,7 +293,7 @@ mod tests {
 
     #[test]
     fn a_path_holds_one_kind_of_document() {
-        let cache = MetadataCache::new();
+        let cache = ObjectCache::new();
         cache.insert("p", Arc::new(7u64), 8);
         assert!(cache.get::<String>("p").is_none());
         assert_eq!(cache.get::<u64>("p").as_deref(), Some(&7));

@@ -41,7 +41,7 @@ pub mod snapshot;
 pub mod table;
 pub mod transaction;
 
-pub use cache::{MetadataCache, TableIo};
+pub use cache::{ObjectCache, TableIo};
 pub use error::{reread_on_corruption, Result, TableError};
 pub use maintenance::{CompactionReport, ExpirationReport};
 pub use manifest::{Manifest, ManifestEntry};

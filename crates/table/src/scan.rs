@@ -15,6 +15,15 @@
 //! A scan with a single file to read, or a table without a dispatcher,
 //! never leaves the caller's thread.
 //!
+//! **A file read before costs no request.** Each file is looked up once in
+//! the table's [`crate::ObjectCache`] before its opening range would be
+//! submitted or read inline, and a hit hands the file's opened reader to the
+//! decode. A miss is admitted after its read succeeds on the first try with
+//! every resident chunk's checksum intact, so torn or corrupt bytes never
+//! enter, and a failed read drops the path. A bulk scan — one that would
+//! admit more than a quarter of the cache — admits nothing, nor does a
+//! compaction, so one large read does not flush what small ones re-read.
+//!
 //! A data file is read only for the columns its manifest entry cannot
 //! answer: a field the entry's stats prove NULL or constant on every row is
 //! built from the entry, and a file left with nothing to decode is settled
@@ -71,7 +80,8 @@ impl ScanPredicate {
 pub struct ScanReport {
     pub files_total: usize,
     pub files_scanned: usize,
-    /// Data files actually fetched and decoded. Equal to `files_scanned` for
+    /// Data files actually read — from the store, or opened from the cache —
+    /// and decoded. Equal to `files_scanned` less `files_from_metadata` for
     /// a materialized scan; a streaming scan abandoned early (e.g. a
     /// satisfied `LIMIT` upstream) leaves it smaller — those files were
     /// never read at all.
@@ -107,6 +117,23 @@ struct EntryPartial {
     batch: RecordBatch,
     bytes_scanned: u64,
     row_groups_scanned: usize,
+    /// The file as opened: what the cache admits.
+    reader: Arc<RangedReader>,
+}
+
+/// How a file's read starts once it is taken into the window.
+enum Opening {
+    /// Opened by an earlier read: the cache's reader, no request.
+    Cached(Arc<RangedReader>),
+    /// Its opening range, requested of the dispatcher.
+    Submitted(IoTicket),
+}
+
+/// What a read starts from besides the store.
+enum Opened {
+    Reader(Arc<RangedReader>),
+    /// The opening range, fetched by a worker.
+    Fetched(bytes::Bytes),
 }
 
 /// What one data file holds of a column of the current schema.
@@ -289,11 +316,15 @@ impl TableScan {
             manifests.push(root);
         }
         let mut entries = VecDeque::new();
-        let (mut reads, mut proven) = (0, 0);
+        let (mut reads, mut proven, mut opening_bytes) = (0, 0, 0);
         for (m, manifest) in manifests.iter().enumerate() {
             for (i, entry) in manifest.entries.iter().enumerate() {
                 if self.entry_may_match(entry, &partition)? {
-                    reads += usize::from(self.reads(entry, &scan_schema)?);
+                    if self.reads(entry, &scan_schema)? {
+                        reads += 1;
+                        let (start, end) = RangedReader::opening_range(entry.file_size as usize);
+                        opening_bytes += (end - start) as u64;
+                    }
                     if plan_span.is_recording() {
                         proven += usize::from(self.proven(entry)?);
                     }
@@ -316,8 +347,10 @@ impl TableScan {
             Some(io) if reads > 1 => io.depth(),
             _ => 1,
         };
+        let admits = (self.io.cache.as_ref()).is_some_and(|c| !c.is_bulk(opening_bytes));
         let registry = lakehouse_obs::global();
         Ok(ScanStream {
+            admits,
             scan: self,
             scan_schema,
             manifests,
@@ -545,10 +578,10 @@ impl TableScan {
     /// Read one data file: footer, row-group pruning, then the surviving
     /// chunks of the fields no stats answer, mapped to the scan schema — in
     /// as few requests as the format reader's range plan allows (one, for a
-    /// file under its merge distance). With `prefetched` (a worker already
-    /// fetched the reader's opening range) that range is a local slice
-    /// instead of a store request; that is the only difference between the
-    /// inline and the overlapped path.
+    /// file under its merge distance). With `opened` the file's opening
+    /// range is not requested: a worker fetched it, and it is sliced
+    /// locally, or the cache holds the file already opened. That is the only
+    /// difference between the inline, the overlapped and the cached path.
     ///
     /// With `copy`, a scan of every column with no predicate copies the
     /// file's leading row groups that writer takes ([`FileWriter::copies`])
@@ -559,7 +592,7 @@ impl TableScan {
         &self,
         entry: &ManifestEntry,
         scan_schema: &Schema,
-        prefetched: Option<&bytes::Bytes>,
+        opened: Option<Opened>,
         copy: Option<&mut FileWriter>,
     ) -> Result<EntryPartial> {
         let path = ObjectPath::new(entry.file_path.clone())?;
@@ -570,6 +603,10 @@ impl TableScan {
         // surfaces *typed* (`TableError::Store`) — retry layers classify on
         // the type, not the message.
         let store_fault = std::cell::RefCell::new(None::<StoreError>);
+        let prefetched = match &opened {
+            Some(Opened::Fetched(bytes)) => Some(bytes),
+            _ => None,
+        };
         let fetch = |start: usize, end: usize| -> lakehouse_format::Result<bytes::Bytes> {
             match prefetched {
                 // A torn prefetch hands back truncated-but-Ok bytes: slice
@@ -592,7 +629,10 @@ impl TableScan {
             Some(fault) => TableError::Store(fault),
             None => TableError::from(e),
         };
-        let reader = RangedReader::open(file_len, &fetch).map_err(typed)?;
+        let reader = match &opened {
+            Some(Opened::Reader(reader)) => Arc::clone(reader),
+            _ => Arc::new(RangedReader::open(file_len, &fetch).map_err(typed)?),
+        };
         let current = self.metadata.current_schema()?;
 
         // Row-group pruning by any predicate whose column exists in the file
@@ -645,6 +685,7 @@ impl TableScan {
             batch: self.assemble(entry, scan_schema, batch.into_columns(), rows)?,
             bytes_scanned: reader.bytes_needed(&chunks)?,
             row_groups_scanned,
+            reader: Arc::clone(&reader),
         };
         if let Some(writer) = copy {
             for group in raw {
@@ -671,8 +712,8 @@ pub struct ScanStream {
     /// The entries that survived pruning and are not yet pending.
     entries: VecDeque<EntryAt>,
     /// Entries taken into the window but not yet settled, in manifest
-    /// order, each read one with the ticket of its submitted opening range.
-    pending: VecDeque<(EntryAt, Option<IoTicket>)>,
+    /// order, each read one with how its read starts.
+    pending: VecDeque<(EntryAt, Option<Opening>)>,
     ready: VecDeque<RecordBatch>,
     /// Requests the next pull may have in flight; doubles per pull up to
     /// the number of lanes.
@@ -683,6 +724,9 @@ pub struct ScanStream {
     lanes: Vec<u64>,
     prelude_nanos: u64,
     hits_start: u64,
+    /// Whether a file read from the store is offered to the cache: the
+    /// table has one and this is no bulk scan.
+    admits: bool,
     files_read_counter: Arc<lakehouse_obs::Counter>,
     files_proven_counter: Arc<lakehouse_obs::Counter>,
     rows_counter: Arc<lakehouse_obs::Counter>,
@@ -748,7 +792,7 @@ impl ScanStream {
         if let Some(io) = &dispatcher {
             self.submit_window(io)?;
         }
-        let (at, ticket) = match self.pending.pop_front() {
+        let (at, opening) = match self.pending.pop_front() {
             Some(submitted) => submitted,
             None => match self.entries.pop_front() {
                 Some(at) => (at, None),
@@ -756,8 +800,8 @@ impl ScanStream {
             },
         };
         let entry = self.entry(at);
-        // A submitted request is for a file that is read.
-        if ticket.is_none() && !self.scan.reads(entry, &self.scan_schema)? {
+        // A taken-in entry that is read already has its opening.
+        if opening.is_none() && !self.scan.reads(entry, &self.scan_schema)? {
             let rows = entry.row_count as usize;
             let batch = (self.scan).assemble(entry, &self.scan_schema, Vec::new(), rows)?;
             self.report.files_from_metadata += 1;
@@ -766,19 +810,27 @@ impl ScanStream {
                 .inc();
             return self.emit(at, batch);
         }
+        let opening = opening.or_else(|| self.cached(at).map(Opening::Cached));
         let span = lakehouse_obs::span("scan.fetch");
         span.attr("files", 1usize);
         let metrics = self.scan.store.store_metrics();
         let lane_start = metrics.as_ref().map(|m| m.lane_nanos()).unwrap_or(0);
-        let (prefetched, mut sim_nanos) = match (&dispatcher, ticket) {
-            (Some(io), Some(ticket)) => {
+        // A file the cache did not have is offered to it, unless it feeds a
+        // compaction's writer.
+        let admit = self.admits && copy.is_none() && !matches!(opening, Some(Opening::Cached(_)));
+        let (opened, mut sim_nanos) = match (opening, &dispatcher) {
+            (Some(Opening::Cached(reader)), _) => {
+                span.attr("cached", true);
+                (Some(Ok(Opened::Reader(reader))), 0)
+            }
+            (Some(Opening::Submitted(ticket)), Some(io)) => {
                 let done = io.wait(ticket);
                 self.readahead_hits_counter.inc();
-                (Some(done.result), done.sim_nanos)
+                (Some(done.result.map(Opened::Fetched)), done.sim_nanos)
             }
             _ => (None, 0),
         };
-        let (outcome, retries) = self.read_retrying(at, prefetched, copy);
+        let (outcome, retries) = self.read_retrying(at, opened, copy);
         sim_nanos += metrics
             .as_ref()
             .map(|m| m.lane_nanos() - lane_start)
@@ -786,57 +838,86 @@ impl ScanStream {
         if retries > 0 {
             span.attr("retries", retries as u64);
         }
+        self.offer(at, &outcome, retries, admit);
         self.settle(at, outcome?, retries, sim_nanos)?;
         self.window = self.window.saturating_mul(2).min(self.lanes.len());
         Ok(())
     }
 
     /// Top the pending entries up to the window: each upcoming entry that
-    /// is read has its opening range — the whole file when it is small, its
-    /// tail otherwise; exactly what the reader would ask for first — sent to
-    /// the dispatcher, and so through the full store stack like any demand
-    /// fetch. One its manifest entry answers keeps its place unrequested.
+    /// is read and not in the cache has its opening range — the whole file
+    /// when it is small, its tail otherwise; exactly what the reader would
+    /// ask for first — sent to the dispatcher, and so through the full store
+    /// stack like any demand fetch. One the cache holds takes its reader and
+    /// no ticket; one its manifest entry answers keeps its place unrequested.
     fn submit_window(&mut self, io: &IoDispatcher) -> Result<()> {
         while self.pending.len() < self.window {
             let Some(at) = self.entries.pop_front() else {
                 break;
             };
             let entry = self.entry(at);
-            let ticket = if self.scan.reads(entry, &self.scan_schema)? {
+            let opening = if !self.scan.reads(entry, &self.scan_schema)? {
+                None
+            } else if let Some(reader) = self.cached(at) {
+                Some(Opening::Cached(reader))
+            } else {
                 let path = ObjectPath::new(entry.file_path.clone())?;
                 let (start, end) = RangedReader::opening_range(entry.file_size as usize);
-                Some(io.submit_get_range(&path, start, end))
-            } else {
-                None
+                Some(Opening::Submitted(io.submit_get_range(&path, start, end)))
             };
-            self.pending.push_back((at, ticket));
+            self.pending.push_back((at, opening));
         }
         Ok(())
     }
 
-    /// Decode one entry — from its prefetched opening range when a worker
-    /// fetched one. A read whose bytes fail a checksum is done again from
-    /// scratch on this thread (footer and chunks — partial progress is
-    /// useless without the footer anyway), up to `fetch_retries` times.
-    /// Returns the outcome and the re-reads used.
+    /// After a read of entry `at`'s file: keep the file opened when `admit`,
+    /// the read succeeded on its first try and every chunk it holds matches
+    /// its checksum; forget it when the read failed or needed a re-read.
+    fn offer(&self, at: EntryAt, outcome: &Result<EntryPartial>, retries: u32, admit: bool) {
+        let Some(cache) = &self.scan.io.cache else {
+            return;
+        };
+        let path = &self.entry(at).file_path;
+        match outcome {
+            Ok(partial) if retries == 0 => {
+                if admit && partial.reader.resident_intact() {
+                    let bytes = partial.reader.resident_len();
+                    cache.insert(path, Arc::clone(&partial.reader), bytes);
+                }
+            }
+            _ => cache.remove(path),
+        }
+    }
+
+    /// Entry `at`'s file as an earlier read opened it, from the cache.
+    fn cached(&self, at: EntryAt) -> Option<Arc<RangedReader>> {
+        let cache = self.scan.io.cache.as_ref()?;
+        cache.get::<RangedReader>(&self.entry(at).file_path)
+    }
+
+    /// Decode one entry — from its cached reader or prefetched opening
+    /// range when it has one. A read whose bytes fail a checksum is done
+    /// again from scratch on this thread (footer and chunks — partial
+    /// progress is useless without the footer anyway), up to
+    /// `fetch_retries` times. Returns the outcome and the re-reads used.
     fn read_retrying(
         &self,
         at: EntryAt,
-        mut prefetched: Option<lakehouse_store::Result<bytes::Bytes>>,
+        mut opened: Option<lakehouse_store::Result<Opened>>,
         mut copy: Option<&mut FileWriter>,
     ) -> (Result<EntryPartial>, u32) {
         let entry = self.entry(at);
-        let mut read = |bytes: Option<&bytes::Bytes>| {
+        let mut read = |opened: Option<Opened>| {
             let copy = copy.as_deref_mut();
-            self.scan.read_entry(entry, &self.scan_schema, bytes, copy)
+            self.scan.read_entry(entry, &self.scan_schema, opened, copy)
         };
-        // Only the first read has a prefetched range to take.
+        // Only the first read starts from what was opened before it.
         reread_on_corruption(
             &*self.scan.store,
             &entry.file_path,
             self.scan.fetch_retries,
-            || match prefetched.take() {
-                Some(Ok(bytes)) => read(Some(&bytes)),
+            || match opened.take() {
+                Some(Ok(opened)) => read(Some(opened)),
                 Some(Err(e)) => Err(TableError::Store(e)),
                 None => read(None),
             },
@@ -893,7 +974,8 @@ impl Drop for ScanStream {
     /// it — a queued request never reaches the backend, a running one's
     /// result is discarded.
     fn drop(&mut self) {
-        let submitted = self.pending.iter().filter(|(_, ticket)| ticket.is_some());
+        let submitted = (self.pending.iter())
+            .filter(|(_, opening)| matches!(opening, Some(Opening::Submitted(_))));
         self.readahead_wasted_counter.add(submitted.count() as u64);
         self.pending.clear();
     }
@@ -1335,10 +1417,10 @@ mod tests {
 
     #[test]
     fn warm_scan_takes_the_manifest_from_the_cache() {
-        use crate::cache::MetadataCache;
+        use crate::cache::ObjectCache;
         let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
         let io = TableIo {
-            cache: Some(Arc::new(MetadataCache::new())),
+            cache: Some(Arc::new(ObjectCache::new())),
             ..TableIo::default()
         };
         let t = Table::create_with(

@@ -13,7 +13,7 @@ use lakehouse_store::{
 };
 use lakehouse_table::{PartitionSpec, SnapshotOperation, Table, TableIo};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 // ---- fixtures --------------------------------------------------------------
@@ -208,21 +208,23 @@ fn end_to_end_query_matches_the_in_memory_oracle() {
 
 // ---- streaming LIMIT cancels what it leaves in flight ------------------------------------
 
-/// An in-memory store whose data-file reads really block, and which counts
-/// them: queued-then-cancelled dispatcher submissions must never show up in
-/// `data_gets`.
+/// An in-memory store that holds every data-file read until the test
+/// releases it, and counts them: queued-then-cancelled dispatcher
+/// submissions must never show up in `data_gets`.
 struct GatedStore {
     inner: InMemoryStore,
     data_gets: AtomicU64,
-    delay: Duration,
+    /// Where each held read sends the handle that releases it, in arrival
+    /// order.
+    arrivals: Mutex<mpsc::Sender<mpsc::Sender<()>>>,
 }
 
 impl GatedStore {
-    fn new(delay: Duration) -> GatedStore {
+    fn new(arrivals: mpsc::Sender<mpsc::Sender<()>>) -> GatedStore {
         GatedStore {
             inner: InMemoryStore::new(),
             data_gets: AtomicU64::new(0),
-            delay,
+            arrivals: Mutex::new(arrivals),
         }
     }
 
@@ -239,7 +241,10 @@ impl ObjectStore for GatedStore {
     fn get(&self, path: &ObjectPath) -> lakehouse_store::Result<Bytes> {
         if path.as_str().contains("/data/") {
             self.data_gets.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(self.delay);
+            let (release, released) = mpsc::channel();
+            let _ = self.arrivals.lock().unwrap().send(release);
+            // A dropped handle releases the read too.
+            let _ = released.recv();
         }
         self.inner.get(path)
     }
@@ -272,13 +277,14 @@ impl ObjectStore for GatedStore {
 
 #[test]
 fn limit_early_termination_cancels_queued_requests() {
-    // 8 one-file partitions behind a store whose data reads block for real,
-    // and a consumer that stops after three batches (what a streaming LIMIT
-    // does): by then the window has ramped 1 → 2 and stayed at the two
-    // workers' width, so one request is submitted but unconsumed. Dropping
-    // the stream must cancel it, and the four files never submitted must
-    // never be fetched.
-    let gated = Arc::new(GatedStore::new(Duration::from_millis(20)));
+    // 8 one-file partitions behind a store that holds every data read until
+    // it is released, and a consumer that stops after three batches (what a
+    // streaming LIMIT does): by then the window has ramped 1 → 2 and stayed
+    // at the two workers' width, so one request is submitted but
+    // unconsumed. Dropping the stream must cancel it, and the four files
+    // never submitted must never be fetched.
+    let (arrivals, arrived) = mpsc::channel();
+    let gated = Arc::new(GatedStore::new(arrivals));
     let store: Arc<dyn ObjectStore> = gated.clone();
     let schema = Schema::new(vec![
         Field::new("part", DataType::Int64, false),
@@ -297,6 +303,19 @@ fn limit_early_termination_cancels_queued_requests() {
     let (loc, _) = tx.commit().unwrap();
     let io = Arc::new(IoDispatcher::new(Arc::clone(&store), 2, None).unwrap());
     let mut stream = with_workers(&store, &loc, &io).scan().stream().unwrap();
+    // The store's side: the first three data reads — the inline one and the
+    // two the consumer waits for — are released as they arrive. (The
+    // timeout only turns a hang into a failure.)
+    let next_read = move |arrived: &mpsc::Receiver<mpsc::Sender<()>>| {
+        let read = arrived.recv_timeout(Duration::from_secs(30));
+        read.expect("a data read arrives")
+    };
+    let releaser = std::thread::spawn(move || {
+        for _ in 0..3 {
+            let _ = next_read(&arrived).send(());
+        }
+        arrived
+    });
     // The first pull reads one file on this thread: a LIMIT it satisfies
     // has touched nothing else.
     assert!(stream.next_batch().unwrap().unwrap().num_rows() > 0);
@@ -305,6 +324,10 @@ fn limit_early_termination_cancels_queued_requests() {
         assert!(stream.next_batch().unwrap().unwrap().num_rows() > 0);
     }
     assert_eq!(stream.report().files_read, 3);
+    // The third pull submitted the fourth file, and a worker is free: its
+    // read reaches the store while the stream still holds the ticket.
+    let arrived = releaser.join().unwrap();
+    let fourth = next_read(&arrived);
     drop(stream); // LIMIT satisfied: early termination.
 
     let stats = io.stats();
@@ -314,15 +337,17 @@ fn limit_early_termination_cancels_queued_requests() {
         "what was submitted but not consumed must be cancelled, stats {stats:?}"
     );
     assert_eq!(stats.inflight, 0, "stats {stats:?}");
-    // Give the abandoned worker time to finish. The inline file, the two
-    // consumed requests and the one in flight at the drop is all that may
-    // ever have been fetched.
-    std::thread::sleep(Duration::from_millis(150));
+    // Release the abandoned read and join the workers: every read that
+    // will ever be made has been. The inline file, the two consumed
+    // requests and the one in flight at the drop is all that was fetched.
+    drop(fourth);
+    drop(io);
     let fetched = gated.data_gets();
     assert!(
         fetched <= 4,
         "cancelled submissions reached the backend: {fetched} of 8 data files fetched"
     );
+    assert_eq!(fetched, 4, "the request in flight at the drop was made");
 }
 
 #[test]

@@ -127,14 +127,14 @@ fn repeated_query_hits_metadata_cache() {
     let lh = Lakehouse::in_memory(LakehouseConfig::default()).unwrap();
     lh.create_table("taxi", &TaxiGenerator::default().generate(2_000), "main")
         .unwrap();
-    let cache = lh.metadata_cache();
+    let cache = lh.object_cache();
     lh.query("SELECT COUNT(*) AS n FROM taxi", "main").unwrap();
     let (h0, m0, gets0) = (cache.hits(), cache.misses(), lh.store_metrics().gets());
     lh.query("SELECT COUNT(*) AS n FROM taxi", "main").unwrap();
-    // The table's metadata document and its manifest, both from memory; the
-    // store sees the ref and the one data file.
-    assert_eq!((cache.hits() - h0, cache.misses() - m0), (2, 0));
-    assert_eq!(lh.store_metrics().gets() - gets0, 2);
+    // The table's metadata document, its manifest and its one data file,
+    // all from memory: the store sees the ref alone.
+    assert_eq!((cache.hits() - h0, cache.misses() - m0), (3, 0));
+    assert_eq!(lh.store_metrics().gets() - gets0, 1);
 }
 
 /// One column `x` holding `from..from + n`.
@@ -149,7 +149,8 @@ fn xs(from: i64, n: i64) -> RecordBatch {
 /// Two default fronts over one directory: each front's statements read the
 /// ref first, so what one commits the other sees on its next statement, and
 /// the other's own commit then lands on the new head. A warm statement
-/// still costs one catalog GET (the ref) plus its data.
+/// still costs one catalog GET (the ref) plus the objects it has not read
+/// before.
 #[test]
 fn two_fronts_on_one_directory_see_each_others_commits() {
     const COUNT: &str = "SELECT COUNT(*) AS n FROM t";
@@ -173,8 +174,8 @@ fn two_fronts_on_one_directory_see_each_others_commits() {
     assert_eq!(scalar(&a, SUM), Value::Int64((0..30).sum()));
 
     // Warm on A: a filter that every file's stats rule out reads no data,
-    // so its one GET is the ref; the sum reads the ref and each of the
-    // three data files.
+    // so its one GET is the ref; so is the sum, whose three data files A's
+    // earlier statements read.
     let gets = || a.store_metrics().gets();
     let g0 = gets();
     assert_eq!(
@@ -184,6 +185,17 @@ fn two_fronts_on_one_directory_see_each_others_commits() {
     assert_eq!(gets() - g0, 1, "a warm statement pays one catalog GET");
     let g0 = gets();
     assert_eq!(scalar(&a, SUM), Value::Int64((0..30).sum()));
-    assert_eq!(gets() - g0, 1 + 3, "the ref plus three data files");
+    assert_eq!(gets() - g0, 1, "the ref: every data file is cached");
+
+    // B appends: A's next sum fetches what is new — the ref, B's commit,
+    // the table's new metadata document and root manifest, and B's one new
+    // data file — and none of the three files it has; a repeat is the ref.
+    b.append_table("t", &xs(30, 10), "main").unwrap();
+    let g0 = gets();
+    assert_eq!(scalar(&a, SUM), Value::Int64((0..40).sum()));
+    assert_eq!(gets() - g0, 1 + 1 + 2 + 1, "the ref plus B's new objects");
+    let g0 = gets();
+    assert_eq!(scalar(&a, SUM), Value::Int64((0..40).sum()));
+    assert_eq!(gets() - g0, 1, "a repeat pays the ref alone");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,29 +8,34 @@
 //!   the data files it needs — none whose manifest entry proves every
 //!   column the statement reads from it;
 //!   against one it has seen — read before, or written through by its own
-//!   commit — it is the ref and the data files, nothing else. A data file
-//!   under the reader's merge distance is one request. The ledger is exact,
-//!   so a regression to per-chunk fetching, to re-reading immutable
-//!   documents, or to prefetching past a satisfied LIMIT fails loudly.
+//!   commit — it is the ref and the data files it has not read before,
+//!   nothing else. A data file under the reader's merge distance is one
+//!   request. The ledger is exact, so a regression to per-chunk fetching, to
+//!   re-reading immutable objects, or to prefetching past a satisfied LIMIT
+//!   fails loudly.
 //! * The ref is read per statement, so a commit by another front is seen by
 //!   the next statement, which fetches only the documents that are new.
 //! * Planning and scanning see the same catalog commit: a schema-evolving
 //!   append committed between the two does not leak into the result.
-//! * A warm pipeline run reads the ref and the data files its scans need:
-//!   fused, nothing else; naive, each stage's table documents too, since a
-//!   stateless stage keeps no cache.
-//! * The parsed cache is bounded, never holds a document that failed to
-//!   parse, and the fetch workers die with their `Lakehouse`.
+//! * A pipeline run reads the ref and the data files its scans need: fused,
+//!   nothing else, and on a warm front not even those; naive, each stage's
+//!   table documents and files too, since a stateless stage keeps no cache.
+//! * The object cache is bounded and never holds a document that failed to
+//!   parse or a data file whose read was garbled, needed a re-read, belonged
+//!   to a bulk scan or fed a compaction; a file it holds takes no request
+//!   and no fetch worker. The fetch workers die with their `Lakehouse`.
 
 use bauplan_core::{
     builtins, ExecutionMode, Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions,
 };
 use bytes::Bytes;
 use lakehouse_catalog::{ContentRef, Operation};
+use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
 use lakehouse_store::{InMemoryStore, ObjectPath, ObjectStore, StoreMetrics};
 use lakehouse_table::{
-    MetadataCache, PartitionField, PartitionSpec, SnapshotOperation, Table, TableIo, Transform,
+    ObjectCache, PartitionField, PartitionSpec, ScanPredicate, SnapshotOperation, Table, TableIo,
+    Transform,
 };
 use lakehouse_workload::TaxiGenerator;
 use std::collections::BTreeMap;
@@ -55,8 +60,10 @@ struct LedgerStore {
     reads: Mutex<BTreeMap<String, usize>>,
     counting: AtomicBool,
     after_metadata: Mutex<Option<Hook>>,
-    /// The next `get` of a path containing this is answered with bytes that
-    /// do not parse.
+    /// The next read of a path containing this is answered with garbage: a
+    /// whole object with bytes that do not parse, a range with its fifth
+    /// byte flipped (in a data file read from its start, the first byte of
+    /// the first column's first chunk).
     garble_next: Mutex<Option<&'static str>>,
 }
 
@@ -99,6 +106,16 @@ impl LedgerStore {
         self.counting.store(false, Ordering::SeqCst);
         (out, std::mem::take(&mut *self.reads.lock().unwrap()))
     }
+
+    /// Whether this read of `path` is the one to garble.
+    fn garbles(&self, path: &ObjectPath) -> bool {
+        let mut garble = self.garble_next.lock().unwrap();
+        let hit = garble.is_some_and(|kind| path.as_str().contains(kind));
+        if hit {
+            *garble = None;
+        }
+        hit
+    }
 }
 
 impl ObjectStore for LedgerStore {
@@ -108,12 +125,9 @@ impl ObjectStore for LedgerStore {
 
     fn get(&self, path: &ObjectPath) -> lakehouse_store::Result<Bytes> {
         self.record(path);
-        let mut garble = self.garble_next.lock().unwrap();
-        if garble.is_some_and(|kind| path.as_str().contains(kind)) {
-            *garble = None;
+        if self.garbles(path) {
             return Ok(Bytes::from_static(b"{ not a document"));
         }
-        drop(garble);
         let out = self.inner.get(path);
         if path.as_str().contains("/metadata/v") {
             let hook = self.after_metadata.lock().unwrap().take();
@@ -131,7 +145,13 @@ impl ObjectStore for LedgerStore {
         end: usize,
     ) -> lakehouse_store::Result<Bytes> {
         self.record(path);
-        self.inner.get_range(path, start, end)
+        let bytes = self.inner.get_range(path, start, end)?;
+        if self.garbles(path) && bytes.len() > 4 {
+            let mut flipped = bytes.to_vec();
+            flipped[4] ^= 0xff;
+            return Ok(Bytes::from(flipped));
+        }
+        Ok(bytes)
     }
 
     fn head(&self, path: &ObjectPath) -> lakehouse_store::Result<usize> {
@@ -210,6 +230,12 @@ fn taxi_lake(store: &Arc<LedgerStore>) -> Lakehouse {
 
 const ONE_DAY: &str = "SELECT COUNT(*) AS n FROM taxi_table WHERE pickup_at = DATE '2019-03-10'";
 
+/// A join of three days of trips with the zone dimension.
+const JOIN_3_DAYS: &str = "SELECT z.borough, COUNT(*) AS n FROM taxi_table t \
+     JOIN zones z ON t.pickup_location_id = z.zone_id \
+     WHERE t.pickup_at >= DATE '2019-03-10' AND t.pickup_at < DATE '2019-03-13' \
+     GROUP BY z.borough";
+
 fn window(days: usize) -> String {
     format!(
         "SELECT pickup_location_id, COUNT(*) AS n, SUM(fare) AS total FROM taxi_table \
@@ -242,43 +268,211 @@ fn a_statement_costs_one_request_per_object_it_needs() {
         ("manifest:taxi_table", 1),
     ]);
     assert_eq!(run(&reader, ONE_DAY), cold);
-    // Warm from then on: the ref and the data, whatever the statement. A
-    // d-day window, three columns of nineteen: 1 + d.
+    // Warm from then on: the ref and the data files no earlier statement
+    // read, whatever the statement. A d-day window, three columns of
+    // nineteen, on a front that has read none of its files: 1 + d.
     assert_eq!(run(&reader, ONE_DAY), answered);
     for days in [2, 7] {
-        assert_eq!(run(&reader, &window(days)), warm(days), "{days}-day window");
+        let fresh = cold_front(&store, LakehouseConfig::zero_latency());
+        assert_eq!(run(&fresh, ONE_DAY), cold);
+        assert_eq!(run(&fresh, &window(days)), warm(days), "{days}-day window");
     }
     // `SELECT *` is as many requests as `COUNT(*)`; under a LIMIT the
     // request window opens one file wide, and the first file satisfies it.
     assert_eq!(run(&reader, "SELECT * FROM taxi_table LIMIT 10"), warm(1));
     // A join reads the ref once for both tables, and the small dimension —
     // shorter than the reader's tail probe — in one request: cold for
-    // `zones` the first time, 1 + d + 1 after.
-    let join = "SELECT z.borough, COUNT(*) AS n FROM taxi_table t \
-         JOIN zones z ON t.pickup_location_id = z.zone_id \
-         WHERE t.pickup_at >= DATE '2019-03-10' AND t.pickup_at < DATE '2019-03-13' \
-         GROUP BY z.borough";
+    // `zones` the first time, 1 + d + 1; the ref alone after.
+    let join = JOIN_3_DAYS;
     let mut want = warm(3);
     want.insert("data:zones".into(), 1);
     let mut first = want.clone();
     first.extend(ledger_of(&[("metadata:zones", 1), ("manifest:zones", 1)]));
     assert_eq!(run(&reader, join), first);
-    assert_eq!(run(&reader, join), want);
+    assert_eq!(run(&reader, join), answered);
+    // Any projection of the dimension is its one file, in one request.
     for projection in ["*", "zone_id", "borough, zone_id"] {
-        let got = run(&reader, &format!("SELECT {projection} FROM zones"));
-        assert_eq!(got, ledger_of(&[("ref", 1), ("data:zones", 1)]));
+        let fresh = cold_front(&store, LakehouseConfig::zero_latency());
+        let got = run(&fresh, &format!("SELECT {projection} FROM zones"));
+        let mut cold_zones = ledger_of(&[("metadata:zones", 1), ("manifest:zones", 1)]);
+        cold_zones.extend(ledger_of(&[("ref", 1), ("data:zones", 1)]));
+        assert_eq!(got, cold_zones, "{projection}");
     }
     // `explain` plans through the same pin and cache: one ref, nothing else.
     let explain = || reader.explain("SELECT * FROM taxi_table", "main").unwrap();
     assert_eq!(store.ledger(explain).1, ledger_of(&[("ref", 1)]));
 
     // The front that wrote the tables never reads their documents at all:
-    // its commits wrote them through.
+    // its commits wrote them through. Its own data files it reads once.
     assert_eq!(run(&writer, ONE_DAY), answered);
     assert_eq!(run(&writer, join), want);
-    // Nothing was parsed twice anywhere: two tables, two documents each.
-    assert_eq!(reader.metadata_cache().misses(), 4);
-    assert_eq!(writer.metadata_cache().misses(), 0);
+    assert_eq!(run(&writer, join), answered);
+    // Nothing was fetched twice anywhere: every miss is one of the reader's
+    // four documents or five data files, and the writer's four files.
+    assert_eq!(reader.object_cache().misses(), 4 + 5);
+    assert_eq!(writer.object_cache().misses(), 4);
+}
+
+#[test]
+fn a_warm_repeat_of_a_pruned_statement_is_one_request() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    taxi_lake(&store);
+    let reader = cold_front(&store, LakehouseConfig::zero_latency());
+    for sql in [window(3), JOIN_3_DAYS.to_string()] {
+        let (first, ledger) = store.ledger(|| reader.query(&sql, "main").unwrap());
+        assert!(ledger.keys().any(|k| k.starts_with("data:")), "{sql}");
+        let (again, ledger) = store.ledger(|| reader.query(&sql, "main").unwrap());
+        assert_eq!(again, first, "{sql}");
+        assert_eq!(ledger, ledger_of(&[("ref", 1)]), "{sql}");
+    }
+}
+
+#[test]
+fn a_garbled_data_read_is_never_admitted() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let writer = taxi_lake(&store);
+    // One day-file each; the garbled byte lies in its first column,
+    // `pickup_location_id`.
+    const FARES: &str = "SELECT SUM(fare) AS s FROM taxi_table WHERE pickup_at = DATE '2019-03-10'";
+    const IDS: &str = "SELECT SUM(pickup_location_id) AS s FROM taxi_table \
+         WHERE pickup_at = DATE '2019-03-11'";
+    let want = |sql: &str| Some(writer.query(sql, "main").unwrap());
+    // The statement's answer, and how many data requests it made.
+    let sum = |lh: &Lakehouse, sql: &str| {
+        let (out, ledger) = store.ledger(|| lh.query(sql, "main"));
+        (
+            out.ok(),
+            ledger.get("data:taxi_table").copied().unwrap_or(0),
+        )
+    };
+    let garble = || *store.garble_next.lock().unwrap() = Some("/data/");
+
+    // In a column the statement does not decode: it is right, but the
+    // file's opening range fails a checksum, so the file is not kept and
+    // the next statement fetches it again — and keeps it.
+    let lh = cold_front(&store, LakehouseConfig::zero_latency());
+    garble();
+    assert_eq!(sum(&lh, FARES), (want(FARES), 1));
+    assert_eq!(sum(&lh, FARES), (want(FARES), 1));
+    assert_eq!(sum(&lh, FARES), (want(FARES), 0));
+    // In a column it decodes: without retries the statement fails, and the
+    // next one fetches the file afresh.
+    garble();
+    assert_eq!(sum(&lh, IDS), (None, 1));
+    assert_eq!(sum(&lh, IDS), (want(IDS), 1));
+    assert_eq!(sum(&lh, IDS), (want(IDS), 0));
+    // With retries, the re-read answers the statement, but a file that
+    // needed one is not kept either.
+    let retrying = LakehouseConfig {
+        retry_max: 2,
+        ..LakehouseConfig::zero_latency()
+    };
+    let lh = cold_front(&store, retrying);
+    garble();
+    assert_eq!(sum(&lh, IDS), (want(IDS), 2));
+    assert_eq!(sum(&lh, IDS), (want(IDS), 1));
+    assert_eq!(sum(&lh, IDS), (want(IDS), 0));
+}
+
+#[test]
+fn a_bulk_scan_and_a_compaction_admit_no_data_file() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let dyn_store = Arc::clone(&store) as Arc<dyn ObjectStore>;
+    // 20 000 trips by day: 61 files of ≈ 6 KB, more than a quarter of a
+    // 1 MiB cache in all, one day far less.
+    let cache = Arc::new(ObjectCache::with_capacity(1 << 20));
+    let io = TableIo {
+        cache: Some(Arc::clone(&cache)),
+        ..TableIo::default()
+    };
+    let by_day = PartitionSpec::new(vec![PartitionField {
+        source_column: "pickup_at".into(),
+        transform: Transform::Day,
+    }]);
+    let taxi = |start_day: i32, days: i32, rows: usize| {
+        TaxiGenerator {
+            seed: 14,
+            start_day,
+            days,
+            ..Default::default()
+        }
+        .generate(rows)
+    };
+    let append = |table: &Table, batch: &RecordBatch| {
+        let mut tx = table.new_transaction(SnapshotOperation::Append);
+        tx.write(batch).unwrap();
+        let (location, _) = tx.commit().unwrap();
+        Table::load_with(Arc::clone(&dyn_store), &location, io.clone()).unwrap()
+    };
+    let all = taxi(17_956, 61, 20_000);
+    let table = Table::create_with(
+        Arc::clone(&dyn_store),
+        "wh/taxi",
+        all.schema(),
+        by_day,
+        io.clone(),
+    )
+    .unwrap();
+    let table = append(&table, &all);
+    // Data files a scan of `fare` fetched — on one day, or on all.
+    let fares = |table: &Table, day: Option<i32>| {
+        let mut scan = table.scan().select(&["fare"]);
+        if let Some(day) = day {
+            let on_day = ScanPredicate::new("pickup_at", CmpOp::Eq, Value::Date(day));
+            scan = scan.with_predicate(on_day);
+        }
+        let ledger = store.ledger(|| scan.execute().unwrap()).1;
+        ledger.get("data:taxi").copied().unwrap_or(0)
+    };
+
+    // A day's file is kept; a scan of every file is a bulk read, which
+    // keeps nothing — and takes the one file it finds.
+    let before = cache.cached_bytes();
+    assert_eq!(fares(&table, Some(17_965)), 1);
+    let held = cache.cached_bytes();
+    assert!(held > before);
+    for _ in 0..2 {
+        assert_eq!(fares(&table, None), 60);
+        assert_eq!(cache.cached_bytes(), held);
+    }
+
+    // Two other days get a second file; compacting them reads all four and
+    // keeps only the two documents it writes through.
+    let table = append(&table, &taxi(17_970, 2, 200));
+    let before = cache.cached_bytes();
+    let ((compacted, report), ledger) = store.ledger(|| table.compact().unwrap());
+    assert_eq!(report.files_compacted, 4);
+    assert_eq!(ledger.get("data:taxi"), Some(&4));
+    let size = |path: &str| store.inner.head(&ObjectPath::new(path).unwrap()).unwrap();
+    let manifest = &compacted
+        .metadata()
+        .current_snapshot()
+        .unwrap()
+        .manifest_path;
+    let written = size(compacted.metadata_location()) + size(manifest);
+    assert_eq!(cache.cached_bytes(), before + written);
+}
+
+#[test]
+fn a_cached_file_takes_no_fetch_worker() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    // The writer has read none of its data files.
+    let lh = taxi_lake(&store);
+    let submitted = || lh.io_dispatcher().stats().submitted;
+    lh.query(&window(7), "main").unwrap();
+    // Days 10 to 18: seven are in the cache, two are fetched by the workers.
+    let s0 = submitted();
+    let ledger = store.ledger(|| lh.query(&window(9), "main").unwrap()).1;
+    assert_eq!(ledger, ledger_of(&[("ref", 1), ("data:taxi_table", 2)]));
+    assert_eq!(submitted() - s0, 2, "one ticket per miss");
+    let s0 = submitted();
+    let ledger = store.ledger(|| lh.query(&window(9), "main").unwrap()).1;
+    assert_eq!(ledger, ledger_of(&[("ref", 1)]));
+    assert_eq!(submitted() - s0, 0, "no ticket for a hit");
 }
 
 #[test]
@@ -358,30 +552,36 @@ fn a_commit_is_warm_where_it_was_made_and_seen_everywhere_by_the_next_statement(
         (out.row(0).unwrap()[0].clone(), ledger)
     };
     let trips = |metadata: usize, manifest: usize, data: usize| {
-        let mut ledger = ledger_of(&[("ref", 1), ("data:trips", data)]);
-        if metadata + manifest > 0 {
-            ledger.insert("metadata:trips".into(), metadata);
-            ledger.insert("manifest:trips".into(), manifest);
+        let mut ledger = ledger_of(&[("ref", 1)]);
+        for (class, n) in [
+            ("metadata", metadata),
+            ("manifest", manifest),
+            ("data", data),
+        ] {
+            if n > 0 {
+                ledger.insert(format!("{class}:trips"), n);
+            }
         }
         ledger
     };
     assert_eq!(count(&reader), (Value::Int64(10), trips(1, 1, 1)));
-    assert_eq!(count(&reader), (Value::Int64(10), trips(0, 0, 1)));
+    assert_eq!(count(&reader), (Value::Int64(10), trips(0, 0, 0)));
 
     // A façade commit: the writer's next statement is warm (both new
-    // documents were written through) and sees the new rows.
+    // documents were written through) and sees the new rows. It has read
+    // neither data file yet.
     writer
         .append_table("trips", &small_batch(10..15), "main")
         .unwrap();
     assert_eq!(count(&writer), (Value::Int64(15), trips(0, 0, 2)));
     // The other front reads the ref, so it sees the commit too — and
-    // fetches what is new: the commit object, the new metadata document and
-    // manifest. (Data bytes are not cached: both files are read.)
+    // fetches what is new: the commit object, the new metadata document,
+    // manifest and data file.
     let (n, mut ledger) = count(&reader);
     assert_eq!(n, Value::Int64(15));
     assert_eq!(ledger.remove("commit"), Some(1));
-    assert_eq!(ledger, trips(1, 1, 2));
-    assert_eq!(count(&reader), (Value::Int64(15), trips(0, 0, 2)));
+    assert_eq!(ledger, trips(1, 1, 1));
+    assert_eq!(count(&reader), (Value::Int64(15), trips(0, 0, 0)));
 }
 
 /// Through a second front over the same objects: add a `tip` column to
@@ -462,12 +662,22 @@ fn a_warm_run_reads_the_ref_and_the_files_it_needs() {
         lh.run(&project, &options).unwrap();
         store.ledger(|| lh.run(&project, &options).unwrap()).1
     };
-    // Fused: `trips` reads the 30 day-files from 2019-04-01 on, and its
-    // consumers read it in memory. Every table document is warm.
+    // Fused, on a front that has read no table: `trips` reads the 30
+    // day-files from 2019-04-01 on, and its consumers read it in memory.
+    let cold = cold_front(&store, LakehouseConfig::zero_latency());
+    let options = RunOptions::default().with_mode(ExecutionMode::Fused);
+    let cold_run = store.ledger(|| cold.run(&taxi_pipeline(&cold), &options).unwrap());
     assert_eq!(
-        warm_run(ExecutionMode::Fused),
-        ledger_of(&[("ref", 9), ("data:taxi_table", 30)])
+        cold_run.1,
+        ledger_of(&[
+            ("ref", 9),
+            ("data:taxi_table", 30),
+            ("manifest:taxi_table", 1),
+            ("metadata:taxi_table", 1),
+        ])
     );
+    // Warm: every table document and data file is in memory.
+    assert_eq!(warm_run(ExecutionMode::Fused), ledger_of(&[("ref", 9)]));
     // Naive: one stateless stage per node, each with a metadata cache of its
     // own, reading whole tables; both consumers re-read `trips` from the
     // store.
@@ -555,14 +765,18 @@ fn an_unparseable_document_is_never_cached() {
         let (out, ledger) = store.ledger(|| lh.query(COUNT, "main").unwrap());
         assert_eq!(out.row(0).unwrap()[0], Value::Int64(10), "{kind}");
         assert_eq!(ledger.get(class), Some(&2), "{kind}: garbled read + retry");
-        assert_eq!(lh.metadata_cache().len(), 2, "{kind}: both good documents");
+        assert_eq!(
+            lh.object_cache().len(),
+            3,
+            "{kind}: both good documents and the file"
+        );
     }
     // Without, the statement fails — and the next one fetches the document
     // afresh instead of finding the garbage.
     let lh = cold_front(&store, LakehouseConfig::zero_latency());
     *store.garble_next.lock().unwrap() = Some("/metadata/v");
     assert!(lh.query(COUNT, "main").is_err());
-    assert!(lh.metadata_cache().is_empty());
+    assert!(lh.object_cache().is_empty());
     let (out, ledger) = store.ledger(|| lh.query(COUNT, "main").unwrap());
     assert_eq!(out.row(0).unwrap()[0], Value::Int64(10));
     assert_eq!(ledger.get("metadata:trips"), Some(&1));
@@ -573,7 +787,7 @@ fn the_cache_stays_within_its_bound_across_more_tables_than_fit() {
     let _serial = serial();
     let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
     const BOUND: usize = 8 * 1024;
-    let cache = Arc::new(MetadataCache::with_capacity(BOUND));
+    let cache = Arc::new(ObjectCache::with_capacity(BOUND));
     let io = TableIo {
         cache: Some(Arc::clone(&cache)),
         ..TableIo::default()
