@@ -140,16 +140,15 @@ impl Catalog {
 
     /// Extra attempts after a catalog object fails to parse. Parse failure
     /// on an immutable (or CAS-updated) JSON object means the *bytes* are
-    /// bad — a torn read, possibly sitting poisoned in a cache layer — so
-    /// each retry first tells the store to drop any cached copy
-    /// (`ObjectStore::invalidate_corrupt`) and re-reads the backend. Without
-    /// chaos or a cache the re-reads see the same object and the same error
-    /// surfaces; with them, this is what un-wedges a poisoned page.
+    /// bad — a torn read — so each retry tells the store
+    /// (`ObjectStore::invalidate_corrupt`) and reads the object again; no
+    /// store layer keeps bytes, so the re-read reaches the backend. Without
+    /// chaos the re-reads see the same object and the same error surfaces.
     const CORRUPT_REREADS: u32 = 2;
 
     /// Read and parse one catalog object. A parse failure means the bytes
-    /// are bad, so each of up to `CORRUPT_REREADS` re-reads first drops the
-    /// store's cached copy. `missing` is the error for an absent object,
+    /// are bad, so the object is read again, up to `CORRUPT_REREADS` times.
+    /// `missing` is the error for an absent object,
     /// `corrupt` the one for bytes that never parse.
     fn read_object<T>(
         &self,

@@ -1,12 +1,15 @@
 //! [`RecordBatch`]: a horizontal slice of a table — equal-length columns plus
-//! a schema. The unit of data flow between all engine operators.
+//! a schema and their row count. The unit of data flow between all engine
+//! operators.
 
 use crate::column::Column;
 use crate::datatype::Value;
 use crate::error::{ColumnarError, Result};
 use crate::schema::Schema;
 
-/// Equal-length columns with a schema. Immutable after construction.
+/// Equal-length columns with a schema. Immutable after construction. The
+/// row count is the batch's own, as in Arrow: a batch with no columns still
+/// has rows (what `COUNT(*)` or `SELECT 1 FROM t` reads of a table).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordBatch {
     schema: Schema,
@@ -16,8 +19,20 @@ pub struct RecordBatch {
 
 impl RecordBatch {
     /// Build a batch, validating that column count/types/lengths match the
-    /// schema.
+    /// schema. Its row count is the first column's length (0 with none).
     pub fn try_new(schema: Schema, columns: Vec<Column>) -> Result<Self> {
+        let num_rows = columns.first().map_or(0, Column::len);
+        RecordBatch::try_new_with_rows(schema, columns, num_rows)
+    }
+
+    /// [`Self::try_new`] with the row count given: every column must have
+    /// `num_rows` values, and with no columns the batch still has that many
+    /// rows.
+    pub fn try_new_with_rows(
+        schema: Schema,
+        columns: Vec<Column>,
+        num_rows: usize,
+    ) -> Result<Self> {
         if schema.len() != columns.len() {
             return Err(ColumnarError::SchemaMismatch(format!(
                 "schema has {} fields but {} columns given",
@@ -25,7 +40,6 @@ impl RecordBatch {
                 columns.len()
             )));
         }
-        let num_rows = columns.first().map_or(0, Column::len);
         for (field, col) in schema.fields().iter().zip(&columns) {
             if col.len() != num_rows {
                 return Err(ColumnarError::LengthMismatch {
@@ -119,17 +133,22 @@ impl RecordBatch {
             .iter()
             .map(|n| self.column_by_name(n).cloned())
             .collect::<Result<Vec<_>>>()?;
-        RecordBatch::try_new(schema, columns)
+        RecordBatch::try_new_with_rows(schema, columns, self.num_rows)
     }
 
     /// Slice rows `[offset, offset + len)`.
     pub fn slice(&self, offset: usize, len: usize) -> Result<RecordBatch> {
+        let end = offset.saturating_add(len);
+        if end > self.num_rows {
+            let len = self.num_rows;
+            return Err(ColumnarError::IndexOutOfBounds { index: end, len });
+        }
         let columns = self
             .columns
             .iter()
             .map(|c| c.slice(offset, len))
             .collect::<Result<Vec<_>>>()?;
-        RecordBatch::try_new(self.schema.clone(), columns)
+        RecordBatch::try_new_with_rows(self.schema.clone(), columns, len)
     }
 
     /// Concatenate batches with identical schemas.
@@ -153,7 +172,8 @@ impl RecordBatch {
             let cols: Vec<&Column> = batches.iter().map(|b| &b.columns[c]).collect();
             columns.push(Column::concat(&cols)?);
         }
-        RecordBatch::try_new(schema, columns)
+        let num_rows = batches.iter().map(|b| b.num_rows).sum();
+        RecordBatch::try_new_with_rows(schema, columns, num_rows)
     }
 
     /// What a drained stream of `schema` adds up to: the empty batch for no

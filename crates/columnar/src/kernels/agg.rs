@@ -296,14 +296,14 @@ fn ord(lt: bool, want_min: bool, gt: bool) -> bool {
 /// resolves probe rows with [`Grouper::lookup_ids`].
 ///
 /// One interner, two ways to find a key in it. The interner is the key
-/// store — typed words ([`hash::key_words`]), never boxed values: a group's
+/// store — typed words (`hash::key_words`), never boxed values: a group's
 /// id is its position there, so ids are first-appearance order whichever
 /// lookup found (or missed) the key.
 ///
 /// * The **hash index** — open addressing over the words, the general
 ///   lookup: a probe is confirmed by comparing its words with the stored
 ///   ones as one slice (then the strings, if the key has any).
-/// * The **dense front** ([`DenseFront`]) — a direct-addressed table of
+/// * The **dense front** (`DenseFront`) — a direct-addressed table of
 ///   ids, used instead while every key column is Bool/Int64/Date/Timestamp
 ///   and the observed key domain is small: no hashing, no comparing. Keys
 ///   it interns reach the hash index only if the front is dropped.

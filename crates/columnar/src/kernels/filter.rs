@@ -182,7 +182,7 @@ pub fn filter_batch(batch: &RecordBatch, mask: &Bitmap) -> Result<RecordBatch> {
         .iter()
         .map(|c| filter_column_unchecked(c, mask, survivors))
         .collect::<Vec<_>>();
-    RecordBatch::try_new(batch.schema().clone(), columns)
+    RecordBatch::try_new_with_rows(batch.schema().clone(), columns, survivors)
 }
 
 /// Gather the same row indices from every column of a batch. Indices are
@@ -198,7 +198,7 @@ fn take_batch_validated(batch: &RecordBatch, indices: &[usize]) -> Result<Record
         .iter()
         .map(|c| take_column_unchecked(c, indices))
         .collect::<Vec<_>>();
-    RecordBatch::try_new(batch.schema().clone(), columns)
+    RecordBatch::try_new_with_rows(batch.schema().clone(), columns, indices.len())
 }
 
 #[cfg(test)]

@@ -238,16 +238,20 @@ pub fn take_column_ref(col: &Column, indices: &[usize]) -> Result<Column> {
     })
 }
 
-/// Scalar reference for [`super::take_batch`]: recomputes the index
-/// validation per column (the allocation/validation pattern the satellite
-/// fix removed).
+/// Scalar reference for [`super::take_batch`]: checks the indices against
+/// the row count (all a batch with no columns has), then again per column
+/// (the allocation/validation pattern the fast kernel avoids).
 pub fn take_batch_ref(batch: &RecordBatch, indices: &[usize]) -> Result<RecordBatch> {
+    if let Some(&index) = indices.iter().find(|&&i| i >= batch.num_rows()) {
+        let len = batch.num_rows();
+        return Err(ColumnarError::IndexOutOfBounds { index, len });
+    }
     let columns = batch
         .columns()
         .iter()
         .map(|c| take_column_ref(c, indices))
         .collect::<Result<Vec<_>>>()?;
-    RecordBatch::try_new(batch.schema().clone(), columns)
+    RecordBatch::try_new_with_rows(batch.schema().clone(), columns, indices.len())
 }
 
 /// Scalar reference for [`super::filter_batch`].

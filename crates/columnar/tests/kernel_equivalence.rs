@@ -242,6 +242,45 @@ fn filter_and_take_match_reference() {
     }
 }
 
+/// A batch of no columns keeps its row count through every kernel that
+/// selects rows, and the references agree with the fast kernels on it.
+#[test]
+fn a_zero_column_batch_keeps_its_rows() {
+    for &n in SIZES {
+        let mut rng = rng_for(0x2e20, n, 0);
+        let batch = RecordBatch::try_new_with_rows(Schema::empty(), Vec::new(), n).expect("batch");
+        assert_eq!((batch.num_rows(), batch.num_columns()), (n, 0));
+
+        let mask = Bitmap::from_bools(&(0..n).map(|_| rng.gen_bool(0.4)).collect::<Vec<_>>());
+        let fast = kernels::filter_batch(&batch, &mask).expect("filter");
+        let slow = scalar::filter_batch_ref(&batch, &mask).expect("filter ref");
+        assert_eq!(
+            (fast.num_rows(), slow.num_rows()),
+            (mask.count_set(), mask.count_set())
+        );
+
+        let indices: Vec<usize> = (0..n.min(200)).map(|_| rng.gen_range(0..n)).collect();
+        let fast = kernels::take_batch(&batch, &indices).expect("take");
+        let slow = scalar::take_batch_ref(&batch, &indices).expect("take ref");
+        assert_eq!(
+            (fast.num_rows(), slow.num_rows()),
+            (indices.len(), indices.len())
+        );
+        let out_of_bounds = [n];
+        assert!(kernels::take_batch(&batch, &out_of_bounds).is_err());
+        assert!(scalar::take_batch_ref(&batch, &out_of_bounds).is_err());
+
+        let tail = batch.slice(n / 2, n - n / 2).expect("slice");
+        assert_eq!(tail.num_rows(), n - n / 2);
+        assert!(batch.slice(n / 2 + 1, n).is_err());
+
+        let joined = RecordBatch::concat(&[batch.clone(), tail.clone()]).expect("concat");
+        assert_eq!(joined.num_rows(), n + tail.num_rows());
+        let all = RecordBatch::concat_all(&Schema::empty(), vec![batch, tail]).expect("all");
+        assert_eq!(all, joined);
+    }
+}
+
 #[test]
 fn hash_kernels_match_reference() {
     for &n in SIZES {

@@ -233,6 +233,13 @@ mod tests {
         }
     }
 
+    /// Until `depth` waiters are queued at `gate`.
+    fn wait_for_queue(gate: &AdmissionController, depth: usize) {
+        while gate.queue_depth() != depth {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn slots_bound_concurrency_and_release_admits_waiters() {
         let gate = AdmissionController::new(cfg(2, 8, 5_000));
@@ -241,7 +248,7 @@ mod tests {
         assert_eq!(gate.running(), 2);
         let g2 = gate.clone();
         let h = std::thread::spawn(move || g2.acquire("b").map(drop).is_ok());
-        std::thread::sleep(Duration::from_millis(20));
+        wait_for_queue(&gate, 1);
         assert_eq!(gate.running(), 2, "third query must queue, not run");
         drop(p1);
         assert!(h.join().unwrap(), "released slot admits the waiter");
@@ -296,6 +303,8 @@ mod tests {
             let p = g2.acquire("b").expect("admitted after release");
             p.waited()
         });
+        // Held 20 ms past the moment the waiter is known to be queued.
+        wait_for_queue(&gate, 1);
         std::thread::sleep(Duration::from_millis(20));
         drop(p0);
         let waited = h.join().unwrap();

@@ -600,8 +600,8 @@ impl Lakehouse {
     /// Synchronous SQL over any branch, tag, or commit id (time travel).
     pub fn query(&self, sql: &str, reference: &str) -> Result<RecordBatch> {
         let _sim = self.install_sim();
-        let scope = lakehouse_obs::scope("query");
-        scope.attr("reference", reference);
+        let span = lakehouse_obs::span("query");
+        span.attr("reference", reference);
         let provider = self.provider(reference);
         self.attributed(sql, || Ok(self.engine.query(sql, &provider.pin())?))
     }
@@ -614,8 +614,8 @@ impl Lakehouse {
         reference: &str,
     ) -> Result<(RecordBatch, lakehouse_sql::ExecReport)> {
         let _sim = self.install_sim();
-        let scope = lakehouse_obs::scope("query");
-        scope.attr("reference", reference);
+        let span = lakehouse_obs::span("query");
+        span.attr("reference", reference);
         let provider = self.provider(reference);
         self.attributed(sql, || {
             Ok(self.engine.query_with_report(sql, &provider.pin())?)
@@ -630,16 +630,7 @@ impl Lakehouse {
 
     /// EXPLAIN ANALYZE at a ref: execute the query and render the optimized
     /// plan annotated per operator with rows, batches, bytes, and
-    /// wall/simulated span time.
-    pub fn explain_analyze(&self, sql: &str, reference: &str) -> Result<(RecordBatch, String)> {
-        let _sim = self.install_sim();
-        let provider = self.provider(reference);
-        self.attributed(sql, || {
-            Ok(self.engine.explain_analyze(sql, &provider.pin())?)
-        })
-    }
-
-    /// [`Self::explain_analyze`] plus the recorded span tree, for exporters
+    /// wall/simulated span time, with the recorded span tree for exporters
     /// (`--trace-out`, `bauplan profile`).
     pub fn explain_analyze_traced(
         &self,

@@ -253,7 +253,7 @@ impl RangedReader {
     }
 
     /// Fetch `chunks`: ranges not resident from `open` are merged by
-    /// [`plan_ranges`] and fetched one request each. A chunk is checksummed
+    /// `plan_ranges` and fetched one request each. A chunk is checksummed
     /// when it is taken out ([`Self::raw_group`], [`Self::decode_groups`]).
     pub fn fetch_chunks(
         &self,
@@ -325,13 +325,18 @@ impl RangedReader {
         }
         let mut batches = Vec::with_capacity(groups.len());
         for &g in groups {
+            let rows = (self.groups.get(g))
+                .ok_or_else(|| FormatError::InvalidArgument(format!("no row group {g}")))?
+                .row_count as usize;
             let mut decoded = Vec::with_capacity(columns.len());
             for &c in &columns {
                 let bytes = self.verified_chunk(fetched, (g, c))?;
                 let mut r = ByteReader::new(&bytes);
                 decoded.push(decode_column(self.schema.field(c).data_type(), &mut r)?);
             }
-            batches.push(RecordBatch::try_new(out_schema.clone(), decoded)?);
+            // The footer's count: with no column decoded, still the group's rows.
+            let batch = RecordBatch::try_new_with_rows(out_schema.clone(), decoded, rows)?;
+            batches.push(batch);
         }
         Ok(RecordBatch::concat(&batches)?)
     }
@@ -631,10 +636,7 @@ mod tests {
                 let out = reader
                     .read_groups(&[0], projection.as_deref(), &fetch)
                     .unwrap();
-                assert_eq!(
-                    out.num_rows(),
-                    if projection == Some(vec![]) { 0 } else { 263 }
-                );
+                assert_eq!(out.num_rows(), 263);
                 assert_eq!(served.count(), 1, "gap {gap}, projection {projection:?}");
             }
         }

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Why a query's [`CancelToken`] tripped. Carried in the typed
+/// Why a query was killed ([`QueryCtx::kill`]). Carried in the typed
 /// `QueryKilled { reason }` errors every layer surfaces, the
 /// `query.killed.*` counters, and the `reason` column of `system.queries`.
 ///

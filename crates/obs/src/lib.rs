@@ -30,7 +30,6 @@ pub use ctx::{
 pub use recorder::{query_log, recorder, Event, EventKind, FlightRecorder, QueryLog, QueryRecord};
 pub use registry::{global, Counter, Gauge, Histogram, MetricSnapshot, MetricsRegistry};
 pub use span::{
-    fmt_duration, reparent_under, scope, set_thread_sim_source, set_tracing, span,
-    thread_sim_nanos, trace_active, tracing_enabled, AttrValue, ParentGuard, Scope, SimSource,
-    SimSourceGuard, SpanData, SpanGuard, SpanTree, Trace,
+    fmt_duration, reparent_under, set_thread_sim_source, span, thread_sim_nanos, AttrValue,
+    ParentGuard, SimSource, SimSourceGuard, SpanData, SpanGuard, SpanTree, Trace,
 };

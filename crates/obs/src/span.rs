@@ -7,7 +7,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -15,32 +15,9 @@ use std::time::Instant;
 /// far (store latency lanes + runtime virtual clock).
 pub type SimSource = Arc<dyn Fn() -> u64 + Send + Sync>;
 
-/// Global switch consulted by [`Trace::start`] and [`scope`]. Off by default.
-static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Number of installed traces across all threads. The [`span`] fast path
 /// checks this before touching thread-local state.
 static ACTIVE_TRACES: AtomicUsize = AtomicUsize::new(0);
-
-/// Enable or disable trace collection process-wide. Forced traces
-/// ([`Trace::start_forced`], used by `EXPLAIN ANALYZE` and profiling) collect
-/// regardless of this switch.
-pub fn set_tracing(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`set_tracing`] turned trace collection on.
-pub fn tracing_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Whether a trace is installed on the **current thread** (spans opened now
-/// would be recorded).
-pub fn trace_active() -> bool {
-    if ACTIVE_TRACES.load(Ordering::Relaxed) == 0 {
-        return false;
-    }
-    CURRENT.with(|c| c.borrow().is_some())
-}
 
 // ---------------------------------------------------------------------------
 // Attributes
@@ -518,17 +495,8 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Start a trace if [`set_tracing`] is on; `None` otherwise.
-    pub fn start(name: &str) -> Option<Trace> {
-        if tracing_enabled() {
-            Some(Trace::start_forced(name))
-        } else {
-            None
-        }
-    }
-
-    /// Start a trace regardless of the global switch — `EXPLAIN ANALYZE` and
-    /// `bauplan profile` always collect.
+    /// Start a trace on this thread — what `EXPLAIN ANALYZE`, `bauplan
+    /// profile` and a pipeline run collect under.
     pub fn start_forced(name: &str) -> Trace {
         CURRENT.with(|c| {
             let mut cur = c.borrow_mut();
@@ -613,54 +581,6 @@ impl Drop for Trace {
     }
 }
 
-/// Either a root trace (when this thread had none and tracing is enabled) or
-/// a child span of an enclosing trace. The convenience wrapper entry points
-/// like `Lakehouse::query` use, so a query shows up as a root trace when
-/// traced standalone and as a subtree when invoked inside a DAG run.
-pub struct Scope {
-    inner: ScopeInner,
-}
-
-enum ScopeInner {
-    Root(Trace),
-    Span(SpanGuard),
-}
-
-/// Open a [`Scope`]: a child span if a trace is active on this thread, a new
-/// root trace if tracing is enabled, a no-op otherwise.
-pub fn scope(name: &str) -> Scope {
-    if trace_active() {
-        Scope {
-            inner: ScopeInner::Span(span(name)),
-        }
-    } else if tracing_enabled() {
-        Scope {
-            inner: ScopeInner::Root(Trace::start_forced(name)),
-        }
-    } else {
-        Scope {
-            inner: ScopeInner::Span(SpanGuard::noop()),
-        }
-    }
-}
-
-impl Scope {
-    pub fn attr(&self, key: &str, value: impl Into<AttrValue>) {
-        match &self.inner {
-            ScopeInner::Root(t) => t.attr(key, value),
-            ScopeInner::Span(s) => s.attr(key, value),
-        }
-    }
-
-    /// Finish the scope, returning the tree when this scope owned the trace.
-    pub fn finish(self) -> Option<SpanTree> {
-        match self.inner {
-            ScopeInner::Root(t) => Some(t.finish()),
-            ScopeInner::Span(_) => None,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
@@ -669,7 +589,6 @@ mod tests {
 
     #[test]
     fn disabled_span_is_noop() {
-        assert!(!tracing_enabled());
         let g = span("nothing");
         assert!(!g.is_recording());
         g.attr("k", 1u64); // must not panic
@@ -719,7 +638,7 @@ mod tests {
         let outer_tree = outer.finish();
         assert_eq!(outer_tree.spans.len(), 3);
         assert_eq!(outer_tree.root().unwrap().name, "outer");
-        assert!(!trace_active());
+        assert!(!span("after").is_recording());
     }
 
     #[test]
@@ -747,17 +666,5 @@ mod tests {
         }
         let tree = trace.finish();
         assert_eq!(tree.find("op").unwrap().attr_u64("rows"), Some(7));
-    }
-
-    #[test]
-    fn scope_roots_or_nests() {
-        // No trace, tracing off: no-op.
-        assert!(scope("q").finish().is_none());
-        // Inside a forced trace: nests.
-        let outer = Trace::start_forced("outer");
-        let s = scope("q");
-        assert!(s.finish().is_none());
-        let tree = outer.finish();
-        assert!(tree.find("q").is_some());
     }
 }

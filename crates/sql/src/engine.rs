@@ -72,7 +72,7 @@ pub fn scan_memory_table(
     for field in schema.fields() {
         columns.push(batch.column_by_name(field.name())?.slice(0, rows)?);
     }
-    Ok(RecordBatch::try_new(schema, columns)?)
+    Ok(RecordBatch::try_new_with_rows(schema, columns, rows)?)
 }
 
 /// A provider over in-memory named batches (used by tests, the fused
@@ -161,18 +161,8 @@ impl SqlEngine {
 
     /// EXPLAIN ANALYZE: execute the query under a forced trace and render
     /// the optimized plan annotated per operator with rows, batches, output
-    /// bytes, and wall/simulated span time.
-    pub fn explain_analyze(
-        &self,
-        sql: &str,
-        provider: &dyn TableProvider,
-    ) -> Result<(RecordBatch, String)> {
-        let (batch, text, _) = self.explain_analyze_traced(sql, provider)?;
-        Ok((batch, text))
-    }
-
-    /// [`Self::explain_analyze`], additionally returning the recorded span
-    /// tree (for exporters: Chrome trace, `bauplan profile`).
+    /// bytes, and wall/simulated span time, with the recorded span tree (for
+    /// exporters: Chrome trace, `bauplan profile`).
     pub fn explain_analyze_traced(
         &self,
         sql: &str,
@@ -507,6 +497,21 @@ mod tests {
     }
 
     #[test]
+    fn select_without_from_reads_one_row_of_no_columns() {
+        let b = q("SELECT 1 + 1");
+        assert_eq!((b.num_rows(), b.num_columns()), (1, 1));
+        assert_eq!(b.row(0).unwrap()[0], Value::Int64(2));
+        let plan = SqlEngine::new().plan("SELECT 1 + 1", &provider()).unwrap();
+        let LogicalPlan::Project { input, .. } = plan else {
+            panic!("{plan:?}")
+        };
+        let LogicalPlan::Values { batch } = *input else {
+            panic!("{input:?}")
+        };
+        assert_eq!((batch.num_rows(), batch.num_columns()), (1, 0));
+    }
+
+    #[test]
     fn explain_shows_pushdown() {
         let text = SqlEngine::new()
             .explain(
@@ -521,8 +526,8 @@ mod tests {
 
     #[test]
     fn explain_analyze_annotates_every_operator() {
-        let (batch, text) = SqlEngine::new()
-            .explain_analyze(
+        let (batch, text, _) = SqlEngine::new()
+            .explain_analyze_traced(
                 "SELECT pickup_location_id, COUNT(*) AS n FROM taxi_table \
                  WHERE fare > 9.0 GROUP BY pickup_location_id",
                 &provider(),
@@ -546,8 +551,8 @@ mod tests {
     #[test]
     fn explain_analyze_annotates_joins_and_subqueries() {
         let engine = SqlEngine::new();
-        let (batch, text) = engine
-            .explain_analyze(
+        let (batch, text, _) = engine
+            .explain_analyze_traced(
                 "SELECT name, total FROM (SELECT pickup_location_id AS p, SUM(fare) AS total \
                  FROM taxi_table GROUP BY pickup_location_id) t JOIN zones z ON t.p = z.id \
                  ORDER BY total DESC LIMIT 2",

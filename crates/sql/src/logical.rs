@@ -12,7 +12,7 @@ use crate::ast::{ColumnRef, Expr, Join, JoinType, Relation, SelectItem, SelectSt
 use crate::error::{Result, SqlError};
 use crate::functions::{scalar_return_type, unify};
 use lakehouse_columnar::kernels::Aggregator;
-use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
+use lakehouse_columnar::{DataType, Field, RecordBatch, Schema, Value};
 use std::rc::Rc;
 
 /// Resolves table names to schemas during planning. The execution-side
@@ -525,11 +525,8 @@ pub fn plan_select(stmt: &SelectStmt, provider: &dyn SchemaProvider) -> Result<L
     let (mut plan, mut scope) = match &stmt.from {
         Some(rel) => plan_relation(rel, provider)?,
         None => {
-            // One row of one column no name can reach.
-            let schema = Schema::new(vec![Field::new("", DataType::Int64, false)]);
-            let batch = RecordBatch::try_new(schema, vec![Column::from_i64(vec![0])])?;
-            let scope = Scope::of(None, batch.schema());
-            (LogicalPlan::Values { batch }, scope)
+            let batch = RecordBatch::try_new_with_rows(Schema::empty(), Vec::new(), 1)?;
+            (LogicalPlan::Values { batch }, Scope(Vec::new()))
         }
     };
     for join in &stmt.joins {

@@ -17,7 +17,7 @@ use crate::error::Result;
 use crate::logical::{columns, move_columns, on_left, LogicalPlan};
 use lakehouse_columnar::kernels::cast::cast_value;
 use lakehouse_columnar::kernels::CmpOp;
-use lakehouse_columnar::{DataType, Schema, Value};
+use lakehouse_columnar::{Schema, Value};
 use std::collections::BTreeSet;
 use std::convert::Infallible;
 
@@ -349,14 +349,10 @@ fn prune(plan: LogicalPlan, required: Required) -> Result<(LogicalPlan, Moved)> 
             filters,
             fetch,
         } => {
+            // Filters' columns must stay readable. With none read at all
+            // (`COUNT(*)`), the scan still yields the row count.
             let mut keep = required.unwrap_or_else(|| (0..schema.len()).collect());
-            // Filters' columns must stay readable.
             filters.iter().for_each(|f| keep.extend(columns(f)));
-            if keep.is_empty() {
-                // Nothing but the row count is read (`COUNT(*)`): one column
-                // carries it, the cheapest to decode.
-                keep.extend(cheapest_column(&schema));
-            }
             let kept: Vec<usize> = keep.into_iter().collect();
             let moved = moved_to(schema.len(), &kept);
             let (schema, projection) = match kept.len() < schema.len() {
@@ -390,10 +386,8 @@ fn prune(plan: LogicalPlan, required: Required) -> Result<(LogicalPlan, Moved)> 
             schema,
         } => {
             // Row-wise and pure: an output nobody reads need not be
-            // computed. Keep one so the row count survives.
-            let read = |i: usize| {
-                (required.as_ref()).is_none_or(|k| k.contains(&i) || (k.is_empty() && i == 0))
-            };
+            // computed.
+            let read = |i: usize| required.as_ref().is_none_or(|k| k.contains(&i));
             let kept: Vec<usize> = (0..exprs.len()).filter(|&i| read(i)).collect();
             let moved = moved_to(exprs.len(), &kept);
             let (exprs, schema) = match kept.len() < exprs.len() {
@@ -507,15 +501,6 @@ fn prune_input(mut plan: LogicalPlan, mut required: Required) -> Result<(Logical
         false => unmoved(plan.schema().len()),
     };
     Ok((plan, moved))
-}
-
-/// The first fixed-width field (no string heap to decode), else the first.
-fn cheapest_column(schema: &Schema) -> Option<usize> {
-    schema
-        .fields()
-        .iter()
-        .position(|f| f.data_type() != DataType::Utf8)
-        .or((!schema.is_empty()).then_some(0))
 }
 
 // ---- limit pushdown --------------------------------------------------------
@@ -882,23 +867,24 @@ mod tests {
     }
 
     #[test]
-    fn count_star_reads_the_first_fixed_width_column() {
+    fn count_star_reads_no_column() {
         let projection = |sql: &str| match find_scan(&optimized(sql)) {
             LogicalPlan::Scan { projection, .. } => projection.clone(),
             _ => unreachable!(),
         };
+        // The scan's batches carry their row count without a column.
+        for sql in [
+            "SELECT COUNT(*) FROM t",
+            "SELECT COUNT(*) FROM u",
+            "SELECT COUNT(*) FROM (SELECT c, b FROM t) s",
+            "SELECT 1 AS one FROM t",
+        ] {
+            assert_eq!(projection(sql), Some(vec![]), "{sql}");
+        }
+        // A filter's column is still read.
         assert_eq!(
-            projection("SELECT COUNT(*) FROM t"),
-            Some(vec!["a".to_string()])
-        );
-        // `u` leads with a string column: skip it.
-        assert_eq!(
-            projection("SELECT COUNT(*) FROM u"),
-            Some(vec!["k".to_string()])
-        );
-        assert_eq!(
-            projection("SELECT COUNT(*) FROM (SELECT c, b FROM t) s"),
-            Some(vec!["c".to_string()])
+            projection("SELECT COUNT(*) FROM t WHERE b > 1"),
+            Some(vec!["b".to_string()])
         );
     }
 }

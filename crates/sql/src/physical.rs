@@ -48,7 +48,11 @@ pub(crate) fn execute_project(
             }
         })
         .collect::<Result<Vec<_>>>()?;
-    Ok(RecordBatch::try_new(schema, columns)?)
+    Ok(RecordBatch::try_new_with_rows(
+        schema,
+        columns,
+        batch.num_rows(),
+    )?)
 }
 
 /// The column of `batch` a bound reference names.

@@ -94,10 +94,11 @@ pub trait ObjectStore: Send + Sync {
     }
 
     /// Report that bytes read for `path` failed a *downstream* integrity
-    /// check (file-footer or column-chunk checksum). A layer that keeps
-    /// bytes must drop every entry for the path, so a retry re-fetches from
-    /// the backend instead of re-serving the poisoned bytes; wrappers
-    /// forward the call, and stores that keep nothing do nothing.
+    /// check (a file-footer or column-chunk checksum, a document that does
+    /// not parse), before the caller reads it again. No store in this crate
+    /// keeps bytes, so each does nothing or forwards the call; a re-read
+    /// reaches the backend either way. A wrapper may override it to observe
+    /// the reports.
     fn invalidate_corrupt(&self, path: &ObjectPath) {
         let _ = path;
     }

@@ -264,7 +264,8 @@ impl StoreMetrics {
     }
 
     /// Latency percentile (0.0..=1.0) over recorded operations, if any.
-    /// Exact until [`RESERVOIR_CAP`] operations, then over a uniform sample.
+    /// Exact until `RESERVOIR_CAP` (4 096) operations, then over a uniform
+    /// sample.
     pub fn latency_percentile(&self, q: f64) -> Option<Duration> {
         let mut samples = self.samples.lock().samples.clone();
         if samples.is_empty() {

@@ -88,10 +88,10 @@ pub type Result<T> = std::result::Result<T, TableError>;
 
 /// Run `read`, and while it fails with [`TableError::is_corruption`] run it
 /// again, up to `max_rereads` more times; returns the last outcome and the
-/// re-reads used. Before each re-read the store drops whatever cached bytes
-/// it holds of the object at `path` (`ObjectStore::invalidate_corrupt`), so
-/// the next attempt reaches the backend copy — immutable and presumed good —
-/// rather than parsing the same poisoned page again.
+/// re-reads used. Before each re-read the store is told the bytes of `path`
+/// were bad (`ObjectStore::invalidate_corrupt`); no store layer keeps bytes,
+/// so the re-read reaches the backend copy — immutable and presumed good —
+/// and a torn or garbled read is simply read afresh.
 ///
 /// This is the only retry above the store: a fault the store can see (a
 /// transient error, a throttle, a timeout) belongs to its `RetryStore`,

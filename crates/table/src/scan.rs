@@ -572,7 +572,11 @@ impl TableScan {
                 FieldSource::Constant(value) => Column::from_value(&value, rows)?,
             });
         }
-        Ok(RecordBatch::try_new(scan_schema.clone(), columns)?)
+        Ok(RecordBatch::try_new_with_rows(
+            scan_schema.clone(),
+            columns,
+            rows,
+        )?)
     }
 
     /// Read one data file: footer, row-group pruning, then the surviving
@@ -676,11 +680,7 @@ impl TableScan {
             .map(|&g| reader.raw_group(&fetched, g))
             .collect::<lakehouse_format::Result<Vec<_>>>()?;
         let batch = reader.decode_groups(&fetched, decoded, Some(&projection))?;
-        // Counted from the groups, not the decoded batch: with no field to
-        // decode that has no columns, and so no rows.
-        let rows = (decoded.iter())
-            .map(|&g| reader.row_group_meta(g).row_count as usize)
-            .sum();
+        let rows = batch.num_rows();
         let partial = EntryPartial {
             batch: self.assemble(entry, scan_schema, batch.into_columns(), rows)?,
             bytes_scanned: reader.bytes_needed(&chunks)?,

@@ -128,9 +128,9 @@ fn repeated_query_hits_metadata_cache() {
     lh.create_table("taxi", &TaxiGenerator::default().generate(2_000), "main")
         .unwrap();
     let cache = lh.object_cache();
-    lh.query("SELECT COUNT(*) AS n FROM taxi", "main").unwrap();
+    lh.query("SELECT SUM(fare) AS s FROM taxi", "main").unwrap();
     let (h0, m0, gets0) = (cache.hits(), cache.misses(), lh.store_metrics().gets());
-    lh.query("SELECT COUNT(*) AS n FROM taxi", "main").unwrap();
+    lh.query("SELECT SUM(fare) AS s FROM taxi", "main").unwrap();
     // The table's metadata document, its manifest and its one data file,
     // all from memory: the store sees the ref alone.
     assert_eq!((cache.hits() - h0, cache.misses() - m0), (3, 0));
@@ -173,15 +173,12 @@ fn two_fronts_on_one_directory_see_each_others_commits() {
     assert_eq!(scalar(&b, COUNT), Value::Int64(30), "B sees A's rows");
     assert_eq!(scalar(&a, SUM), Value::Int64((0..30).sum()));
 
-    // Warm on A: a filter that every file's stats rule out reads no data,
-    // so its one GET is the ref; so is the sum, whose three data files A's
-    // earlier statements read.
+    // Warm on A: the manifests' row counts answer the count, so its one
+    // GET is the ref; so is the sum, whose three data files A's earlier
+    // statements read.
     let gets = || a.store_metrics().gets();
     let g0 = gets();
-    assert_eq!(
-        scalar(&a, "SELECT COUNT(*) AS n FROM t WHERE x > 1000"),
-        Value::Int64(0)
-    );
+    assert_eq!(scalar(&a, COUNT), Value::Int64(30));
     assert_eq!(gets() - g0, 1, "a warm statement pays one catalog GET");
     let g0 = gets();
     assert_eq!(scalar(&a, SUM), Value::Int64((0..30).sum()));

@@ -929,7 +929,7 @@ fn right_side_predicate_is_pushed_under_inner_join_only() {
 }
 
 #[test]
-fn unfiltered_count_star_decodes_one_narrow_column() {
+fn unfiltered_count_star_reads_no_column() {
     let lake = lake();
     let query = |sql: &str| SqlEngine::new().query(sql, &lake.pushed.pin()).unwrap();
     let count = query("SELECT COUNT(*) AS n FROM taxi_table");
@@ -939,8 +939,8 @@ fn unfiltered_count_star_decodes_one_narrow_column() {
         lakehouse_columnar::Value::Int64(all.num_rows() as i64)
     );
 
-    // Through the table layer's own report: the planned projection needs
-    // fewer bytes than the whole table.
+    // Through the table layer's own report: the planned projection is
+    // empty, and every file's manifest entry answers it with no byte read.
     let plan = SqlEngine::new()
         .plan("SELECT COUNT(*) AS n FROM taxi_table", &lake.pushed.pin())
         .unwrap();
@@ -951,24 +951,15 @@ fn unfiltered_count_star_decodes_one_narrow_column() {
     let LogicalPlan::Scan { projection, .. } = node else {
         panic!("leaf is a scan")
     };
-    assert_eq!(
-        projection.as_deref(),
-        Some(&["pickup_location_id".to_string()][..])
-    );
+    assert_eq!(projection.as_deref(), Some(&[][..]));
     let table = lake.pushed.load_table("taxi_table").unwrap();
-    let (_, narrow) = table
-        .scan()
-        .select(&["pickup_location_id"])
-        .execute_with_report()
-        .unwrap();
+    let (none, narrow) = table.scan().select(&[]).execute_with_report().unwrap();
     let (_, whole) = table.scan().execute_with_report().unwrap();
+    assert_eq!(none.num_columns(), 0);
     assert_eq!(narrow.rows_emitted, whole.rows_emitted);
-    assert!(
-        narrow.bytes_scanned * 2 < whole.bytes_scanned,
-        "{} vs {}",
-        narrow.bytes_scanned,
-        whole.bytes_scanned
-    );
+    assert_eq!((narrow.bytes_scanned, narrow.files_read), (0, 0));
+    assert_eq!(narrow.files_from_metadata, whole.files_read);
+    assert!(whole.files_read > 1 && whole.bytes_scanned > 0);
 }
 
 /// Three files in one scan, none of which pruning can drop for

@@ -335,7 +335,7 @@ fn chaos_soak_branch_merge_stays_consistent() {
         lh.append_table("events", &events_batch(2, 50), "feat")
             .expect("append on branch");
         lh.merge("feat", "main").expect("merge");
-        lh.query("SELECT COUNT(*) AS n FROM events", "main")
+        lh.query("SELECT COUNT(*) AS n, SUM(val) AS s FROM events", "main")
             .expect("post-merge query")
     };
     let want = build(None, 0);
@@ -526,7 +526,7 @@ fn retry_budget_exhaustion_is_typed_not_a_panic() {
     };
     let result = Lakehouse::in_memory(config).and_then(|lh| {
         lh.create_table("t", &batch(16), "main")?;
-        lh.query("SELECT COUNT(*) AS n FROM t", "main")
+        lh.query("SELECT SUM(x) AS s FROM t", "main")
     });
     let err = result.expect_err("fault p = 0.5 with a 1 ms budget must fail");
     assert!(
@@ -689,7 +689,7 @@ fn default_config_adds_no_resilience_overhead() {
 /// counted.
 #[test]
 fn deadline_kills_mid_retry_backoff_promptly_and_typed() {
-    const Q: &str = "SELECT COUNT(*) AS deadline_probe FROM events";
+    const Q: &str = "SELECT SUM(val) AS deadline_probe FROM events";
     let mut chaos = ChaosConfig::new(11).with_throttle_p(0.9);
     chaos.throttle_retry_after = std::time::Duration::from_secs(10);
     let config = LakehouseConfig {

@@ -546,9 +546,9 @@ fn a_commit_is_warm_where_it_was_made_and_seen_everywhere_by_the_next_statement(
         .create_table("trips", &small_batch(0..10), "main")
         .unwrap();
     let reader = cold_front(&store, LakehouseConfig::zero_latency());
-    const COUNT: &str = "SELECT COUNT(*) AS n FROM trips";
-    let count = |lh: &Lakehouse| {
-        let (out, ledger) = store.ledger(|| lh.query(COUNT, "main").unwrap());
+    const SUM: &str = "SELECT SUM(id) AS s FROM trips";
+    let sum = |lh: &Lakehouse| {
+        let (out, ledger) = store.ledger(|| lh.query(SUM, "main").unwrap());
         (out.row(0).unwrap()[0].clone(), ledger)
     };
     let trips = |metadata: usize, manifest: usize, data: usize| {
@@ -564,8 +564,8 @@ fn a_commit_is_warm_where_it_was_made_and_seen_everywhere_by_the_next_statement(
         }
         ledger
     };
-    assert_eq!(count(&reader), (Value::Int64(10), trips(1, 1, 1)));
-    assert_eq!(count(&reader), (Value::Int64(10), trips(0, 0, 0)));
+    assert_eq!(sum(&reader), (Value::Int64(45), trips(1, 1, 1)));
+    assert_eq!(sum(&reader), (Value::Int64(45), trips(0, 0, 0)));
 
     // A façade commit: the writer's next statement is warm (both new
     // documents were written through) and sees the new rows. It has read
@@ -573,15 +573,56 @@ fn a_commit_is_warm_where_it_was_made_and_seen_everywhere_by_the_next_statement(
     writer
         .append_table("trips", &small_batch(10..15), "main")
         .unwrap();
-    assert_eq!(count(&writer), (Value::Int64(15), trips(0, 0, 2)));
+    assert_eq!(sum(&writer), (Value::Int64(105), trips(0, 0, 2)));
     // The other front reads the ref, so it sees the commit too — and
     // fetches what is new: the commit object, the new metadata document,
     // manifest and data file.
-    let (n, mut ledger) = count(&reader);
-    assert_eq!(n, Value::Int64(15));
+    let (s, mut ledger) = sum(&reader);
+    assert_eq!(s, Value::Int64(105));
     assert_eq!(ledger.remove("commit"), Some(1));
     assert_eq!(ledger, trips(1, 1, 1));
-    assert_eq!(count(&reader), (Value::Int64(15), trips(0, 0, 0)));
+    assert_eq!(sum(&reader), (Value::Int64(105), trips(0, 0, 0)));
+}
+
+/// A count with no predicate reads no column, so every file's manifest
+/// entry answers it: a front that has read none of the table's files makes
+/// no data request and caches no data file, and a warm repeat is the ref.
+/// So is a constant projected once per row.
+#[test]
+fn an_unfiltered_count_reads_no_data_file() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let writer = front(&store, LakehouseConfig::zero_latency());
+    writer
+        .create_table("trips", &small_batch(0..10), "main")
+        .unwrap();
+    for ids in [10..20, 20..30] {
+        writer
+            .append_table("trips", &small_batch(ids), "main")
+            .unwrap();
+    }
+    let reader = cold_front(&store, LakehouseConfig::zero_latency());
+    let query = |sql: &str| store.ledger(|| reader.query(sql, "main").unwrap());
+    const COUNT: &str = "SELECT COUNT(*) AS n FROM trips";
+
+    let (out, ledger) = query(COUNT);
+    assert_eq!(out.row(0).unwrap()[0], Value::Int64(30));
+    assert!(!ledger.keys().any(|k| k.starts_with("data:")), "{ledger:?}");
+    // The cache holds the documents the count read, and nothing else.
+    let documents: usize = (ledger.iter())
+        .filter(|(class, _)| class.starts_with("metadata:") || class.starts_with("manifest:"))
+        .map(|(_, n)| n)
+        .sum();
+    assert_eq!(reader.object_cache().len(), documents);
+
+    let (again, ledger) = query(COUNT);
+    assert_eq!(again, out);
+    assert_eq!(ledger, ledger_of(&[("ref", 1)]));
+
+    let (ones, ledger) = query("SELECT 1 AS c FROM trips");
+    assert_eq!(ones.num_rows(), 30);
+    assert!((0..30).all(|r| ones.row(r).unwrap() == vec![Value::Int64(1)]));
+    assert_eq!(ledger, ledger_of(&[("ref", 1)]));
 }
 
 /// Through a second front over the same objects: add a `tip` column to
@@ -749,7 +790,7 @@ fn an_unparseable_document_is_never_cached() {
     front(&store, LakehouseConfig::zero_latency())
         .create_table("trips", &small_batch(0..10), "main")
         .unwrap();
-    const COUNT: &str = "SELECT COUNT(*) AS n FROM trips";
+    const SUM: &str = "SELECT SUM(id) AS s FROM trips";
     let retrying = LakehouseConfig {
         retry_max: 2,
         ..LakehouseConfig::zero_latency()
@@ -762,8 +803,8 @@ fn an_unparseable_document_is_never_cached() {
     ] {
         let lh = cold_front(&store, retrying.clone());
         *store.garble_next.lock().unwrap() = Some(kind);
-        let (out, ledger) = store.ledger(|| lh.query(COUNT, "main").unwrap());
-        assert_eq!(out.row(0).unwrap()[0], Value::Int64(10), "{kind}");
+        let (out, ledger) = store.ledger(|| lh.query(SUM, "main").unwrap());
+        assert_eq!(out.row(0).unwrap()[0], Value::Int64(45), "{kind}");
         assert_eq!(ledger.get(class), Some(&2), "{kind}: garbled read + retry");
         assert_eq!(
             lh.object_cache().len(),
@@ -775,10 +816,10 @@ fn an_unparseable_document_is_never_cached() {
     // afresh instead of finding the garbage.
     let lh = cold_front(&store, LakehouseConfig::zero_latency());
     *store.garble_next.lock().unwrap() = Some("/metadata/v");
-    assert!(lh.query(COUNT, "main").is_err());
+    assert!(lh.query(SUM, "main").is_err());
     assert!(lh.object_cache().is_empty());
-    let (out, ledger) = store.ledger(|| lh.query(COUNT, "main").unwrap());
-    assert_eq!(out.row(0).unwrap()[0], Value::Int64(10));
+    let (out, ledger) = store.ledger(|| lh.query(SUM, "main").unwrap());
+    assert_eq!(out.row(0).unwrap()[0], Value::Int64(45));
     assert_eq!(ledger.get("metadata:trips"), Some(&1));
 }
 
