@@ -1,13 +1,37 @@
-//! Aggregation kernels: incremental aggregate states used by both scalar
-//! aggregation and the hash-grouped aggregation in the SQL engine.
+//! Aggregation kernels: the [`Grouper`], which maps key rows to group ids,
+//! and one [`Accumulator`] per aggregate, which folds argument columns into
+//! per-group state.
+//!
+//! The layout is that of DataFusion's `GroupsAccumulator`. An aggregate's
+//! state for every group of a GROUP BY lives in one accumulator, as typed
+//! vectors indexed by group id:
+//!
+//! * COUNT and COUNT(\*): a count per group;
+//! * SUM over Int64: a checked sum and a flag byte (seen, overflowed);
+//! * SUM over Float64 and AVG: an `f64` sum, added in row order, and a count;
+//! * MIN and MAX: the extreme in the column's own type and a seen flag;
+//! * COUNT(DISTINCT) alone: a set of values per group.
+//!
+//! A batch is folded by one typed loop per (aggregate, column type) that
+//! walks the valid rows of the validity bitmap, and [`Accumulator::finish`]
+//! writes the output column straight from the vectors. A global aggregate,
+//! and [`aggregate_column`], are the same accumulator folding whole columns
+//! into one group.
+//!
+//! The grouper resolves a block of rows a column at a time while its dense
+//! front serves the key (see [`Grouper`]).
 
 use crate::bitmap::Bitmap;
 use crate::column::{normalize_validity, Column};
 use crate::datatype::{DataType, Value};
 use crate::error::{ColumnarError, Result};
+use crate::kernels::filter::take_column;
 use crate::kernels::hash::{self, RowKey};
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::mem::size_of;
+use std::ops::Range;
 
 /// Which aggregate function to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,244 +80,478 @@ impl Aggregator {
     }
 }
 
-/// Incremental state for one aggregate over one group.
+/// One aggregate over every group of a GROUP BY, or over the one group of a
+/// global aggregate: typed vectors indexed by group id (module docs).
+///
+/// SQL semantics: NULL arguments are skipped (COUNT(\*) counts every row);
+/// SUM, MIN, MAX and AVG of a group with no value are NULL, its COUNT is 0;
+/// an Int64 SUM that overflows fails [`Self::finish`] with
+/// [`ColumnarError::Overflow`].
 #[derive(Debug, Clone)]
-pub struct AggState {
+pub struct Accumulator {
     agg: Aggregator,
-    count: i64,
-    sum_i: i64,
-    sum_f: f64,
-    overflowed: bool,
-    min: Value,
-    max: Value,
-    /// Distinct non-null values seen (CountDistinct only).
-    distinct: HashSet<RowKey>,
+    /// The argument's planned type: what an accumulator that never saw a
+    /// value finishes as.
+    input: DataType,
+    groups: usize,
+    state: State,
+    /// Heap bytes the vectors do not show: kept strings and distinct values.
+    heap: usize,
 }
 
-impl AggState {
-    pub fn new(agg: Aggregator) -> Self {
-        AggState {
+#[derive(Debug, Clone)]
+enum State {
+    /// SUM, AVG, MIN or MAX before its first argument column (or, for SUM
+    /// and AVG, before the first value of a non-numeric one): the column's
+    /// type decides the state.
+    Untyped,
+    /// COUNT and COUNT(\*): rows counted per group.
+    Count(Vec<i64>),
+    /// SUM over Int64: the checked sum per group, and [`SEEN`] and
+    /// [`OVERFLOWED`] flags.
+    IntSum(Vec<i64>, Vec<u8>),
+    /// SUM over Float64, and AVG over either numeric type: the `f64` sum
+    /// per group, added in row order, and the rows added.
+    FloatSum(Vec<f64>, Vec<i64>),
+    /// MIN or MAX: the extreme per group, and whether there is one.
+    Extreme(Extremes, Vec<bool>),
+    /// COUNT(DISTINCT): the distinct non-null values per group.
+    Distinct(Vec<HashSet<RowKey>>),
+}
+
+/// An [`State::IntSum`] group has a value.
+const SEEN: u8 = 1;
+/// An [`State::IntSum`] group's sum left the `i64` range.
+const OVERFLOWED: u8 = 2;
+
+/// Per-group extremes in the argument's own type (a dictionary column's
+/// are strings). A group with no value holds the type's default, which is
+/// what a NULL slot holds in the output column.
+#[derive(Debug, Clone)]
+enum Extremes {
+    Bool(Vec<bool>),
+    Int64(Vec<i64>),
+    Float64(Vec<f64>),
+    Utf8(Vec<String>),
+    Timestamp(Vec<i64>),
+    Date(Vec<i32>),
+}
+
+impl Extremes {
+    fn new(dt: DataType) -> Extremes {
+        match dt {
+            DataType::Bool => Extremes::Bool(Vec::new()),
+            DataType::Int64 => Extremes::Int64(Vec::new()),
+            DataType::Float64 => Extremes::Float64(Vec::new()),
+            DataType::Utf8 => Extremes::Utf8(Vec::new()),
+            DataType::Timestamp => Extremes::Timestamp(Vec::new()),
+            DataType::Date => Extremes::Date(Vec::new()),
+        }
+    }
+
+    fn resize(&mut self, groups: usize) {
+        match self {
+            Extremes::Bool(v) => v.resize(groups, false),
+            Extremes::Int64(v) | Extremes::Timestamp(v) => v.resize(groups, 0),
+            Extremes::Float64(v) => v.resize(groups, 0.0),
+            Extremes::Utf8(v) => v.resize(groups, String::new()),
+            Extremes::Date(v) => v.resize(groups, 0),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Extremes::Bool(v) => v.capacity(),
+            Extremes::Int64(v) | Extremes::Timestamp(v) => v.capacity() * 8,
+            Extremes::Float64(v) => v.capacity() * 8,
+            Extremes::Utf8(v) => v.capacity() * size_of::<String>(),
+            Extremes::Date(v) => v.capacity() * 4,
+        }
+    }
+
+    /// Fold the valid rows of `col` into the extremes of their groups:
+    /// strict comparisons, so a tie keeps the value already there (floats
+    /// by `f64::total_cmp`, as [`Value::total_cmp`] orders them).
+    fn fold(
+        &mut self,
+        seen: &mut [bool],
+        col: &Column,
+        want_min: bool,
+        group: impl Fn(usize) -> usize + Copy,
+        heap: &mut usize,
+    ) -> Result<()> {
+        let valid = col.validity();
+        let n = col.len();
+        // What a value must compare as against the group's to replace it.
+        let want = if want_min {
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        };
+        match (self, col) {
+            (Extremes::Bool(best), Column::Bool(v, _)) => {
+                extreme(best, seen, v, valid, group, |a, b| a.cmp(&b) == want)
+            }
+            (Extremes::Int64(best), Column::Int64(v, _))
+            | (Extremes::Timestamp(best), Column::Timestamp(v, _)) => {
+                extreme(best, seen, v, valid, group, |a, b| a.cmp(&b) == want)
+            }
+            (Extremes::Date(best), Column::Date(v, _)) => {
+                extreme(best, seen, v, valid, group, |a, b| a.cmp(&b) == want)
+            }
+            (Extremes::Float64(best), Column::Float64(v, _)) => {
+                extreme(best, seen, v, valid, group, |a, b| a.total_cmp(&b) == want)
+            }
+            (Extremes::Utf8(best), Column::Utf8(v, _)) => {
+                extreme_str(best, seen, (n, valid), group, want, heap, |i| &v[i])
+            }
+            (Extremes::Utf8(best), Column::Dict(d)) => {
+                extreme_str(best, seen, (n, valid), group, want, heap, |i| d.value(i))
+            }
+            (_, col) => return Err(mismatch(col)),
+        }
+        Ok(())
+    }
+
+    fn into_column(self, validity: Option<Bitmap>) -> Column {
+        match self {
+            Extremes::Bool(v) => Column::Bool(v, validity),
+            Extremes::Int64(v) => Column::Int64(v, validity),
+            Extremes::Float64(v) => Column::Float64(v, validity),
+            Extremes::Utf8(v) => Column::Utf8(v, validity),
+            Extremes::Timestamp(v) => Column::Timestamp(v, validity),
+            Extremes::Date(v) => Column::Date(v, validity),
+        }
+    }
+}
+
+/// Fold fixed-width values into per-group extremes: `better(x, best)`
+/// replaces the group's value.
+fn extreme<T: Copy>(
+    best: &mut [T],
+    seen: &mut [bool],
+    values: &[T],
+    valid: Option<&Bitmap>,
+    group: impl Fn(usize) -> usize,
+    better: impl Fn(T, T) -> bool,
+) {
+    each_valid(values.len(), valid, |i| {
+        let (g, x) = (group(i), values[i]);
+        if !seen[g] || better(x, best[g]) {
+            best[g] = x;
+            seen[g] = true;
+        }
+    });
+}
+
+/// [`extreme`] over strings, without cloning: only a new extreme is
+/// copied, into the group's own buffer.
+fn extreme_str<'a>(
+    best: &mut [String],
+    seen: &mut [bool],
+    (n, valid): (usize, Option<&Bitmap>),
+    group: impl Fn(usize) -> usize,
+    want: Ordering,
+    heap: &mut usize,
+    value: impl Fn(usize) -> &'a str,
+) {
+    each_valid(n, valid, |i| {
+        let (g, x) = (group(i), value(i));
+        if !seen[g] || x.cmp(best[g].as_str()) == want {
+            let before = best[g].capacity();
+            best[g].clear();
+            best[g].push_str(x);
+            *heap = *heap + best[g].capacity() - before;
+            seen[g] = true;
+        }
+    });
+}
+
+/// Call `f` with every row of `n` that `valid` (none: every row) marks
+/// valid, in order — a word-at-a-time scan of the bitmap.
+#[inline]
+fn each_valid(n: usize, valid: Option<&Bitmap>, f: impl FnMut(usize)) {
+    match valid {
+        None => (0..n).for_each(f),
+        Some(b) => b.for_each_set(f),
+    }
+}
+
+/// A validity bitmap from one flag per row, `None` when all are valid.
+fn validity(valid: impl Iterator<Item = bool>) -> Option<Bitmap> {
+    let valid: Vec<bool> = valid.collect();
+    normalize_validity(Some(Bitmap::from_bools(&valid)))
+}
+
+fn mismatch(col: &Column) -> ColumnarError {
+    ColumnarError::TypeMismatch {
+        expected: "the type of the aggregate's earlier batches".into(),
+        actual: col.data_type().name().into(),
+    }
+}
+
+impl Accumulator {
+    /// An accumulator of `agg` over an argument planned as `input`, holding
+    /// `groups` groups (one for a global aggregate, zero for a GROUP BY).
+    pub fn new(agg: Aggregator, input: DataType, groups: usize) -> Accumulator {
+        let state = match agg {
+            Aggregator::Count | Aggregator::CountStar => State::Count(Vec::new()),
+            Aggregator::CountDistinct => State::Distinct(Vec::new()),
+            Aggregator::Sum | Aggregator::Avg | Aggregator::Min | Aggregator::Max => State::Untyped,
+        };
+        let mut acc = Accumulator {
             agg,
-            count: 0,
-            sum_i: 0,
-            sum_f: 0.0,
-            overflowed: false,
-            min: Value::Null,
-            max: Value::Null,
-            distinct: HashSet::new(),
-        }
+            input,
+            groups: 0,
+            state,
+            heap: 0,
+        };
+        acc.resize(groups);
+        acc
     }
 
-    /// Fold one scalar into the state. Nulls are skipped except for
-    /// `CountStar`.
-    pub fn update(&mut self, v: &Value) -> Result<()> {
-        if v.is_null() {
-            if self.agg == Aggregator::CountStar {
-                self.count += 1;
-            }
-            return Ok(());
-        }
-        self.count += 1;
-        match self.agg {
-            Aggregator::Count | Aggregator::CountStar => {}
-            Aggregator::CountDistinct => {
-                self.distinct
-                    .insert(RowKey::from_values(std::slice::from_ref(v)));
-            }
-            Aggregator::Sum | Aggregator::Avg => match v {
-                Value::Int64(i) => {
-                    match self.sum_i.checked_add(*i) {
-                        Some(s) => self.sum_i = s,
-                        None => self.overflowed = true,
-                    }
-                    self.sum_f += *i as f64;
-                }
-                Value::Float64(f) => self.sum_f += f,
-                other => {
-                    return Err(ColumnarError::TypeMismatch {
-                        expected: "numeric".into(),
-                        actual: format!("{other:?}"),
-                    })
-                }
-            },
-            Aggregator::Min => {
-                if self.min.is_null() || v.total_cmp(&self.min).is_lt() {
-                    self.min = v.clone();
-                }
-            }
-            Aggregator::Max => {
-                if self.max.is_null() || v.total_cmp(&self.max).is_gt() {
-                    self.max = v.clone();
-                }
-            }
-        }
-        Ok(())
+    /// Fold a batch: row `i` into group `ids[i]`. `groups` (the grouper's
+    /// count so far) is at least one more than every id. `arg` is the
+    /// aggregate's argument column, `None` for COUNT(\*).
+    pub fn update(&mut self, ids: &[u32], groups: usize, arg: Option<&Column>) -> Result<()> {
+        self.resize(groups.max(self.groups));
+        self.fold(arg, ids.len(), |i| ids[i] as usize)
     }
 
-    /// Fold a whole column into the state. Typed, validity-mask-driven
-    /// loops for every (aggregator, type) combination the engine runs hot;
-    /// the boxed per-row fallback only remains for `CountDistinct` and
-    /// cross-type oddities.
-    pub fn update_column(&mut self, col: &Column) -> Result<()> {
-        match (self.agg, col) {
-            (Aggregator::Sum | Aggregator::Avg, Column::Int64(values, None)) => {
-                for &x in values {
-                    match self.sum_i.checked_add(x) {
-                        Some(s) => self.sum_i = s,
-                        None => self.overflowed = true,
-                    }
-                    self.sum_f += x as f64;
-                }
-                self.count += values.len() as i64;
-                Ok(())
-            }
-            (Aggregator::Sum | Aggregator::Avg, Column::Int64(values, Some(b))) => {
-                let vb = b.to_bools();
-                for (i, &x) in values.iter().enumerate() {
-                    if vb[i] {
-                        match self.sum_i.checked_add(x) {
-                            Some(s) => self.sum_i = s,
-                            None => self.overflowed = true,
-                        }
-                        self.sum_f += x as f64;
-                        self.count += 1;
-                    }
-                }
-                Ok(())
-            }
-            (Aggregator::Sum | Aggregator::Avg, Column::Float64(values, None)) => {
-                for &x in values {
-                    self.sum_f += x;
-                }
-                self.count += values.len() as i64;
-                Ok(())
-            }
-            (Aggregator::Sum | Aggregator::Avg, Column::Float64(values, Some(b))) => {
-                let vb = b.to_bools();
-                for (i, &x) in values.iter().enumerate() {
-                    if vb[i] {
-                        self.sum_f += x;
-                        self.count += 1;
-                    }
-                }
-                Ok(())
-            }
-            (Aggregator::Count, _) => {
-                self.count += (col.len() - col.null_count()) as i64;
-                Ok(())
-            }
-            (Aggregator::CountStar, _) => {
-                self.count += col.len() as i64;
-                Ok(())
-            }
-            (Aggregator::Min | Aggregator::Max, _) => {
-                let want_min = self.agg == Aggregator::Min;
-                let (min, max) = col.min_max();
-                let best = if want_min { min } else { max };
-                self.count += (col.len() - col.null_count()) as i64;
-                if !best.is_null() {
-                    let slot = if want_min {
-                        &mut self.min
-                    } else {
-                        &mut self.max
-                    };
-                    let better = slot.is_null()
-                        || if want_min {
-                            best.total_cmp(slot).is_lt()
-                        } else {
-                            best.total_cmp(slot).is_gt()
-                        };
-                    if better {
-                        *slot = best;
-                    }
-                }
-                Ok(())
-            }
-            _ => {
-                for v in col.iter_values() {
-                    self.update(&v)?;
-                }
-                Ok(())
-            }
-        }
+    /// Fold every row of a batch of `rows` rows into group 0.
+    pub fn update_all(&mut self, rows: usize, arg: Option<&Column>) -> Result<()> {
+        self.resize(self.groups.max(1));
+        self.fold(arg, rows, |_| 0)
     }
 
-    /// Merge another state of the same aggregator (partial aggregation).
-    pub fn merge(&mut self, other: &AggState) -> Result<()> {
-        if self.agg != other.agg {
-            return Err(ColumnarError::InvalidArgument(
-                "cannot merge different aggregators".into(),
-            ));
-        }
-        self.count += other.count;
-        self.overflowed |= other.overflowed;
-        self.distinct.extend(other.distinct.iter().cloned());
-        match self.sum_i.checked_add(other.sum_i) {
-            Some(s) => self.sum_i = s,
-            None => self.overflowed = true,
-        }
-        self.sum_f += other.sum_f;
-        if self.min.is_null() || (!other.min.is_null() && other.min.total_cmp(&self.min).is_lt()) {
-            self.min = other.min.clone();
-        }
-        if self.max.is_null() || (!other.max.is_null() && other.max.total_cmp(&self.max).is_gt()) {
-            self.max = other.max.clone();
-        }
-        Ok(())
+    /// Heap footprint: the vectors' capacity and the strings and distinct
+    /// values they own.
+    pub fn bytes(&self) -> usize {
+        let vectors = match &self.state {
+            State::Untyped => 0,
+            State::Count(counts) => counts.capacity() * 8,
+            State::IntSum(sums, flags) => sums.capacity() * 8 + flags.capacity(),
+            State::FloatSum(sums, counts) => (sums.capacity() + counts.capacity()) * 8,
+            State::Extreme(best, seen) => best.bytes() + seen.capacity(),
+            State::Distinct(sets) => sets.capacity() * size_of::<HashSet<RowKey>>(),
+        };
+        vectors + self.heap
     }
 
-    /// Produce the final value. SQL semantics: SUM/MIN/MAX/AVG of an empty
-    /// set is NULL; COUNT is 0.
-    pub fn finish(&self, input_type: DataType) -> Result<Value> {
-        Ok(match self.agg {
-            Aggregator::Count | Aggregator::CountStar => Value::Int64(self.count),
-            Aggregator::CountDistinct => Value::Int64(self.distinct.len() as i64),
-            Aggregator::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if input_type == DataType::Float64 {
-                    Value::Float64(self.sum_f)
-                } else if self.overflowed {
+    /// The aggregate of every group, one row a group.
+    pub fn finish(self) -> Result<Column> {
+        let counted = |counts: &[i64]| validity(counts.iter().map(|&c| c > 0));
+        Ok(match self.state {
+            State::Untyped => Column::new_null(self.agg.output_type(self.input), self.groups),
+            State::Count(counts) => Column::Int64(counts, None),
+            State::Distinct(sets) => {
+                Column::Int64(sets.iter().map(|s| s.len() as i64).collect(), None)
+            }
+            State::IntSum(sums, flags) => {
+                if flags.iter().any(|f| f & OVERFLOWED != 0) {
                     return Err(ColumnarError::Overflow("SUM".into()));
-                } else {
-                    Value::Int64(self.sum_i)
                 }
+                Column::Int64(sums, validity(flags.iter().map(|f| f & SEEN != 0)))
             }
-            Aggregator::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(self.sum_f / self.count as f64)
-                }
+            State::FloatSum(sums, counts) if self.agg == Aggregator::Avg => {
+                let mean = |(&sum, &count): (&f64, &i64)| match count {
+                    0 => 0.0,
+                    n => sum / n as f64,
+                };
+                Column::Float64(
+                    sums.iter().zip(&counts).map(mean).collect(),
+                    counted(&counts),
+                )
             }
-            Aggregator::Min => self.min.clone(),
-            Aggregator::Max => self.max.clone(),
+            State::FloatSum(sums, counts) => Column::Float64(sums, counted(&counts)),
+            State::Extreme(best, seen) => best.into_column(validity(seen.into_iter())),
         })
     }
-}
 
-/// Aggregate one full column to a single scalar.
-pub fn aggregate_column(agg: Aggregator, col: &Column) -> Result<Value> {
-    let mut state = AggState::new(agg);
-    state.update_column(col)?;
-    state.finish(col.data_type())
-}
-
-#[inline]
-fn ord(lt: bool, want_min: bool, gt: bool) -> bool {
-    if want_min {
-        lt
-    } else {
-        gt
+    fn resize(&mut self, groups: usize) {
+        self.groups = groups;
+        match &mut self.state {
+            State::Untyped => {}
+            State::Count(counts) => counts.resize(groups, 0),
+            State::IntSum(sums, flags) => {
+                sums.resize(groups, 0);
+                flags.resize(groups, 0);
+            }
+            State::FloatSum(sums, counts) => {
+                sums.resize(groups, 0.0);
+                counts.resize(groups, 0);
+            }
+            State::Extreme(best, seen) => {
+                best.resize(groups);
+                seen.resize(groups, false);
+            }
+            State::Distinct(sets) => sets.resize_with(groups, HashSet::new),
+        }
     }
+
+    /// Type an untyped state by the argument column `col`. SUM and AVG take
+    /// numbers only: a non-numeric argument fails at its first value, and
+    /// leaves the state untyped while it has none.
+    fn type_by(&mut self, col: &Column) -> Result<()> {
+        self.state = match (self.agg, col.data_type()) {
+            (Aggregator::Min | Aggregator::Max, dt) => {
+                State::Extreme(Extremes::new(dt), Vec::new())
+            }
+            (Aggregator::Sum, DataType::Int64) => State::IntSum(Vec::new(), Vec::new()),
+            (_, DataType::Int64 | DataType::Float64) => State::FloatSum(Vec::new(), Vec::new()),
+            _ => match (0..col.len()).find(|&i| col.is_valid(i)) {
+                Some(i) => {
+                    return Err(ColumnarError::TypeMismatch {
+                        expected: "numeric".into(),
+                        actual: format!("{:?}", col.get(i)?),
+                    })
+                }
+                None => return Ok(()),
+            },
+        };
+        self.resize(self.groups);
+        Ok(())
+    }
+
+    /// Fold `rows` rows, row `i` into group `group(i)`.
+    fn fold(
+        &mut self,
+        arg: Option<&Column>,
+        rows: usize,
+        group: impl Fn(usize) -> usize + Copy,
+    ) -> Result<()> {
+        let Some(col) = arg else {
+            let State::Count(counts) = &mut self.state else {
+                let what = format!("{:?} needs an argument", self.agg);
+                return Err(ColumnarError::InvalidArgument(what));
+            };
+            (0..rows).for_each(|i| counts[group(i)] += 1);
+            return Ok(());
+        };
+        if col.len() != rows {
+            return Err(ColumnarError::LengthMismatch {
+                expected: rows,
+                actual: col.len(),
+            });
+        }
+        if let State::Untyped = self.state {
+            self.type_by(col)?;
+        }
+        let valid = col.validity();
+        match (&mut self.state, col) {
+            (State::Untyped, _) => {}
+            (State::Count(counts), _) if self.agg == Aggregator::CountStar => {
+                (0..rows).for_each(|i| counts[group(i)] += 1)
+            }
+            (State::Count(counts), _) => each_valid(rows, valid, |i| counts[group(i)] += 1),
+            (State::IntSum(sums, flags), Column::Int64(v, _)) => each_valid(rows, valid, |i| {
+                let g = group(i);
+                match sums[g].checked_add(v[i]) {
+                    Some(sum) => {
+                        sums[g] = sum;
+                        flags[g] |= SEEN;
+                    }
+                    None => flags[g] |= SEEN | OVERFLOWED,
+                }
+            }),
+            (State::FloatSum(sums, counts), Column::Int64(v, _)) => each_valid(rows, valid, |i| {
+                let g = group(i);
+                sums[g] += v[i] as f64;
+                counts[g] += 1;
+            }),
+            (State::FloatSum(sums, counts), Column::Float64(v, _)) => {
+                each_valid(rows, valid, |i| {
+                    let g = group(i);
+                    sums[g] += v[i];
+                    counts[g] += 1;
+                })
+            }
+            (State::Extreme(best, seen), col) => {
+                let want_min = self.agg == Aggregator::Min;
+                best.fold(seen, col, want_min, group, &mut self.heap)?
+            }
+            (State::Distinct(sets), col) => {
+                for i in (0..rows).filter(|&i| col.is_valid(i)) {
+                    let value = col.get(i)?;
+                    let bytes = match &value {
+                        Value::Utf8(s) => s.len(),
+                        _ => 0,
+                    };
+                    if sets[group(i)].insert(RowKey::from_values(std::slice::from_ref(&value))) {
+                        self.heap += 2 * size_of::<RowKey>() + bytes;
+                    }
+                }
+            }
+            (_, col) => return Err(mismatch(col)),
+        }
+        Ok(())
+    }
+}
+
+/// Aggregate one full column to a single scalar: an accumulator over one
+/// group.
+pub fn aggregate_column(agg: Aggregator, col: &Column) -> Result<Value> {
+    let mut acc = Accumulator::new(agg, col.data_type(), 1);
+    acc.update_all(col.len(), Some(col))?;
+    acc.finish()?.get(0)
+}
+
+/// One group's aggregate as a value of its own: a one-group
+/// [`Accumulator`], for callers that keep a state per group and fold into
+/// them with [`update_grouped`]. The executor does not: it keeps one
+/// accumulator per aggregate.
+#[derive(Debug, Clone)]
+pub struct AggState(Accumulator);
+
+impl AggState {
+    pub fn new(agg: Aggregator) -> AggState {
+        AggState(Accumulator::new(agg, DataType::Int64, 1))
+    }
+
+    /// The group's aggregate.
+    pub fn finish(self) -> Result<Value> {
+        self.0.finish()?.get(0)
+    }
+}
+
+/// Fold a batch into per-group states: row `i` into `states[ids[i]]`
+/// (every id must be `< states.len()`); `arg` is the aggregate's argument
+/// column, or `None` for COUNT(\*). Each group's rows are gathered in row
+/// order and folded as one column.
+pub fn update_grouped(states: &mut [AggState], ids: &[u32], arg: Option<&Column>) -> Result<()> {
+    if let Some(col) = arg.filter(|c| c.len() != ids.len()) {
+        return Err(ColumnarError::LengthMismatch {
+            expected: ids.len(),
+            actual: col.len(),
+        });
+    }
+    // A stable counting sort of the rows by group.
+    let mut starts = vec![0usize; states.len() + 1];
+    for &g in ids {
+        starts[g as usize + 1] += 1;
+    }
+    for g in 0..states.len() {
+        starts[g + 1] += starts[g];
+    }
+    let (mut next, mut rows) = (starts.clone(), vec![0usize; ids.len()]);
+    for (i, &g) in ids.iter().enumerate() {
+        rows[next[g as usize]] = i;
+        next[g as usize] += 1;
+    }
+    for (state, range) in states.iter_mut().zip(starts.windows(2)) {
+        let rows = &rows[range[0]..range[1]];
+        let part = arg.map(|c| take_column(c, rows)).transpose()?;
+        state.0.update_all(rows.len(), part.as_ref())?;
+    }
+    Ok(())
 }
 
 /// Maps key rows to dense group ids, preserving first-appearance order
 /// across every batch it sees. The SQL executor keeps one `Grouper` per
 /// GROUP BY, DISTINCT or join build side, alive across batches: an
-/// aggregate feeds the ids to [`update_grouped`], so hot aggregation loops
-/// index a flat `Vec<AggState>`; a join chains its build rows per id and
-/// resolves probe rows with [`Grouper::lookup_ids`].
+/// aggregate feeds the ids to each of its [`Accumulator`]s, whose vectors
+/// they index; a join chains its build rows per id and resolves probe rows
+/// with [`Grouper::lookup_ids`].
 ///
 /// One interner, two ways to find a key in it. The interner is the key
 /// store — typed words (`hash::key_words`), never boxed values: a group's
@@ -305,7 +563,10 @@ fn ord(lt: bool, want_min: bool, gt: bool) -> bool {
 ///   ones as one slice (then the strings, if the key has any).
 /// * The **dense front** (`DenseFront`) — a direct-addressed table of
 ///   ids, used instead while every key column is Bool/Int64/Date/Timestamp
-///   and the observed key domain is small: no hashing, no comparing. Keys
+///   and the observed key domain is small: no hashing, no comparing. A
+///   block of rows is resolved a column at a time — each key column adds
+///   its digits to the block's table cells — and then one table probe a
+///   row; a key's words are made only for a row that opens a group. Keys
 ///   it interns reach the hash index only if the front is dropped.
 #[derive(Debug, Default)]
 pub struct Grouper {
@@ -314,7 +575,7 @@ pub struct Grouper {
     types: Vec<DataType>,
     groups: usize,
     /// Every key's words, [`hash::key_stride`] a group.
-    cells: Vec<u64>,
+    words: Vec<u64>,
     /// Per Float64 and per string key column (by position), whose word is
     /// not the value: each group's first value as it came (zero sign, NaN
     /// payload), the type's default under a NULL.
@@ -332,8 +593,8 @@ pub struct Grouper {
     dense: Option<DenseFront>,
 }
 
-/// Rows resolved at a time: their words stay in L1 until they are probed,
-/// and the scratch does not grow with the batch.
+/// Rows resolved at a time: their words or table cells stay in L1 until
+/// they are probed, and the scratch does not grow with the batch.
 const BLOCK: usize = 1024;
 
 const EMPTY: u32 = u32::MAX;
@@ -388,14 +649,43 @@ impl Dim {
         self.span = new_hi.abs_diff(new_lo).checked_add(1)?;
         Some(())
     }
+
+    /// Add the digit × radix of rows `rows` of a key column (`values`,
+    /// `validity`) to `cells`: the value's offset from `lo`, or `span`
+    /// under a NULL. Every cell is below [`DENSE_CELLS`], so `u32`.
+    fn add<T: Copy>(
+        &self,
+        cells: &mut [u32],
+        values: &[T],
+        validity: &Option<Bitmap>,
+        rows: Range<usize>,
+        int: impl Fn(T) -> i64,
+    ) {
+        let (lo, radix) = (self.lo, self.radix as u32);
+        let digit = |x: T| (int(x).wrapping_sub(lo) as u32).wrapping_mul(radix);
+        let values = &values[rows.clone()];
+        match validity {
+            None => {
+                for (cell, &x) in cells.iter_mut().zip(values) {
+                    *cell += digit(x);
+                }
+            }
+            Some(b) => {
+                let null = self.span as u32 * radix;
+                for ((cell, &x), i) in cells.iter_mut().zip(values).zip(rows) {
+                    *cell += if b.get(i) { digit(x) } else { null };
+                }
+            }
+        }
+    }
 }
 
 impl DenseFront {
     /// Make the table hold every key of `cols`: as it is if it does, else
     /// widened — with slack if that fits the bound, exactly otherwise — and
-    /// refilled from the key store (`cells`), O(groups + table). `false`:
+    /// refilled from the key store (`words`), O(groups + table). `false`:
     /// the observed domain is past [`DENSE_CELLS`].
-    fn cover(&mut self, cols: &[&Column], cells: &[u64]) -> bool {
+    fn cover(&mut self, cols: &[&Column], words: &[u64]) -> bool {
         let widened = |slack: bool| {
             let mut dims = self.dims.clone();
             let mut size = 1usize;
@@ -413,7 +703,7 @@ impl DenseFront {
             self.dims = dims;
             self.table.clear();
             self.table.resize(size, EMPTY);
-            let keys = cells.chunks_exact(hash::key_stride(self.dims.len()));
+            let keys = words.chunks_exact(hash::key_stride(self.dims.len()));
             for (group, key) in keys.enumerate() {
                 let cell = self.cell_of(key);
                 self.table[cell] = group as u32;
@@ -440,6 +730,24 @@ impl DenseFront {
         }
         cell
     }
+
+    /// The table cell of each row `rows` of `cols`, whose keys the table
+    /// holds ([`Self::cover`]): each key column adds its digits × radix to
+    /// the block's cells in one typed pass.
+    fn cells(&self, cols: &[&Column], rows: Range<usize>, cells: &mut Vec<u32>) {
+        cells.clear();
+        cells.resize(rows.len(), 0);
+        for (dim, col) in self.dims.iter().zip(cols) {
+            let at = rows.clone();
+            match col {
+                Column::Int64(v, b) | Column::Timestamp(v, b) => dim.add(cells, v, b, at, |x| x),
+                Column::Date(v, b) => dim.add(cells, v, b, at, i64::from),
+                Column::Bool(v, b) => dim.add(cells, v, b, at, i64::from),
+                // No dense front holds other key types.
+                Column::Float64(..) | Column::Utf8(..) | Column::Dict(_) => {}
+            }
+        }
+    }
 }
 
 impl Grouper {
@@ -451,12 +759,22 @@ impl Grouper {
         self.groups
     }
 
+    /// Which lookup the last batch was resolved by: `"dense"` (the
+    /// direct-addressed front) or `"hash"` (the hash index, and the answer
+    /// before any batch).
+    pub fn lookup(&self) -> &'static str {
+        match self.dense {
+            Some(_) => "dense",
+            None => "hash",
+        }
+    }
+
     /// Group keys in first-appearance order, one column per key column:
     /// row `g` is group `g`'s key (a float's its first row's own value),
     /// NULL cells holding what a [`crate::ColumnBuilder`] writes there.
     pub fn key_columns(&self) -> Vec<Column> {
         let width = self.types.len();
-        let keys = || self.cells.chunks_exact(hash::key_stride(width));
+        let keys = || self.words.chunks_exact(hash::key_stride(width));
         let column = |(c, dt): (usize, &DataType)| {
             let valid: Vec<bool> = keys()
                 .map(|key| key[width + c / 64] >> (c % 64) & 1 == 0)
@@ -479,7 +797,7 @@ impl Grouper {
     /// dense table — for executors that budget their state.
     pub fn key_bytes(&self) -> usize {
         let kept = self.floats.len() * 8 + self.strings.len() * std::mem::size_of::<String>();
-        self.cells.len() * 8
+        self.words.len() * 8
             + self.groups * kept
             + self.string_bytes
             + self.slots.len() * 8
@@ -514,7 +832,7 @@ impl Grouper {
             return Ok(());
         }
         let mut dense = self.dense.take();
-        dense.take_if(|dense| !dense.cover(&cols, &self.cells));
+        dense.take_if(|dense| !dense.cover(&cols, &self.words));
         if dense.is_none() {
             self.reindex();
         }
@@ -522,9 +840,8 @@ impl Grouper {
         if let [Column::Dict(d)] = cols[..] {
             let mut code_group = vec![EMPTY; d.dict().len()];
             let mut null_group = EMPTY;
-            let vb = d.validity().map(Bitmap::to_bools);
             for (i, &c) in d.codes().iter().enumerate() {
-                let slot = if vb.as_ref().is_none_or(|v| v[i]) {
+                let slot = if d.validity().is_none_or(|b| b.get(i)) {
                     &mut code_group[c as usize]
                 } else {
                     &mut null_group
@@ -538,24 +855,29 @@ impl Grouper {
             return Ok(());
         }
         let stride = hash::key_stride(cols.len());
+        let (mut cells, mut fresh) = (Vec::new(), Vec::new());
         for start in (0..n).step_by(BLOCK) {
             let rows = start..(start + BLOCK).min(n);
-            hash::key_words(&cols, rows.clone(), &mut words);
-            let keys = rows.zip(words.chunks_exact(stride));
             let Some(dense) = &mut dense else {
+                hash::key_words(&cols, rows.clone(), &mut words);
+                let keys = rows.zip(words.chunks_exact(stride));
                 ids.extend(keys.map(|(i, key)| self.intern(key, &cols, i)));
                 continue;
             };
-            for (_, key) in keys {
-                let cell = dense.cell_of(key);
-                let group = &mut dense.table[cell];
+            dense.cells(&cols, rows.clone(), &mut cells);
+            fresh.clear();
+            for (i, &cell) in rows.zip(&cells) {
+                let group = &mut dense.table[cell as usize];
                 if *group == EMPTY {
                     *group = self.groups as u32;
-                    self.cells.extend_from_slice(key);
                     self.groups += 1;
+                    fresh.push(i);
                 }
                 ids.push(*group);
             }
+            // The rows that opened groups, in id order: their keys' words.
+            hash::key_words(&cols, fresh.iter().copied(), &mut words);
+            self.words.extend_from_slice(&words);
         }
         self.dense = dense;
         Ok(())
@@ -637,7 +959,7 @@ impl Grouper {
                 !cols[*c].is_valid(i) || kept[g] == str_at(cols[*c], i)
             };
             if seen == tag
-                && self.cells[g * key.len()..][..key.len()] == *key
+                && self.words[g * key.len()..][..key.len()] == *key
                 && self.strings.iter().all(same_strings)
             {
                 return Ok(group);
@@ -657,7 +979,7 @@ impl Grouper {
         self.find(hash, key, cols, i).unwrap_or_else(|at| {
             let group = self.groups as u32;
             self.slots[at] = (group, (hash >> 32) as u32);
-            self.cells.extend_from_slice(key);
+            self.words.extend_from_slice(key);
             for (c, kept) in &mut self.floats {
                 let value = cols[*c].as_f64().ok().filter(|_| cols[*c].is_valid(i));
                 kept.push(value.map_or(0.0, |(v, _)| v[i]));
@@ -690,7 +1012,7 @@ impl Grouper {
         let mask = self.slots.len() - 1;
         let stride = hash::key_stride(self.types.len());
         for group in self.indexed..self.groups {
-            let hash = hash::hash_words(&self.cells[group * stride..][..stride]);
+            let hash = hash::hash_words(&self.words[group * stride..][..stride]);
             let mut at = hash as usize & mask;
             while self.slots[at].0 != EMPTY {
                 at = (at + 1) & mask;
@@ -722,134 +1044,10 @@ fn str_at(col: &Column, i: usize) -> &str {
     }
 }
 
-/// Accumulate one batch into per-group aggregate states. `ids[i]` selects
-/// the state updated by row `i` (all ids must be `< states.len()`); `arg`
-/// is the aggregate's argument column, or `None` for `COUNT(*)`.
-///
-/// Hot combinations — SUM/AVG over numerics, COUNT, and MIN/MAX over
-/// strings (plain or dictionary) — run as typed validity-masked loops; the
-/// rest falls back to the per-row boxed update, which for fixed-width types
-/// never heap-allocates.
-pub fn update_grouped(states: &mut [AggState], ids: &[u32], arg: Option<&Column>) -> Result<()> {
-    let Some(col) = arg else {
-        for &g in ids {
-            states[g as usize].count += 1;
-        }
-        return Ok(());
-    };
-    if col.len() != ids.len() {
-        return Err(ColumnarError::LengthMismatch {
-            expected: ids.len(),
-            actual: col.len(),
-        });
-    }
-    let Some(agg) = states.first().map(|s| s.agg) else {
-        return Ok(());
-    };
-    match (agg, col) {
-        (Aggregator::Sum | Aggregator::Avg, Column::Int64(values, validity)) => {
-            let vb = validity.as_ref().map(Bitmap::to_bools);
-            for (i, &x) in values.iter().enumerate() {
-                if vb.as_ref().is_none_or(|v| v[i]) {
-                    let s = &mut states[ids[i] as usize];
-                    match s.sum_i.checked_add(x) {
-                        Some(v) => s.sum_i = v,
-                        None => s.overflowed = true,
-                    }
-                    s.sum_f += x as f64;
-                    s.count += 1;
-                }
-            }
-            Ok(())
-        }
-        (Aggregator::Sum | Aggregator::Avg, Column::Float64(values, validity)) => {
-            let vb = validity.as_ref().map(Bitmap::to_bools);
-            for (i, &x) in values.iter().enumerate() {
-                if vb.as_ref().is_none_or(|v| v[i]) {
-                    let s = &mut states[ids[i] as usize];
-                    s.sum_f += x;
-                    s.count += 1;
-                }
-            }
-            Ok(())
-        }
-        (Aggregator::Count, _) => {
-            match col.validity() {
-                None => {
-                    for &g in ids {
-                        states[g as usize].count += 1;
-                    }
-                }
-                Some(b) => {
-                    let vb = b.to_bools();
-                    for (i, &g) in ids.iter().enumerate() {
-                        if vb[i] {
-                            states[g as usize].count += 1;
-                        }
-                    }
-                }
-            }
-            Ok(())
-        }
-        (Aggregator::CountStar, _) => {
-            for &g in ids {
-                states[g as usize].count += 1;
-            }
-            Ok(())
-        }
-        (Aggregator::Min | Aggregator::Max, Column::Utf8(values, validity)) => {
-            let vb = validity.as_ref().map(Bitmap::to_bools);
-            minmax_grouped_str(states, ids, vb.as_deref(), agg == Aggregator::Min, |i| {
-                values[i].as_str()
-            });
-            Ok(())
-        }
-        (Aggregator::Min | Aggregator::Max, Column::Dict(d)) => {
-            let vb = d.validity().map(Bitmap::to_bools);
-            minmax_grouped_str(states, ids, vb.as_deref(), agg == Aggregator::Min, |i| {
-                d.value(i)
-            });
-            Ok(())
-        }
-        _ => {
-            for (i, &g) in ids.iter().enumerate() {
-                states[g as usize].update(&col.get(i)?)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Grouped MIN/MAX over strings without cloning: only an actual new
-/// extremum allocates.
-fn minmax_grouped_str<'a>(
-    states: &mut [AggState],
-    ids: &[u32],
-    vb: Option<&[bool]>,
-    want_min: bool,
-    value: impl Fn(usize) -> &'a str,
-) {
-    for (i, &g) in ids.iter().enumerate() {
-        if vb.is_none_or(|v| v[i]) {
-            let s = &mut states[g as usize];
-            s.count += 1;
-            let x = value(i);
-            let slot = if want_min { &mut s.min } else { &mut s.max };
-            let better = match slot {
-                Value::Null => true,
-                Value::Utf8(cur) => ord(x < cur.as_str(), want_min, x > cur.as_str()),
-                _ => false,
-            };
-            if better {
-                *slot = Value::Utf8(x.to_string());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::reference;
 
     #[test]
     fn parse_names() {
@@ -947,45 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn count_distinct_merge_unions() {
-        let mut a = AggState::new(Aggregator::CountDistinct);
-        a.update(&Value::Int64(1)).unwrap();
-        a.update(&Value::Int64(2)).unwrap();
-        let mut b = AggState::new(Aggregator::CountDistinct);
-        b.update(&Value::Int64(2)).unwrap();
-        b.update(&Value::Int64(3)).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.finish(DataType::Int64).unwrap(), Value::Int64(3));
-    }
-
-    #[test]
-    fn merge_states() {
-        let mut a = AggState::new(Aggregator::Sum);
-        a.update(&Value::Int64(1)).unwrap();
-        let mut b = AggState::new(Aggregator::Sum);
-        b.update(&Value::Int64(2)).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.finish(DataType::Int64).unwrap(), Value::Int64(3));
-    }
-
-    #[test]
-    fn merge_min_max() {
-        let mut a = AggState::new(Aggregator::Min);
-        a.update(&Value::Int64(5)).unwrap();
-        let mut b = AggState::new(Aggregator::Min);
-        b.update(&Value::Int64(2)).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.finish(DataType::Int64).unwrap(), Value::Int64(2));
-    }
-
-    #[test]
-    fn merge_mismatched_aggs_errors() {
-        let mut a = AggState::new(Aggregator::Min);
-        let b = AggState::new(Aggregator::Max);
-        assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
     fn sum_non_numeric_errors() {
         let c = Column::from_strs(vec!["a"]);
         assert!(aggregate_column(Aggregator::Sum, &c).is_err());
@@ -997,11 +1156,8 @@ mod tests {
         let c = Column::from_opt_i64(vals.clone());
         for agg in [Aggregator::Sum, Aggregator::Avg] {
             let fast = aggregate_column(agg, &c).unwrap();
-            let mut slow = AggState::new(agg);
-            for v in c.iter_values() {
-                slow.update(&v).unwrap();
-            }
-            assert_eq!(fast, slow.finish(DataType::Int64).unwrap());
+            let slow = reference::aggregate_column_ref(agg, &c).unwrap();
+            assert_eq!(fast, slow);
         }
         let f = Column::from_opt_f64(vec![Some(1.5), None, Some(-2.25)]);
         assert_eq!(
@@ -1020,11 +1176,7 @@ mod tests {
         for c in &cols {
             for agg in [Aggregator::Min, Aggregator::Max] {
                 let fast = aggregate_column(agg, c).unwrap();
-                let mut slow = AggState::new(agg);
-                for v in c.iter_values() {
-                    slow.update(&v).unwrap();
-                }
-                assert_eq!(fast, slow.finish(c.data_type()).unwrap());
+                assert_eq!(fast, reference::aggregate_column_ref(agg, c).unwrap());
             }
         }
     }
@@ -1250,24 +1402,23 @@ mod tests {
         ] {
             let mut fast = vec![AggState::new(agg); g.num_groups()];
             update_grouped(&mut fast, &ids, Some(&arg)).unwrap();
-            let mut slow = vec![AggState::new(agg); g.num_groups()];
-            for (i, &gid) in ids.iter().enumerate() {
-                slow[gid as usize].update(&arg.get(i).unwrap()).unwrap();
-            }
-            for (f, s) in fast.iter().zip(&slow) {
-                assert_eq!(
-                    f.finish(DataType::Int64).unwrap(),
-                    s.finish(DataType::Int64).unwrap(),
-                    "agg {agg:?}"
-                );
+            let mut acc = Accumulator::new(agg, DataType::Int64, 0);
+            acc.update(&ids, g.num_groups(), Some(&arg)).unwrap();
+            let grouped = acc.finish().unwrap();
+            for (gid, f) in fast.into_iter().enumerate() {
+                let rows: Vec<usize> = (0..ids.len()).filter(|&i| ids[i] == gid as u32).collect();
+                let part = take_column(&arg, &rows).unwrap();
+                let slow = reference::aggregate_column_ref(agg, &part).unwrap();
+                assert_eq!(f.finish().unwrap(), slow, "agg {agg:?}");
+                assert_eq!(grouped.get(gid).unwrap(), slow, "agg {agg:?}");
             }
         }
 
         // COUNT(*): no argument column.
         let mut star = vec![AggState::new(Aggregator::CountStar); g.num_groups()];
         update_grouped(&mut star, &ids, None).unwrap();
-        assert_eq!(star[0].finish(DataType::Int64).unwrap(), Value::Int64(3));
-        assert_eq!(star[1].finish(DataType::Int64).unwrap(), Value::Int64(2));
+        let star: Vec<Value> = star.into_iter().map(|s| s.finish().unwrap()).collect();
+        assert_eq!(star, [Value::Int64(3), Value::Int64(2)]);
     }
 
     #[test]
@@ -1284,15 +1435,54 @@ mod tests {
         ] {
             let mut mins = vec![AggState::new(Aggregator::Min); 2];
             update_grouped(&mut mins, &ids, Some(&col)).unwrap();
-            assert_eq!(
-                mins[0].finish(DataType::Utf8).unwrap(),
-                Value::Utf8("b".into())
-            );
-            assert_eq!(
-                mins[1].finish(DataType::Utf8).unwrap(),
-                Value::Utf8("a".into())
-            );
+            let mins: Vec<Value> = mins.into_iter().map(|s| s.finish().unwrap()).collect();
+            assert_eq!(mins, [Value::Utf8("b".into()), Value::Utf8("a".into())]);
+            let mut acc = Accumulator::new(Aggregator::Min, DataType::Utf8, 0);
+            acc.update(&ids, 2, Some(&col)).unwrap();
+            assert_eq!(acc.finish().unwrap(), Column::from_strs(vec!["b", "a"]));
         }
+    }
+
+    #[test]
+    fn accumulator_keeps_one_typed_vector_per_aggregate() {
+        // 40 000 groups of COUNT(*): 8 bytes a group, not a boxed state.
+        let groups = 40_000;
+        let ids: Vec<u32> = (0..2 * groups as u32).map(|i| i % groups as u32).collect();
+        let mut count = Accumulator::new(Aggregator::CountStar, DataType::Int64, 0);
+        count.update(&ids, groups, None).unwrap();
+        assert!(count.bytes() <= 8 * groups, "{}", count.bytes());
+        assert_eq!(
+            count.finish().unwrap(),
+            Column::Int64(vec![2; groups], None)
+        );
+        // Groups appear batch by batch; those with no value finish NULL.
+        let mut sum = Accumulator::new(Aggregator::Sum, DataType::Int64, 0);
+        let arg = Column::from_opt_i64(vec![Some(4), None]);
+        sum.update(&[0, 1], 2, Some(&arg)).unwrap();
+        sum.update(&[2, 0], 3, Some(&Column::from_i64(vec![7, 1])))
+            .unwrap();
+        let want = Column::from_opt_i64(vec![Some(5), None, Some(7)]);
+        assert_eq!(sum.finish().unwrap(), want);
+    }
+
+    #[test]
+    fn a_global_accumulator_has_one_group_even_with_no_rows() {
+        for (agg, want) in [
+            (Aggregator::CountStar, Value::Int64(0)),
+            (Aggregator::CountDistinct, Value::Int64(0)),
+            (Aggregator::Sum, Value::Null),
+            (Aggregator::Max, Value::Null),
+        ] {
+            let acc = Accumulator::new(agg, DataType::Float64, 1);
+            let out = acc.finish().unwrap();
+            assert_eq!((out.len(), out.get(0).unwrap()), (1, want), "{agg:?}");
+        }
+        // SUM of strings fails at its first value, not before.
+        let mut acc = Accumulator::new(Aggregator::Sum, DataType::Utf8, 1);
+        acc.update_all(2, Some(&Column::from_opt_str(vec![None, None])))
+            .unwrap();
+        let strings = Column::from_opt_str(vec![None, Some("a")]);
+        assert!(acc.update_all(2, Some(&strings)).is_err());
     }
 
     #[test]

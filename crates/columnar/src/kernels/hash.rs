@@ -9,7 +9,6 @@ use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::datatype::Value;
 use crate::error::Result;
-use std::ops::Range;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -107,13 +106,17 @@ pub(crate) fn key_stride(width: usize) -> usize {
 /// compares them: row-major, [`key_stride`] words a row — each column's cell
 /// as one 64-bit word (the value's bits sign-extended, a float's canonical
 /// bits, a string's FNV-1a hash; 0 under a NULL), then the NULL mask. Filled
-/// a column at a time, so the type is dispatched once per block, not per
-/// cell.
-pub(crate) fn key_words(cols: &[&Column], rows: Range<usize>, out: &mut Vec<u64>) {
+/// a column at a time, so the type is dispatched once per call, not per
+/// cell. `rows` is a block of rows, or the scattered rows that opened
+/// groups.
+pub(crate) fn key_words<R>(cols: &[&Column], rows: R, out: &mut Vec<u64>)
+where
+    R: ExactSizeIterator<Item = usize> + Clone,
+{
     fn fill(
         out: &mut [u64],
         (c, width): (usize, usize),
-        rows: Range<usize>,
+        rows: impl Iterator<Item = usize>,
         valid: Option<&Bitmap>,
         word: impl Fn(usize) -> u64,
     ) {

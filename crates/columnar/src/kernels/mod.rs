@@ -15,7 +15,7 @@ pub mod hash;
 pub mod reference;
 pub mod sort;
 
-pub use agg::{aggregate_column, update_grouped, AggState, Aggregator, Grouper};
+pub use agg::{aggregate_column, update_grouped, Accumulator, AggState, Aggregator, Grouper};
 pub use arith::{add, div, modulo, mul, neg, sub};
 pub use boolean::{and_kleene, not, or_kleene};
 pub use cast::cast;

@@ -12,7 +12,7 @@ use super::hash::{hash_value, RowKey};
 use crate::batch::RecordBatch;
 use crate::bitmap::Bitmap;
 use crate::column::Column;
-use crate::datatype::Value;
+use crate::datatype::{DataType, Value};
 use crate::error::{ColumnarError, Result};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -282,14 +282,55 @@ pub fn hash_batch_rows_ref(batch: &RecordBatch, key_columns: &[usize]) -> Result
     Ok(hashes)
 }
 
-/// Scalar reference for [`super::aggregate_column`]: folds one boxed
-/// [`Value`] at a time, no slice fast paths.
+/// Scalar reference for [`super::aggregate_column`] and
+/// [`super::Accumulator`]: folds one boxed [`Value`] at a time into one
+/// boxed state, no typed vectors.
 pub fn aggregate_column_ref(agg: super::Aggregator, col: &Column) -> Result<Value> {
-    let mut state = super::AggState::new(agg);
+    use super::Aggregator as A;
+    let (mut count, mut sum_i, mut sum_f, mut overflowed) = (0i64, 0i64, 0.0f64, false);
+    let mut best = Value::Null;
+    let mut distinct = std::collections::HashSet::new();
     for i in 0..col.len() {
-        state.update(&col.get(i)?)?;
+        let v = col.get(i)?;
+        if v.is_null() {
+            count += (agg == A::CountStar) as i64;
+            continue;
+        }
+        count += 1;
+        match (agg, &v) {
+            (A::Count | A::CountStar, _) => {}
+            (A::CountDistinct, v) => {
+                distinct.insert(RowKey::from_values(std::slice::from_ref(v)));
+            }
+            (A::Sum | A::Avg, Value::Int64(x)) => {
+                match sum_i.checked_add(*x) {
+                    Some(s) => sum_i = s,
+                    None => overflowed = true,
+                }
+                sum_f += *x as f64;
+            }
+            (A::Sum | A::Avg, Value::Float64(x)) => sum_f += x,
+            (A::Sum | A::Avg, other) => {
+                return Err(ColumnarError::TypeMismatch {
+                    expected: "numeric".into(),
+                    actual: format!("{other:?}"),
+                })
+            }
+            (A::Min, v) if best.is_null() || v.total_cmp(&best).is_lt() => best = v.clone(),
+            (A::Max, v) if best.is_null() || v.total_cmp(&best).is_gt() => best = v.clone(),
+            (A::Min | A::Max, _) => {}
+        }
     }
-    state.finish(col.data_type())
+    Ok(match agg {
+        A::Count | A::CountStar => Value::Int64(count),
+        A::CountDistinct => Value::Int64(distinct.len() as i64),
+        _ if count == 0 && agg != A::Min && agg != A::Max => Value::Null,
+        A::Sum if col.data_type() == DataType::Float64 => Value::Float64(sum_f),
+        A::Sum if overflowed => return Err(ColumnarError::Overflow("SUM".into())),
+        A::Sum => Value::Int64(sum_i),
+        A::Avg => Value::Float64(sum_f / count as f64),
+        A::Min | A::Max => best,
+    })
 }
 
 /// Scalar reference for [`super::sort_indices`]: boxes every key cell as a

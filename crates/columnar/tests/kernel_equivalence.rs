@@ -372,9 +372,44 @@ fn aggregates_match_reference() {
     }
 }
 
+/// Each group's aggregate by the boxed reference: the group's rows of
+/// `arg` (the whole input), gathered in row order and folded one value at a
+/// time.
+fn per_group_reference(
+    agg: Aggregator,
+    ids: &[u32],
+    groups: usize,
+    arg: &Column,
+) -> Vec<lakehouse_columnar::Result<Value>> {
+    (0..groups as u32)
+        .map(|g| {
+            let rows: Vec<usize> = (0..ids.len()).filter(|&i| ids[i] == g).collect();
+            scalar::aggregate_column_ref(agg, &kernels::take_column(arg, &rows).expect("take"))
+        })
+        .collect()
+}
+
+/// Whether two aggregates are the same value — floats bit for bit.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// [`same_value`] for a SUM or AVG, except that any NaN equals any other:
+/// which operand's payload an addition keeps is the hardware's choice, and
+/// the compiler may swap the operands.
+fn same_sum(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float64(x), Value::Float64(y)) if x.is_nan() => y.is_nan(),
+        _ => same_value(a, b),
+    }
+}
+
 #[test]
 fn grouped_aggregation_matches_per_row_updates() {
-    use lakehouse_columnar::kernels::{update_grouped, AggState, Grouper};
+    use lakehouse_columnar::kernels::{update_grouped, Accumulator, AggState, Grouper};
     for &n in SIZES {
         for case in 0..3u64 {
             let mut rng = rng_for(0x62b, n, case);
@@ -390,26 +425,167 @@ fn grouped_aggregation_matches_per_row_updates() {
                 grouper
                     .group_ids(std::slice::from_ref(key), &mut ids)
                     .expect("group_ids");
+                let groups = grouper.num_groups();
                 for agg in [Aggregator::Sum, Aggregator::Count, Aggregator::Min] {
-                    let mut fast = vec![AggState::new(agg); grouper.num_groups()];
-                    update_grouped(&mut fast, &ids, Some(&arg)).expect("update_grouped");
-                    let mut slow = vec![AggState::new(agg); grouper.num_groups()];
-                    for (i, &g) in ids.iter().enumerate() {
-                        slow[g as usize]
-                            .update(&arg.get(i).expect("get"))
-                            .expect("update");
-                    }
-                    for (f, s) in fast.iter().zip(&slow) {
-                        assert_eq!(
-                            f.finish(DataType::Int64).expect("finish"),
-                            s.finish(DataType::Int64).expect("finish"),
-                            "grouped {agg:?} n={n}"
-                        );
+                    let want = per_group_reference(agg, &ids, groups, &arg);
+                    let mut acc = Accumulator::new(agg, DataType::Int64, 0);
+                    acc.update(&ids, groups, Some(&arg)).expect("update");
+                    let got = acc.finish().expect("finish");
+                    let mut states = vec![AggState::new(agg); groups];
+                    update_grouped(&mut states, &ids, Some(&arg)).expect("update_grouped");
+                    for (g, (want, state)) in want.into_iter().zip(states).enumerate() {
+                        let want = want.expect("reference");
+                        assert_eq!(got.get(g).expect("get"), want, "grouped {agg:?} n={n}");
+                        assert_eq!(state.finish().expect("finish"), want, "{agg:?} n={n}");
                     }
                 }
             }
         }
     }
+}
+
+/// An argument column of `n` rows for the accumulator tests, NULL-bearing,
+/// drawn from the values aggregates go wrong on: sums that overflow, ±0.0
+/// and NaN of either sign, the empty string, an unsorted dictionary.
+fn random_arg_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
+    let validity = lakehouse_columnar::column::normalize_validity(random_validity(rng, n));
+    let ints = [i64::MAX, i64::MAX - 1, i64::MIN, -1, 0, 1, 7];
+    let floats = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        0.1,
+        -2.5,
+        1e300,
+        f64::INFINITY,
+    ];
+    match kind {
+        // Small integers: no sum overflows.
+        0 => Column::Int64((0..n).map(|_| rng.gen_range(-50..50)).collect(), validity),
+        1 => Column::Int64(
+            (0..n).map(|_| ints[rng.gen_range(0..ints.len())]).collect(),
+            validity,
+        ),
+        2 => Column::Float64(
+            (0..n)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => floats[rng.gen_range(0..floats.len())],
+                    _ => rng.gen_range(-10.0..10.0),
+                })
+                .collect(),
+            validity,
+        ),
+        3 => Column::Utf8(random_strings(rng, n, 5), validity),
+        4 => {
+            let dict = ["c", "a", "", "b", "a"].map(String::from).to_vec();
+            let codes = (0..n)
+                .map(|_| rng.gen_range(0..dict.len() as u32))
+                .collect();
+            Column::Dict(DictColumn::try_new(Arc::new(dict), codes, validity).expect("dict"))
+        }
+        5 => Column::Bool((0..n).map(|_| rng.gen_bool(0.5)).collect(), validity),
+        6 => Column::Date((0..n).map(|_| rng.gen_range(-3..3)).collect(), validity),
+        _ => Column::Timestamp((0..n).map(|_| rng.gen_range(-3..3)).collect(), validity),
+    }
+}
+
+/// Every accumulator, fed a GROUP BY's batches, against the boxed reference
+/// over each group's rows: counts, distinct counts, an Int64 SUM that
+/// overflows (the typed `Overflow` error), Float64 SUM and AVG bit for bit,
+/// MIN and MAX over NaN and ±0.0, strings and dictionaries — and the same
+/// accumulator over one group (`aggregate_column`) against the reference
+/// over the whole column.
+#[test]
+fn accumulators_match_the_boxed_reference() {
+    use lakehouse_columnar::kernels::{Accumulator, Grouper};
+    let aggs = [
+        Aggregator::Count,
+        Aggregator::CountStar,
+        Aggregator::CountDistinct,
+        Aggregator::Sum,
+        Aggregator::Avg,
+        Aggregator::Min,
+        Aggregator::Max,
+    ];
+    let mut overflows = 0;
+    for case in 0..96u64 {
+        let mut rng = rng_for(0xacc, 0, case);
+        let kind = (case % 8) as u32;
+        // Several batches of a GROUP BY, a 1-row one among them.
+        let sizes: Vec<usize> = (0..rng.gen_range(1..4usize))
+            .map(|b| if b == 1 { 1 } else { rng.gen_range(0..700) })
+            .collect();
+        let batches: Vec<(Column, Column)> = (sizes.iter())
+            .map(|&n| {
+                let key = Column::Int64((0..n).map(|_| rng.gen_range(0..9)).collect(), None);
+                // A string argument may come plain in one batch and
+                // dictionary-encoded in the next.
+                let kind = if kind == 3 || kind == 4 {
+                    rng.gen_range(3..5)
+                } else {
+                    kind
+                };
+                (key, random_arg_column(&mut rng, kind, n))
+            })
+            .collect();
+        let args: Vec<&Column> = batches.iter().map(|(_, a)| a).collect();
+        let whole = Column::concat(&args).expect("concat");
+        let numeric = matches!(whole.data_type(), DataType::Int64 | DataType::Float64);
+        for agg in aggs {
+            let summed = matches!(agg, Aggregator::Sum | Aggregator::Avg);
+            if !numeric && summed {
+                continue;
+            }
+            let same = if summed { same_sum } else { same_value };
+            let mut grouper = Grouper::new();
+            let mut acc = Accumulator::new(agg, whole.data_type(), 0);
+            let (mut ids, mut all_ids) = (Vec::new(), Vec::new());
+            for (key, arg) in &batches {
+                grouper
+                    .group_ids(std::slice::from_ref(key), &mut ids)
+                    .expect("group_ids");
+                let arg = (agg != Aggregator::CountStar).then_some(arg);
+                acc.update(&ids, grouper.num_groups(), arg).expect("update");
+                all_ids.extend_from_slice(&ids);
+            }
+            let want = per_group_reference(agg, &all_ids, grouper.num_groups(), &whole);
+            let what = format!("case {case} {agg:?} over {:?}", whole.data_type());
+            match acc.finish() {
+                Ok(got) => {
+                    assert_eq!(got.len(), want.len(), "{what}");
+                    for (g, want) in want.iter().enumerate() {
+                        let (got, want) = (got.get(g).expect("get"), want.as_ref().expect(&what));
+                        assert!(same(&got, want), "{what} group {g}: {got:?} != {want:?}");
+                    }
+                }
+                Err(e) => {
+                    overflows += 1;
+                    assert!(
+                        matches!(e, lakehouse_columnar::ColumnarError::Overflow(_)),
+                        "{what}: {e}"
+                    );
+                    assert!(
+                        want.iter().any(|w| matches!(
+                            w,
+                            Err(lakehouse_columnar::ColumnarError::Overflow(_))
+                        )),
+                        "{what}: overflow the reference has not"
+                    );
+                }
+            }
+            // One group: the whole column.
+            let whole_want = scalar::aggregate_column_ref(agg, &whole);
+            match (kernels::aggregate_column(agg, &whole), whole_want) {
+                (Ok(got), Ok(want)) => {
+                    assert!(same(&got, &want), "{what}: {got:?} != {want:?}")
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+                (got, want) => panic!("{what}: {got:?} != {want:?}"),
+            }
+        }
+    }
+    assert!(overflows > 0, "no case overflowed an Int64 SUM");
 }
 
 /// One random group-key column of `n` rows: low cardinality so groups
@@ -687,6 +863,122 @@ fn grouper_matches_reference_as_its_key_domain_widens_and_outgrows_the_dense_tab
                 known,
                 "case {case}: a lookup interned"
             );
+        }
+    }
+}
+
+/// An integer-like key column of `n` rows whose values lie in
+/// `lo..lo + span`, with NULLs in some cases.
+fn small_key_column(rng: &mut StdRng, kind: u32, n: usize, lo: i64, span: i64) -> Column {
+    let validity = lakehouse_columnar::column::normalize_validity(random_validity(rng, n));
+    let mut int = || -> Vec<i64> { (0..n).map(|_| lo + rng.gen_range(0..span)).collect() };
+    match kind {
+        0 => Column::Int64(int(), validity),
+        1 => Column::Date(int().into_iter().map(|d| d as i32).collect(), validity),
+        2 => Column::Timestamp(int(), validity),
+        _ => Column::Bool(int().into_iter().map(|v| v % 2 != 0).collect(), validity),
+    }
+}
+
+/// The dense front resolves a block a column at a time: over Int64, Date,
+/// Timestamp and Bool keys, one to three of them, NULL-bearing, with
+/// negative lows, fed as batches of 1 row, of sizes around the 1024-row
+/// block, and as one batch, its ids and keys are the boxed reference's, and
+/// the dense front served every batch.
+#[test]
+fn the_dense_front_matches_the_reference_a_column_at_a_time() {
+    use lakehouse_columnar::kernels::Grouper;
+    for case in 0..60u64 {
+        let mut rng = rng_for(0xde5e, 0, case);
+        let kinds: Vec<u32> = (0..rng.gen_range(1..4usize))
+            .map(|_| rng.gen_range(0..4))
+            .collect();
+        let lows: Vec<i64> = kinds.iter().map(|_| rng.gen_range(-40..5)).collect();
+        let sizes: Vec<usize> = match case % 3 {
+            0 => vec![1, 1, 1],
+            1 => vec![1023, 1, 1025],
+            _ => vec![2049, 1024, 7],
+        };
+        let batches: Vec<Vec<Column>> = (sizes.iter())
+            .map(|&n| {
+                let column =
+                    |(&kind, &lo): (&u32, &i64)| small_key_column(&mut rng, kind, n, lo, 9);
+                kinds.iter().zip(&lows).map(column).collect()
+            })
+            .collect();
+        let whole: Vec<Column> = (0..kinds.len())
+            .map(|c| {
+                let pieces: Vec<&Column> = batches.iter().map(|b| &b[c]).collect();
+                Column::concat(&pieces).expect("concat")
+            })
+            .collect();
+        let mut oracle = scalar::GrouperRef::default();
+        let mut want = Vec::new();
+        oracle.group_ids(&whole, &mut want).expect("ref");
+        for (how, feed) in [
+            ("batches", batches.clone()),
+            ("one batch", vec![whole.clone()]),
+        ] {
+            let (mut grouper, mut ids, mut got) = (Grouper::new(), Vec::new(), Vec::new());
+            for cols in &feed {
+                grouper.group_ids(cols, &mut ids).expect("group_ids");
+                assert_eq!(
+                    grouper.lookup(),
+                    "dense",
+                    "case {case} kinds {kinds:?}, {how}"
+                );
+                got.extend_from_slice(&ids);
+            }
+            assert_eq!(
+                got, want,
+                "case {case} kinds {kinds:?} lows {lows:?}: ids, {how}"
+            );
+            assert_eq!(grouper.num_groups(), oracle.keys.len(), "case {case}");
+            for (a, b) in key_rows(&grouper).iter().zip(&oracle.keys) {
+                assert!(same_key(a, b), "case {case} {how}: key {a:?} != {b:?}");
+            }
+        }
+    }
+}
+
+/// A key domain that outgrows the dense table on a later batch — one column
+/// far wider, or two whose product passes the bound — moves the grouper to
+/// the hash index mid-stream, for good, and the ids stay the reference's:
+/// first-appearance order across the switch.
+#[test]
+fn a_domain_that_outgrows_the_dense_table_switches_to_hash_mid_stream() {
+    use lakehouse_columnar::kernels::Grouper;
+    for case in 0..40u64 {
+        let mut rng = rng_for(0x5817, 0, case);
+        let two = case % 2 == 1;
+        let batch = |rng: &mut StdRng, n: usize, span: i64| -> Vec<Column> {
+            let mut cols = vec![small_key_column(rng, 0, n, -5, span)];
+            if two {
+                cols.push(small_key_column(rng, 2, n, 0, span));
+            }
+            cols
+        };
+        // Dense, then past the bound (2 000 000 values in one column, or
+        // 2 000 × 2 000 cells), then small keys again.
+        let wide = if two { 2_000 } else { 2_000_000 };
+        let batches = vec![
+            batch(&mut rng, 300, 6),
+            batch(&mut rng, 1500, 6),
+            batch(&mut rng, 900, wide),
+            batch(&mut rng, 400, 6),
+        ];
+        let (mut grouper, mut oracle) = (Grouper::new(), scalar::GrouperRef::default());
+        let (mut ids, mut want) = (Vec::new(), Vec::new());
+        let mut lookups = Vec::new();
+        for cols in &batches {
+            grouper.group_ids(cols, &mut ids).expect("group_ids");
+            oracle.group_ids(cols, &mut want).expect("ref");
+            assert_eq!(ids, want, "case {case}: batch {}", lookups.len());
+            lookups.push(grouper.lookup());
+        }
+        assert_eq!(lookups, ["dense", "dense", "hash", "hash"], "case {case}");
+        for (a, b) in key_rows(&grouper).iter().zip(&oracle.keys) {
+            assert!(same_key(a, b), "case {case}: key {a:?} != {b:?}");
         }
     }
 }

@@ -13,7 +13,8 @@ use std::collections::HashMap;
 /// rows and batches emitted, output bytes, wall/simulated span time, and the
 /// operator's *self* time on both clocks (span time minus the time of its
 /// direct child operators — the cost attributable to this operator alone,
-/// since parent spans enclose the time spent pulling from children).
+/// since parent spans enclose the time spent pulling from children). A
+/// grouped `Aggregate` line also carries `groups=` and `lookup=dense|hash`.
 pub fn render_analyzed(plan: &LogicalPlan, tree: &SpanTree) -> String {
     let by_path: HashMap<&str, &SpanData> = tree
         .spans
@@ -45,8 +46,14 @@ fn go(
                 child_sim += child.sim_nanos();
             }
         }
+        // A grouped Aggregate also says how many groups it made and which
+        // lookup of its grouper served them.
+        let grouping = match (span.attr_u64("groups"), span.attr_str("lookup")) {
+            (Some(groups), Some(lookup)) => format!(" groups={groups} lookup={lookup}"),
+            _ => String::new(),
+        };
         out.push_str(&format!(
-            "  [rows={} batches={} bytes={} wall={} sim={} self_wall={} self_sim={}]",
+            "  [rows={} batches={} bytes={} wall={} sim={} self_wall={} self_sim={}{grouping}]",
             span.attr_u64("rows").unwrap_or(0),
             span.attr_u64("batches").unwrap_or(0),
             span.attr_u64("bytes").unwrap_or(0),

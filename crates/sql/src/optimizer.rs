@@ -403,7 +403,17 @@ fn prune(plan: LogicalPlan, required: Required) -> Result<(LogicalPlan, Moved)> 
                 exprs,
                 schema,
             };
-            Ok((prune_input(project, None)?.0, moved))
+            match prune_input(project, None)?.0 {
+                // Nothing of it is read, and its input has no column either:
+                // the input's rows are all it would pass on. (An input with
+                // columns would widen what the nodes above were pruned to.)
+                LogicalPlan::Project { input, exprs, .. }
+                    if exprs.is_empty() && input.schema().is_empty() =>
+                {
+                    Ok((*input, moved))
+                }
+                project => Ok((project, moved)),
+            }
         }
         LogicalPlan::Join {
             left,
@@ -864,6 +874,23 @@ mod tests {
             text.contains("Sort: fare DESC, trip_distance DESC fetch=100\n"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn a_project_with_no_output_read_is_dropped() {
+        let text = explained("SELECT COUNT(*) AS n FROM (SELECT fare * 2 AS f FROM trips) s");
+        assert_eq!(
+            text,
+            "Project: __agg_0 AS n\n  Aggregate: group=[] aggs=[__agg_0]\n    \
+             Scan: trips projection=[]\n",
+        );
+        // Over an input that still has a column (the filter reads `fare`),
+        // the empty Project stays.
+        let text = explained(
+            "SELECT COUNT(*) AS n FROM (SELECT fare * 2 AS f FROM \
+             (SELECT fare FROM trips LIMIT 5) l WHERE fare > 1) s",
+        );
+        assert!(text.contains("Project: \n"), "{text}");
     }
 
     #[test]

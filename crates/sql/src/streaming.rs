@@ -35,11 +35,11 @@ use crate::error::{Result, SqlError};
 use crate::logical::{AggExpr, LogicalPlan};
 use crate::physical::{column, eval, execute_project, filter_exact};
 use lakehouse_columnar::kernels::{
-    self, filter_batch, take_batch, take_column, take_column_opt, to_selection, AggState, Grouper,
-    SortField,
+    self, filter_batch, take_batch, take_column, take_column_opt, to_selection, Accumulator,
+    Grouper, SortField,
 };
 use lakehouse_columnar::{
-    BatchStream, BatchesStream, Column, ColumnBuilder, ColumnarError, DataType, RecordBatch, Schema,
+    BatchStream, BatchesStream, Column, ColumnarError, DataType, RecordBatch, Schema,
 };
 use lakehouse_obs::{KillReason, QueryCtx, SpanGuard};
 use std::borrow::Cow;
@@ -612,9 +612,10 @@ impl BatchStream for DistinctNode {
 
 // ---- pipeline breakers ----------------------------------------------------
 
-/// Hash aggregate consuming its input batch-at-a-time: group states
-/// accumulate incrementally in first-appearance order, and only the
-/// per-group state — not the input — is retained.
+/// Hash aggregate consuming its input batch-at-a-time: one
+/// [`Accumulator`] per aggregate folds each batch into typed per-group
+/// vectors, in first-appearance order, and only that state — not the input —
+/// is retained. A global aggregate is the same accumulators over one group.
 struct AggNode {
     /// `None` once consumed.
     input: Option<Box<dyn BatchStream>>,
@@ -637,64 +638,55 @@ impl BatchStream for AggNode {
             return Ok(None);
         };
         // One `Grouper` lives across all input batches: group ids stay
-        // stable (insertion order) while each batch is accumulated by the
-        // typed grouped kernels instead of per-row boxed updates.
+        // stable (insertion order) and index every accumulator's vectors.
         let mut grouper = Grouper::new();
         let global = self.group_exprs.is_empty();
-        let new_state = |(a, _): &(AggExpr, String)| AggState::new(a.agg);
-        // Global aggregation: one group even over zero rows.
-        let mut states_per_agg: Vec<Vec<AggState>> = (self.agg_exprs.iter())
-            .map(|a| vec![new_state(a); global as usize])
+        let mut accs: Vec<Accumulator> = (self.agg_exprs.iter().zip(&self.arg_types))
+            .map(|((a, _), &t)| Accumulator::new(a.agg, t, global as usize))
             .collect();
-        let (mut ids, mut state_bytes, mut seen) = (Vec::new(), 0usize, false);
+        let (mut ids, mut seen) = (Vec::new(), false);
         while let Some(batch) = input.next_batch()? {
             seen = true;
-            let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &batch)?;
             let arg_cols = agg_args(&self.agg_exprs, &batch)?;
+            let args = accs.iter_mut().zip(&arg_cols);
             if global {
-                ids.clear();
-                ids.resize(batch.num_rows(), 0);
+                for (acc, arg) in args {
+                    acc.update_all(batch.num_rows(), arg.as_deref())?;
+                }
             } else {
+                let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &batch)?;
                 grouper.group_ids(&group_cols, &mut ids)?;
-                // Charge the grouper (keys and lookup tables) and one state
-                // per group per aggregate.
-                let states = grouper.num_groups() * self.agg_exprs.len();
-                state_bytes = grouper.key_bytes() + states * std::mem::size_of::<AggState>();
-                for (a, slots) in self.agg_exprs.iter().zip(&mut states_per_agg) {
-                    slots.resize(grouper.num_groups(), new_state(a));
+                for (acc, arg) in args {
+                    acc.update(&ids, grouper.num_groups(), arg.as_deref())?;
                 }
             }
-            for (slots, arg_col) in states_per_agg.iter_mut().zip(&arg_cols) {
-                kernels::update_grouped(slots, &ids, arg_col.as_deref())?;
-            }
-            self.meter.hold(state_bytes);
+            // The grouper's keys and lookup tables, and every accumulator.
+            let state_bytes: usize = accs.iter().map(Accumulator::bytes).sum();
+            self.meter.hold(grouper.key_bytes() + state_bytes);
         }
         drop(input);
 
         // With no input the grouper learns its key types from an empty
         // batch, so zero groups still come out as one empty column per key.
-        if !seen {
+        if !seen && !global {
             let empty = RecordBatch::new_empty(self.input_schema.clone());
             let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &empty)?;
             grouper.group_ids(&group_cols, &mut ids)?;
         }
+        if !global {
+            self.meter.span.attr("groups", grouper.num_groups() as u64);
+            self.meter.span.attr("lookup", grouper.lookup());
+        }
         // The group keys are the grouper's key columns as they are; each
         // aggregate finishes into a column beside them.
         let mut columns = grouper.key_columns();
-        let fields = self.out_schema.fields();
-        for (col, field) in columns.iter_mut().zip(fields) {
+        for acc in accs {
+            columns.push(acc.finish()?);
+        }
+        for (col, field) in columns.iter_mut().zip(self.out_schema.fields()) {
             if col.data_type() != field.data_type() {
                 *col = kernels::cast(col, field.data_type())?;
             }
-        }
-        for (slots, (arg_type, field)) in (states_per_agg.iter())
-            .zip((self.arg_types.iter()).zip(&fields[self.group_exprs.len()..]))
-        {
-            let mut b = ColumnBuilder::with_capacity(field.data_type(), slots.len());
-            for state in slots {
-                b.push_value(&state.finish(*arg_type)?)?;
-            }
-            columns.push(b.finish());
         }
         let out = RecordBatch::try_new(self.out_schema.clone(), columns)?;
         self.meter.emit(&out, 0);

@@ -80,6 +80,42 @@ fn profile_span_tree_nests_operators() {
     }
 }
 
+/// A grouped Aggregate names the grouper lookup that served it — the dense
+/// front for small integer keys, the hash index for a string key — with
+/// its group count, in its span and on its EXPLAIN ANALYZE line.
+#[test]
+fn aggregate_names_the_grouper_lookup_that_served_it() {
+    let lh = lakehouse();
+    let names = RecordBatch::try_new(
+        Schema::new(vec![Field::new("name", DataType::Utf8, false)]),
+        vec![Column::from_strs(vec!["b", "a", "b", "c"])],
+    )
+    .unwrap();
+    lh.create_table("names", &names, "main").unwrap();
+    for (sql, groups, lookup) in [
+        (
+            "SELECT grp, id, COUNT(*) AS n FROM events GROUP BY grp, id",
+            256,
+            "dense",
+        ),
+        (
+            "SELECT name, COUNT(*) AS n FROM names GROUP BY name",
+            3,
+            "hash",
+        ),
+    ] {
+        let (_, text, tree) = lh.explain_analyze_traced(sql, "main").unwrap();
+        let agg = tree.find("Aggregate").expect("Aggregate span");
+        assert_eq!(agg.attr_u64("groups"), Some(groups), "{sql}");
+        assert_eq!(agg.attr_str("lookup"), Some(lookup), "{sql}");
+        let line = (text.lines())
+            .find(|l| l.trim_start().starts_with("Aggregate"))
+            .expect(&text);
+        let want = format!(" groups={groups} lookup={lookup}]");
+        assert!(line.ends_with(&want), "{line}");
+    }
+}
+
 #[test]
 fn explain_analyze_matches_exec_report() {
     let lh = lakehouse();
