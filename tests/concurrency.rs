@@ -5,15 +5,21 @@
 //!   partitioned multi-file table, at any worker count;
 //! * one `LakehouseProvider` survives 8 concurrent queries;
 //! * two fronts over one directory see each other's commits, and a warm
-//!   statement still pays one catalog GET.
+//!   statement still pays one catalog GET;
+//! * a commit that lands while a statement's ref read is in flight is in
+//!   that statement's result, and the statement is one query record.
 
 use bauplan_core::{Lakehouse, LakehouseConfig};
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
-use lakehouse_store::{InMemoryStore, IoDispatcher, LatencyModel, ObjectStore, SimulatedStore};
+use lakehouse_store::{
+    InMemoryStore, IoDispatcher, LatencyModel, ObjectPath, ObjectStore, SimulatedStore,
+};
 use lakehouse_table::{PartitionSpec, ScanPredicate, SnapshotOperation, Table, TableIo};
 use lakehouse_workload::TaxiGenerator;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn multi_file_table(store: &Arc<dyn ObjectStore>, files: usize, rows_per_file: usize) -> Table {
     let schema = Schema::new(vec![
@@ -195,4 +201,139 @@ fn two_fronts_on_one_directory_see_each_others_commits() {
     assert_eq!(scalar(&a, SUM), Value::Int64((0..40).sum()));
     assert_eq!(gets() - g0, 1, "a repeat pays the ref alone");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An in-memory store whose every `refs.json` read takes a millisecond —
+/// a ref read as slow as an object store's — and can hold the next one
+/// open: it announces that it has arrived, then waits to be released
+/// before it reads.
+struct HeldRefs {
+    inner: Arc<InMemoryStore>,
+    hold: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+}
+
+impl HeldRefs {
+    fn over(inner: &Arc<InMemoryStore>) -> Arc<HeldRefs> {
+        Arc::new(HeldRefs {
+            inner: Arc::clone(inner),
+            hold: Mutex::new(None),
+        })
+    }
+
+    /// Hold the next ref read: (its arrival, its release).
+    fn arm(&self) -> (Receiver<()>, Sender<()>) {
+        let (arrived, arrival) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        *self.hold.lock().unwrap() = Some((arrived, released));
+        (arrival, release)
+    }
+}
+
+impl ObjectStore for HeldRefs {
+    fn put(&self, path: &ObjectPath, data: bytes::Bytes) -> lakehouse_store::Result<()> {
+        self.inner.put(path, data)
+    }
+    fn get(&self, path: &ObjectPath) -> lakehouse_store::Result<bytes::Bytes> {
+        if path.as_str().ends_with("/refs.json") {
+            std::thread::sleep(Duration::from_millis(1));
+            let held = self.hold.lock().unwrap().take();
+            if let Some((arrived, released)) = held {
+                arrived.send(()).unwrap();
+                released.recv().unwrap();
+            }
+        }
+        self.inner.get(path)
+    }
+    fn head(&self, path: &ObjectPath) -> lakehouse_store::Result<usize> {
+        self.inner.head(path)
+    }
+    fn list(&self, prefix: &str) -> lakehouse_store::Result<Vec<ObjectPath>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, path: &ObjectPath) -> lakehouse_store::Result<()> {
+        self.inner.delete(path)
+    }
+    fn put_if_matches(
+        &self,
+        path: &ObjectPath,
+        expected: Option<&[u8]>,
+        data: bytes::Bytes,
+    ) -> lakehouse_store::Result<()> {
+        self.inner.put_if_matches(path, expected, data)
+    }
+}
+
+/// Front B writes `t` straight to the objects; front A reads them through
+/// [`HeldRefs`], and has run a few statements on `t` already, so it has a
+/// head it last saw and knows its ref reads are slow.
+fn held_fronts() -> (Lakehouse, Arc<HeldRefs>, Lakehouse) {
+    let objects = Arc::new(InMemoryStore::new());
+    let config = LakehouseConfig::zero_latency;
+    let b = Lakehouse::with_store(Arc::clone(&objects) as Arc<dyn ObjectStore>, config()).unwrap();
+    b.create_table("t", &xs(0, 10), "main").unwrap();
+    let held = HeldRefs::over(&objects);
+    let a = Lakehouse::with_store(Arc::clone(&held) as Arc<dyn ObjectStore>, config()).unwrap();
+    for _ in 0..3 {
+        let n = a.query("SELECT COUNT(*) AS n FROM t", "main").unwrap();
+        assert_eq!(n.row(0).unwrap()[0], Value::Int64(10));
+    }
+    (a, held, b)
+}
+
+/// Run `statement` on another thread while its ref read is held, make
+/// `commit` land in the meantime, then let the read finish.
+fn while_the_ref_read_is_held<T: Send>(
+    held: &HeldRefs,
+    statement: impl FnOnce() -> T + Send,
+    commit: impl FnOnce(),
+) -> T {
+    let (arrival, release) = held.arm();
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(statement);
+        arrival
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the statement reads the ref");
+        commit();
+        release.send(()).unwrap();
+        reader.join().unwrap()
+    })
+}
+
+/// A statement's snapshot is the ref as read by a GET issued after the
+/// statement began: B's append, committed before A's ref read returns, is
+/// in A's answer, and A's statement is one record in `system.queries`
+/// however it got there.
+#[test]
+fn a_commit_that_lands_while_the_ref_read_is_held_is_in_the_statement() {
+    const SQL: &str = "SELECT COUNT(*) AS rows_while_held FROM t";
+    let (a, held, b) = held_fronts();
+    let out = while_the_ref_read_is_held(
+        &held,
+        || a.query(SQL, "main").unwrap(),
+        || b.append_table("t", &xs(10, 10), "main").unwrap(),
+    );
+    assert_eq!(out.row(0).unwrap()[0], Value::Int64(20), "A sees B's rows");
+    let records = lakehouse_obs::query_log().snapshot();
+    let mine = records.iter().filter(|r| r.label == SQL).count();
+    assert_eq!(mine, 1, "one statement, one query record");
+}
+
+/// A table another front creates before the ref read returns is the
+/// statement's to read: its rows, not `TableNotFound`, through SQL and
+/// through `read_table` alike.
+#[test]
+fn a_table_created_while_the_ref_read_is_held_is_found() {
+    let (a, held, b) = held_fronts();
+    let out = while_the_ref_read_is_held(
+        &held,
+        || a.query("SELECT SUM(x) AS s FROM u", "main").unwrap(),
+        || b.create_table("u", &xs(0, 5), "main").unwrap(),
+    );
+    assert_eq!(out.row(0).unwrap()[0], Value::Int64(10));
+    let out = while_the_ref_read_is_held(
+        &held,
+        || a.read_table("v", "main").unwrap(),
+        || b.create_table("v", &xs(0, 7), "main").unwrap(),
+    );
+    assert_eq!(out, xs(0, 7));
 }

@@ -20,6 +20,8 @@
 //! * A pipeline run reads the ref and the data files its scans need: fused,
 //!   nothing else, and on a warm front not even those; naive, each stage's
 //!   table documents and files too, since a stateless stage keeps no cache.
+//! * A statement that reads no catalog table makes no request at all, and
+//!   a ref read as slow as an object store's changes none of the counts.
 //! * The object cache is bounded and never holds a document that failed to
 //!   parse or a data file whose read was garbled, needed a re-read, belonged
 //!   to a bulk scan or fed a compaction; a file it holds takes no request
@@ -65,6 +67,9 @@ struct LedgerStore {
     /// byte flipped (in a data file read from its start, the first byte of
     /// the first column's first chunk).
     garble_next: Mutex<Option<&'static str>>,
+    /// How long each read of the ref takes: zero, or as long as an object
+    /// store's round trip.
+    ref_delay: std::time::Duration,
 }
 
 impl LedgerStore {
@@ -125,6 +130,9 @@ impl ObjectStore for LedgerStore {
 
     fn get(&self, path: &ObjectPath) -> lakehouse_store::Result<Bytes> {
         self.record(path);
+        if path.as_str().ends_with("/refs.json") {
+            std::thread::sleep(self.ref_delay);
+        }
         if self.garbles(path) {
             return Ok(Bytes::from_static(b"{ not a document"));
         }
@@ -311,6 +319,65 @@ fn a_statement_costs_one_request_per_object_it_needs() {
     // four documents or five data files, and the writer's four files.
     assert_eq!(reader.object_cache().misses(), 4 + 5);
     assert_eq!(writer.object_cache().misses(), 4);
+}
+
+/// A ledger store whose ref reads take as long as an object store's.
+fn slow_ref_store() -> Arc<LedgerStore> {
+    Arc::new(LedgerStore {
+        ref_delay: std::time::Duration::from_micros(400),
+        ..LedgerStore::default()
+    })
+}
+
+/// A statement with no FROM, or over `system.*` alone, reads no catalog
+/// table, so it reads no ref either: not inline, and not in the background
+/// on a front whose ref reads are slow.
+#[test]
+fn a_statement_that_reads_no_catalog_table_makes_no_request() {
+    let _serial = serial();
+    for store in [Arc::new(LedgerStore::default()), slow_ref_store()] {
+        let lh = taxi_lake(&store);
+        lh.query(ONE_DAY, "main").unwrap();
+        for sql in [
+            "SELECT 1 + 1 AS two",
+            "SELECT COUNT(*) AS n FROM system.queries",
+        ] {
+            let (out, ledger) = store.ledger(|| lh.query(sql, "main").unwrap());
+            assert_eq!(out.num_rows(), 1, "{sql}");
+            assert_eq!(ledger, BTreeMap::new(), "{sql}");
+        }
+    }
+}
+
+/// On a still lake a slow ref read changes no count: a warm statement is
+/// the one ref GET plus the data files it has not read before, and a warm
+/// repeat is the ref alone.
+#[test]
+fn a_warm_statement_on_a_blocking_store_is_the_ref_and_its_data() {
+    let _serial = serial();
+    let store = slow_ref_store();
+    taxi_lake(&store);
+    let reader = cold_front(&store, LakehouseConfig::zero_latency());
+    let run = |sql: &str| {
+        let (out, ledger) = store.ledger(|| reader.query(sql, "main").unwrap());
+        assert!(out.num_rows() > 0, "{sql}");
+        ledger
+    };
+    let cold = ledger_of(&[
+        ("ref", 1),
+        ("metadata:taxi_table", 1),
+        ("manifest:taxi_table", 1),
+    ]);
+    assert_eq!(run(ONE_DAY), cold);
+    for _ in 0..3 {
+        assert_eq!(run(ONE_DAY), ledger_of(&[("ref", 1)]));
+    }
+    let window = window(3);
+    assert_eq!(
+        run(&window),
+        ledger_of(&[("ref", 1), ("data:taxi_table", 3)])
+    );
+    assert_eq!(run(&window), ledger_of(&[("ref", 1)]));
 }
 
 #[test]
