@@ -9,7 +9,7 @@ use lakehouse_store::{Backoff, ObjectPath, ObjectStore, StoreError};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The default branch name, created on `init`.
 pub const MAIN_BRANCH: &str = "main";
@@ -64,6 +64,39 @@ fn backoff_seed() -> u64 {
     hasher.finish()
 }
 
+/// Ref reads whose backend times decide where a statement reads its ref.
+const REF_READ_WINDOW: usize = 8;
+
+/// A front whose last [`REF_READ_WINDOW`] ref reads all took longer than
+/// this overlaps the next statement's ref read with the statement itself
+/// (DESIGN.md §31). Handing the read to an I/O worker and back costs a
+/// thread hand-off, ≈ 10 µs on a small box: the bet pays only against a
+/// read that costs ten times as much. An in-memory or local-disk read
+/// (a few µs) never qualifies; an object store's (≥ 1 ms) always does.
+const SLOW_REF_READ: Duration = Duration::from_micros(100);
+
+/// The backend times of a front's last [`REF_READ_WINDOW`] ref reads.
+#[derive(Default)]
+struct RefReadTimes {
+    last: [Duration; REF_READ_WINDOW],
+    reads: usize,
+}
+
+impl RefReadTimes {
+    fn record(&mut self, elapsed: Duration) {
+        self.last[self.reads % REF_READ_WINDOW] = elapsed;
+        self.reads += 1;
+    }
+
+    /// Whether even the fastest of the last reads was slow.
+    fn slow(&self) -> bool {
+        let seen = &self.last[..self.reads.min(REF_READ_WINDOW)];
+        seen.iter()
+            .min()
+            .is_some_and(|&fastest| fastest > SLOW_REF_READ)
+    }
+}
+
 /// What a ref move returns when it lost every CAS race.
 fn refs_contended() -> CatalogError {
     CatalogError::ConcurrentUpdate("refs.json".into())
@@ -79,24 +112,22 @@ pub struct Catalog {
     store: Arc<dyn ObjectStore>,
     root: String,
     /// Replay cache: commit id → materialized state.
-    state_cache: Mutex<HashMap<CommitId, CatalogState>>,
+    state_cache: Mutex<HashMap<CommitId, Arc<CatalogState>>>,
     /// Commits are immutable and content-addressed, so they are perfectly
     /// cacheable — this mirrors Nessie serving its version store from
     /// memory rather than hitting object storage per lookup.
     commit_cache: Mutex<HashMap<CommitId, Commit>>,
+    /// The last ref document this catalog read or wrote: a guess at the
+    /// heads, never an answer (see [`Catalog::guessed_head`]).
+    last_refs: Mutex<Option<Bytes>>,
+    ref_reads: Mutex<RefReadTimes>,
 }
 
 impl Catalog {
     /// Initialize a new catalog (creates an empty `main` branch). Errors if
     /// a catalog already exists at this root.
     pub fn init(store: Arc<dyn ObjectStore>, root: impl Into<String>) -> Result<Catalog> {
-        let root = root.into();
-        let catalog = Catalog {
-            store,
-            root,
-            state_cache: Mutex::new(HashMap::new()),
-            commit_cache: Mutex::new(HashMap::new()),
-        };
+        let catalog = Catalog::new(store, root.into());
         let mut doc = RefDocument::default();
         doc.refs.insert(
             MAIN_BRANCH.to_string(),
@@ -106,31 +137,40 @@ impl Catalog {
                 head: None,
             },
         );
+        let written = Bytes::from(doc.to_bytes());
         catalog
             .store
-            .put_if_matches(&catalog.refs_path()?, None, Bytes::from(doc.to_bytes()))
+            .put_if_matches(&catalog.refs_path()?, None, written.clone())
             .map_err(|e| match e {
                 StoreError::PreconditionFailed(_) => {
                     CatalogError::RefAlreadyExists("catalog already initialized".into())
                 }
                 other => other.into(),
             })?;
+        catalog.saw_refs(&written);
         Ok(catalog)
     }
 
     /// Open an existing catalog.
     pub fn open(store: Arc<dyn ObjectStore>, root: impl Into<String>) -> Result<Catalog> {
-        let catalog = Catalog {
-            store,
-            root: root.into(),
-            state_cache: Mutex::new(HashMap::new()),
-            commit_cache: Mutex::new(HashMap::new()),
-        };
+        let catalog = Catalog::new(store, root.into());
         catalog.read_refs()?; // validate existence
         Ok(catalog)
     }
 
-    fn refs_path(&self) -> Result<ObjectPath> {
+    fn new(store: Arc<dyn ObjectStore>, root: String) -> Catalog {
+        Catalog {
+            store,
+            root,
+            state_cache: Mutex::new(HashMap::new()),
+            commit_cache: Mutex::new(HashMap::new()),
+            last_refs: Mutex::new(None),
+            ref_reads: Mutex::new(RefReadTimes::default()),
+        }
+    }
+
+    /// Where the ref document lives: the one object every statement reads.
+    pub fn refs_path(&self) -> Result<ObjectPath> {
         Ok(ObjectPath::new(format!("{}/refs.json", self.root))?)
     }
 
@@ -149,20 +189,26 @@ impl Catalog {
     /// Read and parse one catalog object. A parse failure means the bytes
     /// are bad, so the object is read again, up to `CORRUPT_REREADS` times.
     /// `missing` is the error for an absent object,
-    /// `corrupt` the one for bytes that never parse.
+    /// `corrupt` the one for bytes that never parse, `timed` whether each
+    /// GET's backend time counts as a ref read's.
     fn read_object<T>(
         &self,
         path: &ObjectPath,
         parse: impl Fn(&[u8]) -> Option<T>,
         missing: impl Fn() -> CatalogError,
         corrupt: impl FnOnce() -> CatalogError,
+        timed: bool,
     ) -> Result<(T, Bytes)> {
         let mut attempts = 0;
         loop {
+            let started = Instant::now();
             let bytes = self.store.get(path).map_err(|e| match e {
                 StoreError::NotFound(_) => missing(),
                 other => other.into(),
             })?;
+            if timed {
+                self.ref_reads.lock().record(started.elapsed());
+            }
             match parse(&bytes) {
                 Some(parsed) => return Ok((parsed, bytes)),
                 None if attempts < Self::CORRUPT_REREADS => {
@@ -175,12 +221,61 @@ impl Catalog {
     }
 
     fn read_refs(&self) -> Result<(RefDocument, Bytes)> {
-        self.read_object(
+        let (doc, bytes) = self.read_object(
             &self.refs_path()?,
             RefDocument::from_bytes,
             || CatalogError::Corrupt("catalog not initialized".into()),
             || CatalogError::Corrupt("unparseable refs.json".into()),
-        )
+            true,
+        )?;
+        self.saw_refs(&bytes);
+        Ok((doc, bytes))
+    }
+
+    /// Keep `bytes`, a ref document that parsed, as the latest guess.
+    fn saw_refs(&self, bytes: &Bytes) {
+        *self.last_refs.lock() = Some(bytes.clone());
+    }
+
+    /// The head `name` had in the last ref document this catalog read or
+    /// wrote; `None` when it has seen none, or none naming `name` as a ref.
+    /// A guess, for work that a fresh read of the ref confirms before
+    /// anyone sees it ([`Catalog::resolve_read`]): another front may have
+    /// moved the ref since.
+    pub fn guessed_head(&self, name: &str) -> Option<Option<CommitId>> {
+        let bytes = self.last_refs.lock().clone()?;
+        let doc = RefDocument::from_bytes(&bytes)?;
+        doc.refs.get(name).map(|r| r.head.clone())
+    }
+
+    /// Whether this catalog's ref reads are slow enough that a statement
+    /// should overlap its ref read with its own work: the fastest of the
+    /// last few took longer than a thread hand-off is worth (DESIGN.md §31).
+    pub fn ref_reads_are_slow(&self) -> bool {
+        self.ref_reads.lock().slow()
+    }
+
+    /// [`Catalog::resolve`] from the bytes of a ref read made elsewhere (an
+    /// I/O worker), whose backend call took `elapsed`. Bytes that do not
+    /// parse are a torn read: the store is told, and `resolve` reads the
+    /// ref again with its own re-read loop.
+    pub fn resolve_read(
+        &self,
+        name_or_id: &str,
+        bytes: Bytes,
+        elapsed: Duration,
+    ) -> Result<Option<CommitId>> {
+        self.ref_reads.lock().record(elapsed);
+        match RefDocument::from_bytes(&bytes) {
+            Some(doc) => {
+                self.saw_refs(&bytes);
+                self.resolve_in(&doc, name_or_id)
+            }
+            None => {
+                self.store.invalidate_corrupt(&self.refs_path()?);
+                self.resolve(name_or_id)
+            }
+        }
     }
 
     /// All references, sorted by name.
@@ -208,6 +303,7 @@ impl Catalog {
             Commit::from_bytes,
             || CatalogError::CommitNotFound(id.to_string()),
             || CatalogError::Corrupt(format!("unparseable commit {id}")),
+            false,
         )?;
         self.commit_cache
             .lock()
@@ -265,6 +361,11 @@ impl Catalog {
     /// Resolve a ref name *or* commit id to a commit id.
     pub fn resolve(&self, name_or_id: &str) -> Result<Option<CommitId>> {
         let (doc, _) = self.read_refs()?;
+        self.resolve_in(&doc, name_or_id)
+    }
+
+    /// [`Catalog::resolve`] against a ref document already read.
+    fn resolve_in(&self, doc: &RefDocument, name_or_id: &str) -> Result<Option<CommitId>> {
         if let Some(r) = doc.refs.get(name_or_id) {
             return Ok(r.head.clone());
         }
@@ -346,26 +447,32 @@ impl Catalog {
     /// effective operations of the merged-in branch, so the chain alone
     /// reconstructs the full state (same flattening trick Nessie's global
     /// state log uses).
-    pub fn state_at(&self, name_or_id: &str) -> Result<CatalogState> {
-        let head = self.resolve(name_or_id)?;
+    pub fn state_at(&self, name_or_id: &str) -> Result<Arc<CatalogState>> {
+        self.state_of_head(self.resolve(name_or_id)?.as_ref())
+    }
+
+    /// The table namespace at a head already resolved (`None`: an empty
+    /// branch): no ref is read.
+    pub fn state_of_head(&self, head: Option<&CommitId>) -> Result<Arc<CatalogState>> {
         match head {
-            None => Ok(CatalogState::new()),
-            Some(id) => self.state_of_commit(&id),
+            None => Ok(Arc::default()),
+            Some(id) => self.state_of_commit(id),
         }
     }
 
     /// The table namespace at a commit already resolved: no ref is read.
-    pub fn state_of_commit(&self, id: &CommitId) -> Result<CatalogState> {
+    /// States are shared, not copied: a commit's state never changes.
+    pub fn state_of_commit(&self, id: &CommitId) -> Result<Arc<CatalogState>> {
         if let Some(s) = self.state_cache.lock().get(id) {
-            return Ok(s.clone());
+            return Ok(Arc::clone(s));
         }
         // Collect the uncached prefix of the first-parent chain.
         let mut chain = Vec::new();
         let mut cursor = Some(id.clone());
-        let mut base_state = CatalogState::new();
+        let mut base_state = Arc::default();
         while let Some(cid) = cursor {
             if let Some(s) = self.state_cache.lock().get(&cid) {
-                base_state = s.clone();
+                base_state = Arc::clone(s);
                 break;
             }
             let commit = self.get_commit(&cid)?;
@@ -373,8 +480,10 @@ impl Catalog {
             chain.push((cid, commit));
         }
         for (cid, commit) in chain.into_iter().rev() {
-            base_state.apply(&commit);
-            self.state_cache.lock().insert(cid, base_state.clone());
+            let mut state = CatalogState::clone(&base_state);
+            state.apply(&commit);
+            base_state = Arc::new(state);
+            self.state_cache.lock().insert(cid, Arc::clone(&base_state));
         }
         Ok(base_state)
     }
@@ -540,7 +649,8 @@ impl Catalog {
     }
 
     /// Read-modify-CAS loop over the ref document: the one path by which
-    /// any ref moves. `contended` is the error once every attempt lost.
+    /// any ref moves. `contended` is the error once every attempt lost. The
+    /// document a CAS wrote is this catalog's latest guess at the heads.
     fn update_refs<T>(
         &self,
         contended: impl FnOnce() -> CatalogError,
@@ -553,12 +663,16 @@ impl Catalog {
             }
             let (mut doc, expected_bytes) = self.read_refs()?;
             let out = mutate(&mut doc)?;
+            let written = Bytes::from(doc.to_bytes());
             match self.store.put_if_matches(
                 &self.refs_path()?,
                 Some(&expected_bytes),
-                Bytes::from(doc.to_bytes()),
+                written.clone(),
             ) {
-                Ok(()) => return Ok(out),
+                Ok(()) => {
+                    self.saw_refs(&written);
+                    return Ok(out);
+                }
                 Err(StoreError::PreconditionFailed(_)) => continue,
                 Err(e) => return Err(e.into()),
             }
@@ -860,6 +974,70 @@ mod tests {
         // parent; the tag pins the base.
         assert_eq!(c.gc().unwrap(), 0);
         assert_eq!(c.state_at("main").unwrap().len(), 3);
+    }
+
+    #[test]
+    fn the_guess_follows_every_ref_this_catalog_reads_or_moves() {
+        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let c = Catalog::init(Arc::clone(&store), "_catalog").unwrap();
+        assert_eq!(c.guessed_head("main"), Some(None));
+        let id = c.commit("main", "me", "x", vec![put_op("t1", 1)]).unwrap();
+        assert_eq!(c.guessed_head("main"), Some(Some(id.clone())));
+        c.create_branch("feat", Some("main")).unwrap();
+        let feat = c.commit("feat", "me", "y", vec![put_op("t2", 1)]).unwrap();
+        c.merge("feat", "main", "me").unwrap();
+        assert_eq!(c.guessed_head("main"), Some(Some(feat.clone())));
+        c.delete_ref("feat").unwrap();
+        assert_eq!(c.guessed_head("feat"), None);
+        // Another catalog's commit is not seen until this one reads the
+        // ref; a commit id is never a ref.
+        let other = Catalog::open(store, "_catalog").unwrap();
+        let later = other
+            .commit("main", "me", "z", vec![put_op("t3", 1)])
+            .unwrap();
+        assert_eq!(c.guessed_head("main"), Some(Some(feat)));
+        assert_eq!(c.resolve("main").unwrap(), Some(later.clone()));
+        assert_eq!(c.guessed_head("main"), Some(Some(later)));
+        assert_eq!(c.guessed_head(&id), None);
+    }
+
+    #[test]
+    fn ref_reads_are_slow_when_the_fastest_of_the_last_eight_was() {
+        let slow = SLOW_REF_READ * 2;
+        let mut times = RefReadTimes::default();
+        assert!(!times.slow(), "no read yet");
+        times.record(slow);
+        assert!(times.slow());
+        times.record(Duration::from_micros(5));
+        for _ in 1..REF_READ_WINDOW {
+            times.record(slow);
+            assert!(!times.slow(), "a fast read in the window");
+        }
+        times.record(slow);
+        assert!(times.slow(), "the fast read left the window");
+    }
+
+    #[test]
+    fn a_ref_read_made_elsewhere_resolves_like_one_made_here() {
+        let c = new_catalog();
+        let id = c.commit("main", "me", "x", vec![put_op("t1", 1)]).unwrap();
+        let (_, bytes) = c.read_refs().unwrap();
+        let elapsed = Duration::from_micros(1);
+        assert_eq!(
+            c.resolve_read("main", bytes.clone(), elapsed).unwrap(),
+            Some(id.clone())
+        );
+        assert_eq!(
+            c.resolve_read(&id, bytes.clone(), elapsed).unwrap(),
+            Some(id.clone())
+        );
+        assert!(matches!(
+            c.resolve_read("ghost", bytes, elapsed),
+            Err(CatalogError::RefNotFound(_))
+        ));
+        // Torn bytes: the ref is read again here.
+        let torn = Bytes::from_static(b"{ not a document");
+        assert_eq!(c.resolve_read("main", torn, elapsed).unwrap(), Some(id));
     }
 
     #[test]

@@ -278,6 +278,18 @@ fn each_valid(n: usize, valid: Option<&Bitmap>, f: impl FnMut(usize)) {
 }
 
 /// A validity bitmap from one flag per row, `None` when all are valid.
+/// A float SUM or AVG that came out NaN, as the one canonical NaN. Which
+/// operand's payload an addition of two NaNs keeps is the hardware's
+/// choice, and the compiler may swap the operands, so the bits of a NaN sum
+/// would otherwise follow the code's shape rather than the data.
+pub(crate) fn canonical_nan(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    }
+}
+
 fn validity(valid: impl Iterator<Item = bool>) -> Option<Bitmap> {
     let valid: Vec<bool> = valid.collect();
     normalize_validity(Some(Bitmap::from_bools(&valid)))
@@ -356,14 +368,17 @@ impl Accumulator {
             State::FloatSum(sums, counts) if self.agg == Aggregator::Avg => {
                 let mean = |(&sum, &count): (&f64, &i64)| match count {
                     0 => 0.0,
-                    n => sum / n as f64,
+                    n => canonical_nan(sum / n as f64),
                 };
                 Column::Float64(
                     sums.iter().zip(&counts).map(mean).collect(),
                     counted(&counts),
                 )
             }
-            State::FloatSum(sums, counts) => Column::Float64(sums, counted(&counts)),
+            State::FloatSum(sums, counts) => Column::Float64(
+                sums.into_iter().map(canonical_nan).collect(),
+                counted(&counts),
+            ),
             State::Extreme(best, seen) => best.into_column(validity(seen.into_iter())),
         })
     }

@@ -286,6 +286,7 @@ pub fn hash_batch_rows_ref(batch: &RecordBatch, key_columns: &[usize]) -> Result
 /// [`super::Accumulator`]: folds one boxed [`Value`] at a time into one
 /// boxed state, no typed vectors.
 pub fn aggregate_column_ref(agg: super::Aggregator, col: &Column) -> Result<Value> {
+    use super::agg::canonical_nan;
     use super::Aggregator as A;
     let (mut count, mut sum_i, mut sum_f, mut overflowed) = (0i64, 0i64, 0.0f64, false);
     let mut best = Value::Null;
@@ -325,10 +326,10 @@ pub fn aggregate_column_ref(agg: super::Aggregator, col: &Column) -> Result<Valu
         A::Count | A::CountStar => Value::Int64(count),
         A::CountDistinct => Value::Int64(distinct.len() as i64),
         _ if count == 0 && agg != A::Min && agg != A::Max => Value::Null,
-        A::Sum if col.data_type() == DataType::Float64 => Value::Float64(sum_f),
+        A::Sum if col.data_type() == DataType::Float64 => Value::Float64(canonical_nan(sum_f)),
         A::Sum if overflowed => return Err(ColumnarError::Overflow("SUM".into())),
         A::Sum => Value::Int64(sum_i),
-        A::Avg => Value::Float64(sum_f / count as f64),
+        A::Avg => Value::Float64(canonical_nan(sum_f / count as f64)),
         A::Min | A::Max => best,
     })
 }

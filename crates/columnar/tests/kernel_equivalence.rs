@@ -397,16 +397,6 @@ fn same_value(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// [`same_value`] for a SUM or AVG, except that any NaN equals any other:
-/// which operand's payload an addition keeps is the hardware's choice, and
-/// the compiler may swap the operands.
-fn same_sum(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float64(x), Value::Float64(y)) if x.is_nan() => y.is_nan(),
-        _ => same_value(a, b),
-    }
-}
-
 #[test]
 fn grouped_aggregation_matches_per_row_updates() {
     use lakehouse_columnar::kernels::{update_grouped, Accumulator, AggState, Grouper};
@@ -537,7 +527,6 @@ fn accumulators_match_the_boxed_reference() {
             if !numeric && summed {
                 continue;
             }
-            let same = if summed { same_sum } else { same_value };
             let mut grouper = Grouper::new();
             let mut acc = Accumulator::new(agg, whole.data_type(), 0);
             let (mut ids, mut all_ids) = (Vec::new(), Vec::new());
@@ -556,7 +545,10 @@ fn accumulators_match_the_boxed_reference() {
                     assert_eq!(got.len(), want.len(), "{what}");
                     for (g, want) in want.iter().enumerate() {
                         let (got, want) = (got.get(g).expect("get"), want.as_ref().expect(&what));
-                        assert!(same(&got, want), "{what} group {g}: {got:?} != {want:?}");
+                        assert!(
+                            same_value(&got, want),
+                            "{what} group {g}: {got:?} != {want:?}"
+                        );
                     }
                 }
                 Err(e) => {
@@ -578,7 +570,7 @@ fn accumulators_match_the_boxed_reference() {
             let whole_want = scalar::aggregate_column_ref(agg, &whole);
             match (kernels::aggregate_column(agg, &whole), whole_want) {
                 (Ok(got), Ok(want)) => {
-                    assert!(same(&got, &want), "{what}: {got:?} != {want:?}")
+                    assert!(same_value(&got, &want), "{what}: {got:?} != {want:?}")
                 }
                 (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
                 (got, want) => panic!("{what}: {got:?} != {want:?}"),
@@ -586,6 +578,45 @@ fn accumulators_match_the_boxed_reference() {
         }
     }
     assert!(overflows > 0, "no case overflowed an Int64 SUM");
+}
+
+/// A Float64 SUM or AVG that comes out NaN is the canonical NaN, whatever
+/// the payloads and signs of the NaNs summed and in whichever order: in the
+/// accumulator, per group and over one group, and in the reference.
+#[test]
+fn a_nan_sum_is_the_canonical_nan_in_either_operand_order() {
+    use lakehouse_columnar::kernels::Accumulator;
+    let payload = f64::from_bits(f64::NAN.to_bits() | 0x5);
+    let nans = [-f64::NAN, f64::NAN, payload, -payload];
+    let canonical = f64::NAN.to_bits();
+    for (i, &a) in nans.iter().enumerate() {
+        for &b in &nans[i + 1..] {
+            for pair in [[a, b], [b, a]] {
+                for rows in [vec![pair[0], pair[1]], vec![1.5, pair[0], pair[1]]] {
+                    let col = Column::from_f64(rows.clone());
+                    for agg in [Aggregator::Sum, Aggregator::Avg] {
+                        let bits: Vec<u64> = rows.iter().map(|x| x.to_bits()).collect();
+                        let what = format!("{agg:?} over {bits:x?}");
+                        let mut acc = Accumulator::new(agg, DataType::Float64, 0);
+                        acc.update(&vec![0u32; rows.len()], 1, Some(&col))
+                            .expect("update");
+                        let results = [
+                            acc.finish().expect("finish").get(0).expect("get"),
+                            kernels::aggregate_column(agg, &col).expect("aggregate"),
+                            scalar::aggregate_column_ref(agg, &col).expect("reference"),
+                        ];
+                        for got in results {
+                            let bits = match got {
+                                Value::Float64(x) => x.to_bits(),
+                                other => panic!("{what}: {other:?}"),
+                            };
+                            assert_eq!(bits, canonical, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// One random group-key column of `n` rows: low cardinality so groups

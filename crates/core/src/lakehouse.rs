@@ -6,7 +6,7 @@ use crate::error::{BauplanError, Result};
 use crate::estimator::MemoryEstimator;
 use crate::functions::{FnContext, FnOutput, FunctionRegistry};
 use crate::governance::{AccessController, Action, Grant, Principal};
-use crate::provider::LakehouseProvider;
+use crate::provider::{LakehouseProvider, PinnedProvider, RefRead};
 use lakehouse_catalog::{Catalog, Commit, CommitId, ContentRef, Operation, Reference};
 use lakehouse_columnar::{RecordBatch, Schema};
 use lakehouse_planner::RunRegistry;
@@ -585,25 +585,66 @@ impl Lakehouse {
 
     /// Read a whole table at a ref.
     pub fn read_table(&self, name: &str, reference: &str) -> Result<RecordBatch> {
-        let provider = self.provider(reference);
-        let table = provider
-            .load_table(name)
-            .map_err(|_| BauplanError::TableNotFound {
+        self.statement(reference, unmarked, |lake| {
+            let table = lake.table(name).map_err(|_| BauplanError::TableNotFound {
                 table: name.to_string(),
                 reference: reference.to_string(),
             })?;
-        Ok(table.scan().execute()?)
+            Ok(table.scan().execute()?)
+        })
     }
 
     // ---- query (paper §4.6: `bauplan query -q ... -b ...`) -------------------
+
+    /// Run one statement at `reference`: the one path every statement entry
+    /// point takes. `run` reads the catalog through the pin it is given.
+    /// On a front whose ref reads are slow, the first catalog lookup pins
+    /// the head this front last saw and the ref is read on an I/O worker
+    /// meanwhile; when the statement ends, with a result or an error, the
+    /// read is waited for, and if the ref has moved the statement runs once
+    /// more at the state read. Either way its snapshot is the ref as read
+    /// by a GET issued after it began (DESIGN.md §31). `mark` gets the
+    /// `ref_read` (`inline`, `overlapped`) and `guess` (`none`, `hit`,
+    /// `miss`) of a statement that read the ref.
+    fn statement<T>(
+        &self,
+        reference: &str,
+        mark: impl Fn(&str, &'static str),
+        run: impl Fn(&PinnedProvider<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let provider = self.provider(reference);
+        let pinned = provider.pin_overlapped();
+        let result = run(&pinned);
+        let (placement, guess, moved) = match pinned.confirm()? {
+            RefRead::Unread => return result,
+            RefRead::Inline => ("inline", "none", None),
+            RefRead::Confirmed => ("overlapped", "hit", None),
+            RefRead::Moved(state) => ("overlapped", "miss", Some(state)),
+        };
+        mark("ref_read", placement);
+        mark("guess", guess);
+        let Some(state) = moved else {
+            return result;
+        };
+        drop(result);
+        lakehouse_obs::global()
+            .counter("catalog.ref_guess_misses")
+            .inc();
+        match state {
+            Some(state) => run(&provider.pin_at(state)),
+            None => run(&provider.pin()),
+        }
+    }
 
     /// Synchronous SQL over any branch, tag, or commit id (time travel).
     pub fn query(&self, sql: &str, reference: &str) -> Result<RecordBatch> {
         let _sim = self.install_sim();
         let span = lakehouse_obs::span("query");
         span.attr("reference", reference);
-        let provider = self.provider(reference);
-        self.attributed(sql, || Ok(self.engine.query(sql, &provider.pin())?))
+        let mark = |key: &str, value: &'static str| span.attr(key, value);
+        self.attributed(sql, || {
+            self.statement(reference, mark, |lake| Ok(self.engine.query(sql, lake)?))
+        })
     }
 
     /// [`Self::query`], also reporting the executor's peak working set and
@@ -616,16 +657,19 @@ impl Lakehouse {
         let _sim = self.install_sim();
         let span = lakehouse_obs::span("query");
         span.attr("reference", reference);
-        let provider = self.provider(reference);
+        let mark = |key: &str, value: &'static str| span.attr(key, value);
         self.attributed(sql, || {
-            Ok(self.engine.query_with_report(sql, &provider.pin())?)
+            self.statement(reference, mark, |lake| {
+                Ok(self.engine.query_with_report(sql, lake)?)
+            })
         })
     }
 
     /// EXPLAIN the optimized plan for a query at a ref.
     pub fn explain(&self, sql: &str, reference: &str) -> Result<String> {
-        let provider = self.provider(reference);
-        Ok(self.engine.explain(sql, &provider.pin())?)
+        self.statement(reference, unmarked, |lake| {
+            Ok(self.engine.explain(sql, lake)?)
+        })
     }
 
     /// EXPLAIN ANALYZE at a ref: execute the query and render the optimized
@@ -638,9 +682,10 @@ impl Lakehouse {
         reference: &str,
     ) -> Result<(RecordBatch, String, lakehouse_obs::SpanTree)> {
         let _sim = self.install_sim();
-        let provider = self.provider(reference);
         self.attributed(sql, || {
-            Ok(self.engine.explain_analyze_traced(sql, &provider.pin())?)
+            self.statement(reference, unmarked, |lake| {
+                Ok(self.engine.explain_analyze_traced(sql, lake)?)
+            })
         })
     }
 
@@ -656,8 +701,10 @@ impl Lakehouse {
         let trace = lakehouse_obs::Trace::start_forced("query");
         trace.attr("reference", reference);
         trace.attr("sql", sql);
-        let provider = self.provider(reference);
-        let result = self.attributed(sql, || Ok(self.engine.query(sql, &provider.pin())?));
+        let mark = |key: &str, value: &'static str| trace.attr(key, value);
+        let result = self.attributed(sql, || {
+            self.statement(reference, mark, |lake| Ok(self.engine.query(sql, lake)?))
+        });
         let tree = trace.finish();
         Ok((result?, tree))
     }
@@ -776,6 +823,9 @@ impl Lakehouse {
         &self.estimator
     }
 }
+
+/// The `mark` of a statement with no span of its own.
+fn unmarked(_: &str, _: &'static str) {}
 
 #[cfg(test)]
 mod tests {

@@ -3,12 +3,12 @@
 //! pushed-down predicates, with an overlay for in-flight pipeline artifacts.
 
 use crate::error::{BauplanError, Result as CoreResult};
-use lakehouse_catalog::{Catalog, CatalogError, CatalogState};
+use lakehouse_catalog::{Catalog, CatalogError, CatalogState, CommitId};
 use lakehouse_columnar::{BatchStream, BatchesStream, RecordBatch, Schema, Value};
 use lakehouse_sql::ast::Expr;
 use lakehouse_sql::logical::SchemaProvider;
 use lakehouse_sql::{Result as SqlResult, SqlError, TableProvider};
-use lakehouse_store::ObjectStore;
+use lakehouse_store::{IoDispatcher, IoTicket, ObjectStore, StoreError};
 use lakehouse_table::{ScanPredicate, Table, TableIo};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -96,21 +96,32 @@ impl LakehouseProvider {
     }
 
     /// The [`TableProvider`] for one SQL statement: whatever the statement
-    /// reads from the catalog, it reads once, at one commit.
+    /// reads from the catalog, it reads once, at one commit. The ref is
+    /// read at the first catalog lookup, before anything else.
     pub fn pin(&self) -> PinnedProvider<'_> {
-        PinnedProvider {
-            provider: self,
-            state: Mutex::new(None),
-            tables: Mutex::new(HashMap::new()),
-        }
+        self.pinned(None, false)
+    }
+
+    /// [`Self::pin`], except that on a front whose ref reads are slow the
+    /// statement runs at the head this front last saw while the ref is read
+    /// in the background; [`PinnedProvider::confirm`] then says whether the
+    /// work stands (DESIGN.md §31).
+    pub(crate) fn pin_overlapped(&self) -> PinnedProvider<'_> {
+        self.pinned(None, true)
     }
 
     /// [`Self::pin`] at a catalog state already read: the statement reads
     /// no ref.
-    pub(crate) fn pin_at(&self, state: CatalogState) -> PinnedProvider<'_> {
+    pub(crate) fn pin_at(&self, state: Arc<CatalogState>) -> PinnedProvider<'_> {
+        self.pinned(Some(state), false)
+    }
+
+    fn pinned(&self, state: Option<Arc<CatalogState>>, overlap: bool) -> PinnedProvider<'_> {
         PinnedProvider {
             provider: self,
-            state: Mutex::new(Some(state)),
+            overlap,
+            state: Mutex::new(state),
+            guessed: Mutex::new(None),
             tables: Mutex::new(HashMap::new()),
         }
     }
@@ -168,32 +179,117 @@ impl LakehouseProvider {
 /// its own branch — its next statement must see them.
 pub struct PinnedProvider<'a> {
     provider: &'a LakehouseProvider,
-    /// The table namespace at the provider's ref.
-    state: Mutex<Option<CatalogState>>,
+    /// Whether the first catalog lookup may run at a guessed head.
+    overlap: bool,
+    /// The table namespace the statement reads: `None` until its first
+    /// catalog lookup.
+    state: Mutex<Option<Arc<CatalogState>>>,
+    /// Set when `state` is a guess.
+    guessed: Mutex<Option<Guess<'a>>>,
     /// Tables loaded so far, by name.
     tables: Mutex<HashMap<String, Arc<Table>>>,
 }
 
+/// A statement running at `head`, the head its front last saw, while
+/// `read` fetches the ref document on `io`.
+struct Guess<'a> {
+    head: Option<CommitId>,
+    io: &'a IoDispatcher,
+    read: IoTicket,
+}
+
+/// How a statement read its ref, as [`PinnedProvider::confirm`] found it.
+pub(crate) enum RefRead {
+    /// It looked up no catalog table, so it read no ref.
+    Unread,
+    /// Before its first catalog lookup, on the caller's thread.
+    Inline,
+    /// In the background, and the ref still pointed where it guessed.
+    Confirmed,
+    /// In the background, and the ref had moved: the statement's work
+    /// stands for nothing and it runs again at the state read — or, when
+    /// the read could not produce one (`None`), inline.
+    Moved(Option<Arc<CatalogState>>),
+}
+
 impl PinnedProvider<'_> {
     /// The catalog table `name` at the pinned commit.
-    fn table(&self, name: &str) -> CoreResult<Arc<Table>> {
+    pub(crate) fn table(&self, name: &str) -> CoreResult<Arc<Table>> {
         if let Some(t) = self.tables.lock().get(name) {
             return Ok(Arc::clone(t));
         }
-        let p = self.provider;
         let location = {
-            let mut state = self.state.lock();
-            if state.is_none() {
-                *state = Some(p.catalog.state_at(&p.reference)?);
-            }
-            let content = state.as_ref().and_then(|s| s.get(name));
+            let state = self.state()?;
             let missing = || CatalogError::KeyNotFound(name.to_string());
-            content.ok_or_else(missing)?.metadata_location.clone()
+            state
+                .get(name)
+                .ok_or_else(missing)?
+                .metadata_location
+                .clone()
         };
-        let table = Arc::new(p.load_metadata(&location)?);
+        let table = Arc::new(self.provider.load_metadata(&location)?);
         let mut tables = self.tables.lock();
         tables.insert(name.to_string(), Arc::clone(&table));
         Ok(table)
+    }
+
+    /// The pinned table namespace, read at the first call.
+    fn state(&self) -> CoreResult<Arc<CatalogState>> {
+        let mut state = self.state.lock();
+        if let Some(state) = &*state {
+            return Ok(Arc::clone(state));
+        }
+        let p = self.provider;
+        let read = match self.guess() {
+            Some(guessed) => guessed,
+            None => p.catalog.state_at(&p.reference)?,
+        };
+        *state = Some(Arc::clone(&read));
+        Ok(read)
+    }
+
+    /// Submit the ref read to the I/O workers and return the namespace at
+    /// the head this front last saw — when overlapping is allowed, this
+    /// front's ref reads are slow and it has seen the ref before. That
+    /// state costs no request: this front read or wrote the head, so its
+    /// commits are cached.
+    fn guess(&self) -> Option<Arc<CatalogState>> {
+        let p = self.provider;
+        if !self.overlap || !p.catalog.ref_reads_are_slow() {
+            return None;
+        }
+        let io = p.io.dispatcher.as_deref()?;
+        let head = p.catalog.guessed_head(&p.reference)?;
+        let state = p.catalog.state_of_head(head.as_ref()).ok()?;
+        let read = io.submit_get(&p.catalog.refs_path().ok()?);
+        *self.guessed.lock() = Some(Guess { head, io, read });
+        Some(state)
+    }
+
+    /// After the statement ran through this pin, with a result or an error:
+    /// how it read its ref, and, when it ran at a guess, whether the ref
+    /// still points there. Waits for the background read. A ref read that
+    /// failed or did not parse falls back to [`Catalog::resolve`]; a killed
+    /// statement's wait fails with the kill.
+    pub(crate) fn confirm(self) -> CoreResult<RefRead> {
+        let Some(Guess { head, io, read }) = self.guessed.into_inner() else {
+            return Ok(match self.state.into_inner() {
+                Some(_) => RefRead::Inline,
+                None => RefRead::Unread,
+            });
+        };
+        let (catalog, reference) = (&self.provider.catalog, &self.provider.reference);
+        let done = io.wait(read);
+        let fresh = match done.result {
+            Ok(bytes) => catalog.resolve_read(reference, bytes, done.elapsed),
+            Err(killed @ StoreError::QueryKilled { .. }) => return Err(killed.into()),
+            Err(_) => catalog.resolve(reference),
+        };
+        Ok(match fresh {
+            Ok(fresh) if fresh == head => RefRead::Confirmed,
+            Ok(fresh) => RefRead::Moved(catalog.state_of_head(fresh.as_ref()).ok()),
+            Err(_) => RefRead::Moved(None),
+        })
     }
 
     /// Tables served from memory, projected and cut to the row budget:

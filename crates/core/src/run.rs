@@ -25,7 +25,6 @@ use crate::error::{BauplanError, Result};
 use crate::functions::{FnContext, FnOutput};
 use crate::lakehouse::{table_put, Lakehouse};
 use crate::provider::PinnedProvider;
-use lakehouse_catalog::CatalogState;
 use lakehouse_columnar::{RecordBatch, Schema};
 use lakehouse_planner::project::NodeKind;
 use lakehouse_planner::{
@@ -250,10 +249,7 @@ impl Lakehouse {
             .as_ref()
             .map_or(&options.branch, |(version, _)| version);
         let head = self.catalog.resolve(base_ref)?;
-        let state = match &head {
-            Some(commit) => self.catalog.state_of_commit(commit)?,
-            None => CatalogState::new(),
-        };
+        let state = self.catalog.state_of_head(head.as_ref())?;
         let data_version = head.clone().unwrap_or_else(|| "<empty>".to_string());
         let lake = self.provider(&data_version);
         let mut binder = Binder {

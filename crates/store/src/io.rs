@@ -1,7 +1,8 @@
 //! Completion-based I/O dispatcher over any [`ObjectStore`]: what lets a scan
 //! overlap its data-file requests for real, even when the store sleeps.
 //!
-//! [`IoDispatcher::submit_get_range`] puts a job on a queue shared by the
+//! [`IoDispatcher::submit_get_range`] (or [`IoDispatcher::submit_get`], for
+//! a whole object) puts a job on a queue shared by the
 //! worker threads and returns an [`IoTicket`] owning the job's one-shot
 //! completion channel; [`IoDispatcher::wait`] receives from it. Dropping a
 //! ticket cancels it: a queued job never reaches the backend. The queue has
@@ -51,6 +52,9 @@ pub struct IoCompletion {
     pub sim_nanos: u64,
     /// Whether the payload came from a hedge rather than the first job.
     pub hedged: bool,
+    /// Wall time of the backend call that produced the payload, on the
+    /// worker that made it: no queueing, no waiting on the ticket.
+    pub elapsed: Duration,
 }
 
 /// A payload as a worker sends it. Memory freed into a worker's arena is
@@ -66,12 +70,14 @@ struct Finished {
     result: Result<Payload>,
     sim_nanos: u64,
     hedged: bool,
+    elapsed: Duration,
 }
 
 /// What a ticket asked for, shared with its jobs (a hedge reads it again).
 struct Request {
     path: ObjectPath,
-    range: (usize, usize),
+    /// `[start, end)`, or `None` for the whole object.
+    range: Option<(usize, usize)>,
     /// Set once the ticket is gone: a job that has not started never does.
     abandoned: AtomicBool,
     done: SyncSender<Finished>,
@@ -220,11 +226,20 @@ impl IoDispatcher {
 
     /// Queue a read of `[start, end)` of `path`.
     pub fn submit_get_range(&self, path: &ObjectPath, start: usize, end: usize) -> IoTicket {
+        self.submit(path, Some((start, end)))
+    }
+
+    /// Queue a read of the whole of `path`.
+    pub fn submit_get(&self, path: &ObjectPath) -> IoTicket {
+        self.submit(path, None)
+    }
+
+    fn submit(&self, path: &ObjectPath, range: Option<(usize, usize)>) -> IoTicket {
         // Room for both racers' answers: a worker never blocks on a send.
         let (tx, done) = mpsc::sync_channel(2);
         let request = Request {
             path: path.clone(),
-            range: (start, end),
+            range,
             abandoned: AtomicBool::new(false),
             done: tx,
         };
@@ -239,12 +254,16 @@ impl IoDispatcher {
     }
 
     fn push(&self, ticket: &mut IoTicket, hedged: bool) {
-        let (start, end) = ticket.request.range;
+        // A whole object's size is unknown: its payload passes as is.
+        let size = ticket
+            .request
+            .range
+            .map_or(0, |(start, end)| end.saturating_sub(start));
         let job = Job {
             request: Arc::clone(&ticket.request),
             hedged,
             ctx: QueryCtx::current(),
-            buffer: Vec::with_capacity(end.saturating_sub(start)),
+            buffer: Vec::with_capacity(size),
         };
         ticket.outstanding += 1;
         self.counters.settle(&self.counters.submitted, 1);
@@ -270,6 +289,7 @@ impl IoDispatcher {
                     result: Err(StoreError::QueryKilled { reason }),
                     sim_nanos: 0,
                     hedged: false,
+                    elapsed: Duration::ZERO,
                 };
             }
             // Tail-slow: race a second job, unless hedges stopped winning.
@@ -305,6 +325,7 @@ impl IoDispatcher {
             }),
             sim_nanos: finished.sim_nanos,
             hedged: finished.hedged,
+            elapsed: finished.elapsed,
         }
     }
 
@@ -387,15 +408,20 @@ fn run(store: &dyn ObjectStore, metrics: Option<&StoreMetrics>, job: Job) {
     let lane = || metrics.map_or(0, StoreMetrics::lane_nanos);
     // A killed submitter's job is answered with the typed error and never
     // reaches the backend.
+    let started = Instant::now();
     let (result, sim_nanos) = match job.ctx.as_ref().map(QueryCtx::check) {
         Some(Err(reason)) => (Err(StoreError::QueryKilled { reason }), 0),
         _ => {
             let before = lane();
             let _attributed = job.ctx.as_ref().map(QueryCtx::enter);
-            let result = store.get_range(&request.path, request.range.0, request.range.1);
+            let result = match request.range {
+                Some((start, end)) => store.get_range(&request.path, start, end),
+                None => store.get(&request.path),
+            };
             (result, lane().saturating_sub(before))
         }
     };
+    let elapsed = started.elapsed();
     let mut buffer = job.buffer;
     let result = result.map(|bytes| {
         if bytes.is_unique() && bytes.len() <= buffer.capacity() {
@@ -411,6 +437,7 @@ fn run(store: &dyn ObjectStore, metrics: Option<&StoreMetrics>, job: Job) {
         result,
         sim_nanos,
         hedged: job.hedged,
+        elapsed,
     });
 }
 
@@ -835,6 +862,25 @@ mod tests {
             dispatcher.wait(t).result.unwrap(),
             Bytes::from_static(b"world")
         );
+    }
+
+    #[test]
+    fn a_whole_object_get_reports_the_backend_calls_own_time() {
+        let store = Arc::new(SleepyStore::uniform(Duration::from_millis(30)));
+        let paths = seeded(store.as_ref(), 2);
+        let dispatcher = dispatcher(&store, 1, None);
+        let first = dispatcher.submit_get(&paths[0]);
+        let second = dispatcher.submit_get(&paths[1]);
+        // The second read queues behind the first, then is waited on long
+        // after it finished: neither counts toward its time (its queueing
+        // alone would put it at 60 ms or more).
+        std::thread::sleep(Duration::from_millis(120));
+        for (ticket, want) in [(first, "payload-0"), (second, "payload-1")] {
+            let done = dispatcher.wait(ticket);
+            assert_eq!(done.result.unwrap(), Bytes::from(want));
+            let ms = done.elapsed.as_millis();
+            assert!((30..60).contains(&ms), "{want}: {ms} ms");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@ use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
 use lakehouse_format::RangedReader;
 use lakehouse_obs::{to_chrome_trace, Trace};
-use lakehouse_store::{InMemoryStore, ObjectPath, ObjectStore};
+use lakehouse_store::{
+    InMemoryStore, LatencyModel, ObjectPath, ObjectStore, SimulatedStore, SleepMode,
+};
 use lakehouse_table::{PartitionField, PartitionSpec, ScanPredicate, Table, Transform};
 use serde::Json;
 use std::sync::Arc;
@@ -114,6 +116,71 @@ fn aggregate_names_the_grouper_lookup_that_served_it() {
         let want = format!(" groups={groups} lookup={lookup}]");
         assert!(line.ends_with(&want), "{line}");
     }
+}
+
+/// A profiled statement's `query` span says where it read its ref and
+/// whether the head it guessed held: inline on a front whose ref reads are
+/// fast, overlapped once they are slow — a hit on a still lake, a miss
+/// (counted in `catalog.ref_guess_misses`, and the statement run again at
+/// the new head) after another front's commit.
+#[test]
+fn the_query_span_says_where_the_ref_was_read_and_whether_the_guess_held() {
+    let marks = |lh: &Lakehouse| {
+        let (batch, tree) = lh
+            .profile("SELECT COUNT(*) AS n FROM events", "main")
+            .unwrap();
+        let root = tree.root().expect("profile trace has a root span");
+        let mark = |key| root.attr_str(key).map(String::from);
+        (
+            batch.row(0).unwrap()[0].clone(),
+            mark("ref_read"),
+            mark("guess"),
+        )
+    };
+    let want = |n: i64, ref_read: &str, guess: &str| {
+        (Value::Int64(n), Some(ref_read.into()), Some(guess.into()))
+    };
+    assert_eq!(marks(&lakehouse()), want(256, "inline", "none"));
+
+    // A front over the same objects behind a store that sleeps for a
+    // twentieth of each modelled S3 round trip, as `query_mix_s3` does.
+    let objects: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let writer =
+        Lakehouse::with_store(Arc::clone(&objects), LakehouseConfig::zero_latency()).unwrap();
+    let rows = |n: i64| {
+        RecordBatch::try_new(
+            Schema::new(vec![Field::new("id", DataType::Int64, false)]),
+            vec![Column::from_i64((0..n).collect())],
+        )
+        .unwrap()
+    };
+    writer.create_table("events", &rows(10), "main").unwrap();
+    let sleeping = SimulatedStore::new(objects, LatencyModel::s3_like())
+        .with_sleep_mode(SleepMode::Scaled(0.05));
+    let reader =
+        Lakehouse::with_store(Arc::new(sleeping), LakehouseConfig::zero_latency()).unwrap();
+    let (_, tree) = reader.profile("SELECT 1 AS one", "main").unwrap();
+    let root = tree.root().expect("profile trace has a root span");
+    assert_eq!(
+        root.attr_str("ref_read"),
+        None,
+        "no catalog table, no ref read"
+    );
+    reader
+        .query("SELECT COUNT(*) AS n FROM events", "main")
+        .unwrap();
+    assert_eq!(marks(&reader), want(10, "overlapped", "hit"));
+
+    let misses = || {
+        lakehouse_obs::global()
+            .counter("catalog.ref_guess_misses")
+            .get()
+    };
+    let before = misses();
+    writer.append_table("events", &rows(5), "main").unwrap();
+    assert_eq!(marks(&reader), want(15, "overlapped", "miss"));
+    assert!(misses() > before, "a miss is counted");
+    assert_eq!(marks(&reader), want(15, "overlapped", "hit"));
 }
 
 #[test]
