@@ -2,6 +2,7 @@
 //! a schema and their row count. The unit of data flow between all engine
 //! operators.
 
+use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::datatype::Value;
 use crate::error::{ColumnarError, Result};
@@ -92,11 +93,6 @@ impl RecordBatch {
         &self.columns
     }
 
-    /// The columns, taken: a consumer that rearranges them need not copy.
-    pub fn into_columns(self) -> Vec<Column> {
-        self.columns
-    }
-
     pub fn num_rows(&self) -> usize {
         self.num_rows
     }
@@ -136,7 +132,7 @@ impl RecordBatch {
         RecordBatch::try_new_with_rows(schema, columns, self.num_rows)
     }
 
-    /// Slice rows `[offset, offset + len)`.
+    /// Rows `[offset, offset + len)`, sharing this batch's values.
     pub fn slice(&self, offset: usize, len: usize) -> Result<RecordBatch> {
         let end = offset.saturating_add(len);
         if end > self.num_rows {
@@ -149,6 +145,13 @@ impl RecordBatch {
             .map(|c| c.slice(offset, len))
             .collect::<Result<Vec<_>>>()?;
         RecordBatch::try_new_with_rows(self.schema.clone(), columns, len)
+    }
+
+    /// Rows `[offset, offset + len)` in values of their own: what a cut
+    /// that is kept long holds, so that it does not keep the rest of this
+    /// batch's values alive.
+    pub fn copy_rows(&self, offset: usize, len: usize) -> Result<RecordBatch> {
+        crate::kernels::filter_batch(&self.slice(offset, len)?, &Bitmap::new_set(len))
     }
 
     /// Concatenate batches with identical schemas.
@@ -169,7 +172,7 @@ impl RecordBatch {
         let ncols = schema.len();
         let mut columns = Vec::with_capacity(ncols);
         for c in 0..ncols {
-            let cols: Vec<&Column> = batches.iter().map(|b| &b.columns[c]).collect();
+            let cols: Vec<Column> = batches.iter().map(|b| b.columns[c].clone()).collect();
             columns.push(Column::concat(&cols)?);
         }
         let num_rows = batches.iter().map(|b| b.num_rows).sum();
@@ -186,8 +189,8 @@ impl RecordBatch {
         Ok(batches.pop().unwrap_or_else(empty))
     }
 
-    /// Split into chunks of at most `chunk_rows` rows (vectorized pipeline
-    /// feeding).
+    /// Split into chunks of at most `chunk_rows` rows, each sharing this
+    /// batch's values.
     pub fn chunks(&self, chunk_rows: usize) -> Result<Vec<RecordBatch>> {
         if chunk_rows == 0 {
             return Err(ColumnarError::InvalidArgument(
@@ -310,6 +313,19 @@ mod tests {
         let s = b.slice(1, 2).unwrap();
         assert_eq!(s.num_rows(), 2);
         assert_eq!(s.row(0).unwrap()[0], Value::Int64(2));
+    }
+
+    #[test]
+    fn clone_slice_and_project_share_values_and_copy_rows_does_not() {
+        let b = batch();
+        let ids = |b: &RecordBatch| b.column(0).as_i64().unwrap().0.as_ptr();
+        assert_eq!(ids(&b.clone()), ids(&b));
+        assert_eq!(ids(&b.project(&["id"]).unwrap()), ids(&b));
+        let tail = b.slice(1, 2).unwrap();
+        assert_eq!(ids(&tail), b.column(0).as_i64().unwrap().0[1..].as_ptr());
+        let own = b.copy_rows(1, 2).unwrap();
+        assert_eq!(own, tail);
+        assert_ne!(ids(&own), ids(&tail));
     }
 
     #[test]

@@ -225,6 +225,16 @@ impl Bitmap {
         self.for_each_set(|i| out.push(i));
     }
 
+    /// The bits 64 at a time, bit `i` of the bitmap at bit `i % 64` of word
+    /// `i / 64`; bits past `len` are clear.
+    pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.bits.chunks(8).map(|bytes| {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            u64::from_le_bytes(word)
+        })
+    }
+
     /// Call `f` with the index of every set bit, ascending. Word-at-a-time
     /// (u64) bit scan, so filter kernels can fuse the mask scan with their
     /// gather instead of materializing an index vector in between.

@@ -1,11 +1,10 @@
 //! Typed, immutable columns with optional validity bitmaps, plus a builder.
 
 use crate::bitmap::Bitmap;
+use crate::buffer::Buffer;
 use crate::datatype::{DataType, Value};
 use crate::error::{ColumnarError, Result};
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Canonicalize a validity bitmap: a column's validity is `Some` **iff** it
@@ -19,19 +18,21 @@ pub fn normalize_validity(validity: Option<Bitmap>) -> Option<Bitmap> {
 
 /// A typed column of values.
 ///
-/// Each variant stores a dense vector of values plus an optional validity
-/// bitmap; `None` validity means "no nulls" (see [`normalize_validity`]).
-/// Null slots still occupy a default value in the dense vector (Arrow
-/// convention), so kernels can read values unconditionally and mask
-/// afterwards.
+/// Each variant holds its values in a shared [`Buffer`] plus an optional
+/// validity bitmap; `None` validity means "no nulls" (see
+/// [`normalize_validity`]). Cloning or slicing a column shares its values
+/// (the bitmap, 1/64 of an `Int64` column, is copied). Null slots still
+/// occupy a default value in the buffer (Arrow convention), so kernels can
+/// read values unconditionally and mask afterwards. A plain string column
+/// keeps one `String` per row.
 #[derive(Debug, Clone)]
 pub enum Column {
-    Bool(Vec<bool>, Option<Bitmap>),
-    Int64(Vec<i64>, Option<Bitmap>),
-    Float64(Vec<f64>, Option<Bitmap>),
-    Utf8(Vec<String>, Option<Bitmap>),
-    Timestamp(Vec<i64>, Option<Bitmap>),
-    Date(Vec<i32>, Option<Bitmap>),
+    Bool(Buffer<bool>, Option<Bitmap>),
+    Int64(Buffer<i64>, Option<Bitmap>),
+    Float64(Buffer<f64>, Option<Bitmap>),
+    Utf8(Buffer<String>, Option<Bitmap>),
+    Timestamp(Buffer<i64>, Option<Bitmap>),
+    Date(Buffer<i32>, Option<Bitmap>),
     /// A dictionary-encoded string column (see [`DictColumn`]). Reports
     /// `DataType::Utf8`; kernels that understand the encoding operate on
     /// the `u32` codes directly, everything else goes through `get`.
@@ -49,7 +50,7 @@ pub enum Column {
 #[derive(Debug, Clone)]
 pub struct DictColumn {
     dict: Arc<Vec<String>>,
-    codes: Vec<u32>,
+    codes: Buffer<u32>,
     validity: Option<Bitmap>,
 }
 
@@ -58,9 +59,10 @@ impl DictColumn {
     /// and the validity length matches.
     pub fn try_new(
         dict: Arc<Vec<String>>,
-        codes: Vec<u32>,
+        codes: impl Into<Buffer<u32>>,
         validity: Option<Bitmap>,
     ) -> Result<DictColumn> {
+        let codes = codes.into();
         if let Some(max) = codes.iter().max() {
             if *max as usize >= dict.len() {
                 return Err(ColumnarError::IndexOutOfBounds {
@@ -88,12 +90,12 @@ impl DictColumn {
     /// (e.g. gathering codes from an existing dict column).
     pub(crate) fn new_unchecked(
         dict: Arc<Vec<String>>,
-        codes: Vec<u32>,
+        codes: impl Into<Buffer<u32>>,
         validity: Option<Bitmap>,
     ) -> DictColumn {
         DictColumn {
             dict,
-            codes,
+            codes: codes.into(),
             validity: normalize_validity(validity),
         }
     }
@@ -148,12 +150,8 @@ impl DictColumn {
 
     /// Decode into a plain `Utf8` column (the late-materialization point).
     pub fn materialize(&self) -> Column {
-        let values: Vec<String> = self
-            .codes
-            .iter()
-            .map(|&c| self.dict[c as usize].clone())
-            .collect();
-        Column::Utf8(values, self.validity.clone())
+        let values = self.codes.iter().map(|&c| self.dict[c as usize].clone());
+        Column::Utf8(values.collect(), self.validity.clone())
     }
 }
 
@@ -219,83 +217,62 @@ impl Column {
     // ---- constructors -----------------------------------------------------
 
     pub fn from_bool(values: Vec<bool>) -> Self {
-        Column::Bool(values, None)
+        Column::Bool(values.into(), None)
     }
     pub fn from_i64(values: Vec<i64>) -> Self {
-        Column::Int64(values, None)
+        Column::Int64(values.into(), None)
     }
     pub fn from_f64(values: Vec<f64>) -> Self {
-        Column::Float64(values, None)
+        Column::Float64(values.into(), None)
     }
     pub fn from_str_vec(values: Vec<String>) -> Self {
-        Column::Utf8(values, None)
+        Column::Utf8(values.into(), None)
     }
     pub fn from_strs(values: Vec<&str>) -> Self {
         Column::Utf8(values.into_iter().map(String::from).collect(), None)
     }
     pub fn from_timestamp(values: Vec<i64>) -> Self {
-        Column::Timestamp(values, None)
+        Column::Timestamp(values.into(), None)
     }
     pub fn from_date(values: Vec<i32>) -> Self {
-        Column::Date(values, None)
+        Column::Date(values.into(), None)
     }
 
     pub fn from_opt_bool(values: Vec<Option<bool>>) -> Self {
-        let validity = normalize_validity(Some(Bitmap::from_options(&values)));
-        let dense = values.into_iter().map(Option::unwrap_or_default).collect();
-        Column::Bool(dense, validity)
+        from_options(values, Column::Bool)
     }
     pub fn from_opt_i64(values: Vec<Option<i64>>) -> Self {
-        let validity = normalize_validity(Some(Bitmap::from_options(&values)));
-        let dense = values.into_iter().map(Option::unwrap_or_default).collect();
-        Column::Int64(dense, validity)
+        from_options(values, Column::Int64)
     }
     pub fn from_opt_f64(values: Vec<Option<f64>>) -> Self {
-        let validity = normalize_validity(Some(Bitmap::from_options(&values)));
-        let dense = values.into_iter().map(Option::unwrap_or_default).collect();
-        Column::Float64(dense, validity)
+        from_options(values, Column::Float64)
     }
     pub fn from_opt_str(values: Vec<Option<&str>>) -> Self {
-        let validity = normalize_validity(Some(Bitmap::from_options(&values)));
-        let dense = values
-            .into_iter()
-            .map(|v| v.unwrap_or_default().to_string())
-            .collect();
-        Column::Utf8(dense, validity)
+        let values = values.into_iter().map(|v| v.map(String::from)).collect();
+        from_options(values, Column::Utf8)
     }
     pub fn from_opt_timestamp(values: Vec<Option<i64>>) -> Self {
-        let validity = normalize_validity(Some(Bitmap::from_options(&values)));
-        let dense = values.into_iter().map(Option::unwrap_or_default).collect();
-        Column::Timestamp(dense, validity)
+        from_options(values, Column::Timestamp)
     }
     pub fn from_opt_date(values: Vec<Option<i32>>) -> Self {
-        let validity = normalize_validity(Some(Bitmap::from_options(&values)));
-        let dense = values.into_iter().map(Option::unwrap_or_default).collect();
-        Column::Date(dense, validity)
+        from_options(values, Column::Date)
     }
 
     /// An empty column of the given type.
     pub fn new_empty(dt: DataType) -> Self {
-        match dt {
-            DataType::Bool => Column::Bool(vec![], None),
-            DataType::Int64 => Column::Int64(vec![], None),
-            DataType::Float64 => Column::Float64(vec![], None),
-            DataType::Utf8 => Column::Utf8(vec![], None),
-            DataType::Timestamp => Column::Timestamp(vec![], None),
-            DataType::Date => Column::Date(vec![], None),
-        }
+        Column::new_null(dt, 0)
     }
 
     /// A column of `len` nulls of the given type.
     pub fn new_null(dt: DataType, len: usize) -> Self {
         let validity = normalize_validity(Some(Bitmap::new_clear(len)));
         match dt {
-            DataType::Bool => Column::Bool(vec![false; len], validity),
-            DataType::Int64 => Column::Int64(vec![0; len], validity),
-            DataType::Float64 => Column::Float64(vec![0.0; len], validity),
-            DataType::Utf8 => Column::Utf8(vec![String::new(); len], validity),
-            DataType::Timestamp => Column::Timestamp(vec![0; len], validity),
-            DataType::Date => Column::Date(vec![0; len], validity),
+            DataType::Bool => Column::Bool(vec![false; len].into(), validity),
+            DataType::Int64 => Column::Int64(vec![0; len].into(), validity),
+            DataType::Float64 => Column::Float64(vec![0.0; len].into(), validity),
+            DataType::Utf8 => Column::Utf8(vec![String::new(); len].into(), validity),
+            DataType::Timestamp => Column::Timestamp(vec![0; len].into(), validity),
+            DataType::Date => Column::Date(vec![0; len].into(), validity),
         }
     }
 
@@ -307,12 +284,12 @@ impl Column {
                 // with type context should use `new_null` directly.
                 Column::new_null(DataType::Int64, len)
             }
-            Value::Bool(b) => Column::Bool(vec![*b; len], None),
-            Value::Int64(v) => Column::Int64(vec![*v; len], None),
-            Value::Float64(v) => Column::Float64(vec![*v; len], None),
-            Value::Utf8(s) => Column::Utf8(vec![s.clone(); len], None),
-            Value::Timestamp(v) => Column::Timestamp(vec![*v; len], None),
-            Value::Date(v) => Column::Date(vec![*v; len], None),
+            Value::Bool(b) => Column::Bool(vec![*b; len].into(), None),
+            Value::Int64(v) => Column::Int64(vec![*v; len].into(), None),
+            Value::Float64(v) => Column::Float64(vec![*v; len].into(), None),
+            Value::Utf8(s) => Column::Utf8(vec![s.clone(); len].into(), None),
+            Value::Timestamp(v) => Column::Timestamp(vec![*v; len].into(), None),
+            Value::Date(v) => Column::Date(vec![*v; len].into(), None),
         })
     }
 
@@ -471,7 +448,8 @@ impl Column {
 
     // ---- structural ops ----------------------------------------------------
 
-    /// Zero-copy-ish slice: `[offset, offset + len)`.
+    /// Rows `[offset, offset + len)`, sharing this column's values; only
+    /// a validity bitmap is copied.
     pub fn slice(&self, offset: usize, len: usize) -> Result<Column> {
         let end = offset
             .checked_add(len)
@@ -483,31 +461,32 @@ impl Column {
             });
         }
         let validity = normalize_validity(self.validity().map(|b| b.slice_range(offset, len)));
+        let rows = offset..end;
         Ok(match self {
-            Column::Bool(v, _) => Column::Bool(v[offset..end].to_vec(), validity),
-            Column::Int64(v, _) => Column::Int64(v[offset..end].to_vec(), validity),
-            Column::Float64(v, _) => Column::Float64(v[offset..end].to_vec(), validity),
-            Column::Utf8(v, _) => Column::Utf8(v[offset..end].to_vec(), validity),
-            Column::Timestamp(v, _) => Column::Timestamp(v[offset..end].to_vec(), validity),
-            Column::Date(v, _) => Column::Date(v[offset..end].to_vec(), validity),
+            Column::Bool(v, _) => Column::Bool(v.slice(rows), validity),
+            Column::Int64(v, _) => Column::Int64(v.slice(rows), validity),
+            Column::Float64(v, _) => Column::Float64(v.slice(rows), validity),
+            Column::Utf8(v, _) => Column::Utf8(v.slice(rows), validity),
+            Column::Timestamp(v, _) => Column::Timestamp(v.slice(rows), validity),
+            Column::Date(v, _) => Column::Date(v.slice(rows), validity),
             Column::Dict(d) => Column::Dict(DictColumn::new_unchecked(
                 Arc::clone(&d.dict),
-                d.codes[offset..end].to_vec(),
+                d.codes.slice(rows),
                 validity,
             )),
         })
     }
 
-    /// Concatenate columns of the same type.
-    pub fn concat<C: Borrow<Column>>(columns: &[C]) -> Result<Column> {
-        let columns: Vec<&Column> = columns.iter().map(Borrow::borrow).collect();
+    /// Concatenate columns of the same type: one column shares its
+    /// values, several are copied into one buffer.
+    pub fn concat(columns: &[Column]) -> Result<Column> {
         let Some(first) = columns.first() else {
             return Err(ColumnarError::InvalidArgument(
                 "concat of zero columns".into(),
             ));
         };
         let dt = first.data_type();
-        for col in &columns {
+        for col in columns {
             if col.data_type() != dt {
                 return Err(ColumnarError::TypeMismatch {
                     expected: dt.name().into(),
@@ -515,13 +494,16 @@ impl Column {
                 });
             }
         }
+        if let [one] = columns {
+            return Ok(one.clone());
+        }
         let total: usize = columns.iter().map(|c| c.len()).sum();
         // Validity stays `None` unless an input actually contains a null —
         // the same normalization ColumnBuilder::finish applies. Built by
         // appending whole bitmaps (byte shifts), not bit by bit.
         let validity = if columns.iter().any(|c| c.null_count() > 0) {
             let mut bits = Bitmap::new_clear(0);
-            for col in &columns {
+            for col in columns {
                 match col.validity() {
                     Some(v) => bits.append(v),
                     None => bits.append(&Bitmap::new_set(col.len())),
@@ -534,104 +516,95 @@ impl Column {
         macro_rules! concat_typed {
             ($variant:ident, $ty:ty) => {{
                 let mut out: Vec<$ty> = Vec::with_capacity(total);
-                for col in &columns {
+                for col in columns {
                     match col {
                         Column::$variant(v, _) => out.extend_from_slice(v),
                         _ => unreachable!("types checked above"),
                     }
                 }
-                Column::$variant(out, validity)
+                Column::$variant(out.into(), validity)
             }};
         }
         Ok(match dt {
             DataType::Bool => concat_typed!(Bool, bool),
             DataType::Int64 => concat_typed!(Int64, i64),
             DataType::Float64 => concat_typed!(Float64, f64),
-            DataType::Utf8 => concat_utf8(&columns, total, validity),
+            DataType::Utf8 => concat_utf8(columns, total, validity),
             DataType::Timestamp => concat_typed!(Timestamp, i64),
             DataType::Date => concat_typed!(Date, i32),
         })
     }
 
     /// Min and max non-null values, or `(Null, Null)` if all rows are null.
-    pub fn min_max(&self) -> (Value, Value) {
-        self.min_max_rows(0..self.len())
-    }
-
-    /// [`Self::min_max`] of rows `rows` (which the column must hold), in
-    /// place: no slice is made.
     ///
     /// Typed loops over the column's slice: one `Value` pair per column, not
     /// one per cell. Ordering is [`Value::total_cmp`]'s (floats by
-    /// `f64::total_cmp`), and strict comparisons keep the first occurrence
-    /// on ties.
-    pub fn min_max_rows(&self, rows: Range<usize>) -> (Value, Value) {
-        /// Extremes of `values`, which start at row `at` of `validity`.
-        fn extremes<T: Copy>(
-            values: impl Iterator<Item = T>,
-            (validity, at): (Option<&Bitmap>, usize),
-            lt: impl Fn(T, T) -> bool,
+    /// `f64::total_cmp`, folded as the integer keys it compares). A NULL
+    /// slot folds as the first valid value, which moves neither extreme, so
+    /// a nullable column folds without a branch a row, its validity read a
+    /// word at a time.
+    pub fn min_max(&self) -> (Value, Value) {
+        fn extremes<'a, S, T: Ord + Copy>(
+            values: &'a [S],
+            validity: Option<&Bitmap>,
+            get: impl Fn(&'a S) -> T,
         ) -> Option<(T, T)> {
-            let wider = |(lo, hi): (T, T), x: T| {
-                (
-                    if lt(x, lo) { x } else { lo },
-                    if lt(hi, x) { x } else { hi },
-                )
-            };
             let Some(validity) = validity else {
-                // No NULL to step over: a plain fold, no per-cell state.
-                let mut values = values;
-                let first = values.next()?;
-                return Some(values.fold((first, first), wider));
+                let first = get(values.first()?);
+                let (mut lo, mut hi) = (first, first);
+                for x in values {
+                    (lo, hi) = (lo.min(get(x)), hi.max(get(x)));
+                }
+                return Some((lo, hi));
             };
-            let mut best: Option<(T, T)> = None;
-            for (i, x) in values.enumerate() {
-                if validity.get(at + i) {
-                    best = Some(best.map_or((x, x), |best| wider(best, x)));
+            let (at, word) = validity.words().enumerate().find(|(_, w)| *w != 0)?;
+            let fill = get(&values[at * 64 + word.trailing_zeros() as usize]);
+            let (mut lo, mut hi) = (fill, fill);
+            for (chunk, word) in values.chunks(64).zip(validity.words()) {
+                for (j, x) in chunk.iter().enumerate() {
+                    let x = if word >> j & 1 == 1 { get(x) } else { fill };
+                    (lo, hi) = (lo.min(x), hi.max(x));
                 }
             }
-            best
+            Some((lo, hi))
         }
         fn wrap<T>(best: Option<(T, T)>, f: impl Fn(T) -> Value) -> (Value, Value) {
             best.map_or((Value::Null, Value::Null), |(lo, hi)| (f(lo), f(hi)))
         }
-        fn ordered<T: Copy + PartialOrd>(
+        fn ordered<T: Copy + Ord>(
             values: &[T],
-            validity: (Option<&Bitmap>, usize),
+            validity: Option<&Bitmap>,
             f: impl Fn(T) -> Value,
         ) -> (Value, Value) {
-            wrap(extremes(values.iter().copied(), validity, |a, b| a < b), f)
+            wrap(extremes(values, validity, |x| *x), f)
         }
-        let validity = (self.validity(), rows.start);
+        // `f64::total_cmp`'s key: an involution, ordered as that compares.
+        let key = |bits: i64| bits ^ (((bits >> 63) as u64) >> 1) as i64;
+        let float = |k: i64| Value::Float64(f64::from_bits(key(k) as u64));
+        let utf8 = |s: &str| Value::Utf8(s.to_string());
+        let validity = self.validity();
         match self {
-            Column::Bool(v, _) => ordered(&v[rows], validity, Value::Bool),
-            Column::Int64(v, _) => ordered(&v[rows], validity, Value::Int64),
-            Column::Timestamp(v, _) => ordered(&v[rows], validity, Value::Timestamp),
-            Column::Date(v, _) => ordered(&v[rows], validity, Value::Date),
-            Column::Float64(v, _) => wrap(
-                extremes(v[rows].iter().copied(), validity, |a, b| {
-                    a.total_cmp(&b).is_lt()
-                }),
-                Value::Float64,
-            ),
-            Column::Utf8(v, _) => wrap(
-                extremes(v[rows].iter().map(String::as_str), validity, |a, b| a < b),
-                |s| Value::Utf8(s.to_string()),
-            ),
+            Column::Bool(v, _) => ordered(v, validity, Value::Bool),
+            Column::Int64(v, _) => ordered(v, validity, Value::Int64),
+            Column::Timestamp(v, _) => ordered(v, validity, Value::Timestamp),
+            Column::Date(v, _) => ordered(v, validity, Value::Date),
+            Column::Float64(v, _) => {
+                wrap(extremes(v, validity, |x| key(x.to_bits() as i64)), float)
+            }
+            Column::Utf8(v, _) => wrap(extremes(v, validity, String::as_str), utf8),
             // Dictionary: mark which entries appear among valid rows, then
             // compare the (much smaller) dictionary's used entries.
             Column::Dict(d) => {
                 let mut used = vec![false; d.dict().len()];
-                for (i, &c) in rows.clone().zip(&d.codes()[rows]) {
-                    if validity.0.is_none_or(|b| b.get(i)) {
+                for (i, &c) in d.codes().iter().enumerate() {
+                    if validity.is_none_or(|b| b.get(i)) {
                         used[c as usize] = true;
                     }
                 }
-                let entries = d.dict().iter().zip(&used).filter(|(_, u)| **u);
-                wrap(
-                    extremes(entries.map(|(s, _)| s.as_str()), (None, 0), |a, b| a < b),
-                    |s| Value::Utf8(s.to_string()),
-                )
+                let entries: Vec<&str> = (d.dict().iter().zip(&used))
+                    .filter_map(|(s, u)| u.then_some(s.as_str()))
+                    .collect();
+                wrap(extremes(&entries, None, |s| *s), utf8)
             }
         }
     }
@@ -643,7 +616,7 @@ impl Column {
 /// codes remapped, and plain pieces (the writer leaves a trailing row group
 /// of a few rows plain) are folded into the merged dictionary instead of
 /// de-dictionarying everything else. A mostly-plain input stays plain.
-fn concat_utf8(columns: &[&Column], total: usize, validity: Option<Bitmap>) -> Column {
+fn concat_utf8(columns: &[Column], total: usize, validity: Option<Bitmap>) -> Column {
     let dict_rows: usize = columns
         .iter()
         .map(|c| c.as_dict().map_or(0, DictColumn::len))
@@ -696,7 +669,19 @@ fn concat_utf8(columns: &[&Column], total: usize, validity: Option<Bitmap>) -> C
             _ => unreachable!("types checked above"),
         }
     }
-    Column::Utf8(out, validity)
+    Column::Utf8(out.into(), validity)
+}
+
+/// A column of `values`, a `None` a NULL over the type's default.
+fn from_options<T: Default>(
+    values: Vec<Option<T>>,
+    variant: fn(Buffer<T>, Option<Bitmap>) -> Column,
+) -> Column {
+    let validity = normalize_validity(Some(Bitmap::from_options(&values)));
+    variant(
+        values.into_iter().map(Option::unwrap_or_default).collect(),
+        validity,
+    )
 }
 
 fn type_err(expected: &str, actual: &Column) -> ColumnarError {
@@ -836,12 +821,12 @@ impl ColumnBuilder {
             None
         };
         match self.dt {
-            DataType::Bool => Column::Bool(self.bools, validity),
-            DataType::Int64 => Column::Int64(self.ints, validity),
-            DataType::Timestamp => Column::Timestamp(self.ints, validity),
-            DataType::Float64 => Column::Float64(self.floats, validity),
-            DataType::Utf8 => Column::Utf8(self.strings, validity),
-            DataType::Date => Column::Date(self.dates, validity),
+            DataType::Bool => Column::Bool(self.bools.into(), validity),
+            DataType::Int64 => Column::Int64(self.ints.into(), validity),
+            DataType::Timestamp => Column::Timestamp(self.ints.into(), validity),
+            DataType::Float64 => Column::Float64(self.floats.into(), validity),
+            DataType::Utf8 => Column::Utf8(self.strings.into(), validity),
+            DataType::Date => Column::Date(self.dates.into(), validity),
         }
     }
 }

@@ -215,12 +215,12 @@ impl Extremes {
 
     fn into_column(self, validity: Option<Bitmap>) -> Column {
         match self {
-            Extremes::Bool(v) => Column::Bool(v, validity),
-            Extremes::Int64(v) => Column::Int64(v, validity),
-            Extremes::Float64(v) => Column::Float64(v, validity),
-            Extremes::Utf8(v) => Column::Utf8(v, validity),
-            Extremes::Timestamp(v) => Column::Timestamp(v, validity),
-            Extremes::Date(v) => Column::Date(v, validity),
+            Extremes::Bool(v) => Column::Bool(v.into(), validity),
+            Extremes::Int64(v) => Column::Int64(v.into(), validity),
+            Extremes::Float64(v) => Column::Float64(v.into(), validity),
+            Extremes::Utf8(v) => Column::Utf8(v.into(), validity),
+            Extremes::Timestamp(v) => Column::Timestamp(v.into(), validity),
+            Extremes::Date(v) => Column::Date(v.into(), validity),
         }
     }
 }
@@ -277,7 +277,6 @@ fn each_valid(n: usize, valid: Option<&Bitmap>, f: impl FnMut(usize)) {
     }
 }
 
-/// A validity bitmap from one flag per row, `None` when all are valid.
 /// A float SUM or AVG that came out NaN, as the one canonical NaN. Which
 /// operand's payload an addition of two NaNs keeps is the hardware's
 /// choice, and the compiler may swap the operands, so the bits of a NaN sum
@@ -290,6 +289,7 @@ pub(crate) fn canonical_nan(x: f64) -> f64 {
     }
 }
 
+/// A validity bitmap from one flag per row, `None` when all are valid.
 fn validity(valid: impl Iterator<Item = bool>) -> Option<Bitmap> {
     let valid: Vec<bool> = valid.collect();
     normalize_validity(Some(Bitmap::from_bools(&valid)))
@@ -330,10 +330,29 @@ impl Accumulator {
         self.fold(arg, ids.len(), |i| ids[i] as usize)
     }
 
-    /// Fold every row of a batch of `rows` rows into group 0.
+    /// Fold every row of a batch of `rows` rows into group 0. A float sum
+    /// and its count stay in locals while the batch folds, not written back
+    /// through the group vectors a row at a time: the same additions in the
+    /// same order, so the same bits.
     pub fn update_all(&mut self, rows: usize, arg: Option<&Column>) -> Result<()> {
         self.resize(self.groups.max(1));
-        self.fold(arg, rows, |_| 0)
+        if let (Some(col), State::Untyped) = (arg, &self.state) {
+            self.type_by(col)?;
+        }
+        let (mut sum, mut count) = match &self.state {
+            State::FloatSum(sums, counts) => (sums[0], counts[0]),
+            _ => return self.fold(arg, rows, |_| 0),
+        };
+        let mut add = |x: f64| (sum, count) = (sum + x, count + 1);
+        match arg.filter(|c| c.len() == rows) {
+            Some(Column::Float64(v, b)) => each_valid(rows, b.as_ref(), |i| add(v[i])),
+            Some(Column::Int64(v, b)) => each_valid(rows, b.as_ref(), |i| add(v[i] as f64)),
+            _ => return self.fold(arg, rows, |_| 0),
+        }
+        if let State::FloatSum(sums, counts) = &mut self.state {
+            (sums[0], counts[0]) = (sum, count);
+        }
+        Ok(())
     }
 
     /// Heap footprint: the vectors' capacity and the strings and distinct
@@ -355,7 +374,7 @@ impl Accumulator {
         let counted = |counts: &[i64]| validity(counts.iter().map(|&c| c > 0));
         Ok(match self.state {
             State::Untyped => Column::new_null(self.agg.output_type(self.input), self.groups),
-            State::Count(counts) => Column::Int64(counts, None),
+            State::Count(counts) => Column::Int64(counts.into(), None),
             State::Distinct(sets) => {
                 Column::Int64(sets.iter().map(|s| s.len() as i64).collect(), None)
             }
@@ -363,7 +382,7 @@ impl Accumulator {
                 if flags.iter().any(|f| f & OVERFLOWED != 0) {
                     return Err(ColumnarError::Overflow("SUM".into()));
                 }
-                Column::Int64(sums, validity(flags.iter().map(|f| f & SEEN != 0)))
+                Column::Int64(sums.into(), validity(flags.iter().map(|f| f & SEEN != 0)))
             }
             State::FloatSum(sums, counts) if self.agg == Aggregator::Avg => {
                 let mean = |(&sum, &count): (&f64, &i64)| match count {
@@ -801,8 +820,10 @@ impl Grouper {
                 DataType::Int64 => Column::Int64(ws.map(|w| w as i64).collect(), validity),
                 DataType::Timestamp => Column::Timestamp(ws.map(|w| w as i64).collect(), validity),
                 DataType::Date => Column::Date(ws.map(|w| w as i32).collect(), validity),
-                DataType::Float64 => Column::Float64(kept(&self.floats, c).to_vec(), validity),
-                DataType::Utf8 => Column::Utf8(kept(&self.strings, c).to_vec(), validity),
+                DataType::Float64 => {
+                    Column::Float64(kept(&self.floats, c).to_vec().into(), validity)
+                }
+                DataType::Utf8 => Column::Utf8(kept(&self.strings, c).to_vec().into(), validity),
             }
         };
         self.types.iter().enumerate().map(column).collect()
@@ -1235,7 +1256,7 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         let validity = Bitmap::from_bools(&[true, true, true, false, true, true]);
-        let plain = Column::Utf8(values.clone(), Some(validity.clone()));
+        let plain = Column::Utf8(values.clone().into(), Some(validity.clone()));
         let dict = Column::Dict(DictColumn::encode(&values, Some(validity)).unwrap());
 
         let mut ga = Grouper::new();
@@ -1275,7 +1296,7 @@ mod tests {
         // later Timestamp is not an Int64, in the dense front (which has no
         // cell for it) or the hash index.
         assert!(g.group_ids(std::slice::from_ref(&b), &mut ids).is_err());
-        let t = Column::Timestamp(vec![1, 2, 9], None);
+        let t = Column::Timestamp(vec![1, 2, 9].into(), None);
         assert!(g.group_ids(&[a.clone(), t.clone()], &mut ids).is_err());
         let mut hashed = Grouper::new();
         let s = Column::from_strs(vec!["x", "y", "x"]);
@@ -1445,7 +1466,7 @@ mod tests {
             .collect();
         let ids = vec![0u32, 1, 0, 1, 0];
         for col in [
-            Column::Utf8(values.clone(), None),
+            Column::Utf8(values.clone().into(), None),
             Column::Dict(DictColumn::encode(&values, None).unwrap()),
         ] {
             let mut mins = vec![AggState::new(Aggregator::Min); 2];
@@ -1468,7 +1489,7 @@ mod tests {
         assert!(count.bytes() <= 8 * groups, "{}", count.bytes());
         assert_eq!(
             count.finish().unwrap(),
-            Column::Int64(vec![2; groups], None)
+            Column::Int64((vec![2; groups]).into(), None)
         );
         // Groups appear batch by batch; those with no value finish NULL.
         let mut sum = Accumulator::new(Aggregator::Sum, DataType::Int64, 0);

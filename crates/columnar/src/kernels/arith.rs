@@ -8,6 +8,7 @@
 //! and document it).
 
 use crate::bitmap::Bitmap;
+use crate::buffer::Buffer;
 use crate::column::Column;
 use crate::error::{ColumnarError, Result};
 
@@ -59,7 +60,7 @@ pub fn neg(col: &Column) -> Result<Column> {
                         .ok_or_else(|| ColumnarError::Overflow("neg".into()))
                 })
                 .collect::<Result<Vec<_>>>()?;
-            Ok(Column::Int64(out, b.clone()))
+            Ok(Column::Int64(out.into(), b.clone()))
         }
         Column::Float64(v, b) => Ok(Column::Float64(v.iter().map(|x| -x).collect(), b.clone())),
         other => Err(ColumnarError::TypeMismatch {
@@ -102,7 +103,7 @@ fn binary_numeric(
                 }
             }
             let keep = extra_nulls || !v.all_set();
-            Ok(Column::Int64(out, keep.then_some(v)))
+            Ok(Column::Int64(out.into(), keep.then_some(v)))
         }
         _ => {
             // Widen both sides to f64.
@@ -110,12 +111,12 @@ fn binary_numeric(
             let b = to_f64_dense(right)?;
             let out: Vec<f64> = (0..n).map(|i| float_op(a[i], b[i])).collect();
             let _ = op_name;
-            Ok(Column::Float64(out, validity))
+            Ok(Column::Float64(out.into(), validity))
         }
     }
 }
 
-fn to_f64_dense(col: &Column) -> Result<Vec<f64>> {
+fn to_f64_dense(col: &Column) -> Result<Buffer<f64>> {
     Ok(match col {
         Column::Int64(v, _) | Column::Timestamp(v, _) => v.iter().map(|&x| x as f64).collect(),
         Column::Float64(v, _) => v.clone(),

@@ -78,7 +78,7 @@ fn bool_inputs<'a>(left: &'a Column, right: &'a Column) -> Result<BoolInputs<'a>
 
 fn finish_bool(out: Vec<bool>, valid: &[bool]) -> Column {
     let has_null = valid.iter().any(|&v| !v);
-    Column::Bool(out, has_null.then(|| Bitmap::from_bools(valid)))
+    Column::Bool(out.into(), has_null.then(|| Bitmap::from_bools(valid)))
 }
 
 #[cfg(test)]

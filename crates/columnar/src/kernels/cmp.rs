@@ -2,6 +2,7 @@
 //! any comparison against null yields null.
 
 use crate::bitmap::Bitmap;
+use crate::buffer::Buffer;
 use crate::column::{Column, DictColumn};
 use crate::datatype::Value;
 use crate::error::{ColumnarError, Result};
@@ -104,7 +105,7 @@ pub fn cmp_columns(op: CmpOp, left: &Column, right: &Column) -> Result<Column> {
 /// loop: each arm is a tight branch-free loop the compiler can
 /// autovectorize, instead of re-matching the operator per element.
 #[inline]
-fn cmp_vec(op: CmpOp, n: usize, ord: impl Fn(usize) -> Ordering) -> Vec<bool> {
+fn cmp_vec(op: CmpOp, n: usize, ord: impl Fn(usize) -> Ordering) -> Buffer<bool> {
     match op {
         CmpOp::Eq => (0..n).map(|i| ord(i) == Ordering::Equal).collect(),
         CmpOp::NotEq => (0..n).map(|i| ord(i) != Ordering::Equal).collect(),
@@ -144,7 +145,7 @@ fn generic_cmp(op: CmpOp, left: &Column, right: &Column) -> Result<Column> {
             validity.set(i);
         }
     }
-    Ok(Column::Bool(out, has_null.then_some(validity)))
+    Ok(Column::Bool(out.into(), has_null.then_some(validity)))
 }
 
 fn combine_validity(left: &Column, right: &Column, n: usize) -> Result<Option<Bitmap>> {
@@ -202,7 +203,7 @@ pub fn cmp_column_scalar(op: CmpOp, col: &Column, scalar: &Value) -> Result<Colu
             validity.set(i);
         }
     }
-    Ok(Column::Bool(out, has_null.then_some(validity)))
+    Ok(Column::Bool(out.into(), has_null.then_some(validity)))
 }
 
 fn scalar_cmp<T>(
@@ -240,7 +241,7 @@ fn cmp_dict_scalar(op: CmpOp, d: &DictColumn, s: &str) -> Column {
         CmpOp::GtEq => d.dict().iter().map(|e| e.as_str() >= s).collect(),
     };
     let out: Vec<bool> = d.codes().iter().map(|&c| table[c as usize]).collect();
-    Column::Bool(out, d.validity().cloned())
+    Column::Bool(out.into(), d.validity().cloned())
 }
 
 /// Convert a Bool column into a selection bitmap: set where value is true
@@ -375,7 +376,7 @@ mod tests {
         let dict = Column::Dict(
             crate::column::DictColumn::encode(&values, Some(validity.clone())).unwrap(),
         );
-        let plain = Column::Utf8(values, Some(validity));
+        let plain = Column::Utf8(values.into(), Some(validity));
         for op in [
             CmpOp::Eq,
             CmpOp::NotEq,

@@ -9,6 +9,7 @@
 
 use crate::batch::RecordBatch;
 use crate::bitmap::Bitmap;
+use crate::buffer::Buffer;
 use crate::column::{Column, DictColumn};
 use crate::error::{ColumnarError, Result};
 use std::borrow::Cow;
@@ -48,10 +49,10 @@ fn filter_column_unchecked(col: &Column, mask: &Bitmap, survivors: usize) -> Col
     }
 }
 
-fn filter_dense<T: Clone>(values: &[T], mask: &Bitmap, survivors: usize) -> Vec<T> {
+fn filter_dense<T: Clone>(values: &[T], mask: &Bitmap, survivors: usize) -> Buffer<T> {
     let mut out = Vec::with_capacity(survivors);
     mask.for_each_set(|i| out.push(values[i].clone()));
-    out
+    out.into()
 }
 
 /// Validity of the surviving rows, `None` when they are all valid. WHERE
@@ -114,13 +115,13 @@ fn take_column_unchecked(col: &Column, indices: &[usize]) -> Column {
         // shared untouched (late materialization).
         Column::Dict(d) => Column::Dict(DictColumn::new_unchecked(
             Arc::clone(d.dict()),
-            indices.iter().map(|&i| d.codes()[i]).collect(),
+            gather(d.codes(), indices),
             validity,
         )),
     }
 }
 
-fn gather<T: Clone>(values: &[T], indices: &[usize]) -> Vec<T> {
+fn gather<T: Clone>(values: &[T], indices: &[usize]) -> Buffer<T> {
     indices.iter().map(|&i| values[i].clone()).collect()
 }
 
@@ -143,7 +144,7 @@ pub fn take_column_opt(col: &Column, indices: &[Option<usize>]) -> Result<Column
         None => Cow::Borrowed(indices),
         Some(b) => indices.iter().map(|i| i.filter(|&i| b.get(i))).collect(),
     };
-    fn gather_opt<T: Clone + Default>(values: &[T], indices: &[Option<usize>]) -> Vec<T> {
+    fn gather_opt<T: Clone + Default>(values: &[T], indices: &[Option<usize>]) -> Buffer<T> {
         let at = |i: &Option<usize>| i.map_or_else(T::default, |i| values[i].clone());
         indices.iter().map(at).collect()
     }
@@ -275,7 +276,7 @@ mod tests {
     fn take_opt_pads_nulls_and_normalizes_null_slots() {
         // The source hides a 7 under its NULL.
         let c = Column::Int64(
-            vec![5, 7, 9],
+            vec![5, 7, 9].into(),
             Some(Bitmap::from_bools(&[true, false, true])),
         );
         let t = take_column_opt(&c, &[Some(2), None, Some(1), Some(0)]).unwrap();
@@ -345,7 +346,7 @@ mod tests {
             .collect();
         let validity = Bitmap::from_bools(&[true, false, true, true, true]);
         let dict = Column::Dict(DictColumn::encode(&values, Some(validity.clone())).unwrap());
-        let plain = Column::Utf8(values, Some(validity));
+        let plain = Column::Utf8(values.into(), Some(validity));
         let mask = Bitmap::from_bools(&[true, true, false, true, false]);
         let fd = filter_column(&dict, &mask).unwrap();
         let fp = filter_column(&plain, &mask).unwrap();

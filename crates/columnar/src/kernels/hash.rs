@@ -364,7 +364,7 @@ mod tests {
         let dict = Column::Dict(
             crate::column::DictColumn::encode(&values, Some(validity.clone())).unwrap(),
         );
-        let plain = Column::Utf8(values, Some(validity));
+        let plain = Column::Utf8(values.into(), Some(validity));
         assert_eq!(hash_column(&dict).unwrap(), hash_column(&plain).unwrap());
     }
 

@@ -61,7 +61,7 @@ fn typed_cmp_ref<T>(
         out.push(op.matches(cmp(&a[i], &b[i])));
     }
     let validity = combine_validity_ref(left, right)?;
-    Ok(Column::Bool(out, validity))
+    Ok(Column::Bool(out.into(), validity))
 }
 
 fn generic_cmp_ref(op: CmpOp, left: &Column, right: &Column) -> Result<Column> {
@@ -79,7 +79,7 @@ fn generic_cmp_ref(op: CmpOp, left: &Column, right: &Column) -> Result<Column> {
             validity.set(i);
         }
     }
-    Ok(Column::Bool(out, has_null.then_some(validity)))
+    Ok(Column::Bool(out.into(), has_null.then_some(validity)))
 }
 
 fn combine_validity_ref(left: &Column, right: &Column) -> Result<Option<Bitmap>> {
@@ -100,26 +100,26 @@ pub fn cmp_column_scalar_ref(op: CmpOp, col: &Column, scalar: &Value) -> Result<
     match (col, scalar) {
         (Column::Int64(v, _), Value::Int64(s)) => {
             let out: Vec<bool> = v.iter().map(|x| op.matches(x.cmp(s))).collect();
-            return Ok(Column::Bool(out, col.validity().cloned()));
+            return Ok(Column::Bool(out.into(), col.validity().cloned()));
         }
         (Column::Float64(v, _), Value::Float64(s)) => {
             let out: Vec<bool> = v.iter().map(|x| op.matches(x.total_cmp(s))).collect();
-            return Ok(Column::Bool(out, col.validity().cloned()));
+            return Ok(Column::Bool(out.into(), col.validity().cloned()));
         }
         (Column::Utf8(v, _), Value::Utf8(s)) => {
             let out: Vec<bool> = v
                 .iter()
                 .map(|x| op.matches(x.as_str().cmp(s.as_str())))
                 .collect();
-            return Ok(Column::Bool(out, col.validity().cloned()));
+            return Ok(Column::Bool(out.into(), col.validity().cloned()));
         }
         (Column::Timestamp(v, _), Value::Timestamp(s) | Value::Int64(s)) => {
             let out: Vec<bool> = v.iter().map(|x| op.matches(x.cmp(s))).collect();
-            return Ok(Column::Bool(out, col.validity().cloned()));
+            return Ok(Column::Bool(out.into(), col.validity().cloned()));
         }
         (Column::Date(v, _), Value::Date(s)) => {
             let out: Vec<bool> = v.iter().map(|x| op.matches(x.cmp(s))).collect();
-            return Ok(Column::Bool(out, col.validity().cloned()));
+            return Ok(Column::Bool(out.into(), col.validity().cloned()));
         }
         _ => {}
     }
@@ -136,7 +136,7 @@ pub fn cmp_column_scalar_ref(op: CmpOp, col: &Column, scalar: &Value) -> Result<
             validity.set(i);
         }
     }
-    Ok(Column::Bool(out, has_null.then_some(validity)))
+    Ok(Column::Bool(out.into(), has_null.then_some(validity)))
 }
 
 /// Scalar reference for [`super::to_selection`]: one bit lookup per row.
@@ -182,7 +182,7 @@ fn kleene_ref(
             }
         }
     }
-    Ok(Column::Bool(out, has_null.then_some(validity)))
+    Ok(Column::Bool(out.into(), has_null.then_some(validity)))
 }
 
 /// Scalar reference for [`super::and_kleene`].
@@ -225,12 +225,12 @@ pub fn take_column_ref(col: &Column, indices: &[usize]) -> Result<Column> {
         indices.iter().map(|&i| values[i].clone()).collect()
     }
     Ok(match col {
-        Column::Bool(v, _) => Column::Bool(gather(v, indices), validity),
-        Column::Int64(v, _) => Column::Int64(gather(v, indices), validity),
-        Column::Float64(v, _) => Column::Float64(gather(v, indices), validity),
-        Column::Utf8(v, _) => Column::Utf8(gather(v, indices), validity),
-        Column::Timestamp(v, _) => Column::Timestamp(gather(v, indices), validity),
-        Column::Date(v, _) => Column::Date(gather(v, indices), validity),
+        Column::Bool(v, _) => Column::Bool(gather(v, indices).into(), validity),
+        Column::Int64(v, _) => Column::Int64(gather(v, indices).into(), validity),
+        Column::Float64(v, _) => Column::Float64(gather(v, indices).into(), validity),
+        Column::Utf8(v, _) => Column::Utf8(gather(v, indices).into(), validity),
+        Column::Timestamp(v, _) => Column::Timestamp(gather(v, indices).into(), validity),
+        Column::Date(v, _) => Column::Date(gather(v, indices).into(), validity),
         Column::Dict(_) => {
             // The reference predates dictionary columns: materialize first.
             take_column_ref(&col.materialize(), indices)?

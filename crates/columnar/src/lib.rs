@@ -7,6 +7,8 @@
 //!
 //! * [`DataType`] / [`Value`] — the logical type system and scalar values;
 //! * [`Bitmap`] — a packed validity (null) bitmap;
+//! * [`Buffer`] — shared, immutable values: cloning or slicing one copies a
+//!   pointer;
 //! * [`Column`] — a typed, immutable column of values with optional nulls;
 //! * [`Schema`] / [`Field`] — named, typed column metadata;
 //! * [`RecordBatch`] — a horizontal slice of a table: equal-length columns
@@ -37,6 +39,7 @@
 
 pub mod batch;
 pub mod bitmap;
+pub mod buffer;
 pub mod column;
 pub mod csv;
 pub mod datatype;
@@ -48,6 +51,7 @@ pub mod stream;
 
 pub use batch::RecordBatch;
 pub use bitmap::Bitmap;
+pub use buffer::Buffer;
 pub use column::{Column, ColumnBuilder, DictColumn};
 pub use datatype::{DataType, Value};
 pub use error::{ColumnarError, Result};

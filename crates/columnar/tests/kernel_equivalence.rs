@@ -43,12 +43,12 @@ fn random_validity(rng: &mut StdRng, n: usize) -> Option<Bitmap> {
     }
 }
 
-fn random_i64(rng: &mut StdRng, n: usize) -> Column {
+fn whole_i64(rng: &mut StdRng, n: usize) -> Column {
     let values: Vec<i64> = (0..n).map(|_| rng.gen_range(-50..50)).collect();
-    Column::Int64(values, random_validity(rng, n))
+    Column::Int64(values.into(), random_validity(rng, n))
 }
 
-fn random_f64(rng: &mut StdRng, n: usize) -> Column {
+fn whole_f64(rng: &mut StdRng, n: usize) -> Column {
     let values: Vec<f64> = (0..n)
         .map(|_| match rng.gen_range(0..8) {
             0 => 0.0,
@@ -56,7 +56,7 @@ fn random_f64(rng: &mut StdRng, n: usize) -> Column {
             _ => rng.gen_range(-10.0..10.0),
         })
         .collect();
-    Column::Float64(values, random_validity(rng, n))
+    Column::Float64(values.into(), random_validity(rng, n))
 }
 
 fn random_strings(rng: &mut StdRng, n: usize, cardinality: usize) -> Vec<String> {
@@ -65,20 +65,97 @@ fn random_strings(rng: &mut StdRng, n: usize, cardinality: usize) -> Vec<String>
         .collect()
 }
 
-fn random_utf8(rng: &mut StdRng, n: usize) -> Column {
+fn whole_utf8(rng: &mut StdRng, n: usize) -> Column {
     let card = rng.gen_range(1..8usize);
-    Column::Utf8(random_strings(rng, n, card), random_validity(rng, n))
+    Column::Utf8(random_strings(rng, n, card).into(), random_validity(rng, n))
 }
 
-fn random_bool(rng: &mut StdRng, n: usize) -> Column {
+fn whole_bool(rng: &mut StdRng, n: usize) -> Column {
     let values: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
-    Column::Bool(values, random_validity(rng, n))
+    Column::Bool(values.into(), random_validity(rng, n))
 }
 
-fn random_dict(rng: &mut StdRng, n: usize) -> DictColumn {
+fn whole_dict(rng: &mut StdRng, n: usize) -> DictColumn {
     let card = rng.gen_range(1..6usize);
     let values = random_strings(rng, n, card);
     DictColumn::encode(&values, random_validity(rng, n)).expect("encode")
+}
+
+/// A column of `n` rows as `make` builds it — in every other call as a
+/// window of a longer one, at an odd offset (1 to 65 rows in: never on a
+/// byte or word boundary of its validity) that shares the longer one's
+/// values, so every kernel also runs over a column that does not start
+/// where its buffer does.
+fn sliced(rng: &mut StdRng, n: usize, make: impl Fn(&mut StdRng, usize) -> Column) -> Column {
+    if rng.gen_bool(0.5) {
+        return make(rng, n);
+    }
+    let (offset, tail) = (2 * rng.gen_range(0..33usize) + 1, rng.gen_range(0..5usize));
+    let whole = make(rng, offset + n + tail);
+    let window = whole.slice(offset, n).expect("slice");
+    let (at, size) = first_value(&window);
+    assert_eq!(at, first_value(&whole).0 + offset * size, "a slice shares");
+    window
+}
+
+/// The address of a column's first value and the size of a value.
+fn first_value(col: &Column) -> (usize, usize) {
+    fn at<T>(values: &[T]) -> (usize, usize) {
+        (values.as_ptr() as usize, std::mem::size_of::<T>())
+    }
+    match col {
+        Column::Bool(v, _) => at(v),
+        Column::Int64(v, _) | Column::Timestamp(v, _) => at(v),
+        Column::Float64(v, _) => at(v),
+        Column::Utf8(v, _) => at(v),
+        Column::Date(v, _) => at(v),
+        Column::Dict(d) => at(d.codes()),
+    }
+}
+
+fn random_i64(rng: &mut StdRng, n: usize) -> Column {
+    sliced(rng, n, whole_i64)
+}
+
+fn random_f64(rng: &mut StdRng, n: usize) -> Column {
+    sliced(rng, n, whole_f64)
+}
+
+fn random_utf8(rng: &mut StdRng, n: usize) -> Column {
+    sliced(rng, n, whole_utf8)
+}
+
+fn random_bool(rng: &mut StdRng, n: usize) -> Column {
+    sliced(rng, n, whole_bool)
+}
+
+fn random_dict(rng: &mut StdRng, n: usize) -> DictColumn {
+    let col = sliced(rng, n, |rng, n| Column::Dict(whole_dict(rng, n)));
+    col.as_dict().cloned().expect("a dictionary column")
+}
+
+fn random_arg_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
+    sliced(rng, n, |rng, n| whole_arg_column(rng, kind, n))
+}
+
+fn random_key_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
+    sliced(rng, n, |rng, n| whole_key_column(rng, kind, n))
+}
+
+fn phased_key_column(rng: &mut StdRng, kind: u32, n: usize, phase: u32) -> Column {
+    sliced(rng, n, |rng, n| {
+        whole_phased_key_column(rng, kind, n, phase)
+    })
+}
+
+fn small_key_column(rng: &mut StdRng, kind: u32, n: usize, lo: i64, span: i64) -> Column {
+    sliced(rng, n, |rng, n| {
+        whole_small_key_column(rng, kind, n, lo, span)
+    })
+}
+
+fn random_sort_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
+    sliced(rng, n, |rng, n| whole_sort_column(rng, kind, n))
 }
 
 /// Representational equality: same variant, same dense values, same validity.
@@ -345,6 +422,7 @@ fn aggregates_match_reference() {
                     let slow = scalar::aggregate_column_ref(agg, col).expect("agg ref");
                     assert_eq!(fast, slow, "{agg:?} n={n}");
                 }
+                assert_min_max(col, &format!("n={n}"));
             }
             // Strings: everything except SUM/AVG, on plain and dict forms.
             let d = random_dict(&mut rng, n);
@@ -368,7 +446,48 @@ fn aggregates_match_reference() {
                     "{agg:?} dict n={n}"
                 );
             }
+            assert_min_max(&plain, &format!("utf8 n={n}"));
+            assert_min_max(&Column::Dict(d), &format!("dict n={n}"));
         }
+    }
+}
+
+/// `Column::min_max`, which reads validity a word at a time, is the
+/// reference's MIN and MAX over `col` as it is, with every row NULL, and
+/// with all rows but one NULL.
+fn assert_min_max(col: &Column, what: &str) {
+    let n = col.len();
+    let mut one = Bitmap::new_clear(n);
+    (n > 0).then(|| one.set(n * 2 / 3));
+    for validity in [
+        col.validity().cloned(),
+        Some(Bitmap::new_clear(n)),
+        Some(one),
+    ] {
+        let col = match col {
+            Column::Bool(v, _) => Column::Bool(v.clone(), validity),
+            Column::Int64(v, _) => Column::Int64(v.clone(), validity),
+            Column::Float64(v, _) => Column::Float64(v.clone(), validity),
+            Column::Utf8(v, _) => Column::Utf8(v.clone(), validity),
+            Column::Timestamp(v, _) => Column::Timestamp(v.clone(), validity),
+            Column::Date(v, _) => Column::Date(v.clone(), validity),
+            Column::Dict(d) => {
+                let codes = d.codes().to_vec();
+                let d = DictColumn::try_new(Arc::clone(d.dict()), codes, validity);
+                Column::Dict(d.expect("dict"))
+            }
+        };
+        let (min, max) = col.min_max();
+        let want = |agg| scalar::aggregate_column_ref(agg, &col).expect("reference");
+        let (want_min, want_max) = (want(Aggregator::Min), want(Aggregator::Max));
+        assert!(
+            same_value(&min, &want_min),
+            "{what}: min {min:?} != {want_min:?}"
+        );
+        assert!(
+            same_value(&max, &want_max),
+            "{what}: max {max:?} != {want_max:?}"
+        );
     }
 }
 
@@ -437,7 +556,7 @@ fn grouped_aggregation_matches_per_row_updates() {
 /// An argument column of `n` rows for the accumulator tests, NULL-bearing,
 /// drawn from the values aggregates go wrong on: sums that overflow, ±0.0
 /// and NaN of either sign, the empty string, an unsorted dictionary.
-fn random_arg_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
+fn whole_arg_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
     let validity = lakehouse_columnar::column::normalize_validity(random_validity(rng, n));
     let ints = [i64::MAX, i64::MAX - 1, i64::MIN, -1, 0, 1, 7];
     let floats = [
@@ -466,10 +585,10 @@ fn random_arg_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
                 .collect(),
             validity,
         ),
-        3 => Column::Utf8(random_strings(rng, n, 5), validity),
+        3 => Column::Utf8(random_strings(rng, n, 5).into(), validity),
         4 => {
             let dict = ["c", "a", "", "b", "a"].map(String::from).to_vec();
-            let codes = (0..n)
+            let codes: Vec<u32> = (0..n)
                 .map(|_| rng.gen_range(0..dict.len() as u32))
                 .collect();
             Column::Dict(DictColumn::try_new(Arc::new(dict), codes, validity).expect("dict"))
@@ -519,7 +638,7 @@ fn accumulators_match_the_boxed_reference() {
                 (key, random_arg_column(&mut rng, kind, n))
             })
             .collect();
-        let args: Vec<&Column> = batches.iter().map(|(_, a)| a).collect();
+        let args: Vec<Column> = batches.iter().map(|(_, a)| a.clone()).collect();
         let whole = Column::concat(&args).expect("concat");
         let numeric = matches!(whole.data_type(), DataType::Int64 | DataType::Float64);
         for agg in aggs {
@@ -566,16 +685,23 @@ fn accumulators_match_the_boxed_reference() {
                     );
                 }
             }
-            // One group: the whole column.
-            let whole_want = scalar::aggregate_column_ref(agg, &whole);
-            match (kernels::aggregate_column(agg, &whole), whole_want) {
-                (Ok(got), Ok(want)) => {
-                    assert!(same_value(&got, &want), "{what}: {got:?} != {want:?}")
+            // One group, batch after batch (a global aggregate, which
+            // folds in registers) and the whole column at once.
+            let mut global = Accumulator::new(agg, whole.data_type(), 1);
+            let folded = (args.iter())
+                .try_for_each(|a| global.update_all(a.len(), Some(a)))
+                .and_then(|()| global.finish()?.get(0));
+            for got in [folded, kernels::aggregate_column(agg, &whole)] {
+                match (got, scalar::aggregate_column_ref(agg, &whole)) {
+                    (Ok(got), Ok(want)) => {
+                        assert!(same_value(&got, &want), "{what}: {got:?} != {want:?}")
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+                    (got, want) => panic!("{what}: {got:?} != {want:?}"),
                 }
-                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
-                (got, want) => panic!("{what}: {got:?} != {want:?}"),
             }
         }
+        assert_min_max(&whole, &format!("case {case}"));
     }
     assert!(overflows > 0, "no case overflowed an Int64 SUM");
 }
@@ -621,7 +747,7 @@ fn a_nan_sum_is_the_canonical_nan_in_either_operand_order() {
 
 /// One random group-key column of `n` rows: low cardinality so groups
 /// repeat, NULL-heavy, floats drawn from the values `RowKey` canonicalises.
-fn random_key_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
+fn whole_key_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
     let validity = if rng.gen_bool(0.7) {
         let bools: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.6)).collect();
         Some(Bitmap::from_bools(&bools))
@@ -642,7 +768,7 @@ fn random_key_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
                 .collect(),
             validity,
         ),
-        5 => Column::Utf8(random_strings(rng, n, 4), validity),
+        5 => Column::Utf8(random_strings(rng, n, 4).into(), validity),
         // A fresh dictionary per batch, in this batch's first-appearance
         // order: the same string gets different codes in different batches.
         _ => {
@@ -749,7 +875,7 @@ fn grouper_matches_boxed_reference() {
 /// (2) — so a stream of phases 0, 1, 2 widens an integer key's domain and
 /// then takes it past any direct-addressed table. NULLs may first appear in
 /// any phase.
-fn phased_key_column(rng: &mut StdRng, kind: u32, n: usize, phase: u32) -> Column {
+fn whole_phased_key_column(rng: &mut StdRng, kind: u32, n: usize, phase: u32) -> Column {
     let validity = if rng.gen_bool(0.6) {
         let bools: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.7)).collect();
         Some(Bitmap::from_bools(&bools))
@@ -766,13 +892,13 @@ fn phased_key_column(rng: &mut StdRng, kind: u32, n: usize, phase: u32) -> Colum
         (0..n).map(|_| value(rng)).collect()
     };
     match kind {
-        0 => Column::Int64(int([i64::MIN, i64::MAX]), validity),
+        0 => Column::Int64(int([i64::MIN, i64::MAX]).into(), validity),
         1 => {
             let days = int([i32::MIN as i64, i32::MAX as i64]);
             Column::Date(days.into_iter().map(|d| d as i32).collect(), validity)
         }
-        2 => Column::Timestamp(int([i64::MIN, i64::MAX]), validity),
-        _ => random_key_column(rng, kind, n),
+        2 => Column::Timestamp(int([i64::MIN, i64::MAX]).into(), validity),
+        _ => whole_key_column(rng, kind, n),
     }
 }
 
@@ -822,7 +948,7 @@ fn grouper_matches_reference_as_its_key_domain_widens_and_outgrows_the_dense_tab
             .collect();
         let whole: Vec<Column> = (0..ncols)
             .map(|c| {
-                let pieces: Vec<&Column> = phases.iter().map(|p| &p[c]).collect();
+                let pieces: Vec<Column> = phases.iter().map(|p| p[c].clone()).collect();
                 Column::concat(&pieces).expect("concat")
             })
             .collect();
@@ -900,13 +1026,13 @@ fn grouper_matches_reference_as_its_key_domain_widens_and_outgrows_the_dense_tab
 
 /// An integer-like key column of `n` rows whose values lie in
 /// `lo..lo + span`, with NULLs in some cases.
-fn small_key_column(rng: &mut StdRng, kind: u32, n: usize, lo: i64, span: i64) -> Column {
+fn whole_small_key_column(rng: &mut StdRng, kind: u32, n: usize, lo: i64, span: i64) -> Column {
     let validity = lakehouse_columnar::column::normalize_validity(random_validity(rng, n));
     let mut int = || -> Vec<i64> { (0..n).map(|_| lo + rng.gen_range(0..span)).collect() };
     match kind {
-        0 => Column::Int64(int(), validity),
+        0 => Column::Int64(int().into(), validity),
         1 => Column::Date(int().into_iter().map(|d| d as i32).collect(), validity),
-        2 => Column::Timestamp(int(), validity),
+        2 => Column::Timestamp(int().into(), validity),
         _ => Column::Bool(int().into_iter().map(|v| v % 2 != 0).collect(), validity),
     }
 }
@@ -939,7 +1065,7 @@ fn the_dense_front_matches_the_reference_a_column_at_a_time() {
             .collect();
         let whole: Vec<Column> = (0..kinds.len())
             .map(|c| {
-                let pieces: Vec<&Column> = batches.iter().map(|b| &b[c]).collect();
+                let pieces: Vec<Column> = batches.iter().map(|b| b[c].clone()).collect();
                 Column::concat(&pieces).expect("concat")
             })
             .collect();
@@ -1018,7 +1144,7 @@ fn a_domain_that_outgrows_the_dense_table_switches_to_hash_mid_stream() {
 /// distinct values (so keys tie) drawn from where orders go wrong: ±0.0,
 /// NaN of either sign, ±∞, `i64::MIN`/`MAX`, the empty string, and a
 /// dictionary whose entries are unsorted and repeat.
-fn random_sort_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
+fn whole_sort_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
     let validity = lakehouse_columnar::column::normalize_validity(random_validity(rng, n));
     let floats = [
         0.0,
@@ -1056,7 +1182,7 @@ fn random_sort_column(rng: &mut StdRng, kind: u32, n: usize) -> Column {
         }
         _ => {
             let dict = ["c", "a", "", "b", "a", "c"].map(String::from).to_vec();
-            let codes = (0..n)
+            let codes: Vec<u32> = (0..n)
                 .map(|_| rng.gen_range(0..dict.len() as u32))
                 .collect();
             Column::Dict(DictColumn::try_new(Arc::new(dict), codes, validity).expect("dict"))

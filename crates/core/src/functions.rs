@@ -2,27 +2,68 @@
 //!
 //! "As long as two languages can speak a common dialect over those tuples,
 //! they can operate together" (§4.4.1) — here the common dialect is the
-//! columnar [`RecordBatch`]; functions receive their named inputs as batches
-//! and return either a new artifact or an expectation verdict.
+//! columnar [`RecordBatch`]; functions receive each named input as the
+//! record batches it is held in (Arrow's table) and return either a new
+//! artifact or an expectation verdict.
 
 use crate::error::{BauplanError, Result};
-use lakehouse_columnar::RecordBatch;
+use lakehouse_columnar::{Column, RecordBatch, Schema};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Inputs handed to a native function: one batch per declared input name,
+/// A table in memory as Arrow holds one: a schema and its record batches,
+/// in order — a SQL step's output as its root emitted them, or a lake table
+/// as its scan read it, a batch per data file. The overlay, the functions
+/// that read it and the materializer share one, never copying it.
+#[derive(Debug, Clone)]
+pub struct Batches {
+    pub schema: Schema,
+    pub batches: Vec<RecordBatch>,
+}
+
+impl Batches {
+    /// One batch as a table.
+    pub fn one(batch: RecordBatch) -> Batches {
+        Batches {
+            schema: batch.schema().clone(),
+            batches: vec![batch],
+        }
+    }
+
+    pub fn num_rows(&self) -> usize {
+        self.batches.iter().map(RecordBatch::num_rows).sum()
+    }
+
+    /// Column `name` of every batch, in order.
+    pub fn column(&self, name: &str) -> Result<Vec<&Column>> {
+        let at = self.schema.index_of(name)?;
+        Ok(self.batches.iter().map(|b| b.column(at)).collect())
+    }
+}
+
+/// Inputs handed to a native function: each declared input's batches,
 /// shared with the run's overlay rather than copied.
 #[derive(Debug, Clone)]
 pub struct FnContext {
-    pub inputs: HashMap<String, Arc<RecordBatch>>,
+    pub inputs: HashMap<String, Arc<Batches>>,
 }
 
 impl FnContext {
-    /// Fetch a named input.
-    pub fn input(&self, name: &str) -> Result<&RecordBatch> {
+    /// A named input, as the batches it is held in.
+    pub fn batches(&self, name: &str) -> Result<&Batches> {
         self.inputs.get(name).map(Arc::as_ref).ok_or_else(|| {
             BauplanError::Config(format!("function input '{name}' was not provided"))
         })
+    }
+
+    /// A named input as one batch: its batches concatenated (shared, not
+    /// copied, when there is only one).
+    pub fn input(&self, name: &str) -> Result<RecordBatch> {
+        let input = self.batches(name)?;
+        Ok(RecordBatch::concat_all(
+            &input.schema,
+            input.batches.clone(),
+        )?)
     }
 }
 
@@ -77,11 +118,11 @@ impl std::fmt::Debug for FunctionRegistry {
     }
 }
 
-/// Ready-made expectation builders mirroring common data tests.
+/// Ready-made expectation builders mirroring common data tests. Each folds
+/// over its input's batches.
 pub mod builtins {
     use super::*;
-    use lakehouse_columnar::kernels::agg::aggregate_column;
-    use lakehouse_columnar::kernels::Aggregator;
+    use lakehouse_columnar::kernels::{Accumulator, Aggregator};
 
     /// The paper's Appendix A expectation: `mean(input[column]) > threshold`.
     pub fn mean_greater_than(
@@ -92,9 +133,14 @@ pub mod builtins {
         let input = input.to_string();
         let column = column.to_string();
         move |ctx| {
-            let batch = ctx.input(&input)?;
-            let col = batch.column_by_name(&column)?;
-            let mean = aggregate_column(Aggregator::Avg, col)?;
+            let input = ctx.batches(&input)?;
+            let at = input.schema.index_of(&column)?;
+            let dt = input.schema.field(at).data_type();
+            let mut mean = Accumulator::new(Aggregator::Avg, dt, 1);
+            for col in input.column(&column)? {
+                mean.update_all(col.len(), Some(col))?;
+            }
+            let mean = mean.finish()?.get(0)?;
             Ok(FnOutput::Expectation(
                 mean.as_f64().is_some_and(|m| m > threshold),
             ))
@@ -109,7 +155,7 @@ pub mod builtins {
         let input = input.to_string();
         move |ctx| {
             Ok(FnOutput::Expectation(
-                ctx.input(&input)?.num_rows() >= min_rows,
+                ctx.batches(&input)?.num_rows() >= min_rows,
             ))
         }
     }
@@ -122,9 +168,10 @@ pub mod builtins {
         let input = input.to_string();
         let column = column.to_string();
         move |ctx| {
-            let batch = ctx.input(&input)?;
-            let col = batch.column_by_name(&column)?;
-            Ok(FnOutput::Expectation(col.null_count() == 0))
+            let cols = ctx.batches(&input)?.column(&column)?;
+            Ok(FnOutput::Expectation(
+                cols.iter().all(|c| c.null_count() == 0),
+            ))
         }
     }
 
@@ -138,12 +185,14 @@ pub mod builtins {
         let input = input.to_string();
         let column = column.to_string();
         move |ctx| {
-            let batch = ctx.input(&input)?;
-            let col = batch.column_by_name(&column)?;
-            let ok = col.iter_values().all(|v| match v.as_f64() {
-                Some(x) => x >= lo && x <= hi,
-                None => v.is_null(),
-            });
+            let cols = ctx.batches(&input)?.column(&column)?;
+            let ok = cols
+                .iter()
+                .flat_map(|c| c.iter_values())
+                .all(|v| match v.as_f64() {
+                    Some(x) => x >= lo && x <= hi,
+                    None => v.is_null(),
+                });
             Ok(FnOutput::Expectation(ok))
         }
     }
@@ -156,10 +205,9 @@ pub mod builtins {
         let input = input.to_string();
         let column = column.to_string();
         move |ctx| {
-            let batch = ctx.input(&input)?;
-            let col = batch.column_by_name(&column)?;
+            let cols = ctx.batches(&input)?.column(&column)?;
             let mut seen = std::collections::HashSet::new();
-            for v in col.iter_values() {
+            for v in cols.iter().flat_map(|c| c.iter_values()) {
                 if v.is_null() {
                     continue;
                 }
@@ -178,16 +226,18 @@ pub mod builtins {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lakehouse_columnar::{Column, DataType, Field, Schema};
+    use lakehouse_columnar::{DataType, Field};
 
+    /// `rows` as the `count` column of input `trips`, a batch per two rows.
     fn ctx(rows: Vec<i64>) -> FnContext {
-        let batch = RecordBatch::try_new(
-            Schema::new(vec![Field::new("count", DataType::Int64, false)]),
-            vec![Column::from_i64(rows)],
-        )
-        .unwrap();
+        let schema = Schema::new(vec![Field::new("count", DataType::Int64, false)]);
+        let batches = (rows.chunks(2))
+            .map(|r| RecordBatch::try_new(schema.clone(), vec![Column::from_i64(r.to_vec())]))
+            .collect::<lakehouse_columnar::Result<_>>()
+            .unwrap();
+        let trips = Arc::new(Batches { schema, batches });
         FnContext {
-            inputs: HashMap::from([("trips".to_string(), Arc::new(batch))]),
+            inputs: HashMap::from([("trips".to_string(), trips)]),
         }
     }
 

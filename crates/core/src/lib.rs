@@ -53,7 +53,7 @@ pub use admission::{AdmissionController, AdmissionPermit, ShedInfo};
 pub use config::{AdmissionConfig, LakehouseConfig};
 pub use error::{BauplanError, Result};
 pub use estimator::MemoryEstimator;
-pub use functions::{builtins, FnContext, FnOutput, FunctionRegistry, NativeFunction};
+pub use functions::{builtins, Batches, FnContext, FnOutput, FunctionRegistry, NativeFunction};
 pub use governance::{standard_policy, AccessController, Action, Grant, Principal};
 pub use lakehouse::Lakehouse;
 pub use run::{RunOptions, RunReport};

@@ -3,6 +3,7 @@
 //! pushed-down predicates, with an overlay for in-flight pipeline artifacts.
 
 use crate::error::{BauplanError, Result as CoreResult};
+use crate::functions::Batches;
 use lakehouse_catalog::{Catalog, CatalogError, CatalogState, CommitId};
 use lakehouse_columnar::{BatchStream, BatchesStream, RecordBatch, Schema, Value};
 use lakehouse_sql::ast::Expr;
@@ -25,7 +26,7 @@ pub struct LakehouseProvider {
     store: Arc<dyn ObjectStore>,
     catalog: Arc<Catalog>,
     reference: String,
-    overlay: RwLock<HashMap<String, Arc<RecordBatch>>>,
+    overlay: RwLock<HashMap<String, Arc<Batches>>>,
     /// When false, predicates are NOT pushed into table scans — the paper's
     /// naive baseline read whole tables before filtering (§4.4.2: the fused
     /// plan "pushed down where filters to obtain a smaller in-memory table").
@@ -77,12 +78,12 @@ impl LakehouseProvider {
 
     /// Register an in-memory artifact (visible to subsequent queries through
     /// this provider).
-    pub fn put_overlay(&self, name: impl Into<String>, batch: Arc<RecordBatch>) {
-        self.overlay.write().insert(name.into(), batch);
+    pub fn put_overlay(&self, name: impl Into<String>, batches: Arc<Batches>) {
+        self.overlay.write().insert(name.into(), batches);
     }
 
     /// Fetch an overlay artifact (shared, not copied).
-    pub fn get_overlay(&self, name: &str) -> Option<Arc<RecordBatch>> {
+    pub fn get_overlay(&self, name: &str) -> Option<Arc<Batches>> {
         self.overlay.read().get(name).cloned()
     }
 
@@ -294,24 +295,26 @@ impl PinnedProvider<'_> {
 
     /// Tables served from memory, projected and cut to the row budget:
     /// `system.*` (materialized from global telemetry on every scan) and
-    /// overlay artifacts. `None` = a catalog table.
+    /// overlay artifacts, whose batches the scan shares. `None` = a catalog
+    /// table.
     fn memory_table(
         &self,
         table: &str,
         projection: Option<&[String]>,
         filters: &[Expr],
         fetch: Option<usize>,
-    ) -> SqlResult<Option<RecordBatch>> {
-        let project = |batch: &RecordBatch| {
-            lakehouse_sql::scan_memory_table(batch, projection, filters, fetch)
+    ) -> SqlResult<Option<BatchesStream>> {
+        let scan = |schema: &Schema, batches: &[RecordBatch]| {
+            lakehouse_sql::scan_memory_table(schema, batches, projection, filters, fetch)
         };
         if table.starts_with(crate::system::SYSTEM_PREFIX) {
             let batch = crate::system::system_batch(table)
                 .ok_or_else(|| SqlError::Plan(format!("unknown system table '{table}'")))??;
-            return project(&batch).map(Some);
+            return scan(batch.schema(), std::slice::from_ref(&batch)).map(Some);
         }
         let overlay = self.provider.overlay.read();
-        overlay.get(table).map(|b| project(b)).transpose()
+        let artifact = overlay.get(table);
+        artifact.map(|a| scan(&a.schema, &a.batches)).transpose()
     }
 
     /// Catalog-resolved Iceberg-style scan with projection and (unless this
@@ -347,8 +350,8 @@ impl SchemaProvider for PinnedProvider<'_> {
         if table.starts_with(crate::system::SYSTEM_PREFIX) {
             return Ok(crate::system::system_schema(table));
         }
-        if let Some(batch) = self.provider.overlay.read().get(table) {
-            return Ok(Some(batch.schema().clone()));
+        if let Some(artifact) = self.provider.overlay.read().get(table) {
+            return Ok(Some(artifact.schema.clone()));
         }
         match self.table(table) {
             Ok(t) => t
@@ -372,8 +375,8 @@ impl TableProvider for PinnedProvider<'_> {
         fetch: Option<usize>,
     ) -> SqlResult<Box<dyn BatchStream>> {
         // In-memory tables have nothing to skip.
-        if let Some(batch) = self.memory_table(table, projection, filters, fetch)? {
-            return Ok(Box::new(BatchesStream::one(batch)));
+        if let Some(stream) = self.memory_table(table, projection, filters, fetch)? {
+            return Ok(Box::new(stream));
         }
         let scan_failed = |source: lakehouse_table::TableError| {
             let table = table.to_string();
@@ -521,7 +524,7 @@ mod tests {
             vec![Column::from_strs(vec!["overlay"])],
         )
         .unwrap();
-        p.put_overlay("t1", Arc::new(shadow));
+        p.put_overlay("t1", Arc::new(Batches::one(shadow)));
         let batch = scan(&p, "t1", None, &[]);
         assert_eq!(batch.schema().names(), vec!["y"]);
         p.clear_overlay();
@@ -619,7 +622,7 @@ mod tests {
             vec![Column::from_i64(vec![5])],
         )
         .unwrap();
-        p.put_overlay("t1", Arc::new(shadow));
+        p.put_overlay("t1", Arc::new(Batches::one(shadow)));
         assert_eq!(exact(&p, None), vec![false; 4]);
         p.clear_overlay();
         assert_eq!(exact(&p, None), converted);

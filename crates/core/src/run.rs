@@ -22,10 +22,10 @@
 //! 7. on success, merges the ephemeral branch and deletes it.
 
 use crate::error::{BauplanError, Result};
-use crate::functions::{FnContext, FnOutput};
+use crate::functions::{Batches, FnContext, FnOutput};
 use crate::lakehouse::{table_put, Lakehouse};
 use crate::provider::PinnedProvider;
-use lakehouse_columnar::{RecordBatch, Schema};
+use lakehouse_columnar::{BatchStream, RecordBatch, Schema};
 use lakehouse_planner::project::NodeKind;
 use lakehouse_planner::{
     ExecutionMode, LogicalPipeline, PhysicalPipeline, PipelineDag, PipelineProject, PlannerError,
@@ -424,8 +424,9 @@ impl Lakehouse {
                 .with_io(io.clone());
 
             // Execute the stage's steps in order; intermediates stay in the
-            // provider overlay (in-memory locality within the stage).
-            let mut stage_outputs: Vec<(String, Arc<RecordBatch>)> = Vec::new();
+            // provider overlay (in-memory locality within the stage), as the
+            // batches they were produced in.
+            let mut stage_outputs: Vec<(String, Arc<Batches>)> = Vec::new();
             for step_name in &stage.steps {
                 let step_span = lakehouse_obs::span("step");
                 step_span.attr("name", step_name.as_str());
@@ -447,18 +448,19 @@ impl Lakehouse {
                         // underneath has already retried a transient store
                         // fault to exhaustion (DESIGN.md §11).
                         let sql = node.sql.as_deref().unwrap_or_default();
-                        let batch = self.attributed(sql, || {
+                        let output = self.attributed(sql, || {
                             let pinned = provider.pin();
-                            let (batch, report) =
-                                lakehouse_sql::execute_with_report(&plan, &pinned)?;
+                            let (schema, batches, report) =
+                                lakehouse_sql::execute_batches(&plan, &pinned)?;
                             *peak_query_bytes = (*peak_query_bytes).max(report.peak_bytes);
-                            Ok(batch)
+                            Ok(Batches { schema, batches })
                         })?;
-                        // One copy of the step's output: the overlay, the
-                        // function inputs and the materializer share it.
-                        let batch = Arc::new(batch);
-                        provider.put_overlay(step_name.clone(), Arc::clone(&batch));
-                        stage_outputs.push((step_name.clone(), batch));
+                        // The step's output is the batches its root emitted:
+                        // the overlay, the function inputs and the
+                        // materializer share them, never concatenated.
+                        let output = Arc::new(output);
+                        provider.put_overlay(step_name.clone(), Arc::clone(&output));
+                        stage_outputs.push((step_name.clone(), output));
                     }
                     NodeKind::FunctionTransform | NodeKind::Expectation => {
                         let f = {
@@ -467,22 +469,22 @@ impl Lakehouse {
                         };
                         let mut inputs = HashMap::new();
                         for input in step.inputs.iter().chain(&step.external_inputs) {
-                            let batch = match provider.get_overlay(input) {
+                            let batches = match provider.get_overlay(input) {
                                 Some(b) => b,
                                 // Cross-stage edge or lake table: read
                                 // through the catalog (object store).
-                                None => Arc::new(provider.load_table(input)?.scan().execute()?),
+                                None => Arc::new(read_table(&provider.load_table(input)?)?),
                             };
-                            inputs.insert(input.clone(), batch);
+                            inputs.insert(input.clone(), batches);
                         }
                         match f(&FnContext { inputs })? {
                             FnOutput::Batch(batch) => {
                                 let schema = Some(batch.schema().clone());
                                 binder.schemas.insert(step_name.clone(), schema);
-                                let batch = Arc::new(batch);
-                                provider.put_overlay(step_name.clone(), Arc::clone(&batch));
+                                let output = Arc::new(Batches::one(batch));
+                                provider.put_overlay(step_name.clone(), Arc::clone(&output));
                                 if step.action == StepAction::Materialize {
-                                    stage_outputs.push((step_name.clone(), batch));
+                                    stage_outputs.push((step_name.clone(), output));
                                 }
                             }
                             FnOutput::Expectation(passed) => {
@@ -510,21 +512,22 @@ impl Lakehouse {
                 self.charge_container(&EnvSpec::bare("spark-insert"), physical.mode)?;
             }
             let mut ops = Vec::new();
-            for (name, batch) in &stage_outputs {
+            for (name, output) in &stage_outputs {
                 let location = format!("{}/{name}/r{run_id}", self.config.warehouse_prefix);
                 let table = Table::create_with(
                     Arc::clone(&self.store_dyn),
                     &location,
-                    batch.schema(),
+                    &output.schema,
                     PartitionSpec::unpartitioned(),
                     io.clone(),
                 )?;
                 let mut tx = table.new_transaction(SnapshotOperation::Append);
-                tx.write(batch)?;
+                tx.write_batches(&output.batches)?;
                 let (metadata_location, metadata) = tx.commit()?;
-                artifact_rows.insert(name.clone(), batch.num_rows() as u64);
+                artifact_rows.insert(name.clone(), output.num_rows() as u64);
                 // Feed the memory estimator (vertical elasticity, §4.5/§5).
-                self.estimator.observe(name, batch.approx_bytes() as u64);
+                let bytes: usize = output.batches.iter().map(RecordBatch::approx_bytes).sum();
+                self.estimator.observe(name, bytes as u64);
                 ops.push(table_put(name, metadata_location, &metadata));
             }
             if !ops.is_empty() {
@@ -587,6 +590,17 @@ impl Lakehouse {
         }
         EnvSpec::new(interpreter, packages)
     }
+}
+
+/// Every batch a whole scan of `table` yields, a batch per data file.
+fn read_table(table: &Table) -> Result<Batches> {
+    let mut scan = table.scan().stream_all()?;
+    let mut batches = Vec::new();
+    while let Some(batch) = scan.pull()? {
+        batches.push(batch);
+    }
+    let schema = scan.schema().clone();
+    Ok(Batches { schema, batches })
 }
 
 /// Binds a run's SQL nodes, each once, through one schema lookup: a planned
@@ -1003,5 +1017,42 @@ mod tests {
             matches!(&err, BauplanError::Planner(PlannerError::Sql { node, .. }) if node == "total"),
             "{err}"
         );
+    }
+
+    /// A fused stage passes columns, not copies: over a lake table of two
+    /// data files, the step `trips` is the two batches its scan decoded,
+    /// and the step over it that renames a column (a scan of the overlay
+    /// and a bare-column projection) and the function reading both hold
+    /// the very buffers of those batches.
+    #[test]
+    fn a_fused_stage_passes_columns_not_copies() {
+        let lh = taxi_lakehouse(LakehouseConfig::default());
+        let more = lh.query("SELECT * FROM taxi_table", "main").unwrap();
+        lh.append_table("taxi_table", &more, "main").unwrap();
+        let at = |c: &Column| c.as_i64().map(|(v, _)| v.as_ptr()).unwrap();
+        lh.register_function("shared_expectation", move |ctx: &FnContext| {
+            let (trips, renamed) = (ctx.batches("trips")?, ctx.batches("renamed")?);
+            let shared = (trips.column("count")?.into_iter())
+                .zip(renamed.column("c")?)
+                .all(|(t, r)| at(t) == at(r));
+            Ok(FnOutput::Expectation(
+                trips.batches.len() == 2 && renamed.batches.len() == 2 && shared,
+            ))
+        });
+        let project = PipelineProject::taxi_example()
+            .with(lakehouse_planner::NodeDef::sql(
+                "renamed",
+                "SELECT count AS c, pickup_location_id FROM trips",
+            ))
+            .with(lakehouse_planner::NodeDef::function(
+                "shared_expectation",
+                vec!["trips".into(), "renamed".into()],
+                Default::default(),
+                "shared_expectation",
+            ));
+        let report = lh.run(&project, &RunOptions::default()).unwrap();
+        assert_eq!(report.stages_executed, 1);
+        assert_eq!(report.audit_results.get("shared_expectation"), Some(&true));
+        assert_eq!(report.artifact_rows.get("renamed"), Some(&452));
     }
 }

@@ -29,7 +29,6 @@ use crate::stats::ColumnStats;
 use lakehouse_columnar::column::normalize_validity;
 use lakehouse_columnar::{Bitmap, Column, DataType, DictColumn, Value};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 const ENC_PLAIN: u8 = 0;
@@ -44,30 +43,35 @@ fn bit_width(span: u64) -> u32 {
     (u64::BITS - span.leading_zeros()).max(1)
 }
 
-/// `values` as offsets from their least value at the width the largest
-/// needs, when that is smaller than `N` bytes a value; else plain. `range`
-/// is the values' least and greatest when already known.
+/// `runs` — one chunk's values, in order — as offsets from their least
+/// value at the width the largest needs, when that is smaller than `N`
+/// bytes a value; else plain. `range` is the values' least and greatest
+/// when already known.
 fn encode_ints<T: Copy + Into<i64>, const N: usize>(
-    values: &[T],
+    runs: &[&[T]],
     range: Option<(i64, i64)>,
     le: impl Fn(T) -> [u8; N],
     w: &mut ByteWriter,
 ) {
+    let n: usize = runs.iter().map(|r| r.len()).sum();
     let (lo, hi) = range.unwrap_or_else(|| {
         let wider = |(lo, hi): (i64, i64), v: &T| ((*v).into().min(lo), (*v).into().max(hi));
-        values.iter().fold((i64::MAX, i64::MIN), wider)
+        let values = runs.iter().flat_map(|r| r.iter());
+        values.fold((i64::MAX, i64::MIN), wider)
     });
     let width = bit_width(hi.wrapping_sub(lo) as u64);
-    let packed = packed_len(values.len(), width).map(|len| 8 + 1 + len);
-    if packed.is_some_and(|len| len < values.len() * N) {
+    let packed = packed_len(n, width).map(|len| 8 + 1 + len);
+    if packed.is_some_and(|len| len < n * N) {
         w.write_u8(ENC_FOR);
         w.write_i64(lo);
         w.write_u8(width as u8);
-        let offsets = values.iter().map(|&v| v.into().wrapping_sub(lo) as u64);
-        w.write_packed(offsets, width);
+        let offsets = runs
+            .iter()
+            .map(|r| r.iter().map(move |&v| v.into().wrapping_sub(lo) as u64));
+        w.write_packed(offsets, n, width);
     } else {
         w.write_u8(ENC_PLAIN);
-        w.write_plain(values, le);
+        runs.iter().for_each(|r| w.write_plain(r, &le));
     }
 }
 
@@ -88,7 +92,7 @@ fn encode_dict<'s>(
     }
     if pack {
         w.write_u8(width as u8);
-        w.write_packed(codes.iter().map(|&c| u64::from(c)), width);
+        w.write_packed([codes.iter().map(|&c| u64::from(c))], codes.len(), width);
     } else {
         w.write_plain(codes, u32::to_le_bytes);
     }
@@ -107,49 +111,86 @@ fn known_range(stats: &ColumnStats) -> Option<(i64, i64)> {
     }
 }
 
-/// Encode rows `rows` of a column (which must hold them) as one chunk —
-/// byte for byte what encoding `col.slice(..)` of those rows gives, without
-/// the copy. `stats` are those rows' ([`ColumnStats::from_rows`]): an
-/// integer chunk without NULLs takes its frame from them.
-pub(crate) fn encode_column(
-    col: &Column,
-    rows: Range<usize>,
+/// Encode `pieces` — consecutive rows of one column, in order — as one
+/// chunk: byte for byte what encoding their concatenation gives, with the
+/// values packed piece after piece and no concatenation made (plain strings
+/// and dictionaries aside: several such pieces are concatenated as columns
+/// concatenate). `stats` are the pieces' merged ([`ColumnStats::merge`]):
+/// an integer chunk without NULLs takes its frame from them. The pieces are
+/// of one type (a writer checks each batch against its schema).
+pub(crate) fn encode_chunk(
+    pieces: &[&Column],
     stats: &ColumnStats,
     w: &mut ByteWriter,
-) {
-    let n = rows.len();
+) -> Result<()> {
+    let n: usize = pieces.iter().map(|c| c.len()).sum();
     w.write_u32(n as u32);
-    // The chunk's validity is its own rows': absent when none is NULL.
-    let validity = normalize_validity(col.validity().map(|b| b.slice_range(rows.start, n)));
-    match validity {
-        Some(bm) => {
+    // The chunk's validity: absent when none of its rows is NULL.
+    match pieces.iter().any(|c| c.validity().is_some()) {
+        true => {
+            let mut bits = Bitmap::new_clear(0);
+            for c in pieces {
+                match c.validity() {
+                    Some(b) => bits.append(b),
+                    None => bits.append(&Bitmap::new_set(c.len())),
+                }
+            }
             w.write_u8(1);
-            w.write_bytes(bm.as_bytes());
+            w.write_bytes(bits.as_bytes());
         }
-        None => w.write_u8(0),
+        false => w.write_u8(0),
     }
-    match col {
-        Column::Bool(values, _) => {
+    /// Every piece's values, as `typed` gives them.
+    fn runs<'c, T: ?Sized>(
+        pieces: &[&'c Column],
+        typed: impl Fn(&'c Column) -> Option<&'c T>,
+    ) -> Vec<&'c T> {
+        pieces.iter().filter_map(|&c| typed(c)).collect()
+    }
+    match pieces.first() {
+        None => {}
+        Some(Column::Bool(..)) => {
             w.write_u8(ENC_BITPACK);
-            let bm = Bitmap::from_bools(&values[rows]);
-            w.write_bytes(bm.as_bytes());
+            let mut bits = Bitmap::new_clear(0);
+            for values in runs(pieces, |c| c.as_bool().ok().map(|(v, _)| v)) {
+                bits.append(&Bitmap::from_bools(values));
+            }
+            w.write_bytes(bits.as_bytes());
         }
-        Column::Int64(values, _) | Column::Timestamp(values, _) => {
-            encode_ints(&values[rows], known_range(stats), i64::to_le_bytes, w);
+        Some(Column::Int64(..) | Column::Timestamp(..)) => {
+            let ints = runs(pieces, |c| c.as_i64().ok().map(|(v, _)| v));
+            encode_ints(&ints, known_range(stats), i64::to_le_bytes, w);
         }
-        Column::Float64(values, _) => {
+        Some(Column::Float64(..)) => {
             w.write_u8(ENC_PLAIN);
-            w.write_plain(&values[rows], f64::to_le_bytes);
+            for values in runs(pieces, |c| c.as_f64().ok().map(|(v, _)| v)) {
+                w.write_plain(values, f64::to_le_bytes);
+            }
         }
-        Column::Date(values, _) => {
-            encode_ints(&values[rows], known_range(stats), i32::to_le_bytes, w);
+        Some(Column::Date(..)) => {
+            let days = runs(pieces, |c| c.as_date().ok().map(|(v, _)| v));
+            encode_ints(&days, known_range(stats), i32::to_le_bytes, w);
         }
+        Some(Column::Utf8(..) | Column::Dict(_)) => {
+            let pieces: Vec<Column> = pieces.iter().map(|&c| c.clone()).collect();
+            encode_strings(&Column::concat(&pieces)?, w);
+        }
+    }
+    Ok(())
+}
+
+/// The payload of a string chunk: a dictionary when its distinct values
+/// are at most half its rows, plain otherwise; a column already
+/// dictionary-encoded in memory writes its dictionary and codes straight
+/// through, with no re-encode pass.
+fn encode_strings(col: &Column, w: &mut ByteWriter) {
+    match col {
+        Column::Dict(d) => encode_dict(d.dict().iter().map(String::as_str), d.codes(), w),
         Column::Utf8(values, _) => {
-            let values = &values[rows];
             let mut dict: Vec<&str> = Vec::new();
             let mut index: HashMap<&str, u32> = HashMap::new();
             let mut codes: Vec<u32> = Vec::with_capacity(values.len());
-            for v in values {
+            for v in values.iter() {
                 codes.push(*index.entry(v.as_str()).or_insert_with(|| {
                     dict.push(v.as_str());
                     (dict.len() - 1) as u32
@@ -159,17 +200,12 @@ pub(crate) fn encode_column(
                 encode_dict(dict.into_iter(), &codes, w);
             } else {
                 w.write_u8(ENC_PLAIN);
-                for v in values {
+                for v in values.iter() {
                     w.write_str(v);
                 }
             }
         }
-        // Already dictionary-encoded in memory: write the dictionary and
-        // codes straight through, no re-encode pass.
-        Column::Dict(d) => {
-            let dict = d.dict().iter().map(String::as_str);
-            encode_dict(dict, &d.codes()[rows], w);
-        }
+        _ => {}
     }
 }
 
@@ -181,81 +217,149 @@ pub(crate) fn encode_column(
 /// is [`FormatError::Corrupt`] and a decode never allocates more than 64 ×
 /// its chunk.
 pub fn decode_column(dt: DataType, r: &mut ByteReader<'_>) -> Result<Column> {
-    let n = r.read_u32()? as usize;
-    // Normalized on the way in: files written before the "validity = Some
-    // iff nulls exist" invariant may carry an all-set bitmap.
-    let validity = normalize_validity(if r.read_u8()? == 1 {
-        let bytes = r.read_bytes()?.to_vec();
-        Some(
-            Bitmap::from_bytes(bytes, n)
-                .map_err(|e| FormatError::Corrupt(format!("bad validity bitmap: {e}")))?,
-        )
-    } else {
-        None
-    });
-    let encoding = r.read_u8()?;
-    match (dt, encoding) {
-        (DataType::Bool, ENC_BITPACK) => {
-            let bytes = r.read_bytes()?.to_vec();
-            let bm = Bitmap::from_bytes(bytes, n)
-                .map_err(|e| FormatError::Corrupt(format!("bad bool chunk: {e}")))?;
-            Ok(Column::Bool(bm.iter().collect(), validity))
-        }
-        (DataType::Int64, ENC_PLAIN) => Ok(Column::Int64(
-            r.read_plain(n, i64::from_le_bytes)?,
-            validity,
-        )),
-        (DataType::Int64, ENC_FOR) => Ok(Column::Int64(read_for(r, n)?, validity)),
-        (DataType::Timestamp, ENC_PLAIN) => {
-            let values = r.read_plain(n, i64::from_le_bytes)?;
-            Ok(Column::Timestamp(values, validity))
-        }
-        (DataType::Timestamp, ENC_FOR) => Ok(Column::Timestamp(read_for(r, n)?, validity)),
-        (DataType::Float64, ENC_PLAIN) => {
-            let values = r.read_plain(n, f64::from_le_bytes)?;
-            Ok(Column::Float64(values, validity))
-        }
-        (DataType::Date, ENC_PLAIN) => {
-            Ok(Column::Date(r.read_plain(n, i32::from_le_bytes)?, validity))
-        }
-        (DataType::Date, ENC_FOR) => {
-            let base = r.read_i64()?;
-            let base = i32::try_from(base)
-                .map_err(|_| FormatError::Corrupt(format!("date base {base} out of range")))?;
-            let width = r.read_u8()?;
-            let values = r.read_packed(n, width, 32, |o| base.wrapping_add(o as i32))?;
-            Ok(Column::Date(values, validity))
-        }
-        (DataType::Utf8, ENC_PLAIN) => Ok(Column::Utf8(read_strs(r, n)?, validity)),
-        (DataType::Utf8, enc @ (ENC_DICT | ENC_DICT_PACKED)) => {
-            // Late materialization: hand the dictionary + codes up as-is.
-            // Filters compare against the dictionary once and scan only the
-            // u32 codes; decode to plain strings happens at the executor
-            // root, only for rows that survive.
-            let dict_len = r.read_u32()? as usize;
-            let dict = read_strs(r, dict_len)?;
-            let codes = if enc == ENC_DICT_PACKED {
-                let width = r.read_u8()?;
-                r.read_packed(n, width, 32, |c| c as u32)?
-            } else {
-                r.read_plain(n, u32::from_le_bytes)?
-            };
-            let d = DictColumn::try_new(Arc::new(dict), codes, validity)
-                .map_err(|e| FormatError::Corrupt(format!("bad dictionary chunk: {e}")))?;
-            Ok(Column::Dict(d))
-        }
-        (dt, enc) => Err(FormatError::Corrupt(format!(
-            "unsupported encoding {enc} for type {dt}"
-        ))),
-    }
+    let mut column = ColumnDecoder::new(dt, 0);
+    column.push(r)?;
+    column.finish()
 }
 
-/// `n` 64-bit values packed as offsets from a base: the base, the width
-/// (1–64), the offsets.
-fn read_for(r: &mut ByteReader<'_>, n: usize) -> Result<Vec<i64>> {
-    let base = r.read_i64()?;
-    let width = r.read_u8()?;
-    r.read_packed(n, width, 64, |o| base.wrapping_add(o as i64))
+/// One column decoded chunk after chunk — a file's row groups, in order —
+/// into one buffer of values and one validity bitmap: no column per chunk
+/// and no concatenation. String chunks, plain or dictionary, decode to a
+/// column each and are concatenated as columns concatenate.
+pub(crate) struct ColumnDecoder {
+    dt: DataType,
+    values: Values,
+    /// `None` while no chunk had a NULL.
+    validity: Option<Bitmap>,
+    rows: usize,
+    strings: Vec<Column>,
+}
+
+enum Values {
+    Bool(Vec<bool>),
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Day(Vec<i32>),
+    Str,
+}
+
+impl ColumnDecoder {
+    /// A decoder of a column of type `dt` with room for `rows` values.
+    pub(crate) fn new(dt: DataType, rows: usize) -> ColumnDecoder {
+        let values = match dt {
+            DataType::Bool => Values::Bool(Vec::with_capacity(rows)),
+            DataType::Int64 | DataType::Timestamp => Values::Int(Vec::with_capacity(rows)),
+            DataType::Float64 => Values::Float(Vec::with_capacity(rows)),
+            DataType::Date => Values::Day(Vec::with_capacity(rows)),
+            DataType::Utf8 => Values::Str,
+        };
+        ColumnDecoder {
+            dt,
+            values,
+            validity: None,
+            rows: 0,
+            strings: Vec::new(),
+        }
+    }
+
+    /// Decode the next chunk onto the column; its row count.
+    pub(crate) fn push(&mut self, r: &mut ByteReader<'_>) -> Result<usize> {
+        let n = r.read_u32()? as usize;
+        // Normalized on the way in: files written before the "validity =
+        // Some iff nulls exist" invariant may carry an all-set bitmap.
+        let validity = normalize_validity(if r.read_u8()? == 1 {
+            let bytes = r.read_bytes()?.to_vec();
+            Some(
+                Bitmap::from_bytes(bytes, n)
+                    .map_err(|e| FormatError::Corrupt(format!("bad validity bitmap: {e}")))?,
+            )
+        } else {
+            None
+        });
+        let encoding = r.read_u8()?;
+        match (&mut self.values, encoding) {
+            (Values::Bool(v), ENC_BITPACK) => {
+                let bytes = r.read_bytes()?.to_vec();
+                let bm = Bitmap::from_bytes(bytes, n)
+                    .map_err(|e| FormatError::Corrupt(format!("bad bool chunk: {e}")))?;
+                v.extend(bm.iter());
+            }
+            (Values::Int(v), ENC_PLAIN) => r.read_plain(v, n, i64::from_le_bytes)?,
+            (Values::Int(v), ENC_FOR) => {
+                let base = r.read_i64()?;
+                let width = r.read_u8()?;
+                r.read_packed(v, n, (width, 64), |o| base.wrapping_add(o as i64))?;
+            }
+            (Values::Float(v), ENC_PLAIN) => r.read_plain(v, n, f64::from_le_bytes)?,
+            (Values::Day(v), ENC_PLAIN) => r.read_plain(v, n, i32::from_le_bytes)?,
+            (Values::Day(v), ENC_FOR) => {
+                let base = r.read_i64()?;
+                let base = i32::try_from(base)
+                    .map_err(|_| FormatError::Corrupt(format!("date base {base} out of range")))?;
+                let width = r.read_u8()?;
+                r.read_packed(v, n, (width, 32), |o| base.wrapping_add(o as i32))?;
+            }
+            (Values::Str, ENC_PLAIN) => {
+                let strings = read_strs(r, n)?;
+                self.strings.push(Column::Utf8(strings.into(), validity));
+                self.rows += n;
+                return Ok(n);
+            }
+            (Values::Str, enc @ (ENC_DICT | ENC_DICT_PACKED)) => {
+                // Late materialization: hand the dictionary + codes up
+                // as-is. Filters compare against the dictionary once and
+                // scan only the u32 codes; decode to plain strings happens
+                // at the executor root, only for rows that survive.
+                let dict_len = r.read_u32()? as usize;
+                let dict = read_strs(r, dict_len)?;
+                let mut codes = Vec::new();
+                if enc == ENC_DICT_PACKED {
+                    let width = r.read_u8()?;
+                    r.read_packed(&mut codes, n, (width, 32), |c| c as u32)?;
+                } else {
+                    r.read_plain(&mut codes, n, u32::from_le_bytes)?;
+                }
+                let d = DictColumn::try_new(Arc::new(dict), codes, validity)
+                    .map_err(|e| FormatError::Corrupt(format!("bad dictionary chunk: {e}")))?;
+                self.strings.push(Column::Dict(d));
+                self.rows += n;
+                return Ok(n);
+            }
+            (_, enc) => {
+                return Err(FormatError::Corrupt(format!(
+                    "unsupported encoding {enc} for type {}",
+                    self.dt
+                )))
+            }
+        }
+        match (&mut self.validity, validity) {
+            (Some(all), chunk) => all.append(&chunk.unwrap_or_else(|| Bitmap::new_set(n))),
+            (all @ None, Some(chunk)) => {
+                let mut bits = Bitmap::new_set(self.rows);
+                bits.append(&chunk);
+                *all = Some(bits);
+            }
+            (None, None) => {}
+        }
+        self.rows += n;
+        Ok(n)
+    }
+
+    /// The column of every chunk pushed.
+    pub(crate) fn finish(self) -> Result<Column> {
+        let validity = self.validity;
+        Ok(match self.values {
+            Values::Bool(v) => Column::Bool(v.into(), validity),
+            Values::Int(v) if self.dt == DataType::Timestamp => {
+                Column::Timestamp(v.into(), validity)
+            }
+            Values::Int(v) => Column::Int64(v.into(), validity),
+            Values::Float(v) => Column::Float64(v.into(), validity),
+            Values::Day(v) => Column::Date(v.into(), validity),
+            Values::Str if self.strings.is_empty() => Column::new_empty(DataType::Utf8),
+            Values::Str => Column::concat(&self.strings)?,
+        })
+    }
 }
 
 /// `n` length-prefixed strings (four bytes each at the least).
@@ -273,7 +377,7 @@ mod tests {
     /// A whole column as one chunk.
     fn encode(col: &Column) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        encode_column(col, 0..col.len(), &ColumnStats::from_column(col), &mut w);
+        encode_chunk(&[col], &ColumnStats::from_column(col), &mut w).unwrap();
         w.into_bytes()
     }
 
@@ -514,8 +618,11 @@ mod tests {
                     let centre = -(((1u64 << (width - 1)) - 1) as i64);
                     let base = centre + rng.gen_range(-1_000_000_000_000i64..1_000_000_000_000);
                     let (values, validity) = ints(&mut rng, n, base, width, nulls);
-                    let int = check(&Column::Int64(values.clone(), validity.clone()), 8 * n);
-                    let ts = check(&Column::Timestamp(values, validity.clone()), 8 * n);
+                    let int = check(
+                        &Column::Int64(values.clone().into(), validity.clone()),
+                        8 * n,
+                    );
+                    let ts = check(&Column::Timestamp(values.into(), validity.clone()), 8 * n);
                     // A chunk of two rows or more packs whenever its width
                     // leaves room for the nine-byte frame.
                     let packs = 9 + packed_len(n, width).unwrap() < 8 * n;
@@ -545,7 +652,7 @@ mod tests {
         // The same with a NULL over each extreme: the frame counts every
         // slot, placeholders too.
         let valid = Bitmap::from_bools(&[false, true, false, true]);
-        let hidden = Column::Int64(vec![i64::MIN, 5, i64::MAX, 6], Some(valid));
+        let hidden = Column::Int64(vec![i64::MIN, 5, i64::MAX, 6].into(), Some(valid));
         assert_eq!(check(&hidden, 8 * 4), ENC_PLAIN);
         for n in [1, 2, 8, 9, 1_000] {
             for v in [i64::MIN, -1, 0, 42, i64::MAX] {
@@ -698,7 +805,7 @@ mod tests {
         // n · width past any size never reaches an allocation.
         assert_eq!(packed_len(usize::MAX, 64), None);
         let mut r = ByteReader::new(&[0; 16]);
-        match r.read_packed(usize::MAX, 64, 64, |v| v) {
+        match r.read_packed(&mut Vec::new(), usize::MAX, (64, 64), |v| v) {
             Err(FormatError::Corrupt(why)) => assert!(why.contains("x 64 bits"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }

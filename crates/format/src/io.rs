@@ -56,20 +56,27 @@ impl ByteWriter {
         }
     }
 
-    /// `values`, each below 2^`width`, bit-packed at `width` (1–64) bits
-    /// apiece, LSB-first: ⌈n·width/8⌉ bytes, whole words going out of a
-    /// 128-bit accumulator as they fill.
-    pub fn write_packed(&mut self, values: impl ExactSizeIterator<Item = u64>, width: u32) {
-        self.buf
-            .reserve(packed_len(values.len(), width).unwrap_or(0));
+    /// `n` values, each below 2^`width`, bit-packed at `width` (1–64) bits
+    /// apiece, LSB-first, as one run however many runs they come in:
+    /// ⌈n·width/8⌉ bytes, whole words going out of a 128-bit accumulator as
+    /// they fill.
+    pub fn write_packed<I: IntoIterator<Item = u64>>(
+        &mut self,
+        runs: impl IntoIterator<Item = I>,
+        n: usize,
+        width: u32,
+    ) {
+        self.buf.reserve(packed_len(n, width).unwrap_or(0));
         let (mut acc, mut filled) = (0u128, 0u32);
-        for v in values {
-            acc |= u128::from(v) << filled;
-            filled += width;
-            if filled >= 64 {
-                self.buf.extend_from_slice(&(acc as u64).to_le_bytes());
-                acc >>= 64;
-                filled -= 64;
+        for run in runs {
+            for v in run {
+                acc |= u128::from(v) << filled;
+                filled += width;
+                if filled >= 64 {
+                    self.buf.extend_from_slice(&(acc as u64).to_le_bytes());
+                    acc >>= 64;
+                    filled -= 64;
+                }
             }
         }
         let tail = (acc as u64).to_le_bytes();
@@ -166,30 +173,33 @@ impl<'a> ByteReader<'a> {
         self.take(N)?.first_chunk().copied().ok_or_else(short)
     }
 
-    /// `n` fixed-width values, `from` making each of its `N` bytes: the
-    /// count checked against what is left, then one pass over one slice.
+    /// `n` fixed-width values onto `out`, `from` making each of its `N`
+    /// bytes: the count checked against what is left, then one pass over
+    /// one slice.
     pub fn read_plain<T, const N: usize>(
         &mut self,
+        out: &mut Vec<T>,
         n: usize,
         from: impl Fn([u8; N]) -> T,
-    ) -> Result<Vec<T>> {
+    ) -> Result<()> {
         self.ensure_room(n, N)?;
         let (cells, _) = self.take(n * N)?.as_chunks::<N>();
-        Ok(cells.iter().map(|&cell| from(cell)).collect())
+        out.extend(cells.iter().map(|&cell| from(cell)));
+        Ok(())
     }
 
     /// `n` values bit-packed at `width` bits apiece (as
-    /// [`ByteWriter::write_packed`] packs them), `from` making each. The
-    /// width must lie in `1..=max_width`; so `n` is at most 8 × the bytes
-    /// left before it sizes anything. Decoded 64 values at a time from the
-    /// `width` words that hold them, with no per-value branch.
+    /// [`ByteWriter::write_packed`] packs them) onto `out`, `from` making
+    /// each. The width must lie in `1..=max_width`; so `n` is at most 8 ×
+    /// the bytes left before it sizes anything. Decoded 64 values at a time
+    /// from the `width` words that hold them, with no per-value branch.
     pub fn read_packed<T>(
         &mut self,
+        out: &mut Vec<T>,
         n: usize,
-        width: u8,
-        max_width: u8,
+        (width, max_width): (u8, u8),
         from: impl Fn(u64) -> T,
-    ) -> Result<Vec<T>> {
+    ) -> Result<()> {
         if width == 0 || width > max_width.min(64) {
             return Err(FormatError::Corrupt(format!(
                 "bit width {width} outside 1..={max_width}"
@@ -206,7 +216,8 @@ impl<'a> ByteReader<'a> {
                 ))
             })?;
         let mask = u64::MAX >> (64 - width);
-        let mut out = Vec::with_capacity(n.next_multiple_of(64));
+        let end = out.len() + n;
+        out.reserve(n);
         // A block of 64 values is `width` whole words; one spare word lets
         // every value read the pair of words it may straddle. Words past
         // the bytes only ever fill bits that are masked off or rows past `n`.
@@ -221,16 +232,20 @@ impl<'a> ByteReader<'a> {
                 last.iter_mut().zip(rest).for_each(|(to, from)| *to = *from);
                 *word = u64::from_le_bytes(last);
             }
-            out.extend((0..64).map(|j| {
+            let value = |j: u32| {
                 let (bit, at) = (j * width % 64, (j * width / 64) as usize & 63);
                 // The next word's low bits, above this word's high ones (in
                 // two shifts, as one of 64 would overflow).
                 let high = words[at + 1] << 1 << (63 - bit);
                 from((words[at] >> bit | high) & mask)
-            }));
+            };
+            // The last block stops at `n`: `out` grows by no value past it.
+            match end - out.len() {
+                left @ 0..64 => out.extend((0..left as u32).map(value)),
+                _ => out.extend((0..64).map(value)),
+            }
         }
-        out.truncate(n);
-        Ok(out)
+        Ok(())
     }
 
     pub fn read_u8(&mut self) -> Result<u8> {

@@ -9,7 +9,7 @@
 //! *object* rather than per column chunk (paper §4.4.2: moving data is the
 //! bottleneck, and at Reasonable Scale the round trip is most of the move).
 
-use crate::encoding::decode_column;
+use crate::encoding::ColumnDecoder;
 use crate::error::{FormatError, Result};
 use crate::io::ByteReader;
 use crate::reader::{parse_footer, parse_trailer, RowGroupMeta};
@@ -306,7 +306,9 @@ impl RangedReader {
     }
 
     /// Decode the projected columns of `groups` out of `fetched` into one
-    /// batch, each chunk checksummed before it is decoded.
+    /// batch, each chunk checksummed before it is decoded: each column's
+    /// chunks decode one after another into one buffer, so no batch is made
+    /// per group and none is concatenated.
     pub fn decode_groups(
         &self,
         fetched: &FetchedChunks,
@@ -320,25 +322,40 @@ impl RangedReader {
                 .map(|&i| self.schema.field(i).clone())
                 .collect(),
         );
-        if groups.is_empty() {
-            return Ok(RecordBatch::new_empty(out_schema));
-        }
-        let mut batches = Vec::with_capacity(groups.len());
+        let mut metas = Vec::with_capacity(groups.len());
         for &g in groups {
-            let rows = (self.groups.get(g))
-                .ok_or_else(|| FormatError::InvalidArgument(format!("no row group {g}")))?
-                .row_count as usize;
-            let mut decoded = Vec::with_capacity(columns.len());
-            for &c in &columns {
-                let bytes = self.verified_chunk(fetched, (g, c))?;
-                let mut r = ByteReader::new(&bytes);
-                decoded.push(decode_column(self.schema.field(c).data_type(), &mut r)?);
-            }
-            // The footer's count: with no column decoded, still the group's rows.
-            let batch = RecordBatch::try_new_with_rows(out_schema.clone(), decoded, rows)?;
-            batches.push(batch);
+            let meta = self.groups.get(g);
+            metas.push(
+                meta.ok_or_else(|| FormatError::InvalidArgument(format!("no row group {g}")))?,
+            );
         }
-        Ok(RecordBatch::concat(&batches)?)
+        // The footer's count: with no column decoded, still the groups' rows.
+        let rows: u64 = metas.iter().map(|m| m.row_count).sum();
+        let mut decoded = Vec::with_capacity(columns.len());
+        for &c in &columns {
+            let chunks = (groups.iter()).map(|&g| self.verified_chunk(fetched, (g, c)));
+            let chunks = chunks.collect::<Result<Vec<Bytes>>>()?;
+            // Room for every row, where the bytes could hold them: a packed
+            // value takes a bit at the least, so a lying count sizes nothing.
+            let bits = 8 * chunks.iter().map(Bytes::len).sum::<usize>() as u64;
+            let mut column =
+                ColumnDecoder::new(self.schema.field(c).data_type(), rows.min(bits) as usize);
+            for (bytes, meta) in chunks.iter().zip(&metas) {
+                let n = column.push(&mut ByteReader::new(bytes))?;
+                if n as u64 != meta.row_count {
+                    return Err(FormatError::Corrupt(format!(
+                        "a chunk of {n} rows in a group of {}",
+                        meta.row_count
+                    )));
+                }
+            }
+            decoded.push(column.finish()?);
+        }
+        Ok(RecordBatch::try_new_with_rows(
+            out_schema,
+            decoded,
+            rows as usize,
+        )?)
     }
 
     /// Decode every row group of a file opened whole

@@ -6,9 +6,8 @@
 use crate::error::{FormatError, Result};
 use crate::io::{ByteReader, ByteWriter};
 use lakehouse_columnar::kernels::CmpOp;
-use lakehouse_columnar::{Bitmap, Column, Value};
+use lakehouse_columnar::{Column, Value};
 use std::cmp::Ordering;
-use std::ops::Range;
 
 /// Statistics for one column chunk (or one data file, when aggregated).
 #[derive(Debug, Clone, PartialEq)]
@@ -22,18 +21,12 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Compute stats for a column.
     pub fn from_column(col: &Column) -> ColumnStats {
-        ColumnStats::from_rows(col, 0..col.len())
-    }
-
-    /// Stats of rows `rows` of a column (which must hold them), in place.
-    pub fn from_rows(col: &Column, rows: Range<usize>) -> ColumnStats {
-        let nulls = |b: &Bitmap| b.slice_range(rows.start, rows.len()).count_clear();
-        let (min, max) = col.min_max_rows(rows.clone());
+        let (min, max) = col.min_max();
         ColumnStats {
             min,
             max,
-            null_count: col.validity().map_or(0, nulls) as u64,
-            row_count: rows.len() as u64,
+            null_count: col.null_count() as u64,
+            row_count: col.len() as u64,
         }
     }
 

@@ -1,7 +1,7 @@
 //! Data-file writer: buffers record batches into row groups and emits the
 //! final immutable file bytes.
 
-use crate::encoding::encode_column;
+use crate::encoding::encode_chunk;
 use crate::error::{FormatError, Result};
 use crate::io::ByteWriter;
 use crate::ranged::RawGroup;
@@ -9,8 +9,7 @@ use crate::stats::ColumnStats;
 use crate::{FORMAT_VERSION, MAGIC};
 use bytes::Bytes;
 use lakehouse_checksum::crc32c;
-use lakehouse_columnar::{DataType, RecordBatch, Schema};
-use std::ops::Range;
+use lakehouse_columnar::{Column, DataType, RecordBatch, Schema};
 
 /// Tuning knobs for the writer.
 #[derive(Debug, Clone)]
@@ -68,12 +67,12 @@ struct RowGroup {
 /// [`FileWriter::finish`] for the complete file bytes.
 ///
 /// Row groups are cut at exactly `row_group_rows` rows of the input stream.
-/// A group that lies inside one input batch is encoded from that row range
-/// of it, uncopied; only rows that do not yet fill a group are buffered, so
-/// `pending` always holds fewer than `row_group_rows` rows and no row is
-/// copied more than twice (slice, then concat with its group's other
-/// pieces). A row group of another file that sits exactly where such a cut
-/// would fall can be appended as its bytes ([`FileWriter::copy_group`]).
+/// Until a group is full its rows wait as slices of the batches they came
+/// in, which share those batches' values; a full group is encoded from its
+/// pieces in order — statistics merged, values packed piece after piece —
+/// so no row is concatenated (plain strings and dictionaries aside). A row
+/// group of another file that sits exactly where such a cut would fall can
+/// be appended as its bytes ([`FileWriter::copy_group`]).
 pub struct FileWriter {
     schema: Schema,
     options: WriterOptions,
@@ -91,17 +90,6 @@ pub struct Copied {
     pub groups: usize,
     pub rows: u64,
     pub bytes: u64,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Rows this thread's writers have copied (sliced or concatenated).
-    static ROWS_COPIED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-fn count_copied(_rows: usize) {
-    #[cfg(test)]
-    ROWS_COPIED.with(|c| c.set(c.get() + _rows));
 }
 
 impl FileWriter {
@@ -189,46 +177,33 @@ impl FileWriter {
         let mut offset = 0;
         while offset < batch.num_rows() {
             let take = (group_rows - self.pending_rows).min(batch.num_rows() - offset);
-            if self.pending_rows == 0 && take == group_rows {
-                // A whole group inside this batch: encoded where it lies.
-                self.encode_group(batch, offset..offset + take);
-            } else {
-                self.pending.push(batch.slice(offset, take)?);
-                count_copied(take);
-                self.pending_rows += take;
-                if self.pending_rows == group_rows {
-                    self.flush_pending()?;
-                }
+            self.pending.push(batch.slice(offset, take)?);
+            self.pending_rows += take;
+            if self.pending_rows == group_rows {
+                self.flush_pending()?;
             }
             offset += take;
         }
         Ok(())
     }
 
-    /// Write the buffered rows as one row group.
+    /// Write the buffered rows as one row group: each column's chunk,
+    /// checksum and statistics from its pieces where they lie.
     fn flush_pending(&mut self) -> Result<()> {
         let pieces = std::mem::take(&mut self.pending);
         self.pending_rows = 0;
-        match pieces.as_slice() {
-            [] => {}
-            [one] => self.encode_group(one, 0..one.num_rows()),
-            many => {
-                let group = RecordBatch::concat(many)?;
-                count_copied(group.num_rows());
-                self.encode_group(&group, 0..group.num_rows());
-            }
-        }
-        Ok(())
-    }
-
-    /// Write rows `rows` of `batch` as one row group: chunk, checksum and
-    /// statistics all from the rows where they lie.
-    fn encode_group(&mut self, batch: &RecordBatch, rows: Range<usize>) {
-        let mut chunks = Vec::with_capacity(batch.num_columns());
-        for col in batch.columns() {
+        let Some(first) = pieces.first() else {
+            return Ok(());
+        };
+        let mut chunks = Vec::with_capacity(first.num_columns());
+        for c in 0..first.num_columns() {
+            let columns: Vec<&Column> = pieces.iter().map(|b| b.column(c)).collect();
+            let mut stats = ColumnStats::from_column(columns[0]);
+            columns[1..]
+                .iter()
+                .for_each(|col| stats.merge(&ColumnStats::from_column(col)));
             let offset = self.body.len() as u64;
-            let stats = ColumnStats::from_rows(col, rows.clone());
-            encode_column(col, rows.clone(), &stats, &mut self.body);
+            encode_chunk(&columns, &stats, &mut self.body)?;
             let encoded = &self.body.as_slice()[offset as usize..];
             chunks.push(ChunkMeta {
                 offset,
@@ -238,9 +213,10 @@ impl FileWriter {
             });
         }
         self.groups.push(RowGroup {
-            row_count: rows.len() as u64,
+            row_count: pieces.iter().map(|b| b.num_rows() as u64).sum(),
             chunks,
         });
+        Ok(())
     }
 
     /// Flush remaining rows, write the footer, and return the file bytes
@@ -434,15 +410,26 @@ mod tests {
     const GOLDEN: (usize, u32) = (5_773_181, 1_379_599_894);
 
     #[test]
-    fn writer_copies_each_row_at_most_twice() {
-        let n = 200_000;
-        let input = golden_input(n);
-        let before = ROWS_COPIED.with(std::cell::Cell::get);
-        FileWriter::write_file(&input, WriterOptions::default()).unwrap();
-        let copied = ROWS_COPIED.with(std::cell::Cell::get) - before;
-        // The pre-cursor writer re-sliced the remainder for every group:
-        // ~ n^2 / 16 384 = 2.4 million rows for this input.
-        assert!(copied <= 2 * n, "copied {copied} rows for {n}");
+    fn batches_straddling_groups_write_the_bytes_of_their_concatenation() {
+        // Three batches of 16 385 rows at 8 192-row groups: every batch ends
+        // one row into a group that the next batch fills.
+        let input = golden_input(3 * 16_385);
+        let options = WriterOptions {
+            row_group_rows: 8_192,
+        };
+        let whole = FileWriter::write_file(&input, options.clone()).unwrap();
+        let mut w = FileWriter::new(input.schema().clone(), options);
+        for b in 0..3 {
+            let batch = input.slice(b * 16_385, 16_385).unwrap();
+            w.write_batch(&batch).unwrap();
+            // The group left open holds the batch's last b + 1 rows where
+            // they lie.
+            let held = w.pending.last().unwrap().column(0).as_i64().unwrap().0;
+            let last = batch.column(0).as_i64().unwrap().0;
+            assert_eq!(held.as_ptr(), last[16_384 - b..].as_ptr());
+        }
+        assert_eq!(w.pending_rows, 3);
+        assert!(w.finish().unwrap().0 == whole);
     }
 
     #[test]

@@ -60,11 +60,11 @@ fn chunk(rng: &mut StdRng, kind: usize) -> Column {
             .collect::<Vec<_>>()
     };
     match kind {
-        0 => Column::Int64(ints(), validity),
+        0 => Column::Int64(ints().into(), validity),
         1 => Column::Date(picks.iter().map(|&p| p as i32).collect(), validity),
-        2 => Column::Timestamp(ints(), validity),
+        2 => Column::Timestamp(ints().into(), validity),
         3 => Column::Bool(picks.iter().map(|&p| p % 2 == 0).collect(), validity),
-        4 => Column::Utf8(strs(), validity),
+        4 => Column::Utf8(strs().into(), validity),
         5 => Column::Dict(DictColumn::encode(&strs(), validity).unwrap()),
         _ => Column::Float64(
             picks.iter().map(|&p| FLOATS[p % FLOATS.len()]).collect(),

@@ -48,31 +48,33 @@ pub trait TableProvider: SchemaProvider {
     }
 }
 
-/// What scanning an in-memory table yields: `batch` projected, in one copy
-/// of the rows asked for — under a row budget and no filter to pass, only
-/// the budget's rows (`LIMIT 10` of a million-row artifact copies ten).
+/// What scanning an in-memory table — `batches`, of `schema` — yields: each
+/// batch projected, sharing its columns. Under a row budget and no filter
+/// to pass, only the budget's rows, in values of their own (`LIMIT 10` of a
+/// million-row artifact keeps ten rows, not the artifact, alive).
 pub fn scan_memory_table(
-    batch: &RecordBatch,
+    schema: &Schema,
+    batches: &[RecordBatch],
     projection: Option<&[String]>,
     filters: &[Expr],
     fetch: Option<usize>,
-) -> Result<RecordBatch> {
-    let rows = match fetch {
-        Some(budget) if filters.is_empty() => budget.min(batch.num_rows()),
-        _ => batch.num_rows(),
+) -> Result<BatchesStream> {
+    let names: Vec<&str> = match projection {
+        Some(cols) => cols.iter().map(String::as_str).collect(),
+        None => schema.fields().iter().map(|f| f.name()).collect(),
     };
-    let schema = match projection {
-        Some(cols) => {
-            let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-            batch.schema().project(&names)?
-        }
-        None => batch.schema().clone(),
-    };
-    let mut columns = Vec::with_capacity(schema.len());
-    for field in schema.fields() {
-        columns.push(batch.column_by_name(field.name())?.slice(0, rows)?);
+    let mut budget = fetch.filter(|_| filters.is_empty()).unwrap_or(usize::MAX);
+    let mut out = Vec::with_capacity(batches.len());
+    for batch in batches.iter().map(|b| b.project(&names)) {
+        let batch = batch?;
+        let rows = budget.min(batch.num_rows());
+        out.push(match rows < batch.num_rows() {
+            true => batch.copy_rows(0, rows)?,
+            false => batch,
+        });
+        budget -= rows;
     }
-    Ok(RecordBatch::try_new_with_rows(schema, columns, rows)?)
+    Ok(BatchesStream::new(schema.project(&names)?, out))
 }
 
 /// A provider over in-memory named batches (used by tests, the fused
@@ -115,8 +117,9 @@ impl TableProvider for MemoryProvider {
             .tables
             .get(table)
             .ok_or_else(|| crate::error::SqlError::Plan(format!("unknown table: {table}")))?;
-        let batch = scan_memory_table(batch, projection, filters, fetch)?;
-        Ok(Box::new(BatchesStream::one(batch)))
+        let batches = std::slice::from_ref(batch);
+        let stream = scan_memory_table(batch.schema(), batches, projection, filters, fetch)?;
+        Ok(Box::new(stream))
     }
 }
 
@@ -273,6 +276,20 @@ mod tests {
         assert_eq!(p.exact_filters("taxi_table", None, &filters), vec![false]);
         let limited = SqlEngine::new().query("SELECT fare FROM taxi_table LIMIT 3", &p);
         assert_eq!(limited.unwrap().num_rows(), 3);
+    }
+
+    #[test]
+    fn a_bare_column_projection_shares_the_tables_values_and_a_limit_does_not() {
+        let p = provider();
+        let fares = |c: &Column| c.as_f64().map(|(v, _)| v.as_ptr()).unwrap();
+        let table = p.get("taxi_table").unwrap().column_by_name("fare").unwrap();
+        let q = |sql: &str| SqlEngine::new().query(sql, &p).unwrap();
+        let renamed = q("SELECT fare AS f, pickup_location_id FROM taxi_table");
+        assert_eq!(fares(renamed.column(0)), fares(table));
+        // A cut of the table keeps its rows in values of their own.
+        let limited = q("SELECT fare FROM taxi_table LIMIT 3");
+        assert_eq!(limited.num_rows(), 3);
+        assert_ne!(fares(limited.column(0)), fares(table));
     }
 
     #[test]

@@ -47,4 +47,4 @@ pub use engine::{scan_memory_table, MemoryProvider, SqlEngine, TableProvider};
 pub use error::{Result, SqlError};
 pub use logical::LogicalPlan;
 pub use parser::{parse_select, referenced_tables};
-pub use streaming::{execute, execute_with_report, ExecReport};
+pub use streaming::{execute, execute_batches, execute_with_report, ExecReport};

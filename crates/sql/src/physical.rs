@@ -171,14 +171,14 @@ fn like(col: &Column, pattern: &str, negated: bool) -> Result<Column> {
             .map(|s| like_match(s, pattern) != negated)
             .collect();
         let out: Vec<bool> = d.codes().iter().map(|&c| table[c as usize]).collect();
-        return Ok(Column::Bool(out, d.validity().cloned()));
+        return Ok(Column::Bool(out.into(), d.validity().cloned()));
     }
     let (values, validity) = col.as_utf8()?;
     let out: Vec<bool> = values
         .iter()
         .map(|s| like_match(s, pattern) != negated)
         .collect();
-    Ok(Column::Bool(out, validity.cloned()))
+    Ok(Column::Bool(out.into(), validity.cloned()))
 }
 
 /// A scalar function, row by row over its evaluated arguments, typed from

@@ -33,7 +33,7 @@ use crate::ast::{Expr, JoinType};
 use crate::engine::TableProvider;
 use crate::error::{Result, SqlError};
 use crate::logical::{AggExpr, LogicalPlan};
-use crate::physical::{column, eval, execute_project, filter_exact};
+use crate::physical::{eval, execute_project, filter_exact};
 use lakehouse_columnar::kernels::{
     self, filter_batch, take_batch, take_column, take_column_opt, to_selection, Accumulator,
     Grouper, SortField,
@@ -42,7 +42,6 @@ use lakehouse_columnar::{
     BatchStream, BatchesStream, Column, ColumnarError, DataType, RecordBatch, Schema,
 };
 use lakehouse_obs::{KillReason, QueryCtx, SpanGuard};
-use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -171,31 +170,18 @@ fn unext(e: ColumnarError) -> SqlError {
     }
 }
 
-fn eval_all<'a, 'b>(
+fn eval_all<'a>(
     exprs: impl IntoIterator<Item = &'a Expr>,
-    batch: &'b RecordBatch,
-) -> CResult<Vec<Cow<'b, Column>>> {
-    let cols = exprs.into_iter().map(|e| eval_cow(e, batch));
+    batch: &RecordBatch,
+) -> CResult<Vec<Column>> {
+    let cols = exprs.into_iter().map(|e| eval(e, batch));
     cols.collect::<Result<_>>().map_err(ext)
 }
 
-/// [`eval`], borrowing a bare column reference from `batch` instead of
-/// copying it.
-fn eval_cow<'b>(expr: &Expr, batch: &'b RecordBatch) -> Result<Cow<'b, Column>> {
-    match expr {
-        Expr::Column(c) => Ok(Cow::Borrowed(column(c, batch)?)),
-        _ => eval(expr, batch).map(Cow::Owned),
-    }
-}
-
-/// Each aggregate's argument over `batch` (`None` for `COUNT(*)`), bare
-/// column references borrowed.
-fn agg_args<'b>(
-    aggs: &[(AggExpr, String)],
-    batch: &'b RecordBatch,
-) -> CResult<Vec<Option<Cow<'b, Column>>>> {
+/// Each aggregate's argument over `batch` (`None` for `COUNT(*)`).
+fn agg_args(aggs: &[(AggExpr, String)], batch: &RecordBatch) -> CResult<Vec<Option<Column>>> {
     let args = aggs.iter().map(|(a, _)| a.arg.as_ref());
-    let cols = args.map(|arg| arg.map(|e| eval_cow(e, batch)).transpose());
+    let cols = args.map(|arg| arg.map(|e| eval(e, batch)).transpose());
     cols.collect::<Result<_>>().map_err(ext)
 }
 
@@ -209,6 +195,34 @@ pub fn execute_with_report(
     plan: &LogicalPlan,
     provider: &dyn TableProvider,
 ) -> Result<(RecordBatch, ExecReport)> {
+    // Late materialization: dictionary-encoded columns survive the whole
+    // pipeline as codes; decode to plain strings only here, at the root.
+    drain(plan, provider, |schema, batches| {
+        Ok(RecordBatch::concat_all(schema, batches)?.decode_dicts())
+    })
+}
+
+/// [`execute_with_report`] without the concatenation: the root's schema
+/// and the batches it emitted, in order, each sharing the columns it was
+/// built from. A pipeline step's output.
+pub fn execute_batches(
+    plan: &LogicalPlan,
+    provider: &dyn TableProvider,
+) -> Result<(Schema, Vec<RecordBatch>, ExecReport)> {
+    let ((schema, batches), report) = drain(plan, provider, |schema, batches| {
+        let batches = batches.into_iter().map(RecordBatch::decode_dicts);
+        Ok((schema.clone(), batches.collect()))
+    })?;
+    Ok((schema, batches, report))
+}
+
+/// Run `plan`, pulling every batch its root emits, and hand them to
+/// `collect` with the root's schema.
+fn drain<T>(
+    plan: &LogicalPlan,
+    provider: &dyn TableProvider,
+    collect: impl FnOnce(&Schema, Vec<RecordBatch>) -> Result<T>,
+) -> Result<(T, ExecReport)> {
     // Declared before the operator tree: the operators' spans (fields of the
     // stream, dropped at the end of the block below) close before this one.
     let span = lakehouse_obs::span("execute");
@@ -216,9 +230,9 @@ pub fn execute_with_report(
     let sim_start = lakehouse_obs::thread_sim_nanos();
     let ctx = QueryCtx::current();
     let stats = Rc::new(ExecStats::new(ctx.as_ref()));
-    let result = {
+    let (result, rows) = {
         let mut root = build_stream(plan, provider, &stats, "0")?;
-        let mut batches: Vec<RecordBatch> = Vec::new();
+        let (mut batches, mut rows) = (Vec::new(), 0);
         loop {
             let next = root.next_batch().map_err(unext)?;
             // Per-batch cooperative cancellation point: the root drain is
@@ -234,12 +248,11 @@ pub fn execute_with_report(
             if batch.num_rows() > 0 {
                 // Collected output is live until the query returns.
                 stats.swap(0, batch.approx_bytes());
+                rows += batch.num_rows();
                 batches.push(batch);
             }
         }
-        // Late materialization: dictionary-encoded columns survive the whole
-        // pipeline as codes; decode to plain strings only here, at the root.
-        RecordBatch::concat_all(root.schema(), batches)?.decode_dicts()
+        (collect(root.schema(), batches)?, rows)
         // Dropping `root` here releases every operator's meter.
     };
     let wall_nanos = wall_start.elapsed().as_nanos() as u64;
@@ -253,7 +266,7 @@ pub fn execute_with_report(
         sim_nanos,
     };
     if span.is_recording() {
-        span.attr("rows", result.num_rows() as u64);
+        span.attr("rows", rows as u64);
         span.attr("peak_bytes", report.peak_bytes as u64);
         span.attr("batches_streamed", report.batches_streamed as u64);
     }
@@ -442,7 +455,7 @@ impl BatchStream for ScanNode {
             let mut batch = filter_exact(batch, &self.filters).map_err(ext)?;
             if let Some(budget) = &mut self.budget {
                 if batch.num_rows() > *budget {
-                    batch = batch.slice(0, *budget)?;
+                    batch = batch.copy_rows(0, *budget)?;
                 }
                 *budget -= batch.num_rows();
             }
@@ -531,28 +544,25 @@ impl BatchStream for LimitNode {
                 Some(input) => input.next_batch()?,
                 None => None,
             };
-            let Some(mut batch) = next else {
+            let Some(batch) = next else {
                 self.input = None;
                 self.meter.hold(0);
                 return Ok(None);
             };
-            if self.to_skip > 0 {
-                let skip = self.to_skip.min(batch.num_rows());
-                self.to_skip -= skip;
-                if skip == batch.num_rows() {
-                    continue;
-                }
-                batch = batch.slice(skip, batch.num_rows() - skip)?;
-            }
-            if let Some(rem) = self.remaining {
-                if batch.num_rows() > rem {
-                    batch = batch.slice(0, rem)?;
-                }
-                self.remaining = Some(rem - batch.num_rows());
-            }
-            if batch.num_rows() == 0 {
+            let skip = self.to_skip.min(batch.num_rows());
+            self.to_skip -= skip;
+            let rows = self.remaining.unwrap_or(usize::MAX);
+            let rows = rows.min(batch.num_rows() - skip);
+            self.remaining = self.remaining.map(|rem| rem - rows);
+            if rows == 0 {
                 continue;
             }
+            // A cut batch's rows are copied out: kept to the statement's
+            // end, a slice would hold all of its parent's values alive.
+            let batch = match rows < batch.num_rows() {
+                true => batch.copy_rows(skip, rows)?,
+                false => batch,
+            };
             self.meter.emit(&batch, 0);
             return Ok(Some(batch));
         }
@@ -651,13 +661,13 @@ impl BatchStream for AggNode {
             let args = accs.iter_mut().zip(&arg_cols);
             if global {
                 for (acc, arg) in args {
-                    acc.update_all(batch.num_rows(), arg.as_deref())?;
+                    acc.update_all(batch.num_rows(), arg.as_ref())?;
                 }
             } else {
                 let group_cols = eval_all(self.group_exprs.iter().map(|(e, _)| e), &batch)?;
                 grouper.group_ids(&group_cols, &mut ids)?;
                 for (acc, arg) in args {
-                    acc.update(&ids, grouper.num_groups(), arg.as_deref())?;
+                    acc.update(&ids, grouper.num_groups(), arg.as_ref())?;
                 }
             }
             // The grouper's keys and lookup tables, and every accumulator.
@@ -712,9 +722,8 @@ struct BuildSide {
 }
 
 /// The columns of a key that can hold a NULL.
-fn nullable<'c>(cols: &'c [Cow<Column>]) -> Vec<&'c Column> {
-    let cols = cols.iter().map(|c| c.as_ref());
-    cols.filter(|c| c.validity().is_some()).collect()
+fn nullable(cols: &[Column]) -> Vec<&Column> {
+    cols.iter().filter(|c| c.validity().is_some()).collect()
 }
 
 /// Hash join: interns the right side's keys as its batches stream in, then

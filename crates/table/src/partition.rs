@@ -163,6 +163,12 @@ pub struct PartitionSpec {
     pub fields: Vec<PartitionField>,
 }
 
+/// One partition's rows of a batch ([`PartitionSpec::split`]): its
+/// partition values and its row indices, `None` for every row of the batch
+/// (an unpartitioned spec's one group, or a batch all of whose rows fall in
+/// one partition).
+pub type PartitionRows = (Vec<ValueDef>, Option<Vec<usize>>);
+
 impl PartitionSpec {
     pub fn unpartitioned() -> Self {
         Self::default()
@@ -209,11 +215,10 @@ impl PartitionSpec {
         Ok(())
     }
 
-    /// Split a batch into per-partition sub-batches: `(partition values,
-    /// row indices)` pairs, in first-seen order.
-    pub fn split(&self, batch: &RecordBatch) -> Result<Vec<(Vec<ValueDef>, Vec<usize>)>> {
+    /// Split a batch into per-partition sub-batches, in first-seen order.
+    pub fn split(&self, batch: &RecordBatch) -> Result<Vec<PartitionRows>> {
         if self.is_unpartitioned() {
-            return Ok(vec![(vec![], (0..batch.num_rows()).collect())]);
+            return Ok(vec![(vec![], None)]);
         }
         // Group rows by the typed key interner (first-seen order, NULL its
         // own partition value) over each field's source column — transformed
@@ -234,6 +239,7 @@ impl PartitionSpec {
         let mut sizes = vec![0usize; grouper.num_groups()];
         ids.iter().for_each(|&g| sizes[g as usize] += 1);
         let keys = grouper.key_columns();
+        let whole = sizes.len() == 1;
         let mut groups = Vec::with_capacity(sizes.len());
         for (group, size) in sizes.into_iter().enumerate() {
             let mut values = Vec::with_capacity(keys.len());
@@ -244,10 +250,14 @@ impl PartitionSpec {
                     None => v,
                 }));
             }
-            groups.push((values, Vec::with_capacity(size)));
+            groups.push((values, (!whole).then(|| Vec::with_capacity(size))));
         }
-        for (row, &group) in ids.iter().enumerate() {
-            groups[group as usize].1.push(row);
+        if !whole {
+            for (row, &group) in ids.iter().enumerate() {
+                if let Some(rows) = &mut groups[group as usize].1 {
+                    rows.push(row);
+                }
+            }
         }
         Ok(groups)
     }
@@ -351,8 +361,8 @@ mod tests {
         let groups = spec.split(&batch()).unwrap();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].0, vec![ValueDef::Str("nyc".into())]);
-        assert_eq!(groups[0].1, vec![0, 2, 4]);
-        assert_eq!(groups[1].1, vec![1, 3]);
+        assert_eq!(groups[0].1, Some(vec![0, 2, 4]));
+        assert_eq!(groups[1].1, Some(vec![1, 3]));
     }
 
     /// The pre-interner `split`: a partition tuple per row, grouped by
@@ -430,7 +440,12 @@ mod tests {
             let spec = PartitionSpec::new(fields);
             let groups = spec.split(&batch).unwrap();
             assert!(groups.len() > 3, "the input spreads over partitions");
-            assert_eq!(groups, split_per_row(&spec, &batch), "{spec:?}");
+            let rows = groups.into_iter().map(|(v, rows)| (v, rows.unwrap()));
+            assert_eq!(
+                rows.collect::<Vec<_>>(),
+                split_per_row(&spec, &batch),
+                "{spec:?}"
+            );
         }
         // An unsupported transform still fails as it did cell by cell.
         assert!(PartitionSpec::new(vec![field("id", Transform::Year)])
@@ -442,8 +457,11 @@ mod tests {
     fn unpartitioned_split_is_single_group() {
         let spec = PartitionSpec::unpartitioned();
         let groups = spec.split(&batch()).unwrap();
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].1.len(), 5);
+        assert_eq!(groups, vec![(vec![], None)]);
+        // One partition value: every row, with no index vector either.
+        let one_city = batch().slice(0, 1).unwrap();
+        let groups = PartitionSpec::identity("city").split(&one_city).unwrap();
+        assert_eq!(groups, vec![(vec![ValueDef::Str("nyc".into())], None)]);
     }
 
     #[test]

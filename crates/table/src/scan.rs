@@ -559,10 +559,10 @@ impl TableScan {
         &self,
         entry: &ManifestEntry,
         scan_schema: &Schema,
-        decoded: Vec<Column>,
+        decoded: &[Column],
         rows: usize,
     ) -> Result<RecordBatch> {
-        let mut decoded = decoded.into_iter();
+        let mut decoded = decoded.iter().cloned();
         let mut columns = Vec::with_capacity(scan_schema.len());
         for field in scan_schema.fields() {
             let null = || Column::new_null(field.data_type(), rows);
@@ -682,7 +682,7 @@ impl TableScan {
         let batch = reader.decode_groups(&fetched, decoded, Some(&projection))?;
         let rows = batch.num_rows();
         let partial = EntryPartial {
-            batch: self.assemble(entry, scan_schema, batch.into_columns(), rows)?,
+            batch: self.assemble(entry, scan_schema, batch.columns(), rows)?,
             bytes_scanned: reader.bytes_needed(&chunks)?,
             row_groups_scanned,
             reader: Arc::clone(&reader),
@@ -803,7 +803,7 @@ impl ScanStream {
         // A taken-in entry that is read already has its opening.
         if opening.is_none() && !self.scan.reads(entry, &self.scan_schema)? {
             let rows = entry.row_count as usize;
-            let batch = (self.scan).assemble(entry, &self.scan_schema, Vec::new(), rows)?;
+            let batch = (self.scan).assemble(entry, &self.scan_schema, &[], rows)?;
             self.report.files_from_metadata += 1;
             lakehouse_obs::global()
                 .counter("scan.files_from_metadata")

@@ -57,26 +57,39 @@ impl Transaction {
     /// Stage a batch: split by partition spec and write one data file per
     /// partition group.
     pub fn write(&mut self, batch: &RecordBatch) -> Result<()> {
+        self.write_batches(std::slice::from_ref(batch))
+    }
+
+    /// Stage `batches` as their concatenation would be staged: one data
+    /// file per partition group, each holding its rows in order, staged in
+    /// the order the groups first appear. An unpartitioned table's one file
+    /// is written from the batches as they are, none made. A partitioned
+    /// table's groups are written one at a time, each file staged before
+    /// the next group is gathered (a group that is the whole batch is not
+    /// gathered), so one file's rows are held at a time.
+    pub fn write_batches(&mut self, batches: &[RecordBatch]) -> Result<()> {
         let schema = self.metadata.current_schema()?;
-        if batch.schema() != &schema {
+        if let Some(other) = batches.iter().find(|b| b.schema() != &schema) {
             return Err(TableError::SchemaMismatch(format!(
                 "batch schema {} != table schema {}",
-                batch.schema(),
+                other.schema(),
                 schema
             )));
         }
-        for (partition, rows) in self.metadata.partition_spec.split(batch)? {
-            // A group that is the whole batch (every unpartitioned table, a
-            // single-partition append) is written by reference, not gathered.
-            let gathered;
-            let part_batch = if rows.len() == batch.num_rows() {
-                batch
-            } else {
-                gathered = take_batch(batch, &rows)?;
-                &gathered
-            };
-            let mut writer = FileWriter::new(schema.clone(), self.io.writer_options.clone());
-            writer.write_batch(part_batch)?;
+        if self.metadata.partition_spec.is_unpartitioned() {
+            let mut writer = self.file_writer()?;
+            for batch in batches {
+                writer.write_batch(batch)?;
+            }
+            return self.stage(Vec::new(), writer);
+        }
+        let batch = RecordBatch::concat_all(&schema, batches.to_vec())?;
+        for (partition, rows) in self.metadata.partition_spec.split(&batch)? {
+            let mut writer = self.file_writer()?;
+            match rows {
+                None => writer.write_batch(&batch)?,
+                Some(rows) => writer.write_batch(&take_batch(&batch, &rows)?)?,
+            }
             self.stage(partition, writer)?;
         }
         Ok(())
@@ -198,6 +211,39 @@ mod tests {
             vec![Column::from_i64(ids), Column::from_strs(zones)],
         )
         .unwrap()
+    }
+
+    /// Writing batches stages the data files writing their concatenation
+    /// stages — the same names, so the same bytes — unpartitioned and
+    /// partitioned.
+    #[test]
+    fn batches_are_staged_as_their_concatenation() {
+        let ids: Vec<i64> = (0..1_000).collect();
+        let zones: Vec<&str> = ids
+            .iter()
+            .map(|i| ["a", "b", "c"][*i as usize % 3])
+            .collect();
+        let whole = batch(ids, zones);
+        let pieces: Vec<RecordBatch> = [0, 1, 333, 640, 999]
+            .windows(2)
+            .map(|w| whole.slice(w[0], w[1] - w[0]).unwrap())
+            .chain([whole.slice(999, 1).unwrap()])
+            .collect();
+        for spec in [
+            PartitionSpec::unpartitioned(),
+            PartitionSpec::identity("zone"),
+        ] {
+            let staged = |batches: &[RecordBatch]| {
+                let table = Table::create(store(), "wh/t", &schema(), spec.clone()).unwrap();
+                let mut tx = table.new_transaction(SnapshotOperation::Append);
+                tx.write_batches(batches).unwrap();
+                let files = tx.staged.iter().map(|e| (e.file_path.clone(), e.row_count));
+                files.collect::<Vec<_>>()
+            };
+            let want = staged(std::slice::from_ref(&whole));
+            assert_eq!(want.len(), if spec.is_unpartitioned() { 1 } else { 3 });
+            assert_eq!(staged(&pieces), want, "{spec:?}");
+        }
     }
 
     #[test]

@@ -67,15 +67,15 @@ fn chunk(rng: &mut StdRng, kind: usize) -> (Column, Vec<Transform>) {
     let text = vec![Identity, Bucket(3), Truncate(1), Truncate(2)];
     match kind {
         0 => (
-            Column::Int64(pick(&INTS), validity),
+            Column::Int64(pick(&INTS).into(), validity),
             vec![Identity, Bucket(3), Truncate(10), Truncate(1)],
         ),
         1 => (
             Column::Date(picks.iter().map(|&p| DAYS[p]).collect(), validity),
             temporal,
         ),
-        2 => (Column::Timestamp(pick(&STAMPS), validity), temporal),
-        3 => (Column::Utf8(strs, validity), text),
+        2 => (Column::Timestamp(pick(&STAMPS).into(), validity), temporal),
+        3 => (Column::Utf8(strs.into(), validity), text),
         4 => (
             Column::Dict(DictColumn::encode(&strs, validity).unwrap()),
             text,

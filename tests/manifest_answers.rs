@@ -267,7 +267,7 @@ fn renamed(batch: RecordBatch, old: &str, new: &str) -> RecordBatch {
             }
         })
         .collect();
-    RecordBatch::try_new(Schema::new(fields), batch.into_columns()).unwrap()
+    RecordBatch::try_new(Schema::new(fields), batch.columns().to_vec()).unwrap()
 }
 
 /// Append the next rows to `t`, and check the table with them.
