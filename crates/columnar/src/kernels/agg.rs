@@ -27,7 +27,6 @@ use crate::datatype::{DataType, Value};
 use crate::error::{ColumnarError, Result};
 use crate::kernels::filter::take_column;
 use crate::kernels::hash::{self, RowKey};
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::mem::size_of;
@@ -850,9 +849,9 @@ impl Grouper {
     /// it cannot), the hash index otherwise. A single dictionary-encoded
     /// key column groups in code space: one intern per distinct code in the
     /// batch, every other row a plain `u32` array lookup.
-    pub fn group_ids<C: Borrow<Column>>(&mut self, cols: &[C], ids: &mut Vec<u32>) -> Result<()> {
+    pub fn group_ids(&mut self, cols: &[Column], ids: &mut Vec<u32>) -> Result<()> {
         if self.groups == 0 {
-            self.types = cols.iter().map(|c| c.borrow().data_type()).collect();
+            self.types = cols.iter().map(Column::data_type).collect();
             self.floats = kept_for(&self.types, DataType::Float64);
             self.strings = kept_for(&self.types, DataType::Utf8);
             let small = self.floats.is_empty() && self.strings.is_empty();
@@ -924,11 +923,11 @@ impl Grouper {
     /// NULL equals NULL, so a caller with join semantics masks NULL keys
     /// itself — and only within a type: against key columns of other types
     /// than the interned ones (an INT probe of DOUBLE keys) nothing matches.
-    pub fn lookup_ids<C: Borrow<Column>>(&self, cols: &[C], ids: &mut Vec<u32>) -> Result<()> {
+    pub fn lookup_ids(&self, cols: &[Column], ids: &mut Vec<u32>) -> Result<()> {
         ids.clear();
-        let types = cols.iter().map(|c| c.borrow().data_type());
+        let types = cols.iter().map(Column::data_type);
         if self.groups == 0 || !types.eq(self.types.iter().copied()) {
-            ids.resize(cols.first().map_or(0, |c| c.borrow().len()), Self::NO_GROUP);
+            ids.resize(cols.first().map_or(0, Column::len), Self::NO_GROUP);
             return Ok(());
         }
         let (cols, n) = self.checked(cols)?;
@@ -954,8 +953,8 @@ impl Grouper {
 
     /// The key columns of one call, checked against the key's types and
     /// each other's length, and that length.
-    fn checked<'a, C: Borrow<Column>>(&self, cols: &'a [C]) -> Result<(Vec<&'a Column>, usize)> {
-        let cols: Vec<&Column> = cols.iter().map(Borrow::borrow).collect();
+    fn checked<'a>(&self, cols: &'a [Column]) -> Result<(Vec<&'a Column>, usize)> {
+        let cols: Vec<&Column> = cols.iter().collect();
         let types = cols.iter().map(|c| c.data_type());
         if !types.eq(self.types.iter().copied()) {
             let what = format!("grouper keyed by {:?}", self.types);

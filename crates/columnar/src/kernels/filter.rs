@@ -12,7 +12,6 @@ use crate::bitmap::Bitmap;
 use crate::buffer::Buffer;
 use crate::column::{Column, DictColumn};
 use crate::error::{ColumnarError, Result};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Keep rows where `mask` is set. Mask length must equal column length.
@@ -140,10 +139,9 @@ pub fn take_column_opt(col: &Column, indices: &[Option<usize>]) -> Result<Column
         return Err(ColumnarError::IndexOutOfBounds { index, len });
     }
     // The rows to gather: a NULL source row is as good as a hole.
-    let valid: Cow<[Option<usize>]> = match col.validity() {
-        None => Cow::Borrowed(indices),
-        Some(b) => indices.iter().map(|i| i.filter(|&i| b.get(i))).collect(),
-    };
+    let valid: Vec<Option<usize>> = (indices.iter())
+        .map(|i| i.filter(|&i| col.is_valid(i)))
+        .collect();
     fn gather_opt<T: Clone + Default>(values: &[T], indices: &[Option<usize>]) -> Buffer<T> {
         let at = |i: &Option<usize>| i.map_or_else(T::default, |i| values[i].clone());
         indices.iter().map(at).collect()

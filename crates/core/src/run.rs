@@ -25,7 +25,7 @@ use crate::error::{BauplanError, Result};
 use crate::functions::{Batches, FnContext, FnOutput};
 use crate::lakehouse::{table_put, Lakehouse};
 use crate::provider::PinnedProvider;
-use lakehouse_columnar::{BatchStream, RecordBatch, Schema};
+use lakehouse_columnar::{RecordBatch, Schema};
 use lakehouse_planner::project::NodeKind;
 use lakehouse_planner::{
     ExecutionMode, LogicalPipeline, PhysicalPipeline, PipelineDag, PipelineProject, PlannerError,
@@ -473,7 +473,11 @@ impl Lakehouse {
                                 Some(b) => b,
                                 // Cross-stage edge or lake table: read
                                 // through the catalog (object store).
-                                None => Arc::new(read_table(&provider.load_table(input)?)?),
+                                None => {
+                                    let scan = provider.load_table(input)?.scan();
+                                    let (schema, batches, _) = scan.execute_batches()?;
+                                    Arc::new(Batches { schema, batches })
+                                }
                             };
                             inputs.insert(input.clone(), batches);
                         }
@@ -590,17 +594,6 @@ impl Lakehouse {
         }
         EnvSpec::new(interpreter, packages)
     }
-}
-
-/// Every batch a whole scan of `table` yields, a batch per data file.
-fn read_table(table: &Table) -> Result<Batches> {
-    let mut scan = table.scan().stream_all()?;
-    let mut batches = Vec::new();
-    while let Some(batch) = scan.pull()? {
-        batches.push(batch);
-    }
-    let schema = scan.schema().clone();
-    Ok(Batches { schema, batches })
 }
 
 /// Binds a run's SQL nodes, each once, through one schema lookup: a planned

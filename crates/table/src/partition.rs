@@ -10,7 +10,6 @@ use lakehouse_columnar::datatype::civil_from_days;
 use lakehouse_columnar::kernels::{CmpOp, Grouper};
 use lakehouse_columnar::{Column, ColumnBuilder, DataType, RecordBatch, Schema, Value};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 
 /// A partition transform applied to a source column value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -223,18 +222,18 @@ impl PartitionSpec {
         // Group rows by the typed key interner (first-seen order, NULL its
         // own partition value) over each field's source column — transformed
         // first, once, unless transforming the groups' keys does as well.
-        let mut columns = Vec::with_capacity(self.fields.len());
+        let (mut key_columns, mut deferred) = (Vec::new(), Vec::new());
         for f in &self.fields {
             let col = batch.column_by_name(&f.source_column)?;
-            columns.push(if f.transform.injective_on(col.data_type()) {
-                (Cow::Borrowed(col), Some(f.transform))
-            } else {
-                (Cow::Owned(f.transform.apply_column(col)?), None)
+            let injective = f.transform.injective_on(col.data_type());
+            key_columns.push(match injective {
+                true => col.clone(),
+                false => f.transform.apply_column(col)?,
             });
+            deferred.push(injective.then_some(f.transform));
         }
         let mut grouper = Grouper::new();
         let mut ids = Vec::new();
-        let key_columns: Vec<&Column> = columns.iter().map(|(c, _)| c.as_ref()).collect();
         grouper.group_ids(&key_columns, &mut ids)?;
         let mut sizes = vec![0usize; grouper.num_groups()];
         ids.iter().for_each(|&g| sizes[g as usize] += 1);
@@ -243,7 +242,7 @@ impl PartitionSpec {
         let mut groups = Vec::with_capacity(sizes.len());
         for (group, size) in sizes.into_iter().enumerate() {
             let mut values = Vec::with_capacity(keys.len());
-            for (key, (_, deferred)) in keys.iter().zip(&columns) {
+            for (key, deferred) in keys.iter().zip(&deferred) {
                 let v = key.get(group)?;
                 values.push(ValueDef::from_value(&match deferred {
                     Some(transform) => transform.apply(&v)?,

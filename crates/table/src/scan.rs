@@ -246,19 +246,25 @@ impl TableScan {
     /// drift between the two. Every file will be read, so the request
     /// window opens at full width.
     pub fn execute_with_report(self) -> Result<(RecordBatch, ScanReport)> {
+        let (schema, batches, report) = self.execute_batches()?;
+        Ok((RecordBatch::concat_all(&schema, batches)?, report))
+    }
+
+    /// [`Self::execute_with_report`] without the concatenation: the scan's
+    /// schema and its batches, one per data file read, in manifest order.
+    pub fn execute_batches(self) -> Result<(Schema, Vec<RecordBatch>, ScanReport)> {
         let span = lakehouse_obs::span("scan.materialize");
         let mut stream = self.stream_all()?;
         let mut batches = Vec::new();
         while let Some(batch) = stream.pull()? {
             batches.push(batch);
         }
-        let result = RecordBatch::concat_all(&stream.scan_schema, batches)?;
         let report = stream.report();
         span.attr("files_scanned", report.files_scanned);
         span.attr("files_read", report.files_read);
         span.attr("bytes", report.bytes_scanned);
         span.attr("rows", report.rows_emitted);
-        Ok((result, report))
+        Ok((stream.scan_schema.clone(), batches, report))
     }
 
     /// Open a pull-based streaming scan: the manifest is loaded and pruned
