@@ -97,9 +97,16 @@ impl RefReadTimes {
     }
 }
 
-/// What a ref move returns when it lost every CAS race.
-fn refs_contended() -> CatalogError {
-    CatalogError::ConcurrentUpdate("refs.json".into())
+/// The branch `name` in `doc`, to move: a tag never moves.
+fn branch_mut<'d>(doc: &'d mut RefDocument, name: &str) -> Result<&'d mut Reference> {
+    let reference = doc
+        .refs
+        .get_mut(name)
+        .ok_or_else(|| CatalogError::RefNotFound(name.to_string()))?;
+    if reference.kind == RefKind::Tag {
+        return Err(CatalogError::TagIsImmutable(name.to_string()));
+    }
+    Ok(reference)
 }
 
 /// A git-like catalog persisted in an object store.
@@ -333,7 +340,7 @@ impl Catalog {
     }
 
     fn create_ref(&self, name: &str, head: Option<CommitId>, kind: RefKind) -> Result<Reference> {
-        self.update_refs(refs_contended, |doc| {
+        self.update_refs(name, |doc| {
             if doc.refs.contains_key(name) {
                 return Err(CatalogError::RefAlreadyExists(name.to_string()));
             }
@@ -350,7 +357,7 @@ impl Catalog {
     /// Delete a branch or tag. The commits remain (they may be reachable
     /// from other refs); garbage collection is out of scope, as in Nessie.
     pub fn delete_ref(&self, name: &str) -> Result<()> {
-        self.update_refs(refs_contended, |doc| {
+        self.update_refs(name, |doc| {
             doc.refs
                 .remove(name)
                 .map(|_| ())
@@ -376,10 +383,12 @@ impl Catalog {
         Err(CatalogError::RefNotFound(name_or_id.to_string()))
     }
 
-    /// Commit operations onto a branch's head (optimistic CAS with bounded
-    /// retry). A lost race re-reads the head and parents the same
-    /// operations onto it; after `MAX_CAS_RETRIES` losses the result is
-    /// `CommitContended`.
+    /// Commit `operations` onto a branch's head (optimistic CAS with
+    /// bounded retry). A lost race re-reads the head and parents the same
+    /// operations onto it: for operations that do not depend on what the
+    /// head holds — a new table, a run's artifacts on its own branch. A
+    /// change derived from the head goes through [`Catalog::commit_with`].
+    /// After `MAX_CAS_RETRIES` losses the result is `CommitContended`.
     pub fn commit(
         &self,
         branch: &str,
@@ -387,33 +396,58 @@ impl Catalog {
         message: &str,
         operations: Vec<Operation>,
     ) -> Result<CommitId> {
-        let contended = || CatalogError::CommitContended {
-            branch: branch.to_string(),
-            attempts: MAX_CAS_RETRIES,
-        };
-        self.update_refs(contended, |doc| {
-            let reference = doc
-                .refs
-                .get_mut(branch)
-                .ok_or_else(|| CatalogError::RefNotFound(branch.to_string()))?;
-            if reference.kind == RefKind::Tag {
-                return Err(CatalogError::TagIsImmutable(branch.to_string()));
-            }
-            let parent = reference.head.clone();
-            let seq = match &parent {
-                Some(p) => self.get_commit(p)?.seq + 1,
-                None => 0,
-            };
-            let id = self.write_commit(Commit {
-                parents: parent.into_iter().collect(),
-                seq,
-                author: author.to_string(),
-                message: message.to_string(),
-                operations: operations.clone(),
-            })?;
-            reference.head = Some(id.clone());
-            Ok(id)
+        self.update_refs(branch, |doc| {
+            let operations = operations.clone();
+            self.advance(branch_mut(doc, branch)?, author, message, operations)
         })
+    }
+
+    /// Commit the operations `derive` makes of the branch's table namespace
+    /// and return what else it made. Each CAS attempt runs `derive` on the
+    /// state of the head it read, so a commit that lands first is built
+    /// upon, never overwritten, and `derive` may run more than once
+    /// (DESIGN.md §33). No operation commits and writes nothing.
+    pub fn commit_with<T, E: From<CatalogError>>(
+        &self,
+        branch: &str,
+        author: &str,
+        message: &str,
+        mut derive: impl FnMut(&CatalogState) -> std::result::Result<(Vec<Operation>, T), E>,
+    ) -> std::result::Result<T, E> {
+        self.update_refs(branch, |doc| {
+            let reference = branch_mut(doc, branch)?;
+            let state = self.state_of_head(reference.head.as_ref())?;
+            let (operations, out) = derive(&state)?;
+            if !operations.is_empty() {
+                self.advance(reference, author, message, operations)?;
+            }
+            Ok(out)
+        })
+    }
+
+    /// Write a commit of `operations` on `reference`'s head and move the
+    /// reference to it.
+    fn advance(
+        &self,
+        reference: &mut Reference,
+        author: &str,
+        message: &str,
+        operations: Vec<Operation>,
+    ) -> Result<CommitId> {
+        let parent = reference.head.take();
+        let seq = match &parent {
+            Some(p) => self.get_commit(p)?.seq + 1,
+            None => 0,
+        };
+        let id = self.write_commit(Commit {
+            parents: parent.into_iter().collect(),
+            seq,
+            author: author.to_string(),
+            message: message.to_string(),
+            operations,
+        })?;
+        reference.head = Some(id.clone());
+        Ok(id)
     }
 
     /// Write a commit object and memoize it. Commits are content-addressed:
@@ -525,7 +559,9 @@ impl Catalog {
         Ok(best.map(|(_, id)| id))
     }
 
-    /// Merge branch `from` into branch `to`.
+    /// Merge branch `from` into branch `to`, reading both heads from the
+    /// ref document the merge swaps: a commit that lands on `to` meanwhile
+    /// makes the merge start over from it instead of failing.
     ///
     /// Fast-forwards when possible; otherwise performs a three-way merge
     /// with key-level conflict detection: a key changed on both sides to
@@ -533,69 +569,64 @@ impl Catalog {
     /// leaves `to` untouched (the transactional guarantee the paper's
     /// transform-audit-write pattern relies on).
     pub fn merge(&self, from: &str, to: &str, author: &str) -> Result<Option<CommitId>> {
-        let from_head = self
-            .resolve(from)?
-            .ok_or_else(|| CatalogError::RefNotFound(format!("{from} has no commits")))?;
-        let to_ref = self.get_ref(to)?;
-        if to_ref.kind == RefKind::Tag {
-            return Err(CatalogError::TagIsImmutable(to.to_string()));
-        }
-        let Some(to_head) = to_ref.head.clone() else {
-            // Empty target: fast-forward to the source head.
-            self.move_branch(to, None, Some(from_head.clone()))?;
-            return Ok(Some(from_head));
-        };
-        if to_head == from_head {
-            return Ok(None); // already up to date
-        }
-        let from_ancestors = self.ancestors(&from_head)?;
-        if from_ancestors.contains(&to_head) {
-            // Target is behind source: fast-forward.
-            self.move_branch(to, Some(to_head), Some(from_head.clone()))?;
-            return Ok(Some(from_head));
-        }
-        let to_ancestors = self.ancestors(&to_head)?;
-        if to_ancestors.contains(&from_head) {
-            return Ok(None); // source already contained in target
-        }
-        // Three-way merge.
-        let base = self
-            .merge_base(&from_head, &to_head)?
-            .ok_or_else(|| CatalogError::Corrupt("no common ancestor".into()))?;
-        let base_state = self.state_of_commit(&base)?;
-        let from_state = self.state_of_commit(&from_head)?;
-        let to_state = self.state_of_commit(&to_head)?;
-        let from_changes = base_state.diff(&from_state);
-        let to_changes = base_state.diff(&to_state);
-        let conflicts: Vec<String> = from_changes
-            .iter()
-            .filter(|(k, v)| to_changes.get(*k).is_some_and(|tv| tv != *v))
-            .map(|(k, _)| k.clone())
-            .collect();
-        if !conflicts.is_empty() {
-            return Err(CatalogError::MergeConflict { keys: conflicts });
-        }
-        let operations: Vec<Operation> = from_changes
-            .into_iter()
-            .map(|(key, content)| match content {
-                Some(content) => Operation::Put { key, content },
-                None => Operation::Delete { key },
-            })
-            .collect();
-        let seq = self
-            .get_commit(&to_head)?
-            .seq
-            .max(self.get_commit(&from_head)?.seq)
-            + 1;
-        let id = self.write_commit(Commit {
-            parents: vec![to_head.clone(), from_head.clone()],
-            seq,
-            author: author.to_string(),
-            message: format!("merge {from} into {to}"),
-            operations,
-        })?;
-        self.move_branch(to, Some(to_head), Some(id.clone()))?;
-        Ok(Some(id))
+        self.update_refs(to, |doc| {
+            let from_head = self
+                .resolve_in(doc, from)?
+                .ok_or_else(|| CatalogError::RefNotFound(format!("{from} has no commits")))?;
+            let target = branch_mut(doc, to)?;
+            let Some(to_head) = target.head.clone() else {
+                // Empty target: fast-forward to the source head.
+                target.head = Some(from_head.clone());
+                return Ok(Some(from_head));
+            };
+            if to_head == from_head {
+                return Ok(None); // already up to date
+            }
+            if self.ancestors(&from_head)?.contains(&to_head) {
+                // Target is behind source: fast-forward.
+                target.head = Some(from_head.clone());
+                return Ok(Some(from_head));
+            }
+            if self.ancestors(&to_head)?.contains(&from_head) {
+                return Ok(None); // source already contained in target
+            }
+            // Three-way merge.
+            let base = self
+                .merge_base(&from_head, &to_head)?
+                .ok_or_else(|| CatalogError::Corrupt("no common ancestor".into()))?;
+            let base_state = self.state_of_commit(&base)?;
+            let from_changes = base_state.diff(&*self.state_of_commit(&from_head)?);
+            let to_changes = base_state.diff(&*self.state_of_commit(&to_head)?);
+            let conflicts: Vec<String> = from_changes
+                .iter()
+                .filter(|(k, v)| to_changes.get(*k).is_some_and(|tv| tv != *v))
+                .map(|(k, _)| k.clone())
+                .collect();
+            if !conflicts.is_empty() {
+                return Err(CatalogError::MergeConflict { keys: conflicts });
+            }
+            let operations: Vec<Operation> = from_changes
+                .into_iter()
+                .map(|(key, content)| match content {
+                    Some(content) => Operation::Put { key, content },
+                    None => Operation::Delete { key },
+                })
+                .collect();
+            let seq = self
+                .get_commit(&to_head)?
+                .seq
+                .max(self.get_commit(&from_head)?.seq)
+                + 1;
+            let id = self.write_commit(Commit {
+                parents: vec![to_head, from_head],
+                seq,
+                author: author.to_string(),
+                message: format!("merge {from} into {to}"),
+                operations,
+            })?;
+            target.head = Some(id.clone());
+            Ok(Some(id))
+        })
     }
 
     /// Garbage-collect commit objects unreachable from any reference
@@ -628,34 +659,17 @@ impl Catalog {
         Ok(deleted)
     }
 
-    /// CAS-move a branch head from `expected` to `new`.
-    fn move_branch(
+    /// Read-modify-CAS loop over the ref document: the one path by which
+    /// any ref moves. Each attempt runs `mutate` on the document it read, so
+    /// whatever `mutate` derives from it is derived afresh after a lost
+    /// race. A document `mutate` left as it was is not written. Once every
+    /// attempt lost, the result is `CommitContended` on `name`. The document
+    /// a CAS wrote is this catalog's latest guess at the heads.
+    fn update_refs<T, E: From<CatalogError>>(
         &self,
         name: &str,
-        expected: Option<CommitId>,
-        new: Option<CommitId>,
-    ) -> Result<()> {
-        self.update_refs(refs_contended, |doc| {
-            let r = doc
-                .refs
-                .get_mut(name)
-                .ok_or_else(|| CatalogError::RefNotFound(name.to_string()))?;
-            if r.head != expected {
-                return Err(CatalogError::ConcurrentUpdate(name.to_string()));
-            }
-            r.head = new.clone();
-            Ok(())
-        })
-    }
-
-    /// Read-modify-CAS loop over the ref document: the one path by which
-    /// any ref moves. `contended` is the error once every attempt lost. The
-    /// document a CAS wrote is this catalog's latest guess at the heads.
-    fn update_refs<T>(
-        &self,
-        contended: impl FnOnce() -> CatalogError,
-        mut mutate: impl FnMut(&mut RefDocument) -> Result<T>,
-    ) -> Result<T> {
+        mut mutate: impl FnMut(&mut RefDocument) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
         let mut backoff = CasBackoff::new(self.store.as_ref(), backoff_seed());
         for attempt in 0..MAX_CAS_RETRIES {
             if attempt > 0 {
@@ -664,6 +678,9 @@ impl Catalog {
             let (mut doc, expected_bytes) = self.read_refs()?;
             let out = mutate(&mut doc)?;
             let written = Bytes::from(doc.to_bytes());
+            if written == expected_bytes {
+                return Ok(out);
+            }
             match self.store.put_if_matches(
                 &self.refs_path()?,
                 Some(&expected_bytes),
@@ -674,10 +691,14 @@ impl Catalog {
                     return Ok(out);
                 }
                 Err(StoreError::PreconditionFailed(_)) => continue,
-                Err(e) => return Err(e.into()),
+                Err(e) => return Err(CatalogError::from(e).into()),
             }
         }
-        Err(contended())
+        Err(CatalogError::CommitContended {
+            branch: name.to_string(),
+            attempts: MAX_CAS_RETRIES,
+        }
+        .into())
     }
 }
 

@@ -12,10 +12,9 @@ pub enum CatalogError {
     RefAlreadyExists(String),
     /// The named commit does not exist.
     CommitNotFound(String),
-    /// Optimistic concurrency failure: the branch head moved during a commit.
-    ConcurrentUpdate(String),
-    /// A commit's bounded CAS loop lost the race every time: `attempts`
-    /// tries (each with backoff) all found the head moved underneath them.
+    /// A ref move's bounded CAS loop lost the race every time: `attempts`
+    /// tries (each with backoff) all found the ref document moved
+    /// underneath them. `branch` names the ref being moved.
     CommitContended { branch: String, attempts: u32 },
     /// A merge found keys changed on both sides with different contents.
     MergeConflict { keys: Vec<String> },
@@ -35,9 +34,6 @@ impl fmt::Display for CatalogError {
             Self::RefNotFound(r) => write!(f, "reference not found: {r}"),
             Self::RefAlreadyExists(r) => write!(f, "reference already exists: {r}"),
             Self::CommitNotFound(c) => write!(f, "commit not found: {c}"),
-            Self::ConcurrentUpdate(r) => {
-                write!(f, "concurrent update on reference {r}; retry the commit")
-            }
             Self::CommitContended { branch, attempts } => write!(
                 f,
                 "commit to {branch} contended: lost the CAS race {attempts} times; \

@@ -480,46 +480,33 @@ impl Lakehouse {
         let mut tx = table.new_transaction(SnapshotOperation::Append);
         tx.write(batch)?;
         let (metadata_location, metadata) = tx.commit()?;
-        self.commit_table(
-            branch,
-            &format!("create table {name}"),
-            name,
-            metadata_location,
-            &metadata,
-        )
+        let put = vec![table_put(name, metadata_location, &metadata)];
+        let message = format!("create table {name}");
+        self.catalog
+            .commit(branch, &self.config.author, &message, put)?;
+        Ok(())
     }
 
     /// Append a batch to an existing table on `branch`.
     pub fn append_table(&self, name: &str, batch: &RecordBatch, branch: &str) -> Result<()> {
-        let content = self.catalog.get_content(branch, name)?;
-        let table = Table::load_with(
-            Arc::clone(&self.store_dyn),
-            &content.metadata_location,
-            self.table_io(),
-        )?;
-        // A source that cannot declare NOT NULL (a CSV) appends as the
-        // table's own schema when names and types agree; a NULL in a NOT
-        // NULL column is then the batch's error, not a schema mismatch.
-        let schema = table.schema()?;
-        let typed = |s: &Schema| s.fields().iter().map(|f| f.data_type()).collect::<Vec<_>>();
-        let same_columns =
-            batch.schema().names() == schema.names() && typed(batch.schema()) == typed(&schema);
-        let conformed;
-        let mut batch = batch;
-        if batch.schema() != &schema && same_columns {
-            conformed = RecordBatch::try_new(schema, batch.columns().to_vec())?;
-            batch = &conformed;
-        }
-        let mut tx = table.new_transaction(SnapshotOperation::Append);
-        tx.write(batch)?;
-        let (metadata_location, metadata) = tx.commit()?;
-        self.commit_table(
-            branch,
-            &format!("append to {name}"),
-            name,
-            metadata_location,
-            &metadata,
-        )
+        self.update_table(branch, name, &format!("append to {name}"), |table| {
+            // A source that cannot declare NOT NULL (a CSV) appends as the
+            // table's own schema when names and types agree; a NULL in a NOT
+            // NULL column is then the batch's error, not a schema mismatch.
+            let schema = table.schema()?;
+            let typed = |s: &Schema| s.fields().iter().map(|f| f.data_type()).collect::<Vec<_>>();
+            let same_columns =
+                batch.schema().names() == schema.names() && typed(batch.schema()) == typed(&schema);
+            let conformed;
+            let mut batch = batch;
+            if batch.schema() != &schema && same_columns {
+                conformed = RecordBatch::try_new(schema, batch.columns().to_vec())?;
+                batch = &conformed;
+            }
+            let mut tx = table.new_transaction(SnapshotOperation::Append);
+            tx.write(batch)?;
+            Ok((Some(tx.commit_table()?), ()))
+        })
     }
 
     /// Compact a table's data files on a branch (small-file compaction) and
@@ -530,19 +517,10 @@ impl Lakehouse {
         name: &str,
         branch: &str,
     ) -> Result<lakehouse_table::CompactionReport> {
-        let provider = self.provider(branch);
-        let table = provider.load_table(name)?;
-        let (compacted, report) = table.compact()?;
-        if report.files_compacted > 0 {
-            self.commit_table(
-                branch,
-                &format!("compact table {name}"),
-                name,
-                compacted.metadata_location(),
-                compacted.metadata(),
-            )?;
-        }
-        Ok(report)
+        self.update_table(branch, name, &format!("compact table {name}"), |table| {
+            let (compacted, report) = table.compact()?;
+            Ok(((report.files_compacted > 0).then_some(compacted), report))
+        })
     }
 
     /// Expire old snapshots of a table on a branch, retaining the most
@@ -553,34 +531,34 @@ impl Lakehouse {
         branch: &str,
         retain_last: usize,
     ) -> Result<lakehouse_table::ExpirationReport> {
-        let provider = self.provider(branch);
-        let table = provider.load_table(name)?;
-        let (expired, report) = table.expire_snapshots(retain_last)?;
-        if report.snapshots_expired > 0 {
-            self.commit_table(
-                branch,
-                &format!("expire snapshots of {name}"),
-                name,
-                expired.metadata_location(),
-                expired.metadata(),
-            )?;
-        }
-        Ok(report)
+        let message = format!("expire snapshots of {name}");
+        self.update_table(branch, name, &message, |table| {
+            let (expired, report) = table.expire_snapshots(retain_last)?;
+            Ok(((report.snapshots_expired > 0).then_some(expired), report))
+        })
     }
 
-    /// Point `name` on `branch` at a table's new metadata file.
-    fn commit_table(
+    /// Point `name` on `branch` at the version `op` makes of the table
+    /// there (`None`: commit nothing), and return what else `op` made. The
+    /// table is loaded from the head each CAS attempt read, so when another
+    /// commit lands first `op` runs again on what it left (DESIGN.md §33).
+    fn update_table<T>(
         &self,
         branch: &str,
-        message: &str,
         name: &str,
-        metadata_location: impl Into<String>,
-        metadata: &TableMetadata,
-    ) -> Result<()> {
-        let put = table_put(name, metadata_location, metadata);
-        self.catalog
-            .commit(branch, &self.config.author, message, vec![put])?;
-        Ok(())
+        message: &str,
+        mut op: impl FnMut(Table) -> Result<(Option<Table>, T)>,
+    ) -> Result<T> {
+        let provider = self.provider(branch);
+        let author = &self.config.author;
+        self.catalog.commit_with(branch, author, message, |state| {
+            let content = state
+                .get(name)
+                .ok_or_else(|| lakehouse_catalog::CatalogError::KeyNotFound(name.to_string()))?;
+            let (changed, out) = op(provider.load_metadata(&content.metadata_location)?)?;
+            let put = changed.map(|t| table_put(name, t.metadata_location(), t.metadata()));
+            Ok((put.into_iter().collect(), out))
+        })
     }
 
     /// Read a whole table at a ref.

@@ -136,7 +136,7 @@ impl LakehouseProvider {
     /// `Table::load_with`, re-read like every table object when the
     /// document fails to parse (it then never reached the parsed cache, so
     /// the re-read still goes to the store).
-    fn load_metadata(
+    pub(crate) fn load_metadata(
         &self,
         location: &str,
     ) -> std::result::Result<Table, lakehouse_table::TableError> {

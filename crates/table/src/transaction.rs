@@ -149,7 +149,7 @@ impl Transaction {
     /// the parent root itself if it has files of its own — so it loads the
     /// parent root alone and writes O(what it staged); an overwrite has no
     /// refs.
-    pub(crate) fn commit_table(mut self) -> Result<Table> {
+    pub fn commit_table(mut self) -> Result<Table> {
         let parent = self.metadata.current_snapshot().cloned();
         let snapshot_id = self.metadata.next_snapshot_id();
         let mut manifest = Manifest {

@@ -7,9 +7,14 @@
 //! * two fronts over one directory see each other's commits, and a warm
 //!   statement still pays one catalog GET;
 //! * a commit that lands while a statement's ref read is in flight is in
-//!   that statement's result, and the statement is one query record.
+//!   that statement's result, and the statement is one query record;
+//! * no acknowledged table write is lost: racing appends all land or fail
+//!   `CommitContended`, and an append or a commit that lands while a
+//!   compaction's, an expire's or a merge's CAS of the ref is held is kept
+//!   by the write that then starts over (DESIGN.md §33).
 
-use bauplan_core::{Lakehouse, LakehouseConfig};
+use bauplan_core::{BauplanError, Lakehouse, LakehouseConfig};
+use lakehouse_catalog::CatalogError;
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
 use lakehouse_store::{
@@ -203,29 +208,45 @@ fn two_fronts_on_one_directory_see_each_others_commits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A hold on one kind of store request: when armed, the next such request
+/// announces that it has arrived, then waits to be released before it runs.
+#[derive(Default)]
+struct Gate(Mutex<Option<(Sender<()>, Receiver<()>)>>);
+
+impl Gate {
+    /// Hold the next request: (its arrival, its release).
+    fn arm(&self) -> (Receiver<()>, Sender<()>) {
+        let (arrived, arrival) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        *self.0.lock().unwrap() = Some((arrived, released));
+        (arrival, release)
+    }
+
+    fn pass(&self) {
+        let held = self.0.lock().unwrap().take();
+        if let Some((arrived, released)) = held {
+            arrived.send(()).unwrap();
+            released.recv().unwrap();
+        }
+    }
+}
+
 /// An in-memory store whose every `refs.json` read takes a millisecond —
-/// a ref read as slow as an object store's — and can hold the next one
-/// open: it announces that it has arrived, then waits to be released
-/// before it reads.
+/// a ref read as slow as an object store's — and which can hold the next
+/// read of the ref, or the next CAS of it, open.
 struct HeldRefs {
     inner: Arc<InMemoryStore>,
-    hold: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    read: Gate,
+    cas: Gate,
 }
 
 impl HeldRefs {
     fn over(inner: &Arc<InMemoryStore>) -> Arc<HeldRefs> {
         Arc::new(HeldRefs {
             inner: Arc::clone(inner),
-            hold: Mutex::new(None),
+            read: Gate::default(),
+            cas: Gate::default(),
         })
-    }
-
-    /// Hold the next ref read: (its arrival, its release).
-    fn arm(&self) -> (Receiver<()>, Sender<()>) {
-        let (arrived, arrival) = mpsc::channel();
-        let (release, released) = mpsc::channel();
-        *self.hold.lock().unwrap() = Some((arrived, released));
-        (arrival, release)
     }
 }
 
@@ -236,11 +257,7 @@ impl ObjectStore for HeldRefs {
     fn get(&self, path: &ObjectPath) -> lakehouse_store::Result<bytes::Bytes> {
         if path.as_str().ends_with("/refs.json") {
             std::thread::sleep(Duration::from_millis(1));
-            let held = self.hold.lock().unwrap().take();
-            if let Some((arrived, released)) = held {
-                arrived.send(()).unwrap();
-                released.recv().unwrap();
-            }
+            self.read.pass();
         }
         self.inner.get(path)
     }
@@ -259,6 +276,9 @@ impl ObjectStore for HeldRefs {
         expected: Option<&[u8]>,
         data: bytes::Bytes,
     ) -> lakehouse_store::Result<()> {
+        if path.as_str().ends_with("/refs.json") {
+            self.cas.pass();
+        }
         self.inner.put_if_matches(path, expected, data)
     }
 }
@@ -280,22 +300,18 @@ fn held_fronts() -> (Lakehouse, Arc<HeldRefs>, Lakehouse) {
     (a, held, b)
 }
 
-/// Run `statement` on another thread while its ref read is held, make
-/// `commit` land in the meantime, then let the read finish.
-fn while_the_ref_read_is_held<T: Send>(
-    held: &HeldRefs,
-    statement: impl FnOnce() -> T + Send,
-    commit: impl FnOnce(),
-) -> T {
-    let (arrival, release) = held.arm();
+/// Run `work` on another thread while the request `gate` guards is held,
+/// make `commit` land in the meantime, then let the request go on.
+fn while_held<T: Send>(gate: &Gate, work: impl FnOnce() -> T + Send, commit: impl FnOnce()) -> T {
+    let (arrival, release) = gate.arm();
     std::thread::scope(|scope| {
-        let reader = scope.spawn(statement);
+        let worker = scope.spawn(work);
         arrival
             .recv_timeout(Duration::from_secs(10))
-            .expect("the statement reads the ref");
+            .expect("the work reaches the held request");
         commit();
         release.send(()).unwrap();
-        reader.join().unwrap()
+        worker.join().unwrap()
     })
 }
 
@@ -307,8 +323,8 @@ fn while_the_ref_read_is_held<T: Send>(
 fn a_commit_that_lands_while_the_ref_read_is_held_is_in_the_statement() {
     const SQL: &str = "SELECT COUNT(*) AS rows_while_held FROM t";
     let (a, held, b) = held_fronts();
-    let out = while_the_ref_read_is_held(
-        &held,
+    let out = while_held(
+        &held.read,
         || a.query(SQL, "main").unwrap(),
         || b.append_table("t", &xs(10, 10), "main").unwrap(),
     );
@@ -324,16 +340,112 @@ fn a_commit_that_lands_while_the_ref_read_is_held_is_in_the_statement() {
 #[test]
 fn a_table_created_while_the_ref_read_is_held_is_found() {
     let (a, held, b) = held_fronts();
-    let out = while_the_ref_read_is_held(
-        &held,
+    let out = while_held(
+        &held.read,
         || a.query("SELECT SUM(x) AS s FROM u", "main").unwrap(),
         || b.create_table("u", &xs(0, 5), "main").unwrap(),
     );
     assert_eq!(out.row(0).unwrap()[0], Value::Int64(10));
-    let out = while_the_ref_read_is_held(
-        &held,
+    let out = while_held(
+        &held.read,
         || a.read_table("v", "main").unwrap(),
         || b.create_table("v", &xs(0, 7), "main").unwrap(),
     );
     assert_eq!(out, xs(0, 7));
+}
+
+/// The count and sum of `t` on `main`.
+fn count_and_sum(lh: &Lakehouse) -> (Value, Value) {
+    let out = lh
+        .query("SELECT COUNT(*) AS n, SUM(x) AS s FROM t", "main")
+        .unwrap();
+    let row = out.row(0).unwrap();
+    (row[0].clone(), row[1].clone())
+}
+
+/// Four threads append to one table at once: every append is either in the
+/// table or failed `CommitContended`, in five runs out of five.
+#[test]
+fn racing_appends_keep_every_acknowledged_one() {
+    const THREADS: i64 = 4;
+    const APPENDS: i64 = 50;
+    for run in 0..5 {
+        let lh = Lakehouse::in_memory(LakehouseConfig::zero_latency()).unwrap();
+        lh.create_table("t", &xs(0, 1), "main").unwrap();
+        let acknowledged: i64 = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..THREADS)
+                .map(|w| {
+                    let lh = &lh;
+                    scope.spawn(move || {
+                        let mut acknowledged = 0;
+                        for i in 0..APPENDS {
+                            match lh.append_table("t", &xs(1 + w * APPENDS + i, 1), "main") {
+                                Ok(()) => acknowledged += 1,
+                                Err(BauplanError::Catalog(CatalogError::CommitContended {
+                                    ..
+                                })) => {}
+                                Err(e) => panic!("run {run}: append failed untyped: {e}"),
+                            }
+                        }
+                        acknowledged
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        let (rows, _) = count_and_sum(&lh);
+        assert_eq!(rows, Value::Int64(1 + acknowledged), "run {run}");
+    }
+}
+
+/// An append that lands while a compaction's CAS is held makes the
+/// compaction start over from it: the compacted table holds its rows.
+#[test]
+fn an_append_that_lands_during_a_compaction_is_kept() {
+    let (a, held, b) = held_fronts();
+    b.append_table("t", &xs(10, 10), "main").unwrap();
+    let report = while_held(
+        &held.cas,
+        || a.compact_table("t", "main").unwrap(),
+        || b.append_table("t", &xs(20, 10), "main").unwrap(),
+    );
+    let all = (Value::Int64(30), Value::Int64((0..30).sum()));
+    assert_eq!(count_and_sum(&a), all);
+    assert_eq!(report.files_compacted, 3, "the append's file too");
+}
+
+/// An append that lands while an expire's CAS is held is kept: the expire
+/// starts over from it, and its snapshot is the one retained.
+#[test]
+fn an_append_that_lands_during_an_expire_is_kept() {
+    let (a, held, b) = held_fronts();
+    b.append_table("t", &xs(10, 10), "main").unwrap();
+    let report = while_held(
+        &held.cas,
+        || a.expire_table_snapshots("t", "main", 1).unwrap(),
+        || b.append_table("t", &xs(20, 10), "main").unwrap(),
+    );
+    let all = (Value::Int64(30), Value::Int64((0..30).sum()));
+    assert_eq!(count_and_sum(&a), all);
+    assert_eq!(report.snapshots_expired, 2);
+}
+
+/// A commit to another table that lands on the target while a merge's CAS
+/// is held makes the merge start over from the new head, not fail: the
+/// target ends with both changes.
+#[test]
+fn a_merge_builds_on_a_commit_that_lands_during_it() {
+    let (a, held, b) = held_fronts();
+    a.create_branch("feat", Some("main")).unwrap();
+    a.create_table("u", &xs(0, 5), "feat").unwrap();
+    let merged = while_held(
+        &held.cas,
+        || a.merge("feat", "main"),
+        || b.create_table("v", &xs(0, 7), "main").unwrap(),
+    );
+    let head = merged.unwrap().expect("main moved");
+    let (newest, commit) = a.log("main", 1).unwrap().remove(0);
+    assert_eq!((newest, commit.parents.len()), (head, 2), "a merge commit");
+    assert_eq!(a.list_tables("main").unwrap(), ["t", "u", "v"]);
+    assert_eq!(a.read_table("v", "main").unwrap(), xs(0, 7));
 }

@@ -93,7 +93,7 @@ fn concurrent_catalog_commits_all_land() {
             let catalog = Arc::clone(&catalog);
             scope.spawn(move || {
                 for i in 0..per_thread {
-                    // Retry on ConcurrentUpdate (the caller contract).
+                    // Retry on CommitContended (the caller contract).
                     loop {
                         let r = catalog.commit(
                             "main",
@@ -106,8 +106,7 @@ fn concurrent_catalog_commits_all_land() {
                         );
                         match r {
                             Ok(_) => break,
-                            Err(lakehouse_catalog::CatalogError::ConcurrentUpdate(_))
-                            | Err(lakehouse_catalog::CatalogError::CommitContended { .. }) => {
+                            Err(lakehouse_catalog::CatalogError::CommitContended { .. }) => {
                                 continue
                             }
                             Err(e) => panic!("unexpected: {e}"),
@@ -191,7 +190,6 @@ fn catalog_survives_intermittent_store_faults_with_retries() {
                     break;
                 }
                 Err(lakehouse_catalog::CatalogError::Store(_))
-                | Err(lakehouse_catalog::CatalogError::ConcurrentUpdate(_))
                 | Err(lakehouse_catalog::CatalogError::CommitContended { .. }) => continue,
                 Err(e) => panic!("unexpected: {e}"),
             }

@@ -651,6 +651,73 @@ fn a_commit_is_warm_where_it_was_made_and_seen_everywhere_by_the_next_statement(
     assert_eq!(sum(&reader), (Value::Int64(105), trips(0, 0, 0)));
 }
 
+/// A table write derives its commit from the head its one CAS attempt
+/// read (DESIGN.md §33), and a merge reads both heads from the document it
+/// swaps: on one front an append, a compaction, an expire and a merge each
+/// read the ref once.
+#[test]
+fn a_table_write_and_a_merge_each_read_the_ref_once() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let lh = front(&store, LakehouseConfig::zero_latency());
+    lh.create_table("trips", &small_batch(0..10), "main")
+        .unwrap();
+    let ref_reads = |write: &dyn Fn()| store.ledger(write).1.get("ref").copied();
+    let append = || {
+        lh.append_table("trips", &small_batch(10..15), "main")
+            .unwrap()
+    };
+    assert_eq!(ref_reads(&append), Some(1), "append");
+    let compact = || {
+        assert_eq!(
+            lh.compact_table("trips", "main").unwrap().files_compacted,
+            2
+        )
+    };
+    assert_eq!(ref_reads(&compact), Some(1), "compaction");
+    let expire = || {
+        let report = lh.expire_table_snapshots("trips", "main", 1).unwrap();
+        assert_eq!(report.snapshots_expired, 2);
+    };
+    assert_eq!(ref_reads(&expire), Some(1), "expire");
+    lh.create_branch("feat", Some("main")).unwrap();
+    lh.create_table("zones", &small_batch(0..3), "feat")
+        .unwrap();
+    lh.create_table("days", &small_batch(0..7), "main").unwrap();
+    let merge = || assert!(lh.merge("feat", "main").unwrap().is_some());
+    assert_eq!(ref_reads(&merge), Some(1), "three-way merge");
+    assert_eq!(lh.list_tables("main").unwrap(), ["days", "trips", "zones"]);
+    assert_eq!(lh.read_table("trips", "main").unwrap().num_rows(), 15);
+}
+
+/// An append loads its table as a statement does: a metadata document that
+/// does not parse is read again, so with one re-read allowed a garbled read
+/// costs one more GET and the append still lands.
+#[test]
+fn an_append_rereads_a_garbled_metadata_document() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    front(&store, LakehouseConfig::zero_latency())
+        .create_table("trips", &small_batch(0..10), "main")
+        .unwrap();
+    let retrying = LakehouseConfig {
+        retry_max: 1,
+        ..LakehouseConfig::zero_latency()
+    };
+    let lh = cold_front(&store, retrying);
+    *store.garble_next.lock().unwrap() = Some("/metadata/v");
+    let append = || lh.append_table("trips", &small_batch(10..15), "main");
+    let (appended, ledger) = store.ledger(append);
+    appended.unwrap();
+    assert_eq!(
+        ledger.get("metadata:trips"),
+        Some(&2),
+        "garbled read + re-read"
+    );
+    let rows = lh.read_table("trips", "main").unwrap();
+    assert_eq!(rows, small_batch(0..15));
+}
+
 /// A count with no predicate reads no column, so every file's manifest
 /// entry answers it: a front that has read none of the table's files makes
 /// no data request and caches no data file, and a warm repeat is the ref.
@@ -778,21 +845,21 @@ fn a_warm_run_reads_the_ref_and_the_files_it_needs() {
     assert_eq!(
         cold_run.1,
         ledger_of(&[
-            ("ref", 9),
+            ("ref", 7),
             ("data:taxi_table", 30),
             ("manifest:taxi_table", 1),
             ("metadata:taxi_table", 1),
         ])
     );
     // Warm: every table document and data file is in memory.
-    assert_eq!(warm_run(ExecutionMode::Fused), ledger_of(&[("ref", 9)]));
+    assert_eq!(warm_run(ExecutionMode::Fused), ledger_of(&[("ref", 7)]));
     // Naive: one stateless stage per node, each with a metadata cache of its
     // own, reading whole tables; both consumers re-read `trips` from the
     // store.
     assert_eq!(
         warm_run(ExecutionMode::Naive),
         ledger_of(&[
-            ("ref", 12),
+            ("ref", 10),
             ("data:taxi_table", 61),
             ("data:trips", 2),
             ("manifest:taxi_table", 1),
