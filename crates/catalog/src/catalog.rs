@@ -128,6 +128,11 @@ pub struct Catalog {
     /// heads, never an answer (see [`Catalog::guessed_head`]).
     last_refs: Mutex<Option<Bytes>>,
     ref_reads: Mutex<RefReadTimes>,
+    /// Held by [`Catalog::update_refs`] from its read of the ref document
+    /// to its CAS, so two threads of one catalog never lose a CAS to each
+    /// other: one lock, not one per ref, because every ref lives in the one
+    /// document.
+    ref_writes: Mutex<()>,
 }
 
 impl Catalog {
@@ -173,6 +178,7 @@ impl Catalog {
             commit_cache: Mutex::new(HashMap::new()),
             last_refs: Mutex::new(None),
             ref_reads: Mutex::new(RefReadTimes::default()),
+            ref_writes: Mutex::new(()),
         }
     }
 
@@ -665,11 +671,17 @@ impl Catalog {
     /// race. A document `mutate` left as it was is not written. Once every
     /// attempt lost, the result is `CommitContended` on `name`. The document
     /// a CAS wrote is this catalog's latest guess at the heads.
+    ///
+    /// Updates through one catalog take turns, each holding `ref_writes`
+    /// across read → mutate → CAS, so a lost race always means another
+    /// catalog (another front) won. `mutate` must not update refs itself:
+    /// the lock is not re-entrant.
     fn update_refs<T, E: From<CatalogError>>(
         &self,
         name: &str,
         mut mutate: impl FnMut(&mut RefDocument) -> std::result::Result<T, E>,
     ) -> std::result::Result<T, E> {
+        let _turn = self.ref_writes.lock();
         let mut backoff = CasBackoff::new(self.store.as_ref(), backoff_seed());
         for attempt in 0..MAX_CAS_RETRIES {
             if attempt > 0 {

@@ -7,15 +7,79 @@ use crate::column::Column;
 use crate::datatype::Value;
 use crate::error::{ColumnarError, Result};
 use crate::schema::Schema;
+use std::any::Any;
+use std::sync::Arc;
 
 /// Equal-length columns with a schema. Immutable after construction. The
 /// row count is the batch's own, as in Arrow: a batch with no columns still
 /// has rows (what `COUNT(*)` or `SELECT 1 FROM t` reads of a table).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A batch may carry an [`Origin`]: the stored bytes its values are exactly
+/// the decode of. Clone, [`RecordBatch::project`] and
+/// [`RecordBatch::decode_dicts`] keep it; every other constructor, and so
+/// every kernel, starts without one. Equality is the values' alone.
+#[derive(Debug, Clone)]
 pub struct RecordBatch {
     schema: Schema,
     columns: Vec<Column>,
     num_rows: usize,
+    origin: Option<Origin>,
+}
+
+impl PartialEq for RecordBatch {
+    fn eq(&self, other: &RecordBatch) -> bool {
+        self.num_rows == other.num_rows
+            && self.schema == other.schema
+            && self.columns == other.columns
+    }
+}
+
+/// The stored form a batch's values were decoded from, for a writer that
+/// would rather copy it than encode the values again. The source is opaque
+/// here: its maker reads it back by type ([`Origin::source`]). Each column
+/// of the batch maps to the source column it is the exact decode of, or to
+/// none (a value built otherwise).
+#[derive(Clone)]
+pub struct Origin {
+    source: Arc<dyn Any + Send + Sync>,
+    columns: Arc<[Option<usize>]>,
+}
+
+impl Origin {
+    pub fn new(source: Arc<dyn Any + Send + Sync>, columns: Vec<Option<usize>>) -> Origin {
+        Origin {
+            source,
+            columns: columns.into(),
+        }
+    }
+
+    /// The source, if it is a `T`.
+    pub fn source<T: Any>(&self) -> Option<&T> {
+        self.source.downcast_ref()
+    }
+
+    /// The source column batch column `i` decodes, if any.
+    pub fn column(&self, i: usize) -> Option<usize> {
+        self.columns.get(i).copied().flatten()
+    }
+
+    /// This origin seen from a batch whose column `k` is the `picks[k]`th
+    /// column of this origin's batch (`None`: a column built otherwise).
+    pub fn remap(&self, picks: impl IntoIterator<Item = Option<usize>>) -> Origin {
+        let columns = picks.into_iter().map(|p| p.and_then(|i| self.column(i)));
+        Origin {
+            source: Arc::clone(&self.source),
+            columns: columns.collect(),
+        }
+    }
+}
+
+impl std::fmt::Debug for Origin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Origin")
+            .field("columns", &self.columns)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RecordBatch {
@@ -68,7 +132,36 @@ impl RecordBatch {
             schema,
             columns,
             num_rows,
+            origin: None,
         })
+    }
+
+    /// This batch carrying `origin`, whose column map must cover its
+    /// columns. The caller vouches that each mapped column is exactly the
+    /// decode of its source column.
+    pub fn with_origin(mut self, origin: Origin) -> Result<RecordBatch> {
+        if origin.columns.len() != self.columns.len() {
+            return Err(ColumnarError::InvalidArgument(format!(
+                "an origin of {} columns for a batch of {}",
+                origin.columns.len(),
+                self.columns.len()
+            )));
+        }
+        self.origin = Some(origin);
+        Ok(self)
+    }
+
+    /// The stored form these values were decoded from, if they still are
+    /// its exact decode.
+    pub fn origin(&self) -> Option<&Origin> {
+        self.origin.as_ref()
+    }
+
+    /// This batch without its origin: values kept past the write they
+    /// could feed should not keep stored bytes alive.
+    pub fn without_origin(mut self) -> RecordBatch {
+        self.origin = None;
+        self
     }
 
     /// An empty batch with the given schema.
@@ -82,6 +175,7 @@ impl RecordBatch {
             schema,
             columns,
             num_rows: 0,
+            origin: None,
         }
     }
 
@@ -122,14 +216,19 @@ impl RecordBatch {
         self.columns.iter().map(|c| c.get(row)).collect()
     }
 
-    /// Project to the named columns (order given), returning a new batch.
+    /// Project to the named columns (order given), returning a new batch
+    /// that keeps this one's origin for the columns it keeps.
     pub fn project(&self, names: &[&str]) -> Result<RecordBatch> {
         let schema = self.schema.project(names)?;
-        let columns = names
-            .iter()
-            .map(|n| self.column_by_name(n).cloned())
+        let at = (names.iter())
+            .map(|n| self.schema.index_of(n))
             .collect::<Result<Vec<_>>>()?;
-        RecordBatch::try_new_with_rows(schema, columns, self.num_rows)
+        let columns = at.iter().map(|&i| self.columns[i].clone()).collect();
+        let batch = RecordBatch::try_new_with_rows(schema, columns, self.num_rows)?;
+        match &self.origin {
+            Some(origin) => batch.with_origin(origin.remap(at.into_iter().map(Some))),
+            None => Ok(batch),
+        }
     }
 
     /// Rows `[offset, offset + len)`, sharing this batch's values.
@@ -230,7 +329,8 @@ impl RecordBatch {
 
     /// Decode any dictionary-encoded columns to plain columns (late
     /// materialization at the plan root). Returns `self` unchanged when no
-    /// column is dict-encoded.
+    /// column is dict-encoded. The values stay the same, and so does the
+    /// origin.
     pub fn decode_dicts(self) -> RecordBatch {
         if !self.columns.iter().any(|c| matches!(c, Column::Dict(_))) {
             return self;
@@ -240,6 +340,7 @@ impl RecordBatch {
             schema: self.schema,
             columns,
             num_rows: self.num_rows,
+            origin: self.origin,
         }
     }
 }

@@ -49,7 +49,7 @@ pub mod pretty;
 pub mod schema;
 pub mod stream;
 
-pub use batch::RecordBatch;
+pub use batch::{Origin, RecordBatch};
 pub use bitmap::Bitmap;
 pub use buffer::Buffer;
 pub use column::{Column, ColumnBuilder, DictColumn};

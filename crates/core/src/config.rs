@@ -25,8 +25,10 @@ pub struct LakehouseConfig {
     /// per-query resource ledgers, flight-recorder events, and
     /// `system.queries` rows (`--tenant` on the CLI).
     pub tenant: String,
-    /// Row-group size of every data file a table write, an append, a run's
-    /// artifact or a compaction writes.
+    /// Rows per row group of every data file a table write, an append, a
+    /// run's artifact or a compaction encodes. It bounds a group rather than
+    /// fixing it where a run's artifact copies its sources' chunks: those
+    /// keep their files' groups, short tails included (DESIGN.md §34).
     pub row_group_rows: usize,
     /// Retries per failed store request: above 0 a `RetryStore` goes into
     /// the store stack and owns every transient fault — it retries with

@@ -31,6 +31,9 @@ pub struct LakehouseProvider {
     /// naive baseline read whole tables before filtering (§4.4.2: the fused
     /// plan "pushed down where filters to obtain a smaller in-memory table").
     pushdown: bool,
+    /// Whether a table scan's batches carry the chunks they decoded, for
+    /// the artifact writer of the run this provider serves.
+    keep_chunks: bool,
     /// Re-reads of a table object whose bytes fail a checksum.
     fetch_retries: u32,
     /// The parsed-metadata cache and fetch workers every table opened
@@ -50,6 +53,7 @@ impl LakehouseProvider {
             reference: reference.into(),
             overlay: RwLock::new(HashMap::new()),
             pushdown: true,
+            keep_chunks: false,
             fetch_retries: 0,
             io: TableIo::default(),
         }
@@ -65,6 +69,14 @@ impl LakehouseProvider {
     /// Disable or enable scan-level predicate pushdown (default on).
     pub fn with_pushdown(mut self, pushdown: bool) -> LakehouseProvider {
         self.pushdown = pushdown;
+        self
+    }
+
+    /// Have table scans keep the chunks their batches decode
+    /// ([`lakehouse_table::TableScan::keeping_chunks`]): a run's stage,
+    /// whose artifacts copy what its steps did not change.
+    pub(crate) fn keeping_chunks(mut self) -> LakehouseProvider {
+        self.keep_chunks = true;
         self
     }
 
@@ -329,6 +341,9 @@ impl PinnedProvider<'_> {
             .table(table)
             .map_err(|e| SqlError::Plan(format!("cannot load table '{table}': {e}")))?;
         let mut scan = t.scan().with_fetch_retries(self.provider.fetch_retries);
+        if self.provider.keep_chunks {
+            scan = scan.keeping_chunks();
+        }
         if self.provider.pushdown {
             for p in LakehouseProvider::to_scan_predicates(filters) {
                 scan = scan.with_predicate(p);

@@ -421,7 +421,8 @@ impl Lakehouse {
             let provider = &self
                 .provider(reference)
                 .with_pushdown(fused)
-                .with_io(io.clone());
+                .with_io(io.clone())
+                .keeping_chunks();
 
             // Execute the stage's steps in order; intermediates stay in the
             // provider overlay (in-memory locality within the stage), as the
@@ -517,6 +518,12 @@ impl Lakehouse {
             }
             let mut ops = Vec::new();
             for (name, output) in &stage_outputs {
+                // Each artifact's write is its own span: a step that only
+                // reads and renames columns copies its sources' chunks
+                // (`groups_copied`), any other encodes its values.
+                let span = lakehouse_obs::span("artifact");
+                span.attr("name", name.as_str());
+                span.attr("rows", output.num_rows() as u64);
                 let location = format!("{}/{name}/r{run_id}", self.config.warehouse_prefix);
                 let table = Table::create_with(
                     Arc::clone(&self.store_dyn),
@@ -526,7 +533,10 @@ impl Lakehouse {
                     io.clone(),
                 )?;
                 let mut tx = table.new_transaction(SnapshotOperation::Append);
-                tx.write_batches(&output.batches)?;
+                let written = tx.write_batches(&output.batches)?;
+                span.attr("bytes", written.bytes);
+                span.attr("groups_copied", written.groups_copied as u64);
+                span.attr("groups_encoded", written.groups_encoded as u64);
                 let (metadata_location, metadata) = tx.commit()?;
                 artifact_rows.insert(name.clone(), output.num_rows() as u64);
                 // Feed the memory estimator (vertical elasticity, §4.5/§5).

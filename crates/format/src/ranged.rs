@@ -13,11 +13,13 @@ use crate::encoding::ColumnDecoder;
 use crate::error::{FormatError, Result};
 use crate::io::ByteReader;
 use crate::reader::{parse_footer, parse_trailer, RowGroupMeta};
+use crate::stats::ColumnStats;
 use crate::MAGIC;
 use bytes::Bytes;
 use lakehouse_checksum::crc32c;
 use lakehouse_columnar::kernels::CmpOp;
-use lakehouse_columnar::{RecordBatch, Schema, Value};
+use lakehouse_columnar::{Origin, RecordBatch, Schema, Value};
+use std::sync::Arc;
 
 /// Fetches `[start, end)` of the underlying object.
 pub type RangeFetch<'a> = &'a dyn Fn(usize, usize) -> Result<Bytes>;
@@ -290,19 +292,29 @@ impl RangedReader {
     }
 
     /// Row group `g` as it lies in the file: every chunk out of `fetched`,
-    /// each checksum verified before the group is handed out, and the
+    /// each checksum verified before the group is handed out, with the
     /// footer's metadata for it.
-    pub fn raw_group(&self, fetched: &FetchedChunks, g: usize) -> Result<RawGroup<'_>> {
+    pub fn raw_group(&self, fetched: &FetchedChunks, g: usize) -> Result<RawGroup> {
         let meta = (self.groups.get(g))
             .ok_or_else(|| FormatError::InvalidArgument(format!("no row group {g}")))?;
         let chunks = (0..self.schema.len())
-            .map(|c| self.verified_chunk(fetched, (g, c)))
-            .collect::<Result<Vec<Bytes>>>()?;
+            .map(|c| Ok(self.raw_chunk(meta, c, self.verified_chunk(fetched, (g, c))?)))
+            .collect::<Result<Vec<RawChunk>>>()?;
         Ok(RawGroup {
-            schema: &self.schema,
-            meta,
+            schema: self.schema.clone(),
+            row_count: meta.row_count,
             chunks,
         })
+    }
+
+    /// Column `c`'s chunk of the group `meta` describes, as `bytes`.
+    fn raw_chunk(&self, meta: &RowGroupMeta, c: usize, bytes: Bytes) -> RawChunk {
+        RawChunk {
+            column: c,
+            bytes,
+            crc: meta.chunk_crcs[c],
+            stats: meta.stats[c].clone(),
+        }
     }
 
     /// Decode the projected columns of `groups` out of `fetched` into one
@@ -315,6 +327,34 @@ impl RangedReader {
         groups: &[usize],
         projection: Option<&[usize]>,
     ) -> Result<RecordBatch> {
+        Ok(self.decode(fetched, groups, projection, false)?.0)
+    }
+
+    /// [`Self::decode_groups`], the batch carrying as its [`Origin`] the
+    /// chunks it is the decode of: each group's row count and the verified
+    /// bytes, checksum and statistics of its projected chunks (slices of the
+    /// fetched buffers, not copies). [`crate::FileWriter::write_batch`]
+    /// appends those instead of encoding the values again.
+    pub fn decode_groups_copyable(
+        &self,
+        fetched: &FetchedChunks,
+        groups: &[usize],
+        projection: Option<&[usize]>,
+    ) -> Result<RecordBatch> {
+        let (batch, raw) = self.decode(fetched, groups, projection, true)?;
+        let columns = (0..batch.num_columns()).map(Some).collect();
+        Ok(batch.with_origin(Origin::new(Arc::new(raw), columns))?)
+    }
+
+    /// The decode both of the above make; with `keep`, also each group's
+    /// projected chunks as they were verified.
+    fn decode(
+        &self,
+        fetched: &FetchedChunks,
+        groups: &[usize],
+        projection: Option<&[usize]>,
+        keep: bool,
+    ) -> Result<(RecordBatch, Vec<RawGroup>)> {
         let columns = self.projected(projection)?;
         let out_schema = Schema::new(
             columns
@@ -329,6 +369,16 @@ impl RangedReader {
                 meta.ok_or_else(|| FormatError::InvalidArgument(format!("no row group {g}")))?,
             );
         }
+        let mut raw: Vec<RawGroup> = match keep {
+            true => (metas.iter())
+                .map(|m| RawGroup {
+                    schema: self.schema.clone(),
+                    row_count: m.row_count,
+                    chunks: Vec::with_capacity(columns.len()),
+                })
+                .collect(),
+            false => Vec::new(),
+        };
         // The footer's count: with no column decoded, still the groups' rows.
         let rows: u64 = metas.iter().map(|m| m.row_count).sum();
         let mut decoded = Vec::with_capacity(columns.len());
@@ -350,12 +400,12 @@ impl RangedReader {
                 }
             }
             decoded.push(column.finish()?);
+            for ((group, bytes), meta) in raw.iter_mut().zip(chunks).zip(&metas) {
+                group.chunks.push(self.raw_chunk(meta, c, bytes));
+            }
         }
-        Ok(RecordBatch::try_new_with_rows(
-            out_schema,
-            decoded,
-            rows as usize,
-        )?)
+        let batch = RecordBatch::try_new_with_rows(out_schema, decoded, rows as usize)?;
+        Ok((batch, raw))
     }
 
     /// Decode every row group of a file opened whole
@@ -404,14 +454,27 @@ impl FetchedChunks {
     }
 }
 
-/// One row group of a file as its verified chunk bytes, with the footer's
-/// row count, checksums and statistics for it: what
-/// [`crate::FileWriter::copy_group`] appends. Only
-/// [`RangedReader::raw_group`] makes one, so every chunk's checksum has held.
-pub struct RawGroup<'a> {
-    pub(crate) schema: &'a Schema,
-    pub(crate) meta: &'a RowGroupMeta,
-    pub(crate) chunks: Vec<Bytes>,
+/// One column chunk of a row group as its verified bytes, with its column's
+/// place in the file and the footer's checksum and statistics for it.
+#[derive(Debug, Clone)]
+pub(crate) struct RawChunk {
+    pub(crate) column: usize,
+    pub(crate) bytes: Bytes,
+    pub(crate) crc: u32,
+    pub(crate) stats: ColumnStats,
+}
+
+/// Some column chunks of one row group of a file, as they lie in it, with
+/// the group's row count: what [`crate::FileWriter`] appends as it is.
+/// Only a [`RangedReader`] makes one ([`RangedReader::raw_group`] with
+/// every chunk, [`RangedReader::decode_groups_copyable`] with the projected
+/// ones), so every chunk's checksum has held.
+#[derive(Debug, Clone)]
+pub struct RawGroup {
+    /// The schema of the file the chunks are of.
+    pub(crate) schema: Schema,
+    pub(crate) row_count: u64,
+    pub(crate) chunks: Vec<RawChunk>,
 }
 
 #[cfg(test)]

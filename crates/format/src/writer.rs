@@ -4,7 +4,7 @@
 use crate::encoding::encode_chunk;
 use crate::error::{FormatError, Result};
 use crate::io::ByteWriter;
-use crate::ranged::RawGroup;
+use crate::ranged::{RawChunk, RawGroup};
 use crate::stats::ColumnStats;
 use crate::{FORMAT_VERSION, MAGIC};
 use bytes::Bytes;
@@ -66,13 +66,20 @@ struct RowGroup {
 /// Streaming writer: feed batches with [`FileWriter::write_batch`], then call
 /// [`FileWriter::finish`] for the complete file bytes.
 ///
-/// Row groups are cut at exactly `row_group_rows` rows of the input stream.
-/// Until a group is full its rows wait as slices of the batches they came
-/// in, which share those batches' values; a full group is encoded from its
-/// pieces in order — statistics merged, values packed piece after piece —
-/// so no row is concatenated (plain strings and dictionaries aside). A row
-/// group of another file that sits exactly where such a cut would fall can
-/// be appended as its bytes ([`FileWriter::copy_group`]).
+/// Encoded rows are cut into row groups of exactly `row_group_rows` rows of
+/// the input stream, the last one short. Until a group is full its rows wait
+/// as slices of the batches they came in, which share those batches' values;
+/// a full group is encoded from its pieces in order — statistics merged,
+/// values packed piece after piece — so no row is concatenated (plain
+/// strings and dictionaries aside).
+///
+/// A batch that is exactly the decode of chunks of other files (its
+/// [`lakehouse_columnar::Origin`], from
+/// [`crate::RangedReader::decode_groups_copyable`]) is not encoded: when
+/// nothing is pending its groups are appended as those chunks' bytes, each
+/// group as long as it was in its file. `row_group_rows` then bounds a group
+/// rather than fixing it. A whole row group of another file can also be
+/// appended where a cut would fall ([`FileWriter::copy_group`]).
 pub struct FileWriter {
     schema: Schema,
     options: WriterOptions,
@@ -83,8 +90,8 @@ pub struct FileWriter {
     copied: Copied,
 }
 
-/// What [`FileWriter::copy_group`] appended: row groups, their rows and
-/// their chunk bytes.
+/// What a writer appended as copied bytes rather than encoded: row groups,
+/// their rows and their chunk bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Copied {
     pub groups: usize,
@@ -113,9 +120,20 @@ impl FileWriter {
         grouped + self.pending_rows as u64
     }
 
-    /// What [`FileWriter::copy_group`] has appended so far.
+    /// What has been appended as copied bytes so far.
     pub fn copied(&self) -> Copied {
         self.copied
+    }
+
+    /// Row groups encoded so far, the one buffered rows will make at
+    /// [`FileWriter::finish`] included.
+    pub fn groups_encoded(&self) -> usize {
+        self.groups.len() - self.copied.groups + usize::from(self.pending_rows > 0)
+    }
+
+    /// The longest row group this writer makes.
+    fn cut(&self) -> u64 {
+        self.options.row_group_rows.max(1) as u64
     }
 
     /// Whether [`FileWriter::copy_group`] takes a row group of `rows` rows
@@ -123,44 +141,101 @@ impl FileWriter {
     /// that group from its rows — nothing pending, a full group — and only
     /// from a file of this writer's schema.
     pub fn copies(&self, schema: &Schema, rows: u64) -> bool {
-        let full = self.options.row_group_rows.max(1) as u64;
-        self.pending_rows == 0 && rows == full && *schema == self.schema
+        self.pending_rows == 0 && rows == self.cut() && *schema == self.schema
     }
 
-    /// Append a row group of another file as it is: its chunks, whose
-    /// checksums held when [`crate::RangedReader::raw_group`] took them
-    /// out, at new offsets with their checksums and statistics. A group
-    /// [`FileWriter::copies`] refuses is an `InvalidArgument`.
-    pub fn copy_group(&mut self, group: RawGroup<'_>) -> Result<()> {
-        let meta = group.meta;
-        if !self.copies(group.schema, meta.row_count) {
+    /// Append a whole row group of another file as it is (a compaction's
+    /// copy) where [`FileWriter::copies`] takes it: any other group is an
+    /// `InvalidArgument`.
+    pub fn copy_group(&mut self, group: &RawGroup) -> Result<()> {
+        let whole = (group.chunks.iter().map(|c| c.column)).eq(0..self.schema.len());
+        if !whole || !self.copies(&group.schema, group.row_count) {
             return Err(FormatError::InvalidArgument(format!(
-                "a {}-row group of {} cannot be copied here",
-                meta.row_count, group.schema
+                "a {}-row group of {} chunks of {} cannot be copied here",
+                group.row_count,
+                group.chunks.len(),
+                group.schema
             )));
         }
-        let mut chunks = Vec::with_capacity(group.chunks.len());
-        for ((bytes, &crc), stats) in group.chunks.iter().zip(&meta.chunk_crcs).zip(&meta.stats) {
-            let offset = self.body.len() as u64;
-            self.body.write_raw(bytes);
-            chunks.push(ChunkMeta {
-                offset,
-                length: bytes.len() as u64,
-                crc,
-                stats: stats.clone(),
+        self.append(group, &group.chunks.iter().collect::<Vec<_>>())
+    }
+
+    /// Append a row group of `group`'s rows as `chunks` of it, taken as they
+    /// are at new offsets with their checksums and statistics: one per
+    /// column of this writer's schema, in its order and of its types, and
+    /// only while nothing is pending and the group is no longer than a cut.
+    fn append(&mut self, group: &RawGroup, chunks: &[&RawChunk]) -> Result<()> {
+        let rows = group.row_count;
+        let fields = self.schema.fields();
+        let typed = (chunks.len() == fields.len())
+            && (chunks.iter().zip(fields)).all(|(c, f)| {
+                (group.schema.fields().get(c.column))
+                    .is_some_and(|s| s.data_type() == f.data_type())
             });
-            self.copied.bytes += bytes.len() as u64;
+        if !typed || self.pending_rows > 0 || rows > self.cut() {
+            return Err(FormatError::InvalidArgument(format!(
+                "a {rows}-row group of {} chunks of {} cannot be appended to a file of {} \
+                 behind {} pending rows at a {}-row cut",
+                chunks.len(),
+                group.schema,
+                self.schema,
+                self.pending_rows,
+                self.cut()
+            )));
+        }
+        let start = self.body.len();
+        let mut metas = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            let offset = self.body.len() as u64;
+            self.body.write_raw(&chunk.bytes);
+            metas.push(ChunkMeta {
+                offset,
+                length: chunk.bytes.len() as u64,
+                crc: chunk.crc,
+                stats: chunk.stats.clone(),
+            });
         }
         self.copied.groups += 1;
-        self.copied.rows += meta.row_count;
+        self.copied.rows += rows;
+        self.copied.bytes += (self.body.len() - start) as u64;
         self.groups.push(RowGroup {
-            row_count: meta.row_count,
-            chunks,
+            row_count: rows,
+            chunks: metas,
         });
         Ok(())
     }
 
-    /// Append a batch; schema must match exactly.
+    /// The groups `batch` is exactly the decode of, with the chunk of each
+    /// group each of its columns is, when they are appended as they are:
+    /// nothing pending, every column decoded from a chunk, no group longer
+    /// than a cut. Chunks that count other rows than the batch holds are an
+    /// error: an operator that changes rows keeps no origin.
+    fn copyable<'b>(&self, batch: &'b RecordBatch) -> Result<Option<(&'b [RawGroup], Vec<usize>)>> {
+        let Some(origin) = batch.origin() else {
+            return Ok(None);
+        };
+        let Some(groups) = origin.source::<Vec<RawGroup>>() else {
+            return Ok(None);
+        };
+        let rows: u64 = groups.iter().map(|g| g.row_count).sum();
+        if rows != batch.num_rows() as u64 {
+            return Err(FormatError::InvalidArgument(format!(
+                "a batch of {} rows carries the chunks of {rows}",
+                batch.num_rows()
+            )));
+        }
+        let columns = (0..batch.num_columns()).map(|i| origin.column(i)).collect();
+        let Some(columns) = columns else {
+            return Ok(None);
+        };
+        let fits = groups.iter().all(|g| g.row_count <= self.cut());
+        Ok((self.pending_rows == 0 && fits).then_some((groups.as_slice(), columns)))
+    }
+
+    /// Append a batch; schema must match exactly. A batch whose origin
+    /// this writer takes — nothing pending, every column decoded from a
+    /// chunk, no group longer than a cut — is appended as its chunks, group
+    /// by group; any other is cut into groups and encoded.
     pub fn write_batch(&mut self, batch: &RecordBatch) -> Result<()> {
         if batch.schema() != &self.schema {
             return Err(FormatError::InvalidArgument(format!(
@@ -168,6 +243,16 @@ impl FileWriter {
                 batch.schema(),
                 self.schema
             )));
+        }
+        if let Some((groups, columns)) = self.copyable(batch)? {
+            for group in groups {
+                let chunks = columns.iter().map(|&c| group.chunks.get(c));
+                let chunks = chunks.collect::<Option<Vec<&RawChunk>>>().ok_or_else(|| {
+                    FormatError::InvalidArgument("an origin names a chunk it lacks".into())
+                })?;
+                self.append(group, &chunks)?;
+            }
+            return Ok(());
         }
         let group_rows = self.options.row_group_rows.max(1);
         // One allocation for what this batch adds: at most nine bytes a

@@ -1,7 +1,9 @@
 //! Row groups copied as bytes: a full group appended by
 //! `FileWriter::copy_group` is the group `write_batch` of its rows writes, a
 //! chunk whose checksum fails is never copied, and a group is copied only
-//! where `write_batch` would cut exactly it.
+//! where `write_batch` would cut exactly it. A batch decoded with its chunks
+//! (`decode_groups_copyable`) is written as them where nothing is pending
+//! and its groups fit the cut.
 
 use bytes::Bytes;
 use lakehouse_columnar::{Column, DataType, DictColumn, Field, RecordBatch, Schema};
@@ -103,7 +105,7 @@ fn copied_groups_and_the_decoded_rest_are_the_file_a_rewrite_writes() {
         && writer.copies(reader.schema(), reader.row_group_meta(g).row_count)
     {
         writer
-            .copy_group(reader.raw_group(&fetched, g).unwrap())
+            .copy_group(&reader.raw_group(&fetched, g).unwrap())
             .unwrap();
         g += 1;
     }
@@ -149,11 +151,11 @@ fn a_flipped_byte_in_a_source_chunk_is_typed_corruption_and_nothing_is_copied() 
 
     let mut writer = FileWriter::new(head.schema().clone(), options());
     writer
-        .copy_group(reader.raw_group(&fetched, 0).unwrap())
+        .copy_group(&reader.raw_group(&fetched, 0).unwrap())
         .unwrap();
     let err = reader
         .raw_group(&fetched, 1)
-        .and_then(|group| writer.copy_group(group))
+        .and_then(|group| writer.copy_group(&group))
         .unwrap_err();
     assert!(matches!(err, FormatError::Corrupted(_)), "got {err:?}");
     assert_eq!(writer.num_rows(), GROUP as u64, "only group 0 went in");
@@ -172,7 +174,7 @@ fn a_partial_group_a_pending_writer_or_another_schema_is_not_copied() {
         let rows = reader.row_group_meta(g).row_count;
         assert!(!writer.copies(reader.schema(), rows));
         let before = writer.num_rows();
-        let err = (writer.copy_group(reader.raw_group(&fetched, g).unwrap())).unwrap_err();
+        let err = (writer.copy_group(&reader.raw_group(&fetched, g).unwrap())).unwrap_err();
         assert!(
             matches!(err, FormatError::InvalidArgument(_)),
             "got {err:?}"
@@ -200,4 +202,52 @@ fn a_partial_group_a_pending_writer_or_another_schema_is_not_copied() {
     );
     fields.pop();
     refused(&mut FileWriter::new(Schema::new(fields), options()), 0);
+}
+
+#[test]
+fn a_decoded_batch_is_written_as_its_chunks_where_they_fit() {
+    let (head, file) = source();
+    let (reader, fetched) = open_all(&file);
+    // `fare` and `id`, in that order, of every group.
+    let batch = (reader.decode_groups_copyable(&fetched, &[0, 1, 2, 3], Some(&[2, 0]))).unwrap();
+    let schema = batch.schema().clone();
+    let mut writer = FileWriter::new(schema.clone(), options());
+    writer.write_batch(&batch).unwrap();
+    assert_eq!((writer.copied().groups, writer.groups_encoded()), (4, 0));
+    let out = RangedReader::parse(writer.finish().unwrap().0).unwrap();
+    // The source's groups, its 417-row tail included.
+    let rows: Vec<u64> = (0..4).map(|g| out.row_group_meta(g).row_count).collect();
+    assert_eq!(rows, [1_000, 1_000, 1_000, 417]);
+    assert_eq!(
+        out.read_all(None).unwrap(),
+        head.project(&["fare", "id"]).unwrap()
+    );
+
+    // Behind pending rows, or at a cut shorter than a source group, the
+    // same batch is encoded; so is a cut of it, which has no origin.
+    let mut pending = FileWriter::new(schema.clone(), options());
+    pending.write_batch(&batch.slice(0, 10).unwrap()).unwrap();
+    pending.write_batch(&batch).unwrap();
+    let half = WriterOptions {
+        row_group_rows: GROUP / 2,
+    };
+    let mut short = FileWriter::new(schema.clone(), half);
+    short.write_batch(&batch).unwrap();
+    let mut cut = FileWriter::new(schema.clone(), options());
+    cut.write_batch(&batch.slice(0, 3_000).unwrap()).unwrap();
+    for writer in [pending, short, cut] {
+        assert_eq!(writer.copied(), Copied::default());
+        assert!(writer.groups_encoded() > 0);
+    }
+    // An origin whose chunks count other rows than its batch is an error:
+    // an operator that changed rows kept it.
+    let origin = batch.origin().unwrap().clone();
+    let lying = batch.slice(0, 10).unwrap().with_origin(origin).unwrap();
+    let err = FileWriter::new(schema, options())
+        .write_batch(&lying)
+        .unwrap_err();
+    assert!(
+        matches!(err, FormatError::InvalidArgument(_)),
+        "got {err:?}"
+    );
 }

@@ -159,7 +159,7 @@ fn a_plain_file_compacted_with_new_rows_is_a_mixed_file_that_reads_equal() {
     let mut writer = FileWriter::new(all.schema().clone(), options.clone());
     for g in 0..3 {
         let raw = reader.raw_group(&fetched, g).expect("raw group");
-        writer.copy_group(raw).expect("copy");
+        writer.copy_group(&raw).expect("copy");
     }
     let tail = reader.decode_groups(&fetched, &[3], None).expect("tail");
     writer.write_batch(&tail).expect("write tail");

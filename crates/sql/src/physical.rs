@@ -30,29 +30,36 @@ pub(crate) fn filter_exact(mut batch: RecordBatch, filters: &[Expr]) -> Result<R
 
 /// Evaluate projection expressions over a batch, casting each column to the
 /// inferred output field type (e.g. an int literal projected into a float
-/// column).
+/// column). A bare column, renamed or not, keeps its place in the input's
+/// origin; a computed or cast one has none.
 pub(crate) fn execute_project(
     batch: &RecordBatch,
     exprs: &[(Expr, String)],
     schema: Schema,
 ) -> Result<RecordBatch> {
+    let mut picks = Vec::with_capacity(exprs.len());
     let columns = exprs
         .iter()
         .zip(schema.fields())
         .map(|((e, _), field)| {
             let col = eval(e, batch)?;
             if col.data_type() != field.data_type() {
+                picks.push(None);
                 Ok(kernels::cast(&col, field.data_type())?)
             } else {
+                picks.push(match e {
+                    Expr::Column(c) => c.index,
+                    _ => None,
+                });
                 Ok(col)
             }
         })
         .collect::<Result<Vec<_>>>()?;
-    Ok(RecordBatch::try_new_with_rows(
-        schema,
-        columns,
-        batch.num_rows(),
-    )?)
+    let out = RecordBatch::try_new_with_rows(schema, columns, batch.num_rows())?;
+    Ok(match batch.origin() {
+        Some(origin) => out.with_origin(origin.remap(picks))?,
+        None => out,
+    })
 }
 
 /// The column of `batch` a bound reference names.

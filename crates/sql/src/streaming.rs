@@ -196,15 +196,18 @@ pub fn execute_with_report(
     provider: &dyn TableProvider,
 ) -> Result<(RecordBatch, ExecReport)> {
     // Late materialization: dictionary-encoded columns survive the whole
-    // pipeline as codes; decode to plain strings only here, at the root.
+    // pipeline as codes; decode to plain strings only here, at the root. A
+    // result keeps no stored bytes alive.
     drain(plan, provider, |schema, batches| {
-        Ok(RecordBatch::concat_all(schema, batches)?.decode_dicts())
+        let batch = RecordBatch::concat_all(schema, batches)?;
+        Ok(batch.decode_dicts().without_origin())
     })
 }
 
 /// [`execute_with_report`] without the concatenation: the root's schema
 /// and the batches it emitted, in order, each sharing the columns it was
-/// built from. A pipeline step's output.
+/// built from, and each keeping its origin for the artifact writer. A
+/// pipeline step's output.
 pub fn execute_batches(
     plan: &LogicalPlan,
     provider: &dyn TableProvider,

@@ -51,4 +51,4 @@ pub use scan::{ScanPredicate, ScanReport, ScanStream, TableScan};
 pub use schema_def::SchemaDef;
 pub use snapshot::{Snapshot, SnapshotOperation};
 pub use table::Table;
-pub use transaction::Transaction;
+pub use transaction::{Transaction, Written};

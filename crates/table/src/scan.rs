@@ -169,6 +169,8 @@ pub struct TableScan {
     /// Read these files instead of the snapshot's (compaction reads one
     /// partition at a time).
     only: Option<Arc<Manifest>>,
+    /// Whether [`Self::stream_all`]'s batches carry their chunks.
+    keep_chunks: bool,
 }
 
 /// Where a live entry is: (manifest, entry) positions in
@@ -193,6 +195,7 @@ impl TableScan {
             fetch_retries: 0,
             io,
             only: None,
+            keep_chunks: false,
         }
     }
 
@@ -212,6 +215,18 @@ impl TableScan {
     /// request whose retries are exhausted fails the scan.
     pub fn with_fetch_retries(mut self, n: u32) -> TableScan {
         self.fetch_retries = n;
+        self
+    }
+
+    /// Have each batch of [`Self::stream_all`] (and so of
+    /// [`Self::execute_batches`]) whose file's residual leaves it as
+    /// decoded carry the chunks it is the decode of as its origin
+    /// ([`lakehouse_format::RangedReader::decode_groups_copyable`]), for a
+    /// consumer that writes it: a run's artifact copies them instead of
+    /// encoding the values again. A [`Self::stream`] has a row budget that
+    /// may cut a file short, and keeps none.
+    pub fn keeping_chunks(mut self) -> TableScan {
+        self.keep_chunks = true;
         self
     }
 
@@ -238,7 +253,8 @@ impl TableScan {
         Ok(self.execute_with_report()?.0)
     }
 
-    /// Execute and also return pruning statistics.
+    /// Execute and also return pruning statistics. The batch keeps no
+    /// chunks.
     ///
     /// Implemented by draining a [`ScanStream`] — one accumulation code
     /// path serves both the materialized and the streaming scan, so reports
@@ -247,7 +263,8 @@ impl TableScan {
     /// window opens at full width.
     pub fn execute_with_report(self) -> Result<(RecordBatch, ScanReport)> {
         let (schema, batches, report) = self.execute_batches()?;
-        Ok((RecordBatch::concat_all(&schema, batches)?, report))
+        let batch = RecordBatch::concat_all(&schema, batches)?;
+        Ok((batch.without_origin(), report))
     }
 
     /// [`Self::execute_with_report`] without the concatenation: the scan's
@@ -273,19 +290,21 @@ impl TableScan {
     /// pull doubles how many requests are kept in flight, so a consumer that
     /// stops pulling (a satisfied `LIMIT`) leaves the remaining files unread.
     pub fn stream(self) -> Result<ScanStream> {
-        self.open(1)
+        self.open(1, false)
     }
 
     /// [`Self::stream`] for a consumer that will pull every batch: nothing
     /// is saved by ramping, so the request window opens at full width, as
     /// [`Self::execute`]'s does.
     pub fn stream_all(self) -> Result<ScanStream> {
-        self.open(usize::MAX)
+        let copyable = self.keep_chunks;
+        self.open(usize::MAX, copyable)
     }
 
     /// Plan the scan; `window` is how many files' requests the first pull
-    /// may put in flight (clamped to what the dispatcher runs at once).
-    fn open(self, window: usize) -> Result<ScanStream> {
+    /// may put in flight (clamped to what the dispatcher runs at once), and
+    /// `copyable` whether a batch may carry its chunks.
+    fn open(self, window: usize, copyable: bool) -> Result<ScanStream> {
         let plan_span = lakehouse_obs::span("scan.plan");
         let scan_schema = self.output_schema()?;
         let mut report = ScanReport::default();
@@ -357,6 +376,7 @@ impl TableScan {
         let registry = lakehouse_obs::global();
         Ok(ScanStream {
             admits,
+            copyable,
             scan: self,
             scan_schema,
             manifests,
@@ -559,30 +579,49 @@ impl TableScan {
         Ok(false)
     }
 
-    /// `entry`'s file as a scan-schema batch of `rows` rows: its decoded
-    /// fields taken from `decoded` in order, the others built from its stats.
+    /// Whether `entry`'s batch of `scan_schema` is handed on as decoded:
+    /// the file's stats prove every predicate on a column it returns, so
+    /// [`Self::filter_residual`] evaluates none.
+    fn residual_empty(&self, entry: &ManifestEntry, scan_schema: &Schema) -> Result<bool> {
+        for p in &self.predicates {
+            if scan_schema.contains(&p.column) && !self.proves(entry, p)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// `entry`'s file as a scan-schema batch: its decoded fields taken from
+    /// `decoded` in order, with their origin if it has one, the others
+    /// built from its stats.
     fn assemble(
         &self,
         entry: &ManifestEntry,
         scan_schema: &Schema,
-        decoded: &[Column],
-        rows: usize,
+        decoded: &RecordBatch,
     ) -> Result<RecordBatch> {
-        let mut decoded = decoded.iter().cloned();
+        let rows = decoded.num_rows();
+        let mut next = 0..decoded.num_columns();
         let mut columns = Vec::with_capacity(scan_schema.len());
+        let mut picks = Vec::with_capacity(scan_schema.len());
         for field in scan_schema.fields() {
             let null = || Column::new_null(field.data_type(), rows);
-            columns.push(match self.field_source(entry, field)? {
-                FieldSource::Decode(_) => decoded.next().unwrap_or_else(null),
-                FieldSource::Null => null(),
-                FieldSource::Constant(value) => Column::from_value(&value, rows)?,
-            });
+            let (column, pick) = match self.field_source(entry, field)? {
+                FieldSource::Decode(_) => match next.next() {
+                    Some(i) => (decoded.column(i).clone(), Some(i)),
+                    None => (null(), None),
+                },
+                FieldSource::Null => (null(), None),
+                FieldSource::Constant(value) => (Column::from_value(&value, rows)?, None),
+            };
+            columns.push(column);
+            picks.push(pick);
         }
-        Ok(RecordBatch::try_new_with_rows(
-            scan_schema.clone(),
-            columns,
-            rows,
-        )?)
+        let batch = RecordBatch::try_new_with_rows(scan_schema.clone(), columns, rows)?;
+        Ok(match decoded.origin() {
+            Some(origin) => batch.with_origin(origin.remap(picks))?,
+            None => batch,
+        })
     }
 
     /// Read one data file: footer, row-group pruning, then the surviving
@@ -597,13 +636,17 @@ impl TableScan {
     /// file's leading row groups that writer takes ([`FileWriter::copies`])
     /// into it as verified bytes and decodes only the rest. Every chunk is
     /// checksummed before the first group is copied, so a failed read
-    /// leaves the writer as it was and can be done again.
+    /// leaves the writer as it was and can be done again. Otherwise, when
+    /// `copyable` and the residual is empty, the batch carries the chunks
+    /// of the groups it decoded as its origin
+    /// ([`RangedReader::decode_groups_copyable`]), for a writer to copy.
     fn read_entry(
         &self,
         entry: &ManifestEntry,
         scan_schema: &Schema,
         opened: Option<Opened>,
         copy: Option<&mut FileWriter>,
+        copyable: bool,
     ) -> Result<EntryPartial> {
         let path = ObjectPath::new(entry.file_path.clone())?;
         let file_len = entry.file_size as usize;
@@ -685,16 +728,18 @@ impl TableScan {
         let raw = (copied.iter())
             .map(|&g| reader.raw_group(&fetched, g))
             .collect::<lakehouse_format::Result<Vec<_>>>()?;
-        let batch = reader.decode_groups(&fetched, decoded, Some(&projection))?;
-        let rows = batch.num_rows();
+        let batch = match copy.is_none() && copyable && self.residual_empty(entry, scan_schema)? {
+            true => reader.decode_groups_copyable(&fetched, decoded, Some(&projection))?,
+            false => reader.decode_groups(&fetched, decoded, Some(&projection))?,
+        };
         let partial = EntryPartial {
-            batch: self.assemble(entry, scan_schema, batch.columns(), rows)?,
+            batch: self.assemble(entry, scan_schema, &batch)?,
             bytes_scanned: reader.bytes_needed(&chunks)?,
             row_groups_scanned,
             reader: Arc::clone(&reader),
         };
         if let Some(writer) = copy {
-            for group in raw {
+            for group in &raw {
                 writer.copy_group(group)?;
             }
         }
@@ -733,6 +778,9 @@ pub struct ScanStream {
     /// Whether a file read from the store is offered to the cache: the
     /// table has one and this is no bulk scan.
     admits: bool,
+    /// Whether a batch may carry the chunks it is the decode of: no row
+    /// budget cuts this stream short.
+    copyable: bool,
     files_read_counter: Arc<lakehouse_obs::Counter>,
     files_proven_counter: Arc<lakehouse_obs::Counter>,
     rows_counter: Arc<lakehouse_obs::Counter>,
@@ -809,7 +857,8 @@ impl ScanStream {
         // A taken-in entry that is read already has its opening.
         if opening.is_none() && !self.scan.reads(entry, &self.scan_schema)? {
             let rows = entry.row_count as usize;
-            let batch = (self.scan).assemble(entry, &self.scan_schema, &[], rows)?;
+            let none = RecordBatch::try_new_with_rows(Schema::new(Vec::new()), Vec::new(), rows)?;
+            let batch = (self.scan).assemble(entry, &self.scan_schema, &none)?;
             self.report.files_from_metadata += 1;
             lakehouse_obs::global()
                 .counter("scan.files_from_metadata")
@@ -915,7 +964,7 @@ impl ScanStream {
         let entry = self.entry(at);
         let mut read = |opened: Option<Opened>| {
             let copy = copy.as_deref_mut();
-            self.scan.read_entry(entry, &self.scan_schema, opened, copy)
+            (self.scan).read_entry(entry, &self.scan_schema, opened, copy, self.copyable)
         };
         // Only the first read starts from what was opened before it.
         reread_on_corruption(

@@ -15,6 +15,24 @@ use lakehouse_store::{ObjectPath, ObjectStore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// What [`Transaction::write_batches`] staged: its data files' bytes and
+/// their row groups, by whether each was copied as the chunks its rows were
+/// decoded from ([`FileWriter::write_batch`]) or encoded.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Written {
+    pub bytes: u64,
+    pub groups_copied: usize,
+    pub groups_encoded: usize,
+}
+
+impl Written {
+    fn add(&mut self, other: Written) {
+        self.bytes += other.bytes;
+        self.groups_copied += other.groups_copied;
+        self.groups_encoded += other.groups_encoded;
+    }
+}
+
 /// An in-flight write: accumulate batches, then [`Transaction::commit`].
 ///
 /// The transaction writes data files eagerly (they are invisible until the
@@ -57,7 +75,7 @@ impl Transaction {
     /// Stage a batch: split by partition spec and write one data file per
     /// partition group.
     pub fn write(&mut self, batch: &RecordBatch) -> Result<()> {
-        self.write_batches(std::slice::from_ref(batch))
+        self.write_batches(std::slice::from_ref(batch)).map(|_| ())
     }
 
     /// Stage `batches` as their concatenation would be staged: one data
@@ -66,8 +84,10 @@ impl Transaction {
     /// is written from the batches as they are, none made. A partitioned
     /// table's groups are written one at a time, each file staged before
     /// the next group is gathered (a group that is the whole batch is not
-    /// gathered), so one file's rows are held at a time.
-    pub fn write_batches(&mut self, batches: &[RecordBatch]) -> Result<()> {
+    /// gathered), so one file's rows are held at a time. A batch that is
+    /// exactly the decode of source chunks is written as those chunks where
+    /// its file's writer takes them.
+    pub fn write_batches(&mut self, batches: &[RecordBatch]) -> Result<Written> {
         let schema = self.metadata.current_schema()?;
         if let Some(other) = batches.iter().find(|b| b.schema() != &schema) {
             return Err(TableError::SchemaMismatch(format!(
@@ -84,22 +104,28 @@ impl Transaction {
             return self.stage(Vec::new(), writer);
         }
         let batch = RecordBatch::concat_all(&schema, batches.to_vec())?;
+        let mut written = Written::default();
         for (partition, rows) in self.metadata.partition_spec.split(&batch)? {
             let mut writer = self.file_writer()?;
             match rows {
                 None => writer.write_batch(&batch)?,
                 Some(rows) => writer.write_batch(&take_batch(&batch, &rows)?)?,
             }
-            self.stage(partition, writer)?;
+            written.add(self.stage(partition, writer)?);
         }
-        Ok(())
+        Ok(written)
     }
 
     /// Stage the file `writer` holds, all of whose rows are in `partition`:
     /// finish it, name it by its footer, put it, and list it with its
     /// file-level column stats.
-    pub(crate) fn stage(&mut self, partition: Vec<ValueDef>, writer: FileWriter) -> Result<()> {
+    pub(crate) fn stage(
+        &mut self,
+        partition: Vec<ValueDef>,
+        writer: FileWriter,
+    ) -> Result<Written> {
         let row_count = writer.num_rows();
+        let (groups_copied, groups_encoded) = (writer.copied().groups, writer.groups_encoded());
         let (file_bytes, file_stats) = writer.finish()?;
         let schema = self.metadata.schema_def(self.metadata.current_schema_id)?;
         let column_stats: BTreeMap<String, StatsDef> = (schema.fields.iter())
@@ -126,7 +152,11 @@ impl Transaction {
             column_stats,
             schema_id: self.metadata.current_schema_id,
         });
-        Ok(())
+        Ok(Written {
+            bytes: file_size,
+            groups_copied,
+            groups_encoded,
+        })
     }
 
     /// Stage a file of the parent snapshot as it is: listed in the new

@@ -622,3 +622,54 @@ fn a_compaction_reports_the_row_groups_it_copied() {
     let want = vec![Value::Int64(9_100), Value::Int64(9_099 * 9_100 / 2)];
     assert_eq!(out.unwrap().row(0).unwrap(), want);
 }
+
+/// A warm taxi run: `trips` reads and renames columns of day-files whose
+/// partitions prove its `WHERE`, so its artifact is those files' chunks,
+/// copied; `pickups` aggregates, so every group of its artifact is encoded.
+#[test]
+fn each_artifact_says_which_of_its_row_groups_were_copied() {
+    use bauplan_core::builtins;
+    use lakehouse_workload::TaxiGenerator;
+    let taxi = TaxiGenerator {
+        seed: 13,
+        start_day: 17_956,
+        days: 61,
+        ..Default::default()
+    }
+    .generate(60_000);
+    let lh = Lakehouse::in_memory(LakehouseConfig::zero_latency()).unwrap();
+    let day = PartitionField {
+        source_column: "pickup_at".into(),
+        transform: Transform::Day,
+    };
+    lh.create_table_partitioned("taxi_table", &taxi, "main", PartitionSpec::new(vec![day]))
+        .unwrap();
+    lh.register_function(
+        "trips_expectation_impl",
+        builtins::mean_greater_than("trips", "count", 1.0),
+    );
+    let project = PipelineProject::taxi_example();
+    lh.run(&project, &RunOptions::default()).unwrap();
+    let warm = lh.run(&project, &RunOptions::default()).unwrap();
+    let tree = &warm.trace;
+    let materialize = tree.find_all("materialize");
+    let artifacts = tree.find_all("artifact");
+    assert_eq!(artifacts.len(), 2, "{}", tree.render());
+    let artifact = |name: &str| {
+        let span = *(artifacts.iter())
+            .find(|s| s.attr_str("name") == Some(name))
+            .expect("an artifact span per artifact");
+        assert!(materialize.iter().any(|m| tree.is_ancestor(m.id, span.id)));
+        let attr = |key: &str| span.attr_u64(key).expect("artifact attribute");
+        let rows = attr("rows");
+        assert_eq!(rows, warm.artifact_rows[name]);
+        assert!(attr("bytes") > 0);
+        (attr("groups_copied"), attr("groups_encoded"))
+    };
+    let (copied, encoded) = artifact("trips");
+    assert_eq!(encoded, 0, "{}", tree.render());
+    // One or more groups per day-file the step read: 30 April days.
+    assert!(copied >= 30, "{copied} groups copied");
+    let (copied, encoded) = artifact("pickups");
+    assert_eq!((copied, encoded > 0), (0, true));
+}

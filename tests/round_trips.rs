@@ -1019,3 +1019,44 @@ fn dropping_a_lakehouse_joins_its_workers() {
     drop(lh);
     assert_eq!(threads(), before, "no worker outlives its lakehouse");
 }
+
+/// A data read garbled in a chunk a step decodes is never copied into its
+/// artifact (DESIGN.md §34): without re-reads the run fails and writes no
+/// artifact; with them the re-read's verified chunks are copied, and the
+/// artifact reads back, checksums and all, as the statement's answer.
+#[test]
+fn a_garbled_chunk_is_never_copied_into_an_artifact() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let writer = taxi_lake(&store);
+    // One day-file; the garbled byte lies in `pickup_location_id`.
+    const DAY: &str = "SELECT pickup_location_id AS pickup, dropoff_location_id \
+         FROM taxi_table WHERE pickup_at = DATE '2019-03-11'";
+    let want = writer.query(DAY, "main").unwrap();
+    let project = PipelineProject::new("garbled").with(NodeDef::sql("day", DAY));
+    let garble = || *store.garble_next.lock().unwrap() = Some("/data/");
+
+    let lh = cold_front(&store, LakehouseConfig::zero_latency());
+    garble();
+    let run = lh.run(&project, &RunOptions::default());
+    assert!(
+        run.map_or(true, |r| !r.success),
+        "the garbled read fails the run"
+    );
+    assert!(
+        lh.read_table("day", "main").is_err(),
+        "and writes no artifact"
+    );
+
+    let retrying = LakehouseConfig {
+        retry_max: 2,
+        ..LakehouseConfig::zero_latency()
+    };
+    let lh = cold_front(&store, retrying);
+    garble();
+    let report = lh.run(&project, &RunOptions::default()).unwrap();
+    assert!(report.success);
+    let span = report.trace.find("artifact").expect("artifact span");
+    assert_eq!(span.attr_u64("groups_copied"), Some(1));
+    assert_eq!(lh.read_table("day", "main").unwrap(), want);
+}
