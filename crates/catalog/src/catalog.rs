@@ -7,7 +7,7 @@ use crate::state::CatalogState;
 use bytes::Bytes;
 use lakehouse_store::{Backoff, ObjectPath, ObjectStore, StoreError};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -331,12 +331,6 @@ impl Catalog {
             Some(src) => self.resolve(src)?,
             None => None,
         };
-        self.create_branch_at(name, head)
-    }
-
-    /// Create a branch whose head is the commit `head`, already resolved
-    /// (`None`: an empty branch).
-    pub fn create_branch_at(&self, name: &str, head: Option<CommitId>) -> Result<Reference> {
         self.create_ref(name, head, RefKind::Branch)
     }
 
@@ -373,8 +367,14 @@ impl Catalog {
 
     /// Resolve a ref name *or* commit id to a commit id.
     pub fn resolve(&self, name_or_id: &str) -> Result<Option<CommitId>> {
-        let (doc, _) = self.read_refs()?;
-        self.resolve_in(&doc, name_or_id)
+        Ok(self.pin(name_or_id)?.0)
+    }
+
+    /// [`Catalog::resolve`], also returning the ref document it read: a
+    /// later [`Catalog::publish`] tries its CAS against those bytes first.
+    pub fn pin(&self, name_or_id: &str) -> Result<(Option<CommitId>, Bytes)> {
+        let (doc, bytes) = self.read_refs()?;
+        Ok((self.resolve_in(&doc, name_or_id)?, bytes))
     }
 
     /// [`Catalog::resolve`] against a ref document already read.
@@ -392,9 +392,9 @@ impl Catalog {
     /// Commit `operations` onto a branch's head (optimistic CAS with
     /// bounded retry). A lost race re-reads the head and parents the same
     /// operations onto it: for operations that do not depend on what the
-    /// head holds — a new table, a run's artifacts on its own branch. A
-    /// change derived from the head goes through [`Catalog::commit_with`].
-    /// After `MAX_CAS_RETRIES` losses the result is `CommitContended`.
+    /// head holds — a new table, say. A change derived from the head goes
+    /// through [`Catalog::commit_with`]. After `MAX_CAS_RETRIES` losses the
+    /// result is `CommitContended`.
     pub fn commit(
         &self,
         branch: &str,
@@ -403,8 +403,12 @@ impl Catalog {
         operations: Vec<Operation>,
     ) -> Result<CommitId> {
         self.update_refs(branch, |doc| {
-            let operations = operations.clone();
-            self.advance(branch_mut(doc, branch)?, author, message, operations)
+            let reference = branch_mut(doc, branch)?;
+            let head = reference.head.as_ref();
+            let id = self.commit_on(head, author, message, operations.clone())?;
+            self.write_commits(&id, head)?;
+            reference.head = Some(id.clone());
+            Ok(id)
         })
     }
 
@@ -422,48 +426,63 @@ impl Catalog {
     ) -> std::result::Result<T, E> {
         self.update_refs(branch, |doc| {
             let reference = branch_mut(doc, branch)?;
-            let state = self.state_of_head(reference.head.as_ref())?;
-            let (operations, out) = derive(&state)?;
+            let head = reference.head.as_ref();
+            let (operations, out) = derive(&*self.state_of_head(head)?)?;
             if !operations.is_empty() {
-                self.advance(reference, author, message, operations)?;
+                let id = self.commit_on(head, author, message, operations)?;
+                self.write_commits(&id, head)?;
+                reference.head = Some(id);
             }
             Ok(out)
         })
     }
 
-    /// Write a commit of `operations` on `reference`'s head and move the
-    /// reference to it.
-    fn advance(
+    /// Make a commit of `operations` whose parent is `parent` (`None`: a
+    /// root commit) and return its id, keeping it in memory: no object is
+    /// written and no ref moves. A chain of commits made this way is written
+    /// by the [`Catalog::publish`] or [`Catalog::create_branch_at`] that
+    /// names its head, just before that one CAS: until then no `gc` can
+    /// sweep it, and a chain that is never published is never written.
+    pub fn commit_on(
         &self,
-        reference: &mut Reference,
+        parent: Option<&CommitId>,
         author: &str,
         message: &str,
         operations: Vec<Operation>,
     ) -> Result<CommitId> {
-        let parent = reference.head.take();
-        let seq = match &parent {
+        let seq = match parent {
             Some(p) => self.get_commit(p)?.seq + 1,
             None => 0,
         };
-        let id = self.write_commit(Commit {
-            parents: parent.into_iter().collect(),
+        Ok(self.remember(Commit {
+            parents: parent.into_iter().cloned().collect(),
             seq,
             author: author.to_string(),
             message: message.to_string(),
             operations,
-        })?;
-        reference.head = Some(id.clone());
-        Ok(id)
+        }))
     }
 
-    /// Write a commit object and memoize it. Commits are content-addressed:
-    /// writing the same commit twice is idempotent, so a plain put is safe.
-    fn write_commit(&self, commit: Commit) -> Result<CommitId> {
+    /// Memoize `commit` and return its id.
+    fn remember(&self, commit: Commit) -> CommitId {
         let id = commit.id();
-        self.store
-            .put(&self.commit_path(&id)?, Bytes::from(commit.to_bytes()))?;
         self.commit_cache.lock().insert(id.clone(), commit);
-        Ok(id)
+        id
+    }
+
+    /// Write the objects of `head` and of its first parents down to `base`
+    /// (excluded), each made and memoized by this catalog. Commits are
+    /// content-addressed: writing one twice is idempotent, so a plain put
+    /// is safe.
+    fn write_commits(&self, head: &CommitId, base: Option<&CommitId>) -> Result<()> {
+        let mut cursor = Some(head.clone());
+        while let Some(id) = cursor.filter(|id| Some(id) != base) {
+            let commit = self.get_commit(&id)?;
+            let path = self.commit_path(&id)?;
+            self.store.put(&path, Bytes::from(commit.to_bytes()))?;
+            cursor = commit.parents.into_iter().next();
+        }
+        Ok(())
     }
 
     /// First-parent commit log of a ref, newest first, up to `limit`.
@@ -536,33 +555,58 @@ impl Catalog {
             .ok_or_else(|| CatalogError::KeyNotFound(key.to_string()))
     }
 
-    /// All ancestor commit ids of `id` (inclusive), following *all* parents.
-    fn ancestors(&self, id: &CommitId) -> Result<HashSet<CommitId>> {
+    /// The commits reachable from `id` (inclusive), following *all*
+    /// parents, except below a commit whose `seq` is at most `floor`: it is
+    /// listed, its parents are not walked. `seq` strictly increases along
+    /// every edge, so with a sought commit's `seq` as the floor the walk
+    /// reads only the commits made since it, not the history below.
+    fn ancestors(&self, id: &CommitId, floor: u64) -> Result<HashSet<CommitId>> {
         let mut seen = HashSet::new();
         let mut stack = vec![id.clone()];
         while let Some(cid) = stack.pop() {
-            if !seen.insert(cid.clone()) {
-                continue;
+            if seen.insert(cid.clone()) {
+                let commit = self.get_commit(&cid)?;
+                if commit.seq > floor {
+                    stack.extend(commit.parents);
+                }
             }
-            let commit = self.get_commit(&cid)?;
-            stack.extend(commit.parents.iter().cloned());
         }
         Ok(seen)
     }
 
+    /// Whether `ancestor` is `id` or one of its ancestors.
+    fn is_ancestor(&self, ancestor: &CommitId, id: &CommitId) -> Result<bool> {
+        let floor = self.get_commit(ancestor)?.seq;
+        Ok(self.ancestors(id, floor)?.contains(ancestor))
+    }
+
     /// Nearest common ancestor by maximum `seq` (well-defined for our DAGs:
-    /// seq strictly increases along every edge).
+    /// seq strictly increases along every edge). The frontier of both heads
+    /// is walked highest `seq` first, so every path from a head to a commit
+    /// is walked before the commit is, and the first commit both heads
+    /// reach is the answer: only commits made since the fork are read.
     fn merge_base(&self, a: &CommitId, b: &CommitId) -> Result<Option<CommitId>> {
-        let ancestors_a = self.ancestors(a)?;
-        let ancestors_b = self.ancestors(b)?;
-        let mut best: Option<(u64, CommitId)> = None;
-        for id in ancestors_a.intersection(&ancestors_b) {
-            let seq = self.get_commit(id)?.seq;
-            if best.as_ref().is_none_or(|(s, _)| seq > *s) {
-                best = Some((seq, id.clone()));
+        let mut reached = HashMap::from([(a.clone(), 0b01)]);
+        *reached.entry(b.clone()).or_default() |= 0b10;
+        let seq_of = |id: &CommitId| Ok((self.get_commit(id)?.seq, id.clone()));
+        let mut frontier = reached
+            .keys()
+            .map(seq_of)
+            .collect::<Result<BinaryHeap<_>>>()?;
+        while let Some((_, id)) = frontier.pop() {
+            let sides = reached[&id];
+            if sides == 0b11 {
+                return Ok(Some(id));
+            }
+            for parent in self.get_commit(&id)?.parents {
+                let reach = reached.entry(parent.clone()).or_insert(0);
+                if *reach == 0 {
+                    frontier.push(seq_of(&parent)?);
+                }
+                *reach |= sides;
             }
         }
-        Ok(best.map(|(_, id)| id))
+        Ok(None)
     }
 
     /// Merge branch `from` into branch `to`, reading both heads from the
@@ -579,60 +623,109 @@ impl Catalog {
             let from_head = self
                 .resolve_in(doc, from)?
                 .ok_or_else(|| CatalogError::RefNotFound(format!("{from} has no commits")))?;
-            let target = branch_mut(doc, to)?;
-            let Some(to_head) = target.head.clone() else {
-                // Empty target: fast-forward to the source head.
-                target.head = Some(from_head.clone());
-                return Ok(Some(from_head));
-            };
-            if to_head == from_head {
-                return Ok(None); // already up to date
-            }
-            if self.ancestors(&from_head)?.contains(&to_head) {
-                // Target is behind source: fast-forward.
-                target.head = Some(from_head.clone());
-                return Ok(Some(from_head));
-            }
-            if self.ancestors(&to_head)?.contains(&from_head) {
-                return Ok(None); // source already contained in target
-            }
-            // Three-way merge.
-            let base = self
-                .merge_base(&from_head, &to_head)?
-                .ok_or_else(|| CatalogError::Corrupt("no common ancestor".into()))?;
-            let base_state = self.state_of_commit(&base)?;
-            let from_changes = base_state.diff(&*self.state_of_commit(&from_head)?);
-            let to_changes = base_state.diff(&*self.state_of_commit(&to_head)?);
-            let conflicts: Vec<String> = from_changes
-                .iter()
-                .filter(|(k, v)| to_changes.get(*k).is_some_and(|tv| tv != *v))
-                .map(|(k, _)| k.clone())
-                .collect();
-            if !conflicts.is_empty() {
-                return Err(CatalogError::MergeConflict { keys: conflicts });
-            }
-            let operations: Vec<Operation> = from_changes
-                .into_iter()
-                .map(|(key, content)| match content {
-                    Some(content) => Operation::Put { key, content },
-                    None => Operation::Delete { key },
-                })
-                .collect();
-            let seq = self
-                .get_commit(&to_head)?
-                .seq
-                .max(self.get_commit(&from_head)?.seq)
-                + 1;
-            let id = self.write_commit(Commit {
-                parents: vec![to_head, from_head],
-                seq,
-                author: author.to_string(),
-                message: format!("merge {from} into {to}"),
-                operations,
-            })?;
-            target.head = Some(id.clone());
-            Ok(Some(id))
+            self.merge_head(from, from_head, branch_mut(doc, to)?, author)
         })
+    }
+
+    /// Merge the commit `from_head` (the head of `from`) into `target`:
+    /// [`Catalog::merge`]'s body, on a document already read.
+    fn merge_head(
+        &self,
+        from: &str,
+        from_head: CommitId,
+        target: &mut Reference,
+        author: &str,
+    ) -> Result<Option<CommitId>> {
+        let Some(to_head) = target.head.clone() else {
+            // Empty target: fast-forward.
+            target.head = Some(from_head.clone());
+            return Ok(Some(from_head));
+        };
+        if to_head == from_head {
+            return Ok(None); // already up to date
+        }
+        if self.is_ancestor(&to_head, &from_head)? {
+            // Target is behind source: fast-forward.
+            target.head = Some(from_head.clone());
+            return Ok(Some(from_head));
+        }
+        if self.is_ancestor(&from_head, &to_head)? {
+            return Ok(None); // source already contained in target
+        }
+        // Three-way merge.
+        let base = self
+            .merge_base(&from_head, &to_head)?
+            .ok_or_else(|| CatalogError::Corrupt("no common ancestor".into()))?;
+        let base_state = self.state_of_commit(&base)?;
+        let from_changes = base_state.diff(&*self.state_of_commit(&from_head)?);
+        let to_changes = base_state.diff(&*self.state_of_commit(&to_head)?);
+        let conflicts: Vec<String> = from_changes
+            .iter()
+            .filter(|(k, v)| to_changes.get(*k).is_some_and(|tv| tv != *v))
+            .map(|(k, _)| k.clone())
+            .collect();
+        if !conflicts.is_empty() {
+            return Err(CatalogError::MergeConflict { keys: conflicts });
+        }
+        let operations: Vec<Operation> = from_changes
+            .into_iter()
+            .map(|(key, content)| match content {
+                Some(content) => Operation::Put { key, content },
+                None => Operation::Delete { key },
+            })
+            .collect();
+        let seq = self
+            .get_commit(&to_head)?
+            .seq
+            .max(self.get_commit(&from_head)?.seq)
+            + 1;
+        let id = self.remember(Commit {
+            parents: vec![to_head.clone(), from_head],
+            seq,
+            author: author.to_string(),
+            message: format!("merge {from} into {}", target.name),
+            operations,
+        });
+        self.write_commits(&id, Some(&to_head))?;
+        target.head = Some(id.clone());
+        Ok(Some(id))
+    }
+
+    /// Publish `head`, the last of a chain of commits made on `base` with
+    /// [`Catalog::commit_on`]: write the chain's objects, then merge it into
+    /// the branch `into` as [`Catalog::merge`] would merge a branch `from`
+    /// at `head`, in one CAS whose first attempt expects `read`, the ref
+    /// document `base` was pinned from ([`Catalog::pin`]). When no ref moved
+    /// since the pin, nothing is read again; a target still at `base`
+    /// fast-forwards after a walk of the chain alone, which is in memory.
+    pub fn publish(
+        &self,
+        read: Bytes,
+        base: Option<&CommitId>,
+        head: &CommitId,
+        from: &str,
+        into: &str,
+        author: &str,
+    ) -> Result<()> {
+        self.write_commits(head, base)?;
+        self.update_refs_from(into, Some(read), |doc| {
+            let target = branch_mut(doc, into)?;
+            self.merge_head(from, head.clone(), target, author)
+                .map(drop)
+        })
+    }
+
+    /// Create the branch `name` at `head`, the last of a chain of commits
+    /// made on `base` with [`Catalog::commit_on`]: write the chain's
+    /// objects, then the ref.
+    pub fn create_branch_at(
+        &self,
+        base: Option<&CommitId>,
+        name: &str,
+        head: &CommitId,
+    ) -> Result<Reference> {
+        self.write_commits(head, base)?;
+        self.create_ref(name, Some(head.clone()), RefKind::Branch)
     }
 
     /// Garbage-collect commit objects unreachable from any reference
@@ -645,7 +738,7 @@ impl Catalog {
         let mut reachable = HashSet::new();
         for r in doc.refs.values() {
             if let Some(head) = &r.head {
-                reachable.extend(self.ancestors(head)?);
+                reachable.extend(self.ancestors(head, 0)?);
             }
         }
         let prefix = format!("{}/commits", self.root);
@@ -673,37 +766,60 @@ impl Catalog {
     /// a CAS wrote is this catalog's latest guess at the heads.
     ///
     /// Updates through one catalog take turns, each holding `ref_writes`
-    /// across read → mutate → CAS, so a lost race always means another
-    /// catalog (another front) won. `mutate` must not update refs itself:
-    /// the lock is not re-entrant.
+    /// across read → mutate → CAS, so a CAS lost on a fresh read always
+    /// means another catalog (another front) won. `mutate` must not update
+    /// refs itself: the lock is not re-entrant.
     fn update_refs<T, E: From<CatalogError>>(
         &self,
         name: &str,
+        mutate: impl FnMut(&mut RefDocument) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        self.update_refs_from(name, None, mutate)
+    }
+
+    /// [`Catalog::update_refs`] whose first attempt runs on `read`, a ref
+    /// document read earlier, and CASes against its bytes. Those bytes lose
+    /// when any ref moved since, this catalog's own moves too: a loss on them
+    /// says they were stale, not that another writer won, so the document
+    /// is read afresh at once, with no backoff and no retry counted.
+    fn update_refs_from<T, E: From<CatalogError>>(
+        &self,
+        name: &str,
+        read: Option<Bytes>,
         mut mutate: impl FnMut(&mut RefDocument) -> std::result::Result<T, E>,
     ) -> std::result::Result<T, E> {
         let _turn = self.ref_writes.lock();
-        let mut backoff = CasBackoff::new(self.store.as_ref(), backoff_seed());
-        for attempt in 0..MAX_CAS_RETRIES {
-            if attempt > 0 {
-                backoff.wait();
-            }
-            let (mut doc, expected_bytes) = self.read_refs()?;
+        // One mutate → CAS on a document and its bytes; `None`: the CAS lost.
+        let mut attempt = |(mut doc, expected): (RefDocument, Bytes)| -> std::result::Result<_, E> {
             let out = mutate(&mut doc)?;
             let written = Bytes::from(doc.to_bytes());
-            if written == expected_bytes {
-                return Ok(out);
+            if written == expected {
+                return Ok(Some(out));
             }
-            match self.store.put_if_matches(
-                &self.refs_path()?,
-                Some(&expected_bytes),
-                written.clone(),
-            ) {
+            let path = self.refs_path()?;
+            match self
+                .store
+                .put_if_matches(&path, Some(&expected), written.clone())
+            {
                 Ok(()) => {
                     self.saw_refs(&written);
-                    return Ok(out);
+                    Ok(Some(out))
                 }
-                Err(StoreError::PreconditionFailed(_)) => continue,
-                Err(e) => return Err(CatalogError::from(e).into()),
+                Err(StoreError::PreconditionFailed(_)) => Ok(None),
+                Err(e) => Err(CatalogError::from(e).into()),
+            }
+        };
+        let kept = read.and_then(|bytes| Some((RefDocument::from_bytes(&bytes)?, bytes)));
+        if let Some(out) = kept.map_or(Ok(None), &mut attempt)? {
+            return Ok(out);
+        }
+        let mut backoff = CasBackoff::new(self.store.as_ref(), backoff_seed());
+        for n in 0..MAX_CAS_RETRIES {
+            if n > 0 {
+                backoff.wait();
+            }
+            if let Some(out) = attempt(self.read_refs()?)? {
+                return Ok(out);
             }
         }
         Err(CatalogError::CommitContended {
@@ -717,7 +833,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lakehouse_store::InMemoryStore;
+    use lakehouse_store::{InMemoryStore, LatencyModel, SimulatedStore};
 
     fn new_catalog() -> Catalog {
         Catalog::init(Arc::new(InMemoryStore::new()), "_catalog").unwrap()
@@ -936,35 +1052,59 @@ mod tests {
 
     #[test]
     fn ephemeral_branch_workflow() {
-        // The paper's Fig. 4 flow: feat branch → ephemeral run branch →
-        // merge up → delete ephemeral.
-        let c = new_catalog();
+        // The paper's Fig. 4 flow: a run pins feat_1, commits its artifacts
+        // on that head in memory, and publishes them in one CAS against the
+        // pinned bytes: a fast-forward that reads nothing more, a three-way
+        // merge once feat_1 moved, a branch for a sandbox.
+        let store = Arc::new(SimulatedStore::new(
+            InMemoryStore::new(),
+            LatencyModel::zero(),
+        ));
+        let c = Catalog::init(Arc::clone(&store) as Arc<dyn ObjectStore>, "_catalog").unwrap();
         c.commit("main", "me", "prod data", vec![put_op("taxi_table", 1)])
             .unwrap();
         c.create_branch("feat_1", Some("main")).unwrap();
-        c.create_branch("run_12", Some("feat_1")).unwrap();
-        c.commit(
-            "run_12",
-            "runner",
-            "materialize trips",
-            vec![put_op("trips", 1)],
-        )
-        .unwrap();
-        c.commit(
-            "run_12",
-            "runner",
-            "materialize pickups",
-            vec![put_op("pickups", 1)],
-        )
-        .unwrap();
-        c.merge("run_12", "feat_1", "runner").unwrap();
-        c.delete_ref("run_12").unwrap();
-        let feat = c.state_at("feat_1").unwrap();
-        assert_eq!(feat.len(), 3);
+        let puts = store.metrics().puts();
+        let stage = |key: &str| {
+            let (base, read) = c.pin("feat_1").unwrap();
+            let head = c.commit_on(base.as_ref(), "runner", key, vec![put_op(key, 1)]);
+            (base, read, head.unwrap())
+        };
+        let (base, read, head) = stage("trips");
+        assert_eq!(
+            store.metrics().puts(),
+            puts,
+            "a stage commit is not written"
+        );
+        assert_eq!(c.gc().unwrap(), 0, "so no gc can sweep it");
+        let gets = store.metrics().gets();
+        c.publish(read, base.as_ref(), &head, "run_12", "feat_1", "runner")
+            .unwrap();
+        assert_eq!(store.metrics().gets(), gets, "a fast-forward reads nothing");
+        assert_eq!(store.metrics().puts(), puts + 2, "the commit and the ref");
+        assert_eq!(c.resolve("feat_1").unwrap(), Some(head));
+        // feat_1 moves while the next run goes: its publish merges three-way.
+        let (base, read, head) = stage("pickups");
+        let fix = c.commit("feat_1", "me", "fix", vec![put_op("zones", 1)]);
+        c.publish(read, base.as_ref(), &head, "run_12", "feat_1", "runner")
+            .unwrap();
+        let (_, merge) = c.log("feat_1", 1).unwrap().remove(0);
+        assert_eq!(merge.parents[0], fix.unwrap());
+        assert_eq!(merge.message, "merge run_12 into feat_1");
+        assert_eq!(c.state_at("feat_1").unwrap().len(), 4);
+        // A sandbox publishes its head as a branch of its own.
+        let (base, _, head) = stage("sandboxed");
+        c.create_branch_at(base.as_ref(), "run_13", &head).unwrap();
+        assert_eq!(c.resolve("run_13").unwrap(), Some(head));
+        assert_eq!(c.state_at("feat_1").unwrap().len(), 4);
         // Production untouched until the final merge.
         assert_eq!(c.state_at("main").unwrap().len(), 1);
         c.merge("feat_1", "main", "me").unwrap();
-        assert_eq!(c.state_at("main").unwrap().len(), 3);
+        assert_eq!(c.state_at("main").unwrap().len(), 4);
+        // Every commit of a published chain was written: a cold front reads
+        // the whole history.
+        let cold = Catalog::open(Arc::clone(&store) as Arc<dyn ObjectStore>, "_catalog");
+        assert_eq!(cold.unwrap().log("run_13", 10).unwrap().len(), 5);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!   commits (CAS on the reference document) and three-way merges with
 //!   key-level conflict detection.
 //!
-//! The *transform-audit-write* pattern of the paper maps to: create an
-//! ephemeral branch → run the DAG committing artifacts there → merge into the
-//! target branch only if every step and expectation passed → delete the
-//! ephemeral branch (paper Fig. 4).
+//! The *transform-audit-write* pattern of the paper maps to: pin the target's
+//! head → run the DAG committing artifacts on that head in memory, an
+//! ephemeral branch no ref names yet ([`Catalog::commit_on`]) → only if every
+//! step and expectation passed, write those commits and publish them into
+//! the target with one CAS ([`Catalog::publish`]; paper Fig. 4).
 
 pub mod catalog;
 pub mod commit;

@@ -4,7 +4,7 @@ use crate::admission::{AdmissionPermit, ShedInfo};
 use crate::config::LakehouseConfig;
 use crate::error::{BauplanError, Result};
 use crate::estimator::MemoryEstimator;
-use crate::functions::{FnContext, FnOutput, FunctionRegistry};
+use crate::functions::{Batches, FnContext, FnOutput, FunctionRegistry};
 use crate::governance::{AccessController, Action, Grant, Principal};
 use crate::provider::{LakehouseProvider, PinnedProvider, RefRead};
 use lakehouse_catalog::{Catalog, Commit, CommitId, ContentRef, Operation, Reference};
@@ -17,7 +17,7 @@ use lakehouse_store::{
     SimulatedStore, StoreMetrics,
 };
 use lakehouse_table::{
-    ObjectCache, PartitionSpec, SnapshotOperation, Table, TableIo, TableMetadata,
+    ObjectCache, PartitionSpec, SnapshotOperation, Table, TableIo, TableMetadata, Written,
 };
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +57,7 @@ pub(crate) fn under_stage_permit() -> bool {
 
 /// The catalog operation that points table `name` at a metadata file: the
 /// one shape every table write commits.
-pub(crate) fn table_put(
+fn table_put(
     name: &str,
     metadata_location: impl Into<String>,
     metadata: &TableMetadata,
@@ -470,21 +470,30 @@ impl Lakehouse {
             .map(|l| l.len())
             .unwrap_or(0);
         let location = format!("{}/{name}/u{n}-{existing}", self.config.warehouse_prefix);
-        let table = Table::create_with(
-            Arc::clone(&self.store_dyn),
-            &location,
-            batch.schema(),
-            spec,
-            self.table_io(),
-        )?;
-        let mut tx = table.new_transaction(SnapshotOperation::Append);
-        tx.write(batch)?;
-        let (metadata_location, metadata) = tx.commit()?;
-        let put = vec![table_put(name, metadata_location, &metadata)];
+        let batches = Batches::one(batch.clone());
+        let (put, _) = self.write_new_table(name, &location, spec, self.table_io(), &batches)?;
         let message = format!("create table {name}");
         self.catalog
-            .commit(branch, &self.config.author, &message, put)?;
+            .commit(branch, &self.config.author, &message, vec![put])?;
         Ok(())
+    }
+
+    /// Write a new table at `location` holding `batches` — its first
+    /// snapshot in its first metadata document — and return the catalog
+    /// operation that names it `name`, with what its data files took.
+    pub(crate) fn write_new_table(
+        &self,
+        name: &str,
+        location: &str,
+        spec: PartitionSpec,
+        io: TableIo,
+        batches: &Batches,
+    ) -> Result<(Operation, Written)> {
+        let store = Arc::clone(&self.store_dyn);
+        let mut tx = Table::create_transaction(store, location, &batches.schema, spec, io)?;
+        let written = tx.write_batches(&batches.batches)?;
+        let (metadata_location, metadata) = tx.commit()?;
+        Ok((table_put(name, metadata_location, &metadata), written))
     }
 
     /// Append a batch to an existing table on `branch`.

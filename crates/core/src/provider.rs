@@ -104,10 +104,6 @@ impl LakehouseProvider {
         self.overlay.write().clear();
     }
 
-    pub fn reference(&self) -> &str {
-        &self.reference
-    }
-
     /// The [`TableProvider`] for one SQL statement: whatever the statement
     /// reads from the catalog, it reads once, at one commit. The ref is
     /// read at the first catalog lookup, before anything else.
@@ -188,8 +184,8 @@ impl LakehouseProvider {
 /// resolved on first use and each table's metadata loaded on first use, then
 /// both are kept, so planning and scanning see the same catalog commit and
 /// pay for it once. The pin is per statement rather than per provider
-/// because a pipeline run keeps one provider while it commits artifacts to
-/// its own branch — its next statement must see them.
+/// because each statement must see what landed before it began; a run's
+/// steps pin the run's own head instead (`LakehouseProvider::pin_at`).
 pub struct PinnedProvider<'a> {
     provider: &'a LakehouseProvider,
     /// Whether the first catalog lookup may run at a guessed head.

@@ -9,22 +9,30 @@
 //!    container stages with in-memory data passing, `Naive` maps one step
 //!    to one container with object-store spillover;
 //! 3. pins its data version — the target branch's head, or a recorded
-//!    version for replays — and binds every SQL node against it, so a
-//!    mistake in one fails the run before it has a branch, a container or a
-//!    data file (a node over a function's output binds at its own step,
-//!    once the function has returned);
-//! 4. creates an **ephemeral catalog branch** `run_<id>` at that commit;
+//!    version for replays — with its one read of the ref, and binds every
+//!    SQL node against it, so a mistake in one fails the run before it has
+//!    a commit, a container or a data file (a node over a function's output
+//!    binds at its own step, once the function has returned);
+//! 4. keeps its **ephemeral branch** `run_<id>` (Fig. 4) in memory: a head,
+//!    at first the pinned commit, that no other front can list;
 //! 5. executes stages on the serverless runtime (charging simulated startup
-//!    latency per container), each SQL step running its bound plan, and
-//!    materializes artifacts into the ephemeral branch;
-//! 6. audits expectations — any failure deletes the ephemeral branch and
-//!    leaves the target branch untouched;
-//! 7. on success, merges the ephemeral branch and deletes it.
+//!    latency per container), each SQL step running its bound plan at the
+//!    run's head, and materializes each stage's artifacts in one commit on
+//!    that head — kept in memory: no commit object is written and no ref is
+//!    read or moved;
+//! 6. audits expectations — a failure writes no ref and no commit: the
+//!    target branch is untouched and nothing names the run's data files;
+//! 7. on success, publishes its head: writes its commits, then one CAS of
+//!    the ref document against the bytes the pin read — the target
+//!    fast-forwards when it still points at the pinned commit and merges
+//!    three-way when it moved (a sandboxed replay creates `run_<id>` at its
+//!    head instead).
 
 use crate::error::{BauplanError, Result};
 use crate::functions::{Batches, FnContext, FnOutput};
-use crate::lakehouse::{table_put, Lakehouse};
+use crate::lakehouse::Lakehouse;
 use crate::provider::PinnedProvider;
+use lakehouse_catalog::CommitId;
 use lakehouse_columnar::{RecordBatch, Schema};
 use lakehouse_planner::project::NodeKind;
 use lakehouse_planner::{
@@ -35,7 +43,7 @@ use lakehouse_runtime::{EnvSpec, Reuse};
 use lakehouse_sql::logical::{plan_select, SchemaProvider};
 use lakehouse_sql::optimizer::optimize;
 use lakehouse_sql::LogicalPlan;
-use lakehouse_table::{ObjectCache, PartitionSpec, SnapshotOperation, Table};
+use lakehouse_table::{ObjectCache, PartitionSpec};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,7 +61,8 @@ pub struct RunOptions {
     /// Override the configured execution mode.
     pub mode: Option<ExecutionMode>,
     /// Merge into the target branch on success. Replays set this false to
-    /// stay sandboxed; the ephemeral branch is kept for inspection.
+    /// stay sandboxed; the ephemeral branch is then published as a ref for
+    /// inspection.
     pub merge: bool,
 }
 
@@ -87,7 +96,8 @@ pub struct RunReport {
     pub run_id: u64,
     pub success: bool,
     pub branch: String,
-    /// Ephemeral branch used (deleted unless a sandboxed replay kept it).
+    /// The run's ephemeral branch: a head kept in memory while it runs,
+    /// never a ref, except that a sandboxed replay publishes it as one.
     pub ephemeral_branch: String,
     pub mode: ExecutionMode,
     /// Artifact name → rows materialized.
@@ -99,9 +109,10 @@ pub struct RunReport {
     pub simulated_total: Duration,
     /// Simulated time spent in container startups only.
     pub simulated_startup: Duration,
-    /// Simulated time of the stages' object-store requests: from the run
-    /// branch's creation to its merge. The pin, the binding, the branch's
-    /// creation, the merge and the branch's deletion are not counted.
+    /// Simulated time of the stages' object-store requests: from just
+    /// before the first stage to just before the publish. The pin, the
+    /// binding and the publish — the commits' objects and the ref's CAS —
+    /// are not counted.
     pub simulated_store: Duration,
     /// (cold, warm, resume) container starts during the run.
     pub container_starts: (u64, u64, u64),
@@ -248,9 +259,9 @@ impl Lakehouse {
         let base_ref = replay
             .as_ref()
             .map_or(&options.branch, |(version, _)| version);
-        let head = self.catalog.resolve(base_ref)?;
-        let state = self.catalog.state_of_head(head.as_ref())?;
-        let data_version = head.clone().unwrap_or_else(|| "<empty>".to_string());
+        let (base, read) = self.catalog.pin(base_ref)?;
+        let state = self.catalog.state_of_head(base.as_ref())?;
+        let data_version = base.clone().unwrap_or_else(|| "<empty>".to_string());
         let lake = self.provider(&data_version);
         let mut binder = Binder {
             dag: &dag,
@@ -266,9 +277,10 @@ impl Lakehouse {
         plan_span.attr("bound", binder.plans.len() as u64);
         drop(plan_span);
 
-        // Ephemeral branch (Fig. 4): run_<id>, at the pinned commit.
+        // Ephemeral branch (Fig. 4): run_<id>, a head in memory, at first
+        // the pinned commit.
         let ephemeral = format!("run_{run_id}");
-        self.catalog.create_branch_at(&ephemeral, head)?;
+        let mut head = base.clone();
 
         // Metric baselines for the report.
         let baseline = RunMetrics::sample(self);
@@ -279,7 +291,7 @@ impl Lakehouse {
             &logical,
             &physical,
             &mut binder,
-            &ephemeral,
+            &mut head,
             run_id,
             &mut peak_query_bytes,
         );
@@ -297,26 +309,21 @@ impl Lakehouse {
         };
         let success = failure.is_none();
 
-        // Transactional finish: merge only a fully-green run. The recorded
-        // data version is the run branch's final commit: what the run read,
-        // plus its own artifacts, so partial replays like `-m pickups+` can
-        // read their parents' outputs. Failed runs record the pinned
-        // version.
+        // Transactional finish: publish only a fully-green run; a failed
+        // one writes no ref. The recorded data version is the run branch's
+        // final commit: what the run read, plus its own artifacts, so
+        // partial replays like `-m pickups+` can read their parents'
+        // outputs. Failed runs record the pinned version.
         let mut recorded_version = data_version;
-        if success {
-            if let Some(head) = self.catalog.resolve(&ephemeral)? {
-                recorded_version = head;
-            }
+        if let Some(head) = head.filter(|_| success) {
+            let (catalog, author, base) = (&self.catalog, &self.config.author, base.as_ref());
             if options.merge {
-                self.catalog
-                    .merge(&ephemeral, &options.branch, &self.config.author)?;
-                self.catalog.delete_ref(&ephemeral)?;
+                catalog.publish(read, base, &head, &ephemeral, &options.branch, author)?;
+            } else {
+                // A sandboxed success (replay) keeps its branch for inspection.
+                catalog.create_branch_at(base, &ephemeral, &head)?;
             }
-            // A sandboxed success (replay) keeps the ephemeral branch for
-            // inspection.
-        } else {
-            // Failure: drop the dirty branch; target stays untouched.
-            let _ = self.catalog.delete_ref(&ephemeral);
+            recorded_version = head;
         }
 
         // Record the run.
@@ -369,7 +376,7 @@ impl Lakehouse {
         logical: &LogicalPipeline,
         physical: &PhysicalPipeline,
         binder: &mut Binder,
-        reference: &str,
+        head: &mut Option<CommitId>,
         run_id: u64,
         peak_query_bytes: &mut usize,
     ) -> Result<(BTreeMap<String, u64>, BTreeMap<String, bool>)> {
@@ -418,11 +425,17 @@ impl Lakehouse {
             if !fused {
                 io.cache = Some(Arc::new(ObjectCache::new()));
             }
+            // Every read of the lake in this stage is at the run's head: the
+            // pinned commit plus the earlier stages' artifacts. No ref names
+            // that head and its commits are not written yet, so a stage reads
+            // through `pin_at(state)` only, never through this provider's
+            // reference.
             let provider = &self
-                .provider(reference)
+                .provider(&format!("run_{run_id}"))
                 .with_pushdown(fused)
                 .with_io(io.clone())
                 .keeping_chunks();
+            let state = self.catalog.state_of_head(head.as_ref())?;
 
             // Execute the stage's steps in order; intermediates stay in the
             // provider overlay (in-memory locality within the stage), as the
@@ -450,7 +463,7 @@ impl Lakehouse {
                         // fault to exhaustion (DESIGN.md §11).
                         let sql = node.sql.as_deref().unwrap_or_default();
                         let output = self.attributed(sql, || {
-                            let pinned = provider.pin();
+                            let pinned = provider.pin_at(Arc::clone(&state));
                             let (schema, batches, report) =
                                 lakehouse_sql::execute_batches(&plan, &pinned)?;
                             *peak_query_bytes = (*peak_query_bytes).max(report.peak_bytes);
@@ -473,9 +486,10 @@ impl Lakehouse {
                             let batches = match provider.get_overlay(input) {
                                 Some(b) => b,
                                 // Cross-stage edge or lake table: read
-                                // through the catalog (object store).
+                                // at the run's head (object store).
                                 None => {
-                                    let scan = provider.load_table(input)?.scan();
+                                    let pinned = provider.pin_at(Arc::clone(&state));
+                                    let scan = pinned.table(input)?.scan();
                                     let (schema, batches, _) = scan.execute_batches()?;
                                     Arc::new(Batches { schema, batches })
                                 }
@@ -505,8 +519,8 @@ impl Lakehouse {
                 }
             }
 
-            // Materialize the stage's artifacts into the ephemeral branch in
-            // one commit (atomic per stage). Each Iceberg-style INSERT runs
+            // Materialize the stage's artifacts in one commit on the run's
+            // head (atomic per stage). Each Iceberg-style INSERT runs
             // through a "Spark command" container (paper §4.2): fused mode
             // resumes a frozen one (materialization "looks no slower than
             // running any other Python function"), the naive baseline pays
@@ -525,32 +539,25 @@ impl Lakehouse {
                 span.attr("name", name.as_str());
                 span.attr("rows", output.num_rows() as u64);
                 let location = format!("{}/{name}/r{run_id}", self.config.warehouse_prefix);
-                let table = Table::create_with(
-                    Arc::clone(&self.store_dyn),
-                    &location,
-                    &output.schema,
-                    PartitionSpec::unpartitioned(),
-                    io.clone(),
-                )?;
-                let mut tx = table.new_transaction(SnapshotOperation::Append);
-                let written = tx.write_batches(&output.batches)?;
+                let spec = PartitionSpec::unpartitioned();
+                let (put, written) =
+                    self.write_new_table(name, &location, spec, io.clone(), output)?;
                 span.attr("bytes", written.bytes);
                 span.attr("groups_copied", written.groups_copied as u64);
                 span.attr("groups_encoded", written.groups_encoded as u64);
-                let (metadata_location, metadata) = tx.commit()?;
                 artifact_rows.insert(name.clone(), output.num_rows() as u64);
                 // Feed the memory estimator (vertical elasticity, §4.5/§5).
                 let bytes: usize = output.batches.iter().map(RecordBatch::approx_bytes).sum();
                 self.estimator.observe(name, bytes as u64);
-                ops.push(table_put(name, metadata_location, &metadata));
+                ops.push(put);
             }
             if !ops.is_empty() {
-                self.catalog.commit(
-                    provider.reference(),
-                    &self.config.author,
-                    &format!("run {run_id}: materialize stage"),
-                    ops,
-                )?;
+                let message = format!("run {run_id}: materialize stage");
+                let author = &self.config.author;
+                *head = Some(
+                    self.catalog
+                        .commit_on(head.as_ref(), author, &message, ops)?,
+                );
             }
             lakehouse_obs::recorder().record_for(
                 lakehouse_obs::EventKind::StageFinish,

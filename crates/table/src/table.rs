@@ -44,6 +44,36 @@ impl Table {
         partition_spec: PartitionSpec,
         io: TableIo,
     ) -> Result<Table> {
+        let metadata = Self::new_metadata(location, schema, partition_spec)?;
+        Self::persist(store, metadata, io)
+    }
+
+    /// The append that creates a table at `location`: its commit writes the
+    /// table's first metadata document, holding the snapshot it staged —
+    /// one document, where [`Table::create_with`] and an append write an
+    /// empty one and then its successor.
+    pub fn create_transaction(
+        store: Arc<dyn ObjectStore>,
+        location: &str,
+        schema: &Schema,
+        partition_spec: PartitionSpec,
+        io: TableIo,
+    ) -> Result<Transaction> {
+        let metadata = Self::new_metadata(location, schema, partition_spec)?;
+        Ok(Transaction::new(
+            store,
+            metadata,
+            SnapshotOperation::Append,
+            io,
+        ))
+    }
+
+    /// The metadata of a new, empty table at `location`.
+    fn new_metadata(
+        location: &str,
+        schema: &Schema,
+        partition_spec: PartitionSpec,
+    ) -> Result<TableMetadata> {
         // Deterministic uuid: tables are identified by location + a hash of
         // their initial schema (no wall-clock or RNG, per the platform's
         // reproducibility invariant).
@@ -55,8 +85,7 @@ impl Table {
             }
             format!("{h:016x}")
         };
-        let metadata = TableMetadata::new(uuid, location, schema, partition_spec)?;
-        Self::persist(store, metadata, io)
+        TableMetadata::new(uuid, location, schema, partition_spec)
     }
 
     /// Load a table from a metadata document location.

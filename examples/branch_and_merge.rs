@@ -38,13 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Run the pipeline on the feature branch. Internally this goes
     //    through an ephemeral run_<id> branch (Fig. 4's transform-audit-
-    //    write) and merges into feat_1 only when everything is green.
+    //    write), kept in the run, and merges into feat_1 only when
+    //    everything is green.
     let report = lh.run(
         &PipelineProject::taxi_example(),
         &RunOptions::on_branch("feat_1"),
     )?;
     println!(
-        "run {} merged into feat_1 (ephemeral branch {} already deleted)",
+        "run {} merged into feat_1 (ephemeral branch {} never published)",
         report.run_id, report.ephemeral_branch
     );
     println!("feat_1 tables: {:?}", lh.list_tables("feat_1")?);

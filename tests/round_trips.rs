@@ -17,9 +17,13 @@
 //!   the next statement, which fetches only the documents that are new.
 //! * Planning and scanning see the same catalog commit: a schema-evolving
 //!   append committed between the two does not leak into the result.
-//! * A pipeline run reads the ref and the data files its scans need: fused,
-//!   nothing else, and on a warm front not even those; naive, each stage's
-//!   table documents and files too, since a stateless stage keeps no cache.
+//! * A pipeline run reads the ref once, at its pin, and the data files its
+//!   scans need: fused, nothing else, and on a warm front not even those;
+//!   naive, each stage's table documents and files too, since a stateless
+//!   stage keeps no cache. Its branch lives in the run: it writes one
+//!   metadata document per artifact, and at its publish one commit per
+//!   stage and one CAS of the ref; another front never lists it, nor can its
+//!   `gc` delete any of it, and a failed audit writes no ref and no commit.
 //! * A statement that reads no catalog table makes no request at all, and
 //!   a ref read as slow as an object store's changes none of the counts.
 //! * The object cache is bounded and never holds a document that failed to
@@ -28,7 +32,8 @@
 //!   and no fetch worker. The fetch workers die with their `Lakehouse`.
 
 use bauplan_core::{
-    builtins, ExecutionMode, Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions,
+    builtins, ExecutionMode, FnContext, FnOutput, Lakehouse, LakehouseConfig, NodeDef,
+    PipelineProject, RunOptions, RunReport,
 };
 use bytes::Bytes;
 use lakehouse_catalog::{ContentRef, Operation};
@@ -60,6 +65,8 @@ type Hook = Box<dyn FnOnce() + Send>;
 struct LedgerStore {
     inner: InMemoryStore,
     reads: Mutex<BTreeMap<String, usize>>,
+    /// Writes by class; a CAS of the ref counts as `ref`.
+    writes: Mutex<BTreeMap<String, usize>>,
     counting: AtomicBool,
     after_metadata: Mutex<Option<Hook>>,
     /// The next read of a path containing this is answered with garbage: a
@@ -92,24 +99,28 @@ impl LedgerStore {
         }
     }
 
-    fn record(&self, path: &ObjectPath) {
+    fn record(&self, requests: &Mutex<BTreeMap<String, usize>>, path: &ObjectPath) {
         if self.counting.load(Ordering::SeqCst) {
-            *self
-                .reads
-                .lock()
-                .unwrap()
-                .entry(Self::class(path.as_str()))
-                .or_default() += 1;
+            let class = Self::class(path.as_str());
+            *requests.lock().unwrap().entry(class).or_default() += 1;
         }
     }
 
-    /// Requests made while `f` ran, by class.
+    /// Read requests made while `f` ran, by class.
     fn ledger<T>(&self, f: impl FnOnce() -> T) -> (T, BTreeMap<String, usize>) {
+        let (out, reads, _) = self.ledgers(f);
+        (out, reads)
+    }
+
+    /// Read and write requests made while `f` ran, by class.
+    fn ledgers<T>(&self, f: impl FnOnce() -> T) -> (T, Ledger, Ledger) {
         self.reads.lock().unwrap().clear();
+        self.writes.lock().unwrap().clear();
         self.counting.store(true, Ordering::SeqCst);
         let out = f();
         self.counting.store(false, Ordering::SeqCst);
-        (out, std::mem::take(&mut *self.reads.lock().unwrap()))
+        let take = |requests: &Mutex<Ledger>| std::mem::take(&mut *requests.lock().unwrap());
+        (out, take(&self.reads), take(&self.writes))
     }
 
     /// Whether this read of `path` is the one to garble.
@@ -125,11 +136,12 @@ impl LedgerStore {
 
 impl ObjectStore for LedgerStore {
     fn put(&self, path: &ObjectPath, data: Bytes) -> lakehouse_store::Result<()> {
+        self.record(&self.writes, path);
         self.inner.put(path, data)
     }
 
     fn get(&self, path: &ObjectPath) -> lakehouse_store::Result<Bytes> {
-        self.record(path);
+        self.record(&self.reads, path);
         if path.as_str().ends_with("/refs.json") {
             std::thread::sleep(self.ref_delay);
         }
@@ -152,7 +164,7 @@ impl ObjectStore for LedgerStore {
         start: usize,
         end: usize,
     ) -> lakehouse_store::Result<Bytes> {
-        self.record(path);
+        self.record(&self.reads, path);
         let bytes = self.inner.get_range(path, start, end)?;
         if self.garbles(path) && bytes.len() > 4 {
             let mut flipped = bytes.to_vec();
@@ -180,6 +192,7 @@ impl ObjectStore for LedgerStore {
         expected: Option<&[u8]>,
         data: Bytes,
     ) -> lakehouse_store::Result<()> {
+        self.record(&self.writes, path);
         self.inner.put_if_matches(path, expected, data)
     }
 
@@ -188,7 +201,9 @@ impl ObjectStore for LedgerStore {
     }
 }
 
-fn ledger_of(entries: &[(&str, usize)]) -> BTreeMap<String, usize> {
+type Ledger = BTreeMap<String, usize>;
+
+fn ledger_of(entries: &[(&str, usize)]) -> Ledger {
     entries.iter().map(|(k, n)| (k.to_string(), *n)).collect()
 }
 
@@ -826,6 +841,22 @@ fn taxi_pipeline(lh: &Lakehouse) -> PipelineProject {
     PipelineProject::taxi_example()
 }
 
+/// The writes of a warm fused taxi run: per artifact one data file, one
+/// manifest and one metadata document, then the stage's commit and the one
+/// CAS of the ref that publishes it.
+fn taxi_run_writes() -> Ledger {
+    ledger_of(&[
+        ("commit", 1),
+        ("data:pickups", 1),
+        ("data:trips", 1),
+        ("manifest:pickups", 1),
+        ("manifest:trips", 1),
+        ("metadata:pickups", 1),
+        ("metadata:trips", 1),
+        ("ref", 1),
+    ])
+}
+
 #[test]
 fn a_warm_run_reads_the_ref_and_the_files_it_needs() {
     let _serial = serial();
@@ -835,31 +866,34 @@ fn a_warm_run_reads_the_ref_and_the_files_it_needs() {
     let warm_run = |mode: ExecutionMode| {
         let options = RunOptions::default().with_mode(mode);
         lh.run(&project, &options).unwrap();
-        store.ledger(|| lh.run(&project, &options).unwrap()).1
+        store.ledgers(|| lh.run(&project, &options).unwrap())
     };
     // Fused, on a front that has read no table: `trips` reads the 30
     // day-files from 2019-04-01 on, and its consumers read it in memory.
+    // The ref is read once, at the pin: the stage reads at the run's head.
     let cold = cold_front(&store, LakehouseConfig::zero_latency());
     let options = RunOptions::default().with_mode(ExecutionMode::Fused);
     let cold_run = store.ledger(|| cold.run(&taxi_pipeline(&cold), &options).unwrap());
     assert_eq!(
         cold_run.1,
         ledger_of(&[
-            ("ref", 7),
+            ("ref", 1),
             ("data:taxi_table", 30),
             ("manifest:taxi_table", 1),
             ("metadata:taxi_table", 1),
         ])
     );
     // Warm: every table document and data file is in memory.
-    assert_eq!(warm_run(ExecutionMode::Fused), ledger_of(&[("ref", 7)]));
+    let (_, reads, writes) = warm_run(ExecutionMode::Fused);
+    assert_eq!(reads, ledger_of(&[("ref", 1)]));
+    assert_eq!(writes, taxi_run_writes());
     // Naive: one stateless stage per node, each with a metadata cache of its
     // own, reading whole tables; both consumers re-read `trips` from the
-    // store.
+    // store, at the run's head, not through the ref.
     assert_eq!(
-        warm_run(ExecutionMode::Naive),
+        warm_run(ExecutionMode::Naive).1,
         ledger_of(&[
-            ("ref", 10),
+            ("ref", 1),
             ("data:taxi_table", 61),
             ("data:trips", 2),
             ("manifest:taxi_table", 1),
@@ -867,6 +901,139 @@ fn a_warm_run_reads_the_ref_and_the_files_it_needs() {
             ("metadata:taxi_table", 1),
             ("metadata:trips", 2),
         ])
+    );
+}
+
+/// A taxi run in `mode` on [`taxi_lake`] whose expectation is `during`,
+/// run by a second front on the same store: fused, it runs while the run's
+/// one stage holds its steps' outputs in memory; naive, in a stage of its
+/// own after `trips` committed. Its verdict is the audit's.
+fn run_with_a_front_in_the_stage(
+    mode: ExecutionMode,
+    during: impl Fn(&Lakehouse) -> bool + Send + Sync + 'static,
+) -> (Arc<LedgerStore>, Lakehouse, bauplan_core::Result<RunReport>) {
+    let store = Arc::new(LedgerStore::default());
+    let lh = taxi_lake(&store);
+    let other = front(&store, LakehouseConfig::zero_latency());
+    lh.register_function("trips_expectation_impl", move |_: &FnContext| {
+        Ok(FnOutput::Expectation(during(&other)))
+    });
+    let options = RunOptions::default().with_mode(mode);
+    let report = lh.run(&PipelineProject::taxi_example(), &options);
+    (store, lh, report)
+}
+
+/// Another front commits a table to `main` while the run's stage is going:
+/// the run's publish finds `main` moved, merges three-way and keeps it.
+#[test]
+fn a_commit_that_lands_during_a_stage_is_kept_by_the_run_merge() {
+    let _serial = serial();
+    let (_store, lh, report) = run_with_a_front_in_the_stage(ExecutionMode::Fused, |other| {
+        other
+            .create_table("late", &small_batch(0..3), "main")
+            .unwrap();
+        true
+    });
+    assert!(report.unwrap().success);
+    let tables = lh.list_tables("main").unwrap();
+    assert_eq!(tables, ["late", "pickups", "taxi_table", "trips", "zones"]);
+    assert_eq!(lh.read_table("late", "main").unwrap(), small_batch(0..3));
+    let (_, merge) = lh.log("main", 1).unwrap().remove(0);
+    assert_eq!(merge.parents.len(), 2, "a merge commit");
+}
+
+/// The run's branch lives in the run: another front listing the refs while
+/// the stage is going sees no `run_` ref, and nothing is left afterwards.
+#[test]
+fn no_other_front_lists_a_run_branch_while_the_run_goes() {
+    let _serial = serial();
+    let no_run_ref = |lh: &Lakehouse| {
+        let refs = lh.list_refs().unwrap();
+        !refs.iter().any(|r| r.name.starts_with("run_"))
+    };
+    let (_store, lh, report) = run_with_a_front_in_the_stage(ExecutionMode::Fused, no_run_ref);
+    let report = report.unwrap();
+    assert!(report.audit_results["trips_expectation"]);
+    assert!(no_run_ref(&lh));
+}
+
+/// A run whose audit fails writes no ref and no commit: `refs.json` keeps
+/// its bytes, and the commit of the stage that ran before the audit was
+/// never written, so `Catalog::gc` has nothing of the run to delete.
+#[test]
+fn a_failed_audit_writes_no_ref_and_no_commit() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let lh = taxi_lake(&store);
+    lh.register_function(
+        "trips_expectation_impl",
+        builtins::mean_greater_than("trips", "count", 1e9),
+    );
+    let refs = lh.catalog().refs_path().unwrap();
+    let refs_before = store.inner.get(&refs).unwrap();
+    // Naive: `trips` commits in a stage of its own before the audit runs.
+    let options = RunOptions::default().with_mode(ExecutionMode::Naive);
+    let (err, _, writes) = store.ledgers(|| {
+        lh.run(&PipelineProject::taxi_example(), &options)
+            .unwrap_err()
+    });
+    assert!(err.to_string().contains("trips_expectation"), "{err}");
+    assert_eq!(store.inner.get(&refs).unwrap(), refs_before);
+    assert_eq!(writes.get("ref"), None, "no CAS of the ref");
+    assert_eq!(writes.get("commit"), None, "no commit object");
+    assert!(
+        writes.contains_key("metadata:trips"),
+        "the stage wrote `trips`"
+    );
+    assert_eq!(lh.gc_catalog().unwrap(), 0);
+}
+
+/// Another front collects the catalog's garbage while a naive run is
+/// between its stages: the `trips` stage's commit is in memory, not an
+/// orphan `gc` could delete, so the published `main` reads and logs whole
+/// from a front that has seen none of its commits.
+#[test]
+fn a_gc_during_a_run_leaves_what_the_run_publishes_whole() {
+    let _serial = serial();
+    let (store, lh, report) = run_with_a_front_in_the_stage(ExecutionMode::Naive, |other| {
+        other.gc_catalog().unwrap();
+        true
+    });
+    assert!(report.unwrap().success);
+    let cold = front(&store, LakehouseConfig::zero_latency());
+    let log = cold.log("main", usize::MAX).unwrap();
+    assert_eq!(log.len(), lh.log("main", usize::MAX).unwrap().len());
+    assert_eq!(
+        cold.read_table("trips", "main").unwrap(),
+        lh.read_table("trips", "main").unwrap()
+    );
+    assert_eq!(
+        cold.read_table("pickups", "main").unwrap(),
+        lh.read_table("pickups", "main").unwrap()
+    );
+}
+
+/// A sandboxed replay publishes its branch as a ref, `run_<id>` at its final
+/// commit, with one CAS: the ref is read at its pin and by the create.
+#[test]
+fn a_replay_creates_its_branch_with_one_ref_cas() {
+    let _serial = serial();
+    let store = Arc::new(LedgerStore::default());
+    let lh = taxi_lake(&store);
+    let project = taxi_pipeline(&lh);
+    let options = RunOptions::default().with_mode(ExecutionMode::Fused);
+    let first = lh.run(&project, &options).unwrap();
+    let (replay, reads, writes) = store.ledgers(|| lh.replay(first.run_id, None).unwrap());
+    assert_eq!(reads, ledger_of(&[("ref", 2)]));
+    assert_eq!(writes, taxi_run_writes());
+    let branch = lh.catalog().get_ref(&replay.ephemeral_branch).unwrap();
+    let (head, commit) = lh.log(&replay.ephemeral_branch, 1).unwrap().remove(0);
+    assert_eq!(branch.head, Some(head));
+    let materialized = format!("run {}: materialize stage", replay.run_id);
+    assert_eq!(commit.message, materialized, "the run's own final commit");
+    assert_eq!(
+        lh.read_table("trips", &replay.ephemeral_branch).unwrap(),
+        lh.read_table("trips", "main").unwrap()
     );
 }
 

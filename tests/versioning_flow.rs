@@ -1,12 +1,16 @@
 //! Integration test for the paper's Fig. 4: git semantics for code *and*
 //! data — feature branches, ephemeral run branches, transactional merges,
-//! conflicts, tags, and rollback on failed audits.
+//! conflicts, tags, and rollback on failed audits — and merges that read
+//! only the commits made since the fork, however long the history.
 
 use bauplan_core::{
     builtins, BauplanError, Lakehouse, LakehouseConfig, PipelineProject, RunOptions,
 };
+use lakehouse_catalog::{Catalog, ContentRef, Operation};
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema};
+use lakehouse_store::{InMemoryStore, LatencyModel, ObjectStore, SimulatedStore};
 use lakehouse_workload::TaxiGenerator;
+use std::sync::Arc;
 
 fn lakehouse() -> Lakehouse {
     let lh = Lakehouse::in_memory(LakehouseConfig::zero_latency()).unwrap();
@@ -178,4 +182,72 @@ fn deterministic_rerun_same_data_same_artifacts() {
         )
         .unwrap();
     assert_eq!(qa, qb);
+}
+
+fn put(key: &str, snapshot: u64) -> Vec<Operation> {
+    let content = ContentRef::new(format!("meta/{key}/{snapshot}.json"), snapshot);
+    let key = key.to_string();
+    vec![Operation::Put { key, content }]
+}
+
+/// A catalog whose `main` has `n` commits, each putting `t1`, on a store
+/// that counts requests.
+fn long_main(n: u64) -> (Arc<SimulatedStore<InMemoryStore>>, Catalog) {
+    let store = Arc::new(SimulatedStore::new(
+        InMemoryStore::new(),
+        LatencyModel::zero(),
+    ));
+    let c = Catalog::init(Arc::clone(&store) as Arc<dyn ObjectStore>, "_catalog").unwrap();
+    for snapshot in 1..=n {
+        c.commit("main", "me", "work", put("t1", snapshot)).unwrap();
+    }
+    (store, c)
+}
+
+/// `seq` bounds every ancestry walk of a merge: on a front that has read
+/// no commit, a fast-forward of a one-commit branch over a 200-commit
+/// `main` reads the ref and the two heads, and an already-merged one the
+/// ref and `main`'s one new head, not the history.
+#[test]
+fn a_fast_forward_over_a_long_history_reads_only_the_heads() {
+    let (store, c) = long_main(200);
+    c.create_branch("feat", Some("main")).unwrap();
+    let feat = c.commit("feat", "me", "x", put("t2", 1)).unwrap();
+    let cold = Catalog::open(Arc::clone(&store) as Arc<dyn ObjectStore>, "_catalog").unwrap();
+    let gets = store.metrics().gets();
+    assert_eq!(cold.merge("feat", "main", "me").unwrap(), Some(feat));
+    assert_eq!(store.metrics().gets() - gets, 3, "the ref and both heads");
+    c.commit("main", "me", "y", put("t3", 1)).unwrap();
+    let gets = store.metrics().gets();
+    assert_eq!(cold.merge("feat", "main", "me").unwrap(), None);
+    assert_eq!(store.metrics().gets() - gets, 2, "the ref and main's head");
+}
+
+/// A three-way merge over a long history merges from the fork: an older
+/// common ancestor as the base would show `t1` changed on both sides and
+/// abort with a conflict. A later merge of the same branches merges from
+/// the `feat` commit the first one took in, not from the fork again.
+#[test]
+fn a_three_way_merge_over_a_long_history_merges_from_the_fork() {
+    let (_, c) = long_main(150);
+    c.create_branch("feat", Some("main")).unwrap();
+    for snapshot in 1..=20 {
+        c.commit("feat", "me", "feat", put("t2", snapshot)).unwrap();
+    }
+    c.commit("main", "me", "main", put("t3", 1)).unwrap();
+    let main = c.commit("main", "me", "main", put("t1", 999)).unwrap();
+    let feat = c.resolve("feat").unwrap().unwrap();
+    let merged = c.merge("feat", "main", "me").unwrap().unwrap();
+    assert_eq!(c.get_commit(&merged).unwrap().parents, vec![main, feat]);
+    let snapshot = |key: &str| c.get_content("main", key).unwrap().snapshot_id;
+    assert_eq!(
+        (snapshot("t1"), snapshot("t2"), snapshot("t3")),
+        (999, 20, 1)
+    );
+    // Both sides move again: from the fork, `t2` would read as changed on
+    // both sides (20 on `main`, 21 on `feat`).
+    c.commit("feat", "me", "feat", put("t2", 21)).unwrap();
+    c.commit("main", "me", "main", put("t1", 1000)).unwrap();
+    assert!(c.merge("feat", "main", "me").unwrap().is_some());
+    assert_eq!((snapshot("t1"), snapshot("t2")), (1000, 21));
 }

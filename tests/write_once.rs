@@ -171,12 +171,12 @@ fn an_ingest_cycle_writes_no_table_object_twice_and_expires_without_probing() {
     distinct.dedup();
     assert_eq!(deleted.len(), distinct.len(), "each path deleted once");
     // Nine data files and nine manifests of the expired snapshots, and the
-    // ten metadata documents whose current snapshot expired (the create's
-    // has none).
+    // nine metadata documents whose current snapshot expired: one per
+    // snapshot, the create's holding its first.
     let count = |part: &str| deleted.iter().filter(|p| p.contains(part)).count();
     assert_eq!(count("/data/"), 9);
     assert_eq!(count("/metadata/manifest-"), 9);
-    assert_eq!(count("/metadata/v"), 10);
+    assert_eq!(count("/metadata/v"), 9);
 
     for k in 100..108 {
         append("main", 10 * k);
