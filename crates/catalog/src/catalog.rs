@@ -7,7 +7,7 @@ use crate::state::CatalogState;
 use bytes::Bytes;
 use lakehouse_store::{Backoff, ObjectPath, ObjectStore, StoreError};
 use parking_lot::Mutex;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -355,7 +355,7 @@ impl Catalog {
     }
 
     /// Delete a branch or tag. The commits remain (they may be reachable
-    /// from other refs); garbage collection is out of scope, as in Nessie.
+    /// from other refs) until [`Catalog::gc`].
     pub fn delete_ref(&self, name: &str) -> Result<()> {
         self.update_refs(name, |doc| {
             doc.refs
@@ -413,17 +413,19 @@ impl Catalog {
     }
 
     /// Commit the operations `derive` makes of the branch's table namespace
-    /// and return what else it made. Each CAS attempt runs `derive` on the
-    /// state of the head it read, so a commit that lands first is built
-    /// upon, never overwritten, and `derive` may run more than once
-    /// (DESIGN.md §33). No operation commits and writes nothing.
+    /// and return what else it made, with the head of every ref and tag in
+    /// the ref document the commit's CAS wrote (the one it read, when no
+    /// operation committed). Each CAS attempt runs `derive` on the state of
+    /// the head it read, so a commit that lands first is built upon, never
+    /// overwritten, and `derive` may run more than once (DESIGN.md §33). No
+    /// operation commits and writes nothing.
     pub fn commit_with<T, E: From<CatalogError>>(
         &self,
         branch: &str,
         author: &str,
         message: &str,
         mut derive: impl FnMut(&CatalogState) -> std::result::Result<(Vec<Operation>, T), E>,
-    ) -> std::result::Result<T, E> {
+    ) -> std::result::Result<(T, BTreeSet<CommitId>), E> {
         self.update_refs(branch, |doc| {
             let reference = branch_mut(doc, branch)?;
             let head = reference.head.as_ref();
@@ -433,7 +435,8 @@ impl Catalog {
                 self.write_commits(&id, head)?;
                 reference.head = Some(id);
             }
-            Ok(out)
+            let heads = doc.refs.values().filter_map(|r| r.head.clone());
+            Ok((out, heads.collect()))
         })
     }
 

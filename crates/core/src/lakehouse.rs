@@ -20,6 +20,7 @@ use lakehouse_table::{
     ObjectCache, PartitionSpec, SnapshotOperation, Table, TableIo, TableMetadata, Written,
 };
 use parking_lot::{Mutex, RwLock};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -516,6 +517,7 @@ impl Lakehouse {
             tx.write(batch)?;
             Ok((Some(tx.commit_table()?), ()))
         })
+        .map(drop)
     }
 
     /// Compact a table's data files on a branch (small-file compaction) and
@@ -530,10 +532,14 @@ impl Lakehouse {
             let (compacted, report) = table.compact()?;
             Ok(((report.files_compacted > 0).then_some(compacted), report))
         })
+        .map(|(report, _)| report)
     }
 
     /// Expire old snapshots of a table on a branch, retaining the most
-    /// recent `retain_last`, and update the catalog pointer.
+    /// recent `retain_last`, and update the catalog pointer. Once that
+    /// commit has landed, sweep what the pruned version reaches and no
+    /// version a ref or tag names in the ref document the commit wrote
+    /// still does (DESIGN.md §36).
     pub fn expire_table_snapshots(
         &self,
         name: &str,
@@ -541,23 +547,38 @@ impl Lakehouse {
         retain_last: usize,
     ) -> Result<lakehouse_table::ExpirationReport> {
         let message = format!("expire snapshots of {name}");
-        self.update_table(branch, name, &message, |table| {
-            let (expired, report) = table.expire_snapshots(retain_last)?;
-            Ok(((report.snapshots_expired > 0).then_some(expired), report))
-        })
+        let ((pruned, snapshots_expired), heads) =
+            self.update_table(branch, name, &message, |table| {
+                let (expired, n) = table.expire_snapshots(retain_last)?;
+                Ok(((n > 0).then_some(expired), (table, n)))
+            })?;
+        if snapshots_expired == 0 {
+            return Ok(Default::default());
+        }
+        let mut named = BTreeSet::new();
+        for head in &heads {
+            let state = self.catalog.state_of_commit(head)?;
+            let contents = state.keys().filter_map(|key| state.get(key));
+            named.extend(contents.map(|content| content.metadata_location.clone()));
+        }
+        let mut report = lakehouse_table::sweep(&pruned, named.iter().map(String::as_str))?;
+        report.snapshots_expired = snapshots_expired;
+        Ok(report)
     }
 
     /// Point `name` on `branch` at the version `op` makes of the table
-    /// there (`None`: commit nothing), and return what else `op` made. The
-    /// table is loaded from the head each CAS attempt read, so when another
-    /// commit lands first `op` runs again on what it left (DESIGN.md §33).
+    /// there (`None`: commit nothing), and return what else `op` made, with
+    /// the heads of the ref document the commit left
+    /// ([`Catalog::commit_with`]). The table is loaded from the head each
+    /// CAS attempt read, so when another commit lands first `op` runs again
+    /// on what it left (DESIGN.md §33).
     fn update_table<T>(
         &self,
         branch: &str,
         name: &str,
         message: &str,
         mut op: impl FnMut(Table) -> Result<(Option<Table>, T)>,
-    ) -> Result<T> {
+    ) -> Result<(T, BTreeSet<CommitId>)> {
         let provider = self.provider(branch);
         let author = &self.config.author;
         self.catalog.commit_with(branch, author, message, |state| {

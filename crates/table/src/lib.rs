@@ -43,7 +43,7 @@ pub mod transaction;
 
 pub use cache::{ObjectCache, TableIo};
 pub use error::{reread_on_corruption, Result, TableError};
-pub use maintenance::{CompactionReport, ExpirationReport};
+pub use maintenance::{sweep, CompactionReport, ExpirationReport};
 pub use manifest::{Manifest, ManifestEntry};
 pub use metadata::{MetadataLogEntry, TableMetadata};
 pub use partition::{PartitionField, PartitionSpec, Transform};

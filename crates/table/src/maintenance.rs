@@ -5,7 +5,7 @@
 use crate::error::{Result, TableError};
 use crate::manifest::{Manifest, ManifestEntry};
 use crate::schema_def::ValueDef;
-use crate::snapshot::{Snapshot, SnapshotOperation};
+use crate::snapshot::SnapshotOperation;
 use crate::table::Table;
 use lakehouse_store::{ObjectPath, StoreError};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -24,13 +24,15 @@ pub struct CompactionReport {
     pub rows_rewritten: u64,
 }
 
-/// Outcome of snapshot expiration.
+/// Outcome of snapshot expiration: the snapshots the expire dropped from
+/// the table's metadata, and the objects the [`sweep`] after its commit
+/// deleted, by kind (one already gone is not counted).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExpirationReport {
     pub snapshots_expired: usize,
-    /// Data files deleted because no retained snapshot references them.
     pub data_files_deleted: usize,
     pub manifests_deleted: usize,
+    pub documents_deleted: usize,
 }
 
 /// One value of a partition tuple as a map key: a float by its bits, so
@@ -60,10 +62,6 @@ fn partition_key<'a>(values: &'a [ValueDef]) -> Vec<KeyPart<'a>> {
 }
 
 impl Table {
-    fn manifest(&self, path: &str) -> Result<Arc<Manifest>> {
-        Manifest::load(self.store(), self.io(), path)
-    }
-
     /// Rewrite each partition that holds more than one data file into one
     /// file, committing an `Overwrite` snapshot. A partition with a single
     /// file keeps it (same entry, same path, not read); a fragmented one is
@@ -78,7 +76,8 @@ impl Table {
     /// table already has ≤1 file per partition.
     ///
     /// Readers are unaffected: old snapshots keep referencing the old files
-    /// until [`Table::expire_snapshots`] removes them.
+    /// until [`Table::expire_snapshots`] drops them and a [`sweep`] deletes
+    /// what no named version still reaches.
     pub fn compact(&self) -> Result<(Table, CompactionReport)> {
         let Some(current) = self.metadata().current_snapshot() else {
             return Ok((self.clone(), CompactionReport::default()));
@@ -131,113 +130,119 @@ impl Table {
         Ok((tx.commit_table()?, report))
     }
 
-    /// The manifests `snapshot` names: the root's refs and the root. A root
-    /// already gone (an earlier, interrupted expiry) names itself alone.
-    fn named_by(&self, snapshot: &Snapshot) -> Result<Vec<String>> {
-        let root = match self.manifest(&snapshot.manifest_path) {
-            Ok(root) => root,
-            Err(TableError::Store(StoreError::NotFound(_))) => {
-                return Ok(vec![snapshot.manifest_path.clone()])
-            }
-            Err(e) => return Err(e),
-        };
-        let mut named: Vec<String> = root.refs.iter().map(|r| r.path.clone()).collect();
-        named.push(snapshot.manifest_path.clone());
-        Ok(named)
-    }
-
-    /// Drop all snapshots except the most recent `retain_last`, deleting
-    /// what only they reach: the manifests no retained snapshot names as
-    /// its root or a ref, the data files no retained manifest lists, and the
-    /// earlier metadata documents whose current snapshot is among them.
-    /// Returns the updated table handle (new metadata document).
-    ///
-    /// The doomed set is computed once and every path deleted once; an
-    /// object already gone (an earlier, interrupted expiry) is not an error.
-    pub fn expire_snapshots(&self, retain_last: usize) -> Result<(Table, ExpirationReport)> {
-        let retain_last = retain_last.max(1);
+    /// Drop all snapshots except the most recent `retain_last`, and the
+    /// metadata-log entries of the documents whose current snapshot went
+    /// with them; reparent the oldest kept snapshot and persist. Returns the
+    /// new handle and how many snapshots went. Deletes nothing: once the new
+    /// version is committed, [`sweep`] deletes what no named version still
+    /// reaches.
+    pub fn expire_snapshots(&self, retain_last: usize) -> Result<(Table, usize)> {
+        let split = self
+            .metadata()
+            .snapshots
+            .len()
+            .saturating_sub(retain_last.max(1));
+        if split == 0 {
+            return Ok((self.clone(), 0));
+        }
         let mut metadata = self.successor_metadata();
-        if metadata.snapshots.len() <= retain_last {
-            return Ok((self.clone(), ExpirationReport::default()));
-        }
-        let split = metadata.snapshots.len() - retain_last;
-        let expired: Vec<_> = metadata.snapshots.drain(..split).collect();
-        // Manifests a retained snapshot names, and their files, survive.
-        let mut live_manifests = HashSet::new();
-        for snap in &metadata.snapshots {
-            live_manifests.extend(self.named_by(snap)?);
-        }
-        let mut retained_files = HashSet::new();
-        for path in &live_manifests {
-            let manifest = self.manifest(path)?;
-            retained_files.extend(manifest.entries.iter().map(|e| e.file_path.clone()));
-        }
-        let mut doomed_manifests = BTreeSet::new();
-        for snap in &expired {
-            let named = self.named_by(snap)?.into_iter();
-            doomed_manifests.extend(named.filter(|m| !live_manifests.contains(m)));
-        }
-        let mut doomed_files = BTreeSet::new();
-        for path in &doomed_manifests {
-            let manifest = match self.manifest(path) {
-                Ok(m) => m,
-                Err(TableError::Store(StoreError::NotFound(_))) => continue,
-                Err(e) => return Err(e),
-            };
-            let unreferenced = manifest.entries.iter().map(|e| &e.file_path);
-            doomed_files.extend(
-                unreferenced
-                    .filter(|f| !retained_files.contains(*f))
-                    .cloned(),
-            );
-        }
-        let retained_ids: HashSet<u64> = metadata.snapshots.iter().map(|s| s.snapshot_id).collect();
-        let current_in_retained =
-            |id: &Option<u64>| id.is_some_and(|id| retained_ids.contains(&id));
-        let (kept, doomed_documents): (Vec<_>, Vec<_>) = std::mem::take(&mut metadata.metadata_log)
-            .into_iter()
-            .partition(|entry| current_in_retained(&entry.snapshot_id));
-        metadata.metadata_log = kept;
-
-        let data_files_deleted = self.delete_each(doomed_files)?;
-        let manifests_deleted = self.delete_each(doomed_manifests)?;
-        self.delete_each(doomed_documents.into_iter().map(|entry| entry.location))?;
-        // Reparent: the oldest retained snapshot loses its expired parent.
-        if let Some(first) = metadata.snapshots.first_mut() {
-            if expired
-                .iter()
-                .any(|e| Some(e.snapshot_id) == first.parent_id)
-            {
-                first.parent_id = None;
-            }
-        }
+        metadata.snapshots.drain(..split);
+        let kept: HashSet<u64> = metadata.snapshots.iter().map(|s| s.snapshot_id).collect();
+        let is_kept = |id: &u64| kept.contains(id);
+        (metadata.metadata_log).retain(|entry| entry.snapshot_id.as_ref().is_some_and(is_kept));
+        // Reparent: the oldest kept snapshot loses its expired parent.
+        let oldest = &mut metadata.snapshots[0];
+        oldest.parent_id = oldest.parent_id.filter(is_kept);
         let table = Table::persist(Arc::clone(self.store()), metadata, self.io().clone())?;
-        Ok((
-            table,
-            ExpirationReport {
-                snapshots_expired: expired.len(),
-                data_files_deleted,
-                manifests_deleted,
-            },
-        ))
+        Ok((table, split))
     }
+}
 
-    /// Delete every path, and forget its cached document; returns how many
-    /// were still there to delete.
-    fn delete_each(&self, paths: impl IntoIterator<Item = String>) -> Result<usize> {
-        let mut deleted = 0;
-        for path in paths {
-            if let Some(cache) = &self.io().cache {
-                cache.remove(&path);
+/// The objects some table versions reach, by kind.
+#[derive(Default)]
+struct Reach {
+    data_files: BTreeSet<String>,
+    manifests: BTreeSet<String>,
+    documents: BTreeSet<String>,
+}
+
+impl Reach {
+    /// Add what `table` reaches: its metadata document and the documents
+    /// its metadata log names (leaves: never read), each snapshot's root
+    /// manifest and the manifests the root names as refs, and the data
+    /// files those manifests list. A manifest already gone (another sweep
+    /// got there first) is a leaf.
+    fn add(&mut self, table: &Table) -> Result<()> {
+        let load = |path: &str| match Manifest::load(table.store(), table.io(), path) {
+            Err(TableError::Store(StoreError::NotFound(_))) => Ok(None),
+            loaded => loaded.map(Some),
+        };
+        let metadata = table.metadata();
+        self.documents.insert(table.metadata_location().to_string());
+        let log = metadata.metadata_log.iter().map(|e| e.location.clone());
+        self.documents.extend(log);
+        for snapshot in &metadata.snapshots {
+            let root = load(&snapshot.manifest_path)?;
+            let refs = root.iter().flat_map(|root| &root.refs);
+            let named = refs.map(|r| r.path.clone());
+            for path in named.chain([snapshot.manifest_path.clone()]) {
+                if !self.manifests.insert(path.clone()) {
+                    continue;
+                }
+                if let Some(manifest) = load(&path)? {
+                    let files = manifest.entries.iter().map(|e| e.file_path.clone());
+                    self.data_files.extend(files);
+                }
             }
-            match self.store().delete(&ObjectPath::new(path)?) {
+        }
+        Ok(())
+    }
+}
+
+/// Delete what `dead` reaches and no named version of its table does
+/// (DESIGN.md §36): data files first, then manifests, then metadata
+/// documents. `named` must hold the metadata location of every table
+/// version a ref or a tag names, read from a ref document no older than the
+/// commit that stopped naming `dead`; those at `dead`'s location are kept
+/// whole. Each path is deleted once and evicted from the object cache, and
+/// one already gone is not an error. The report's `snapshots_expired` is
+/// the expire's to fill.
+pub fn sweep<'a>(
+    dead: &Table,
+    named: impl IntoIterator<Item = &'a str>,
+) -> Result<ExpirationReport> {
+    let (mut doomed, mut kept) = (Reach::default(), Reach::default());
+    doomed.add(dead)?;
+    let documents = format!("{}/metadata/", dead.metadata().location);
+    for location in named.into_iter().filter(|l| l.starts_with(&documents)) {
+        match Table::load_with(Arc::clone(dead.store()), location, dead.io().clone()) {
+            Ok(live) => kept.add(&live)?,
+            // A ref made from catalog history after an earlier sweep: its
+            // version reads nothing, so it keeps nothing.
+            Err(TableError::Store(StoreError::NotFound(_))) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let delete = |doomed: &BTreeSet<String>, kept: &BTreeSet<String>| -> Result<usize> {
+        let mut deleted = 0;
+        for path in doomed.difference(kept) {
+            if let Some(cache) = &dead.io().cache {
+                cache.remove(path);
+            }
+            match dead.store().delete(&ObjectPath::new(path.clone())?) {
                 Ok(()) => deleted += 1,
                 Err(StoreError::NotFound(_)) => {}
                 Err(e) => return Err(e.into()),
             }
         }
         Ok(deleted)
-    }
+    };
+    Ok(ExpirationReport {
+        snapshots_expired: 0,
+        data_files_deleted: delete(&doomed.data_files, &kept.data_files)?,
+        manifests_deleted: delete(&doomed.manifests, &kept.manifests)?,
+        documents_deleted: delete(&doomed.documents, &kept.documents)?,
+    })
 }
 
 #[cfg(test)]
@@ -322,8 +327,13 @@ mod tests {
         let t = table_with_appends(5, PartitionSpec::unpartitioned());
         let (t2, creport) = t.compact().unwrap();
         assert_eq!(creport.files_written, 1);
-        let (t3, report) = t2.expire_snapshots(1).unwrap();
-        assert_eq!(report.snapshots_expired, 5); // 5 appends (compaction kept)
+        let (t3, expired) = t2.expire_snapshots(1).unwrap();
+        // 5 appends (compaction kept).
+        assert_eq!(expired, 5);
+        // Still named (say by a tag), the pruned version loses nothing.
+        let kept = sweep(&t2, [t3.metadata_location(), t2.metadata_location()]).unwrap();
+        assert_eq!(kept, ExpirationReport::default());
+        let report = sweep(&t2, [t3.metadata_location()]).unwrap();
         assert!(report.data_files_deleted >= 4);
         assert!(report.manifests_deleted >= 4);
         // Current data unaffected.
@@ -345,9 +355,11 @@ mod tests {
         // An earlier, interrupted expiry already took one manifest.
         let gone = t.metadata().snapshots[0].manifest_path.clone();
         t.store().delete(&ObjectPath::new(gone).unwrap()).unwrap();
-        let (t2, report) = t.expire_snapshots(1).unwrap();
-        assert_eq!(report.snapshots_expired, 3);
+        let (t2, expired) = t.expire_snapshots(1).unwrap();
+        assert_eq!(expired, 3);
+        let report = sweep(&t, [t2.metadata_location()]).unwrap();
         assert_eq!(report.manifests_deleted, 2, "the other was already gone");
+        assert_eq!(report.documents_deleted, 4);
         for entry in log {
             let path = ObjectPath::new(entry.location.clone()).unwrap();
             assert!(!t.store().exists(&path), "{} survived", entry.location);
@@ -379,8 +391,8 @@ mod tests {
     #[test]
     fn expiration_noop_when_within_retention() {
         let t = table_with_appends(2, PartitionSpec::unpartitioned());
-        let (_, report) = t.expire_snapshots(5).unwrap();
-        assert_eq!(report.snapshots_expired, 0);
+        let (_, expired) = t.expire_snapshots(5).unwrap();
+        assert_eq!(expired, 0);
     }
 
     #[test]
@@ -388,8 +400,9 @@ mod tests {
         // Append-only history: latest snapshot references ALL files, so
         // expiring old snapshots must delete manifests but no data files.
         let t = table_with_appends(4, PartitionSpec::unpartitioned());
-        let (t2, report) = t.expire_snapshots(1).unwrap();
-        assert_eq!(report.snapshots_expired, 3);
+        let (t2, expired) = t.expire_snapshots(1).unwrap();
+        assert_eq!(expired, 3);
+        let report = sweep(&t, [t2.metadata_location()]).unwrap();
         assert_eq!(report.data_files_deleted, 0);
         assert_eq!(t2.scan().execute().unwrap().num_rows(), 4);
     }

@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 
 /// An earlier metadata document of the table, and the snapshot that was
 /// current in it (Iceberg's metadata log). With write-once document names
-/// nothing overwrites a superseded document, so the log is how snapshot
-/// expiry finds the ones to delete.
+/// nothing overwrites a superseded document, so the log is how the sweep
+/// after a snapshot expiry finds the ones to delete.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetadataLogEntry {
     pub location: String,
@@ -39,7 +39,7 @@ pub struct TableMetadata {
     /// Free-form properties.
     pub properties: BTreeMap<String, String>,
     /// The documents this one descends from, oldest first, less those
-    /// snapshot expiry deleted.
+    /// whose current snapshot an expiry dropped.
     #[serde(default)]
     pub metadata_log: Vec<MetadataLogEntry>,
 }

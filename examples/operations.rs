@@ -98,10 +98,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gets_fragmented,
         metrics.gets()
     );
+    // Expiry only rewrites the table's metadata; the sweep after its commit
+    // deletes what no branch or tag still reaches.
     let ereport = lh.expire_table_snapshots("taxi_table", "main", 1)?;
     println!(
-        "expiration: {} snapshots, {} data files, {} manifests removed",
-        ereport.snapshots_expired, ereport.data_files_deleted, ereport.manifests_deleted
+        "expiration: {} snapshots; swept {} data files, {} manifests, {} metadata documents",
+        ereport.snapshots_expired,
+        ereport.data_files_deleted,
+        ereport.manifests_deleted,
+        ereport.documents_deleted
     );
 
     // --- Catalog GC ----------------------------------------------------------------

@@ -11,16 +11,19 @@
 //! * no acknowledged table write is lost: racing appends through one front
 //!   take turns and all land, and an append or a commit that lands while a
 //!   compaction's, an expire's or a merge's CAS of the ref is held is kept
-//!   by the write that then starts over (DESIGN.md §33).
+//!   by the write that then starts over (DESIGN.md §33);
+//! * an expire that loses every CAS deletes nothing (DESIGN.md §36).
 
-use bauplan_core::{Lakehouse, LakehouseConfig};
+use bauplan_core::{BauplanError, Lakehouse, LakehouseConfig};
+use lakehouse_catalog::CatalogError;
 use lakehouse_columnar::kernels::CmpOp;
 use lakehouse_columnar::{Column, DataType, Field, RecordBatch, Schema, Value};
 use lakehouse_store::{
-    InMemoryStore, IoDispatcher, LatencyModel, ObjectPath, ObjectStore, SimulatedStore,
+    InMemoryStore, IoDispatcher, LatencyModel, ObjectPath, ObjectStore, SimulatedStore, StoreError,
 };
 use lakehouse_table::{PartitionSpec, ScanPredicate, SnapshotOperation, Table, TableIo};
 use lakehouse_workload::TaxiGenerator;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -231,12 +234,15 @@ impl Gate {
 }
 
 /// An in-memory store whose every `refs.json` read takes a millisecond —
-/// a ref read as slow as an object store's — and which can hold the next
-/// read of the ref, or the next CAS of it, open.
+/// a ref read as slow as an object store's — which can hold the next read
+/// of the ref, or the next CAS of it, open, or make every CAS of the ref
+/// lose, and which counts deletes.
 struct HeldRefs {
     inner: Arc<InMemoryStore>,
     read: Gate,
     cas: Gate,
+    losing: AtomicBool,
+    deletes: AtomicUsize,
 }
 
 impl HeldRefs {
@@ -245,6 +251,8 @@ impl HeldRefs {
             inner: Arc::clone(inner),
             read: Gate::default(),
             cas: Gate::default(),
+            losing: AtomicBool::new(false),
+            deletes: AtomicUsize::new(0),
         })
     }
 }
@@ -267,6 +275,7 @@ impl ObjectStore for HeldRefs {
         self.inner.list(prefix)
     }
     fn delete(&self, path: &ObjectPath) -> lakehouse_store::Result<()> {
+        self.deletes.fetch_add(1, Ordering::SeqCst);
         self.inner.delete(path)
     }
     fn put_if_matches(
@@ -277,6 +286,9 @@ impl ObjectStore for HeldRefs {
     ) -> lakehouse_store::Result<()> {
         if path.as_str().ends_with("/refs.json") {
             self.cas.pass();
+            if self.losing.load(Ordering::SeqCst) {
+                return Err(StoreError::PreconditionFailed(path.as_str().to_string()));
+            }
         }
         self.inner.put_if_matches(path, expected, data)
     }
@@ -425,6 +437,40 @@ fn an_append_that_lands_during_an_expire_is_kept() {
     let all = (Value::Int64(30), Value::Int64((0..30).sum()));
     assert_eq!(count_and_sum(&a), all);
     assert_eq!(report.snapshots_expired, 2);
+}
+
+/// An expire that loses every CAS attempt, the first while another front's
+/// append lands, ends `CommitContended` and deletes nothing: every snapshot
+/// the head lists, the ones the expire would have dropped too, still scans.
+#[test]
+fn an_expire_that_loses_every_cas_deletes_nothing() {
+    let (a, held, b) = held_fronts();
+    b.append_table("t", &xs(10, 10), "main").unwrap();
+    b.compact_table("t", "main").unwrap();
+    held.losing.store(true, Ordering::SeqCst);
+    let expired = while_held(
+        &held.cas,
+        || a.expire_table_snapshots("t", "main", 1),
+        || b.append_table("t", &xs(20, 10), "main").unwrap(),
+    );
+    let contended = matches!(
+        expired,
+        Err(BauplanError::Catalog(CatalogError::CommitContended { .. }))
+    );
+    assert!(contended, "{:?}", expired.err());
+    assert_eq!(held.deletes.load(Ordering::SeqCst), 0);
+    let objects = Arc::clone(&held.inner) as Arc<dyn ObjectStore>;
+    let head = b.catalog().get_content("main", "t").unwrap();
+    let table = Table::load(objects, &head.metadata_location).unwrap();
+    let snapshots = &table.metadata().snapshots;
+    assert_eq!(snapshots.len(), 4, "create, append, compaction, append");
+    for snapshot in snapshots {
+        let id = snapshot.snapshot_id;
+        let scan = table.scan().at_snapshot(id).execute();
+        let rows = scan.unwrap_or_else(|e| panic!("snapshot {id}: {e}"));
+        assert_eq!(rows.num_rows() as u64, snapshot.total_rows);
+    }
+    assert_eq!(count_and_sum(&b).0, Value::Int64(30));
 }
 
 /// A commit to another table that lands on the target while a merge's CAS

@@ -1,7 +1,8 @@
 //! Platform-level table maintenance: compaction and snapshot expiration
 //! through the catalog, with time travel preserved where it should be.
 //! Compaction rewrites only the partitions that hold more than one file, and
-//! expiry keeps every manifest a retained snapshot still names.
+//! expiry keeps every manifest a retained snapshot still names; the sweep
+//! after it keeps whatever any ref or tag still reads.
 
 use bauplan_core::{Lakehouse, LakehouseConfig, NodeDef, PipelineProject, RunOptions};
 use bytes::Bytes;
@@ -12,8 +13,8 @@ use lakehouse_obs::Trace;
 use lakehouse_store::{InMemoryStore, ObjectPath, ObjectStore, StoreMetrics};
 use lakehouse_table::schema_def::ValueDef;
 use lakehouse_table::{
-    Manifest, PartitionField, PartitionSpec, ScanPredicate, SnapshotOperation, Table, TableIo,
-    Transform,
+    ExpirationReport, Manifest, PartitionField, PartitionSpec, ScanPredicate, SnapshotOperation,
+    Table, TableIo, Transform,
 };
 use lakehouse_workload::TaxiGenerator;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -95,6 +96,70 @@ fn expiration_after_compaction_frees_files_but_keeps_current() {
         .query("SELECT COUNT(*) AS n FROM events", "main")
         .unwrap();
     assert_eq!(out.row(0).unwrap()[0], Value::Int64(12));
+}
+
+/// An expire on a branch deletes nothing another ref still reads: after a
+/// compaction and an expire on `feat`, `main`, a tag taken before the
+/// compaction and a replay's ref each read their own rows from a cold
+/// front.
+#[test]
+fn an_expire_on_a_branch_keeps_what_main_a_tag_and_a_replay_read() {
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let lh = Lakehouse::with_store(Arc::clone(&store), LakehouseConfig::zero_latency()).unwrap();
+    lh.create_table("events", &batch(vec![1, 2]), "main")
+        .unwrap();
+    lh.append_table("events", &batch(vec![3]), "main").unwrap();
+    lh.create_tag("v1", "main").unwrap();
+    lh.append_table("events", &batch(vec![4]), "main").unwrap();
+    let project = PipelineProject::new("copy").with(NodeDef::sql("copy", "SELECT x FROM events"));
+    let run = lh.run(&project, &RunOptions::default()).unwrap();
+    let replay = lh.replay(run.run_id, None).unwrap();
+    assert!(replay.success);
+    lh.append_table("events", &batch(vec![5]), "main").unwrap();
+    lh.create_branch("feat", Some("main")).unwrap();
+    let compacted = lh.compact_table("events", "feat").unwrap();
+    assert_eq!(compacted.files_compacted, 4);
+    let report = lh.expire_table_snapshots("events", "feat", 1).unwrap();
+    assert_eq!(report.snapshots_expired, 4);
+    let deleted_nothing = ExpirationReport {
+        snapshots_expired: 4,
+        ..Default::default()
+    };
+    assert_eq!(
+        report, deleted_nothing,
+        "`main` names all the pruned version reaches"
+    );
+
+    let cold = Lakehouse::with_store(store, LakehouseConfig::zero_latency()).unwrap();
+    let read = |reference: &str| cold.read_table("events", reference).unwrap();
+    assert_eq!(read("main"), batch(vec![1, 2, 3, 4, 5]));
+    assert_eq!(read("v1"), batch(vec![1, 2, 3]));
+    assert_eq!(read(&replay.ephemeral_branch), batch(vec![1, 2, 3, 4]));
+    assert_eq!(read("feat"), batch(vec![1, 2, 3, 4, 5]));
+}
+
+/// A branch made from catalog history at a version an earlier sweep took
+/// cannot be read (DESIGN.md §36), and does not stop the next expire from
+/// sweeping.
+#[test]
+fn a_ref_to_swept_history_does_not_block_the_next_sweep() {
+    let lh = lakehouse_with_fragmented_table();
+    let (old, _) = lh.log("main", 1).unwrap().remove(0);
+    lh.compact_table("events", "main").unwrap();
+    let first = lh.expire_table_snapshots("events", "main", 1).unwrap();
+    assert_eq!(first.documents_deleted, 6, "the create's and five appends'");
+    lh.create_branch("old", Some(&old)).unwrap();
+    assert!(lh.read_table("events", "old").is_err());
+    lh.append_table("events", &batch(vec![7]), "main").unwrap();
+    lh.compact_table("events", "main").unwrap();
+    let second = lh.expire_table_snapshots("events", "main", 1).unwrap();
+    assert_eq!(second.snapshots_expired, 2);
+    assert_eq!(
+        (second.data_files_deleted, second.manifests_deleted),
+        (2, 2)
+    );
+    let out = lh.query("SELECT SUM(x) AS s FROM events", "main").unwrap();
+    assert_eq!(out.row(0).unwrap()[0], Value::Int64(3 + 170 + 7));
 }
 
 #[test]
@@ -275,10 +340,12 @@ fn expiry_keeps_every_manifest_a_retained_snapshot_names() {
     }
     // Retained: the last three appends, each naming the compaction's root
     // (whose snapshot expires) and the appends before it as refs.
-    let (table, report) = table.expire_snapshots(3).unwrap();
-    assert_eq!(report.snapshots_expired, 6);
+    let (pruned, expired) = table.expire_snapshots(3).unwrap();
+    assert_eq!(expired, 6);
+    let report = lakehouse_table::sweep(&table, [pruned.metadata_location()]).unwrap();
     assert_eq!(report.manifests_deleted, 4, "the first four appends' roots");
     assert_eq!(report.data_files_deleted, 16);
+    let table = pruned;
     let retained = &table.metadata().snapshots;
     assert_eq!(retained.len(), 3);
     for (k, snapshot) in retained.iter().enumerate() {
